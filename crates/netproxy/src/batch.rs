@@ -5,7 +5,8 @@
 //! drains up to [`BATCH`] datagrams per `recvmmsg` into a preallocated
 //! ring of buffers and coalesces every outbound forward/NACK of a batch
 //! into one `sendmmsg` flush, cutting the syscall count per packet from
-//! two to ~2/[`BATCH`].
+//! two to ~2/[`BATCH`] — and, within that flush, every same-destination
+//! run into one message (below).
 //!
 //! Two implementations sit behind the same [`BatchIo`] trait:
 //!
@@ -20,6 +21,42 @@
 //! Receive buffers are only recycled after the batch's sends are
 //! flushed, which is what lets the relay forward straight out of the
 //! receive ring (zero-copy, see [`crate::wire::DatagramView`]).
+//!
+//! # Run coalescing (UDP GSO)
+//!
+//! An incast is many senders toward one receiver, so a relay's flush is
+//! mostly equal-size datagrams for one address. [`MmsgIo`] sends each
+//! run of queued datagrams with the same destination and length as
+//! **one** `sendmmsg` entry: its `msg_iov` gathers the run's ring slots
+//! in place and a `SOL_UDP/UDP_SEGMENT` cmsg carries the length, so the
+//! kernel does route lookup → IP output → device → IP input once per
+//! run and cuts the datagrams apart at the far end of that walk. A run
+//! of one is a plain entry, and everything still leaves in the one
+//! `sendmmsg`. Which datagrams join a run is decided by the queue's
+//! contents alone — there is no switch.
+//!
+//! * **Two passes.** The queue is walked twice, payload-bearing entries
+//!   first, header-only ones (NACKs, reversed ACKs, bounced trimmed
+//!   headers: at most [`WIRE_HEADER_LEN`] bytes) second, so interleaved
+//!   forwards and NACKs form two long runs, not many two-datagram ones.
+//!   Order is kept per (destination, length); across a batch it carries
+//!   no meaning (see `RecvRing::swap_remove`).
+//! * **Limits.** A message holds at most 64 segments and 65507 bytes
+//!   (one UDP datagram until it is segmented), so a longer run continues
+//!   in a new message; empty datagrams cannot be segmented and go alone;
+//!   each segment plus headers must fit the path MTU, which
+//!   [`MAX_DATAGRAM`] does on a 1500-byte link.
+//! * **Refusal.** When the kernel refuses a multi-segment message with
+//!   one of the errors a missing capability produces (`EINVAL`, `EIO`,
+//!   `ENOPROTOOPT`, `EOPNOTSUPP`, `EMSGSIZE`: kernel before 4.18, device
+//!   without checksum offload, segment over the path MTU), the run is
+//!   re-sent as plain entries within the same call, each counted on its
+//!   own. If the first of them is accepted, the refusal was about GSO and
+//!   coalescing stays off for that socket; if it is refused too, it was
+//!   the destination (port 0, say) and nothing is latched.
+//!
+//! [`SendOutcome`] counts datagrams in `sent`/`errors` either way, and
+//! kernel entries in `messages`.
 
 use crate::wire::{write_nack_into, MAX_DATAGRAM, WIRE_HEADER_LEN};
 use std::io;
@@ -278,12 +315,26 @@ impl SendQueue {
 
 /// Result of a batch flush: datagrams handed to the kernel and hard
 /// send errors (counted, never silently dropped — see `RelayStats`).
+/// `sent` and `errors` count **datagrams**, however few kernel entries
+/// carried them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendOutcome {
     /// Datagrams accepted by the kernel.
     pub sent: u64,
     /// Datagrams the kernel refused (per-datagram errors).
     pub errors: u64,
+    /// Entries the kernel accepted: one per coalesced run on [`MmsgIo`]
+    /// (so `messages < sent` means coalescing happened), one per
+    /// datagram on [`FallbackIo`].
+    pub messages: u64,
+}
+
+impl std::ops::AddAssign for SendOutcome {
+    fn add_assign(&mut self, o: SendOutcome) {
+        self.sent += o.sent;
+        self.errors += o.errors;
+        self.messages += o.messages;
+    }
 }
 
 /// A batched datagram socket: drain many per receive call, flush many
@@ -391,12 +442,16 @@ impl BatchIo for FallbackIo {
         let mut outcome = SendOutcome::default();
         for i in 0..queue.len() {
             let (bytes, dest) = queue.resolve(ring, i);
-            match self.socket.send_to(bytes, dest) {
-                Ok(_) => outcome.sent += 1,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => outcome.errors += 1,
-                Err(_) => outcome.errors += 1,
+            loop {
+                match self.socket.send_to(bytes, dest) {
+                    Ok(_) => outcome.sent += 1,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => outcome.errors += 1,
+                }
+                break;
             }
         }
+        outcome.messages = outcome.sent;
         Ok(outcome)
     }
 
@@ -437,7 +492,8 @@ pub use linux::MmsgIo;
 #[cfg(target_os = "linux")]
 mod linux {
     use super::{
-        is_timeout, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH, RECV_POLL,
+        is_timeout, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH, MAX_DATAGRAM,
+        RECV_POLL, WIRE_HEADER_LEN,
     };
     use std::io;
     use std::mem;
@@ -458,6 +514,20 @@ mod linux {
     const SO_SNDBUF: c_int = 7;
     const MSG_WAITFORONE: c_int = 0x10000;
     const MSG_DONTWAIT: c_int = 0x40;
+    const SOL_UDP: c_int = 17;
+    const UDP_SEGMENT: c_int = 103;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    const EMSGSIZE: i32 = 90;
+    const ENOPROTOOPT: i32 = 92;
+    const EOPNOTSUPP: i32 = 95;
+
+    /// Segments one `UDP_SEGMENT` message may carry (the kernel's
+    /// `UDP_MAX_SEGMENTS` before 6.9; later kernels allow more).
+    const GSO_MAX_SEGS: usize = 64;
+    /// Largest UDP payload over IPv4; a coalesced message is one UDP
+    /// datagram until the kernel segments it, so its total is bound by it.
+    const UDP_MAX_PAYLOAD: usize = 65507;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -483,6 +553,46 @@ mod linux {
     struct MMsgHdr {
         msg_hdr: MsgHdr,
         msg_len: c_uint,
+    }
+
+    /// A `cmsghdr` carrying `UDP_SEGMENT`'s u16 segment size, padded to
+    /// `CMSG_SPACE(2)`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct GsoCmsg {
+        cmsg_len: usize,
+        cmsg_level: c_int,
+        cmsg_type: c_int,
+        gso_size: u16,
+        _pad: [u8; 6],
+    }
+
+    /// `CMSG_LEN(2)`: the struct without its tail padding.
+    const GSO_CMSG_LEN: usize = mem::size_of::<GsoCmsg>() - 6;
+    // `gso_size` is a u16.
+    const _: () = assert!(MAX_DATAGRAM <= u16::MAX as usize);
+
+    /// How many `len`-byte datagrams one message may carry: 1 (no
+    /// coalescing) for empty datagrams, which cannot be segmented.
+    fn max_segments(len: usize) -> usize {
+        UDP_MAX_PAYLOAD
+            .checked_div(len)
+            .map_or(1, |n| n.clamp(1, GSO_MAX_SEGS))
+    }
+
+    /// Datagrams carried by `hdrs` (one iovec each).
+    fn segments(hdrs: &[MMsgHdr]) -> u64 {
+        hdrs.iter().map(|h| h.msg_hdr.msg_iovlen as u64).sum()
+    }
+
+    /// The errors a multi-segment message can fail with when the datagrams
+    /// themselves might be sendable: kernel without `UDP_SEGMENT`, device
+    /// without checksum offload, segment + headers over the path MTU.
+    fn gso_refused(e: &io::Error) -> bool {
+        matches!(
+            e.raw_os_error(),
+            Some(EINVAL | EIO | ENOPROTOOPT | EOPNOTSUPP | EMSGSIZE)
+        )
     }
 
     #[repr(C)]
@@ -610,6 +720,15 @@ mod linux {
         Ok(())
     }
 
+    /// Turns UDP transmit checksums off/on (`SO_NO_CHECK`): the kernel
+    /// refuses `UDP_SEGMENT` on such a socket but sends plain datagrams, a
+    /// capability miss tests can provoke on loopback.
+    #[cfg(test)]
+    pub(super) fn set_no_check(socket: &UdpSocket, on: bool) -> io::Result<()> {
+        const SO_NO_CHECK: c_int = 11;
+        set_opt_i32(socket.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, on as c_int)
+    }
+
     /// `socket() + SO_REUSEPORT + large buffers + bind()`, returned as a
     /// std socket (who owns the fd from here on).
     pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
@@ -652,9 +771,17 @@ mod linux {
         recv_addrs: Box<[SockAddrStorage; BATCH]>,
         recv_iovs: Box<[IoVec; BATCH]>,
         recv_hdrs: Box<[MMsgHdr; BATCH]>,
+        // Send side, sized to the queue: one iovec per datagram; one
+        // header, address and cmsg per message. A header's `msg_iovlen`
+        // is its datagram count.
         send_addrs: Vec<SockAddrStorage>,
+        send_ctrl: Vec<GsoCmsg>,
         send_iovs: Vec<IoVec>,
         send_hdrs: Vec<MMsgHdr>,
+        /// Coalesce same-destination, same-length runs into `UDP_SEGMENT`
+        /// messages; cleared for good once the kernel refuses one whose
+        /// datagrams it then accepts uncoalesced.
+        gso: bool,
     }
 
     // SAFETY: the raw pointers inside the preallocated scaffolding only
@@ -693,9 +820,20 @@ mod linux {
                 ),
                 recv_hdrs: Box::new([zero_mmsg; BATCH]),
                 send_addrs: Vec::new(),
+                send_ctrl: Vec::new(),
                 send_iovs: Vec::new(),
                 send_hdrs: Vec::new(),
+                gso: true,
             })
+        }
+
+        /// As [`MmsgIo::new`] with coalescing latched off, as after a
+        /// refused `UDP_SEGMENT` message: the parity reference for tests.
+        #[cfg(test)]
+        pub(crate) fn without_gso(socket: UdpSocket) -> io::Result<Self> {
+            let mut io = Self::new(socket)?;
+            io.gso = false;
+            Ok(io)
         }
     }
 
@@ -757,66 +895,137 @@ mod linux {
                 return Ok(outcome);
             }
             self.send_addrs.clear();
+            self.send_ctrl.clear();
             self.send_iovs.clear();
             self.send_hdrs.clear();
-            self.send_addrs.resize(total, SockAddrStorage::zeroed());
-            self.send_iovs.resize(
-                total,
-                IoVec {
-                    iov_base: std::ptr::null_mut(),
-                    iov_len: 0,
-                },
-            );
-            for i in 0..total {
-                let (bytes, dest) = queue.resolve(ring, i);
-                let addr_len = encode_addr(dest, &mut self.send_addrs[i]);
-                self.send_iovs[i] = IoVec {
-                    iov_base: bytes.as_ptr() as *mut c_void,
-                    iov_len: bytes.len(),
-                };
-                self.send_hdrs.push(MMsgHdr {
-                    msg_hdr: MsgHdr {
-                        msg_name: self.send_addrs[i].bytes.as_mut_ptr() as *mut c_void,
-                        msg_namelen: addr_len,
-                        msg_iov: &mut self.send_iovs[i],
-                        msg_iovlen: 1,
-                        ..zero_msghdr()
-                    },
-                    msg_len: 0,
-                });
+            // One iovec per datagram, at most one message per datagram.
+            self.send_addrs.reserve(total);
+            self.send_ctrl.reserve(total);
+            self.send_iovs.reserve(total);
+            self.send_hdrs.reserve(total);
+            // Payload-bearing entries, then header-only ones, so a batch of
+            // mixed traffic forms two long runs instead of many short ones.
+            for header_only in [false, true] {
+                let mut run = None; // (destination, length) of the open run
+                let mut room = 0; // segments the open run can still take
+                for i in 0..total {
+                    let (bytes, dest) = queue.resolve(ring, i);
+                    let len = bytes.len();
+                    if (len <= WIRE_HEADER_LEN) != header_only {
+                        continue;
+                    }
+                    self.send_iovs.push(IoVec {
+                        iov_base: bytes.as_ptr() as *mut c_void,
+                        iov_len: len,
+                    });
+                    if room > 0 && run == Some((dest, len)) {
+                        room -= 1;
+                        let open = self.send_hdrs.last_mut().expect("a run is open");
+                        open.msg_hdr.msg_iovlen += 1;
+                        continue;
+                    }
+                    run = Some((dest, len));
+                    room = if self.gso { max_segments(len) - 1 } else { 0 };
+                    let mut addr = SockAddrStorage::zeroed();
+                    let addr_len = encode_addr(dest, &mut addr);
+                    self.send_addrs.push(addr);
+                    self.send_ctrl.push(GsoCmsg {
+                        cmsg_len: GSO_CMSG_LEN,
+                        cmsg_level: SOL_UDP,
+                        cmsg_type: UDP_SEGMENT,
+                        gso_size: len as u16,
+                        _pad: [0; 6],
+                    });
+                    self.send_hdrs.push(MMsgHdr {
+                        msg_hdr: MsgHdr {
+                            msg_namelen: addr_len,
+                            msg_iovlen: 1,
+                            ..zero_msghdr()
+                        },
+                        msg_len: 0,
+                    });
+                }
             }
-            let mut done = 0usize;
-            while done < total {
-                // SAFETY: the scaffolding vectors are sized `total` and
-                // stay alive (and unmoved) across the call.
+            // Pointers are taken only now, after the last push: message `m`
+            // owns address and cmsg `m` and the next `msg_iovlen` iovecs
+            // (`wrapping_add` stays in bounds by that construction).
+            let addrs = self.send_addrs.as_mut_ptr();
+            let ctrl = self.send_ctrl.as_mut_ptr();
+            let iovs = self.send_iovs.as_mut_ptr();
+            let mut first = 0;
+            for (m, hdr) in self.send_hdrs.iter_mut().enumerate() {
+                let h = &mut hdr.msg_hdr;
+                h.msg_name = addrs.wrapping_add(m) as *mut c_void;
+                h.msg_iov = iovs.wrapping_add(first);
+                if h.msg_iovlen > 1 {
+                    h.msg_control = ctrl.wrapping_add(m) as *mut c_void;
+                    h.msg_controllen = mem::size_of::<GsoCmsg>();
+                }
+                first += h.msg_iovlen;
+            }
+            let mut done = 0;
+            // First plain entry of a run re-sent after the kernel refused
+            // it coalesced.
+            let mut probe = usize::MAX;
+            while done < self.send_hdrs.len() {
+                let pending = &mut self.send_hdrs[done..];
+                // SAFETY: every pointer in `pending` was taken above, after
+                // the address/cmsg/iovec vectors reached their final length
+                // (reserved up front, untouched until the next call), so
+                // none has moved; the iovecs point into `ring` and `queue`,
+                // which are borrowed for the whole call.
                 let rc = unsafe {
                     sendmmsg(
                         self.socket.as_raw_fd(),
-                        self.send_hdrs.as_mut_ptr().add(done),
-                        (total - done) as c_uint,
+                        pending.as_mut_ptr(),
+                        pending.len() as c_uint,
                         MSG_DONTWAIT,
                     )
                 };
                 if rc < 0 {
                     let e = io::Error::last_os_error();
+                    if e.kind() == io::ErrorKind::Interrupted {
+                        continue;
+                    }
                     if is_timeout(&e) {
                         // Kernel send queue full: brief blocking retry of
                         // the remainder via the same syscall without
                         // DONTWAIT would stall the shard; count and move on.
-                        outcome.errors += (total - done) as u64;
+                        outcome.errors += segments(pending);
                         return Ok(outcome);
                     }
-                    if e.kind() == io::ErrorKind::Interrupted {
+                    let run = pending[0].msg_hdr;
+                    if run.msg_iovlen > 1 && gso_refused(&e) {
+                        // Re-send the run as plain entries, in place.
+                        probe = done;
+                        let plain = (0..run.msg_iovlen).map(|k| MMsgHdr {
+                            msg_hdr: MsgHdr {
+                                msg_iov: run.msg_iov.wrapping_add(k),
+                                msg_iovlen: 1,
+                                msg_control: std::ptr::null_mut(),
+                                msg_controllen: 0,
+                                ..run
+                            },
+                            msg_len: 0,
+                        });
+                        self.send_hdrs.splice(done..=done, plain);
                         continue;
                     }
                     // Per-datagram refusal (e.g. unroutable dest): skip it,
                     // count it, keep flushing the rest.
-                    outcome.errors += 1;
+                    outcome.errors += run.msg_iovlen as u64;
                     done += 1;
                     continue;
                 }
-                outcome.sent += rc as u64;
-                done += rc as usize;
+                let rc = rc as usize;
+                if (done..done + rc).contains(&probe) {
+                    // The same datagram left without the cmsg: the refusal
+                    // was about GSO, not about the destination.
+                    self.gso = false;
+                }
+                outcome.messages += rc as u64;
+                outcome.sent += segments(&pending[..rc]);
+                done += rc;
             }
             Ok(outcome)
         }
@@ -837,6 +1046,7 @@ mod tests {
     use super::*;
     use crate::wire::WireHeader;
     use std::net::UdpSocket;
+    use std::time::Duration;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().expect("addr")
@@ -923,8 +1133,9 @@ mod tests {
             let mut queue = SendQueue::new();
             queue.push_slot(0, ring.datagram(0).len(), peer_addr);
             queue.push_nack(9, 42, peer_addr);
-            let outcome = io.send_batch(&ring, &queue).unwrap();
-            assert_eq!(outcome, SendOutcome { sent: 2, errors: 0 }, "{:?}", layer);
+            let got = io.send_batch(&ring, &queue).unwrap();
+            // Payload-bearing and header-only entries never share a message.
+            assert_eq!(got, outcome(2, 0, 2), "{:?}", layer);
             queue.clear();
 
             let mut buf = [0u8; 2048];
@@ -938,18 +1149,192 @@ mod tests {
         }
     }
 
+    /// Every implementation under its name: both layers, plus the mmsg
+    /// layer with coalescing latched off (the parity reference).
+    fn ios() -> Vec<(&'static str, Box<dyn BatchIo>)> {
+        let sock = || UdpSocket::bind(loopback()).unwrap();
+        let mut all: Vec<(&'static str, Box<dyn BatchIo>)> = Vec::new();
+        #[cfg(target_os = "linux")]
+        {
+            all.push(("mmsg", Box::new(MmsgIo::new(sock()).unwrap())));
+            all.push((
+                "mmsg-no-gso",
+                Box::new(MmsgIo::without_gso(sock()).unwrap()),
+            ));
+        }
+        all.push(("fallback", Box::new(FallbackIo::new(sock()).unwrap())));
+        all
+    }
+
+    fn peer(bind: &str) -> (UdpSocket, SocketAddr) {
+        let sock = UdpSocket::bind(bind).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let addr = sock.local_addr().unwrap();
+        (sock, addr)
+    }
+
+    /// Queues one datagram per `plan` entry (destination, length; bytes
+    /// distinct per entry), flushes them through `io` in one call, and
+    /// checks what each peer received: exactly its datagrams, intact, from
+    /// `io`'s address, in queue order within each length (the order
+    /// `send_batch` promises).
+    fn flush_and_check(
+        io: &mut dyn BatchIo,
+        peers: &[&UdpSocket],
+        plan: &[(SocketAddr, usize)],
+    ) -> SendOutcome {
+        let mut ring = RecvRing::new();
+        let mut queue = SendQueue::new();
+        let mut queued = Vec::new();
+        for (i, &(dest, len)) in plan.iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|b| (i as u8).wrapping_add(b as u8)).collect();
+            let (slot, len) = ring
+                .stage(|buf| {
+                    buf[..len].copy_from_slice(&bytes);
+                    len
+                })
+                .expect("plan fits the ring");
+            queue.push_slot(slot, len, dest);
+            queued.push((dest, bytes));
+        }
+        let outcome = io.send_batch(&ring, &queue).unwrap();
+        for peer in peers {
+            let addr = peer.local_addr().unwrap();
+            let mut want: Vec<Vec<u8>> = queued
+                .iter()
+                .filter(|(dest, _)| *dest == addr)
+                .map(|(_, bytes)| bytes.clone())
+                .collect();
+            let mut got = Vec::new();
+            let mut buf = [0u8; 2048];
+            for _ in 0..want.len() {
+                let (n, from) = peer.recv_from(&mut buf).expect("every datagram arrives");
+                assert_eq!(from, io.local_addr().unwrap());
+                got.push(buf[..n].to_vec());
+            }
+            // Stable sorts by length keep the order within each length.
+            want.sort_by_key(Vec::len);
+            got.sort_by_key(Vec::len);
+            assert_eq!(got, want);
+        }
+        outcome
+    }
+
+    fn outcome(sent: u64, errors: u64, messages: u64) -> SendOutcome {
+        SendOutcome {
+            sent,
+            errors,
+            messages,
+        }
+    }
+
+    #[test]
+    fn same_destination_run_leaves_as_one_message() {
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
+            let messages = if name == "mmsg" { 1 } else { 32 };
+            assert_eq!(got, outcome(32, 0, messages), "{name}");
+        }
+    }
+
+    #[test]
+    fn long_run_splits_at_the_kernel_limits() {
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            // 64 x 1424 B is 91 KB: over the 65507-byte message bound.
+            let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, MAX_DATAGRAM); 64]);
+            let messages = if name == "mmsg" { 2 } else { 64 };
+            assert_eq!(got, outcome(64, 0, messages), "{name}");
+        }
+    }
+
+    #[test]
+    fn zero_length_and_mixed_length_queues() {
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let lens = [0, 0, 88, 88, 24, 24, 100, 100, 100, 0, 88];
+            let plan: Vec<_> = lens.iter().map(|&len| (addr, len)).collect();
+            let got = flush_and_check(io.as_mut(), &[&sock], &plan);
+            // 88,88 | 100,100,100 | 88, then 0 | 0 | 24,24 | 0: empty
+            // datagrams never coalesce.
+            let messages = if name == "mmsg" { 7 } else { 11 };
+            assert_eq!(got, outcome(11, 0, messages), "{name}");
+        }
+    }
+
+    #[test]
+    fn alternating_destinations_each_get_their_own() {
+        for (name, mut io) in ios() {
+            let (a, a_addr) = peer("127.0.0.1:0");
+            let (b, b_addr) = peer("127.0.0.1:0");
+            let plan: Vec<_> = (0..16)
+                .map(|i| (if i % 2 == 0 { a_addr } else { b_addr }, 88))
+                .collect();
+            let got = flush_and_check(io.as_mut(), &[&a, &b], &plan);
+            assert_eq!(got, outcome(16, 0, 16), "{name}");
+        }
+    }
+
+    #[test]
+    fn ipv6_loopback_run() {
+        let Ok(sock) = UdpSocket::bind("[::1]:0") else {
+            return; // no IPv6 loopback on this host
+        };
+        let mut io = open(sock, SocketLayer::Auto).unwrap();
+        let (sock, addr) = peer("[::1]:0");
+        let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
+        let messages = if io.layer() == SocketLayer::Mmsg {
+            1
+        } else {
+            32
+        };
+        assert_eq!(got, outcome(32, 0, messages));
+    }
+
     #[test]
     fn send_errors_are_counted_not_dropped() {
-        for layer in layers() {
-            let mut io = open(UdpSocket::bind(loopback()).unwrap(), layer).unwrap();
+        // Port 0 is never a valid destination: the kernel refuses it.
+        let nowhere: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        for (name, mut io) in ios() {
             let mut queue = SendQueue::new();
-            // Port 0 is never a valid destination: the kernel refuses it.
-            queue.push_nack(1, 2, "127.0.0.1:0".parse().unwrap());
-            let ring = RecvRing::new();
-            let outcome = io.send_batch(&ring, &queue).unwrap();
-            assert_eq!(outcome.sent, 0, "{:?}", layer);
-            assert_eq!(outcome.errors, 1, "{:?}", layer);
+            queue.push_nack(1, 2, nowhere);
+            let got = io.send_batch(&RecvRing::new(), &queue).unwrap();
+            assert_eq!(got, outcome(0, 1, 0), "{name}");
+
+            // A refused run in the middle of a same-size batch: each of its
+            // datagrams is counted once, the runs around it are delivered.
+            let (sock, addr) = peer("127.0.0.1:0");
+            let mut plan = vec![(addr, 88); 4];
+            plan.extend([(nowhere, 88); 3]);
+            plan.extend([(addr, 88); 4]);
+            let got = flush_and_check(io.as_mut(), &[&sock], &plan);
+            let messages = if name == "mmsg" { 2 } else { 8 };
+            assert_eq!(got, outcome(8, 3, messages), "{name}");
+
+            // A bad destination is not a missing capability: still coalescing.
+            let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
+            let messages = if name == "mmsg" { 1 } else { 32 };
+            assert_eq!(got, outcome(32, 0, messages), "{name}");
         }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn refused_gso_is_resent_plain_and_latched_off() {
+        let sock = UdpSocket::bind(loopback()).unwrap();
+        let knob = sock.try_clone().unwrap();
+        let mut io = MmsgIo::new(sock).unwrap();
+        let (sock, addr) = peer("127.0.0.1:0");
+        // Without transmit checksums the kernel refuses the coalesced
+        // message (EINVAL) and takes the same datagrams one by one.
+        linux::set_no_check(&knob, true).unwrap();
+        let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
+        assert_eq!(got, outcome(32, 0, 32));
+        // Latched: the socket would coalesce again now, but is not asked to.
+        linux::set_no_check(&knob, false).unwrap();
+        let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
+        assert_eq!(got, outcome(32, 0, 32));
     }
 
     #[cfg(target_os = "linux")]

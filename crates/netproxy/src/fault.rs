@@ -524,9 +524,7 @@ impl FaultedIo {
         out: &mut SendOutcome,
     ) -> io::Result<()> {
         if self.stage_ring.len() == BATCH {
-            let o = self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
-            out.sent += o.sent;
-            out.errors += o.errors;
+            *out += self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
             self.stage_ring.reset();
             self.stage_queue.clear();
         }
@@ -710,9 +708,7 @@ impl BatchIo for FaultedIo {
             }
         }
         if !self.stage_queue.is_empty() {
-            let o = self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
-            out.sent += o.sent;
-            out.errors += o.errors;
+            out += self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
             self.stage_ring.reset();
             self.stage_queue.clear();
         }

@@ -911,7 +911,7 @@ impl ShardWorker {
             };
             if got == 0 {
                 if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
-                    self.sweep(&senders, &mut last_activity, &mut queue);
+                    self.sweep(&senders, &mut last_activity, &ring, &mut queue);
                     next_sweep = Instant::now() + self.sweep_interval;
                 }
                 continue;
@@ -951,8 +951,8 @@ impl ShardWorker {
                         }
                     }
                     SendOutcome {
-                        sent: 0,
                         errors: queue.len() as u64,
+                        ..SendOutcome::default()
                     }
                 }
             };
@@ -985,7 +985,7 @@ impl ShardWorker {
             self.recorder
                 .record_nanos(start.elapsed().as_nanos() as u64 / got as u64);
             if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
-                self.sweep(&senders, &mut last_activity, &mut queue);
+                self.sweep(&senders, &mut last_activity, &ring, &mut queue);
                 next_sweep = Instant::now() + self.sweep_interval;
             }
             match send_result {
@@ -1147,7 +1147,8 @@ impl ShardWorker {
 
     /// Quiescence sweep ([`RelayKind::Detecting`]): re-NACK tail losses
     /// of flows with no recent arrivals. Sends only scratch-ring NACKs,
-    /// so it can flush against an empty receive ring.
+    /// which never reference `ring`, so whatever the run loop's ring
+    /// holds is irrelevant to the flush.
     ///
     /// Sweep NACKs are deliberately *not* run through the shed ladder:
     /// they fire on quiescence (so never during a storm), are the last
@@ -1157,6 +1158,7 @@ impl ShardWorker {
         &mut self,
         senders: &HashMap<u64, SocketAddr>,
         last_activity: &mut HashMap<u64, Instant>,
+        ring: &RecvRing,
         queue: &mut SendQueue,
     ) {
         let now = Instant::now();
@@ -1176,8 +1178,7 @@ impl ShardWorker {
         if queue.is_empty() {
             return;
         }
-        let ring = RecvRing::new();
-        if let Ok(outcome) = self.io.send_batch(&ring, queue) {
+        if let Ok(outcome) = self.io.send_batch(ring, queue) {
             // ordering: Relaxed — monotone counters, as in the batch
             // flush above.
             self.stats.nacks.fetch_add(nacks, Ordering::Relaxed);
@@ -1358,6 +1359,69 @@ mod tests {
             assert_eq!(from, relay.local_addr());
             assert_eq!(h, WireHeader::nack(3, 42));
             wait_for(|| relay.stats().nacks == 1);
+        }
+    }
+
+    #[test]
+    fn incast_burst_conserves_every_datagram_both_layers() {
+        for layer in layers() {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let relay = start(
+                RelayKind::Streamlined,
+                layer,
+                receiver.local_addr().unwrap(),
+            );
+            // 4 flows (one sender socket each) x 16 equal-size DATA, plus 2
+            // trimmed headers per flow, all in flight at once: long
+            // same-destination runs to the receiver, short ones back.
+            let senders: Vec<UdpSocket> = (0..4)
+                .map(|_| UdpSocket::bind(loopback()).unwrap())
+                .collect();
+            let payload = |flow: u64, seq: u64| -> Vec<u8> {
+                (0..64).map(|b| (flow * 16 + seq) as u8 ^ b).collect()
+            };
+            for seq in 0..18u64 {
+                for (flow, sender) in senders.iter().enumerate() {
+                    let flow = flow as u64;
+                    let wire = if seq < 16 {
+                        WireHeader::data(flow, seq, 64).encode(&payload(flow, seq))
+                    } else {
+                        WireHeader::trimmed(flow, seq).encode(&[])
+                    };
+                    sender.send_to(&wire, relay.local_addr()).unwrap();
+                }
+            }
+            let mut seen = std::collections::HashSet::new();
+            for _ in 0..64 {
+                let (h, p, from) = recv_one(&receiver);
+                assert_eq!(from, relay.local_addr());
+                assert_eq!(p, payload(h.flow, h.seq), "{layer:?}: payload intact");
+                assert!(seen.insert((h.flow, h.seq)), "{layer:?}: delivered once");
+            }
+            for (flow, sender) in senders.iter().enumerate() {
+                let mut nacked: Vec<u64> = (0..2)
+                    .map(|_| {
+                        let (h, _, from) = recv_one(sender);
+                        assert_eq!(from, relay.local_addr());
+                        assert_eq!((h.flags, h.flow), (Flags::NACK, flow as u64));
+                        h.seq
+                    })
+                    .collect();
+                nacked.sort_unstable();
+                assert_eq!(nacked, [16, 17], "{layer:?}: flow {flow} NACKs");
+            }
+            wait_for(|| relay.stats().received == 72);
+            let stats = relay.stats();
+            assert_eq!(
+                (
+                    stats.forwarded,
+                    stats.nacks,
+                    stats.send_errors,
+                    stats.dropped
+                ),
+                (64, 8, 0, 0),
+                "{layer:?}"
+            );
         }
     }
 

@@ -80,8 +80,9 @@ fn crashed_shard_is_restarted_and_stats_never_regress() {
     let sender = UdpSocket::bind(loopback()).unwrap();
 
     push_until_forwarded(&sender, &receiver, relay.local_addr(), 1);
+    // Counters flush after the batch's sends, a moment behind the socket.
+    wait_for(2, "first forward counted", || relay.stats().forwarded >= 1);
     let before = relay.stats();
-    assert!(before.forwarded >= 1);
 
     // Kill every shard: whichever one the kernel steers our flow to is
     // certainly among them.
@@ -111,8 +112,9 @@ fn crashed_shard_is_restarted_and_stats_never_regress() {
 
     // And the relay still relays: same flow, post-restart.
     push_until_forwarded(&sender, &receiver, relay.local_addr(), 1);
-    let after_traffic = relay.stats();
-    assert!(after_traffic.forwarded > after_restart.forwarded);
+    wait_for(2, "post-restart forward counted", || {
+        relay.stats().forwarded > after_restart.forwarded
+    });
 
     // Heartbeats advance on the replacement workers.
     let hb: Vec<u64> = (0..relay.shards())
@@ -224,26 +226,49 @@ fn overload_ladder_sheds_and_coalesces_under_burst() {
     .expect("relay starts");
     let sender = UdpSocket::bind(loopback()).unwrap();
 
-    // One flow, a hot burst: rung 1 exhausts (shed→NACK), the NACK
-    // bucket exhausts (shed→drop), and duplicates coalesce.
-    for seq in 0..800u64 {
-        sender
-            .send_to(
-                &WireHeader::data(5, seq, 16).encode(&[1; 16]),
-                relay.local_addr(),
-            )
-            .unwrap();
-        if seq % 64 == 0 {
+    // One flow, hot bursts: rung 1 exhausts (shed→NACK), the NACK
+    // bucket exhausts (shed→drop), and duplicates coalesce. Coalescing
+    // needs a NACK token and two over-budget datagrams in the same batch,
+    // which a relay that keeps up one datagram at a time never sees — so
+    // burst again (the bucket refills meanwhile) until every rung engaged.
+    let start = Instant::now();
+    let mut seq = 0u64;
+    loop {
+        let s = relay.stats();
+        if s.shed_nacked > 0 && s.shed_dropped > 0 && s.nacks_coalesced > 0 {
+            break;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "ladder never engaged on all rungs: {s:?}"
+        );
+        for _ in 0..13 {
+            for _ in 0..64 {
+                sender
+                    .send_to(
+                        &WireHeader::data(5, seq, 16).encode(&[1; 16]),
+                        relay.local_addr(),
+                    )
+                    .unwrap();
+                seq += 1;
+            }
             // Pace just enough that the kernel socket buffer doesn't
             // swallow the whole burst before the relay reads any of it.
             std::thread::sleep(Duration::from_millis(1));
         }
+        std::thread::sleep(Duration::from_millis(100));
     }
-    wait_for(5, "ladder engaged on all rungs", || {
-        let s = relay.stats();
-        s.shed_nacked > 0 && s.shed_dropped > 0 && s.nacks_coalesced > 0
-    });
-    let s = relay.stats();
+    // Counters flush one by one per batch: snapshot only once the last
+    // burst has drained, never mid-flush.
+    let mut s = relay.stats();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let next = relay.stats();
+        if next == s {
+            break;
+        }
+        s = next;
+    }
     // Ladder accounting: every received datagram lands in exactly one
     // bucket (streamlined relays are datagram-conserving).
     assert_eq!(

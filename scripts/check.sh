@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Everything CI runs, in the order it runs it. Fails fast.
 #
-#   scripts/check.sh            # format check + clippy + tests
+#   scripts/check.sh            # format check + clippy + tests + smokes
 #   scripts/check.sh --offline  # same, for machines without registry access
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -66,5 +66,10 @@ echo "== chaos repro replay (committed shrunk repros, both families, determinism
 for repro in crates/bench/tests/repros/*.json; do
   cargo run --release "${OFFLINE[@]}" -q -p bench --bin fuzz -- --replay "$repro"
 done
+
+# Last: it builds offline against crates/perf's committed stand-ins (its own
+# .cargo/config.toml), which re-resolves the gitignored Cargo.lock.
+echo "== benchmark smoke (BENCHMARK.json's offline build + all six workloads, untraced and traced, every correctness check)"
+bash crates/perf/smoke.sh
 
 echo "All checks passed."
