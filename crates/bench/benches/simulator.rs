@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcsim::events::{Event, EventQueue, TimerKind};
-use dcsim::packet::AgentId;
+use dcsim::packet::{AgentId, FlowId, HostId, NodeId, Packet};
 use dcsim::time::SimTime;
 use dcsim::topology::TwoDcParams;
 use incast_core::{run_incast, ExperimentConfig, Scheme};
@@ -13,7 +13,8 @@ use trace::SplitMix64;
 /// Schedule/pop churn with a large standing population of pending events:
 /// the steady state of a big simulation, where every pop is followed by a
 /// re-schedule further in the future. Sweeps the pending-set size from
-/// 10k to 1M to expose cache effects in the queue's layout.
+/// 10k to 1M to expose cache effects in the queue's layout (plain
+/// `schedule`, everything in the heap), then runs the lane-shaped case.
 fn bench_event_queue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_churn");
     group.throughput(Throughput::Elements(1));
@@ -49,6 +50,37 @@ fn bench_event_queue_churn(c: &mut Criterion) {
             },
         );
     }
+    // The same churn in the shape a simulation's packets have: a 10k-packet
+    // in-flight window spread over 64 links, each delivering in transmit
+    // order. Every pop takes a link's earliest arrival and the link's next
+    // packet is offered behind its last, so the heap holds 64 lane heads
+    // while the other ~9.9k events wait on the lanes.
+    group.bench_function("in_flight_lanes_10k", |b| {
+        const LANES: usize = 64;
+        const WINDOW: usize = 10_000;
+        let arrival = |lane: usize| Event::Arrival {
+            node: NodeId(lane as u32),
+            packet: Packet::data(FlowId(0), 0, HostId(0), HostId(1), 0),
+        };
+        let mut q = EventQueue::with_lanes(WINDOW, LANES);
+        let mut rng = SplitMix64::new(42);
+        let mut last = [0u64; LANES];
+        for k in 0..WINDOW {
+            let lane = k % LANES;
+            last[lane] += 1 + rng.next_bounded(1000);
+            q.schedule_on_lane(lane, SimTime(last[lane]), arrival(lane));
+        }
+        b.iter(|| {
+            let (at, event) = q.pop().expect("non-empty");
+            let Event::Arrival { node, .. } = event else {
+                unreachable!("only arrivals are scheduled")
+            };
+            let lane = node.index();
+            last[lane] += 1 + rng.next_bounded(1000);
+            q.schedule_on_lane(lane, SimTime(last[lane]), arrival(lane));
+            at
+        });
+    });
     group.finish();
 }
 

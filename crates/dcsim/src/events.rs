@@ -6,8 +6,8 @@
 //! fire in the order they were scheduled.
 //!
 //! Layout matters here: this queue is the simulator's hottest structure
-//! (one push + one pop per event, tens of millions per run). The heap
-//! itself holds only 24-byte `(time, seq, slot)` entries, so sift-up /
+//! (every event passes through it, tens of millions per run). The heap
+//! itself holds only 24-byte `(time, seq, slot, lane)` entries, so sift-up /
 //! sift-down move small Copy values with good cache locality; the fat
 //! [`Event`] payloads (a full [`Packet`] by value in the `Arrival` case)
 //! live in a slab indexed by `slot` and are written exactly once on
@@ -16,6 +16,34 @@
 //! The 4-ary shape halves tree depth versus a binary heap, trading a few
 //! extra comparisons per level for fewer cache-missing levels — the usual
 //! win for discrete-event simulation workloads.
+//!
+//! # Lanes
+//!
+//! Most pending events of a packet simulation are packets in flight on a
+//! link, and their order *on that link* is already known: a link delivers
+//! in the order it transmitted. Holding each of them as its own heap entry
+//! makes every push and pop sift through thousands of entries whose
+//! relative order was never in question. A **lane**
+//! ([`EventQueue::with_lanes`], [`EventQueue::schedule_on_lane`]) is a FIFO
+//! of pending events sorted by `(time, seq)`, threaded through the shared
+//! slab by a per-slot `next` link, and only the lane's *head* owns a heap
+//! entry:
+//!
+//! * scheduling behind a non-empty lane appends to the list — O(1), the
+//!   heap is not touched;
+//! * popping a lane head overwrites `heap[0]` with its successor's key and
+//!   does one sift-down — instead of a pop plus a push — on a heap that now
+//!   holds one entry per busy link rather than one per packet in flight.
+//!
+//! Sequence numbers still come from the one global counter at schedule
+//! time and `pop` still returns the minimum `(time, seq)` over everything
+//! pending, so the pop sequence is exactly what a single heap would produce
+//! (a lane is sorted, so its head is its minimum, so the heap — lane heads
+//! plus plain entries — always contains the global minimum). Nothing relies
+//! on the caller's claim that a lane's offers are monotone: an offer that
+//! would unsort its lane, or that names no lane, takes the plain heap path.
+//! Lane entries are never handed a [`TimerHandle`]; cancel and reschedule
+//! are for plain entries only.
 
 use crate::packet::{AgentId, NodeId, Packet, PortId};
 use crate::time::SimTime;
@@ -94,12 +122,18 @@ pub struct EventCensus {
 /// lines of 24-byte entries.
 const ARITY: usize = 4;
 
+/// "No slot" / "no lane" sentinel for the `u32` links below.
+const NIL: u32 = u32::MAX;
+
 /// A compact heap entry: ordering key plus a handle into the event slab.
+/// `lane` rides in what would otherwise be padding: the lane this entry is
+/// the head of, or [`NIL`] for a plain entry.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     at: SimTime,
     seq: u64,
     slot: u32,
+    lane: u32,
 }
 
 impl HeapEntry {
@@ -111,11 +145,23 @@ impl HeapEntry {
     }
 }
 
+/// Per-slot lane threading, meaningful only while the slot holds a lane
+/// entry: its ordering key (a queued entry has no heap entry to carry it)
+/// and the slot queued behind it on the same lane.
+#[derive(Debug, Clone, Copy)]
+struct LaneLink {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+}
+
 /// The event queue: a deterministic min-heap of [`Event`]s with
-/// first-class cancel and reschedule-in-place.
+/// first-class cancel and reschedule-in-place, plus per-link FIFO lanes
+/// (see the module docs).
 #[derive(Default)]
 pub struct EventQueue {
-    /// Indexed 4-ary min-heap of compact entries.
+    /// Indexed 4-ary min-heap of compact entries: every plain event and
+    /// the head of every non-empty lane.
     heap: Vec<HeapEntry>,
     /// Slab of event payloads; `HeapEntry::slot` indexes into it. `None`
     /// slots are free and linked through `free`.
@@ -129,6 +175,13 @@ pub struct EventQueue {
     /// Per-slot generation, bumped whenever a slot is freed; a
     /// [`TimerHandle`] is live iff its generation still matches.
     gen: Vec<u32>,
+    /// Per-slot lane threading, parallel to `slab`.
+    link: Vec<LaneLink>,
+    /// Tail slot of each lane; [`NIL`] while the lane is empty.
+    lanes: Vec<u32>,
+    /// Events queued on lanes behind their head, i.e. pending but not in
+    /// `heap`.
+    queued: usize,
     next_seq: u64,
     now: SimTime,
 }
@@ -142,12 +195,21 @@ impl EventQueue {
     /// Creates an empty queue with room for `capacity` pending events
     /// before any reallocation.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_lanes(capacity, 0)
+    }
+
+    /// Like [`with_capacity`](Self::with_capacity), with `lanes` empty
+    /// lanes for [`schedule_on_lane`](Self::schedule_on_lane).
+    pub fn with_lanes(capacity: usize, lanes: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             pos: Vec::with_capacity(capacity),
             gen: Vec::with_capacity(capacity),
+            link: Vec::with_capacity(capacity),
+            lanes: vec![NIL; lanes],
+            queued: 0,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -158,13 +220,15 @@ impl EventQueue {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, lane-held ones included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.queued
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
+        // A non-empty lane always has its head in the heap.
+        debug_assert!(!self.heap.is_empty() || self.queued == 0);
         self.heap.is_empty()
     }
 
@@ -174,7 +238,7 @@ impl EventQueue {
     /// Panics if `at` is in the past — events may only be scheduled at or
     /// after the current time.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        self.schedule_cancelable(at, event);
+        self.insert(NIL, at, event);
     }
 
     /// Schedules `event` at absolute time `at`, returning a handle that
@@ -185,6 +249,37 @@ impl EventQueue {
     /// Panics if `at` is in the past — events may only be scheduled at or
     /// after the current time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: Event) -> TimerHandle {
+        let slot = self.insert(NIL, at, event);
+        TimerHandle {
+            slot,
+            gen: self.gen[slot as usize],
+        }
+    }
+
+    /// Schedules `event` at absolute time `at` on `lane`: behind the
+    /// lane's pending events if `at` is no earlier than the last of them
+    /// (an O(1) append that leaves the heap alone), otherwise — or if the
+    /// queue has no such lane — exactly as [`schedule`](Self::schedule)
+    /// would. Either way the event fires in `(at, schedule order)` position
+    /// among all pending events; the lane only changes what that costs.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_on_lane(&mut self, lane: usize, at: SimTime, event: Event) {
+        let lane = if lane < self.lanes.len() {
+            lane as u32
+        } else {
+            NIL
+        };
+        self.insert(lane, at, event);
+    }
+
+    /// The one scheduling path: takes a sequence number and a slab slot,
+    /// then either appends to `lane` or pushes a heap entry (a plain one
+    /// when `lane` is [`NIL`] or the offer would unsort the lane, the
+    /// lane's new head when the lane was empty). Returns the slot.
+    #[inline]
+    fn insert(&mut self, mut lane: u32, at: SimTime, event: Event) -> u32 {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at} now={}",
@@ -192,6 +287,7 @@ impl EventQueue {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let unlinked = LaneLink { at, seq, next: NIL };
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slab[slot as usize].is_none());
@@ -203,17 +299,35 @@ impl EventQueue {
                 self.slab.push(Some(event));
                 self.pos.push(0);
                 self.gen.push(0);
+                self.link.push(unlinked);
                 slot
             }
         };
-        let i = self.heap.len();
-        self.heap.push(HeapEntry { at, seq, slot });
-        self.pos[slot as usize] = i as u32;
-        self.sift_up(i);
-        TimerHandle {
-            slot,
-            gen: self.gen[slot as usize],
+        if lane != NIL {
+            self.link[slot as usize] = unlinked;
+            let tail = self.lanes[lane as usize];
+            if tail == NIL {
+                self.lanes[lane as usize] = slot;
+            } else if at >= self.link[tail as usize].at {
+                // `seq` is the largest yet, so `at` alone decides whether
+                // the lane stays sorted by `(at, seq)`.
+                self.link[tail as usize].next = slot;
+                self.lanes[lane as usize] = slot;
+                self.queued += 1;
+                return slot;
+            } else {
+                lane = NIL;
+            }
         }
+        let i = self.heap.len();
+        self.heap.push(HeapEntry {
+            at,
+            seq,
+            slot,
+            lane,
+        });
+        self.sift_up(i);
+        slot
     }
 
     /// True while the handle's event is still pending (not yet popped,
@@ -234,6 +348,7 @@ impl EventQueue {
         }
         let i = self.pos[handle.slot as usize] as usize;
         debug_assert_eq!(self.heap[i].slot, handle.slot);
+        debug_assert_eq!(self.heap[i].lane, NIL, "handle to a lane entry");
         let last = self.heap.pop().expect("live handle implies non-empty heap");
         if i < self.heap.len() {
             self.heap[i] = last;
@@ -294,11 +409,32 @@ impl EventQueue {
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last.slot as usize] = 0;
+        let succ = if top.lane == NIL {
+            NIL
+        } else {
+            self.link[top.slot as usize].next
+        };
+        if succ != NIL {
+            // A lane head with events queued behind it: its successor takes
+            // over the root entry — one sift-down, no pop + push.
+            let LaneLink { at, seq, .. } = self.link[succ as usize];
+            self.heap[0] = HeapEntry {
+                at,
+                seq,
+                slot: succ,
+                lane: top.lane,
+            };
+            self.queued -= 1;
             self.sift_down(0);
+        } else {
+            if top.lane != NIL {
+                self.lanes[top.lane as usize] = NIL;
+            }
+            let last = self.heap.pop().expect("non-empty");
+            if !self.heap.is_empty() {
+                self.heap[0] = last;
+                self.sift_down(0);
+            }
         }
         debug_assert!(top.at >= self.now, "heap returned an out-of-order event");
         self.now = top.at;
@@ -322,8 +458,9 @@ impl EventQueue {
     }
 
     /// Counts pending events by class (for the invariant auditor). Walks
-    /// the whole slab — O(slots), so callers should only invoke it at
-    /// audit checkpoints, not per event.
+    /// the whole slab — lane-held events live there like any other — so it
+    /// is O(slots): callers should only invoke it at audit checkpoints, not
+    /// per event.
     pub fn census(&self) -> EventCensus {
         let mut census = EventCensus::default();
         for entry in self.slab.iter().flatten() {
@@ -397,6 +534,11 @@ mod tests {
         }
     }
 
+    /// Lanes with at least one pending event.
+    fn busy_lanes(q: &EventQueue) -> usize {
+        q.lanes.iter().filter(|&&tail| tail != NIL).count()
+    }
+
     fn tag_of(e: &Event) -> u64 {
         match e {
             Event::Timer {
@@ -465,19 +607,60 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Random interleaving of schedules and pops against a reference
-    /// model: the heap must agree with a sorted `(time, seq)` list at
-    /// every step, and slab slots must be recycled rather than leaked.
+    /// A lane offer for the randomized tests: usually at or after the
+    /// latest time the lane was ever offered (the shape a link produces,
+    /// which appends), sometimes anywhere from `now` on (which may unsort
+    /// the lane and must then take the heap), on a lane index one past the
+    /// last real lane now and then (no such lane: heap again). Returns the
+    /// chosen time.
+    fn offer_on_random_lane(
+        rng: &mut trace::SplitMix64,
+        q: &mut EventQueue,
+        latest: &mut [u64],
+        event: Event,
+    ) -> u64 {
+        let lane = rng.next_bounded(latest.len() as u64 + 1) as usize;
+        let now = q.now().0;
+        let at = match latest.get(lane) {
+            Some(&last) if rng.next_bounded(4) > 0 => last.max(now) + rng.next_bounded(20),
+            _ => now + rng.next_bounded(50),
+        };
+        if let Some(last) = latest.get_mut(lane) {
+            *last = at.max(*last);
+        }
+        q.schedule_on_lane(lane, SimTime(at), event);
+        at
+    }
+
+    /// Random interleaving of schedules, lane offers and pops against a
+    /// reference model: the queue must agree with a sorted `(time, seq)`
+    /// list at every step, whichever of heap and lane an event went to.
     #[test]
     fn randomized_interleaving_matches_reference() {
         let mut rng = trace::SplitMix64::new(0xE7E7);
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_lanes(0, 4);
+        let mut latest = [0u64; 4];
         let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, tag)
         let mut next_tag = 0u64;
+        let (mut appended, mut fell_through) = (0u32, 0u32);
         for _ in 0..10_000 {
             if reference.is_empty() || rng.next_bounded(3) > 0 {
-                let at = q.now().0 + rng.next_bounded(50);
-                q.schedule(SimTime(at), dummy(next_tag));
+                let at = if rng.next_bounded(2) == 0 {
+                    let at = q.now().0 + rng.next_bounded(50);
+                    q.schedule(SimTime(at), dummy(next_tag));
+                    at
+                } else {
+                    let (heap_before, busy_before) = (q.heap.len(), busy_lanes(&q));
+                    let at = offer_on_random_lane(&mut rng, &mut q, &mut latest, dummy(next_tag));
+                    if q.heap.len() == heap_before {
+                        appended += 1;
+                    } else if busy_lanes(&q) == busy_before {
+                        // Grew the heap without opening a lane: the offer
+                        // was refused by its lane (or named none).
+                        fell_through += 1;
+                    }
+                    at
+                };
                 reference.push((at, next_tag));
                 next_tag += 1;
             } else {
@@ -494,7 +677,12 @@ mod tests {
                 assert_eq!((at.0, tag_of(&event)), (want_at, want_tag));
             }
             assert_eq!(q.len(), reference.len());
+            assert_eq!(q.is_empty(), reference.is_empty());
         }
+        assert!(
+            appended > 500 && fell_through > 100,
+            "both lane outcomes must be exercised: {appended} appends, {fell_through} fall-throughs"
+        );
         // Drain; times must be non-decreasing to the end.
         let mut last = q.now();
         while let Some((at, _)) = q.pop() {
@@ -502,17 +690,26 @@ mod tests {
             last = at;
         }
         assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     /// A bounded-pending workload must not grow the slab beyond its peak
-    /// concurrency: freed slots are reused.
+    /// concurrency: freed slots are reused, whether the events went through
+    /// the heap, through lanes, or a mix of both.
     #[test]
     fn slab_slots_are_recycled() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_lanes(0, 2);
         for round in 0..1_000u64 {
             for k in 0..8 {
-                q.schedule(SimTime(round * 10 + k), dummy(k));
+                let at = SimTime(round * 10 + k);
+                match (round % 3, k % 2) {
+                    (0, _) => q.schedule(at, dummy(k)),
+                    (1, lane) => q.schedule_on_lane(lane as usize, at, dummy(k)),
+                    (_, 0) => q.schedule(at, dummy(k)),
+                    (_, _) => q.schedule_on_lane(0, at, dummy(k)),
+                }
             }
+            assert_eq!(q.len(), 8);
             for _ in 0..8 {
                 q.pop().expect("scheduled");
             }
@@ -522,6 +719,7 @@ mod tests {
             "slab grew to {} slots for 8 concurrent events",
             q.slab.len()
         );
+        assert_eq!(q.link.len(), q.slab.len());
     }
 
     #[test]
@@ -611,72 +809,221 @@ mod tests {
         assert!(q.event_mut(h).is_none(), "stale after firing");
     }
 
-    /// Random interleaving of schedules, cancels, reschedules, and pops
-    /// against a reference model: same contract as
-    /// `randomized_interleaving_matches_reference`, with the new mutators
-    /// in the mix.
+    /// One step of the operation mix the two tests below share: plain
+    /// cancelable schedules, lane offers, cancels, reschedules and pops,
+    /// drawn from `rng`. Pops are appended to `popped`; handles issued so
+    /// far live in `handles` (stale ones included, on purpose).
+    fn random_op(
+        rng: &mut trace::SplitMix64,
+        q: &mut EventQueue,
+        latest: &mut [u64],
+        handles: &mut Vec<(TimerHandle, u64)>,
+        next_tag: &mut u64,
+        popped: &mut Vec<(u64, u64)>,
+    ) -> Op {
+        match rng.next_bounded(8) {
+            0..=1 => {
+                let at = q.now().0 + rng.next_bounded(50);
+                let h = q.schedule_cancelable(SimTime(at), dummy(*next_tag));
+                handles.push((h, *next_tag));
+                *next_tag += 1;
+                Op::Scheduled { at }
+            }
+            2..=4 => {
+                let at = offer_on_random_lane(rng, q, latest, dummy(*next_tag));
+                *next_tag += 1;
+                Op::Scheduled { at }
+            }
+            5 if !handles.is_empty() => {
+                let (h, tag) = handles.swap_remove(rng.next_bounded(handles.len() as u64) as usize);
+                Op::Canceled {
+                    tag,
+                    hit: q.cancel(h).is_some(),
+                }
+            }
+            6 if !handles.is_empty() => {
+                let (h, tag) = handles[rng.next_bounded(handles.len() as u64) as usize];
+                let at = q.now().0 + rng.next_bounded(50);
+                Op::Rescheduled {
+                    tag,
+                    at,
+                    hit: q.reschedule(h, SimTime(at)),
+                }
+            }
+            _ => {
+                let got = q.pop().map(|(at, event)| (at.0, tag_of(&event)));
+                popped.extend(got);
+                Op::Popped(got)
+            }
+        }
+    }
+
+    /// What [`random_op`] did, for the reference model to mirror.
+    enum Op {
+        Scheduled { at: u64 },
+        Canceled { tag: u64, hit: bool },
+        Rescheduled { tag: u64, at: u64, hit: bool },
+        Popped(Option<(u64, u64)>),
+    }
+
+    /// Random interleaving of schedules, lane offers, cancels, reschedules
+    /// and pops against a reference model: same contract as
+    /// `randomized_interleaving_matches_reference`, with the mutators in
+    /// the mix — a cancel or reschedule that moves heap entries around must
+    /// carry lane heads along intact.
     #[test]
     fn randomized_cancel_reschedule_matches_reference() {
         let mut rng = trace::SplitMix64::new(0xCA7C8);
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_lanes(0, 4);
+        let mut latest = [0u64; 4];
         // Reference: (time, order key, tag) triples; order key mirrors the
         // fresh-seq-on-reschedule rule.
         let mut reference: Vec<(u64, u64, u64)> = Vec::new();
         let mut handles: Vec<(TimerHandle, u64)> = Vec::new(); // (handle, tag)
         let mut next_tag = 0u64;
         let mut next_key = 0u64;
+        let mut popped = Vec::new();
         for _ in 0..20_000 {
-            match rng.next_bounded(6) {
-                0..=2 => {
-                    let at = q.now().0 + rng.next_bounded(50);
-                    let h = q.schedule_cancelable(SimTime(at), dummy(next_tag));
-                    reference.push((at, next_key, next_tag));
-                    handles.push((h, next_tag));
-                    next_tag += 1;
+            let tag = next_tag;
+            let op = random_op(
+                &mut rng,
+                &mut q,
+                &mut latest,
+                &mut handles,
+                &mut next_tag,
+                &mut popped,
+            );
+            match op {
+                Op::Scheduled { at } => {
+                    reference.push((at, next_key, tag));
                     next_key += 1;
                 }
-                3 if !handles.is_empty() => {
-                    let (h, tag) =
-                        handles.swap_remove(rng.next_bounded(handles.len() as u64) as usize);
-                    let live_in_ref = reference.iter().any(|&(_, _, t)| t == tag);
-                    assert_eq!(q.cancel(h).is_some(), live_in_ref);
+                Op::Canceled { tag, hit } => {
+                    assert_eq!(hit, reference.iter().any(|&(_, _, t)| t == tag));
                     reference.retain(|&(_, _, t)| t != tag);
                 }
-                4 if !handles.is_empty() => {
-                    let idx = rng.next_bounded(handles.len() as u64) as usize;
-                    let (h, tag) = handles[idx];
-                    let at = q.now().0 + rng.next_bounded(50);
-                    let live_in_ref = reference.iter().any(|&(_, _, t)| t == tag);
-                    assert_eq!(q.reschedule(h, SimTime(at)), live_in_ref);
-                    if live_in_ref {
+                Op::Rescheduled { tag, at, hit } => {
+                    assert_eq!(hit, reference.iter().any(|&(_, _, t)| t == tag));
+                    if hit {
                         reference.retain(|&(_, _, t)| t != tag);
                         reference.push((at, next_key, tag));
                         next_key += 1;
                     }
                 }
-                _ => {
-                    if reference.is_empty() {
-                        assert!(q.pop().is_none());
-                        continue;
-                    }
-                    let (at, event) = q.pop().expect("reference non-empty");
+                Op::Popped(got) => {
                     let best = reference
                         .iter()
                         .enumerate()
                         .min_by_key(|&(_, &(t, key, _))| (t, key))
-                        .map(|(i, _)| i)
-                        .expect("non-empty");
-                    let (want_at, _, want_tag) = reference.swap_remove(best);
-                    assert_eq!((at.0, tag_of(&event)), (want_at, want_tag));
+                        .map(|(i, _)| i);
+                    let want = best.map(|i| reference.swap_remove(i));
+                    assert_eq!(got, want.map(|(at, _, tag)| (at, tag)));
                 }
             }
             assert_eq!(q.len(), reference.len());
         }
+        assert!(q.queued > 0, "the mix must leave events queued on lanes");
         let mut last = q.now();
         while let Some((at, _)) = q.pop() {
             assert!(at >= last);
             last = at;
         }
+    }
+
+    /// Lanes change what an operation costs, never what it does: one
+    /// operation stream fed to a queue with lanes and to one without (every
+    /// offer falls through to the heap) pops the same `(time, event)`
+    /// sequence and answers every cancel and reschedule alike.
+    #[test]
+    fn lanes_are_invisible_in_the_pop_sequence() {
+        for seed in 0..8u64 {
+            let mut traces = Vec::new();
+            for lanes in [4usize, 0] {
+                let mut rng = trace::SplitMix64::new(0x1A9E5 + seed);
+                let mut q = EventQueue::with_lanes(16, lanes);
+                // Offers are drawn against four lanes either way, so the
+                // two runs consume the RNG identically.
+                let mut latest = [0u64; 4];
+                let mut handles = Vec::new();
+                let mut next_tag = 0u64;
+                let mut popped = Vec::new();
+                let mut answers = Vec::new();
+                let mut appended = false;
+                for _ in 0..20_000 {
+                    match random_op(
+                        &mut rng,
+                        &mut q,
+                        &mut latest,
+                        &mut handles,
+                        &mut next_tag,
+                        &mut popped,
+                    ) {
+                        Op::Canceled { hit, .. } | Op::Rescheduled { hit, .. } => answers.push(hit),
+                        Op::Scheduled { .. } | Op::Popped(_) => {}
+                    }
+                    appended |= q.queued > 0;
+                }
+                assert_eq!(appended, lanes > 0, "lanes={lanes}");
+                while let Some((at, event)) = q.pop() {
+                    popped.push((at.0, tag_of(&event)));
+                }
+                traces.push((popped, answers));
+            }
+            assert!(traces[0].0.len() > 5_000);
+            assert_eq!(traces[0], traces[1], "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn lane_appends_stay_out_of_the_heap() {
+        let mut q = EventQueue::with_lanes(0, 2);
+        q.schedule(SimTime(25), dummy(100));
+        for k in 0..10u64 {
+            q.schedule_on_lane(1, SimTime(10 + 2 * k), dummy(k));
+        }
+        assert_eq!(q.len(), 11);
+        assert_eq!(q.heap.len(), 2, "one plain entry plus the lane's head");
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        assert_eq!(q.census().timers, 11, "census sees lane-held events");
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(&e))
+            .collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6, 7, 100, 8, 9]);
+        assert_eq!((q.len(), q.queued), (0, 0));
+        // A drained lane starts over: the next offer becomes its head.
+        q.schedule_on_lane(1, SimTime(40), dummy(7));
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.pop().map(|(t, e)| (t.0, tag_of(&e))), Some((40, 7)));
+    }
+
+    #[test]
+    fn an_offer_that_would_unsort_its_lane_takes_the_heap() {
+        let mut q = EventQueue::with_lanes(0, 1);
+        q.schedule_on_lane(0, SimTime(10), dummy(0));
+        q.schedule_on_lane(0, SimTime(30), dummy(1));
+        q.schedule_on_lane(0, SimTime(20), dummy(2)); // earlier than the tail
+        q.schedule_on_lane(0, SimTime(30), dummy(3)); // ties append
+        q.schedule_on_lane(9, SimTime(15), dummy(4)); // no such lane
+        assert_eq!((q.heap.len(), q.queued), (3, 2));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.0, tag_of(&e)))
+            .collect();
+        assert_eq!(order, vec![(10, 0), (15, 4), (20, 2), (30, 1), (30, 3)]);
+    }
+
+    #[test]
+    fn ties_across_lanes_and_heap_break_in_schedule_order() {
+        let mut q = EventQueue::with_lanes(0, 3);
+        for tag in 0..60u64 {
+            match tag % 4 {
+                3 => q.schedule(SimTime(5), dummy(tag)),
+                lane => q.schedule_on_lane(lane as usize, SimTime(5), dummy(tag)),
+            }
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(&e))
+            .collect();
+        assert_eq!(order, (0..60).collect::<Vec<_>>());
     }
 
     /// Re-arming through one handle N times leaves exactly one pending

@@ -237,6 +237,9 @@ impl FleetSim {
         let mut exchanged = 0u64;
         let mut end_time = SimTime::ZERO;
         let mut violations = Vec::new();
+        // Scratch for the exchange: holds one shard's outbox while it is
+        // drained, never allocates itself (see `Simulator::swap_outbox`).
+        let mut out = Vec::new();
         let stop = loop {
             // Earliest pending event anywhere. Outboxes are always empty
             // here (drained at the bottom of the loop), so an empty fleet
@@ -295,14 +298,17 @@ impl FleetSim {
             // lookahead past its emission time, so it lands strictly after
             // `horizon` and never violates the receiving shard's clock.
             for k in 0..self.shards.len() {
-                let out = self.shards[k].take_outbox();
+                self.shards[k].swap_outbox(&mut out);
                 exchanged += out.len() as u64;
-                for (at, node, packet) in out {
+                for (at, via, packet) in out.drain(..) {
+                    let node = self.shards[k].topology().port(via).to;
                     let dst = self.shard_of[node.index()] as usize;
                     debug_assert_ne!(dst, k, "export to own shard");
                     debug_assert!(at > horizon, "export inside its own window");
-                    self.shards[dst].import_packet(at, node, packet);
+                    self.shards[dst].import_packet(at, via, packet);
                 }
+                // Hand the emptied buffer, and its capacity, back.
+                self.shards[k].swap_outbox(&mut out);
             }
         };
         let mut express = ExpressStats::default();

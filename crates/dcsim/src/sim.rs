@@ -229,9 +229,10 @@ pub struct Simulator {
     shard_of: Option<Arc<Vec<u32>>>,
     /// This simulator's shard id within a fleet run.
     my_shard: u32,
-    /// Packets bound for nodes owned by other shards, accumulated during a
-    /// window and drained by the fleet driver's deterministic exchange.
-    outbox: Vec<(SimTime, NodeId, Packet)>,
+    /// Packets bound for nodes owned by other shards — arrival time, the
+    /// port they left on, the packet — accumulated during a window and
+    /// drained by the fleet driver's deterministic exchange.
+    outbox: Vec<(SimTime, PortId, Packet)>,
 }
 
 impl Simulator {
@@ -247,7 +248,9 @@ impl Simulator {
         let port_count = topo.port_count();
         Simulator {
             topo,
-            events: EventQueue::with_capacity(1024),
+            // One lane per port: a link delivers in transmit order, so its
+            // in-flight arrivals queue behind one heap entry.
+            events: EventQueue::with_lanes(1024, port_count),
             ports,
             agents: Vec::new(),
             flows: Vec::new(),
@@ -324,14 +327,21 @@ impl Simulator {
         self.my_shard = my_shard;
     }
 
-    /// Drains packets destined for other shards (fleet exchange).
-    pub fn take_outbox(&mut self) -> Vec<(SimTime, NodeId, Packet)> {
-        std::mem::take(&mut self.outbox)
+    /// Swaps the outbox — packets destined for other shards — with `buf`
+    /// (fleet exchange). The driver swaps an empty buffer in, drains what
+    /// it got, and swaps back, so the outbox keeps its capacity from one
+    /// window to the next.
+    pub fn swap_outbox(&mut self, buf: &mut Vec<(SimTime, PortId, Packet)>) {
+        std::mem::swap(&mut self.outbox, buf);
     }
 
     /// Accepts a packet exported by another shard: schedules its arrival
-    /// at the owning node and accounts it in the ledger.
-    pub fn import_packet(&mut self, at: SimTime, node: NodeId, packet: Packet) {
+    /// at the far end of `via`, the port it left on, and accounts it in the
+    /// ledger. The arrival rides `via`'s lane like a local one would: this
+    /// shard never transmits on a foreign port, and the exchange delivers
+    /// each port's exports in emission order.
+    pub fn import_packet(&mut self, at: SimTime, via: PortId, packet: Packet) {
+        let node = self.topo.port(via).to;
         debug_assert!(
             self.shard_of
                 .as_ref()
@@ -339,7 +349,8 @@ impl Simulator {
             "imported packet for a node this shard does not own"
         );
         self.ledger.imported += 1;
-        self.events.schedule(at, Event::Arrival { node, packet });
+        self.events
+            .schedule_on_lane(via.index(), at, Event::Arrival { node, packet });
     }
 
     /// Earliest pending event time (fleet window skip-ahead).
@@ -976,7 +987,9 @@ impl Simulator {
         let mut hops = 0u64;
         loop {
             // One cold hop in closed form: FIFO store-and-forward timing
-            // against the port's virtual serialization horizon.
+            // against the port's virtual serialization horizon. `free_at`
+            // only moves forward, so whatever the walk schedules at the far
+            // end of this hop joins the port's lane (`i`) in order.
             let i = port.index();
             let spec = self.topo.port(port);
             let ser = spec.link.bandwidth.serialize_time(packet.size);
@@ -990,7 +1003,7 @@ impl Simulator {
                 if of[node.index()] != self.my_shard {
                     // Crossing the shard boundary: hand the packet to the
                     // owning shard at its arrival time.
-                    self.outbox.push((t, node, packet));
+                    self.outbox.push((t, port, packet));
                     self.ledger.exported += 1;
                     break;
                 }
@@ -1002,7 +1015,8 @@ impl Simulator {
                         "express walk for {} reached {host}",
                         packet.dst
                     );
-                    self.events.schedule(t, Event::Arrival { node, packet });
+                    self.events
+                        .schedule_on_lane(i, t, Event::Arrival { node, packet });
                     break;
                 }
                 _ => {
@@ -1029,7 +1043,7 @@ impl Simulator {
                         // state.
                         fid.stats.deferrals += 1;
                         self.events
-                            .schedule(t, Event::Inject { port: next, packet });
+                            .schedule_on_lane(i, t, Event::Inject { port: next, packet });
                         break;
                     }
                     if self.port_is_cold(fid, next, t) {
@@ -1040,7 +1054,7 @@ impl Simulator {
                         // the spray draw just made is not repeated.
                         fid.stats.fallbacks += 1;
                         self.events
-                            .schedule(t, Event::Inject { port: next, packet });
+                            .schedule_on_lane(i, t, Event::Inject { port: next, packet });
                         break;
                     }
                 }
@@ -1101,14 +1115,18 @@ impl Simulator {
         }
         let exported = match &self.shard_of {
             Some(of) if of[to.index()] != self.my_shard => {
-                self.outbox.push((arrive, to, pkt));
+                self.outbox.push((arrive, port, pkt));
                 self.ledger.exported += 1;
                 true
             }
             _ => false,
         };
         if !exported {
-            self.events.schedule(
+            // `arrive` never runs backwards on one port (each `start` is at
+            // or after the previous `done`, latency is constant), so this is
+            // an append behind the port's other in-flight packets.
+            self.events.schedule_on_lane(
+                port.index(),
                 arrive,
                 Event::Arrival {
                     node: to,

@@ -46,18 +46,23 @@ time_run() { # $1 = jobs; prints fractional seconds (best of two runs)
 }
 
 CORES=$(nproc 2>/dev/null || echo 1)
+# What box the numbers are from: they are only comparable to a baseline
+# recorded on the same CPU model and core count.
+CPU_MODEL=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+[ -n "$CPU_MODEL" ] || CPU_MODEL=$(sysctl -n machdep.cpu.brand_string 2>/dev/null || true)
+[ -n "$CPU_MODEL" ] || CPU_MODEL=unknown
 SERIAL=$(time_run 1)
 PARALLEL=$(time_run 0) # 0 = auto: all available cores
-echo "serial ${SERIAL}s, parallel ${PARALLEL}s (${CORES} cores)"
+echo "serial ${SERIAL}s, parallel ${PARALLEL}s (${CORES} cores, ${CPU_MODEL})"
 
 echo "== writing $OUT"
 GIT_REV=$(git describe --always --dirty 2>/dev/null || echo unknown)
-python3 - "$OUT" "$SERIAL" "$PARALLEL" "$GIT_REV" "$CORES" <<'PY'
+python3 - "$OUT" "$SERIAL" "$PARALLEL" "$GIT_REV" "$CORES" "$CPU_MODEL" <<'PY'
 import json, os, sys
 
-out, serial, parallel, rev, cores = (
+out, serial, parallel, rev, cores, cpu_model = (
     sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), sys.argv[4],
-    int(sys.argv[5]),
+    int(sys.argv[5]), sys.argv[6],
 )
 # On a single-core machine the sweep runner takes its serial shortcut for
 # jobs=0 too, so both timings exercise the identical code path and the
@@ -69,6 +74,7 @@ summary = {
     "suite": "simulator",
     "git_rev": rev,
     "cores": cores,
+    "cpu_model": cpu_model,
     "reference_sweep": {
         "binary": "fig2_left --quick",
         "serial_secs": serial,
@@ -131,10 +137,11 @@ for t in $THREADS; do
 done
 
 echo "== writing $FLEET_OUT"
-python3 - "$FLEET_OUT" "$GIT_REV" "$CORES" "$SWEEP" <<'PY'
+python3 - "$FLEET_OUT" "$GIT_REV" "$CORES" "$SWEEP" "$CPU_MODEL" <<'PY'
 import json, os, sys
 
-out, rev, cores, sweep_file = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+out, rev, cores, sweep_file, cpu_model = (
+    sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5])
 with open(sweep_file) as f:
     runs = [json.loads(line) for line in f if line.strip()]
 # Scenario parameters are identical across the sweep; lift them out once.
@@ -146,6 +153,7 @@ summary = {
     "suite": "fleet",
     "git_rev": rev,
     "cores": cores,
+    "cpu_model": cpu_model,
     "scenario": {k: runs[0][k] for k in scenario_keys},
     "sweep": [
         {
