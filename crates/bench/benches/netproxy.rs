@@ -16,7 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use netproxy::wire::{rewrite_trimmed_to_nack, MAX_PAYLOAD};
-use netproxy::{DatagramView, Flags, SendQueue, WireHeader, BATCH, MAX_DATAGRAM};
+use netproxy::{decide, Action, DatagramView, SendQueue, WireHeader, BATCH, MAX_DATAGRAM};
 
 fn bench_parse(c: &mut Criterion) {
     let mut group = c.benchmark_group("netproxy_parse");
@@ -142,8 +142,8 @@ fn bench_stage(c: &mut Criterion) {
 }
 
 /// The composed per-batch relay decision as the shard worker runs it:
-/// parse each view, branch on flags, rewrite or pass through. This
-/// bounds single-shard pkts/sec from above.
+/// `decide` on each slot, then rewrite or pass through. This bounds
+/// single-shard pkts/sec from above.
 fn bench_classify(c: &mut Criterion) {
     let mut group = c.benchmark_group("netproxy_classify");
     group.throughput(Throughput::Elements(BATCH as u64));
@@ -154,9 +154,8 @@ fn bench_classify(c: &mut Criterion) {
         b.iter(|| {
             let mut forwards = 0u32;
             for _ in 0..BATCH {
-                let v = DatagramView::parse(black_box(&data)).expect("valid");
-                let fwd = v.flags().contains(Flags::DATA) && !v.flags().contains(Flags::TRIMMED);
-                forwards += u32::from(fwd);
+                let action = decide(black_box(&data));
+                forwards += u32::from(matches!(action, Action::ForwardToReceiver(_)));
             }
             black_box(forwards)
         })
@@ -167,10 +166,7 @@ fn bench_classify(c: &mut Criterion) {
             let mut acc = 0u32;
             for slot in ring.iter_mut() {
                 slot[..trimmed.len()].copy_from_slice(&trimmed);
-                let flags = DatagramView::parse(&slot[..trimmed.len()])
-                    .expect("valid")
-                    .flags();
-                if flags.contains(Flags::TRIMMED) {
+                if let Action::NackToSender(_) = decide(&slot[..trimmed.len()]) {
                     rewrite_trimmed_to_nack(&mut slot[..trimmed.len()]).expect("trimmed");
                 }
                 acc += u32::from(slot[2]);

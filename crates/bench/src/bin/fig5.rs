@@ -13,19 +13,28 @@
 //! Substitution (DESIGN.md §3): the lower bound is the runtime of the
 //! pure decision function [`netproxy::decide`] (the entire critical-path
 //! logic, our eBPF-bytecode analogue), sampled per packet; the upper
-//! bound is the same logic behind real UDP sockets over loopback —
-//! through the full host network stack. Both distributions come from the
-//! same load (data + trimmed mix from the virtual trimming switch).
+//! bound is the same function where it runs in production — inside a
+//! one-shard [`ShardedRelay`] behind real UDP sockets over loopback,
+//! through the full host network stack. Its samples run from a receive
+//! batch's arrival in user space through classify, the send syscall and
+//! the counter flush, divided by the batch's datagram count (the retired
+//! per-datagram relay stamped the same span: `recv_from` return →
+//! `send_to` return); the average batch size is printed so the
+//! reader can see how much amortisation that division hides (the
+//! open-loop generator releases its schedule in bursts of up to 2 ms, so
+//! batches are tens of datagrams, not one). Both distributions come from the
+//! same mix (80 % data, 20 % trimmed headers, the load generator's
+//! virtual trimming switch).
 //!
 //! Run with: `cargo run --release -p bench --bin fig5 [--quick]`
 
 use bench::{banner, emit_json, RunOptions};
-use netproxy::loadgen::UdpLoadGen;
 use netproxy::wire::WireHeader;
-use netproxy::{decide, Action, StreamlinedUdpProxy};
+use netproxy::{
+    decide, Action, BatchLoadGen, BatchSink, RelayConfig, RelayStats, ShardedRelay, SocketLayer,
+};
 use serde::Serialize;
 use std::time::{Duration, Instant};
-use tokio::net::UdpSocket;
 use trace::{Cdf, LatencyRecorder, SplitMix64, Table};
 
 #[derive(Serialize)]
@@ -57,9 +66,9 @@ fn lower_bound_cdf(samples: usize) -> Cdf {
         let nanos = start.elapsed().as_nanos() as u64;
         recorder.record_nanos(nanos);
         sink += match action {
-            Action::ForwardToReceiver => 1,
-            Action::NackToSender { seq, .. } => seq,
-            Action::ForwardToSender => 2,
+            Action::ForwardToReceiver(_) => 1,
+            Action::NackToSender(header) => header.seq,
+            Action::ForwardToSender(_) => 2,
             Action::Drop => 0,
         };
     }
@@ -67,44 +76,56 @@ fn lower_bound_cdf(samples: usize) -> Cdf {
     recorder.cdf_micros().expect("samples")
 }
 
-/// Upper bound: the same decisions behind real UDP sockets (full stack).
-async fn upper_bound_cdf(duration: Duration) -> Cdf {
-    let receiver = UdpSocket::bind("127.0.0.1:0").await.expect("receiver");
-    let recv_addr = receiver.local_addr().expect("addr");
-    tokio::spawn(async move {
-        let mut buf = [0u8; 2048];
-        while receiver.recv_from(&mut buf).await.is_ok() {}
-    });
-    let proxy = StreamlinedUdpProxy::start("127.0.0.1:0".parse().expect("addr"), recv_addr)
-        .await
-        .expect("proxy");
-    let sender = UdpSocket::bind("127.0.0.1:0").await.expect("sender");
-    // Drain NACKs so the sender-side kernel buffer doesn't fill.
-    let load = UdpLoadGen {
-        flow: 1,
-        rate_bps: 200_000_000,
+/// Upper bound: the same decisions where the relay makes them — one shard
+/// behind real UDP sockets (full stack). Returns the relay's counters too.
+fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
+    // simlint: allow(wall-clock) — timestamp base of a live-socket run
+    let epoch = Instant::now();
+    let sink = BatchSink::start(1, SocketLayer::Auto, epoch).expect("sink");
+    let relay = ShardedRelay::start(
+        "127.0.0.1:0".parse().expect("addr"),
+        RelayConfig {
+            shards: 1,
+            ..RelayConfig::streamlined(sink.local_addr())
+        },
+    )
+    .expect("relay");
+    // The paper's iperf shape, rate-scaled: 200 Mbit/s of 1400 B datagrams
+    // on one flow, a fifth of them trimmed on the way.
+    let load = BatchLoadGen {
+        threads: 1,
+        flows_per_thread: 1,
+        payload_len: 1400,
+        rate_pps: 17_900,
+        trim_fraction: 0.2,
         duration,
-        switch_rate_bps: 160_000_000,
-        switch_buffer_bytes: 256 * 1024,
+        layer: SocketLayer::Auto,
+        drain_grace: Duration::from_millis(10),
     };
     eprintln!(
-        "driving {} Mbit/s of datagrams (with virtual trimming) for {duration:?} ...",
-        load.rate_bps / 1_000_000
+        "driving {} datagrams/s (1400 B, 20% trimmed) for {duration:?} ...",
+        load.rate_pps
     );
-    load.run(&sender, proxy.local_addr()).await.expect("load");
-    tokio::time::sleep(Duration::from_millis(300)).await;
-    proxy.recorder().cdf_micros().expect("samples")
+    let report = load.run(relay.local_addr(), epoch).expect("load");
+    // simlint: allow(wall-clock) — drain deadline for live sockets
+    let drain = Instant::now();
+    while relay.stats().received < report.delivered() && drain.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (
+        relay.recorder().cdf_micros().expect("samples"),
+        relay.stats(),
+    )
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let opts = RunOptions::from_args();
     banner(
         "Figure 5",
         "streamlined proxy overhead: decision-logic lower bound vs through-stack upper bound",
     );
     let lower = lower_bound_cdf(if opts.quick { 200_000 } else { 2_000_000 });
-    let upper = upper_bound_cdf(Duration::from_secs(if opts.quick { 1 } else { 10 })).await;
+    let (upper, relay) = upper_bound_cdf(Duration::from_secs(if opts.quick { 1 } else { 10 }));
 
     let mut table = Table::new(vec!["percentile", "lower bound (us)", "upper bound (us)"]);
     for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99] {
@@ -132,11 +153,24 @@ async fn main() {
     }
     print!("{}", table.render());
     println!();
+    let ratio = upper.median() / lower.median();
     println!(
         "median lower bound {:.3} us vs median upper bound {:.2} us ({}x apart)",
         lower.median(),
         upper.median(),
-        (upper.median() / lower.median()).round()
+        ratio.round()
+    );
+    println!(
+        "upper bound: {} datagrams in {} receive batches ({:.2} per batch, largest {});",
+        relay.received,
+        relay.batches,
+        relay.received as f64 / relay.batches.max(1) as f64,
+        relay.max_batch
+    );
+    println!("each sample is one batch's time divided by its datagram count.");
+    assert!(
+        ratio >= 10.0,
+        "the stack must dwarf the decision: {ratio:.1}x"
     );
     println!("paper: 0.42 us vs 325.92 us — the proxy logic is negligible next");
     println!("to stack traversal, hence the push toward eBPF/XDP/NIC offload.");

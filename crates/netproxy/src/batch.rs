@@ -383,7 +383,7 @@ pub fn open(socket: UdpSocket, layer: SocketLayer) -> io::Result<Box<dyn BatchIo
 
 /// True when `recv`'s error just means "nothing ready before the poll
 /// timeout" rather than a broken socket.
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted

@@ -2,43 +2,39 @@
 //!
 //! The paper drives its proxies with "a 10Gbps line rate for 30 seconds"
 //! of iperf traffic. [`TcpLoadGen`] reproduces that shape for the Naive
-//! proxy (constant-rate byte stream over TCP); [`UdpLoadGen`] does so for
-//! the Streamlined proxy, additionally emulating **switch trimming** with
-//! a token bucket: datagrams that exceed the virtual switch's drain rate
-//! are cut to trimmed headers before they reach the proxy, standing in
-//! for the trimming hardware the paper assumes.
+//! proxy (constant-rate byte stream over TCP, into a [`TcpSink`]).
 //!
-//! For the line-rate datapath experiments (ROADMAP item 3) there is a
-//! third generator, [`BatchLoadGen`]: M OS threads drive thousands of
-//! concurrent flows **open-loop** (packets leave on schedule whether or
-//! not earlier ones were answered — the methodology that exposes
-//! coordinated-omission-free tail latency) through the same batched
-//! socket layer the sharded relay uses, stamping each payload with a
-//! send timestamp. [`BatchSink`] is its receiving end: it parses the
+//! The UDP relay is driven by [`BatchLoadGen`]: M OS threads drive
+//! thousands of concurrent flows **open-loop** (packets leave on schedule
+//! whether or not earlier ones were answered — the methodology that
+//! exposes coordinated-omission-free tail latency) through the same
+//! batched socket layer the sharded relay uses, stamping each payload
+//! with a send timestamp. Its `trim_fraction` emulates **switch
+//! trimming**: that share of datagrams leaves as trimmed headers,
+//! standing in for the trimming hardware the paper assumes (the relay's
+//! decision is stateless per packet, so which packets are trimmed does
+//! not matter to it). [`BatchSink`] is the receiving end: it parses the
 //! stamps and accumulates one-way latency into an HDR-style histogram,
 //! so runs report p50/p99/p999 added latency rather than means.
 
 use crate::batch::{self, BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
+use crate::naive::TcpServer;
 use crate::wire::{DatagramView, Flags, WireHeader, MAX_PAYLOAD};
-use std::io;
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream, UdpSocket};
 use trace::LatencyRecorder;
 
-/// Outcome of a load-generation run.
+/// Outcome of a [`TcpLoadGen`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadStats {
-    /// Full datagrams / bytes put on the wire.
+    /// Chunks written.
     pub sent_packets: u64,
     /// Bytes of payload sent.
     pub sent_bytes: u64,
-    /// Datagrams trimmed by the virtual switch (UDP mode only).
-    pub trimmed_packets: u64,
 }
 
 /// A rate-paced TCP byte-stream generator (the Naive-proxy workload).
@@ -63,126 +59,66 @@ impl TcpLoadGen {
         }
     }
 
-    /// Connects to `target` and streams at the configured rate.
-    pub async fn run(&self, target: SocketAddr) -> io::Result<LoadStats> {
+    /// Connects to `target` and streams at the configured rate (blocking).
+    pub fn run(&self, target: SocketAddr) -> io::Result<LoadStats> {
         assert!(self.rate_bps > 0 && self.chunk > 0, "invalid load config");
-        let mut stream = TcpStream::connect(target).await?;
+        let mut stream = TcpStream::connect(target)?;
         stream.set_nodelay(true)?;
         let payload = vec![0x42u8; self.chunk];
+        let interval = Duration::from_secs_f64(self.chunk as f64 * 8.0 / self.rate_bps as f64);
         let start = Instant::now();
         let mut stats = LoadStats::default();
-        while start.elapsed() < self.duration {
-            // Token pacing: how many bytes should have left by now?
-            let due = (start.elapsed().as_secs_f64() * self.rate_bps as f64 / 8.0) as u64;
-            if stats.sent_bytes < due {
-                stream.write_all(&payload).await?;
-                stats.sent_bytes += self.chunk as u64;
-                stats.sent_packets += 1;
-            } else {
-                tokio::time::sleep(Duration::from_micros(100)).await;
+        // Paced against the wall clock: chunk k is due at k × interval
+        // after the start whatever earlier sleeps overshot by, so a coarse
+        // sleep delays one chunk instead of stretching the schedule.
+        loop {
+            let due = interval.mul_f64(stats.sent_packets as f64);
+            if due >= self.duration {
+                break;
             }
-        }
-        stream.shutdown().await?;
-        Ok(stats)
-    }
-}
-
-/// Byte-counting TCP sink; returns its address and a live byte counter.
-pub async fn tcp_sink() -> io::Result<(SocketAddr, Arc<AtomicU64>)> {
-    let listener = TcpListener::bind("127.0.0.1:0".parse::<SocketAddr>().expect("addr")).await?;
-    let addr = listener.local_addr()?;
-    let counter = Arc::new(AtomicU64::new(0));
-    let c = counter.clone();
-    tokio::spawn(async move {
-        while let Ok((mut s, _)) = listener.accept().await {
-            let c = c.clone();
-            tokio::spawn(async move {
-                let mut buf = vec![0u8; 64 * 1024];
-                loop {
-                    match s.read(&mut buf).await {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => {
-                            // ordering: Relaxed — monotone byte counter, no payload.
-                            c.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    Ok((addr, counter))
-}
-
-/// A rate-paced UDP datagram generator with a virtual trimming switch
-/// (the Streamlined-proxy workload).
-#[derive(Debug, Clone, Copy)]
-pub struct UdpLoadGen {
-    /// Flow id stamped on every datagram.
-    pub flow: u64,
-    /// Target offered rate in bits per second.
-    pub rate_bps: u64,
-    /// How long to transmit.
-    pub duration: Duration,
-    /// The virtual switch's drain rate; offered load beyond it is trimmed.
-    pub switch_rate_bps: u64,
-    /// The virtual switch's queue depth in bytes.
-    pub switch_buffer_bytes: u64,
-}
-
-impl UdpLoadGen {
-    /// A scaled-down default: offer 100 Mbit/s against an 80 Mbit/s
-    /// virtual switch for 1 s — ~20% of datagrams arrive trimmed, so the
-    /// proxy's NACK path is exercised alongside forwarding.
-    pub fn scaled_default(flow: u64) -> Self {
-        UdpLoadGen {
-            flow,
-            rate_bps: 100_000_000,
-            duration: Duration::from_secs(1),
-            switch_rate_bps: 80_000_000,
-            switch_buffer_bytes: 256 * 1024,
-        }
-    }
-
-    /// Sends data datagrams to `target` (the proxy), trimming whatever the
-    /// virtual switch cannot absorb.
-    pub async fn run(&self, socket: &UdpSocket, target: SocketAddr) -> io::Result<LoadStats> {
-        assert!(
-            self.rate_bps > 0 && self.switch_rate_bps > 0,
-            "invalid load config"
-        );
-        let payload = vec![0x17u8; MAX_PAYLOAD];
-        let start = Instant::now();
-        let mut stats = LoadStats::default();
-        let mut seq = 0u64;
-        // Virtual switch state: a token-bucket queue. Only *accepted*
-        // (untrimmed) bytes occupy the queue; it drains continuously at
-        // the switch rate.
-        let mut offered: u64 = 0;
-        let mut accepted: u64 = 0;
-        while start.elapsed() < self.duration {
-            let due = (start.elapsed().as_secs_f64() * self.rate_bps as f64 / 8.0) as u64;
-            if offered >= due {
-                tokio::time::sleep(Duration::from_micros(100)).await;
-                continue;
+            if let Some(early) = due.checked_sub(start.elapsed()) {
+                thread::sleep(early);
             }
-            let drained =
-                (start.elapsed().as_secs_f64() * self.switch_rate_bps as f64 / 8.0) as u64;
-            let queued = accepted.saturating_sub(drained);
-            let datagram = if queued + MAX_PAYLOAD as u64 > self.switch_buffer_bytes {
-                // Virtual switch full: trim the payload, forward the header.
-                stats.trimmed_packets += 1;
-                WireHeader::trimmed(self.flow, seq).encode(&[])
-            } else {
-                stats.sent_bytes += MAX_PAYLOAD as u64;
-                accepted += MAX_PAYLOAD as u64;
-                WireHeader::data(self.flow, seq, MAX_PAYLOAD as u16).encode(&payload)
-            };
-            socket.send_to(&datagram, target).await?;
+            stream.write_all(&payload)?;
+            stats.sent_bytes += self.chunk as u64;
             stats.sent_packets += 1;
-            offered += MAX_PAYLOAD as u64;
-            seq += 1;
         }
+        stream.shutdown(Shutdown::Write)?;
         Ok(stats)
+    }
+}
+
+/// A byte-counting TCP sink (the receiving end of a [`TcpLoadGen`] run).
+pub struct TcpSink {
+    server: TcpServer,
+    bytes: Arc<AtomicU64>,
+}
+
+impl TcpSink {
+    /// Binds an ephemeral loopback port and starts absorbing.
+    pub fn start() -> io::Result<TcpSink> {
+        let bytes = Arc::new(AtomicU64::new(0));
+        let counter = bytes.clone();
+        let server =
+            TcpServer::start(SocketAddr::from(([127, 0, 0, 1], 0)), move |mut conn, _| {
+                let mut buf = vec![0u8; 64 * 1024];
+                while let Ok(n @ 1..) = conn.read(&mut buf) {
+                    // ordering: Relaxed — monotone byte counter, no payload.
+                    counter.fetch_add(n as u64, Ordering::Relaxed);
+                }
+            })?;
+        Ok(TcpSink { server, bytes })
+    }
+
+    /// The sink's bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.server.local_addr()
+    }
+
+    /// Bytes absorbed so far.
+    pub fn bytes(&self) -> u64 {
+        // ordering: Relaxed — live snapshot of a monotone counter.
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -572,108 +508,28 @@ impl Drop for BatchSink {
     }
 }
 
-#[cfg(test)]
-mod config_tests {
-    use super::*;
-
-    #[test]
-    fn scaled_defaults_are_sane() {
-        let t = TcpLoadGen::scaled_default();
-        assert!(t.rate_bps > 0 && t.chunk > 0);
-        let u = UdpLoadGen::scaled_default(1);
-        assert!(u.switch_rate_bps < u.rate_bps, "default must induce trims");
-    }
-}
-
 // Socket tests are skipped under Miri (real loopback sockets).
 #[cfg(all(test, not(miri)))]
 mod tests {
     use super::*;
+    use crate::testutil::wait_for;
 
-    #[tokio::test]
-    async fn tcp_loadgen_hits_approximate_rate() {
-        let (sink, counter) = tcp_sink().await.unwrap();
+    #[test]
+    fn tcp_loadgen_hits_approximate_rate() {
+        let sink = TcpSink::start().unwrap();
         let gen = TcpLoadGen {
             rate_bps: 80_000_000, // 10 MB/s
             duration: Duration::from_millis(500),
             chunk: 8192,
         };
-        let stats = gen.run(sink).await.unwrap();
+        let stats = gen.run(sink.local_addr()).unwrap();
         // Expect ~5 MB ± 40% (CI machines jitter).
         assert!(
             (3_000_000..8_000_000).contains(&stats.sent_bytes),
             "sent {}",
             stats.sent_bytes
         );
-        // Sink eventually sees everything.
-        tokio::time::sleep(Duration::from_millis(200)).await;
-        // ordering: Relaxed — test readback; the sleep above is the sync.
-        assert_eq!(counter.load(Ordering::Relaxed), stats.sent_bytes);
-    }
-
-    #[tokio::test]
-    async fn udp_loadgen_trims_overload() {
-        let sink = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        let target = sink.local_addr().unwrap();
-        // Drain the sink so the kernel buffer doesn't drop.
-        tokio::spawn(async move {
-            let mut buf = [0u8; 2048];
-            loop {
-                if sink.recv_from(&mut buf).await.is_err() {
-                    break;
-                }
-            }
-        });
-        let sock = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        let gen = UdpLoadGen {
-            flow: 1,
-            rate_bps: 40_000_000,
-            duration: Duration::from_millis(400),
-            switch_rate_bps: 20_000_000,
-            switch_buffer_bytes: 64 * 1024,
-        };
-        let stats = gen.run(&sock, target).await.unwrap();
-        assert!(stats.sent_packets > 100, "{stats:?}");
-        // Offering 2x the drain rate must trim roughly half the packets.
-        let frac = stats.trimmed_packets as f64 / stats.sent_packets as f64;
-        assert!((0.25..0.75).contains(&frac), "trim fraction {frac}");
-    }
-
-    #[tokio::test]
-    async fn udp_loadgen_no_trim_under_capacity() {
-        let sink = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        let target = sink.local_addr().unwrap();
-        tokio::spawn(async move {
-            let mut buf = [0u8; 2048];
-            loop {
-                if sink.recv_from(&mut buf).await.is_err() {
-                    break;
-                }
-            }
-        });
-        let sock = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        let gen = UdpLoadGen {
-            flow: 1,
-            rate_bps: 10_000_000,
-            duration: Duration::from_millis(300),
-            switch_rate_bps: 100_000_000,
-            switch_buffer_bytes: 1_000_000,
-        };
-        let stats = gen.run(&sock, target).await.unwrap();
-        assert_eq!(stats.trimmed_packets, 0, "{stats:?}");
-        assert!(stats.sent_packets > 50);
-    }
-
-    /// Polls `cond` for up to 2 s (sink counters flush per batch).
-    fn wait_for(what: &str, cond: impl Fn() -> bool) {
-        let start = Instant::now();
-        while !cond() {
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "timed out waiting for {what}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_for(|| sink.bytes() == stats.sent_bytes);
     }
 
     #[test]
@@ -684,9 +540,7 @@ mod tests {
         let report = gen.run(sink.local_addr(), epoch).unwrap();
         assert!(report.sent_packets > 1_000, "{report:?}");
         assert_eq!(report.send_errors, 0, "{report:?}");
-        wait_for("all packets at sink", || {
-            sink.stats().received == report.delivered()
-        });
+        wait_for(|| sink.stats().received == report.delivered());
         assert!(
             sink.recorder().count() >= report.delivered(),
             "every data payload carries a timestamp"
@@ -726,7 +580,7 @@ mod tests {
         // Every packet is accounted for: data reaches the sink, trimmed
         // headers come back as NACKs, and the relay surfaces (rather
         // than swallows) any send errors.
-        wait_for("relay smoke accounting", || {
+        wait_for(|| {
             let stats = relay.stats();
             sink.stats().received + stats.nacks + stats.send_errors + stats.dropped
                 >= report.delivered()
@@ -746,6 +600,6 @@ mod tests {
         let report = gen.run(sink.local_addr(), epoch).unwrap();
         // Unthrottled on loopback must dwarf the 20k-pps smoke pace.
         assert!(report.achieved_pps() > 50_000.0, "{report:?}");
-        wait_for("sink saw traffic", || sink.stats().received > 0);
+        wait_for(|| sink.stats().received > 0);
     }
 }

@@ -5,305 +5,367 @@
 //! blames for the Figure 4 overhead. Every relayed chunk records one
 //! latency sample (read completion → write completion through user
 //! space) into a shared [`LatencyRecorder`].
+//!
+//! Plain blocking `std::net`: one accept thread, and per connection one
+//! thread per direction.
 
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::watch;
+use std::thread;
+use std::time::{Duration, Instant};
 use trace::LatencyRecorder;
 
 /// Relay chunk size. 16 KiB matches common user-space proxy buffers.
 const CHUNK: usize = 16 * 1024;
 
-/// A running Naive proxy instance.
-pub struct NaiveProxy {
+/// A blocking TCP accept loop on its own thread, serving each connection
+/// on a thread of its own ([`NaiveProxy`] and the load generator's
+/// [`crate::loadgen::TcpSink`] are both this plus a connection handler).
+pub(crate) struct TcpServer {
     local_addr: SocketAddr,
-    recorder: LatencyRecorder,
-    bytes_relayed: Arc<AtomicU64>,
-    connections: Arc<AtomicU64>,
-    relay_errors: Arc<AtomicU64>,
-    shutdown: watch::Sender<bool>,
+    stop: Arc<AtomicBool>,
+    accept: Option<thread::JoinHandle<()>>,
 }
 
-impl NaiveProxy {
-    /// Binds a listener on `listen` and relays every accepted connection
-    /// to `upstream`. Returns once the listener is ready.
-    pub async fn start(listen: SocketAddr, upstream: SocketAddr) -> io::Result<NaiveProxy> {
-        let listener = TcpListener::bind(listen).await?;
+impl TcpServer {
+    /// Binds `listen` and runs `serve(connection, stop)` per accepted
+    /// connection; the connection is closed when `serve` returns. At
+    /// shutdown every live connection is closed under its handler (`stop`
+    /// is set by then), so a handler blocked in a read returns.
+    pub(crate) fn start(
+        listen: SocketAddr,
+        serve: impl Fn(&TcpStream, &AtomicBool) + Send + Sync + 'static,
+    ) -> io::Result<TcpServer> {
+        let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?;
-        let recorder = LatencyRecorder::new();
-        let bytes_relayed = Arc::new(AtomicU64::new(0));
-        let connections = Arc::new(AtomicU64::new(0));
-        let relay_errors = Arc::new(AtomicU64::new(0));
-        let (shutdown, shutdown_rx) = watch::channel(false);
-
-        let rec = recorder.clone();
-        let bytes = bytes_relayed.clone();
-        let conns = connections.clone();
-        let errors = relay_errors.clone();
-        tokio::spawn(async move {
-            let mut shutdown_rx = shutdown_rx;
-            loop {
-                tokio::select! {
-                    accepted = listener.accept() => {
-                        let Ok((inbound, _peer)) = accepted else { break };
-                        // ordering: Relaxed — monotone stats counter.
-                        conns.fetch_add(1, Ordering::Relaxed);
-                        let rec = rec.clone();
-                        let bytes = bytes.clone();
-                        let errors = errors.clone();
-                        let mut conn_shutdown = shutdown_rx.clone();
-                        tokio::spawn(async move {
-                            tokio::select! {
-                                r = relay_connection(inbound, upstream, rec, bytes) => {
-                                    // Connection errors are per-flow events, not
-                                    // proxy failures — but an operator must see
-                                    // them, so they are counted, not swallowed.
-                                    if r.is_err() {
-                                        // ordering: Relaxed — monotone stats counter.
-                                        errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                _ = conn_shutdown.changed() => {}
-                            }
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let stop = stop.clone();
+            let serve = Arc::new(serve);
+            thread::Builder::new()
+                .name("tcp-accept".into())
+                .spawn(move || {
+                    // A second handle on each live connection (to close it
+                    // at shutdown) beside its handler thread.
+                    let mut live: Vec<(TcpStream, thread::JoinHandle<()>)> = Vec::new();
+                    for conn in listener.incoming() {
+                        // ordering: Acquire — pairs with the Release store in
+                        // `shutdown`, whose wake-up connection lands here.
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let Ok(conn) = conn else { break };
+                        live.retain(|(_, handler)| !handler.is_finished());
+                        let Ok(closer) = conn.try_clone() else {
+                            continue;
+                        };
+                        let (serve, stop) = (serve.clone(), stop.clone());
+                        let handler = thread::spawn(move || {
+                            serve(&conn, &stop);
+                            // `closer` keeps the descriptor open past this
+                            // thread; the peer must see the close now.
+                            let _ = conn.shutdown(Shutdown::Both);
                         });
+                        live.push((closer, handler));
                     }
-                    _ = shutdown_rx.changed() => break,
-                }
-            }
-        });
-
-        Ok(NaiveProxy {
+                    for (closer, handler) in live {
+                        let _ = closer.shutdown(Shutdown::Both);
+                        let _ = handler.join();
+                    }
+                })?
+        };
+        Ok(TcpServer {
             local_addr,
-            recorder,
-            bytes_relayed,
-            connections,
-            relay_errors,
-            shutdown,
+            stop,
+            accept: Some(accept),
         })
     }
 
-    /// The bound listen address (with the OS-assigned port).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// The per-chunk relay-latency recorder (nanosecond samples).
-    pub fn recorder(&self) -> &LatencyRecorder {
-        &self.recorder
-    }
-
-    /// Total bytes relayed sender→receiver so far.
-    pub fn bytes_relayed(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.bytes_relayed.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted so far.
-    pub fn connections(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Relays that ended with an error (upstream dial failures, resets).
-    pub fn relay_errors(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.relay_errors.load(Ordering::Relaxed)
-    }
-
-    /// Stops accepting and tears down active relays.
-    pub fn shutdown(&self) {
-        let _ = self.shutdown.send(true);
+    /// Stops accepting, closes live connections and joins every thread.
+    /// Idempotent.
+    pub(crate) fn shutdown(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        // ordering: Release — pairs with the Acquire loads in the accept
+        // loop and the handlers.
+        self.stop.store(true, Ordering::Release);
+        // The accept call blocks; a throwaway connection wakes it.
+        let _ = TcpStream::connect(self.local_addr);
+        let _ = accept.join();
     }
 }
 
-impl Drop for NaiveProxy {
+impl Drop for TcpServer {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
+/// What the relay threads share with the [`NaiveProxy`] handle.
+#[derive(Default)]
+struct Shared {
+    recorder: LatencyRecorder,
+    bytes_relayed: AtomicU64,
+    connections: AtomicU64,
+    relay_errors: AtomicU64,
+}
+
+/// A running Naive proxy instance.
+pub struct NaiveProxy {
+    server: TcpServer,
+    shared: Arc<Shared>,
+}
+
+impl NaiveProxy {
+    /// Binds a listener on `listen` and relays every accepted connection
+    /// to `upstream`. Returns once the listener is ready.
+    pub fn start(listen: SocketAddr, upstream: SocketAddr) -> io::Result<NaiveProxy> {
+        let shared = Arc::new(Shared::default());
+        let sh = shared.clone();
+        let server = TcpServer::start(listen, move |inbound, stop| {
+            // ordering: Relaxed — monotone stats counter.
+            sh.connections.fetch_add(1, Ordering::Relaxed);
+            // Connection errors are per-flow events, not proxy failures —
+            // but an operator must see them, so they are counted, not
+            // swallowed (teardown noise at shutdown excepted).
+            // ordering: Acquire — pairs with `TcpServer::shutdown`.
+            if relay_connection(inbound, upstream, &sh, stop).is_err()
+                && !stop.load(Ordering::Acquire)
+            {
+                // ordering: Relaxed — monotone stats counter.
+                sh.relay_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        })?;
+        Ok(NaiveProxy { server, shared })
+    }
+
+    /// The bound listen address (with the OS-assigned port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.server.local_addr()
+    }
+
+    /// The per-chunk relay-latency recorder (nanosecond samples).
+    pub fn recorder(&self) -> &LatencyRecorder {
+        &self.shared.recorder
+    }
+
+    /// Total bytes relayed sender→receiver so far.
+    pub fn bytes_relayed(&self) -> u64 {
+        // ordering: Relaxed — live snapshot of a monotone counter.
+        self.shared.bytes_relayed.load(Ordering::Relaxed)
+    }
+
+    /// Connections accepted so far.
+    pub fn connections(&self) -> u64 {
+        // ordering: Relaxed — live snapshot of a monotone counter.
+        self.shared.connections.load(Ordering::Relaxed)
+    }
+
+    /// Relays that ended with an error (upstream dial failures, resets).
+    pub fn relay_errors(&self) -> u64 {
+        // ordering: Relaxed — live snapshot of a monotone counter.
+        self.shared.relay_errors.load(Ordering::Relaxed)
+    }
+
+    /// Stops accepting, tears down active relays and joins their threads
+    /// (also done on drop). Idempotent.
+    pub fn shutdown(&mut self) {
+        self.server.shutdown();
+    }
+}
+
 /// Relays one sender connection through a fresh upstream connection,
 /// recording per-chunk user-space latency on the forward direction.
-async fn relay_connection(
-    inbound: TcpStream,
+fn relay_connection(
+    inbound: &TcpStream,
     upstream: SocketAddr,
-    recorder: LatencyRecorder,
-    bytes_relayed: Arc<AtomicU64>,
+    shared: &Shared,
+    stop: &AtomicBool,
 ) -> io::Result<()> {
     inbound.set_nodelay(true)?;
-    let outbound = TcpStream::connect(upstream).await?;
+    let outbound = TcpStream::connect(upstream)?;
     outbound.set_nodelay(true)?;
-    let (mut in_r, mut in_w) = inbound.into_split();
-    let (mut out_r, mut out_w) = outbound.into_split();
+    thread::scope(|s| {
+        // Reverse path (acks/responses), uninstrumented.
+        let rev = s.spawn(|| pump(&outbound, inbound, None));
+        // Forward path (instrumented): sender -> proxy -> receiver.
+        let fwd = pump(inbound, &outbound, Some(shared));
+        // The upstream may keep answering after the sender is done — and
+        // at shutdown (which closes `inbound`, ending `fwd`) may never
+        // close its side: wait for it, but not past a stop request.
+        while !rev.is_finished() {
+            // ordering: Acquire — pairs with `TcpServer::shutdown`.
+            if stop.load(Ordering::Acquire) {
+                let _ = outbound.shutdown(Shutdown::Both);
+                break;
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+        fwd.and(rev.join().expect("reverse relay thread panicked"))
+    })
+}
 
-    // Forward path (instrumented): sender -> proxy -> receiver.
-    let fwd = async move {
-        let mut buf = vec![0u8; CHUNK];
-        loop {
-            let start = Instant::now();
-            let n = in_r.read(&mut buf).await?;
-            if n == 0 {
-                out_w.shutdown().await?;
-                return io::Result::Ok(());
-            }
-            out_w.write_all(&buf[..n]).await?;
-            // One sample per relayed chunk: kernel->user copy, user-space
-            // handling, user->kernel copy.
-            recorder.record_nanos(start.elapsed().as_nanos() as u64);
+/// Copies `from` to `to` through a user-space buffer until EOF, then
+/// half-closes `to`. With `stats`, each chunk records one sample: from the
+/// read's completion (kernel→user copy done) to the write's (user→kernel
+/// copy done) — waiting for the next chunk to arrive is not relay time.
+fn pump(mut from: &TcpStream, mut to: &TcpStream, stats: Option<&Shared>) -> io::Result<()> {
+    let mut buf = vec![0u8; CHUNK];
+    loop {
+        let n = match from.read(&mut buf) {
+            Ok(0) => return to.shutdown(Shutdown::Write),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let read_done = Instant::now();
+        to.write_all(&buf[..n])?;
+        if let Some(shared) = stats {
+            shared
+                .recorder
+                .record_nanos(read_done.elapsed().as_nanos() as u64);
             // ordering: Relaxed — monotone byte counter, no payload published.
-            bytes_relayed.fetch_add(n as u64, Ordering::Relaxed);
+            shared.bytes_relayed.fetch_add(n as u64, Ordering::Relaxed);
         }
-    };
-    // Reverse path (acks/responses), uninstrumented.
-    let rev = async move {
-        let mut buf = vec![0u8; CHUNK];
-        loop {
-            let n = out_r.read(&mut buf).await?;
-            if n == 0 {
-                in_w.shutdown().await?;
-                return io::Result::Ok(());
-            }
-            in_w.write_all(&buf[..n]).await?;
-        }
-    };
-    let (a, b) = tokio::join!(fwd, rev);
-    a.and(b)
+    }
 }
 
 // Socket tests are skipped under Miri (real sockets need real syscalls).
 #[cfg(all(test, not(miri)))]
 mod tests {
     use super::*;
-    use crate::testutil::loopback;
-    use tokio::net::TcpListener;
+    use crate::testutil::{loopback, wait_for};
 
-    async fn echo_server() -> (SocketAddr, tokio::task::JoinHandle<()>) {
-        let listener = TcpListener::bind(loopback()).await.unwrap();
+    /// An echo upstream; its threads end with the test process.
+    fn echo_server() -> SocketAddr {
+        let listener = TcpListener::bind(loopback()).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = tokio::spawn(async move {
-            while let Ok((mut s, _)) = listener.accept().await {
-                tokio::spawn(async move {
-                    let (mut r, mut w) = s.split();
-                    let _ = tokio::io::copy(&mut r, &mut w).await;
+        thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut w) = conn else { break };
+                let mut r = w.try_clone().unwrap();
+                thread::spawn(move || {
+                    let _ = io::copy(&mut r, &mut w);
+                    let _ = w.shutdown(Shutdown::Write);
                 });
             }
         });
-        (addr, handle)
+        addr
     }
 
-    #[tokio::test]
-    async fn relays_bytes_transparently() {
-        let (upstream, _server) = echo_server().await;
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
+    #[test]
+    fn relays_bytes_transparently() {
+        let proxy = NaiveProxy::start(loopback(), echo_server()).unwrap();
 
-        let mut client = TcpStream::connect(proxy.local_addr()).await.unwrap();
+        let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
         let msg = b"hello through the proxy";
-        client.write_all(msg).await.unwrap();
+        client.write_all(msg).unwrap();
         let mut echoed = vec![0u8; msg.len()];
-        client.read_exact(&mut echoed).await.unwrap();
+        client.read_exact(&mut echoed).unwrap();
         assert_eq!(&echoed, msg);
         assert_eq!(proxy.connections(), 1);
         assert!(proxy.bytes_relayed() >= msg.len() as u64);
     }
 
-    #[tokio::test]
-    async fn records_per_chunk_latency() {
-        let (upstream, _server) = echo_server().await;
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
+    #[test]
+    fn records_per_chunk_latency() {
+        let proxy = NaiveProxy::start(loopback(), echo_server()).unwrap();
 
-        let mut client = TcpStream::connect(proxy.local_addr()).await.unwrap();
+        let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
         for _ in 0..10 {
-            client.write_all(&[7u8; 1024]).await.unwrap();
+            client.write_all(&[7u8; 1024]).unwrap();
             let mut back = [0u8; 1024];
-            client.read_exact(&mut back).await.unwrap();
+            client.read_exact(&mut back).unwrap();
         }
         assert!(proxy.recorder().count() >= 1, "latency samples recorded");
     }
 
-    #[tokio::test]
-    async fn bidirectional_large_transfer() {
-        let (upstream, _server) = echo_server().await;
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
+    #[test]
+    fn bidirectional_large_transfer() {
+        let proxy = NaiveProxy::start(loopback(), echo_server()).unwrap();
 
-        let client = TcpStream::connect(proxy.local_addr()).await.unwrap();
-        let blob = vec![0x5Au8; 1_000_000];
-        let (mut r, mut w) = client.into_split();
-        let send = tokio::spawn(async move {
-            w.write_all(&blob).await.unwrap();
-            w.shutdown().await.unwrap();
+        let mut r = TcpStream::connect(proxy.local_addr()).unwrap();
+        let mut w = r.try_clone().unwrap();
+        let send = thread::spawn(move || {
+            w.write_all(&vec![0x5Au8; 1_000_000]).unwrap();
+            w.shutdown(Shutdown::Write).unwrap();
         });
         let mut received = Vec::new();
-        r.read_to_end(&mut received).await.unwrap();
-        send.await.unwrap();
+        r.read_to_end(&mut received).unwrap();
+        send.join().unwrap();
         assert_eq!(received.len(), 1_000_000);
         assert!(received.iter().all(|&b| b == 0x5A));
     }
 
-    #[tokio::test]
-    async fn multiple_concurrent_connections() {
-        let (upstream, _server) = echo_server().await;
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
+    #[test]
+    fn multiple_concurrent_connections() {
+        let proxy = NaiveProxy::start(loopback(), echo_server()).unwrap();
         let addr = proxy.local_addr();
 
-        let mut handles = Vec::new();
-        for i in 0..8u8 {
-            handles.push(tokio::spawn(async move {
-                let mut c = TcpStream::connect(addr).await.unwrap();
-                let msg = vec![i; 4096];
-                c.write_all(&msg).await.unwrap();
-                let mut back = vec![0u8; 4096];
-                c.read_exact(&mut back).await.unwrap();
-                assert_eq!(back, msg);
-            }));
-        }
-        for h in handles {
-            h.await.unwrap();
+        let clients: Vec<_> = (0..8u8)
+            .map(|i| {
+                thread::spawn(move || {
+                    let mut c = TcpStream::connect(addr).unwrap();
+                    let msg = vec![i; 4096];
+                    c.write_all(&msg).unwrap();
+                    let mut back = vec![0u8; 4096];
+                    c.read_exact(&mut back).unwrap();
+                    assert_eq!(back, msg);
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
         }
         assert_eq!(proxy.connections(), 8);
     }
 
-    #[tokio::test]
-    async fn failed_relays_are_counted_not_swallowed() {
+    #[test]
+    fn failed_relays_are_counted_not_swallowed() {
         // An upstream that refuses connections: bind, learn the port, drop.
-        let upstream = {
-            let dead = TcpListener::bind(loopback()).await.unwrap();
-            dead.local_addr().unwrap()
-        };
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
-        let mut client = TcpStream::connect(proxy.local_addr()).await.unwrap();
-        client.write_all(b"doomed").await.ok();
-        let start = std::time::Instant::now();
-        while proxy.relay_errors() == 0 {
-            assert!(
-                start.elapsed() < std::time::Duration::from_secs(2),
-                "relay error never surfaced"
-            );
-            tokio::time::sleep(std::time::Duration::from_millis(10)).await;
-        }
-        assert_eq!(proxy.relay_errors(), 1);
+        let upstream = TcpListener::bind(loopback()).unwrap().local_addr().unwrap();
+        let proxy = NaiveProxy::start(loopback(), upstream).unwrap();
+        let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
+        client.write_all(b"doomed").ok();
+        wait_for(|| proxy.relay_errors() == 1);
     }
 
-    #[tokio::test]
-    async fn shutdown_stops_accepting() {
-        let (upstream, _server) = echo_server().await;
-        let proxy = NaiveProxy::start(loopback(), upstream).await.unwrap();
+    #[test]
+    fn shutdown_stops_accepting_and_ends_live_relays() {
+        // An upstream that accepts and then neither reads nor closes.
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let upstream = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            let _held: Vec<_> = listener.incoming().collect();
+        });
+        let mut proxy = NaiveProxy::start(loopback(), upstream).unwrap();
         let addr = proxy.local_addr();
-        proxy.shutdown();
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        // Two relays in progress: `open` has both directions blocked in
+        // reads; `done` has finished sending, so only the reverse
+        // direction is left, waiting on the silent upstream.
+        let mut open = TcpStream::connect(addr).unwrap();
+        open.write_all(b"x").unwrap();
+        let done = TcpStream::connect(addr).unwrap();
+        done.shutdown(Shutdown::Write).unwrap();
+        wait_for(|| proxy.connections() == 2 && proxy.bytes_relayed() == 1);
+        proxy.shutdown(); // joins every thread, so returning at all is the check
+        proxy.shutdown(); // idempotent
+        assert_eq!(open.read(&mut [0u8; 1]).unwrap_or(0), 0, "relay torn down");
+        assert_eq!(proxy.relay_errors(), 0, "teardown is not a relay error");
         // Either connect fails outright or the connection is never served.
-        if let Ok(mut c) = TcpStream::connect(addr).await {
-            c.write_all(b"x").await.ok();
-            let mut buf = [0u8; 1];
-            let read =
-                tokio::time::timeout(std::time::Duration::from_millis(200), c.read(&mut buf)).await;
-            match read {
-                Ok(Ok(0)) | Err(_) | Ok(Err(_)) => {} // closed or timed out: fine
-                Ok(Ok(_)) => panic!("proxy still relaying after shutdown"),
+        if let Ok(mut c) = TcpStream::connect(addr) {
+            c.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            c.write_all(b"x").ok();
+            if let Ok(n) = c.read(&mut [0u8; 1]) {
+                assert_eq!(n, 0, "proxy still relaying after shutdown");
             }
         }
     }

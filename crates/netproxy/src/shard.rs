@@ -21,8 +21,10 @@
 //! single shard over the portable socket layer — same behavior, less
 //! parallelism (see `batch.rs`).
 //!
-//! Three relay variants run on this engine (all over both socket
-//! layers):
+//! Every worker runs the one per-packet decision,
+//! [`crate::streamlined::decide`], on each received datagram; the three
+//! relay variants (all over both socket layers) differ in what they do
+//! with the [`Action`] it returns ([`RelayKind::apply`]):
 //!
 //! * [`RelayKind::Streamlined`] — the paper's §3 relay: trimmed header →
 //!   NACK rewritten **in place** (one flags-byte store) and bounced to
@@ -38,12 +40,13 @@
 
 use crate::batch::{self, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
 use crate::fault::{FaultConfig, FaultSnapshot, FaultStats, FaultedIo};
+use crate::streamlined::{decide, Action};
 use crate::supervisor::{
     self, ChaosKind, ShardSlot, SupervisorConfig, SupervisorShared, SupervisorStats,
 };
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::wire::{
-    rewrite_data_to_nack, rewrite_trimmed_to_nack, DatagramView, Flags, WIRE_HEADER_LEN,
+    rewrite_data_to_nack, rewrite_trimmed_to_nack, DatagramView, Flags, WireHeader, WIRE_HEADER_LEN,
 };
 use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use std::collections::HashMap;
@@ -753,8 +756,11 @@ impl ShardedRelay {
         self.slots[shard].heartbeat()
     }
 
-    /// Amortized per-datagram processing latency (batch time / batch
-    /// size — the Figure 5b analogue at batch granularity).
+    /// Per-datagram processing latency: the time from a receive batch's
+    /// arrival in user space through classify, the send syscall and the
+    /// counter flush, divided by its datagram count (the Figure 5b
+    /// analogue; `stats().received / stats().batches` says how much
+    /// amortisation that division hides).
     pub fn recorder(&self) -> &LatencyRecorder {
         &self.recorder
     }
@@ -1028,7 +1034,15 @@ impl ShardWorker {
         }
     }
 
-    /// Classifies ring slot `i` and queues its output datagrams.
+    /// Learns (and publishes once) a data packet's sender address.
+    fn learn_sender(&self, senders: &mut HashMap<u64, SocketAddr>, flow: u64, from: SocketAddr) {
+        if senders.insert(flow, from) != Some(from) {
+            self.directory.publish(flow, from);
+        }
+    }
+
+    /// Runs [`decide`] on ring slot `i` — as this relay kind reads it —
+    /// and queues the datagrams the [`Action`] calls for.
     fn classify(
         &mut self,
         ring: &mut RecvRing,
@@ -1039,45 +1053,57 @@ impl ShardWorker {
         local: &mut Local,
     ) {
         let from = ring.source(i);
-        let (flags, flow, seq, wire_len) = match DatagramView::parse(ring.datagram(i)) {
-            Ok(v) => (v.flags(), v.flow(), v.seq(), v.wire_bytes().len()),
-            Err(_) => {
-                local.dropped += 1;
-                return;
-            }
-        };
-        if flags.contains(Flags::DATA) {
-            // Learn (and publish once) the flow's sender address.
-            if senders.insert(flow, from) != Some(from) {
-                self.directory.publish(flow, from);
-            }
-            match self.kind {
-                RelayKind::Streamlined if flags.contains(Flags::TRIMMED) => {
-                    // Trim-NACKs share the NACK budget: a NACK storm is
-                    // a NACK storm regardless of what provoked it.
-                    match self.nack_verdict(flow) {
-                        NackVerdict::Send => {
-                            // The NACK shares flow and seq with the
-                            // trimmed header: rewrite the one differing
-                            // byte in place and bounce the buffer back
-                            // whence it came.
-                            rewrite_trimmed_to_nack(ring.datagram_mut(i)).expect("parsed trimmed");
-                            queue.push_slot(i, WIRE_HEADER_LEN, from);
-                            local.nacks += 1;
-                        }
-                        NackVerdict::Coalesced => local.nacks_coalesced += 1,
-                        NackVerdict::Shed => local.shed_dropped += 1,
+        match self.kind.apply(decide(ring.datagram(i))) {
+            Action::Drop => local.dropped += 1,
+            Action::NackToSender(WireHeader { flow, .. }) => {
+                self.learn_sender(senders, flow, from);
+                // Trim-NACKs share the NACK budget: a NACK storm is a
+                // NACK storm regardless of what provoked it.
+                match self.nack_verdict(flow) {
+                    NackVerdict::Send => {
+                        // The NACK shares flow and seq with the trimmed
+                        // header: rewrite the one differing byte in place
+                        // and bounce the buffer back whence it came.
+                        rewrite_trimmed_to_nack(ring.datagram_mut(i)).expect("parsed trimmed");
+                        queue.push_slot(i, WIRE_HEADER_LEN, from);
+                        local.nacks += 1;
                     }
+                    NackVerdict::Coalesced => local.nacks_coalesced += 1,
+                    NackVerdict::Shed => local.shed_dropped += 1,
                 }
-                RelayKind::Detecting => {
-                    if !self.forward_ok() {
-                        // Shed *before* the detector observes the seq: a
-                        // shed datagram must look like network loss
-                        // downstream, and observing it would suppress
-                        // the very NACK that gets it retransmitted.
+            }
+            Action::ForwardToReceiver(header) => {
+                let (flow, seq) = (header.flow, header.seq);
+                self.learn_sender(senders, flow, from);
+                if !self.forward_ok() {
+                    if self.kind != RelayKind::Streamlined {
+                        // Naive has no NACK concept, and Detecting's NACKs
+                        // come from its detector: shedding *before* the
+                        // detector observes the seq makes this look like
+                        // network loss downstream (observing it would
+                        // suppress the very NACK that gets it
+                        // retransmitted). Either way a counted drop.
                         local.shed_dropped += 1;
                         return;
                     }
+                    // Ladder rung 2: no forward budget → tell the sender
+                    // *now* with a NACK (in-place rewrite, header-only
+                    // bounce) instead of dropping silently and waiting
+                    // out an RTO.
+                    match self.nack_verdict(flow) {
+                        NackVerdict::Send => {
+                            rewrite_data_to_nack(ring.datagram_mut(i)).expect("parsed data");
+                            queue.push_slot(i, WIRE_HEADER_LEN, from);
+                            local.nacks += 1;
+                            local.shed_nacked += 1;
+                        }
+                        NackVerdict::Coalesced => local.nacks_coalesced += 1,
+                        // Rung 3: both buckets dry — drop, counted.
+                        NackVerdict::Shed => local.shed_dropped += 1,
+                    }
+                    return;
+                }
+                if self.kind == RelayKind::Detecting {
                     last_activity.insert(flow, Instant::now());
                     for loss in self.detector.observe(detector_flow(flow), seq) {
                         // Generated NACKs ride the same budget (note:
@@ -1092,55 +1118,29 @@ impl ShardWorker {
                             NackVerdict::Shed => local.shed_dropped += 1,
                         }
                     }
-                    queue.push_slot(i, wire_len, self.receiver);
-                    local.forwarded += 1;
                 }
-                // Naive forwards everything — trimmed headers included —
-                // and Streamlined forwards untrimmed data.
-                _ => {
-                    if self.forward_ok() {
-                        queue.push_slot(i, wire_len, self.receiver);
-                        local.forwarded += 1;
-                    } else if self.kind == RelayKind::Naive {
-                        // Naive has no NACK concept: over budget is a
-                        // plain (counted) drop.
-                        local.shed_dropped += 1;
-                    } else {
-                        // Ladder rung 2: no forward budget → tell the
-                        // sender *now* with a NACK (in-place rewrite,
-                        // header-only bounce) instead of dropping
-                        // silently and waiting out an RTO.
-                        match self.nack_verdict(flow) {
-                            NackVerdict::Send => {
-                                rewrite_data_to_nack(ring.datagram_mut(i)).expect("parsed data");
-                                queue.push_slot(i, WIRE_HEADER_LEN, from);
-                                local.nacks += 1;
-                                local.shed_nacked += 1;
-                            }
-                            NackVerdict::Coalesced => local.nacks_coalesced += 1,
-                            // Rung 3: both buckets dry — drop, counted.
-                            NackVerdict::Shed => local.shed_dropped += 1,
-                        }
-                    }
-                }
+                queue.push_slot(i, header.wire_len(), self.receiver);
+                local.forwarded += 1;
             }
-        } else {
-            // Feedback (ACK/NACK): reverse toward the flow's sender.
-            // Private table first; the lock-free directory covers flows
-            // whose feedback was steered to a foreign shard.
-            let dest = senders.get(&flow).copied().or_else(|| {
-                let found = self.directory.lookup(flow);
-                if let Some(addr) = found {
-                    senders.insert(flow, addr); // cache for next time
+            Action::ForwardToSender(header) => {
+                let flow = header.flow;
+                // Feedback (ACK/NACK): reverse toward the flow's sender.
+                // Private table first; the lock-free directory covers
+                // flows whose feedback was steered to a foreign shard.
+                let dest = senders.get(&flow).copied().or_else(|| {
+                    let found = self.directory.lookup(flow);
+                    if let Some(addr) = found {
+                        senders.insert(flow, addr); // cache for next time
+                    }
+                    found
+                });
+                match dest {
+                    Some(sender) => {
+                        queue.push_slot(i, header.wire_len(), sender);
+                        local.reversed += 1;
+                    }
+                    None => local.dropped += 1,
                 }
-                found
-            });
-            match dest {
-                Some(sender) => {
-                    queue.push_slot(i, wire_len, sender);
-                    local.reversed += 1;
-                }
-                None => local.dropped += 1,
             }
         }
     }
@@ -1281,12 +1281,8 @@ mod directory_tests {
 #[cfg(all(test, not(miri)))]
 mod tests {
     use super::*;
-    use crate::wire::WireHeader;
+    use crate::testutil::{loopback, wait_for};
     use std::net::UdpSocket;
-
-    fn loopback() -> SocketAddr {
-        "127.0.0.1:0".parse().expect("addr")
-    }
 
     fn recv_one(sock: &UdpSocket) -> (WireHeader, Vec<u8>, SocketAddr) {
         let mut buf = [0u8; 2048];
@@ -1427,13 +1423,14 @@ mod tests {
 
     #[test]
     fn reverse_path_crosses_shards_via_directory() {
-        for layer in layers() {
+        let kinds = [
+            RelayKind::Streamlined,
+            RelayKind::Naive,
+            RelayKind::Detecting,
+        ];
+        for (layer, kind) in layers().into_iter().flat_map(|l| kinds.map(|k| (l, k))) {
             let receiver = UdpSocket::bind(loopback()).unwrap();
-            let relay = start(
-                RelayKind::Streamlined,
-                layer,
-                receiver.local_addr().unwrap(),
-            );
+            let relay = start(kind, layer, receiver.local_addr().unwrap());
             let sender = UdpSocket::bind(loopback()).unwrap();
             // Teach the relay flow 8's sender with a data packet.
             sender
@@ -1446,8 +1443,97 @@ mod tests {
                 .send_to(&WireHeader::ack(8, 0).encode(&[]), relay.local_addr())
                 .unwrap();
             let (h, _, _) = recv_one(&sender);
-            assert!(h.flags.contains(Flags::ACK));
+            assert_eq!(h, WireHeader::ack(8, 0), "{layer:?} {kind:?}");
             wait_for(|| relay.stats().reversed == 1);
+        }
+    }
+
+    #[test]
+    fn unroutable_receiver_counts_send_errors_and_keeps_the_ledger() {
+        // Port 0 is never a valid destination: every forward is refused.
+        let unroutable: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let kinds = [RelayKind::Streamlined, RelayKind::Detecting];
+        for (layer, kind) in layers().into_iter().flat_map(|l| kinds.map(|k| (l, k))) {
+            let relay = start(kind, layer, unroutable);
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            sender
+                .send_to(
+                    &WireHeader::data(3, 0, 4).encode(&[9, 9, 9, 9]),
+                    relay.local_addr(),
+                )
+                .unwrap();
+            wait_for(|| relay.stats().send_errors == 1);
+            // Counted, not swallowed: one in, one forward attempted, and
+            // that one attempt is the error.
+            let stats = relay.stats();
+            assert_eq!(
+                (stats.received, stats.forwarded, stats.dropped, stats.nacks),
+                (1, 1, 0, 0),
+                "{layer:?} {kind:?}"
+            );
+        }
+    }
+
+    /// One flow through one shard: `count` datagrams in paced bursts,
+    /// every `trim_every`-th a trimmed header. Whatever the mix, the
+    /// receiver sees the data in sequence order and the sender gets back
+    /// exactly one NACK per trimmed header, carrying that header's seq.
+    #[test]
+    fn paced_flow_keeps_order_and_nacks_every_trim() {
+        const COUNT: u64 = 600; // its NACKs fit the sender's default receive buffer
+        for (layer, trim_every) in layers().into_iter().flat_map(|l| [(l, None), (l, Some(5))]) {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let relay = ShardedRelay::start(
+                loopback(),
+                RelayConfig {
+                    shards: 1,
+                    layer,
+                    ..RelayConfig::streamlined(receiver.local_addr().unwrap())
+                },
+            )
+            .unwrap();
+            let is_trimmed = |seq: u64| trim_every.is_some_and(|k| seq.is_multiple_of(k));
+            let trimmed: Vec<u64> = (0..COUNT).filter(|&s| is_trimmed(s)).collect();
+            let data = COUNT as usize - trimmed.len();
+            let collector = std::thread::spawn(move || {
+                (0..data)
+                    .map(|_| recv_one(&receiver).0.seq)
+                    .collect::<Vec<u64>>()
+            });
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            for seq in 0..COUNT {
+                let wire = if is_trimmed(seq) {
+                    WireHeader::trimmed(2, seq).encode(&[])
+                } else {
+                    WireHeader::data(2, seq, 64).encode(&[0x17; 64])
+                };
+                sender.send_to(&wire, relay.local_addr()).unwrap();
+                if seq % 32 == 31 {
+                    std::thread::sleep(Duration::from_millis(1)); // ~32k pkts/s
+                }
+            }
+            let got = collector.join().unwrap();
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "{layer:?}: reordered within the flow: {got:?}"
+            );
+            let mut nacked: Vec<u64> = trimmed
+                .iter()
+                .map(|_| {
+                    let (h, _, _) = recv_one(&sender);
+                    assert_eq!((h.flags, h.flow), (Flags::NACK, 2), "{layer:?}");
+                    h.seq
+                })
+                .collect();
+            nacked.sort_unstable();
+            assert_eq!(nacked, trimmed, "{layer:?}: one NACK per trim, own seq");
+            wait_for(|| relay.stats().received == COUNT);
+            let stats = relay.stats();
+            assert_eq!(
+                (stats.forwarded, stats.nacks, stats.send_errors),
+                (data as u64, trimmed.len() as u64, 0),
+                "{layer:?}"
+            );
         }
     }
 
@@ -1495,6 +1581,19 @@ mod tests {
             let relay = start(RelayKind::Detecting, layer, recv_addr);
             let sender = UdpSocket::bind(loopback()).unwrap();
             let payload = vec![0u8; 64];
+            // An in-order stream gives the detector (and its sweep, three
+            // periods here) nothing to infer.
+            for seq in 0..50u64 {
+                sender
+                    .send_to(
+                        &WireHeader::data(11, seq, 64).encode(&payload),
+                        relay.local_addr(),
+                    )
+                    .unwrap();
+            }
+            wait_for(|| relay.stats().forwarded == 50);
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(relay.stats().nacks, 0, "{layer:?}: in-order, no NACKs");
             for seq in [0u64, 2, 3, 4, 5] {
                 sender
                     .send_to(
@@ -1504,8 +1603,8 @@ mod tests {
                     .unwrap();
             }
             let (h, _, _) = recv_one(&sender);
-            assert!(h.flags.contains(Flags::NACK));
-            assert_eq!(h.seq, 1);
+            assert_eq!(h, WireHeader::nack(7, 1), "{layer:?}");
+            wait_for(|| relay.stats().nacks >= 1);
         }
     }
 
@@ -1577,18 +1676,5 @@ mod tests {
         relay.shutdown();
         // Idempotent, and Drop after shutdown is fine too.
         relay.shutdown();
-    }
-
-    /// Polls `cond` for up to 2 s (counter flushes are per batch, so a
-    /// moment behind the socket observations).
-    fn wait_for(cond: impl Fn() -> bool) {
-        let start = Instant::now();
-        while !cond() {
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "condition not reached in time"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
     }
 }

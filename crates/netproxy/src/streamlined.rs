@@ -1,32 +1,31 @@
-//! The Streamlined proxy over UDP: trim-aware forwarding with early NACKs.
+//! The streamlined per-packet decision: trim-aware forwarding with early
+//! NACKs.
 //!
 //! The per-packet logic is deliberately tiny — the paper's point is that
 //! *this* is all a proxy needs on the critical path, small enough for eBPF
 //! (Fig. 5a: median 0.42 µs of bytecode runtime on their testbed). The
-//! pure function [`decide`] is that logic with no I/O attached, so the
-//! micro-benchmark (`bench -p bench --bench proxy_datapath`) measures the
-//! Figure 5a analogue, while [`StreamlinedUdpProxy`] wraps it in real
-//! sockets to measure the Figure 5b through-stack upper bound.
+//! pure function [`decide`] is that logic with no I/O attached, and it is
+//! the function the relay runs: [`crate::shard::ShardedRelay`]'s workers
+//! call it once per received datagram and act on the [`Action`] it
+//! returns. So the micro-benchmark (`cargo bench -p bench --bench
+//! proxy_datapath`) and `fig5`'s lower bound time exactly what sits on the
+//! datapath, and the relay's socket path around it is the Figure 5b
+//! through-stack upper bound.
 
-use crate::wire::{Flags, WireError, WireHeader};
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-use tokio::net::UdpSocket;
-use tokio::sync::watch;
-use trace::LatencyRecorder;
+use crate::shard::RelayKind;
+use crate::wire::{DatagramView, Flags, WireHeader};
 
-/// What the proxy does with an incoming datagram.
+/// What the proxy does with an incoming datagram. Each variant carries
+/// the parsed header, so a datagram is parsed once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Forward the datagram unchanged to the receiver.
-    ForwardToReceiver,
-    /// Reply to the sender with a NACK for this (flow, seq).
-    NackToSender { flow: u64, seq: u64 },
-    /// Forward the datagram unchanged to the sender (reverse path).
-    ForwardToSender,
+    /// Forward the datagram (its first [`WireHeader::wire_len`] bytes) to
+    /// the receiver.
+    ForwardToReceiver(WireHeader),
+    /// Reply to the sender with a NACK for this header's (flow, seq).
+    NackToSender(WireHeader),
+    /// Forward the datagram to the flow's sender (reverse path).
+    ForwardToSender(WireHeader),
     /// Drop it (not our protocol / malformed).
     Drop,
 }
@@ -36,166 +35,37 @@ pub enum Action {
 /// receiver; feedback from the receiver → forward to the sender.
 ///
 /// Pure function: this is the entire critical-path logic, the Figure 5a
-/// "lower bound" measurand.
+/// "lower bound" measurand, and the only place the relay consults
+/// [`Flags::TRIMMED`] to choose between forwarding and NACKing.
 #[inline]
 pub fn decide(datagram: &[u8]) -> Action {
-    match WireHeader::decode(datagram) {
-        Ok((header, _payload)) => {
-            if header.flags.contains(Flags::DATA) {
-                if header.flags.contains(Flags::TRIMMED) {
-                    Action::NackToSender {
-                        flow: header.flow,
-                        seq: header.seq,
-                    }
-                } else {
-                    Action::ForwardToReceiver
-                }
-            } else {
-                // ACK or NACK from the receiver side.
-                Action::ForwardToSender
+    let Ok(view) = DatagramView::parse(datagram) else {
+        return Action::Drop;
+    };
+    let header = view.header();
+    if !header.flags.contains(Flags::DATA) {
+        // ACK or NACK from the receiver side.
+        Action::ForwardToSender(header)
+    } else if header.flags.contains(Flags::TRIMMED) {
+        Action::NackToSender(header)
+    } else {
+        Action::ForwardToReceiver(header)
+    }
+}
+
+impl RelayKind {
+    /// What this relay kind makes of the streamlined decision. Only
+    /// [`RelayKind::Streamlined`] assumes trimming switches; to Naive and
+    /// Detecting a trimmed header is data like any other and goes to the
+    /// receiver. Everything else is common to all three.
+    #[inline]
+    pub fn apply(self, action: Action) -> Action {
+        match (self, action) {
+            (RelayKind::Naive | RelayKind::Detecting, Action::NackToSender(header)) => {
+                Action::ForwardToReceiver(header)
             }
+            (_, action) => action,
         }
-        Err(
-            WireError::Truncated | WireError::BadMagic | WireError::BadFlags | WireError::BadLength,
-        ) => Action::Drop,
-    }
-}
-
-/// Counters of a running streamlined proxy.
-#[derive(Debug, Default)]
-pub struct StreamlinedStats {
-    /// Data datagrams forwarded to the receiver.
-    pub forwarded: AtomicU64,
-    /// NACKs generated for trimmed headers.
-    pub nacks: AtomicU64,
-    /// Feedback datagrams forwarded back to the sender.
-    pub reversed: AtomicU64,
-    /// Malformed datagrams dropped.
-    pub dropped: AtomicU64,
-    /// Outbound datagrams the kernel refused (previously swallowed with
-    /// `let _ = socket.send_to(..)` — an operator-invisible black hole).
-    pub send_errors: AtomicU64,
-}
-
-/// A running streamlined UDP proxy.
-///
-/// The sender transmits to the proxy's socket; the proxy forwards data to
-/// `receiver` and remembers each flow's sender address to route NACKs and
-/// reverse-path feedback. (A real deployment would rewrite addresses in
-/// the datapath; over UDP the flow table stands in for that.)
-pub struct StreamlinedUdpProxy {
-    local_addr: SocketAddr,
-    stats: Arc<StreamlinedStats>,
-    recorder: LatencyRecorder,
-    shutdown: watch::Sender<bool>,
-}
-
-impl StreamlinedUdpProxy {
-    /// Binds on `listen` and relays toward `receiver`.
-    pub async fn start(listen: SocketAddr, receiver: SocketAddr) -> io::Result<Self> {
-        let socket = UdpSocket::bind(listen).await?;
-        let local_addr = socket.local_addr()?;
-        let stats = Arc::new(StreamlinedStats::default());
-        let recorder = LatencyRecorder::new();
-        let (shutdown, mut shutdown_rx) = watch::channel(false);
-
-        let st = stats.clone();
-        let rec = recorder.clone();
-        tokio::spawn(async move {
-            let mut buf = vec![0u8; 2048];
-            // flow id -> sender address (learned from data packets).
-            let mut senders: std::collections::HashMap<u64, SocketAddr> =
-                std::collections::HashMap::new();
-            loop {
-                tokio::select! {
-                    r = socket.recv_from(&mut buf) => {
-                        let Ok((n, from)) = r else { break };
-                        let start = Instant::now();
-                        let datagram = &buf[..n];
-                        match decide(datagram) {
-                            Action::ForwardToReceiver => {
-                                if let Ok((h, _)) = WireHeader::decode(datagram) {
-                                    senders.insert(h.flow, from);
-                                }
-                                match socket.send_to(datagram, receiver).await {
-                                    // ordering: Relaxed — monotone stats counters, no
-                                    // cross-thread data published through them.
-                                    Ok(_) => st.forwarded.fetch_add(1, Ordering::Relaxed),
-                                    Err(_) => st.send_errors.fetch_add(1, Ordering::Relaxed),
-                                };
-                            }
-                            Action::NackToSender { flow, seq } => {
-                                senders.insert(flow, from);
-                                let nack = WireHeader::nack(flow, seq).encode(&[]);
-                                match socket.send_to(&nack, from).await {
-                                    // ordering: Relaxed — monotone stats counters.
-                                    Ok(_) => st.nacks.fetch_add(1, Ordering::Relaxed),
-                                    Err(_) => st.send_errors.fetch_add(1, Ordering::Relaxed),
-                                };
-                            }
-                            Action::ForwardToSender => {
-                                if let Ok((h, _)) = WireHeader::decode(datagram) {
-                                    if let Some(&sender) = senders.get(&h.flow) {
-                                        match socket.send_to(datagram, sender).await {
-                                            // ordering: Relaxed — monotone stats counter.
-                                            Ok(_) => st.reversed.fetch_add(1, Ordering::Relaxed),
-                                            Err(_) => {
-                                                // ordering: Relaxed — monotone stats counter.
-                                                st.send_errors.fetch_add(1, Ordering::Relaxed)
-                                            }
-                                        };
-                                    } else {
-                                        // ordering: Relaxed — monotone stats counter.
-                                        st.dropped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            Action::Drop => {
-                                // ordering: Relaxed — monotone stats counter.
-                                st.dropped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        // Upper-bound sample: receive-to-forward through the
-                        // full socket path (Fig. 5b analogue).
-                        rec.record_nanos(start.elapsed().as_nanos() as u64);
-                    }
-                    _ = shutdown_rx.changed() => break,
-                }
-            }
-        });
-
-        Ok(StreamlinedUdpProxy {
-            local_addr,
-            stats,
-            recorder,
-            shutdown,
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &StreamlinedStats {
-        &self.stats
-    }
-
-    /// Per-datagram processing-latency recorder (receive → forward).
-    pub fn recorder(&self) -> &LatencyRecorder {
-        &self.recorder
-    }
-
-    /// Stops the relay loop.
-    pub fn shutdown(&self) {
-        let _ = self.shutdown.send(true);
-    }
-}
-
-impl Drop for StreamlinedUdpProxy {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -203,156 +73,52 @@ impl Drop for StreamlinedUdpProxy {
 mod decide_tests {
     use super::*;
 
+    const KINDS: [RelayKind; 3] = [
+        RelayKind::Naive,
+        RelayKind::Streamlined,
+        RelayKind::Detecting,
+    ];
+
     #[test]
     fn decide_forwards_data() {
-        let wire = WireHeader::data(1, 5, 3).encode(&[1, 2, 3]);
-        assert_eq!(decide(&wire), Action::ForwardToReceiver);
+        let header = WireHeader::data(1, 5, 3);
+        // Bytes past the declared payload are not part of the datagram.
+        let mut wire = header.encode(&[1, 2, 3]).to_vec();
+        wire.extend_from_slice(&[0xEE; 5]);
+        for kind in KINDS {
+            let action = kind.apply(decide(&wire));
+            assert_eq!(action, Action::ForwardToReceiver(header), "{kind:?}");
+        }
+        assert_eq!(header.wire_len(), wire.len() - 5);
     }
 
     #[test]
     fn decide_nacks_trimmed() {
-        let wire = WireHeader::trimmed(9, 77).encode(&[]);
-        assert_eq!(decide(&wire), Action::NackToSender { flow: 9, seq: 77 });
+        let header = WireHeader::trimmed(9, 77);
+        let nack = decide(&header.encode(&[]));
+        assert_eq!(nack, Action::NackToSender(header));
+        assert_eq!(RelayKind::Streamlined.apply(nack), nack);
+        // No trimming support assumed: the header travels on as data.
+        let forward = Action::ForwardToReceiver(header);
+        assert_eq!(RelayKind::Naive.apply(nack), forward);
+        assert_eq!(RelayKind::Detecting.apply(nack), forward);
     }
 
     #[test]
     fn decide_reverses_feedback() {
-        assert_eq!(
-            decide(&WireHeader::ack(1, 2).encode(&[])),
-            Action::ForwardToSender
-        );
-        assert_eq!(
-            decide(&WireHeader::nack(1, 2).encode(&[])),
-            Action::ForwardToSender
-        );
+        for header in [WireHeader::ack(1, 2), WireHeader::nack(1, 2)] {
+            for kind in KINDS {
+                let action = kind.apply(decide(&header.encode(&[])));
+                assert_eq!(action, Action::ForwardToSender(header), "{kind:?}");
+            }
+        }
     }
 
     #[test]
     fn decide_drops_garbage() {
-        assert_eq!(decide(&[0u8; 4]), Action::Drop);
-        assert_eq!(decide(&[0xFFu8; 64]), Action::Drop);
-    }
-}
-
-// Socket tests are skipped under Miri (loopback UDP needs real syscalls);
-// the pure `decide` tests above still run there.
-#[cfg(all(test, not(miri)))]
-mod tests {
-    use super::*;
-    use crate::testutil::{bind_udp, loopback, recv_decoded, recv_with_timeout};
-    use std::time::Duration;
-
-    #[tokio::test]
-    async fn forwards_data_to_receiver() {
-        let receiver = bind_udp().await;
-        let proxy = StreamlinedUdpProxy::start(loopback(), receiver.local_addr().unwrap())
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-
-        let wire = WireHeader::data(3, 1, 4).encode(&[9, 9, 9, 9]);
-        sender.send_to(&wire, proxy.local_addr()).await.unwrap();
-
-        let mut buf = [0u8; 2048];
-        let (h, p, _) = recv_decoded(&receiver, &mut buf).await;
-        assert_eq!(h.flow, 3);
-        assert_eq!(p, vec![9, 9, 9, 9]);
-        // ordering: Relaxed — test readback after the forward was observed.
-        assert_eq!(proxy.stats().forwarded.load(Ordering::Relaxed), 1);
-    }
-
-    #[tokio::test]
-    async fn nacks_trimmed_headers_to_sender() {
-        let receiver = bind_udp().await;
-        let proxy = StreamlinedUdpProxy::start(loopback(), receiver.local_addr().unwrap())
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-
-        let wire = WireHeader::trimmed(3, 42).encode(&[]);
-        sender.send_to(&wire, proxy.local_addr()).await.unwrap();
-
-        let mut buf = [0u8; 2048];
-        let (h, _, from) = recv_decoded(&sender, &mut buf).await;
-        assert_eq!(from, proxy.local_addr());
-        assert!(h.flags.contains(Flags::NACK));
-        assert_eq!(h.seq, 42);
-        // ordering: Relaxed — test readback after the NACK was observed.
-        assert_eq!(proxy.stats().nacks.load(Ordering::Relaxed), 1);
-    }
-
-    #[tokio::test]
-    async fn reverse_path_reaches_the_sender() {
-        let receiver = bind_udp().await;
-        let proxy = StreamlinedUdpProxy::start(loopback(), receiver.local_addr().unwrap())
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-
-        // Teach the proxy flow 8's sender address with a data packet.
-        let data = WireHeader::data(8, 0, 1).encode(&[1]);
-        sender.send_to(&data, proxy.local_addr()).await.unwrap();
-        let mut buf = [0u8; 2048];
-        recv_with_timeout(&receiver, &mut buf).await;
-
-        // Receiver acks via the proxy.
-        let ack = WireHeader::ack(8, 0).encode(&[]);
-        receiver.send_to(&ack, proxy.local_addr()).await.unwrap();
-        let (h, _, _) = recv_decoded(&sender, &mut buf).await;
-        assert!(h.flags.contains(Flags::ACK));
-        // ordering: Relaxed — test readback after the reverse hop was observed.
-        assert_eq!(proxy.stats().reversed.load(Ordering::Relaxed), 1);
-    }
-
-    #[tokio::test]
-    async fn drops_garbage_and_counts() {
-        let receiver = bind_udp().await;
-        let proxy = StreamlinedUdpProxy::start(loopback(), receiver.local_addr().unwrap())
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-        sender
-            .send_to(&[0xAB; 50], proxy.local_addr())
-            .await
-            .unwrap();
-        // Give the relay loop a moment.
-        tokio::time::sleep(Duration::from_millis(50)).await;
-        // ordering: Relaxed — stats counters carry no payload; the sleep is the sync.
-        assert_eq!(proxy.stats().dropped.load(Ordering::Relaxed), 1);
-        assert_eq!(proxy.stats().forwarded.load(Ordering::Relaxed), 0);
-    }
-
-    #[tokio::test]
-    async fn records_processing_latency() {
-        let receiver = bind_udp().await;
-        let proxy = StreamlinedUdpProxy::start(loopback(), receiver.local_addr().unwrap())
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-        for seq in 0..20 {
-            let wire = WireHeader::data(1, seq, 8).encode(&[0; 8]);
-            sender.send_to(&wire, proxy.local_addr()).await.unwrap();
+        for kind in KINDS {
+            assert_eq!(kind.apply(decide(&[0u8; 4])), Action::Drop, "{kind:?}");
+            assert_eq!(kind.apply(decide(&[0xFFu8; 64])), Action::Drop, "{kind:?}");
         }
-        let mut buf = [0u8; 2048];
-        for _ in 0..20 {
-            recv_with_timeout(&receiver, &mut buf).await;
-        }
-        assert!(proxy.recorder().count() >= 20);
-    }
-
-    #[tokio::test]
-    async fn send_errors_are_counted_not_swallowed() {
-        // Receiver port 0 makes every forward fail at send_to.
-        let unreachable: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let proxy = StreamlinedUdpProxy::start(loopback(), unreachable)
-            .await
-            .unwrap();
-        let sender = bind_udp().await;
-        let wire = WireHeader::data(3, 1, 4).encode(&[9, 9, 9, 9]);
-        sender.send_to(&wire, proxy.local_addr()).await.unwrap();
-        tokio::time::sleep(Duration::from_millis(50)).await;
-        // ordering: Relaxed — stats counters carry no payload; the sleep is the sync.
-        assert_eq!(proxy.stats().send_errors.load(Ordering::Relaxed), 1);
-        assert_eq!(proxy.stats().forwarded.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,41 +1,24 @@
-//! Shared test helpers, hoisted from per-module copies (`loopback`,
-//! `recv_with_timeout`, and common socket setup used to be duplicated
-//! across the streamlined / detecting / transport test modules).
+//! Shared helpers of the socket-driven unit tests.
 
 use std::net::SocketAddr;
-use std::time::Duration;
-use tokio::net::UdpSocket;
-
-/// How long a test waits for a datagram before declaring failure.
-pub const RECV_DEADLINE: Duration = Duration::from_secs(2);
+use std::time::{Duration, Instant};
 
 /// An ephemeral loopback bind address.
 pub fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().expect("valid addr")
 }
 
-/// Binds a fresh ephemeral loopback UDP socket.
-pub async fn bind_udp() -> UdpSocket {
-    UdpSocket::bind(loopback())
-        .await
-        .expect("bind loopback udp")
-}
-
-/// Receives one datagram or panics after [`RECV_DEADLINE`].
-pub async fn recv_with_timeout(sock: &UdpSocket, buf: &mut [u8]) -> (usize, SocketAddr) {
-    tokio::time::timeout(RECV_DEADLINE, sock.recv_from(buf))
-        .await
-        .expect("timed out")
-        .expect("recv failed")
-}
-
-/// Receives and wire-decodes one datagram, panicking on timeout or a
-/// malformed frame; returns the header, payload copy, and source.
-pub async fn recv_decoded(
-    sock: &UdpSocket,
-    buf: &mut [u8],
-) -> (crate::wire::WireHeader, Vec<u8>, SocketAddr) {
-    let (n, from) = recv_with_timeout(sock, buf).await;
-    let (header, payload) = crate::wire::WireHeader::decode(&buf[..n]).expect("wire frame");
-    (header, payload.to_vec(), from)
+/// Polls `cond` for up to 2 s (relay and sink counters flush per batch,
+/// so they trail the socket observations by a moment); a failure is
+/// reported at the caller's line.
+#[track_caller]
+pub fn wait_for(cond: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "condition not reached in time"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

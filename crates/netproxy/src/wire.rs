@@ -302,6 +302,12 @@ impl WireHeader {
         }
     }
 
+    /// Length of the whole datagram this header describes.
+    #[inline]
+    pub fn wire_len(&self) -> usize {
+        WIRE_HEADER_LEN + self.payload_len as usize
+    }
+
     /// Encodes the header (and payload, if any) into a datagram.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
         debug_assert_eq!(payload.len(), self.payload_len as usize);

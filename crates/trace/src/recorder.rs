@@ -1,7 +1,7 @@
 //! Thread-safe latency recording for the live proxy data path.
 //!
-//! The tokio proxies record one sample per forwarded packet from multiple
-//! tasks. [`LatencyRecorder`] wraps a [`LogHistogram`] in a `parking_lot`
+//! The proxies record one sample per relayed chunk or receive batch from
+//! several threads. [`LatencyRecorder`] wraps a [`LogHistogram`] in a `parking_lot`
 //! mutex (uncontended lock ≈ one CAS, fine for the scaled-down rates we
 //! drive in tests/benches) and offers [`LatencyRecorder::time`] for scoped
 //! measurements.

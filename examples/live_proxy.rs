@@ -1,58 +1,76 @@
-//! Run the real (tokio) proxies on loopback and measure their per-packet
+//! Run the real proxies on loopback and measure their per-packet
 //! overhead — a miniature of the paper's §5 testbed study.
 //!
-//! Starts the Naive TCP split-connection proxy and the Streamlined UDP
-//! trim/NACK proxy, drives both with the iperf-like load generator, and
-//! prints their processing-latency distributions: the user-space relay
-//! overhead (Fig. 4's measurand) next to the streamlined datapath's
-//! through-stack cost (Fig. 5b) and its pure decision-logic cost
-//! (Fig. 5a, measured here over a quick in-process loop).
+//! Starts the Naive TCP split-connection proxy and the sharded UDP
+//! trim/NACK relay, drives each with its load generator, and prints their
+//! processing-latency distributions: the user-space relay overhead
+//! (Fig. 4's measurand) next to the streamlined datapath's through-stack
+//! cost (Fig. 5b, per datagram of a receive batch) and its pure
+//! decision-logic cost (Fig. 5a, measured here over a quick in-process
+//! loop).
 //!
 //! Run with: `cargo run --release --example live_proxy`
 
-use netproxy::loadgen::{tcp_sink, TcpLoadGen, UdpLoadGen};
 use netproxy::wire::WireHeader;
-use netproxy::{decide, Action, NaiveProxy, StreamlinedUdpProxy};
+use netproxy::{
+    decide, Action, BatchLoadGen, BatchSink, NaiveProxy, RelayConfig, ShardedRelay, SocketLayer,
+    TcpLoadGen, TcpSink,
+};
 use std::net::SocketAddr;
-use std::time::Instant;
-use tokio::net::UdpSocket;
+use std::time::{Duration, Instant};
 use trace::Table;
 
 fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().expect("addr")
 }
 
-#[tokio::main]
-async fn main() {
+/// Polls until `done` or 2 s pass (relays trail the generators a moment).
+fn settle(done: impl Fn() -> bool) {
+    // simlint: allow(wall-clock) — drain deadline for live sockets
+    let start = Instant::now();
+    while !done() && start.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+fn main() {
     // --- Naive TCP proxy under load ---
-    let (sink, sunk_bytes) = tcp_sink().await.expect("sink");
-    let naive = NaiveProxy::start(loopback(), sink)
-        .await
-        .expect("naive proxy");
+    let tcp_sink = TcpSink::start().expect("sink");
+    let naive = NaiveProxy::start(loopback(), tcp_sink.local_addr()).expect("naive proxy");
     let tcp_stats = TcpLoadGen::scaled_default()
         .run(naive.local_addr())
-        .await
         .expect("tcp load");
-    tokio::time::sleep(std::time::Duration::from_millis(200)).await;
+    settle(|| tcp_sink.bytes() == tcp_stats.sent_bytes);
     let naive_cdf = naive.recorder().cdf_micros().expect("naive samples");
 
-    // --- Streamlined UDP proxy under load (with virtual trimming) ---
-    let receiver = UdpSocket::bind(loopback()).await.expect("receiver");
-    let recv_addr = receiver.local_addr().expect("addr");
-    tokio::spawn(async move {
-        let mut buf = [0u8; 2048];
-        while receiver.recv_from(&mut buf).await.is_ok() {}
-    });
-    let streamlined = StreamlinedUdpProxy::start(loopback(), recv_addr)
-        .await
-        .expect("streamlined proxy");
-    let sender_sock = UdpSocket::bind(loopback()).await.expect("sender");
-    let udp_stats = UdpLoadGen::scaled_default(1)
-        .run(&sender_sock, streamlined.local_addr())
-        .await
-        .expect("udp load");
-    tokio::time::sleep(std::time::Duration::from_millis(200)).await;
+    // --- Streamlined UDP relay under load (with virtual trimming) ---
+    // simlint: allow(wall-clock) — timestamp base of a live-socket run
+    let epoch = Instant::now();
+    let udp_sink = BatchSink::start(1, SocketLayer::Auto, epoch).expect("sink");
+    let streamlined = ShardedRelay::start(
+        loopback(),
+        RelayConfig {
+            shards: 1,
+            ..RelayConfig::streamlined(udp_sink.local_addr())
+        },
+    )
+    .expect("streamlined relay");
+    // 100 Mbit/s of 1400 B datagrams on one flow, a fifth of them trimmed.
+    let udp_stats = BatchLoadGen {
+        threads: 1,
+        flows_per_thread: 1,
+        rate_pps: 8_900,
+        duration: Duration::from_secs(1),
+        trim_fraction: 0.2,
+        payload_len: 1400,
+        layer: SocketLayer::Auto,
+        drain_grace: Duration::from_millis(10),
+    }
+    .run(streamlined.local_addr(), epoch)
+    .expect("udp load");
+    settle(|| streamlined.stats().received == udp_stats.delivered());
     let stream_cdf = streamlined.recorder().cdf_micros().expect("samples");
+    let relay = streamlined.stats();
 
     // --- Pure decision logic (the Fig. 5a lower bound analogue) ---
     let data = WireHeader::data(1, 1, 1000).encode(&vec![0u8; 1000]);
@@ -63,9 +81,9 @@ async fn main() {
     let mut keep = 0u64;
     for i in 0..iters {
         let wire = if i % 4 == 0 { &trimmed } else { &data };
-        match decide(wire) {
-            Action::ForwardToReceiver => keep += 1,
-            Action::NackToSender { .. } => keep += 2,
+        match decide(std::hint::black_box(wire)) {
+            Action::ForwardToReceiver(_) => keep += 1,
+            Action::NackToSender(_) => keep += 2,
             _ => {}
         }
     }
@@ -77,20 +95,26 @@ async fn main() {
         "naive proxy relayed {} over TCP ({} connections); sink saw {}",
         trace::table::fmt_bytes(tcp_stats.sent_bytes),
         naive.connections(),
-        // ordering: Relaxed — end-of-run snapshot of a monotone byte counter.
-        trace::table::fmt_bytes(sunk_bytes.load(std::sync::atomic::Ordering::Relaxed)),
+        trace::table::fmt_bytes(tcp_sink.bytes()),
     );
     println!(
-        "streamlined proxy: {} datagrams offered, {} trimmed -> {} NACKs generated",
+        "streamlined relay: {} datagrams offered, {} trimmed -> {} NACKs generated, {} came back; {:.2} datagrams per receive batch",
         udp_stats.sent_packets,
-        udp_stats.trimmed_packets,
-        streamlined
-            .stats()
-            .nacks
-            // ordering: Relaxed — end-of-run snapshot of a monotone counter.
-            .load(std::sync::atomic::Ordering::Relaxed),
+        udp_stats.trimmed_sent,
+        relay.nacks,
+        udp_stats.nacks_received,
+        relay.received as f64 / relay.batches.max(1) as f64,
     );
     println!();
+    assert_eq!(
+        tcp_sink.bytes(),
+        tcp_stats.sent_bytes,
+        "naive relay lost bytes"
+    );
+    assert_eq!(
+        relay.nacks, udp_stats.trimmed_sent,
+        "one NACK per trimmed header"
+    );
 
     let mut table = Table::new(vec!["path", "p50", "p90", "p99", "samples"]);
     table.row(vec![

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# netproxy datapath snapshot: runs the netproxy criterion suite (zero-copy
-# parse / in-place NACK rewrite / zero-alloc staging CPU paths), then the
+# netproxy datapath snapshot: runs the netproxy criterion suites (zero-copy
+# parse / in-place NACK rewrite / zero-alloc staging CPU paths, plus
+# proxy_datapath's per-call `decide` and wire codec), then the
 # netproxy_load throughput harness — the single-datagram baseline at its
 # zero-loss ceiling vs. the batched sharded relay at high load, a shard
 # scaling curve, and the naive/streamlined/detecting comparison under
@@ -28,8 +29,8 @@ done
 OUT=BENCH_netproxy.json
 MIN_SPEEDUP="${NETPROXY_MIN_SPEEDUP:-5}"
 
-echo "== cargo bench (netproxy suite)"
-cargo bench "${OFFLINE[@]}" -q -p bench --bench netproxy
+echo "== cargo bench (netproxy + proxy_datapath suites)"
+cargo bench "${OFFLINE[@]}" -q -p bench --bench netproxy --bench proxy_datapath
 
 echo "== building netproxy_load"
 cargo build --release "${OFFLINE[@]}" -q -p bench --bin netproxy_load
@@ -37,11 +38,12 @@ BIN=target/release/netproxy_load
 
 # Offered rates: the single-datagram relay (one recvfrom/sendto per
 # packet) holds zero loss up to ~18k pps on the reference box and
-# saturates just past it; the batched relay holds zero loss at 130k.
+# saturates just past it; the batched relay (GSO, PR 12) holds zero loss
+# at 300k with loadgen, relay and sink sharing the box's 2 vCPUs.
 # Driving each architecture at its own ceiling compares sustained
 # zero-loss throughput rather than drop behavior.
 SINGLE_RATE="${NETPROXY_SINGLE_RATE:-18000}"
-BATCHED_RATE="${NETPROXY_BATCHED_RATE:-130000}"
+BATCHED_RATE="${NETPROXY_BATCHED_RATE:-300000}"
 DURATION_MS=800
 RUNS=3
 
@@ -69,6 +71,11 @@ echo "$BATCHED"
 echo "== shard scaling curve (${BATCHED_RATE} pps offered)"
 SCALING=$(mktemp)
 CORES=$(nproc 2>/dev/null || echo 1)
+# What box the numbers are from (same stamp as scripts/bench.sh): they are
+# only comparable to a baseline recorded on the same CPU model and core count.
+CPU_MODEL=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+[ -n "$CPU_MODEL" ] || CPU_MODEL=$(sysctl -n machdep.cpu.brand_string 2>/dev/null || true)
+[ -n "$CPU_MODEL" ] || CPU_MODEL=unknown
 SHARD_POINTS="1 2"
 if [ "$CORES" -ge 4 ]; then SHARD_POINTS="1 2 4"; fi
 for s in $SHARD_POINTS; do
@@ -90,11 +97,11 @@ done
 echo "== writing $OUT"
 GIT_REV=$(git describe --always --dirty 2>/dev/null || echo unknown)
 python3 - "$OUT" "$GIT_REV" "$CORES" "$SINGLE" "$BATCHED" "$SCALING" "$COMPARE" \
-  "$MIN_SPEEDUP" <<'PY'
+  "$MIN_SPEEDUP" "$CPU_MODEL" <<'PY'
 import json, os, sys
 
 (out, rev, cores, single_line, batched_line, scaling_file, compare_file,
- min_speedup) = sys.argv[1:9]
+ min_speedup, cpu_model) = sys.argv[1:10]
 
 def relayed_pps(r):
     return round(r["relay_forwarded"] * r["achieved_pps"] / max(r["sent"], 1))
@@ -122,6 +129,7 @@ summary = {
     "suite": "netproxy",
     "git_rev": rev,
     "cores": int(cores),
+    "cpu_model": cpu_model,
     "baseline_gap": {
         "single_datagram": trim_run(single),
         "batched_sharded": trim_run(batched),
@@ -140,7 +148,7 @@ for root in roots:
   for dirpath, _dirs, files in os.walk(root):
     if "estimates.json" in files and dirpath.endswith(os.sep + "new"):
         bench = os.path.relpath(os.path.dirname(dirpath), root).replace(os.sep, "/")
-        if not bench.startswith("netproxy_"):
+        if not bench.startswith(("netproxy_", "streamlined_decision/", "wire_format/")):
             continue
         with open(os.path.join(dirpath, "estimates.json")) as f:
             est = json.load(f)

@@ -14,6 +14,9 @@ for arg in "$@"; do
   esac
 done
 
+echo "== no async runtime (netproxy runs on threads and blocking sockets; crates/perf's frozen stand-in list aside)"
+if git ls-files '*Cargo.toml' ':!crates/perf' | xargs grep -l tokio; then echo "tokio is back in a manifest" >&2; exit 1; fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -46,8 +49,13 @@ cargo test --workspace "${OFFLINE[@]}" -q
 echo "== loom (bounded-exhaustive interleaving models of the lock-free shard datapath)"
 RUSTFLAGS="--cfg loom" cargo test "${OFFLINE[@]}" -p netproxy --test loom -q
 
-echo "== netproxy loadgen smoke (every variant x every socket layer, zero unexplained loss)"
+echo "== netproxy loadgen smoke (every relay variant x every socket layer, zero unexplained loss)"
 cargo run --release "${OFFLINE[@]}" -q -p bench --bin netproxy_load -- --smoke
+
+echo "== live figures and example (naive TCP proxy + one-shard relay on loopback; fig5 asserts upper/lower >= 10x)"
+cargo run --release "${OFFLINE[@]}" -q -p bench --bin fig4 -- --quick
+cargo run --release "${OFFLINE[@]}" -q -p bench --bin fig5 -- --quick
+cargo run --release "${OFFLINE[@]}" -q --example live_proxy
 
 echo "== netproxy chaos soak (bounded: 5 s, faults + mid-run crash + overload ladder, ledger-verified)"
 cargo run --release "${OFFLINE[@]}" -q -p bench --bin netproxy_soak -- \

@@ -45,15 +45,19 @@ for suite in simulator fleet orchestrator netproxy; do
     continue
   fi
   echo "== perfgate: measuring $suite suite (best of 2)"
+  # BENCH_netproxy.json also holds proxy_datapath's per-call `decide` and
+  # wire-codec entries.
+  BENCHES=(--bench "$suite")
+  [ "$suite" = netproxy ] && BENCHES+=(--bench proxy_datapath)
   # Two measurement passes; the comparison takes the per-benchmark
   # minimum, so a thermal-throttle window during one pass can't fail
   # the gate on its own.
-  cargo bench "${OFFLINE[@]}" -q -p bench --bench "$suite"
+  cargo bench "${OFFLINE[@]}" -q -p bench "${BENCHES[@]}"
   SNAP=$(mktemp -d)
   for d in target/criterion crates/bench/target/criterion; do
     [ -d "$d" ] && cp -r "$d" "$SNAP/$(echo "$d" | tr / _)"
   done
-  cargo bench "${OFFLINE[@]}" -q -p bench --bench "$suite"
+  cargo bench "${OFFLINE[@]}" -q -p bench "${BENCHES[@]}"
   python3 - "$suite" "$baseline" "$THRESHOLD" "$SNAP" <<'PY' || FAIL=1
 import json, os, sys
 

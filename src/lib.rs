@@ -5,7 +5,7 @@
 //!
 //! * [`dcsim`] — the packet-level network simulator,
 //! * [`incast_core`] — schemes, experiments, orchestration, detection,
-//! * [`netproxy`] — the deployable tokio proxies,
+//! * [`netproxy`] — the deployable proxies (threads and blocking sockets),
 //! * [`trace`] — measurement utilities.
 //!
 //! This crate hosts the runnable examples (`examples/`) and the
