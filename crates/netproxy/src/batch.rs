@@ -2,11 +2,12 @@
 //!
 //! The single-datagram relay pays two syscalls and a buffer copy per
 //! packet — the dominant cost of the Figure 5b upper bound. This module
-//! drains up to [`BATCH`] datagrams per `recvmmsg` into a preallocated
-//! ring of buffers and coalesces every outbound forward/NACK of a batch
-//! into one `sendmmsg` flush, cutting the syscall count per packet from
-//! two to ~2/[`BATCH`] — and, within that flush, every same-destination
-//! run into one message (below).
+//! drains up to [`BATCH`] messages per `recvmmsg` into a preallocated
+//! ring and coalesces every outbound forward/NACK of a batch into one
+//! `sendmmsg` flush, cutting the syscall count per packet from two to
+//! ~2/[`BATCH`] — and, within that flush, every same-destination run
+//! into one message, which the receiving end reads back as the datagrams
+//! it holds (both below).
 //!
 //! Two implementations sit behind the same [`BatchIo`] trait:
 //!
@@ -41,9 +42,10 @@
 //!   forwards and NACKs form two long runs, not many two-datagram ones.
 //!   Order is kept per (destination, length); across a batch it carries
 //!   no meaning (see `RecvRing::swap_remove`).
-//! * **Limits.** A message holds at most 64 segments and 65507 bytes
-//!   (one UDP datagram until it is segmented), so a longer run continues
-//!   in a new message; empty datagrams cannot be segmented and go alone;
+//! * **Limits.** A message holds at most 64 segments and 65,408 bytes
+//!   (one packet until it is segmented, and only under 64 KB with its
+//!   headers does a device take it whole), so a longer run continues in
+//!   a new message; empty datagrams cannot be segmented and go alone;
 //!   each segment plus headers must fit the path MTU, which
 //!   [`MAX_DATAGRAM`] does on a 1500-byte link.
 //! * **Refusal.** When the kernel refuses a multi-segment message with
@@ -57,13 +59,49 @@
 //!
 //! [`SendOutcome`] counts datagrams in `sent`/`errors` either way, and
 //! kernel entries in `messages`.
+//!
+//! # Run splitting (UDP GRO)
+//!
+//! A train sent as one message is cut back into datagrams at the far end
+//! of the kernel walk only if the receiving socket never asked for it
+//! whole. [`MmsgIo`] asks (`SOL_UDP/UDP_GRO`): a train — from a peer's
+//! `UDP_SEGMENT` send over loopback, or coalesced by a NIC's receive
+//! offload — then lands as **one** `recvmmsg` entry with a control message
+//! carrying its segment size, and [`RecvRing`] exposes it as one
+//! `(offset, length, source)` view per datagram. Nothing is copied; the
+//! relay reads, rewrites and forwards each view in place as it did each
+//! buffer. Again there is no switch: what arrives coalesced is split,
+//! what arrives plain is one view.
+//!
+//! * **Landing areas.** A coalesced message is up to 64 KB, so every one
+//!   of the [`BATCH`] receive entries gets a 64 KB landing area: fewer,
+//!   or smaller, and either many-sender traffic (nothing to coalesce —
+//!   the paper's incast on a real NIC) would drain fewer than [`BATCH`]
+//!   datagrams per syscall, or a train would be cut short. On Linux the
+//!   arena is reserved address space, resident only where bytes have
+//!   landed (see [`RecvRing::new`]).
+//! * **What a batch is.** One `recv_batch` returns at most [`BATCH`]
+//!   messages but up to 64 datagrams for each (128 from a sender on Linux
+//!   6.9 or later). The relay walks a receive in batches of at most
+//!   [`BATCH`] datagrams, so everything scoped to "a batch" is unchanged.
+//! * **Oversize and damage.** A landing area cannot cut a message short,
+//!   so a datagram (or train segment) longer than [`MAX_DATAGRAM`] is seen
+//!   whole — and dropped by [`crate::streamlined::decide`], counted, as
+//!   the cut-short copy was when it failed to parse. A message the kernel
+//!   flags `MSG_TRUNC`/`MSG_CTRUNC` has unknown datagram boundaries and
+//!   is handed on as one such oversize datagram.
+//! * **Refusal.** A kernel before 5.0 refuses the option; nothing is
+//!   latched, every message is then one view.
 
 use crate::wire::{write_nack_into, MAX_DATAGRAM, WIRE_HEADER_LEN};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-/// Datagrams drained per `recvmmsg` / flushed per `sendmmsg`.
+/// Messages drained per `recvmmsg`, and datagrams per batch: staged per
+/// ring, relayed between two counter flushes, flushed per `sendmmsg`. A
+/// receive can hold more datagrams than this (a coalesced message is one
+/// entry, many datagrams); the relay takes it [`BATCH`] at a time.
 pub const BATCH: usize = 64;
 
 /// How long a `recv_batch` blocks waiting for the first datagram before
@@ -106,13 +144,84 @@ impl SocketLayer {
     }
 }
 
-/// A preallocated ring of receive buffers, filled by
-/// [`BatchIo::recv_batch`] and consumed in place by the relay loop.
+/// The source of a datagram nobody sent (staged, or from an address
+/// family the relay does not speak): unroutable, so nothing answers it.
+const NOWHERE: SocketAddr =
+    SocketAddr::new(std::net::IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED), 0);
+
+/// One datagram of a [`RecvRing`]: where its bytes sit in the arena and
+/// who sent it.
+#[derive(Clone, Copy)]
+struct Slot {
+    off: u32,
+    len: u32,
+    from: SocketAddr,
+}
+
+/// The portable arena: [`BATCH`] landing areas on the heap, each one
+/// datagram (and a little more, so an oversize datagram shows as one)
+/// long. The ring off Linux and under Miri.
+#[cfg(any(not(target_os = "linux"), miri))]
+struct Arena(Box<[u8]>);
+
+#[cfg(any(not(target_os = "linux"), miri))]
+impl Arena {
+    /// Bytes per landing area: room to see that a datagram is longer than
+    /// [`MAX_DATAGRAM`], rounded to keep the areas 8-byte aligned.
+    const LANDING: usize = MAX_DATAGRAM + 8;
+
+    fn new() -> Self {
+        Arena(vec![0u8; ARENA_BYTES].into_boxed_slice())
+    }
+}
+
+#[cfg(any(not(target_os = "linux"), miri))]
+impl std::ops::Deref for Arena {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+#[cfg(any(not(target_os = "linux"), miri))]
+impl std::ops::DerefMut for Arena {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
+}
+
+#[cfg(all(target_os = "linux", not(miri)))]
+use linux::Arena;
+
+/// Bytes per landing area of a ring's arena.
+const LANDING: usize = Arena::LANDING;
+/// Where the arena's spill area starts, behind the landing areas: room
+/// for [`BATCH`] datagrams appended to a receive (`push_received`).
+const SPILL: usize = BATCH * LANDING;
+/// Bytes of an arena.
+const ARENA_BYTES: usize = SPILL + BATCH * MAX_DATAGRAM;
+
+/// Received (or staged) datagrams, read in place by the relay loop: one
+/// flat byte arena — [`BATCH`] landing areas and a spill area — behind a
+/// table of per-datagram `(offset, length, source)` views.
+///
+/// [`BatchIo::recv_batch`] lands one kernel message per landing area and
+/// records one view per datagram in it — several when the message is a
+/// coalesced train (see the module docs, "Run splitting"). So a receive
+/// holds at most [`BATCH`] *messages* but up to 64 datagrams for each;
+/// [`RecvRing::len`] counts datagrams. Staging ([`RecvRing::stage`])
+/// packs outbound datagrams from the arena's start, at most [`BATCH`] of
+/// them, within its first `BATCH × MAX_DATAGRAM` bytes.
+///
+/// A view longer than [`MAX_DATAGRAM`] is a datagram this protocol never
+/// sends (or one the kernel delivered damaged); the relay drops and
+/// counts it ([`crate::streamlined::decide`]).
 pub struct RecvRing {
-    bufs: Box<[[u8; MAX_DATAGRAM]]>,
-    lens: [usize; BATCH],
-    addrs: [SocketAddr; BATCH],
-    count: usize,
+    arena: Arena,
+    slots: Vec<Slot>,
+    /// Where the next appended datagram goes: behind the last one staged,
+    /// or — after a receive — in the spill area.
+    tail: usize,
 }
 
 impl Default for RecvRing {
@@ -122,72 +231,79 @@ impl Default for RecvRing {
 }
 
 impl RecvRing {
-    /// A ring of [`BATCH`] MTU-sized buffers.
+    /// An empty ring. On Linux the arena is [`BATCH`] × 64 KB of reserved
+    /// address space, resident only where datagrams have landed; elsewhere
+    /// [`BATCH`] MTU-sized heap buffers.
+    ///
+    /// # Panics
+    /// Panics if the address space cannot be reserved, as an allocation
+    /// failure would.
     pub fn new() -> Self {
-        let placeholder: SocketAddr = SocketAddr::from(([0, 0, 0, 0], 0));
         RecvRing {
-            bufs: vec![[0u8; MAX_DATAGRAM]; BATCH].into_boxed_slice(),
-            lens: [0; BATCH],
-            addrs: [placeholder; BATCH],
-            count: 0,
+            arena: Arena::new(),
+            slots: Vec::with_capacity(BATCH),
+            tail: 0,
         }
     }
 
-    /// Datagrams held by the last `recv_batch`.
+    /// Datagrams held by the last `recv_batch` (or staged since the last
+    /// `reset`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.count
+        self.slots.len()
     }
 
     /// True when the last `recv_batch` returned nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.slots.is_empty()
     }
 
     /// The `i`-th received datagram (immutable).
     #[inline]
     pub fn datagram(&self, i: usize) -> &[u8] {
-        &self.bufs[i][..self.lens[i]]
+        let s = self.slots[i];
+        &self.arena[s.off as usize..][..s.len as usize]
     }
 
     /// The `i`-th received datagram (mutable, for in-place rewrites).
     #[inline]
     pub fn datagram_mut(&mut self, i: usize) -> &mut [u8] {
-        &mut self.bufs[i][..self.lens[i]]
+        let s = self.slots[i];
+        &mut self.arena[s.off as usize..][..s.len as usize]
     }
 
     /// Source address of the `i`-th datagram.
     #[inline]
     pub fn source(&self, i: usize) -> SocketAddr {
-        self.addrs[i]
+        self.slots[i].from
     }
 
     /// Stages an outbound datagram in the next free slot: `write` fills
     /// the buffer and returns the wire length. Returns the slot index
     /// (push it into a [`SendQueue`] and flush), or `None` when the
-    /// ring is full. This runs the batched path in reverse — senders
-    /// (loadgen) coalesce into the same `sendmmsg` flush the relay uses.
+    /// ring holds [`BATCH`] datagrams. This runs the batched path in
+    /// reverse — senders (loadgen) coalesce into the same `sendmmsg`
+    /// flush the relay uses.
     #[inline]
     pub fn stage(
         &mut self,
         write: impl FnOnce(&mut [u8; MAX_DATAGRAM]) -> usize,
     ) -> Option<(usize, usize)> {
-        if self.count == BATCH {
+        if self.slots.len() >= BATCH {
             return None;
         }
-        let i = self.count;
-        let len = write(&mut self.bufs[i]);
+        let buf = self.arena.get_mut(self.tail..self.tail + MAX_DATAGRAM)?;
+        let len = write(buf.try_into().expect("MAX_DATAGRAM bytes"));
         debug_assert!(len <= MAX_DATAGRAM);
-        self.lens[i] = len;
-        self.count += 1;
-        Some((i, len))
+        Some((self.append(len, NOWHERE), len))
     }
 
     /// Empties the ring (between staged send batches).
     #[inline]
     pub fn reset(&mut self) {
-        self.count = 0;
+        self.slots.clear();
+        self.tail = 0;
     }
 
     /// Removes datagram `i` by swapping it with the last slot (datagram
@@ -197,33 +313,77 @@ impl RecvRing {
     /// [`SendQueue`] holds slot references into this ring.
     #[inline]
     pub(crate) fn swap_remove(&mut self, i: usize) {
-        debug_assert!(i < self.count);
-        let last = self.count - 1;
-        if i != last {
-            self.bufs.swap(i, last);
-            self.lens.swap(i, last);
-            self.addrs.swap(i, last);
-        }
-        self.count = last;
+        self.slots.swap_remove(i);
     }
 
-    /// Appends a received datagram (bytes + source address) into the next
-    /// free slot — the fault shim's delay-release path, which re-injects
-    /// previously stolen datagrams as if they had just arrived. Returns
-    /// false when the ring is full.
+    /// Appends a received datagram (bytes + source address) to what the
+    /// last receive landed — the fault shim's delay-release path, which
+    /// re-injects previously stolen datagrams as if they had just
+    /// arrived. Returns false when the spill area is used up (it has room
+    /// for [`BATCH`] datagrams per receive, however many landed) or
+    /// `bytes` is no datagram of ours.
     #[inline]
     pub(crate) fn push_received(&mut self, bytes: &[u8], from: SocketAddr) -> bool {
-        if self.count == BATCH || bytes.len() > MAX_DATAGRAM {
+        if bytes.len() > MAX_DATAGRAM {
             return false;
         }
-        let i = self.count;
-        self.bufs[i][..bytes.len()].copy_from_slice(bytes);
-        self.lens[i] = bytes.len();
-        self.addrs[i] = from;
-        self.count += 1;
+        let Some(buf) = self.arena.get_mut(self.tail..self.tail + bytes.len()) else {
+            return false;
+        };
+        buf.copy_from_slice(bytes);
+        self.append(bytes.len(), from);
         true
     }
+
+    /// Records the `len` bytes at `tail` as the next datagram; returns its
+    /// slot index.
+    #[inline]
+    fn append(&mut self, len: usize, from: SocketAddr) -> usize {
+        self.slots.push(Slot {
+            off: self.tail as u32,
+            len: len as u32,
+            from,
+        });
+        self.tail += len;
+        self.slots.len() - 1
+    }
+
+    /// Landing area `area`: where a socket layer has the kernel write one
+    /// message.
+    #[inline]
+    fn landing_mut(&mut self, area: usize) -> &mut [u8] {
+        &mut self.arena[area * LANDING..][..LANDING]
+    }
+
+    /// Records the message of `len` bytes the kernel wrote into landing
+    /// area `area`: one view per `segment`-byte datagram of a coalesced
+    /// train (the last may be shorter), one view for the whole of a plain
+    /// message (`segment` 0).
+    #[inline]
+    fn land(&mut self, area: usize, len: usize, segment: usize, from: SocketAddr) {
+        debug_assert!(len <= LANDING);
+        let base = area * LANDING;
+        // A plain message is its own (only) segment; so is an empty one.
+        let segment = if segment == 0 { len.max(1) } else { segment };
+        let mut at = 0;
+        loop {
+            let n = segment.min(len - at);
+            self.slots.push(Slot {
+                off: (base + at) as u32,
+                len: n as u32,
+                from,
+            });
+            at += n;
+            if at >= len {
+                break;
+            }
+        }
+        self.tail = SPILL;
+    }
 }
+
+// Offsets are stored as u32.
+const _: () = assert!(ARENA_BYTES <= u32::MAX as usize);
 
 /// Where a queued outbound datagram's bytes live.
 #[derive(Debug, Clone, Copy)]
@@ -306,7 +466,7 @@ impl SendQueue {
     pub(crate) fn resolve<'a>(&'a self, ring: &'a RecvRing, i: usize) -> (&'a [u8], SocketAddr) {
         let (src, dest) = self.entries[i];
         let bytes = match src {
-            SendSrc::Slot { slot, len } => &ring.bufs[slot as usize][..len as usize],
+            SendSrc::Slot { slot, len } => &ring.datagram(slot as usize)[..len as usize],
             SendSrc::Scratch(idx) => &self.scratch[idx as usize][..],
         };
         (bytes, dest)
@@ -341,9 +501,12 @@ impl std::ops::AddAssign for SendOutcome {
 /// per send call. Implementations are used from exactly one shard
 /// thread at a time (`&mut self`).
 pub trait BatchIo: Send {
-    /// Blocks up to [`RECV_POLL`] for the first datagram, then drains
-    /// whatever else is ready, up to [`BATCH`]. Returns the number of
-    /// datagrams now in `ring` (0 on timeout).
+    /// Blocks up to [`RECV_POLL`] for the first message, then drains
+    /// whatever else is ready, up to [`BATCH`] messages. Returns the number
+    /// of datagrams now in `ring` (0 on timeout): at most [`BATCH`] on
+    /// [`FallbackIo`], up to 64 (or what the sender's kernel allows a
+    /// train) per message on [`MmsgIo`] — a caller that sizes anything by
+    /// [`BATCH`] walks the ring in slices.
     fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize>;
 
     /// Flushes every queued datagram. Per-datagram failures are counted
@@ -402,31 +565,30 @@ impl FallbackIo {
         socket.set_read_timeout(Some(RECV_POLL))?;
         Ok(FallbackIo { socket })
     }
+
+    /// Where datagram `i` of a receive lands: one byte more than the
+    /// longest datagram the protocol sends, so a longer one is seen to be
+    /// longer (and dropped) instead of being cut to a length that parses.
+    fn landing(ring: &mut RecvRing, i: usize) -> &mut [u8] {
+        &mut ring.landing_mut(i)[..MAX_DATAGRAM + 1]
+    }
 }
 
 impl BatchIo for FallbackIo {
     fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
-        ring.count = 0;
+        ring.reset();
         // First datagram: block up to the poll timeout.
-        match self.socket.recv_from(&mut ring.bufs[0]) {
-            Ok((n, from)) => {
-                ring.lens[0] = n;
-                ring.addrs[0] = from;
-                ring.count = 1;
-            }
+        match self.socket.recv_from(FallbackIo::landing(ring, 0)) {
+            Ok((n, from)) => ring.land(0, n, 0, from),
             Err(e) if is_timeout(&e) => return Ok(0),
             Err(e) => return Err(e),
         }
         // Drain whatever else is already queued without blocking again.
         self.socket.set_nonblocking(true)?;
-        while ring.count < BATCH {
-            let i = ring.count;
-            match self.socket.recv_from(&mut ring.bufs[i]) {
-                Ok((n, from)) => {
-                    ring.lens[i] = n;
-                    ring.addrs[i] = from;
-                    ring.count += 1;
-                }
+        while ring.len() < BATCH {
+            let i = ring.len();
+            match self.socket.recv_from(FallbackIo::landing(ring, i)) {
+                Ok((n, from)) => ring.land(i, n, 0, from),
                 Err(e) if is_timeout(&e) => break,
                 Err(e) => {
                     self.socket.set_nonblocking(false)?;
@@ -435,7 +597,7 @@ impl BatchIo for FallbackIo {
             }
         }
         self.socket.set_nonblocking(false)?;
-        Ok(ring.count)
+        Ok(ring.len())
     }
 
     fn send_batch(&mut self, ring: &RecvRing, queue: &SendQueue) -> io::Result<SendOutcome> {
@@ -484,6 +646,8 @@ pub fn reuseport_available() -> bool {
     cfg!(target_os = "linux")
 }
 
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) use linux::set_gso_size;
 #[cfg(target_os = "linux")]
 pub use linux::MmsgIo;
 
@@ -491,9 +655,11 @@ pub use linux::MmsgIo;
 /// declarations (no external crate; these link against the system libc).
 #[cfg(target_os = "linux")]
 mod linux {
+    #[cfg(not(miri))]
+    use super::ARENA_BYTES;
     use super::{
-        is_timeout, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH, MAX_DATAGRAM,
-        RECV_POLL, WIRE_HEADER_LEN,
+        is_timeout, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH, LANDING,
+        MAX_DATAGRAM, NOWHERE, RECV_POLL, WIRE_HEADER_LEN,
     };
     use std::io;
     use std::mem;
@@ -514,8 +680,11 @@ mod linux {
     const SO_SNDBUF: c_int = 7;
     const MSG_WAITFORONE: c_int = 0x10000;
     const MSG_DONTWAIT: c_int = 0x40;
+    const MSG_TRUNC: c_int = 0x20;
+    const MSG_CTRUNC: c_int = 0x8;
     const SOL_UDP: c_int = 17;
     const UDP_SEGMENT: c_int = 103;
+    const UDP_GRO: c_int = 104;
     const EIO: i32 = 5;
     const EINVAL: i32 = 22;
     const EMSGSIZE: i32 = 90;
@@ -525,9 +694,102 @@ mod linux {
     /// Segments one `UDP_SEGMENT` message may carry (the kernel's
     /// `UDP_MAX_SEGMENTS` before 6.9; later kernels allow more).
     const GSO_MAX_SEGS: usize = 64;
-    /// Largest UDP payload over IPv4; a coalesced message is one UDP
-    /// datagram until the kernel segments it, so its total is bound by it.
-    const UDP_MAX_PAYLOAD: usize = 65507;
+    /// Most bytes one `UDP_SEGMENT` message may carry. A coalesced message
+    /// is one packet until it is segmented, and a device — loopback
+    /// included — takes it unsegmented only while the packet, link header
+    /// and all, stays under its `gso_max_size` (65,536 unless raised): past
+    /// that the stack cuts it apart in software on the way out and it
+    /// arrives as plain datagrams. 128 bytes cover UDP, IPv6 and a tagged
+    /// Ethernet header.
+    const GSO_MAX_BYTES: usize = (1 << 16) - 128;
+
+    /// The ring's arena on Linux: [`BATCH`] landing areas of 64 KB — no UDP
+    /// message, coalesced or not, is longer — as *reserved address space*.
+    /// An anonymous `MAP_NORESERVE` mapping costs no memory until a page is
+    /// written, so the ring is resident only where datagrams have landed:
+    /// a page or two per landing area in use, not 4 MB (DESIGN.md §13,
+    /// "Run splitting").
+    #[cfg(not(miri))]
+    pub(super) struct Arena {
+        base: std::ptr::NonNull<u8>,
+    }
+
+    #[cfg(not(miri))]
+    impl Arena {
+        /// Bytes per landing area.
+        pub(super) const LANDING: usize = 1 << 16;
+
+        pub(super) fn new() -> Self {
+            const PROT_READ: c_int = 1;
+            const PROT_WRITE: c_int = 2;
+            const MAP_PRIVATE: c_int = 0x02;
+            const MAP_ANONYMOUS: c_int = 0x20;
+            const MAP_NORESERVE: c_int = 0x4000;
+            const MADV_NOHUGEPAGE: c_int = 15;
+            // SAFETY: a fresh anonymous mapping at an address of the
+            // kernel's choosing aliases nothing.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    ARENA_BYTES,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                    -1,
+                    0,
+                )
+            };
+            // MAP_FAILED is (void *)-1.
+            let base = match std::ptr::NonNull::new(ptr as *mut u8) {
+                Some(base) if ptr as isize != -1 => base,
+                _ => panic!(
+                    "RecvRing: reserving {} bytes of address space failed: {}",
+                    ARENA_BYTES,
+                    io::Error::last_os_error()
+                ),
+            };
+            // A transparent huge page would make 2 MB resident at the first
+            // byte landed.
+            // SAFETY: advises on exactly the mapping made above.
+            let rc = unsafe { madvise(ptr, ARENA_BYTES, MADV_NOHUGEPAGE) };
+            // EINVAL: a kernel built without THP has nothing to opt out of.
+            debug_assert!(rc == 0 || io::Error::last_os_error().raw_os_error() == Some(EINVAL));
+            Arena { base }
+        }
+    }
+
+    #[cfg(not(miri))]
+    impl Drop for Arena {
+        fn drop(&mut self) {
+            // SAFETY: unmaps exactly the mapping `new` made; every borrow of
+            // its bytes went through `&self`/`&mut self` and has ended.
+            let rc = unsafe { munmap(self.base.as_ptr() as *mut c_void, ARENA_BYTES) };
+            debug_assert_eq!(rc, 0, "munmap of the ring arena");
+        }
+    }
+
+    #[cfg(not(miri))]
+    impl std::ops::Deref for Arena {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            // SAFETY: `base` is a live read-write mapping of `ARENA_BYTES` bytes
+            // (zero-filled where untouched), owned by `self` alone.
+            unsafe { std::slice::from_raw_parts(self.base.as_ptr(), ARENA_BYTES) }
+        }
+    }
+
+    #[cfg(not(miri))]
+    impl std::ops::DerefMut for Arena {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            // SAFETY: as `deref`; `&mut self` makes the borrow exclusive.
+            unsafe { std::slice::from_raw_parts_mut(self.base.as_ptr(), ARENA_BYTES) }
+        }
+    }
+
+    #[cfg(not(miri))]
+    // SAFETY: the mapping is plain memory owned by the `Arena` alone (no
+    // thread affinity, no other handle to it); moving the owner to another
+    // thread moves the only access with it.
+    unsafe impl Send for Arena {}
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -569,13 +831,52 @@ mod linux {
 
     /// `CMSG_LEN(2)`: the struct without its tail padding.
     const GSO_CMSG_LEN: usize = mem::size_of::<GsoCmsg>() - 6;
+
+    /// Bytes of a `cmsghdr` (`cmsg_len`, `cmsg_level`, `cmsg_type`); its
+    /// data follows, and the next header starts 8-byte aligned.
+    const CMSG_HDR: usize = mem::size_of::<usize>() + 2 * mem::size_of::<c_int>();
+
+    /// Control-message room of one receive entry: `UDP_GRO`'s
+    /// `CMSG_SPACE(4)` is 24 bytes; the rest is slack for whatever else the
+    /// socket's owner switched on before handing it over.
+    #[repr(C, align(8))]
+    #[derive(Clone, Copy)]
+    struct RecvCtrl([u8; 64]);
+
+    impl RecvCtrl {
+        const EMPTY: RecvCtrl = RecvCtrl([0; 64]);
+    }
+
+    /// The `UDP_GRO` segment size among the control messages the kernel
+    /// wrote into `ctrl`, if it sent one: the length of every datagram of
+    /// the coalesced message but the last.
+    fn gro_segment(ctrl: &[u8]) -> Option<usize> {
+        let int = |at: usize| {
+            ctrl.get(at..at + mem::size_of::<c_int>())
+                .map(|b| c_int::from_ne_bytes(b.try_into().expect("sliced to size")))
+        };
+        let mut at = 0;
+        while let Some(len) = ctrl.get(at..at + mem::size_of::<usize>()) {
+            let len = usize::from_ne_bytes(len.try_into().expect("sliced to size"));
+            if len < CMSG_HDR || len > ctrl.len() - at {
+                break;
+            }
+            let level = at + mem::size_of::<usize>();
+            let ty = level + mem::size_of::<c_int>();
+            if int(level) == Some(SOL_UDP) && int(ty) == Some(UDP_GRO) {
+                return int(at + CMSG_HDR).and_then(|size| usize::try_from(size).ok());
+            }
+            at += len.next_multiple_of(mem::size_of::<usize>());
+        }
+        None
+    }
     // `gso_size` is a u16.
     const _: () = assert!(MAX_DATAGRAM <= u16::MAX as usize);
 
     /// How many `len`-byte datagrams one message may carry: 1 (no
     /// coalescing) for empty datagrams, which cannot be segmented.
     fn max_segments(len: usize) -> usize {
-        UDP_MAX_PAYLOAD
+        GSO_MAX_BYTES
             .checked_div(len)
             .map_or(1, |n| n.clamp(1, GSO_MAX_SEGS))
     }
@@ -638,6 +939,19 @@ mod linux {
             optlen: c_uint,
         ) -> c_int;
         fn close(fd: c_int) -> c_int;
+        #[cfg(not(miri))]
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        #[cfg(not(miri))]
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        #[cfg(not(miri))]
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
         fn recvmmsg(
             fd: c_int,
             msgvec: *mut MMsgHdr,
@@ -729,6 +1043,23 @@ mod linux {
         set_opt_i32(socket.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, on as c_int)
     }
 
+    /// Makes every `send` on `socket` a `UDP_SEGMENT` train of `size`-byte
+    /// datagrams (the last may be shorter): trains `send_batch` itself
+    /// never builds — a short tail, oversize segments — for tests.
+    #[cfg(test)]
+    pub(crate) fn set_gso_size(socket: &UdpSocket, size: u16) -> io::Result<()> {
+        set_opt_i32(socket.as_raw_fd(), SOL_UDP, UDP_SEGMENT, size as c_int)
+    }
+
+    /// Whether this kernel grants `UDP_GRO` (Linux 5.0): what tests may
+    /// expect of the message count, never of the datagrams.
+    #[cfg(test)]
+    pub(super) fn gro_available() -> bool {
+        UdpSocket::bind("127.0.0.1:0")
+            .and_then(|probe| set_opt_i32(probe.as_raw_fd(), SOL_UDP, UDP_GRO, 1))
+            .is_ok()
+    }
+
     /// `socket() + SO_REUSEPORT + large buffers + bind()`, returned as a
     /// std socket (who owns the fd from here on).
     pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
@@ -767,10 +1098,15 @@ mod linux {
     /// The `recvmmsg`/`sendmmsg` implementation of [`BatchIo`].
     pub struct MmsgIo {
         socket: UdpSocket,
-        // Preallocated syscall scaffolding, rebuilt (cheaply) per call.
+        // Receive scaffolding: entry `i` names address slot `i`, control
+        // slot `i` and landing area `i` of the ring whose arena starts at
+        // `recv_base`. Built when a call brings a ring with another base,
+        // not per call.
         recv_addrs: Box<[SockAddrStorage; BATCH]>,
+        recv_ctrl: Box<[RecvCtrl; BATCH]>,
         recv_iovs: Box<[IoVec; BATCH]>,
         recv_hdrs: Box<[MMsgHdr; BATCH]>,
+        recv_base: *mut u8,
         // Send side, sized to the queue: one iovec per datagram; one
         // header, address and cmsg per message. A header's `msg_iovlen`
         // is its datagram count.
@@ -784,9 +1120,13 @@ mod linux {
         gso: bool,
     }
 
-    // SAFETY: the raw pointers inside the preallocated scaffolding only
-    // ever point into the same struct (or into borrows passed to the
-    // current call); the type is used from one thread at a time.
+    // SAFETY: the raw pointers inside the preallocated scaffolding point
+    // into the same struct's boxes, into borrows passed to the current
+    // call, or — the receive iovecs and `recv_base`, kept across calls —
+    // at a ring's arena. Those are addresses only: nothing reads or writes
+    // through them but the kernel, during a `recv_batch` that holds that
+    // very ring `&mut` (the base is compared first). The type is used from
+    // one thread at a time.
     unsafe impl Send for MmsgIo {}
 
     fn zero_msghdr() -> MsgHdr {
@@ -802,9 +1142,13 @@ mod linux {
     }
 
     impl MmsgIo {
-        /// Wraps `socket`, configuring the receive-poll timeout.
+        /// Wraps `socket`, configuring the receive-poll timeout and asking
+        /// for coalesced trains whole (`UDP_GRO`).
         pub fn new(socket: UdpSocket) -> io::Result<Self> {
             socket.set_read_timeout(Some(RECV_POLL))?;
+            // Refused before Linux 5.0: the kernel then keeps delivering
+            // one datagram per message, which `recv_batch` reads the same.
+            let _ = set_opt_i32(socket.as_raw_fd(), SOL_UDP, UDP_GRO, 1);
             let zero_mmsg = MMsgHdr {
                 msg_hdr: zero_msghdr(),
                 msg_len: 0,
@@ -812,6 +1156,7 @@ mod linux {
             Ok(MmsgIo {
                 socket,
                 recv_addrs: Box::new([SockAddrStorage::zeroed(); BATCH]),
+                recv_ctrl: Box::new([RecvCtrl::EMPTY; BATCH]),
                 recv_iovs: Box::new(
                     [IoVec {
                         iov_base: std::ptr::null_mut(),
@@ -819,6 +1164,7 @@ mod linux {
                     }; BATCH],
                 ),
                 recv_hdrs: Box::new([zero_mmsg; BATCH]),
+                recv_base: std::ptr::null_mut(),
                 send_addrs: Vec::new(),
                 send_ctrl: Vec::new(),
                 send_iovs: Vec::new(),
@@ -835,31 +1181,58 @@ mod linux {
             io.gso = false;
             Ok(io)
         }
-    }
 
-    impl BatchIo for MmsgIo {
-        fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
-            ring.count = 0;
+        /// As [`MmsgIo::new`] on a socket that never asked for `UDP_GRO`
+        /// (a kernel before 5.0): every message is one datagram. The
+        /// parity reference for the receive side.
+        #[cfg(test)]
+        pub(crate) fn without_gro(socket: UdpSocket) -> io::Result<Self> {
+            let io = Self::new(socket)?;
+            set_opt_i32(io.socket.as_raw_fd(), SOL_UDP, UDP_GRO, 0)?;
+            Ok(io)
+        }
+
+        /// Points receive entry `i` at landing area `i` of the arena at
+        /// `base`, for every `i`.
+        fn aim_at(&mut self, base: *mut u8) {
             for i in 0..BATCH {
                 self.recv_iovs[i] = IoVec {
-                    iov_base: ring.bufs[i].as_mut_ptr() as *mut c_void,
-                    iov_len: ring.bufs[i].len(),
+                    iov_base: base.wrapping_add(i * LANDING) as *mut c_void,
+                    iov_len: LANDING,
                 };
                 self.recv_hdrs[i] = MMsgHdr {
                     msg_hdr: MsgHdr {
                         msg_name: self.recv_addrs[i].bytes.as_mut_ptr() as *mut c_void,
-                        msg_namelen: std::mem::size_of::<SockAddrStorage>() as c_uint,
+                        msg_namelen: mem::size_of::<SockAddrStorage>() as c_uint,
                         msg_iov: &mut self.recv_iovs[i],
                         msg_iovlen: 1,
-                        ..zero_msghdr()
+                        msg_control: self.recv_ctrl[i].0.as_mut_ptr() as *mut c_void,
+                        msg_controllen: mem::size_of::<RecvCtrl>(),
+                        msg_flags: 0,
                     },
                     msg_len: 0,
                 };
             }
-            // MSG_WAITFORONE: block (≤ SO_RCVTIMEO) for the first datagram,
+            self.recv_base = base;
+        }
+    }
+
+    impl BatchIo for MmsgIo {
+        fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
+            ring.reset();
+            let base = ring.arena.as_mut_ptr();
+            if base != self.recv_base {
+                self.aim_at(base);
+            }
+            // MSG_WAITFORONE: block (≤ SO_RCVTIMEO) for the first message,
             // then drain whatever is already queued — one syscall total.
-            // SAFETY: hdrs/iovs/addrs all outlive the call and point into
-            // live buffers of the advertised sizes.
+            // SAFETY: every header names an address slot, a control slot
+            // and an iovec inside `self`'s boxes, of the advertised sizes;
+            // the iovecs name the `BATCH` disjoint landing areas of
+            // `ring`'s arena (`aim_at(base)` ran for this very base, and
+            // every arena begins with `BATCH * LANDING` bytes of them),
+            // which `ring`, borrowed `&mut` for the whole call, keeps alive
+            // and unaliased.
             let got = unsafe {
                 recvmmsg(
                     self.socket.as_raw_fd(),
@@ -876,16 +1249,30 @@ mod linux {
                 }
                 return Err(e);
             }
-            let got = got as usize;
-            for i in 0..got {
-                ring.lens[i] = self.recv_hdrs[i].msg_len as usize;
-                // An unparsable family is not our protocol; keep the slot
-                // but give it an unroutable source so the relay drops it.
-                ring.addrs[i] = decode_addr(&self.recv_addrs[i])
-                    .unwrap_or_else(|| SocketAddr::from(([0, 0, 0, 0], 0)));
+            for area in 0..got as usize {
+                let len = self.recv_hdrs[area].msg_len as usize;
+                let hdr = &mut self.recv_hdrs[area].msg_hdr;
+                // Cut short, or its control message was: where its
+                // datagrams end is not known. Hand it on as one datagram
+                // longer than any the relay accepts — dropped, and counted.
+                let damaged = hdr.msg_flags & (MSG_TRUNC | MSG_CTRUNC) != 0;
+                let (len, segment) = if damaged {
+                    (len.max(MAX_DATAGRAM + 1), 0)
+                } else {
+                    let ctrl = &self.recv_ctrl[area].0;
+                    let ctrl = &ctrl[..hdr.msg_controllen.min(ctrl.len())];
+                    (len, gro_segment(ctrl).unwrap_or(0))
+                };
+                // The kernel replaced both lengths with what it wrote.
+                hdr.msg_namelen = mem::size_of::<SockAddrStorage>() as c_uint;
+                hdr.msg_controllen = mem::size_of::<RecvCtrl>();
+                // An unparsable family is not our protocol; keep the
+                // datagrams but give them an unroutable source so the relay
+                // drops them.
+                let from = decode_addr(&self.recv_addrs[area]).unwrap_or(NOWHERE);
+                ring.land(area, len, segment, from);
             }
-            ring.count = got;
-            Ok(got)
+            Ok(ring.len())
         }
 
         fn send_batch(&mut self, ring: &RecvRing, queue: &SendQueue) -> io::Result<SendOutcome> {
@@ -1149,10 +1536,11 @@ mod tests {
         }
     }
 
-    /// Every implementation under its name: both layers, plus the mmsg
-    /// layer with coalescing latched off (the parity reference).
-    fn ios() -> Vec<(&'static str, Box<dyn BatchIo>)> {
-        let sock = || UdpSocket::bind(loopback()).unwrap();
+    /// Every implementation under its name, bound to `bind`: both layers,
+    /// plus the mmsg layer with send coalescing latched off and with
+    /// receive coalescing never asked for (the parity references).
+    fn ios_on(bind: &str) -> Vec<(&'static str, Box<dyn BatchIo>)> {
+        let sock = || UdpSocket::bind(bind).unwrap();
         let mut all: Vec<(&'static str, Box<dyn BatchIo>)> = Vec::new();
         #[cfg(target_os = "linux")]
         {
@@ -1161,9 +1549,31 @@ mod tests {
                 "mmsg-no-gso",
                 Box::new(MmsgIo::without_gso(sock()).unwrap()),
             ));
+            all.push((
+                "mmsg-no-gro",
+                Box::new(MmsgIo::without_gro(sock()).unwrap()),
+            ));
         }
         all.push(("fallback", Box::new(FallbackIo::new(sock()).unwrap())));
         all
+    }
+
+    fn ios() -> Vec<(&'static str, Box<dyn BatchIo>)> {
+        ios_on("127.0.0.1:0")
+    }
+
+    /// Does `name` send a same-destination, same-length run as one message?
+    fn sends_trains(name: &str) -> bool {
+        matches!(name, "mmsg" | "mmsg-no-gro")
+    }
+
+    /// Does `name` receive a train as one message?
+    fn lands_trains(name: &str) -> bool {
+        #[cfg(target_os = "linux")]
+        let gro = linux::gro_available();
+        #[cfg(not(target_os = "linux"))]
+        let gro = false;
+        gro && matches!(name, "mmsg" | "mmsg-no-gso")
     }
 
     fn peer(bind: &str) -> (UdpSocket, SocketAddr) {
@@ -1233,7 +1643,7 @@ mod tests {
         for (name, mut io) in ios() {
             let (sock, addr) = peer("127.0.0.1:0");
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
-            let messages = if name == "mmsg" { 1 } else { 32 };
+            let messages = if sends_trains(name) { 1 } else { 32 };
             assert_eq!(got, outcome(32, 0, messages), "{name}");
         }
     }
@@ -1242,9 +1652,9 @@ mod tests {
     fn long_run_splits_at_the_kernel_limits() {
         for (name, mut io) in ios() {
             let (sock, addr) = peer("127.0.0.1:0");
-            // 64 x 1424 B is 91 KB: over the 65507-byte message bound.
+            // 64 x 1424 B is 91 KB: over the 65,408-byte message bound.
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, MAX_DATAGRAM); 64]);
-            let messages = if name == "mmsg" { 2 } else { 64 };
+            let messages = if sends_trains(name) { 2 } else { 64 };
             assert_eq!(got, outcome(64, 0, messages), "{name}");
         }
     }
@@ -1258,7 +1668,7 @@ mod tests {
             let got = flush_and_check(io.as_mut(), &[&sock], &plan);
             // 88,88 | 100,100,100 | 88, then 0 | 0 | 24,24 | 0: empty
             // datagrams never coalesce.
-            let messages = if name == "mmsg" { 7 } else { 11 };
+            let messages = if sends_trains(name) { 7 } else { 11 };
             assert_eq!(got, outcome(11, 0, messages), "{name}");
         }
     }
@@ -1309,12 +1719,12 @@ mod tests {
             plan.extend([(nowhere, 88); 3]);
             plan.extend([(addr, 88); 4]);
             let got = flush_and_check(io.as_mut(), &[&sock], &plan);
-            let messages = if name == "mmsg" { 2 } else { 8 };
+            let messages = if sends_trains(name) { 2 } else { 8 };
             assert_eq!(got, outcome(8, 3, messages), "{name}");
 
             // A bad destination is not a missing capability: still coalescing.
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
-            let messages = if name == "mmsg" { 1 } else { 32 };
+            let messages = if sends_trains(name) { 1 } else { 32 };
             assert_eq!(got, outcome(32, 0, messages), "{name}");
         }
     }
@@ -1335,6 +1745,319 @@ mod tests {
         linux::set_no_check(&knob, false).unwrap();
         let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
         assert_eq!(got, outcome(32, 0, 32));
+    }
+
+    /// One non-empty `recv_batch`: the datagrams it returned (bytes and
+    /// source, in ring order) and the kernel messages they arrived in.
+    struct Receive {
+        datagrams: Vec<(Vec<u8>, SocketAddr)>,
+        messages: usize,
+    }
+
+    /// Landing areas the last receive used.
+    fn messages_landed(ring: &RecvRing) -> usize {
+        let mut areas: Vec<u32> = ring.slots.iter().map(|s| s.off / LANDING as u32).collect();
+        areas.dedup();
+        areas.len()
+    }
+
+    /// Calls `recv_batch` until `want` datagrams have arrived.
+    fn recv_all(io: &mut dyn BatchIo, ring: &mut RecvRing, want: usize) -> Vec<Receive> {
+        let mut receives = Vec::new();
+        let mut got = 0;
+        let mut idle = 0;
+        while got < want {
+            let n = io.recv_batch(ring).unwrap();
+            assert_eq!(n, ring.len());
+            if n == 0 {
+                idle += 1;
+                assert!(idle < 500, "{got} of {want} datagrams arrived");
+                continue;
+            }
+            got += n;
+            receives.push(Receive {
+                datagrams: (0..n)
+                    .map(|i| (ring.datagram(i).to_vec(), ring.source(i)))
+                    .collect(),
+                messages: messages_landed(ring),
+            });
+        }
+        receives
+    }
+
+    /// Sends one datagram per `lens` entry (bytes distinct per entry) from
+    /// `tx` to `io` in one flush — so each same-length run travels as a
+    /// `UDP_SEGMENT` train where `tx` builds them — and checks that `io`
+    /// receives exactly those datagrams: bytes, source, and order within
+    /// each length (the order `send_batch` promises). Returns the receives.
+    fn send_and_check(tx: &mut dyn BatchIo, io: &mut dyn BatchIo, lens: &[usize]) -> Vec<Receive> {
+        let dest = io.local_addr().unwrap();
+        let mut staged = RecvRing::new();
+        let mut queue = SendQueue::new();
+        let mut want = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|b| (i as u8).wrapping_add(b as u8)).collect();
+            let (slot, len) = staged
+                .stage(|buf| {
+                    buf[..len].copy_from_slice(&bytes);
+                    len
+                })
+                .expect("lens fit the ring");
+            queue.push_slot(slot, len, dest);
+            want.push(bytes);
+        }
+        let sent = tx.send_batch(&staged, &queue).unwrap();
+        assert_eq!((sent.sent, sent.errors), (lens.len() as u64, 0));
+        let mut ring = RecvRing::new();
+        let receives = recv_all(io, &mut ring, lens.len());
+        let from = tx.local_addr().unwrap();
+        let mut got = Vec::new();
+        for (bytes, source) in receives.iter().flat_map(|r| &r.datagrams) {
+            assert_eq!(*source, from);
+            got.push(bytes.clone());
+        }
+        // Stable sorts by length keep the order within each length.
+        want.sort_by_key(Vec::len);
+        got.sort_by_key(Vec::len);
+        assert_eq!(got, want);
+        receives
+    }
+
+    /// A sender on the platform's layer: on Linux it builds trains.
+    fn train_sender(bind: &str) -> Box<dyn BatchIo> {
+        open(UdpSocket::bind(bind).unwrap(), SocketLayer::Auto).unwrap()
+    }
+
+    fn messages(receives: &[Receive]) -> usize {
+        receives.iter().map(|r| r.messages).sum()
+    }
+
+    #[test]
+    fn trains_arrive_as_the_datagrams_sent() {
+        let mut tx = train_sender("127.0.0.1:0");
+        for (name, mut io) in ios() {
+            // 64 x 88 B: one train.
+            let got = send_and_check(tx.as_mut(), io.as_mut(), &[88; 64]);
+            if lands_trains(name) {
+                assert_eq!((got.len(), messages(&got)), (1, 1), "{name}");
+            }
+            // 64 x 1424 B is over one message's 65,408 bytes: 45 + 19.
+            let got = send_and_check(tx.as_mut(), io.as_mut(), &[MAX_DATAGRAM; 64]);
+            if lands_trains(name) {
+                assert_eq!((got.len(), messages(&got)), (1, 2), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_data_and_headers_arrive_as_two_runs() {
+        let mut tx = train_sender("127.0.0.1:0");
+        // DATA with trimmed headers in between, as an incast under trimming
+        // reaches the relay: the sender's two passes make two trains.
+        let lens: Vec<usize> = (0..60)
+            .map(|i| if i % 4 == 3 { WIRE_HEADER_LEN } else { 88 })
+            .collect();
+        for (name, mut io) in ios() {
+            let got = send_and_check(tx.as_mut(), io.as_mut(), &lens);
+            if lands_trains(name) {
+                assert_eq!((got.len(), messages(&got)), (1, 2), "{name}");
+                let lens: Vec<usize> = got[0].datagrams.iter().map(|d| d.0.len()).collect();
+                let want = [vec![88; 45], vec![WIRE_HEADER_LEN; 15]].concat();
+                assert_eq!(lens, want, "{name}: payload-bearing run first");
+            }
+        }
+    }
+
+    #[test]
+    fn ipv6_loopback_train() {
+        if UdpSocket::bind("[::1]:0").is_err() {
+            return; // no IPv6 loopback on this host
+        }
+        let mut tx = train_sender("[::1]:0");
+        for (name, mut io) in ios_on("[::1]:0") {
+            let got = send_and_check(tx.as_mut(), io.as_mut(), &[88; 32]);
+            if lands_trains(name) {
+                assert_eq!((got.len(), messages(&got)), (1, 1), "{name}");
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn train_with_a_short_last_datagram() {
+        // 5 x 88 B and 40 B behind them, cut apart by the kernel.
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        set_gso_size(&sender, 88).unwrap();
+        let bytes: Vec<u8> = (0..5 * 88 + 40).map(|b| b as u8).collect();
+        for (name, mut io) in ios() {
+            sender.send_to(&bytes, io.local_addr().unwrap()).unwrap();
+            let mut ring = RecvRing::new();
+            let got = recv_all(io.as_mut(), &mut ring, 6);
+            let datagrams: Vec<&[u8]> = got
+                .iter()
+                .flat_map(|r| &r.datagrams)
+                .map(|d| &d.0[..])
+                .collect();
+            let want: Vec<&[u8]> = bytes.chunks(88).collect();
+            assert_eq!(datagrams, want, "{name}");
+            if lands_trains(name) {
+                assert_eq!(messages(&got), 1, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn many_senders_still_drain_in_one_receive() {
+        // The paper's incast on a real NIC: one datagram from each of 64
+        // sockets, nothing for the kernel to coalesce.
+        let senders: Vec<UdpSocket> = (0..BATCH)
+            .map(|_| UdpSocket::bind(loopback()).unwrap())
+            .collect();
+        for (name, mut io) in ios() {
+            let dest = io.local_addr().unwrap();
+            for (i, sender) in senders.iter().enumerate() {
+                let wire = WireHeader::data(i as u64, 0, 2).encode(&[i as u8, 7]);
+                sender.send_to(&wire, dest).unwrap();
+            }
+            let mut ring = RecvRing::new();
+            let got = recv_all(io.as_mut(), &mut ring, BATCH);
+            assert_eq!((got.len(), messages(&got)), (1, BATCH), "{name}");
+            for (i, (bytes, source)) in got[0].datagrams.iter().enumerate() {
+                let (h, p) = WireHeader::decode(bytes).unwrap();
+                assert_eq!((h.flow, p), (i as u64, &[i as u8, 7][..]), "{name}");
+                assert_eq!(*source, senders[i].local_addr().unwrap(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_message_is_seen_whole_and_oversize() {
+        // The longest UDP payload IPv4 carries, as one plain datagram.
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        let bytes: Vec<u8> = (0..65507).map(|b| (b % 251) as u8).collect();
+        let after = WireHeader::data(1, 2, 1).encode(&[3]);
+        for (name, mut io) in ios() {
+            let dest = io.local_addr().unwrap();
+            if sender.send_to(&bytes, dest).is_err() {
+                return; // loopback MTU below 64 KB on this host
+            }
+            sender.send_to(&after, dest).unwrap();
+            let mut ring = RecvRing::new();
+            let got = recv_all(io.as_mut(), &mut ring, 2);
+            let datagrams: Vec<&[u8]> = got
+                .iter()
+                .flat_map(|r| &r.datagrams)
+                .map(|d| &d.0[..])
+                .collect();
+            if name == "fallback" {
+                // Cut, but to a length that still says "too long".
+                assert_eq!(datagrams[0], &bytes[..MAX_DATAGRAM + 1], "{name}");
+            } else {
+                assert_eq!(datagrams[0], &bytes[..], "{name}: landed intact");
+            }
+            assert!(datagrams[0].len() > MAX_DATAGRAM);
+            assert_eq!(datagrams[1], &after[..], "{name}: the next one is whole");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn oversize_segments_of_a_train_are_each_oversize() {
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        set_gso_size(&sender, 2000).unwrap();
+        let bytes: Vec<u8> = (0..3 * 2000).map(|b| (b % 251) as u8).collect();
+        for (name, mut io) in ios() {
+            sender.send_to(&bytes, io.local_addr().unwrap()).unwrap();
+            let mut ring = RecvRing::new();
+            let got = recv_all(io.as_mut(), &mut ring, 3);
+            for (k, (datagram, _)) in got.iter().flat_map(|r| &r.datagrams).enumerate() {
+                let want = &bytes[k * 2000..(k + 1) * 2000];
+                let seen = if name == "fallback" {
+                    MAX_DATAGRAM + 1
+                } else {
+                    2000
+                };
+                assert_eq!(&datagram[..], &want[..seen], "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn nack_rewritten_in_place_inside_a_train() {
+        use crate::wire::rewrite_trimmed_to_nack;
+        let mut tx = train_sender("127.0.0.1:0");
+        let (sock, addr) = peer("127.0.0.1:0");
+        for (name, mut io) in ios() {
+            // Eight trimmed headers, back to back in one landing area where
+            // trains land whole.
+            let dest = io.local_addr().unwrap();
+            let mut staged = RecvRing::new();
+            let mut queue = SendQueue::new();
+            for seq in 0..8u64 {
+                let (slot, len) = staged
+                    .stage(|buf| WireHeader::trimmed(5, seq).encode_into(buf, &[]))
+                    .unwrap();
+                queue.push_slot(slot, len, dest);
+            }
+            tx.send_batch(&staged, &queue).unwrap();
+            let mut ring = RecvRing::new();
+            let mut got = 0;
+            while got < 8 {
+                got = io.recv_batch(&mut ring).unwrap();
+            }
+            rewrite_trimmed_to_nack(ring.datagram_mut(3)).unwrap();
+            let mut bounce = SendQueue::new();
+            bounce.push_slot(3, WIRE_HEADER_LEN, addr);
+            let sent = io.send_batch(&ring, &bounce).unwrap();
+            assert_eq!(sent, outcome(1, 0, 1), "{name}");
+            let mut buf = [0u8; 2048];
+            let (n, _) = sock.recv_from(&mut buf).unwrap();
+            let (h, _) = WireHeader::decode(&buf[..n]).unwrap();
+            assert_eq!(h, WireHeader::nack(5, 3), "{name}: the right 24 bytes");
+            for seq in [0u64, 1, 2, 4, 5, 6, 7] {
+                let (h, _) = WireHeader::decode(ring.datagram(seq as usize)).unwrap();
+                assert_eq!(h, WireHeader::trimmed(5, seq), "{name}: neighbours intact");
+            }
+        }
+    }
+
+    #[test]
+    fn ring_appends_behind_what_landed_and_swaps_by_index() {
+        let mut tx = train_sender("127.0.0.1:0");
+        let elsewhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        for (name, mut io) in ios() {
+            let dest = io.local_addr().unwrap();
+            let mut staged = RecvRing::new();
+            let mut queue = SendQueue::new();
+            for seq in 0..4u64 {
+                let (slot, len) = staged
+                    .stage(|buf| WireHeader::data(5, seq, 2).encode_into(buf, &[seq as u8; 2]))
+                    .unwrap();
+                queue.push_slot(slot, len, dest);
+            }
+            tx.send_batch(&staged, &queue).unwrap();
+            let mut ring = RecvRing::new();
+            let mut got = 0;
+            while got < 4 {
+                got = io.recv_batch(&mut ring).unwrap();
+            }
+            // What the fault shim does: steal one, re-inject a copy.
+            let stolen = ring.datagram(1).to_vec();
+            ring.swap_remove(1);
+            assert_eq!(ring.len(), 3, "{name}");
+            assert!(ring.push_received(&stolen, elsewhere), "{name}");
+            assert!(!ring.push_received(&[0; MAX_DATAGRAM + 1], elsewhere));
+            let seqs: Vec<u64> = (0..ring.len())
+                .map(|i| {
+                    let (h, p) = WireHeader::decode(ring.datagram(i)).unwrap();
+                    assert_eq!(p, &[h.seq as u8; 2], "{name}: bytes follow their view");
+                    h.seq
+                })
+                .collect();
+            assert_eq!(seqs, [0, 3, 2, 1], "{name}");
+            assert_eq!(ring.source(3), elsewhere, "{name}");
+            assert_eq!(ring.source(1), tx.local_addr().unwrap(), "{name}");
+        }
     }
 
     #[cfg(target_os = "linux")]

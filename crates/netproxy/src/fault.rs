@@ -32,7 +32,7 @@
 //!   configured.
 
 use crate::batch::{BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
-use crate::wire::{DatagramView, Flags};
+use crate::wire::{DatagramView, Flags, MAX_DATAGRAM};
 use std::io;
 use std::net::SocketAddr;
 // Plain monotone counters with no cross-thread protocol: std atomics
@@ -585,6 +585,12 @@ impl BatchIo for FaultedIo {
             // Back-to-front so swap_remove only moves already-processed
             // slots into vacated positions.
             for i in (0..ring.len()).rev() {
+                if ring.datagram(i).len() > MAX_DATAGRAM {
+                    // No datagram of this protocol: the relay drops and
+                    // counts it. Holding or copying it would only park
+                    // bytes `push_received` can never take back.
+                    continue;
+                }
                 let u = self.rng.next_f64();
                 if u < f.drop {
                     bump!(self.stats, rx_dropped, 1);
@@ -826,7 +832,14 @@ mod io_tests {
     }
 
     fn faulted(cfg: FaultConfig) -> (FaultedIo, Arc<FaultStats>, SocketAddr) {
-        let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), SocketLayer::Auto).unwrap();
+        faulted_on(SocketLayer::Auto, cfg)
+    }
+
+    fn faulted_on(
+        layer: SocketLayer,
+        cfg: FaultConfig,
+    ) -> (FaultedIo, Arc<FaultStats>, SocketAddr) {
+        let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), layer).unwrap();
         let addr = inner.local_addr().unwrap();
         let stats = Arc::new(FaultStats::default());
         let seed = cfg.seed;
@@ -950,6 +963,103 @@ mod io_tests {
         }
         assert_eq!(total, 8, "each datagram duplicated once");
         assert_eq!(stats.snapshot().rx_duplicated, 4);
+    }
+
+    /// Trains land as views into one landing area, so the shim steals
+    /// (`swap_remove`) and re-injects (`push_received`) datagrams whose
+    /// bytes it does not own slot by slot. Whatever it does to them, each
+    /// datagram sent is accounted for: dropped, or delivered once, or
+    /// twice as a counted duplicate, its bytes its own but for a counted
+    /// smashed magic.
+    #[test]
+    fn faults_over_coalesced_views_keep_the_ledger_exact() {
+        const SENT: u64 = 128;
+        for layer in [SocketLayer::Auto, SocketLayer::Fallback] {
+            let (mut io, stats, addr) = faulted_on(
+                layer,
+                FaultConfig {
+                    rx: DirectionFaults {
+                        drop: 0.2,
+                        corrupt: 0.2,
+                        duplicate: 0.2,
+                        delay: 0.2,
+                        delay_ms: 5,
+                    },
+                    ..FaultConfig::none(37)
+                },
+            );
+            // Same-length DATA toward one address, a full flush at a time:
+            // on Linux each flush travels (and lands) as one train.
+            let mut tx =
+                batch::open(UdpSocket::bind(loopback()).unwrap(), SocketLayer::Auto).unwrap();
+            let wire = |seq: u64| WireHeader::data(6, seq, 64).encode(&[seq as u8; 64]);
+            let mut staged = RecvRing::new();
+            let mut queue = SendQueue::new();
+            for seq in 0..SENT {
+                let (slot, len) = staged
+                    .stage(|buf| {
+                        buf[..88].copy_from_slice(&wire(seq));
+                        88
+                    })
+                    .unwrap();
+                queue.push_slot(slot, len, addr);
+                if staged.len() == batch::BATCH {
+                    tx.send_batch(&staged, &queue).unwrap();
+                    staged.reset();
+                    queue.clear();
+                }
+            }
+            let mut ring = RecvRing::new();
+            let mut copies = vec![0u64; SENT as usize];
+            let (mut delivered, mut smashed) = (0u64, 0u64);
+            let start = Instant::now();
+            loop {
+                let snap = stats.snapshot();
+                let due = SENT - snap.rx_dropped + snap.rx_duplicated;
+                if delivered == due
+                    && snap.rx_delay_pending() == 0
+                    && snap.rx_dropped + snap.rx_delayed > 0
+                    && start.elapsed() > Duration::from_millis(50)
+                {
+                    break;
+                }
+                assert!(
+                    start.elapsed() < Duration::from_secs(3),
+                    "{layer:?}: {delivered} of {due} delivered, {snap:?}"
+                );
+                for i in 0..io.recv_batch(&mut ring).unwrap() {
+                    let d = ring.datagram(i);
+                    assert_eq!(ring.source(i), tx.local_addr().unwrap());
+                    let seq = u64::from_be_bytes(d[12..20].try_into().unwrap());
+                    let want = wire(seq);
+                    assert_eq!(d[2..], want[2..], "{layer:?}: seq {seq} bytes intact");
+                    if d[..2] != want[..2] {
+                        assert_eq!(d[..2], [0xFF, 0xFF]);
+                        smashed += 1;
+                    }
+                    copies[seq as usize] += 1;
+                    delivered += 1;
+                }
+            }
+            let snap = stats.snapshot();
+            assert!(copies.iter().all(|&c| c <= 2), "{layer:?}: {copies:?}");
+            assert_eq!(
+                copies.iter().filter(|&&c| c == 2).count() as u64,
+                snap.rx_duplicated,
+                "{layer:?}"
+            );
+            assert_eq!(
+                copies.iter().filter(|&&c| c == 0).count() as u64,
+                snap.rx_dropped,
+                "{layer:?}"
+            );
+            assert_eq!(smashed, snap.rx_corrupted, "{layer:?}");
+            assert_eq!(snap.rx_delay_released, snap.rx_delayed, "{layer:?}");
+            assert!(
+                snap.rx_dropped > 10 && snap.rx_delayed > 10 && snap.rx_duplicated > 10,
+                "{layer:?}: every fault happened: {snap:?}"
+            );
+        }
     }
 
     #[test]

@@ -227,8 +227,10 @@ struct OverloadState {
     forward: TokenBucket,
     nack: TokenBucket,
     coalesce: bool,
-    /// Flows NACKed in the current batch (≤ [`BATCH`] entries; linear
-    /// scan beats hashing at this size).
+    /// Flows NACKed in the current batch (≤ [`BATCH`] entries with
+    /// coalescing on — a batch is at most [`BATCH`] datagrams however long
+    /// the receive it was cut from; linear scan beats hashing at this
+    /// size).
     nacked_flows: Vec<u64>,
 }
 
@@ -277,11 +279,12 @@ pub struct ShardStats {
     /// Outbound datagrams the kernel refused (previously silently
     /// swallowed by the single-datagram relays).
     pub send_errors: AtomicU64,
-    /// Receive batches processed.
+    /// Batches relayed: a receive of up to [`BATCH`] datagrams is one, a
+    /// longer one is cut into several.
     pub batches: AtomicU64,
     /// Datagrams received.
     pub received: AtomicU64,
-    /// Largest single receive batch seen.
+    /// Largest batch relayed (at most [`BATCH`]).
     pub max_batch: AtomicU64,
     /// Data datagrams the shed ladder answered with a NACK instead of
     /// forwarding (subset of `nacks`).
@@ -316,11 +319,11 @@ pub struct RelayStats {
     pub dropped: u64,
     /// Outbound datagrams the kernel refused.
     pub send_errors: u64,
-    /// Receive batches processed.
+    /// Batches relayed.
     pub batches: u64,
     /// Datagrams received.
     pub received: u64,
-    /// Largest single receive batch across shards.
+    /// Largest batch relayed across shards (at most [`BATCH`]).
     pub max_batch: u64,
     /// Data datagrams shed as NACKs (subset of `nacks`).
     pub shed_nacked: u64,
@@ -922,86 +925,110 @@ impl ShardWorker {
                 }
                 continue;
             }
-            let start = Instant::now();
-            let mut local = Local::default();
-            if let Some(ov) = self.overload.as_mut() {
-                ov.begin_batch(start);
-            }
-            for i in 0..got {
-                self.classify(
+            // One batch per slice of at most BATCH datagrams, so that what
+            // is sized or scoped by "a batch" — one send flush, one counter
+            // flush, one latency sample, the shed ladder's refill and
+            // per-flow NACK coalescing — keeps meaning that however many
+            // datagrams one receive brought (see `BatchIo::recv_batch`).
+            for first in (0..got).step_by(BATCH) {
+                if !self.relay_batch(
                     &mut ring,
-                    i,
+                    first..got.min(first + BATCH),
                     &mut queue,
                     &mut senders,
                     &mut last_activity,
-                    &mut local,
-                );
-            }
-            let send_result = self.io.send_batch(&ring, &queue);
-            let outcome = match &send_result {
-                Ok(o) => *o,
-                Err(_) => {
-                    // Whole-batch send failure: everything queued was
-                    // lost. Classify the unsent queue (data vs control)
-                    // so the soak ledger can account for each datagram
-                    // even on this path.
-                    for qi in 0..queue.len() {
-                        let (bytes, _) = queue.resolve(&ring, qi);
-                        let is_data = DatagramView::parse(bytes)
-                            .map(|v| v.flags().contains(Flags::DATA))
-                            .unwrap_or(false);
-                        if is_data {
-                            local.send_err_data += 1;
-                        } else {
-                            local.send_err_ctrl += 1;
-                        }
-                    }
-                    SendOutcome {
-                        errors: queue.len() as u64,
-                        ..SendOutcome::default()
-                    }
+                ) {
+                    return; // counters flushed; let the supervisor act
                 }
-            };
-            queue.clear();
-            // Flush the batch's counters in one go — unconditionally,
-            // *before* any error return, so a dying shard never loses a
-            // processed batch from the ledger.
-            let s = &self.stats;
-            // ordering: Relaxed — monotone counters read only by
-            // `RelayStats::merge` snapshots, which tolerate mixed
-            // per-counter staleness; no non-atomic data is published.
-            s.forwarded.fetch_add(local.forwarded, Ordering::Relaxed);
-            s.nacks.fetch_add(local.nacks, Ordering::Relaxed);
-            s.reversed.fetch_add(local.reversed, Ordering::Relaxed);
-            s.dropped.fetch_add(local.dropped, Ordering::Relaxed);
-            s.send_errors.fetch_add(outcome.errors, Ordering::Relaxed);
-            s.batches.fetch_add(1, Ordering::Relaxed);
-            s.received.fetch_add(got as u64, Ordering::Relaxed);
-            s.max_batch.fetch_max(got as u64, Ordering::Relaxed);
-            s.shed_nacked
-                .fetch_add(local.shed_nacked, Ordering::Relaxed);
-            s.shed_dropped
-                .fetch_add(local.shed_dropped, Ordering::Relaxed);
-            s.nacks_coalesced
-                .fetch_add(local.nacks_coalesced, Ordering::Relaxed);
-            s.send_err_data
-                .fetch_add(local.send_err_data, Ordering::Relaxed);
-            s.send_err_ctrl
-                .fetch_add(local.send_err_ctrl, Ordering::Relaxed);
-            self.recorder
-                .record_nanos(start.elapsed().as_nanos() as u64 / got as u64);
+            }
             if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
                 self.sweep(&senders, &mut last_activity, &ring, &mut queue);
                 next_sweep = Instant::now() + self.sweep_interval;
             }
-            match send_result {
-                Ok(_) => {}
-                Err(e) if is_transient_io(&e) => {
-                    // ordering: Relaxed — monotone counter, as above.
-                    self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Relays one batch — the datagrams `batch` of `ring`: classify each,
+    /// flush what that queued in one `send_batch`, flush the counters,
+    /// record the latency sample. False when the socket died.
+    fn relay_batch(
+        &mut self,
+        ring: &mut RecvRing,
+        batch: std::ops::Range<usize>,
+        queue: &mut SendQueue,
+        senders: &mut HashMap<u64, SocketAddr>,
+        last_activity: &mut HashMap<u64, Instant>,
+    ) -> bool {
+        let got = batch.len() as u64;
+        let start = Instant::now();
+        let mut local = Local::default();
+        if let Some(ov) = self.overload.as_mut() {
+            ov.begin_batch(start);
+        }
+        for i in batch {
+            self.classify(ring, i, queue, senders, last_activity, &mut local);
+        }
+        let send_result = self.io.send_batch(ring, queue);
+        let outcome = match &send_result {
+            Ok(o) => *o,
+            Err(_) => {
+                // Whole-batch send failure: everything queued was
+                // lost. Classify the unsent queue (data vs control)
+                // so the soak ledger can account for each datagram
+                // even on this path.
+                for qi in 0..queue.len() {
+                    let (bytes, _) = queue.resolve(ring, qi);
+                    let is_data = DatagramView::parse(bytes)
+                        .map(|v| v.flags().contains(Flags::DATA))
+                        .unwrap_or(false);
+                    if is_data {
+                        local.send_err_data += 1;
+                    } else {
+                        local.send_err_ctrl += 1;
+                    }
                 }
-                Err(_) => return, // counters flushed above; let the supervisor act
+                SendOutcome {
+                    errors: queue.len() as u64,
+                    ..SendOutcome::default()
+                }
             }
+        };
+        queue.clear();
+        // Flush the batch's counters in one go — unconditionally,
+        // *before* any error return, so a dying shard never loses a
+        // processed batch from the ledger.
+        let s = &self.stats;
+        // ordering: Relaxed — monotone counters read only by
+        // `RelayStats::merge` snapshots, which tolerate mixed
+        // per-counter staleness; no non-atomic data is published.
+        s.forwarded.fetch_add(local.forwarded, Ordering::Relaxed);
+        s.nacks.fetch_add(local.nacks, Ordering::Relaxed);
+        s.reversed.fetch_add(local.reversed, Ordering::Relaxed);
+        s.dropped.fetch_add(local.dropped, Ordering::Relaxed);
+        s.send_errors.fetch_add(outcome.errors, Ordering::Relaxed);
+        s.batches.fetch_add(1, Ordering::Relaxed);
+        s.received.fetch_add(got, Ordering::Relaxed);
+        s.max_batch.fetch_max(got, Ordering::Relaxed);
+        s.shed_nacked
+            .fetch_add(local.shed_nacked, Ordering::Relaxed);
+        s.shed_dropped
+            .fetch_add(local.shed_dropped, Ordering::Relaxed);
+        s.nacks_coalesced
+            .fetch_add(local.nacks_coalesced, Ordering::Relaxed);
+        s.send_err_data
+            .fetch_add(local.send_err_data, Ordering::Relaxed);
+        s.send_err_ctrl
+            .fetch_add(local.send_err_ctrl, Ordering::Relaxed);
+        self.recorder
+            .record_nanos(start.elapsed().as_nanos() as u64 / got);
+        match send_result {
+            Ok(_) => true,
+            Err(e) if is_transient_io(&e) => {
+                // ordering: Relaxed — monotone counter, as above.
+                self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Err(_) => false,
         }
     }
 
@@ -1550,6 +1577,122 @@ mod tests {
             sender.send_to(&[0xAB; 50], relay.local_addr()).unwrap();
             wait_for(|| relay.stats().dropped == 1);
             assert_eq!(relay.stats().forwarded, 0);
+        }
+    }
+
+    /// A datagram longer than the protocol's longest is never forwarded,
+    /// bounced or answered — whatever its header says, however it arrived —
+    /// and is counted, one drop each.
+    #[test]
+    fn oversize_datagrams_are_dropped_and_counted_both_layers() {
+        use crate::wire::{MAX_DATAGRAM, MAX_PAYLOAD};
+        for layer in layers() {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let relay = start(
+                RelayKind::Streamlined,
+                layer,
+                receiver.local_addr().unwrap(),
+            );
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            // Honest about a payload one byte too long.
+            let long = WireHeader::data(3, 0, MAX_PAYLOAD as u16 + 1);
+            sender
+                .send_to(&long.encode(&[7; MAX_PAYLOAD + 1]), relay.local_addr())
+                .unwrap();
+            // A trimmed header that would parse, junk behind it.
+            let mut padded = WireHeader::trimmed(3, 1).encode(&[]).to_vec();
+            padded.resize(MAX_DATAGRAM + 1, 0xEE);
+            sender.send_to(&padded, relay.local_addr()).unwrap();
+            let mut oversize = 2;
+            // A train of oversize segments, each a header that would parse.
+            #[cfg(target_os = "linux")]
+            {
+                let train = UdpSocket::bind(loopback()).unwrap();
+                batch::set_gso_size(&train, 2000).unwrap();
+                let mut segment = WireHeader::data(3, 2, 100).encode(&[7; 100]).to_vec();
+                segment.resize(2000, 0xEE);
+                train
+                    .send_to(&segment.repeat(3), relay.local_addr())
+                    .unwrap();
+                oversize += 3;
+            }
+            wait_for(|| relay.stats().dropped == oversize);
+            // The relay goes on relaying.
+            sender
+                .send_to(&WireHeader::data(3, 9, 1).encode(&[1]), relay.local_addr())
+                .unwrap();
+            let (h, _, _) = recv_one(&receiver);
+            assert_eq!(h.seq, 9, "{layer:?}: nothing oversize came first");
+            wait_for(|| relay.stats().forwarded == 1);
+            let stats = relay.stats();
+            assert_eq!(
+                (
+                    stats.received,
+                    stats.dropped,
+                    stats.nacks,
+                    stats.send_errors
+                ),
+                (oversize + 1, oversize, 0, 0),
+                "{layer:?}"
+            );
+            for sock in [&sender, &receiver] {
+                sock.set_nonblocking(true).unwrap();
+                assert!(sock.recv_from(&mut [0u8; 16]).is_err(), "{layer:?}");
+            }
+        }
+    }
+
+    /// One receive may bring more than BATCH datagrams (a train of more
+    /// than 64 segments, several trains): it is relayed as batches of at
+    /// most BATCH, and "one NACK per flow per batch" holds for each.
+    #[test]
+    fn a_long_receive_is_relayed_in_batches_both_layers() {
+        const COUNT: u64 = 100;
+        for layer in layers() {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let relay = ShardedRelay::start(
+                loopback(),
+                RelayConfig {
+                    shards: 1,
+                    layer,
+                    overload: Some(OverloadConfig::shed_at(1e9)),
+                    ..RelayConfig::streamlined(receiver.local_addr().unwrap())
+                },
+            )
+            .unwrap();
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            let headers: Vec<u8> = (0..COUNT)
+                .flat_map(|seq| WireHeader::trimmed(4, seq).encode(&[]).to_vec())
+                .collect();
+            // One 100-segment train where the kernel takes one (Linux 6.9
+            // raised the limit past 64), plain datagrams otherwise.
+            #[cfg(target_os = "linux")]
+            let as_train = {
+                batch::set_gso_size(&sender, WIRE_HEADER_LEN as u16).unwrap();
+                let sent = sender.send_to(&headers, relay.local_addr()).is_ok();
+                batch::set_gso_size(&sender, 0).unwrap();
+                sent
+            };
+            #[cfg(not(target_os = "linux"))]
+            let as_train = false;
+            if !as_train {
+                for header in headers.chunks(WIRE_HEADER_LEN) {
+                    sender.send_to(header, relay.local_addr()).unwrap();
+                }
+            }
+            wait_for(|| relay.stats().received == COUNT);
+            let stats = relay.stats();
+            assert!(stats.max_batch <= BATCH as u64, "{layer:?}: {stats:?}");
+            assert!(stats.batches >= 2, "{layer:?}: {stats:?}");
+            // Every batch held the flow, so every batch NACKed it once.
+            assert_eq!(
+                (stats.nacks, stats.nacks + stats.nacks_coalesced),
+                (stats.batches, COUNT),
+                "{layer:?}: {stats:?}"
+            );
+            if as_train && layer == SocketLayer::Mmsg {
+                assert_eq!((stats.batches, stats.max_batch), (2, 64), "{stats:?}");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //! through-stack upper bound.
 
 use crate::shard::RelayKind;
-use crate::wire::{DatagramView, Flags, WireHeader};
+use crate::wire::{DatagramView, Flags, WireHeader, MAX_DATAGRAM};
 
 /// What the proxy does with an incoming datagram. Each variant carries
 /// the parsed header, so a datagram is parsed once.
@@ -26,7 +26,8 @@ pub enum Action {
     NackToSender(WireHeader),
     /// Forward the datagram to the flow's sender (reverse path).
     ForwardToSender(WireHeader),
-    /// Drop it (not our protocol / malformed).
+    /// Drop it (not our protocol / malformed / longer than
+    /// [`MAX_DATAGRAM`]).
     Drop,
 }
 
@@ -37,8 +38,15 @@ pub enum Action {
 /// Pure function: this is the entire critical-path logic, the Figure 5a
 /// "lower bound" measurand, and the only place the relay consults
 /// [`Flags::TRIMMED`] to choose between forwarding and NACKing.
+///
+/// A datagram longer than [`MAX_DATAGRAM`] is dropped whatever its header
+/// says: no sender of this protocol makes one, and the relay forwards
+/// nothing a 1500-byte link would have to fragment.
 #[inline]
 pub fn decide(datagram: &[u8]) -> Action {
+    if datagram.len() > MAX_DATAGRAM {
+        return Action::Drop;
+    }
     let Ok(view) = DatagramView::parse(datagram) else {
         return Action::Drop;
     };
@@ -72,6 +80,7 @@ impl RelayKind {
 #[cfg(test)]
 mod decide_tests {
     use super::*;
+    use crate::wire::MAX_PAYLOAD;
 
     const KINDS: [RelayKind; 3] = [
         RelayKind::Naive,
@@ -120,5 +129,26 @@ mod decide_tests {
             assert_eq!(kind.apply(decide(&[0u8; 4])), Action::Drop, "{kind:?}");
             assert_eq!(kind.apply(decide(&[0xFFu8; 64])), Action::Drop, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn decide_drops_oversize() {
+        // Well-formed up to the last byte it may have, dropped one past it:
+        // with an honest header, and with junk behind a short one.
+        let full = WireHeader::data(1, 5, MAX_PAYLOAD as u16);
+        let wire = full.encode(&vec![7; MAX_PAYLOAD]).to_vec();
+        assert_eq!(decide(&wire), Action::ForwardToReceiver(full));
+        let honest = WireHeader::data(1, 5, MAX_PAYLOAD as u16 + 1);
+        assert_eq!(
+            decide(&honest.encode(&vec![7; MAX_PAYLOAD + 1])),
+            Action::Drop
+        );
+        let mut padded = WireHeader::trimmed(1, 5).encode(&[]).to_vec();
+        padded.resize(MAX_DATAGRAM + 1, 0xEE);
+        assert_eq!(decide(&padded), Action::Drop);
+        assert!(matches!(
+            decide(&padded[..MAX_DATAGRAM]),
+            Action::NackToSender(_)
+        ));
     }
 }

@@ -38,12 +38,14 @@ BIN=target/release/netproxy_load
 
 # Offered rates: the single-datagram relay (one recvfrom/sendto per
 # packet) holds zero loss up to ~18k pps on the reference box and
-# saturates just past it; the batched relay (GSO, PR 12) holds zero loss
-# at 300k with loadgen, relay and sink sharing the box's 2 vCPUs.
+# saturates just past it; the batched relay held zero loss at 300k with
+# GSO alone (PR 12; it lost datagrams at 450k) and holds it at 1M — and
+# at 1.2M and 1.5M when tried — since trains also land whole (GRO,
+# PR 15), with loadgen, relay and sink sharing the box's 2 vCPUs.
 # Driving each architecture at its own ceiling compares sustained
 # zero-loss throughput rather than drop behavior.
 SINGLE_RATE="${NETPROXY_SINGLE_RATE:-18000}"
-BATCHED_RATE="${NETPROXY_BATCHED_RATE:-300000}"
+BATCHED_RATE="${NETPROXY_BATCHED_RATE:-1000000}"
 DURATION_MS=800
 RUNS=3
 
