@@ -16,23 +16,20 @@
 //!
 //! Run with: `cargo run --release -p bench --bin fig4 [--quick]`
 
-use bench::{banner, emit_json, RunOptions};
+use bench::fuzz::mini_json::Json;
+use bench::{banner, json_line, RunOptions};
 use netproxy::{NaiveProxy, TcpLoadGen, TcpSink};
-use serde::Serialize;
 use std::time::Duration;
 use trace::Table;
 
-#[derive(Serialize)]
-struct Point {
-    quantile: f64,
-    latency_us: f64,
-}
-
 fn main() {
     let opts = RunOptions::from_args();
-    banner(
-        "Figure 4",
-        "per-packet latency CDF of the naive user-space proxy (loopback testbed)",
+    print!(
+        "{}",
+        banner(
+            "Figure 4",
+            "per-packet latency CDF of the naive user-space proxy (loopback testbed)",
+        )
     );
     let load = TcpLoadGen {
         rate_bps: 500_000_000,
@@ -62,13 +59,8 @@ fn main() {
     for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999] {
         let v = cdf.quantile(q);
         table.row(vec![format!("p{:.1}", q * 100.0), format!("{v:.2}")]);
-        emit_json(
-            "fig4",
-            &Point {
-                quantile: q,
-                latency_us: v,
-            },
-        );
+        let point = vec![("quantile", Json::f64(q)), ("latency_us", Json::f64(v))];
+        println!("{}", json_line("fig4", point));
     }
     print!("{}", table.render());
     println!();

@@ -28,21 +28,14 @@
 //!
 //! Run with: `cargo run --release -p bench --bin fig5 [--quick]`
 
-use bench::{banner, emit_json, RunOptions};
+use bench::fuzz::mini_json::Json;
+use bench::{banner, json_line, RunOptions};
 use netproxy::wire::WireHeader;
 use netproxy::{
     decide, Action, BatchLoadGen, BatchSink, RelayConfig, RelayStats, ShardedRelay, SocketLayer,
 };
-use serde::Serialize;
 use std::time::{Duration, Instant};
 use trace::{Cdf, LatencyRecorder, SplitMix64, Table};
-
-#[derive(Serialize)]
-struct Point {
-    bound: String,
-    quantile: f64,
-    latency_us: f64,
-}
 
 /// Lower bound: per-packet runtime of the decision logic alone, over the
 /// same data/trimmed mix the live proxy sees. One timed call per sample
@@ -120,9 +113,12 @@ fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
 
 fn main() {
     let opts = RunOptions::from_args();
-    banner(
-        "Figure 5",
-        "streamlined proxy overhead: decision-logic lower bound vs through-stack upper bound",
+    print!(
+        "{}",
+        banner(
+            "Figure 5",
+            "streamlined proxy overhead: decision-logic lower bound vs through-stack upper bound",
+        )
     );
     let lower = lower_bound_cdf(if opts.quick { 200_000 } else { 2_000_000 });
     let (upper, relay) = upper_bound_cdf(Duration::from_secs(if opts.quick { 1 } else { 10 }));
@@ -134,22 +130,14 @@ fn main() {
             format!("{:.3}", lower.quantile(q)),
             format!("{:.2}", upper.quantile(q)),
         ]);
-        emit_json(
-            "fig5",
-            &Point {
-                bound: "lower".into(),
-                quantile: q,
-                latency_us: lower.quantile(q),
-            },
-        );
-        emit_json(
-            "fig5",
-            &Point {
-                bound: "upper".into(),
-                quantile: q,
-                latency_us: upper.quantile(q),
-            },
-        );
+        for (bound, cdf) in [("lower", &lower), ("upper", &upper)] {
+            let point = vec![
+                ("bound", Json::str(bound)),
+                ("quantile", Json::f64(q)),
+                ("latency_us", Json::f64(cdf.quantile(q))),
+            ];
+            println!("{}", json_line("fig5", point));
+        }
     }
     print!("{}", table.render());
     println!();

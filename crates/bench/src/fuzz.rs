@@ -21,7 +21,7 @@
 
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
-use incast_core::scheme::{install_incast, IncastHandle, Transport};
+use incast_core::scheme::{IncastHandle, Transport};
 use incast_core::{ExperimentConfig, Scheme};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use trace::{derive_seed, SplitMix64};
@@ -85,6 +85,40 @@ impl Scenario {
     }
 }
 
+/// The experiment a scenario describes: the shared config→simulator path
+/// ([`ExperimentConfig::build`]) runs it under the collect-mode auditor.
+/// The fault plan stays with the scenario — it names raw ports and agents,
+/// which exist only once the simulator is built.
+impl From<&Scenario> for ExperimentConfig {
+    fn from(sc: &Scenario) -> Self {
+        let mut audit = AuditConfig::collect().every(Some(AUDIT_EVERY));
+        if sc.liveness {
+            audit = audit.with_liveness(SimDuration::from_secs(LIVENESS_HORIZON_SECS));
+        }
+        ExperimentConfig {
+            topo: TwoDcParams {
+                spines_per_dc: sc.spines_per_dc,
+                leaves_per_dc: sc.leaves_per_dc,
+                hosts_per_leaf: sc.hosts_per_leaf,
+                ..TwoDcParams::small_test()
+            }
+            .with_wan_latency(SimDuration::from_micros(sc.wan_us)),
+            scheme: sc.scheme,
+            degree: sc.degree,
+            total_bytes: sc.total_bytes,
+            transport: sc.transport,
+            trim: sc.trim,
+            early_nack: sc.early_nack,
+            failover: sc.failover.then(FailoverConfig::default),
+            background_flows: sc.background_flows,
+            fidelity: sc.fidelity,
+            time_limit: SimDuration::from_millis(sc.time_limit_ms),
+            audit: Some(audit),
+            ..Default::default()
+        }
+    }
+}
+
 /// True when every fault in the plan heals (links come back up, crashed
 /// agents restore) — the precondition for arming the liveness watchdog.
 pub fn plan_heals(plan: &FaultPlan) -> bool {
@@ -110,60 +144,8 @@ pub fn build(sc: &Scenario) -> Result<(Simulator, IncastHandle), String> {
             sc.hosts_per_dc()
         ));
     }
-    let mut topo_params = TwoDcParams::small_test();
-    topo_params.spines_per_dc = sc.spines_per_dc;
-    topo_params.leaves_per_dc = sc.leaves_per_dc;
-    topo_params.hosts_per_leaf = sc.hosts_per_leaf;
-    let topo_params = topo_params.with_wan_latency(SimDuration::from_micros(sc.wan_us));
-    let config = ExperimentConfig {
-        scheme: sc.scheme,
-        degree: sc.degree,
-        total_bytes: sc.total_bytes,
-        transport: sc.transport,
-        trim: sc.trim,
-        early_nack: sc.early_nack,
-        failover: sc.failover.then(FailoverConfig::default),
-        topo: topo_params,
-        ..Default::default()
-    };
-    let params = config.topo.with_trim(config.trim.enabled_for(sc.scheme));
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, sc.sim_seed);
-    let mut audit = AuditConfig::collect().every(Some(AUDIT_EVERY));
-    if sc.liveness {
-        audit = audit.with_liveness(SimDuration::from_secs(LIVENESS_HORIZON_SECS));
-    }
-    sim.set_audit(audit);
+    let (mut sim, _, handle) = ExperimentConfig::from(sc).build(sc.sim_seed);
     sim.set_event_cap(EVENT_CAP);
-    let spec = config.placement(sim.topology());
-    if sc.background_flows > 0 {
-        let mut hosts: Vec<HostId> = (0..sim.topology().host_count() as u32)
-            .map(HostId)
-            .collect();
-        hosts
-            .retain(|h| *h != spec.receiver && Some(*h) != spec.proxy && !spec.senders.contains(h));
-        if hosts.len() >= 2 {
-            BackgroundTraffic {
-                flows: sc.background_flows,
-                sizes: FlowSizeDist::WebSearch,
-                start_window: SimDuration::from_millis(10),
-                hosts,
-                seed: derive_seed(sc.sim_seed, 0xB6),
-            }
-            .install(&mut sim);
-        }
-    }
-    let handle = install_incast(&mut sim, &spec, sc.scheme);
-    if sc.fidelity {
-        // Before `install_faults`, so the plan's ports get pinned hot.
-        sim.set_fidelity(FidelityConfig::default());
-        let receiver_tor = sim.topology().down_tor_port(spec.receiver);
-        sim.pin_hot_port(receiver_tor);
-        if let Some(proxy) = spec.proxy {
-            let proxy_tor = sim.topology().down_tor_port(proxy);
-            sim.pin_hot_port(proxy_tor);
-        }
-    }
     sim.install_faults(&sc.faults)
         .map_err(|e| format!("fault plan rejected: {e}"))?;
     Ok((sim, handle))
@@ -546,55 +528,34 @@ impl ReproFile {
     }
 }
 
-fn scheme_name(s: Scheme) -> &'static str {
-    match s {
-        Scheme::Baseline => "baseline",
-        Scheme::ProxyNaive => "naive",
-        Scheme::ProxyStreamlined => "streamlined",
-        Scheme::ProxyDetecting => "detecting",
-    }
+/// How repro files (and `figures adhoc`) spell the enum-valued fields.
+pub(crate) const SCHEME_NAMES: &[(&str, Scheme)] = &[
+    ("baseline", Scheme::Baseline),
+    ("naive", Scheme::ProxyNaive),
+    ("streamlined", Scheme::ProxyStreamlined),
+    ("detecting", Scheme::ProxyDetecting),
+];
+const TRANSPORT_NAMES: &[(&str, Transport)] = &[
+    ("windowed", Transport::WindowedDctcp),
+    ("rate", Transport::RateBased),
+];
+pub(crate) const TRIM_NAMES: &[(&str, TrimPolicy)] = &[
+    ("default", TrimPolicy::SchemeDefault),
+    ("on", TrimPolicy::ForceOn),
+    ("off", TrimPolicy::ForceOff),
+];
+
+fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
+    let named = names.iter().find(|(_, v)| *v == value);
+    named.expect("every variant has a name").0
 }
 
-fn scheme_from(name: &str) -> Result<Scheme, String> {
-    Ok(match name {
-        "baseline" => Scheme::Baseline,
-        "naive" => Scheme::ProxyNaive,
-        "streamlined" => Scheme::ProxyStreamlined,
-        "detecting" => Scheme::ProxyDetecting,
-        other => return Err(format!("unknown scheme {other:?}")),
-    })
-}
-
-fn transport_name(t: Transport) -> &'static str {
-    match t {
-        Transport::WindowedDctcp => "windowed",
-        Transport::RateBased => "rate",
-    }
-}
-
-fn transport_from(name: &str) -> Result<Transport, String> {
-    Ok(match name {
-        "windowed" => Transport::WindowedDctcp,
-        "rate" => Transport::RateBased,
-        other => return Err(format!("unknown transport {other:?}")),
-    })
-}
-
-fn trim_name(t: TrimPolicy) -> &'static str {
-    match t {
-        TrimPolicy::SchemeDefault => "default",
-        TrimPolicy::ForceOn => "on",
-        TrimPolicy::ForceOff => "off",
-    }
-}
-
-fn trim_from(name: &str) -> Result<TrimPolicy, String> {
-    Ok(match name {
-        "default" => TrimPolicy::SchemeDefault,
-        "on" => TrimPolicy::ForceOn,
-        "off" => TrimPolicy::ForceOff,
-        other => return Err(format!("unknown trim policy {other:?}")),
-    })
+/// The value `name` spells in `names`; `what` words the error.
+pub(crate) fn from_name<T: Copy>(names: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
+    let named = names.iter().find(|(n, _)| *n == name);
+    named
+        .map(|&(_, value)| value)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 use mini_json::Json;
@@ -642,9 +603,12 @@ impl Scenario {
             .collect();
         Json::obj(vec![
             ("sim_seed", Json::u64(self.sim_seed)),
-            ("scheme", Json::str(scheme_name(self.scheme))),
-            ("transport", Json::str(transport_name(self.transport))),
-            ("trim", Json::str(trim_name(self.trim))),
+            ("scheme", Json::str(name_of(SCHEME_NAMES, self.scheme))),
+            (
+                "transport",
+                Json::str(name_of(TRANSPORT_NAMES, self.transport)),
+            ),
+            ("trim", Json::str(name_of(TRIM_NAMES, self.trim))),
             ("degree", Json::u64(self.degree as u64)),
             ("total_bytes", Json::u64(self.total_bytes)),
             ("wan_us", Json::u64(self.wan_us)),
@@ -706,9 +670,9 @@ impl Scenario {
         }
         Ok(Scenario {
             sim_seed: v.get_u64("sim_seed")?,
-            scheme: scheme_from(v.get_str("scheme")?)?,
-            transport: transport_from(v.get_str("transport")?)?,
-            trim: trim_from(v.get_str("trim")?)?,
+            scheme: from_name(SCHEME_NAMES, "scheme", v.get_str("scheme")?)?,
+            transport: from_name(TRANSPORT_NAMES, "transport", v.get_str("transport")?)?,
+            trim: from_name(TRIM_NAMES, "trim policy", v.get_str("trim")?)?,
             degree: v.get_u64("degree")? as usize,
             total_bytes: v.get_u64("total_bytes")?,
             wan_us: v.get_u64("wan_us")?,
@@ -789,10 +753,14 @@ pub mod mini_json {
             Json::Num(v.to_string())
         }
         pub fn f64(v: f64) -> Json {
+            // JSON has no NaN / infinity token; like serde_json, emit null.
+            if !v.is_finite() {
+                return Json::Null;
+            }
             // Rust's shortest-round-trip Display; force a decimal point so
             // the token reads back as the same f64 unambiguously.
             let s = format!("{v}");
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+            if s.contains('.') {
                 Json::Num(s)
             } else {
                 Json::Num(format!("{s}.0"))
@@ -856,53 +824,57 @@ pub mod mini_json {
         /// Pretty-prints with two-space indentation.
         pub fn render(&self) -> String {
             let mut out = String::new();
-            self.render_into(&mut out, 0);
+            self.render_into(&mut out, Some(0));
             out.push('\n');
             out
         }
 
-        fn render_into(&self, out: &mut String, depth: usize) {
+        /// Renders on one line with no whitespace, as `serde_json::to_string`
+        /// does (`tests/results_format.rs` holds the figures' rows to the
+        /// bytes `serde_json` once wrote).
+        pub fn render_line(&self) -> String {
+            let mut out = String::new();
+            self.render_into(&mut out, None);
+            out
+        }
+
+        /// `depth` is the pretty-printer's nesting level; `None` renders
+        /// compactly.
+        fn render_into(&self, out: &mut String, depth: Option<usize>) {
+            let inner = depth.map(|d| d + 1);
             match self {
                 Json::Null => out.push_str("null"),
                 Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
                 Json::Num(tok) => out.push_str(tok),
                 Json::Str(s) => render_string(s, out),
                 Json::Arr(items) => {
-                    if items.is_empty() {
-                        out.push_str("[]");
-                        return;
-                    }
                     out.push('[');
                     for (i, item) in items.iter().enumerate() {
                         if i > 0 {
                             out.push(',');
                         }
-                        out.push('\n');
-                        indent(out, depth + 1);
-                        item.render_into(out, depth + 1);
+                        newline(out, inner);
+                        item.render_into(out, inner);
                     }
-                    out.push('\n');
-                    indent(out, depth);
+                    if !items.is_empty() {
+                        newline(out, depth);
+                    }
                     out.push(']');
                 }
                 Json::Obj(fields) => {
-                    if fields.is_empty() {
-                        out.push_str("{}");
-                        return;
-                    }
                     out.push('{');
                     for (i, (k, v)) in fields.iter().enumerate() {
                         if i > 0 {
                             out.push(',');
                         }
-                        out.push('\n');
-                        indent(out, depth + 1);
+                        newline(out, inner);
                         render_string(k, out);
-                        out.push_str(": ");
-                        v.render_into(out, depth + 1);
+                        out.push_str(if depth.is_some() { ": " } else { ":" });
+                        v.render_into(out, inner);
                     }
-                    out.push('\n');
-                    indent(out, depth);
+                    if !fields.is_empty() {
+                        newline(out, depth);
+                    }
                     out.push('}');
                 }
             }
@@ -921,9 +893,13 @@ pub mod mini_json {
         }
     }
 
-    fn indent(out: &mut String, depth: usize) {
-        for _ in 0..depth {
-            out.push_str("  ");
+    /// Line break plus indentation when pretty-printing; nothing otherwise.
+    fn newline(out: &mut String, depth: Option<usize>) {
+        if let Some(depth) = depth {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
         }
     }
 
@@ -1147,6 +1123,25 @@ mod tests {
         let (outcome, same) = check_replay(&sc);
         assert!(same, "replay diverged: {outcome:?}");
         assert!(outcome.panic.is_none(), "{outcome:?}");
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip_as_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let row = Json::obj(vec![
+                ("crash_fraction", Json::f64(v)),
+                ("ok", Json::f64(0.5)),
+            ]);
+            for text in [row.render(), row.render_line()] {
+                let back = Json::parse(&text).expect("emitted JSON parses back");
+                assert_eq!(back, row, "{text}");
+                assert_eq!(back.get("crash_fraction"), Some(&Json::Null));
+            }
+        }
+        assert_eq!(
+            Json::obj(vec![("a", Json::f64(2.0)), ("b", Json::Arr(vec![]))]).render_line(),
+            r#"{"a":2.0,"b":[]}"#
+        );
     }
 
     #[test]

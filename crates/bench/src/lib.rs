@@ -1,12 +1,14 @@
 //! Shared plumbing for the figure-reproduction binaries.
 //!
-//! Every `fig*` / `ablation_*` binary prints (a) a human-readable aligned
-//! table and (b) one JSON line per data point (prefix `JSON `), so
-//! EXPERIMENTS.md entries can be regenerated and diffed mechanically.
+//! Every simulated study is an entry of [`figures::STUDIES`], run by the
+//! one `figures` binary; `fig4` / `fig5` drive live sockets. Each prints
+//! (a) a human-readable aligned table and (b) one JSON line per data
+//! point (prefix `JSON `), so EXPERIMENTS.md entries can be regenerated
+//! and diffed mechanically.
 //!
-//! Binaries accept `--quick` (1 run per point instead of the paper's 5,
-//! smaller sweeps) so the whole suite can run in CI time; full runs
-//! reproduce the §4.1 protocol exactly.
+//! `--quick` (1 run per point instead of the paper's 5, smaller sweeps)
+//! lets the whole suite run in CI time; full runs reproduce the §4.1
+//! protocol exactly.
 //!
 //! Grids of independent simulations run through [`SweepRunner`], which
 //! fans the cells out across threads (`--jobs N`, default: all cores)
@@ -14,11 +16,12 @@
 //! seed derives from its configuration, never from thread order, and
 //! results come back in grid order.
 
-use serde::Serialize;
+use fuzz::mini_json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub mod cpfuzz;
+pub mod figures;
 pub mod fuzz;
 
 /// Command-line options shared by the reproduction binaries.
@@ -42,44 +45,22 @@ impl RunOptions {
         Self::parse(&args)
     }
 
-    /// Parses from a pre-split argument list (testable).
+    /// Parses from a pre-split argument list (testable). An explicit
+    /// `--runs` wins over the single run `--quick` implies.
     pub fn parse(args: &[String]) -> Self {
-        let mut opts = RunOptions {
-            runs: 5,
-            quick: false,
-            seed: 1,
-            jobs: 0,
+        let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let quick = args.iter().position(|&arg| arg == "--quick");
+        let quick = quick.map(|at| args.remove(at)).is_some();
+        let opts = RunOptions {
+            quick,
+            runs: take(&mut args, "--runs", if quick { 1 } else { 5 }),
+            seed: take(&mut args, "--seed", 1),
+            jobs: take(&mut args, "--jobs", 0),
         };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => {
-                    opts.quick = true;
-                    opts.runs = 1;
-                }
-                "--runs" => {
-                    opts.runs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--runs needs a positive integer");
-                }
-                "--seed" => {
-                    opts.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                "--jobs" => {
-                    opts.jobs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs a non-negative integer (0 = auto)");
-                }
-                other => panic!(
-                    "unknown argument: {other} (try --quick / --runs N / --seed N / --jobs N)"
-                ),
-            }
-        }
+        assert!(
+            args.is_empty(),
+            "unknown argument: {args:?} (try --quick / --runs N / --seed N / --jobs N)"
+        );
         assert!(opts.runs > 0, "--runs must be positive");
         opts
     }
@@ -90,22 +71,21 @@ impl RunOptions {
     }
 }
 
-/// Resolves a job count: explicit value, else `SWEEP_JOBS` /
-/// `RAYON_NUM_THREADS` from the environment, else all available cores.
-fn resolve_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    for var in ["SWEEP_JOBS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var).ok().and_then(|v| v.parse().ok()) {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Takes `name value` out of `args`: the parsed value, or `default` when
+/// the flag is absent.
+///
+/// # Panics
+/// Panics when the flag has no value or the value does not parse.
+pub fn take<T: std::str::FromStr>(args: &mut Vec<&str>, name: &str, default: T) -> T {
+    let Some(at) = args.iter().position(|&arg| arg == name) else {
+        return default;
+    };
+    assert!(at + 1 < args.len(), "{name} needs a value");
+    let value = args.remove(at + 1);
+    args.remove(at);
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{name}: cannot read {value:?}"))
 }
 
 /// Executes a grid of independent simulation cells across threads.
@@ -128,11 +108,11 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// Creates a runner with `jobs` worker threads (0 = auto: `SWEEP_JOBS`
-    /// or `RAYON_NUM_THREADS` from the environment, else all cores).
+    /// Creates a runner with `jobs` worker threads (0 = all cores).
     pub fn new(jobs: usize) -> Self {
+        let all_cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
         SweepRunner {
-            jobs: resolve_jobs(jobs),
+            jobs: if jobs > 0 { jobs } else { all_cores() },
         }
     }
 
@@ -254,18 +234,21 @@ pub fn expect_no_event_cap(report: dcsim::sim::RunReport, context: &str) -> dcsi
     report
 }
 
-/// Emits one machine-readable data point (JSON-prefixed line).
-pub fn emit_json<T: Serialize>(figure: &str, point: &T) {
-    println!(
-        "JSON {}",
-        serde_json::json!({ "figure": figure, "point": point })
-    );
+/// One machine-readable data point as a `JSON `-prefixed line: compact,
+/// with the point's keys in alphabetical order (how `serde_json` printed
+/// these rows; `tests/results_format.rs` pins the format to `results/`).
+pub fn json_line(figure: &str, mut point: Vec<(&str, Json)>) -> String {
+    point.sort_by_key(|&(key, _)| key);
+    let row = Json::obj(vec![
+        ("figure", Json::str(figure)),
+        ("point", Json::obj(point)),
+    ]);
+    format!("JSON {}", row.render_line())
 }
 
-/// Prints the standard figure banner.
-pub fn banner(figure: &str, description: &str) {
-    println!("== {figure}: {description} ==");
-    println!();
+/// The standard figure banner: a title line and a blank line.
+pub fn banner(figure: &str, description: &str) -> String {
+    format!("== {figure}: {description} ==\n\n")
 }
 
 #[cfg(test)]

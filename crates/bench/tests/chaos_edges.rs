@@ -17,7 +17,7 @@
 //! any leaked packet, broken queue accounting, or wedged flow panics.
 
 use dcsim::prelude::*;
-use incast_core::scheme::{install_incast, IncastHandle};
+use incast_core::scheme::IncastHandle;
 use incast_core::{ExperimentConfig, Scheme};
 
 fn config(total_bytes: u64, degree: usize) -> ExperimentConfig {
@@ -27,24 +27,13 @@ fn config(total_bytes: u64, degree: usize) -> ExperimentConfig {
         total_bytes,
         topo: TwoDcParams::small_test().with_wan_latency(SimDuration::from_micros(200)),
         failover: Some(FailoverConfig::default()),
+        audit: Some(
+            AuditConfig::strict()
+                .every(Some(10_000))
+                .with_liveness(SimDuration::from_secs(8)),
+        ),
         ..Default::default()
     }
-}
-
-fn audited_sim(config: &ExperimentConfig, seed: u64) -> (Simulator, IncastHandle) {
-    let params = config
-        .topo
-        .with_trim(config.trim.enabled_for(config.scheme));
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, seed);
-    sim.set_audit(
-        AuditConfig::strict()
-            .every(Some(10_000))
-            .with_liveness(SimDuration::from_secs(8)),
-    );
-    let spec = config.placement(sim.topology());
-    let handle = install_incast(&mut sim, &spec, config.scheme);
-    (sim, handle)
 }
 
 fn run_to_completion(sim: &mut Simulator, handle: &IncastHandle) -> RunReport {
@@ -62,7 +51,7 @@ fn run_to_completion(sim: &mut Simulator, handle: &IncastHandle) -> RunReport {
 #[test]
 fn proxy_crash_during_first_flight_recovers_clean() {
     let config = config(400_000, 4);
-    let (mut sim, handle) = audited_sim(&config, 7);
+    let (mut sim, _, handle) = config.build(7);
     let proxy = handle.proxy_agent.expect("streamlined exposes its proxy");
     // Down at the exact start: every sender's initial window arrives at a
     // crashed proxy and is destroyed. Restore half a millisecond later.
@@ -88,7 +77,7 @@ fn proxy_crash_with_nacks_in_flight_recovers_clean() {
     // are still flying back to the senders.
     let mut config = config(1_200_000, 6);
     config.topo.dc_queue.capacity_bytes = 30_000;
-    let (mut sim, handle) = audited_sim(&config, 11);
+    let (mut sim, _, handle) = config.build(11);
     let proxy = handle.proxy_agent.expect("streamlined exposes its proxy");
     let crash_at = handle.start + SimDuration::from_micros(30);
     let plan = FaultPlan::new().crash_agent_window(

@@ -90,6 +90,10 @@ pub struct ExperimentConfig {
     pub detector: crate::lossdetect::LossDetectorConfig,
     /// Sender transport.
     pub transport: crate::scheme::Transport,
+    /// Web-search-style background flows sharing the two datacenters with
+    /// the incast (default: 0). Endpoints are drawn from every host that
+    /// is not an incast participant, starts are uniform in the first 10 ms.
+    pub background_flows: usize,
     /// Fault scenario injected into each run (default: none).
     pub faults: FaultScenario,
     /// Sender-side proxy failover (default: off). Required for proxied
@@ -127,6 +131,7 @@ impl Default for ExperimentConfig {
             ecn_response: dcsim::protocol::dctcp::EcnResponse::default(),
             detector: crate::lossdetect::LossDetectorConfig::default(),
             transport: crate::scheme::Transport::WindowedDctcp,
+            background_flows: 0,
             faults: FaultScenario::None,
             failover: None,
             fidelity: false,
@@ -179,6 +184,53 @@ impl ExperimentConfig {
         spec.failover = self.failover;
         spec
     }
+
+    /// Builds the simulator for one seeded run and installs the incast:
+    /// the §4.1 leaf–spine with this scheme's trimming, the auditor, the
+    /// [`placement`](Self::placement), the background flows, the incast,
+    /// and — under hybrid fidelity — the incast's known congestion points
+    /// pinned hot. Every figure, the fuzzer and [`run_incast`] start here;
+    /// callers add what is theirs (faults, traces, extra flows) and run.
+    pub fn build(&self, seed: u64) -> (Simulator, IncastSpec, crate::scheme::IncastHandle) {
+        let params = self.topo.with_trim(self.trim.enabled_for(self.scheme));
+        let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
+        if let Some(audit) = resolved_audit(self) {
+            sim.set_audit(audit);
+        }
+        let spec = self.placement(sim.topology());
+        if self.background_flows > 0 {
+            let hosts: Vec<HostId> = (0..sim.topology().host_count() as u32)
+                .map(HostId)
+                .filter(|h| {
+                    !spec.senders.contains(h) && *h != spec.receiver && Some(*h) != spec.proxy
+                })
+                .collect();
+            // A fuzzed topology can leave fewer than two bystanders.
+            if hosts.len() >= 2 {
+                BackgroundTraffic {
+                    flows: self.background_flows,
+                    sizes: FlowSizeDist::WebSearch,
+                    start_window: SimDuration::from_millis(10),
+                    hosts,
+                    seed: derive_seed(seed, 0xB6),
+                }
+                .install(&mut sim);
+            }
+        }
+        let handle = install_incast(&mut sim, &spec, self.scheme);
+        if self.fidelity {
+            // Enable before any `install_faults` so a plan's ports get
+            // pinned hot too.
+            sim.set_fidelity(FidelityConfig::default());
+            let receiver_tor = sim.topology().down_tor_port(spec.receiver);
+            sim.pin_hot_port(receiver_tor);
+            if let Some(proxy) = spec.proxy {
+                let proxy_tor = sim.topology().down_tor_port(proxy);
+                sim.pin_hot_port(proxy_tor);
+            }
+        }
+        (sim, spec, handle)
+    }
 }
 
 /// Result of one simulated incast.
@@ -226,27 +278,7 @@ pub struct IncastOutcome {
 /// experiments are sized so that completion is guaranteed; not completing
 /// indicates a bug.
 pub fn run_incast(config: &ExperimentConfig, seed: u64) -> IncastOutcome {
-    let params = config
-        .topo
-        .with_trim(config.trim.enabled_for(config.scheme));
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, seed);
-    if let Some(audit) = resolved_audit(config) {
-        sim.set_audit(audit);
-    }
-    let spec = config.placement(sim.topology());
-    let handle = install_incast(&mut sim, &spec, config.scheme);
-    if config.fidelity {
-        // Enable before `install_faults` so the plan's ports get pinned
-        // hot; the incast's known congestion points are pinned explicitly.
-        sim.set_fidelity(FidelityConfig::default());
-        let receiver_tor = sim.topology().down_tor_port(spec.receiver);
-        sim.pin_hot_port(receiver_tor);
-        if let Some(proxy) = spec.proxy {
-            let proxy_tor = sim.topology().down_tor_port(proxy);
-            sim.pin_hot_port(proxy_tor);
-        }
-    }
+    let (mut sim, spec, handle) = config.build(seed);
     if let Some(plan) = fault_plan_for(config, &spec, &handle, &sim) {
         sim.install_faults(&plan)
             .unwrap_or_else(|e| panic!("invalid fault scenario {:?}: {e}", config.faults));

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Performance snapshot: runs the simulator criterion suite plus a
-# reference sweep (fig2_left --quick, serial vs all cores) and writes the
+# reference sweep (figures fig2_left --quick, serial vs all cores) and writes the
 # results to BENCH_simulator.json, then runs the fleet criterion suite
 # plus a per-core-count sweep of the fleet binary and writes
 # BENCH_fleet.json, so successive PRs can track the perf trajectory.
@@ -26,16 +26,16 @@ OUT=BENCH_simulator.json
 echo "== cargo bench (simulator suite)"
 cargo bench "${OFFLINE[@]}" -p bench --bench simulator
 
-echo "== reference sweep wall-clock (fig2_left --quick)"
-cargo build --release "${OFFLINE[@]}" -q -p bench --bin fig2_left
-BIN=target/release/fig2_left
+echo "== reference sweep wall-clock (figures fig2_left --quick)"
+cargo build --release "${OFFLINE[@]}" -q -p bench --bin figures
+BIN=target/release/figures
 
 time_run() { # $1 = jobs; prints fractional seconds (best of two runs)
   local best="" secs
   for _ in 1 2; do
     local start end
     start=$(date +%s%N)
-    "$BIN" --quick --jobs "$1" >/dev/null
+    "$BIN" fig2_left --quick --jobs "$1" >/dev/null
     end=$(date +%s%N)
     secs=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.3f", (e - s) / 1e9 }')
     if [ -z "$best" ] || awk -v a="$secs" -v b="$best" 'BEGIN { exit !(a < b) }'; then
@@ -76,7 +76,7 @@ summary = {
     "cores": cores,
     "cpu_model": cpu_model,
     "reference_sweep": {
-        "binary": "fig2_left --quick",
+        "binary": "figures fig2_left --quick",
         "serial_secs": serial,
         "parallel_secs": parallel,
         "speedup": speedup,
