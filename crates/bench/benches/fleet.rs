@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the sharded hybrid-fidelity fleet engine: a
 //! small two-pod fleet (4 shards) run end-to-end, once at full packet
 //! fidelity and once hybrid. Throughput is reported in *effective*
-//! events (processed + elided by the express path) so the two
-//! configurations are comparable; `scripts/perfgate.sh` holds the
-//! medians against the committed `BENCH_fleet.json` baseline. The
-//! headline 10M-events/sec measurement lives in the `fleet` binary —
+//! events (processed + `TxDone`s never scheduled + elided by the express
+//! path) so the two configurations are comparable; `scripts/perfgate.sh`
+//! holds the medians against the committed `BENCH_fleet.json` baseline.
+//! The headline 10M-events/sec measurement lives in the `fleet` binary —
 //! this suite exists to catch regressions cheaply.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -104,7 +104,7 @@ fn run_fleet(topo: &Topology, pod_hosts: &[Vec<HostId>], hybrid: bool) -> u64 {
     }
     let report = fleet.run(None);
     assert_eq!(report.stop, StopReason::Idle);
-    report.events + report.express.saved_events
+    report.events + report.tx_elided + report.express.saved_events
 }
 
 fn bench_fleet(c: &mut Criterion) {

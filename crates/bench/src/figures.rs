@@ -189,8 +189,9 @@ pub enum Relative {
 pub enum Extra {
     /// `rtos/run`: mean RTO expirations per run. Table only.
     RtosPerRun,
-    /// `express saved`: the share of effective events the hybrid-fidelity
-    /// express path elided; `express_saved_frac` in the `JSON` row.
+    /// `express saved`: the share of effective events (processed + `TxDone`s
+    /// never scheduled + express-elided) the hybrid-fidelity express path
+    /// elided; `express_saved_frac` in the `JSON` row.
     ExpressSaved,
 }
 
@@ -314,9 +315,12 @@ impl<A: Copy + Sync, V: Copy + Sync> Study for Grid<A, V> {
                         row.cell("rtos/run", (rtos / outcomes.len() as u64).to_string())
                     }
                     Extra::ExpressSaved => {
-                        let events: u64 = outcomes.iter().map(|o| o.events).sum();
+                        let effective: u64 = outcomes
+                            .iter()
+                            .map(|o| o.events + o.tx_elided_events + o.express_saved_events)
+                            .sum();
                         let saved: u64 = outcomes.iter().map(|o| o.express_saved_events).sum();
-                        let saved_frac = saved as f64 / (events + saved) as f64;
+                        let saved_frac = saved as f64 / effective as f64;
                         row.cell("express saved", format!("{:.1}%", saved_frac * 100.0))
                             .json("express_saved_frac", Json::f64(saved_frac))
                     }

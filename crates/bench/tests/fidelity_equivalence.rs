@@ -98,11 +98,12 @@ fn hybrid_saves_a_meaningful_event_fraction() {
     let mut cfg = config(Scheme::Baseline, 3);
     cfg.fidelity = true;
     let out = run_incast(&cfg, 4);
-    let effective = out.events + out.express_saved_events;
+    let effective = out.events + out.tx_elided_events + out.express_saved_events;
     let saved_frac = out.express_saved_events as f64 / effective as f64;
     println!(
-        "events={} saved={} ({:.1}% of effective)",
+        "events={} tx_elided={} saved={} ({:.1}% of effective)",
         out.events,
+        out.tx_elided_events,
         out.express_saved_events,
         saved_frac * 100.0
     );

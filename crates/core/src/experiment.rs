@@ -261,9 +261,14 @@ pub struct IncastOutcome {
     pub failover_latency_max_secs: f64,
     /// Events processed (simulator work, useful for perf tracking).
     pub events: u64,
+    /// Transmissions whose `TxDone` the simulator never scheduled because
+    /// nothing queued behind them (`TxChurn::elided`).
+    pub tx_elided_events: u64,
     /// Events elided by the hybrid-fidelity express path (0 when the
-    /// engine is off). `events + express_saved_events` is the effective
-    /// packet-event count the run covered.
+    /// engine is off). `events + tx_elided_events + express_saved_events`
+    /// is the effective packet-event count the run covered: what an engine
+    /// scheduling a TxDone and an Arrival for every hop would have
+    /// processed, at either fidelity.
     pub express_saved_events: u64,
     /// How the run terminated (completion is separately guaranteed by the
     /// harness, so this distinguishes a clean `Completed` from a completed
@@ -319,6 +324,7 @@ pub fn run_incast(config: &ExperimentConfig, seed: u64) -> IncastOutcome {
             .map(|d| d.as_secs_f64())
             .fold(0.0, f64::max),
         events: m.events_processed,
+        tx_elided_events: report.tx_elided,
         express_saved_events: sim.fidelity_stats().map_or(0, |e| e.saved_events),
         terminated_reason: report.terminated_reason(),
     }

@@ -26,6 +26,12 @@
 //! * **Timer accounting** — `armed == fired + canceled + pending`, and the
 //!   slot/generation protocol never discards a stale pop
 //!   (`discarded_stale == 0`), extending the PR 3 churn counters.
+//! * **`TxDone` accounting** — ports schedule their transmit-complete event
+//!   lazily (only when a packet waits behind the one on the wire), so the
+//!   failure to fear is a lost wake-up. Checked: `scheduled == fired +
+//!   pending`, the ports expecting a wake-up number exactly the pending
+//!   `TxDone`s, and no link-up port holds packets unless it is transmitting
+//!   with its `TxDone` scheduled.
 //! * **Flow liveness** (opt-in via [`AuditConfig::with_liveness`]) — a
 //!   watchdog flags any bound, started, uncrashed, incomplete flow with no
 //!   packet activity for the configured sim-time horizon; when the simulator
@@ -222,6 +228,19 @@ pub enum InvariantViolation {
         pending: u64,
         discarded_stale: u64,
     },
+    /// The lazy-`TxDone` ledger is off — `scheduled != fired + pending`, or
+    /// `waking` (ports whose wake-up flag is set) differs from the pending
+    /// `TxDone` events — or `stranded` names a link-up port holding packets
+    /// with no scheduled transmit-complete event coming to drain them.
+    TxAccounting {
+        at: SimTime,
+        started: u64,
+        scheduled: u64,
+        fired: u64,
+        pending: u64,
+        waking: u64,
+        stranded: Option<PortId>,
+    },
     /// A bound, started, uncrashed flow has made no forward progress for
     /// longer than the watchdog horizon (or the simulator went idle with the
     /// flow incomplete).
@@ -250,6 +269,7 @@ impl InvariantViolation {
             InvariantViolation::QueueOverCapacity { .. } => "QueueOverCapacity",
             InvariantViolation::QueueAccounting { .. } => "QueueAccounting",
             InvariantViolation::TimerAccounting { .. } => "TimerAccounting",
+            InvariantViolation::TxAccounting { .. } => "TxAccounting",
             InvariantViolation::StuckFlow { .. } => "StuckFlow",
             InvariantViolation::LeaseAccounting { .. } => "LeaseAccounting",
         }
@@ -308,6 +328,26 @@ impl fmt::Display for InvariantViolation {
                  + canceled={canceled} + pending={pending} \
                  (discarded_stale={discarded_stale}, must be 0)",
             ),
+            InvariantViolation::TxAccounting {
+                at,
+                started,
+                scheduled,
+                fired,
+                pending,
+                waking,
+                stranded,
+            } => {
+                write!(
+                    f,
+                    "TxDone accounting broken at {at}: scheduled={scheduled} (of \
+                     {started} started) vs fired={fired} + pending={pending}; \
+                     {waking} port(s) expect a wake-up",
+                )?;
+                match stranded {
+                    Some(port) => write!(f, "; {port:?} holds packets nothing will drain"),
+                    None => Ok(()),
+                }
+            }
             InvariantViolation::StuckFlow {
                 at,
                 flow,

@@ -44,6 +44,29 @@
 //! would unsort its lane, or that names no lane, takes the plain heap path.
 //! Lane entries are never handed a [`TimerHandle`]; cancel and reschedule
 //! are for plain entries only.
+//!
+//! # Reserved keys
+//!
+//! A caller that knows an event is usually a no-op can take its sequence
+//! number now ([`EventQueue::reserve_seq`]) and insert the event under that
+//! key later ([`EventQueue::schedule_reserved`]) — or never. The simulator
+//! does this for `TxDone`: a port reserves the key at transmit start and
+//! materialises the event only once a packet is waiting behind the one on
+//! the wire. Why the pop order of everything else is untouched:
+//!
+//! * `next_seq` advances at the reservation exactly as it would have at a
+//!   `schedule`, so every other event gets the key it always had;
+//! * an event that is never materialised is one whose handler would have
+//!   done nothing, so nothing downstream of it is missing;
+//! * whoever needs to know whether the reserved instant has passed compares
+//!   the reserved key with [`EventQueue::current_key`] — the `(time, seq)`
+//!   of the event being handled — which answers exactly as "has that event
+//!   popped yet" would have. The comparison is on the pair, not the time:
+//!   two events in the same picosecond as a reserved key fall on either
+//!   side of it by sequence number, and the earlier one must still see the
+//!   reserved event as pending (equal-rate links deliver back-to-back
+//!   packets exactly at the previous packet's transmit-complete instant, so
+//!   this tie is the common case, not a corner).
 
 use crate::packet::{AgentId, NodeId, Packet, PortId};
 use crate::time::SimTime;
@@ -108,12 +131,14 @@ pub enum Event {
 
 /// Pending-event counts by class, as reported by [`EventQueue::census`].
 /// `packets` counts events that carry a packet in flight (`Arrival`,
-/// `Inject`); `timers` counts pending `Timer` events; everything else
-/// (`TxDone`, `FlowStart`, `Fault`) lands in `other`.
+/// `Inject`); `timers` counts pending `Timer` events; `tx_done` counts
+/// materialised `TxDone`s; everything else (`FlowStart`, `Fault`) lands in
+/// `other`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCensus {
     pub packets: u64,
     pub timers: u64,
+    pub tx_done: u64,
     pub other: u64,
 }
 
@@ -184,6 +209,9 @@ pub struct EventQueue {
     queued: usize,
     next_seq: u64,
     now: SimTime,
+    /// Sequence number of the last popped event; with `now`, the key of
+    /// the event being handled.
+    now_seq: u64,
 }
 
 impl EventQueue {
@@ -212,12 +240,51 @@ impl EventQueue {
             queued: 0,
             next_seq: 0,
             now: SimTime::ZERO,
+            now_seq: 0,
         }
     }
 
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The `(time, seq)` key of the last popped event — the one being
+    /// handled; `(0, 0)` before the first pop. Every pending event, and
+    /// every key reserved while handling an event, compares greater.
+    #[inline]
+    pub fn current_key(&self) -> (SimTime, u64) {
+        (self.now, self.now_seq)
+    }
+
+    /// Takes the next sequence number without scheduling anything: the
+    /// tie-break position an event scheduled right now would get. Insert
+    /// the event later with [`schedule_reserved`](Self::schedule_reserved),
+    /// or never (see the module docs).
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` under a key reserved earlier: it pops exactly
+    /// where it would have had it been scheduled at
+    /// [`reserve_seq`](Self::reserve_seq) time.
+    ///
+    /// # Panics
+    /// Panics unless `(at, seq)` is after [`current_key`](Self::current_key)
+    /// — a key at or before it names an instant that has already passed —
+    /// or if `seq` was never handed out.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        assert!(
+            (at, seq) > self.current_key() && seq < self.next_seq,
+            "reserved key ({at}, {seq}) is not pending: current key ({}, {}), next seq {}",
+            self.now,
+            self.now_seq,
+            self.next_seq
+        );
+        self.insert(NIL, at, seq, event);
     }
 
     /// Number of pending events, lane-held ones included.
@@ -238,7 +305,8 @@ impl EventQueue {
     /// Panics if `at` is in the past — events may only be scheduled at or
     /// after the current time.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        self.insert(NIL, at, event);
+        let seq = self.reserve_seq();
+        self.insert(NIL, at, seq, event);
     }
 
     /// Schedules `event` at absolute time `at`, returning a handle that
@@ -249,7 +317,8 @@ impl EventQueue {
     /// Panics if `at` is in the past — events may only be scheduled at or
     /// after the current time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: Event) -> TimerHandle {
-        let slot = self.insert(NIL, at, event);
+        let seq = self.reserve_seq();
+        let slot = self.insert(NIL, at, seq, event);
         TimerHandle {
             slot,
             gen: self.gen[slot as usize],
@@ -271,22 +340,23 @@ impl EventQueue {
         } else {
             NIL
         };
-        self.insert(lane, at, event);
+        let seq = self.reserve_seq();
+        self.insert(lane, at, seq, event);
     }
 
-    /// The one scheduling path: takes a sequence number and a slab slot,
-    /// then either appends to `lane` or pushes a heap entry (a plain one
-    /// when `lane` is [`NIL`] or the offer would unsort the lane, the
-    /// lane's new head when the lane was empty). Returns the slot.
+    /// The one scheduling path: takes a slab slot, then either appends to
+    /// `lane` or pushes a heap entry (a plain one when `lane` is [`NIL`] or
+    /// the offer would unsort the lane, the lane's new head when the lane
+    /// was empty). `seq` is fresh from [`reserve_seq`](Self::reserve_seq)
+    /// except on the reserved path, which never names a lane. Returns the
+    /// slot.
     #[inline]
-    fn insert(&mut self, mut lane: u32, at: SimTime, event: Event) -> u32 {
+    fn insert(&mut self, mut lane: u32, at: SimTime, seq: u64, event: Event) -> u32 {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let unlinked = LaneLink { at, seq, next: NIL };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -382,8 +452,7 @@ impl EventQueue {
         if !self.is_live(handle) {
             return false;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         let i = self.pos[handle.slot as usize] as usize;
         debug_assert_eq!(self.heap[i].slot, handle.slot);
         let went_earlier = (at, seq) < self.heap[i].key();
@@ -438,6 +507,7 @@ impl EventQueue {
         }
         debug_assert!(top.at >= self.now, "heap returned an out-of-order event");
         self.now = top.at;
+        self.now_seq = top.seq;
         Some((top.at, self.free_slot(top.slot)))
     }
 
@@ -467,9 +537,8 @@ impl EventQueue {
             match entry {
                 Event::Arrival { .. } | Event::Inject { .. } => census.packets += 1,
                 Event::Timer { .. } => census.timers += 1,
-                Event::TxDone { .. } | Event::FlowStart { .. } | Event::Fault(_) => {
-                    census.other += 1
-                }
+                Event::TxDone { .. } => census.tx_done += 1,
+                Event::FlowStart { .. } | Event::Fault(_) => census.other += 1,
             }
         }
         census
@@ -632,49 +701,87 @@ mod tests {
         at
     }
 
-    /// Random interleaving of schedules, lane offers and pops against a
-    /// reference model: the queue must agree with a sorted `(time, seq)`
-    /// list at every step, whichever of heap and lane an event went to.
+    /// Random interleaving of schedules, lane offers, key reservations and
+    /// pops against a reference model: the queue must agree with a sorted
+    /// `(time, seq)` list at every step, whichever of heap and lane an event
+    /// went to. A reserved key enters the reference with the tag it was
+    /// given at reservation — i.e. where an eager schedule would have put it
+    /// — but only once it is materialised: at once, pops later (timestamp
+    /// ties on both sides of it by then), or never.
     #[test]
     fn randomized_interleaving_matches_reference() {
         let mut rng = trace::SplitMix64::new(0xE7E7);
         let mut q = EventQueue::with_lanes(0, 4);
         let mut latest = [0u64; 4];
         let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, tag)
+        let mut reserved: Vec<(u64, u64, u64)> = Vec::new(); // (time, seq, tag)
         let mut next_tag = 0u64;
         let (mut appended, mut fell_through) = (0u32, 0u32);
+        let (mut early, mut late, mut never) = (0u32, 0u32, 0u32);
         for _ in 0..10_000 {
-            if reference.is_empty() || rng.next_bounded(3) > 0 {
-                let at = if rng.next_bounded(2) == 0 {
-                    let at = q.now().0 + rng.next_bounded(50);
-                    q.schedule(SimTime(at), dummy(next_tag));
-                    at
-                } else {
-                    let (heap_before, busy_before) = (q.heap.len(), busy_lanes(&q));
-                    let at = offer_on_random_lane(&mut rng, &mut q, &mut latest, dummy(next_tag));
-                    if q.heap.len() == heap_before {
-                        appended += 1;
-                    } else if busy_lanes(&q) == busy_before {
-                        // Grew the heap without opening a lane: the offer
-                        // was refused by its lane (or named none).
-                        fell_through += 1;
+            match rng.next_bounded(8) {
+                // Reserve a key a picosecond or three ahead (dense ties);
+                // half the time materialise it on the spot.
+                0..=1 => {
+                    let at = q.now().0 + rng.next_bounded(3);
+                    let seq = q.reserve_seq();
+                    if (SimTime(at), seq) > q.current_key() && rng.next_bounded(2) == 0 {
+                        q.schedule_reserved(SimTime(at), seq, dummy(next_tag));
+                        reference.push((at, next_tag));
+                        early += 1;
+                    } else {
+                        reserved.push((at, seq, next_tag));
                     }
-                    at
-                };
-                reference.push((at, next_tag));
-                next_tag += 1;
-            } else {
-                let (at, event) = q.pop().expect("reference non-empty");
-                // Earliest time, first-scheduled within it. Tags increase
-                // with schedule order, so min-by (time, tag) is the model.
-                let best = reference
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &(t, tag))| (t, tag))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let (want_at, want_tag) = reference.swap_remove(best);
-                assert_eq!((at.0, tag_of(&event)), (want_at, want_tag));
+                    next_tag += 1;
+                }
+                // Come back to an outstanding reservation: materialise it
+                // if its instant is still ahead, else it stays elided.
+                2 if !reserved.is_empty() => {
+                    let pick = rng.next_bounded(reserved.len() as u64) as usize;
+                    let (at, seq, tag) = reserved.swap_remove(pick);
+                    if (SimTime(at), seq) > q.current_key() {
+                        q.schedule_reserved(SimTime(at), seq, dummy(tag));
+                        reference.push((at, tag));
+                        late += 1;
+                    } else {
+                        never += 1;
+                    }
+                }
+                3..=4 if !reference.is_empty() => {
+                    let (at, event) = q.pop().expect("reference non-empty");
+                    // Earliest time, first-scheduled within it. Tags
+                    // increase with schedule (and reservation) order, so
+                    // min-by (time, tag) is the model.
+                    let best = reference
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &(t, tag))| (t, tag))
+                        .map(|(i, _)| i)
+                        .expect("non-empty");
+                    let (want_at, want_tag) = reference.swap_remove(best);
+                    assert_eq!((at.0, tag_of(&event)), (want_at, want_tag));
+                }
+                op => {
+                    let at = if op % 2 == 0 {
+                        let at = q.now().0 + rng.next_bounded(50);
+                        q.schedule(SimTime(at), dummy(next_tag));
+                        at
+                    } else {
+                        let (heap_before, busy_before) = (q.heap.len(), busy_lanes(&q));
+                        let at =
+                            offer_on_random_lane(&mut rng, &mut q, &mut latest, dummy(next_tag));
+                        if q.heap.len() == heap_before {
+                            appended += 1;
+                        } else if busy_lanes(&q) == busy_before {
+                            // Grew the heap without opening a lane: the
+                            // offer was refused by its lane (or named none).
+                            fell_through += 1;
+                        }
+                        at
+                    };
+                    reference.push((at, next_tag));
+                    next_tag += 1;
+                }
             }
             assert_eq!(q.len(), reference.len());
             assert_eq!(q.is_empty(), reference.is_empty());
@@ -682,6 +789,11 @@ mod tests {
         assert!(
             appended > 500 && fell_through > 100,
             "both lane outcomes must be exercised: {appended} appends, {fell_through} fall-throughs"
+        );
+        assert!(
+            early > 100 && late > 100 && never > 100,
+            "every fate of a reserved key must be exercised: \
+             {early} at once, {late} later, {never} never"
         );
         // Drain; times must be non-decreasing to the end.
         let mut last = q.now();
@@ -691,6 +803,39 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+    }
+
+    /// A reserved key orders by its sequence number inside a timestamp:
+    /// materialised after later-scheduled events of the same picosecond, it
+    /// still pops ahead of them.
+    #[test]
+    fn a_reserved_key_pops_where_an_eager_schedule_would_have() {
+        let mut q = EventQueue::with_lanes(0, 1);
+        q.schedule(SimTime(5), dummy(0));
+        let seq = q.reserve_seq();
+        q.schedule(SimTime(5), dummy(2));
+        q.schedule_on_lane(0, SimTime(5), dummy(3));
+        assert_eq!(q.pop().map(|(_, e)| tag_of(&e)), Some(0));
+        assert_eq!(q.current_key(), (SimTime(5), 0));
+        q.schedule_reserved(SimTime(5), seq, dummy(1));
+        assert_eq!(q.census().timers, 3);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(&e))
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    /// Materialising a key whose instant has passed would pop it out of
+    /// order (or never): it is a bug in the caller, caught at the insert.
+    #[test]
+    #[should_panic(expected = "is not pending")]
+    fn materialising_a_key_at_or_before_the_current_one_panics() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.schedule(SimTime(7), dummy(0));
+        q.pop();
+        // Same picosecond as the event being handled, earlier sequence.
+        q.schedule_reserved(SimTime(7), seq, dummy(1));
     }
 
     /// A bounded-pending workload must not grow the slab beyond its peak

@@ -90,9 +90,12 @@ pub struct ExpressStats {
     pub packets: u64,
     /// Total cold hops traversed analytically.
     pub hops: u64,
-    /// Events that would have been scheduled at full fidelity but were
-    /// not: each express hop elides one TxDone and one Arrival, minus the
-    /// single event actually scheduled at the end of the walk.
+    /// Events an engine that schedules every hop's TxDone and Arrival
+    /// would have processed but the walk did not: two per express hop,
+    /// minus the single event actually scheduled at the end of the walk.
+    /// (Full fidelity itself no longer schedules every TxDone — see
+    /// `TxChurn::elided` — so compare `events + elided + saved_events`
+    /// across fidelities, not `events + saved_events`.)
     pub saved_events: u64,
     /// Express walks that hit a hot port and fell back to packet fidelity
     /// mid-path (the scheduled `Inject` re-enters the normal queue path).

@@ -62,9 +62,15 @@ pub struct FleetReport {
     pub windows: u64,
     /// Packets exchanged across shard boundaries.
     pub exchanged: u64,
+    /// Transmissions across all shards whose `TxDone` was never scheduled
+    /// (cumulative over the fleet's life, like `express`); see
+    /// [`crate::sim::RunReport::tx_elided`].
+    pub tx_elided: u64,
     /// Aggregated express-path statistics (zero when hybrid fidelity is
-    /// off). `events + express.saved_events` is the effective packet-event
-    /// rate numerator used by the fleet bench.
+    /// off). `events + tx_elided + express.saved_events` — what an engine
+    /// that schedules a `TxDone` and an `Arrival` for every hop would have
+    /// processed — is the effective packet-event rate numerator used by
+    /// the fleet bench, comparable between full and hybrid fidelity.
     pub express: ExpressStats,
     /// Invariant violations collected by any shard (empty unless a
     /// collect-mode audit was enabled on the shards).
@@ -312,7 +318,9 @@ impl FleetSim {
             }
         };
         let mut express = ExpressStats::default();
+        let mut tx_elided = 0;
         for s in &self.shards {
+            tx_elided += s.metrics().tx_churn.elided();
             if let Some(e) = s.fidelity_stats() {
                 express.packets += e.packets;
                 express.hops += e.hops;
@@ -327,6 +335,7 @@ impl FleetSim {
             events,
             windows,
             exchanged,
+            tx_elided,
             express,
             violations,
         }

@@ -34,6 +34,30 @@ pub struct TimerChurn {
     pub discarded_stale: u64,
 }
 
+/// Transmit-complete (`TxDone`) lifecycle counters. A port reserves its
+/// `TxDone`'s place in the event order at every transmit start but only
+/// schedules the event when a packet is waiting for it (see
+/// `Simulator::try_start_tx`), so the three counts differ.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TxChurn {
+    /// Transmissions started: `TxDone` keys reserved.
+    pub started: u64,
+    /// `TxDone` events actually inserted into the event queue.
+    pub scheduled: u64,
+    /// `TxDone` events that popped.
+    pub fired: u64,
+}
+
+impl TxChurn {
+    /// Transmissions whose `TxDone` was never scheduled: events an
+    /// eager-`TxDone` engine would have processed for nothing. Exact once
+    /// the simulator is idle; mid-run it also counts transmissions still on
+    /// the wire that may yet need their wake-up.
+    pub fn elided(&self) -> u64 {
+        self.started - self.scheduled
+    }
+}
+
 /// Metrics collected during one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -52,6 +76,8 @@ pub struct SimMetrics {
     pub events_processed: u64,
     /// Timer lifecycle counters (armed / rescheduled / canceled / fired).
     pub timer_churn: TimerChurn,
+    /// `TxDone` lifecycle counters (started / scheduled / fired).
+    pub tx_churn: TxChurn,
 }
 
 impl Default for SimMetrics {
@@ -63,6 +89,7 @@ impl Default for SimMetrics {
             failover_latencies: Vec::new(),
             events_processed: 0,
             timer_churn: TimerChurn::default(),
+            tx_churn: TxChurn::default(),
         }
     }
 }

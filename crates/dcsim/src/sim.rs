@@ -65,6 +65,12 @@ pub struct RunReport {
     pub end_time: SimTime,
     /// Events processed during this call.
     pub events: u64,
+    /// Transmissions so far (cumulative, like the metrics it is read from)
+    /// whose `TxDone` was never scheduled because nothing queued behind
+    /// them: `events + tx_elided` is what an eager-`TxDone` engine would
+    /// have processed, exactly so once the run is idle. See
+    /// [`TxChurn::elided`](crate::metrics::TxChurn::elided).
+    pub tx_elided: u64,
     /// Invariant violations recorded during this call (always empty unless
     /// auditing runs in [`AuditMode::Collect`]; strict mode panics instead).
     pub violations: Vec<InvariantViolation>,
@@ -88,7 +94,16 @@ impl RunReport {
 
 struct PortRuntime {
     queue: PortQueue,
-    busy: bool,
+    /// Event-queue key `(done, seq)` of the latest transmission's `TxDone`,
+    /// reserved at transmit start whether or not the event is ever
+    /// scheduled. The port is transmitting exactly while this key is after
+    /// [`EventQueue::current_key`]: every handler sees what it would have
+    /// seen had the `TxDone` been in the heap, ties within `done` included.
+    tx_done: (SimTime, u64),
+    /// True while a `TxDone` under `tx_done` is pending in the event queue.
+    /// It is scheduled only once a packet waits behind the one on the wire;
+    /// a transmission nobody queues behind never costs an event.
+    wake: bool,
 }
 
 /// Arena slot for an agent. The two agent types instantiated per flow by
@@ -242,7 +257,8 @@ impl Simulator {
         let ports = (0..topo.port_count())
             .map(|i| PortRuntime {
                 queue: PortQueue::new(topo.port(PortId(i as u32)).queue),
-                busy: false,
+                tx_done: (SimTime::ZERO, 0),
+                wake: false,
             })
             .collect();
         let port_count = topo.port_count();
@@ -585,7 +601,8 @@ impl Simulator {
             match event {
                 Event::Arrival { node, packet } => self.on_arrival(now, node, packet),
                 Event::TxDone { port } => {
-                    self.ports[port.index()].busy = false;
+                    self.ports[port.index()].wake = false;
+                    self.metrics.tx_churn.fired += 1;
                     self.try_start_tx(now, port);
                 }
                 Event::Timer { agent, kind } => {
@@ -660,6 +677,7 @@ impl Simulator {
             stop,
             end_time: self.now(),
             events,
+            tx_elided: self.metrics.tx_churn.elided(),
             violations: std::mem::take(&mut self.violations),
         }
     }
@@ -740,6 +758,32 @@ impl Simulator {
                 canceled: churn.canceled,
                 pending: census.timers,
                 discarded_stale: churn.discarded_stale,
+            });
+        }
+
+        // `TxDone` accounting: every scheduled wake-up fired or is pending,
+        // the ports expecting one are exactly the pending ones, and no
+        // link-up port sits on packets without transmitting *and* having
+        // its wake-up scheduled (a lost wake-up strands the queue forever).
+        let tx = self.metrics.tx_churn;
+        let key = self.events.current_key();
+        let waking = self.ports.iter().filter(|rt| rt.wake).count() as u64;
+        let stranded = self.ports.iter().enumerate().position(|(i, rt)| {
+            let draining = rt.wake && rt.tx_done > key;
+            !self.link_down[i] && !rt.queue.is_empty() && !draining
+        });
+        if tx.scheduled != tx.fired + census.tx_done
+            || waking != census.tx_done
+            || stranded.is_some()
+        {
+            found.push(InvariantViolation::TxAccounting {
+                at: now,
+                started: tx.started,
+                scheduled: tx.scheduled,
+                fired: tx.fired,
+                pending: census.tx_done,
+                waking,
+                stranded: stranded.map(|i| PortId(i as u32)),
             });
         }
 
@@ -1062,8 +1106,9 @@ impl Simulator {
         }
         fid.stats.packets += 1;
         fid.stats.hops += hops;
-        // Each analytic hop elides one TxDone and one Arrival; the walk
-        // then schedules a single real event.
+        // Each analytic hop stands for one TxDone and one Arrival of an
+        // every-hop-scheduled run; the walk then schedules a single real
+        // event.
         fid.stats.saved_events += 2 * hops - 1;
         self.ledger.express += 1;
         true
@@ -1082,59 +1127,75 @@ impl Simulator {
 
     /// Starts transmitting the next queued packet if the port is idle:
     /// store-and-forward — the packet is delivered to the next node after
-    /// serialization plus propagation.
+    /// serialization plus propagation. If the port is (or now is)
+    /// transmitting with packets waiting, makes sure its `TxDone` is
+    /// scheduled to come back for them.
     fn try_start_tx(&mut self, now: SimTime, port: PortId) {
         if self.link_down[port.index()] {
             return;
         }
         let rt = &mut self.ports[port.index()];
-        if rt.busy {
-            return;
-        }
-        let Some(pkt) = rt.queue.dequeue() else {
-            return;
-        };
-        rt.busy = true;
-        let spec = self.topo.port(port);
-        let ser = spec.link.bandwidth.serialize_time(pkt.size);
-        // With hybrid fidelity the transmitter may owe virtual backlog from
-        // an earlier express walk; serialize behind it so per-port FIFO
-        // ordering survives the fidelity transition. Disabled, `start` is
-        // `now` and the schedule is bit-identical to the pre-fidelity
-        // engine.
-        let start = match &self.fidelity {
-            Some(f) => SimTime(now.0.max(f.free_at[port.index()])),
-            None => now,
-        };
-        let done = start + ser;
-        let arrive = done + spec.link.latency;
-        let to = spec.to;
-        self.events.schedule(done, Event::TxDone { port });
-        if let Some(f) = &mut self.fidelity {
-            f.free_at[port.index()] = done.0;
-        }
-        let exported = match &self.shard_of {
-            Some(of) if of[to.index()] != self.my_shard => {
-                self.outbox.push((arrive, port, pkt));
-                self.ledger.exported += 1;
-                true
+        if rt.tx_done <= self.events.current_key() {
+            let Some(pkt) = rt.queue.dequeue() else {
+                return;
+            };
+            let spec = self.topo.port(port);
+            let ser = spec.link.bandwidth.serialize_time(pkt.size);
+            // With hybrid fidelity the transmitter may owe virtual backlog
+            // from an earlier express walk; serialize behind it so per-port
+            // FIFO ordering survives the fidelity transition. Disabled,
+            // `start` is `now` and the schedule is bit-identical to the
+            // pre-fidelity engine. `free_at` stays separate from `tx_done`:
+            // an express reservation has no sequence number to compare
+            // against the current key, and must not read as "transmitting"
+            // — a port whose only backlog is virtual starts the next real
+            // packet at once, timed behind that backlog.
+            let start = match &self.fidelity {
+                Some(f) => SimTime(now.0.max(f.free_at[port.index()])),
+                None => now,
+            };
+            let done = start + ser;
+            let arrive = done + spec.link.latency;
+            let to = spec.to;
+            // The `TxDone`'s place in the global order is fixed here, where
+            // it used to be scheduled, so every other event keeps its key.
+            rt.tx_done = (done, self.events.reserve_seq());
+            self.metrics.tx_churn.started += 1;
+            if let Some(f) = &mut self.fidelity {
+                f.free_at[port.index()] = done.0;
             }
-            _ => false,
-        };
-        if !exported {
-            // `arrive` never runs backwards on one port (each `start` is at
-            // or after the previous `done`, latency is constant), so this is
-            // an append behind the port's other in-flight packets.
-            self.events.schedule_on_lane(
-                port.index(),
-                arrive,
-                Event::Arrival {
-                    node: to,
-                    packet: pkt,
-                },
-            );
+            let exported = match &self.shard_of {
+                Some(of) if of[to.index()] != self.my_shard => {
+                    self.outbox.push((arrive, port, pkt));
+                    self.ledger.exported += 1;
+                    true
+                }
+                _ => false,
+            };
+            if !exported {
+                // `arrive` never runs backwards on one port (each `start` is
+                // at or after the previous `done`, latency is constant), so
+                // this is an append behind the port's other in-flight
+                // packets.
+                self.events.schedule_on_lane(
+                    port.index(),
+                    arrive,
+                    Event::Arrival {
+                        node: to,
+                        packet: pkt,
+                    },
+                );
+            }
+            self.sample_trace(now, port);
         }
-        self.sample_trace(now, port);
+        let rt = &mut self.ports[port.index()];
+        if !rt.wake && !rt.queue.is_empty() {
+            rt.wake = true;
+            self.metrics.tx_churn.scheduled += 1;
+            let (done, seq) = rt.tx_done;
+            self.events
+                .schedule_reserved(done, seq, Event::TxDone { port });
+        }
     }
 
     /// Invokes an agent handler and applies the effects it produced.
@@ -1704,5 +1765,347 @@ mod dispatch_tests {
                 .counter(crate::agent::Counter::PacketsLostToFault)
                 > 0
         );
+    }
+}
+
+/// Lazy `TxDone`: a port schedules its transmit-complete event only when a
+/// packet is waiting for it. Every scenario runs under the strict auditor
+/// checking after every event, on a star small enough to time by hand:
+/// 1500 B at 100 Gbps serializes in 120 ns, links propagate in 1 µs.
+#[cfg(test)]
+mod tx_done_tests {
+    use super::*;
+    use crate::faults::FaultPlan;
+    use crate::metrics::TxChurn;
+    use crate::queues::QueueConfig;
+    use crate::time::Bandwidth;
+    use crate::topology::{LinkProps, TopologyBuilder};
+    use std::sync::Mutex;
+
+    const SER: u64 = 120_000;
+    const HOP: u64 = 1_000_000;
+
+    /// Sends its script when started: one full-size data packet per
+    /// `(delay, seq)`, immediately for a zero delay, through an `Inject`
+    /// event otherwise.
+    struct Script {
+        flow: FlowId,
+        src: HostId,
+        dst: HostId,
+        sends: Vec<(u64, u64)>,
+    }
+    impl Agent for Script {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for &(delay, seq) in &self.sends {
+                let pkt = Packet::data(self.flow, seq, self.src, self.dst, 0);
+                ctx.send_after(SimDuration(delay), self.src, pkt);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx) {}
+    }
+
+    /// Logs `(flow, seq, arrival time)` of everything delivered to it.
+    struct Sink(Arc<Mutex<Vec<(u32, u64, u64)>>>);
+    impl Agent for Sink {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+            self.0
+                .lock()
+                .expect("lock")
+                .push((pkt.flow.0, pkt.seq, ctx.now.0));
+        }
+    }
+
+    /// Hosts 0, 1 (datacenter links) and 2 (a 400 Gbps / 10 ns link) feed
+    /// one switch; host 3 hangs off it behind the port under study.
+    struct Star {
+        sim: Simulator,
+        log: Arc<Mutex<Vec<(u32, u64, u64)>>>,
+        sink: AgentId,
+        /// The switch's port toward host 3.
+        down: PortId,
+    }
+
+    const SINK: HostId = HostId(3);
+
+    fn star() -> Star {
+        let mut b = TopologyBuilder::new();
+        let switch = b.add_switch(NodeRole::Leaf, Some(0));
+        let fast = LinkProps {
+            bandwidth: Bandwidth::gbps(400),
+            latency: SimDuration::from_nanos(10),
+        };
+        for link in [
+            LinkProps::datacenter(),
+            LinkProps::datacenter(),
+            fast,
+            LinkProps::datacenter(),
+        ] {
+            let host = b.add_host(Some(0));
+            b.add_duplex(
+                b.host_node(host),
+                switch,
+                link,
+                QueueConfig::host(),
+                QueueConfig::datacenter(),
+            );
+        }
+        let mut sim = Simulator::new(b.build(), 1);
+        sim.set_audit(AuditConfig::strict().every(Some(1)));
+        let down = sim.topology().down_tor_port(SINK);
+        sim.trace_port(down);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sink = sim.add_agent(Box::new(Sink(log.clone())));
+        Star {
+            sim,
+            log,
+            sink,
+            down,
+        }
+    }
+
+    impl Star {
+        /// Installs a scripted sender on `src`, started at `start`.
+        fn sender(&mut self, src: HostId, start: u64, sends: &[(u64, u64)]) {
+            let flow = self.sim.new_flow();
+            let agent = self.sim.add_agent(Box::new(Script {
+                flow,
+                src,
+                dst: SINK,
+                sends: sends.to_vec(),
+            }));
+            self.sim.bind(flow, src, agent);
+            self.sim.bind(flow, SINK, self.sink);
+            self.sim.schedule_start(SimTime(start), agent);
+        }
+
+        fn nic(&self, host: HostId) -> PortId {
+            let topo = self.sim.topology();
+            topo.ports_of(topo.host_node(host))[0]
+        }
+
+        /// Runs to idle and returns the delivery log and the `TxDone`
+        /// ledger, which must have balanced with nothing left pending.
+        fn finish(&mut self) -> (Vec<(u32, u64, u64)>, TxChurn) {
+            let report = self.sim.run(None);
+            assert_eq!(report.stop, StopReason::Idle);
+            let tx = self.sim.metrics().tx_churn;
+            assert_eq!(tx.scheduled, tx.fired, "{tx:?}");
+            assert_eq!(report.tx_elided, tx.elided());
+            let ledger = *self.sim.ledger();
+            assert_eq!(ledger.created, ledger.terminal(), "{ledger:?}");
+            (self.log.lock().expect("lock").clone(), tx)
+        }
+    }
+
+    /// (a) Two packets reach the switch in the very picosecond the port's
+    /// first transmission completes — one whose `Arrival` is ordered before
+    /// the port's reserved `TxDone` key, one after. Store-and-forward by
+    /// hand: the first must still queue behind the packet on the wire (and
+    /// is what makes that `TxDone` worth scheduling), the second finds the
+    /// first already transmitting.
+    #[test]
+    fn same_picosecond_arrivals_on_both_sides_of_an_elided_tx_done() {
+        let mut s = star();
+        // p0 reaches the switch at t0 and leaves it at t0 + SER.
+        let t0 = SER + HOP;
+        s.sender(HostId(0), 0, &[(0, 0)]);
+        // p1 leaves its NIC before t0 (so its Arrival is keyed before the
+        // port's TxDone) and reaches the switch at exactly t0 + SER.
+        s.sender(HostId(1), SER, &[(0, 0)]);
+        // p2 leaves its NIC after t0 (keyed after) over the short fast
+        // link: 30 ns of serialization plus 10 ns of propagation.
+        let fast_hop = 30_000 + 10_000;
+        assert!(t0 + SER - fast_hop > t0);
+        s.sender(HostId(2), t0 + SER - fast_hop, &[(0, 0)]);
+        let (log, tx) = s.finish();
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, t0 + SER + HOP),
+                (1, 0, t0 + 2 * SER + HOP),
+                (2, 0, t0 + 3 * SER + HOP),
+            ]
+        );
+        let trace: Vec<(u64, u64)> = s
+            .sim
+            .port_trace(s.down)
+            .iter()
+            .map(|&(t, b)| (t.0, b))
+            .collect();
+        assert_eq!(
+            trace,
+            vec![
+                (t0, 1500),       // p0 offered to the idle port...
+                (t0, 0),          // ...and on the wire at once
+                (t0 + SER, 1500), // p1 queues: p0's TxDone is later this ps
+                (t0 + SER, 0),    // that TxDone: p1 on the wire
+                (t0 + SER, 1500), // p2 queues behind p1
+                (t0 + 2 * SER, 0),
+            ]
+        );
+        // Six transmissions (three NICs, three on the port under study);
+        // only p0's and p1's on that port had anyone waiting for them.
+        assert_eq!(
+            tx,
+            TxChurn {
+                started: 6,
+                scheduled: 2,
+                fired: 2
+            }
+        );
+        // 3 flow starts + 3 arrivals at the switch + 3 deliveries + 2.
+        assert_eq!(s.sim.metrics().events_processed, 11);
+    }
+
+    /// (b) The link goes down mid-transmission with packets queued and
+    /// comes back after that transmission's `done`: the scheduled `TxDone`
+    /// fires into a dead link, `LinkUp` restarts the port, the queue drains.
+    #[test]
+    fn link_down_across_done_then_link_up_drains_the_queue() {
+        let mut s = star();
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1), (0, 2)]);
+        let nic = s.nic(HostId(0));
+        let up = 500_000;
+        s.sim
+            .install_faults(&FaultPlan::new().link_down_window(nic, SimTime(SER / 2), SimTime(up)))
+            .expect("valid plan");
+        let (log, tx) = s.finish();
+        // p0 was on the wire when the link died and still arrives; p1 and
+        // p2 leave the NIC at `up + SER` and `up + 2·SER`, one switch
+        // transmission and two propagation delays from the sink.
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, SER + HOP + SER + HOP),
+                (0, 1, up + SER + HOP + SER + HOP),
+                (0, 2, up + 2 * SER + HOP + SER + HOP),
+            ]
+        );
+        // NIC: p0's and p1's TxDones had a queue behind them, p2's did not.
+        // Switch port: p2 arrives in the picosecond p1's transmission ends.
+        assert_eq!(
+            tx,
+            TxChurn {
+                started: 6,
+                scheduled: 3,
+                fired: 3
+            }
+        );
+    }
+
+    /// (c) A delayed send (`Inject`) lands on the NIC at exactly `done`.
+    /// Emitted before the immediate send its key precedes the port's
+    /// reserved one and it must queue for a picosecond; emitted after, it
+    /// finds the port idle. Departure is `done` either way.
+    #[test]
+    fn inject_landing_exactly_at_done() {
+        for (sends, scheduled) in [([(SER, 1), (0, 0)], 1), ([(0, 0), (SER, 1)], 0)] {
+            let mut s = star();
+            s.sender(HostId(0), 0, &sends);
+            let (log, tx) = s.finish();
+            assert_eq!(
+                log,
+                vec![
+                    (0, 0, SER + HOP + SER + HOP),
+                    (0, 1, 2 * SER + HOP + SER + HOP),
+                ],
+                "{sends:?}"
+            );
+            // On the switch port the second packet arrives as the first
+            // one's transmission ends, keyed before it: one more wake-up.
+            assert_eq!(
+                tx,
+                TxChurn {
+                    started: 4,
+                    scheduled: scheduled + 1,
+                    fired: scheduled + 1
+                },
+                "{sends:?}"
+            );
+        }
+    }
+
+    /// (d) The same at hybrid fidelity, behind virtual backlog. Two packets
+    /// cross the cold NIC analytically (`free_at` = 240 ns); the NIC is then
+    /// pinned hot, and at 100 ns a real packet is offered: it is on the wire
+    /// at once — an express reservation is not a transmission, there is no
+    /// `TxDone` to wait for — but timed behind the backlog, `done` = 360 ns,
+    /// which is where the `Inject` (keyed before the reserved `TxDone`)
+    /// lands and queues.
+    #[test]
+    fn inject_landing_exactly_at_done_behind_virtual_backlog() {
+        let mut s = star();
+        s.sim.set_fidelity(FidelityConfig::default());
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1)]);
+        s.sender(HostId(0), 100_000, &[(3 * SER - 100_000, 1), (0, 0)]);
+        let nic = s.nic(HostId(0));
+        let early = s.sim.run(Some(SimTime::ZERO));
+        assert_eq!(early.stop, StopReason::TimeLimit);
+        assert_eq!(s.sim.fidelity_stats().expect("enabled").packets, 2);
+        assert_eq!(s.sim.metrics().tx_churn, TxChurn::default());
+        s.sim.pin_hot_port(nic);
+        let (log, tx) = s.finish();
+        // Back-to-back off the NIC at k·SER whichever path took them; the
+        // switch port is cold throughout and adds SER + HOP to each.
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, SER + HOP + SER + HOP),
+                (0, 1, 2 * SER + HOP + SER + HOP),
+                (1, 0, 3 * SER + HOP + SER + HOP),
+                (1, 1, 4 * SER + HOP + SER + HOP),
+            ]
+        );
+        // The only real transmissions are the NIC's last two.
+        assert_eq!(
+            tx,
+            TxChurn {
+                started: 2,
+                scheduled: 1,
+                fired: 1
+            }
+        );
+    }
+
+    /// The audit's reason to exist: a port that believes its wake-up is
+    /// scheduled when it is not never drains. Corrupt one port's private
+    /// state by hand and the very next check names it, long before a
+    /// liveness watchdog could notice a stuck flow.
+    #[test]
+    #[should_panic(expected = "TxDone accounting broken")]
+    fn a_wake_up_flagged_but_never_scheduled_is_a_tx_accounting_violation() {
+        let mut s = star();
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1)]);
+        let nic = s.nic(HostId(0));
+        s.sim.ports[nic.index()].wake = true;
+        s.sim.run(None);
+    }
+
+    /// The same corruption in collect mode, past the point where it bites:
+    /// the second packet is stranded behind a transmission that ended, the
+    /// report says which port, and no `StuckFlow` was needed to find it.
+    #[test]
+    fn collect_mode_reports_the_stranded_port() {
+        let mut s = star();
+        s.sim.set_audit(AuditConfig::collect().every(None));
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1)]);
+        let nic = s.nic(HostId(0));
+        s.sim.ports[nic.index()].wake = true;
+        let report = s.sim.run(None);
+        assert_eq!(report.stop, StopReason::Idle);
+        match report.violations.as_slice() {
+            // The stranded packet also unbalances nothing else: it is
+            // still counted as queued.
+            [InvariantViolation::TxAccounting {
+                scheduled: 0,
+                fired: 0,
+                pending: 0,
+                waking: 1,
+                stranded: Some(port),
+                ..
+            }] => assert_eq!(*port, nic),
+            other => panic!("expected one TxAccounting violation, got {other:?}"),
+        }
+        assert_eq!(s.log.lock().expect("lock").len(), 1);
     }
 }

@@ -46,7 +46,7 @@ cargo test "${OFFLINE[@]}" --test timer_identity -q
 echo "== cargo test"
 cargo test --workspace "${OFFLINE[@]}" -q
 
-echo "== results/ (every study of 'figures --list' regenerates its committed results/<study>.txt byte for byte; ~5.5 min on 2 vCPUs)"
+echo "== results/ (every study of 'figures --list' regenerates its committed results/<study>.txt byte for byte; ~4 min on 2 vCPUs)"
 cargo build --release "${OFFLINE[@]}" -q -p bench --bin figures
 for study in $(target/release/figures --list); do
   target/release/figures "$study" | diff - "results/$study.txt"

@@ -8,14 +8,21 @@
 //! values below were captured from the epoch-based implementation
 //! immediately before the conversion; any drift is a correctness bug, not
 //! noise.
+//!
+//! The lazy-`TxDone` change (a port schedules its transmit-complete event
+//! only when a packet is waiting for it) is pinned the same way against the
+//! commit before it: every row carries that commit's `events_processed`,
+//! and `events + tx_churn.elided()` must equal it exactly — the events that
+//! went are the no-op `TxDone`s and nothing else moved.
 
 use dcsim::prelude::*;
 use incast_core::scheme::Transport;
 use incast_core::{install_incast, ExperimentConfig, Scheme};
 
 /// Per-flow completion times, an FNV-1a hash of the receiver down-ToR
-/// occupancy trace, and the events processed for one small-config run.
-fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64) {
+/// occupancy trace, the events processed and the `TxDone`s elided for one
+/// small-config run.
+fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64, u64) {
     let params = config
         .topo
         .with_trim(config.trim.enabled_for(config.scheme));
@@ -55,7 +62,8 @@ fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64) {
             h = h.wrapping_mul(0x100000001b3);
         }
     }
-    (fcts, h, sim.metrics().events_processed)
+    let metrics = sim.metrics();
+    (fcts, h, metrics.events_processed, metrics.tx_churn.elided())
 }
 
 fn windowed_config(scheme: Scheme) -> ExperimentConfig {
@@ -76,17 +84,44 @@ fn rate_config(scheme: Scheme) -> ExperimentConfig {
     }
 }
 
-/// One golden row: (config, expected FCTs, expected trace hash, events
-/// processed by the *epoch-based* implementation). FCTs and hashes must
-/// match exactly; the event count must come in strictly below the old one.
-fn check(config: &ExperimentConfig, want_fcts: &[u64], want_hash: u64, old_events: u64) {
-    let (fcts, hash, events) = run_traced(config, 42);
+/// One row pinned against the last eager-`TxDone` commit: (config, expected
+/// FCTs, expected trace hash, events that commit processed). FCTs and hashes
+/// must match exactly, and the event count must differ by exactly the
+/// `TxDone`s elided. Returns the events processed.
+fn check_against_eager_tx_done(
+    config: &ExperimentConfig,
+    want_fcts: &[u64],
+    want_hash: u64,
+    eager_tx_done_events: u64,
+) -> u64 {
+    let (fcts, hash, events, elided) = run_traced(config, 42);
     assert_eq!(fcts, want_fcts, "FCT drift under {:?}", config.scheme);
     assert_eq!(
         hash, want_hash,
         "queue-trace drift under {:?}",
         config.scheme
     );
+    assert_eq!(
+        events + elided,
+        eager_tx_done_events,
+        "{:?}: {events} events + {elided} elided TxDones must be exactly \
+         what the eager-TxDone engine processed",
+        config.scheme
+    );
+    events
+}
+
+/// One golden row: the eager-`TxDone` pin above plus the events processed
+/// by the *epoch-based* implementation, which the event count must come in
+/// strictly below.
+fn check(
+    config: &ExperimentConfig,
+    want_fcts: &[u64],
+    want_hash: u64,
+    old_events: u64,
+    eager_tx_done_events: u64,
+) {
+    let events = check_against_eager_tx_done(config, want_fcts, want_hash, eager_tx_done_events);
     assert!(
         events < old_events,
         "{:?}: {events} events, expected strictly fewer than the \
@@ -102,24 +137,28 @@ fn windowed_schemes_are_bit_identical_to_pre_rework_goldens() {
         &[372_000_000, 371_880_000, 371_640_000],
         0x5366c312027f8b01,
         34_878,
+        33_483,
     );
     check(
         &windowed_config(Scheme::ProxyNaive),
         &[383_622_400, 379_662_400, 383_262_400],
         0x0e452dd942163a81,
         59_988,
+        55_806,
     );
     check(
         &windowed_config(Scheme::ProxyStreamlined),
         &[376_660_000, 376_780_000, 376_900_000],
         0x5b3b8dfb27605a01,
         59_988,
+        58_593,
     );
     check(
         &windowed_config(Scheme::ProxyDetecting),
         &[377_831_200, 378_071_200, 378_191_200],
         0x6f81574b5c042fe5,
         67_017,
+        65_482,
     );
 }
 
@@ -130,12 +169,33 @@ fn rate_based_schemes_are_bit_identical_to_pre_rework_goldens() {
         &[483_120_000, 483_360_000, 483_240_000],
         0xe4d396e545e6e901,
         39_054,
+        34_875,
     );
     check(
         &rate_config(Scheme::ProxyStreamlined),
         &[488_020_000, 488_140_000, 488_260_000],
         0x11a2e4f818244e01,
         64_164,
+        59_985,
+    );
+}
+
+/// The two rate-based rows the epoch-era goldens never covered, so both
+/// transports × all four schemes are pinned against the eager-`TxDone`
+/// engine (values captured from the commit before the lazy-`TxDone` change).
+#[test]
+fn remaining_rate_based_schemes_match_the_eager_tx_done_engine() {
+    check_against_eager_tx_done(
+        &rate_config(Scheme::ProxyNaive),
+        &[395_986_803, 364_395_517, 397_321_425],
+        0x371a6ccd7d4f9cd1,
+        57_201,
+    );
+    check_against_eager_tx_done(
+        &rate_config(Scheme::ProxyDetecting),
+        &[488_020_000, 488_140_000, 488_260_000],
+        0x11a2e4f818244e01,
+        59_991,
     );
 }
 
