@@ -14,7 +14,7 @@ use trace::SplitMix64;
 /// the steady state of a big simulation, where every pop is followed by a
 /// re-schedule further in the future. Sweeps the pending-set size from
 /// 10k to 1M to expose cache effects in the queue's layout (plain
-/// `schedule`, everything in the heap), then runs the lane-shaped case.
+/// `schedule`, everything in the heap), then runs the two lane-shaped cases.
 fn bench_event_queue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_churn");
     group.throughput(Throughput::Elements(1));
@@ -78,6 +78,44 @@ fn bench_event_queue_churn(c: &mut Criterion) {
             let lane = node.index();
             last[lane] += 1 + rng.next_bounded(1000);
             q.schedule_on_lane(lane, SimTime(last[lane]), arrival(lane));
+            at
+        });
+    });
+    // The same window as the simulator schedules it: 64 ports in two delay
+    // classes, packets of two sizes. The port a popped arrival came from
+    // sends its next packet *now*, to arrive a delay later that only its
+    // class and size decide, and offers it to the class's lane for the size
+    // first and to its own second. Offers reach a class lane in the order
+    // they fire, so it takes them all and the heap holds four heads.
+    group.bench_function("delay_class_lanes", |b| {
+        const PORTS: usize = 64;
+        const WINDOW: u64 = 10_000;
+        // Serialization + propagation in ps, [class][size]: 100 Gbps / 1 µs
+        // and 400 Gbps / 10 ns links, 1500 B and 64 B packets.
+        const DELAY: [[u64; 2]; 2] = [[1_120_000, 1_005_120], [40_000, 11_280]];
+        let mut q = EventQueue::with_lanes(WINDOW as usize, PORTS + 4);
+        let mut rng = SplitMix64::new(42);
+        let mut offer = |q: &mut EventQueue, now: u64, port: usize| {
+            let class = port % 2;
+            let size = (rng.next_bounded(4) == 0) as usize;
+            q.schedule_on_lanes(
+                [PORTS + 2 * class + size, port],
+                SimTime(now + DELAY[class][size]),
+                Event::Arrival {
+                    node: NodeId(port as u32),
+                    packet: Packet::data(FlowId(0), 0, HostId(0), HostId(1), 0),
+                },
+            );
+        };
+        for k in 0..WINDOW {
+            offer(&mut q, 100 * k, k as usize % PORTS);
+        }
+        b.iter(|| {
+            let (at, event) = q.pop().expect("non-empty");
+            let Event::Arrival { node, .. } = event else {
+                unreachable!("only arrivals are scheduled")
+            };
+            offer(&mut q, at.0, node.index());
             at
         });
     });

@@ -218,7 +218,7 @@ fn main() {
     let effective_rate = effective as f64 / wall_secs;
     if cli.json {
         println!(
-            "{{\"suite\":\"fleet\",\"pods\":{},\"shards\":{},\"threads\":{},\"degree\":{},\"background_per_dc\":{},\"mb_per_sender\":{},\"fidelity\":{},\"seed\":{},\"flows\":{},\"events\":{},\"tx_elided\":{},\"saved_events\":{},\"effective_events\":{},\"express_deferrals\":{},\"windows\":{},\"exchanged\":{},\"end_time_secs\":{:.6},\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"effective_events_per_sec\":{:.0}}}",
+            "{{\"suite\":\"fleet\",\"pods\":{},\"shards\":{},\"threads\":{},\"degree\":{},\"background_per_dc\":{},\"mb_per_sender\":{},\"fidelity\":{},\"seed\":{},\"flows\":{},\"events\":{},\"tx_elided\":{},\"saved_events\":{},\"effective_events\":{},\"express_deferrals\":{},\"lane_appended\":{},\"lane_pushed\":{},\"lane_refused\":{},\"windows\":{},\"exchanged\":{},\"end_time_secs\":{:.6},\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"effective_events_per_sec\":{:.0}}}",
             cli.pods,
             fleet.num_shards(),
             cli.threads,
@@ -233,6 +233,9 @@ fn main() {
             report.express.saved_events,
             effective,
             report.express.deferrals,
+            report.lane_churn.appended,
+            report.lane_churn.pushed,
+            report.lane_churn.refused,
             report.windows,
             report.exchanged,
             report.end_time.0 as f64 / 1e12,
@@ -254,6 +257,10 @@ fn main() {
             "  {} events + {} TxDones never scheduled + {} saved = {} effective in {:.3}s wall ({} windows, {} cross-shard packets)",
             report.events, report.tx_elided, report.express.saved_events, effective, wall_secs,
             report.windows, report.exchanged,
+        );
+        println!(
+            "  event queue: {} inserts appended to a lane, {} pushed into the heap; lanes refused an offer {} times",
+            report.lane_churn.appended, report.lane_churn.pushed, report.lane_churn.refused,
         );
         println!(
             "  {:.2}M events/sec raw, {:.2}M events/sec effective",

@@ -241,6 +241,10 @@ pub enum InvariantViolation {
         waking: u64,
         stranded: Option<PortId>,
     },
+    /// The event queue's own structure is broken (an unsorted lane, a lane
+    /// head missing from the heap or tagged wrong, `queued` off, a stale
+    /// heap index): what is pending may be right and still pop out of order.
+    EventQueueAccounting { at: SimTime, detail: String },
     /// A bound, started, uncrashed flow has made no forward progress for
     /// longer than the watchdog horizon (or the simulator went idle with the
     /// flow incomplete).
@@ -270,6 +274,7 @@ impl InvariantViolation {
             InvariantViolation::QueueAccounting { .. } => "QueueAccounting",
             InvariantViolation::TimerAccounting { .. } => "TimerAccounting",
             InvariantViolation::TxAccounting { .. } => "TxAccounting",
+            InvariantViolation::EventQueueAccounting { .. } => "EventQueueAccounting",
             InvariantViolation::StuckFlow { .. } => "StuckFlow",
             InvariantViolation::LeaseAccounting { .. } => "LeaseAccounting",
         }
@@ -347,6 +352,9 @@ impl fmt::Display for InvariantViolation {
                     Some(port) => write!(f, "; {port:?} holds packets nothing will drain"),
                     None => Ok(()),
                 }
+            }
+            InvariantViolation::EventQueueAccounting { at, detail } => {
+                write!(f, "event queue structure broken at {at}: {detail}")
             }
             InvariantViolation::StuckFlow {
                 at,

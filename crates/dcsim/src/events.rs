@@ -20,30 +20,48 @@
 //! # Lanes
 //!
 //! Most pending events of a packet simulation are packets in flight on a
-//! link, and their order *on that link* is already known: a link delivers
-//! in the order it transmitted. Holding each of them as its own heap entry
-//! makes every push and pop sift through thousands of entries whose
-//! relative order was never in question. A **lane**
-//! ([`EventQueue::with_lanes`], [`EventQueue::schedule_on_lane`]) is a FIFO
-//! of pending events sorted by `(time, seq)`, threaded through the shared
-//! slab by a per-slot `next` link, and only the lane's *head* owns a heap
-//! entry:
+//! link, and their order is already known: a link delivers in the order it
+//! transmitted, and links of equal delay deliver in the order they all
+//! transmitted. Holding each event as its own heap entry makes every push
+//! and pop sift through entries whose relative order was never in question.
+//! A **lane** ([`EventQueue::with_lanes`], [`EventQueue::schedule_on_lanes`])
+//! is a FIFO of pending events sorted by `(time, seq)`, threaded through the
+//! shared slab by a per-slot `next` link, and only the lane's *head* owns a
+//! heap entry:
 //!
 //! * scheduling behind a non-empty lane appends to the list — O(1), the
 //!   heap is not touched;
 //! * popping a lane head overwrites `heap[0]` with its successor's key and
-//!   does one sift-down — instead of a pop plus a push — on a heap that now
-//!   holds one entry per busy link rather than one per packet in flight.
+//!   does one sift-down — instead of a pop plus a push — on a heap that
+//!   holds one entry per busy lane rather than one per packet in flight.
+//!
+//! What a lane stands for is the caller's business. The simulator opens one
+//! per port and, beside them, four per **delay class** — the ports whose
+//! links have the same latency and bandwidth. A packet of a given size that
+//! starts transmitting *now* on any port of a class completes `ser(size)`
+//! later and arrives `ser(size) + latency` later, the same two constants
+//! whichever port, so the class's `Arrival`s of one size are scheduled in
+//! the order they fire, and so — nearly — are its `TxDone`s: each kind and
+//! size gets a lane, and the heap holds one entry per (class, size) instead
+//! of one per busy link. An offer names up to two lanes, class first and
+//! port second, and joins the first it keeps sorted.
 //!
 //! Sequence numbers still come from the one global counter at schedule
 //! time and `pop` still returns the minimum `(time, seq)` over everything
 //! pending, so the pop sequence is exactly what a single heap would produce
 //! (a lane is sorted, so its head is its minimum, so the heap — lane heads
 //! plus plain entries — always contains the global minimum). Nothing relies
-//! on the caller's claim that a lane's offers are monotone: an offer that
-//! would unsort its lane, or that names no lane, takes the plain heap path.
-//! Lane entries are never handed a [`TimerHandle`]; cancel and reschedule
-//! are for plain entries only.
+//! on the caller's claim that a lane's offers are monotone — the queue
+//! verifies, it never trusts: an offer that would unsort a lane goes on to
+//! its second choice, and one that no lane will have, or that names none,
+//! takes the plain heap path. That is what happens to the simulator's class
+//! lanes under hybrid fidelity, where a transmission timed behind an express
+//! reservation starts later than *now*: its arrival is ahead of what the
+//! class's other ports offer next, those offers are refused, and they land
+//! on their port's lane as they did before there were classes.
+//! [`EventQueue::check_invariants`] audits all of it; [`LaneChurn`] counts
+//! where inserts went. Lane entries are never handed a [`TimerHandle`];
+//! cancel and reschedule are for plain entries only.
 //!
 //! # Reserved keys
 //!
@@ -67,7 +85,16 @@
 //!   reserved event as pending (equal-rate links deliver back-to-back
 //!   packets exactly at the previous packet's transmit-complete instant, so
 //!   this tie is the common case, not a corner).
+//!
+//! A reserved key may ride a lane: a lane orders by `(time, seq)`, and that
+//! is all a key is. But it is the one kind of offer whose sequence number is
+//! not the largest yet, so a lane may already hold a *later* key for the
+//! same picosecond — two ports of a class that start transmitting together
+//! and need their `TxDone`s in the other order — and appending there would
+//! pop the older key second. The sortedness test is therefore on the pair;
+//! for a fresh key it reduces to comparing times.
 
+use crate::metrics::LaneChurn;
 use crate::packet::{AgentId, NodeId, Packet, PortId};
 use crate::time::SimTime;
 
@@ -150,6 +177,10 @@ const ARITY: usize = 4;
 /// "No slot" / "no lane" sentinel for the `u32` links below.
 const NIL: u32 = u32::MAX;
 
+/// The lane index that names no lane, for the scheduling calls that take
+/// one: the event goes where [`EventQueue::schedule`] would put it.
+pub const NO_LANE: usize = usize::MAX;
+
 /// A compact heap entry: ordering key plus a handle into the event slab.
 /// `lane` rides in what would otherwise be padding: the lane this entry is
 /// the head of, or [`NIL`] for a plain entry.
@@ -181,7 +212,7 @@ struct LaneLink {
 }
 
 /// The event queue: a deterministic min-heap of [`Event`]s with
-/// first-class cancel and reschedule-in-place, plus per-link FIFO lanes
+/// first-class cancel and reschedule-in-place, plus FIFO lanes
 /// (see the module docs).
 #[derive(Default)]
 pub struct EventQueue {
@@ -207,6 +238,8 @@ pub struct EventQueue {
     /// Events queued on lanes behind their head, i.e. pending but not in
     /// `heap`.
     queued: usize,
+    /// What every insert so far cost (appended / pushed / refused).
+    churn: LaneChurn,
     next_seq: u64,
     now: SimTime,
     /// Sequence number of the last popped event; with `now`, the key of
@@ -238,6 +271,7 @@ impl EventQueue {
             link: Vec::with_capacity(capacity),
             lanes: vec![NIL; lanes],
             queued: 0,
+            churn: LaneChurn::default(),
             next_seq: 0,
             now: SimTime::ZERO,
             now_seq: 0,
@@ -270,13 +304,16 @@ impl EventQueue {
 
     /// Schedules `event` under a key reserved earlier: it pops exactly
     /// where it would have had it been scheduled at
-    /// [`reserve_seq`](Self::reserve_seq) time.
+    /// [`reserve_seq`](Self::reserve_seq) time. `lane` is offered the event
+    /// as in [`schedule_on_lane`](Self::schedule_on_lane) ([`NO_LANE`] for
+    /// none); a reserved key is older than the lane's tail may be, so the
+    /// lane takes it only if the whole `(at, seq)` pair keeps it sorted.
     ///
     /// # Panics
     /// Panics unless `(at, seq)` is after [`current_key`](Self::current_key)
     /// — a key at or before it names an instant that has already passed —
     /// or if `seq` was never handed out.
-    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+    pub fn schedule_reserved(&mut self, lane: usize, at: SimTime, seq: u64, event: Event) {
         assert!(
             (at, seq) > self.current_key() && seq < self.next_seq,
             "reserved key ({at}, {seq}) is not pending: current key ({}, {}), next seq {}",
@@ -284,7 +321,7 @@ impl EventQueue {
             self.now_seq,
             self.next_seq
         );
-        self.insert(NIL, at, seq, event);
+        self.insert([self.lane_id(lane), NIL], at, seq, event);
     }
 
     /// Number of pending events, lane-held ones included.
@@ -306,7 +343,7 @@ impl EventQueue {
     /// after the current time.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.reserve_seq();
-        self.insert(NIL, at, seq, event);
+        self.insert([NIL; 2], at, seq, event);
     }
 
     /// Schedules `event` at absolute time `at`, returning a handle that
@@ -318,7 +355,7 @@ impl EventQueue {
     /// after the current time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: Event) -> TimerHandle {
         let seq = self.reserve_seq();
-        let slot = self.insert(NIL, at, seq, event);
+        let slot = self.insert([NIL; 2], at, seq, event);
         TimerHandle {
             slot,
             gen: self.gen[slot as usize],
@@ -335,23 +372,45 @@ impl EventQueue {
     /// # Panics
     /// Panics if `at` is in the past.
     pub fn schedule_on_lane(&mut self, lane: usize, at: SimTime, event: Event) {
-        let lane = if lane < self.lanes.len() {
+        self.schedule_on_lanes([lane, NO_LANE], at, event);
+    }
+
+    /// [`schedule_on_lane`](Self::schedule_on_lane) with a second choice:
+    /// the event joins the first of `lanes` it keeps sorted (an empty lane
+    /// always is), and takes the plain heap path only if neither will have
+    /// it. The simulator offers a link's arrivals to the lane its delay
+    /// class shares first and to the port's own lane second.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_on_lanes(&mut self, lanes: [usize; 2], at: SimTime, event: Event) {
+        let lanes = lanes.map(|lane| self.lane_id(lane));
+        let seq = self.reserve_seq();
+        self.insert(lanes, at, seq, event);
+    }
+
+    /// A caller's lane index as stored: [`NIL`] if the queue has no such
+    /// lane ([`NO_LANE`] never names one).
+    #[inline]
+    fn lane_id(&self, lane: usize) -> u32 {
+        if lane < self.lanes.len() {
             lane as u32
         } else {
             NIL
-        };
-        let seq = self.reserve_seq();
-        self.insert(lane, at, seq, event);
+        }
     }
 
-    /// The one scheduling path: takes a slab slot, then either appends to
-    /// `lane` or pushes a heap entry (a plain one when `lane` is [`NIL`] or
-    /// the offer would unsort the lane, the lane's new head when the lane
-    /// was empty). `seq` is fresh from [`reserve_seq`](Self::reserve_seq)
-    /// except on the reserved path, which never names a lane. Returns the
-    /// slot.
+    /// The one scheduling path: takes a slab slot, then offers the event to
+    /// `lanes` in order — an empty lane makes it its head (a heap entry
+    /// tagged with the lane), a lane whose tail's `(at, seq)` is no later
+    /// than the offer's appends it (no heap entry) — and pushes a plain heap
+    /// entry if neither lane keeps sorted with it or both are [`NIL`]. `seq`
+    /// is fresh from [`reserve_seq`](Self::reserve_seq), and then `at` alone
+    /// would decide sortedness, except on the reserved path, whose key can
+    /// be older than a tail's at the same `at`: the test is on the pair.
+    /// Returns the slot.
     #[inline]
-    fn insert(&mut self, mut lane: u32, at: SimTime, seq: u64, event: Event) -> u32 {
+    fn insert(&mut self, lanes: [u32; 2], at: SimTime, seq: u64, event: Event) -> u32 {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at} now={}",
@@ -373,28 +432,37 @@ impl EventQueue {
                 slot
             }
         };
-        if lane != NIL {
-            self.link[slot as usize] = unlinked;
-            let tail = self.lanes[lane as usize];
-            if tail == NIL {
-                self.lanes[lane as usize] = slot;
-            } else if at >= self.link[tail as usize].at {
-                // `seq` is the largest yet, so `at` alone decides whether
-                // the lane stays sorted by `(at, seq)`.
-                self.link[tail as usize].next = slot;
-                self.lanes[lane as usize] = slot;
-                self.queued += 1;
-                return slot;
-            } else {
-                lane = NIL;
+        let mut head_of = NIL;
+        for lane in lanes {
+            if lane == NIL {
+                continue;
             }
+            let tail = self.lanes[lane as usize];
+            if tail != NIL {
+                let last = self.link[tail as usize];
+                if (at, seq) < (last.at, last.seq) {
+                    self.churn.refused += 1;
+                    continue;
+                }
+            }
+            self.link[slot as usize] = unlinked;
+            self.lanes[lane as usize] = slot;
+            if tail != NIL {
+                self.link[tail as usize].next = slot;
+                self.queued += 1;
+                self.churn.appended += 1;
+                return slot;
+            }
+            head_of = lane;
+            break;
         }
+        self.churn.pushed += 1;
         let i = self.heap.len();
         self.heap.push(HeapEntry {
             at,
             seq,
             slot,
-            lane,
+            lane: head_of,
         });
         self.sift_up(i);
         slot
@@ -527,6 +595,12 @@ impl EventQueue {
         self.heap.first().map(|e| e.at)
     }
 
+    /// What every insert since construction cost: appended behind a lane
+    /// or pushed into the heap, and how often a lane refused an offer.
+    pub fn lane_churn(&self) -> LaneChurn {
+        self.churn
+    }
+
     /// Counts pending events by class (for the invariant auditor). Walks
     /// the whole slab — lane-held events live there like any other — so it
     /// is O(slots): callers should only invoke it at audit checkpoints, not
@@ -542,6 +616,80 @@ impl EventQueue {
             }
         }
         census
+    }
+
+    /// Checks the structure the pop order rests on (for the invariant
+    /// auditor; O(pending events)): the heap is a heap and `pos` indexes it;
+    /// every non-empty lane has its head — and only its head — in the heap,
+    /// tagged with the lane and carrying the head's key; each lane is sorted
+    /// by `(at, seq)` from head to the recorded tail, through live slots;
+    /// `queued` is the number of events behind heads; every live slot is
+    /// reachable.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut head_seen = vec![false; self.lanes.len()];
+        let mut behind_heads = 0usize;
+        for (i, entry) in self.heap.iter().enumerate() {
+            if i > 0 && self.heap[(i - 1) / ARITY].key() > entry.key() {
+                return Err(format!("heap[{i}] orders before its parent"));
+            }
+            if self
+                .slab
+                .get(entry.slot as usize)
+                .is_none_or(Option::is_none)
+            {
+                return Err(format!("heap[{i}] names free slot {}", entry.slot));
+            }
+            if self.pos[entry.slot as usize] as usize != i {
+                return Err(format!("pos[{}] does not point at heap[{i}]", entry.slot));
+            }
+            if entry.lane == NIL {
+                continue;
+            }
+            let lane = entry.lane as usize;
+            if lane >= self.lanes.len() || std::mem::replace(&mut head_seen[lane], true) {
+                return Err(format!(
+                    "heap[{i}] is a second or stray head of lane {lane}"
+                ));
+            }
+            let mut slot = entry.slot;
+            let mut key = self.link[slot as usize];
+            if (key.at, key.seq) != entry.key() {
+                return Err(format!(
+                    "lane {lane}: heap entry and head disagree on the key"
+                ));
+            }
+            while key.next != NIL {
+                slot = key.next;
+                behind_heads += 1;
+                if behind_heads > self.queued || self.slab[slot as usize].is_none() {
+                    return Err(format!(
+                        "lane {lane} runs through slot {slot}: free or a loop"
+                    ));
+                }
+                let next = self.link[slot as usize];
+                if (next.at, next.seq) < (key.at, key.seq) {
+                    return Err(format!("lane {lane} is unsorted at slot {slot}"));
+                }
+                key = next;
+            }
+            if self.lanes[lane] != slot {
+                return Err(format!("lane {lane} ends at slot {slot}, not its tail"));
+            }
+        }
+        if let Some(lane) = (0..self.lanes.len()).find(|&l| (self.lanes[l] != NIL) != head_seen[l])
+        {
+            return Err(format!("lane {lane} is non-empty with no head in the heap"));
+        }
+        let live = self.slab.iter().flatten().count();
+        if behind_heads != self.queued || live != self.heap.len() + self.queued {
+            return Err(format!(
+                "queued={} but {behind_heads} events sit behind heads; {live} live slots \
+                 for {} heap entries",
+                self.queued,
+                self.heap.len()
+            ));
+        }
+        Ok(())
     }
 
     #[inline]
@@ -601,11 +749,6 @@ mod tests {
             agent: AgentId(0),
             kind: TimerKind::Custom { tag },
         }
-    }
-
-    /// Lanes with at least one pending event.
-    fn busy_lanes(q: &EventQueue) -> usize {
-        q.lanes.iter().filter(|&&tail| tail != NIL).count()
     }
 
     fn tag_of(e: &Event) -> u64 {
@@ -676,48 +819,96 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A lane offer for the randomized tests: usually at or after the
-    /// latest time the lane was ever offered (the shape a link produces,
-    /// which appends), sometimes anywhere from `now` on (which may unsort
-    /// the lane and must then take the heap), on a lane index one past the
-    /// last real lane now and then (no such lane: heap again). Returns the
-    /// chosen time.
-    fn offer_on_random_lane(
+    /// Lanes of the queues under the randomized tests: [`OFFER_LANES`] that
+    /// take offers of every kind, and one more that only reserved keys are
+    /// materialised on — the simulator's `TxDone` lanes — where keys of one
+    /// picosecond meet in either order of their sequence numbers.
+    const TEST_LANES: usize = OFFER_LANES + 1;
+    const OFFER_LANES: usize = 4;
+
+    /// A lane index for the randomized tests: one of the first `lanes`
+    /// lanes, or [`NO_LANE`].
+    fn random_lane(rng: &mut trace::SplitMix64, lanes: usize) -> usize {
+        match rng.next_bounded(lanes as u64 + 1) as usize {
+            lane if lane < lanes => lane,
+            _ => NO_LANE,
+        }
+    }
+
+    /// A two-lane offer for the randomized tests: usually at or after the
+    /// latest time its first lane was ever offered (the shape a link
+    /// produces, which appends), sometimes anywhere from `now` on (which may
+    /// unsort the first lane, the second, or both, and must then take the
+    /// next choice or the heap); either lane may be no lane at all. Returns
+    /// the chosen time.
+    fn offer_on_random_lanes(
         rng: &mut trace::SplitMix64,
         q: &mut EventQueue,
         latest: &mut [u64],
         event: Event,
     ) -> u64 {
-        let lane = rng.next_bounded(latest.len() as u64 + 1) as usize;
+        let lanes = [random_lane(rng, OFFER_LANES), random_lane(rng, OFFER_LANES)];
         let now = q.now().0;
-        let at = match latest.get(lane) {
+        let at = match latest.get(lanes[0]) {
             Some(&last) if rng.next_bounded(4) > 0 => last.max(now) + rng.next_bounded(20),
             _ => now + rng.next_bounded(50),
         };
-        if let Some(last) = latest.get_mut(lane) {
-            *last = at.max(*last);
+        for lane in lanes {
+            if let Some(last) = latest.get_mut(lane) {
+                *last = at.max(*last);
+            }
         }
-        q.schedule_on_lane(lane, SimTime(at), event);
+        q.schedule_on_lanes(lanes, SimTime(at), event);
         at
     }
 
-    /// Random interleaving of schedules, lane offers, key reservations and
-    /// pops against a reference model: the queue must agree with a sorted
+    /// The tail key of `lane`, if the queue has the lane and it is busy.
+    fn tail_key(q: &EventQueue, lane: usize) -> Option<(SimTime, u64)> {
+        let tail = *q.lanes.get(lane)?;
+        (tail != NIL).then(|| (q.link[tail as usize].at, q.link[tail as usize].seq))
+    }
+
+    /// Materialises a reserved key on a random lane (the reserved-keys-only
+    /// one half the time) or on none, counting in `tie_refusals` the case
+    /// `at` alone would get wrong: the lane's tail is in the same picosecond
+    /// with a later sequence number.
+    fn materialise_on_random_lane(
+        rng: &mut trace::SplitMix64,
+        q: &mut EventQueue,
+        (at, seq, tag): (u64, u64, u64),
+        tie_refusals: &mut u32,
+    ) {
+        let lane = match rng.next_bounded(2) {
+            0 => OFFER_LANES,
+            _ => random_lane(rng, TEST_LANES),
+        };
+        let (queued, refused) = (q.queued, q.churn.refused);
+        let tie = tail_key(q, lane).is_some_and(|(t, s)| t == SimTime(at) && s > seq);
+        q.schedule_reserved(lane, SimTime(at), seq, dummy(tag));
+        if tie {
+            assert_eq!((q.queued, q.churn.refused), (queued, refused + 1));
+            *tie_refusals += 1;
+        }
+    }
+
+    /// Random interleaving of schedules, two-lane offers, key reservations
+    /// and pops against a reference model: the queue must agree with a sorted
     /// `(time, seq)` list at every step, whichever of heap and lane an event
-    /// went to. A reserved key enters the reference with the tag it was
-    /// given at reservation — i.e. where an eager schedule would have put it
-    /// — but only once it is materialised: at once, pops later (timestamp
-    /// ties on both sides of it by then), or never.
+    /// went to, and its structure must audit clean. A reserved key enters
+    /// the reference with the tag it was given at reservation — i.e. where an
+    /// eager schedule would have put it — but only once it is materialised,
+    /// on a lane or off: at once, pops later (timestamp ties on both sides
+    /// of it by then), or never.
     #[test]
     fn randomized_interleaving_matches_reference() {
         let mut rng = trace::SplitMix64::new(0xE7E7);
-        let mut q = EventQueue::with_lanes(0, 4);
-        let mut latest = [0u64; 4];
+        let mut q = EventQueue::with_lanes(0, TEST_LANES);
+        let mut latest = [0u64; OFFER_LANES];
         let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, tag)
         let mut reserved: Vec<(u64, u64, u64)> = Vec::new(); // (time, seq, tag)
         let mut next_tag = 0u64;
-        let (mut appended, mut fell_through) = (0u32, 0u32);
         let (mut early, mut late, mut never) = (0u32, 0u32, 0u32);
+        let mut tie_refusals = 0u32;
         for _ in 0..10_000 {
             match rng.next_bounded(8) {
                 // Reserve a key a picosecond or three ahead (dense ties);
@@ -726,7 +917,8 @@ mod tests {
                     let at = q.now().0 + rng.next_bounded(3);
                     let seq = q.reserve_seq();
                     if (SimTime(at), seq) > q.current_key() && rng.next_bounded(2) == 0 {
-                        q.schedule_reserved(SimTime(at), seq, dummy(next_tag));
+                        let key = (at, seq, next_tag);
+                        materialise_on_random_lane(&mut rng, &mut q, key, &mut tie_refusals);
                         reference.push((at, next_tag));
                         early += 1;
                     } else {
@@ -738,10 +930,10 @@ mod tests {
                 // if its instant is still ahead, else it stays elided.
                 2 if !reserved.is_empty() => {
                     let pick = rng.next_bounded(reserved.len() as u64) as usize;
-                    let (at, seq, tag) = reserved.swap_remove(pick);
-                    if (SimTime(at), seq) > q.current_key() {
-                        q.schedule_reserved(SimTime(at), seq, dummy(tag));
-                        reference.push((at, tag));
+                    let key = reserved.swap_remove(pick);
+                    if (SimTime(key.0), key.1) > q.current_key() {
+                        materialise_on_random_lane(&mut rng, &mut q, key, &mut tie_refusals);
+                        reference.push((key.0, key.2));
                         late += 1;
                     } else {
                         never += 1;
@@ -767,17 +959,7 @@ mod tests {
                         q.schedule(SimTime(at), dummy(next_tag));
                         at
                     } else {
-                        let (heap_before, busy_before) = (q.heap.len(), busy_lanes(&q));
-                        let at =
-                            offer_on_random_lane(&mut rng, &mut q, &mut latest, dummy(next_tag));
-                        if q.heap.len() == heap_before {
-                            appended += 1;
-                        } else if busy_lanes(&q) == busy_before {
-                            // Grew the heap without opening a lane: the
-                            // offer was refused by its lane (or named none).
-                            fell_through += 1;
-                        }
-                        at
+                        offer_on_random_lanes(&mut rng, &mut q, &mut latest, dummy(next_tag))
                     };
                     reference.push((at, next_tag));
                     next_tag += 1;
@@ -785,15 +967,22 @@ mod tests {
             }
             assert_eq!(q.len(), reference.len());
             assert_eq!(q.is_empty(), reference.is_empty());
+            assert_eq!(q.check_invariants(), Ok(()));
         }
+        let churn = q.lane_churn();
         assert!(
-            appended > 500 && fell_through > 100,
-            "both lane outcomes must be exercised: {appended} appends, {fell_through} fall-throughs"
+            churn.appended > 500 && churn.refused > 100 && churn.pushed > 500,
+            "every lane outcome must be exercised: {churn:?}"
         );
         assert!(
             early > 100 && late > 100 && never > 100,
             "every fate of a reserved key must be exercised: \
              {early} at once, {late} later, {never} never"
+        );
+        assert!(
+            tie_refusals > 20,
+            "a reserved key must meet a lane tail of its own picosecond and a \
+             later sequence number: {tie_refusals} times"
         );
         // Drain; times must be non-decreasing to the end.
         let mut last = q.now();
@@ -803,6 +992,7 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+        assert_eq!(q.check_invariants(), Ok(()));
     }
 
     /// A reserved key orders by its sequence number inside a timestamp:
@@ -817,7 +1007,7 @@ mod tests {
         q.schedule_on_lane(0, SimTime(5), dummy(3));
         assert_eq!(q.pop().map(|(_, e)| tag_of(&e)), Some(0));
         assert_eq!(q.current_key(), (SimTime(5), 0));
-        q.schedule_reserved(SimTime(5), seq, dummy(1));
+        q.schedule_reserved(NO_LANE, SimTime(5), seq, dummy(1));
         assert_eq!(q.census().timers, 3);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| tag_of(&e))
@@ -835,7 +1025,7 @@ mod tests {
         q.schedule(SimTime(7), dummy(0));
         q.pop();
         // Same picosecond as the event being handled, earlier sequence.
-        q.schedule_reserved(SimTime(7), seq, dummy(1));
+        q.schedule_reserved(NO_LANE, SimTime(7), seq, dummy(1));
     }
 
     /// A bounded-pending workload must not grow the slab beyond its peak
@@ -954,95 +1144,149 @@ mod tests {
         assert!(q.event_mut(h).is_none(), "stale after firing");
     }
 
-    /// One step of the operation mix the two tests below share: plain
-    /// cancelable schedules, lane offers, cancels, reschedules and pops,
-    /// drawn from `rng`. Pops are appended to `popped`; handles issued so
-    /// far live in `handles` (stale ones included, on purpose).
-    fn random_op(
-        rng: &mut trace::SplitMix64,
-        q: &mut EventQueue,
-        latest: &mut [u64],
-        handles: &mut Vec<(TimerHandle, u64)>,
-        next_tag: &mut u64,
-        popped: &mut Vec<(u64, u64)>,
-    ) -> Op {
-        match rng.next_bounded(8) {
-            0..=1 => {
-                let at = q.now().0 + rng.next_bounded(50);
-                let h = q.schedule_cancelable(SimTime(at), dummy(*next_tag));
-                handles.push((h, *next_tag));
-                *next_tag += 1;
-                Op::Scheduled { at }
+    /// The operation mix the two tests below share, and its state: plain
+    /// cancelable schedules, two-lane offers, reserved keys (materialised on
+    /// a lane or off it, at once, later or never), cancels, reschedules and
+    /// pops, drawn from `rng`. Offers are drawn against [`TEST_LANES`]
+    /// whatever the queue has, so two queues fed one seed see one operation
+    /// stream.
+    struct Mix {
+        rng: trace::SplitMix64,
+        latest: [u64; OFFER_LANES],
+        /// Handles issued so far (stale ones included, on purpose).
+        handles: Vec<(TimerHandle, u64)>,
+        /// Keys reserved and not yet come back to: `(time, seq, tag)`.
+        reserved: Vec<(u64, u64, u64)>,
+        next_tag: u64,
+        popped: Vec<(u64, u64)>,
+        tie_refusals: u32,
+    }
+
+    /// What [`Mix::step`] did, for the reference model to mirror.
+    enum Op {
+        Scheduled {
+            at: u64,
+        },
+        /// A sequence number was taken and nothing inserted (yet).
+        Reserved,
+        /// A key reserved earlier — at `seq` — was inserted.
+        Materialised {
+            at: u64,
+            seq: u64,
+            tag: u64,
+        },
+        /// A key reserved earlier had passed: it is never inserted.
+        Elided,
+        Canceled {
+            tag: u64,
+            hit: bool,
+        },
+        Rescheduled {
+            tag: u64,
+            at: u64,
+            hit: bool,
+        },
+        Popped(Option<(u64, u64)>),
+    }
+
+    impl Mix {
+        fn new(seed: u64) -> Self {
+            Mix {
+                rng: trace::SplitMix64::new(seed),
+                latest: [0; OFFER_LANES],
+                handles: Vec::new(),
+                reserved: Vec::new(),
+                next_tag: 0,
+                popped: Vec::new(),
+                tie_refusals: 0,
             }
-            2..=4 => {
-                let at = offer_on_random_lane(rng, q, latest, dummy(*next_tag));
-                *next_tag += 1;
-                Op::Scheduled { at }
-            }
-            5 if !handles.is_empty() => {
-                let (h, tag) = handles.swap_remove(rng.next_bounded(handles.len() as u64) as usize);
-                Op::Canceled {
-                    tag,
-                    hit: q.cancel(h).is_some(),
+        }
+
+        fn step(&mut self, q: &mut EventQueue) -> Op {
+            let tag = self.next_tag;
+            match self.rng.next_bounded(10) {
+                0..=1 => {
+                    let at = q.now().0 + self.rng.next_bounded(50);
+                    let h = q.schedule_cancelable(SimTime(at), dummy(tag));
+                    self.handles.push((h, tag));
+                    self.next_tag += 1;
+                    Op::Scheduled { at }
                 }
-            }
-            6 if !handles.is_empty() => {
-                let (h, tag) = handles[rng.next_bounded(handles.len() as u64) as usize];
-                let at = q.now().0 + rng.next_bounded(50);
-                Op::Rescheduled {
-                    tag,
-                    at,
-                    hit: q.reschedule(h, SimTime(at)),
+                2..=4 => {
+                    let at = offer_on_random_lanes(&mut self.rng, q, &mut self.latest, dummy(tag));
+                    self.next_tag += 1;
+                    Op::Scheduled { at }
                 }
-            }
-            _ => {
-                let got = q.pop().map(|(at, event)| (at.0, tag_of(&event)));
-                popped.extend(got);
-                Op::Popped(got)
+                5 if !self.handles.is_empty() => {
+                    let pick = self.rng.next_bounded(self.handles.len() as u64) as usize;
+                    let (h, tag) = self.handles.swap_remove(pick);
+                    Op::Canceled {
+                        tag,
+                        hit: q.cancel(h).is_some(),
+                    }
+                }
+                6 if !self.handles.is_empty() => {
+                    let pick = self.rng.next_bounded(self.handles.len() as u64) as usize;
+                    let (h, tag) = self.handles[pick];
+                    let at = q.now().0 + self.rng.next_bounded(50);
+                    Op::Rescheduled {
+                        tag,
+                        at,
+                        hit: q.reschedule(h, SimTime(at)),
+                    }
+                }
+                7 => {
+                    let at = q.now().0 + self.rng.next_bounded(3);
+                    self.reserved.push((at, q.reserve_seq(), tag));
+                    self.next_tag += 1;
+                    Op::Reserved
+                }
+                8 if !self.reserved.is_empty() => {
+                    let pick = self.rng.next_bounded(self.reserved.len() as u64) as usize;
+                    let key @ (at, seq, tag) = self.reserved.swap_remove(pick);
+                    if (SimTime(at), seq) <= q.current_key() {
+                        return Op::Elided;
+                    }
+                    materialise_on_random_lane(&mut self.rng, q, key, &mut self.tie_refusals);
+                    Op::Materialised { at, seq, tag }
+                }
+                _ => {
+                    let got = q.pop().map(|(at, event)| (at.0, tag_of(&event)));
+                    self.popped.extend(got);
+                    Op::Popped(got)
+                }
             }
         }
     }
 
-    /// What [`random_op`] did, for the reference model to mirror.
-    enum Op {
-        Scheduled { at: u64 },
-        Canceled { tag: u64, hit: bool },
-        Rescheduled { tag: u64, at: u64, hit: bool },
-        Popped(Option<(u64, u64)>),
-    }
-
-    /// Random interleaving of schedules, lane offers, cancels, reschedules
-    /// and pops against a reference model: same contract as
-    /// `randomized_interleaving_matches_reference`, with the mutators in
-    /// the mix — a cancel or reschedule that moves heap entries around must
-    /// carry lane heads along intact.
+    /// Random interleaving of schedules, two-lane offers, reserved keys,
+    /// cancels, reschedules and pops against a reference model: same
+    /// contract as `randomized_interleaving_matches_reference`, with the
+    /// mutators in the mix — a cancel or reschedule that moves heap entries
+    /// around must carry lane heads along intact.
     #[test]
     fn randomized_cancel_reschedule_matches_reference() {
-        let mut rng = trace::SplitMix64::new(0xCA7C8);
-        let mut q = EventQueue::with_lanes(0, 4);
-        let mut latest = [0u64; 4];
-        // Reference: (time, order key, tag) triples; order key mirrors the
-        // fresh-seq-on-reschedule rule.
+        let mut mix = Mix::new(0xCA7C8);
+        let mut q = EventQueue::with_lanes(0, TEST_LANES);
+        // Reference: (time, order key, tag) triples; the order key mirrors
+        // the sequence counter — one per schedule, reservation and
+        // reschedule that hit.
         let mut reference: Vec<(u64, u64, u64)> = Vec::new();
-        let mut handles: Vec<(TimerHandle, u64)> = Vec::new(); // (handle, tag)
-        let mut next_tag = 0u64;
         let mut next_key = 0u64;
-        let mut popped = Vec::new();
+        let (mut materialised, mut elided) = (0u32, 0u32);
         for _ in 0..20_000 {
-            let tag = next_tag;
-            let op = random_op(
-                &mut rng,
-                &mut q,
-                &mut latest,
-                &mut handles,
-                &mut next_tag,
-                &mut popped,
-            );
-            match op {
+            let tag = mix.next_tag;
+            match mix.step(&mut q) {
                 Op::Scheduled { at } => {
                     reference.push((at, next_key, tag));
                     next_key += 1;
                 }
+                Op::Reserved => next_key += 1,
+                Op::Materialised { at, seq, tag } => {
+                    reference.push((at, seq, tag));
+                    materialised += 1;
+                }
+                Op::Elided => elided += 1,
                 Op::Canceled { tag, hit } => {
                     assert_eq!(hit, reference.iter().any(|&(_, _, t)| t == tag));
                     reference.retain(|&(_, _, t)| t != tag);
@@ -1065,9 +1309,17 @@ mod tests {
                     assert_eq!(got, want.map(|(at, _, tag)| (at, tag)));
                 }
             }
+            assert_eq!(next_key, q.next_seq, "the reference mirrors the counter");
             assert_eq!(q.len(), reference.len());
+            assert_eq!(q.check_invariants(), Ok(()));
         }
         assert!(q.queued > 0, "the mix must leave events queued on lanes");
+        assert!(
+            materialised > 200 && elided > 50 && mix.tie_refusals > 20,
+            "{materialised} reserved keys materialised, {elided} elided, \
+             {} refused on a sequence-number tie",
+            mix.tie_refusals
+        );
         let mut last = q.now();
         while let Some((at, _)) = q.pop() {
             assert!(at >= last);
@@ -1077,42 +1329,34 @@ mod tests {
 
     /// Lanes change what an operation costs, never what it does: one
     /// operation stream fed to a queue with lanes and to one without (every
-    /// offer falls through to the heap) pops the same `(time, event)`
-    /// sequence and answers every cancel and reschedule alike.
+    /// offer, reserved keys included, falls through to the heap) pops the
+    /// same `(time, event)` sequence and answers every cancel and reschedule
+    /// alike.
     #[test]
     fn lanes_are_invisible_in_the_pop_sequence() {
         for seed in 0..8u64 {
             let mut traces = Vec::new();
-            for lanes in [4usize, 0] {
-                let mut rng = trace::SplitMix64::new(0x1A9E5 + seed);
+            for lanes in [TEST_LANES, 0] {
+                let mut mix = Mix::new(0x1A9E5 + seed);
                 let mut q = EventQueue::with_lanes(16, lanes);
-                // Offers are drawn against four lanes either way, so the
-                // two runs consume the RNG identically.
-                let mut latest = [0u64; 4];
-                let mut handles = Vec::new();
-                let mut next_tag = 0u64;
-                let mut popped = Vec::new();
                 let mut answers = Vec::new();
-                let mut appended = false;
+                let mut reserved_on_lanes = 0u32;
                 for _ in 0..20_000 {
-                    match random_op(
-                        &mut rng,
-                        &mut q,
-                        &mut latest,
-                        &mut handles,
-                        &mut next_tag,
-                        &mut popped,
-                    ) {
+                    let queued = q.queued;
+                    match mix.step(&mut q) {
                         Op::Canceled { hit, .. } | Op::Rescheduled { hit, .. } => answers.push(hit),
-                        Op::Scheduled { .. } | Op::Popped(_) => {}
+                        Op::Materialised { .. } => reserved_on_lanes += (q.queued > queued) as u32,
+                        _ => {}
                     }
-                    appended |= q.queued > 0;
                 }
-                assert_eq!(appended, lanes > 0, "lanes={lanes}");
+                let churn = q.lane_churn();
+                assert_eq!(churn.appended > 0, lanes > 0, "lanes={lanes}");
+                assert_eq!(reserved_on_lanes > 100, lanes > 0, "lanes={lanes}");
+                assert_eq!(mix.tie_refusals > 0, lanes > 0, "lanes={lanes}");
                 while let Some((at, event)) = q.pop() {
-                    popped.push((at.0, tag_of(&event)));
+                    mix.popped.push((at.0, tag_of(&event)));
                 }
-                traces.push((popped, answers));
+                traces.push((mix.popped, answers));
             }
             assert!(traces[0].0.len() > 5_000);
             assert_eq!(traces[0], traces[1], "seed {seed}");
@@ -1154,6 +1398,119 @@ mod tests {
             .map(|(t, e)| (t.0, tag_of(&e)))
             .collect();
         assert_eq!(order, vec![(10, 0), (15, 4), (20, 2), (30, 1), (30, 3)]);
+    }
+
+    #[test]
+    fn a_two_lane_offer_joins_the_first_lane_it_keeps_sorted() {
+        let mut q = EventQueue::with_lanes(0, 2);
+        q.schedule_on_lanes([0, 1], SimTime(30), dummy(0)); // lane 0 empty: its head
+        q.schedule_on_lanes([0, 1], SimTime(30), dummy(1)); // ties append to lane 0
+        q.schedule_on_lanes([0, 1], SimTime(20), dummy(2)); // refused; lane 1's head
+        q.schedule_on_lanes([0, 1], SimTime(25), dummy(3)); // refused; behind it
+        q.schedule_on_lanes([0, 1], SimTime(22), dummy(4)); // refused twice: heap
+        q.schedule_on_lanes([NO_LANE, 1], SimTime(26), dummy(5)); // no first choice
+        q.schedule_on_lanes([7, NO_LANE], SimTime(21), dummy(6)); // no lane at all
+        assert_eq!((q.heap.len(), q.queued), (4, 3));
+        assert_eq!(
+            q.lane_churn(),
+            LaneChurn {
+                appended: 3,
+                pushed: 4,
+                refused: 4
+            }
+        );
+        assert_eq!(q.check_invariants(), Ok(()));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.0, tag_of(&e)))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (20, 2),
+                (21, 6),
+                (22, 4),
+                (25, 3),
+                (26, 5),
+                (30, 0),
+                (30, 1)
+            ]
+        );
+    }
+
+    /// A reserved key is older than the events scheduled since, so a lane
+    /// may hold a later sequence number in the very picosecond it names:
+    /// appending there would put it behind an event it must pop ahead of.
+    #[test]
+    fn a_reserved_key_rides_a_lane_only_where_the_pair_keeps_it_sorted() {
+        let mut q = EventQueue::with_lanes(0, 1);
+        let first = q.reserve_seq();
+        let second = q.reserve_seq();
+        let third = q.reserve_seq();
+        q.schedule_reserved(0, SimTime(5), second, dummy(2)); // the lane's head
+        q.schedule_reserved(0, SimTime(5), third, dummy(3)); // same instant, later key
+        q.schedule_reserved(0, SimTime(5), first, dummy(1)); // same instant, older key
+        q.schedule_on_lane(0, SimTime(5), dummy(4)); // a fresh key always fits a tie
+        assert_eq!((q.heap.len(), q.queued), (2, 2));
+        assert_eq!(q.lane_churn().refused, 1);
+        assert_eq!(q.check_invariants(), Ok(()));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(&e))
+            .collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
+    }
+
+    /// The auditor's view of the structure: each way a lane can go wrong
+    /// while every pending event is still there to be counted.
+    #[test]
+    fn check_invariants_names_what_is_broken() {
+        let build = || {
+            let mut q = EventQueue::with_lanes(0, 2);
+            q.schedule(SimTime(15), dummy(9));
+            for k in 0..3u64 {
+                q.schedule_on_lane(0, SimTime(10 + k), dummy(k));
+                q.schedule_on_lane(1, SimTime(20 + k), dummy(10 + k));
+            }
+            assert_eq!(q.check_invariants(), Ok(()));
+            q
+        };
+        let broken = |q: &EventQueue, what: &str| {
+            let detail = q.check_invariants().expect_err(what);
+            assert!(detail.contains(what), "{detail:?} should mention {what:?}");
+        };
+        let lane0_head = |q: &EventQueue| q.heap.iter().position(|e| e.lane == 0).expect("busy");
+
+        let mut q = build();
+        let head = q.heap[lane0_head(&q)].slot;
+        let second = q.link[head as usize].next;
+        q.link[second as usize].at = SimTime(5);
+        broken(&q, "unsorted");
+
+        let mut q = build();
+        let i = lane0_head(&q);
+        q.heap[i].lane = NIL;
+        broken(&q, "no head in the heap");
+
+        let mut q = build();
+        let i = lane0_head(&q);
+        q.heap[i].lane = 1; // walked as lane 1, it ends at lane 0's tail
+        broken(&q, "lane 1 ends at");
+
+        let mut q = build();
+        q.queued -= 1;
+        broken(&q, "free or a loop");
+
+        let mut q = build();
+        q.lanes[0] = q.heap[lane0_head(&q)].slot;
+        broken(&q, "lane 0 ends at");
+
+        let mut q = build();
+        q.pos.swap(0, 1);
+        broken(&q, "pos[");
+
+        let mut q = build();
+        let i = lane0_head(&q);
+        q.heap[i].at = SimTime(11);
+        broken(&q, "disagree on the key");
     }
 
     #[test]

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use crate::audit::InvariantViolation;
 use crate::fidelity::{ExpressStats, FidelityConfig};
 use crate::flows::{cc_for_path, FlowSpec};
+use crate::metrics::LaneChurn;
 use crate::packet::{FlowId, NodeId, PortId};
 use crate::protocol::{packets_for_bytes, DctcpSender, Receiver};
 use crate::sim::{Simulator, StopReason};
@@ -66,6 +67,10 @@ pub struct FleetReport {
     /// (cumulative over the fleet's life, like `express`); see
     /// [`crate::sim::RunReport::tx_elided`].
     pub tx_elided: u64,
+    /// What scheduling cost the shards' event queues, summed (cumulative,
+    /// as of each shard's last window); see
+    /// [`crate::sim::RunReport::lane_churn`].
+    pub lane_churn: LaneChurn,
     /// Aggregated express-path statistics (zero when hybrid fidelity is
     /// off). `events + tx_elided + express.saved_events` — what an engine
     /// that schedules a `TxDone` and an `Arrival` for every hop would have
@@ -319,8 +324,13 @@ impl FleetSim {
         };
         let mut express = ExpressStats::default();
         let mut tx_elided = 0;
+        let mut lane_churn = LaneChurn::default();
         for s in &self.shards {
             tx_elided += s.metrics().tx_churn.elided();
+            let churn = s.metrics().lane_churn;
+            lane_churn.appended += churn.appended;
+            lane_churn.pushed += churn.pushed;
+            lane_churn.refused += churn.refused;
             if let Some(e) = s.fidelity_stats() {
                 express.packets += e.packets;
                 express.hops += e.hops;
@@ -336,6 +346,7 @@ impl FleetSim {
             windows,
             exchanged,
             tx_elided,
+            lane_churn,
             express,
             violations,
         }

@@ -58,6 +58,24 @@ impl TxChurn {
     }
 }
 
+/// What scheduling cost the event queue, by where each insert landed (see
+/// the "Lanes" section of [`crate::events`]). `appended + pushed` is every
+/// insert; the counts depend only on the event sequence, so they repeat
+/// exactly per seed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneChurn {
+    /// Inserts appended behind a non-empty lane: O(1), the heap untouched.
+    pub appended: u64,
+    /// Inserts that pushed a heap entry: plain events, heads of lanes that
+    /// were empty, and offers no lane would take.
+    pub pushed: u64,
+    /// Times a lane turned an offer down because it would have unsorted it
+    /// (the offer went on to its second lane, or to the plain heap): reserved
+    /// `TxDone` keys materialised late, and under hybrid fidelity arrivals
+    /// timed behind an express reservation.
+    pub refused: u64,
+}
+
 /// Metrics collected during one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -78,6 +96,9 @@ pub struct SimMetrics {
     pub timer_churn: TimerChurn,
     /// `TxDone` lifecycle counters (started / scheduled / fired).
     pub tx_churn: TxChurn,
+    /// Event-queue insert counters (appended / pushed / refused), as of the
+    /// last return of [`Simulator::run`](crate::sim::Simulator::run).
+    pub lane_churn: LaneChurn,
 }
 
 impl Default for SimMetrics {
@@ -90,6 +111,7 @@ impl Default for SimMetrics {
             events_processed: 0,
             timer_churn: TimerChurn::default(),
             tx_churn: TxChurn::default(),
+            lane_churn: LaneChurn::default(),
         }
     }
 }

@@ -3,16 +3,19 @@
 
 use crate::agent::{Agent, Counter, Ctx, Effect, Note};
 use crate::audit::{AuditConfig, AuditMode, InvariantViolation, PacketLedger};
-use crate::events::{Event, EventQueue, FaultEvent, TimerHandle};
+use crate::events::{Event, EventQueue, FaultEvent, TimerHandle, NO_LANE};
 use crate::faults::{FaultError, FaultPlan};
 use crate::fidelity::{ExpressStats, FidelityConfig, FidelityState};
-use crate::metrics::SimMetrics;
-use crate::packet::{AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId};
+use crate::metrics::{LaneChurn, SimMetrics};
+use crate::packet::{
+    AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId, DATA_PKT_SIZE, HEADER_SIZE,
+};
 use crate::protocol::{DctcpSender, Receiver};
 use crate::queues::{EnqueueOutcome, PortQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeRole, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use trace::{derive_seed, SplitMix64};
@@ -71,6 +74,8 @@ pub struct RunReport {
     /// have processed, exactly so once the run is idle. See
     /// [`TxChurn::elided`](crate::metrics::TxChurn::elided).
     pub tx_elided: u64,
+    /// What scheduling has cost the event queue so far (cumulative).
+    pub lane_churn: LaneChurn,
     /// Invariant violations recorded during this call (always empty unless
     /// auditing runs in [`AuditMode::Collect`]; strict mode panics instead).
     pub violations: Vec<InvariantViolation>,
@@ -104,6 +109,26 @@ struct PortRuntime {
     /// It is scheduled only once a packet waits behind the one on the wire;
     /// a transmission nobody queues behind never costs an event.
     wake: bool,
+    /// First of the four event-queue lanes of this port's delay class (see
+    /// [`Simulator::new`]): `+ size_slot` takes the `Arrival`s of the
+    /// class's transmissions of that size, `+ 2 + size_slot` their
+    /// `TxDone`s.
+    class_lanes: usize,
+    /// The lane `tx_done` belongs on if it is ever scheduled: fixed at
+    /// transmit start, when the packet's size is at hand.
+    tx_done_lane: usize,
+}
+
+/// The two wire sizes nearly every packet has, as an index into a delay
+/// class's lanes. A packet of any other size serializes in a time of its
+/// own and stays off them.
+#[inline]
+fn size_slot(size: u64) -> Option<usize> {
+    match size {
+        DATA_PKT_SIZE => Some(0),
+        HEADER_SIZE => Some(1),
+        _ => None,
+    }
 }
 
 /// Arena slot for an agent. The two agent types instantiated per flow by
@@ -254,19 +279,31 @@ impl Simulator {
     /// Creates a simulator over `topo`. All randomness (packet spraying,
     /// ECN ramp draws) derives from `seed`.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        let ports = (0..topo.port_count())
-            .map(|i| PortRuntime {
-                queue: PortQueue::new(topo.port(PortId(i as u32)).queue),
-                tx_done: (SimTime::ZERO, 0),
-                wake: false,
+        let port_count = topo.port_count();
+        // Lanes `0..port_count` are one per port; after them come four per
+        // delay class — the ports of equal (latency, bandwidth), whose
+        // events of one kind and packet size are scheduled in the order
+        // they fire (see "Lanes" in `crate::events`).
+        let mut classes = BTreeMap::new();
+        let ports = (0..port_count)
+            .map(|i| {
+                let spec = topo.port(PortId(i as u32));
+                let class = classes.len();
+                let class = *classes
+                    .entry((spec.link.latency, spec.link.bandwidth.0))
+                    .or_insert(class);
+                PortRuntime {
+                    queue: PortQueue::new(spec.queue),
+                    tx_done: (SimTime::ZERO, 0),
+                    wake: false,
+                    class_lanes: port_count + 4 * class,
+                    tx_done_lane: NO_LANE,
+                }
             })
             .collect();
-        let port_count = topo.port_count();
         Simulator {
             topo,
-            // One lane per port: a link delivers in transmit order, so its
-            // in-flight arrivals queue behind one heap entry.
-            events: EventQueue::with_lanes(1024, port_count),
+            events: EventQueue::with_lanes(1024, port_count + 4 * classes.len()),
             ports,
             agents: Vec::new(),
             flows: Vec::new(),
@@ -670,6 +707,7 @@ impl Simulator {
     }
 
     fn report(&mut self, stop: StopReason, events: u64) -> RunReport {
+        self.metrics.lane_churn = self.events.lane_churn();
         if self.audit.is_some() {
             self.run_audit_checks(stop == StopReason::Idle);
         }
@@ -678,6 +716,7 @@ impl Simulator {
             end_time: self.now(),
             events,
             tx_elided: self.metrics.tx_churn.elided(),
+            lane_churn: self.metrics.lane_churn,
             violations: std::mem::take(&mut self.violations),
         }
     }
@@ -785,6 +824,13 @@ impl Simulator {
                 waking,
                 stranded: stranded.map(|i| PortId(i as u32)),
             });
+        }
+
+        // The queue itself, not only what is in it: lanes take offers from
+        // many ports, and a lane that is unsorted or lost its heap entry
+        // pops events out of order with every ledger above still balanced.
+        if let Err(detail) = self.events.check_invariants() {
+            found.push(InvariantViolation::EventQueueAccounting { at: now, detail });
         }
 
         // Flow liveness watchdog: a bound, started, uncrashed, incomplete
@@ -1160,6 +1206,9 @@ impl Simulator {
             // The `TxDone`'s place in the global order is fixed here, where
             // it used to be scheduled, so every other event keeps its key.
             rt.tx_done = (done, self.events.reserve_seq());
+            let slot = size_slot(pkt.size);
+            rt.tx_done_lane = slot.map_or(NO_LANE, |s| rt.class_lanes + 2 + s);
+            let arrival_lane = slot.map_or(NO_LANE, |s| rt.class_lanes + s);
             self.metrics.tx_churn.started += 1;
             if let Some(f) = &mut self.fidelity {
                 f.free_at[port.index()] = done.0;
@@ -1173,12 +1222,17 @@ impl Simulator {
                 _ => false,
             };
             if !exported {
-                // `arrive` never runs backwards on one port (each `start` is
-                // at or after the previous `done`, latency is constant), so
-                // this is an append behind the port's other in-flight
-                // packets.
-                self.events.schedule_on_lane(
-                    port.index(),
+                // Class lane first: at full fidelity `start` is `now`, so
+                // `arrive` never runs backwards across the whole class and
+                // this is an append behind its other in-flight packets.
+                // Behind an express reservation `start` can be ahead of
+                // `now` and of what other ports of the class offer next;
+                // the queue then refuses whichever offer would unsort the
+                // class lane and it lands on the port's own, where `arrive`
+                // never runs backwards (each `start` is at or after the
+                // port's previous `done`, latency is constant).
+                self.events.schedule_on_lanes(
+                    [arrival_lane, port.index()],
                     arrive,
                     Event::Arrival {
                         node: to,
@@ -1193,8 +1247,11 @@ impl Simulator {
             rt.wake = true;
             self.metrics.tx_churn.scheduled += 1;
             let (done, seq) = rt.tx_done;
+            // On its class's lane if it still fits there: a key reserved
+            // before the lane's tail was, for the same instant or an
+            // earlier one, takes the plain heap path.
             self.events
-                .schedule_reserved(done, seq, Event::TxDone { port });
+                .schedule_reserved(rt.tx_done_lane, done, seq, Event::TxDone { port });
         }
     }
 
@@ -1264,8 +1321,15 @@ impl Simulator {
                     if delay == SimDuration::ZERO {
                         self.enqueue_on_port(now, port, packet);
                     } else {
-                        self.events
-                            .schedule(now + delay, Event::Inject { port, packet });
+                        // A host's processing delay is a constant more
+                        // often than not, so its delayed sends fire in the
+                        // order they were issued: the NIC's own lane, which
+                        // its arrivals leave to their class lane.
+                        self.events.schedule_on_lane(
+                            port.index(),
+                            now + delay,
+                            Event::Inject { port, packet },
+                        );
                     }
                 }
                 Effect::Timer { agent, at, kind } => {
@@ -1768,15 +1832,17 @@ mod dispatch_tests {
     }
 }
 
-/// Lazy `TxDone`: a port schedules its transmit-complete event only when a
-/// packet is waiting for it. Every scenario runs under the strict auditor
-/// checking after every event, on a star small enough to time by hand:
-/// 1500 B at 100 Gbps serializes in 120 ns, links propagate in 1 µs.
+/// Lazy `TxDone` — a port schedules its transmit-complete event only when a
+/// packet is waiting for it — and delay-class lanes: the event-queue FIFOs
+/// that ports of equal link delay share. Every scenario runs under the
+/// strict auditor checking after every event (the queue's own structure
+/// included), on a star small enough to time by hand: 1500 B at 100 Gbps
+/// serializes in 120 ns, 64 B in 5.12 ns, links propagate in 1 µs.
 #[cfg(test)]
 mod tx_done_tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::metrics::TxChurn;
+    use crate::metrics::{LaneChurn, TxChurn};
     use crate::queues::QueueConfig;
     use crate::time::Bandwidth;
     use crate::topology::{LinkProps, TopologyBuilder};
@@ -1785,19 +1851,25 @@ mod tx_done_tests {
     const SER: u64 = 120_000;
     const HOP: u64 = 1_000_000;
 
-    /// Sends its script when started: one full-size data packet per
-    /// `(delay, seq)`, immediately for a zero delay, through an `Inject`
-    /// event otherwise.
+    /// Sends its script when started: one data packet per `(delay, seq)` —
+    /// full-size, or cut to its header for a `seq` of [`HEADER`] or more —
+    /// immediately for a zero delay, through an `Inject` event otherwise.
     struct Script {
         flow: FlowId,
         src: HostId,
         dst: HostId,
         sends: Vec<(u64, u64)>,
     }
+    const HEADER: u64 = 100;
+    /// 64 B at 100 Gbps.
+    const HEADER_SER: u64 = 5_120;
     impl Agent for Script {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for &(delay, seq) in &self.sends {
-                let pkt = Packet::data(self.flow, seq, self.src, self.dst, 0);
+                let mut pkt = Packet::data(self.flow, seq, self.src, self.dst, 0);
+                if seq >= HEADER {
+                    pkt.trim();
+                }
                 ctx.send_after(SimDuration(delay), self.src, pkt);
             }
         }
@@ -2065,6 +2137,171 @@ mod tx_done_tests {
                 fired: 1
             }
         );
+    }
+
+    /// Hosts 0, 1 and the sink hang off datacenter links: one delay class,
+    /// whose lanes their NICs and the switch's port toward the sink share.
+    /// A header leaves host 1 after host 0's data packet and reaches the
+    /// switch before it: sizes have lanes of their own inside the class, so
+    /// the overtaking unsorts nothing, and every later data `Arrival` and
+    /// `TxDone` of the class queues behind an earlier one, whichever port
+    /// sent it.
+    #[test]
+    fn a_header_overtakes_a_data_packet_inside_one_delay_class() {
+        let mut s = star();
+        s.sender(HostId(0), 0, &[(0, 0)]);
+        // The header at 50 ns; a data packet through an `Inject` at 60 ns,
+        // when the NIC is idle again.
+        s.sender(HostId(1), 50_000, &[(0, HEADER), (10_000, 1)]);
+        let (log, tx) = s.finish();
+        let at_switch = [50_000 + HEADER_SER + HOP, SER + HOP, 60_000 + SER + HOP];
+        assert!(at_switch[0] < at_switch[1], "sent later, there sooner");
+        assert_eq!(
+            log,
+            vec![
+                (1, HEADER, at_switch[0] + HEADER_SER + HOP),
+                (0, 0, at_switch[1] + SER + HOP),
+                // Reaches the switch 60 ns into the 120 ns of the packet
+                // before it: the one transmission with anyone waiting.
+                (1, 1, at_switch[1] + 2 * SER + HOP),
+            ]
+        );
+        assert_eq!(
+            tx,
+            TxChurn {
+                started: 6,
+                scheduled: 1,
+                fired: 1
+            }
+        );
+        // Pushed: two flow starts, the `Inject`, the first data `Arrival`,
+        // the header's two `Arrival`s (the header lane is empty each time)
+        // and the `TxDone`. Appended: the other three data `Arrival`s, each
+        // behind one a different port scheduled.
+        assert_eq!(
+            s.sim.metrics().lane_churn,
+            LaneChurn {
+                appended: 3,
+                pushed: 7,
+                refused: 0
+            }
+        );
+    }
+
+    /// Two NICs of one class start transmitting in the same picosecond, and
+    /// the one that reserved its `TxDone` key second needs it first. The
+    /// other's key, materialised later for the same instant, is the older
+    /// one: behind the lane's tail it would pop after it. The lane refuses
+    /// it, and the packets released at that instant keep their order.
+    #[test]
+    fn a_tx_done_older_than_its_class_lanes_tail_takes_the_heap() {
+        let mut s = star();
+        // NIC 0 is offered its second packet 100 ns in; NIC 1, which starts
+        // second, at once.
+        s.sender(HostId(0), 0, &[(0, 0), (100_000, 1)]);
+        s.sender(HostId(1), 0, &[(0, 0), (0, 1)]);
+        let (log, tx) = s.finish();
+        let t0 = SER + HOP;
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, t0 + SER + HOP),
+                (1, 0, t0 + 2 * SER + HOP),
+                // Both second packets left their NICs at 120 ns: host 0's
+                // `TxDone` popped first, so its packet is ahead all the way.
+                (0, 1, t0 + 3 * SER + HOP),
+                (1, 1, t0 + 4 * SER + HOP),
+            ]
+        );
+        assert_eq!(s.sim.metrics().lane_churn.refused, 1);
+        // The NICs' first transmissions and the switch port's first three.
+        assert_eq!(
+            tx,
+            TxChurn {
+                started: 8,
+                scheduled: 5,
+                fired: 5
+            }
+        );
+    }
+
+    /// A link flap across a `TxDone` that rides its class's lane with
+    /// another port's queued behind it: the head fires into the dead link,
+    /// its successor takes the lane over and fires as if nothing had
+    /// happened, `LinkUp` restarts the port.
+    #[test]
+    fn a_link_flap_crosses_a_tx_done_on_a_shared_class_lane() {
+        let mut s = star();
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1), (0, 2)]);
+        s.sender(HostId(1), 0, &[(0, 0), (0, 1)]);
+        let nic = s.nic(HostId(0));
+        let up = 500_000;
+        s.sim
+            .install_faults(&FaultPlan::new().link_down_window(nic, SimTime(SER / 2), SimTime(up)))
+            .expect("valid plan");
+        let early = s.sim.run(Some(SimTime(SER / 2)));
+        assert_eq!(early.stop, StopReason::TimeLimit);
+        // Two flow starts, the link window, the first data `Arrival` and the
+        // first `TxDone` were pushed; NIC 1's `Arrival` and `TxDone` queue
+        // behind NIC 0's.
+        assert_eq!(
+            early.lane_churn,
+            LaneChurn {
+                appended: 2,
+                pushed: 6,
+                refused: 0
+            }
+        );
+        let (log, _) = s.finish();
+        let t0 = SER + HOP;
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, t0 + SER + HOP),
+                (1, 0, t0 + 2 * SER + HOP),
+                (1, 1, t0 + 3 * SER + HOP),
+                (0, 1, up + SER + HOP + SER + HOP),
+                (0, 2, up + 2 * SER + HOP + SER + HOP),
+            ]
+        );
+    }
+
+    /// Hybrid fidelity: an express reservation puts a real transmission's
+    /// `start` ahead of `now`, and its `Arrival` ahead of what another port
+    /// of the class offers next. The class lane refuses that offer, the
+    /// port's own lane takes it, and delivery is store-and-forward to the
+    /// picosecond.
+    #[test]
+    fn an_arrival_the_class_lane_refuses_lands_on_the_ports_own() {
+        let mut s = star();
+        s.sim.set_fidelity(FidelityConfig::default());
+        // Two packets cross NIC 0 analytically: its virtual backlog ends at
+        // 240 ns.
+        s.sender(HostId(0), 0, &[(0, 0), (0, 1)]);
+        let early = s.sim.run(Some(SimTime::ZERO));
+        assert_eq!(early.stop, StopReason::TimeLimit);
+        let (nic0, nic1) = (s.nic(HostId(0)), s.nic(HostId(1)));
+        s.sim.pin_hot_port(nic0);
+        s.sim.pin_hot_port(nic1);
+        // A real packet on NIC 0 at 100 ns is timed behind the backlog: on
+        // the wire 240–360 ns. One on NIC 1 at 150 ns leaves at 270 ns.
+        s.sender(HostId(0), 100_000, &[(0, 0)]);
+        s.sender(HostId(1), 150_000, &[(0, 0)]);
+        let before = s.sim.metrics().lane_churn;
+        let (log, tx) = s.finish();
+        assert_eq!(
+            log,
+            vec![
+                (0, 0, SER + HOP + SER + HOP),
+                (0, 1, 2 * SER + HOP + SER + HOP),
+                // At the switch at 1.27 µs, behind a port busy to 1.36 µs.
+                (2, 0, 3 * SER + HOP + SER + HOP),
+                (1, 0, 4 * SER + HOP + SER + HOP),
+            ]
+        );
+        assert_eq!(tx.started, 2, "the NICs' two real transmissions");
+        let churn = s.sim.metrics().lane_churn;
+        assert_eq!(churn.refused - before.refused, 1, "{churn:?}");
     }
 
     /// The audit's reason to exist: a port that believes its wake-up is

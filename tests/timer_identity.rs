@@ -14,10 +14,17 @@
 //! commit before it: every row carries that commit's `events_processed`,
 //! and `events + tx_churn.elided()` must equal it exactly — the events that
 //! went are the no-op `TxDone`s and nothing else moved.
+//!
+//! Delay-class lanes (links of equal delay share one event-queue FIFO)
+//! change only what scheduling costs, so they must leave every row above
+//! untouched; three more rows pin the topologies and the fidelity mode the
+//! rows above do not reach against the commit before them, event counts
+//! included.
 
 use dcsim::prelude::*;
+use dcsim::topology::{two_dc_unstructured, UnstructuredParams};
 use incast_core::scheme::Transport;
-use incast_core::{install_incast, ExperimentConfig, Scheme};
+use incast_core::{install_incast, ExperimentConfig, IncastHandle, IncastSpec, Scheme};
 
 /// Per-flow completion times, an FNV-1a hash of the receiver down-ToR
 /// occupancy trace, the events processed and the `TxDone`s elided for one
@@ -32,9 +39,7 @@ fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64, u64)
     let port = sim.topology().down_tor_port(spec.receiver);
     sim.trace_port(port);
     let handle = install_incast(&mut sim, &spec, config.scheme);
-    let limit = spec.start + config.time_limit;
-    let report = sim.run(Some(limit));
-    assert!(report.stop != StopReason::EventCap, "event cap");
+    let (fcts, h, events) = harvest(&mut sim, &handle, port, spec.start + config.time_limit);
     let churn = sim.metrics().timer_churn;
     assert_eq!(
         churn.discarded_stale, 0,
@@ -50,6 +55,20 @@ fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64, u64)
         churn.fired + churn.canceled,
         "armed timers either fire or are canceled by idle: {churn:?}"
     );
+    (fcts, h, events, sim.metrics().tx_churn.elided())
+}
+
+/// Runs an installed incast to `limit`: per-flow completion times, an
+/// FNV-1a hash of `port`'s occupancy trace (the caller called `trace_port`),
+/// events processed.
+fn harvest(
+    sim: &mut Simulator,
+    handle: &IncastHandle,
+    port: PortId,
+    limit: SimTime,
+) -> (Vec<u64>, u64, u64) {
+    let report = sim.run(Some(limit));
+    assert!(report.stop != StopReason::EventCap, "event cap");
     let fcts: Vec<u64> = handle
         .watch_flows
         .iter()
@@ -62,8 +81,7 @@ fn run_traced(config: &ExperimentConfig, seed: u64) -> (Vec<u64>, u64, u64, u64)
             h = h.wrapping_mul(0x100000001b3);
         }
     }
-    let metrics = sim.metrics();
-    (fcts, h, metrics.events_processed, metrics.tx_churn.elided())
+    (fcts, h, sim.metrics().events_processed)
 }
 
 fn windowed_config(scheme: Scheme) -> ExperimentConfig {
@@ -206,4 +224,75 @@ fn timer_slots_preserve_determinism() {
     let a = run_traced(&windowed_config(Scheme::ProxyStreamlined), 42);
     let b = run_traced(&windowed_config(Scheme::ProxyStreamlined), 42);
     assert_eq!(a, b);
+}
+
+/// Traces the receiver's down-ToR port and runs the incast `config` built.
+fn run_built(config: &ExperimentConfig) -> (Vec<u64>, u64, u64) {
+    let (mut sim, spec, handle) = config.build(42);
+    let port = sim.topology().down_tor_port(spec.receiver);
+    sim.trace_port(port);
+    harvest(&mut sim, &handle, port, spec.start + config.time_limit)
+}
+
+/// Delay-class lanes against the per-port-lane engine (values captured from
+/// the commit before them), where the rows above do not reach: a random
+/// graph, a leaf–spine whose every leaf↔spine link has a latency — hence a
+/// class — of its own, and hybrid fidelity, whose express reservations
+/// unsort a class lane and send the offer on to the port's. Events processed
+/// must be equal too: nothing is elided, only scheduled differently.
+#[test]
+fn delay_class_lanes_match_the_per_port_lane_engine() {
+    let mut params = UnstructuredParams {
+        switches_per_dc: 6,
+        extra_links_per_dc: 6,
+        hosts_per_dc: 8,
+        gateways: 2,
+        seed: 5,
+        ..Default::default()
+    };
+    params.dc_queue.trim = true;
+    let mut sim = Simulator::new(two_dc_unstructured(&params), 42);
+    let (dc0, dc1) = (sim.topology().hosts_in_dc(0), sim.topology().hosts_in_dc(1));
+    let spec = IncastSpec::new(dc0[..3].to_vec(), dc1[0], 2_000_000).with_proxy(dc0[7]);
+    let port = sim.topology().down_tor_port(spec.receiver);
+    sim.trace_port(port);
+    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
+    let limit = spec.start + SimDuration::from_secs(60);
+    assert_eq!(
+        harvest(&mut sim, &handle, port, limit),
+        (
+            vec![1_175_540_000, 1_173_260_000, 1_175_660_000],
+            0x8821295eea99d681,
+            37_496
+        ),
+        "two_dc_unstructured"
+    );
+
+    let jittered = ExperimentConfig {
+        topo: TwoDcParams::small_test().with_path_jitter(0.5, 9),
+        ..windowed_config(Scheme::ProxyStreamlined)
+    };
+    assert_eq!(
+        run_built(&jittered),
+        (
+            vec![377_543_471, 377_663_471, 377_423_471],
+            0xc7e82c484ef69d4f,
+            41_125
+        ),
+        "jittered"
+    );
+
+    let hybrid = ExperimentConfig {
+        fidelity: true,
+        ..windowed_config(Scheme::ProxyStreamlined)
+    };
+    assert_eq!(
+        run_built(&hybrid),
+        (
+            vec![376_780_000, 376_900_000, 376_660_000],
+            0x5b3b8dfb27605a01,
+            26_327
+        ),
+        "hybrid"
+    );
 }
