@@ -10,7 +10,10 @@
 //! expected unknown-release count). Checked invariants:
 //!
 //! * **LeaseAccounting** — the [`LeaseLedger`] balance `granted ==
-//!   released + expired + reclaimed + active` after every operation.
+//!   released + expired + reclaimed + active` after every operation, and
+//!   the plane's own [`ShardedOrchestrator::check_invariants`] (load index
+//!   ≡ load map ≡ bytes live shards hold, orphan counts ≡ orphaned
+//!   entries, `active` ≡ the lease table).
 //! * **LeaseStateMismatch** — a renewal disagrees with the model: a lease
 //!   inside its term reports `Expired`/`Unknown`, or a lapsed one reports
 //!   `Renewed`/`Reclaimed`.
@@ -270,6 +273,13 @@ fn run_inner(sc: &CpScenario) -> CpOutcome {
             fail = Some((
                 "LeaseAccounting".into(),
                 format!("unbalanced after op {executed}: {:?}", orch.ledger()),
+            ));
+            break 'drive;
+        }
+        if let Err(broken) = orch.check_invariants() {
+            fail = Some((
+                "LeaseAccounting".into(),
+                format!("after op {executed}: {broken}"),
             ));
             break 'drive;
         }

@@ -1,7 +1,7 @@
-//! Epoch-stamped proxy leases.
+//! Epoch-stamped proxy leases, and the one table that holds them.
 //!
 //! A sharded control plane cannot hand out permanent assignments: a shard
-//! that crashes takes its assignment table with it, and a permanent
+//! that crashes takes its assignment state with it, and a permanent
 //! assignment nobody remembers is a leak (the proxy's capacity is gone
 //! until a human notices). Leases bound that damage in sim time — an
 //! assignment the holder stops renewing becomes reclaimable the moment it
@@ -14,6 +14,14 @@
 //! [`dcsim::audit::LeaseLedger`], the audit-layer balance
 //! `granted == released + expired + reclaimed + active` that the chaos
 //! fuzzer checks after every operation.
+//!
+//! [`LeaseTable`] is keyed by incast id alone; *where* a lease lives — a
+//! live shard, the orphans of a crashed one, the decentralized fallback —
+//! is the [`Holder`] stored beside it. An id resolves in one lookup
+//! whatever has happened to its shard, and a crash or an adoption flips
+//! the holder of an entry in place instead of moving the entry between
+//! tables. The table also counts orphaned leases per proxy, so "does a
+//! stale placement pin this proxy?" never scans.
 
 use dcsim::audit::LeaseLedger;
 use dcsim::det::DetMap;
@@ -55,11 +63,28 @@ pub enum RenewOutcome {
     Unknown,
 }
 
-/// One shard's lease table. All mutations feed the shared ledger so the
-/// global balance holds no matter how leases migrate between shards.
+/// Where a lease lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Holder {
+    /// Held by this live shard: its bytes are on the load book and it
+    /// renews in place.
+    Shard(u32),
+    /// Orphaned by the crash of this shard: still `active` in the ledger,
+    /// but its load was written off with the crash. Adopted when its holder
+    /// renews, else expired at the end of its term.
+    Orphan(u32),
+    /// Served by the decentralized fallback, which keeps its own books;
+    /// such a claim carries no term and never expires.
+    Fallback,
+}
+
+/// Every lease of the control plane, by incast id. All mutations feed the
+/// shared ledger so the global balance holds however leases change hands.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseTable {
-    leases: DetMap<u64, Lease>,
+    leases: DetMap<u64, (Holder, Lease)>,
+    /// Orphaned leases per proxy; a proxy with none has no entry.
+    orphans_on: DetMap<HostId, usize>,
 }
 
 impl LeaseTable {
@@ -78,84 +103,162 @@ impl LeaseTable {
         self.leases.is_empty()
     }
 
-    /// The lease for `id`, if this table holds it.
-    pub fn get(&self, id: u64) -> Option<&Lease> {
+    /// The lease for `id` and where it lives, if the table holds it.
+    pub fn get(&self, id: u64) -> Option<&(Holder, Lease)> {
         self.leases.get(&id)
     }
 
-    /// Records a fresh grant.
+    /// Number of orphaned leases.
+    pub fn orphaned(&self) -> usize {
+        self.orphans_on.values().sum()
+    }
+
+    /// True when an orphaned lease pins `proxy` — a fresh grant there may
+    /// contend with a placement the dead owner can no longer coordinate.
+    pub fn orphan_pins(&self, proxy: HostId) -> bool {
+        self.orphans_on.contains_key(&proxy)
+    }
+
+    /// Records a fresh grant held by shard 0 (a single-shard table).
     ///
     /// # Panics
-    /// Panics if `id` already holds a lease here — the caller must route a
-    /// duplicate select through the same "already has a proxy" guard the
-    /// other selectors use.
+    /// As [`LeaseTable::grant_to`].
     pub fn grant(&mut self, id: u64, lease: Lease, ledger: &mut LeaseLedger) {
-        let prior = self.leases.insert(id, lease);
-        assert!(prior.is_none(), "incast {id} already has a lease");
+        self.grant_to(Holder::Shard(0), id, lease, ledger);
+    }
+
+    /// Records a fresh grant held by `holder` (a shard or the fallback).
+    ///
+    /// # Panics
+    /// Panics if `id` already holds a lease: this insert is the sharded
+    /// plane's "already has a proxy" guard, so a select costs one lookup.
+    pub fn grant_to(&mut self, holder: Holder, id: u64, lease: Lease, ledger: &mut LeaseLedger) {
+        debug_assert!(
+            !matches!(holder, Holder::Orphan(_)),
+            "orphans are made by crashes"
+        );
+        let prior = self.leases.insert(id, (holder, lease));
+        assert!(prior.is_none(), "incast {id} already has a proxy");
         ledger.granted += 1;
         ledger.active += 1;
     }
 
-    /// Re-homes a lease reclaimed from a crashed shard: the old grant is
-    /// retired as `reclaimed` and a fresh grant (same proxy, the adopting
-    /// shard's epoch) takes its place.
-    pub fn adopt(&mut self, id: u64, lease: Lease, ledger: &mut LeaseLedger) {
-        ledger.reclaimed += 1;
-        ledger.active -= 1;
-        self.grant(id, lease, ledger);
+    /// Orphans every lease `shard` holds (shard crash), in id order, and
+    /// returns them so the caller can write off their load. The leases stay
+    /// `active` in the ledger — they are not gone, merely orphaned.
+    pub fn orphan_shard(&mut self, shard: u32) -> Vec<Lease> {
+        let mut orphans = Vec::new();
+        for (holder, lease) in self.leases.values_mut() {
+            if *holder == Holder::Shard(shard) {
+                *holder = Holder::Orphan(shard);
+                *self.orphans_on.entry(lease.proxy).or_insert(0) += 1;
+                orphans.push(*lease);
+            }
+        }
+        orphans
     }
 
-    /// Extends `id`'s lease to `expires_at`; false if not held here.
-    pub fn extend(&mut self, id: u64, expires_at: SimTime) -> bool {
-        match self.leases.get_mut(&id) {
-            Some(lease) => {
-                lease.expires_at = expires_at;
-                true
-            }
-            None => false,
+    /// Re-homes an orphaned lease on shard `adopter`: the old grant is
+    /// retired as `reclaimed` and `lease` (same proxy, the adopter's epoch,
+    /// a fresh term) is granted in its place.
+    ///
+    /// # Panics
+    /// Panics if `id` is not an orphaned lease.
+    pub fn adopt(&mut self, id: u64, adopter: u32, lease: Lease, ledger: &mut LeaseLedger) {
+        let entry = self.leases.get_mut(&id).expect("adopting an unknown lease");
+        assert!(
+            matches!(entry.0, Holder::Orphan(_)),
+            "adopting a lease that is not orphaned"
+        );
+        let proxy = entry.1.proxy;
+        *entry = (Holder::Shard(adopter), lease);
+        self.forget_orphan(proxy);
+        ledger.reclaimed += 1;
+        ledger.granted += 1;
+    }
+
+    fn forget_orphan(&mut self, proxy: HostId) {
+        let count = self.orphans_on.get_mut(&proxy).expect("counted orphan");
+        *count -= 1;
+        if *count == 0 {
+            self.orphans_on.remove(&proxy);
         }
     }
 
-    /// Releases `id`'s lease, returning it; `None` if not held here.
-    pub fn release(&mut self, id: u64, ledger: &mut LeaseLedger) -> Option<Lease> {
-        let lease = self.leases.remove(&id)?;
-        ledger.released += 1;
-        ledger.active -= 1;
-        Some(lease)
+    /// Extends `id`'s lease to `expires_at` if a live shard holds it; false
+    /// when the table has no such lease, or has it orphaned (it must be
+    /// adopted first) or on the fallback (no term to extend).
+    pub fn extend(&mut self, id: u64, expires_at: SimTime) -> bool {
+        match self.leases.get_mut(&id) {
+            Some((Holder::Shard(_), lease)) => {
+                lease.expires_at = expires_at;
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Removes and returns every lease due at or before `now`, marking
-    /// them expired in the ledger.
-    pub fn expire_due(&mut self, now: SimTime, ledger: &mut LeaseLedger) -> Vec<(u64, Lease)> {
+    /// Releases `id`'s lease, returning it and where it lived; `None` if
+    /// the table does not hold it.
+    pub fn release(&mut self, id: u64, ledger: &mut LeaseLedger) -> Option<(Holder, Lease)> {
+        let (holder, lease) = self.leases.remove(&id)?;
+        if let Holder::Orphan(_) = holder {
+            self.forget_orphan(lease.proxy);
+        }
+        ledger.released += 1;
+        ledger.active -= 1;
+        Some((holder, lease))
+    }
+
+    /// Removes and returns, in id order, every lease due at or before
+    /// `now`, marking them expired in the ledger. Fallback claims carry no
+    /// term and are never due.
+    pub fn expire_due(
+        &mut self,
+        now: SimTime,
+        ledger: &mut LeaseLedger,
+    ) -> Vec<(u64, (Holder, Lease))> {
         let due: Vec<u64> = self
             .leases
             .iter()
-            .filter(|(_, lease)| lease.expires_at <= now)
+            .filter(|(_, (holder, lease))| *holder != Holder::Fallback && lease.expires_at <= now)
             .map(|(&id, _)| id)
             .collect();
         due.into_iter()
             .map(|id| {
-                let lease = self.leases.remove(&id).expect("collected above");
+                let (holder, lease) = self.leases.remove(&id).expect("collected above");
+                if let Holder::Orphan(_) = holder {
+                    self.forget_orphan(lease.proxy);
+                }
                 ledger.expired += 1;
                 ledger.active -= 1;
-                (id, lease)
+                (id, (holder, lease))
             })
             .collect()
     }
 
-    /// Drains the whole table (shard crash): the leases stay `active` in
-    /// the ledger — they are not gone, merely orphaned — and the caller
-    /// parks them in its draining set.
-    pub fn drain_all(&mut self) -> Vec<(u64, Lease)> {
-        let ids: Vec<u64> = self.leases.iter().map(|(&id, _)| id).collect();
-        ids.into_iter()
-            .map(|id| (id, self.leases.remove(&id).expect("collected above")))
-            .collect()
+    /// Iterates over held leases in deterministic (id) order.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &(Holder, Lease))> {
+        self.leases.iter()
     }
 
-    /// Iterates over held leases in deterministic (id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Lease)> {
-        self.leases.iter()
+    /// Checks the orphan counts against the entries: per proxy they equal
+    /// the orphaned leases actually held, and no proxy is filed with a zero
+    /// count.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut counted: DetMap<HostId, usize> = DetMap::new();
+        for (holder, lease) in self.leases.values() {
+            if let Holder::Orphan(_) = holder {
+                *counted.entry(lease.proxy).or_insert(0) += 1;
+            }
+        }
+        if counted != self.orphans_on {
+            return Err(format!(
+                "orphans per proxy {:?}, but the entries say {counted:?}",
+                self.orphans_on
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -206,24 +309,63 @@ mod tests {
     }
 
     #[test]
-    fn drain_keeps_leases_active_and_adopt_reclaims() {
+    fn crash_keeps_leases_active_and_adopt_reclaims() {
         let mut table = LeaseTable::new();
         let mut ledger = LeaseLedger::default();
-        table.grant(1, lease(1000), &mut ledger);
-        let orphans = table.drain_all();
-        assert_eq!(orphans.len(), 1);
-        assert_eq!(ledger.active, 1, "draining is not terminal");
+        table.grant_to(Holder::Shard(2), 1, lease(1000), &mut ledger);
+        table.grant_to(Holder::Shard(3), 2, lease(1000), &mut ledger);
+        assert!(!table.orphan_pins(HostId(3)));
+        let orphans = table.orphan_shard(2);
+        assert_eq!(orphans, vec![lease(1000)], "only shard 2's lease");
+        assert_eq!(table.get(1).unwrap().0, Holder::Orphan(2));
+        assert_eq!(table.get(2).unwrap().0, Holder::Shard(3));
+        assert_eq!(table.orphaned(), 1);
+        assert!(table.orphan_pins(HostId(3)));
+        assert_eq!(ledger.active, 2, "orphaned is not terminal");
         assert!(ledger.balanced());
-        let mut sibling = LeaseTable::new();
-        sibling.adopt(1, orphans[0].1, &mut ledger);
+        assert!(!table.extend(1, SimTime(5000)), "adopt before extending");
+        let adopted = Lease {
+            epoch: 4,
+            ..lease(2000)
+        };
+        table.adopt(1, 3, adopted, &mut ledger);
+        assert_eq!(table.get(1), Some(&(Holder::Shard(3), adopted)));
+        assert!(!table.orphan_pins(HostId(3)));
+        assert_eq!(table.orphaned(), 0);
         assert!(ledger.balanced());
         assert_eq!(ledger.reclaimed, 1);
-        assert_eq!(ledger.granted, 2, "reclaim re-grants");
-        assert_eq!(ledger.active, 1);
+        assert_eq!(ledger.granted, 3, "reclaim re-grants");
+        assert_eq!(ledger.active, 2);
+        table.check_invariants().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "already has a lease")]
+    fn orphans_leave_the_count_however_they_end() {
+        let mut table = LeaseTable::new();
+        let mut ledger = LeaseLedger::default();
+        for id in 0..3 {
+            table.grant_to(Holder::Shard(1), id, lease(1000 + id), &mut ledger);
+        }
+        table.grant_to(Holder::Fallback, 9, lease(0), &mut ledger);
+        assert_eq!(table.orphan_shard(1).len(), 3);
+        table.check_invariants().unwrap();
+        // One released, one expired, one left pinning the proxy.
+        assert_eq!(table.release(0, &mut ledger).unwrap().0, Holder::Orphan(1));
+        let due = table.expire_due(SimTime(1001), &mut ledger);
+        assert_eq!(due.len(), 1, "the fallback claim has no term to run out");
+        assert_eq!(due[0].0, 1);
+        assert_eq!(table.orphaned(), 1);
+        assert!(table.orphan_pins(HostId(3)));
+        table.check_invariants().unwrap();
+        assert!(table.release(2, &mut ledger).is_some());
+        assert!(!table.orphan_pins(HostId(3)));
+        assert_eq!(table.len(), 1);
+        assert!(ledger.balanced());
+        table.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a proxy")]
     fn double_grant_panics() {
         let mut table = LeaseTable::new();
         let mut ledger = LeaseLedger::default();

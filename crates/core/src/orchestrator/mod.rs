@@ -5,11 +5,14 @@
 //! requires frequent updates on proxy status, or in a decentralized manner
 //! with repeated trials by individual incast."
 //!
-//! Three designs are implemented behind one trait:
+//! Three designs are implemented behind one trait, all keeping their
+//! per-candidate load in one [`LoadBook`] (load map plus a load-ordered
+//! index, see [`load`]):
 //!
 //! * [`GlobalOrchestrator`] — a central allocator with a complete load
-//!   view; picks the least-loaded eligible proxy, O(candidates) per
-//!   request, zero conflicts by construction.
+//!   view; picks the least-loaded eligible proxy off the front of the
+//!   book's index — O(log candidates) per request plus one step per
+//!   ineligible candidate skipped — zero conflicts by construction.
 //! * [`DecentralizedSelector`] — each incast probes `k` random candidates
 //!   (power-of-k-choices) and claims the least loaded; claims can conflict
 //!   under stale views, counted and retried.
@@ -20,14 +23,18 @@
 //!   heartbeats, and shard failure degrades gracefully (sibling takeover
 //!   when gossip has converged, per-request decentralized fallback when it
 //!   has not, wholesale decentralized fallback when a majority of shards
-//!   is dead). A global [`dcsim::audit::LeaseLedger`] balances
+//!   is dead). Every lease lives in one id-keyed [`lease::LeaseTable`]
+//!   that records where it is held, so finding one is a single lookup. A
+//!   global [`dcsim::audit::LeaseLedger`] balances
 //!   `granted == released + expired + reclaimed + active` at every step.
 
 pub mod gossip;
 pub mod lease;
+pub mod load;
 pub mod sharded;
 
 pub use lease::{Lease, RenewOutcome};
+pub use load::LoadBook;
 pub use sharded::{ShardedConfig, ShardedOrchestrator, ShardedStats};
 
 use dcsim::det::DetMap;
@@ -109,14 +116,10 @@ fn eligible(candidate: HostId, request: &IncastRequest) -> bool {
 /// Central allocator with a complete, always-fresh load view.
 #[derive(Debug, Clone)]
 pub struct GlobalOrchestrator {
-    /// Candidate proxy hosts (all in the sending datacenter).
-    candidates: Vec<HostId>,
-    /// Load per candidate (bytes across active incasts).
-    load: DetMap<HostId, u64>,
+    /// Load per candidate (bytes across active incasts) and health marks.
+    book: LoadBook,
     /// Active assignment per incast id.
     active: DetMap<u64, (HostId, u64)>,
-    /// Candidates reported unhealthy; excluded until reported healthy.
-    unhealthy: Vec<HostId>,
     /// Releases that named no active assignment (see
     /// [`ProxySelector::release_unknown`]).
     release_unknown: u64,
@@ -128,17 +131,9 @@ impl GlobalOrchestrator {
     /// # Panics
     /// Panics on an empty candidate set or duplicates.
     pub fn new(candidates: Vec<HostId>) -> Self {
-        assert!(!candidates.is_empty(), "no proxy candidates");
-        let mut dedup = candidates.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), candidates.len(), "duplicate candidates");
-        let load = candidates.iter().map(|&c| (c, 0)).collect();
         GlobalOrchestrator {
-            candidates,
-            load,
+            book: LoadBook::new(candidates),
             active: DetMap::new(),
-            unhealthy: Vec::new(),
             release_unknown: 0,
         }
     }
@@ -150,7 +145,7 @@ impl GlobalOrchestrator {
 
     /// Candidates currently marked unhealthy.
     pub fn unhealthy_count(&self) -> usize {
-        self.unhealthy.len()
+        self.book.unhealthy_count()
     }
 }
 
@@ -161,29 +156,22 @@ impl ProxySelector for GlobalOrchestrator {
             "incast {} already has a proxy",
             request.id
         );
-        let best = self
-            .candidates
-            .iter()
-            .filter(|&&c| eligible(c, request) && !self.unhealthy.contains(&c))
-            .min_by_key(|&&c| (self.load[&c], c.0))?;
-        let proxy = *best;
-        *self.load.get_mut(&proxy).expect("known candidate") += request.expected_bytes;
+        let proxy = self.book.least_loaded(request)?;
+        self.book.add(proxy, request.expected_bytes);
         self.active
             .insert(request.id, (proxy, request.expected_bytes));
         Some(Assignment { proxy, trials: 1 })
     }
 
     fn release(&mut self, id: u64) {
-        if let Some((proxy, bytes)) = self.active.remove(&id) {
-            let l = self.load.get_mut(&proxy).expect("known candidate");
-            *l = l.saturating_sub(bytes);
-        } else {
-            self.release_unknown += 1;
+        match self.active.remove(&id) {
+            Some((proxy, bytes)) => self.book.sub(proxy, bytes),
+            None => self.release_unknown += 1,
         }
     }
 
     fn load_of(&self, proxy: HostId) -> u64 {
-        self.load.get(&proxy).copied().unwrap_or(0)
+        self.book.load_of(proxy)
     }
 
     fn release_unknown(&self) -> u64 {
@@ -191,13 +179,11 @@ impl ProxySelector for GlobalOrchestrator {
     }
 
     fn report_unhealthy(&mut self, proxy: HostId) {
-        if !self.unhealthy.contains(&proxy) {
-            self.unhealthy.push(proxy);
-        }
+        self.book.report_unhealthy(proxy);
     }
 
     fn report_healthy(&mut self, proxy: HostId) {
-        self.unhealthy.retain(|&p| p != proxy);
+        self.book.report_healthy(proxy);
     }
 }
 
@@ -208,8 +194,7 @@ impl ProxySelector for GlobalOrchestrator {
 /// probes, which is the communication overhead the paper warns about.
 #[derive(Debug, Clone)]
 pub struct DecentralizedSelector {
-    candidates: Vec<HostId>,
-    load: DetMap<HostId, u64>,
+    book: LoadBook,
     active: DetMap<u64, (HostId, u64)>,
     /// Number of candidates probed per trial (power of k choices).
     probes_per_trial: usize,
@@ -226,14 +211,12 @@ impl DecentralizedSelector {
     /// Creates a selector probing `probes_per_trial` candidates per trial.
     ///
     /// # Panics
-    /// Panics on an empty candidate set or `probes_per_trial == 0`.
+    /// Panics on an empty candidate set, duplicates, or
+    /// `probes_per_trial == 0`.
     pub fn new(candidates: Vec<HostId>, probes_per_trial: usize, seed: u64) -> Self {
-        assert!(!candidates.is_empty(), "no proxy candidates");
         assert!(probes_per_trial > 0, "need at least one probe per trial");
-        let load = candidates.iter().map(|&c| (c, 0)).collect();
         DecentralizedSelector {
-            candidates,
-            load,
+            book: LoadBook::new(candidates),
             active: DetMap::new(),
             probes_per_trial,
             conflict_probability: 0.0,
@@ -252,22 +235,21 @@ impl DecentralizedSelector {
     }
 
     fn probe(&mut self, request: &IncastRequest) -> Option<HostId> {
-        let eligible: Vec<HostId> = self
-            .candidates
-            .iter()
-            .copied()
-            .filter(|&c| eligible(c, request))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
+        let admitted = || {
+            self.book
+                .candidates()
+                .iter()
+                .copied()
+                .filter(|&c| eligible(c, request))
+        };
+        let count = admitted().count();
         let mut best: Option<HostId> = None;
-        for _ in 0..self.probes_per_trial.min(eligible.len()) {
-            let pick = eligible[self.rng.next_bounded(eligible.len() as u64) as usize];
+        for _ in 0..self.probes_per_trial.min(count) {
+            let nth = self.rng.next_bounded(count as u64) as usize;
+            let pick = admitted().nth(nth).expect("nth < count");
             match best {
-                None => best = Some(pick),
-                Some(b) if self.load[&pick] < self.load[&b] => best = Some(pick),
-                _ => {}
+                Some(b) if self.book.load_of(pick) >= self.book.load_of(b) => {}
+                _ => best = Some(pick),
             }
         }
         best
@@ -291,7 +273,7 @@ impl ProxySelector for DecentralizedSelector {
                 self.conflicts += 1;
                 continue;
             }
-            *self.load.get_mut(&proxy).expect("known candidate") += request.expected_bytes;
+            self.book.add(proxy, request.expected_bytes);
             self.active
                 .insert(request.id, (proxy, request.expected_bytes));
             return Some(Assignment {
@@ -303,16 +285,14 @@ impl ProxySelector for DecentralizedSelector {
     }
 
     fn release(&mut self, id: u64) {
-        if let Some((proxy, bytes)) = self.active.remove(&id) {
-            let l = self.load.get_mut(&proxy).expect("known candidate");
-            *l = l.saturating_sub(bytes);
-        } else {
-            self.release_unknown += 1;
+        match self.active.remove(&id) {
+            Some((proxy, bytes)) => self.book.sub(proxy, bytes),
+            None => self.release_unknown += 1,
         }
     }
 
     fn load_of(&self, proxy: HostId) -> u64 {
-        self.load.get(&proxy).copied().unwrap_or(0)
+        self.book.load_of(proxy)
     }
 
     fn release_unknown(&self) -> u64 {
@@ -463,6 +443,24 @@ mod tests {
         let max_load = (0..16).map(|i| sel.load_of(HostId(i))).max().unwrap();
         // Power-of-two-choices keeps the max far below worst-case 160.
         assert!(max_load <= 20, "max_load={max_load}");
+    }
+
+    #[test]
+    fn every_selector_rejects_duplicate_candidates() {
+        let dup = || vec![HostId(1), HostId(2), HostId(1)];
+        let panics = |f: &dyn Fn()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .err()
+                .and_then(|e| e.downcast_ref::<String>().cloned())
+                .is_some_and(|msg| msg.contains("duplicate candidates"))
+        };
+        assert!(panics(&|| drop(GlobalOrchestrator::new(dup()))));
+        assert!(panics(&|| drop(DecentralizedSelector::new(dup(), 2, 7))));
+        assert!(panics(&|| drop(ShardedOrchestrator::new(
+            dup(),
+            ShardedConfig::default(),
+            7
+        ))));
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! time unless renewed; shards monitor each other with heartbeat-driven
 //! health [`gossip`](super::gossip) and degrade gracefully along a ladder:
 //!
-//! 1. **Home shard alive** — grant and renew there; the fast path is the
-//!    same least-loaded scan the [`GlobalOrchestrator`] uses.
+//! 1. **Home shard alive** — grant and renew there; the fast path takes the
+//!    least-loaded candidate off the same [`LoadBook`] index the
+//!    [`GlobalOrchestrator`](super::GlobalOrchestrator) uses, and finds the
+//!    lease to renew or release in one lookup of the id-keyed
+//!    [`LeaseTable`].
 //! 2. **Home shard dead, gossip converged** — the ring successor suspects
 //!    the corpse and serves in its place (takeover); orphaned leases are
 //!    adopted one by one as their holders renew.
@@ -19,19 +22,20 @@
 //! 4. **Majority of shards dead** — the control plane stops pretending:
 //!    every request takes the decentralized path until shards restore.
 //!
-//! A crashed shard's leases move to a *draining* set: still `active` in
-//! the global [`LeaseLedger`], but their load and membership view are
-//! lost, which is precisely the stale-placement hazard the fuzzer hunts —
-//! a fresh grant landing on a proxy that also appears among draining
-//! leases is counted as a [`ShardedStats::stale_conflicts`]. The ledger
-//! balance `granted == released + expired + reclaimed + active` holds
-//! after every operation, and `active` drains to zero at quiescence.
+//! A crashed shard's leases are *orphaned* in place ([`Holder::Orphan`];
+//! "draining"): still `active` in the global [`LeaseLedger`], but their
+//! load and membership view are lost, which is precisely the
+//! stale-placement hazard the fuzzer hunts — a fresh grant landing on a
+//! proxy that an orphaned lease also pins (a per-proxy count the table
+//! keeps, not a scan) is counted as a [`ShardedStats::stale_conflicts`].
+//! The ledger balance `granted == released + expired + reclaimed + active`
+//! holds after every operation, and `active` drains to zero at quiescence.
 
 use std::collections::VecDeque;
 
 use super::gossip::{HealthView, Heartbeat};
-use super::lease::{Lease, LeaseTable, RenewOutcome};
-use super::{eligible, Assignment, DecentralizedSelector, IncastRequest, ProxySelector};
+use super::lease::{Holder, Lease, LeaseTable, RenewOutcome};
+use super::{Assignment, DecentralizedSelector, IncastRequest, LoadBook, ProxySelector};
 use dcsim::audit::LeaseLedger;
 use dcsim::det::{DetMap, DetSet};
 use dcsim::packet::HostId;
@@ -94,7 +98,6 @@ struct Shard {
     /// Heartbeats sent since (re)start; cycles the extra gossip partner.
     beats: u64,
     alive: bool,
-    table: LeaseTable,
     view: HealthView,
     next_heartbeat: SimTime,
 }
@@ -102,21 +105,17 @@ struct Shard {
 /// Sharded control plane; see the module docs for the design.
 #[derive(Debug, Clone)]
 pub struct ShardedOrchestrator {
-    candidates: Vec<HostId>,
-    /// Load per candidate across all shard-granted leases (the fallback
-    /// keeps its own books).
-    load: DetMap<HostId, u64>,
-    unhealthy: Vec<HostId>,
+    /// Load per candidate across all shard-held leases (the fallback
+    /// keeps its own books), and the health marks.
+    book: LoadBook,
     shards: Vec<Shard>,
-    /// Orphaned leases of crashed shards: still active in the ledger,
-    /// owner recorded for adoption. Load and view are lost with the crash.
-    draining: DetMap<u64, (u32, Lease)>,
+    /// Every lease, with where it lives: on a live shard, orphaned by a
+    /// crashed one (owner recorded for adoption), or on the fallback.
+    leases: LeaseTable,
     /// Ids whose lease expired; lets renew/release distinguish "expired"
     /// from "never existed".
     expired: DetSet<u64>,
     fallback: DecentralizedSelector,
-    /// Ids served by the fallback instead of a shard lease.
-    fallback_ids: DetSet<u64>,
     in_flight: VecDeque<Heartbeat>,
     ledger: LeaseLedger,
     stats: ShardedStats,
@@ -128,17 +127,14 @@ impl ShardedOrchestrator {
     /// Creates a sharded control plane over the given candidate set.
     ///
     /// # Panics
-    /// Panics on an empty candidate set or zero shards.
+    /// Panics on an empty candidate set, duplicates, or zero shards.
     pub fn new(candidates: Vec<HostId>, config: ShardedConfig, seed: u64) -> Self {
-        assert!(!candidates.is_empty(), "no proxy candidates");
         assert!(config.shards > 0, "need at least one shard");
-        let load = candidates.iter().map(|&c| (c, 0)).collect();
         let shards = (0..config.shards)
             .map(|_| Shard {
                 epoch: 1,
                 beats: 0,
                 alive: true,
-                table: LeaseTable::new(),
                 view: HealthView::fresh(config.shards, SimTime::ZERO),
                 next_heartbeat: SimTime::ZERO + config.heartbeat_every,
             })
@@ -149,13 +145,10 @@ impl ShardedOrchestrator {
                 config.fallback_probes,
                 seed ^ 0xFA11_BACC,
             ),
-            candidates,
-            load,
-            unhealthy: Vec::new(),
+            book: LoadBook::new(candidates),
             shards,
-            draining: DetMap::new(),
+            leases: LeaseTable::new(),
             expired: DetSet::new(),
-            fallback_ids: DetSet::new(),
             in_flight: VecDeque::new(),
             ledger: LeaseLedger::default(),
             stats: ShardedStats::default(),
@@ -176,10 +169,7 @@ impl ShardedOrchestrator {
 
     /// Degradation-ladder counters.
     pub fn stats(&self) -> ShardedStats {
-        ShardedStats {
-            release_unknown: self.stats.release_unknown,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Number of shards currently alive.
@@ -189,13 +179,13 @@ impl ShardedOrchestrator {
 
     /// Leases orphaned by crashed shards and not yet adopted or expired.
     pub fn draining_leases(&self) -> usize {
-        self.draining.len()
+        self.leases.orphaned()
     }
 
     /// True when `id` is currently served by the decentralized fallback
     /// (such claims carry no lease term). Lets a harness model expiry.
     pub fn serves_via_fallback(&self, id: u64) -> bool {
-        self.fallback_ids.contains(&id)
+        matches!(self.leases.get(id), Some((Holder::Fallback, _)))
     }
 
     /// The shards a given live shard currently suspects dead.
@@ -231,24 +221,21 @@ impl ShardedOrchestrator {
             .find(|&s| self.shards[s as usize].alive)
     }
 
-    /// Crashes a shard: its lease table is orphaned into the draining set
-    /// (the ledger keeps them active), its load view and health view die
-    /// with it.
+    /// Crashes a shard: its leases are orphaned in place (the ledger keeps
+    /// them active), its load view and health view die with it.
     pub fn crash_shard(&mut self, shard: u32) {
         let idx = shard as usize;
         if !self.shards[idx].alive {
             return;
         }
         self.shards[idx].alive = false;
-        for (id, lease) in self.shards[idx].table.drain_all() {
-            let l = self.load.get_mut(&lease.proxy).expect("known candidate");
-            *l = l.saturating_sub(lease.bytes);
-            self.draining.insert(id, (shard, lease));
+        for lease in self.leases.orphan_shard(shard) {
+            self.book.sub(lease.proxy, lease.bytes);
         }
     }
 
     /// Restores a crashed shard under a fresh epoch with a conservative
-    /// (suspect-nobody) health view. Its orphaned leases stay draining
+    /// (suspect-nobody) health view. Its orphaned leases stay orphaned
     /// until their holders renew (adoption) or the term runs out.
     pub fn restore_shard(&mut self, shard: u32, now: SimTime) {
         let idx = shard as usize;
@@ -283,27 +270,11 @@ impl ShardedOrchestrator {
     }
 
     fn expire_due(&mut self, now: SimTime) {
-        for idx in 0..self.shards.len() {
-            if !self.shards[idx].alive {
-                continue;
+        for (id, (holder, lease)) in self.leases.expire_due(now, &mut self.ledger) {
+            // An orphan's load was already written off at the crash.
+            if let Holder::Shard(_) = holder {
+                self.book.sub(lease.proxy, lease.bytes);
             }
-            for (id, lease) in self.shards[idx].table.expire_due(now, &mut self.ledger) {
-                let l = self.load.get_mut(&lease.proxy).expect("known candidate");
-                *l = l.saturating_sub(lease.bytes);
-                self.expired.insert(id);
-                self.stats.expirations += 1;
-            }
-        }
-        let due: Vec<u64> = self
-            .draining
-            .iter()
-            .filter(|(_, (_, lease))| lease.expires_at <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.draining.remove(&id);
-            self.ledger.expired += 1;
-            self.ledger.active -= 1;
             self.expired.insert(id);
             self.stats.expirations += 1;
         }
@@ -363,81 +334,118 @@ impl ShardedOrchestrator {
         }
     }
 
-    fn holds(&self, id: u64) -> bool {
-        self.fallback_ids.contains(&id)
-            || self.draining.contains_key(&id)
-            || self.shards.iter().any(|s| s.table.get(id).is_some())
-    }
-
-    /// True when a draining lease pins `proxy` — a fresh grant there may
-    /// contend with a placement the dead owner can no longer coordinate.
-    fn conflicts_with_draining(&self, proxy: HostId) -> bool {
-        self.draining
-            .iter()
-            .any(|(_, (_, lease))| lease.proxy == proxy)
-    }
-
     fn grant_at_shard(
         &mut self,
         shard: u32,
         request: &IncastRequest,
         now: SimTime,
     ) -> Option<Assignment> {
-        let proxy = *self
-            .candidates
-            .iter()
-            .filter(|&&c| eligible(c, request) && !self.unhealthy.contains(&c))
-            .min_by_key(|&&c| (self.load[&c], c.0))?;
-        let s = &mut self.shards[shard as usize];
+        let proxy = self.book.least_loaded(request)?;
         let lease = Lease {
             proxy,
-            epoch: s.epoch,
+            epoch: self.shards[shard as usize].epoch,
             granted_at: now,
             expires_at: now + self.config.lease_ttl,
             bytes: request.expected_bytes,
         };
-        s.table.grant(request.id, lease, &mut self.ledger);
-        *self.load.get_mut(&proxy).expect("known candidate") += request.expected_bytes;
-        if self.conflicts_with_draining(proxy) {
-            self.stats.stale_conflicts += 1;
-        }
+        self.grant(Holder::Shard(shard), request.id, lease);
+        self.book.add(proxy, request.expected_bytes);
         Some(Assignment { proxy, trials: 1 })
     }
 
     fn fallback_select(&mut self, request: &IncastRequest) -> Option<Assignment> {
         let assignment = self.fallback.select(request)?;
-        self.fallback_ids.insert(request.id);
-        self.ledger.granted += 1;
-        self.ledger.active += 1;
+        // No epoch and no term: `expires_at` is never read.
+        let claim = Lease {
+            proxy: assignment.proxy,
+            epoch: 0,
+            granted_at: self.now,
+            expires_at: self.now,
+            bytes: request.expected_bytes,
+        };
+        self.grant(Holder::Fallback, request.id, claim);
         self.stats.fallback_selections += 1;
-        if self.conflicts_with_draining(assignment.proxy) {
-            self.stats.stale_conflicts += 1;
-        }
         Some(assignment)
     }
 
-    fn adopt(&mut self, id: u64, adopter: u32, now: SimTime) {
-        let (_, lease) = self.draining.remove(&id).expect("caller checked");
-        let s = &mut self.shards[adopter as usize];
+    /// Files a fresh grant and flags it when an orphaned lease pins the
+    /// same proxy — a placement the dead owner can no longer coordinate.
+    fn grant(&mut self, holder: Holder, id: u64, lease: Lease) {
+        self.leases.grant_to(holder, id, lease, &mut self.ledger);
+        if self.leases.orphan_pins(lease.proxy) {
+            self.stats.stale_conflicts += 1;
+        }
+    }
+
+    /// Renewal of a lease orphaned by `owner`: the restored owner, or the
+    /// ring successor once it suspects the crash, adopts it.
+    fn renew_orphan(&mut self, id: u64, owner: u32, orphan: Lease, now: SimTime) -> RenewOutcome {
+        let adopter = if self.shards[owner as usize].alive {
+            // The owner restored (new epoch) and re-learns the lease from
+            // its holder's renewal.
+            owner
+        } else {
+            match self.successor(owner) {
+                Some(successor)
+                    if self.shards[successor as usize].view.suspects(
+                        owner,
+                        now,
+                        self.config.suspect_after,
+                    ) =>
+                {
+                    successor
+                }
+                _ => return RenewOutcome::Pending,
+            }
+        };
         let adopted = Lease {
-            epoch: s.epoch,
+            epoch: self.shards[adopter as usize].epoch,
             granted_at: now,
             expires_at: now + self.config.lease_ttl,
-            ..lease
+            ..orphan
         };
-        s.table.adopt(id, adopted, &mut self.ledger);
-        *self.load.get_mut(&lease.proxy).expect("known candidate") += lease.bytes;
+        self.leases.adopt(id, adopter, adopted, &mut self.ledger);
+        self.book.add(adopted.proxy, adopted.bytes);
         self.stats.reclaims += 1;
+        RenewOutcome::Reclaimed
+    }
+
+    /// Checks the load book and the lease table each against itself, and
+    /// against each other: a proxy's load is the bytes of the leases live
+    /// shards hold on it, and the ledger's `active` counts the table.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.book.check_invariants()?;
+        self.leases.check_invariants()?;
+        let mut held: DetMap<HostId, u64> = DetMap::new();
+        for (_, (holder, lease)) in self.leases.iter() {
+            if let Holder::Shard(_) = holder {
+                *held.entry(lease.proxy).or_insert(0) += lease.bytes;
+            }
+        }
+        for &c in self.book.candidates() {
+            let held = held.get(&c).copied().unwrap_or(0);
+            if held != self.book.load_of(c) {
+                return Err(format!(
+                    "{c} carries {} but live shards hold {held} on it",
+                    self.book.load_of(c)
+                ));
+            }
+        }
+        if self.ledger.active != self.leases.len() as u64 {
+            return Err(format!(
+                "ledger counts {} active leases, the table holds {}",
+                self.ledger.active,
+                self.leases.len()
+            ));
+        }
+        Ok(())
     }
 }
 
 impl ProxySelector for ShardedOrchestrator {
     fn select(&mut self, request: &IncastRequest) -> Option<Assignment> {
-        assert!(
-            !self.holds(request.id),
-            "incast {} already has a proxy",
-            request.id
-        );
+        // A duplicate id panics where the grant is filed: `LeaseTable`'s one
+        // insert is also the "already has a proxy" guard.
         let now = self.now;
         if self.majority_dead() {
             return self.fallback_select(request);
@@ -468,44 +476,26 @@ impl ProxySelector for ShardedOrchestrator {
     }
 
     fn release(&mut self, id: u64) {
-        if self.fallback_ids.remove(&id) {
-            self.fallback.release(id);
-            self.ledger.released += 1;
-            self.ledger.active -= 1;
-            return;
-        }
-        for idx in 0..self.shards.len() {
-            if !self.shards[idx].alive {
-                continue;
-            }
-            if let Some(lease) = self.shards[idx].table.release(id, &mut self.ledger) {
-                let l = self.load.get_mut(&lease.proxy).expect("known candidate");
-                *l = l.saturating_sub(lease.bytes);
-                return;
-            }
-        }
-        if self.draining.remove(&id).is_some() {
+        match self.leases.release(id, &mut self.ledger) {
+            Some((Holder::Shard(_), lease)) => self.book.sub(lease.proxy, lease.bytes),
             // The holder finished before anyone adopted the orphan; load
             // was already written off at the crash.
-            self.ledger.released += 1;
-            self.ledger.active -= 1;
-            return;
+            Some((Holder::Orphan(_), _)) => {}
+            Some((Holder::Fallback, _)) => self.fallback.release(id),
+            None => self.stats.release_unknown += 1,
         }
-        self.stats.release_unknown += 1;
     }
 
     fn load_of(&self, proxy: HostId) -> u64 {
-        self.load.get(&proxy).copied().unwrap_or(0) + self.fallback.load_of(proxy)
+        self.book.load_of(proxy) + self.fallback.load_of(proxy)
     }
 
     fn report_unhealthy(&mut self, proxy: HostId) {
-        if !self.unhealthy.contains(&proxy) {
-            self.unhealthy.push(proxy);
-        }
+        self.book.report_unhealthy(proxy);
     }
 
     fn report_healthy(&mut self, proxy: HostId) {
-        self.unhealthy.retain(|&p| p != proxy);
+        self.book.report_healthy(proxy);
     }
 
     fn advance_to(&mut self, now: SimTime) {
@@ -518,40 +508,16 @@ impl ProxySelector for ShardedOrchestrator {
 
     fn renew(&mut self, id: u64, now: SimTime) -> RenewOutcome {
         let now = now.max(self.now);
-        if self.fallback_ids.contains(&id) {
-            return RenewOutcome::Renewed; // Fallback claims carry no term.
+        if self.leases.extend(id, now + self.config.lease_ttl) {
+            return RenewOutcome::Renewed;
         }
-        let expires_at = now + self.config.lease_ttl;
-        for idx in 0..self.shards.len() {
-            if self.shards[idx].alive && self.shards[idx].table.extend(id, expires_at) {
-                return RenewOutcome::Renewed;
-            }
+        match self.leases.get(id) {
+            Some(&(Holder::Orphan(owner), orphan)) => self.renew_orphan(id, owner, orphan, now),
+            // Fallback claims carry no term (a shard's lease renewed above).
+            Some(_) => RenewOutcome::Renewed,
+            None if self.expired.contains(&id) => RenewOutcome::Expired,
+            None => RenewOutcome::Unknown,
         }
-        if let Some(&(owner, _)) = self.draining.get(&id) {
-            if self.shards[owner as usize].alive {
-                // The owner restored (new epoch) and re-learns the lease
-                // from its holder's renewal.
-                self.adopt(id, owner, now);
-                return RenewOutcome::Reclaimed;
-            }
-            return match self.successor(owner) {
-                Some(successor)
-                    if self.shards[successor as usize].view.suspects(
-                        owner,
-                        now,
-                        self.config.suspect_after,
-                    ) =>
-                {
-                    self.adopt(id, successor, now);
-                    RenewOutcome::Reclaimed
-                }
-                _ => RenewOutcome::Pending,
-            };
-        }
-        if self.expired.contains(&id) {
-            return RenewOutcome::Expired;
-        }
-        RenewOutcome::Unknown
     }
 
     fn release_unknown(&self) -> u64 {
@@ -710,8 +676,8 @@ mod tests {
         assert_eq!(orch.ledger().reclaimed, 1);
         assert!(orch.ledger().balanced());
         // The re-granted lease is stamped with the post-restart epoch.
-        let lease = orch.shards[0].table.get(1).unwrap();
-        assert_eq!(lease.epoch, 2);
+        let (holder, lease) = orch.leases.get(1).unwrap();
+        assert_eq!((*holder, lease.epoch), (Holder::Shard(0), 2));
     }
 
     #[test]
@@ -748,6 +714,73 @@ mod tests {
         orch2.select(&request(2, 201)).unwrap();
         assert_eq!(orch2.stats().stale_conflicts, 1);
         let _ = orch;
+    }
+
+    /// The per-proxy orphan count answers exactly what a scan over every
+    /// orphaned lease would, through release, adoption and expiry.
+    #[test]
+    fn stale_conflicts_match_a_scan_over_a_thousand_orphans() {
+        fn pinned_by_scan(orch: &ShardedOrchestrator, proxy: HostId) -> bool {
+            orch.leases.iter().any(|(_, (holder, lease))| {
+                matches!(holder, Holder::Orphan(_)) && lease.proxy == proxy
+            })
+        }
+        let mut orch = ShardedOrchestrator::new(
+            hosts(16),
+            ShardedConfig {
+                lease_ttl: SimDuration::from_millis(50),
+                ..ShardedConfig::default()
+            },
+            3,
+        );
+        // 1,200 leases homed on shard 0, all on proxies 0..8.
+        for c in 8..16 {
+            orch.report_unhealthy(HostId(c));
+        }
+        for id in 0..1_200 {
+            orch.select(&request(id, 200)).unwrap();
+        }
+        for c in 8..16 {
+            orch.report_healthy(HostId(c));
+        }
+        orch.crash_shard(0);
+        assert_eq!(orch.draining_leases(), 1_200);
+        let on = |orch: &ShardedOrchestrator, proxy: u32| -> Vec<u64> {
+            (0..1_200)
+                .filter(|&id| matches!(orch.leases.get(id), Some((_, l)) if l.proxy.0 == proxy))
+                .collect()
+        };
+        let mut next = 1_200;
+        let mut expected = 0;
+        let mut grant_some = |orch: &mut ShardedOrchestrator, expected: &mut u64| {
+            for _ in 0..48 {
+                let a = orch.select(&request(next, 201)).unwrap(); // Home shard 1.
+                next += 1;
+                *expected += pinned_by_scan(orch, a.proxy) as u64;
+            }
+            assert_eq!(orch.stats().stale_conflicts, *expected);
+            orch.check_invariants().unwrap();
+        };
+        grant_some(&mut orch, &mut expected);
+        assert!(expected > 0 && expected < 48, "some pinned, some not");
+        // Released orphans stop pinning proxies 0 and 1 ...
+        for id in on(&orch, 0).into_iter().chain(on(&orch, 1)) {
+            orch.release(id);
+        }
+        grant_some(&mut orch, &mut expected);
+        // ... adopted ones proxy 2 ...
+        orch.restore_shard(0, t(100));
+        for id in on(&orch, 2) {
+            assert_eq!(orch.renew(id, t(100)), RenewOutcome::Reclaimed);
+        }
+        assert!(!pinned_by_scan(&orch, HostId(2)));
+        grant_some(&mut orch, &mut expected);
+        // ... and once the rest run out their term nothing conflicts.
+        orch.advance_to(t(60_000));
+        assert_eq!(orch.draining_leases(), 0);
+        let before = expected;
+        grant_some(&mut orch, &mut expected);
+        assert_eq!(expected, before);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the sharded control plane.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **Lease lifecycle vs oracle** — [`LeaseTable`] (and the full
 //!   [`ShardedOrchestrator`] under random crash/restore interleavings) is
@@ -8,6 +8,11 @@
 //!   [`LeaseLedger`] balance `granted == released + expired + reclaimed +
 //!   active` must hold after every operation, and `active` must reach
 //!   zero once every lease is released or allowed to run out.
+//! * **Selection vs a linear scan** — every grant a shard serves names the
+//!   proxy a scan over the candidates would (`min` of `(load, HostId)` over
+//!   the eligible, healthy ones), under the same chaos plus health
+//!   reports, with the load book's and the lease table's own invariants
+//!   checked after every operation.
 //! * **Gossip convergence** — after an arbitrary crash/restore schedule
 //!   ends, every live shard's failure detector converges on exactly the
 //!   dead set within a bounded number of heartbeat rounds (the extra
@@ -22,7 +27,7 @@ use incast_core::orchestrator::{
     IncastRequest, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Decodes one fuzzed word into (op, id, tick). Ids live in a small space
 /// so grants, renewals, and releases of the *same* lease actually collide.
@@ -176,6 +181,99 @@ proptest! {
         prop_assert!(orch.ledger().balanced(), "{:?}", orch.ledger());
         prop_assert_eq!(orch.ledger().active, 0, "{:?}", orch.ledger());
         prop_assert_eq!(orch.draining_leases(), 0);
+    }
+
+    /// Whatever has happened to the plane, a grant served by a shard lands
+    /// on the proxy a linear scan picks: the eligible, healthy candidate
+    /// with the least `(load, HostId)`. Loads collide on purpose (few
+    /// candidates, three sizes) so ties are the common case.
+    #[test]
+    fn selection_matches_a_linear_scan(ops in prop::collection::vec(any::<u64>(), 1..400)) {
+        let candidates: Vec<HostId> = [5, 2, 9, 4, 7, 1].map(HostId).to_vec();
+        let config = ShardedConfig {
+            shards: 3,
+            lease_ttl: SimDuration::from_micros(400),
+            heartbeat_every: SimDuration::from_micros(50),
+            suspect_after: SimDuration::from_micros(280),
+            gossip_delay: SimDuration::from_micros(10),
+            fallback_probes: 2,
+        };
+        let mut orch = ShardedOrchestrator::new(candidates.clone(), config, 21);
+        let mut unhealthy: BTreeSet<HostId> = BTreeSet::new();
+        // Live fallback claims: `load_of` includes them, shards do not see them.
+        let mut claims: BTreeMap<u64, (HostId, u64)> = BTreeMap::new();
+        let mut issued: Vec<u64> = Vec::new();
+        let mut now_us = 0u64;
+        for &word in &ops {
+            let (op, pick, tick) = (word % 16, (word >> 4) as usize % 64, (word >> 10) % 64);
+            now_us += tick;
+            orch.advance_to(t(now_us));
+            match op {
+                0..=5 => {
+                    let id = issued.len() as u64;
+                    let request = IncastRequest {
+                        id,
+                        senders: vec![candidates[pick % 6], HostId(100)],
+                        receiver: if pick % 5 == 0 {
+                            candidates[pick / 5 % 6]
+                        } else {
+                            HostId(64 + pick as u32 % 7)
+                        },
+                        expected_bytes: [10, 10, 20][(word >> 16) as usize % 3],
+                    };
+                    let scan = candidates
+                        .iter()
+                        .filter(|c| {
+                            **c != request.receiver
+                                && !request.senders.contains(c)
+                                && !unhealthy.contains(c)
+                        })
+                        .map(|&c| {
+                            let claimed: u64 = claims
+                                .values()
+                                .filter(|(proxy, _)| *proxy == c)
+                                .map(|(_, bytes)| bytes)
+                                .sum();
+                            (orch.load_of(c) - claimed, c)
+                        })
+                        .min()
+                        .map(|(_, c)| c);
+                    let granted = orch.select(&request).map(|a| a.proxy);
+                    issued.push(id);
+                    if orch.serves_via_fallback(id) {
+                        claims.insert(id, (granted.unwrap(), request.expected_bytes));
+                    } else if granted.is_some() {
+                        prop_assert_eq!(granted, scan, "select {}", id);
+                    } else {
+                        // Unserved: not even the scan found a candidate.
+                        prop_assert_eq!(scan, None);
+                    }
+                }
+                6..=8 if !issued.is_empty() => {
+                    let _ = orch.renew(issued[pick % issued.len()], t(now_us));
+                }
+                9..=11 if !issued.is_empty() => {
+                    let id = issued[pick % issued.len()];
+                    orch.release(id);
+                    claims.remove(&id);
+                }
+                12 => orch.crash_shard(pick as u32 % 3),
+                13 => orch.restore_shard(pick as u32 % 3, t(now_us)),
+                14 => {
+                    orch.report_unhealthy(candidates[pick % 6]);
+                    unhealthy.insert(candidates[pick % 6]);
+                }
+                15 => {
+                    orch.report_healthy(candidates[pick % 6]);
+                    unhealthy.remove(&candidates[pick % 6]);
+                }
+                _ => {}
+            }
+            prop_assert!(orch.ledger().balanced(), "{:?}", orch.ledger());
+            if let Err(broken) = orch.check_invariants() {
+                prop_assert!(false, "after op {} of word {}: {}", op, word, broken);
+            }
+        }
     }
 
     /// After the last crash/restore event, every live shard's suspect set

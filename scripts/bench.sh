@@ -96,7 +96,7 @@ for root in roots:
         # target/criterion accumulates every suite ever run; entries
         # belonging to suites with their own baseline file would be
         # double-gated (and go stale) here.
-        if bench.startswith(("fleet/", "netproxy_", "orchestrator", "streamlined_decision/", "wire_format/")):
+        if bench.startswith(("fleet/", "netproxy_", "streamlined_decision/", "wire_format/")):
             continue
         with open(os.path.join(dirpath, "estimates.json")) as f:
             est = json.load(f)

@@ -33,12 +33,11 @@ THRESHOLD="${PERFGATE_THRESHOLD:-0.10}"
 declare -A BASELINES=(
   [simulator]=BENCH_simulator.json
   [fleet]=BENCH_fleet.json
-  [orchestrator]=BENCH_orchestrator.json
   [netproxy]=BENCH_netproxy.json
 )
 
 FAIL=0
-for suite in simulator fleet orchestrator netproxy; do
+for suite in simulator fleet netproxy; do
   baseline="${BASELINES[$suite]}"
   if [ ! -f "$baseline" ]; then
     echo "perfgate: no baseline $baseline — skipping $suite suite"
