@@ -8,9 +8,11 @@
 //! express path) / wall-clock` — the events an engine scheduling a TxDone
 //! and an Arrival for every hop would have processed, so full and hybrid
 //! fidelity are rated on the same work.
-//! The repo's perf target (ISSUE 7) is ≥ 10M effective events/sec; the
-//! result is recorded in `BENCH_fleet.json` by `scripts/bench.sh`, which
-//! sweeps `--threads` across the machine's cores.
+//! The repo's perf target (ISSUE 7) is ≥ 10M effective events/sec. The
+//! timed record of this engine is the benchmark's `sim_fleet_hybrid`
+//! workload (`dcsim.fleet.t2_speedup` is its two-thread over one-thread
+//! ratio); EXPERIMENTS.md keeps a `--threads 1` / `--threads 2` pair from
+//! this binary's output.
 //!
 //! ```console
 //! $ cargo run --release -p bench --bin fleet -- --pods 8 --threads 1
@@ -25,7 +27,6 @@
 //!   --seed N      fleet seed (default 7)
 //!   --no-fidelity run at full packet fidelity (engine comparison)
 //!   --quick       small configuration for smoke tests
-//!   --json        emit a single JSON object instead of prose
 
 use dcsim::prelude::*;
 use dcsim::topology::{LinkProps, TopologyBuilder, TwoDcParams};
@@ -39,7 +40,6 @@ struct Cli {
     threads: usize,
     seed: u64,
     fidelity: bool,
-    json: bool,
 }
 
 impl Default for Cli {
@@ -52,7 +52,6 @@ impl Default for Cli {
             threads: 1,
             seed: 7,
             fidelity: true,
-            json: false,
         }
     }
 }
@@ -61,8 +60,8 @@ fn parse_args() -> Cli {
     let mut cli = Cli::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
-    let usage =
-        "see the module docs: --pods --degree --mb --threads --seed --no-fidelity --quick --json";
+    let usage = "see the module docs: --pods --degree --background --mb --threads --seed \
+                 --no-fidelity --quick";
     while let Some(arg) = it.next() {
         let mut value = || {
             it.next()
@@ -83,7 +82,6 @@ fn parse_args() -> Cli {
                 cli.background = 16;
                 cli.mb = 1;
             }
-            "--json" => cli.json = true,
             other => panic!("unknown argument {other}; {usage}"),
         }
     }
@@ -216,56 +214,27 @@ fn main() {
     let effective = report.events + report.tx_elided + report.express.saved_events;
     let raw_rate = report.events as f64 / wall_secs;
     let effective_rate = effective as f64 / wall_secs;
-    if cli.json {
-        println!(
-            "{{\"suite\":\"fleet\",\"pods\":{},\"shards\":{},\"threads\":{},\"degree\":{},\"background_per_dc\":{},\"mb_per_sender\":{},\"fidelity\":{},\"seed\":{},\"flows\":{},\"events\":{},\"tx_elided\":{},\"saved_events\":{},\"effective_events\":{},\"express_deferrals\":{},\"lane_appended\":{},\"lane_pushed\":{},\"lane_refused\":{},\"windows\":{},\"exchanged\":{},\"end_time_secs\":{:.6},\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"effective_events_per_sec\":{:.0}}}",
-            cli.pods,
-            fleet.num_shards(),
-            cli.threads,
-            cli.degree,
-            cli.background,
-            cli.mb,
-            cli.fidelity,
-            cli.seed,
-            flows.len(),
-            report.events,
-            report.tx_elided,
-            report.express.saved_events,
-            effective,
-            report.express.deferrals,
-            report.lane_churn.appended,
-            report.lane_churn.pushed,
-            report.lane_churn.refused,
-            report.windows,
-            report.exchanged,
-            report.end_time.0 as f64 / 1e12,
-            wall_secs,
-            raw_rate,
-            effective_rate,
-        );
-    } else {
-        println!(
-            "fleet: {} pods ({} shards, {} threads), {} flows of {} MB, fidelity {}",
-            cli.pods,
-            fleet.num_shards(),
-            cli.threads,
-            flows.len(),
-            cli.mb,
-            if cli.fidelity { "hybrid" } else { "full" },
-        );
-        println!(
-            "  {} events + {} TxDones never scheduled + {} saved = {} effective in {:.3}s wall ({} windows, {} cross-shard packets)",
-            report.events, report.tx_elided, report.express.saved_events, effective, wall_secs,
-            report.windows, report.exchanged,
-        );
-        println!(
-            "  event queue: {} inserts appended to a lane, {} pushed into the heap; lanes refused an offer {} times",
-            report.lane_churn.appended, report.lane_churn.pushed, report.lane_churn.refused,
-        );
-        println!(
-            "  {:.2}M events/sec raw, {:.2}M events/sec effective",
-            raw_rate / 1e6,
-            effective_rate / 1e6,
-        );
-    }
+    println!(
+        "fleet: {} pods ({} shards, {} threads), {} flows of {} MB, fidelity {}",
+        cli.pods,
+        fleet.num_shards(),
+        cli.threads,
+        flows.len(),
+        cli.mb,
+        if cli.fidelity { "hybrid" } else { "full" },
+    );
+    println!(
+        "  {} events + {} TxDones never scheduled + {} saved = {} effective in {:.3}s wall ({} windows, {} cross-shard packets)",
+        report.events, report.tx_elided, report.express.saved_events, effective, wall_secs,
+        report.windows, report.exchanged,
+    );
+    println!(
+        "  event queue: {} inserts appended to a lane, {} pushed into the heap; lanes refused an offer {} times",
+        report.lane_churn.appended, report.lane_churn.pushed, report.lane_churn.refused,
+    );
+    println!(
+        "  {:.2}M events/sec raw, {:.2}M events/sec effective",
+        raw_rate / 1e6,
+        effective_rate / 1e6,
+    );
 }

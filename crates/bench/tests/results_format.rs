@@ -57,3 +57,24 @@ fn committed_json_rows_rerender_byte_for_byte() {
     }
     assert!(rows > 0, "no JSON rows found under {dir}");
 }
+
+/// `netproxy_load --sweep` is the one committed live-socket throughput
+/// record: it must say what box and revision it is from and hold all
+/// three sections (its `JSON ` rows are re-rendered by the test above).
+#[test]
+fn netproxy_load_record_is_stamped_and_whole() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/netproxy_load.txt"
+    );
+    let text = std::fs::read_to_string(path).expect("results/netproxy_load.txt exists");
+    assert!(
+        text.lines()
+            .any(|line| line.starts_with("stamp: git ") && line.ends_with(" cores")),
+        "no stamp line in {path}"
+    );
+    for section in ["ceiling", "shard_scaling", "proxy_comparison"] {
+        let tag = format!("\"section\":\"{section}\"");
+        assert!(text.contains(&tag), "{path} has no {section} row");
+    }
+}

@@ -7,8 +7,8 @@
 //! pure function [`decide`] is that logic with no I/O attached, and it is
 //! the function the relay runs: [`crate::shard::ShardedRelay`]'s workers
 //! call it once per received datagram and act on the [`Action`] it
-//! returns. So the micro-benchmark (`cargo bench -p bench --bench
-//! proxy_datapath`) and `fig5`'s lower bound time exactly what sits on the
+//! returns. So the benchmark's `netproxy.streamlined.decide_ns` probe
+//! (`crates/perf`) and `fig5`'s lower bound time exactly what sits on the
 //! datapath, and the relay's socket path around it is the Figure 5b
 //! through-stack upper bound.
 

@@ -351,7 +351,7 @@ impl ReliableReceiver {
 mod tests {
     use super::*;
     use crate::shard::{RelayConfig, ShardedRelay};
-    use crate::testutil::loopback;
+    use crate::testutil::{loopback, wait_for};
     use std::thread;
 
     /// A receiver thread for `flow` plus a streamlined relay toward it.
@@ -394,10 +394,9 @@ mod tests {
         receiver.join().unwrap().unwrap(); // duplicates possible under kernel-buffer pressure
         assert_eq!(stats.total_packets, 200);
         assert!(stats.transmissions >= 200);
-        assert!(
-            relay.stats().reversed >= 200,
-            "ACKs came back through the relay"
-        );
+        // The relay flushes a batch's counters after the send the sender
+        // was waiting for, so the last ACK's count can trail it.
+        wait_for(|| relay.stats().reversed >= 200);
     }
 
     /// Datagrams trimmed before the relay must be recovered via the
