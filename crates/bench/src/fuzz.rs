@@ -14,10 +14,8 @@
 //! [`SplitMix64`] streams derived from the fuzz seed, and the campaign is
 //! bounded by scenario count, never wall-clock time.
 //!
-//! Repro files are hand-rolled JSON (emitted *and* parsed by the
-//! [`mini_json`] module) rather than serde_json, so replays work in every
-//! build of this workspace and the format stays independent of serde
-//! derive details.
+//! Repro files are hand-rolled JSON, emitted *and* parsed by the
+//! [`mini_json`] module — the workspace's one JSON implementation.
 
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
@@ -730,7 +728,7 @@ impl ReproFile {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON (no serde_json dependency in the repro path)
+// Minimal JSON (the workspace depends on no JSON crate)
 // ---------------------------------------------------------------------------
 
 /// Tiny JSON emitter + recursive-descent parser. Numbers keep their

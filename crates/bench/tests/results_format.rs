@@ -1,8 +1,8 @@
 //! Format pin for the `JSON ` rows of `results/*.txt`.
 //!
 //! The rows were first written by `serde_json`; `bench::json_line` now
-//! writes them through `mini_json` so registry and offline builds print
-//! the same bytes. This test holds the hand emitter to the committed
+//! writes them through `mini_json`, the workspace's one JSON
+//! implementation. This test holds the hand emitter to the committed
 //! files: every row is parsed, every number re-derived from its *value*
 //! (so float tokens such as `0.0` and `0.17544639052799998` are checked,
 //! not copied), the keys shuffled, and the result must re-render to the

@@ -25,7 +25,6 @@ use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::{Bandwidth, SimDuration, PS_PER_US};
 use dcsim::topology::Topology;
-use serde::Serialize;
 
 /// A logical application component (the unit of placement).
 pub type Component = String;
@@ -139,7 +138,7 @@ impl IncastDeclBuilder {
 }
 
 /// Why a plan could not be produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The declaration has no sink.
     MissingSink,
@@ -180,7 +179,7 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// The routing decision for one declared incast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Routing {
     /// Same-datacenter or no expected benefit: shortest path.
     Direct,
@@ -189,7 +188,7 @@ pub enum Routing {
 }
 
 /// A compiled deployment decision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlannedIncast {
     /// Declaration name.
     pub name: String,

@@ -15,10 +15,9 @@
 
 use dcsim::det::DetMap;
 use dcsim::packet::HostId;
-use serde::Serialize;
 
 /// Configuration of the instantaneous incast-signature detector.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SignatureConfig {
     /// Minimum distinct sources within a bin to call it an incast.
     pub min_degree: usize,
@@ -36,7 +35,7 @@ impl Default for SignatureConfig {
 }
 
 /// An instantaneous detection verdict for one destination and bin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncastSignature {
     /// The destination under incast.
     pub destination: HostId,
@@ -90,7 +89,7 @@ impl IncastSignatureDetector {
 }
 
 /// Result of a periodicity analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Periodicity {
     /// Dominant period, in bins.
     pub period_bins: usize,

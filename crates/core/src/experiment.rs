@@ -4,14 +4,13 @@
 
 use crate::scheme::{install_incast, IncastSpec, Scheme};
 use dcsim::prelude::*;
-use serde::{Deserialize, Serialize};
 use trace::{derive_seed, Summary};
 
 /// An infrastructure fault injected into an experiment run, expressed
 /// relative to the incast start so one scenario applies across sweeps.
 /// Translated into a concrete [`FaultPlan`] once the incast is installed
 /// and the proxy agent / relevant ports are known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultScenario {
     /// No faults (the default; keeps runs bit-identical to builds without
     /// fault support).
@@ -42,7 +41,7 @@ pub enum FaultScenario {
 /// §4.1 enables trimming only for the Streamlined scheme; Baseline and
 /// Naive run drop-tail and recover losses by RTO. `ForceOn`/`ForceOff`
 /// exist for the trimming ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrimPolicy {
     /// Trimming on for Streamlined, off otherwise (the paper's setup).
     SchemeDefault,
@@ -234,7 +233,7 @@ impl ExperimentConfig {
 }
 
 /// Result of one simulated incast.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IncastOutcome {
     /// Incast completion time in seconds.
     pub completion_secs: f64,

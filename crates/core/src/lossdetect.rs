@@ -21,10 +21,9 @@
 
 use dcsim::det::DetMap;
 use dcsim::packet::FlowId;
-use serde::Serialize;
 
 /// Configuration of the reorder-tolerant detector.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LossDetectorConfig {
     /// A missing sequence is declared lost after this many higher-sequence
     /// packets arrive.
@@ -73,10 +72,10 @@ impl Default for LossDetectorConfig {
 }
 
 /// A loss verdict emitted by the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct LossEvent {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LossEvent<K = FlowId> {
     /// Flow the loss belongs to.
-    pub flow: FlowId,
+    pub flow: K,
     /// The sequence declared lost.
     pub seq: u64,
 }
@@ -97,7 +96,7 @@ struct FlowState {
 }
 
 /// Per-flow counters for evaluating detector quality.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LossDetectorStats {
     /// Packets observed.
     pub observed: u64,
@@ -127,19 +126,21 @@ struct Declared {
     gap: u32,
 }
 
-/// Bounded-memory, reorder-tolerant loss detector.
+/// Bounded-memory, reorder-tolerant loss detector, keyed by whatever names
+/// a flow where it runs (the simulator's [`FlowId`], the relay's 64-bit
+/// wire flow id).
 #[derive(Debug)]
-pub struct LossDetector {
+pub struct LossDetector<K = FlowId> {
     config: LossDetectorConfig,
-    flows: DetMap<FlowId, FlowState>,
+    flows: DetMap<K, FlowState>,
     stats: LossDetectorStats,
     /// Sequences already declared lost, kept (bounded) to recognize false
     /// positives when the "lost" packet shows up after all, and to drive
     /// the retransmission watchdog.
-    declared: DetMap<FlowId, Vec<Declared>>,
+    declared: DetMap<K, Vec<Declared>>,
 }
 
-impl LossDetector {
+impl<K: Ord + Copy> LossDetector<K> {
     /// Creates a detector.
     ///
     /// # Panics
@@ -166,13 +167,13 @@ impl LossDetector {
     }
 
     /// Number of gaps currently tracked for a flow.
-    pub fn pending_of(&self, flow: FlowId) -> usize {
+    pub fn pending_of(&self, flow: K) -> usize {
         self.flows.get(&flow).map_or(0, |f| f.pending.len())
     }
 
     /// Feeds one observed data packet; returns any sequences newly declared
     /// lost.
-    pub fn observe(&mut self, flow: FlowId, seq: u64) -> Vec<LossEvent> {
+    pub fn observe(&mut self, flow: K, seq: u64) -> Vec<LossEvent<K>> {
         self.stats.observed += 1;
         let state = self.flows.entry(flow).or_default();
         let mut losses = Vec::new();
@@ -273,7 +274,7 @@ impl LossDetector {
 
     /// True while the flow has unresolved gaps or declared-but-unseen
     /// sequences (i.e. a sweep could still produce NACKs).
-    pub fn has_state(&self, flow: FlowId) -> bool {
+    pub fn has_state(&self, flow: K) -> bool {
         self.flows.get(&flow).is_some_and(|f| !f.pending.is_empty())
             || self.declared.get(&flow).is_some_and(|d| !d.is_empty())
     }
@@ -284,7 +285,7 @@ impl LossDetector {
     /// goes quiet — the count-based machinery is blind to *tail* losses
     /// (the flow's last packets have no successors to reveal the gap), and
     /// to retransmissions lost while no new data flows.
-    pub fn sweep(&mut self, flow: FlowId) -> Vec<LossEvent> {
+    pub fn sweep(&mut self, flow: K) -> Vec<LossEvent<K>> {
         let mut losses = Vec::new();
         let declared_list = self.declared.entry(flow).or_default();
         if let Some(state) = self.flows.get_mut(&flow) {
@@ -316,7 +317,7 @@ impl LossDetector {
     }
 
     /// Drops all state of a finished flow.
-    pub fn forget(&mut self, flow: FlowId) {
+    pub fn forget(&mut self, flow: K) {
         self.flows.remove(&flow);
         self.declared.remove(&flow);
     }

@@ -40,7 +40,6 @@ pub use sharded::{ShardedConfig, ShardedOrchestrator, ShardedStats};
 use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::SimTime;
-use serde::Serialize;
 use trace::SplitMix64;
 
 /// A request to allocate a proxy for one incast.
@@ -57,7 +56,7 @@ pub struct IncastRequest {
 }
 
 /// Outcome of a selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// The chosen proxy host.
     pub proxy: HostId,

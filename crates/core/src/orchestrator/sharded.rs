@@ -40,7 +40,6 @@ use dcsim::audit::LeaseLedger;
 use dcsim::det::{DetMap, DetSet};
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Timing and sizing knobs of the sharded control plane.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +73,7 @@ impl Default for ShardedConfig {
 }
 
 /// Observable behavior counters of the degradation ladder.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardedStats {
     /// Grants served by a ring successor on behalf of a dead home shard.
     pub takeovers: u64,

@@ -15,7 +15,6 @@
 //! inter/intra latency gap grow.
 
 use dcsim::time::{Bandwidth, SimDuration};
-use serde::Serialize;
 
 /// Inputs to the benefit prediction — all obtainable by a cloud operator
 /// from topology knowledge plus the incast declaration.
@@ -36,7 +35,7 @@ pub struct IncastProfile {
 }
 
 /// The prediction.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BenefitPrediction {
     /// Whether the first-RTT burst overflows the bottleneck (the paper's
     /// criterion for the proxy to matter at all).

@@ -23,7 +23,6 @@ use crate::predict::{predict, IncastProfile};
 use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::{Bandwidth, SimDuration, SimTime};
-use serde::Serialize;
 
 /// Static context the runtime needs about the deployment.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +63,7 @@ impl Default for RuntimeConfig {
 }
 
 /// An action the operator should apply at an epoch boundary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeAction {
     /// Route traffic toward `destination` through `proxy` from now on.
     Reroute {

@@ -13,10 +13,9 @@
 use dcsim::flows::cc_for_path;
 use dcsim::prelude::*;
 use dcsim::protocol::{RateCcConfig, RateSender};
-use serde::{Deserialize, Serialize};
 
 /// Which transport the incast senders run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// The paper's window-based DCTCP-like sender (§4.1).
     WindowedDctcp,
@@ -29,7 +28,7 @@ pub enum Transport {
 }
 
 /// Which §4.1 scheme an incast runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Direct sender→receiver connections.
     Baseline,

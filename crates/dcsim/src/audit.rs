@@ -47,11 +47,10 @@
 
 use crate::packet::{FlowId, PortId};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What to do when an invariant check fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditMode {
     /// Panic immediately with a structured violation report.
     Strict,
@@ -64,7 +63,7 @@ pub enum AuditMode {
 /// Installing one is cheap: the ledger counters are maintained
 /// unconditionally (a handful of integer increments per packet), so turning
 /// auditing on only adds the checkpoint checks themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Strict (panic) or collect (report) on violation.
     pub mode: AuditMode,
@@ -119,7 +118,7 @@ impl AuditConfig {
 /// packet counts as a fresh creation, so conservation holds regardless of
 /// agent behavior. `trimmed` is informational (a trimmed packet keeps
 /// traveling as a header); it is *not* part of the conservation sum.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketLedger {
     /// Packets emitted by agents (`Effect::Send`), including forwards.
     pub created: u64,
@@ -166,7 +165,7 @@ impl PacketLedger {
 /// draining set, to a sibling, or to the decentralized fallback) but never
 /// out of the ledger, so the balance catches both leaks (a lease forgotten
 /// by everyone) and double-frees (a lease released twice).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeaseLedger {
     /// Leases ever granted, including re-grants after a reclaim.
     pub granted: u64,
@@ -193,7 +192,7 @@ impl LeaseLedger {
 }
 
 /// A single invariant violation, with enough context to debug it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvariantViolation {
     /// The ledger does not balance: `created != terminal + in_flight`.
     PacketConservation {

@@ -26,12 +26,11 @@
 
 use crate::packet::{AgentId, PortId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A link outage on one port: down at `down_at`, optionally back up at
 /// `up_at` (`None` = down for the rest of the run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkWindow {
     /// The affected output port.
     pub port: PortId,
@@ -42,7 +41,7 @@ pub struct LinkWindow {
 }
 
 /// Random per-packet impairment of one port, active for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortImpairment {
     /// The affected output port.
     pub port: PortId,
@@ -54,7 +53,7 @@ pub struct PortImpairment {
 }
 
 /// A scheduled agent crash, optionally followed by a restart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentCrash {
     /// The agent that crashes (e.g. a proxy).
     pub agent: AgentId,
@@ -70,7 +69,7 @@ pub struct AgentCrash {
 /// ignores these entries, and the control-plane harness consumes them to
 /// drive its own clock. They live in the [`FaultPlan`] so one plan (and one
 /// fuzzer repro file) can describe a whole incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCrash {
     /// The orchestrator shard that crashes.
     pub shard: u32,
@@ -216,7 +215,7 @@ impl std::error::Error for FaultError {}
 /// assert!(plan.validate().is_ok());
 /// assert!(!plan.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Link outage windows.
     pub link_windows: Vec<LinkWindow>,
@@ -227,7 +226,6 @@ pub struct FaultPlan {
     /// Control-plane shard crashes (ignored by the packet simulator;
     /// consumed by the orchestration layer). Defaults to empty so plans
     /// serialized before this field existed still deserialize.
-    #[serde(default)]
     pub shard_crashes: Vec<ShardCrash>,
 }
 

@@ -1,13 +1,12 @@
 //! Packets and the identifier newtypes used across the simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -49,7 +48,7 @@ id_type!(
 );
 
 /// On-the-wire packet kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// A data segment carrying payload bytes.
     Data,
@@ -61,7 +60,7 @@ pub enum PacketKind {
 }
 
 /// ECN codepoint carried by a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ecn {
     /// ECN-capable transport, not marked.
     Ect,
@@ -81,7 +80,7 @@ pub const MSS: u64 = DATA_PKT_SIZE - HEADER_SIZE;
 /// Packets are plain values: the simulator moves them by copy between
 /// queues and agents. There is no payload buffer — only byte counts — since
 /// the experiments measure timing, not content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Flow this packet belongs to.
     pub flow: FlowId,

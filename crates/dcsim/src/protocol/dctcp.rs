@@ -23,11 +23,10 @@ use crate::packet::{AgentId, FlowId, HostId, Packet, PacketKind, DATA_PKT_SIZE, 
 use crate::protocol::rto::{RtoConfig, RttEstimator};
 use crate::protocol::seqtrack::SeqSet;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How the sender reacts to ECN marks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EcnResponse {
     /// True DCTCP: estimate the marked fraction α per RTT round (EWMA with
     /// gain `g`) and cut `cwnd *= 1 − α/2` once per round containing marks.
@@ -48,7 +47,7 @@ impl Default for EcnResponse {
 }
 
 /// Congestion-control configuration for one sender.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CcConfig {
     /// Initial congestion window in bytes (the paper: 1 BDP of the path).
     pub init_cwnd_bytes: u64,
@@ -99,7 +98,7 @@ const RTO_SLOT: u32 = 0;
 const PROBE_SLOT: u32 = 1;
 
 /// Configuration of proxy failover for a proxied sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverConfig {
     /// Consecutive RTO fires with no feedback at all before the sender
     /// declares the proxy unreachable and falls back to the direct path.

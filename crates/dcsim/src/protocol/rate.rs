@@ -23,11 +23,10 @@ use crate::packet::{FlowId, HostId, Packet, PacketKind, DATA_PKT_SIZE};
 use crate::protocol::rto::{RtoConfig, RttEstimator};
 use crate::protocol::seqtrack::SeqSet;
 use crate::time::{Bandwidth, SimDuration, SimTime, PS_PER_SEC};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of the rate-based sender.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RateCcConfig {
     /// Initial pacing rate (a guess at the fair share; the estimator takes
     /// over within a round).

@@ -8,10 +8,9 @@
 //! floor to avoid spurious timeouts.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// RTO configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RtoConfig {
     /// Lower bound on the computed RTO.
     pub min_rto: SimDuration,

@@ -16,12 +16,11 @@
 //! loss signal the Streamlined proxy converts into a NACK.
 
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use trace::SplitMix64;
 
 /// Configuration of one port queue.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueueConfig {
     /// Data-queue capacity in bytes.
     pub capacity_bytes: u64,
@@ -110,7 +109,7 @@ pub enum EnqueueOutcome {
 }
 
 /// Per-queue counters, exposed through the simulator's metrics.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueueStats {
     pub enqueued_pkts: u64,
     pub dequeued_pkts: u64,

@@ -14,7 +14,6 @@ use crate::protocol::{DctcpSender, Receiver};
 use crate::queues::{EnqueueOutcome, PortQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeRole, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ pub enum StopReason {
 /// How a run terminated, for reporting: [`StopReason`] folded together with
 /// the auditor's verdict so sweep binaries stop inferring completion from
 /// side channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminatedReason {
     /// The simulator went idle: every flow finished, every timer expired.
     Completed,

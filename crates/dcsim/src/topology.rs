@@ -15,11 +15,10 @@
 use crate::packet::{HostId, NodeId, PortId};
 use crate::queues::QueueConfig;
 use crate::time::{Bandwidth, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Physical properties of a unidirectional link.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkProps {
     /// Link rate.
     pub bandwidth: Bandwidth,
@@ -47,7 +46,7 @@ impl LinkProps {
 
 /// What a node is; used for diagnostics and by experiment code that needs
 /// to pick hosts per datacenter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
     /// A server. Carries its host index.
     Host(HostId),
@@ -62,7 +61,7 @@ pub enum NodeRole {
 }
 
 /// A unidirectional port: the queue and link from `from` to `to`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PortSpec {
     /// Transmitting node.
     pub from: NodeId,
@@ -74,7 +73,7 @@ pub struct PortSpec {
     pub queue: QueueConfig,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct NodeSpec {
     pub role: NodeRole,
     /// Datacenter index for structured topologies (None for generic nodes).
@@ -89,7 +88,7 @@ pub(crate) struct NodeSpec {
 /// table is what caps the dense representation at a few hundred hosts
 /// (10k hosts × 20k nodes would be 200M inner vectors), while the closed
 /// form is O(1) memory at any scale.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TwoDcLayout {
     /// Spines per datacenter.
     pub spines: usize,
@@ -502,7 +501,7 @@ impl Topology {
 }
 
 /// Parameters for the §4.1 two-datacenter topology.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TwoDcParams {
     /// Spine switches per datacenter (paper: 8).
     pub spines_per_dc: usize,
@@ -966,7 +965,7 @@ mod extension_tests {
 
 /// Parameters for the unstructured (random-graph) two-datacenter topology
 /// of [`two_dc_unstructured`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UnstructuredParams {
     /// Switches per datacenter.
     pub switches_per_dc: usize,

@@ -9,9 +9,15 @@
 //! the simulator's replay identity rests on.
 
 use dcsim::det::{DetMap, DetSet, SeqMap};
-use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use trace::{cases, SplitMix64};
 
+/// Between `len.start` and `len.end - 1` fuzzed words.
+fn words(rng: &mut SplitMix64, len: Range<u64>) -> Vec<u64> {
+    let n = len.start + rng.next_bounded(len.end - len.start);
+    (0..n).map(|_| rng.next_u64()).collect()
+}
 /// Decodes one fuzzed word into (op, key, value). Keys live in a small
 /// space (0..16) so inserts, overwrites, and removes of the *same* key
 /// actually collide.
@@ -19,65 +25,73 @@ fn decode(word: u64) -> (u64, u16, u64) {
     (word % 4, ((word >> 2) % 16) as u16, word >> 8)
 }
 
-proptest! {
-    /// DetMap agrees with a BTreeMap model after every operation of a
-    /// random insert / overwrite / remove / entry-or-insert interleaving.
-    #[test]
-    fn detmap_matches_btreemap_model(ops in prop::collection::vec(any::<u64>(), 1..400)) {
+/// DetMap agrees with a BTreeMap model after every operation of a
+/// random insert / overwrite / remove / entry-or-insert interleaving.
+#[test]
+fn detmap_matches_btreemap_model() {
+    cases(201, 256, |_, rng| {
+        let ops = words(rng, 1..400);
         let mut map: DetMap<u16, u64> = DetMap::new();
         let mut model: BTreeMap<u16, u64> = BTreeMap::new();
         for &word in &ops {
             let (op, key, val) = decode(word);
             match op {
                 0 | 1 => {
-                    prop_assert_eq!(map.insert(key, val), model.insert(key, val));
+                    assert_eq!(map.insert(key, val), model.insert(key, val));
                 }
                 2 => {
-                    prop_assert_eq!(map.remove(&key), model.remove(&key));
+                    assert_eq!(map.remove(&key), model.remove(&key));
                 }
                 _ => {
                     let got = *map.entry(key).or_insert(val);
                     let want = *model.entry(key).or_insert(val);
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(map.len(), model.len());
-            prop_assert_eq!(map.get(&key).copied(), model.get(&key).copied());
+            assert_eq!(map.len(), model.len());
+            assert_eq!(map.get(&key).copied(), model.get(&key).copied());
         }
         let got: Vec<(u16, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<(u16, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
+}
 
-    /// DetSet agrees with a BTreeSet model under random insert/remove.
-    #[test]
-    fn detset_matches_btreeset_model(ops in prop::collection::vec(any::<u64>(), 1..400)) {
+/// DetSet agrees with a BTreeSet model under random insert/remove.
+#[test]
+fn detset_matches_btreeset_model() {
+    cases(202, 256, |_, rng| {
+        let ops = words(rng, 1..400);
         let mut set: DetSet<u16> = DetSet::new();
         let mut model: BTreeSet<u16> = BTreeSet::new();
         for &word in &ops {
             let (op, key, _) = decode(word);
             if op < 3 {
-                prop_assert_eq!(set.insert(key), model.insert(key));
+                assert_eq!(set.insert(key), model.insert(key));
             } else {
-                prop_assert_eq!(set.remove(&key), model.remove(&key));
+                assert_eq!(set.remove(&key), model.remove(&key));
             }
-            prop_assert_eq!(set.len(), model.len());
-            prop_assert_eq!(set.contains(&key), model.contains(&key));
+            assert_eq!(set.len(), model.len());
+            assert_eq!(set.contains(&key), model.contains(&key));
         }
         let got: Vec<u16> = set.iter().copied().collect();
         let want: Vec<u16> = model.iter().copied().collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
+}
 
-    /// Iteration order is a pure function of the key set: inserting the
-    /// same pairs in forward, reverse, or interleaved order yields the
-    /// identical key sequence. (This is exactly the property HashMap
-    /// lacks, and the reason the NACK scheduler can iterate a DetMap
-    /// without a sort step.)
-    #[test]
-    fn detmap_iteration_order_ignores_insertion_history(
-        keys in prop::collection::vec(0u32..10_000, 1..200),
-    ) {
+/// Iteration order is a pure function of the key set: inserting the
+/// same pairs in forward, reverse, or interleaved order yields the
+/// identical key sequence. (This is exactly the property HashMap
+/// lacks, and the reason the NACK scheduler can iterate a DetMap
+/// without a sort step.)
+#[test]
+fn detmap_iteration_order_ignores_insertion_history() {
+    cases(203, 256, |_, rng| {
+        let keys: Vec<u32> = words(rng, 1..200)
+            .iter()
+            .map(|w| (w % 10_000) as u32)
+            .collect();
         let forward: DetMap<u32, u32> = keys.iter().map(|&k| (k, k)).collect();
         let reverse: DetMap<u32, u32> = keys.iter().rev().map(|&k| (k, k)).collect();
         let mut interleaved: DetMap<u32, u32> = DetMap::new();
@@ -94,19 +108,22 @@ proptest! {
         let a: Vec<u32> = forward.keys().copied().collect();
         let b: Vec<u32> = reverse.keys().copied().collect();
         let c: Vec<u32> = interleaved.keys().copied().collect();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+        assert_eq!(&a, &b);
+        assert_eq!(&a, &c);
         let mut sorted: Vec<u32> = keys.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(a, sorted);
-    }
+        assert_eq!(a, sorted);
+    });
+}
 
-    /// SeqMap iterates in first-insertion order, matching a Vec model
-    /// under random insert / overwrite / remove: overwrites keep the
-    /// original position, removals shift, re-inserts go to the back.
-    #[test]
-    fn seqmap_preserves_insertion_order(ops in prop::collection::vec(any::<u64>(), 1..300)) {
+/// SeqMap iterates in first-insertion order, matching a Vec model
+/// under random insert / overwrite / remove: overwrites keep the
+/// original position, removals shift, re-inserts go to the back.
+#[test]
+fn seqmap_preserves_insertion_order() {
+    cases(204, 256, |_, rng| {
+        let ops = words(rng, 1..300);
         let mut map: SeqMap<u16, u64> = SeqMap::new();
         let mut model: Vec<(u16, u64)> = Vec::new();
         for &word in &ops {
@@ -125,27 +142,27 @@ proptest! {
                     match expect {
                         Some(pos) => {
                             let (_, v) = model.remove(pos);
-                            prop_assert_eq!(removed, Some(v));
+                            assert_eq!(removed, Some(v));
                         }
-                        None => prop_assert_eq!(removed, None),
+                        None => assert_eq!(removed, None),
                     }
                 }
                 _ => {
                     let got = *map.get_or_insert_with(key, || val);
                     match model.iter().find(|(k, _)| *k == key) {
-                        Some(&(_, v)) => prop_assert_eq!(got, v),
+                        Some(&(_, v)) => assert_eq!(got, v),
                         None => {
                             model.push((key, val));
-                            prop_assert_eq!(got, val);
+                            assert_eq!(got, val);
                         }
                     }
                 }
             }
-            prop_assert_eq!(map.len(), model.len());
+            assert_eq!(map.len(), model.len());
         }
         let got: Vec<(u16, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, model);
-    }
+        assert_eq!(got, model);
+    });
 }
 
 /// Entry-API smoke test: or_insert, or_insert_with, and_modify, and the

@@ -547,7 +547,7 @@ impl FaultedIo {
 /// DATA flag (trimmed included) vs ACK/NACK — the ledger's outbound
 /// classification. Unparseable bytes never originate from the relay's
 /// own queue, but classify as ctrl defensively.
-fn is_data_bytes(bytes: &[u8]) -> bool {
+pub(crate) fn is_data_bytes(bytes: &[u8]) -> bool {
     DatagramView::parse(bytes)
         .map(|v| v.flags().contains(Flags::DATA))
         .unwrap_or(false)

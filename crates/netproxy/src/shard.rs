@@ -39,15 +39,13 @@
 //!   quiescence sweep for tail losses.
 
 use crate::batch::{self, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
-use crate::fault::{FaultConfig, FaultSnapshot, FaultStats, FaultedIo};
+use crate::fault::{is_data_bytes, FaultConfig, FaultSnapshot, FaultStats, FaultedIo};
 use crate::streamlined::{decide, Action};
 use crate::supervisor::{
     self, ChaosKind, ShardSlot, SupervisorConfig, SupervisorShared, SupervisorStats,
 };
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use crate::wire::{
-    rewrite_data_to_nack, rewrite_trimmed_to_nack, DatagramView, Flags, WireHeader, WIRE_HEADER_LEN,
-};
+use crate::wire::{rewrite_data_to_nack, rewrite_trimmed_to_nack, WireHeader, WIRE_HEADER_LEN};
 use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use std::collections::HashMap;
 use std::io;
@@ -831,7 +829,8 @@ struct ShardWorker {
     io: Box<dyn BatchIo>,
     kind: RelayKind,
     receiver: SocketAddr,
-    detector: LossDetector,
+    /// Keyed by the 64-bit wire flow id, whole.
+    detector: LossDetector<u64>,
     sweep_interval: Duration,
     directory: Arc<FlowDirectory>,
     stats: Arc<ShardStats>,
@@ -918,13 +917,6 @@ impl ShardWorker {
                 }
                 Err(_) => return, // socket died; the supervisor restarts us
             };
-            if got == 0 {
-                if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
-                    self.sweep(&senders, &mut last_activity, &ring, &mut queue);
-                    next_sweep = Instant::now() + self.sweep_interval;
-                }
-                continue;
-            }
             // One batch per slice of at most BATCH datagrams, so that what
             // is sized or scoped by "a batch" — one send flush, one counter
             // flush, one latency sample, the shed ladder's refill and
@@ -942,7 +934,9 @@ impl ShardWorker {
                 }
             }
             if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
-                self.sweep(&senders, &mut last_activity, &ring, &mut queue);
+                if !self.sweep(&senders, &mut last_activity, &ring, &mut queue) {
+                    return;
+                }
                 next_sweep = Instant::now() + self.sweep_interval;
             }
         }
@@ -968,6 +962,22 @@ impl ShardWorker {
         for i in batch {
             self.classify(ring, i, queue, senders, last_activity, &mut local);
         }
+        let alive = self.flush_sends(ring, queue, local);
+        let s = &self.stats;
+        // ordering: Relaxed — monotone counters, as in `flush_sends`.
+        s.batches.fetch_add(1, Ordering::Relaxed);
+        s.received.fetch_add(got, Ordering::Relaxed);
+        s.max_batch.fetch_max(got, Ordering::Relaxed);
+        self.recorder
+            .record_nanos(start.elapsed().as_nanos() as u64 / got);
+        alive
+    }
+
+    /// The post-send arm of a batch and of a sweep: flush `queue` in one
+    /// `send_batch`, empty it, and flush `local` plus what the send lost
+    /// to the shard counters. False when the socket died (a transient
+    /// failure is a counted retry).
+    fn flush_sends(&mut self, ring: &RecvRing, queue: &mut SendQueue, mut local: Local) -> bool {
         let send_result = self.io.send_batch(ring, queue);
         let outcome = match &send_result {
             Ok(o) => *o,
@@ -977,11 +987,7 @@ impl ShardWorker {
                 // so the soak ledger can account for each datagram
                 // even on this path.
                 for qi in 0..queue.len() {
-                    let (bytes, _) = queue.resolve(ring, qi);
-                    let is_data = DatagramView::parse(bytes)
-                        .map(|v| v.flags().contains(Flags::DATA))
-                        .unwrap_or(false);
-                    if is_data {
+                    if is_data_bytes(queue.resolve(ring, qi).0) {
                         local.send_err_data += 1;
                     } else {
                         local.send_err_ctrl += 1;
@@ -994,9 +1000,9 @@ impl ShardWorker {
             }
         };
         queue.clear();
-        // Flush the batch's counters in one go — unconditionally,
-        // *before* any error return, so a dying shard never loses a
-        // processed batch from the ledger.
+        // Flush the counters in one go — unconditionally, *before* any
+        // error return, so a dying shard never loses a processed batch
+        // from the ledger.
         let s = &self.stats;
         // ordering: Relaxed — monotone counters read only by
         // `RelayStats::merge` snapshots, which tolerate mixed
@@ -1006,9 +1012,6 @@ impl ShardWorker {
         s.reversed.fetch_add(local.reversed, Ordering::Relaxed);
         s.dropped.fetch_add(local.dropped, Ordering::Relaxed);
         s.send_errors.fetch_add(outcome.errors, Ordering::Relaxed);
-        s.batches.fetch_add(1, Ordering::Relaxed);
-        s.received.fetch_add(got, Ordering::Relaxed);
-        s.max_batch.fetch_max(got, Ordering::Relaxed);
         s.shed_nacked
             .fetch_add(local.shed_nacked, Ordering::Relaxed);
         s.shed_dropped
@@ -1019,8 +1022,6 @@ impl ShardWorker {
             .fetch_add(local.send_err_data, Ordering::Relaxed);
         s.send_err_ctrl
             .fetch_add(local.send_err_ctrl, Ordering::Relaxed);
-        self.recorder
-            .record_nanos(start.elapsed().as_nanos() as u64 / got);
         match send_result {
             Ok(_) => true,
             Err(e) if is_transient_io(&e) => {
@@ -1132,7 +1133,7 @@ impl ShardWorker {
                 }
                 if self.kind == RelayKind::Detecting {
                     last_activity.insert(flow, Instant::now());
-                    for loss in self.detector.observe(detector_flow(flow), seq) {
+                    for loss in self.detector.observe(flow, seq) {
                         // Generated NACKs ride the same budget (note:
                         // detecting is not datagram-conserving — one
                         // arrival can yield several NACKs).
@@ -1180,16 +1181,16 @@ impl ShardWorker {
     /// Sweep NACKs are deliberately *not* run through the shed ladder:
     /// they fire on quiescence (so never during a storm), are the last
     /// recovery line for tail losses, and are bounded by the detector's
-    /// own pending-loss memory.
+    /// own pending-loss memory. False when the socket died.
     fn sweep(
         &mut self,
         senders: &HashMap<u64, SocketAddr>,
         last_activity: &mut HashMap<u64, Instant>,
         ring: &RecvRing,
         queue: &mut SendQueue,
-    ) {
+    ) -> bool {
         let now = Instant::now();
-        let mut nacks = 0u64;
+        let mut local = Local::default();
         for (&flow, &sender) in senders {
             let quiet = last_activity
                 .get(&flow)
@@ -1197,29 +1198,13 @@ impl ShardWorker {
             if !quiet {
                 continue;
             }
-            for loss in self.detector.sweep(detector_flow(flow)) {
+            for loss in self.detector.sweep(flow) {
                 queue.push_nack(flow, loss.seq, sender);
-                nacks += 1;
+                local.nacks += 1;
             }
         }
-        if queue.is_empty() {
-            return;
-        }
-        if let Ok(outcome) = self.io.send_batch(ring, queue) {
-            // ordering: Relaxed — monotone counters, as in the batch
-            // flush above.
-            self.stats.nacks.fetch_add(nacks, Ordering::Relaxed);
-            self.stats
-                .send_errors
-                .fetch_add(outcome.errors, Ordering::Relaxed);
-        }
-        queue.clear();
+        queue.is_empty() || self.flush_sends(ring, queue, local)
     }
-}
-
-/// Maps the 64-bit wire flow id into the detector's flow key space.
-fn detector_flow(flow: u64) -> dcsim::packet::FlowId {
-    dcsim::packet::FlowId(flow as u32)
 }
 
 // The FlowDirectory tests below are pure (threads + atomics, no sockets)
@@ -1309,6 +1294,7 @@ mod directory_tests {
 mod tests {
     use super::*;
     use crate::testutil::{loopback, wait_for};
+    use crate::wire::Flags;
     use std::net::UdpSocket;
 
     fn recv_one(sock: &UdpSocket) -> (WireHeader, Vec<u8>, SocketAddr) {
@@ -1600,7 +1586,7 @@ mod tests {
                 .send_to(&long.encode(&[7; MAX_PAYLOAD + 1]), relay.local_addr())
                 .unwrap();
             // A trimmed header that would parse, junk behind it.
-            let mut padded = WireHeader::trimmed(3, 1).encode(&[]).to_vec();
+            let mut padded = WireHeader::trimmed(3, 1).encode(&[]);
             padded.resize(MAX_DATAGRAM + 1, 0xEE);
             sender.send_to(&padded, relay.local_addr()).unwrap();
             let mut oversize = 2;
@@ -1609,7 +1595,7 @@ mod tests {
             {
                 let train = UdpSocket::bind(loopback()).unwrap();
                 batch::set_gso_size(&train, 2000).unwrap();
-                let mut segment = WireHeader::data(3, 2, 100).encode(&[7; 100]).to_vec();
+                let mut segment = WireHeader::data(3, 2, 100).encode(&[7; 100]);
                 segment.resize(2000, 0xEE);
                 train
                     .send_to(&segment.repeat(3), relay.local_addr())
@@ -1662,7 +1648,7 @@ mod tests {
             .unwrap();
             let sender = UdpSocket::bind(loopback()).unwrap();
             let headers: Vec<u8> = (0..COUNT)
-                .flat_map(|seq| WireHeader::trimmed(4, seq).encode(&[]).to_vec())
+                .flat_map(|seq| WireHeader::trimmed(4, seq).encode(&[]))
                 .collect();
             // One 100-segment train where the kernel takes one (Linux 6.9
             // raised the limit past 64), plain datagrams otherwise.
@@ -1774,6 +1760,123 @@ mod tests {
             let (h, _, _) = recv_one(&sender);
             assert!(h.flags.contains(Flags::NACK));
             assert_eq!(h.seq, 1);
+        }
+    }
+
+    /// Counted, never silent: when the sweep's one send fails wholesale,
+    /// the NACKs it queued are in `nacks`, `send_errors` and
+    /// `send_err_ctrl` and the failure is an `io_retries`, as for a batch.
+    #[test]
+    fn a_failed_sweep_send_is_counted_both_layers() {
+        use crate::fault::SynthErrors;
+        for layer in layers() {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let mut relay = ShardedRelay::start(
+                loopback(),
+                RelayConfig {
+                    kind: RelayKind::Detecting,
+                    shards: 1,
+                    layer,
+                    sweep_interval: Duration::from_millis(30),
+                    // Every non-empty send fails with the synthetic ENOBUFS.
+                    faults: Some(FaultConfig {
+                        synth: SynthErrors {
+                            send_nobufs: 1.0,
+                            ..SynthErrors::none()
+                        },
+                        ..FaultConfig::none(1)
+                    }),
+                    ..RelayConfig::streamlined(receiver.local_addr().unwrap())
+                },
+            )
+            .unwrap();
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            // Tail loss: nothing follows seq 2 to reveal the gap at 1, so
+            // only the sweep NACKs it.
+            for seq in [0u64, 2] {
+                sender
+                    .send_to(
+                        &WireHeader::data(9, seq, 4).encode(&[9; 4]),
+                        relay.local_addr(),
+                    )
+                    .unwrap();
+            }
+            wait_for(|| relay.stats().send_err_ctrl >= 1);
+            relay.shutdown();
+            let (stats, faults) = (relay.stats(), relay.fault_stats());
+            // Nothing left the socket, and the counters say exactly that.
+            assert_eq!(
+                (stats.forwarded, stats.send_err_data),
+                (2, 2),
+                "{layer:?}: {stats:?}"
+            );
+            assert_eq!(stats.nacks, stats.send_err_ctrl, "{layer:?}: {stats:?}");
+            assert_eq!(
+                stats.send_errors,
+                stats.send_err_data + stats.send_err_ctrl,
+                "{layer:?}: {stats:?}"
+            );
+            assert_eq!(
+                stats.io_retries, faults.synth_send_errors,
+                "{layer:?}: {stats:?}"
+            );
+            for sock in [&sender, &receiver] {
+                sock.set_nonblocking(true).unwrap();
+                assert!(sock.recv_from(&mut [0u8; 16]).is_err(), "{layer:?}");
+            }
+        }
+    }
+
+    /// The detector tracks each 64-bit wire flow on its own: two flows
+    /// that differ only above bit 31 neither fill nor open each other's
+    /// gaps.
+    #[test]
+    fn detecting_keeps_flows_apart_above_bit_31_both_layers() {
+        const F: u64 = 7;
+        const G: u64 = F + (1 << 32);
+        for layer in layers() {
+            let receiver = UdpSocket::bind(loopback()).unwrap();
+            let recv_addr = receiver.local_addr().unwrap();
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 2048];
+                while receiver.recv_from(&mut buf).is_ok() {}
+            });
+            let relay = ShardedRelay::start(
+                loopback(),
+                RelayConfig {
+                    kind: RelayKind::Detecting,
+                    shards: 1, // one detector sees both flows
+                    layer,
+                    sweep_interval: Duration::from_millis(30),
+                    ..RelayConfig::streamlined(recv_addr)
+                },
+            )
+            .unwrap();
+            let (f, g) = (
+                UdpSocket::bind(loopback()).unwrap(),
+                UdpSocket::bind(loopback()).unwrap(),
+            );
+            let data = |flow, seq| WireHeader::data(flow, seq, 4).encode(&[7; 4]);
+            // F loses seq 5; G, in step with it, loses nothing — and its
+            // seq 5 must not pass for F's.
+            for seq in 0..20u64 {
+                if seq != 5 {
+                    f.send_to(&data(F, seq), relay.local_addr()).unwrap();
+                }
+                g.send_to(&data(G, seq), relay.local_addr()).unwrap();
+            }
+            let (h, _, _) = recv_one(&f);
+            assert_eq!(h, WireHeader::nack(F, 5), "{layer:?}");
+            // The retransmission settles F, so the sweeps (three periods
+            // here) have nothing to repeat.
+            f.send_to(&data(F, 5), relay.local_addr()).unwrap();
+            wait_for(|| relay.stats().received == 40);
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(relay.stats().nacks, 1, "{layer:?}");
+            for sock in [&f, &g] {
+                sock.set_nonblocking(true).unwrap();
+                assert!(sock.recv_from(&mut [0u8; 16]).is_err(), "{layer:?}");
+            }
         }
     }
 

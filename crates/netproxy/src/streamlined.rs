@@ -92,7 +92,7 @@ mod decide_tests {
     fn decide_forwards_data() {
         let header = WireHeader::data(1, 5, 3);
         // Bytes past the declared payload are not part of the datagram.
-        let mut wire = header.encode(&[1, 2, 3]).to_vec();
+        let mut wire = header.encode(&[1, 2, 3]);
         wire.extend_from_slice(&[0xEE; 5]);
         for kind in KINDS {
             let action = kind.apply(decide(&wire));
@@ -136,14 +136,14 @@ mod decide_tests {
         // Well-formed up to the last byte it may have, dropped one past it:
         // with an honest header, and with junk behind a short one.
         let full = WireHeader::data(1, 5, MAX_PAYLOAD as u16);
-        let wire = full.encode(&vec![7; MAX_PAYLOAD]).to_vec();
+        let wire = full.encode(&vec![7; MAX_PAYLOAD]);
         assert_eq!(decide(&wire), Action::ForwardToReceiver(full));
         let honest = WireHeader::data(1, 5, MAX_PAYLOAD as u16 + 1);
         assert_eq!(
             decide(&honest.encode(&vec![7; MAX_PAYLOAD + 1])),
             Action::Drop
         );
-        let mut padded = WireHeader::trimmed(1, 5).encode(&[]).to_vec();
+        let mut padded = WireHeader::trimmed(1, 5).encode(&[]);
         padded.resize(MAX_DATAGRAM + 1, 0xEE);
         assert_eq!(decide(&padded), Action::Drop);
         assert!(matches!(

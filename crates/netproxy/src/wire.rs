@@ -14,8 +14,6 @@
 //!  +------------------------------------------------------------+
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Wire magic ("IC" for incast).
 pub const MAGIC: u16 = 0x4943;
 /// Encoded header length in bytes.
@@ -309,18 +307,10 @@ impl WireHeader {
     }
 
     /// Encodes the header (and payload, if any) into a datagram.
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
-        debug_assert_eq!(payload.len(), self.payload_len as usize);
-        let mut buf = BytesMut::with_capacity(WIRE_HEADER_LEN + payload.len());
-        buf.put_u16(MAGIC);
-        buf.put_u8(self.flags.0);
-        buf.put_u8(0); // reserved
-        buf.put_u64(self.flow);
-        buf.put_u64(self.seq);
-        buf.put_u16(self.payload_len);
-        buf.put_u16(0); // reserved / padding to 24
-        buf.put_slice(payload);
-        buf.freeze()
+    pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0; WIRE_HEADER_LEN + payload.len()];
+        self.encode_into(&mut buf, payload);
+        buf
     }
 
     /// Serializes the header and `payload` into `out` without
@@ -390,7 +380,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut wire = WireHeader::ack(1, 2).encode(&[]).to_vec();
+        let mut wire = WireHeader::ack(1, 2).encode(&[]);
         wire[0] ^= 0xFF;
         assert_eq!(WireHeader::decode(&wire), Err(WireError::BadMagic));
     }
@@ -398,7 +388,7 @@ mod tests {
     #[test]
     fn rejects_bad_flags() {
         // DATA|ACK set together.
-        let mut wire = WireHeader::ack(1, 2).encode(&[]).to_vec();
+        let mut wire = WireHeader::ack(1, 2).encode(&[]);
         wire[2] = 0b0011;
         assert_eq!(WireHeader::decode(&wire), Err(WireError::BadFlags));
         // TRIMMED without DATA.
@@ -423,7 +413,7 @@ mod tests {
     #[test]
     fn extra_bytes_beyond_len_ignored() {
         let h = WireHeader::data(1, 2, 3);
-        let mut wire = h.encode(&[9, 9, 9]).to_vec();
+        let mut wire = h.encode(&[9, 9, 9]);
         wire.extend_from_slice(&[7; 20]); // trailing junk
         let (decoded, p) = WireHeader::decode(&wire).unwrap();
         assert_eq!(decoded.payload_len, 3);
@@ -451,7 +441,7 @@ mod tests {
 
     #[test]
     fn view_wire_bytes_excludes_trailing_junk() {
-        let mut wire = WireHeader::data(1, 2, 3).encode(&[9, 9, 9]).to_vec();
+        let mut wire = WireHeader::data(1, 2, 3).encode(&[9, 9, 9]);
         wire.extend_from_slice(&[7; 20]);
         let view = DatagramView::parse(&wire).unwrap();
         assert_eq!(view.wire_bytes().len(), WIRE_HEADER_LEN + 3);
@@ -460,7 +450,7 @@ mod tests {
 
     #[test]
     fn rewrite_trimmed_to_nack_in_place() {
-        let mut wire = WireHeader::trimmed(9, 77).encode(&[]).to_vec();
+        let mut wire = WireHeader::trimmed(9, 77).encode(&[]);
         rewrite_trimmed_to_nack(&mut wire).unwrap();
         let (h, p) = WireHeader::decode(&wire).unwrap();
         assert_eq!(h, WireHeader::nack(9, 77));
@@ -475,7 +465,7 @@ mod tests {
 
     #[test]
     fn rewrite_rejects_untrimmed_and_garbage() {
-        let mut data = WireHeader::data(1, 2, 1).encode(&[0]).to_vec();
+        let mut data = WireHeader::data(1, 2, 1).encode(&[0]);
         assert_eq!(rewrite_trimmed_to_nack(&mut data), Err(WireError::BadFlags));
         let mut junk = vec![0u8; 50];
         assert_eq!(rewrite_trimmed_to_nack(&mut junk), Err(WireError::BadMagic));
@@ -488,14 +478,14 @@ mod tests {
 
     #[test]
     fn rewrite_data_to_nack_yields_valid_header_only_nack() {
-        let mut wire = WireHeader::data(9, 77, 5).encode(&[1, 2, 3, 4, 5]).to_vec();
+        let mut wire = WireHeader::data(9, 77, 5).encode(&[1, 2, 3, 4, 5]);
         rewrite_data_to_nack(&mut wire).unwrap();
         // The shed ladder sends only the header prefix.
         let (h, p) = WireHeader::decode(&wire[..WIRE_HEADER_LEN]).unwrap();
         assert_eq!(h, WireHeader::nack(9, 77));
         assert!(p.is_empty());
         // Trimmed data is still DATA — the rewrite accepts it too.
-        let mut trimmed = WireHeader::trimmed(3, 4).encode(&[]).to_vec();
+        let mut trimmed = WireHeader::trimmed(3, 4).encode(&[]);
         rewrite_data_to_nack(&mut trimmed).unwrap();
         let (h, _) = WireHeader::decode(&trimmed).unwrap();
         assert_eq!(h, WireHeader::nack(3, 4));
@@ -503,7 +493,7 @@ mod tests {
 
     #[test]
     fn rewrite_data_to_nack_rejects_control_and_garbage() {
-        let mut ack = WireHeader::ack(1, 2).encode(&[]).to_vec();
+        let mut ack = WireHeader::ack(1, 2).encode(&[]);
         assert_eq!(rewrite_data_to_nack(&mut ack), Err(WireError::BadFlags));
         let mut junk = vec![0u8; 50];
         assert_eq!(rewrite_data_to_nack(&mut junk), Err(WireError::BadMagic));
@@ -555,12 +545,8 @@ mod tests {
         let mut rng = trace::SplitMix64::new(0xBADC0DE);
         for round in 0..2000u32 {
             let base = match round % 3 {
-                0 => WireHeader::data(rng.next_u64(), rng.next_u64(), 64)
-                    .encode(&[0xAB; 64])
-                    .to_vec(),
-                1 => WireHeader::trimmed(rng.next_u64(), rng.next_u64())
-                    .encode(&[])
-                    .to_vec(),
+                0 => WireHeader::data(rng.next_u64(), rng.next_u64(), 64).encode(&[0xAB; 64]),
+                1 => WireHeader::trimmed(rng.next_u64(), rng.next_u64()).encode(&[]),
                 _ => (0..(rng.next_u64() % 100) as usize)
                     .map(|_| rng.next_u64() as u8)
                     .collect(),

@@ -6,10 +6,9 @@
 //! for the figure binaries.
 
 use crate::percentile::percentile_of_sorted;
-use serde::Serialize;
 
 /// An empirical CDF over `f64` samples.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     /// Ascending-sorted samples.
     sorted: Vec<f64>,

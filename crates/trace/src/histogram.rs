@@ -7,13 +7,11 @@
 //! (1/2ⁿ for n sub-bucket bits) and O(1) recording with no allocation after
 //! construction.
 
-use serde::Serialize;
-
 /// Default sub-bucket precision: 7 bits ⇒ ≤ 0.78% relative error.
 pub const DEFAULT_SUB_BITS: u32 = 7;
 
 /// A logarithmic histogram over `u64` values (typically nanoseconds).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     sub_bits: u32,
     /// counts[exponent * sub_buckets + sub] — exponent 0..64.

@@ -29,6 +29,6 @@ pub use cdf::Cdf;
 pub use histogram::LogHistogram;
 pub use percentile::{percentile_of_sorted, percentiles_of};
 pub use recorder::LatencyRecorder;
-pub use rng::{derive_seed, SplitMix64};
+pub use rng::{cases, derive_seed, SplitMix64};
 pub use summary::{Summary, Welford};
 pub use table::Table;

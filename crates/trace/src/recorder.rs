@@ -1,15 +1,15 @@
 //! Thread-safe latency recording for the live proxy data path.
 //!
 //! The proxies record one sample per relayed chunk or receive batch from
-//! several threads. [`LatencyRecorder`] wraps a [`LogHistogram`] in a `parking_lot`
-//! mutex (uncontended lock ≈ one CAS, fine for the scaled-down rates we
-//! drive in tests/benches) and offers [`LatencyRecorder::time`] for scoped
-//! measurements.
+//! several threads. [`LatencyRecorder`] wraps a [`LogHistogram`] in a
+//! `std::sync::Mutex` (uncontended lock ≈ one CAS, fine for the scaled-down
+//! rates we drive in tests/benches) and offers [`LatencyRecorder::time`] for
+//! scoped measurements. Poisoning is ignored: every histogram update leaves
+//! it valid, so a recorder outlives a panic on another thread.
 
 use crate::histogram::LogHistogram;
 use crate::Cdf;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A cloneable, thread-safe latency recorder (nanosecond samples).
@@ -24,9 +24,13 @@ impl LatencyRecorder {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, LogHistogram> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records a latency expressed in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
-        self.inner.lock().record(nanos);
+        self.lock().record(nanos);
     }
 
     /// Records the elapsed time of `f` and returns its result.
@@ -39,12 +43,12 @@ impl LatencyRecorder {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.lock().count()
+        self.lock().count()
     }
 
     /// Snapshot of the underlying histogram.
     pub fn snapshot(&self) -> LogHistogram {
-        self.inner.lock().clone()
+        self.lock().clone()
     }
 
     /// Builds a [`Cdf`] of the recorded samples in **microseconds** (the
@@ -52,7 +56,7 @@ impl LatencyRecorder {
     ///
     /// Returns `None` when nothing was recorded.
     pub fn cdf_micros(&self) -> Option<Cdf> {
-        let hist = self.inner.lock();
+        let hist = self.lock();
         if hist.is_empty() {
             return None;
         }

@@ -8,9 +8,9 @@
 
 /// A tiny, fast, well-mixed 64-bit PRNG (Vigna's SplitMix64).
 ///
-/// Used both as a stand-alone generator for hot paths that must not pay for
-/// `rand`'s abstraction (the simulator's packet-spraying decisions) and as a
-/// mixer for [`derive_seed`].
+/// The workspace's only generator (workload jitter, packet spraying, the
+/// fuzzers, the property tests through [`cases`]) and the mixer behind
+/// [`derive_seed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -65,6 +65,28 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     // as (0, 0) and (0, 1) still land far apart.
     mixer.next_u64();
     mixer.next_u64()
+}
+
+/// Runs `body` on `n` seeded cases: case `i` draws from
+/// `SplitMix64::new(derive_seed(seed, i))`, so the cases are a pure function
+/// of `(seed, n)` and any one of them can be replayed alone.
+///
+/// # Panics
+/// Re-raises a panic of `body` with the failing case and its replay seed
+/// in front of the original message.
+pub fn cases(seed: u64, n: u64, mut body: impl FnMut(u64, &mut SplitMix64)) {
+    for case in 0..n {
+        let mut rng = SplitMix64::new(derive_seed(seed, case));
+        let run = std::panic::AssertUnwindSafe(|| body(case, &mut rng));
+        if let Err(cause) = std::panic::catch_unwind(run) {
+            let why = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("(non-string panic)");
+            panic!("case {case} of {n}, replay with SplitMix64::new(derive_seed({seed}, {case})): {why}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,5 +159,41 @@ mod tests {
     fn derive_seed_distinguishes_low_entropy_pairs() {
         assert_ne!(derive_seed(0, 0), derive_seed(0, 1));
         assert_ne!(derive_seed(0, 0), derive_seed(1, 0));
+    }
+
+    #[test]
+    fn cases_are_a_pure_function_of_seed_and_count() {
+        let draw = |seed, n| {
+            let mut seen = Vec::new();
+            cases(seed, n, |case, rng| {
+                seen.push((case, rng.next_u64(), rng.next_u64()))
+            });
+            seen
+        };
+        let a = draw(5, 40);
+        assert_eq!(a, draw(5, 40));
+        assert_eq!(a[..10], draw(5, 10)[..]);
+        assert_ne!(a, draw(6, 40));
+        for (i, &(case, first, _)) in a.iter().enumerate() {
+            assert_eq!(case, i as u64);
+            assert_eq!(first, SplitMix64::new(derive_seed(5, case)).next_u64());
+        }
+    }
+
+    #[test]
+    fn a_panicking_case_is_named_with_its_replay_seed() {
+        let mut ran = 0;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cases(7, 10, |case, _| {
+                ran += 1;
+                assert!(case != 3, "boom at {case}");
+            })
+        }));
+        let cause = failed.expect_err("case 3 panics");
+        let message = cause.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.starts_with("case 3 of 10,"), "{message}");
+        assert!(message.contains("derive_seed(7, 3)"), "{message}");
+        assert!(message.ends_with("boom at 3"), "{message}");
+        assert_eq!(ran, 4, "cases after the failing one must not run");
     }
 }

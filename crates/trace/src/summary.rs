@@ -5,8 +5,6 @@
 //! and standard deviation, computed online with Welford's algorithm so it is
 //! numerically stable for long series too.
 
-use serde::Serialize;
-
 /// Online mean/variance/min/max accumulator (Welford).
 #[derive(Debug, Clone, Default)]
 pub struct Welford {
@@ -66,7 +64,7 @@ impl Welford {
 
 /// Summary of a set of observations (e.g. the 5 repeated runs of one
 /// experiment point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: u64,

@@ -1,7 +1,7 @@
-//! Property-based tests (proptest) over the core data structures and
-//! invariants: event ordering, queue conservation, sequence tracking,
-//! loss detection, wire-format round-trips, statistics, and simulator
-//! determinism.
+//! Property-based tests (seeded cases from `trace::cases`) over the core
+//! data structures and invariants: event ordering, queue conservation,
+//! sequence tracking, loss detection, wire-format round-trips, statistics,
+//! and simulator determinism.
 
 use dcsim::events::{Event, EventQueue, TimerKind};
 use dcsim::packet::{AgentId, FlowId, HostId, Packet};
@@ -10,44 +10,67 @@ use dcsim::queues::{EnqueueOutcome, PortQueue, QueueConfig};
 use dcsim::time::SimTime;
 use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use netproxy::wire::{Flags, WireHeader};
-use proptest::prelude::*;
 use std::collections::BTreeSet;
-use trace::{Cdf, LogHistogram, SplitMix64};
+use std::ops::Range;
+use trace::{cases, Cdf, LogHistogram, SplitMix64};
 
-proptest! {
-    /// Events pop in non-decreasing time order and same-time events keep
-    /// insertion order, for any schedule.
-    #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
+/// A uniform draw from a half-open range.
+fn draw(rng: &mut SplitMix64, range: Range<u64>) -> u64 {
+    range.start + rng.next_bounded(range.end - range.start)
+}
+
+fn coin(rng: &mut SplitMix64) -> bool {
+    rng.next_bounded(2) == 1
+}
+
+/// A vector whose length is drawn from `len` and whose elements come from `elem`.
+fn vec_of<T>(
+    rng: &mut SplitMix64,
+    len: Range<u64>,
+    mut elem: impl FnMut(&mut SplitMix64) -> T,
+) -> Vec<T> {
+    (0..draw(rng, len)).map(|_| elem(rng)).collect()
+}
+
+/// Events pop in non-decreasing time order and same-time events keep
+/// insertion order, for any schedule.
+#[test]
+fn event_queue_total_order() {
+    cases(1, 256, |_, rng| {
+        let times = vec_of(rng, 1..200, |r| draw(r, 0..1_000_000));
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), Event::Timer {
-                agent: AgentId(i as u32),
-                kind: TimerKind::Rto,
-            });
+            q.schedule(
+                SimTime(t),
+                Event::Timer {
+                    agent: AgentId(i as u32),
+                    kind: TimerKind::Rto,
+                },
+            );
         }
         let mut last: Option<(SimTime, u32)> = None;
         while let Some((at, Event::Timer { agent, .. })) = q.pop() {
             if let Some((lt, lagent)) = last {
-                prop_assert!(at >= lt, "time went backwards");
+                assert!(at >= lt, "time went backwards");
                 if at == lt {
-                    prop_assert!(agent.0 > lagent, "tie broke out of insertion order");
+                    assert!(agent.0 > lagent, "tie broke out of insertion order");
                 }
             }
-            prop_assert_eq!(at.0, times[agent.0 as usize]);
+            assert_eq!(at.0, times[agent.0 as usize]);
             last = Some((at, agent.0));
         }
-        prop_assert!(q.is_empty());
-    }
+        assert!(q.is_empty());
+    });
+}
 
-    /// Conservation: every packet offered to a port queue is eventually
-    /// dequeued (possibly trimmed) or dropped — never duplicated or lost.
-    #[test]
-    fn port_queue_conserves_packets(
-        seed in any::<u64>(),
-        ops in prop::collection::vec(prop::bool::ANY, 1..500),
-        capacity_pkts in 1u64..16,
-    ) {
+/// Conservation: every packet offered to a port queue is eventually
+/// dequeued (possibly trimmed) or dropped — never duplicated or lost.
+#[test]
+fn port_queue_conserves_packets() {
+    cases(2, 256, |_, rng| {
+        let seed = rng.next_u64();
+        let ops = vec_of(rng, 1..500, coin);
+        let capacity_pkts = draw(rng, 1..16);
         let cfg = QueueConfig {
             capacity_bytes: capacity_pkts * 1500,
             ctrl_capacity_bytes: 4 * 64,
@@ -74,14 +97,18 @@ proptest! {
         while q.dequeue().is_some() {
             dequeued += 1;
         }
-        prop_assert_eq!(offered, dequeued + dropped);
-        prop_assert_eq!(q.total_bytes(), 0);
-    }
+        assert_eq!(offered, dequeued + dropped);
+        assert_eq!(q.total_bytes(), 0);
+    });
+}
 
-    /// ECN marking only upgrades Ect -> Ce; it never clears a mark, and
-    /// trimmed packets keep their sequence number.
-    #[test]
-    fn queue_never_unmarks_or_renumbers(seed in any::<u64>(), n in 1usize..100) {
+/// ECN marking only upgrades Ect -> Ce; it never clears a mark, and
+/// trimmed packets keep their sequence number.
+#[test]
+fn queue_never_unmarks_or_renumbers() {
+    cases(3, 256, |_, rng| {
+        let seed = rng.next_u64();
+        let n = draw(rng, 1..100) as usize;
         let mut q = PortQueue::new(QueueConfig {
             capacity_bytes: 3 * 1500,
             ctrl_capacity_bytes: 1_000_000,
@@ -96,36 +123,40 @@ proptest! {
         }
         let mut seen = BTreeSet::new();
         while let Some(p) = q.dequeue() {
-            prop_assert!(seen.insert(p.seq), "duplicate seq {}", p.seq);
-            prop_assert!((p.seq as usize) < n);
+            assert!(seen.insert(p.seq), "duplicate seq {}", p.seq);
+            assert!((p.seq as usize) < n);
         }
-    }
+    });
+}
 
-    /// SeqSet behaves exactly like a BTreeSet under arbitrary operations.
-    #[test]
-    fn seqset_matches_model(ops in prop::collection::vec((0u64..256, prop::bool::ANY), 1..400)) {
+/// SeqSet behaves exactly like a BTreeSet under arbitrary operations.
+#[test]
+fn seqset_matches_model() {
+    cases(4, 256, |_, rng| {
+        let ops = vec_of(rng, 1..400, |r| (draw(r, 0..256), coin(r)));
         let mut real = SeqSet::new(256);
         let mut model = BTreeSet::new();
         for (seq, insert) in ops {
             if insert {
-                prop_assert_eq!(real.insert(seq), model.insert(seq));
+                assert_eq!(real.insert(seq), model.insert(seq));
             } else {
-                prop_assert_eq!(real.remove(seq), model.remove(&seq));
+                assert_eq!(real.remove(seq), model.remove(&seq));
             }
-            prop_assert_eq!(real.len(), model.len() as u64);
+            assert_eq!(real.len(), model.len() as u64);
         }
         let drained: Vec<u64> = real.iter().collect();
         let expected: Vec<u64> = model.into_iter().collect();
-        prop_assert_eq!(drained, expected);
-    }
+        assert_eq!(drained, expected);
+    });
+}
 
-    /// Without reordering, the loss detector finds exactly the dropped
-    /// sequences (no false positives, no false negatives) provided enough
-    /// packets follow each gap.
-    #[test]
-    fn loss_detector_exact_in_order(
-        drop_mask in prop::collection::vec(prop::bool::ANY, 32..300),
-    ) {
+/// Without reordering, the loss detector finds exactly the dropped
+/// sequences (no false positives, no false negatives) provided enough
+/// packets follow each gap.
+#[test]
+fn loss_detector_exact_in_order() {
+    cases(5, 256, |_, rng| {
+        let drop_mask = vec_of(rng, 32..300, coin);
         let n = drop_mask.len() as u64;
         let mut det = LossDetector::new(LossDetectorConfig {
             reorder_threshold: 3,
@@ -143,17 +174,17 @@ proptest! {
             }
         }
         declared.sort_unstable();
-        prop_assert_eq!(declared, dropped);
-    }
+        assert_eq!(declared, dropped);
+    });
+}
 
-    /// Wire format round-trips arbitrary valid headers and payloads.
-    #[test]
-    fn wire_roundtrip(
-        flow in any::<u64>(),
-        seq in any::<u64>(),
-        payload in prop::collection::vec(any::<u8>(), 0..1400),
-        kind in 0u8..4,
-    ) {
+/// Wire format round-trips arbitrary valid headers and payloads.
+#[test]
+fn wire_roundtrip() {
+    cases(6, 256, |_, rng| {
+        let (flow, seq) = (rng.next_u64(), rng.next_u64());
+        let payload = vec_of(rng, 0..1400, |r| r.next_u64() as u8);
+        let kind = draw(rng, 0..4);
         let header = match kind {
             0 => WireHeader::data(flow, seq, payload.len() as u16),
             1 => WireHeader::ack(flow, seq),
@@ -163,46 +194,55 @@ proptest! {
         let body: &[u8] = if kind == 0 { &payload } else { &[] };
         let wire = header.encode(body);
         let (decoded, p) = WireHeader::decode(&wire).expect("roundtrip");
-        prop_assert_eq!(decoded, header);
-        prop_assert_eq!(p, body);
-        prop_assert!(decoded.flags.is_valid());
-    }
+        assert_eq!(decoded, header);
+        assert_eq!(p, body);
+        assert!(decoded.flags.is_valid());
+    });
+}
 
-    /// Arbitrary byte blobs never panic the decoder and never round-trip
-    /// into TRIMMED-without-DATA or multi-type flags.
-    #[test]
-    fn wire_decoder_is_total(blob in prop::collection::vec(any::<u8>(), 0..200)) {
+/// Arbitrary byte blobs never panic the decoder and never round-trip
+/// into TRIMMED-without-DATA or multi-type flags.
+#[test]
+fn wire_decoder_is_total() {
+    cases(7, 256, |_, rng| {
+        let blob = vec_of(rng, 0..200, |r| r.next_u64() as u8);
         if let Ok((h, _)) = WireHeader::decode(&blob) {
-            prop_assert!(h.flags.is_valid());
-            prop_assert!(!h.flags.contains(Flags::TRIMMED) || h.flags.contains(Flags::DATA));
+            assert!(h.flags.is_valid());
+            assert!(!h.flags.contains(Flags::TRIMMED) || h.flags.contains(Flags::DATA));
         }
-    }
+    });
+}
 
-    /// CDF quantiles are monotone and bounded by min/max for any sample set.
-    #[test]
-    fn cdf_quantiles_monotone(samples in prop::collection::vec(-1e9f64..1e9, 1..300)) {
+/// CDF quantiles are monotone and bounded by min/max for any sample set.
+#[test]
+fn cdf_quantiles_monotone() {
+    cases(8, 256, |_, rng| {
+        let samples = vec_of(rng, 1..300, |r| -1e9 + 2e9 * r.next_f64());
         let cdf = Cdf::from_samples(samples.clone());
         let mut last = f64::NEG_INFINITY;
         for i in 0..=20 {
             let q = cdf.quantile(i as f64 / 20.0);
-            prop_assert!(q >= last);
-            prop_assert!(q >= cdf.min() && q <= cdf.max());
+            assert!(q >= last);
+            assert!(q >= cdf.min() && q <= cdf.max());
             last = q;
         }
-        prop_assert_eq!(cdf.quantile(0.0), cdf.min());
-        prop_assert_eq!(cdf.quantile(1.0), cdf.max());
-    }
+        assert_eq!(cdf.quantile(0.0), cdf.min());
+        assert_eq!(cdf.quantile(1.0), cdf.max());
+    });
+}
 
-    /// Histogram quantiles stay within the recorded min/max and respect
-    /// the relative-error bound at the median.
-    #[test]
-    fn histogram_bounded_error(values in prop::collection::vec(1u64..1_000_000_000, 8..200)) {
+/// Histogram quantiles stay within the recorded min/max and respect
+/// the relative-error bound at the median.
+#[test]
+fn histogram_bounded_error() {
+    cases(9, 256, |_, rng| {
+        let values = vec_of(rng, 8..200, |r| draw(r, 1..1_000_000_000));
         let mut h = LogHistogram::new();
         for &v in &values {
             h.record(v);
         }
         let q50 = h.quantile(0.5);
-        prop_assert!(q50 >= h.min() && q50 <= h.max());
+        assert!(q50 >= h.min() && q50 <= h.max());
         // Compare against the same rank definition the histogram uses
         // (the ceil(q·n)-th smallest sample), within the bucketing error.
         let exact = {
@@ -210,28 +250,31 @@ proptest! {
             s.sort_unstable();
             s[(values.len().div_ceil(2)) - 1] as f64
         };
-        prop_assert!((q50 as f64) <= exact * 1.02 + 2.0, "q50={q50} exact={exact}");
-        prop_assert!((q50 as f64) >= exact * 0.98 - 2.0, "q50={q50} exact={exact}");
-    }
+        assert!(
+            (q50 as f64) <= exact * 1.02 + 2.0,
+            "q50={q50} exact={exact}"
+        );
+        assert!(
+            (q50 as f64) >= exact * 0.98 - 2.0,
+            "q50={q50} exact={exact}"
+        );
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Any (seed, degree, size) combination completes under every scheme
-    /// on the small topology, and the same seed reproduces the same ICT.
-    #[test]
-    fn incasts_always_complete_and_replay(
-        seed in 0u64..1000,
-        degree in 1usize..5,
-        mb in 1u64..12,
-    ) {
+/// Any (seed, degree, size) combination completes under every scheme
+/// on the small topology, and the same seed reproduces the same ICT.
+#[test]
+fn incasts_always_complete_and_replay() {
+    cases(10, 8, |_, rng| {
+        let seed = draw(rng, 0..1000);
+        let degree = draw(rng, 1..5) as usize;
+        let mb = draw(rng, 1..12);
         use dcsim::prelude::*;
         use incast_core::scheme::{install_incast, IncastSpec, Scheme};
         for scheme in Scheme::ALL {
             let run = || {
-                let params = TwoDcParams::small_test()
-                    .with_trim(scheme == Scheme::ProxyStreamlined);
+                let params =
+                    TwoDcParams::small_test().with_trim(scheme == Scheme::ProxyStreamlined);
                 let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
                 let dc0 = sim.topology().hosts_in_dc(0);
                 let dc1 = sim.topology().hosts_in_dc(1);
@@ -239,23 +282,22 @@ proptest! {
                     .with_proxy(*dc0.last().unwrap());
                 let handle = install_incast(&mut sim, &spec, scheme);
                 let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-                prop_assert_eq!(report.stop, StopReason::Idle);
-                Ok(handle.completion(sim.metrics()).expect("completes"))
+                assert_eq!(report.stop, StopReason::Idle);
+                handle.completion(sim.metrics()).expect("completes")
             };
-            let a = run()?;
-            let b = run()?;
-            prop_assert_eq!(a, b, "seed {} must replay identically", seed);
+            let a = run();
+            let b = run();
+            assert_eq!(a, b, "seed {} must replay identically", seed);
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The unstructured random topology always routes every cross-DC pair
-    /// and is deterministic per seed.
-    #[test]
-    fn unstructured_topology_always_routes(seed in any::<u64>()) {
+/// The unstructured random topology always routes every cross-DC pair
+/// and is deterministic per seed.
+#[test]
+fn unstructured_topology_always_routes() {
+    cases(11, 16, |_, rng| {
+        let seed = rng.next_u64();
         use dcsim::topology::{two_dc_unstructured, UnstructuredParams};
         let params = UnstructuredParams {
             switches_per_dc: 5,
@@ -268,41 +310,45 @@ proptest! {
         let t = two_dc_unstructured(&params);
         let src = t.hosts_in_dc(0)[0];
         for &dst in &t.hosts_in_dc(1) {
-            prop_assert!(t.path_hops(src, dst) >= 3);
-            prop_assert!(t.path_hops(src, dst) <= t.node_count());
+            assert!(t.path_hops(src, dst) >= 3);
+            assert!(t.path_hops(src, dst) <= t.node_count());
         }
         // Determinism: rebuilding yields identical path lengths.
         let t2 = two_dc_unstructured(&params);
         for &dst in &t.hosts_in_dc(1) {
-            prop_assert_eq!(t.path_hops(src, dst), t2.path_hops(src, dst));
+            assert_eq!(t.path_hops(src, dst), t2.path_hops(src, dst));
         }
-    }
+    });
+}
 
-    /// The rate-based sender's pacing rate stays within its configured
-    /// bounds for any sequence of bandwidth samples.
-    #[test]
-    fn rate_sender_pacing_bounded(samples in prop::collection::vec(1u64..1_000_000_000_000, 0..64)) {
+/// The rate-based sender's pacing rate stays within its configured
+/// bounds for any sequence of bandwidth samples.
+#[test]
+fn rate_sender_pacing_bounded() {
+    cases(12, 16, |_, rng| {
+        let samples = vec_of(rng, 0..64, |r| draw(r, 1..1_000_000_000_000));
         use dcsim::packet::{FlowId as F, HostId as H};
         use dcsim::protocol::rate::{RateCcConfig, RateSender};
         use dcsim::time::{Bandwidth, SimDuration};
         let config = RateCcConfig::for_path(SimDuration::from_micros(100), Bandwidth::gbps(100));
         let mut s = RateSender::new(F(0), H(0), H(1), 10, config);
         let _ = &samples; // bandwidth estimates enter via acks in real runs;
-        // here we check the static bound: gain ≤ startup_gain and the floor.
+                          // here we check the static bound: gain ≤ startup_gain and the floor.
         let rate = s.pacing_rate().bps();
-        prop_assert!(rate >= config.min_rate.bps());
-        prop_assert!(rate <= (config.initial_rate.bps() as f64 * config.startup_gain) as u64 + 1);
-        prop_assert!(s.btl_bw().bps() > 0);
+        assert!(rate >= config.min_rate.bps());
+        assert!(rate <= (config.initial_rate.bps() as f64 * config.startup_gain) as u64 + 1);
+        assert!(s.btl_bw().bps() > 0);
         let _ = &mut s;
-    }
+    });
+}
 
-    /// RTO backoff is monotone non-decreasing across consecutive timeouts
-    /// and always clamped to `max_rto`, for any interleaving of RTT samples
-    /// and expiries.
-    #[test]
-    fn rto_backoff_monotone_and_clamped(
-        ops in prop::collection::vec((prop::bool::ANY, 1u64..10_000), 1..200),
-    ) {
+/// RTO backoff is monotone non-decreasing across consecutive timeouts
+/// and always clamped to `max_rto`, for any interleaving of RTT samples
+/// and expiries.
+#[test]
+fn rto_backoff_monotone_and_clamped() {
+    cases(13, 16, |_, rng| {
+        let ops = vec_of(rng, 1..200, |r| (coin(r), draw(r, 1..10_000)));
         use dcsim::protocol::rto::{RtoConfig, RttEstimator};
         use dcsim::time::SimDuration;
         let config = RtoConfig {
@@ -322,24 +368,26 @@ proptest! {
                 est.on_timeout();
                 let rto = est.rto();
                 if let Some(prev) = last_rto {
-                    prop_assert!(
-                        rto >= prev,
-                        "backoff went backwards: {prev:?} -> {rto:?}"
-                    );
+                    assert!(rto >= prev, "backoff went backwards: {prev:?} -> {rto:?}");
                 }
                 last_rto = Some(rto);
             }
-            prop_assert!(est.rto() <= config.max_rto, "rto above max: {:?}", est.rto());
-            prop_assert!(est.rto() > SimDuration::ZERO);
+            assert!(
+                est.rto() <= config.max_rto,
+                "rto above max: {:?}",
+                est.rto()
+            );
+            assert!(est.rto() > SimDuration::ZERO);
         }
-    }
+    });
+}
 
-    /// The loss detector's sweep never reports a sequence that already
-    /// arrived, for any loss/arrival interleaving.
-    #[test]
-    fn sweep_never_renacks_arrived_seqs(
-        drop_mask in prop::collection::vec(prop::bool::ANY, 16..120),
-    ) {
+/// The loss detector's sweep never reports a sequence that already
+/// arrived, for any loss/arrival interleaving.
+#[test]
+fn sweep_never_renacks_arrived_seqs() {
+    cases(14, 16, |_, rng| {
+        let drop_mask = vec_of(rng, 16..120, coin);
         use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
         let mut det = LossDetector::new(LossDetectorConfig {
             reorder_threshold: 4,
@@ -355,31 +403,28 @@ proptest! {
         }
         for _ in 0..4 {
             for loss in det.sweep(FlowId(0)) {
-                prop_assert!(
+                assert!(
                     !arrived.contains(&loss.seq),
                     "sweep re-NACKed an arrived sequence {}",
                     loss.seq
                 );
             }
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// An incast survives a mid-run down/up window on the receiver's
-    /// down-ToR link — the hop every flow crosses — for any flap timing:
-    /// every flow completes, which the receiver only reports once its
-    /// sequence set holds every range exactly once (duplicates are
-    /// deduplicated, losses are retransmitted; neither can fake
-    /// completion).
-    #[test]
-    fn incast_survives_receiver_link_flap(
-        seed in 0u64..1000,
-        down_us in 10u64..400,
-        outage_us in 10u64..500,
-    ) {
+/// An incast survives a mid-run down/up window on the receiver's
+/// down-ToR link — the hop every flow crosses — for any flap timing:
+/// every flow completes, which the receiver only reports once its
+/// sequence set holds every range exactly once (duplicates are
+/// deduplicated, losses are retransmitted; neither can fake
+/// completion).
+#[test]
+fn incast_survives_receiver_link_flap() {
+    cases(15, 6, |_, rng| {
+        let seed = draw(rng, 0..1000);
+        let down_us = draw(rng, 10..400);
+        let outage_us = draw(rng, 10..500);
         use dcsim::prelude::*;
         use incast_core::experiment::{run_incast, ExperimentConfig, FaultScenario};
         use incast_core::Scheme;
@@ -398,7 +443,7 @@ proptest! {
             };
             // run_incast panics if any flow stalls permanently.
             let out = run_incast(&config, seed);
-            prop_assert!(out.completion_secs > 0.0, "{scheme}: {out:?}");
+            assert!(out.completion_secs > 0.0, "{scheme}: {out:?}");
         }
-    }
+    });
 }
