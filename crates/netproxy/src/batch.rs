@@ -28,14 +28,26 @@
 //! An incast is many senders toward one receiver, so a relay's flush is
 //! mostly equal-size datagrams for one address. [`MmsgIo`] sends each
 //! run of queued datagrams with the same destination and length as
-//! **one** `sendmmsg` entry: its `msg_iov` gathers the run's ring slots
-//! in place and a `SOL_UDP/UDP_SEGMENT` cmsg carries the length, so the
+//! **one** `sendmmsg` entry: its `msg_iov` gathers the run's bytes in
+//! place and a `SOL_UDP/UDP_SEGMENT` cmsg carries the length, so the
 //! kernel does route lookup → IP output → device → IP input once per
 //! run and cuts the datagrams apart at the far end of that walk. A run
 //! of one is a plain entry, and everything still leaves in the one
 //! `sendmmsg`. Which datagrams join a run is decided by the queue's
 //! contents alone — there is no switch.
 //!
+//! * **One iovec per contiguous range.** A datagram that joins a run
+//!   extends the run's last iovec when its first byte is the address that
+//!   iovec ends at, and gets an iovec of its own otherwise. Adjacency is
+//!   a fact about two addresses, checked at the moment of joining — no
+//!   slot, ring or queue records it — so a train that landed whole and is
+//!   forwarded in order, datagrams packed by [`RecvRing::stage`] and the
+//!   queue's packed scratch NACKs each leave as the one byte range they
+//!   already are, while a hole, a slot sent shorter than it is long, a
+//!   re-injected copy or the next landing area simply fails the
+//!   comparison. A message's iovec count therefore says nothing about
+//!   its datagrams: those are its bytes over its segment size (a run of
+//!   one carries no cmsg and counts one).
 //! * **Two passes.** The queue is walked twice, payload-bearing entries
 //!   first, header-only ones (NACKs, reversed ACKs, bounced trimmed
 //!   headers: at most [`WIRE_HEADER_LEN`] bytes) second, so interleaved
@@ -52,13 +64,14 @@
 //!   one of the errors a missing capability produces (`EINVAL`, `EIO`,
 //!   `ENOPROTOOPT`, `EOPNOTSUPP`, `EMSGSIZE`: kernel before 4.18, device
 //!   without checksum offload, segment over the path MTU), the run is
-//!   re-sent as plain entries within the same call, each counted on its
-//!   own. If the first of them is accepted, the refusal was about GSO and
-//!   coalescing stays off for that socket; if it is refused too, it was
-//!   the destination (port 0, say) and nothing is latched.
+//!   re-sent as its datagrams — every range cut back at the segment
+//!   size, one plain entry each — within the same call, each counted on
+//!   its own. If the first of them is accepted, the refusal was about GSO
+//!   and coalescing stays off for that socket; if it is refused too, it
+//!   was the destination (port 0, say) and nothing is latched.
 //!
 //! [`SendOutcome`] counts datagrams in `sent`/`errors` either way, and
-//! kernel entries in `messages`.
+//! kernel entries in `messages` and `iovecs`.
 //!
 //! # Run splitting (UDP GRO)
 //!
@@ -487,6 +500,10 @@ pub struct SendOutcome {
     /// (so `messages < sent` means coalescing happened), one per
     /// datagram on [`FallbackIo`].
     pub messages: u64,
+    /// Iovecs of the accepted entries: one per contiguous byte range on
+    /// [`MmsgIo`] (so `iovecs < sent` means datagrams adjacent in memory
+    /// left as one range), one per datagram on [`FallbackIo`].
+    pub iovecs: u64,
 }
 
 impl std::ops::AddAssign for SendOutcome {
@@ -494,6 +511,7 @@ impl std::ops::AddAssign for SendOutcome {
         self.sent += o.sent;
         self.errors += o.errors;
         self.messages += o.messages;
+        self.iovecs += o.iovecs;
     }
 }
 
@@ -614,6 +632,7 @@ impl BatchIo for FallbackIo {
             }
         }
         outcome.messages = outcome.sent;
+        outcome.iovecs = outcome.sent;
         Ok(outcome)
     }
 
@@ -631,14 +650,24 @@ impl BatchIo for FallbackIo {
 /// to one of them. Off Linux this is a plain bind — callers clamp their
 /// shard count to 1 there (see `shard.rs`).
 pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
-    #[cfg(target_os = "linux")]
-    {
-        linux::bind_reuseport(addr)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        UdpSocket::bind(addr)
-    }
+    bind_udp(addr, true)
+}
+
+/// Binds a UDP socket that shares its port with nobody, with the
+/// enlarged buffers [`bind_reuseport`] asks for: what a load generator
+/// binds. (Asked for port 0, a `SO_REUSEPORT` socket may be given a port
+/// that a reuseport group of the same user already holds, and then
+/// receives that group's traffic.)
+pub fn bind_buffered(addr: SocketAddr) -> io::Result<UdpSocket> {
+    bind_udp(addr, false)
+}
+
+#[cfg(target_os = "linux")]
+use linux::bind_udp;
+
+#[cfg(not(target_os = "linux"))]
+fn bind_udp(addr: SocketAddr, _reuseport: bool) -> io::Result<UdpSocket> {
+    UdpSocket::bind(addr)
 }
 
 /// Whether multi-shard port sharing is available on this platform.
@@ -881,11 +910,6 @@ mod linux {
             .map_or(1, |n| n.clamp(1, GSO_MAX_SEGS))
     }
 
-    /// Datagrams carried by `hdrs` (one iovec each).
-    fn segments(hdrs: &[MMsgHdr]) -> u64 {
-        hdrs.iter().map(|h| h.msg_hdr.msg_iovlen as u64).sum()
-    }
-
     /// The errors a multi-segment message can fail with when the datagrams
     /// themselves might be sendable: kernel without `UDP_SEGMENT`, device
     /// without checksum offload, segment + headers over the path MTU.
@@ -1060,9 +1084,9 @@ mod linux {
             .is_ok()
     }
 
-    /// `socket() + SO_REUSEPORT + large buffers + bind()`, returned as a
-    /// std socket (who owns the fd from here on).
-    pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
+    /// `socket() + SO_REUSEPORT (if asked) + large buffers + bind()`,
+    /// returned as a std socket (who owns the fd from here on).
+    pub(super) fn bind_udp(addr: SocketAddr, reuseport: bool) -> io::Result<UdpSocket> {
         let family = match addr {
             SocketAddr::V4(_) => AF_INET,
             SocketAddr::V6(_) => AF_INET6,
@@ -1078,7 +1102,9 @@ mod linux {
             unsafe { close(fd) };
             e
         };
-        set_opt_i32(fd, SOL_SOCKET, SO_REUSEPORT, 1).map_err(guard_close)?;
+        if reuseport {
+            set_opt_i32(fd, SOL_SOCKET, SO_REUSEPORT, 1).map_err(guard_close)?;
+        }
         // Loopback line-rate bursts overflow the default buffers long
         // before the datapath is the bottleneck; ask for more (the kernel
         // clamps to net.core.*mem_max on its own).
@@ -1095,6 +1121,161 @@ mod linux {
         Ok(unsafe { UdpSocket::from_raw_fd(fd) })
     }
 
+    /// One flush as the kernel is handed it: message `m` is header `m`,
+    /// address `m`, cmsg `m` and the next `msg_iovlen` iovecs. Planning
+    /// ([`SendPlan::build`]) needs no socket.
+    ///
+    /// A header's `msg_len` holds its message's bytes: ours going in (the
+    /// kernel does not read it), the kernel's count of what it sent coming
+    /// out — the same number, a datagram send being all or nothing.
+    #[derive(Default)]
+    struct SendPlan {
+        addrs: Vec<SockAddrStorage>,
+        ctrl: Vec<GsoCmsg>,
+        iovs: Vec<IoVec>,
+        hdrs: Vec<MMsgHdr>,
+    }
+
+    impl SendPlan {
+        /// Plans the flush of `queue`: runs per the module docs ("Run
+        /// coalescing"; every datagram its own message unless `gso`), one
+        /// iovec per contiguous byte range of a run.
+        fn build(&mut self, ring: &RecvRing, queue: &SendQueue, gso: bool) {
+            let total = queue.len();
+            self.addrs.clear();
+            self.ctrl.clear();
+            self.iovs.clear();
+            self.hdrs.clear();
+            // At most one iovec and one message per datagram.
+            self.addrs.reserve(total);
+            self.ctrl.reserve(total);
+            self.iovs.reserve(total);
+            self.hdrs.reserve(total);
+            // Payload-bearing entries, then header-only ones, so a batch of
+            // mixed traffic forms two long runs instead of many short ones.
+            for header_only in [false, true] {
+                let mut run = None; // (destination, length) of the open run
+                let mut room = 0; // segments the open run can still take
+                for i in 0..total {
+                    let (bytes, dest) = queue.resolve(ring, i);
+                    let len = bytes.len();
+                    if (len <= WIRE_HEADER_LEN) != header_only {
+                        continue;
+                    }
+                    let iov = IoVec {
+                        iov_base: bytes.as_ptr() as *mut c_void,
+                        iov_len: len,
+                    };
+                    if room > 0 && run == Some((dest, len)) {
+                        room -= 1;
+                        let open = self.hdrs.last_mut().expect("a run is open");
+                        open.msg_len += len as c_uint;
+                        // More than one datagram: the cmsg goes along.
+                        open.msg_hdr.msg_controllen = mem::size_of::<GsoCmsg>();
+                        let last = self.iovs.last_mut().expect("a run has an iovec");
+                        if last.iov_base.wrapping_byte_add(last.iov_len) == iov.iov_base {
+                            last.iov_len += len;
+                        } else {
+                            self.iovs.push(iov);
+                            open.msg_hdr.msg_iovlen += 1;
+                        }
+                        continue;
+                    }
+                    run = Some((dest, len));
+                    room = if gso { max_segments(len) - 1 } else { 0 };
+                    self.iovs.push(iov);
+                    let mut addr = SockAddrStorage::zeroed();
+                    let addr_len = encode_addr(dest, &mut addr);
+                    self.addrs.push(addr);
+                    self.ctrl.push(GsoCmsg {
+                        cmsg_len: GSO_CMSG_LEN,
+                        cmsg_level: SOL_UDP,
+                        cmsg_type: UDP_SEGMENT,
+                        gso_size: len as u16,
+                        _pad: [0; 6],
+                    });
+                    self.hdrs.push(MMsgHdr {
+                        msg_hdr: MsgHdr {
+                            msg_namelen: addr_len,
+                            msg_iovlen: 1,
+                            ..zero_msghdr()
+                        },
+                        msg_len: len as c_uint,
+                    });
+                }
+            }
+            // Pointers are taken only now, after the last push
+            // (`wrapping_add` stays in bounds by the layout above).
+            let addrs = self.addrs.as_mut_ptr();
+            let ctrl = self.ctrl.as_mut_ptr();
+            let iovs = self.iovs.as_mut_ptr();
+            let mut first = 0;
+            for (m, hdr) in self.hdrs.iter_mut().enumerate() {
+                let h = &mut hdr.msg_hdr;
+                h.msg_name = addrs.wrapping_add(m) as *mut c_void;
+                h.msg_iov = iovs.wrapping_add(first);
+                if h.msg_controllen != 0 {
+                    h.msg_control = ctrl.wrapping_add(m) as *mut c_void;
+                }
+                first += h.msg_iovlen;
+            }
+        }
+
+        /// Plans message `m` of `whole` over again as its datagrams: every
+        /// iovec cut back at the segment size, one plain message each.
+        fn cut(&mut self, whole: &SendPlan, m: usize) {
+            let run = whole.hdrs[m].msg_hdr;
+            let segment = whole.ctrl[m].gso_size as usize;
+            let first: usize = whole.hdrs[..m].iter().map(|h| h.msg_hdr.msg_iovlen).sum();
+            self.iovs.clear();
+            self.hdrs.clear();
+            for iov in &whole.iovs[first..first + run.msg_iovlen] {
+                // Whole datagrams of one length went into every iovec.
+                for at in (0..iov.iov_len).step_by(segment) {
+                    self.iovs.push(IoVec {
+                        iov_base: iov.iov_base.wrapping_byte_add(at),
+                        iov_len: segment,
+                    });
+                }
+            }
+            // As in `build`: no push follows. The address stays `whole`'s.
+            let iovs = self.iovs.as_mut_ptr();
+            self.hdrs.extend((0..self.iovs.len()).map(|k| MMsgHdr {
+                msg_hdr: MsgHdr {
+                    msg_iov: iovs.wrapping_add(k),
+                    msg_iovlen: 1,
+                    msg_control: std::ptr::null_mut(),
+                    msg_controllen: 0,
+                    ..run
+                },
+                msg_len: segment as c_uint,
+            }));
+        }
+
+        /// Datagrams carried by messages `msgs`: a message with the cmsg
+        /// holds its bytes over its segment size (every datagram of a run
+        /// has that length), one without is one datagram.
+        fn datagrams(&self, msgs: std::ops::Range<usize>) -> u64 {
+            msgs.map(|m| {
+                let hdr = &self.hdrs[m];
+                if hdr.msg_hdr.msg_controllen == 0 {
+                    1
+                } else {
+                    u64::from(hdr.msg_len) / u64::from(self.ctrl[m].gso_size)
+                }
+            })
+            .sum()
+        }
+
+        /// Iovecs of messages `msgs`.
+        fn iovecs(&self, msgs: std::ops::Range<usize>) -> u64 {
+            self.hdrs[msgs]
+                .iter()
+                .map(|h| h.msg_hdr.msg_iovlen)
+                .sum::<usize>() as u64
+        }
+    }
+
     /// The `recvmmsg`/`sendmmsg` implementation of [`BatchIo`].
     pub struct MmsgIo {
         socket: UdpSocket,
@@ -1107,13 +1288,10 @@ mod linux {
         recv_iovs: Box<[IoVec; BATCH]>,
         recv_hdrs: Box<[MMsgHdr; BATCH]>,
         recv_base: *mut u8,
-        // Send side, sized to the queue: one iovec per datagram; one
-        // header, address and cmsg per message. A header's `msg_iovlen`
-        // is its datagram count.
-        send_addrs: Vec<SockAddrStorage>,
-        send_ctrl: Vec<GsoCmsg>,
-        send_iovs: Vec<IoVec>,
-        send_hdrs: Vec<MMsgHdr>,
+        /// The flush being sent, and the one run of it the kernel refused
+        /// coalesced, re-sent as its datagrams.
+        send: SendPlan,
+        resend: SendPlan,
         /// Coalesce same-destination, same-length runs into `UDP_SEGMENT`
         /// messages; cleared for good once the kernel refuses one whose
         /// datagrams it then accepts uncoalesced.
@@ -1165,10 +1343,8 @@ mod linux {
                 ),
                 recv_hdrs: Box::new([zero_mmsg; BATCH]),
                 recv_base: std::ptr::null_mut(),
-                send_addrs: Vec::new(),
-                send_ctrl: Vec::new(),
-                send_iovs: Vec::new(),
-                send_hdrs: Vec::new(),
+                send: SendPlan::default(),
+                resend: SendPlan::default(),
                 gso: true,
             })
         }
@@ -1276,90 +1452,35 @@ mod linux {
         }
 
         fn send_batch(&mut self, ring: &RecvRing, queue: &SendQueue) -> io::Result<SendOutcome> {
-            let total = queue.len();
             let mut outcome = SendOutcome::default();
-            if total == 0 {
+            if queue.is_empty() {
                 return Ok(outcome);
             }
-            self.send_addrs.clear();
-            self.send_ctrl.clear();
-            self.send_iovs.clear();
-            self.send_hdrs.clear();
-            // One iovec per datagram, at most one message per datagram.
-            self.send_addrs.reserve(total);
-            self.send_ctrl.reserve(total);
-            self.send_iovs.reserve(total);
-            self.send_hdrs.reserve(total);
-            // Payload-bearing entries, then header-only ones, so a batch of
-            // mixed traffic forms two long runs instead of many short ones.
-            for header_only in [false, true] {
-                let mut run = None; // (destination, length) of the open run
-                let mut room = 0; // segments the open run can still take
-                for i in 0..total {
-                    let (bytes, dest) = queue.resolve(ring, i);
-                    let len = bytes.len();
-                    if (len <= WIRE_HEADER_LEN) != header_only {
-                        continue;
-                    }
-                    self.send_iovs.push(IoVec {
-                        iov_base: bytes.as_ptr() as *mut c_void,
-                        iov_len: len,
-                    });
-                    if room > 0 && run == Some((dest, len)) {
-                        room -= 1;
-                        let open = self.send_hdrs.last_mut().expect("a run is open");
-                        open.msg_hdr.msg_iovlen += 1;
-                        continue;
-                    }
-                    run = Some((dest, len));
-                    room = if self.gso { max_segments(len) - 1 } else { 0 };
-                    let mut addr = SockAddrStorage::zeroed();
-                    let addr_len = encode_addr(dest, &mut addr);
-                    self.send_addrs.push(addr);
-                    self.send_ctrl.push(GsoCmsg {
-                        cmsg_len: GSO_CMSG_LEN,
-                        cmsg_level: SOL_UDP,
-                        cmsg_type: UDP_SEGMENT,
-                        gso_size: len as u16,
-                        _pad: [0; 6],
-                    });
-                    self.send_hdrs.push(MMsgHdr {
-                        msg_hdr: MsgHdr {
-                            msg_namelen: addr_len,
-                            msg_iovlen: 1,
-                            ..zero_msghdr()
-                        },
-                        msg_len: 0,
-                    });
-                }
-            }
-            // Pointers are taken only now, after the last push: message `m`
-            // owns address and cmsg `m` and the next `msg_iovlen` iovecs
-            // (`wrapping_add` stays in bounds by that construction).
-            let addrs = self.send_addrs.as_mut_ptr();
-            let ctrl = self.send_ctrl.as_mut_ptr();
-            let iovs = self.send_iovs.as_mut_ptr();
-            let mut first = 0;
-            for (m, hdr) in self.send_hdrs.iter_mut().enumerate() {
-                let h = &mut hdr.msg_hdr;
-                h.msg_name = addrs.wrapping_add(m) as *mut c_void;
-                h.msg_iov = iovs.wrapping_add(first);
-                if h.msg_iovlen > 1 {
-                    h.msg_control = ctrl.wrapping_add(m) as *mut c_void;
-                    h.msg_controllen = mem::size_of::<GsoCmsg>();
-                }
-                first += h.msg_iovlen;
-            }
+            self.send.build(ring, queue, self.gso);
+            // Messages of `send` dealt with; and, while message `done` is
+            // being re-sent as its datagrams, those of `resend`.
             let mut done = 0;
-            // First plain entry of a run re-sent after the kernel refused
-            // it coalesced.
-            let mut probe = usize::MAX;
-            while done < self.send_hdrs.len() {
-                let pending = &mut self.send_hdrs[done..];
-                // SAFETY: every pointer in `pending` was taken above, after
-                // the address/cmsg/iovec vectors reached their final length
-                // (reserved up front, untouched until the next call), so
-                // none has moved; the iovecs point into `ring` and `queue`,
+            let mut redone: Option<usize> = None;
+            loop {
+                let (plan, at) = match redone {
+                    Some(at) => (&mut self.resend, at),
+                    None => (&mut self.send, done),
+                };
+                let end = plan.hdrs.len();
+                if at == end {
+                    if redone.take().is_none() {
+                        break;
+                    }
+                    done += 1;
+                    continue;
+                }
+                let pending = &mut plan.hdrs[at..];
+                // SAFETY: every pointer in `pending` was taken by `build` or
+                // `cut` after the vectors of address, cmsg and iovec it points
+                // into reached their final length, and nothing touches those
+                // until the plan is next built or cut — `send` at the next
+                // call, `resend` only while none of its headers is pending —
+                // so none has moved; the iovecs point into `ring` and `queue`,
                 // which are borrowed for the whole call.
                 let rc = unsafe {
                     sendmmsg(
@@ -1369,7 +1490,18 @@ mod linux {
                         MSG_DONTWAIT,
                     )
                 };
-                if rc < 0 {
+                let step = if rc >= 0 {
+                    let accepted = at..at + rc as usize;
+                    outcome.messages += rc as u64;
+                    outcome.iovecs += plan.iovecs(accepted.clone());
+                    outcome.sent += plan.datagrams(accepted);
+                    if redone == Some(0) {
+                        // The run's first datagram left without the cmsg: the
+                        // refusal was about GSO, not about the destination.
+                        self.gso = false;
+                    }
+                    rc as usize
+                } else {
                     let e = io::Error::last_os_error();
                     if e.kind() == io::ErrorKind::Interrupted {
                         continue;
@@ -1378,41 +1510,27 @@ mod linux {
                         // Kernel send queue full: brief blocking retry of
                         // the remainder via the same syscall without
                         // DONTWAIT would stall the shard; count and move on.
-                        outcome.errors += segments(pending);
-                        return Ok(outcome);
+                        outcome.errors += plan.datagrams(at..end);
+                        if redone.is_some() {
+                            let rest = done + 1..self.send.hdrs.len();
+                            outcome.errors += self.send.datagrams(rest);
+                        }
+                        break;
                     }
-                    let run = pending[0].msg_hdr;
-                    if run.msg_iovlen > 1 && gso_refused(&e) {
-                        // Re-send the run as plain entries, in place.
-                        probe = done;
-                        let plain = (0..run.msg_iovlen).map(|k| MMsgHdr {
-                            msg_hdr: MsgHdr {
-                                msg_iov: run.msg_iov.wrapping_add(k),
-                                msg_iovlen: 1,
-                                msg_control: std::ptr::null_mut(),
-                                msg_controllen: 0,
-                                ..run
-                            },
-                            msg_len: 0,
-                        });
-                        self.send_hdrs.splice(done..=done, plain);
+                    if redone.is_none() && plan.datagrams(at..at + 1) > 1 && gso_refused(&e) {
+                        self.resend.cut(&self.send, done);
+                        redone = Some(0);
                         continue;
                     }
                     // Per-datagram refusal (e.g. unroutable dest): skip it,
                     // count it, keep flushing the rest.
-                    outcome.errors += run.msg_iovlen as u64;
-                    done += 1;
-                    continue;
+                    outcome.errors += plan.datagrams(at..at + 1);
+                    1
+                };
+                match &mut redone {
+                    Some(at) => *at += step,
+                    None => done += step,
                 }
-                let rc = rc as usize;
-                if (done..done + rc).contains(&probe) {
-                    // The same datagram left without the cmsg: the refusal
-                    // was about GSO, not about the destination.
-                    self.gso = false;
-                }
-                outcome.messages += rc as u64;
-                outcome.sent += segments(&pending[..rc]);
-                done += rc;
             }
             Ok(outcome)
         }
@@ -1423,6 +1541,228 @@ mod linux {
 
         fn layer(&self) -> SocketLayer {
             SocketLayer::Mmsg
+        }
+    }
+
+    /// The run planner without a socket (so under Miri too): adversarial
+    /// queues against the run rules written down a second time, one iovec
+    /// per datagram.
+    #[cfg(test)]
+    mod plan_tests {
+        use super::super::SPILL;
+        use super::*;
+
+        /// The flush of `queue` as the module docs give it, unmerged: per
+        /// message its destination and its datagrams.
+        fn runs<'a>(
+            ring: &'a RecvRing,
+            queue: &'a SendQueue,
+            gso: bool,
+        ) -> Vec<(SocketAddr, Vec<&'a [u8]>)> {
+            let mut msgs: Vec<(SocketAddr, Vec<&[u8]>)> = Vec::new();
+            for header_only in [false, true] {
+                let mut open = false; // the last message is this pass's open run
+                for i in 0..queue.len() {
+                    let (bytes, dest) = queue.resolve(ring, i);
+                    if (bytes.len() <= WIRE_HEADER_LEN) != header_only {
+                        continue;
+                    }
+                    match msgs.last_mut() {
+                        Some((to, run))
+                            if open
+                                && gso
+                                && (*to, run[0].len()) == (dest, bytes.len())
+                                && run.len() < max_segments(bytes.len()) =>
+                        {
+                            run.push(bytes)
+                        }
+                        _ => msgs.push((dest, vec![bytes])),
+                    }
+                    open = true;
+                }
+            }
+            msgs
+        }
+
+        /// `iov` as (address, length).
+        fn span(iov: &IoVec) -> (usize, usize) {
+            (iov.iov_base.addr(), iov.iov_len)
+        }
+
+        /// `iov` cut at `segment`, as (address, length) pieces.
+        fn pieces(iov: &IoVec, segment: usize) -> Vec<(usize, usize)> {
+            let base = iov.iov_base.addr();
+            if iov.iov_len == 0 {
+                return vec![span(iov)];
+            }
+            assert_eq!(iov.iov_len % segment, 0, "whole datagrams per iovec");
+            (0..iov.iov_len)
+                .step_by(segment)
+                .map(|at| (base + at, segment))
+                .collect()
+        }
+
+        /// The bytes `iov` names, read through the buffer it was built
+        /// from: the ring's arena or the queue's scratch headers.
+        fn bytes_of<'a>(ring: &'a RecvRing, queue: &'a SendQueue, iov: &IoVec) -> &'a [u8] {
+            let at = iov.iov_base.addr();
+            [&ring.arena[..], queue.scratch.as_flattened()]
+                .into_iter()
+                .find_map(|buf| {
+                    let off = at.checked_sub(buf.as_ptr().addr())?;
+                    buf.get(off..off + iov.iov_len)
+                })
+                .expect("an iovec stays inside the buffer it was built from")
+        }
+
+        fn check(ring: &RecvRing, queue: &SendQueue, gso: bool) {
+            let mut plan = SendPlan::default();
+            plan.build(ring, queue, gso);
+            let want = runs(ring, queue, gso);
+            assert_eq!(plan.hdrs.len(), want.len());
+            assert_eq!(plan.datagrams(0..want.len()), queue.len() as u64);
+            let mut first = 0;
+            for (m, (dest, run)) in want.iter().enumerate() {
+                let MMsgHdr { msg_hdr, msg_len } = plan.hdrs[m];
+                let segment = run[0].len();
+                assert_eq!(decode_addr(&plan.addrs[m]), Some(*dest));
+                assert_eq!(plan.ctrl[m].gso_size as usize, segment);
+                assert_eq!(plan.datagrams(m..m + 1), run.len() as u64);
+                assert_eq!(msg_len as usize, run.len() * segment);
+                assert!(run.len() <= GSO_MAX_SEGS && msg_len as usize <= GSO_MAX_BYTES);
+                // Linked to its own address, iovecs and — a train — cmsg.
+                assert_eq!(msg_hdr.msg_name.addr(), (&raw const plan.addrs[m]).addr());
+                assert_eq!(msg_hdr.msg_iov.addr(), (&raw const plan.iovs[first]).addr());
+                if run.len() > 1 {
+                    assert_eq!(msg_hdr.msg_controllen, mem::size_of::<GsoCmsg>());
+                    assert_eq!(msg_hdr.msg_control.addr(), (&raw const plan.ctrl[m]).addr());
+                } else {
+                    assert_eq!(msg_hdr.msg_controllen, 0);
+                }
+                // The iovecs, cut at the segment size, are the run's
+                // datagrams in the run's order: each queued datagram is
+                // covered once, and the wire bytes are the unmerged plan's.
+                let iovs = &plan.iovs[first..first + msg_hdr.msg_iovlen];
+                let datagrams: Vec<_> = run.iter().map(|d| (d.as_ptr().addr(), d.len())).collect();
+                let cut: Vec<_> = iovs.iter().flat_map(|v| pieces(v, segment)).collect();
+                assert_eq!(cut, datagrams);
+                let wire: Vec<u8> = iovs
+                    .iter()
+                    .flat_map(|v| bytes_of(ring, queue, v))
+                    .copied()
+                    .collect();
+                assert_eq!(wire, run.concat());
+                // Merged where adjacent, and only there.
+                let breaks = run
+                    .windows(2)
+                    .filter(|w| w[0].as_ptr_range().end != w[1].as_ptr())
+                    .count();
+                assert_eq!(iovs.len(), 1 + breaks);
+                // Refused, the message goes again as exactly its datagrams.
+                if run.len() > 1 {
+                    let mut plain = SendPlan::default();
+                    plain.cut(&plan, m);
+                    assert_eq!(plain.datagrams(0..plain.hdrs.len()), run.len() as u64);
+                    let resent: Vec<_> = plain.iovs.iter().map(span).collect();
+                    assert_eq!(resent, datagrams);
+                    for (k, hdr) in plain.hdrs.iter().enumerate() {
+                        let h = hdr.msg_hdr;
+                        assert_eq!(
+                            (h.msg_name, h.msg_namelen),
+                            (msg_hdr.msg_name, msg_hdr.msg_namelen)
+                        );
+                        assert_eq!(h.msg_iov.addr(), (&raw const plain.iovs[k]).addr());
+                        assert_eq!((h.msg_iovlen, h.msg_controllen), (1, 0));
+                        assert!(h.msg_control.is_null());
+                    }
+                }
+                first += msg_hdr.msg_iovlen;
+            }
+            assert_eq!(first, plan.iovs.len());
+            // No two iovecs share a byte (no slot is queued twice below).
+            let mut spans: Vec<_> = plan.iovs.iter().map(span).collect();
+            spans.retain(|&(_, len)| len > 0);
+            spans.sort_unstable();
+            assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+        }
+
+        #[test]
+        fn adversarial_queues_plan_as_the_unmerged_runs_do() {
+            const LENS: [usize; 4] = [0, WIRE_HEADER_LEN, 88, MAX_DATAGRAM];
+            let dests: [SocketAddr; 2] =
+                ["127.0.0.1:9".parse().unwrap(), "[::1]:9".parse().unwrap()];
+            let mut ring = RecvRing::new();
+            let mut queue = SendQueue::new();
+            trace::cases(24, if cfg!(miri) { 8 } else { 256 }, |_, rng| {
+                let mut draw = |n: usize| rng.next_bounded(n as u64) as usize;
+                ring.reset();
+                queue.clear();
+                if draw(4) == 0 {
+                    // Packed by `stage`, in runs of equal length.
+                    let mut len = 88;
+                    while ring.len() < BATCH && ring.tail + MAX_DATAGRAM <= SPILL {
+                        if draw(4) == 0 {
+                            len = LENS[draw(4)];
+                        }
+                        ring.stage(|_| len).expect("room was checked");
+                    }
+                } else {
+                    // Up to three messages landed, trains and plain ones,
+                    // a short tail now and then; some views stolen, some
+                    // copies re-injected behind them.
+                    for area in 0..1 + draw(3) {
+                        let segment = LENS[1 + draw(3)];
+                        let most = (LANDING / segment).min(64) * segment;
+                        match draw(3) {
+                            0 => ring.land(area, LENS[draw(4)], 0, NOWHERE),
+                            1 => ring.land(area, most, segment, NOWHERE),
+                            _ => ring.land(area, 1 + draw(most), segment, NOWHERE),
+                        }
+                    }
+                    for _ in 0..draw(4).min(ring.len()) {
+                        ring.swap_remove(draw(ring.len()));
+                    }
+                    for _ in 0..draw(4) {
+                        assert!(ring.push_received(&[0; MAX_DATAGRAM][..LENS[draw(4)]], NOWHERE));
+                    }
+                }
+                for slot in 0..ring.len() {
+                    ring.datagram_mut(slot).fill(slot as u8);
+                }
+                // Each slot at most once: in order, reversed, or with holes
+                // and out of order; a header bounced in place of its datagram
+                // and a scratch NACK now and then; one destination or two.
+                let mut slots: Vec<usize> = (0..ring.len()).collect();
+                match draw(3) {
+                    0 => {}
+                    1 => slots.reverse(),
+                    _ => {
+                        slots.retain(|_| draw(8) != 0);
+                        for _ in 0..draw(4).min(slots.len()) {
+                            let (a, b) = (draw(slots.len()), draw(slots.len()));
+                            slots.swap(a, b);
+                        }
+                    }
+                }
+                let two = draw(2) == 0;
+                for slot in slots {
+                    let dest = dests[if two { draw(2) } else { 0 }];
+                    let len = ring.datagram(slot).len();
+                    if draw(6) == 0 {
+                        queue.push_nack(7, slot as u64, dest);
+                    }
+                    if len > WIRE_HEADER_LEN && draw(8) == 0 {
+                        queue.push_slot(slot, WIRE_HEADER_LEN, dest);
+                    } else {
+                        queue.push_slot(slot, len, dest);
+                    }
+                    if queue.len() >= 2 * BATCH {
+                        break;
+                    }
+                }
+                check(&ring, &queue, true);
+                check(&ring, &queue, false);
+            });
         }
     }
 }
@@ -1522,7 +1862,7 @@ mod tests {
             queue.push_nack(9, 42, peer_addr);
             let got = io.send_batch(&ring, &queue).unwrap();
             // Payload-bearing and header-only entries never share a message.
-            assert_eq!(got, outcome(2, 0, 2), "{:?}", layer);
+            assert_eq!(got, outcome(2, 0, 2, 2), "{:?}", layer);
             queue.clear();
 
             let mut buf = [0u8; 2048];
@@ -1595,7 +1935,6 @@ mod tests {
     ) -> SendOutcome {
         let mut ring = RecvRing::new();
         let mut queue = SendQueue::new();
-        let mut queued = Vec::new();
         for (i, &(dest, len)) in plan.iter().enumerate() {
             let bytes: Vec<u8> = (0..len).map(|b| (i as u8).wrapping_add(b as u8)).collect();
             let (slot, len) = ring
@@ -1605,15 +1944,27 @@ mod tests {
                 })
                 .expect("plan fits the ring");
             queue.push_slot(slot, len, dest);
-            queued.push((dest, bytes));
         }
-        let outcome = io.send_batch(&ring, &queue).unwrap();
+        flush_queue_and_check(io, peers, &ring, &queue)
+    }
+
+    /// Flushes `queue` through `io` in one call and checks what each peer
+    /// received, as [`flush_and_check`] says; every queued datagram is
+    /// counted, as sent or as an error.
+    fn flush_queue_and_check(
+        io: &mut dyn BatchIo,
+        peers: &[&UdpSocket],
+        ring: &RecvRing,
+        queue: &SendQueue,
+    ) -> SendOutcome {
+        let outcome = io.send_batch(ring, queue).unwrap();
+        assert_eq!(outcome.sent + outcome.errors, queue.len() as u64);
         for peer in peers {
             let addr = peer.local_addr().unwrap();
-            let mut want: Vec<Vec<u8>> = queued
-                .iter()
-                .filter(|(dest, _)| *dest == addr)
-                .map(|(_, bytes)| bytes.clone())
+            let mut want: Vec<Vec<u8>> = (0..queue.len())
+                .map(|i| queue.resolve(ring, i))
+                .filter(|(_, dest)| *dest == addr)
+                .map(|(bytes, _)| bytes.to_vec())
                 .collect();
             let mut got = Vec::new();
             let mut buf = [0u8; 2048];
@@ -1630,11 +1981,22 @@ mod tests {
         outcome
     }
 
-    fn outcome(sent: u64, errors: u64, messages: u64) -> SendOutcome {
+    fn outcome(sent: u64, errors: u64, messages: u64, iovecs: u64) -> SendOutcome {
         SendOutcome {
             sent,
             errors,
             messages,
+            iovecs,
+        }
+    }
+
+    /// What flushing `n` datagrams of one destination and length reports
+    /// on `name`: one message of `ranges` iovecs where runs leave whole.
+    fn run_outcome(name: &str, n: u64, ranges: u64) -> SendOutcome {
+        if sends_trains(name) {
+            outcome(n, 0, 1, ranges)
+        } else {
+            outcome(n, 0, n, n)
         }
     }
 
@@ -1643,8 +2005,8 @@ mod tests {
         for (name, mut io) in ios() {
             let (sock, addr) = peer("127.0.0.1:0");
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
-            let messages = if sends_trains(name) { 1 } else { 32 };
-            assert_eq!(got, outcome(32, 0, messages), "{name}");
+            // Staged back to back: the run is one byte range.
+            assert_eq!(got, run_outcome(name, 32, 1), "{name}");
         }
     }
 
@@ -1654,8 +2016,9 @@ mod tests {
             let (sock, addr) = peer("127.0.0.1:0");
             // 64 x 1424 B is 91 KB: over the 65,408-byte message bound.
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, MAX_DATAGRAM); 64]);
+            // 45 + 19, each one byte range.
             let messages = if sends_trains(name) { 2 } else { 64 };
-            assert_eq!(got, outcome(64, 0, messages), "{name}");
+            assert_eq!(got, outcome(64, 0, messages, messages), "{name}");
         }
     }
 
@@ -1667,9 +2030,9 @@ mod tests {
             let plan: Vec<_> = lens.iter().map(|&len| (addr, len)).collect();
             let got = flush_and_check(io.as_mut(), &[&sock], &plan);
             // 88,88 | 100,100,100 | 88, then 0 | 0 | 24,24 | 0: empty
-            // datagrams never coalesce.
+            // datagrams never coalesce. Every run was staged back to back.
             let messages = if sends_trains(name) { 7 } else { 11 };
-            assert_eq!(got, outcome(11, 0, messages), "{name}");
+            assert_eq!(got, outcome(11, 0, messages, messages), "{name}");
         }
     }
 
@@ -1682,7 +2045,7 @@ mod tests {
                 .map(|i| (if i % 2 == 0 { a_addr } else { b_addr }, 88))
                 .collect();
             let got = flush_and_check(io.as_mut(), &[&a, &b], &plan);
-            assert_eq!(got, outcome(16, 0, 16), "{name}");
+            assert_eq!(got, outcome(16, 0, 16, 16), "{name}");
         }
     }
 
@@ -1699,7 +2062,7 @@ mod tests {
         } else {
             32
         };
-        assert_eq!(got, outcome(32, 0, messages));
+        assert_eq!(got, outcome(32, 0, messages, messages));
     }
 
     #[test]
@@ -1710,7 +2073,7 @@ mod tests {
             let mut queue = SendQueue::new();
             queue.push_nack(1, 2, nowhere);
             let got = io.send_batch(&RecvRing::new(), &queue).unwrap();
-            assert_eq!(got, outcome(0, 1, 0), "{name}");
+            assert_eq!(got, outcome(0, 1, 0, 0), "{name}");
 
             // A refused run in the middle of a same-size batch: each of its
             // datagrams is counted once, the runs around it are delivered.
@@ -1720,31 +2083,46 @@ mod tests {
             plan.extend([(addr, 88); 4]);
             let got = flush_and_check(io.as_mut(), &[&sock], &plan);
             let messages = if sends_trains(name) { 2 } else { 8 };
-            assert_eq!(got, outcome(8, 3, messages), "{name}");
+            assert_eq!(got, outcome(8, 3, messages, messages), "{name}");
 
             // A bad destination is not a missing capability: still coalescing.
             let got = flush_and_check(io.as_mut(), &[&sock], &[(addr, 88); 32]);
-            let messages = if sends_trains(name) { 1 } else { 32 };
-            assert_eq!(got, outcome(32, 0, messages), "{name}");
+            assert_eq!(got, run_outcome(name, 32, 1), "{name}");
         }
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn refused_gso_is_resent_plain_and_latched_off() {
-        let sock = UdpSocket::bind(loopback()).unwrap();
-        let knob = sock.try_clone().unwrap();
-        let mut io = MmsgIo::new(sock).unwrap();
-        let (sock, addr) = peer("127.0.0.1:0");
-        // Without transmit checksums the kernel refuses the coalesced
-        // message (EINVAL) and takes the same datagrams one by one.
-        linux::set_no_check(&knob, true).unwrap();
-        let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
-        assert_eq!(got, outcome(32, 0, 32));
-        // Latched: the socket would coalesce again now, but is not asked to.
-        linux::set_no_check(&knob, false).unwrap();
-        let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
-        assert_eq!(got, outcome(32, 0, 32));
+        // The run as one byte range, then with a hole in it (two ranges).
+        for hole in [None, Some(16)] {
+            let sock = UdpSocket::bind(loopback()).unwrap();
+            let knob = sock.try_clone().unwrap();
+            let mut io = MmsgIo::new(sock).unwrap();
+            let (sock, addr) = peer("127.0.0.1:0");
+            let mut ring = RecvRing::new();
+            let mut queue = SendQueue::new();
+            for i in 0..32 + hole.iter().len() {
+                let (slot, len) = ring
+                    .stage(|buf| {
+                        buf[..88].fill(i as u8);
+                        88
+                    })
+                    .unwrap();
+                if Some(i) != hole {
+                    queue.push_slot(slot, len, addr);
+                }
+            }
+            // Without transmit checksums the kernel refuses the coalesced
+            // message (EINVAL) and takes the same datagrams one by one.
+            linux::set_no_check(&knob, true).unwrap();
+            let got = flush_queue_and_check(&mut io, &[&sock], &ring, &queue);
+            assert_eq!(got, outcome(32, 0, 32, 32), "hole {hole:?}");
+            // Latched: the socket would coalesce again now, but is not asked to.
+            linux::set_no_check(&knob, false).unwrap();
+            let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
+            assert_eq!(got, outcome(32, 0, 32, 32), "hole {hole:?}");
+        }
     }
 
     /// One non-empty `recv_batch`: the datagrams it returned (bytes and
@@ -2009,7 +2387,7 @@ mod tests {
             let mut bounce = SendQueue::new();
             bounce.push_slot(3, WIRE_HEADER_LEN, addr);
             let sent = io.send_batch(&ring, &bounce).unwrap();
-            assert_eq!(sent, outcome(1, 0, 1), "{name}");
+            assert_eq!(sent, outcome(1, 0, 1, 1), "{name}");
             let mut buf = [0u8; 2048];
             let (n, _) = sock.recv_from(&mut buf).unwrap();
             let (h, _) = WireHeader::decode(&buf[..n]).unwrap();
@@ -2017,7 +2395,116 @@ mod tests {
             for seq in [0u64, 1, 2, 4, 5, 6, 7] {
                 let (h, _) = WireHeader::decode(ring.datagram(seq as usize)).unwrap();
                 assert_eq!(h, WireHeader::trimmed(5, seq), "{name}: neighbours intact");
+                rewrite_trimmed_to_nack(ring.datagram_mut(seq as usize)).unwrap();
             }
+            // All eight bounced: where the train landed whole, one range.
+            bounce.clear();
+            for slot in 0..8 {
+                bounce.push_slot(slot, WIRE_HEADER_LEN, addr);
+            }
+            let sent = flush_queue_and_check(io.as_mut(), &[&sock], &ring, &bounce);
+            let ranges = if lands_trains(name) { 1 } else { 8 };
+            assert_eq!(sent, run_outcome(name, 8, ranges), "{name}");
+        }
+    }
+
+    /// Lands 64 DATA datagrams of 88 B (flow 5, seq = slot) on `io` in one
+    /// receive, sent from `tx` in one flush — a train where `tx` builds
+    /// them, one landing area where `io` takes them whole.
+    fn land_train(tx: &mut dyn BatchIo, io: &mut dyn BatchIo, ring: &mut RecvRing) {
+        let dest = io.local_addr().unwrap();
+        let mut staged = RecvRing::new();
+        let mut queue = SendQueue::new();
+        for seq in 0..64u64 {
+            let (slot, len) = staged
+                .stage(|buf| WireHeader::data(5, seq, 64).encode_into(buf, &[seq as u8; 64]))
+                .unwrap();
+            queue.push_slot(slot, len, dest);
+        }
+        tx.send_batch(&staged, &queue).unwrap();
+        assert_eq!(recv_all(io, ring, 64).len(), 1, "one receive");
+        for slot in 0..64 {
+            let (h, _) = WireHeader::decode(ring.datagram(slot)).unwrap();
+            assert_eq!(h, WireHeader::data(5, slot as u64, 64));
+        }
+    }
+
+    #[test]
+    fn train_forwarded_in_order_leaves_as_one_range() {
+        let mut tx = train_sender("127.0.0.1:0");
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let mut ring = RecvRing::new();
+            land_train(tx.as_mut(), io.as_mut(), &mut ring);
+            let mut queue = SendQueue::new();
+            for slot in 0..64 {
+                queue.push_slot(slot, 88, addr);
+            }
+            let got = flush_queue_and_check(io.as_mut(), &[&sock], &ring, &queue);
+            let ranges = if lands_trains(name) { 1 } else { 64 };
+            assert_eq!(got, run_outcome(name, 64, ranges), "{name}");
+        }
+    }
+
+    #[test]
+    fn train_forwarded_in_reverse_leaves_as_its_datagrams() {
+        let mut tx = train_sender("127.0.0.1:0");
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let mut ring = RecvRing::new();
+            land_train(tx.as_mut(), io.as_mut(), &mut ring);
+            let mut queue = SendQueue::new();
+            for slot in (0..64).rev() {
+                queue.push_slot(slot, 88, addr);
+            }
+            // No datagram starts where the one queued before it ends.
+            let got = flush_queue_and_check(io.as_mut(), &[&sock], &ring, &queue);
+            assert_eq!(got, run_outcome(name, 64, 64), "{name}");
+        }
+    }
+
+    #[test]
+    fn shed_datagram_splits_the_range_it_sat_in() {
+        use crate::wire::rewrite_data_to_nack;
+        let mut tx = train_sender("127.0.0.1:0");
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let (sender_sock, sender) = peer("127.0.0.1:0");
+            let mut ring = RecvRing::new();
+            land_train(tx.as_mut(), io.as_mut(), &mut ring);
+            // The overload ladder's rung 2: datagram 20 goes back to its
+            // sender as a NACK, its header rewritten where it landed.
+            let mut queue = SendQueue::new();
+            for slot in 0..64 {
+                if slot == 20 {
+                    rewrite_data_to_nack(ring.datagram_mut(slot)).unwrap();
+                    queue.push_slot(slot, WIRE_HEADER_LEN, sender);
+                } else {
+                    queue.push_slot(slot, 88, addr);
+                }
+            }
+            let got = flush_queue_and_check(io.as_mut(), &[&sock, &sender_sock], &ring, &queue);
+            // 63 payload datagrams in the ranges before and after the hole,
+            // and the header.
+            let want = match (sends_trains(name), lands_trains(name)) {
+                (true, true) => outcome(64, 0, 2, 3),
+                (true, false) => outcome(64, 0, 2, 64),
+                (false, _) => outcome(64, 0, 64, 64),
+            };
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn scratch_nacks_leave_as_one_range() {
+        for (name, mut io) in ios() {
+            let (sock, addr) = peer("127.0.0.1:0");
+            let mut queue = SendQueue::new();
+            for seq in 0..32 {
+                queue.push_nack(5, seq, addr);
+            }
+            let got = flush_queue_and_check(io.as_mut(), &[&sock], &RecvRing::new(), &queue);
+            assert_eq!(got, run_outcome(name, 32, 1), "{name}");
         }
     }
 
@@ -2067,6 +2554,13 @@ mod tests {
         let addr = a.local_addr().unwrap();
         let b = bind_reuseport(addr).unwrap();
         assert_eq!(b.local_addr().unwrap(), addr);
+        // What a load generator binds never joins the group.
+        let taken = bind_buffered(addr).unwrap_err();
+        assert_eq!(taken.kind(), io::ErrorKind::AddrInUse);
+        assert_ne!(
+            bind_buffered(loopback()).unwrap().local_addr().unwrap(),
+            addr
+        );
     }
 
     #[test]

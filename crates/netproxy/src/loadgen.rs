@@ -221,8 +221,7 @@ impl BatchLoadGen {
         } else {
             "[::1]:0".parse().expect("addr")
         };
-        // bind_reuseport is used for its enlarged buffers, not sharing.
-        let mut io = batch::open(batch::bind_reuseport(bind)?, self.layer)?;
+        let mut io = batch::open(batch::bind_buffered(bind)?, self.layer)?;
         let mut ring = RecvRing::new();
         let mut queue = SendQueue::new();
         let mut rng = trace::SplitMix64::new(0xC0FF_EE00 ^ index as u64);
