@@ -1,5 +1,5 @@
-//! Chaos fuzzer driver: random fault-laden incast scenarios under the
-//! invariant auditor, with shrinking and replayable repro files.
+//! Fuzzer driver: random fault-laden scenarios, with shrinking and
+//! replayable repro files ([`bench::fuzz`]).
 //!
 //! ```text
 //! fuzz [--control-plane] [--count N] [--start-seed S] [--jobs J]
@@ -10,23 +10,21 @@
 //! consecutive fuzz seeds. Every failure (panic, invariant violation,
 //! event-cap livelock) is shrunk to a minimal scenario that fails the
 //! same way and written to `--out` as a JSON repro file. Exits non-zero
-//! when any scenario failed. With `--control-plane` the campaign runs
-//! the sharded-orchestrator fuzzer ([`bench::cpfuzz`]) instead of the
-//! full-simulator one: shard crashes mid-incast, stale placements, and
-//! gossip delayed past lease expiry, checked against a lease-lifecycle
-//! model and the lease ledger.
+//! when any scenario failed. The default family is the chaos fuzzer
+//! (the packet simulator under fault plans); `--control-plane` runs the
+//! sharded lease plane ([`bench::cpfuzz`]) instead: shard crashes
+//! mid-incast, stale placements, and gossip delayed past lease expiry,
+//! checked against a lease-lifecycle model and the lease ledger.
 //!
-//! Replay mode (`--replay FILE`): loads a repro file, runs its scenario
-//! **twice**, checks the two runs are identical (determinism) and that
-//! the outcome matches the file's `expect` field (`"clean"` or a failure
-//! kind). The fuzzer family is auto-detected from the file's `"type"`
-//! tag, so one replay loop covers both. Exits non-zero on mismatch or
-//! divergence.
+//! Replay mode (`--replay FILE`): [`bench::fuzz::replay`] runs the file's
+//! scenario **twice**, checks the two runs are identical (determinism)
+//! and that the outcome matches the file's `expect` field (`"clean"` or a
+//! failure kind); the family comes from the file's `"type"` tag. Exits 1
+//! on mismatch or divergence, 2 on a file it cannot read, parse, or
+//! whose tag names no family.
 
-use bench::cpfuzz;
-use bench::fuzz::{
-    check_replay, failure_kind, run_campaign, Finding, ReproFile, Scenario, DEFAULT_SHRINK_BUDGET,
-};
+use bench::cpfuzz::ControlPlane;
+use bench::fuzz::{details, replay, run_campaign, Chaos, Family, DEFAULT_SHRINK_BUDGET};
 
 #[derive(Debug, Clone)]
 struct Cli {
@@ -85,222 +83,46 @@ fn parse_args() -> Cli {
     cli
 }
 
-fn describe(sc: &Scenario) -> String {
-    format!(
-        "scheme={:?} transport={:?} degree={} bytes={} topo={}x{}x{} bg={} faults={}w/{}i/{}c",
-        sc.scheme,
-        sc.transport,
-        sc.degree,
-        sc.total_bytes,
-        sc.spines_per_dc,
-        sc.leaves_per_dc,
-        sc.hosts_per_leaf,
-        sc.background_flows,
-        sc.faults.link_windows.len(),
-        sc.faults.impairments.len(),
-        sc.faults.crashes.len(),
-    )
-}
-
-fn describe_cp(sc: &cpfuzz::CpScenario) -> String {
-    format!(
-        "shards={} candidates={} incasts={} ttl={}us heartbeat={}us \
-         suspect={}us gossip_delay={}us dup_release_every={} crashes={}",
-        sc.shards,
-        sc.candidates,
-        sc.incasts,
-        sc.lease_ttl_us,
-        sc.heartbeat_us,
-        sc.suspect_after_us,
-        sc.gossip_delay_us,
-        sc.double_release_every,
-        sc.faults.shard_crashes.len(),
-    )
-}
-
-fn replay_cp(path: &str, text: &str) -> i32 {
-    let repro = match cpfuzz::CpReproFile::from_json(text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fuzz: {path} is tagged control-plane but malformed: {e}");
-            return 2;
-        }
-    };
-    println!("replaying {path} (control-plane)");
-    println!("  {}", describe_cp(&repro.scenario));
-    if !repro.note.is_empty() {
-        println!("  note: {}", repro.note);
-    }
-    let (outcome, deterministic) = cpfuzz::check_replay(&repro.scenario);
+/// Runs a campaign of family `F`; writes a repro per finding. Exit code 1
+/// when any scenario failed.
+fn campaign<F: Family>(cli: &Cli) -> i32 {
+    let family = F::TAG.map_or(String::new(), |tag| format!("{tag} "));
     println!(
-        "  outcome: ops={} stats={:?} violation={:?} panic={:?}",
-        outcome.ops, outcome.stats, outcome.violation, outcome.panic
-    );
-    if !deterministic {
-        eprintln!("fuzz: REPLAY DIVERGED — two runs of the same scenario differed");
-        return 1;
-    }
-    println!("  deterministic: two consecutive runs identical");
-    if repro.matches(&outcome) {
-        println!("  expectation {:?}: satisfied", repro.expect);
-        0
-    } else {
-        eprintln!(
-            "fuzz: expectation {:?} NOT met (observed {:?})",
-            repro.expect,
-            cpfuzz::failure_kind(&outcome).as_deref().unwrap_or("clean")
-        );
-        1
-    }
-}
-
-fn replay_file(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fuzz: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    if cpfuzz::is_control_plane_repro(&text) {
-        return replay_cp(path, &text);
-    }
-    // Accept a full repro file or a bare scenario.
-    let (repro, bare) = match ReproFile::from_json(&text) {
-        Ok(r) => (r, false),
-        Err(repro_err) => {
-            match Scenario::from_json(&text) {
-                Ok(sc) => (
-                    ReproFile {
-                        found_with_seed: 0,
-                        expect: String::new(),
-                        note: String::new(),
-                        scenario: sc,
-                    },
-                    true,
-                ),
-                Err(sc_err) => {
-                    eprintln!("fuzz: {path} is neither a repro file ({repro_err}) nor a scenario ({sc_err})");
-                    return 2;
-                }
-            }
-        }
-    };
-    println!("replaying {path}");
-    println!("  {}", describe(&repro.scenario));
-    if !repro.note.is_empty() {
-        println!("  note: {}", repro.note);
-    }
-    let (outcome, deterministic) = check_replay(&repro.scenario);
-    let kind = failure_kind(&outcome);
-    println!(
-        "  outcome: stop={} events={} completed={} violations={:?} panic={:?}",
-        outcome.stop, outcome.events, outcome.completed, outcome.violations, outcome.panic
-    );
-    for d in &outcome.details {
-        println!("    {d}");
-    }
-    if !deterministic {
-        eprintln!("fuzz: REPLAY DIVERGED — two runs of the same scenario differed");
-        return 1;
-    }
-    println!("  deterministic: two consecutive runs identical");
-    if bare {
-        // No expectation recorded; determinism was the whole check.
-        return i32::from(kind.is_some());
-    }
-    if repro.matches(&outcome) {
-        println!("  expectation {:?}: satisfied", repro.expect);
-        0
-    } else {
-        eprintln!(
-            "fuzz: expectation {:?} NOT met (observed {:?})",
-            repro.expect,
-            kind.as_deref().unwrap_or("clean")
-        );
-        1
-    }
-}
-
-fn write_finding(out_dir: &str, finding: &Finding) -> std::io::Result<String> {
-    std::fs::create_dir_all(out_dir)?;
-    let repro = ReproFile {
-        found_with_seed: finding.seed,
-        expect: finding.kind.clone(),
-        note: format!(
-            "found by fuzz campaign; shrunk in {} runs; first detail: {}",
-            finding.shrink_runs,
-            finding
-                .outcome
-                .details
-                .first()
-                .or(finding.outcome.panic.as_ref())
-                .map(String::as_str)
-                .unwrap_or("-")
-        ),
-        scenario: finding.shrunk.clone(),
-    };
-    let path = format!("{out_dir}/repro-seed{}-{}.json", finding.seed, finding.kind);
-    std::fs::write(&path, repro.to_json())?;
-    Ok(path)
-}
-
-fn write_cp_finding(out_dir: &str, finding: &cpfuzz::CpFinding) -> std::io::Result<String> {
-    std::fs::create_dir_all(out_dir)?;
-    let repro = cpfuzz::CpReproFile {
-        found_with_seed: finding.seed,
-        expect: finding.kind.clone(),
-        note: format!(
-            "found by control-plane fuzz campaign; shrunk in {} runs; detail: {}",
-            finding.shrink_runs,
-            finding
-                .outcome
-                .violation
-                .as_ref()
-                .map(|(_, d)| d.as_str())
-                .or(finding.outcome.panic.as_deref())
-                .unwrap_or("-")
-        ),
-        scenario: finding.shrunk.clone(),
-    };
-    let path = format!(
-        "{out_dir}/cp-repro-seed{}-{}.json",
-        finding.seed, finding.kind
-    );
-    std::fs::write(&path, repro.to_json())?;
-    Ok(path)
-}
-
-fn control_plane_campaign(cli: &Cli) -> i32 {
-    println!(
-        "== fuzz --control-plane: {} scenarios from seed {} (shrink budget {}) ==",
+        "== fuzz: {} {family}scenarios from seed {} (shrink budget {}) ==",
         cli.count, cli.start_seed, cli.shrink_budget
     );
+    // Failing scenarios panic inside catch_unwind; silence the default
+    // hook's backtrace spam for the campaign (panics are reported as
+    // findings instead).
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let findings = cpfuzz::run_campaign(cli.start_seed, cli.count, cli.jobs, cli.shrink_budget);
+    let findings = run_campaign::<F>(cli.start_seed, cli.count, cli.jobs, cli.shrink_budget);
     std::panic::set_hook(default_hook);
 
     if findings.is_empty() {
-        println!("all {} control-plane scenarios clean", cli.count);
+        println!("all {} {family}scenarios clean", cli.count);
         return 0;
     }
-    eprintln!("{} failing control-plane scenario(s):", findings.len());
+    eprintln!("{} failing {family}scenario(s):", findings.len());
     for finding in &findings {
         eprintln!(
             "  seed {}: {} — {}",
             finding.seed,
             finding.kind,
-            describe_cp(&finding.shrunk)
+            F::describe(&finding.shrunk)
         );
-        if let Some(p) = &finding.outcome.panic {
-            eprintln!("    panic: {p}");
+        for line in details::<F>(&finding.outcome) {
+            eprintln!("    {line}");
         }
-        if let Some((kind, detail)) = &finding.outcome.violation {
-            eprintln!("    {kind}: {detail}");
-        }
-        match write_cp_finding(&cli.out, finding) {
-            Ok(path) => eprintln!("    repro written to {path}"),
+        let prefix = F::TAG.map_or(String::new(), |tag| format!("{tag}-"));
+        let path = format!(
+            "{}/{prefix}repro-seed{}-{}.json",
+            cli.out, finding.seed, finding.kind
+        );
+        let written = std::fs::create_dir_all(&cli.out)
+            .and_then(|()| std::fs::write(&path, finding.repro().to_json()));
+        match written {
+            Ok(()) => eprintln!("    repro written to {path}"),
             Err(e) => eprintln!("    failed to write repro: {e}"),
         }
     }
@@ -309,47 +131,16 @@ fn control_plane_campaign(cli: &Cli) -> i32 {
 
 fn main() {
     let cli = parse_args();
-    if let Some(path) = &cli.replay {
-        std::process::exit(replay_file(path));
-    }
-    if cli.control_plane {
-        std::process::exit(control_plane_campaign(&cli));
-    }
-
-    println!(
-        "== fuzz: {} scenarios from seed {} (shrink budget {}) ==",
-        cli.count, cli.start_seed, cli.shrink_budget
-    );
-    // Failing scenarios panic inside catch_unwind; silence the default
-    // hook's backtrace spam for the campaign (panics are reported as
-    // findings instead).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let findings = run_campaign(cli.start_seed, cli.count, cli.jobs, cli.shrink_budget);
-    std::panic::set_hook(default_hook);
-
-    if findings.is_empty() {
-        println!("all {} scenarios clean", cli.count);
-        return;
-    }
-    eprintln!("{} failing scenario(s):", findings.len());
-    for finding in &findings {
-        eprintln!(
-            "  seed {}: {} — {}",
-            finding.seed,
-            finding.kind,
-            describe(&finding.shrunk)
-        );
-        if let Some(p) = &finding.outcome.panic {
-            eprintln!("    panic: {p}");
-        }
-        for d in &finding.outcome.details {
-            eprintln!("    {d}");
-        }
-        match write_finding(&cli.out, finding) {
-            Ok(path) => eprintln!("    repro written to {path}"),
-            Err(e) => eprintln!("    failed to write repro: {e}"),
-        }
-    }
-    std::process::exit(1);
+    let code = match &cli.replay {
+        Some(path) => match replay(path) {
+            Ok(passed) => i32::from(!passed),
+            Err(e) => {
+                eprintln!("fuzz: {path}: {e}");
+                2
+            }
+        },
+        None if cli.control_plane => campaign::<ControlPlane>(&cli),
+        None => campaign::<Chaos>(&cli),
+    };
+    std::process::exit(code);
 }

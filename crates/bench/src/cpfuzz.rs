@@ -1,8 +1,8 @@
-//! Control-plane scenario fuzzer: shard crashes mid-incast, stale
+//! Control-plane fuzzer family: shard crashes mid-incast, stale
 //! placements, gossip delayed past lease expiry.
 //!
-//! The companion of [`crate::fuzz`] for the *control plane*: instead of
-//! driving the packet simulator, each scenario drives a
+//! The [`crate::fuzz`] engine's family for the *control plane*: instead
+//! of driving the packet simulator, each scenario drives a
 //! [`ShardedOrchestrator`] through a deterministic, time-ordered schedule
 //! of select / renew / release / double-release operations interleaved
 //! with shard-crash windows from a [`FaultPlan`], while a model tracks
@@ -26,16 +26,16 @@
 //! * **ReleaseUnknownMismatch** — the audited [`release_unknown`]
 //!   counter differs from the model's expected count (a lost lease or a
 //!   double-free the audit missed).
-//! * **Panic** — anything that unwinds.
+//! * **Panic** — anything that unwinds (caught by the engine).
 //!
-//! Failures shrink ([`shrink`]) to a minimal scenario preserving the
-//! failure kind and serialize as self-contained JSON repros (tagged
-//! `"type": "control-plane"` so `fuzz --replay` dispatches here; replays
-//! run twice and compare, doubling as a determinism check).
+//! The engine shrinks failures and writes them as repro files tagged
+//! `"type": "control-plane"`, which is how `fuzz --replay` finds this
+//! family.
 //!
 //! [`release_unknown`]: incast_core::orchestrator::ProxySelector::release_unknown
 
 use crate::fuzz::mini_json::Json;
+use crate::fuzz::Family;
 use dcsim::det::DetMap;
 use dcsim::faults::{FaultPlan, ShardCrash};
 use dcsim::packet::HostId;
@@ -43,15 +43,7 @@ use dcsim::time::{SimDuration, SimTime};
 use incast_core::orchestrator::{
     IncastRequest, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator, ShardedStats,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use trace::{derive_seed, SplitMix64};
-
-/// Default per-finding budget of extra runs spent shrinking.
-pub const DEFAULT_SHRINK_BUDGET: usize = 200;
-
-// ---------------------------------------------------------------------------
-// Scenario
-// ---------------------------------------------------------------------------
 
 /// One self-contained control-plane fuzz scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +86,6 @@ impl CpScenario {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Running one scenario against the model
-// ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
@@ -150,7 +138,7 @@ struct IdModel {
 
 /// Everything observable about one scenario run, comparable across runs
 /// for the determinism check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpOutcome {
     /// Operations executed (schedule length).
     pub ops: u64,
@@ -158,21 +146,9 @@ pub struct CpOutcome {
     pub stats: ShardedStats,
     /// First violation, as `(kind, detail)` — `None` when clean.
     pub violation: Option<(String, String)>,
-    /// Panic message, if the run panicked.
-    pub panic: Option<String>,
 }
 
-fn stats_tuple(s: &ShardedStats) -> (u64, u64, u64, u64, u64, u64) {
-    (
-        s.takeovers,
-        s.fallback_selections,
-        s.stale_conflicts,
-        s.reclaims,
-        s.expirations,
-        s.release_unknown,
-    )
-}
-
+/// Drives one scenario against the lifecycle model.
 fn run_inner(sc: &CpScenario) -> CpOutcome {
     let candidates: Vec<HostId> = (0..sc.candidates).map(HostId).collect();
     let mut orch = ShardedOrchestrator::new(candidates, sc.config(), sc.sim_seed);
@@ -336,251 +312,131 @@ fn run_inner(sc: &CpScenario) -> CpOutcome {
         ops: executed,
         stats: orch.stats(),
         violation: fail,
-        panic: None,
     }
 }
 
-impl PartialEq for CpOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.ops == other.ops
-            && stats_tuple(&self.stats) == stats_tuple(&other.stats)
-            && self.violation == other.violation
-            && self.panic == other.panic
-    }
-}
+/// The sharded lease plane against its lease-lifecycle model.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlPlane;
 
-/// Runs one scenario against the model, catching panics.
-pub fn run_scenario(sc: &CpScenario) -> CpOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_inner(sc))) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            CpOutcome {
-                ops: 0,
-                stats: ShardedStats::default(),
-                violation: None,
-                panic: Some(msg),
-            }
-        }
-    }
-}
+impl Family for ControlPlane {
+    const TAG: Option<&'static str> = Some("control-plane");
+    type Scenario = CpScenario;
+    type Outcome = CpOutcome;
 
-/// Classifies an outcome. `None` = the scenario passed.
-pub fn failure_kind(outcome: &CpOutcome) -> Option<String> {
-    if outcome.panic.is_some() {
-        return Some("Panic".to_string());
-    }
-    outcome.violation.as_ref().map(|(kind, _)| kind.clone())
-}
-
-/// Runs the scenario twice and checks the outcomes are identical.
-pub fn check_replay(sc: &CpScenario) -> (CpOutcome, bool) {
-    let a = run_scenario(sc);
-    let b = run_scenario(sc);
-    let same = a == b;
-    (a, same)
-}
-
-// ---------------------------------------------------------------------------
-// Generation
-// ---------------------------------------------------------------------------
-
-/// Generates the scenario for a fuzz seed. Pure function of the seed.
-pub fn generate(fuzz_seed: u64) -> CpScenario {
-    let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xC0DE));
-    let shards = 1 + rng.next_bounded(8) as u32;
-    let heartbeat_us = 40 + rng.next_bounded(200);
-    let lease_ttl_us = 300 + rng.next_bounded(1_800);
-    // Mostly sane delivery delays, sometimes pathological: slower than
-    // the lease TTL, so suspicion can form only after orphans expire.
-    let gossip_delay_us = if rng.next_bounded(5) == 0 {
-        lease_ttl_us + rng.next_bounded(lease_ttl_us)
-    } else {
-        5 + rng.next_bounded(heartbeat_us)
-    };
-    // Enough slack that a live pair's direct-heartbeat gap (one partner
-    // cycle) never reads as silence.
-    let suspect_after_us =
-        heartbeat_us * (shards as u64 + 2) + gossip_delay_us + 10 + rng.next_bounded(500);
-    let incasts = 4 + rng.next_bounded(120);
-    let span_us = incasts * (10 + rng.next_bounded(80));
-    let mut faults = FaultPlan::new();
-    for _ in 0..rng.next_bounded(4) {
-        let shard = rng.next_bounded(shards as u64) as u32;
-        let at = SimTime::ZERO + SimDuration::from_micros(rng.next_bounded(span_us.max(1)));
-        if rng.next_bounded(3) == 0 {
-            faults = faults.crash_shard(shard, at);
+    fn generate(fuzz_seed: u64) -> CpScenario {
+        let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xC0DE));
+        let shards = 1 + rng.next_bounded(8) as u32;
+        let heartbeat_us = 40 + rng.next_bounded(200);
+        let lease_ttl_us = 300 + rng.next_bounded(1_800);
+        // Mostly sane delivery delays, sometimes pathological: slower than
+        // the lease TTL, so suspicion can form only after orphans expire.
+        let gossip_delay_us = if rng.next_bounded(5) == 0 {
+            lease_ttl_us + rng.next_bounded(lease_ttl_us)
         } else {
-            let dur = SimDuration::from_micros(100 + rng.next_bounded(span_us.max(1)));
-            faults = faults.crash_shard_window(shard, at, at + dur);
-        }
-    }
-    debug_assert!(faults.validate().is_ok(), "generated plan must validate");
-    CpScenario {
-        sim_seed: derive_seed(fuzz_seed, 0x51ED),
-        shards,
-        candidates: 1 + rng.next_bounded(16) as u32,
-        incasts,
-        arrival_gap_us: 10 + rng.next_bounded(80),
-        duration_us: 200 + rng.next_bounded(3_000),
-        renew_every_us: (lease_ttl_us / 4).max(1) + rng.next_bounded((lease_ttl_us / 4).max(1)),
-        lease_ttl_us,
-        heartbeat_us,
-        suspect_after_us,
-        gossip_delay_us,
-        double_release_every: [0, 0, 3, 7][rng.next_bounded(4) as usize],
-        faults,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------------------
-
-/// One-step simplifications of a scenario, most aggressive first.
-fn candidates_of(sc: &CpScenario) -> Vec<CpScenario> {
-    let mut out = Vec::new();
-    let mut push = |f: &dyn Fn(&mut CpScenario)| {
-        let mut c = sc.clone();
-        f(&mut c);
-        out.push(c);
-    };
-    for i in 0..sc.faults.shard_crashes.len() {
-        push(&|c: &mut CpScenario| {
-            c.faults.shard_crashes.remove(i);
-        });
-    }
-    if sc.incasts > 1 {
-        push(&|c: &mut CpScenario| c.incasts /= 2);
-        push(&|c: &mut CpScenario| c.incasts -= 1);
-    }
-    if sc.double_release_every > 0 {
-        push(&|c: &mut CpScenario| c.double_release_every = 0);
-    }
-    if sc.shards > 1 {
-        push(&|c: &mut CpScenario| c.shards -= 1);
-    }
-    if sc.candidates > 1 {
-        push(&|c: &mut CpScenario| c.candidates = 1);
-    }
-    if sc.duration_us > 200 {
-        push(&|c: &mut CpScenario| c.duration_us /= 2);
-    }
-    if sc.gossip_delay_us > 5 {
-        push(&|c: &mut CpScenario| c.gossip_delay_us /= 2);
-    }
-    out
-}
-
-/// Greedy delta-debugging, mirroring [`crate::fuzz::shrink`].
-pub fn shrink(sc: &CpScenario, kind: &str, budget: usize) -> (CpScenario, usize) {
-    let mut current = sc.clone();
-    let mut runs = 0;
-    'outer: loop {
-        for cand in candidates_of(&current) {
-            if runs >= budget {
-                break 'outer;
-            }
-            runs += 1;
-            if failure_kind(&run_scenario(&cand)).as_deref() == Some(kind) {
-                current = cand;
-                continue 'outer;
+            5 + rng.next_bounded(heartbeat_us)
+        };
+        // Enough slack that a live pair's direct-heartbeat gap (one partner
+        // cycle) never reads as silence.
+        let suspect_after_us =
+            heartbeat_us * (shards as u64 + 2) + gossip_delay_us + 10 + rng.next_bounded(500);
+        let incasts = 4 + rng.next_bounded(120);
+        let span_us = incasts * (10 + rng.next_bounded(80));
+        let mut faults = FaultPlan::new();
+        for _ in 0..rng.next_bounded(4) {
+            let shard = rng.next_bounded(shards as u64) as u32;
+            let at = SimTime::ZERO + SimDuration::from_micros(rng.next_bounded(span_us.max(1)));
+            if rng.next_bounded(3) == 0 {
+                faults = faults.crash_shard(shard, at);
+            } else {
+                let dur = SimDuration::from_micros(100 + rng.next_bounded(span_us.max(1)));
+                faults = faults.crash_shard_window(shard, at, at + dur);
             }
         }
-        break;
+        debug_assert!(faults.validate().is_ok(), "generated plan must validate");
+        CpScenario {
+            sim_seed: derive_seed(fuzz_seed, 0x51ED),
+            shards,
+            candidates: 1 + rng.next_bounded(16) as u32,
+            incasts,
+            arrival_gap_us: 10 + rng.next_bounded(80),
+            duration_us: 200 + rng.next_bounded(3_000),
+            renew_every_us: (lease_ttl_us / 4).max(1) + rng.next_bounded((lease_ttl_us / 4).max(1)),
+            lease_ttl_us,
+            heartbeat_us,
+            suspect_after_us,
+            gossip_delay_us,
+            double_release_every: [0, 0, 3, 7][rng.next_bounded(4) as usize],
+            faults,
+        }
     }
-    (current, runs)
-}
 
-// ---------------------------------------------------------------------------
-// Campaign
-// ---------------------------------------------------------------------------
+    fn run(sc: &CpScenario) -> CpOutcome {
+        run_inner(sc)
+    }
 
-/// One failing scenario found by a campaign, after shrinking.
-#[derive(Debug, Clone)]
-pub struct CpFinding {
-    pub seed: u64,
-    pub kind: String,
-    pub original: CpScenario,
-    pub shrunk: CpScenario,
-    pub outcome: CpOutcome,
-    pub shrink_runs: usize,
-}
+    fn failure_kind(outcome: &CpOutcome) -> Option<String> {
+        outcome.violation.as_ref().map(|(kind, _)| kind.clone())
+    }
 
-/// Runs `count` seeded scenarios in parallel, then shrinks each failure
-/// serially. Fully deterministic for a given `(start_seed, count)`.
-pub fn run_campaign(
-    start_seed: u64,
-    count: u64,
-    jobs: usize,
-    shrink_budget: usize,
-) -> Vec<CpFinding> {
-    let seeds: Vec<u64> = (start_seed..start_seed + count).collect();
-    let results = crate::SweepRunner::new(jobs).run(&seeds, |&seed| {
-        let sc = generate(seed);
-        let outcome = run_scenario(&sc);
-        (seed, sc, outcome)
-    });
-    let mut findings = Vec::new();
-    for (seed, sc, outcome) in results {
-        if let Some(kind) = failure_kind(&outcome) {
-            let (shrunk, shrink_runs) = shrink(&sc, &kind, shrink_budget);
-            let outcome = run_scenario(&shrunk);
-            findings.push(CpFinding {
-                seed,
-                kind,
-                original: sc,
-                shrunk,
-                outcome,
-                shrink_runs,
+    fn candidates(sc: &CpScenario) -> Vec<CpScenario> {
+        let mut out = Vec::new();
+        let mut push = |f: &dyn Fn(&mut CpScenario)| {
+            let mut c = sc.clone();
+            f(&mut c);
+            out.push(c);
+        };
+        for i in 0..sc.faults.shard_crashes.len() {
+            push(&|c: &mut CpScenario| {
+                c.faults.shard_crashes.remove(i);
             });
         }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------------
-// Repro files
-// ---------------------------------------------------------------------------
-
-/// A committed control-plane repro, tagged `"type": "control-plane"` so
-/// the replay entry point dispatches between fuzzer families.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpReproFile {
-    pub found_with_seed: u64,
-    /// `"clean"` or a failure kind (see [`failure_kind`]).
-    pub expect: String,
-    pub note: String,
-    pub scenario: CpScenario,
-}
-
-impl CpReproFile {
-    /// Checks a replay outcome against `expect`.
-    pub fn matches(&self, outcome: &CpOutcome) -> bool {
-        match failure_kind(outcome) {
-            None => self.expect == "clean",
-            Some(kind) => self.expect == kind,
+        if sc.incasts > 1 {
+            push(&|c: &mut CpScenario| c.incasts /= 2);
+            push(&|c: &mut CpScenario| c.incasts -= 1);
         }
+        if sc.double_release_every > 0 {
+            push(&|c: &mut CpScenario| c.double_release_every = 0);
+        }
+        if sc.shards > 1 {
+            push(&|c: &mut CpScenario| c.shards -= 1);
+        }
+        if sc.candidates > 1 {
+            push(&|c: &mut CpScenario| c.candidates = 1);
+        }
+        if sc.duration_us > 200 {
+            push(&|c: &mut CpScenario| c.duration_us /= 2);
+        }
+        if sc.gossip_delay_us > 5 {
+            push(&|c: &mut CpScenario| c.gossip_delay_us /= 2);
+        }
+        out
     }
-}
 
-/// True when `text` is a control-plane repro (vs a simulator repro).
-pub fn is_control_plane_repro(text: &str) -> bool {
-    Json::parse(text)
-        .ok()
-        .and_then(|v| v.get_str("type").ok().map(|t| t == "control-plane"))
-        .unwrap_or(false)
-}
+    fn describe(sc: &CpScenario) -> String {
+        format!(
+            "shards={} candidates={} incasts={} ttl={}us heartbeat={}us \
+             suspect={}us gossip_delay={}us dup_release_every={} crashes={}",
+            sc.shards,
+            sc.candidates,
+            sc.incasts,
+            sc.lease_ttl_us,
+            sc.heartbeat_us,
+            sc.suspect_after_us,
+            sc.gossip_delay_us,
+            sc.double_release_every,
+            sc.faults.shard_crashes.len(),
+        )
+    }
 
-impl CpScenario {
-    fn to_value(&self) -> Json {
-        let crashes = self
+    fn details(o: &CpOutcome) -> Vec<String> {
+        let summary = format!("ops={} stats={:?}", o.ops, o.stats);
+        let violation = o.violation.iter().map(|(kind, d)| format!("{kind}: {d}"));
+        std::iter::once(summary).chain(violation).collect()
+    }
+
+    fn to_value(sc: &CpScenario) -> Json {
+        let crashes = sc
             .faults
             .shard_crashes
             .iter()
@@ -596,18 +452,18 @@ impl CpScenario {
             })
             .collect();
         Json::obj(vec![
-            ("sim_seed", Json::u64(self.sim_seed)),
-            ("shards", Json::u64(self.shards as u64)),
-            ("candidates", Json::u64(self.candidates as u64)),
-            ("incasts", Json::u64(self.incasts)),
-            ("arrival_gap_us", Json::u64(self.arrival_gap_us)),
-            ("duration_us", Json::u64(self.duration_us)),
-            ("renew_every_us", Json::u64(self.renew_every_us)),
-            ("lease_ttl_us", Json::u64(self.lease_ttl_us)),
-            ("heartbeat_us", Json::u64(self.heartbeat_us)),
-            ("suspect_after_us", Json::u64(self.suspect_after_us)),
-            ("gossip_delay_us", Json::u64(self.gossip_delay_us)),
-            ("double_release_every", Json::u64(self.double_release_every)),
+            ("sim_seed", Json::u64(sc.sim_seed)),
+            ("shards", Json::u64(sc.shards as u64)),
+            ("candidates", Json::u64(sc.candidates as u64)),
+            ("incasts", Json::u64(sc.incasts)),
+            ("arrival_gap_us", Json::u64(sc.arrival_gap_us)),
+            ("duration_us", Json::u64(sc.duration_us)),
+            ("renew_every_us", Json::u64(sc.renew_every_us)),
+            ("lease_ttl_us", Json::u64(sc.lease_ttl_us)),
+            ("heartbeat_us", Json::u64(sc.heartbeat_us)),
+            ("suspect_after_us", Json::u64(sc.suspect_after_us)),
+            ("gossip_delay_us", Json::u64(sc.gossip_delay_us)),
+            ("double_release_every", Json::u64(sc.double_release_every)),
             ("shard_crashes", Json::Arr(crashes)),
         ])
     }
@@ -644,89 +500,53 @@ impl CpScenario {
             faults,
         })
     }
-
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
-    /// Parses a scenario from JSON text.
-    pub fn from_json(text: &str) -> Result<CpScenario, String> {
-        CpScenario::from_value(&Json::parse(text)?)
-    }
-}
-
-impl CpReproFile {
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("type", Json::str("control-plane")),
-            ("found_with_seed", Json::u64(self.found_with_seed)),
-            ("expect", Json::str(&self.expect)),
-            ("note", Json::str(&self.note)),
-            ("scenario", self.scenario.to_value()),
-        ])
-        .render()
-    }
-
-    /// Parses a repro file from JSON text.
-    pub fn from_json(text: &str) -> Result<CpReproFile, String> {
-        let v = Json::parse(text)?;
-        if v.get_str("type")? != "control-plane" {
-            return Err("not a control-plane repro".to_string());
-        }
-        Ok(CpReproFile {
-            found_with_seed: v.get_u64("found_with_seed")?,
-            expect: v.get_str("expect")?.to_string(),
-            note: v.get_str("note")?.to_string(),
-            scenario: CpScenario::from_value(v.get("scenario").ok_or("missing scenario")?)?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{check_replay, failure_kind, run_scenario, ReproFile};
 
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(generate(7), generate(7));
-        assert_ne!(generate(7), generate(8));
+        assert_eq!(ControlPlane::generate(7), ControlPlane::generate(7));
+        assert_ne!(ControlPlane::generate(7), ControlPlane::generate(8));
     }
 
     #[test]
     fn scenario_json_round_trips() {
         for seed in [1, 2, 3, 4, 5] {
-            let sc = generate(seed);
-            let json = sc.to_json();
-            let back = CpScenario::from_json(&json).expect("parse back");
+            let sc = ControlPlane::generate(seed);
+            let json = ControlPlane::to_value(&sc).render();
+            let back = ControlPlane::from_value(&Json::parse(&json).unwrap()).expect("parse back");
             assert_eq!(sc, back, "round-trip for seed {seed}\n{json}");
         }
     }
 
     #[test]
-    fn repro_type_tag_dispatches() {
-        let repro = CpReproFile {
+    fn repro_file_is_tagged_and_round_trips() {
+        let repro = ReproFile::<ControlPlane> {
             found_with_seed: 1,
             expect: "clean".to_string(),
             note: "tag check".to_string(),
-            scenario: generate(1),
+            scenario: ControlPlane::generate(1),
         };
         let json = repro.to_json();
-        assert!(is_control_plane_repro(&json));
-        assert_eq!(CpReproFile::from_json(&json).unwrap(), repro);
-        // A simulator repro (no tag) must not dispatch here.
-        assert!(!is_control_plane_repro("{\"found_with_seed\": 1}"));
+        assert!(
+            json.starts_with("{\n  \"type\": \"control-plane\",\n"),
+            "{json}"
+        );
+        assert_eq!(ReproFile::from_json(&json).unwrap(), repro);
     }
 
     #[test]
     fn crash_free_scenarios_pass() {
         for seed in 0..10 {
-            let mut sc = generate(seed);
+            let mut sc = ControlPlane::generate(seed);
             sc.faults = FaultPlan::new();
-            let outcome = run_scenario(&sc);
+            let outcome = run_scenario::<ControlPlane>(&sc);
             assert!(
-                failure_kind(&outcome).is_none(),
+                failure_kind::<ControlPlane>(&outcome).is_none(),
                 "seed {seed} failed: {outcome:?}"
             );
         }
@@ -735,8 +555,8 @@ mod tests {
     #[test]
     fn crashing_scenarios_replay_deterministically() {
         for seed in 0..10 {
-            let sc = generate(seed);
-            let (outcome, same) = check_replay(&sc);
+            let sc = ControlPlane::generate(seed);
+            let (outcome, same) = check_replay::<ControlPlane>(&sc);
             assert!(same, "seed {seed} diverged: {outcome:?}");
         }
     }

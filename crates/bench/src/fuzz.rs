@@ -1,28 +1,346 @@
-//! Chaos scenario fuzzer for the incast experiment surface.
+//! The fuzz engine, and the chaos family it was first written for.
 //!
-//! Generates seeded random scenarios — topology size, incast workload,
-//! scheme, transport, and a [`FaultPlan`] that passes `validate()` — and
-//! runs each with the collect-mode invariant auditor
+//! **Engine.** A fuzzer *family* ([`Family`]) says what a scenario is:
+//! how a seed expands into one, how one runs, what counts as failing, how
+//! one simplifies and how it reads and writes as JSON. Everything else
+//! exists once, generic over the family: panic capture
+//! ([`run_scenario`]), the twice-run determinism check
+//! ([`check_replay`]), greedy delta-debugging to a minimal scenario that
+//! still fails the same way ([`shrink`]), the parallel campaign
+//! ([`run_campaign`]), and self-contained JSON repro files
+//! ([`ReproFile`]) that `fuzz --replay <file>` re-executes twice through
+//! [`replay`], dispatching on the file's `"type"` tag. Two families exist:
+//! [`Chaos`] (untagged) and [`crate::cpfuzz::ControlPlane`]
+//! (`"control-plane"`).
+//!
+//! **Chaos family.** Seeded random scenarios — topology size, incast
+//! workload, scheme, transport, and a [`FaultPlan`] that passes
+//! `validate()` — run under the collect-mode invariant auditor
 //! ([`dcsim::audit::AuditConfig`]). A scenario *fails* when the run
-//! panics, trips an invariant, or hits the event cap. Failures are
-//! delta-debugged ([`shrink`]) to a minimal scenario that still fails the
-//! same way, and written out as a self-contained JSON repro file that
-//! `fuzz --replay <file>` re-executes deterministically (twice, comparing
-//! the two runs, so every replay doubles as a determinism check).
+//! panics, trips an invariant, or hits the event cap.
 //!
 //! Everything here is deterministic: the only randomness is
-//! [`SplitMix64`] streams derived from the fuzz seed, and the campaign is
+//! [`SplitMix64`] streams derived from the fuzz seed, and a campaign is
 //! bounded by scenario count, never wall-clock time.
 //!
 //! Repro files are hand-rolled JSON, emitted *and* parsed by the
-//! [`mini_json`] module — the workspace's one JSON implementation.
+//! [`mini_json`] module, which also writes the figures' `JSON` rows.
+//! `crates/perf/src/json.rs` is a second JSON module, on purpose: the
+//! benchmark does not depend on `bench`.
 
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
 use incast_core::scheme::{IncastHandle, Transport};
 use incast_core::{ExperimentConfig, Scheme};
+use mini_json::Json;
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use trace::{derive_seed, SplitMix64};
+
+/// Default per-finding budget of extra runs spent shrinking.
+pub const DEFAULT_SHRINK_BUDGET: usize = 200;
+
+// ---------------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------------
+
+/// A fuzzer family: what its scenarios are and how one runs. The engine
+/// functions below are generic over it.
+pub trait Family {
+    /// The repro file's `"type"` tag; `None` writes and reads untagged.
+    const TAG: Option<&'static str>;
+    type Scenario: Clone + Debug + PartialEq + Send + Sync;
+    /// Everything observable about one run, compared across runs for the
+    /// determinism check.
+    type Outcome: Clone + Debug + PartialEq + Send;
+
+    /// The scenario for a fuzz seed. Pure function of the seed.
+    fn generate(seed: u64) -> Self::Scenario;
+    /// Runs one scenario. Panics unwind out; [`run_scenario`] catches them.
+    fn run(sc: &Self::Scenario) -> Self::Outcome;
+    /// The failure kind of a run that returned; `None` = it passed.
+    fn failure_kind(outcome: &Self::Outcome) -> Option<String>;
+    /// One-step simplifications of a scenario, most aggressive first.
+    fn candidates(sc: &Self::Scenario) -> Vec<Self::Scenario>;
+    /// One line saying what the scenario is.
+    fn describe(sc: &Self::Scenario) -> String;
+    /// Lines saying what a run came to: a summary, then failure details.
+    fn details(outcome: &Self::Outcome) -> Vec<String>;
+    fn to_value(sc: &Self::Scenario) -> Json;
+    fn from_value(v: &Json) -> Result<Self::Scenario, String>;
+}
+
+/// One run of a scenario: the family's outcome, or the panic message.
+pub type Run<F> = Result<<F as Family>::Outcome, String>;
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Runs one scenario, catching panics.
+pub fn run_scenario<F: Family>(sc: &F::Scenario) -> Run<F> {
+    catch_unwind(AssertUnwindSafe(|| F::run(sc))).map_err(panic_message)
+}
+
+/// Classifies a run: `"Panic"`, the family's failure kind, or `None` when
+/// the scenario passed.
+pub fn failure_kind<F: Family>(run: &Run<F>) -> Option<String> {
+    match run {
+        Ok(outcome) => F::failure_kind(outcome),
+        Err(_) => Some("Panic".to_string()),
+    }
+}
+
+/// Lines saying what a run came to ([`Family::details`], or the panic).
+pub fn details<F: Family>(run: &Run<F>) -> Vec<String> {
+    match run {
+        Ok(outcome) => F::details(outcome),
+        Err(panic) => vec![format!("panic: {panic}")],
+    }
+}
+
+/// Runs the scenario twice and checks the runs are identical — the
+/// replay determinism guarantee.
+pub fn check_replay<F: Family>(sc: &F::Scenario) -> (Run<F>, bool) {
+    let a = run_scenario::<F>(sc);
+    let b = run_scenario::<F>(sc);
+    let same = a == b;
+    (a, same)
+}
+
+/// Greedy delta-debugging: repeatedly adopts the first candidate that
+/// still fails with the same kind, until none does or the run budget is
+/// spent. Returns the shrunk scenario and how many runs were used.
+///
+/// A candidate the family cannot run (the chaos family's setup errors) is
+/// simply one that does not fail with `kind`.
+pub fn shrink<F: Family>(sc: &F::Scenario, kind: &str, budget: usize) -> (F::Scenario, usize) {
+    let mut current = sc.clone();
+    let mut runs = 0;
+    'outer: loop {
+        for cand in F::candidates(&current) {
+            if runs >= budget {
+                break 'outer;
+            }
+            runs += 1;
+            if failure_kind::<F>(&run_scenario::<F>(&cand)).as_deref() == Some(kind) {
+                current = cand;
+                continue 'outer;
+            }
+        }
+        break;
+    }
+    (current, runs)
+}
+
+/// One failing scenario found by a campaign, after shrinking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Finding<F: Family> {
+    /// Fuzz seed that produced it.
+    pub seed: u64,
+    /// Failure classification ([`failure_kind`]).
+    pub kind: String,
+    /// The scenario as generated.
+    pub original: F::Scenario,
+    /// The shrunk scenario (still fails with `kind`).
+    pub shrunk: F::Scenario,
+    /// Run of the shrunk scenario.
+    pub outcome: Run<F>,
+    /// Runs spent shrinking.
+    pub shrink_runs: usize,
+}
+
+impl<F: Family> Finding<F> {
+    /// The repro file that pins this finding as a known issue.
+    pub fn repro(&self) -> ReproFile<F> {
+        ReproFile {
+            found_with_seed: self.seed,
+            expect: self.kind.clone(),
+            note: format!(
+                "found by fuzz campaign; shrunk in {} runs; {}",
+                self.shrink_runs,
+                details::<F>(&self.outcome).join("; ")
+            ),
+            scenario: self.shrunk.clone(),
+        }
+    }
+}
+
+/// Runs `count` seeded scenarios in parallel, then shrinks each failure
+/// serially. Fully deterministic for a given `(start_seed, count)`, at
+/// any `jobs`.
+pub fn run_campaign<F: Family>(
+    start_seed: u64,
+    count: u64,
+    jobs: usize,
+    shrink_budget: usize,
+) -> Vec<Finding<F>> {
+    let seeds: Vec<u64> = (start_seed..start_seed + count).collect();
+    let results = crate::SweepRunner::new(jobs).run(&seeds, |&seed| {
+        let sc = F::generate(seed);
+        let outcome = run_scenario::<F>(&sc);
+        (seed, sc, outcome)
+    });
+    let mut findings = Vec::new();
+    for (seed, sc, outcome) in results {
+        if let Some(kind) = failure_kind::<F>(&outcome) {
+            let (shrunk, shrink_runs) = shrink::<F>(&sc, &kind, shrink_budget);
+            let outcome = run_scenario::<F>(&shrunk);
+            findings.push(Finding {
+                seed,
+                kind,
+                original: sc,
+                shrunk,
+                outcome,
+                shrink_runs,
+            });
+        }
+    }
+    findings
+}
+
+/// A committed repro: the scenario plus what a replay is expected to see.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproFile<F: Family> {
+    /// Fuzz seed the finding came from (provenance only).
+    pub found_with_seed: u64,
+    /// `"clean"` (bug since fixed — replay must pass) or a failure kind
+    /// (known issue — replay must still fail that way).
+    pub expect: String,
+    /// Free-text description of the bug / issue.
+    pub note: String,
+    pub scenario: F::Scenario,
+}
+
+impl<F: Family> ReproFile<F> {
+    /// Checks a replay against `expect`.
+    pub fn matches(&self, run: &Run<F>) -> bool {
+        self.expect == failure_kind::<F>(run).as_deref().unwrap_or("clean")
+    }
+
+    /// Serializes to pretty-printed JSON, tagged with the family's
+    /// `"type"` when it has one.
+    pub fn to_json(&self) -> String {
+        let tag = F::TAG.map(|tag| ("type", Json::str(tag)));
+        let fields = tag.into_iter().chain([
+            ("found_with_seed", Json::u64(self.found_with_seed)),
+            ("expect", Json::str(&self.expect)),
+            ("note", Json::str(&self.note)),
+            ("scenario", F::to_value(&self.scenario)),
+        ]);
+        Json::obj(fields.collect()).render()
+    }
+
+    /// Parses a repro file from JSON text (the `"type"` tag is
+    /// [`replay`]'s business).
+    pub fn from_json(text: &str) -> Result<ReproFile<F>, String> {
+        Self::from_value(&Json::parse(text)?)
+    }
+
+    fn from_value(v: &Json) -> Result<ReproFile<F>, String> {
+        Ok(ReproFile {
+            found_with_seed: v.get_u64("found_with_seed")?,
+            expect: v.get_str("expect")?.to_string(),
+            note: v.get_str("note")?.to_string(),
+            scenario: F::from_value(v.get("scenario").ok_or("missing scenario")?)?,
+        })
+    }
+}
+
+/// A family's replay entry point: `(path, parsed file) -> passed`.
+type ReplayFn = fn(&str, &Json) -> Result<bool, String>;
+
+/// Every family a repro file can name, by `"type"` tag.
+const FAMILIES: &[(Option<&str>, ReplayFn)] = &[
+    (Chaos::TAG, replay_as::<Chaos>),
+    (
+        crate::cpfuzz::ControlPlane::TAG,
+        replay_as::<crate::cpfuzz::ControlPlane>,
+    ),
+];
+
+/// Replays the repro file at `path` — or an untagged bare chaos scenario
+/// — twice, printing what ran. `Ok(true)` when the two runs are identical
+/// and meet the file's `expect` (a bare scenario: pass); `Err` when the
+/// file cannot be read, parsed, or names no known family.
+pub fn replay(path: &str) -> Result<bool, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let v = Json::parse(&text)?;
+    let tag = v.get("type").map(|_| v.get_str("type")).transpose()?;
+    let Some(&(_, replay_family)) = FAMILIES.iter().find(|(known, _)| *known == tag) else {
+        let known: Vec<String> = FAMILIES
+            .iter()
+            .map(|(known, _)| known.map_or("untagged (chaos)".into(), |t| format!("{t:?}")))
+            .collect();
+        return Err(format!(
+            "unknown repro type {:?}; known families: {}",
+            tag.unwrap_or_default(),
+            known.join(", ")
+        ));
+    };
+    replay_family(path, &v)
+}
+
+fn replay_as<F: Family>(path: &str, v: &Json) -> Result<bool, String> {
+    let (repro, bare) = match ReproFile::<F>::from_value(v) {
+        Ok(repro) => (repro, false),
+        Err(repro_err) => {
+            let scenario = F::from_value(v).map_err(|sc_err| {
+                format!("neither a repro file ({repro_err}) nor a scenario ({sc_err})")
+            })?;
+            let (expect, note) = (String::new(), String::new());
+            let repro = ReproFile {
+                found_with_seed: 0,
+                expect,
+                note,
+                scenario,
+            };
+            (repro, true)
+        }
+    };
+    let family = F::TAG.map_or(String::new(), |tag| format!(" ({tag})"));
+    println!("replaying {path}{family}");
+    println!("  {}", F::describe(&repro.scenario));
+    if !repro.note.is_empty() {
+        println!("  note: {}", repro.note);
+    }
+    let (outcome, deterministic) = check_replay::<F>(&repro.scenario);
+    let observed = failure_kind::<F>(&outcome);
+    println!("  outcome: {}", observed.as_deref().unwrap_or("clean"));
+    for line in details::<F>(&outcome) {
+        println!("    {line}");
+    }
+    if !deterministic {
+        eprintln!("fuzz: REPLAY DIVERGED — two runs of the same scenario differed");
+        return Ok(false);
+    }
+    println!("  deterministic: two consecutive runs identical");
+    if bare {
+        // No expectation recorded; determinism was the whole check.
+        return Ok(observed.is_none());
+    }
+    if repro.matches(&outcome) {
+        println!("  expectation {:?}: satisfied", repro.expect);
+        Ok(true)
+    } else {
+        eprintln!(
+            "fuzz: expectation {:?} NOT met (observed {:?})",
+            repro.expect,
+            observed.as_deref().unwrap_or("clean")
+        );
+        Ok(false)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The chaos family: the packet simulator under fault plans
+// ---------------------------------------------------------------------------
 
 /// Audit cadence for fuzz runs (events between mid-run invariant sweeps).
 pub const AUDIT_EVERY: u64 = 50_000;
@@ -34,14 +352,8 @@ pub const LIVENESS_HORIZON_SECS: u64 = 8;
 pub const EVENT_CAP: u64 = 20_000_000;
 /// Simulated-time budget per scenario.
 pub const DEFAULT_TIME_LIMIT_MS: u64 = 30_000;
-/// Default per-finding budget of extra runs spent shrinking.
-pub const DEFAULT_SHRINK_BUDGET: usize = 200;
 
-// ---------------------------------------------------------------------------
-// Scenario
-// ---------------------------------------------------------------------------
-
-/// One self-contained fuzz scenario: everything needed to rebuild and
+/// One self-contained chaos scenario: everything needed to rebuild and
 /// re-run a simulation bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -124,10 +436,6 @@ pub fn plan_heals(plan: &FaultPlan) -> bool {
         && plan.crashes.iter().all(|c| c.restore_at.is_some())
 }
 
-// ---------------------------------------------------------------------------
-// Building and running one scenario
-// ---------------------------------------------------------------------------
-
 /// Builds the simulator for a scenario. Returns `Err` (not a panic) for
 /// scenarios that are structurally impossible — shrinking uses this to
 /// reject candidates that mutated themselves out of validity.
@@ -163,8 +471,6 @@ pub struct RunOutcome {
     pub violations: Vec<String>,
     /// Human-readable violation details (or the setup error).
     pub details: Vec<String>,
-    /// Panic message, if the run panicked.
-    pub panic: Option<String>,
 }
 
 fn stop_name(stop: StopReason) -> &'static str {
@@ -175,392 +481,243 @@ fn stop_name(stop: StopReason) -> &'static str {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+/// The packet simulator under fault plans and the collect-mode auditor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Chaos;
 
-/// Runs one scenario under the collect-mode auditor, catching panics.
-pub fn run_scenario(sc: &Scenario) -> RunOutcome {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let (mut sim, handle) = build(sc)?;
+impl Family for Chaos {
+    const TAG: Option<&'static str> = None;
+    type Scenario = Scenario;
+    type Outcome = RunOutcome;
+
+    fn generate(fuzz_seed: u64) -> Scenario {
+        let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xF022));
+        let spines_per_dc = 1 + rng.next_bounded(2) as usize;
+        let leaves_per_dc = 1 + rng.next_bounded(3) as usize;
+        let hosts_per_leaf = 2 + rng.next_bounded(3) as usize;
+        let hosts_per_dc = leaves_per_dc * hosts_per_leaf;
+        let degree = 1 + rng.next_bounded((hosts_per_dc as u64 - 1).min(6)) as usize;
+        let scheme = match rng.next_bounded(5) {
+            0 => Scheme::Baseline,
+            1 => Scheme::ProxyNaive,
+            2 | 3 => Scheme::ProxyStreamlined,
+            _ => Scheme::ProxyDetecting,
+        };
+        let transport = if rng.next_bounded(4) == 0 {
+            Transport::RateBased
+        } else {
+            Transport::WindowedDctcp
+        };
+        let trim = match rng.next_bounded(4) {
+            0 | 1 => TrimPolicy::SchemeDefault,
+            2 => TrimPolicy::ForceOn,
+            _ => TrimPolicy::ForceOff,
+        };
+        let mut sc = Scenario {
+            sim_seed: derive_seed(fuzz_seed, 0x51ED),
+            scheme,
+            transport,
+            trim,
+            degree,
+            total_bytes: 100_000 + rng.next_bounded(2_900_000),
+            wan_us: 50 + rng.next_bounded(1_000),
+            spines_per_dc,
+            leaves_per_dc,
+            hosts_per_leaf,
+            background_flows: rng.next_bounded(4) as usize,
+            early_nack: rng.next_bounded(8) != 0,
+            failover: rng.next_bounded(2) == 0,
+            liveness: false,
+            fidelity: false,
+            time_limit_ms: DEFAULT_TIME_LIMIT_MS,
+            faults: FaultPlan::new(),
+        };
+        // Half the campaign exercises the hybrid-fidelity engine, so the
+        // auditor's ledger checks cover express-advanced packets too.
+        sc.fidelity = rng.next_bounded(2) == 1;
+        // Build once (faultless) to learn how many ports and agents exist,
+        // then roll a validate()-clean fault plan against those bounds.
+        let (sim, _) = build(&sc).expect("faultless generated scenario must build");
+        let ports = sim.topology().port_count() as u64;
+        let agents = sim.agent_count() as u64;
+        drop(sim);
+
+        let mut plan = FaultPlan::new();
+        // Link windows on distinct ports (distinctness sidesteps the overlap
+        // rule by construction).
+        let mut used_ports: Vec<u64> = Vec::new();
+        for _ in 0..rng.next_bounded(3) {
+            let port = loop {
+                let p = rng.next_bounded(ports);
+                if !used_ports.contains(&p) {
+                    break p;
+                }
+            };
+            used_ports.push(port);
+            let down_at = SimTime::ZERO + SimDuration::from_nanos(rng.next_bounded(3_000_000));
+            if rng.next_bounded(4) == 0 {
+                plan = plan.link_down(PortId(port as u32), down_at);
+            } else {
+                let dur = SimDuration::from_nanos(50_000 + rng.next_bounded(750_000));
+                plan = plan.link_down_window(PortId(port as u32), down_at, down_at + dur);
+            }
+        }
+        // Impairments: small loss/corruption rates, any port.
+        for _ in 0..rng.next_bounded(3) {
+            plan.impairments.push(PortImpairment {
+                port: PortId(rng.next_bounded(ports) as u32),
+                loss: rng.next_f64() * 0.15,
+                corrupt: rng.next_f64() * 0.10,
+            });
+        }
+        // Agent crashes on distinct agents.
+        let mut used_agents: Vec<u64> = Vec::new();
+        for _ in 0..rng.next_bounded(3) {
+            let agent = loop {
+                let a = rng.next_bounded(agents);
+                if !used_agents.contains(&a) {
+                    break a;
+                }
+            };
+            used_agents.push(agent);
+            let at = SimTime::ZERO + SimDuration::from_nanos(rng.next_bounded(3_000_000));
+            if rng.next_bounded(4) == 0 {
+                plan = plan.crash_agent(AgentId(agent as u32), at);
+            } else {
+                let dur = SimDuration::from_nanos(100_000 + rng.next_bounded(4_900_000));
+                plan = plan.crash_agent_window(AgentId(agent as u32), at, at + dur);
+            }
+        }
+        debug_assert!(plan.validate().is_ok(), "generated plan must validate");
+        sc.liveness = plan_heals(&plan);
+        sc.faults = plan;
+        sc
+    }
+
+    fn run(sc: &Scenario) -> RunOutcome {
+        let (mut sim, handle) = match build(sc) {
+            Ok(built) => built,
+            Err(setup) => {
+                return RunOutcome {
+                    stop: "setup-error".to_string(),
+                    events: 0,
+                    end_time_ps: 0,
+                    completed: false,
+                    violations: Vec::new(),
+                    details: vec![setup],
+                }
+            }
+        };
         let limit = handle.start + SimDuration::from_millis(sc.time_limit_ms);
         let report = sim.run(Some(limit));
-        let completed = handle.completion(sim.metrics()).is_some();
-        Ok::<_, String>((report, completed))
-    }));
-    match result {
-        Ok(Ok((report, completed))) => RunOutcome {
+        RunOutcome {
             stop: stop_name(report.stop).to_string(),
             events: report.events,
             end_time_ps: report.end_time.0,
-            completed,
+            completed: handle.completion(sim.metrics()).is_some(),
             violations: report
                 .violations
                 .iter()
                 .map(|v| v.kind().to_string())
                 .collect(),
             details: report.violations.iter().map(|v| v.to_string()).collect(),
-            panic: None,
-        },
-        Ok(Err(setup)) => RunOutcome {
-            stop: "setup-error".to_string(),
-            events: 0,
-            end_time_ps: 0,
-            completed: false,
-            violations: Vec::new(),
-            details: vec![setup],
-            panic: None,
-        },
-        Err(payload) => RunOutcome {
-            stop: "panic".to_string(),
-            events: 0,
-            end_time_ps: 0,
-            completed: false,
-            violations: Vec::new(),
-            details: Vec::new(),
-            panic: Some(panic_message(payload)),
-        },
+        }
     }
-}
 
-/// Classifies an outcome. `None` = the scenario passed. A time-limit stop
-/// with incomplete flows is *not* a failure by itself: permanent faults
-/// legitimately strand flows, and the liveness watchdog (armed exactly
-/// when every fault heals) is the stall detector.
-pub fn failure_kind(outcome: &RunOutcome) -> Option<String> {
-    if outcome.panic.is_some() {
-        return Some("Panic".to_string());
+    /// A time-limit stop with incomplete flows is *not* a failure by
+    /// itself: permanent faults legitimately strand flows, and the
+    /// liveness watchdog (armed exactly when every fault heals) is the
+    /// stall detector.
+    fn failure_kind(outcome: &RunOutcome) -> Option<String> {
+        if let Some(kind) = outcome.violations.first() {
+            return Some(kind.clone());
+        }
+        (outcome.stop == "event-cap").then(|| "EventCap".to_string())
     }
-    if let Some(kind) = outcome.violations.first() {
-        return Some(kind.clone());
-    }
-    if outcome.stop == "event-cap" {
-        return Some("EventCap".to_string());
-    }
-    None
-}
 
-/// Runs the scenario twice and checks the outcomes are identical — the
-/// replay determinism guarantee.
-pub fn check_replay(sc: &Scenario) -> (RunOutcome, bool) {
-    let a = run_scenario(sc);
-    let b = run_scenario(sc);
-    let same = a == b;
-    (a, same)
-}
-
-// ---------------------------------------------------------------------------
-// Generation
-// ---------------------------------------------------------------------------
-
-/// Generates the scenario for a fuzz seed. Pure function of the seed.
-pub fn generate(fuzz_seed: u64) -> Scenario {
-    let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xF022));
-    let spines_per_dc = 1 + rng.next_bounded(2) as usize;
-    let leaves_per_dc = 1 + rng.next_bounded(3) as usize;
-    let hosts_per_leaf = 2 + rng.next_bounded(3) as usize;
-    let hosts_per_dc = leaves_per_dc * hosts_per_leaf;
-    let degree = 1 + rng.next_bounded((hosts_per_dc as u64 - 1).min(6)) as usize;
-    let scheme = match rng.next_bounded(5) {
-        0 => Scheme::Baseline,
-        1 => Scheme::ProxyNaive,
-        2 | 3 => Scheme::ProxyStreamlined,
-        _ => Scheme::ProxyDetecting,
-    };
-    let transport = if rng.next_bounded(4) == 0 {
-        Transport::RateBased
-    } else {
-        Transport::WindowedDctcp
-    };
-    let trim = match rng.next_bounded(4) {
-        0 | 1 => TrimPolicy::SchemeDefault,
-        2 => TrimPolicy::ForceOn,
-        _ => TrimPolicy::ForceOff,
-    };
-    let mut sc = Scenario {
-        sim_seed: derive_seed(fuzz_seed, 0x51ED),
-        scheme,
-        transport,
-        trim,
-        degree,
-        total_bytes: 100_000 + rng.next_bounded(2_900_000),
-        wan_us: 50 + rng.next_bounded(1_000),
-        spines_per_dc,
-        leaves_per_dc,
-        hosts_per_leaf,
-        background_flows: rng.next_bounded(4) as usize,
-        early_nack: rng.next_bounded(8) != 0,
-        failover: rng.next_bounded(2) == 0,
-        liveness: false,
-        fidelity: false,
-        time_limit_ms: DEFAULT_TIME_LIMIT_MS,
-        faults: FaultPlan::new(),
-    };
-    // Half the campaign exercises the hybrid-fidelity engine, so the
-    // auditor's ledger checks cover express-advanced packets too.
-    sc.fidelity = rng.next_bounded(2) == 1;
-    // Build once (faultless) to learn how many ports and agents exist,
-    // then roll a validate()-clean fault plan against those bounds.
-    let (sim, _) = build(&sc).expect("faultless generated scenario must build");
-    let ports = sim.topology().port_count() as u64;
-    let agents = sim.agent_count() as u64;
-    drop(sim);
-
-    let mut plan = FaultPlan::new();
-    // Link windows on distinct ports (distinctness sidesteps the overlap
-    // rule by construction).
-    let mut used_ports: Vec<u64> = Vec::new();
-    for _ in 0..rng.next_bounded(3) {
-        let port = loop {
-            let p = rng.next_bounded(ports);
-            if !used_ports.contains(&p) {
-                break p;
-            }
+    /// Shrinking topology knobs renumbers ports/agents; candidates whose
+    /// fault plan no longer fits are rejected naturally (setup-error is
+    /// never a failure kind).
+    fn candidates(sc: &Scenario) -> Vec<Scenario> {
+        let mut out = Vec::new();
+        let mut push = |f: &dyn Fn(&mut Scenario)| {
+            let mut c = sc.clone();
+            f(&mut c);
+            out.push(c);
         };
-        used_ports.push(port);
-        let down_at = SimTime::ZERO + SimDuration::from_nanos(rng.next_bounded(3_000_000));
-        if rng.next_bounded(4) == 0 {
-            plan = plan.link_down(PortId(port as u32), down_at);
-        } else {
-            let dur = SimDuration::from_nanos(50_000 + rng.next_bounded(750_000));
-            plan = plan.link_down_window(PortId(port as u32), down_at, down_at + dur);
-        }
-    }
-    // Impairments: small loss/corruption rates, any port.
-    for _ in 0..rng.next_bounded(3) {
-        plan.impairments.push(PortImpairment {
-            port: PortId(rng.next_bounded(ports) as u32),
-            loss: rng.next_f64() * 0.15,
-            corrupt: rng.next_f64() * 0.10,
-        });
-    }
-    // Agent crashes on distinct agents.
-    let mut used_agents: Vec<u64> = Vec::new();
-    for _ in 0..rng.next_bounded(3) {
-        let agent = loop {
-            let a = rng.next_bounded(agents);
-            if !used_agents.contains(&a) {
-                break a;
-            }
-        };
-        used_agents.push(agent);
-        let at = SimTime::ZERO + SimDuration::from_nanos(rng.next_bounded(3_000_000));
-        if rng.next_bounded(4) == 0 {
-            plan = plan.crash_agent(AgentId(agent as u32), at);
-        } else {
-            let dur = SimDuration::from_nanos(100_000 + rng.next_bounded(4_900_000));
-            plan = plan.crash_agent_window(AgentId(agent as u32), at, at + dur);
-        }
-    }
-    debug_assert!(plan.validate().is_ok(), "generated plan must validate");
-    sc.liveness = plan_heals(&plan);
-    sc.faults = plan;
-    sc
-}
-
-// ---------------------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------------------
-
-/// One-step simplifications of a scenario, most aggressive first.
-fn candidates(sc: &Scenario) -> Vec<Scenario> {
-    let mut out = Vec::new();
-    let mut push = |f: &dyn Fn(&mut Scenario)| {
-        let mut c = sc.clone();
-        f(&mut c);
-        out.push(c);
-    };
-    for i in 0..sc.faults.crashes.len() {
-        push(&|c: &mut Scenario| {
-            c.faults.crashes.remove(i);
-        });
-    }
-    for i in 0..sc.faults.link_windows.len() {
-        push(&|c: &mut Scenario| {
-            c.faults.link_windows.remove(i);
-        });
-    }
-    for i in 0..sc.faults.impairments.len() {
-        push(&|c: &mut Scenario| {
-            c.faults.impairments.remove(i);
-        });
-    }
-    if sc.fidelity {
-        // Dropping fidelity first tells us whether the hybrid engine
-        // itself (vs. the underlying scenario) caused the failure.
-        push(&|c: &mut Scenario| c.fidelity = false);
-    }
-    if sc.background_flows > 0 {
-        push(&|c: &mut Scenario| c.background_flows = 0);
-    }
-    if sc.failover {
-        push(&|c: &mut Scenario| c.failover = false);
-    }
-    if sc.total_bytes > 100_000 {
-        push(&|c: &mut Scenario| c.total_bytes = (c.total_bytes / 2).max(100_000));
-    }
-    if sc.degree > 1 {
-        push(&|c: &mut Scenario| c.degree /= 2);
-    }
-    if sc.spines_per_dc > 1 {
-        push(&|c: &mut Scenario| c.spines_per_dc -= 1);
-    }
-    if sc.leaves_per_dc > 1 {
-        push(&|c: &mut Scenario| c.leaves_per_dc -= 1);
-    }
-    if sc.hosts_per_leaf > 2 {
-        push(&|c: &mut Scenario| c.hosts_per_leaf -= 1);
-    }
-    out
-}
-
-/// Greedy delta-debugging: repeatedly applies the first simplification
-/// that still fails with the same kind, until none does or the run budget
-/// is spent. Returns the shrunk scenario and how many runs were used.
-///
-/// Shrinking topology knobs renumbers ports/agents; candidates whose
-/// fault plan no longer fits are rejected naturally (setup-error is never
-/// a failure kind).
-pub fn shrink(sc: &Scenario, kind: &str, budget: usize) -> (Scenario, usize) {
-    let mut current = sc.clone();
-    let mut runs = 0;
-    'outer: loop {
-        for cand in candidates(&current) {
-            if runs >= budget {
-                break 'outer;
-            }
-            runs += 1;
-            if failure_kind(&run_scenario(&cand)).as_deref() == Some(kind) {
-                current = cand;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, runs)
-}
-
-// ---------------------------------------------------------------------------
-// Campaign
-// ---------------------------------------------------------------------------
-
-/// One failing scenario found by a campaign, after shrinking.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// Fuzz seed that produced it.
-    pub seed: u64,
-    /// Failure classification ([`failure_kind`]).
-    pub kind: String,
-    /// The scenario as generated.
-    pub original: Scenario,
-    /// The shrunk scenario (still fails with `kind`).
-    pub shrunk: Scenario,
-    /// Outcome of the shrunk scenario.
-    pub outcome: RunOutcome,
-    /// Runs spent shrinking.
-    pub shrink_runs: usize,
-}
-
-/// Runs `count` seeded scenarios in parallel, then shrinks each failure
-/// serially. Fully deterministic for a given `(start_seed, count)`.
-pub fn run_campaign(
-    start_seed: u64,
-    count: u64,
-    jobs: usize,
-    shrink_budget: usize,
-) -> Vec<Finding> {
-    let seeds: Vec<u64> = (start_seed..start_seed + count).collect();
-    let results = crate::SweepRunner::new(jobs).run(&seeds, |&seed| {
-        let sc = generate(seed);
-        let outcome = run_scenario(&sc);
-        (seed, sc, outcome)
-    });
-    let mut findings = Vec::new();
-    for (seed, sc, outcome) in results {
-        if let Some(kind) = failure_kind(&outcome) {
-            let (shrunk, shrink_runs) = shrink(&sc, &kind, shrink_budget);
-            let outcome = run_scenario(&shrunk);
-            findings.push(Finding {
-                seed,
-                kind,
-                original: sc,
-                shrunk,
-                outcome,
-                shrink_runs,
+        for i in 0..sc.faults.crashes.len() {
+            push(&|c: &mut Scenario| {
+                c.faults.crashes.remove(i);
             });
         }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------------
-// Repro files (hand-rolled JSON, see module docs)
-// ---------------------------------------------------------------------------
-
-/// A committed repro: the scenario plus what a replay is expected to see.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReproFile {
-    /// Fuzz seed the finding came from (provenance only).
-    pub found_with_seed: u64,
-    /// `"clean"` (bug since fixed — replay must pass) or a failure kind
-    /// (known issue — replay must still fail that way).
-    pub expect: String,
-    /// Free-text description of the bug / issue.
-    pub note: String,
-    pub scenario: Scenario,
-}
-
-impl ReproFile {
-    /// Checks a replay outcome against `expect`.
-    pub fn matches(&self, outcome: &RunOutcome) -> bool {
-        match failure_kind(outcome) {
-            None => self.expect == "clean",
-            Some(kind) => self.expect == kind,
+        for i in 0..sc.faults.link_windows.len() {
+            push(&|c: &mut Scenario| {
+                c.faults.link_windows.remove(i);
+            });
         }
+        for i in 0..sc.faults.impairments.len() {
+            push(&|c: &mut Scenario| {
+                c.faults.impairments.remove(i);
+            });
+        }
+        if sc.fidelity {
+            // Dropping fidelity first tells us whether the hybrid engine
+            // itself (vs. the underlying scenario) caused the failure.
+            push(&|c: &mut Scenario| c.fidelity = false);
+        }
+        if sc.background_flows > 0 {
+            push(&|c: &mut Scenario| c.background_flows = 0);
+        }
+        if sc.failover {
+            push(&|c: &mut Scenario| c.failover = false);
+        }
+        if sc.total_bytes > 100_000 {
+            push(&|c: &mut Scenario| c.total_bytes = (c.total_bytes / 2).max(100_000));
+        }
+        if sc.degree > 1 {
+            push(&|c: &mut Scenario| c.degree /= 2);
+        }
+        if sc.spines_per_dc > 1 {
+            push(&|c: &mut Scenario| c.spines_per_dc -= 1);
+        }
+        if sc.leaves_per_dc > 1 {
+            push(&|c: &mut Scenario| c.leaves_per_dc -= 1);
+        }
+        if sc.hosts_per_leaf > 2 {
+            push(&|c: &mut Scenario| c.hosts_per_leaf -= 1);
+        }
+        out
     }
-}
 
-/// How repro files (and `figures adhoc`) spell the enum-valued fields.
-pub(crate) const SCHEME_NAMES: &[(&str, Scheme)] = &[
-    ("baseline", Scheme::Baseline),
-    ("naive", Scheme::ProxyNaive),
-    ("streamlined", Scheme::ProxyStreamlined),
-    ("detecting", Scheme::ProxyDetecting),
-];
-const TRANSPORT_NAMES: &[(&str, Transport)] = &[
-    ("windowed", Transport::WindowedDctcp),
-    ("rate", Transport::RateBased),
-];
-pub(crate) const TRIM_NAMES: &[(&str, TrimPolicy)] = &[
-    ("default", TrimPolicy::SchemeDefault),
-    ("on", TrimPolicy::ForceOn),
-    ("off", TrimPolicy::ForceOff),
-];
+    fn describe(sc: &Scenario) -> String {
+        format!(
+            "scheme={:?} transport={:?} degree={} bytes={} topo={}x{}x{} bg={} faults={}w/{}i/{}c",
+            sc.scheme,
+            sc.transport,
+            sc.degree,
+            sc.total_bytes,
+            sc.spines_per_dc,
+            sc.leaves_per_dc,
+            sc.hosts_per_leaf,
+            sc.background_flows,
+            sc.faults.link_windows.len(),
+            sc.faults.impairments.len(),
+            sc.faults.crashes.len(),
+        )
+    }
 
-fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
-    let named = names.iter().find(|(_, v)| *v == value);
-    named.expect("every variant has a name").0
-}
+    fn details(o: &RunOutcome) -> Vec<String> {
+        let summary = format!(
+            "stop={} events={} completed={}",
+            o.stop, o.events, o.completed
+        );
+        std::iter::once(summary)
+            .chain(o.details.iter().cloned())
+            .collect()
+    }
 
-/// The value `name` spells in `names`; `what` words the error.
-pub(crate) fn from_name<T: Copy>(names: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
-    let named = names.iter().find(|(n, _)| *n == name);
-    named
-        .map(|&(_, value)| value)
-        .ok_or_else(|| format!("unknown {what} {name:?}"))
-}
-
-use mini_json::Json;
-
-impl Scenario {
-    fn to_value(&self) -> Json {
-        let windows = self
+    fn to_value(sc: &Scenario) -> Json {
+        let windows = sc
             .faults
             .link_windows
             .iter()
@@ -572,7 +729,7 @@ impl Scenario {
                 ])
             })
             .collect();
-        let impairments = self
+        let impairments = sc
             .faults
             .impairments
             .iter()
@@ -584,7 +741,7 @@ impl Scenario {
                 ])
             })
             .collect();
-        let crashes = self
+        let crashes = sc
             .faults
             .crashes
             .iter()
@@ -600,25 +757,25 @@ impl Scenario {
             })
             .collect();
         Json::obj(vec![
-            ("sim_seed", Json::u64(self.sim_seed)),
-            ("scheme", Json::str(name_of(SCHEME_NAMES, self.scheme))),
+            ("sim_seed", Json::u64(sc.sim_seed)),
+            ("scheme", Json::str(name_of(SCHEME_NAMES, sc.scheme))),
             (
                 "transport",
-                Json::str(name_of(TRANSPORT_NAMES, self.transport)),
+                Json::str(name_of(TRANSPORT_NAMES, sc.transport)),
             ),
-            ("trim", Json::str(name_of(TRIM_NAMES, self.trim))),
-            ("degree", Json::u64(self.degree as u64)),
-            ("total_bytes", Json::u64(self.total_bytes)),
-            ("wan_us", Json::u64(self.wan_us)),
-            ("spines_per_dc", Json::u64(self.spines_per_dc as u64)),
-            ("leaves_per_dc", Json::u64(self.leaves_per_dc as u64)),
-            ("hosts_per_leaf", Json::u64(self.hosts_per_leaf as u64)),
-            ("background_flows", Json::u64(self.background_flows as u64)),
-            ("early_nack", Json::Bool(self.early_nack)),
-            ("failover", Json::Bool(self.failover)),
-            ("liveness", Json::Bool(self.liveness)),
-            ("fidelity", Json::Bool(self.fidelity)),
-            ("time_limit_ms", Json::u64(self.time_limit_ms)),
+            ("trim", Json::str(name_of(TRIM_NAMES, sc.trim))),
+            ("degree", Json::u64(sc.degree as u64)),
+            ("total_bytes", Json::u64(sc.total_bytes)),
+            ("wan_us", Json::u64(sc.wan_us)),
+            ("spines_per_dc", Json::u64(sc.spines_per_dc as u64)),
+            ("leaves_per_dc", Json::u64(sc.leaves_per_dc as u64)),
+            ("hosts_per_leaf", Json::u64(sc.hosts_per_leaf as u64)),
+            ("background_flows", Json::u64(sc.background_flows as u64)),
+            ("early_nack", Json::Bool(sc.early_nack)),
+            ("failover", Json::Bool(sc.failover)),
+            ("liveness", Json::Bool(sc.liveness)),
+            ("fidelity", Json::Bool(sc.fidelity)),
+            ("time_limit_ms", Json::u64(sc.time_limit_ms)),
             (
                 "faults",
                 Json::obj(vec![
@@ -691,40 +848,36 @@ impl Scenario {
             faults,
         })
     }
-
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
-    /// Parses a scenario from JSON text.
-    pub fn from_json(text: &str) -> Result<Scenario, String> {
-        Scenario::from_value(&Json::parse(text)?)
-    }
 }
 
-impl ReproFile {
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("found_with_seed", Json::u64(self.found_with_seed)),
-            ("expect", Json::str(&self.expect)),
-            ("note", Json::str(&self.note)),
-            ("scenario", self.scenario.to_value()),
-        ])
-        .render()
-    }
+/// How repro files (and `figures adhoc`) spell the enum-valued fields.
+pub(crate) const SCHEME_NAMES: &[(&str, Scheme)] = &[
+    ("baseline", Scheme::Baseline),
+    ("naive", Scheme::ProxyNaive),
+    ("streamlined", Scheme::ProxyStreamlined),
+    ("detecting", Scheme::ProxyDetecting),
+];
+const TRANSPORT_NAMES: &[(&str, Transport)] = &[
+    ("windowed", Transport::WindowedDctcp),
+    ("rate", Transport::RateBased),
+];
+pub(crate) const TRIM_NAMES: &[(&str, TrimPolicy)] = &[
+    ("default", TrimPolicy::SchemeDefault),
+    ("on", TrimPolicy::ForceOn),
+    ("off", TrimPolicy::ForceOff),
+];
 
-    /// Parses a repro file from JSON text.
-    pub fn from_json(text: &str) -> Result<ReproFile, String> {
-        let v = Json::parse(text)?;
-        Ok(ReproFile {
-            found_with_seed: v.get_u64("found_with_seed")?,
-            expect: v.get_str("expect")?.to_string(),
-            note: v.get_str("note")?.to_string(),
-            scenario: Scenario::from_value(v.get("scenario").ok_or("missing scenario")?)?,
-        })
-    }
+fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
+    let named = names.iter().find(|(_, v)| *v == value);
+    named.expect("every variant has a name").0
+}
+
+/// The value `name` spells in `names`; `what` words the error.
+pub(crate) fn from_name<T: Copy>(names: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
+    let named = names.iter().find(|(n, _)| *n == name);
+    named
+        .map(|&(_, value)| value)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,43 +1237,166 @@ pub mod mini_json {
 mod tests {
     use super::*;
 
+    use std::cell::Cell;
+
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(generate(7), generate(7));
-        assert_ne!(generate(7), generate(8));
+        assert_eq!(Chaos::generate(7), Chaos::generate(7));
+        assert_ne!(Chaos::generate(7), Chaos::generate(8));
     }
 
     #[test]
     fn scenario_json_round_trips() {
         for seed in [1, 2, 3, 4, 5] {
-            let sc = generate(seed);
-            let json = sc.to_json();
-            let back = Scenario::from_json(&json).expect("parse back");
+            let sc = Chaos::generate(seed);
+            let json = Chaos::to_value(&sc).render();
+            let back = Chaos::from_value(&Json::parse(&json).unwrap()).expect("parse back");
             assert_eq!(sc, back, "round-trip for seed {seed}\n{json}");
         }
     }
 
     #[test]
     fn repro_file_round_trips() {
-        let repro = ReproFile {
+        let repro = ReproFile::<Chaos> {
             found_with_seed: 42,
             expect: "clean".to_string(),
             note: "weird \"quotes\" and\nnewlines — unicode too".to_string(),
-            scenario: generate(42),
+            scenario: Chaos::generate(42),
         };
         let json = repro.to_json();
+        assert!(!json.contains("\"type\""), "the chaos family is untagged");
         let back = ReproFile::from_json(&json).expect("parse back");
         assert_eq!(repro, back);
     }
 
     #[test]
     fn faultless_scenario_replays_deterministically() {
-        let mut sc = generate(3);
+        let mut sc = Chaos::generate(3);
         sc.faults = FaultPlan::new();
         sc.liveness = true;
-        let (outcome, same) = check_replay(&sc);
+        let (outcome, same) = check_replay::<Chaos>(&sc);
         assert!(same, "replay diverged: {outcome:?}");
-        assert!(outcome.panic.is_none(), "{outcome:?}");
+        assert!(outcome.is_ok(), "{outcome:?}");
+    }
+
+    /// A family with no simulator behind it, to test the engine alone: a
+    /// scenario fails as `"Big"` when it holds three or more values over
+    /// 10, and otherwise as `"Odd"` when its sum is odd.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Toy;
+
+    thread_local! {
+        /// Runs of `Toy` on this thread.
+        static TOY_RUNS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    impl Family for Toy {
+        const TAG: Option<&'static str> = Some("toy");
+        type Scenario = Vec<u32>;
+        type Outcome = Option<String>;
+
+        fn generate(seed: u64) -> Vec<u32> {
+            let mut rng = SplitMix64::new(seed);
+            let len = rng.next_bounded(8);
+            (0..len).map(|_| rng.next_bounded(40) as u32).collect()
+        }
+
+        fn run(sc: &Vec<u32>) -> Option<String> {
+            TOY_RUNS.with(|runs| runs.set(runs.get() + 1));
+            if sc.iter().filter(|&&v| v > 10).count() >= 3 {
+                Some("Big".to_string())
+            } else if sc.iter().sum::<u32>() % 2 == 1 {
+                Some("Odd".to_string())
+            } else {
+                None
+            }
+        }
+
+        fn failure_kind(outcome: &Option<String>) -> Option<String> {
+            outcome.clone()
+        }
+
+        /// Drop one value, then halve one value.
+        fn candidates(sc: &Vec<u32>) -> Vec<Vec<u32>> {
+            let with = |i: usize, f: fn(&mut Vec<u32>, usize)| {
+                let mut c = sc.clone();
+                f(&mut c, i);
+                c
+            };
+            let drops = (0..sc.len()).map(|i| {
+                with(i, |c, i| {
+                    c.remove(i);
+                })
+            });
+            let halves = (0..sc.len()).filter(|&i| sc[i] > 0);
+            drops
+                .chain(halves.map(|i| with(i, |c, i| c[i] /= 2)))
+                .collect()
+        }
+
+        fn describe(sc: &Vec<u32>) -> String {
+            format!("{sc:?}")
+        }
+
+        fn details(outcome: &Option<String>) -> Vec<String> {
+            outcome.iter().cloned().collect()
+        }
+
+        fn to_value(sc: &Vec<u32>) -> Json {
+            Json::Arr(sc.iter().map(|&v| Json::u64(v.into())).collect())
+        }
+
+        fn from_value(v: &Json) -> Result<Vec<u32>, String> {
+            v.arr()?.iter().map(|v| Ok(v.u64_value()? as u32)).collect()
+        }
+    }
+
+    /// `shrink` for `Big` on this thread: the result, the runs it says it
+    /// spent, and the runs it actually spent.
+    fn shrink_big(sc: &[u32], budget: usize) -> (Vec<u32>, usize, usize) {
+        TOY_RUNS.with(|runs| runs.set(0));
+        let (shrunk, runs) = shrink::<Toy>(&sc.to_vec(), "Big", budget);
+        (shrunk, runs, TOY_RUNS.with(Cell::get))
+    }
+
+    #[test]
+    fn shrink_keeps_the_kind_and_the_budget() {
+        // The first candidate (drop the 40) fails as "Odd": passed over.
+        let start = [40, 3, 25, 12, 9];
+        let (shrunk, runs, spent) = shrink_big(&start, 1_000);
+        assert_eq!(shrunk, [20, 12, 12]);
+        assert_eq!(runs, spent);
+        let big = |sc: &Vec<u32>| Toy::run(sc).as_deref() == Some("Big");
+        assert!(big(&shrunk));
+        assert!(
+            !Toy::candidates(&shrunk).iter().any(big),
+            "minimal: no candidate of {shrunk:?} still fails as Big"
+        );
+        // Every candidate fails as "Odd" or passes: nothing is adopted.
+        assert_eq!(shrink_big(&[11, 12, 13], 1_000), (vec![11, 12, 13], 6, 6));
+        // Cut short at any budget, shrinking has spent at most the budget
+        // and holds a scenario that still fails as Big.
+        for budget in 0..=runs + 1 {
+            let (partial, used, spent) = shrink_big(&start, budget);
+            assert!(
+                used <= budget && used == spent,
+                "{budget}: {used} / {spent}"
+            );
+            assert!(big(&partial), "{budget}: adopted {partial:?}");
+        }
+        assert_eq!(shrink_big(&start, 0).0, start);
+    }
+
+    #[test]
+    fn campaign_findings_do_not_depend_on_jobs() {
+        let serial = run_campaign::<Toy>(0, 64, 1, 50);
+        assert_eq!(serial, run_campaign::<Toy>(0, 64, 4, 50));
+        for kind in ["Big", "Odd"] {
+            assert!(serial.iter().any(|f| f.kind == kind), "no {kind} finding");
+        }
+        for f in &serial {
+            assert_eq!(failure_kind::<Toy>(&f.outcome).as_deref(), Some(&*f.kind));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Replays every committed chaos-fuzzer repro in `tests/repros/`.
+//! Replays every committed fuzzer repro in `tests/repros/`.
 //!
 //! Each repro file records a scenario the fuzzer once shrank out of a
 //! failing campaign, plus an expectation:
@@ -12,16 +12,19 @@
 //!
 //! Every replay runs the scenario **twice** and asserts the runs are
 //! identical, so the suite also pins the fuzzer's determinism guarantee.
-//!
-//! Repros come in two families, dispatched on the file's `"type"` tag:
-//! full-simulator scenarios (`bench::fuzz`) and sharded control-plane
-//! scenarios (`bench::cpfuzz`, tagged `"control-plane"`).
+//! It goes through [`bench::fuzz::replay`], the function `fuzz --replay`
+//! calls, which picks the family from the file's `"type"` tag.
 
-use bench::cpfuzz;
-use bench::fuzz::{check_replay, failure_kind, ReproFile};
+use bench::fuzz::{replay, Chaos, Family};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-fn repro_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros")
+fn repro_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros")
+}
+
+fn replay_path(path: &Path) -> Result<bool, String> {
+    replay(path.to_str().expect("utf-8 path"))
 }
 
 #[test]
@@ -33,42 +36,40 @@ fn committed_repros_replay_deterministically_and_match_expectations() {
         .collect();
     paths.sort();
     assert!(!paths.is_empty(), "no repro files found");
-
-    // Known-issue repros fail inside catch_unwind only if the failure is a
-    // panic; none currently are, but keep the hook quiet just in case a
-    // future repro documents one.
     for path in paths {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).expect("readable repro");
-        if cpfuzz::is_control_plane_repro(&text) {
-            let repro = cpfuzz::CpReproFile::from_json(&text)
-                .unwrap_or_else(|e| panic!("{name}: unparsable control-plane repro: {e}"));
-            let (outcome, deterministic) = cpfuzz::check_replay(&repro.scenario);
-            assert!(
-                deterministic,
-                "{name}: two consecutive replays diverged: {outcome:?}"
-            );
-            assert!(
-                repro.matches(&outcome),
-                "{name}: expected {:?}, observed {:?} ({outcome:?})",
-                repro.expect,
-                cpfuzz::failure_kind(&outcome).as_deref().unwrap_or("clean"),
-            );
-            continue;
-        }
-        let repro =
-            ReproFile::from_json(&text).unwrap_or_else(|e| panic!("{name}: unparsable repro: {e}"));
-        let (outcome, deterministic) = check_replay(&repro.scenario);
-        assert!(
-            deterministic,
-            "{name}: two consecutive replays diverged: {outcome:?}"
-        );
-        let observed = failure_kind(&outcome);
-        assert!(
-            repro.matches(&outcome),
-            "{name}: expected {:?}, observed {:?} ({outcome:?})",
-            repro.expect,
-            observed.as_deref().unwrap_or("clean"),
-        );
+        let verdict = replay_path(&path);
+        assert_eq!(verdict, Ok(true), "{}", path.display());
     }
+}
+
+#[test]
+fn a_bare_chaos_scenario_replays() {
+    let repro = std::fs::read_to_string(repro_dir().join("crash-restore-wedge-baseline.json"))
+        .expect("readable repro");
+    let repro = bench::fuzz::ReproFile::<Chaos>::from_json(&repro).expect("parsable repro");
+    let bare = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bare-chaos-scenario.json");
+    std::fs::write(&bare, Chaos::to_value(&repro.scenario).render()).expect("writable tmp");
+    assert_eq!(replay_path(&bare), Ok(true));
+}
+
+#[test]
+fn an_unknown_family_tag_is_refused_with_exit_code_2() {
+    let repro = std::fs::read_to_string(repro_dir().join("cp-gossip-slower-than-expiry.json"))
+        .expect("readable repro");
+    let typo = repro.replacen("\"control-plane\"", "\"control_plane\"", 1);
+    assert_ne!(typo, repro, "the committed repro is tagged");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("typo-tag.json");
+    std::fs::write(&path, typo).expect("writable tmp");
+
+    let err = replay_path(&path).expect_err("unknown tag");
+    for name in ["\"control_plane\"", "\"control-plane\"", "untagged"] {
+        assert!(err.contains(name), "{err:?} does not name {name}");
+    }
+    let run = Command::new(env!("CARGO_BIN_EXE_fuzz"))
+        .arg("--replay")
+        .arg(&path)
+        .output()
+        .expect("fuzz runs");
+    assert_eq!(run.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&run.stderr).contains(&err));
 }

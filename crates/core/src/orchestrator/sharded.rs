@@ -73,7 +73,7 @@ impl Default for ShardedConfig {
 }
 
 /// Observable behavior counters of the degradation ladder.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardedStats {
     /// Grants served by a ring successor on behalf of a dead home shard.
     pub takeovers: u64,

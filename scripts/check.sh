@@ -78,11 +78,6 @@ cargo run --release --offline -q -p bench --bin fuzz -- --count 500 --start-seed
 echo "== control-plane fuzz (shard crashes, stale placements, gossip slower than lease expiry)"
 cargo run --release --offline -q -p bench --bin fuzz -- --control-plane --count 500 --start-seed 0
 
-echo "== chaos repro replay (committed shrunk repros, both families, determinism + expectation)"
-for repro in crates/bench/tests/repros/*.json; do
-  cargo run --release --offline -q -p bench --bin fuzz -- --replay "$repro"
-done
-
 # Last: it builds from crates/perf, whose .cargo/config.toml patch table (all
 # unused now; cargo warns and goes on) re-resolves the gitignored Cargo.lock.
 echo "== benchmark smoke (BENCHMARK.json's offline build + all six workloads, untraced and traced, every correctness check)"
