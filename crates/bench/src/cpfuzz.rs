@@ -15,7 +15,7 @@
 //!   ≡ load map ≡ bytes live shards hold, orphan counts ≡ orphaned
 //!   entries, `active` ≡ the lease table).
 //! * **LeaseStateMismatch** — a renewal disagrees with the model: a lease
-//!   inside its term reports `Expired`/`Unknown`, or a lapsed one reports
+//!   inside its term reports `Expired`, or a lapsed one reports
 //!   `Renewed`/`Reclaimed`.
 //! * **NoAssignment** — a select goes unserved (the degradation ladder
 //!   must always produce a proxy while any candidate exists).
@@ -217,7 +217,7 @@ fn run_inner(sc: &CpScenario) -> CpOutcome {
                                 break 'drive;
                             }
                         }
-                        RenewOutcome::Expired | RenewOutcome::Unknown => {
+                        RenewOutcome::Expired => {
                             if live {
                                 fail = Some((
                                     "LeaseStateMismatch".into(),

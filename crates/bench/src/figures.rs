@@ -19,8 +19,7 @@ use dcsim::protocol::dctcp::EcnResponse;
 use incast_core::experiment::{ExperimentConfig, FaultScenario, IncastOutcome, TrimPolicy};
 use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use incast_core::orchestrator::{
-    DecentralizedSelector, GlobalOrchestrator, IncastRequest, ProxySelector, ShardedConfig,
-    ShardedOrchestrator,
+    DecentralizedSelector, IncastRequest, ProxySelector, ShardedConfig, ShardedOrchestrator,
 };
 use incast_core::scheme::{install_incast, IncastSpec, Scheme, Transport};
 use trace::table::{fmt_bytes, fmt_secs};
@@ -1293,7 +1292,16 @@ fn orchestration(opts: &RunOptions, out: &mut String) {
     };
     let mut rows = Vec::new();
 
-    let (max, trials) = drive(&mut GlobalOrchestrator::new(candidates.clone()));
+    // The global orchestrator is the lease plane with one shard.
+    let global = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    let (max, trials) = drive(&mut ShardedOrchestrator::new(
+        candidates.clone(),
+        global,
+        opts.seed,
+    ));
     rows.push(selector_row("global orchestrator", max, trials, 0));
 
     for (label, p) in [

@@ -10,20 +10,22 @@
 //!
 //! Applications describe traffic in terms of **logical components**
 //! ([`IncastDecl`]); the provider supplies the physical placement and the
-//! planner ([`compile`]) resolves each declaration into a concrete routing
-//! decision: direct, or via a proxy allocated through a
-//! [`crate::orchestrator::ProxySelector`] — but only when the
-//! [`crate::predict`] model expects a benefit (§4.2's small incasts stay on
-//! the shortest path). The paper warns that "a poorly designed abstraction
-//! may introduce new semantic violations"; the planner therefore *fails
-//! closed* — any ambiguity (unknown component, sink among sources, missing
-//! placement) is a hard [`PlanError`], never a guess.
+//! planner ([`compile`]) resolves each declaration into an
+//! [`IncastRequest`] and hands it to [`admit`], the control plane's one
+//! door: it stays direct, or gets a proxy leased from the
+//! [`ShardedOrchestrator`] — but only when the [`crate::predict`] model
+//! expects a benefit on the deployment's topology (§4.2's small incasts
+//! stay on the shortest path). The paper warns that "a poorly designed
+//! abstraction may introduce new semantic violations"; the planner
+//! therefore *fails closed* — any ambiguity (unknown component, sink among
+//! sources, missing placement) is a hard [`PlanError`], never a guess.
 
-use crate::orchestrator::{IncastRequest, ProxySelector};
-use crate::predict::{predict, IncastProfile};
+use crate::orchestrator::{IncastRequest, ShardedOrchestrator};
+use crate::predict::admit;
+pub use crate::predict::Routing;
 use dcsim::det::DetMap;
 use dcsim::packet::HostId;
-use dcsim::time::{Bandwidth, SimDuration, PS_PER_US};
+use dcsim::time::SimDuration;
 use dcsim::topology::Topology;
 
 /// A logical application component (the unit of placement).
@@ -178,15 +180,6 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The routing decision for one declared incast.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Routing {
-    /// Same-datacenter or no expected benefit: shortest path.
-    Direct,
-    /// Cross-datacenter with expected benefit: relay via this proxy.
-    ViaProxy(HostId),
-}
-
 /// A compiled deployment decision.
 #[derive(Debug, Clone)]
 pub struct PlannedIncast {
@@ -202,13 +195,13 @@ pub struct PlannedIncast {
     pub estimated_reduction: f64,
 }
 
-/// Compiles declarations against a placement, deciding per incast whether
-/// to reroute through a proxy (allocated via `selector`).
+/// Compiles declarations against a placement, admitting each incast to
+/// `plane` under its index as the request id.
 pub fn compile(
     decls: &[IncastDecl],
     placement: &DetMap<Component, HostId>,
     topo: &Topology,
-    selector: &mut dyn ProxySelector,
+    plane: &mut ShardedOrchestrator,
 ) -> Result<Vec<PlannedIncast>, PlanError> {
     let mut plans = Vec::with_capacity(decls.len());
     for (i, decl) in decls.iter().enumerate() {
@@ -225,34 +218,17 @@ pub fn compile(
         if sender_dcs.windows(2).any(|w| w[0] != w[1]) {
             return Err(PlanError::SourcesSpanDatacenters);
         }
-        let cross_dc = topo.host_dc(receiver) != sender_dcs[0];
-
-        let (routing, estimated_reduction) = if !cross_dc {
-            (Routing::Direct, 0.0)
-        } else {
-            let profile = profile_for(decl, &senders, receiver, topo);
-            let prediction = predict(&profile);
-            if !prediction.use_proxy {
-                (Routing::Direct, prediction.estimated_reduction)
-            } else {
-                let request = IncastRequest {
-                    id: i as u64,
-                    senders: senders.clone(),
-                    receiver,
-                    expected_bytes: decl.expected_bytes,
-                };
-                let assignment = selector
-                    .select(&request)
-                    .ok_or(PlanError::NoProxyAvailable)?;
-                (
-                    Routing::ViaProxy(assignment.proxy),
-                    prediction.estimated_reduction,
-                )
-            }
+        let request = IncastRequest {
+            id: i as u64,
+            senders,
+            receiver,
+            expected_bytes: decl.expected_bytes,
         };
+        let (routing, estimated_reduction) =
+            admit(topo, plane, &request).ok_or(PlanError::NoProxyAvailable)?;
         plans.push(PlannedIncast {
             name: decl.name.clone(),
-            senders,
+            senders: request.senders,
             receiver,
             routing,
             estimated_reduction,
@@ -261,35 +237,10 @@ pub fn compile(
     Ok(plans)
 }
 
-fn profile_for(
-    decl: &IncastDecl,
-    senders: &[HostId],
-    receiver: HostId,
-    topo: &Topology,
-) -> IncastProfile {
-    let probe = senders[0];
-    let inter_rtt = topo.base_rtt(probe, receiver, 1500, 64);
-    IncastProfile {
-        total_bytes: decl.expected_bytes,
-        degree: senders.len(),
-        inter_rtt,
-        // A local proxy is a couple of intra-DC hops away.
-        intra_rtt: SimDuration(10 * PS_PER_US),
-        bottleneck: topo.path_bottleneck(probe, receiver),
-        bottleneck_buffer: 17_015_000,
-    }
-}
-
-/// Convenience: bandwidth of the standard evaluation bottleneck. Exposed
-/// for examples that build profiles by hand.
-pub fn default_bottleneck() -> Bandwidth {
-    Bandwidth::gbps(100)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::GlobalOrchestrator;
+    use crate::orchestrator::ShardedConfig;
     use dcsim::topology::{two_dc_leaf_spine, TwoDcParams};
 
     fn decl(bytes: u64) -> IncastDecl {
@@ -301,8 +252,11 @@ mod tests {
             .unwrap()
     }
 
-    fn setup() -> (Topology, DetMap<Component, HostId>, GlobalOrchestrator) {
-        let topo = two_dc_leaf_spine(&TwoDcParams::default());
+    /// Places `a`..`d` on DC 0, `agg` on DC 1 and `local-agg` on DC 0,
+    /// with the upper half of DC 0 as candidates of the global
+    /// orchestrator: the plane with one shard.
+    fn setup(params: &TwoDcParams) -> (Topology, DetMap<Component, HostId>, ShardedOrchestrator) {
+        let topo = two_dc_leaf_spine(params);
         let dc0 = topo.hosts_in_dc(0);
         let dc1 = topo.hosts_in_dc(1);
         let placement: DetMap<Component, HostId> = [
@@ -314,7 +268,11 @@ mod tests {
             ("local-agg".to_string(), dc0[4]),
         ]
         .into();
-        let orch = GlobalOrchestrator::new(dc0[32..].to_vec());
+        let config = ShardedConfig {
+            shards: 1,
+            ..ShardedConfig::default()
+        };
+        let orch = ShardedOrchestrator::new(dc0[dc0.len() / 2..].to_vec(), config, 0);
         (topo, placement, orch)
     }
 
@@ -373,7 +331,7 @@ mod tests {
 
     #[test]
     fn cross_dc_large_incast_gets_proxy() {
-        let (topo, placement, mut orch) = setup();
+        let (topo, placement, mut orch) = setup(&TwoDcParams::default());
         let plans = compile(&[decl(100_000_000)], &placement, &topo, &mut orch).unwrap();
         assert_eq!(plans.len(), 1);
         match plans[0].routing {
@@ -385,9 +343,25 @@ mod tests {
         assert!(plans[0].estimated_reduction > 0.0);
     }
 
+    /// The planner sizes the bottleneck buffer from the topology: on
+    /// `small_test` (1.7 MB down-ToR buffer) 4 × 7.5 MB overflows the first
+    /// RTT, and `predictor_matches_simulated_benefit_boundary` simulates
+    /// the proxy finishing that size in under 0.6× the direct time.
+    #[test]
+    fn buffer_comes_from_the_topology() {
+        let (topo, placement, mut orch) = setup(&TwoDcParams::small_test());
+        let plans = compile(&[decl(30_000_000)], &placement, &topo, &mut orch).unwrap();
+        assert!(
+            matches!(plans[0].routing, Routing::ViaProxy(_)),
+            "{:?}",
+            plans[0]
+        );
+        assert!(plans[0].estimated_reduction > 0.0);
+    }
+
     #[test]
     fn cross_dc_small_incast_stays_direct() {
-        let (topo, placement, mut orch) = setup();
+        let (topo, placement, mut orch) = setup(&TwoDcParams::default());
         let plans = compile(&[decl(20_000_000)], &placement, &topo, &mut orch).unwrap();
         assert_eq!(
             plans[0].routing,
@@ -398,7 +372,7 @@ mod tests {
 
     #[test]
     fn same_dc_incast_stays_direct() {
-        let (topo, mut placement, mut orch) = setup();
+        let (topo, mut placement, mut orch) = setup(&TwoDcParams::default());
         // Move the sink into DC 0.
         let local = placement["local-agg"];
         placement.insert("agg".to_string(), local);
@@ -408,7 +382,7 @@ mod tests {
 
     #[test]
     fn unplaced_component_fails_closed() {
-        let (topo, mut placement, mut orch) = setup();
+        let (topo, mut placement, mut orch) = setup(&TwoDcParams::default());
         placement.remove("c");
         let err = compile(&[decl(1_000_000)], &placement, &topo, &mut orch).unwrap_err();
         assert_eq!(err, PlanError::Unplaced("c".into()));
@@ -416,7 +390,7 @@ mod tests {
 
     #[test]
     fn spanning_sources_fail_closed() {
-        let (topo, mut placement, mut orch) = setup();
+        let (topo, mut placement, mut orch) = setup(&TwoDcParams::default());
         let far = topo.hosts_in_dc(1)[5];
         placement.insert("d".to_string(), far);
         let err = compile(&[decl(100_000_000)], &placement, &topo, &mut orch).unwrap_err();
@@ -425,7 +399,7 @@ mod tests {
 
     #[test]
     fn concurrent_declarations_get_distinct_proxies() {
-        let (topo, mut placement, mut orch) = setup();
+        let (topo, mut placement, mut orch) = setup(&TwoDcParams::default());
         let dc0 = topo.hosts_in_dc(0);
         let dc1 = topo.hosts_in_dc(1);
         for (i, c) in ["e", "f", "g", "h"].iter().enumerate() {

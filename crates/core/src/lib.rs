@@ -15,9 +15,10 @@
 //!   Proxy Streamlined) wired onto the `dcsim` simulator.
 //! * [`experiment`] — the seeded experiment harness behind every figure.
 //! * [`orchestrator`] — proxy selection across concurrent incasts
-//!   (§5 Future work #3): a global orchestrator, a decentralized
-//!   trial-based variant, and a sharded crash-tolerant control plane
-//!   with leases, health gossip, and graceful degradation.
+//!   (§5 Future work #3): one sharded crash-tolerant control plane with
+//!   leases, health gossip, and graceful degradation (one shard is the
+//!   global orchestrator), and the decentralized trial-based selector it
+//!   degrades to.
 //! * [`lossdetect`] — reorder-tolerant packet-loss tracking without switch
 //!   trimming support (§5 Future work #1), with bounded memory.
 //! * [`declare`] — the programming abstraction of §6: applications declare
@@ -26,7 +27,8 @@
 //! * [`detect`] — pattern-aware incast detection of §6: periodicity
 //!   detection over per-destination traffic counts for third-party apps.
 //! * [`predict`] — the "should this incast use a proxy?" benefit predictor
-//!   (§5 FW#3 notes not all incasts benefit; §4.2 shows the 20 MB case).
+//!   (§5 FW#3 notes not all incasts benefit; §4.2 shows the 20 MB case),
+//!   and `admit`, where every incast request enters the control plane.
 //! * [`proxy_detect`] — Future Work #1 implemented: a trimming-free proxy
 //!   that infers losses from sequence gaps (declare-on-evict, quiescence
 //!   sweeps, exponential-backoff re-NACKs).

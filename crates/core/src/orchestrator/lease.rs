@@ -56,11 +56,9 @@ pub enum RenewOutcome {
     /// not converged. The lease still counts as active (draining); the
     /// holder should retry next epoch.
     Pending,
-    /// The lease ran out its term before the renewal arrived. The holder
-    /// must request a fresh selection.
+    /// The plane holds no lease under this id: it ran out, was released,
+    /// or was never granted. The holder must request a fresh selection.
     Expired,
-    /// No shard has any record of this id.
-    Unknown,
 }
 
 /// Where a lease lives.
@@ -85,6 +83,11 @@ pub struct LeaseTable {
     leases: DetMap<u64, (Holder, Lease)>,
     /// Orphaned leases per proxy; a proxy with none has no entry.
     orphans_on: DetMap<HostId, usize>,
+    /// A lower bound on the earliest expiry of a lease that has a term
+    /// (not a fallback claim): [`LeaseTable::expire_due`] skips its scan
+    /// while the clock is below it. Every site that sets an expiry lowers
+    /// it; removals leave it, since a lower bound stays one.
+    next_expiry: SimTime,
 }
 
 impl LeaseTable {
@@ -139,6 +142,9 @@ impl LeaseTable {
         );
         let prior = self.leases.insert(id, (holder, lease));
         assert!(prior.is_none(), "incast {id} already has a proxy");
+        if holder != Holder::Fallback {
+            self.next_expiry = self.next_expiry.min(lease.expires_at);
+        }
         ledger.granted += 1;
         ledger.active += 1;
     }
@@ -173,6 +179,7 @@ impl LeaseTable {
         let proxy = entry.1.proxy;
         *entry = (Holder::Shard(adopter), lease);
         self.forget_orphan(proxy);
+        self.next_expiry = self.next_expiry.min(lease.expires_at);
         ledger.reclaimed += 1;
         ledger.granted += 1;
     }
@@ -192,6 +199,7 @@ impl LeaseTable {
         match self.leases.get_mut(&id) {
             Some((Holder::Shard(_), lease)) => {
                 lease.expires_at = expires_at;
+                self.next_expiry = self.next_expiry.min(expires_at);
                 true
             }
             _ => false,
@@ -212,18 +220,29 @@ impl LeaseTable {
 
     /// Removes and returns, in id order, every lease due at or before
     /// `now`, marking them expired in the ledger. Fallback claims carry no
-    /// term and are never due.
+    /// term and are never due. Before the earliest expiry this is one
+    /// comparison; otherwise one pass that also finds the next expiry.
     pub fn expire_due(
         &mut self,
         now: SimTime,
         ledger: &mut LeaseLedger,
     ) -> Vec<(u64, (Holder, Lease))> {
-        let due: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, (holder, lease))| *holder != Holder::Fallback && lease.expires_at <= now)
-            .map(|(&id, _)| id)
-            .collect();
+        if now < self.next_expiry {
+            return Vec::new();
+        }
+        let mut due = Vec::new();
+        let mut next = SimTime(u64::MAX);
+        for (&id, (holder, lease)) in &self.leases {
+            if *holder == Holder::Fallback {
+                continue;
+            }
+            if lease.expires_at <= now {
+                due.push(id);
+            } else {
+                next = next.min(lease.expires_at);
+            }
+        }
+        self.next_expiry = next;
         due.into_iter()
             .map(|id| {
                 let (holder, lease) = self.leases.remove(&id).expect("collected above");
@@ -244,12 +263,19 @@ impl LeaseTable {
 
     /// Checks the orphan counts against the entries: per proxy they equal
     /// the orphaned leases actually held, and no proxy is filed with a zero
-    /// count.
+    /// count. Also checks that no lease with a term expires before the
+    /// bound [`LeaseTable::expire_due`] trusts.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counted: DetMap<HostId, usize> = DetMap::new();
-        for (holder, lease) in self.leases.values() {
+        for (id, (holder, lease)) in &self.leases {
             if let Holder::Orphan(_) = holder {
                 *counted.entry(lease.proxy).or_insert(0) += 1;
+            }
+            if *holder != Holder::Fallback && lease.expires_at < self.next_expiry {
+                return Err(format!(
+                    "lease {id} expires at {:?}, before the bound {:?}",
+                    lease.expires_at, self.next_expiry
+                ));
             }
         }
         if counted != self.orphans_on {

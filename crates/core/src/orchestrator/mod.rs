@@ -5,28 +5,34 @@
 //! requires frequent updates on proxy status, or in a decentralized manner
 //! with repeated trials by individual incast."
 //!
-//! Three designs are implemented behind one trait, all keeping their
-//! per-candidate load in one [`LoadBook`] (load map plus a load-ordered
+//! There is one control plane, [`sharded::ShardedOrchestrator`], and both
+//! of the paper's designs are configurations of it. Each keeps its
+//! per-candidate load in a [`LoadBook`] (load map plus a load-ordered
 //! index, see [`load`]):
 //!
-//! * [`GlobalOrchestrator`] — a central allocator with a complete load
-//!   view; picks the least-loaded eligible proxy off the front of the
-//!   book's index — O(log candidates) per request plus one step per
-//!   ineligible candidate skipped — zero conflicts by construction.
-//! * [`DecentralizedSelector`] — each incast probes `k` random candidates
+//! * **Global** — the plane with `shards: 1`: a central allocator with a
+//!   complete load view that picks the least-loaded eligible proxy off the
+//!   front of the book's index (O(log candidates) per request plus one
+//!   step per ineligible candidate skipped), zero conflicts by
+//!   construction. Its leases expire only when its clock is advanced.
+//! * **Sharded** — more shards: state is sharded by victim ToR,
+//!   assignments are epoch-stamped [`lease::Lease`]s that expire in sim
+//!   time unless renewed, shards exchange [`gossip`] health views
+//!   piggybacked on heartbeats, and shard failure degrades gracefully
+//!   (sibling takeover when gossip has converged, per-request
+//!   decentralized fallback when it has not, wholesale decentralized
+//!   fallback when a majority of shards is dead). Every lease lives in one
+//!   id-keyed [`lease::LeaseTable`] that records where it is held, so
+//!   finding one is a single lookup. A global
+//!   [`dcsim::audit::LeaseLedger`] balances
+//!   `granted == released + expired + reclaimed + active` at every step.
+//! * **Decentralized** — [`DecentralizedSelector`], the plane's last
+//!   degradation rung: each incast probes `k` random candidates
 //!   (power-of-k-choices) and claims the least loaded; claims can conflict
 //!   under stale views, counted and retried.
-//! * [`sharded::ShardedOrchestrator`] — the crash-tolerant middle ground:
-//!   orchestrator state is sharded by victim ToR, assignments are
-//!   epoch-stamped [`lease::Lease`]s that expire in sim time unless
-//!   renewed, shards exchange [`gossip`] health views piggybacked on
-//!   heartbeats, and shard failure degrades gracefully (sibling takeover
-//!   when gossip has converged, per-request decentralized fallback when it
-//!   has not, wholesale decentralized fallback when a majority of shards
-//!   is dead). Every lease lives in one id-keyed [`lease::LeaseTable`]
-//!   that records where it is held, so finding one is a single lookup. A
-//!   global [`dcsim::audit::LeaseLedger`] balances
-//!   `granted == released + expired + reclaimed + active` at every step.
+//!
+//! Requests enter the plane through [`crate::predict::admit`], which both
+//! §6 front ends (the declaration planner and the operator loop) call.
 
 pub mod gossip;
 pub mod lease;
@@ -60,11 +66,13 @@ pub struct IncastRequest {
 pub struct Assignment {
     /// The chosen proxy host.
     pub proxy: HostId,
-    /// Probe/claim attempts it took (1 for the global orchestrator).
+    /// Probe/claim attempts it took (1 for a grant from a shard).
     pub trials: u32,
 }
 
-/// Common interface of both orchestration designs.
+/// What a selector does: implemented by the plane and by its
+/// decentralized rung, so the orchestration ablation drives both through
+/// one interface.
 pub trait ProxySelector {
     /// Allocates a proxy for `request`, or `None` if no candidate is
     /// eligible.
@@ -110,80 +118,6 @@ pub trait ProxySelector {
 
 fn eligible(candidate: HostId, request: &IncastRequest) -> bool {
     candidate != request.receiver && !request.senders.contains(&candidate)
-}
-
-/// Central allocator with a complete, always-fresh load view.
-#[derive(Debug, Clone)]
-pub struct GlobalOrchestrator {
-    /// Load per candidate (bytes across active incasts) and health marks.
-    book: LoadBook,
-    /// Active assignment per incast id.
-    active: DetMap<u64, (HostId, u64)>,
-    /// Releases that named no active assignment (see
-    /// [`ProxySelector::release_unknown`]).
-    release_unknown: u64,
-}
-
-impl GlobalOrchestrator {
-    /// Creates an orchestrator over the given candidate set.
-    ///
-    /// # Panics
-    /// Panics on an empty candidate set or duplicates.
-    pub fn new(candidates: Vec<HostId>) -> Self {
-        GlobalOrchestrator {
-            book: LoadBook::new(candidates),
-            active: DetMap::new(),
-            release_unknown: 0,
-        }
-    }
-
-    /// Number of incasts currently assigned.
-    pub fn active_incasts(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Candidates currently marked unhealthy.
-    pub fn unhealthy_count(&self) -> usize {
-        self.book.unhealthy_count()
-    }
-}
-
-impl ProxySelector for GlobalOrchestrator {
-    fn select(&mut self, request: &IncastRequest) -> Option<Assignment> {
-        assert!(
-            !self.active.contains_key(&request.id),
-            "incast {} already has a proxy",
-            request.id
-        );
-        let proxy = self.book.least_loaded(request)?;
-        self.book.add(proxy, request.expected_bytes);
-        self.active
-            .insert(request.id, (proxy, request.expected_bytes));
-        Some(Assignment { proxy, trials: 1 })
-    }
-
-    fn release(&mut self, id: u64) {
-        match self.active.remove(&id) {
-            Some((proxy, bytes)) => self.book.sub(proxy, bytes),
-            None => self.release_unknown += 1,
-        }
-    }
-
-    fn load_of(&self, proxy: HostId) -> u64 {
-        self.book.load_of(proxy)
-    }
-
-    fn release_unknown(&self) -> u64 {
-        self.release_unknown
-    }
-
-    fn report_unhealthy(&mut self, proxy: HostId) {
-        self.book.report_unhealthy(proxy);
-    }
-
-    fn report_healthy(&mut self, proxy: HostId) {
-        self.book.report_healthy(proxy);
-    }
 }
 
 /// Decentralized selection: probe `k` random candidates, claim the least
@@ -317,89 +251,14 @@ mod tests {
     }
 
     #[test]
-    fn global_picks_least_loaded() {
-        let mut orch = GlobalOrchestrator::new(hosts(3));
-        let a = orch.select(&request(1, 100)).unwrap();
-        let b = orch.select(&request(2, 100)).unwrap();
-        let c = orch.select(&request(3, 100)).unwrap();
-        // Three equal incasts spread over three proxies.
-        let mut proxies = vec![a.proxy, b.proxy, c.proxy];
-        proxies.sort_unstable();
-        proxies.dedup();
-        assert_eq!(proxies.len(), 3, "no contention with spare capacity");
-        assert_eq!(a.trials, 1);
-    }
-
-    #[test]
-    fn global_balances_unequal_loads() {
-        let mut orch = GlobalOrchestrator::new(hosts(2));
-        orch.select(&request(1, 1000)).unwrap();
-        let small = orch.select(&request(2, 10)).unwrap();
-        let next = orch.select(&request(3, 10)).unwrap();
-        // The third goes where the small one went (10 < 1000).
-        assert_eq!(next.proxy, small.proxy);
-    }
-
-    #[test]
-    fn global_release_frees_load() {
-        let mut orch = GlobalOrchestrator::new(hosts(1));
-        let a = orch.select(&request(1, 500)).unwrap();
-        assert_eq!(orch.load_of(a.proxy), 500);
-        orch.release(1);
-        assert_eq!(orch.load_of(a.proxy), 0);
-        assert_eq!(orch.active_incasts(), 0);
-        assert_eq!(orch.release_unknown(), 0);
-        orch.release(1); // Idempotent, but audited.
-        assert_eq!(orch.load_of(a.proxy), 0);
-        assert_eq!(orch.release_unknown(), 1);
-    }
-
-    #[test]
     fn unknown_releases_are_counted_not_ignored() {
-        let mut orch = GlobalOrchestrator::new(hosts(2));
-        orch.release(99); // Never assigned.
-        assert_eq!(orch.release_unknown(), 1);
         let mut sel = DecentralizedSelector::new(hosts(4), 2, 7);
+        sel.release(99); // Never assigned.
+        assert_eq!(sel.release_unknown(), 1);
         sel.select(&request(1, 10)).unwrap();
         sel.release(1);
         sel.release(1); // Double release.
-        assert_eq!(sel.release_unknown(), 1);
-    }
-
-    #[test]
-    fn global_excludes_senders_and_receiver() {
-        let mut orch = GlobalOrchestrator::new(vec![HostId(100), HostId(200), HostId(5)]);
-        let a = orch.select(&request(1, 1)).unwrap();
-        assert_eq!(a.proxy, HostId(5), "senders/receiver ineligible");
-    }
-
-    #[test]
-    fn global_none_when_no_eligible() {
-        let mut orch = GlobalOrchestrator::new(vec![HostId(100)]);
-        assert!(orch.select(&request(1, 1)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already has a proxy")]
-    fn global_double_select_panics() {
-        let mut orch = GlobalOrchestrator::new(hosts(2));
-        orch.select(&request(1, 1)).unwrap();
-        orch.select(&request(1, 1)).unwrap();
-    }
-
-    #[test]
-    fn global_skips_unhealthy_until_recovered() {
-        let mut orch = GlobalOrchestrator::new(hosts(2));
-        orch.report_unhealthy(HostId(0));
-        orch.report_unhealthy(HostId(0)); // Idempotent.
-        assert_eq!(orch.unhealthy_count(), 1);
-        let a = orch.select(&request(1, 1)).unwrap();
-        assert_eq!(a.proxy, HostId(1), "unhealthy candidate skipped");
-        orch.report_unhealthy(HostId(1));
-        assert!(orch.select(&request(2, 1)).is_none(), "all unhealthy");
-        orch.report_healthy(HostId(0));
-        let b = orch.select(&request(3, 1)).unwrap();
-        assert_eq!(b.proxy, HostId(0), "recovered candidate eligible again");
+        assert_eq!(sel.release_unknown(), 2);
     }
 
     #[test]
@@ -453,7 +312,6 @@ mod tests {
                 .and_then(|e| e.downcast_ref::<String>().cloned())
                 .is_some_and(|msg| msg.contains("duplicate candidates"))
         };
-        assert!(panics(&|| drop(GlobalOrchestrator::new(dup()))));
         assert!(panics(&|| drop(DecentralizedSelector::new(dup(), 2, 7))));
         assert!(panics(&|| drop(ShardedOrchestrator::new(
             dup(),
@@ -465,6 +323,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no proxy candidates")]
     fn empty_candidates_panics() {
-        GlobalOrchestrator::new(vec![]);
+        DecentralizedSelector::new(vec![], 2, 7);
     }
 }

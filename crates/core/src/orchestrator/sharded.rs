@@ -7,10 +7,11 @@
 //! health [`gossip`](super::gossip) and degrade gracefully along a ladder:
 //!
 //! 1. **Home shard alive** — grant and renew there; the fast path takes the
-//!    least-loaded candidate off the same [`LoadBook`] index the
-//!    [`GlobalOrchestrator`](super::GlobalOrchestrator) uses, and finds the
-//!    lease to renew or release in one lookup of the id-keyed
-//!    [`LeaseTable`].
+//!    least-loaded candidate off the front of the [`LoadBook`] index, and
+//!    finds the lease to renew or release in one lookup of the id-keyed
+//!    [`LeaseTable`]. With `shards: 1` this rung is all there is while the
+//!    shard lives: that plane *is* the global orchestrator of §5 FW#3, and
+//!    it expires nothing until someone advances its clock.
 //! 2. **Home shard dead, gossip converged** — the ring successor suspects
 //!    the corpse and serves in its place (takeover); orphaned leases are
 //!    adopted one by one as their holders renew.
@@ -37,7 +38,7 @@ use super::gossip::{HealthView, Heartbeat};
 use super::lease::{Holder, Lease, LeaseTable, RenewOutcome};
 use super::{Assignment, DecentralizedSelector, IncastRequest, LoadBook, ProxySelector};
 use dcsim::audit::LeaseLedger;
-use dcsim::det::{DetMap, DetSet};
+use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 
@@ -111,9 +112,6 @@ pub struct ShardedOrchestrator {
     /// Every lease, with where it lives: on a live shard, orphaned by a
     /// crashed one (owner recorded for adoption), or on the fallback.
     leases: LeaseTable,
-    /// Ids whose lease expired; lets renew/release distinguish "expired"
-    /// from "never existed".
-    expired: DetSet<u64>,
     fallback: DecentralizedSelector,
     in_flight: VecDeque<Heartbeat>,
     ledger: LeaseLedger,
@@ -147,7 +145,6 @@ impl ShardedOrchestrator {
             book: LoadBook::new(candidates),
             shards,
             leases: LeaseTable::new(),
-            expired: DetSet::new(),
             in_flight: VecDeque::new(),
             ledger: LeaseLedger::default(),
             stats: ShardedStats::default(),
@@ -269,12 +266,11 @@ impl ShardedOrchestrator {
     }
 
     fn expire_due(&mut self, now: SimTime) {
-        for (id, (holder, lease)) in self.leases.expire_due(now, &mut self.ledger) {
+        for (_, (holder, lease)) in self.leases.expire_due(now, &mut self.ledger) {
             // An orphan's load was already written off at the crash.
             if let Holder::Shard(_) = holder {
                 self.book.sub(lease.proxy, lease.bytes);
             }
-            self.expired.insert(id);
             self.stats.expirations += 1;
         }
     }
@@ -299,24 +295,19 @@ impl ShardedOrchestrator {
                 let view = self.shards[idx].view.snapshot();
                 // Both ring neighbors (so views flow in either direction
                 // even when one neighbor is dead) plus one extra partner
-                // cycling deterministically through the remaining shards —
-                // any live pair exchanges a direct heartbeat at least once
-                // every `n` periods, which bounds convergence time even
-                // when crashes sever the ring.
+                // cycling deterministically, in id order, through the
+                // remaining `n - 3` shards — any live pair exchanges a
+                // direct heartbeat at least once every `n` periods, which
+                // bounds convergence time even when crashes sever the ring.
+                // No allocation: at most three targets, in that order.
                 let successor = (from + 1) % n;
                 let predecessor = (from + n - 1) % n;
-                let mut targets = vec![successor];
-                if !targets.contains(&predecessor) {
-                    targets.push(predecessor);
-                }
-                let others: Vec<u32> = (0..n)
-                    .filter(|&s| s != from && !targets.contains(&s))
-                    .collect();
-                if !others.is_empty() {
-                    targets.push(others[(self.shards[idx].beats % others.len() as u64) as usize]);
-                }
+                let ring = [predecessor, from, successor];
+                let nth = self.shards[idx].beats % u64::from(n.saturating_sub(3).max(1));
+                let extra = (0..n).filter(|s| !ring.contains(s)).nth(nth as usize);
                 self.shards[idx].beats += 1;
-                for to in targets {
+                let predecessor = Some(predecessor).filter(|&p| p != successor);
+                for to in [Some(successor), predecessor, extra].into_iter().flatten() {
                     if to == from {
                         continue; // Single-shard plane: nobody to gossip with.
                     }
@@ -514,8 +505,7 @@ impl ProxySelector for ShardedOrchestrator {
             Some(&(Holder::Orphan(owner), orphan)) => self.renew_orphan(id, owner, orphan, now),
             // Fallback claims carry no term (a shard's lease renewed above).
             Some(_) => RenewOutcome::Renewed,
-            None if self.expired.contains(&id) => RenewOutcome::Expired,
-            None => RenewOutcome::Unknown,
+            None => RenewOutcome::Expired,
         }
     }
 
@@ -577,7 +567,10 @@ mod tests {
         assert_eq!(orch.ledger().expired, 1);
         assert_eq!(orch.ledger().active, 0);
         assert!(orch.ledger().balanced());
+        // The plane keeps no record of a lapsed id: it renews as one it
+        // never granted.
         assert_eq!(orch.renew(1, t(10_001)), RenewOutcome::Expired);
+        assert_eq!(orch.renew(2, t(10_001)), RenewOutcome::Expired);
         orch.release(1); // The holder's late release is audited, not lost.
         assert_eq!(orch.release_unknown(), 1);
     }

@@ -13,8 +13,18 @@
 //! case); above it, completion time is governed by the feedback loop and
 //! the proxy wins, increasingly so as the loss multiple and the
 //! inter/intra latency gap grow.
+//!
+//! [`admit`] is the one place an [`IncastRequest`] enters the control
+//! plane; the declaration planner and the operator loop both call it.
 
+use crate::orchestrator::{IncastRequest, ProxySelector, ShardedOrchestrator};
+use dcsim::packet::HostId;
 use dcsim::time::{Bandwidth, SimDuration};
+use dcsim::topology::Topology;
+
+/// Intra-datacenter base RTT the model charges a proxied incast: a local
+/// proxy is a couple of intra-DC hops away.
+const INTRA_RTT: SimDuration = SimDuration::from_micros(10);
 
 /// Inputs to the benefit prediction — all obtainable by a cloud operator
 /// from topology knowledge plus the incast declaration.
@@ -95,6 +105,51 @@ pub fn predict(profile: &IncastProfile) -> BenefitPrediction {
     }
 }
 
+/// How an admitted incast is routed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routing {
+    /// Same-datacenter or no expected benefit: shortest path.
+    Direct,
+    /// Cross-datacenter with expected benefit: relay via this proxy.
+    ViaProxy(HostId),
+}
+
+/// Admits one incast to the control plane, returning its route and the
+/// benefit model's estimated completion-time reduction. A same-datacenter
+/// request stays direct (reduction 0). Otherwise its [`IncastProfile`]
+/// comes from `topo` — the base RTT and bottleneck of the path from its
+/// first sender to the receiver, and the capacity of the receiver's
+/// down-ToR queue — and, when [`predict`] says a proxy helps, `plane`
+/// leases one under the request's id. `None` when a proxy would help but
+/// the plane has no eligible candidate.
+///
+/// # Panics
+/// Panics on a request without senders.
+pub fn admit(
+    topo: &Topology,
+    plane: &mut ShardedOrchestrator,
+    request: &IncastRequest,
+) -> Option<(Routing, f64)> {
+    let (probe, receiver) = (request.senders[0], request.receiver);
+    if topo.host_dc(probe) == topo.host_dc(receiver) {
+        return Some((Routing::Direct, 0.0));
+    }
+    let prediction = predict(&IncastProfile {
+        total_bytes: request.expected_bytes,
+        degree: request.senders.len(),
+        inter_rtt: topo.base_rtt(probe, receiver, 1500, 64),
+        intra_rtt: INTRA_RTT,
+        bottleneck: topo.path_bottleneck(probe, receiver),
+        bottleneck_buffer: topo.port(topo.down_tor_port(receiver)).queue.capacity_bytes,
+    });
+    let routing = if prediction.use_proxy {
+        Routing::ViaProxy(plane.select(request)?.proxy)
+    } else {
+        Routing::Direct
+    };
+    Some((routing, prediction.estimated_reduction))
+}
+
 /// Builds a profile from the standard §4.1 evaluation topology parameters.
 pub fn paper_profile(total_bytes: u64, degree: usize, wan_latency: SimDuration) -> IncastProfile {
     // Base RTTs of the two-DC leaf-spine topology: 4 intra hops of 1 µs
@@ -104,7 +159,7 @@ pub fn paper_profile(total_bytes: u64, degree: usize, wan_latency: SimDuration) 
         total_bytes,
         degree,
         inter_rtt: SimDuration(2 * inter_one_way.0),
-        intra_rtt: SimDuration::from_micros(10),
+        intra_rtt: INTRA_RTT,
         bottleneck: Bandwidth::gbps(100),
         bottleneck_buffer: 17_015_000,
     }

@@ -14,27 +14,24 @@
 //! the observation bin and returns the actions the operator should apply
 //! (install a reroute, pre-arm one for a predicted burst, or tear one
 //! down). All policy pieces are the library's own: the signature detector
-//! and periodicity detector from [`crate::detect`], the benefit model
-//! from [`crate::predict`], and any [`crate::orchestrator::ProxySelector`].
+//! and periodicity detector from [`crate::detect`], and
+//! [`crate::predict::admit`], through which a detected incast enters the
+//! [`ShardedOrchestrator`] exactly as a declared one does. The deployment's
+//! [`Topology`] answers everything the benefit model asks (datacenters,
+//! RTTs, the bottleneck and its buffer); the runtime renews its reroutes'
+//! leases on the plane every epoch.
 
 use crate::detect::{IncastSignatureDetector, PeriodicityDetector, SignatureConfig};
-use crate::orchestrator::{IncastRequest, ProxySelector, RenewOutcome};
-use crate::predict::{predict, IncastProfile};
+use crate::orchestrator::{IncastRequest, ProxySelector, RenewOutcome, ShardedOrchestrator};
+use crate::predict::{admit, Routing};
 use dcsim::det::DetMap;
 use dcsim::packet::HostId;
-use dcsim::time::{Bandwidth, SimDuration, SimTime};
+use dcsim::time::{SimDuration, SimTime};
+use dcsim::topology::Topology;
 
-/// Static context the runtime needs about the deployment.
+/// The runtime's policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Inter-datacenter base RTT (for the benefit model).
-    pub inter_rtt: SimDuration,
-    /// Intra-datacenter base RTT.
-    pub intra_rtt: SimDuration,
-    /// Bottleneck (down-ToR) bandwidth.
-    pub bottleneck: Bandwidth,
-    /// Bottleneck buffer in bytes.
-    pub bottleneck_buffer: u64,
     /// Tear a reroute down after this many epochs without the signature.
     pub release_after_quiet_epochs: u32,
     /// Epochs of history for periodicity analysis.
@@ -42,18 +39,14 @@ pub struct RuntimeConfig {
     /// Minimum autocorrelation to trust a predicted period.
     pub min_confidence: f64,
     /// Sim-time length of one observation epoch; positions the epoch
-    /// boundary on the selector's clock so leases expire and health
-    /// gossip flows in step with the control loop.
+    /// boundary on the plane's clock so leases expire and health gossip
+    /// flows in step with the control loop.
     pub epoch_duration: SimDuration,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            inter_rtt: SimDuration::from_millis(4),
-            intra_rtt: SimDuration::from_micros(10),
-            bottleneck: Bandwidth::gbps(100),
-            bottleneck_buffer: 17_015_000,
             release_after_quiet_epochs: 3,
             history_epochs: 64,
             min_confidence: 0.5,
@@ -97,7 +90,7 @@ struct ActiveReroute {
 }
 
 /// The epoch-driven operator control loop.
-pub struct OperatorRuntime<S: ProxySelector> {
+pub struct OperatorRuntime {
     config: RuntimeConfig,
     signature: IncastSignatureDetector,
     /// Per-destination byte history for periodicity analysis.
@@ -107,22 +100,21 @@ pub struct OperatorRuntime<S: ProxySelector> {
     epoch_bytes: DetMap<HostId, u64>,
     /// Sources seen per destination this epoch (for the reroute request).
     epoch_sources: DetMap<HostId, Vec<HostId>>,
-    /// Datacenter lookup for hosts.
-    dc_of: fn(HostId) -> u32,
-    selector: S,
+    topology: Topology,
+    plane: ShardedOrchestrator,
     active: DetMap<HostId, ActiveReroute>,
     next_request_id: u64,
     epoch: u64,
 }
 
-impl<S: ProxySelector> OperatorRuntime<S> {
-    /// Creates a runtime. `dc_of` maps hosts to datacenter ids (the
-    /// operator knows its placement); `selector` owns the proxy pool.
+impl OperatorRuntime {
+    /// Creates a runtime over the deployment's `topology` (the operator
+    /// knows its placement); `plane` owns the proxy pool.
     pub fn new(
         config: RuntimeConfig,
         signature: SignatureConfig,
-        dc_of: fn(HostId) -> u32,
-        selector: S,
+        topology: Topology,
+        plane: ShardedOrchestrator,
     ) -> Self {
         OperatorRuntime {
             config,
@@ -130,8 +122,8 @@ impl<S: ProxySelector> OperatorRuntime<S> {
             periodicity: DetMap::new(),
             epoch_bytes: DetMap::new(),
             epoch_sources: DetMap::new(),
-            dc_of,
-            selector,
+            topology,
+            plane,
             active: DetMap::new(),
             next_request_id: 0,
             epoch: 0,
@@ -143,15 +135,15 @@ impl<S: ProxySelector> OperatorRuntime<S> {
         self.epoch
     }
 
-    /// The proxy selector (for inspecting ledgers and stats).
-    pub fn selector(&self) -> &S {
-        &self.selector
+    /// The control plane (for inspecting ledgers and stats).
+    pub fn plane(&self) -> &ShardedOrchestrator {
+        &self.plane
     }
 
-    /// Mutable selector access — how a harness injects control-plane
-    /// faults (shard crashes) between epochs.
-    pub fn selector_mut(&mut self) -> &mut S {
-        &mut self.selector
+    /// Mutable plane access — how a harness injects control-plane faults
+    /// (shard crashes) between epochs.
+    pub fn plane_mut(&mut self) -> &mut ShardedOrchestrator {
+        &mut self.plane
     }
 
     /// The proxy currently serving `destination`, if rerouted.
@@ -175,19 +167,18 @@ impl<S: ProxySelector> OperatorRuntime<S> {
         let now = SimTime::ZERO + SimDuration(self.config.epoch_duration.0 * self.epoch);
         let mut actions = Vec::new();
 
-        // Lease upkeep first: advance the selector's clock (expiry, health
-        // gossip), then renew every active reroute. A selector that leases
-        // its assignments (the sharded control plane) may have lost one to
-        // a crash or expiry while we slept; a lapsed reroute is torn down
-        // here and — if its signature still fires — re-granted below under
-        // a fresh request id. Placements reclaimed by a sibling shard keep
-        // the same proxy, so the data plane sees nothing.
-        self.selector.advance_to(now);
+        // Lease upkeep first: advance the plane's clock (expiry, health
+        // gossip), then renew every active reroute. The plane may have lost
+        // one to a crash or expiry while we slept; a lapsed reroute is torn
+        // down here and — if its signature still fires — re-granted below
+        // under a fresh request id. Placements reclaimed by a sibling shard
+        // keep the same proxy, so the data plane sees nothing.
+        self.plane.advance_to(now);
         let mut lapsed = Vec::new();
         for (&dst, reroute) in &self.active {
-            match self.selector.renew(reroute.request_id, now) {
+            match self.plane.renew(reroute.request_id, now) {
                 RenewOutcome::Renewed | RenewOutcome::Reclaimed | RenewOutcome::Pending => {}
-                RenewOutcome::Expired | RenewOutcome::Unknown => lapsed.push(dst),
+                RenewOutcome::Expired => lapsed.push(dst),
             }
         }
         for dst in lapsed {
@@ -215,58 +206,40 @@ impl<S: ProxySelector> OperatorRuntime<S> {
             }
         }
 
-        // New incasts: decide and allocate.
+        // New incasts: admit them to the plane. The signature's degree and
+        // bytes are this epoch's sources and bytes toward the destination.
         for sig in &incasts {
             if self.active.contains_key(&sig.destination) {
                 continue;
             }
-            let sources = self
-                .epoch_sources
-                .get(&sig.destination)
-                .cloned()
-                .unwrap_or_default();
-            let Some(&first) = sources.first() else {
+            let Some(sources) = self.epoch_sources.get(&sig.destination) else {
                 continue;
             };
-            let cross_dc = (self.dc_of)(first) != (self.dc_of)(sig.destination);
-            if !cross_dc {
-                continue;
-            }
-            let profile = IncastProfile {
-                total_bytes: sig.bytes,
-                degree: sig.degree,
-                inter_rtt: self.config.inter_rtt,
-                intra_rtt: self.config.intra_rtt,
-                bottleneck: self.config.bottleneck,
-                bottleneck_buffer: self.config.bottleneck_buffer,
-            };
-            let prediction = predict(&profile);
-            if !prediction.use_proxy {
-                continue;
-            }
-            let request_id = self.next_request_id;
-            self.next_request_id += 1;
             let request = IncastRequest {
-                id: request_id,
-                senders: sources,
+                id: self.next_request_id,
+                senders: sources.clone(),
                 receiver: sig.destination,
                 expected_bytes: sig.bytes,
             };
-            if let Some(assignment) = self.selector.select(&request) {
-                self.active.insert(
-                    sig.destination,
-                    ActiveReroute {
-                        proxy: assignment.proxy,
-                        quiet_epochs: 0,
-                        request_id,
-                    },
-                );
-                actions.push(RuntimeAction::Reroute {
-                    destination: sig.destination,
-                    proxy: assignment.proxy,
-                    estimated_reduction: prediction.estimated_reduction,
-                });
-            }
+            let Some((Routing::ViaProxy(proxy), estimated_reduction)) =
+                admit(&self.topology, &mut self.plane, &request)
+            else {
+                continue;
+            };
+            self.next_request_id += 1;
+            self.active.insert(
+                sig.destination,
+                ActiveReroute {
+                    proxy,
+                    quiet_epochs: 0,
+                    request_id: request.id,
+                },
+            );
+            actions.push(RuntimeAction::Reroute {
+                destination: sig.destination,
+                proxy,
+                estimated_reduction,
+            });
         }
 
         // Active reroutes: pre-arm on predictions, release when quiet.
@@ -296,7 +269,7 @@ impl<S: ProxySelector> OperatorRuntime<S> {
         }
         for dst in to_release {
             let reroute = self.active.remove(&dst).expect("present");
-            self.selector.release(reroute.request_id);
+            self.plane.release(reroute.request_id);
             actions.push(RuntimeAction::Release { destination: dst });
         }
 
@@ -309,33 +282,38 @@ impl<S: ProxySelector> OperatorRuntime<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::{GlobalOrchestrator, ShardedConfig, ShardedOrchestrator};
+    use crate::orchestrator::ShardedConfig;
+    use dcsim::topology::{two_dc_leaf_spine, TwoDcParams};
 
-    /// Hosts 0..63 are DC 0, 64.. are DC 1 (the standard layout).
-    fn dc_of(h: HostId) -> u32 {
-        u32::from(h.0 >= 64)
-    }
-
-    fn runtime() -> OperatorRuntime<GlobalOrchestrator> {
-        let candidates: Vec<HostId> = (32..64).map(HostId).collect();
+    /// A runtime on the standard topology (hosts 0..63 are DC 0, 64.. are
+    /// DC 1) whose plane offers the upper half of DC 0 as proxies.
+    fn runtime_with(shards: u32, release_after_quiet_epochs: u32) -> OperatorRuntime {
+        let config = ShardedConfig {
+            shards,
+            ..ShardedConfig::default()
+        };
         OperatorRuntime::new(
             RuntimeConfig {
-                release_after_quiet_epochs: 2,
-                history_epochs: 64,
+                release_after_quiet_epochs,
                 ..Default::default()
             },
             SignatureConfig {
                 min_degree: 4,
                 min_bytes: 10_000_000,
             },
-            dc_of,
-            GlobalOrchestrator::new(candidates),
+            two_dc_leaf_spine(&TwoDcParams::default()),
+            ShardedOrchestrator::new((32..64).map(HostId).collect(), config, 11),
         )
+    }
+
+    /// Behind the global orchestrator: the plane with one shard.
+    fn runtime() -> OperatorRuntime {
+        runtime_with(1, 2)
     }
 
     const EXPERT: HostId = HostId(64);
 
-    fn burst(rt: &mut OperatorRuntime<GlobalOrchestrator>, bytes_per_sender: u64) {
+    fn burst(rt: &mut OperatorRuntime, bytes_per_sender: u64) {
         for w in 0..8u32 {
             rt.observe(HostId(w), EXPERT, bytes_per_sender);
         }
@@ -354,7 +332,7 @@ mod tests {
                 estimated_reduction,
             } => {
                 assert_eq!(*destination, EXPERT);
-                assert_eq!(dc_of(*proxy), 0, "proxy in the senders' DC");
+                assert!(proxy.0 < 64, "proxy in the senders' DC");
                 assert!(*estimated_reduction > 0.0);
             }
             other => panic!("expected reroute, got {other:?}"),
@@ -444,41 +422,23 @@ mod tests {
         );
     }
 
-    fn sharded_runtime() -> OperatorRuntime<ShardedOrchestrator> {
-        let candidates: Vec<HostId> = (32..64).map(HostId).collect();
-        OperatorRuntime::new(
-            RuntimeConfig {
-                // Keep quiet-release out of the picture: these tests watch
-                // the lease lifecycle, not the traffic lifecycle.
-                release_after_quiet_epochs: 100,
-                ..Default::default()
-            },
-            SignatureConfig {
-                min_degree: 4,
-                min_bytes: 10_000_000,
-            },
-            dc_of,
-            ShardedOrchestrator::new(candidates, ShardedConfig::default(), 11),
-        )
-    }
-
-    fn burst_sharded(rt: &mut OperatorRuntime<ShardedOrchestrator>) {
-        for w in 0..8u32 {
-            rt.observe(HostId(w), EXPERT, 15_000_000);
-        }
+    fn sharded_runtime() -> OperatorRuntime {
+        // Keep quiet-release out of the picture: these tests watch the
+        // lease lifecycle, not the traffic lifecycle.
+        runtime_with(4, 100)
     }
 
     #[test]
     fn shard_crash_mid_reroute_heals_by_reclaim() {
         let mut rt = sharded_runtime();
-        burst_sharded(&mut rt);
+        burst(&mut rt, 15_000_000);
         let actions = rt.end_epoch();
         assert!(matches!(actions[0], RuntimeAction::Reroute { .. }));
         let proxy = rt.reroute_of(EXPERT).unwrap();
         // EXPERT (host 64) is homed on shard 64 % 4 == 0; kill it.
-        rt.selector_mut().crash_shard(0);
+        rt.plane_mut().crash_shard(0);
         for _ in 0..5 {
-            burst_sharded(&mut rt);
+            burst(&mut rt, 15_000_000);
             let actions = rt.end_epoch();
             assert!(
                 !actions
@@ -488,17 +448,17 @@ mod tests {
             );
         }
         assert_eq!(rt.reroute_of(EXPERT), Some(proxy), "placement unchanged");
-        assert_eq!(rt.selector().stats().reclaims, 1, "sibling adopted it");
-        assert!(rt.selector().ledger().balanced());
+        assert_eq!(rt.plane().stats().reclaims, 1, "sibling adopted it");
+        assert!(rt.plane().ledger().balanced());
     }
 
     #[test]
     fn total_control_plane_loss_lapses_then_regrants_via_fallback() {
         let mut rt = sharded_runtime();
-        burst_sharded(&mut rt);
+        burst(&mut rt, 15_000_000);
         rt.end_epoch();
         for shard in 0..4 {
-            rt.selector_mut().crash_shard(shard);
+            rt.plane_mut().crash_shard(shard);
         }
         // Renewals park (nobody can adopt), so the 5 ms lease runs out
         // around epoch 6; the runtime tears the lapsed reroute down and —
@@ -506,7 +466,7 @@ mod tests {
         // epoch through the decentralized fallback (majority dead).
         let mut lapse_epoch = None;
         for _ in 0..8 {
-            burst_sharded(&mut rt);
+            burst(&mut rt, 15_000_000);
             let actions = rt.end_epoch();
             if actions
                 .iter()
@@ -527,9 +487,9 @@ mod tests {
             "an unrenewable lease must eventually lapse"
         );
         assert!(rt.reroute_of(EXPERT).is_some(), "re-granted via fallback");
-        assert!(rt.selector().stats().fallback_selections >= 1);
-        assert_eq!(rt.selector().ledger().expired, 1);
-        assert!(rt.selector().ledger().balanced());
+        assert!(rt.plane().stats().fallback_selections >= 1);
+        assert_eq!(rt.plane().ledger().expired, 1);
+        assert!(rt.plane().ledger().balanced());
     }
 
     #[test]

@@ -79,7 +79,10 @@ fn lease_table_matches_oracle() {
                     }
                 }
                 3 | 4 => {
-                    let expires_at = now + SimDuration::from_micros(40);
+                    // Op 4 renews to a short term, usually moving the
+                    // expiry *earlier* than the one it replaces.
+                    let term = if op == 3 { 40 } else { tick % 8 };
+                    let expires_at = now + SimDuration::from_micros(term);
                     let extended = table.extend(id, expires_at);
                     assert_eq!(extended, oracle.contains_key(&id));
                     if extended {
@@ -109,6 +112,7 @@ fn lease_table_matches_oracle() {
             assert!(ledger.balanced(), "unbalanced: {:?}", ledger);
             assert_eq!(ledger.active as usize, oracle.len());
             assert_eq!(table.len(), oracle.len());
+            table.check_invariants().unwrap();
         }
         // Drain to quiescence: release everything still live.
         let live: Vec<u64> = oracle.keys().copied().collect();
@@ -197,14 +201,16 @@ fn sharded_ledger_balances_under_chaos() {
 /// Whatever has happened to the plane, a grant served by a shard lands
 /// on the proxy a linear scan picks: the eligible, healthy candidate
 /// with the least `(load, HostId)`. Loads collide on purpose (few
-/// candidates, three sizes) so ties are the common case.
+/// candidates, three sizes) so ties are the common case. Half the cases
+/// run the one-shard plane, the global orchestrator.
 #[test]
 fn selection_matches_a_linear_scan() {
     cases(103, 256, |_, rng| {
         let ops = words(rng, 1..400);
+        let shards = [1, 3][rng.next_bounded(2) as usize];
         let candidates: Vec<HostId> = [5, 2, 9, 4, 7, 1].map(HostId).to_vec();
         let config = ShardedConfig {
-            shards: 3,
+            shards,
             lease_ttl: SimDuration::from_micros(400),
             heartbeat_every: SimDuration::from_micros(50),
             suspect_after: SimDuration::from_micros(280),
@@ -270,8 +276,8 @@ fn selection_matches_a_linear_scan() {
                     orch.release(id);
                     claims.remove(&id);
                 }
-                12 => orch.crash_shard(pick as u32 % 3),
-                13 => orch.restore_shard(pick as u32 % 3, t(now_us)),
+                12 => orch.crash_shard(pick as u32 % shards),
+                13 => orch.restore_shard(pick as u32 % shards, t(now_us)),
                 14 => {
                     orch.report_unhealthy(candidates[pick % 6]);
                     unhealthy.insert(candidates[pick % 6]);
@@ -343,7 +349,7 @@ fn gossip_converges_within_bounded_rounds() {
 
 /// Renewing within the term always succeeds on a healthy plane, and
 /// the outcome ladder never invents a lease: an id that was never
-/// granted renews as Unknown.
+/// granted renews as Expired, as does one after its release.
 #[test]
 fn renewal_ladder_is_sound() {
     cases(105, 256, |_, rng| {
@@ -351,7 +357,7 @@ fn renewal_ladder_is_sound() {
         let ticks = 1 + rng.next_bounded(9);
         let mut orch =
             ShardedOrchestrator::new((0..4).map(HostId).collect(), ShardedConfig::default(), 5);
-        assert_eq!(orch.renew(id, t(0)), RenewOutcome::Unknown);
+        assert_eq!(orch.renew(id, t(0)), RenewOutcome::Expired);
         orch.select(&IncastRequest {
             id,
             senders: vec![HostId(100)],
@@ -366,6 +372,7 @@ fn renewal_ladder_is_sound() {
             assert_eq!(orch.renew(id, t(now_us)), RenewOutcome::Renewed);
         }
         orch.release(id);
+        assert_eq!(orch.renew(id, t(now_us)), RenewOutcome::Expired);
         assert_eq!(orch.ledger().active, 0);
         assert!(orch.ledger().balanced());
     });

@@ -17,7 +17,7 @@
 
 use dcsim::prelude::*;
 use incast_core::detect::SignatureConfig;
-use incast_core::orchestrator::GlobalOrchestrator;
+use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::runtime::{OperatorRuntime, RuntimeAction, RuntimeConfig};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme};
 use trace::table::fmt_secs;
@@ -25,11 +25,6 @@ use trace::table::fmt_secs;
 const DEGREE: usize = 8;
 const BURST_BYTES: u64 = 100_000_000;
 const PERIOD_EPOCHS: u64 = 5;
-
-/// Hosts 0..63 are DC 0 in the default topology.
-fn dc_of(h: HostId) -> u32 {
-    u32::from(h.0 >= 64)
-}
 
 fn simulate_burst(proxy: Option<HostId>, seed: u64) -> f64 {
     let scheme = if proxy.is_some() {
@@ -59,14 +54,20 @@ fn main() {
     let dc1 = topo.hosts_in_dc(1);
     let expert = dc1[0];
 
+    // A global orchestrator — the lease plane with one shard — owns the
+    // idle DC-0 hosts.
+    let global = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
     let mut operator = OperatorRuntime::new(
         RuntimeConfig::default(),
         SignatureConfig {
             min_degree: 4,
             min_bytes: 50_000_000,
         },
-        dc_of,
-        GlobalOrchestrator::new(dc0[DEGREE..].to_vec()),
+        topo,
+        ShardedOrchestrator::new(dc0[DEGREE..].to_vec(), global, 0),
     );
 
     println!("epoch | traffic        | operator action             | burst completion");

@@ -5,13 +5,14 @@
 //! becomes a shared bottleneck and both jobs suffer; an orchestrator
 //! placing them on distinct proxies restores the full benefit. This
 //! example quantifies that contention and shows both orchestration
-//! designs (global and decentralized) avoiding it.
+//! designs (global — the lease plane with one shard — and decentralized)
+//! avoiding it.
 //!
 //! Run with: `cargo run --release --example orchestrated_incasts`
 
 use dcsim::prelude::*;
 use incast_core::orchestrator::{
-    DecentralizedSelector, GlobalOrchestrator, IncastRequest, ProxySelector,
+    DecentralizedSelector, IncastRequest, ProxySelector, ShardedConfig, ShardedOrchestrator,
 };
 use incast_core::scheme::{install_incast, IncastHandle, IncastSpec, Scheme};
 use trace::table::fmt_secs;
@@ -60,7 +61,11 @@ fn main() {
     };
 
     // Global orchestrator: distinct proxies by construction.
-    let mut global = GlobalOrchestrator::new(candidates.clone());
+    let one_shard = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    let mut global = ShardedOrchestrator::new(candidates.clone(), one_shard, 42);
     let ga = global.select(&request(0, 0)).expect("assignment");
     let gb = global.select(&request(1, DEGREE)).expect("assignment");
 

@@ -15,7 +15,7 @@
 
 use dcsim::prelude::*;
 use incast_core::declare::{compile, IncastDecl, Routing};
-use incast_core::orchestrator::GlobalOrchestrator;
+use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme};
 use trace::table::{fmt_bytes, fmt_secs};
 
@@ -59,8 +59,13 @@ fn main() {
         .map(|i| (format!("frag-server-{i}"), dc0[i]))
         .collect();
     placement.insert("reconstructor".into(), dc1[0]);
-    // Idle capacity in the storage datacenter is the proxy candidate pool.
-    let mut orchestrator = GlobalOrchestrator::new(dc0[K..].to_vec());
+    // Idle capacity in the storage datacenter is the proxy candidate pool
+    // of a global orchestrator: the lease plane with one shard.
+    let global = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    let mut orchestrator = ShardedOrchestrator::new(dc0[K..].to_vec(), global, 0);
 
     let plans = compile(&[decl], &placement, &topo, &mut orchestrator).expect("plannable");
     let plan = &plans[0];

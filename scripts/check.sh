@@ -68,6 +68,11 @@ cargo run --release --offline -q -p bench --bin fig4 -- --quick
 cargo run --release --offline -q -p bench --bin fig5 -- --quick
 cargo run --release --offline -q --example live_proxy
 
+echo "== control-plane examples (global orchestrator, declaration planner, operator loop; each asserts its own result, ~11 s)"
+for example in orchestrated_incasts storage_reconstruction operator_loop; do
+  cargo run --release --offline -q --example "$example"
+done
+
 echo "== netproxy chaos soak (bounded: 5 s, faults + mid-run crash + overload ladder, ledger-verified)"
 cargo run --release --offline -q -p bench --bin netproxy_soak -- \
   --duration-s 5 --rate 30000 --overload-pps 9000 --json

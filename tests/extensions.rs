@@ -6,7 +6,7 @@
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
 use incast_core::lossdetect::LossDetectorConfig;
-use incast_core::orchestrator::GlobalOrchestrator;
+use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::runtime::{OperatorRuntime, RuntimeAction, RuntimeConfig};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme, Transport};
 
@@ -129,25 +129,23 @@ fn incast_completes_amid_background_traffic() {
 fn operator_runtime_drives_a_simulated_reroute() {
     // The full §6 loop against the simulator: observe epoch traffic,
     // receive a Reroute action, install the incast through the allocated
-    // proxy, and verify it beats the direct route.
-    fn dc_of(h: HostId) -> u32 {
-        u32::from(h.0 >= 8) // small_test: 8 hosts per DC
-    }
+    // proxy, and verify it beats the direct route. The topology tells the
+    // runtime the datacenters, the RTT and the bottleneck buffer.
     let topo = two_dc_leaf_spine(&TwoDcParams::small_test().with_trim(true));
     let dc0 = topo.hosts_in_dc(0);
     let dc1 = topo.hosts_in_dc(1);
+    let global = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
     let mut rt = OperatorRuntime::new(
-        RuntimeConfig {
-            inter_rtt: topo.base_rtt(dc0[0], dc1[0], 1500, 64),
-            bottleneck_buffer: 1_700_000, // small_test buffers
-            ..Default::default()
-        },
+        RuntimeConfig::default(),
         incast_core::detect::SignatureConfig {
             min_degree: 3,
             min_bytes: 5_000_000,
         },
-        dc_of,
-        GlobalOrchestrator::new(dc0[4..].to_vec()),
+        topo,
+        ShardedOrchestrator::new(dc0[4..].to_vec(), global, 0),
     );
     // The operator sees one epoch of incast traffic toward dc1[0].
     for &s in &dc0[..4] {

@@ -4,12 +4,21 @@
 
 use dcsim::prelude::*;
 use incast_core::declare::{compile, IncastDecl, Routing};
-use incast_core::orchestrator::{GlobalOrchestrator, ProxySelector};
+use incast_core::orchestrator::{ProxySelector, ShardedConfig, ShardedOrchestrator};
 use incast_core::predict::{paper_profile, predict};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme};
 
 fn full_topology() -> Topology {
     two_dc_leaf_spine(&TwoDcParams::default())
+}
+
+/// The global orchestrator: the lease plane with one shard.
+fn global(candidates: Vec<HostId>) -> ShardedOrchestrator {
+    let config = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    ShardedOrchestrator::new(candidates, config, 0)
 }
 
 #[test]
@@ -28,7 +37,7 @@ fn declare_plan_simulate_roundtrip() {
     let dc1 = topo.hosts_in_dc(1);
     let mut placement: DetMap<String, HostId> = (0..4).map(|i| (format!("w{i}"), dc0[i])).collect();
     placement.insert("agg".into(), dc1[0]);
-    let mut orch = GlobalOrchestrator::new(dc0[4..].to_vec());
+    let mut orch = global(dc0[4..].to_vec());
     let plans = compile(&[decl], &placement, &topo, &mut orch).expect("plannable");
     let Routing::ViaProxy(proxy) = plans[0].routing else {
         panic!("100 MB cross-DC must be proxied");
@@ -92,7 +101,7 @@ fn orchestrated_concurrent_incasts_all_complete() {
     let dc0 = sim.topology().hosts_in_dc(0);
     let dc1 = sim.topology().hosts_in_dc(1);
 
-    let mut orch = GlobalOrchestrator::new(dc0[4..].to_vec());
+    let mut orch = global(dc0[4..].to_vec());
     let mut handles = Vec::new();
     for i in 0..2u64 {
         let senders = dc0[(i as usize) * 2..(i as usize) * 2 + 2].to_vec();
@@ -113,10 +122,10 @@ fn orchestrated_concurrent_incasts_all_complete() {
     for h in &handles {
         assert!(h.completion(sim.metrics()).is_some());
     }
-    assert_eq!(orch.active_incasts(), 2);
+    assert_eq!(orch.ledger().active, 2);
     orch.release(0);
     orch.release(1);
-    assert_eq!(orch.active_incasts(), 0);
+    assert_eq!(orch.ledger().active, 0);
 }
 
 #[test]
@@ -131,7 +140,7 @@ fn plan_errors_are_reported_not_guessed() {
         .expect("declaration itself is fine");
     let placement: DetMap<String, HostId> =
         [("a".to_string(), dc0[0]), ("s".to_string(), dc0[1])].into();
-    let mut orch = GlobalOrchestrator::new(vec![dc0[5]]);
+    let mut orch = global(vec![dc0[5]]);
     let err = compile(&[decl], &placement, &topo, &mut orch).unwrap_err();
     assert!(matches!(
         err,
