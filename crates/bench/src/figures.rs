@@ -750,7 +750,7 @@ const RELAY_VARIANTS: &[(&str, (Scheme, bool))] = &[
 ///
 /// §5 Future Work #1 asks whether a proxy can track loss *without* switch
 /// trimming support, and how much error reordering induces. This study
-/// answers with the [`incast_core::proxy_detect::DetectingProxy`]: on a
+/// answers with the detecting kind of [`incast_core::relay::RelayAgent`]: on a
 /// drop-tail network (no trimming anywhere) the proxy infers losses from
 /// sequence gaps and NACKs early. Swept across reorder thresholds and
 /// path jitter (unequal equal-cost paths make spraying reorder, §5's
@@ -784,7 +784,6 @@ static ABLATION_DETECTOR_PROXY: Grid<f64, (&str, (Scheme, u32))> = Grid {
             detector: LossDetectorConfig {
                 reorder_threshold,
                 max_pending: 4096,
-                ..Default::default()
             },
             ..paper_cell(scheme, 8, seed)
         },
@@ -1106,7 +1105,6 @@ fn unstructured_run(scheme: Scheme, threshold: u32, seed: u64) -> f64 {
     spec.detector = LossDetectorConfig {
         reorder_threshold: threshold,
         max_pending: 4096,
-        ..Default::default()
     };
     let handle = install_incast(&mut sim, &spec, scheme);
     expect_no_event_cap(
@@ -1452,14 +1450,12 @@ fn loss_detector(opts: &RunOptions, out: &mut String) {
             .run_repeated(&cells, opts.runs, |&(depth, threshold), run| {
                 let (arrival, lost) =
                     synth_stream(n, depth, loss, derive_seed(opts.seed, run as u64));
-                // Watchdog off: this study isolates first-declaration
+                // No sweeps: this study isolates first-declaration
                 // accuracy (re-NACKs are the detector-proxy ablation's
                 // concern).
                 let mut det = LossDetector::new(LossDetectorConfig {
                     reorder_threshold: threshold,
                     max_pending: 4096,
-                    renack_after: None,
-                    ..Default::default()
                 });
                 let mut declared = Vec::new();
                 for &seq in &arrival {

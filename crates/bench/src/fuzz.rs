@@ -17,7 +17,9 @@
 //! workload, scheme, transport, and a [`FaultPlan`] that passes
 //! `validate()` — run under the collect-mode invariant auditor
 //! ([`dcsim::audit::AuditConfig`]). A scenario *fails* when the run
-//! panics, trips an invariant, or hits the event cap.
+//! panics, trips an invariant, hits the event cap, or — every fault
+//! healed and every flow complete — is still busy at its time limit
+//! (`NeverIdle`).
 //!
 //! Everything here is deterministic: the only randomness is
 //! [`SplitMix64`] streams derived from the fuzz seed, and a campaign is
@@ -467,7 +469,8 @@ pub struct RunOutcome {
     pub end_time_ps: u64,
     /// All watched incast flows completed.
     pub completed: bool,
-    /// Invariant-violation kind names, in detection order.
+    /// Invariant-violation kind names, in detection order, then
+    /// `NeverIdle` when the run should have gone idle and did not.
     pub violations: Vec<String>,
     /// Human-readable violation details (or the setup error).
     pub details: Vec<String>,
@@ -610,24 +613,39 @@ impl Family for Chaos {
         };
         let limit = handle.start + SimDuration::from_millis(sc.time_limit_ms);
         let report = sim.run(Some(limit));
+        let completed = handle.completion(sim.metrics()).is_some();
+        let mut violations: Vec<String> = report
+            .violations
+            .iter()
+            .map(|v| v.kind().to_string())
+            .collect();
+        let mut details: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
+        // NeverIdle: with every fault healed and every flow done, nothing
+        // is left to do, so a run still busy at the time limit is one some
+        // agent keeps alive on its own (a timer that re-arms forever).
+        if sc.liveness && completed && report.stop == StopReason::TimeLimit {
+            violations.push("NeverIdle".to_string());
+            details.push(format!(
+                "NeverIdle: every fault healed and every flow completed, yet the run was \
+                 still busy at the {} ms time limit after {} events",
+                sc.time_limit_ms, report.events
+            ));
+        }
         RunOutcome {
             stop: stop_name(report.stop).to_string(),
             events: report.events,
             end_time_ps: report.end_time.0,
-            completed: handle.completion(sim.metrics()).is_some(),
-            violations: report
-                .violations
-                .iter()
-                .map(|v| v.kind().to_string())
-                .collect(),
-            details: report.violations.iter().map(|v| v.to_string()).collect(),
+            completed,
+            violations,
+            details,
         }
     }
 
     /// A time-limit stop with incomplete flows is *not* a failure by
     /// itself: permanent faults legitimately strand flows, and the
     /// liveness watchdog (armed exactly when every fault heals) is the
-    /// stall detector.
+    /// stall detector. A time-limit stop with every flow complete under a
+    /// healing plan is `NeverIdle`.
     fn failure_kind(outcome: &RunOutcome) -> Option<String> {
         if let Some(kind) = outcome.violations.first() {
             return Some(kind.clone());

@@ -11,6 +11,11 @@
 //!
 //! What lives here:
 //!
+//! * [`relay`] — the one relay core: the per-packet decision, the relay
+//!   kinds (Naive, Streamlined, and Future Work #1's trimming-free
+//!   Detecting) and the clock-free loss detector with its quiescence
+//!   sweep, run by the simulator's proxy agent ([`relay::RelayAgent`]) and
+//!   by `netproxy`'s socket relay alike.
 //! * [`scheme`] — the three evaluation schemes (Baseline, Proxy Naive,
 //!   Proxy Streamlined) wired onto the `dcsim` simulator.
 //! * [`experiment`] — the seeded experiment harness behind every figure.
@@ -29,9 +34,6 @@
 //! * [`predict`] — the "should this incast use a proxy?" benefit predictor
 //!   (§5 FW#3 notes not all incasts benefit; §4.2 shows the 20 MB case),
 //!   and `admit`, where every incast request enters the control plane.
-//! * [`proxy_detect`] — Future Work #1 implemented: a trimming-free proxy
-//!   that infers losses from sequence gaps (declare-on-evict, quiescence
-//!   sweeps, exponential-backoff re-NACKs).
 //! * [`runtime`] — the §6 operator control loop: observe traffic, detect,
 //!   predict, allocate, pre-arm, release — epoch by epoch.
 
@@ -41,7 +43,7 @@ pub mod experiment;
 pub mod lossdetect;
 pub mod orchestrator;
 pub mod predict;
-pub mod proxy_detect;
+pub mod relay;
 pub mod runtime;
 pub mod scheme;
 

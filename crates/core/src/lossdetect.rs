@@ -28,31 +28,13 @@ pub struct LossDetectorConfig {
     /// A missing sequence is declared lost after this many higher-sequence
     /// packets arrive.
     pub reorder_threshold: u32,
-    /// Maximum gaps tracked per flow (eBPF-style fixed map size).
+    /// Maximum gaps tracked per flow (eBPF-style fixed map size). When the
+    /// map overflows, the evicted (oldest) gap is declared at once rather
+    /// than forgotten: an old gap is almost surely a loss, and a premature
+    /// NACK costs one spurious retransmission while a silent eviction
+    /// costs a full RTO. §5 FW#1's "which packets are more important to
+    /// keep track of?" — the newest gaps; old ones can be declared eagerly.
     pub max_pending: usize,
-    /// Re-declare a declared-but-never-seen sequence after this many
-    /// further *observations* of the flow (scaled by the per-sequence
-    /// backoff gap). This count-based watchdog fires while the flow is
-    /// active; measurements show it is too eager under heavy overload
-    /// (it re-NACKs retransmissions that are merely window-delayed), so
-    /// the default is `None`: re-NACKing is driven by the quiescence
-    /// sweep ([`LossDetector::sweep`]) instead, which only fires when the
-    /// flow has gone silent — i.e. when a missing retransmission really is
-    /// missing.
-    pub renack_after: Option<u32>,
-    /// Upper bound on re-declarations per sequence (the watchdog then
-    /// defers to the sender's RTO).
-    pub max_renacks: u32,
-    /// When the pending map overflows, declare the evicted (oldest) gap
-    /// immediately instead of forgetting it: an old gap is almost surely a
-    /// loss, and a premature NACK costs one spurious retransmission while
-    /// a silent eviction costs a full RTO. §5 FW#1's "which packets are
-    /// more important to keep track of?" — the newest gaps; old ones can
-    /// be declared eagerly.
-    pub declare_on_evict: bool,
-    /// Bound on declared-but-unseen sequences tracked per flow (watchdog
-    /// and false-positive bookkeeping stop beyond it).
-    pub max_declared: usize,
 }
 
 impl Default for LossDetectorConfig {
@@ -63,13 +45,17 @@ impl Default for LossDetectorConfig {
             // spraying. The ablation sweeps this.
             reorder_threshold: 8,
             max_pending: 1024,
-            renack_after: None,
-            max_renacks: 16,
-            declare_on_evict: true,
-            max_declared: 65_536,
         }
     }
 }
+
+/// Re-declarations per declared sequence before the detector stops
+/// re-NACKing it and leaves it to the sender's RTO.
+pub const MAX_RENACKS: u32 = 16;
+
+/// Declared-but-unseen sequences tracked per flow; re-NACK and
+/// false-positive bookkeeping stop beyond it.
+const MAX_DECLARED: usize = 65_536;
 
 /// A loss verdict emitted by the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +88,7 @@ pub struct LossDetectorStats {
     pub observed: u64,
     /// Losses declared (first declarations only).
     pub declared: u64,
-    /// Watchdog re-declarations of still-missing sequences.
+    /// Sweep re-declarations of still-missing sequences.
     pub renacks: u64,
     /// Declared losses whose packet later arrived (false positives,
     /// observable only in hindsight).
@@ -112,11 +98,11 @@ pub struct LossDetectorStats {
     pub evicted: u64,
 }
 
-/// A declared-but-not-yet-rearrived sequence, tracked by the watchdog.
+/// A declared-but-not-yet-rearrived sequence, re-NACKed by the sweep.
 #[derive(Debug, Clone, Copy)]
 struct Declared {
     seq: u64,
-    /// Observations (or sweeps) of this flow since (re-)declaration.
+    /// Sweeps of this flow since (re-)declaration.
     since: u32,
     /// Re-declarations so far.
     renacks: u32,
@@ -136,7 +122,7 @@ pub struct LossDetector<K = FlowId> {
     stats: LossDetectorStats,
     /// Sequences already declared lost, kept (bounded) to recognize false
     /// positives when the "lost" packet shows up after all, and to drive
-    /// the retransmission watchdog.
+    /// the sweep's re-NACKs.
     declared: DetMap<K, Vec<Declared>>,
 }
 
@@ -219,93 +205,56 @@ impl<K: Ord + Copy> LossDetector<K> {
             }
         }
 
-        // Declare gaps past the threshold.
+        // Declare evicted gaps, then gaps past the threshold. Re-NACKs are
+        // the quiescence sweep's job ([`LossDetector::sweep`]): it fires
+        // when the flow has gone silent, when a missing retransmission
+        // really is missing. Re-NACKing on further arrivals would hit
+        // retransmissions merely window-delayed at the sender.
         let threshold = self.config.reorder_threshold;
         let declared_list = self.declared.entry(flow).or_default();
-        if self.config.declare_on_evict {
-            for seq in evicted {
-                losses.push(LossEvent { flow, seq });
-                self.stats.declared += 1;
-                if declared_list.len() < self.config.max_declared {
-                    declared_list.push(Declared {
-                        seq,
-                        since: 0,
-                        renacks: 0,
-                        gap: 1,
-                    });
-                }
-            }
+        for seq in evicted {
+            Self::declare(flow, seq, &mut losses, declared_list, &mut self.stats);
         }
         state.pending.retain(|p| {
-            if p.higher_seen >= threshold {
-                losses.push(LossEvent { flow, seq: p.seq });
-                self.stats.declared += 1;
-                if declared_list.len() < self.config.max_declared {
-                    declared_list.push(Declared {
-                        seq: p.seq,
-                        since: 0,
-                        renacks: 0,
-                        gap: 1,
-                    });
-                }
-                false
-            } else {
-                true
+            let lost = p.higher_seen >= threshold;
+            if lost {
+                Self::declare(flow, p.seq, &mut losses, declared_list, &mut self.stats);
             }
+            !lost
         });
-        // Retransmission watchdog: a declared sequence still missing after
-        // `renack_after` further observations is re-declared (its
-        // retransmission was likely lost too).
-        if let Some(interval) = self.config.renack_after {
-            let max = self.config.max_renacks;
-            for d in declared_list.iter_mut() {
-                d.since += 1;
-                if d.since >= interval.saturating_mul(d.gap) && d.renacks < max {
-                    d.since = 0;
-                    d.renacks += 1;
-                    d.gap = d.gap.saturating_mul(2);
-                    self.stats.renacks += 1;
-                    losses.push(LossEvent { flow, seq: d.seq });
-                }
-            }
-        }
         losses
     }
 
-    /// True while the flow has unresolved gaps or declared-but-unseen
-    /// sequences (i.e. a sweep could still produce NACKs).
+    /// True while a sweep of the flow could still produce NACKs: it has
+    /// unresolved gaps, or a declared-but-unseen sequence with re-NACK
+    /// budget left. A sequence that has spent its budget is the sender's
+    /// RTO's business, not sweep work.
     pub fn has_state(&self, flow: K) -> bool {
         self.flows.get(&flow).is_some_and(|f| !f.pending.is_empty())
-            || self.declared.get(&flow).is_some_and(|d| !d.is_empty())
+            || self
+                .declared
+                .get(&flow)
+                .is_some_and(|d| d.iter().any(|d| d.renacks < MAX_RENACKS))
     }
 
     /// Quiescence sweep: declares every pending gap immediately (bypassing
     /// the count threshold) and re-declares every declared-but-unseen
-    /// sequence (respecting `max_renacks`). Called by a timer when a flow
-    /// goes quiet — the count-based machinery is blind to *tail* losses
-    /// (the flow's last packets have no successors to reveal the gap), and
-    /// to retransmissions lost while no new data flows.
+    /// sequence (at most [`MAX_RENACKS`] times, at doubling intervals).
+    /// Called by a timer when a flow goes quiet — the count-based machinery
+    /// is blind to *tail* losses (the flow's last packets have no
+    /// successors to reveal the gap), and to retransmissions lost while no
+    /// new data flows.
     pub fn sweep(&mut self, flow: K) -> Vec<LossEvent<K>> {
         let mut losses = Vec::new();
         let declared_list = self.declared.entry(flow).or_default();
         if let Some(state) = self.flows.get_mut(&flow) {
             for p in state.pending.drain(..) {
-                losses.push(LossEvent { flow, seq: p.seq });
-                self.stats.declared += 1;
-                if declared_list.len() < self.config.max_declared {
-                    declared_list.push(Declared {
-                        seq: p.seq,
-                        since: 0,
-                        renacks: 0,
-                        gap: 1,
-                    });
-                }
+                Self::declare(flow, p.seq, &mut losses, declared_list, &mut self.stats);
             }
         }
-        let max = self.config.max_renacks;
         for d in declared_list.iter_mut() {
             d.since += 1;
-            if d.since > d.gap && d.renacks < max {
+            if d.since > d.gap && d.renacks < MAX_RENACKS {
                 d.since = 0;
                 d.renacks += 1;
                 d.gap = d.gap.saturating_mul(2);
@@ -316,10 +265,26 @@ impl<K: Ord + Copy> LossDetector<K> {
         losses
     }
 
-    /// Drops all state of a finished flow.
-    pub fn forget(&mut self, flow: K) {
-        self.flows.remove(&flow);
-        self.declared.remove(&flow);
+    /// First declaration of `seq`: report it, count it, and track it for
+    /// re-NACKs and false-positive accounting (bounded by
+    /// [`MAX_DECLARED`]).
+    fn declare(
+        flow: K,
+        seq: u64,
+        losses: &mut Vec<LossEvent<K>>,
+        declared: &mut Vec<Declared>,
+        stats: &mut LossDetectorStats,
+    ) {
+        losses.push(LossEvent { flow, seq });
+        stats.declared += 1;
+        if declared.len() < MAX_DECLARED {
+            declared.push(Declared {
+                seq,
+                since: 0,
+                renacks: 0,
+                gap: 1,
+            });
+        }
     }
 
     /// Adds gaps `from..to` to the pending list, returning the sequences
@@ -355,7 +320,6 @@ mod tests {
         LossDetector::new(LossDetectorConfig {
             reorder_threshold: threshold,
             max_pending: 64,
-            ..Default::default()
         })
     }
 
@@ -425,7 +389,6 @@ mod tests {
         let mut d = LossDetector::new(LossDetectorConfig {
             reorder_threshold: 100,
             max_pending: 4,
-            ..Default::default()
         });
         d.observe(F, 0);
         d.observe(F, 10); // 9 gaps; only 4 tracked
@@ -444,17 +407,6 @@ mod tests {
         assert_eq!(losses.len(), 1);
         assert_eq!(losses[0].seq, 1);
         assert_eq!(d.pending_of(f1), 0, "flow 1 unaffected");
-    }
-
-    #[test]
-    fn forget_clears_state() {
-        let mut d = detector(2);
-        d.observe(F, 0);
-        d.observe(F, 5);
-        d.forget(F);
-        assert_eq!(d.pending_of(F), 0);
-        // A fresh start does not resurrect old gaps.
-        assert!(d.observe(F, 6).is_empty());
     }
 
     #[test]

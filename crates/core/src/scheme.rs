@@ -10,6 +10,7 @@
 //!   through the proxy, which converts trimmed headers into immediate
 //!   NACKs and forwards everything else.
 
+use crate::relay::{RelayAgent, RelayKind};
 use dcsim::flows::cc_for_path;
 use dcsim::prelude::*;
 use dcsim::protocol::{RateCcConfig, RateSender};
@@ -38,8 +39,8 @@ pub enum Scheme {
     ProxyStreamlined,
     /// Streamlined variant for drop-tail networks: the proxy infers loss
     /// from sequence gaps instead of trimmed headers (§5 Future Work #1;
-    /// see [`crate::proxy_detect::DetectingProxy`]). Not part of the
-    /// paper's evaluation — exercised by `ablation_detector_proxy`.
+    /// see [`crate::relay`]). Not part of the paper's evaluation —
+    /// exercised by `ablation_detector_proxy`.
     ProxyDetecting,
 }
 
@@ -103,8 +104,9 @@ pub struct IncastSpec {
     /// 1 BDP; swept by the `ablation_initwnd` study of §2's first-RTT
     /// overload argument).
     pub iw_scale: f64,
-    /// When false, the Streamlined proxy merely relays (no early NACKs) —
-    /// Insight #2's strawman, swept by `ablation_relay_only`.
+    /// When false, the Streamlined proxy merely relays (no early NACKs:
+    /// [`RelayKind::Naive`]) — Insight #2's strawman, swept by
+    /// `ablation_relay_only`. The Detecting proxy ignores it.
     pub early_nack: bool,
     /// ECN response of every sender (default: true DCTCP α; the
     /// `ablation_cc_response` study compares against plain halving).
@@ -230,18 +232,25 @@ pub fn install_incast(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) ->
     match scheme {
         Scheme::Baseline => install_baseline(sim, spec),
         Scheme::ProxyNaive => install_naive(sim, spec),
-        Scheme::ProxyStreamlined => install_streamlined(sim, spec),
-        Scheme::ProxyDetecting => install_detecting(sim, spec),
+        Scheme::ProxyStreamlined | Scheme::ProxyDetecting => install_relayed(sim, spec, scheme),
     }
 }
 
-/// Installs the FW#1 detector-based proxy variant: identical wiring to
-/// Streamlined, but the proxy infers losses from sequence gaps (works on
-/// drop-tail networks).
-fn install_detecting(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
+/// Installs an end-to-end proxied incast: one connection per sender
+/// routed through one [`RelayAgent`] on the proxy host. Streamlined runs
+/// the trim/NACK relay, or the relay-only [`RelayKind::Naive`] without
+/// early NACKs; Detecting infers losses from sequence gaps (drop-tail
+/// networks) and ignores `early_nack`.
+fn install_relayed(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> IncastHandle {
     let proxy_host = spec.proxy.expect("validated");
-    let mut proxy =
-        crate::proxy_detect::DetectingProxy::new(proxy_host, spec.streamlined_delay, spec.detector);
+    let kind = match scheme {
+        Scheme::ProxyDetecting => RelayKind::Detecting,
+        _ if spec.early_nack => RelayKind::Streamlined,
+        _ => RelayKind::Naive,
+    };
+    let mut proxy = RelayAgent::new(proxy_host, kind, spec.streamlined_delay, spec.detector);
+    // Reserve flow ids and register them with the proxy first, then add the
+    // proxy agent, then bind everything.
     let mut flows = Vec::new();
     for (i, &src) in spec.senders.iter().enumerate() {
         let flow = sim.new_flow();
@@ -254,6 +263,8 @@ fn install_detecting(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
     let mut watch = Vec::new();
     for (flow, src, bytes) in flows {
         let packets = packets_for_bytes(bytes);
+        // End-to-end connection: 1 BDP of the full (via-proxy) path, RTO
+        // scaled to the end-to-end RTT.
         let cc = tune_cc(cc_via_proxy(sim, src, proxy_host, spec.receiver), spec);
         let sender = sim.add_agent(make_sender(
             spec,
@@ -274,7 +285,7 @@ fn install_detecting(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
         watch.push(flow);
     }
     IncastHandle {
-        scheme: Scheme::ProxyDetecting,
+        scheme,
         watch_flows: watch.clone(),
         all_flows: watch,
         start: spec.start,
@@ -345,56 +356,6 @@ fn install_baseline(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
         all_flows: watch,
         start: spec.start,
         proxy_agent: None,
-    }
-}
-
-fn install_streamlined(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
-    let proxy_host = spec.proxy.expect("validated");
-    let mut proxy = StreamlinedProxy::new(proxy_host, spec.streamlined_delay);
-    if !spec.early_nack {
-        proxy = proxy.relay_only();
-    }
-    // Reserve flow ids and register them with the proxy first, then add the
-    // proxy agent, then bind everything.
-    let mut flows = Vec::new();
-    for (i, &src) in spec.senders.iter().enumerate() {
-        let flow = sim.new_flow();
-        proxy
-            .register(flow, src, spec.receiver)
-            .expect("fresh flow id");
-        flows.push((flow, src, spec.bytes_for_sender(i)));
-    }
-    let proxy_agent = sim.add_agent(Box::new(proxy));
-    let mut watch = Vec::new();
-    for (flow, src, bytes) in flows {
-        let packets = packets_for_bytes(bytes);
-        // End-to-end connection: 1 BDP of the full (via-proxy) path, RTO
-        // scaled to the end-to-end RTT.
-        let cc = tune_cc(cc_via_proxy(sim, src, proxy_host, spec.receiver), spec);
-        let sender = sim.add_agent(make_sender(
-            spec,
-            flow,
-            src,
-            proxy_host,
-            packets,
-            cc,
-            Some(spec.receiver),
-        ));
-        let receiver = sim.add_agent(Box::new(
-            Receiver::new(flow, spec.receiver, packets).with_reply_via(proxy_host),
-        ));
-        sim.bind(flow, src, sender);
-        sim.bind(flow, proxy_host, proxy_agent);
-        sim.bind(flow, spec.receiver, receiver);
-        sim.schedule_start(spec.start, sender);
-        watch.push(flow);
-    }
-    IncastHandle {
-        scheme: Scheme::ProxyStreamlined,
-        watch_flows: watch.clone(),
-        all_flows: watch,
-        start: spec.start,
-        proxy_agent: Some(proxy_agent),
     }
 }
 

@@ -15,8 +15,9 @@
 //!   decrease on marked ACK / NACK, additive increase on unmarked ACK,
 //!   initial window = 1 BDP) with per-packet ACKs and NACK-driven
 //!   retransmission,
-//! * the **Streamlined proxy** agent and the building blocks of the
-//!   **Naive proxy** (receiver-with-grants + relay sender).
+//! * the building blocks of the **Naive proxy** (receiver-with-grants +
+//!   relay sender); the end-to-end proxy agent runs the relay core of the
+//!   `incast-core` crate (`incast_core::relay`).
 //!
 //! Time is integer picoseconds; every run is fully deterministic given a
 //! seed. See the `incast-core` crate for the paper's experiment harness
@@ -48,7 +49,6 @@ pub mod flows;
 pub mod metrics;
 pub mod packet;
 pub mod protocol;
-pub mod proxy;
 pub mod queues;
 pub mod sim;
 pub mod time;
@@ -75,7 +75,6 @@ pub mod prelude {
     pub use crate::protocol::{
         packets_for_bytes, CcConfig, DctcpSender, FailoverConfig, Receiver, RtoConfig,
     };
-    pub use crate::proxy::{ProxyError, StreamlinedProxy};
     pub use crate::queues::{EnqueueOutcome, PortQueue, QueueConfig, QueueStats};
     pub use crate::sim::{RunReport, Simulator, StopReason, TerminatedReason};
     pub use crate::time::{Bandwidth, SimDuration, SimTime};

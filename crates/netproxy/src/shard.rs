@@ -24,7 +24,8 @@
 //! Every worker runs the one per-packet decision,
 //! [`crate::streamlined::decide`], on each received datagram; the three
 //! relay variants (all over both socket layers) differ in what they do
-//! with the [`Action`] it returns ([`RelayKind::apply`]):
+//! with the [`Action`] it returns ([`RelayKind::apply`], in the relay core
+//! `incast_core::relay`, which the simulator's proxy runs too):
 //!
 //! * [`RelayKind::Streamlined`] — the paper's §3 relay: trimmed header →
 //!   NACK rewritten **in place** (one flags-byte store) and bounced to
@@ -34,9 +35,10 @@
 //!   datapath: forwards everything (trimmed headers included) to the
 //!   receiver and reverses feedback, generating no NACKs. This isolates
 //!   the streamlined *decision* from the datapath speed, at line rate.
-//! * [`RelayKind::Detecting`] — FW#1: no trimming support assumed; per-
-//!   shard bounded-memory gap inference NACKs inferred losses, plus a
-//!   quiescence sweep for tail losses.
+//! * [`RelayKind::Detecting`] — FW#1: no trimming support assumed; a per-
+//!   shard [`Detector`] (the relay core's, on nanoseconds since the relay
+//!   started) NACKs inferred losses, plus a quiescence sweep for tail
+//!   losses.
 
 use crate::batch::{self, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
 use crate::fault::{is_data_bytes, FaultConfig, FaultSnapshot, FaultStats, FaultedIo};
@@ -46,7 +48,8 @@ use crate::supervisor::{
 };
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::wire::{rewrite_data_to_nack, rewrite_trimmed_to_nack, WireHeader, WIRE_HEADER_LEN};
-use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
+use incast_core::lossdetect::LossDetectorConfig;
+use incast_core::relay::Detector;
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -55,27 +58,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 use trace::LatencyRecorder;
 
-/// Which relay logic the sharded engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelayKind {
-    /// Blind bidirectional forwarding (no NACK generation).
-    Naive,
-    /// Trim-aware: trimmed header → in-place NACK to the sender.
-    Streamlined,
-    /// Gap inference: NACKs from per-shard loss detection + sweep.
-    Detecting,
-}
-
-impl RelayKind {
-    /// Short name for logs and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            RelayKind::Naive => "naive",
-            RelayKind::Streamlined => "streamlined",
-            RelayKind::Detecting => "detecting",
-        }
-    }
-}
+/// Which relay logic the sharded engine runs: the relay core's kinds,
+/// shared with the simulator's proxy.
+pub use incast_core::relay::RelayKind;
 
 /// Configuration of a [`ShardedRelay`].
 #[derive(Debug, Clone)]
@@ -629,7 +614,8 @@ impl ShardedRelay {
                     io,
                     kind: config.kind,
                     receiver: config.receiver,
-                    detector: LossDetector::new(config.detector),
+                    detector: Detector::new(config.detector, nanos(config.sweep_interval)),
+                    epoch,
                     sweep_interval: config.sweep_interval,
                     directory: directory.clone(),
                     stats: shard_stats[shard_id].clone(),
@@ -829,8 +815,11 @@ struct ShardWorker {
     io: Box<dyn BatchIo>,
     kind: RelayKind,
     receiver: SocketAddr,
-    /// Keyed by the 64-bit wire flow id, whole.
-    detector: LossDetector<u64>,
+    /// Keyed by the 64-bit wire flow id, whole; its clock is nanoseconds
+    /// since `epoch`.
+    detector: Detector<u64>,
+    /// The relay's start, shared by every shard and generation.
+    epoch: Instant,
     sweep_interval: Duration,
     directory: Arc<FlowDirectory>,
     stats: Arc<ShardStats>,
@@ -881,7 +870,6 @@ impl ShardWorker {
         // from the simlint hash-collection rule (wall-clock crate, no
         // sim-path determinism contract).
         let mut senders: HashMap<u64, SocketAddr> = HashMap::new();
-        let mut last_activity: HashMap<u64, Instant> = HashMap::new();
         let mut next_sweep = Instant::now() + self.sweep_interval;
         loop {
             // ordering: Acquire — pairs with the Release store in
@@ -928,18 +916,25 @@ impl ShardWorker {
                     first..got.min(first + BATCH),
                     &mut queue,
                     &mut senders,
-                    &mut last_activity,
                 ) {
                     return; // counters flushed; let the supervisor act
                 }
             }
-            if self.kind == RelayKind::Detecting && Instant::now() >= next_sweep {
-                if !self.sweep(&senders, &mut last_activity, &ring, &mut queue) {
-                    return;
+            if self.kind == RelayKind::Detecting {
+                let now = Instant::now();
+                if now >= next_sweep {
+                    if !self.sweep(&senders, now, &ring, &mut queue) {
+                        return;
+                    }
+                    next_sweep = now + self.sweep_interval;
                 }
-                next_sweep = Instant::now() + self.sweep_interval;
             }
         }
+    }
+
+    /// `t` on the detector's clock: nanoseconds since the relay started.
+    fn clock(&self, t: Instant) -> u64 {
+        nanos(t.duration_since(self.epoch))
     }
 
     /// Relays one batch — the datagrams `batch` of `ring`: classify each,
@@ -951,16 +946,16 @@ impl ShardWorker {
         batch: std::ops::Range<usize>,
         queue: &mut SendQueue,
         senders: &mut HashMap<u64, SocketAddr>,
-        last_activity: &mut HashMap<u64, Instant>,
     ) -> bool {
         let got = batch.len() as u64;
         let start = Instant::now();
+        let now = self.clock(start);
         let mut local = Local::default();
         if let Some(ov) = self.overload.as_mut() {
             ov.begin_batch(start);
         }
         for i in batch {
-            self.classify(ring, i, queue, senders, last_activity, &mut local);
+            self.classify(ring, i, queue, senders, now, &mut local);
         }
         let alive = self.flush_sends(ring, queue, local);
         let s = &self.stats;
@@ -1070,14 +1065,15 @@ impl ShardWorker {
     }
 
     /// Runs [`decide`] on ring slot `i` — as this relay kind reads it —
-    /// and queues the datagrams the [`Action`] calls for.
+    /// and queues the datagrams the [`Action`] calls for. `now` is the
+    /// batch's time on the detector's clock.
     fn classify(
         &mut self,
         ring: &mut RecvRing,
         i: usize,
         queue: &mut SendQueue,
         senders: &mut HashMap<u64, SocketAddr>,
-        last_activity: &mut HashMap<u64, Instant>,
+        now: u64,
         local: &mut Local,
     ) {
         let from = ring.source(i);
@@ -1132,8 +1128,7 @@ impl ShardWorker {
                     return;
                 }
                 if self.kind == RelayKind::Detecting {
-                    last_activity.insert(flow, Instant::now());
-                    for loss in self.detector.observe(flow, seq) {
+                    for loss in self.detector.observe(flow, seq, now) {
                         // Generated NACKs ride the same budget (note:
                         // detecting is not datagram-conserving — one
                         // arrival can yield several NACKs).
@@ -1181,30 +1176,30 @@ impl ShardWorker {
     /// Sweep NACKs are deliberately *not* run through the shed ladder:
     /// they fire on quiescence (so never during a storm), are the last
     /// recovery line for tail losses, and are bounded by the detector's
-    /// own pending-loss memory. False when the socket died.
+    /// own pending-loss memory. `now` is the run loop's reading. False
+    /// when the socket died.
     fn sweep(
         &mut self,
         senders: &HashMap<u64, SocketAddr>,
-        last_activity: &mut HashMap<u64, Instant>,
+        now: Instant,
         ring: &RecvRing,
         queue: &mut SendQueue,
     ) -> bool {
-        let now = Instant::now();
         let mut local = Local::default();
-        for (&flow, &sender) in senders {
-            let quiet = last_activity
-                .get(&flow)
-                .is_none_or(|&t| now.duration_since(t) >= self.sweep_interval);
-            if !quiet {
-                continue;
-            }
-            for loss in self.detector.sweep(flow) {
-                queue.push_nack(flow, loss.seq, sender);
+        for loss in self.detector.sweep(self.clock(now)) {
+            // Every flow the detector observed had its sender learned first.
+            if let Some(&sender) = senders.get(&loss.flow) {
+                queue.push_nack(loss.flow, loss.seq, sender);
                 local.nacks += 1;
             }
         }
         queue.is_empty() || self.flush_sends(ring, queue, local)
     }
+}
+
+/// `d` in whole nanoseconds (saturating: no relay runs 584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 // The FlowDirectory tests below are pure (threads + atomics, no sockets)
@@ -1323,7 +1318,6 @@ mod tests {
                 detector: LossDetectorConfig {
                     reorder_threshold: 3,
                     max_pending: 1024,
-                    ..Default::default()
                 },
                 sweep_interval: Duration::from_millis(30),
                 ..RelayConfig::streamlined(receiver)

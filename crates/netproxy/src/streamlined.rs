@@ -7,29 +7,22 @@
 //! pure function [`decide`] is that logic with no I/O attached, and it is
 //! the function the relay runs: [`crate::shard::ShardedRelay`]'s workers
 //! call it once per received datagram and act on the [`Action`] it
-//! returns. So the benchmark's `netproxy.streamlined.decide_ns` probe
+//! returns, read through the relay kind (`RelayKind::apply`, in
+//! `incast_core::relay`, the relay core the simulator's proxy runs too).
+//! So the benchmark's `netproxy.streamlined.decide_ns` probe
 //! (`crates/perf`) and `fig5`'s lower bound time exactly what sits on the
 //! datapath, and the relay's socket path around it is the Figure 5b
 //! through-stack upper bound.
 
-use crate::shard::RelayKind;
 use crate::wire::{DatagramView, Flags, WireHeader, MAX_DATAGRAM};
 
-/// What the proxy does with an incoming datagram. Each variant carries
-/// the parsed header, so a datagram is parsed once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Forward the datagram (its first [`WireHeader::wire_len`] bytes) to
-    /// the receiver.
-    ForwardToReceiver(WireHeader),
-    /// Reply to the sender with a NACK for this header's (flow, seq).
-    NackToSender(WireHeader),
-    /// Forward the datagram to the flow's sender (reverse path).
-    ForwardToSender(WireHeader),
-    /// Drop it (not our protocol / malformed / longer than
-    /// [`MAX_DATAGRAM`]).
-    Drop,
-}
+/// What the relay does with an incoming datagram: the relay core's
+/// decision ([`incast_core::relay::Action`]) carrying the parsed header,
+/// so a datagram is parsed once. `ForwardToReceiver` sends the
+/// datagram's first [`WireHeader::wire_len`] bytes on; `Drop` is a
+/// datagram of another protocol, malformed, or longer than
+/// [`MAX_DATAGRAM`].
+pub type Action = incast_core::relay::Action<WireHeader>;
 
 /// The streamlined per-packet decision — §3 Insight #3 verbatim:
 /// header-only packet → NACK to the sender; other data → forward to the
@@ -61,25 +54,10 @@ pub fn decide(datagram: &[u8]) -> Action {
     }
 }
 
-impl RelayKind {
-    /// What this relay kind makes of the streamlined decision. Only
-    /// [`RelayKind::Streamlined`] assumes trimming switches; to Naive and
-    /// Detecting a trimmed header is data like any other and goes to the
-    /// receiver. Everything else is common to all three.
-    #[inline]
-    pub fn apply(self, action: Action) -> Action {
-        match (self, action) {
-            (RelayKind::Naive | RelayKind::Detecting, Action::NackToSender(header)) => {
-                Action::ForwardToReceiver(header)
-            }
-            (_, action) => action,
-        }
-    }
-}
-
 #[cfg(test)]
 mod decide_tests {
     use super::*;
+    use crate::shard::RelayKind;
     use crate::wire::MAX_PAYLOAD;
 
     const KINDS: [RelayKind; 3] = [

@@ -136,6 +136,8 @@ mod tests {
         assert!(!active_rules("crates/netproxy/src/shard.rs").contains(&Rule::WallClock));
         assert!(!active_rules("crates/trace/src/lib.rs").contains(&Rule::HashCollections));
         assert!(active_rules("crates/dcsim/src/sim.rs").contains(&Rule::WallClock));
+        // The relay core netproxy runs is clock-free: the shard passes time in.
+        assert!(active_rules("crates/core/src/relay.rs").contains(&Rule::WallClock));
         assert!(active_rules("src/lib.rs").contains(&Rule::AmbientRng));
     }
 

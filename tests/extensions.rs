@@ -22,7 +22,6 @@ fn run(scheme: Scheme, bytes: u64, transport: Transport, seed: u64) -> (f64, u64
     spec.detector = LossDetectorConfig {
         reorder_threshold: 8,
         max_pending: 4096,
-        ..Default::default()
     };
     let handle = install_incast(&mut sim, &spec, scheme);
     let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));

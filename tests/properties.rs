@@ -161,7 +161,6 @@ fn loss_detector_exact_in_order() {
         let mut det = LossDetector::new(LossDetectorConfig {
             reorder_threshold: 3,
             max_pending: 4096,
-            ..Default::default()
         });
         let mut declared = Vec::new();
         let mut dropped = Vec::new();
@@ -400,7 +399,6 @@ fn sweep_never_renacks_arrived_seqs() {
         let mut det = LossDetector::new(LossDetectorConfig {
             reorder_threshold: 4,
             max_pending: 256,
-            ..Default::default()
         });
         let mut arrived = Vec::new();
         for (seq, &dropped) in drop_mask.iter().enumerate() {
