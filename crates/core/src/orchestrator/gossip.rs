@@ -13,15 +13,18 @@
 //! Everything is sim-clocked and deterministic: messages travel with a
 //! constant configured delay, are delivered in send order, and no wall
 //! clock or ambient randomness is consulted anywhere.
+//!
+//! Shard ids are dense (`0..shards`), so a view is a vector indexed by
+//! shard.
 
-use dcsim::det::DetMap;
 use dcsim::time::{SimDuration, SimTime};
 
 /// What one shard believes about the liveness of all shards.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthView {
-    /// Freshest sim time each shard is known to have been alive.
-    last_heard: DetMap<u32, SimTime>,
+    /// Freshest sim time each shard is known to have been alive, by shard
+    /// id; `None` for a shard never heard from.
+    last_heard: Vec<Option<SimTime>>,
 }
 
 impl HealthView {
@@ -30,33 +33,37 @@ impl HealthView {
     /// nobody until silence accumulates).
     pub fn fresh(shards: u32, now: SimTime) -> Self {
         HealthView {
-            last_heard: (0..shards).map(|s| (s, now)).collect(),
+            last_heard: vec![Some(now); shards as usize],
         }
     }
 
     /// Records direct evidence that `shard` was alive at `at`.
     pub fn observe(&mut self, shard: u32, at: SimTime) {
-        let entry = self.last_heard.entry(shard).or_insert(at);
-        *entry = (*entry).max(at);
+        let idx = shard as usize;
+        if idx >= self.last_heard.len() {
+            self.last_heard.resize(idx + 1, None);
+        }
+        let slot = &mut self.last_heard[idx];
+        *slot = (*slot).max(Some(at));
     }
 
     /// Merges a peer's view: per-shard maximum of the two.
     pub fn merge(&mut self, other: &HealthView) {
-        for (&shard, &at) in other.last_heard.iter() {
+        for (shard, at) in other.heard() {
             self.observe(shard, at);
         }
     }
 
     /// Freshest known liveness timestamp for `shard`.
     pub fn last_heard(&self, shard: u32) -> Option<SimTime> {
-        self.last_heard.get(&shard).copied()
+        self.last_heard.get(shard as usize).copied().flatten()
     }
 
     /// True when this view has heard nothing from `shard` for longer than
     /// `suspect_after`.
     pub fn suspects(&self, shard: u32, now: SimTime, suspect_after: SimDuration) -> bool {
-        match self.last_heard.get(&shard) {
-            Some(&at) => now > at + suspect_after,
+        match self.last_heard(shard) {
+            Some(at) => now > at + suspect_after,
             None => true,
         }
     }
@@ -64,7 +71,15 @@ impl HealthView {
     /// Snapshot of the view as (shard, last_heard) pairs in shard order —
     /// the payload a heartbeat carries.
     pub fn snapshot(&self) -> Vec<(u32, SimTime)> {
-        self.last_heard.iter().map(|(&s, &t)| (s, t)).collect()
+        self.heard().collect()
+    }
+
+    /// The shards heard from, in shard order, with when.
+    fn heard(&self) -> impl Iterator<Item = (u32, SimTime)> + '_ {
+        self.last_heard
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, at)| Some((shard as u32, (*at)?)))
     }
 }
 

@@ -22,9 +22,15 @@
 //! the holder of an entry in place instead of moving the entry between
 //! tables. The table also counts orphaned leases per proxy, so "does a
 //! stale placement pin this proxy?" never scans.
+//!
+//! The leases sit in a [`dcsim::det::IdMap`], a hash table: grant,
+//! extend, release and the lookup behind every renewal are one hash probe
+//! each. What needs more than one lease at a time — the leases a crash
+//! orphans, the leases due to expire, [`LeaseTable::iter`] — sorts their
+//! ids and works in id order, at crash, expiry and audit time only.
 
 use dcsim::audit::LeaseLedger;
-use dcsim::det::DetMap;
+use dcsim::det::{DetMap, IdMap};
 use dcsim::packet::HostId;
 use dcsim::time::SimTime;
 
@@ -80,8 +86,9 @@ pub enum Holder {
 /// shared ledger so the global balance holds however leases change hands.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseTable {
-    leases: DetMap<u64, (Holder, Lease)>,
-    /// Orphaned leases per proxy; a proxy with none has no entry.
+    leases: IdMap<u64, (Holder, Lease)>,
+    /// Orphaned leases per proxy; a proxy with none has no entry (so this
+    /// is empty on a healthy plane).
     orphans_on: DetMap<HostId, usize>,
     /// A lower bound on the earliest expiry of a lease that has a term
     /// (not a fallback claim): [`LeaseTable::expire_due`] skips its scan
@@ -153,15 +160,17 @@ impl LeaseTable {
     /// returns them so the caller can write off their load. The leases stay
     /// `active` in the ledger — they are not gone, merely orphaned.
     pub fn orphan_shard(&mut self, shard: u32) -> Vec<Lease> {
-        let mut orphans = Vec::new();
-        for (holder, lease) in self.leases.values_mut() {
-            if *holder == Holder::Shard(shard) {
+        let held = self
+            .leases
+            .sorted_keys_where(|&(holder, _)| holder == Holder::Shard(shard));
+        held.into_iter()
+            .map(|id| {
+                let (holder, lease) = self.leases.get_mut(&id).expect("collected above");
                 *holder = Holder::Orphan(shard);
                 *self.orphans_on.entry(lease.proxy).or_insert(0) += 1;
-                orphans.push(*lease);
-            }
-        }
-        orphans
+                *lease
+            })
+            .collect()
     }
 
     /// Re-homes an orphaned lease on shard `adopter`: the old grant is
@@ -221,7 +230,8 @@ impl LeaseTable {
     /// Removes and returns, in id order, every lease due at or before
     /// `now`, marking them expired in the ledger. Fallback claims carry no
     /// term and are never due. Before the earliest expiry this is one
-    /// comparison; otherwise one pass that also finds the next expiry.
+    /// comparison; otherwise one pass to collect the due ids (then sorted),
+    /// and one to find the next expiry.
     pub fn expire_due(
         &mut self,
         now: SimTime,
@@ -230,19 +240,16 @@ impl LeaseTable {
         if now < self.next_expiry {
             return Vec::new();
         }
-        let mut due = Vec::new();
-        let mut next = SimTime(u64::MAX);
-        for (&id, (holder, lease)) in &self.leases {
-            if *holder == Holder::Fallback {
-                continue;
-            }
-            if lease.expires_at <= now {
-                due.push(id);
-            } else {
-                next = next.min(lease.expires_at);
-            }
-        }
-        self.next_expiry = next;
+        let has_term = |holder: Holder| holder != Holder::Fallback;
+        let due = self
+            .leases
+            .sorted_keys_where(|&(holder, lease)| has_term(holder) && lease.expires_at <= now);
+        self.next_expiry = self
+            .leases
+            .min_of(|&(holder, lease)| {
+                (has_term(holder) && lease.expires_at > now).then_some(lease.expires_at)
+            })
+            .unwrap_or(SimTime(u64::MAX));
         due.into_iter()
             .map(|id| {
                 let (holder, lease) = self.leases.remove(&id).expect("collected above");
@@ -256,9 +263,10 @@ impl LeaseTable {
             .collect()
     }
 
-    /// Iterates over held leases in deterministic (id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &(Holder, Lease))> {
-        self.leases.iter()
+    /// Every held lease, in id order (a sort: audit time, not a
+    /// per-decision path).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &(Holder, Lease))> {
+        self.leases.sorted().into_iter()
     }
 
     /// Checks the orphan counts against the entries: per proxy they equal
@@ -267,7 +275,7 @@ impl LeaseTable {
     /// bound [`LeaseTable::expire_due`] trusts.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counted: DetMap<HostId, usize> = DetMap::new();
-        for (id, (holder, lease)) in &self.leases {
+        for (id, (holder, lease)) in self.iter() {
             if let Holder::Orphan(_) = holder {
                 *counted.entry(lease.proxy).or_insert(0) += 1;
             }
@@ -388,6 +396,49 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert!(ledger.balanced());
         table.check_invariants().unwrap();
+    }
+
+    /// The table hashes its ids, but every view over several leases still
+    /// comes out in id order, whatever order the grants arrived in.
+    #[test]
+    fn ordered_views_are_in_id_order_whatever_the_grant_order() {
+        let mut ids: Vec<u64> = (0..40u64).map(|k| k << 32 | k).collect();
+        ids.extend([1 << 63, u64::MAX]);
+        let mut descending = ids.clone();
+        descending.reverse();
+        let mut scrambled = ids.clone();
+        scrambled.sort_by_key(|&id| trace::SplitMix64::new(id).next_u64());
+        let in_order = |keep: &dyn Fn(u64) -> bool| -> Vec<u64> {
+            ids.iter().copied().filter(|&id| keep(id)).collect()
+        };
+        for order in [descending, scrambled] {
+            let mut table = LeaseTable::new();
+            let mut ledger = LeaseLedger::default();
+            for &id in &order {
+                // The lease's bytes name its id; a third of the terms run
+                // out first.
+                let lease = Lease {
+                    bytes: id,
+                    ..lease(1000 + 500 * u64::from(id % 3 != 0))
+                };
+                table.grant_to(Holder::Shard((id % 2) as u32), id, lease, &mut ledger);
+            }
+            let listed: Vec<u64> = table.iter().map(|(id, _)| id).collect();
+            assert_eq!(listed, ids);
+            let orphaned: Vec<u64> = table.orphan_shard(1).iter().map(|l| l.bytes).collect();
+            assert_eq!(orphaned, in_order(&|id| id % 2 == 1));
+            let due: Vec<u64> = table
+                .expire_due(SimTime(1000), &mut ledger)
+                .iter()
+                .map(|&(id, (_, lease))| {
+                    assert_eq!(lease.bytes, id);
+                    id
+                })
+                .collect();
+            assert_eq!(due, in_order(&|id| id % 3 == 0));
+            table.check_invariants().unwrap();
+            assert!(ledger.balanced());
+        }
     }
 
     #[test]

@@ -3,33 +3,59 @@
 //! Every selector answers the same question — *which eligible, healthy
 //! candidate carries the least load?* — and a scan answers it with one map
 //! lookup per candidate per request. [`LoadBook`] keeps the answer
-//! standing: beside `load: DetMap<HostId, u64>` it holds the same pairs as
-//! an ordered index `DetSet<(u64, HostId)>`, re-filed by the one
-//! [`LoadBook::add`] / [`LoadBook::sub`] every load change goes through.
-//! [`LoadBook::least_loaded`] walks the index from its minimum and stops at
-//! the first candidate the request admits: O(log candidates) to reach the
-//! minimum plus one step per inadmissible candidate skipped.
+//! standing: each candidate has a slot (its index in the candidate list,
+//! found by one [`IdMap`] lookup), and the slots sit in an indexed 4-ary
+//! min-heap keyed `(load, HostId)`, re-filed by the one [`LoadBook::add`]
+//! / [`LoadBook::sub`] every load change goes through: a position lookup
+//! and one sift, at most ⌈log₄ candidates⌉ levels.
 //!
-//! The index orders by `(load, HostId)` — exactly the key the scan it
-//! replaced minimised — and candidates are distinct, so keys are too: the
-//! first admissible entry *is* the scan's minimum, not merely a minimum.
-//! Every placement, and every result file downstream of one, is unchanged.
+//! [`LoadBook::least_loaded`] returns the root when the request admits it,
+//! and otherwise scans the heap's flat array for the smallest admissible
+//! key. The heap orders by `(load, HostId)`, exactly the key the scan it
+//! replaced minimised, and candidates are distinct, so keys are too: the
+//! answer is the scan's minimum, not merely a minimum. Every placement,
+//! and every result file downstream of one, is unchanged.
+
+use std::ops::Range;
 
 use super::{eligible, IncastRequest};
-use dcsim::det::{DetMap, DetSet};
+use dcsim::det::IdMap;
 use dcsim::packet::HostId;
 
-/// Load per proxy candidate, the load-ordered index over it, and the
-/// candidates currently reported unhealthy.
+/// Children per heap node.
+const ARITY: usize = 4;
+
+/// One heap entry: a candidate's load, the candidate, and its slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    load: u64,
+    host: HostId,
+    slot: u32,
+}
+
+impl Entry {
+    fn key(&self) -> (u64, HostId) {
+        (self.load, self.host)
+    }
+}
+
+/// Load per proxy candidate in a load-ordered heap, and the candidates
+/// currently reported unhealthy.
 #[derive(Debug, Clone)]
 pub struct LoadBook {
-    /// The candidate set, in the order it was given.
+    /// The candidate set, in the order it was given; a candidate's index
+    /// here is its slot.
     candidates: Vec<HostId>,
-    load: DetMap<HostId, u64>,
-    /// One `(load, candidate)` entry per candidate, mirroring `load`.
-    by_load: DetSet<(u64, HostId)>,
-    /// Excluded from [`LoadBook::least_loaded`] until reported healthy.
-    unhealthy: Vec<HostId>,
+    /// Candidate → slot.
+    slot_of: IdMap<HostId, u32>,
+    /// Indexed 4-ary min-heap over `(load, HostId)`, one entry per
+    /// candidate.
+    heap: Vec<Entry>,
+    /// Slot → the entry's position in `heap`.
+    at: Vec<u32>,
+    /// Slot → excluded from [`LoadBook::least_loaded`] until reported
+    /// healthy.
+    unhealthy: Vec<bool>,
 }
 
 impl LoadBook {
@@ -39,13 +65,30 @@ impl LoadBook {
     /// Panics on an empty candidate set or duplicates.
     pub fn new(candidates: Vec<HostId>) -> Self {
         assert!(!candidates.is_empty(), "no proxy candidates");
-        let load: DetMap<HostId, u64> = candidates.iter().map(|&c| (c, 0)).collect();
-        assert_eq!(load.len(), candidates.len(), "duplicate candidates");
+        let mut slot_of = IdMap::new();
+        let mut heap: Vec<Entry> = Vec::with_capacity(candidates.len());
+        for (slot, &host) in candidates.iter().enumerate() {
+            let slot = slot as u32;
+            let prior = slot_of.insert(host, slot);
+            assert!(prior.is_none(), "duplicate candidates: {host} given twice");
+            heap.push(Entry {
+                load: 0,
+                host,
+                slot,
+            });
+        }
+        // All idle: sorted by candidate is heap-ordered.
+        heap.sort_unstable_by_key(Entry::key);
+        let mut at = vec![0; candidates.len()];
+        for (pos, e) in heap.iter().enumerate() {
+            at[e.slot as usize] = pos as u32;
+        }
         LoadBook {
-            by_load: candidates.iter().map(|&c| (0, c)).collect(),
+            unhealthy: vec![false; candidates.len()],
             candidates,
-            load,
-            unhealthy: Vec::new(),
+            slot_of,
+            heap,
+            at,
         }
     }
 
@@ -56,7 +99,9 @@ impl LoadBook {
 
     /// Current load on `proxy`; 0 for a host that is not a candidate.
     pub fn load_of(&self, proxy: HostId) -> u64 {
-        self.load.get(&proxy).copied().unwrap_or(0)
+        self.slot_of
+            .get(&proxy)
+            .map_or(0, |&slot| self.heap[self.at[slot as usize] as usize].load)
     }
 
     /// Pins `bytes` more load on `proxy`.
@@ -70,55 +115,134 @@ impl LoadBook {
     }
 
     fn refile(&mut self, proxy: HostId, change: impl FnOnce(u64) -> u64) {
-        let load = self.load.get_mut(&proxy).expect("known candidate");
-        let new = change(*load);
-        if new != *load {
-            self.by_load.remove(&(*load, proxy));
-            self.by_load.insert((new, proxy));
-            *load = new;
+        let slot = *self.slot_of.get(&proxy).expect("known candidate");
+        let pos = self.at[slot as usize] as usize;
+        let old = self.heap[pos].load;
+        let new = change(old);
+        self.heap[pos].load = new;
+        if new > old {
+            self.sift_down(pos);
+        } else if new < old {
+            self.sift_up(pos);
         }
+    }
+
+    /// Places `heap[pos]` at `pos`, keeping `at` in step.
+    fn put(&mut self, pos: usize, entry: Entry) {
+        self.heap[pos] = entry;
+        self.at[entry.slot as usize] = pos as u32;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if self.heap[parent].key() <= entry.key() {
+                break;
+            }
+            self.put(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.put(pos, entry);
+    }
+
+    /// Heap positions of `pos`'s children (empty below a leaf).
+    fn children(&self, pos: usize) -> Range<usize> {
+        let first = (ARITY * pos + 1).min(self.heap.len());
+        first..(first + ARITY).min(self.heap.len())
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while let Some(least) = self
+            .children(pos)
+            .min_by_key(|&child| self.heap[child].key())
+        {
+            if entry.key() <= self.heap[least].key() {
+                break;
+            }
+            self.put(pos, self.heap[least]);
+            pos = least;
+        }
+        self.put(pos, entry);
+    }
+
+    fn admits(&self, entry: &Entry, request: &IncastRequest) -> bool {
+        !self.unhealthy[entry.slot as usize] && eligible(entry.host, request)
     }
 
     /// The eligible, healthy candidate with the smallest `(load, HostId)`,
     /// or `None` when the request admits no candidate.
     pub fn least_loaded(&self, request: &IncastRequest) -> Option<HostId> {
-        self.by_load
+        let root = &self.heap[0];
+        if self.admits(root, request) {
+            return Some(root.host);
+        }
+        self.heap
             .iter()
-            .map(|&(_, c)| c)
-            .find(|&c| eligible(c, request) && !self.unhealthy.contains(&c))
+            .filter(|e| self.admits(e, request))
+            .min_by_key(|e| e.key())
+            .map(|e| e.host)
     }
 
-    /// Excludes `proxy` from selection (idempotent).
+    /// The healthy candidates `request` admits, in the order given.
+    pub fn admitted<'a>(&'a self, request: &'a IncastRequest) -> impl Iterator<Item = HostId> + 'a {
+        self.candidates
+            .iter()
+            .zip(&self.unhealthy)
+            .filter(move |&(&c, &sick)| !sick && eligible(c, request))
+            .map(|(&c, _)| c)
+    }
+
+    /// Excludes `proxy` from selection until reported healthy (idempotent;
+    /// a host that is not a candidate is never selected anyway).
     pub fn report_unhealthy(&mut self, proxy: HostId) {
-        if !self.unhealthy.contains(&proxy) {
-            self.unhealthy.push(proxy);
-        }
+        self.mark(proxy, true);
     }
 
     /// Clears an unhealthy mark.
     pub fn report_healthy(&mut self, proxy: HostId) {
-        self.unhealthy.retain(|&p| p != proxy);
+        self.mark(proxy, false);
+    }
+
+    fn mark(&mut self, proxy: HostId, sick: bool) {
+        if let Some(&slot) = self.slot_of.get(&proxy) {
+            self.unhealthy[slot as usize] = sick;
+        }
     }
 
     /// Candidates currently marked unhealthy.
     pub fn unhealthy_count(&self) -> usize {
-        self.unhealthy.len()
+        self.unhealthy.iter().filter(|&&sick| sick).count()
     }
 
-    /// Checks that the index mirrors the map: one entry per candidate,
-    /// filed under that candidate's current load.
+    /// Checks the heap against itself and the slots: one entry per
+    /// candidate, each filed where `at` says, and no entry keyed below its
+    /// parent.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.load.len() != self.candidates.len() || self.by_load.len() != self.load.len() {
+        let n = self.candidates.len();
+        if self.heap.len() != n || self.at.len() != n || self.slot_of.len() != n {
             return Err(format!(
-                "{} candidates, {} loads, {} index entries",
-                self.candidates.len(),
-                self.load.len(),
-                self.by_load.len()
+                "{n} candidates, {} heap entries, {} positions, {} slots",
+                self.heap.len(),
+                self.at.len(),
+                self.slot_of.len()
             ));
         }
-        for (&c, &load) in &self.load {
-            if !self.by_load.contains(&(load, c)) {
-                return Err(format!("{c} carries {load} but is not filed under it"));
+        for (pos, e) in self.heap.iter().enumerate() {
+            let slot = e.slot as usize;
+            if self.candidates.get(slot) != Some(&e.host)
+                || self.slot_of.get(&e.host) != Some(&e.slot)
+                || self.at[slot] as usize != pos
+            {
+                return Err(format!("{} at heap position {pos} is misfiled", e.host));
+            }
+            let parent = &self.heap[pos.saturating_sub(1) / ARITY];
+            if parent.key() > e.key() {
+                return Err(format!(
+                    "{} carries {} but sits below {} carrying {}",
+                    e.host, e.load, parent.host, parent.load
+                ));
             }
         }
         Ok(())
@@ -165,6 +289,8 @@ mod tests {
         b.report_unhealthy(HostId(3)); // Idempotent.
         assert_eq!(b.unhealthy_count(), 1);
         assert_eq!(b.least_loaded(&request(&[1], 2)), Some(HostId(4)));
+        let admitted: Vec<HostId> = b.admitted(&request(&[1], 2)).collect();
+        assert_eq!(admitted, vec![HostId(4)]);
         b.report_healthy(HostId(3));
         assert_eq!(b.least_loaded(&request(&[1], 2)), Some(HostId(3)));
         // A heavier eligible candidate still beats a lighter ineligible one.

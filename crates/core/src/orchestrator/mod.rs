@@ -7,14 +7,14 @@
 //!
 //! There is one control plane, [`sharded::ShardedOrchestrator`], and both
 //! of the paper's designs are configurations of it. Each keeps its
-//! per-candidate load in a [`LoadBook`] (load map plus a load-ordered
-//! index, see [`load`]):
+//! per-candidate load in a [`LoadBook`] (an indexed min-heap over
+//! `(load, HostId)`, see [`load`]):
 //!
 //! * **Global** — the plane with `shards: 1`: a central allocator with a
 //!   complete load view that picks the least-loaded eligible proxy off the
-//!   front of the book's index (O(log candidates) per request plus one
-//!   step per ineligible candidate skipped), zero conflicts by
-//!   construction. Its leases expire only when its clock is advanced.
+//!   root of the book's heap (a scan of the heap when the root is
+//!   ineligible), zero conflicts by construction. Its leases expire only when its
+//!   clock is advanced.
 //! * **Sharded** — more shards: state is sharded by victim ToR,
 //!   assignments are epoch-stamped [`lease::Lease`]s that expire in sim
 //!   time unless renewed, shards exchange [`gossip`] health views
@@ -43,7 +43,7 @@ pub use lease::{Lease, RenewOutcome};
 pub use load::LoadBook;
 pub use sharded::{ShardedConfig, ShardedOrchestrator, ShardedStats};
 
-use dcsim::det::DetMap;
+use dcsim::det::IdMap;
 use dcsim::packet::HostId;
 use dcsim::time::SimTime;
 use trace::SplitMix64;
@@ -128,7 +128,7 @@ fn eligible(candidate: HostId, request: &IncastRequest) -> bool {
 #[derive(Debug, Clone)]
 pub struct DecentralizedSelector {
     book: LoadBook,
-    active: DetMap<u64, (HostId, u64)>,
+    active: IdMap<u64, (HostId, u64)>,
     /// Number of candidates probed per trial (power of k choices).
     probes_per_trial: usize,
     /// Probability that a concurrent claim races ours.
@@ -150,7 +150,7 @@ impl DecentralizedSelector {
         assert!(probes_per_trial > 0, "need at least one probe per trial");
         DecentralizedSelector {
             book: LoadBook::new(candidates),
-            active: DetMap::new(),
+            active: IdMap::new(),
             probes_per_trial,
             conflict_probability: 0.0,
             rng: SplitMix64::new(seed),
@@ -167,14 +167,10 @@ impl DecentralizedSelector {
         self
     }
 
+    /// The least loaded of `probes_per_trial` random draws among the
+    /// healthy candidates the request admits.
     fn probe(&mut self, request: &IncastRequest) -> Option<HostId> {
-        let admitted = || {
-            self.book
-                .candidates()
-                .iter()
-                .copied()
-                .filter(|&c| eligible(c, request))
-        };
+        let admitted = || self.book.admitted(request);
         let count = admitted().count();
         let mut best: Option<HostId> = None;
         for _ in 0..self.probes_per_trial.min(count) {
@@ -192,7 +188,7 @@ impl DecentralizedSelector {
 impl ProxySelector for DecentralizedSelector {
     fn select(&mut self, request: &IncastRequest) -> Option<Assignment> {
         assert!(
-            !self.active.contains_key(&request.id),
+            self.active.get(&request.id).is_none(),
             "incast {} already has a proxy",
             request.id
         );
@@ -226,6 +222,14 @@ impl ProxySelector for DecentralizedSelector {
 
     fn load_of(&self, proxy: HostId) -> u64 {
         self.book.load_of(proxy)
+    }
+
+    fn report_unhealthy(&mut self, proxy: HostId) {
+        self.book.report_unhealthy(proxy);
+    }
+
+    fn report_healthy(&mut self, proxy: HostId) {
+        self.book.report_healthy(proxy);
     }
 
     fn release_unknown(&self) -> u64 {

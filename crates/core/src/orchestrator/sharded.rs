@@ -7,17 +7,20 @@
 //! health [`gossip`](super::gossip) and degrade gracefully along a ladder:
 //!
 //! 1. **Home shard alive** — grant and renew there; the fast path takes the
-//!    least-loaded candidate off the front of the [`LoadBook`] index, and
-//!    finds the lease to renew or release in one lookup of the id-keyed
-//!    [`LeaseTable`]. With `shards: 1` this rung is all there is while the
-//!    shard lives: that plane *is* the global orchestrator of §5 FW#3, and
-//!    it expires nothing until someone advances its clock.
+//!    least-loaded candidate off the root of the [`LoadBook`] heap, and
+//!    finds the lease to renew or release in one hash lookup of the
+//!    id-keyed [`LeaseTable`]. With `shards: 1` this rung is all there is
+//!    while the shard lives: that plane *is* the global orchestrator of
+//!    §5 FW#3, and it expires nothing until someone advances its clock.
 //! 2. **Home shard dead, gossip converged** — the ring successor suspects
 //!    the corpse and serves in its place (takeover); orphaned leases are
 //!    adopted one by one as their holders renew.
 //! 3. **Home shard dead, gossip not yet converged** — the successor cannot
 //!    distinguish a crash from slow gossip, so the request falls back to
 //!    decentralized power-of-k probing rather than risking a split brain.
+//!    Health reports reach that rung too: the plane forwards every
+//!    [`ProxySelector::report_unhealthy`] / `report_healthy` to the
+//!    fallback's own book.
 //!    Renewals of orphaned leases return [`RenewOutcome::Pending`] until
 //!    suspicion firms up.
 //! 4. **Majority of shards dead** — the control plane stops pretending:
@@ -482,10 +485,12 @@ impl ProxySelector for ShardedOrchestrator {
 
     fn report_unhealthy(&mut self, proxy: HostId) {
         self.book.report_unhealthy(proxy);
+        self.fallback.report_unhealthy(proxy);
     }
 
     fn report_healthy(&mut self, proxy: HostId) {
         self.book.report_healthy(proxy);
+        self.fallback.report_healthy(proxy);
     }
 
     fn advance_to(&mut self, now: SimTime) {

@@ -10,9 +10,13 @@
 //!   zero once every lease is released or allowed to run out.
 //! * **Selection vs a linear scan** — every grant a shard serves names the
 //!   proxy a scan over the candidates would (`min` of `(load, HostId)` over
-//!   the eligible, healthy ones), under the same chaos plus health
+//!   the eligible, healthy ones), and no grant the fallback serves names
+//!   a proxy reported unhealthy, under the same chaos plus health
 //!   reports, with the load book's and the lease table's own invariants
-//!   checked after every operation.
+//!   checked after every operation. The [`LoadBook`] alone is checked the
+//!   same way with its k lightest candidates made inadmissible, for every
+//!   k, so the heap's root is rejected in every way a request can reject
+//!   it.
 //! * **Gossip convergence** — after an arbitrary crash/restore schedule
 //!   ends, every live shard's failure detector converges on exactly the
 //!   dead set within a bounded number of heartbeat rounds (the extra
@@ -24,7 +28,7 @@ use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 use incast_core::orchestrator::lease::{Lease, LeaseTable};
 use incast_core::orchestrator::{
-    IncastRequest, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator,
+    IncastRequest, LoadBook, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -200,7 +204,8 @@ fn sharded_ledger_balances_under_chaos() {
 
 /// Whatever has happened to the plane, a grant served by a shard lands
 /// on the proxy a linear scan picks: the eligible, healthy candidate
-/// with the least `(load, HostId)`. Loads collide on purpose (few
+/// with the least `(load, HostId)`; one the fallback serves lands on a
+/// proxy not reported unhealthy. Loads collide on purpose (few
 /// candidates, three sizes) so ties are the common case. Half the cases
 /// run the one-shard plane, the global orchestrator.
 #[test]
@@ -260,7 +265,12 @@ fn selection_matches_a_linear_scan() {
                     let granted = orch.select(&request).map(|a| a.proxy);
                     issued.push(id);
                     if orch.serves_via_fallback(id) {
-                        claims.insert(id, (granted.unwrap(), request.expected_bytes));
+                        let proxy = granted.unwrap();
+                        assert!(
+                            !unhealthy.contains(&proxy),
+                            "select {id}: {proxy} unhealthy"
+                        );
+                        claims.insert(id, (proxy, request.expected_bytes));
                     } else if granted.is_some() {
                         assert_eq!(granted, scan, "select {}", id);
                     } else {
@@ -291,6 +301,63 @@ fn selection_matches_a_linear_scan() {
             assert!(orch.ledger().balanced(), "{:?}", orch.ledger());
             if let Err(broken) = orch.check_invariants() {
                 panic!("after op {} of word {}: {}", op, word, broken);
+            }
+        }
+    });
+}
+
+/// The load book's pick is the linear scan's: the least `(load, HostId)`
+/// among the candidates the request admits. Loads collide on purpose, and
+/// for every k the k lightest candidates are shut out — as senders, as
+/// the receiver, or reported unhealthy — so the pick is the (k+1)-th
+/// lightest, not the heap's root, whenever k > 0.
+#[test]
+fn load_book_matches_a_linear_scan() {
+    cases(106, 128, |_, rng| {
+        let n = 1 + rng.next_bounded(40) as usize;
+        let mut hosts: Vec<HostId> = (0..n as u32).map(|i| HostId(1 + 7 * i)).collect();
+        for i in (1..n).rev() {
+            hosts.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+        }
+        let mut book = LoadBook::new(hosts.clone());
+        let mut load: BTreeMap<HostId, u64> = hosts.iter().map(|&h| (h, 0)).collect();
+        for _round in 0..4 {
+            // Churn: few distinct sizes, so many candidates tie.
+            for _ in 0..rng.next_bounded(3 * n as u64) {
+                let h = hosts[rng.next_bounded(n as u64) as usize];
+                let bytes = [1, 2, 4][rng.next_bounded(3) as usize];
+                if rng.next_bounded(3) == 0 {
+                    book.sub(h, bytes);
+                    let l = load.get_mut(&h).unwrap();
+                    *l = l.saturating_sub(bytes);
+                } else {
+                    book.add(h, bytes);
+                    *load.get_mut(&h).unwrap() += bytes;
+                }
+            }
+            book.check_invariants().unwrap();
+            let mut by_load: Vec<(u64, HostId)> = load.iter().map(|(&h, &l)| (l, h)).collect();
+            by_load.sort_unstable();
+            for k in 0..=n {
+                let mut request = IncastRequest {
+                    id: 0,
+                    senders: vec![HostId(10_000)],
+                    receiver: HostId(10_001),
+                    expected_bytes: 1,
+                };
+                for (i, &(_, h)) in by_load[..k].iter().enumerate() {
+                    match (i + k) % 3 {
+                        0 => request.senders.push(h),
+                        1 if request.receiver == HostId(10_001) => request.receiver = h,
+                        _ => book.report_unhealthy(h),
+                    }
+                }
+                let scan = by_load.get(k).map(|&(_, h)| h);
+                assert_eq!(book.least_loaded(&request), scan, "k = {k} of {n}");
+                for &h in &hosts {
+                    assert_eq!(book.load_of(h), load[&h]);
+                    book.report_healthy(h);
+                }
             }
         }
     });

@@ -6,9 +6,10 @@
 //! and full iteration contents. A second family of properties checks the
 //! *determinism* contract itself — iteration order is a pure function of
 //! the key set, independent of insertion history — which is the invariant
-//! the simulator's replay identity rests on.
+//! the simulator's replay identity rests on. `IdMap` is model-checked the
+//! same way, over the key shapes a hash table is weakest on.
 
-use dcsim::det::{DetMap, DetSet, SeqMap};
+use dcsim::det::{DetMap, DetSet, IdMap, SeqMap};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use trace::{cases, SplitMix64};
@@ -114,6 +115,73 @@ fn detmap_iteration_order_ignores_insertion_history() {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(a, sorted);
+    });
+}
+
+/// The key pools `IdMap` is checked over: the extremes, sequential ids,
+/// ids strided by a power of two (they differ only in high bits, or only
+/// in low ones), and random ids.
+fn id_pool(rng: &mut SplitMix64) -> Vec<u64> {
+    let n = 1 + rng.next_bounded(48);
+    let base = rng.next_u64() >> 1;
+    match rng.next_bounded(4) {
+        0 => vec![0, 1, 2, u64::MAX, u64::MAX - 1, 1 << 63, u64::MAX >> 1],
+        1 => (base..base + n).collect(),
+        2 => {
+            let stride = rng.next_bounded(64);
+            (0..n).map(|k| k.wrapping_shl(stride as u32)).collect()
+        }
+        _ => (0..n).map(|_| rng.next_u64()).collect(),
+    }
+}
+
+/// IdMap agrees with a BTreeMap model after every operation of a random
+/// insert / overwrite / update / remove interleaving, and every view it
+/// has comes out exactly as the model's key-ordered one.
+#[test]
+fn idmap_matches_btreemap_model() {
+    cases(205, 256, |_, rng| {
+        let pool = id_pool(rng);
+        let mut map: IdMap<u64, u64> = IdMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for word in words(rng, 1..400) {
+            let key = pool[(word % pool.len() as u64) as usize];
+            let val = word >> 32;
+            match (word >> 8) % 4 {
+                0 | 1 => assert_eq!(map.insert(key, val), model.insert(key, val)),
+                2 => assert_eq!(map.remove(&key), model.remove(&key)),
+                _ => {
+                    if let Some(v) = map.get_mut(&key) {
+                        *v += 1;
+                    }
+                    if let Some(v) = model.get_mut(&key) {
+                        *v += 1;
+                    }
+                }
+            }
+            assert_eq!(map.len(), model.len());
+            assert_eq!(map.is_empty(), model.is_empty());
+            assert_eq!(map.get(&key), model.get(&key));
+        }
+        for key in &pool {
+            assert_eq!(map.get(key), model.get(key));
+        }
+        let sorted: Vec<(u64, u64)> = map.sorted().into_iter().map(|(k, v)| (k, *v)).collect();
+        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(sorted, want);
+        let odd: Vec<u64> = model
+            .iter()
+            .filter(|(_, v)| *v % 2 == 1)
+            .map(|(&k, _)| k)
+            .collect();
+        assert_eq!(map.sorted_keys_where(|v| v % 2 == 1), odd);
+        assert_eq!(map.min_of(|&v| Some(v)), model.values().min().copied());
+        assert_eq!(map.min_of(|_| None::<u64>), None);
+        assert_eq!(
+            format!("{map:?}"),
+            format!("{model:?}"),
+            "Debug prints in key order"
+        );
     });
 }
 

@@ -900,6 +900,18 @@ fn ffi() {
     }
 
     #[test]
+    fn a_custom_hasher_does_not_launder_a_hash_map() {
+        // `dcsim::det::IdMap` is the one sanctioned hash table; a map over
+        // any other hasher, outside `det.rs`, is still a hit.
+        let file = "crates/core/src/orchestrator/lease.rs";
+        let src = "use std::hash::BuildHasherDefault;\nstruct Leases {\n    \
+                   ids: HashMap<u64, u64, BuildHasherDefault<IdHasher>>,\n}\n";
+        let report = scan_source(file, src, &crate::registry::active_rules(file));
+        assert_eq!(hit_ids(&report), vec!["hash-collections"]);
+        assert_eq!(report.violations[0].line, 3);
+    }
+
+    #[test]
     fn standalone_allow_skips_blank_and_comment_lines() {
         let report = scan(
             "// simlint: allow(wall-clock) — covers next code line\n\n// interleaved comment\nlet t = Instant::now();\n",
