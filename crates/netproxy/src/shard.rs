@@ -50,7 +50,7 @@ use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::wire::{rewrite_data_to_nack, rewrite_trimmed_to_nack, WireHeader, WIRE_HEADER_LEN};
 use incast_core::lossdetect::LossDetectorConfig;
 use incast_core::relay::Detector;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -350,7 +350,9 @@ impl RelayStats {
 
 /// Fixed-size lock-free flow→sender directory for the cross-shard
 /// reverse path. CAS-insert once per flow, plain loads on lookup;
-/// linear probing, never resized, never locked.
+/// linear probing, never resized, never locked. A flow's home slot is
+/// [`flow_hash`] under a key drawn once per directory, so no one can
+/// precompute a family of flow ids that share a probe window.
 ///
 /// Keys are stored as `flow + 1` so 0 can mean "empty"; flow
 /// `u64::MAX` is therefore not publishable (its feedback still works on
@@ -371,12 +373,32 @@ pub struct FlowDirectory {
     keys: Box<[AtomicU64]>,
     vals: Box<[AtomicU64]>,
     mask: usize,
+    hash_key: u64,
     publish_failed: AtomicU64,
 }
 
-/// Probe limit before an insert gives up (lookups stop at the first
-/// empty slot anyway).
-const DIR_MAX_PROBES: usize = 64;
+/// Probe bound of both flow tables: the directory's publish gives up
+/// past it, and a shard's [`SenderTable`] rekeys rather than exceed it.
+/// Lookups in either stop there too (or at the first empty slot).
+const MAX_PROBES: usize = 64;
+
+/// The hash both flow tables home a flow with: SplitMix64's finalizer
+/// over `flow ^ key`. A table takes `flow_hash(flow, key) & mask` as the
+/// home slot, with `key` drawn by [`fresh_key`] — public so the loom
+/// models can build colliding flows for a known key.
+#[inline]
+pub fn flow_hash(flow: u64, key: u64) -> u64 {
+    let mut z = flow ^ key;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A hash key nobody outside the process can predict: std's per-process
+/// random SipHash keys (advanced on every draw) applied to a constant.
+fn fresh_key() -> u64 {
+    RandomState::new().hash_one(0x5EED_u64)
+}
 
 fn pack_v4(addr: SocketAddr) -> Option<u64> {
     match addr {
@@ -395,13 +417,24 @@ impl FlowDirectory {
     /// A directory with room for `capacity` flows (rounded up to a
     /// power of two).
     pub fn new(capacity: usize) -> Self {
+        Self::with_key(capacity, fresh_key())
+    }
+
+    /// [`FlowDirectory::new`] with a chosen hash key instead of a fresh
+    /// one, for models and tests that need to know where flows land.
+    pub fn with_key(capacity: usize, hash_key: u64) -> Self {
         let cap = capacity.next_power_of_two();
         FlowDirectory {
             keys: (0..cap).map(|_| AtomicU64::new(0)).collect(),
             vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
             mask: cap - 1,
+            hash_key,
             publish_failed: AtomicU64::new(0),
         }
+    }
+
+    fn home(&self, flow: u64) -> usize {
+        flow_hash(flow, self.hash_key) as usize & self.mask
     }
 
     /// Publishes that could not land: sentinel flow id, IPv6 sender, or
@@ -439,8 +472,8 @@ impl FlowDirectory {
             self.note_publish_failed(); // IPv6 sender: private-table only
             return;
         };
-        let mut idx = (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize & self.mask;
-        for _ in 0..DIR_MAX_PROBES {
+        let mut idx = self.home(flow);
+        for _ in 0..MAX_PROBES {
             // ordering: Relaxed — the key is only compared for
             // equality; no data is read through it and a stale 0 just
             // falls through to the CAS, which re-checks atomically.
@@ -486,8 +519,8 @@ impl FlowDirectory {
         if key == 0 {
             return None;
         }
-        let mut idx = (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize & self.mask;
-        for _ in 0..DIR_MAX_PROBES {
+        let mut idx = self.home(flow);
+        for _ in 0..MAX_PROBES {
             // ordering: Relaxed — equality-only probe; a stale 0 or
             // stale key misroutes this lookup to a miss at worst (the
             // caller falls back to dropping the datagram, same as a
@@ -508,6 +541,123 @@ impl FlowDirectory {
             idx = (idx + 1) & self.mask;
         }
         None
+    }
+}
+
+/// A shard's private flow → sender table: open addressing, linear
+/// probing, a power-of-two slot array kept under half full (the insert
+/// that would fill half of it doubles it first) and never shrunk, so
+/// most flows sit in their home slot and the probe's one branch
+/// predicts. The home slot is [`flow_hash`] under a key of the table's
+/// own from [`fresh_key`], and no entry ever sits more than
+/// [`MAX_PROBES`] probes from home: an insert that would have to probe
+/// further redraws the key and rehashes instead (every further failed
+/// draw also doubles the table). Every insert and lookup is therefore
+/// at most [`MAX_PROBES`] probes, whatever flow ids arrive. Empty slots
+/// are `None`, so every flow id, 0 and `u64::MAX` included, is an
+/// ordinary key.
+struct SenderTable {
+    slots: Box<[Option<(u64, SocketAddr)>]>,
+    len: usize,
+    key: u64,
+}
+
+/// Where a flow is, or would go, in a [`SenderTable`].
+enum Probe {
+    /// The slot holding the flow.
+    Hit(usize),
+    /// The first empty slot on the flow's probe run: the flow is absent.
+    Vacant(usize),
+    /// [`MAX_PROBES`] slots held other flows: the flow is absent, and
+    /// inserting it means rekeying.
+    Overflow,
+}
+
+impl SenderTable {
+    const INITIAL_SLOTS: usize = 16;
+
+    fn new() -> Self {
+        Self::with_key(fresh_key())
+    }
+
+    fn with_key(key: u64) -> Self {
+        SenderTable {
+            slots: vec![None; Self::INITIAL_SLOTS].into_boxed_slice(),
+            len: 0,
+            key,
+        }
+    }
+
+    fn probe(&self, flow: u64) -> Probe {
+        let mask = self.slots.len() - 1;
+        let mut i = flow_hash(flow, self.key) as usize & mask;
+        for _ in 0..MAX_PROBES {
+            match self.slots[i] {
+                None => return Probe::Vacant(i),
+                Some((f, _)) if f == flow => return Probe::Hit(i),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+        Probe::Overflow
+    }
+
+    fn get(&self, flow: u64) -> Option<SocketAddr> {
+        match self.probe(flow) {
+            Probe::Hit(i) => self.slots[i].map(|(_, addr)| addr),
+            _ => None,
+        }
+    }
+
+    /// Maps `flow` to `addr`; true when that is new or changed.
+    #[inline]
+    fn insert(&mut self, flow: u64, addr: SocketAddr) -> bool {
+        match self.probe(flow) {
+            Probe::Hit(i) => match &mut self.slots[i] {
+                Some((_, known)) if *known != addr => {
+                    *known = addr;
+                    true
+                }
+                _ => false,
+            },
+            _ => self.insert_new(flow, addr),
+        }
+    }
+
+    /// [`SenderTable::insert`] of a flow not in the table.
+    #[cold]
+    #[inline(never)]
+    fn insert_new(&mut self, flow: u64, addr: SocketAddr) -> bool {
+        loop {
+            match self.probe(flow) {
+                Probe::Vacant(i) if 2 * (self.len + 1) < self.slots.len() => {
+                    self.slots[i] = Some((flow, addr));
+                    self.len += 1;
+                    return true;
+                }
+                Probe::Vacant(_) => self.rehash(2 * self.slots.len(), self.key),
+                Probe::Overflow => self.rehash(self.slots.len(), fresh_key()),
+                Probe::Hit(_) => unreachable!("a rehash keeps the flow absent"),
+            }
+        }
+    }
+
+    /// Moves every entry into `cap` slots under `key`; should one land
+    /// past [`MAX_PROBES`], starts over under a fresh key and twice the
+    /// slots, so the loop ends even for a table too big for its bound.
+    fn rehash(&mut self, mut cap: usize, mut key: u64) {
+        let entries: Vec<(u64, SocketAddr)> = self.slots.iter().flatten().copied().collect();
+        'draw: loop {
+            self.key = key;
+            self.slots = vec![None; cap].into_boxed_slice();
+            for &(flow, addr) in &entries {
+                let Probe::Vacant(i) = self.probe(flow) else {
+                    (cap, key) = (2 * cap, fresh_key());
+                    continue 'draw;
+                };
+                self.slots[i] = Some((flow, addr));
+            }
+            return;
+        }
     }
 }
 
@@ -866,10 +1016,7 @@ impl ShardWorker {
     fn run(mut self) {
         let mut ring = RecvRing::new();
         let mut queue = SendQueue::new();
-        // Private flow table: flow → sender address. netproxy is exempt
-        // from the simlint hash-collection rule (wall-clock crate, no
-        // sim-path determinism contract).
-        let mut senders: HashMap<u64, SocketAddr> = HashMap::new();
+        let mut senders = SenderTable::new();
         let mut next_sweep = Instant::now() + self.sweep_interval;
         loop {
             // ordering: Acquire — pairs with the Release store in
@@ -945,7 +1092,7 @@ impl ShardWorker {
         ring: &mut RecvRing,
         batch: std::ops::Range<usize>,
         queue: &mut SendQueue,
-        senders: &mut HashMap<u64, SocketAddr>,
+        senders: &mut SenderTable,
     ) -> bool {
         let got = batch.len() as u64;
         let start = Instant::now();
@@ -1058,8 +1205,8 @@ impl ShardWorker {
     }
 
     /// Learns (and publishes once) a data packet's sender address.
-    fn learn_sender(&self, senders: &mut HashMap<u64, SocketAddr>, flow: u64, from: SocketAddr) {
-        if senders.insert(flow, from) != Some(from) {
+    fn learn_sender(&self, senders: &mut SenderTable, flow: u64, from: SocketAddr) {
+        if senders.insert(flow, from) {
             self.directory.publish(flow, from);
         }
     }
@@ -1072,7 +1219,7 @@ impl ShardWorker {
         ring: &mut RecvRing,
         i: usize,
         queue: &mut SendQueue,
-        senders: &mut HashMap<u64, SocketAddr>,
+        senders: &mut SenderTable,
         now: u64,
         local: &mut Local,
     ) {
@@ -1150,7 +1297,7 @@ impl ShardWorker {
                 // Feedback (ACK/NACK): reverse toward the flow's sender.
                 // Private table first; the lock-free directory covers
                 // flows whose feedback was steered to a foreign shard.
-                let dest = senders.get(&flow).copied().or_else(|| {
+                let dest = senders.get(flow).or_else(|| {
                     let found = self.directory.lookup(flow);
                     if let Some(addr) = found {
                         senders.insert(flow, addr); // cache for next time
@@ -1180,7 +1327,7 @@ impl ShardWorker {
     /// when the socket died.
     fn sweep(
         &mut self,
-        senders: &HashMap<u64, SocketAddr>,
+        senders: &SenderTable,
         now: Instant,
         ring: &RecvRing,
         queue: &mut SendQueue,
@@ -1188,7 +1335,7 @@ impl ShardWorker {
         let mut local = Local::default();
         for loss in self.detector.sweep(self.clock(now)) {
             // Every flow the detector observed had its sender learned first.
-            if let Some(&sender) = senders.get(&loss.flow) {
+            if let Some(sender) = senders.get(loss.flow) {
                 queue.push_nack(loss.flow, loss.seq, sender);
                 local.nacks += 1;
             }
@@ -1202,11 +1349,11 @@ fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-// The FlowDirectory tests below are pure (threads + atomics, no sockets)
-// and run under Miri, which checks the lock-free probe/publish protocol
-// for undefined behavior; loom explores its interleavings exhaustively
-// (tests/loom.rs). Socket-driven relay tests live in `tests` and are
-// skipped under Miri.
+// The FlowDirectory and SenderTable tests below are pure (threads +
+// atomics, no sockets) and run under Miri, which checks the lock-free
+// probe/publish protocol for undefined behavior; loom explores its
+// interleavings exhaustively (tests/loom.rs). Socket-driven relay tests
+// live in `tests` and are skipped under Miri.
 #[cfg(test)]
 mod directory_tests {
     use super::*;
@@ -1259,6 +1406,27 @@ mod directory_tests {
         assert_eq!(dir.lookup(7), Some(v4), "existing entry untouched");
     }
 
+    /// The unkeyed home `(flow * C >> 16) & mask` sent the 65 flows
+    /// `j * 2^32 * C^-1` all to slot 0, where they filled the probe window
+    /// and every later flow homed there failed to publish. Keyed, they
+    /// scatter like any other flows.
+    #[test]
+    fn directory_scatters_a_precomputed_colliding_family() {
+        const C: u64 = 0x9E37_79B9_7F4A_7C15;
+        let family = |j: u64| (j << 32).wrapping_mul(super::sender_table_tests::odd_inverse(C));
+        assert_eq!(family(3).wrapping_mul(C), 3 << 32);
+        let dir = FlowDirectory::new(64 * 1024);
+        let addr: SocketAddr = "127.0.0.1:4567".parse().unwrap();
+        for j in 0..65 {
+            dir.publish(family(j), addr);
+        }
+        let victim: SocketAddr = "127.0.0.2:4568".parse().unwrap();
+        dir.publish(family(65), victim);
+        assert_eq!(dir.publish_failed(), 0);
+        assert_eq!(dir.lookup(family(65)), Some(victim));
+        assert!((0..65).all(|j| dir.lookup(family(j)) == Some(addr)));
+    }
+
     #[test]
     fn directory_survives_concurrent_publishers() {
         let dir = Arc::new(FlowDirectory::new(1024));
@@ -1282,6 +1450,121 @@ mod directory_tests {
             }
         }
         assert_eq!(found, 500, "every flow resolvable after the race");
+    }
+}
+
+#[cfg(test)]
+mod sender_table_tests {
+    use super::*;
+    use std::collections::BTreeMap;
+    use trace::{cases, SplitMix64};
+
+    /// `a^-1 mod 2^64` for odd `a` (Newton: each step doubles the
+    /// correct low bits, from the 3 that `a * a = 1 mod 8` gives).
+    pub(super) fn odd_inverse(a: u64) -> u64 {
+        let mut x = a;
+        for _ in 0..5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        }
+        assert_eq!(a.wrapping_mul(x), 1);
+        x
+    }
+
+    /// The `x` with `x ^ (x >> shift) == y`.
+    fn unshift(y: u64, shift: u32) -> u64 {
+        let (mut x, mut t) = (y, y >> shift);
+        while t != 0 {
+            x ^= t;
+            t >>= shift;
+        }
+        x
+    }
+
+    /// The flow whose [`flow_hash`] under `key` is `hash`.
+    fn flow_with_hash(hash: u64, key: u64) -> u64 {
+        let z = unshift(hash, 31).wrapping_mul(odd_inverse(0x94D0_49BB_1331_11EB));
+        let z = unshift(z, 27).wrapping_mul(odd_inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30) ^ key
+    }
+
+    /// The longest probe any entry takes to be found.
+    fn longest_probe(table: &SenderTable) -> usize {
+        let mask = table.slots.len() - 1;
+        let home = |flow| flow_hash(flow, table.key) as usize;
+        (table.slots.iter().enumerate())
+            .filter_map(|(i, slot)| slot.map(|(flow, _)| (i.wrapping_sub(home(flow)) & mask) + 1))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn addr(n: u64) -> SocketAddr {
+        SocketAddr::from(([10, 0, (n >> 8) as u8, n as u8], 1000 + n as u16))
+    }
+
+    /// Inserts, changed-address re-inserts and lookups against a
+    /// `BTreeMap` model, with the ids a sentinel or a truncation would
+    /// trip on, growing from 16 slots past six doublings.
+    #[test]
+    fn sender_table_matches_a_btreemap() {
+        let edges = [
+            0,
+            1,
+            u64::MAX,
+            u64::MAX - 1,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+            (1 << 32) | (1 << 31),
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+        ];
+        cases(29, 24, |_, rng: &mut SplitMix64| {
+            let mut table = SenderTable::new();
+            let mut model = BTreeMap::new();
+            let flows = 32 + rng.next_bounded(1000) as usize;
+            let pool: Vec<u64> = edges
+                .iter()
+                .copied()
+                .chain((0..flows).map(|_| rng.next_u64()))
+                .collect();
+            for _ in 0..3 * pool.len() {
+                let flow = pool[rng.next_bounded(pool.len() as u64) as usize];
+                if rng.next_bounded(3) == 0 {
+                    assert_eq!(table.get(flow), model.get(&flow).copied(), "get {flow}");
+                } else {
+                    let to = addr(rng.next_bounded(4));
+                    let changed = model.insert(flow, to) != Some(to);
+                    assert_eq!(table.insert(flow, to), changed, "insert {flow}");
+                }
+            }
+            assert_eq!(table.len, model.len());
+            assert!(2 * table.len < table.slots.len());
+            assert!(longest_probe(&table) <= MAX_PROBES);
+            for &flow in &pool {
+                assert_eq!(table.get(flow), model.get(&flow).copied(), "final {flow}");
+            }
+        });
+    }
+
+    /// A flood of ids chosen to share one home slot under a known key
+    /// never pushes a probe run past the bound: the insert that would
+    /// rekeys, and every id stays findable.
+    #[test]
+    fn sender_table_rekeys_under_a_colliding_flood() {
+        const KEY: u64 = 0x0123_4567_89AB_CDEF;
+        // Low 32 hash bits zero: home slot 0 at any table size.
+        let flood: Vec<u64> = (1..=300).map(|j| flow_with_hash(j << 32, KEY)).collect();
+        assert!(flood.iter().all(|&f| flow_hash(f, KEY) as u32 == 0));
+        let mut table = SenderTable::with_key(KEY);
+        for (n, &flow) in flood.iter().enumerate() {
+            assert!(table.insert(flow, addr(n as u64)));
+            assert!(longest_probe(&table) <= MAX_PROBES, "after {n} inserts");
+        }
+        assert_ne!(table.key, KEY, "the flood forced a rekey");
+        for (n, &flow) in flood.iter().enumerate() {
+            assert_eq!(table.get(flow), Some(addr(n as u64)));
+        }
     }
 }
 

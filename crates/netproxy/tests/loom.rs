@@ -12,7 +12,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
-use netproxy::shard::{FlowDirectory, RelayStats, ShardStats};
+use netproxy::shard::{flow_hash, FlowDirectory, RelayStats, ShardStats};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 
@@ -69,15 +69,15 @@ fn directory_lookup_races_publish() {
 fn directory_colliding_flows_both_resolve() {
     // Brute-forced outside the model (the closure must be
     // deterministic and cheap): two flows with the same home slot in
-    // an 8-slot table.
-    let mask = 7usize;
-    let slot = |flow: u64| (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize & mask;
+    // an 8-slot table under a fixed hash key.
+    const KEY: u64 = 0x5EED;
+    let slot = |flow: u64| flow_hash(flow, KEY) & 7;
     let f1 = 0u64;
     let f2 = (1..).find(|&f| slot(f) == slot(f1)).expect("collision");
     let a = addr(4, 4444);
     let b = addr(5, 5555);
     loom::model(move || {
-        let dir = Arc::new(FlowDirectory::new(8));
+        let dir = Arc::new(FlowDirectory::with_key(8, KEY));
         let d1 = Arc::clone(&dir);
         let t1 = thread::spawn(move || d1.publish(f1, a));
         let d2 = Arc::clone(&dir);
