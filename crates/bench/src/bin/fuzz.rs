@@ -10,7 +10,9 @@
 //! consecutive fuzz seeds. Every failure (panic, invariant violation,
 //! event-cap livelock) is shrunk to a minimal scenario that fails the
 //! same way and written to `--out` as a JSON repro file. Exits non-zero
-//! when any scenario failed. The default family is the chaos fuzzer
+//! when any scenario failed. The closing line also says how many
+//! scenarios fell in each of the family's census cells (the chaos
+//! family's: transport × failover). The default family is the chaos fuzzer
 //! (the packet simulator under fault plans); `--control-plane` runs the
 //! sharded lease plane ([`bench::cpfuzz`]) instead: shard crashes
 //! mid-incast, stale placements, and gossip delayed past lease expiry,
@@ -24,7 +26,7 @@
 //! whose tag names no family.
 
 use bench::cpfuzz::ControlPlane;
-use bench::fuzz::{details, replay, run_campaign, Chaos, Family, DEFAULT_SHRINK_BUDGET};
+use bench::fuzz::{details, replay, run_campaign, Campaign, Chaos, Family, DEFAULT_SHRINK_BUDGET};
 
 #[derive(Debug, Clone)]
 struct Cli {
@@ -96,14 +98,21 @@ fn campaign<F: Family>(cli: &Cli) -> i32 {
     // findings instead).
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let findings = run_campaign::<F>(cli.start_seed, cli.count, cli.jobs, cli.shrink_budget);
+    let Campaign { findings, census } =
+        run_campaign::<F>(cli.start_seed, cli.count, cli.jobs, cli.shrink_budget);
     std::panic::set_hook(default_hook);
 
+    // The family's census rides on the closing line, e.g.
+    // "; rate+failover: 61 of 500".
+    let census: String = census
+        .iter()
+        .map(|(cell, n)| format!("; {cell}: {n} of {}", cli.count))
+        .collect();
     if findings.is_empty() {
-        println!("all {} {family}scenarios clean", cli.count);
+        println!("all {} {family}scenarios clean{census}", cli.count);
         return 0;
     }
-    eprintln!("{} failing {family}scenario(s):", findings.len());
+    eprintln!("{} failing {family}scenario(s){census}:", findings.len());
     for finding in &findings {
         eprintln!(
             "  seed {}: {} — {}",

@@ -634,7 +634,7 @@ const TRANSPORTS: &[(&str, Transport)] = &[
 ///
 /// §5 FW#1: the proxy's loss-detection requirements "are intertwined with
 /// ... congestion control (e.g., BBR is more resilient to loss)". Two
-/// questions, answered with the `dcsim::protocol::rate::RateSender`:
+/// questions, answered with the rate-based policy [`dcsim::protocol::Rate`]:
 ///
 /// 1. Does the baseline's inter-DC collapse survive a switch to paced,
 ///    loss-resilient senders (i.e. is the problem transport-specific)?

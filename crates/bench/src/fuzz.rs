@@ -35,6 +35,7 @@ use incast_core::experiment::TrimPolicy;
 use incast_core::scheme::{IncastHandle, Transport};
 use incast_core::{ExperimentConfig, Scheme};
 use mini_json::Json;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use trace::{derive_seed, SplitMix64};
@@ -70,6 +71,11 @@ pub trait Family {
     fn details(outcome: &Self::Outcome) -> Vec<String>;
     fn to_value(sc: &Self::Scenario) -> Json;
     fn from_value(v: &Json) -> Result<Self::Scenario, String>;
+    /// The census cell a scenario falls in; a campaign reports how many of
+    /// its scenarios each cell got (`None`: the family keeps no census).
+    fn cell(_sc: &Self::Scenario) -> Option<String> {
+        None
+    }
 }
 
 /// One run of a scenario: the family's outcome, or the panic message.
@@ -174,6 +180,15 @@ impl<F: Family> Finding<F> {
     }
 }
 
+/// What a campaign came to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Campaign<F: Family> {
+    /// Every failing scenario, shrunk.
+    pub findings: Vec<Finding<F>>,
+    /// Scenarios per census cell ([`Family::cell`]), in cell order.
+    pub census: BTreeMap<String, u64>,
+}
+
 /// Runs `count` seeded scenarios in parallel, then shrinks each failure
 /// serially. Fully deterministic for a given `(start_seed, count)`, at
 /// any `jobs`.
@@ -182,7 +197,7 @@ pub fn run_campaign<F: Family>(
     count: u64,
     jobs: usize,
     shrink_budget: usize,
-) -> Vec<Finding<F>> {
+) -> Campaign<F> {
     let seeds: Vec<u64> = (start_seed..start_seed + count).collect();
     let results = crate::SweepRunner::new(jobs).run(&seeds, |&seed| {
         let sc = F::generate(seed);
@@ -190,7 +205,11 @@ pub fn run_campaign<F: Family>(
         (seed, sc, outcome)
     });
     let mut findings = Vec::new();
+    let mut census = BTreeMap::new();
     for (seed, sc, outcome) in results {
+        if let Some(cell) = F::cell(&sc) {
+            *census.entry(cell).or_insert(0) += 1;
+        }
         if let Some(kind) = failure_kind::<F>(&outcome) {
             let (shrunk, shrink_runs) = shrink::<F>(&sc, &kind, shrink_budget);
             let outcome = run_scenario::<F>(&shrunk);
@@ -204,7 +223,7 @@ pub fn run_campaign<F: Family>(
             });
         }
     }
-    findings
+    Campaign { findings, census }
 }
 
 /// A committed repro: the scenario plus what a replay is expected to see.
@@ -705,6 +724,20 @@ impl Family for Chaos {
             push(&|c: &mut Scenario| c.hosts_per_leaf -= 1);
         }
         out
+    }
+
+    /// Transport × failover: the failover census shows that rate-based
+    /// senders with failover on are exercised. A scenario counts as
+    /// "+failover" only under a scheme whose senders can fail over (the
+    /// end-to-end proxy schemes); Baseline and Naive ignore the flag.
+    fn cell(sc: &Scenario) -> Option<String> {
+        let fails_over =
+            sc.failover && matches!(sc.scheme, Scheme::ProxyStreamlined | Scheme::ProxyDetecting);
+        let failover = if fails_over { "+failover" } else { "" };
+        Some(format!(
+            "{}{failover}",
+            name_of(TRANSPORT_NAMES, sc.transport)
+        ))
     }
 
     fn describe(sc: &Scenario) -> String {
@@ -1274,6 +1307,22 @@ mod tests {
     }
 
     #[test]
+    fn census_counts_failover_only_where_senders_can_fail_over() {
+        let mut sc = Chaos::generate(1);
+        sc.transport = Transport::RateBased;
+        sc.failover = true;
+        for (scheme, cell) in [
+            (Scheme::Baseline, "rate"),
+            (Scheme::ProxyNaive, "rate"),
+            (Scheme::ProxyStreamlined, "rate+failover"),
+            (Scheme::ProxyDetecting, "rate+failover"),
+        ] {
+            sc.scheme = scheme;
+            assert_eq!(Chaos::cell(&sc).as_deref(), Some(cell), "{scheme:?}");
+        }
+    }
+
+    #[test]
     fn repro_file_round_trips() {
         let repro = ReproFile::<Chaos> {
             found_with_seed: 42,
@@ -1409,6 +1458,8 @@ mod tests {
     fn campaign_findings_do_not_depend_on_jobs() {
         let serial = run_campaign::<Toy>(0, 64, 1, 50);
         assert_eq!(serial, run_campaign::<Toy>(0, 64, 4, 50));
+        assert!(serial.census.is_empty(), "the toy keeps no census");
+        let serial = serial.findings;
         for kind in ["Big", "Odd"] {
             assert!(serial.iter().any(|f| f.kind == kind), "no {kind} finding");
         }

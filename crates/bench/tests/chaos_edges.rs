@@ -1,23 +1,25 @@
 //! Targeted crash-timing edge cases for the Streamlined proxy, run under
 //! the strict invariant auditor with the liveness watchdog armed.
 //!
-//! The chaos fuzzer explores these transitions randomly; these two tests
-//! pin the nastiest timings deterministically:
+//! The chaos fuzzer explores these transitions randomly; these tests pin
+//! the nastiest timings deterministically:
 //!
 //! * the proxy is dead **during the first flight** (it crashes at the
 //!   exact incast start, so every sender's initial window arrives at a
-//!   black hole), and
+//!   black hole),
 //! * the proxy crashes **while its early NACKs are in flight** back to
 //!   the senders (trims happened, NACKs left the proxy, then it died —
-//!   the senders act on feedback from a proxy that no longer exists).
+//!   the senders act on feedback from a proxy that no longer exists), and
+//! * the proxy dies **for good** under rate-based senders, which only
+//!   failover to the direct path can save.
 //!
-//! In both cases the incast must still complete (the paper's §3 argument:
+//! In every case the incast must still complete (the paper's §3 argument:
 //! the proxy holds no hard state, so end-to-end retransmission plus
 //! restore recovers everything) and the strict auditor must stay silent —
 //! any leaked packet, broken queue accounting, or wedged flow panics.
 
 use dcsim::prelude::*;
-use incast_core::scheme::IncastHandle;
+use incast_core::scheme::{IncastHandle, Transport};
 use incast_core::{ExperimentConfig, Scheme};
 
 fn config(total_bytes: u64, degree: usize) -> ExperimentConfig {
@@ -98,4 +100,25 @@ fn proxy_crash_with_nacks_in_flight_recovers_clean() {
     let ledger = sim.ledger();
     assert_eq!(ledger.created, ledger.terminal(), "{ledger:?}");
     assert!(ledger.trimmed > 0, "trimming was the point: {ledger:?}");
+}
+
+#[test]
+fn rate_senders_fail_over_when_the_proxy_never_returns() {
+    // Failover belongs to the sender shell, not to the window: paced
+    // senders must leave a dead proxy for the direct path too.
+    let config = ExperimentConfig {
+        transport: Transport::RateBased,
+        ..config(400_000, 4)
+    };
+    let (mut sim, _, handle) = config.build(7);
+    let proxy = handle.proxy_agent.expect("streamlined exposes its proxy");
+    let plan = FaultPlan::new().crash_agent(proxy, handle.start);
+    sim.install_faults(&plan).expect("valid plan");
+    run_to_completion(&mut sim, &handle);
+    assert!(
+        sim.metrics().counter(Counter::FailoverActivations) > 0,
+        "only failover can finish an incast whose proxy never returns"
+    );
+    let ledger = sim.ledger();
+    assert_eq!(ledger.created, ledger.terminal(), "{ledger:?}");
 }

@@ -212,7 +212,7 @@ const SWEEP_INTERVAL: SimDuration = SimDuration::from_micros(50);
 ///
 /// The Naive *scheme* (split connections) needs no agent of its own: it is
 /// a [`dcsim::protocol::Receiver`] with grants wired to a
-/// [`dcsim::protocol::DctcpSender`] in relay mode on the same host.
+/// [`dcsim::protocol::Sender`] in relay mode on the same host.
 pub struct RelayAgent {
     host: HostId,
     kind: RelayKind,

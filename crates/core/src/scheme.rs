@@ -11,9 +11,9 @@
 //!   NACKs and forwards everything else.
 
 use crate::relay::{RelayAgent, RelayKind};
-use dcsim::flows::cc_for_path;
+use dcsim::flows::PathProfile;
 use dcsim::prelude::*;
-use dcsim::protocol::{RateCcConfig, RateSender};
+use dcsim::protocol::{CongestionControl, EcnResponse, Rate};
 
 /// Which transport the incast senders run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +24,8 @@ pub enum Transport {
     /// at BBR's loss resilience as a relevant interaction). Applies to
     /// the incast senders; the Naive scheme's proxy→receiver relay leg
     /// stays windowed regardless, since it is grant-clocked by the
-    /// ingress side rather than self-clocked.
+    /// ingress side rather than self-clocked. Failover works the same
+    /// under either transport: it is the sender shell's, not the policy's.
     RateBased,
 }
 
@@ -110,14 +111,14 @@ pub struct IncastSpec {
     pub early_nack: bool,
     /// ECN response of every sender (default: true DCTCP α; the
     /// `ablation_cc_response` study compares against plain halving).
-    pub ecn_response: dcsim::protocol::dctcp::EcnResponse,
+    pub ecn_response: EcnResponse,
     /// Loss-detector configuration for the [`Scheme::ProxyDetecting`]
     /// variant (ignored by the other schemes).
     pub detector: crate::lossdetect::LossDetectorConfig,
     /// Sender transport (the paper's windowed DCTCP-like by default).
     pub transport: Transport,
-    /// When set, proxied windowed senders monitor proxy health and fall
-    /// back to the direct path if the proxy goes silent (see
+    /// When set, proxied senders of either transport monitor proxy health
+    /// and fall back to the direct path if the proxy goes silent (see
     /// [`dcsim::protocol::FailoverConfig`]). `None` (the default) leaves
     /// runs bit-identical to builds without failover support. Only the
     /// end-to-end proxy schemes (Streamlined, Detecting) use it: Baseline
@@ -139,7 +140,7 @@ impl IncastSpec {
             streamlined_delay: SimDuration(420_000), // 0.42 µs
             iw_scale: 1.0,
             early_nack: true,
-            ecn_response: dcsim::protocol::dctcp::EcnResponse::default(),
+            ecn_response: EcnResponse::default(),
             detector: crate::lossdetect::LossDetectorConfig::default(),
             transport: Transport::WindowedDctcp,
             failover: None,
@@ -263,16 +264,16 @@ fn install_relayed(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> In
     let mut watch = Vec::new();
     for (flow, src, bytes) in flows {
         let packets = packets_for_bytes(bytes);
-        // End-to-end connection: 1 BDP of the full (via-proxy) path, RTO
-        // scaled to the end-to-end RTT.
-        let cc = tune_cc(cc_via_proxy(sim, src, proxy_host, spec.receiver), spec);
+        // End-to-end connection: both legs make one path (1 BDP of the
+        // whole of it, RTO scaled to the end-to-end RTT).
+        let path = PathProfile::through(sim.topology(), &[src, proxy_host, spec.receiver]);
         let sender = sim.add_agent(make_sender(
             spec,
             flow,
             src,
             proxy_host,
             packets,
-            cc,
+            path,
             Some(spec.receiver),
         ));
         let receiver = sim.add_agent(Box::new(
@@ -293,38 +294,46 @@ fn install_relayed(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> In
     }
 }
 
-/// Applies the spec's CC overrides (IW scale, ECN response) to a derived
-/// per-path config.
-fn tune_cc(mut cc: CcConfig, spec: &IncastSpec) -> CcConfig {
+/// The windowed policy for `path`, with the spec's overrides (IW scale,
+/// ECN response) applied.
+fn windowed(path: PathProfile, spec: &IncastSpec) -> Dctcp {
+    let mut cc = path.windowed();
     cc.init_cwnd_bytes = ((cc.init_cwnd_bytes as f64 * spec.iw_scale) as u64).max(DATA_PKT_SIZE);
     cc.ecn_response = spec.ecn_response;
-    cc
+    Dctcp::new(cc)
 }
 
-/// Builds the sender agent for the spec's transport choice. `direct` is
-/// the receiver host for proxied end-to-end flows that may fall back to
-/// the direct path; failover only applies to the windowed transport.
+/// Builds the sender agent for the spec's transport over `path`. `direct`
+/// is the receiver host for proxied end-to-end flows, which fall back to
+/// the direct path when the spec enables failover.
 fn make_sender(
     spec: &IncastSpec,
     flow: FlowId,
     src: HostId,
     to: HostId,
     packets: u64,
-    cc: CcConfig,
+    path: PathProfile,
     direct: Option<HostId>,
-) -> Box<dyn dcsim::agent::Agent> {
+) -> Box<dyn Agent> {
+    fn boxed<C: CongestionControl + 'static>(
+        sender: Sender<C>,
+        failover: Option<(HostId, FailoverConfig)>,
+    ) -> Box<dyn Agent> {
+        match failover {
+            Some((direct, cfg)) => Box::new(sender.with_failover(direct, cfg)),
+            None => Box::new(sender),
+        }
+    }
+    let failover = direct.zip(spec.failover);
     match spec.transport {
-        Transport::WindowedDctcp => {
-            let mut sender = DctcpSender::new(flow, src, to, packets, cc);
-            if let (Some(direct), Some(cfg)) = (direct, spec.failover) {
-                sender = sender.with_failover(direct, cfg);
-            }
-            Box::new(sender)
-        }
-        Transport::RateBased => {
-            let rate_cc = RateCcConfig::for_path(cc.base_feedback_delay, Bandwidth::gbps(100));
-            Box::new(RateSender::new(flow, src, to, packets, rate_cc))
-        }
+        Transport::WindowedDctcp => boxed(
+            Sender::new(flow, src, to, packets, windowed(path, spec)),
+            failover,
+        ),
+        Transport::RateBased => boxed(
+            Sender::new(flow, src, to, packets, Rate::new(path.rate())),
+            failover,
+        ),
     }
 }
 
@@ -333,7 +342,7 @@ fn install_baseline(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
     for (i, &src) in spec.senders.iter().enumerate() {
         let bytes = spec.bytes_for_sender(i);
         let packets = packets_for_bytes(bytes);
-        let cc = tune_cc(cc_for_path(sim, src, spec.receiver), spec);
+        let path = PathProfile::through(sim.topology(), &[src, spec.receiver]);
         let flow = sim.new_flow();
         let sender = sim.add_agent(make_sender(
             spec,
@@ -341,7 +350,7 @@ fn install_baseline(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
             src,
             spec.receiver,
             packets,
-            cc,
+            path,
             None,
         ));
         let receiver = sim.add_agent(Box::new(Receiver::new(flow, spec.receiver, packets)));
@@ -359,18 +368,6 @@ fn install_baseline(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
     }
 }
 
-/// Congestion-control parameters for the end-to-end path routed via the
-/// proxy: base RTT and BDP are the sums over both legs.
-fn cc_via_proxy(sim: &Simulator, src: HostId, proxy: HostId, dst: HostId) -> CcConfig {
-    let topo = sim.topology();
-    let rtt = topo.base_rtt(src, proxy, DATA_PKT_SIZE, HEADER_SIZE)
-        + topo.base_rtt(proxy, dst, DATA_PKT_SIZE, HEADER_SIZE);
-    let bottleneck = topo
-        .path_bottleneck(src, proxy)
-        .min(topo.path_bottleneck(proxy, dst));
-    CcConfig::for_rtt(rtt, bottleneck.bdp_bytes(rtt))
-}
-
 fn install_naive(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
     let proxy_host = spec.proxy.expect("validated");
     let mut watch = Vec::new();
@@ -385,10 +382,11 @@ fn install_naive(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
         // creation order: relay, leg-B receiver, leg-A sender, ingress) so
         // a relay that loses grants to a crash can ask it to resync.
         let flow_b = sim.new_flow();
-        let cc_b = tune_cc(cc_for_path(sim, proxy_host, spec.receiver), spec);
+        let path_b = PathProfile::through(sim.topology(), &[proxy_host, spec.receiver]);
+        let cc_b = windowed(path_b, spec);
         let ingress_id = AgentId(sim.agent_count() as u32 + 3);
         let relay = sim.add_agent(Box::new(
-            DctcpSender::relay(flow_b, proxy_host, spec.receiver, packets, cc_b)
+            Sender::relay(flow_b, proxy_host, spec.receiver, packets, cc_b)
                 .with_grant_source(ingress_id),
         ));
         let recv_b = sim.add_agent(Box::new(Receiver::new(flow_b, spec.receiver, packets)));
@@ -398,9 +396,9 @@ fn install_naive(sim: &mut Simulator, spec: &IncastSpec) -> IncastHandle {
 
         // Leg A: sender → proxy, a full intra-DC connection.
         let flow_a = sim.new_flow();
-        let cc_a = tune_cc(cc_for_path(sim, src, proxy_host), spec);
+        let path_a = PathProfile::through(sim.topology(), &[src, proxy_host]);
         let sender = sim.add_agent(make_sender(
-            spec, flow_a, src, proxy_host, packets, cc_a, None,
+            spec, flow_a, src, proxy_host, packets, path_a, None,
         ));
         let ingress = sim.add_agent(Box::new(
             Receiver::new(flow_a, proxy_host, packets).with_grants_to(relay),
@@ -484,6 +482,27 @@ mod tests {
         let r = s.run(Some(SimTime::ZERO + SimDuration::from_secs(60)));
         assert_eq!(r.stop, StopReason::Idle, "{r:?}");
         assert!(h.completion(s.metrics()).is_some());
+    }
+
+    #[test]
+    fn rate_senders_pace_from_the_path_bottleneck() {
+        // A 10 Gb/s long haul behind 100 Gb/s NICs: the rate policy starts
+        // at a tenth of the path's bottleneck (1 Gb/s) times its STARTUP
+        // gain of 2, so one packet leaves every 6 µs until ACKs return.
+        let mut params = TwoDcParams::small_test();
+        params.wan_link.bandwidth = Bandwidth::gbps(10);
+        let mut s = Simulator::new(two_dc_leaf_spine(&params), 11);
+        let (dc0, dc1) = (s.topology().hosts_in_dc(0), s.topology().hosts_in_dc(1));
+        let spec = IncastSpec {
+            transport: Transport::RateBased,
+            ..IncastSpec::new(vec![dc0[0]], dc1[0], 1_000_000)
+        };
+        install_incast(&mut s, &spec, Scheme::Baseline);
+        let gap = Bandwidth::gbps(2).serialize_time(DATA_PKT_SIZE);
+        assert_eq!(gap, SimDuration::from_micros(6));
+        // Ticks at 0, 6, ..., 60 µs; the first ACK is a WAN round trip away.
+        s.run(Some(SimTime::ZERO + SimDuration(10 * gap.0 + gap.0 / 2)));
+        assert_eq!(s.ledger().created, 11, "data packets sent in 63 µs");
     }
 
     #[test]

@@ -40,10 +40,10 @@ use std::sync::Arc;
 
 use crate::audit::InvariantViolation;
 use crate::fidelity::{ExpressStats, FidelityConfig};
-use crate::flows::{cc_for_path, FlowSpec};
+use crate::flows::{FlowSpec, PathProfile};
 use crate::metrics::LaneChurn;
 use crate::packet::{FlowId, NodeId, PortId};
-use crate::protocol::{packets_for_bytes, DctcpSender, Receiver};
+use crate::protocol::{packets_for_bytes, Dctcp, Receiver, Sender};
 use crate::sim::{Simulator, StopReason};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -201,9 +201,7 @@ impl FleetSim {
     /// in the shards owning the endpoint hosts.
     pub fn install_flow(&mut self, spec: FlowSpec, start: SimTime) -> FlowId {
         assert_ne!(spec.src, spec.dst, "flow to self");
-        let cc = spec
-            .cc
-            .unwrap_or_else(|| cc_for_path(&self.shards[0], spec.src, spec.dst));
+        let cc = PathProfile::through(self.shards[0].topology(), &[spec.src, spec.dst]).windowed();
         let packets = packets_for_bytes(spec.bytes);
         let (src_shard, dst_shard) = {
             let topo = self.shards[0].topology();
@@ -221,8 +219,8 @@ impl FleetSim {
             }
         }
         let flow = flow.expect("fleet has at least one shard");
-        let sender = self.shards[src_shard]
-            .add_dctcp_sender(DctcpSender::new(flow, spec.src, spec.dst, packets, cc));
+        let sender = Sender::new(flow, spec.src, spec.dst, packets, Dctcp::new(cc));
+        let sender = self.shards[src_shard].add_dctcp_sender(sender);
         self.shards[src_shard].bind(flow, spec.src, sender);
         let receiver = self.shards[dst_shard].add_receiver(Receiver::new(flow, spec.dst, packets));
         self.shards[dst_shard].bind(flow, spec.dst, receiver);

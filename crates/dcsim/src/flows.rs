@@ -2,11 +2,13 @@
 //! simulator with path-derived congestion-control parameters.
 
 use crate::packet::{AgentId, FlowId, HostId, DATA_PKT_SIZE, HEADER_SIZE};
-use crate::protocol::{packets_for_bytes, CcConfig, DctcpSender, Receiver};
+use crate::protocol::{packets_for_bytes, CcConfig, Dctcp, RateCcConfig, Receiver, Sender};
 use crate::sim::Simulator;
-use crate::time::SimTime;
+use crate::time::{Bandwidth, SimDuration, SimTime};
+use crate::topology::Topology;
 
-/// Description of a plain (unproxied) flow.
+/// Description of a plain (unproxied) flow. Its congestion control comes
+/// from the path, per §4.1 ([`PathProfile::windowed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
     /// Sending host.
@@ -15,26 +17,12 @@ pub struct FlowSpec {
     pub dst: HostId,
     /// Application bytes to transfer.
     pub bytes: u64,
-    /// Congestion-control override; `None` derives 1-BDP initial window and
-    /// RTT-scaled RTO from the path, per §4.1.
-    pub cc: Option<CcConfig>,
 }
 
 impl FlowSpec {
-    /// A flow with path-derived congestion control.
+    /// A flow of `bytes` from `src` to `dst`.
     pub fn new(src: HostId, dst: HostId, bytes: u64) -> Self {
-        FlowSpec {
-            src,
-            dst,
-            bytes,
-            cc: None,
-        }
-    }
-
-    /// Overrides the congestion-control config.
-    pub fn with_cc(mut self, cc: CcConfig) -> Self {
-        self.cc = Some(cc);
-        self
+        FlowSpec { src, dst, bytes }
     }
 }
 
@@ -51,14 +39,42 @@ pub struct FlowHandle {
     pub packets: u64,
 }
 
-/// Derives the §4.1 congestion-control parameters for the path
-/// `src → dst`: initial window = 1 BDP (bottleneck bandwidth × base RTT),
-/// RTO floor scaled to the base RTT.
-pub fn cc_for_path(sim: &Simulator, src: HostId, dst: HostId) -> CcConfig {
-    let topo = sim.topology();
-    let base_rtt = topo.base_rtt(src, dst, DATA_PKT_SIZE, HEADER_SIZE);
-    let bdp = topo.path_bottleneck(src, dst).bdp_bytes(base_rtt);
-    CcConfig::for_rtt(base_rtt, bdp)
+/// What a path looks like to a sender: its base RTT and its bottleneck.
+/// Both congestion policies derive their parameters from this one profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathProfile {
+    /// Round trip of one data packet and its ACK on an idle path.
+    base_rtt: SimDuration,
+    /// The slowest link on the forward path.
+    bottleneck: Bandwidth,
+}
+
+impl PathProfile {
+    /// One connection through `hosts` in order (a relayed one names the
+    /// relay): the legs' base RTTs add up, the slowest link is the
+    /// bottleneck.
+    pub fn through(topo: &Topology, hosts: &[HostId]) -> Self {
+        assert!(hosts.len() >= 2, "a path needs two ends");
+        let start = PathProfile {
+            base_rtt: SimDuration::ZERO,
+            bottleneck: Bandwidth(u64::MAX),
+        };
+        hosts.windows(2).fold(start, |p, leg| PathProfile {
+            base_rtt: p.base_rtt + topo.base_rtt(leg[0], leg[1], DATA_PKT_SIZE, HEADER_SIZE),
+            bottleneck: p.bottleneck.min(topo.path_bottleneck(leg[0], leg[1])),
+        })
+    }
+
+    /// The windowed policy's §4.1 parameters: initial window = 1 BDP
+    /// (bottleneck bandwidth × base RTT), RTO floor scaled to the base RTT.
+    pub fn windowed(&self) -> CcConfig {
+        CcConfig::for_rtt(self.base_rtt, self.bottleneck.bdp_bytes(self.base_rtt))
+    }
+
+    /// The rate-based policy's parameters for this path.
+    pub fn rate(&self) -> RateCcConfig {
+        RateCcConfig::for_path(self.base_rtt, self.bottleneck)
+    }
 }
 
 /// Installs a sender/receiver pair for `spec`, scheduling the sender to
@@ -66,14 +82,12 @@ pub fn cc_for_path(sim: &Simulator, src: HostId, dst: HostId) -> CcConfig {
 /// the returned flow id when the receiver holds every byte.
 pub fn install_flow(sim: &mut Simulator, spec: FlowSpec, start: SimTime) -> FlowHandle {
     assert_ne!(spec.src, spec.dst, "flow to self");
-    let cc = spec
-        .cc
-        .unwrap_or_else(|| cc_for_path(sim, spec.src, spec.dst));
+    let cc = Dctcp::new(PathProfile::through(sim.topology(), &[spec.src, spec.dst]).windowed());
     let packets = packets_for_bytes(spec.bytes);
     let flow = sim.new_flow();
     // Inline arena slots: a million-flow fleet install stays two dense
     // pushes per flow, no per-agent boxing.
-    let sender = sim.add_dctcp_sender(DctcpSender::new(flow, spec.src, spec.dst, packets, cc));
+    let sender = sim.add_dctcp_sender(Sender::new(flow, spec.src, spec.dst, packets, cc));
     let receiver = sim.add_receiver(Receiver::new(flow, spec.dst, packets));
     sim.bind(flow, spec.src, sender);
     sim.bind(flow, spec.dst, receiver);
@@ -99,11 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn cc_for_path_intra_vs_inter() {
+    fn windowed_profile_intra_vs_inter() {
         let s = sim();
-        let intra = cc_for_path(&s, crate::packet::HostId(0), crate::packet::HostId(1));
-        let far = s.topology().hosts_in_dc(1)[0];
-        let inter = cc_for_path(&s, crate::packet::HostId(0), far);
+        let t = s.topology();
+        let intra = PathProfile::through(t, &[HostId(0), HostId(1)]).windowed();
+        let far = t.hosts_in_dc(1)[0];
+        let inter = PathProfile::through(t, &[HostId(0), far]).windowed();
         // Inter-DC BDP (100 µs links in the test topology) dwarfs the
         // intra-DC BDP (µs-scale).
         assert!(inter.init_cwnd_bytes > 20 * intra.init_cwnd_bytes);

@@ -14,7 +14,8 @@
 //! * a **DCTCP-like transport** (window reset on timeout, multiplicative
 //!   decrease on marked ACK / NACK, additive increase on unmarked ACK,
 //!   initial window = 1 BDP) with per-packet ACKs and NACK-driven
-//!   retransmission,
+//!   retransmission — one sender shell, with the window (or a rate-based
+//!   policy) behind a trait,
 //! * the building blocks of the **Naive proxy** (receiver-with-grants +
 //!   relay sender); the end-to-end proxy agent runs the relay core of the
 //!   `incast-core` crate (`incast_core::relay`).
@@ -73,7 +74,7 @@ pub mod prelude {
         HEADER_SIZE, MSS,
     };
     pub use crate::protocol::{
-        packets_for_bytes, CcConfig, DctcpSender, FailoverConfig, Receiver, RtoConfig,
+        packets_for_bytes, CcConfig, Dctcp, FailoverConfig, Receiver, RtoConfig, Sender,
     };
     pub use crate::queues::{EnqueueOutcome, PortQueue, QueueConfig, QueueStats};
     pub use crate::sim::{RunReport, Simulator, StopReason, TerminatedReason};

@@ -10,7 +10,7 @@ use crate::metrics::{LaneChurn, SimMetrics};
 use crate::packet::{
     AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId, DATA_PKT_SIZE, HEADER_SIZE,
 };
-use crate::protocol::{DctcpSender, Receiver};
+use crate::protocol::{Dctcp, Receiver, Sender};
 use crate::queues::{EnqueueOutcome, PortQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeRole, Topology};
@@ -137,13 +137,13 @@ fn size_slot(size: u64) -> Option<usize> {
 /// else (proxies, orchestrators, test probes) stays boxed behind the same
 /// `AgentId` index space.
 ///
-/// The size skew is the point: boxing `DctcpSender` (the hot, common
+/// The size skew is the point: boxing the windowed sender (the hot, common
 /// variant) would reintroduce the pointer chase the arena exists to
 /// remove, at the cost of a few hundred padding bytes on the rare
 /// `Receiver`/`Boxed` slots.
 #[allow(clippy::large_enum_variant)]
 pub enum AgentSlot {
-    Dctcp(DctcpSender),
+    Dctcp(Sender<Dctcp>),
     Receiver(Receiver),
     Boxed(Box<dyn Agent>),
 }
@@ -577,9 +577,9 @@ impl Simulator {
         id
     }
 
-    /// Registers a DCTCP sender inline in the agent arena (no per-agent
+    /// Registers a windowed sender inline in the agent arena (no per-agent
     /// box), returning its id. Ids share one space with boxed agents.
-    pub fn add_dctcp_sender(&mut self, agent: DctcpSender) -> AgentId {
+    pub fn add_dctcp_sender(&mut self, agent: Sender<Dctcp>) -> AgentId {
         let id = AgentId(self.agents.len() as u32);
         self.agents.push(AgentSlot::Dctcp(agent));
         id

@@ -328,24 +328,42 @@ fn unstructured_topology_always_routes() {
     });
 }
 
-/// The rate-based sender's pacing rate stays within its configured
-/// bounds for any sequence of bandwidth samples.
+/// The rate policy's pacing rate stays within its bounds as delivery-rate
+/// samples arrive: never under `min_rate`, never over the largest sample
+/// so far (or the initial rate) times the STARTUP gain.
 #[test]
 fn rate_sender_pacing_bounded() {
     cases(12, 16, |_, rng| {
-        let samples = vec_of(rng, 0..64, |r| draw(r, 1..1_000_000_000_000));
-        use dcsim::packet::{FlowId as F, HostId as H};
-        use dcsim::protocol::rate::{RateCcConfig, RateSender};
-        use dcsim::time::{Bandwidth, SimDuration};
+        let samples = vec_of(rng, 1..64, |r| draw(r, 1..1_000_000_000_000));
+        use dcsim::agent::Ctx;
+        use dcsim::packet::DATA_PKT_SIZE;
+        use dcsim::protocol::{CongestionControl, Rate, RateCcConfig};
+        use dcsim::time::{Bandwidth, SimDuration, PS_PER_SEC};
         let config = RateCcConfig::for_path(SimDuration::from_micros(100), Bandwidth::gbps(100));
-        let mut s = RateSender::new(F(0), H(0), H(1), 10, config);
-        let _ = &samples; // bandwidth estimates enter via acks in real runs;
-                          // here we check the static bound: gain ≤ startup_gain and the floor.
-        let rate = s.pacing_rate().bps();
-        assert!(rate >= config.min_rate.bps());
-        assert!(rate <= (config.initial_rate.bps() as f64 * config.startup_gain) as u64 + 1);
-        assert!(s.btl_bw().bps() > 0);
-        let _ = &mut s;
+        let mut rate = Rate::new(config);
+        let srtt = Some(SimDuration::from_micros(100));
+        // A packet acked `elapsed` ps after it left, with nothing else
+        // delivered meanwhile, is a sample of `bits / elapsed` bps.
+        let bits = DATA_PKT_SIZE * 8 * PS_PER_SEC;
+        let (mut now, mut peak, mut fx) = (SimTime(0), config.initial_rate.bps(), Vec::new());
+        for (seq, &bps) in (0u64..).zip(&samples) {
+            let elapsed = bits / bps;
+            rate.on_send(seq, now);
+            now = SimTime(now.0 + elapsed);
+            let ack = Packet::ack_for(
+                &Packet::data(FlowId(0), seq, HostId(0), HostId(1), 0),
+                HostId(1),
+            );
+            rate.on_ack(&ack, srtt, &mut Ctx::harness(now, AgentId(0), &mut fx));
+            peak = peak.max(bits / elapsed);
+            let pacing = rate.pacing_rate().bps();
+            assert!(pacing >= config.min_rate.bps(), "{pacing} under the floor");
+            assert!(
+                pacing <= (peak as f64 * config.startup_gain) as u64 + 1,
+                "{pacing} over {peak} x startup gain"
+            );
+        }
+        assert!(rate.btl_bw().bps() > 0);
     });
 }
 
