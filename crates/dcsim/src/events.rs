@@ -1,21 +1,24 @@
 //! The discrete-event queue.
 //!
-//! An indexed 4-ary min-heap keyed by `(time, sequence)`: the sequence
-//! number breaks ties in insertion order, which makes runs fully
-//! deterministic — two events scheduled for the same picosecond always
-//! fire in the order they were scheduled.
+//! Two 4-ary min-heaps — one of plain events, one of lane heads — keyed
+//! by `(time, sequence)`: the sequence number breaks ties in insertion
+//! order, which makes runs fully deterministic — two events scheduled for
+//! the same picosecond always fire in the order they were scheduled.
 //!
 //! Layout matters here: this queue is the simulator's hottest structure
-//! (every event passes through it, tens of millions per run). The heap
-//! itself holds only 24-byte `(time, seq, slot, lane)` entries, so sift-up /
-//! sift-down move small Copy values with good cache locality; the fat
-//! [`Event`] payloads (a full [`Packet`] by value in the `Arrival` case)
-//! live in a slab indexed by `slot` and are written exactly once on
-//! `schedule` and read exactly once on `pop`. Freed slots are recycled
-//! through a free list, so a steady-state run allocates nothing per event.
-//! The 4-ary shape halves tree depth versus a binary heap, trading a few
-//! extra comparisons per level for fewer cache-missing levels — the usual
-//! win for discrete-event simulation workloads.
+//! (every event passes through it, tens of millions per run). A **plain**
+//! event — one scheduled off any lane (see below) — owns a 24-byte
+//! `(time, seq, slot)` entry in the plain heap, so sift-up / sift-down
+//! move small Copy values with good cache locality; its [`Event`] payload
+//! (a full [`Packet`] by value in the `Arrival` case) lives in a slab
+//! indexed by `slot`, written exactly once on `schedule` and read exactly
+//! once on `pop`. Freed slots are recycled through a free list, so a
+//! steady-state run allocates nothing per event. The slab is what gives a
+//! plain event a stable address: `pos[slot]` tracks its heap index, and a
+//! [`TimerHandle`] (slot + generation) can cancel or reschedule it in
+//! place. The 4-ary shape halves tree depth versus a binary heap, trading
+//! a few extra comparisons per level for fewer cache-missing levels — the
+//! usual win for discrete-event simulation workloads.
 //!
 //! # Lanes
 //!
@@ -25,15 +28,40 @@
 //! transmitted. Holding each event as its own heap entry makes every push
 //! and pop sift through entries whose relative order was never in question.
 //! A **lane** ([`EventQueue::with_lanes`], [`EventQueue::schedule_on_lanes`])
-//! is a FIFO of pending events sorted by `(time, seq)`, threaded through the
-//! shared slab by a per-slot `next` link, and only the lane's *head* owns a
-//! heap entry:
+//! is a FIFO of pending events sorted by `(time, seq)`, and lanes keep their
+//! events apart from plain ones:
 //!
-//! * scheduling behind a non-empty lane appends to the list — O(1), the
-//!   heap is not touched;
-//! * popping a lane head overwrites `heap[0]` with its successor's key and
-//!   does one sift-down — instead of a pop plus a push — on a heap that
-//!   holds one entry per busy lane rather than one per packet in flight.
+//! * a lane is a chain of fixed blocks of 32 events, each stored
+//!   whole — key and payload — so a lane's events sit contiguously. The
+//!   blocks come from one pool shared by every lane of the queue; a lane
+//!   takes a block from the pool's free list when its tail block is full
+//!   (or when it was empty), and hands a block back the moment its head
+//!   leaves it. Scheduling behind a non-empty lane is an O(1) append that
+//!   touches no heap;
+//! * the head of every non-empty lane owns one entry in a second 4-ary
+//!   heap, the **lane-head heap**: the head's key and where it sits in the
+//!   pool. Nothing outside `pop` ever moves a lane head, so this heap needs
+//!   no `pos`. Popping a lane head reads the successor's key from the same
+//!   block (the next slot, or the first of the next block), writes it over
+//!   the root and does one sift-down — instead of a pop plus a push — on a
+//!   heap that holds one entry per busy lane and no plain events.
+//!
+//! `pop` takes the smaller of the two roots. That is exact: sequence
+//! numbers still come from the one global counter at schedule time, a lane
+//! is sorted, so its head is its minimum, so the lane-head heap's root is
+//! the minimum over everything on lanes and the plain heap's root the
+//! minimum over the rest — the smaller of the two is the minimum
+//! `(time, seq)` over everything pending, the event a single heap would
+//! have popped. Keys are unique, so there is never a tie between the roots.
+//!
+//! Why blocks and not a `VecDeque` per lane: a deque per lane is about as
+//! fast, but each deque keeps its own high-water capacity for the life of
+//! the run. In a hybrid fleet run (`sim_fleet_hybrid`) the deques held
+//! 283 k entries where the old shared slab needed 197 k slots, and
+//! `sim_incast_full`'s peak RSS went from 7.6 to 8.8–9.6 MB. Pooled
+//! blocks bound what lanes hold to the events pending plus at most one
+//! part-filled block at each end of a busy lane, whatever each lane's
+//! peak was.
 //!
 //! What a lane stands for is the caller's business. The simulator opens one
 //! per port and, beside them, four per **delay class** — the ports whose
@@ -42,26 +70,21 @@
 //! later and arrives `ser(size) + latency` later, the same two constants
 //! whichever port, so the class's `Arrival`s of one size are scheduled in
 //! the order they fire, and so — nearly — are its `TxDone`s: each kind and
-//! size gets a lane, and the heap holds one entry per (class, size) instead
-//! of one per busy link. An offer names up to two lanes, class first and
-//! port second, and joins the first it keeps sorted.
+//! size gets a lane, and the lane-head heap holds one entry per (class,
+//! size) instead of one per busy link. An offer names up to two lanes,
+//! class first and port second, and joins the first it keeps sorted.
 //!
-//! Sequence numbers still come from the one global counter at schedule
-//! time and `pop` still returns the minimum `(time, seq)` over everything
-//! pending, so the pop sequence is exactly what a single heap would produce
-//! (a lane is sorted, so its head is its minimum, so the heap — lane heads
-//! plus plain entries — always contains the global minimum). Nothing relies
-//! on the caller's claim that a lane's offers are monotone — the queue
-//! verifies, it never trusts: an offer that would unsort a lane goes on to
-//! its second choice, and one that no lane will have, or that names none,
-//! takes the plain heap path. That is what happens to the simulator's class
-//! lanes under hybrid fidelity, where a transmission timed behind an express
-//! reservation starts later than *now*: its arrival is ahead of what the
-//! class's other ports offer next, those offers are refused, and they land
-//! on their port's lane as they did before there were classes.
-//! [`EventQueue::check_invariants`] audits all of it; [`LaneChurn`] counts
-//! where inserts went. Lane entries are never handed a [`TimerHandle`];
-//! cancel and reschedule are for plain entries only.
+//! Nothing relies on the caller's claim that a lane's offers are monotone —
+//! the queue verifies, it never trusts: an offer that would unsort a lane
+//! goes on to its second choice, and one that no lane will have, or that
+//! names none, takes the plain heap path. That is what happens to the
+//! simulator's class lanes under hybrid fidelity, where a transmission timed
+//! behind an express reservation starts later than *now*: its arrival is
+//! ahead of what the class's other ports offer next, those offers are
+//! refused, and they land on their port's lane as they did before there
+//! were classes. [`EventQueue::check_invariants`] audits all of it;
+//! [`LaneChurn`] counts where inserts went. Lane entries are never handed a
+//! [`TimerHandle`]; cancel and reschedule are for plain entries only.
 //!
 //! # Reserved keys
 //!
@@ -139,7 +162,7 @@ pub enum FaultEvent {
 }
 
 /// A scheduled simulator event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A packet finished propagating over a link and arrives at `node`.
     Arrival { node: NodeId, packet: Packet },
@@ -174,25 +197,31 @@ pub struct EventCensus {
 /// lines of 24-byte entries.
 const ARITY: usize = 4;
 
-/// "No slot" / "no lane" sentinel for the `u32` links below.
+/// Events per lane block: a lane pop crosses into another block, and hands
+/// one back to the pool, once every 32 events.
+const BLOCK: usize = 32;
+
+/// "No lane" / "empty lane" sentinel for the `u32` indices below.
 const NIL: u32 = u32::MAX;
 
 /// The lane index that names no lane, for the scheduling calls that take
 /// one: the event goes where [`EventQueue::schedule`] would put it.
 pub const NO_LANE: usize = usize::MAX;
 
-/// A compact heap entry: ordering key plus a handle into the event slab.
-/// `lane` rides in what would otherwise be padding: the lane this entry is
-/// the head of, or [`NIL`] for a plain entry.
+/// An entry of either heap: its ordering key.
+trait Keyed: Copy {
+    fn key(&self) -> (SimTime, u64);
+}
+
+/// A plain heap entry: ordering key plus a handle into the event slab.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     at: SimTime,
     seq: u64,
     slot: u32,
-    lane: u32,
 }
 
-impl HeapEntry {
+impl Keyed for HeapEntry {
     /// Min-heap ordering key: earliest time first, schedule order within a
     /// timestamp.
     #[inline]
@@ -201,14 +230,30 @@ impl HeapEntry {
     }
 }
 
-/// Per-slot lane threading, meaningful only while the slot holds a lane
-/// entry: its ordering key (a queued entry has no heap entry to carry it)
-/// and the slot queued behind it on the same lane.
+/// A lane-head heap entry: the head's key, its lane, and its index in the
+/// block pool.
 #[derive(Debug, Clone, Copy)]
-struct LaneLink {
+struct LaneHead {
     at: SimTime,
     seq: u64,
-    next: u32,
+    lane: u32,
+    idx: u32,
+}
+
+impl Keyed for LaneHead {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+/// A lane event as it sits in its block: key and payload together, so a
+/// pop reads both, and its successor's key, from one place.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    at: SimTime,
+    seq: u64,
+    event: Event,
 }
 
 /// The event queue: a deterministic min-heap of [`Event`]s with
@@ -216,27 +261,35 @@ struct LaneLink {
 /// (see the module docs).
 #[derive(Default)]
 pub struct EventQueue {
-    /// Indexed 4-ary min-heap of compact entries: every plain event and
-    /// the head of every non-empty lane.
+    /// Indexed 4-ary min-heap of plain events.
     heap: Vec<HeapEntry>,
-    /// Slab of event payloads; `HeapEntry::slot` indexes into it. `None`
-    /// slots are free and linked through `free`.
+    /// Slab of plain event payloads; `HeapEntry::slot` indexes into it.
+    /// `None` slots are free and linked through `free`.
     slab: Vec<Option<Event>>,
     /// Recycled slab slots.
     free: Vec<u32>,
     /// Heap index of each occupied slot (`pos[slot]` is only meaningful
-    /// while the slot is live); maintained by every sift so cancel and
-    /// reschedule find their entry in O(1).
+    /// while the slot is live); maintained by every sift of the plain heap
+    /// so cancel and reschedule find their entry in O(1).
     pos: Vec<u32>,
     /// Per-slot generation, bumped whenever a slot is freed; a
     /// [`TimerHandle`] is live iff its generation still matches.
     gen: Vec<u32>,
-    /// Per-slot lane threading, parallel to `slab`.
-    link: Vec<LaneLink>,
-    /// Tail slot of each lane; [`NIL`] while the lane is empty.
-    lanes: Vec<u32>,
-    /// Events queued on lanes behind their head, i.e. pending but not in
-    /// `heap`.
+    /// 4-ary min-heap of the heads of non-empty lanes.
+    heads: Vec<LaneHead>,
+    /// The block pool: block `b` is `pool[b * BLOCK..(b + 1) * BLOCK]`,
+    /// and is named by its first index, `b * BLOCK`.
+    pool: Vec<Queued>,
+    /// Per block, the block chained after it on its lane: [`NIL`] for a
+    /// lane's last block, stale while the block is free.
+    next_block: Vec<u32>,
+    /// Blocks on no lane, reused last-freed first.
+    free_blocks: Vec<u32>,
+    /// Pool index of each lane's tail event; [`NIL`] while the lane is
+    /// empty.
+    tails: Vec<u32>,
+    /// Events queued on lanes behind their head, i.e. pending but in
+    /// neither heap.
     queued: usize,
     /// What every insert so far cost (appended / pushed / refused).
     churn: LaneChurn,
@@ -253,8 +306,8 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before any reallocation.
+    /// Creates an empty queue with room for `capacity` pending plain
+    /// events before any reallocation.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_lanes(capacity, 0)
     }
@@ -265,16 +318,10 @@ impl EventQueue {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
             pos: Vec::with_capacity(capacity),
             gen: Vec::with_capacity(capacity),
-            link: Vec::with_capacity(capacity),
-            lanes: vec![NIL; lanes],
-            queued: 0,
-            churn: LaneChurn::default(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            now_seq: 0,
+            tails: vec![NIL; lanes],
+            ..Self::default()
         }
     }
 
@@ -326,14 +373,14 @@ impl EventQueue {
 
     /// Number of pending events, lane-held ones included.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.queued
+        self.heap.len() + self.heads.len() + self.queued
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        // A non-empty lane always has its head in the heap.
-        debug_assert!(!self.heap.is_empty() || self.queued == 0);
-        self.heap.is_empty()
+        // A non-empty lane always has its head in the lane-head heap.
+        debug_assert!(!self.heads.is_empty() || self.queued == 0);
+        self.heap.is_empty() && self.heads.is_empty()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -354,8 +401,9 @@ impl EventQueue {
     /// Panics if `at` is in the past — events may only be scheduled at or
     /// after the current time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: Event) -> TimerHandle {
+        self.assert_not_past(at);
         let seq = self.reserve_seq();
-        let slot = self.insert([NIL; 2], at, seq, event);
+        let slot = self.push_plain(at, seq, event);
         TimerHandle {
             slot,
             gen: self.gen[slot as usize],
@@ -364,7 +412,7 @@ impl EventQueue {
 
     /// Schedules `event` at absolute time `at` on `lane`: behind the
     /// lane's pending events if `at` is no earlier than the last of them
-    /// (an O(1) append that leaves the heap alone), otherwise — or if the
+    /// (an O(1) append that leaves both heaps alone), otherwise — or if the
     /// queue has no such lane — exactly as [`schedule`](Self::schedule)
     /// would. Either way the event fires in `(at, schedule order)` position
     /// among all pending events; the lane only changes what that costs.
@@ -393,30 +441,91 @@ impl EventQueue {
     /// lane ([`NO_LANE`] never names one).
     #[inline]
     fn lane_id(&self, lane: usize) -> u32 {
-        if lane < self.lanes.len() {
+        if lane < self.tails.len() {
             lane as u32
         } else {
             NIL
         }
     }
 
-    /// The one scheduling path: takes a slab slot, then offers the event to
-    /// `lanes` in order — an empty lane makes it its head (a heap entry
-    /// tagged with the lane), a lane whose tail's `(at, seq)` is no later
-    /// than the offer's appends it (no heap entry) — and pushes a plain heap
-    /// entry if neither lane keeps sorted with it or both are [`NIL`]. `seq`
-    /// is fresh from [`reserve_seq`](Self::reserve_seq), and then `at` alone
-    /// would decide sortedness, except on the reserved path, whose key can
-    /// be older than a tail's at the same `at`: the test is on the pair.
-    /// Returns the slot.
     #[inline]
-    fn insert(&mut self, lanes: [u32; 2], at: SimTime, seq: u64, event: Event) -> u32 {
+    fn assert_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at} now={}",
             self.now
         );
-        let unlinked = LaneLink { at, seq, next: NIL };
+    }
+
+    /// The one scheduling path: offers the event to `lanes` in order — an
+    /// empty lane makes it its head (a fresh block and a lane-head heap
+    /// entry), a lane whose tail's `(at, seq)` is no later than the
+    /// offer's appends it (no heap entry) — and pushes a plain heap entry
+    /// if neither lane keeps sorted with it or both are [`NIL`]. `seq` is
+    /// fresh from [`reserve_seq`](Self::reserve_seq), and then `at` alone
+    /// would decide sortedness, except on the reserved path, whose key can
+    /// be older than a tail's at the same `at`: the test is on the pair.
+    #[inline]
+    fn insert(&mut self, lanes: [u32; 2], at: SimTime, seq: u64, event: Event) {
+        self.assert_not_past(at);
+        let queued = Queued { at, seq, event };
+        for lane in lanes {
+            if lane == NIL {
+                continue;
+            }
+            let tail = self.tails[lane as usize];
+            if tail == NIL {
+                let idx = self.take_block(queued);
+                self.pool[idx as usize] = queued;
+                self.tails[lane as usize] = idx;
+                self.churn.pushed += 1;
+                let i = self.heads.len();
+                self.heads.push(LaneHead { at, seq, lane, idx });
+                sift_up(&mut self.heads, i, |_, _| {});
+                return;
+            }
+            let last = &self.pool[tail as usize];
+            if (at, seq) < (last.at, last.seq) {
+                self.churn.refused += 1;
+                continue;
+            }
+            let idx = if !(tail as usize + 1).is_multiple_of(BLOCK) {
+                tail + 1
+            } else {
+                let block = self.take_block(queued);
+                self.next_block[tail as usize / BLOCK] = block;
+                block
+            };
+            self.pool[idx as usize] = queued;
+            self.tails[lane as usize] = idx;
+            self.queued += 1;
+            self.churn.appended += 1;
+            return;
+        }
+        self.push_plain(at, seq, event);
+    }
+
+    /// Takes a block from the pool, growing it (with copies of `fill`) if
+    /// none is free; returns the block's first index. The block chains on
+    /// to nothing: it becomes its lane's last.
+    fn take_block(&mut self, fill: Queued) -> u32 {
+        match self.free_blocks.pop() {
+            Some(block) => {
+                self.next_block[block as usize / BLOCK] = NIL;
+                block
+            }
+            None => {
+                let block = self.pool.len() as u32;
+                self.next_block.push(NIL);
+                self.pool.resize(self.pool.len() + BLOCK, fill);
+                block
+            }
+        }
+    }
+
+    /// Pushes a plain heap entry for `event`, in a slab slot of its own;
+    /// returns the slot.
+    fn push_plain(&mut self, at: SimTime, seq: u64, event: Event) -> u32 {
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slab[slot as usize].is_none());
@@ -428,43 +537,13 @@ impl EventQueue {
                 self.slab.push(Some(event));
                 self.pos.push(0);
                 self.gen.push(0);
-                self.link.push(unlinked);
                 slot
             }
         };
-        let mut head_of = NIL;
-        for lane in lanes {
-            if lane == NIL {
-                continue;
-            }
-            let tail = self.lanes[lane as usize];
-            if tail != NIL {
-                let last = self.link[tail as usize];
-                if (at, seq) < (last.at, last.seq) {
-                    self.churn.refused += 1;
-                    continue;
-                }
-            }
-            self.link[slot as usize] = unlinked;
-            self.lanes[lane as usize] = slot;
-            if tail != NIL {
-                self.link[tail as usize].next = slot;
-                self.queued += 1;
-                self.churn.appended += 1;
-                return slot;
-            }
-            head_of = lane;
-            break;
-        }
         self.churn.pushed += 1;
         let i = self.heap.len();
-        self.heap.push(HeapEntry {
-            at,
-            seq,
-            slot,
-            lane: head_of,
-        });
-        self.sift_up(i);
+        self.heap.push(HeapEntry { at, seq, slot });
+        self.sift_plain_up(i);
         slot
     }
 
@@ -486,17 +565,15 @@ impl EventQueue {
         }
         let i = self.pos[handle.slot as usize] as usize;
         debug_assert_eq!(self.heap[i].slot, handle.slot);
-        debug_assert_eq!(self.heap[i].lane, NIL, "handle to a lane entry");
         let last = self.heap.pop().expect("live handle implies non-empty heap");
         if i < self.heap.len() {
             self.heap[i] = last;
-            self.pos[last.slot as usize] = i as u32;
             // The displaced tail entry can violate the heap property in
             // either direction relative to position `i`.
             if i > 0 && self.heap[i].key() < self.heap[(i - 1) / ARITY].key() {
-                self.sift_up(i);
+                self.sift_plain_up(i);
             } else {
-                self.sift_down(i);
+                self.sift_plain_down(i);
             }
         }
         Some(self.free_slot(handle.slot))
@@ -527,9 +604,9 @@ impl EventQueue {
         self.heap[i].at = at;
         self.heap[i].seq = seq;
         if went_earlier {
-            self.sift_up(i);
+            self.sift_plain_up(i);
         } else {
-            self.sift_down(i);
+            self.sift_plain_down(i);
         }
         true
     }
@@ -543,40 +620,80 @@ impl EventQueue {
         self.slab[handle.slot as usize].as_mut()
     }
 
-    /// Pops the earliest event, advancing the clock to its timestamp.
+    /// Pops the earliest event, advancing the clock to its timestamp: the
+    /// smaller of the two heaps' roots.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let top = *self.heap.first()?;
-        let succ = if top.lane == NIL {
-            NIL
-        } else {
-            self.link[top.slot as usize].next
+        let from_lane = match (self.heap.first(), self.heads.first()) {
+            (None, None) => return None,
+            (Some(plain), Some(head)) => head.key() < plain.key(),
+            (plain, _) => plain.is_none(),
         };
-        if succ != NIL {
-            // A lane head with events queued behind it: its successor takes
-            // over the root entry — one sift-down, no pop + push.
-            let LaneLink { at, seq, .. } = self.link[succ as usize];
-            self.heap[0] = HeapEntry {
-                at,
-                seq,
-                slot: succ,
-                lane: top.lane,
+        let (at, seq, event) = if from_lane {
+            self.pop_lane_head()
+        } else {
+            self.pop_plain()
+        };
+        debug_assert!(at >= self.now, "heap returned an out-of-order event");
+        self.now = at;
+        self.now_seq = seq;
+        Some((at, event))
+    }
+
+    /// Pops the lane-head heap's root: its successor on the lane, read from
+    /// the same block or the first of the next, takes over the root entry —
+    /// one sift-down, no pop + push — and a block the head leaves goes back
+    /// to the pool.
+    #[inline]
+    fn pop_lane_head(&mut self) -> (SimTime, u64, Event) {
+        let head = self.heads[0];
+        let Queued { at, seq, event } = self.pool[head.idx as usize];
+        if head.idx == self.tails[head.lane as usize] {
+            self.tails[head.lane as usize] = NIL;
+            self.free_blocks.push(block_of(head.idx));
+            let last = self.heads.pop().expect("non-empty");
+            if !self.heads.is_empty() {
+                self.heads[0] = last;
+                sift_down(&mut self.heads, 0, |_, _| {});
+            }
+        } else {
+            let idx = self.successor(head.idx);
+            if idx.is_multiple_of(BLOCK as u32) {
+                self.free_blocks.push(block_of(head.idx));
+            }
+            let next = &self.pool[idx as usize];
+            self.heads[0] = LaneHead {
+                at: next.at,
+                seq: next.seq,
+                lane: head.lane,
+                idx,
             };
             self.queued -= 1;
-            self.sift_down(0);
-        } else {
-            if top.lane != NIL {
-                self.lanes[top.lane as usize] = NIL;
-            }
-            let last = self.heap.pop().expect("non-empty");
-            if !self.heap.is_empty() {
-                self.heap[0] = last;
-                self.sift_down(0);
-            }
+            sift_down(&mut self.heads, 0, |_, _| {});
         }
-        debug_assert!(top.at >= self.now, "heap returned an out-of-order event");
-        self.now = top.at;
-        self.now_seq = top.seq;
-        Some((top.at, self.free_slot(top.slot)))
+        (at, seq, event)
+    }
+
+    /// Pops the plain heap's root and frees its slot.
+    fn pop_plain(&mut self) -> (SimTime, u64, Event) {
+        let top = self.heap[0];
+        let last = self.heap.pop().expect("non-empty");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_plain_down(0);
+        }
+        (top.at, top.seq, self.free_slot(top.slot))
+    }
+
+    /// The pool index after `idx` on its lane: the next slot of the block,
+    /// or the first slot of the block chained after it. Only meaningful
+    /// while `idx` is not its lane's tail.
+    #[inline]
+    fn successor(&self, idx: u32) -> u32 {
+        if !(idx + 1).is_multiple_of(BLOCK as u32) {
+            idx + 1
+        } else {
+            self.next_block[idx as usize / BLOCK]
+        }
     }
 
     /// Releases a slot back to the free list, invalidating any handle that
@@ -592,22 +709,36 @@ impl EventQueue {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        let plain = self.heap.first().map(|e| e.at);
+        let lane = self.heads.first().map(|h| h.at);
+        match (plain, lane) {
+            (Some(p), Some(l)) => Some(p.min(l)),
+            _ => plain.or(lane),
+        }
     }
 
     /// What every insert since construction cost: appended behind a lane
-    /// or pushed into the heap, and how often a lane refused an offer.
+    /// or pushed into a heap, and how often a lane refused an offer.
     pub fn lane_churn(&self) -> LaneChurn {
         self.churn
     }
 
     /// Counts pending events by class (for the invariant auditor). Walks
-    /// the whole slab — lane-held events live there like any other — so it
-    /// is O(slots): callers should only invoke it at audit checkpoints, not
-    /// per event.
+    /// the slab and every lane, so it is O(slots + lane events): callers
+    /// should only invoke it at audit checkpoints, not per event.
     pub fn census(&self) -> EventCensus {
         let mut census = EventCensus::default();
-        for entry in self.slab.iter().flatten() {
+        let on_lanes = self.heads.iter().flat_map(|head| {
+            let tail = self.tails[head.lane as usize];
+            std::iter::successors(Some(head.idx), move |&i| {
+                (i != tail).then(|| self.successor(i))
+            })
+            .map(|i| &self.pool[i as usize].event)
+        });
+        // The bound keeps a corrupted lane from looping here; the
+        // structural audit reports it.
+        let lane_events = on_lanes.take(self.heads.len() + self.queued);
+        for entry in self.slab.iter().flatten().chain(lane_events) {
             match entry {
                 Event::Arrival { .. } | Event::Inject { .. } => census.packets += 1,
                 Event::Timer { .. } => census.timers += 1,
@@ -619,15 +750,14 @@ impl EventQueue {
     }
 
     /// Checks the structure the pop order rests on (for the invariant
-    /// auditor; O(pending events)): the heap is a heap and `pos` indexes it;
-    /// every non-empty lane has its head — and only its head — in the heap,
-    /// tagged with the lane and carrying the head's key; each lane is sorted
-    /// by `(at, seq)` from head to the recorded tail, through live slots;
-    /// `queued` is the number of events behind heads; every live slot is
-    /// reachable.
+    /// auditor; O(pending events + blocks)): both heaps are heaps and `pos`
+    /// indexes the plain one through live slots; every non-empty lane has
+    /// exactly one lane-head entry, carrying its head's key; each lane is
+    /// sorted by `(at, seq)` from its head, through its blocks, to its
+    /// recorded tail, whose block chains on to nothing and which no other
+    /// lane's walk meets; `queued` is the number of events behind heads;
+    /// every block is either free or on exactly one lane.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut head_seen = vec![false; self.lanes.len()];
-        let mut behind_heads = 0usize;
         for (i, entry) in self.heap.iter().enumerate() {
             if i > 0 && self.heap[(i - 1) / ARITY].key() > entry.key() {
                 return Err(format!("heap[{i}] orders before its parent"));
@@ -642,101 +772,193 @@ impl EventQueue {
             if self.pos[entry.slot as usize] as usize != i {
                 return Err(format!("pos[{}] does not point at heap[{i}]", entry.slot));
             }
-            if entry.lane == NIL {
-                continue;
-            }
-            let lane = entry.lane as usize;
-            if lane >= self.lanes.len() || std::mem::replace(&mut head_seen[lane], true) {
-                return Err(format!(
-                    "heap[{i}] is a second or stray head of lane {lane}"
-                ));
-            }
-            let mut slot = entry.slot;
-            let mut key = self.link[slot as usize];
-            if (key.at, key.seq) != entry.key() {
-                return Err(format!(
-                    "lane {lane}: heap entry and head disagree on the key"
-                ));
-            }
-            while key.next != NIL {
-                slot = key.next;
-                behind_heads += 1;
-                if behind_heads > self.queued || self.slab[slot as usize].is_none() {
-                    return Err(format!(
-                        "lane {lane} runs through slot {slot}: free or a loop"
-                    ));
-                }
-                let next = self.link[slot as usize];
-                if (next.at, next.seq) < (key.at, key.seq) {
-                    return Err(format!("lane {lane} is unsorted at slot {slot}"));
-                }
-                key = next;
-            }
-            if self.lanes[lane] != slot {
-                return Err(format!("lane {lane} ends at slot {slot}, not its tail"));
-            }
-        }
-        if let Some(lane) = (0..self.lanes.len()).find(|&l| (self.lanes[l] != NIL) != head_seen[l])
-        {
-            return Err(format!("lane {lane} is non-empty with no head in the heap"));
         }
         let live = self.slab.iter().flatten().count();
-        if behind_heads != self.queued || live != self.heap.len() + self.queued {
+        if live != self.heap.len() {
             return Err(format!(
-                "queued={} but {behind_heads} events sit behind heads; {live} live slots \
-                 for {} heap entries",
-                self.queued,
+                "{live} live slots for {} plain heap entries",
                 self.heap.len()
+            ));
+        }
+
+        // Who holds each block: NIL for nobody yet, a lane, or the pool.
+        const POOL: u32 = NIL - 1;
+        let mut holder = vec![NIL; self.next_block.len()];
+        for &block in &self.free_blocks {
+            match holder.get_mut(block as usize / BLOCK) {
+                Some(h) if *h == NIL && block.is_multiple_of(BLOCK as u32) => *h = POOL,
+                _ => return Err(format!("free block {block} is freed twice or not a block")),
+            }
+        }
+        // The lane whose recorded tail sits in each block: a walk that
+        // enters another lane's tail block has strayed onto that lane.
+        let mut tail_in = vec![NIL; self.next_block.len()];
+        for (lane, &tail) in self.tails.iter().enumerate() {
+            if let Some(t) = tail_in.get_mut(tail as usize / BLOCK) {
+                *t = lane as u32;
+            }
+        }
+        let mut head_seen = vec![false; self.tails.len()];
+        let mut behind_heads = 0usize;
+        for (i, head) in self.heads.iter().enumerate() {
+            if i > 0 && self.heads[(i - 1) / ARITY].key() > head.key() {
+                return Err(format!("heads[{i}] orders before its parent"));
+            }
+            let lane = head.lane as usize;
+            if lane >= self.tails.len() || std::mem::replace(&mut head_seen[lane], true) {
+                return Err(format!(
+                    "heads[{i}] is a second or stray head of lane {lane}"
+                ));
+            }
+            let tail = self.tails[lane];
+            if tail == NIL || head.idx as usize >= self.pool.len() {
+                return Err(format!("heads[{i}] heads empty lane {lane}"));
+            }
+            let mut idx = head.idx;
+            let mut key = (self.pool[idx as usize].at, self.pool[idx as usize].seq);
+            if key != head.key() {
+                return Err(format!(
+                    "lane {lane}: head entry and head disagree on the key"
+                ));
+            }
+            loop {
+                if idx.is_multiple_of(BLOCK as u32) || idx == head.idx {
+                    let block = idx as usize / BLOCK;
+                    if holder[block] != NIL {
+                        return Err(format!(
+                            "lane {lane} runs into block {}, free or on a lane already",
+                            block_of(idx)
+                        ));
+                    }
+                    if tail_in[block] != NIL && tail_in[block] != head.lane {
+                        return Err(format!(
+                            "lane {lane} runs into block {}, where lane {} ends",
+                            block_of(idx),
+                            tail_in[block]
+                        ));
+                    }
+                    holder[block] = head.lane;
+                }
+                if idx == tail {
+                    if self.next_block[idx as usize / BLOCK] != NIL {
+                        return Err(format!(
+                            "lane {lane} chains on past its tail at index {tail}"
+                        ));
+                    }
+                    break;
+                }
+                behind_heads += 1;
+                let next = self.successor(idx);
+                if behind_heads > self.queued || next as usize >= self.pool.len() {
+                    return Err(format!(
+                        "lane {lane} runs past index {idx} without reaching its tail: \
+                         free or a loop"
+                    ));
+                }
+                let next_key = (self.pool[next as usize].at, self.pool[next as usize].seq);
+                if next_key < key {
+                    let across = if next.is_multiple_of(BLOCK as u32) {
+                        " across a block boundary"
+                    } else {
+                        ""
+                    };
+                    return Err(format!("lane {lane} is unsorted at index {next}{across}"));
+                }
+                (idx, key) = (next, next_key);
+            }
+        }
+        if let Some(lane) = (0..self.tails.len()).find(|&l| (self.tails[l] != NIL) != head_seen[l])
+        {
+            return Err(format!("lane {lane} is non-empty with no head entry"));
+        }
+        if behind_heads != self.queued {
+            return Err(format!(
+                "queued={} but {behind_heads} events sit behind heads",
+                self.queued
+            ));
+        }
+        if let Some(block) = holder.iter().position(|&h| h == NIL) {
+            return Err(format!(
+                "block {} is neither free nor on a lane",
+                block * BLOCK
             ));
         }
         Ok(())
     }
 
-    #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= entry.key() {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            self.pos[self.heap[i].slot as usize] = i as u32;
-            i = parent;
-        }
-        self.heap[i] = entry;
-        self.pos[entry.slot as usize] = i as u32;
+    /// True while some lane spans more than one block.
+    #[cfg(test)]
+    pub(crate) fn some_lane_chains(&self) -> bool {
+        self.next_block.len() - self.free_blocks.len() > self.heads.len()
     }
 
     #[inline]
-    fn sift_down(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        let len = self.heap.len();
-        loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let last_child = (first_child + ARITY).min(len);
-            let mut best = first_child;
-            let mut best_key = self.heap[first_child].key();
-            for c in first_child + 1..last_child {
-                let k = self.heap[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if entry.key() <= best_key {
-                break;
-            }
-            self.heap[i] = self.heap[best];
-            self.pos[self.heap[i].slot as usize] = i as u32;
-            i = best;
-        }
-        self.heap[i] = entry;
-        self.pos[entry.slot as usize] = i as u32;
+    fn sift_plain_up(&mut self, i: usize) {
+        let pos = &mut self.pos;
+        sift_up(&mut self.heap, i, |e, at| pos[e.slot as usize] = at as u32);
     }
+
+    #[inline]
+    fn sift_plain_down(&mut self, i: usize) {
+        let pos = &mut self.pos;
+        sift_down(&mut self.heap, i, |e, at| pos[e.slot as usize] = at as u32);
+    }
+}
+
+/// The block holding pool index `idx`, named by its first index.
+#[inline]
+fn block_of(idx: u32) -> u32 {
+    idx - idx % BLOCK as u32
+}
+
+/// Restores the heap property upward from `i`; `placed(entry, index)` is
+/// told every entry's new index.
+#[inline]
+fn sift_up<T: Keyed>(heap: &mut [T], mut i: usize, mut placed: impl FnMut(&T, usize)) {
+    let entry = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if heap[parent].key() <= entry.key() {
+            break;
+        }
+        heap[i] = heap[parent];
+        placed(&heap[i], i);
+        i = parent;
+    }
+    heap[i] = entry;
+    placed(&entry, i);
+}
+
+/// Restores the heap property downward from `i`; `placed` as in
+/// [`sift_up`].
+#[inline]
+fn sift_down<T: Keyed>(heap: &mut [T], mut i: usize, mut placed: impl FnMut(&T, usize)) {
+    let entry = heap[i];
+    let len = heap.len();
+    loop {
+        let first_child = i * ARITY + 1;
+        if first_child >= len {
+            break;
+        }
+        let last_child = (first_child + ARITY).min(len);
+        let mut best = first_child;
+        let mut best_key = heap[first_child].key();
+        for (c, child) in heap[..last_child].iter().enumerate().skip(first_child + 1) {
+            let k = child.key();
+            if k < best_key {
+                best = c;
+                best_key = k;
+            }
+        }
+        if entry.key() <= best_key {
+            break;
+        }
+        heap[i] = heap[best];
+        placed(&heap[i], i);
+        i = best;
+    }
+    heap[i] = entry;
+    placed(&entry, i);
 }
 
 #[cfg(test)]
@@ -864,8 +1086,13 @@ mod tests {
 
     /// The tail key of `lane`, if the queue has the lane and it is busy.
     fn tail_key(q: &EventQueue, lane: usize) -> Option<(SimTime, u64)> {
-        let tail = *q.lanes.get(lane)?;
-        (tail != NIL).then(|| (q.link[tail as usize].at, q.link[tail as usize].seq))
+        let tail = *q.tails.get(lane)?;
+        (tail != NIL).then(|| (q.pool[tail as usize].at, q.pool[tail as usize].seq))
+    }
+
+    /// Blocks that hold lane events right now.
+    fn blocks_in_use(q: &EventQueue) -> usize {
+        q.next_block.len() - q.free_blocks.len()
     }
 
     /// Materialises a reserved key on a random lane (the reserved-keys-only
@@ -909,6 +1136,7 @@ mod tests {
         let mut next_tag = 0u64;
         let (mut early, mut late, mut never) = (0u32, 0u32, 0u32);
         let mut tie_refusals = 0u32;
+        let mut chained = false;
         for _ in 0..10_000 {
             match rng.next_bounded(8) {
                 // Reserve a key a picosecond or three ahead (dense ties);
@@ -968,7 +1196,9 @@ mod tests {
             assert_eq!(q.len(), reference.len());
             assert_eq!(q.is_empty(), reference.is_empty());
             assert_eq!(q.check_invariants(), Ok(()));
+            chained |= q.some_lane_chains();
         }
+        assert!(chained, "some lane must chain more than one block");
         let churn = q.lane_churn();
         assert!(
             churn.appended > 500 && churn.refused > 100 && churn.pushed > 500,
@@ -1028,33 +1258,46 @@ mod tests {
         q.schedule_reserved(NO_LANE, SimTime(7), seq, dummy(1));
     }
 
-    /// A bounded-pending workload must not grow the slab beyond its peak
-    /// concurrency: freed slots are reused, whether the events went through
-    /// the heap, through lanes, or a mix of both.
+    /// A bounded-pending workload must not grow the slab or the block pool
+    /// beyond its peak concurrency: freed slots and drained blocks are
+    /// reused, whether the events went through the plain heap, through
+    /// lanes, or a mix of both. Lanes are filled and drained in rounds, so
+    /// the pool never holds more than `⌈pending / BLOCK⌉ + busy lanes`
+    /// blocks.
     #[test]
-    fn slab_slots_are_recycled() {
-        let mut q = EventQueue::with_lanes(0, 2);
+    fn slab_slots_and_lane_blocks_are_recycled() {
+        const PENDING: u64 = 100;
+        const LANES: usize = 3;
+        let mut q = EventQueue::with_lanes(0, LANES);
         for round in 0..1_000u64 {
-            for k in 0..8 {
-                let at = SimTime(round * 10 + k);
-                match (round % 3, k % 2) {
-                    (0, _) => q.schedule(at, dummy(k)),
-                    (1, lane) => q.schedule_on_lane(lane as usize, at, dummy(k)),
-                    (_, 0) => q.schedule(at, dummy(k)),
-                    (_, _) => q.schedule_on_lane(0, at, dummy(k)),
+            for k in 0..PENDING {
+                let at = SimTime(round * 1_000 + k);
+                match (round % 3, k % 4) {
+                    (0, _) | (2, 3) => q.schedule(at, dummy(k)),
+                    (_, lane) => q.schedule_on_lane(lane as usize % LANES, at, dummy(k)),
                 }
             }
-            assert_eq!(q.len(), 8);
-            for _ in 0..8 {
+            assert_eq!(q.len(), PENDING as usize);
+            if round % 3 == 1 {
+                assert!(q.some_lane_chains(), "round {round}: no lane chains");
+            }
+            for _ in 0..PENDING {
                 q.pop().expect("scheduled");
             }
+            assert_eq!(blocks_in_use(&q), 0, "a drained lane keeps no block");
         }
         assert!(
-            q.slab.len() <= 8,
-            "slab grew to {} slots for 8 concurrent events",
+            q.slab.len() <= PENDING as usize,
+            "slab grew to {} slots for {PENDING} concurrent events",
             q.slab.len()
         );
-        assert_eq!(q.link.len(), q.slab.len());
+        let bound = (PENDING as usize).div_ceil(BLOCK) + LANES;
+        assert!(
+            q.next_block.len() <= bound,
+            "pool grew to {} blocks for {PENDING} events on {LANES} lanes (bound {bound})",
+            q.next_block.len()
+        );
+        assert_eq!(q.pool.len(), q.next_block.len() * BLOCK);
     }
 
     #[test]
@@ -1274,6 +1517,7 @@ mod tests {
         let mut reference: Vec<(u64, u64, u64)> = Vec::new();
         let mut next_key = 0u64;
         let (mut materialised, mut elided) = (0u32, 0u32);
+        let mut chained = false;
         for _ in 0..20_000 {
             let tag = mix.next_tag;
             match mix.step(&mut q) {
@@ -1312,8 +1556,10 @@ mod tests {
             assert_eq!(next_key, q.next_seq, "the reference mirrors the counter");
             assert_eq!(q.len(), reference.len());
             assert_eq!(q.check_invariants(), Ok(()));
+            chained |= q.some_lane_chains();
         }
         assert!(q.queued > 0, "the mix must leave events queued on lanes");
+        assert!(chained, "some lane must chain more than one block");
         assert!(
             materialised > 200 && elided > 50 && mix.tie_refusals > 20,
             "{materialised} reserved keys materialised, {elided} elided, \
@@ -1341,6 +1587,7 @@ mod tests {
                 let mut q = EventQueue::with_lanes(16, lanes);
                 let mut answers = Vec::new();
                 let mut reserved_on_lanes = 0u32;
+                let mut chained = false;
                 for _ in 0..20_000 {
                     let queued = q.queued;
                     match mix.step(&mut q) {
@@ -1348,9 +1595,11 @@ mod tests {
                         Op::Materialised { .. } => reserved_on_lanes += (q.queued > queued) as u32,
                         _ => {}
                     }
+                    chained |= q.some_lane_chains();
                 }
                 let churn = q.lane_churn();
                 assert_eq!(churn.appended > 0, lanes > 0, "lanes={lanes}");
+                assert_eq!(chained, lanes > 0, "lanes={lanes}");
                 assert_eq!(reserved_on_lanes > 100, lanes > 0, "lanes={lanes}");
                 assert_eq!(mix.tie_refusals > 0, lanes > 0, "lanes={lanes}");
                 while let Some((at, event)) = q.pop() {
@@ -1371,7 +1620,11 @@ mod tests {
             q.schedule_on_lane(1, SimTime(10 + 2 * k), dummy(k));
         }
         assert_eq!(q.len(), 11);
-        assert_eq!(q.heap.len(), 2, "one plain entry plus the lane's head");
+        assert_eq!(
+            (q.heap.len(), q.heads.len()),
+            (1, 1),
+            "one plain entry plus the lane's head"
+        );
         assert_eq!(q.peek_time(), Some(SimTime(10)));
         assert_eq!(q.census().timers, 11, "census sees lane-held events");
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
@@ -1381,7 +1634,7 @@ mod tests {
         assert_eq!((q.len(), q.queued), (0, 0));
         // A drained lane starts over: the next offer becomes its head.
         q.schedule_on_lane(1, SimTime(40), dummy(7));
-        assert_eq!(q.heap.len(), 1);
+        assert_eq!((q.heap.len(), q.heads.len()), (0, 1));
         assert_eq!(q.pop().map(|(t, e)| (t.0, tag_of(&e))), Some((40, 7)));
     }
 
@@ -1393,7 +1646,7 @@ mod tests {
         q.schedule_on_lane(0, SimTime(20), dummy(2)); // earlier than the tail
         q.schedule_on_lane(0, SimTime(30), dummy(3)); // ties append
         q.schedule_on_lane(9, SimTime(15), dummy(4)); // no such lane
-        assert_eq!((q.heap.len(), q.queued), (3, 2));
+        assert_eq!((q.heap.len(), q.heads.len(), q.queued), (2, 1, 2));
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
             .map(|(t, e)| (t.0, tag_of(&e)))
             .collect();
@@ -1410,7 +1663,7 @@ mod tests {
         q.schedule_on_lanes([0, 1], SimTime(22), dummy(4)); // refused twice: heap
         q.schedule_on_lanes([NO_LANE, 1], SimTime(26), dummy(5)); // no first choice
         q.schedule_on_lanes([7, NO_LANE], SimTime(21), dummy(6)); // no lane at all
-        assert_eq!((q.heap.len(), q.queued), (4, 3));
+        assert_eq!((q.heap.len(), q.heads.len(), q.queued), (2, 2, 3));
         assert_eq!(
             q.lane_churn(),
             LaneChurn {
@@ -1450,7 +1703,7 @@ mod tests {
         q.schedule_reserved(0, SimTime(5), third, dummy(3)); // same instant, later key
         q.schedule_reserved(0, SimTime(5), first, dummy(1)); // same instant, older key
         q.schedule_on_lane(0, SimTime(5), dummy(4)); // a fresh key always fits a tie
-        assert_eq!((q.heap.len(), q.queued), (2, 2));
+        assert_eq!((q.heap.len(), q.heads.len(), q.queued), (1, 1, 2));
         assert_eq!(q.lane_churn().refused, 1);
         assert_eq!(q.check_invariants(), Ok(()));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
@@ -1459,17 +1712,25 @@ mod tests {
         assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
-    /// The auditor's view of the structure: each way a lane can go wrong
-    /// while every pending event is still there to be counted.
+    /// The auditor's view of the structure: each way a lane or its blocks
+    /// can go wrong while every pending event is still there to be counted.
+    /// Lane 0 spans two blocks; lane 2's one event has popped, so its block
+    /// is back in the pool.
     #[test]
     fn check_invariants_names_what_is_broken() {
         let build = || {
-            let mut q = EventQueue::with_lanes(0, 2);
+            let mut q = EventQueue::with_lanes(0, 3);
+            q.schedule_on_lane(2, SimTime(1), dummy(99));
             q.schedule(SimTime(15), dummy(9));
-            for k in 0..3u64 {
+            q.schedule(SimTime(16), dummy(8));
+            for k in 0..40u64 {
                 q.schedule_on_lane(0, SimTime(10 + k), dummy(k));
-                q.schedule_on_lane(1, SimTime(20 + k), dummy(10 + k));
+                if k < 3 {
+                    q.schedule_on_lane(1, SimTime(20 + k), dummy(100 + k));
+                }
             }
+            assert_eq!(q.pop().map(|(_, e)| tag_of(&e)), Some(99));
+            assert_eq!((q.free_blocks.len(), blocks_in_use(&q)), (1, 3));
             assert_eq!(q.check_invariants(), Ok(()));
             q
         };
@@ -1477,40 +1738,88 @@ mod tests {
             let detail = q.check_invariants().expect_err(what);
             assert!(detail.contains(what), "{detail:?} should mention {what:?}");
         };
-        let lane0_head = |q: &EventQueue| q.heap.iter().position(|e| e.lane == 0).expect("busy");
+        let lane0 = |q: &EventQueue| q.heads.iter().position(|h| h.lane == 0).expect("busy");
+
+        // Unsorted inside a block: the head's successor goes back in time.
+        let mut q = build();
+        let head = q.heads[lane0(&q)].idx;
+        q.pool[head as usize + 1].at = SimTime(5);
+        assert_eq!(
+            q.check_invariants(),
+            Err(format!("lane 0 is unsorted at index {}", head + 1))
+        );
+
+        // Unsorted across a block boundary: the first event of lane 0's
+        // second block goes back in time.
+        let mut q = build();
+        let second = second_block(&q);
+        q.pool[second as usize].at = SimTime(5);
+        broken(
+            &q,
+            &format!("lane 0 is unsorted at index {second} across a block boundary"),
+        );
 
         let mut q = build();
-        let head = q.heap[lane0_head(&q)].slot;
-        let second = q.link[head as usize].next;
-        q.link[second as usize].at = SimTime(5);
-        broken(&q, "unsorted");
+        let i = lane0(&q);
+        q.heads[i].at = SimTime(11);
+        broken(&q, "disagree on the key");
 
         let mut q = build();
-        let i = lane0_head(&q);
-        q.heap[i].lane = NIL;
-        broken(&q, "no head in the heap");
+        let i = lane0(&q);
+        q.heads.swap_remove(i);
+        broken(&q, "lane 0 is non-empty with no head entry");
+
+        // A head entry tagged with another lane: walked as lane 1, lane 0's
+        // chain runs into the block where lane 0 ends.
+        let mut q = build();
+        let (i, second) = (lane0(&q), second_block(&q));
+        q.heads[i].lane = 1;
+        broken(
+            &q,
+            &format!("lane 1 runs into block {second}, where lane 0 ends"),
+        );
+
+        // A recorded tail short of the lane's end: its block chains on.
+        let mut q = build();
+        let head = q.heads[lane0(&q)].idx;
+        q.tails[0] = head;
+        broken(
+            &q,
+            &format!("lane 0 chains on past its tail at index {head}"),
+        );
 
         let mut q = build();
-        let i = lane0_head(&q);
-        q.heap[i].lane = 1; // walked as lane 1, it ends at lane 0's tail
-        broken(&q, "lane 1 ends at");
+        q.queued += 1;
+        broken(&q, "events sit behind heads");
 
         let mut q = build();
         q.queued -= 1;
         broken(&q, "free or a loop");
 
         let mut q = build();
-        q.lanes[0] = q.heap[lane0_head(&q)].slot;
-        broken(&q, "lane 0 ends at");
-
-        let mut q = build();
         q.pos.swap(0, 1);
         broken(&q, "pos[");
 
+        // A block both free and on a lane, a block on no lane and not free,
+        // and a block freed twice.
         let mut q = build();
-        let i = lane0_head(&q);
-        q.heap[i].at = SimTime(11);
-        broken(&q, "disagree on the key");
+        q.free_blocks.push(second_block(&q));
+        broken(&q, "free or on a lane already");
+
+        let mut q = build();
+        q.free_blocks.clear();
+        broken(&q, "neither free nor on a lane");
+
+        let mut q = build();
+        q.free_blocks.push(q.free_blocks[0]);
+        broken(&q, "freed twice");
+    }
+
+    /// The block lane 0 chains after its head's, in the queue
+    /// `check_invariants_names_what_is_broken` builds.
+    fn second_block(q: &EventQueue) -> u32 {
+        let head = q.heads.iter().find(|h| h.lane == 0).expect("busy").idx;
+        q.next_block[head as usize / BLOCK]
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use crate::audit::InvariantViolation;
+use crate::audit::{AuditConfig, InvariantViolation};
 use crate::fidelity::{ExpressStats, FidelityConfig};
 use crate::flows::{FlowSpec, PathProfile};
 use crate::metrics::LaneChurn;
@@ -78,7 +78,7 @@ pub struct FleetReport {
     /// the fleet bench, comparable between full and hybrid fidelity.
     pub express: ExpressStats,
     /// Invariant violations collected by any shard (empty unless a
-    /// collect-mode audit was enabled on the shards).
+    /// collect-mode audit was enabled with [`FleetSim::set_audit`]).
     pub violations: Vec<InvariantViolation>,
 }
 
@@ -189,6 +189,15 @@ impl FleetSim {
         }
     }
 
+    /// Installs the invariant auditor on every shard: each shard checks its
+    /// own ledger (exports and imports included) and event queue, at the
+    /// configured cadence and at the end of every window.
+    pub fn set_audit(&mut self, config: AuditConfig) {
+        for s in &mut self.shards {
+            s.set_audit(config);
+        }
+    }
+
     /// Raises each shard's event-count safety cap.
     pub fn set_event_cap(&mut self, cap: u64) {
         for s in &mut self.shards {
@@ -244,7 +253,14 @@ impl FleetSim {
         let mut events = 0u64;
         let mut windows = 0u64;
         let mut exchanged = 0u64;
-        let mut end_time = SimTime::ZERO;
+        // A call that runs no window has still reached where earlier calls
+        // left the shards.
+        let mut end_time = self
+            .shards
+            .iter()
+            .map(Simulator::now)
+            .max()
+            .unwrap_or(SimTime::ZERO);
         let mut violations = Vec::new();
         // Scratch for the exchange: holds one shard's outbox while it is
         // drained, never allocates itself (see `Simulator::swap_outbox`).
@@ -354,6 +370,7 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fidelity::FidelityConfig;
     use crate::flows::install_flow;
     use crate::packet::HostId;
     use crate::sim::StopReason;
@@ -455,7 +472,61 @@ mod tests {
         fleet.install_flow(FlowSpec::new(HostId(0), far, 10_000_000), SimTime::ZERO);
         let early = fleet.run(Some(SimTime(1_000_000))); // 1 µs: nothing crosses yet
         assert_eq!(early.stop, StopReason::TimeLimit);
+        assert!(early.end_time > SimTime::ZERO);
+        // Nothing is pending before the limit any more, so this call runs
+        // no window; it has still reached where the first one stopped.
+        let again = fleet.run(Some(SimTime(1_000_000)));
+        assert_eq!((again.stop, again.windows), (StopReason::TimeLimit, 0));
+        assert!(
+            again.end_time >= early.end_time,
+            "{} reported after {}",
+            again.end_time,
+            early.end_time
+        );
         let done = fleet.run(None);
         assert_eq!(done.stop, StopReason::Idle);
+    }
+
+    /// A hybrid fleet under the strict auditor, checking every 1,000 events
+    /// and at every window's end: each shard's packet ledger, exports and
+    /// imports included, and its event queue's structure. The incast keeps
+    /// hundreds of packets in flight on the WAN, so the port lanes that
+    /// take a window's imports chain blocks.
+    #[test]
+    fn audited_hybrid_fleet_runs_clean_at_any_thread_count() {
+        let topo = two_dc_leaf_spine(&TwoDcParams::small_test());
+        let run = |threads: usize| {
+            let mut fleet = FleetSim::new(topo.clone(), 5);
+            fleet.set_threads(threads);
+            fleet.set_fidelity(FidelityConfig::default());
+            fleet.set_audit(AuditConfig::strict().every(Some(1_000)));
+            let sink = fleet.topology().hosts_in_dc(1)[0];
+            let mut specs = flows(fleet.topology());
+            specs.extend((0..8).map(|h| (HostId(h), sink, 1_000_000)));
+            let ids: Vec<_> = specs
+                .iter()
+                .map(|&(s, d, b)| fleet.install_flow(FlowSpec::new(s, d, b), SimTime::ZERO))
+                .collect();
+            // Stop every 50 µs to look at the queues mid-run.
+            let (mut events, mut chained) = (0, false);
+            for step in 1.. {
+                let report = fleet.run(Some(SimTime(step * 50_000_000)));
+                events += report.events;
+                chained |= (0..fleet.num_shards())
+                    .any(|k| fleet.shard(k).event_queue().some_lane_chains());
+                if report.stop == StopReason::Idle {
+                    break;
+                }
+                assert_eq!(report.stop, StopReason::TimeLimit);
+            }
+            assert!(chained, "threads={threads}: no lane ever chained a block");
+            let fcts: Vec<_> = ids.iter().map(|f| fleet.completion(*f)).collect();
+            assert!(
+                fcts.iter().all(Option::is_some),
+                "threads={threads}: {fcts:?}"
+            );
+            (events, fcts)
+        };
+        assert_eq!(run(1), run(2));
     }
 }

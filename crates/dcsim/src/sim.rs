@@ -537,6 +537,12 @@ impl Simulator {
         self.events.now()
     }
 
+    /// The event queue, for in-crate structural tests.
+    #[cfg(test)]
+    pub(crate) fn event_queue(&self) -> &EventQueue {
+        &self.events
+    }
+
     /// Collected metrics.
     pub fn metrics(&self) -> &SimMetrics {
         &self.metrics

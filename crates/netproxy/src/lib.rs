@@ -24,8 +24,6 @@
 //!   *without* trimming support: early NACKs from gap inference
 //!   (`incast-core`'s bounded-memory loss detector) plus a quiescence
 //!   sweep for tail losses. See DESIGN.md §13 and §15.
-//! * [`transport`] — a minimal NACK-driven reliable transport over the
-//!   wire format, for closed-loop end-to-end demonstrations.
 //! * [`loadgen`] — iperf-like load generators for both transports,
 //!   including the *virtual trimming switch* that stands in for hardware
 //!   trimming support on the UDP path.
@@ -57,7 +55,6 @@ pub mod supervisor;
 pub(crate) mod sync;
 #[cfg(all(test, not(miri)))]
 pub(crate) mod testutil;
-pub mod transport;
 pub mod wire;
 
 pub use batch::{BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
@@ -71,7 +68,4 @@ pub use shard::{
 };
 pub use streamlined::{decide, Action};
 pub use supervisor::{ChaosKind, ShardSlot, SupervisorConfig, SupervisorStats};
-pub use transport::{
-    FallbackConfig, ReliableReceiver, ReliableSender, TransferStats, TransportError,
-};
 pub use wire::{DatagramView, Flags, WireHeader, MAX_DATAGRAM, WIRE_HEADER_LEN};

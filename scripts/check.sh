@@ -83,6 +83,17 @@ cargo run --release --offline -q -p bench --bin fuzz -- --count 500 --start-seed
 echo "== control-plane fuzz (shard crashes, stale placements, gossip slower than lease expiry)"
 cargo run --release --offline -q -p bench --bin fuzz -- --control-plane --count 500 --start-seed 0
 
+echo "== fleet (hybrid sharded engine: --threads 2 prints --threads 1's counts exactly)"
+cargo build --release --offline -q -p bench --bin fleet
+# The two count lines (events, TxDones never scheduled, saved events,
+# windows, cross-shard packets; lane churn), wall-clock field stripped.
+fleet_counts() {
+  target/release/fleet --quick --threads "$1" | sed -n -e 's/ in [0-9.]*s wall//p' -e '/event queue:/p'
+}
+FLEET_T1="$(fleet_counts 1)"
+if [ "$(wc -l <<<"$FLEET_T1")" -ne 2 ]; then echo "fleet printed no count lines" >&2; exit 1; fi
+diff <(echo "$FLEET_T1") <(fleet_counts 2)
+
 # Last: it builds from crates/perf, whose .cargo/config.toml patch table (all
 # unused now; cargo warns and goes on) re-resolves the gitignored Cargo.lock.
 echo "== benchmark smoke (BENCHMARK.json's offline build + all six workloads, untraced and traced, every correctness check)"

@@ -1,7 +1,6 @@
 //! Integration tests for the Naive TCP proxy: byte transparency and
 //! load-generator interoperation over loopback. (The UDP relay's
-//! closed-loop tests live beside it in `netproxy::shard` and
-//! `netproxy::transport`.)
+//! closed-loop tests live beside it in `netproxy::shard`.)
 
 use netproxy::{NaiveProxy, TcpLoadGen, TcpSink};
 use std::io::{Read, Write};
