@@ -27,6 +27,9 @@
 //!   --seed N      fleet seed (default 7)
 //!   --no-fidelity run at full packet fidelity (engine comparison)
 //!   --quick       small configuration for smoke tests
+//!
+//! The last line is the process's peak RSS, where `/proc/self/status`
+//! reports one.
 
 use dcsim::prelude::*;
 use dcsim::topology::{LinkProps, TopologyBuilder, TwoDcParams};
@@ -237,4 +240,16 @@ fn main() {
         raw_rate / 1e6,
         effective_rate / 1e6,
     );
+    if let Some(mb) = peak_rss_mb() {
+        println!("  peak RSS {mb:.1} MB");
+    }
+}
+
+/// The process's peak resident set size (`VmHWM`), where
+/// `/proc/self/status` exists.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(kb / 1024.0)
 }

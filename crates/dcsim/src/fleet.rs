@@ -101,7 +101,8 @@ fn shard_seed(seed: u64, shard: u32) -> u64 {
 impl FleetSim {
     /// Partitions `topo` by datacenter (nodes without a DC — backbone
     /// routers — join shard 0) and builds one simulator per shard.
-    pub fn new(topo: Topology, seed: u64) -> Self {
+    pub fn new(topo: impl Into<Arc<Topology>>, seed: u64) -> Self {
+        let topo = topo.into();
         let shard_of = (0..topo.node_count())
             .map(|n| topo.dc_of(NodeId(n as u32)).unwrap_or(0))
             .collect();
@@ -112,7 +113,9 @@ impl FleetSim {
     /// dense from 0. The lookahead is derived as the minimum latency of
     /// any cross-shard link; with no cross-shard links (a single shard)
     /// an arbitrary 1 ms stride is used, which cannot affect results.
-    pub fn with_partition(topo: Topology, seed: u64, shard_of: Vec<u32>) -> Self {
+    /// Every shard shares the one `topo`; none holds a copy.
+    pub fn with_partition(topo: impl Into<Arc<Topology>>, seed: u64, shard_of: Vec<u32>) -> Self {
+        let topo = topo.into();
         assert_eq!(
             shard_of.len(),
             topo.node_count(),
@@ -135,7 +138,7 @@ impl FleetSim {
         let shard_of = Arc::new(shard_of);
         let shards = (0..num_shards)
             .map(|k| {
-                let mut s = Simulator::new(topo.clone(), shard_seed(seed, k));
+                let mut s = Simulator::new(Arc::clone(&topo), shard_seed(seed, k));
                 s.set_shard(Arc::clone(&shard_of), k);
                 s
             })
@@ -148,8 +151,10 @@ impl FleetSim {
         }
     }
 
-    /// Number of worker threads for the windowed run (1 = serial). Thread
-    /// count never changes results — only wall-clock time.
+    /// Number of worker threads for the windowed run (1 = serial). Each
+    /// window runs on at most `threads` workers, worker `w` taking shards
+    /// `w, w + threads, …` in index order. Thread count never changes
+    /// results — only wall-clock time.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -164,7 +169,7 @@ impl FleetSim {
         self.lookahead
     }
 
-    /// The shared topology (every shard holds an identical copy).
+    /// The topology every shard shares.
     pub fn topology(&self) -> &Topology {
         self.shards[0].topology()
     }
@@ -289,15 +294,33 @@ impl FleetSim {
             }
             windows += 1;
             let reports: Vec<_> = if self.threads > 1 {
+                let shards = self.shards.len();
+                let workers = self.threads.min(shards);
+                let mut groups: Vec<Vec<&mut Simulator>> =
+                    (0..workers).map(|_| Vec::new()).collect();
+                for (k, s) in self.shards.iter_mut().enumerate() {
+                    groups[k % workers].push(s);
+                }
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|s| scope.spawn(move || s.run(Some(horizon))))
-                        .collect();
-                    handles
+                    let handles: Vec<_> = groups
                         .into_iter()
-                        .map(|h| h.join().expect("shard thread panicked"))
+                        .map(|group| {
+                            scope.spawn(move || {
+                                group
+                                    .into_iter()
+                                    .map(|s| s.run(Some(horizon)))
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    let mut done: Vec<_> = handles
+                        .into_iter()
+                        .map(|h| h.join().expect("shard worker panicked").into_iter())
+                        .collect();
+                    // Back in shard order: shard k's report is its worker's
+                    // next one.
+                    (0..shards)
+                        .map(|k| done[k % workers].next().expect("a report per shard"))
                         .collect()
                 })
             } else {
@@ -423,23 +446,42 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        let topo = two_dc_leaf_spine(&TwoDcParams::small_test());
-        let run = |threads: usize| {
-            let mut fleet = FleetSim::new(topo.clone(), 7);
-            assert_eq!(fleet.num_shards(), 2);
-            fleet.set_threads(threads);
-            let ids: Vec<_> = flows(fleet.topology())
-                .iter()
-                .map(|&(s, d, b)| fleet.install_flow(FlowSpec::new(s, d, b), SimTime::ZERO))
+        let topo = Arc::new(two_dc_leaf_spine(&TwoDcParams::small_test()));
+        // By datacenter, then with the backbone routers in a third shard,
+        // which two workers split unevenly.
+        for (backbone_shard, shards) in [(0, 2), (2, 3)] {
+            let partition: Vec<u32> = (0..topo.node_count())
+                .map(|n| topo.dc_of(NodeId(n as u32)).unwrap_or(backbone_shard))
                 .collect();
-            let report = fleet.run(None);
-            assert_eq!(report.stop, StopReason::Idle);
-            assert!(report.exchanged > 0, "inter-DC flows must cross shards");
-            let fcts: Vec<_> = ids.iter().map(|f| fleet.completion(*f)).collect();
-            (report.events, report.end_time, report.exchanged, fcts)
-        };
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(4));
+            let run = |threads: usize| {
+                let mut fleet = FleetSim::with_partition(Arc::clone(&topo), 7, partition.clone());
+                assert_eq!(fleet.num_shards(), shards);
+                fleet.set_threads(threads);
+                let ids: Vec<_> = flows(fleet.topology())
+                    .iter()
+                    .map(|&(s, d, b)| fleet.install_flow(FlowSpec::new(s, d, b), SimTime::ZERO))
+                    .collect();
+                let report = fleet.run(None);
+                assert_eq!(report.stop, StopReason::Idle);
+                assert!(report.exchanged > 0, "inter-DC flows must cross shards");
+                let fcts: Vec<_> = ids.iter().map(|f| fleet.completion(*f)).collect();
+                (report.events, report.end_time, report.exchanged, fcts)
+            };
+            assert_eq!(run(1), run(2));
+            assert_eq!(run(1), run(4));
+        }
+    }
+
+    #[test]
+    fn fleet_shards_share_one_topology() {
+        let fleet = FleetSim::new(two_dc_leaf_spine(&TwoDcParams::small_test()), 1);
+        assert_eq!(fleet.num_shards(), 2);
+        for k in 1..fleet.num_shards() {
+            assert!(
+                std::ptr::eq(fleet.shard(0).topology(), fleet.shard(k).topology()),
+                "shard {k} holds its own copy"
+            );
+        }
     }
 
     #[test]

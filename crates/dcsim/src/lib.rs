@@ -83,5 +83,5 @@ pub mod prelude {
         two_dc_leaf_spine, two_dc_unstructured, LinkProps, NodeRole, Topology, TopologyBuilder,
         TwoDcParams, UnstructuredParams,
     };
-    pub use crate::workload::{BackgroundTraffic, FlowSizeDist, PoissonArrivals};
+    pub use crate::workload::{BackgroundTraffic, FlowSizeDist};
 }

@@ -210,7 +210,8 @@ impl FlowBinding {
 
 /// A packet-level discrete-event network simulator.
 pub struct Simulator {
-    topo: Topology,
+    /// Immutable once built, so the shards of one fleet share one copy.
+    topo: Arc<Topology>,
     events: EventQueue,
     ports: Vec<PortRuntime>,
     agents: Vec<AgentSlot>,
@@ -275,9 +276,11 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator over `topo`. All randomness (packet spraying,
-    /// ECN ramp draws) derives from `seed`.
-    pub fn new(topo: Topology, seed: u64) -> Self {
+    /// Creates a simulator over `topo`, a [`Topology`] or an
+    /// `Arc<Topology>` shared with other simulators. All randomness
+    /// (packet spraying, ECN ramp draws) derives from `seed`.
+    pub fn new(topo: impl Into<Arc<Topology>>, seed: u64) -> Self {
+        let topo = topo.into();
         let port_count = topo.port_count();
         // Lanes `0..port_count` are one per port; after them come four per
         // delay class — the ports of equal (latency, bandwidth), whose

@@ -86,7 +86,7 @@ pub(crate) struct NodeSpec {
 /// routing. With these, candidate sets are arithmetic over each node's
 /// in-order port list instead of a BFS-filled `nodes × hosts` table — the
 /// table is what caps the dense representation at a few hundred hosts
-/// (10k hosts × 20k nodes would be 200M inner vectors), while the closed
+/// (10k hosts × 20k nodes would be 200M rows), while the closed
 /// form is O(1) memory at any scale.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoDcLayout {
@@ -116,8 +116,18 @@ impl TwoDcLayout {
 /// verified exhaustively by `structured_routes_match_bfs`.
 #[derive(Debug, Clone)]
 enum Routes {
-    /// routes[node][host] = equal-cost output ports toward that host.
-    Dense(Vec<Vec<Vec<PortId>>>),
+    /// A compressed-row table, host-major: row `k = host * nodes + node`
+    /// holds the equal-cost output ports at `node` toward `host`, in
+    /// `ports[start[k]..start[k + 1]]` (`start` has `hosts * nodes + 1`
+    /// entries). Within a row the ports keep the node's port-addition
+    /// order — the order the spray draw indexes into — and a host's own
+    /// row toward itself is empty.
+    Dense {
+        /// Row offsets into `ports`.
+        start: Vec<u32>,
+        /// Every row's candidates, back to back.
+        ports: Vec<PortId>,
+    },
     /// Arithmetic candidates over the two-DC layout.
     TwoDc(TwoDcLayout),
 }
@@ -230,40 +240,50 @@ impl TopologyBuilder {
     /// topology is always a construction bug in this repository).
     pub fn build(self) -> Topology {
         let n = self.nodes.len();
-        let mut routes: Vec<Vec<Vec<PortId>>> = vec![vec![Vec::new(); self.hosts.len()]; n];
         // Reverse adjacency: for BFS from each destination host.
-        let mut rev: Vec<Vec<(NodeId, PortId)>> = vec![Vec::new(); n];
-        for (i, p) in self.ports.iter().enumerate() {
-            rev[p.to.index()].push((p.from, PortId(i as u32)));
+        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for p in &self.ports {
+            rev[p.to.index()].push(p.from);
         }
+        let mut start = Vec::with_capacity(self.hosts.len() * n + 1);
+        start.push(0u32);
+        let mut ports = Vec::new();
+        let mut dist = vec![u32::MAX; n];
+        let mut q = VecDeque::with_capacity(n);
         for (h, &host_node) in self.hosts.iter().enumerate() {
-            let mut dist = vec![u32::MAX; n];
+            dist.fill(u32::MAX);
             dist[host_node.index()] = 0;
-            let mut q = VecDeque::from([host_node]);
+            q.push_back(host_node);
             while let Some(node) = q.pop_front() {
                 let d = dist[node.index()];
-                for &(prev, _) in &rev[node.index()] {
+                for &prev in &rev[node.index()] {
                     if dist[prev.index()] == u32::MAX {
                         dist[prev.index()] = d + 1;
                         q.push_back(prev);
                     }
                 }
             }
+            // Host `h`'s rows, one per node in index order.
             for (i, node) in self.nodes.iter().enumerate() {
-                if NodeId(i as u32) == host_node {
-                    continue;
+                if i != host_node.index() {
+                    assert!(dist[i] != u32::MAX, "node {} cannot reach host {}", i, h);
+                    let row = ports.len();
+                    ports.extend(
+                        node.ports
+                            .iter()
+                            .filter(|p| dist[self.ports[p.index()].to.index()] == dist[i] - 1),
+                    );
+                    debug_assert!(ports.len() > row);
                 }
-                assert!(dist[i] != u32::MAX, "node {} cannot reach host {}", i, h);
-                for &port in &node.ports {
-                    let to = self.ports[port.index()].to;
-                    if dist[to.index()] + 1 == dist[i] {
-                        routes[i][h].push(port);
-                    }
-                }
-                debug_assert!(!routes[i][h].is_empty());
+                start.push(u32::try_from(ports.len()).expect("route table outgrows u32 offsets"));
             }
         }
-        Topology::finish(self.nodes, self.ports, self.hosts, Routes::Dense(routes))
+        Topology::finish(
+            self.nodes,
+            self.ports,
+            self.hosts,
+            Routes::Dense { start, ports },
+        )
     }
 
     /// Freezes a topology constructed by [`two_dc_leaf_spine`] with
@@ -382,7 +402,10 @@ impl Topology {
     #[inline]
     pub fn candidates(&self, node: NodeId, dst: HostId) -> &[PortId] {
         match &self.routes {
-            Routes::Dense(r) => &r[node.index()][dst.index()],
+            Routes::Dense { start, ports } => {
+                let k = dst.index() * self.nodes.len() + node.index();
+                &ports[start[k] as usize..start[k + 1] as usize]
+            }
             Routes::TwoDc(l) => self.two_dc_candidates(*l, node, dst),
         }
     }
@@ -869,10 +892,115 @@ mod tests {
         }
     }
 
+    /// The flat route table holds, at every (node, host), exactly the ports
+    /// a table of per-pair vectors filled by one BFS per host holds, in the
+    /// same order: the spray draw indexes into these slices. Random
+    /// connected graphs (parallel links and multi-homed hosts make ECMP
+    /// ties) and random unstructured two-DC fabrics.
+    #[test]
+    fn flat_routes_match_a_nested_bfs_table() {
+        fn nested(t: &Topology) -> Vec<Vec<Vec<PortId>>> {
+            let n = t.node_count();
+            let mut rev = vec![Vec::new(); n];
+            for i in 0..t.port_count() {
+                let p = t.port(PortId(i as u32));
+                rev[p.to.index()].push(p.from);
+            }
+            let mut routes = vec![vec![Vec::new(); t.host_count()]; n];
+            for h in 0..t.host_count() {
+                let target = t.host_node(HostId(h as u32));
+                let mut dist = vec![usize::MAX; n];
+                dist[target.index()] = 0;
+                let mut q = VecDeque::from([target]);
+                while let Some(v) = q.pop_front() {
+                    for &u in &rev[v.index()] {
+                        if dist[u.index()] == usize::MAX {
+                            dist[u.index()] = dist[v.index()] + 1;
+                            q.push_back(u);
+                        }
+                    }
+                }
+                for (i, row) in routes.iter_mut().enumerate() {
+                    if i != target.index() {
+                        row[h] = t
+                            .ports_of(NodeId(i as u32))
+                            .iter()
+                            .copied()
+                            .filter(|&p| dist[t.port(p).to.index()] + 1 == dist[i])
+                            .collect();
+                    }
+                }
+            }
+            routes
+        }
+        fn random_graph(rng: &mut trace::SplitMix64) -> Topology {
+            let (l, q) = (LinkProps::datacenter(), QueueConfig::datacenter());
+            let mut b = TopologyBuilder::new();
+            let (mut switches, mut hosts) = (Vec::new(), Vec::new());
+            let (want_switches, want_hosts) = (2 + rng.next_bounded(7), 1 + rng.next_bounded(8));
+            // Hosts and switches interleave in node-id order.
+            while (switches.len() as u64) < want_switches || (hosts.len() as u64) < want_hosts {
+                let host = (hosts.len() as u64) < want_hosts
+                    && ((switches.len() as u64) == want_switches || rng.next_bounded(2) == 0);
+                if host {
+                    let h = b.add_host(None);
+                    hosts.push(b.host_node(h));
+                } else {
+                    switches.push(b.add_switch(NodeRole::Generic, None));
+                }
+            }
+            let pick = |rng: &mut trace::SplitMix64| {
+                switches[rng.next_bounded(switches.len() as u64) as usize]
+            };
+            for i in 1..switches.len() {
+                let j = rng.next_bounded(i as u64) as usize;
+                b.add_duplex(switches[i], switches[j], l, q, q);
+            }
+            // Chords, parallel links among them.
+            for _ in 0..rng.next_bounded(2 * switches.len() as u64) {
+                let (a, z) = (pick(rng), pick(rng));
+                if a != z {
+                    b.add_duplex(a, z, l, q, q);
+                }
+            }
+            for &h in &hosts {
+                for _ in 0..1 + rng.next_bounded(2) {
+                    let sw = pick(rng);
+                    b.add_duplex(h, sw, l, q, q);
+                }
+            }
+            b.build()
+        }
+        let mut ties = 0;
+        trace::cases(0x70B5, 48, |case, rng| {
+            let t = if case % 4 == 3 {
+                two_dc_unstructured(&UnstructuredParams {
+                    switches_per_dc: 3 + rng.next_bounded(6) as usize,
+                    extra_links_per_dc: rng.next_bounded(10) as usize,
+                    hosts_per_dc: 1 + rng.next_bounded(8) as usize,
+                    gateways: 1 + rng.next_bounded(3) as usize,
+                    seed: rng.next_u64(),
+                    ..UnstructuredParams::default()
+                })
+            } else {
+                random_graph(rng)
+            };
+            let reference = nested(&t);
+            for (n, row) in reference.iter().enumerate() {
+                for (h, want) in row.iter().enumerate() {
+                    let got = t.candidates(NodeId(n as u32), HostId(h as u32));
+                    assert_eq!(got, &want[..], "node {n} toward host {h}");
+                    ties += usize::from(got.len() > 1);
+                }
+            }
+        });
+        assert!(ties > 0, "no case had an equal-cost tie");
+    }
+
     #[test]
     fn fleet_scale_topology_builds_cheaply() {
         // 2 DCs x (16 leaves x 64 hosts) = 2048 hosts; with the dense BFS
-        // table this would be ~2100 nodes x 2048 hosts of route vectors.
+        // table this would be ~2100 nodes x 2048 hosts of route rows.
         let p = TwoDcParams {
             spines_per_dc: 8,
             leaves_per_dc: 16,

@@ -1,5 +1,4 @@
-//! Workload generation beyond the single incast: background traffic and
-//! arrival processes.
+//! Workload generation beyond the single incast: background traffic.
 //!
 //! The paper's evaluation runs incasts on an otherwise idle network; its
 //! production motivation (§2) is datacenters full of other traffic. This
@@ -102,39 +101,6 @@ impl BackgroundTraffic {
     }
 }
 
-/// Draws exponential inter-arrival times with the given mean — a Poisson
-/// arrival process for repeated incasts or flow arrivals.
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals {
-    mean: SimDuration,
-    rng: SplitMix64,
-    now: SimTime,
-}
-
-impl PoissonArrivals {
-    /// Creates a process starting at time zero.
-    ///
-    /// # Panics
-    /// Panics on a zero mean.
-    pub fn new(mean: SimDuration, seed: u64) -> Self {
-        assert!(mean.0 > 0, "zero mean inter-arrival");
-        PoissonArrivals {
-            mean,
-            rng: SplitMix64::new(derive_seed(seed, 0xA881)),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The next arrival timestamp.
-    pub fn next_arrival(&mut self) -> SimTime {
-        // Inverse transform: -mean * ln(U), U in (0, 1].
-        let u = (1.0 - self.rng.next_f64()).max(f64::MIN_POSITIVE);
-        let gap = (-(u.ln()) * self.mean.0 as f64) as u64;
-        self.now += SimDuration(gap);
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,26 +171,6 @@ mod tests {
         };
         assert_eq!(sizes(5), sizes(5));
         assert_ne!(sizes(5), sizes(6));
-    }
-
-    #[test]
-    fn poisson_mean_is_close() {
-        let mean = SimDuration::from_micros(100);
-        let mut p = PoissonArrivals::new(mean, 4);
-        let n = 20_000;
-        let mut last = SimTime::ZERO;
-        let mut total = 0u128;
-        for _ in 0..n {
-            let t = p.next_arrival();
-            total += (t.0 - last.0) as u128;
-            last = t;
-        }
-        let measured = total as f64 / n as f64;
-        let expected = mean.0 as f64;
-        assert!(
-            (measured / expected - 1.0).abs() < 0.05,
-            "measured {measured} vs {expected}"
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! machinery for all of them:
 //!
 //! * **Incast completion times** over repeated seeded runs (mean/min/max) —
-//!   [`Summary`] and [`summary::Welford`].
+//!   [`Summary`].
 //! * **Per-packet latency CDFs** from the testbed experiments (Figs 4–5) —
 //!   [`Cdf`] and the thread-safe [`LatencyRecorder`].
 //! * **Bounded-memory latency distributions** captured on the data path —
@@ -27,8 +27,8 @@ pub mod timeseries;
 
 pub use cdf::Cdf;
 pub use histogram::LogHistogram;
-pub use percentile::{percentile_of_sorted, percentiles_of};
+pub use percentile::percentile_of_sorted;
 pub use recorder::LatencyRecorder;
 pub use rng::{cases, derive_seed, SplitMix64};
-pub use summary::{Summary, Welford};
+pub use summary::Summary;
 pub use table::Table;

@@ -31,22 +31,6 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Sorts a copy of `samples` and returns the requested percentiles.
-///
-/// Convenience wrapper for report code; returns an empty vector when the
-/// input is empty rather than panicking, since reports may legitimately have
-/// no samples for a series.
-pub fn percentiles_of(samples: &[f64], ps: &[f64]) -> Vec<f64> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    ps.iter()
-        .map(|&p| percentile_of_sorted(&sorted, p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,17 +61,6 @@ mod tests {
         assert!((percentile_of_sorted(&v, 25.0) - 20.0).abs() < 1e-9);
         assert!((percentile_of_sorted(&v, 50.0) - 35.0).abs() < 1e-9);
         assert!((percentile_of_sorted(&v, 75.0) - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentiles_of_unsorted_input() {
-        let out = percentiles_of(&[3.0, 1.0, 2.0], &[0.0, 50.0, 100.0]);
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn percentiles_of_empty_is_empty() {
-        assert!(percentiles_of(&[], &[50.0]).is_empty());
     }
 
     #[test]

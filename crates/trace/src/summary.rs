@@ -6,8 +6,8 @@
 //! numerically stable for long series too.
 
 /// Online mean/variance/min/max accumulator (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
+#[derive(Debug, Clone)]
+struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
@@ -17,7 +17,7 @@ pub struct Welford {
 
 impl Welford {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             count: 0,
             mean: 0.0,
@@ -28,7 +28,7 @@ impl Welford {
     }
 
     /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
+    fn add(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
@@ -37,16 +37,11 @@ impl Welford {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Finalizes into a [`Summary`].
     ///
     /// # Panics
     /// Panics if no observations were added.
-    pub fn finish(&self) -> Summary {
+    fn finish(&self) -> Summary {
         assert!(self.count > 0, "summary of zero observations");
         Summary {
             count: self.count,
