@@ -281,7 +281,7 @@ impl RelayAgent {
             return Action::Drop;
         };
         match pkt.kind {
-            PacketKind::Data if pkt.trimmed => Action::NackToSender(dirs),
+            PacketKind::Data if pkt.trimmed() => Action::NackToSender(dirs),
             PacketKind::Data => Action::ForwardToReceiver(dirs),
             PacketKind::Ack | PacketKind::Nack => Action::ForwardToSender(dirs),
         }
@@ -481,7 +481,7 @@ mod tests {
         data.trim();
         p.on_packet(data, &mut ctx_with(&mut fx));
         let fwd = only_send(&fx);
-        assert_eq!((fwd.kind, fwd.trimmed), (PacketKind::Data, true));
+        assert_eq!((fwd.kind, fwd.trimmed()), (PacketKind::Data, true));
         assert_eq!((fwd.dst, fwd.seq), (RECEIVER, 4));
         assert!(counted(&fx, Counter::ProxyForwarded));
         assert!(!counted(&fx, Counter::ProxyNacks), "naive never NACKs");

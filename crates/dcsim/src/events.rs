@@ -32,12 +32,14 @@
 //! events apart from plain ones:
 //!
 //! * a lane is a chain of fixed blocks of 32 events, each stored
-//!   whole — key and payload — so a lane's events sit contiguously. The
-//!   blocks come from one pool shared by every lane of the queue; a lane
-//!   takes a block from the pool's free list when its tail block is full
-//!   (or when it was empty), and hands a block back the moment its head
-//!   leaves it. Scheduling behind a non-empty lane is an O(1) append that
-//!   touches no heap;
+//!   whole — key and payload — so a lane's events sit contiguously. A
+//!   slot is 56 bytes: the 16-byte key and a 40-byte [`Event`], whose
+//!   `Arrival` carries a 32-byte [`Packet`] by value. The blocks come
+//!   from one pool shared by every lane of the queue; a lane takes a
+//!   block from the pool's free list when its tail block is full (or when
+//!   it was empty), and hands a block back the moment its head leaves it.
+//!   Scheduling behind a non-empty lane is an O(1) append that touches no
+//!   heap;
 //! * the head of every non-empty lane owns one entry in a second 4-ary
 //!   heap, the **lane-head heap**: the head's key and where it sits in the
 //!   pool. Nothing outside `pop` ever moves a lane head, so this heap needs
@@ -971,6 +973,18 @@ mod tests {
             agent: AgentId(0),
             kind: TimerKind::Custom { tag },
         }
+    }
+
+    /// What a packet in flight costs: by value in a port queue, as an
+    /// `Event` in the plain slab, as a `Queued` slot in a lane block. A
+    /// field added to `Packet` or `Event` grows all three, so it changes
+    /// this test too.
+    #[test]
+    fn packet_event_and_lane_slot_sizes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Packet>(), 32);
+        assert_eq!(size_of::<Event>(), 40);
+        assert_eq!(size_of::<Queued>(), 56);
     }
 
     fn tag_of(e: &Event) -> u64 {

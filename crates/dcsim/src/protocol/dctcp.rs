@@ -204,16 +204,16 @@ impl CongestionControl for Dctcp {
         match self.config.ecn_response {
             EcnResponse::DctcpAlpha { g } => {
                 self.round_acked += 1;
-                if ack.ece {
+                if ack.ece() {
                     self.round_marked += 1;
                 }
                 self.maybe_end_round(g, srtt, ctx);
-                if !ack.ece {
+                if !ack.ece() {
                     self.window_increase();
                 }
             }
             EcnResponse::HalvePerRound => {
-                if ack.ece {
+                if ack.ece() {
                     self.congestion_signal(ack.ts_echo, srtt, ctx);
                 } else {
                     self.window_increase();

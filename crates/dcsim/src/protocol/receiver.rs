@@ -62,7 +62,7 @@ impl Receiver {
         // sender gave up on the proxy — replying through the proxy would
         // blackhole the feedback on the very path that failed, so reply
         // straight to the source instead.
-        if !feedback.direct {
+        if !feedback.direct() {
             if let Some(via) = self.reply_via {
                 feedback.dst = via;
             }
@@ -75,7 +75,7 @@ impl Agent for Receiver {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         assert_eq!(pkt.kind, PacketKind::Data, "receiver expects data packets");
         debug_assert!(pkt.seq < self.received.capacity(), "seq out of range");
-        if pkt.trimmed {
+        if pkt.trimmed() {
             // The payload was cut by a full queue somewhere on the path:
             // tell the sender which sequence to retransmit.
             ctx.count(Counter::ReceiverNacks, 1);
@@ -173,10 +173,10 @@ mod tests {
         let mut r = Receiver::new(FlowId(0), HostId(1), 10);
         let mut fx = Vec::new();
         let mut p = data(0);
-        p.ecn = Ecn::Ce;
+        p.set_ecn(Ecn::Ce);
         r.on_packet(p, &mut ctx_with(&mut fx));
         match &fx[0] {
-            Effect::Send { packet, .. } => assert!(packet.ece),
+            Effect::Send { packet, .. } => assert!(packet.ece()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -252,12 +252,12 @@ mod tests {
         let mut r = Receiver::new(FlowId(0), HostId(1), 4).with_reply_via(proxy);
         let mut fx = Vec::new();
         let mut p = data(0);
-        p.direct = true;
+        p.set_direct(true);
         r.on_packet(p, &mut ctx_with(&mut fx));
         match &fx[0] {
             Effect::Send { packet, .. } => {
                 assert_eq!(packet.dst, HostId(0), "direct data must be acked directly");
-                assert!(packet.direct, "the flag must survive into the feedback");
+                assert!(packet.direct(), "the flag must survive into the feedback");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -342,7 +342,7 @@ mod tests {
         let mut fx = Vec::new();
         r.on_packet(data(0), &mut ctx_with(&mut fx));
         match &fx[0] {
-            Effect::Send { packet, .. } => assert!(packet.size < DATA_PKT_SIZE),
+            Effect::Send { packet, .. } => assert!(packet.size() < DATA_PKT_SIZE),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -281,7 +281,7 @@ impl<C: CongestionControl> Sender<C> {
                 _ => self.to,
             };
             let mut pkt = Packet::data(self.flow, seq, self.src, dst, ctx.now.0);
-            pkt.direct = direct;
+            pkt.set_direct(direct);
             ctx.send(self.src, pkt);
             if C::PACED {
                 break;
@@ -361,7 +361,7 @@ impl<C: CongestionControl> Sender<C> {
 
     /// True for a fresh ACK.
     fn on_ack(&mut self, pkt: &Packet, ctx: &mut Ctx) -> bool {
-        if pkt.ece {
+        if pkt.ece() {
             ctx.count(Counter::MarkedAcks, 1);
         }
         if !self.acked.insert(pkt.seq) {
@@ -464,7 +464,7 @@ impl<C: CongestionControl> Agent for Sender<C> {
         if let Some(f) = &mut self.failover {
             f.consecutive_rtos = 0;
             f.last_feedback = ctx.now;
-            if f.degraded && !pkt.direct {
+            if f.degraded && !pkt.direct() {
                 f.degraded = false;
                 ctx.cancel_timer(PROBE_SLOT);
                 f.probe_backoff = f.cfg.probe_backoff_max;
@@ -619,7 +619,7 @@ mod tests {
     fn sent(fx: &[Effect]) -> Vec<(u64, HostId, bool)> {
         let data = |e: &Effect| match e {
             Effect::Send { packet: p, .. } if p.kind == PacketKind::Data => {
-                Some((p.seq, p.dst, p.direct))
+                Some((p.seq, p.dst, p.direct()))
             }
             _ => None,
         };
@@ -649,7 +649,7 @@ mod tests {
 
     fn ack(seq: u64, direct: bool) -> Packet {
         let mut d = Packet::data(FlowId(0), seq, HostId(0), PROXY, 0);
-        d.direct = direct;
+        d.set_direct(direct);
         Packet::ack_for(&d, PROXY)
     }
 
@@ -871,7 +871,7 @@ mod tests {
             (2, later, cwnd0 / 4),
         ] {
             let mut d = Packet::data(FlowId(0), seq, HostId(0), PROXY, 0);
-            d.ecn = crate::packet::Ecn::Ce;
+            d.set_ecn(crate::packet::Ecn::Ce);
             s.on_packet(Packet::ack_for(&d, PROXY), &mut ctx(at, &mut fx));
             assert_eq!(s.policy().cwnd_bytes(), want, "marked ack {seq}");
         }

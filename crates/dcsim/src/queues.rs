@@ -190,8 +190,8 @@ impl PortQueue {
     /// separate violation class.) O(len), so callers should only invoke it
     /// at audit checkpoints.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let data_sum: u64 = self.data.iter().map(|p| p.size).sum();
-        let ctrl_sum: u64 = self.ctrl.iter().map(|p| p.size).sum();
+        let data_sum: u64 = self.data.iter().map(|p| p.size()).sum();
+        let ctrl_sum: u64 = self.ctrl.iter().map(|p| p.size()).sum();
         if data_sum != self.data_bytes {
             return Err(format!(
                 "data byte counter {} != queued data bytes {data_sum}",
@@ -250,11 +250,11 @@ impl PortQueue {
     }
 
     fn enqueue_ctrl(&mut self, pkt: Packet) -> EnqueueOutcome {
-        if self.ctrl_bytes + pkt.size > self.config.ctrl_capacity_bytes {
+        if self.ctrl_bytes + pkt.size() > self.config.ctrl_capacity_bytes {
             self.stats.dropped_pkts += 1;
             return EnqueueOutcome::Dropped;
         }
-        self.ctrl_bytes += pkt.size;
+        self.ctrl_bytes += pkt.size();
         self.ctrl.push_back(pkt);
         self.stats.enqueued_pkts += 1;
         EnqueueOutcome::Queued
@@ -267,7 +267,7 @@ impl PortQueue {
         if pkt.is_control() {
             return self.enqueue_ctrl(pkt);
         }
-        if self.data_bytes + pkt.size > self.config.capacity_bytes {
+        if self.data_bytes + pkt.size() > self.config.capacity_bytes {
             if self.config.trim {
                 pkt.trim();
                 self.stats.trimmed_pkts += 1;
@@ -281,10 +281,10 @@ impl PortQueue {
         }
         let p = self.mark_probability(self.data_bytes);
         if p > 0.0 && rng.next_f64() < p {
-            pkt.ecn = crate::packet::Ecn::Ce;
+            pkt.set_ecn(crate::packet::Ecn::Ce);
             self.stats.marked_pkts += 1;
         }
-        self.data_bytes += pkt.size;
+        self.data_bytes += pkt.size();
         self.data.push_back(pkt);
         self.stats.enqueued_pkts += 1;
         self.stats.max_data_bytes = self.stats.max_data_bytes.max(self.data_bytes);
@@ -295,12 +295,12 @@ impl PortQueue {
     /// priority), then data.
     pub fn dequeue(&mut self) -> Option<Packet> {
         if let Some(p) = self.ctrl.pop_front() {
-            self.ctrl_bytes -= p.size;
+            self.ctrl_bytes -= p.size();
             self.stats.dequeued_pkts += 1;
             return Some(p);
         }
         let p = self.data.pop_front()?;
-        self.data_bytes -= p.size;
+        self.data_bytes -= p.size();
         self.stats.dequeued_pkts += 1;
         Some(p)
     }
@@ -360,9 +360,9 @@ mod tests {
         assert_eq!(q.stats().trimmed_pkts, 1);
         // The trimmed header jumps the data queue.
         let first = q.dequeue().unwrap();
-        assert!(first.trimmed);
+        assert!(first.trimmed());
         assert_eq!(first.seq, 3);
-        assert_eq!(first.size, HEADER_SIZE);
+        assert_eq!(first.size(), HEADER_SIZE);
     }
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
         }
         let mut dequeued = 0;
         while let Some(p) = q.dequeue() {
-            dequeued += p.size;
+            dequeued += p.size();
         }
         assert_eq!(q.total_bytes(), 0);
         // 3 full + 3 trimmed.
@@ -416,7 +416,7 @@ mod tests {
         q.enqueue(data_pkt(0), &mut rng);
         assert_eq!(q.stats().marked_pkts, 0);
         let p = q.dequeue().unwrap();
-        assert_eq!(p.ecn, Ecn::Ect);
+        assert_eq!(p.ecn(), Ecn::Ect);
     }
 
     #[test]

@@ -7,9 +7,7 @@ use crate::events::{Event, EventQueue, FaultEvent, TimerHandle, NO_LANE};
 use crate::faults::{FaultError, FaultPlan};
 use crate::fidelity::{ExpressStats, FidelityConfig, FidelityState};
 use crate::metrics::{LaneChurn, SimMetrics};
-use crate::packet::{
-    AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId, DATA_PKT_SIZE, HEADER_SIZE,
-};
+use crate::packet::{AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId};
 use crate::protocol::{Dctcp, Receiver, Sender};
 use crate::queues::{EnqueueOutcome, PortQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};
@@ -118,16 +116,12 @@ struct PortRuntime {
     tx_done_lane: usize,
 }
 
-/// The two wire sizes nearly every packet has, as an index into a delay
-/// class's lanes. A packet of any other size serializes in a time of its
-/// own and stays off them.
+/// A packet's wire size — [`DATA_PKT_SIZE`](crate::packet::DATA_PKT_SIZE)
+/// or [`HEADER_SIZE`](crate::packet::HEADER_SIZE), the only two there
+/// are — as an index into a delay class's lanes.
 #[inline]
-fn size_slot(size: u64) -> Option<usize> {
-    match size {
-        DATA_PKT_SIZE => Some(0),
-        HEADER_SIZE => Some(1),
-        _ => None,
-    }
+fn size_slot(packet: &Packet) -> usize {
+    usize::from(packet.is_control())
 }
 
 /// Arena slot for an agent. The two agent types instantiated per flow by
@@ -976,7 +970,7 @@ impl Simulator {
                 return;
             }
             if draw < loss + corrupt {
-                if packet.kind == PacketKind::Data && !packet.trimmed {
+                if packet.kind == PacketKind::Data && !packet.trimmed() {
                     // Corrupted payload: deliver the header only, like a
                     // trimming switch, so the receiver can NACK it.
                     packet.trim();
@@ -1090,7 +1084,7 @@ impl Simulator {
             // end of this hop joins the port's lane (`i`) in order.
             let i = port.index();
             let spec = self.topo.port(port);
-            let ser = spec.link.bandwidth.serialize_time(packet.size);
+            let ser = spec.link.bandwidth.serialize_time(packet.size());
             let latency = spec.link.latency;
             let node = spec.to;
             let depart = SimTime(t.0.max(fid.free_at[i])) + ser;
@@ -1194,7 +1188,7 @@ impl Simulator {
                 return;
             };
             let spec = self.topo.port(port);
-            let ser = spec.link.bandwidth.serialize_time(pkt.size);
+            let ser = spec.link.bandwidth.serialize_time(pkt.size());
             // With hybrid fidelity the transmitter may owe virtual backlog
             // from an earlier express walk; serialize behind it so per-port
             // FIFO ordering survives the fidelity transition. Disabled,
@@ -1214,9 +1208,8 @@ impl Simulator {
             // The `TxDone`'s place in the global order is fixed here, where
             // it used to be scheduled, so every other event keeps its key.
             rt.tx_done = (done, self.events.reserve_seq());
-            let slot = size_slot(pkt.size);
-            rt.tx_done_lane = slot.map_or(NO_LANE, |s| rt.class_lanes + 2 + s);
-            let arrival_lane = slot.map_or(NO_LANE, |s| rt.class_lanes + s);
+            let arrival_lane = rt.class_lanes + size_slot(&pkt);
+            rt.tx_done_lane = arrival_lane + 2;
             self.metrics.tx_churn.started += 1;
             if let Some(f) = &mut self.fidelity {
                 f.free_at[port.index()] = done.0;

@@ -83,21 +83,25 @@ cargo run --release --offline -q -p bench --bin fuzz -- --count 500 --start-seed
 echo "== control-plane fuzz (shard crashes, stale placements, gossip slower than lease expiry)"
 cargo run --release --offline -q -p bench --bin fuzz -- --control-plane --count 500 --start-seed 0
 
-echo "== fleet (hybrid sharded engine: --threads 2 and 3 print --threads 1's counts exactly)"
+echo "== fleet (hybrid sharded engine: --threads 1, 2 and 3 print the recorded counts exactly)"
 cargo build --release --offline -q -p bench --bin fleet
 # The two count lines (events, TxDones never scheduled, saved events,
 # windows, cross-shard packets; lane churn), wall-clock field stripped.
 fleet_counts() {
   sed -n -e 's/ in [0-9.]*s wall//p' -e '/event queue:/p'
 }
+# What `fleet --quick` prints. A change that moves pop order, an event
+# count or the window schedule fails here; one that means to re-records
+# these two lines.
+FLEET_EXPECTED="  225005 events + 619 TxDones never scheduled + 313692 saved = 539316 effective (13 windows, 29026 cross-shard packets)
+  event queue: 201838 inserts appended to a lane, 23247 pushed into the heap; lanes refused an offer 11579 times"
 FLEET_T1_OUT="$(target/release/fleet --quick --threads 1)"
 # Shown, never compared: memory varies with the allocator and the box.
 grep 'peak RSS' <<<"$FLEET_T1_OUT" || true
-FLEET_T1="$(fleet_counts <<<"$FLEET_T1_OUT")"
-if [ "$(wc -l <<<"$FLEET_T1")" -ne 2 ]; then echo "fleet printed no count lines" >&2; exit 1; fi
+diff <(echo "$FLEET_EXPECTED") <(fleet_counts <<<"$FLEET_T1_OUT")
 # --quick has 4 shards: 3 threads split them unevenly.
 for threads in 2 3; do
-  diff <(echo "$FLEET_T1") <(target/release/fleet --quick --threads "$threads" | fleet_counts)
+  diff <(echo "$FLEET_EXPECTED") <(target/release/fleet --quick --threads "$threads" | fleet_counts)
 done
 
 # Last: it builds from crates/perf, whose .cargo/config.toml patch table (all
