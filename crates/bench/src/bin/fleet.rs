@@ -236,6 +236,10 @@ fn main() {
         report.lane_churn.appended, report.lane_churn.pushed, report.lane_churn.refused,
     );
     println!(
+        "  port queues: {} packets queued at once at peak, {} pool blocks, summed over the shards",
+        report.queue_peak.packets, report.queue_peak.blocks,
+    );
+    println!(
         "  {:.2}M events/sec raw, {:.2}M events/sec effective",
         raw_rate / 1e6,
         effective_rate / 1e6,

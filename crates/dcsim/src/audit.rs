@@ -21,8 +21,9 @@
 //!   boundaries in fleet runs (zero otherwise), so the balance holds on
 //!   both sides of a fidelity or shard boundary mid-flight.
 //! * **Queue sanity** — per-port byte counters match the queued packets,
-//!   occupancy never exceeds the configured capacities, and
-//!   `enqueued - dequeued == len`.
+//!   occupancy never exceeds the configured capacities, each FIFO's chain
+//!   of pool blocks walks to its tail in exactly its `len`, and every
+//!   block of the packet pool is free or on exactly one FIFO.
 //! * **Timer accounting** — `armed == fired + canceled + pending`, and the
 //!   slot/generation protocol never discards a stale pop
 //!   (`discarded_stale == 0`), extending the PR 3 churn counters.
@@ -210,11 +211,16 @@ pub enum InvariantViolation {
         ctrl_bytes: u64,
         ctrl_capacity: u64,
     },
-    /// A port queue's internal accounting is inconsistent (byte counters vs
-    /// queued packets, enqueue/dequeue stats vs length, class placement).
+    /// The port queues' accounting is inconsistent: byte counters vs the
+    /// packets on a port's FIFOs, a FIFO whose chain of pool blocks does
+    /// not walk to its tail in `len` slots, a packet in the wrong class, or
+    /// a pool block that is neither free nor on exactly one FIFO.
     QueueAccounting {
         at: SimTime,
-        port: PortId,
+        /// The port whose FIFOs or counters are wrong; `None` when the
+        /// fault is in the packet pool the ports share (a block that is
+        /// neither free nor on a FIFO, a corrupt free list).
+        port: Option<PortId>,
         detail: String,
     },
     /// Timer churn counters do not balance: `armed != fired + canceled +
@@ -316,9 +322,13 @@ impl fmt::Display for InvariantViolation {
                 "queue over capacity at {at} on {port:?}: \
                  data {data_bytes}/{data_capacity} B, ctrl {ctrl_bytes}/{ctrl_capacity} B",
             ),
-            InvariantViolation::QueueAccounting { at, port, detail } => {
-                write!(f, "queue accounting broken at {at} on {port:?}: {detail}")
-            }
+            InvariantViolation::QueueAccounting { at, port, detail } => match port {
+                Some(port) => write!(f, "queue accounting broken at {at} on {port:?}: {detail}"),
+                None => write!(
+                    f,
+                    "queue accounting broken at {at} in the packet pool: {detail}"
+                ),
+            },
             InvariantViolation::TimerAccounting {
                 at,
                 armed,

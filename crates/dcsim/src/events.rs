@@ -35,9 +35,11 @@
 //!   whole — key and payload — so a lane's events sit contiguously. A
 //!   slot is 56 bytes: the 16-byte key and a 40-byte [`Event`], whose
 //!   `Arrival` carries a 32-byte [`Packet`] by value. The blocks come
-//!   from one pool shared by every lane of the queue; a lane takes a
-//!   block from the pool's free list when its tail block is full (or when
-//!   it was empty), and hands a block back the moment its head leaves it.
+//!   from one pool shared by every lane of the queue, a
+//!   [`Blocks`](crate::blocks::Blocks); a lane takes a block from the
+//!   pool's free list when its tail block is full (or when it was empty),
+//!   and hands a block back the moment its head leaves it. The pool knows
+//!   blocks and links; where each lane starts and ends is this module's.
 //!   Scheduling behind a non-empty lane is an O(1) append that touches no
 //!   heap;
 //! * the head of every non-empty lane owns one entry in a second 4-ary
@@ -63,7 +65,9 @@
 //! `sim_incast_full`'s peak RSS went from 7.6 to 8.8–9.6 MB. Pooled
 //! blocks bound what lanes hold to the events pending plus at most one
 //! part-filled block at each end of a busy lane, whatever each lane's
-//! peak was.
+//! peak was. The same argument, and the same pool type, holds for the
+//! simulator's port queues ([`crate::queues`]), whose deques summed
+//! every port's peak the same way.
 //!
 //! What a lane stands for is the caller's business. The simulator opens one
 //! per port and, beside them, four per **delay class** — the ports whose
@@ -119,6 +123,7 @@
 //! pop the older key second. The sortedness test is therefore on the pair;
 //! for a fresh key it reduces to comparing times.
 
+use crate::blocks::{block_of, Blocks, BLOCK, NIL};
 use crate::metrics::LaneChurn;
 use crate::packet::{AgentId, NodeId, Packet, PortId};
 use crate::time::SimTime;
@@ -199,13 +204,6 @@ pub struct EventCensus {
 /// lines of 24-byte entries.
 const ARITY: usize = 4;
 
-/// Events per lane block: a lane pop crosses into another block, and hands
-/// one back to the pool, once every 32 events.
-const BLOCK: usize = 32;
-
-/// "No lane" / "empty lane" sentinel for the `u32` indices below.
-const NIL: u32 = u32::MAX;
-
 /// The lane index that names no lane, for the scheduling calls that take
 /// one: the event goes where [`EventQueue::schedule`] would put it.
 pub const NO_LANE: usize = usize::MAX;
@@ -279,16 +277,10 @@ pub struct EventQueue {
     gen: Vec<u32>,
     /// 4-ary min-heap of the heads of non-empty lanes.
     heads: Vec<LaneHead>,
-    /// The block pool: block `b` is `pool[b * BLOCK..(b + 1) * BLOCK]`,
-    /// and is named by its first index, `b * BLOCK`.
-    pool: Vec<Queued>,
-    /// Per block, the block chained after it on its lane: [`NIL`] for a
-    /// lane's last block, stale while the block is free.
-    next_block: Vec<u32>,
-    /// Blocks on no lane, reused last-freed first.
-    free_blocks: Vec<u32>,
-    /// Pool index of each lane's tail event; [`NIL`] while the lane is
-    /// empty.
+    /// The block pool every lane's events sit in.
+    pool: Blocks<Queued>,
+    /// Pool index of each lane's tail event; [`NIL`] (also "no lane") while
+    /// the lane is empty.
     tails: Vec<u32>,
     /// Events queued on lanes behind their head, i.e. pending but in
     /// neither heap.
@@ -477,8 +469,8 @@ impl EventQueue {
             }
             let tail = self.tails[lane as usize];
             if tail == NIL {
-                let idx = self.take_block(queued);
-                self.pool[idx as usize] = queued;
+                let idx = self.pool.take(queued);
+                self.pool[idx] = queued;
                 self.tails[lane as usize] = idx;
                 self.churn.pushed += 1;
                 let i = self.heads.len();
@@ -486,43 +478,19 @@ impl EventQueue {
                 sift_up(&mut self.heads, i, |_, _| {});
                 return;
             }
-            let last = &self.pool[tail as usize];
+            let last = &self.pool[tail];
             if (at, seq) < (last.at, last.seq) {
                 self.churn.refused += 1;
                 continue;
             }
-            let idx = if !(tail as usize + 1).is_multiple_of(BLOCK) {
-                tail + 1
-            } else {
-                let block = self.take_block(queued);
-                self.next_block[tail as usize / BLOCK] = block;
-                block
-            };
-            self.pool[idx as usize] = queued;
+            let idx = self.pool.extend(tail, queued);
+            self.pool[idx] = queued;
             self.tails[lane as usize] = idx;
             self.queued += 1;
             self.churn.appended += 1;
             return;
         }
         self.push_plain(at, seq, event);
-    }
-
-    /// Takes a block from the pool, growing it (with copies of `fill`) if
-    /// none is free; returns the block's first index. The block chains on
-    /// to nothing: it becomes its lane's last.
-    fn take_block(&mut self, fill: Queued) -> u32 {
-        match self.free_blocks.pop() {
-            Some(block) => {
-                self.next_block[block as usize / BLOCK] = NIL;
-                block
-            }
-            None => {
-                let block = self.pool.len() as u32;
-                self.next_block.push(NIL);
-                self.pool.resize(self.pool.len() + BLOCK, fill);
-                block
-            }
-        }
     }
 
     /// Pushes a plain heap entry for `event`, in a slab slot of its own;
@@ -648,21 +616,18 @@ impl EventQueue {
     #[inline]
     fn pop_lane_head(&mut self) -> (SimTime, u64, Event) {
         let head = self.heads[0];
-        let Queued { at, seq, event } = self.pool[head.idx as usize];
+        let Queued { at, seq, event } = self.pool[head.idx];
         if head.idx == self.tails[head.lane as usize] {
             self.tails[head.lane as usize] = NIL;
-            self.free_blocks.push(block_of(head.idx));
+            self.pool.release(head.idx);
             let last = self.heads.pop().expect("non-empty");
             if !self.heads.is_empty() {
                 self.heads[0] = last;
                 sift_down(&mut self.heads, 0, |_, _| {});
             }
         } else {
-            let idx = self.successor(head.idx);
-            if idx.is_multiple_of(BLOCK as u32) {
-                self.free_blocks.push(block_of(head.idx));
-            }
-            let next = &self.pool[idx as usize];
+            let idx = self.pool.advance(head.idx);
+            let next = &self.pool[idx];
             self.heads[0] = LaneHead {
                 at: next.at,
                 seq: next.seq,
@@ -684,18 +649,6 @@ impl EventQueue {
             self.sift_plain_down(0);
         }
         (top.at, top.seq, self.free_slot(top.slot))
-    }
-
-    /// The pool index after `idx` on its lane: the next slot of the block,
-    /// or the first slot of the block chained after it. Only meaningful
-    /// while `idx` is not its lane's tail.
-    #[inline]
-    fn successor(&self, idx: u32) -> u32 {
-        if !(idx + 1).is_multiple_of(BLOCK as u32) {
-            idx + 1
-        } else {
-            self.next_block[idx as usize / BLOCK]
-        }
     }
 
     /// Releases a slot back to the free list, invalidating any handle that
@@ -733,9 +686,9 @@ impl EventQueue {
         let on_lanes = self.heads.iter().flat_map(|head| {
             let tail = self.tails[head.lane as usize];
             std::iter::successors(Some(head.idx), move |&i| {
-                (i != tail).then(|| self.successor(i))
+                (i != tail).then(|| self.pool.successor(i))
             })
-            .map(|i| &self.pool[i as usize].event)
+            .map(|i| &self.pool[i].event)
         });
         // The bound keeps a corrupted lane from looping here; the
         // structural audit reports it.
@@ -783,18 +736,11 @@ impl EventQueue {
             ));
         }
 
-        // Who holds each block: NIL for nobody yet, a lane, or the pool.
-        const POOL: u32 = NIL - 1;
-        let mut holder = vec![NIL; self.next_block.len()];
-        for &block in &self.free_blocks {
-            match holder.get_mut(block as usize / BLOCK) {
-                Some(h) if *h == NIL && block.is_multiple_of(BLOCK as u32) => *h = POOL,
-                _ => return Err(format!("free block {block} is freed twice or not a block")),
-            }
-        }
+        // Who holds each block: nobody yet, a lane, or the free list.
+        let mut holders = self.pool.holders()?;
         // The lane whose recorded tail sits in each block: a walk that
         // enters another lane's tail block has strayed onto that lane.
-        let mut tail_in = vec![NIL; self.next_block.len()];
+        let mut tail_in = vec![NIL; self.pool.blocks()];
         for (lane, &tail) in self.tails.iter().enumerate() {
             if let Some(t) = tail_in.get_mut(tail as usize / BLOCK) {
                 *t = lane as u32;
@@ -813,11 +759,11 @@ impl EventQueue {
                 ));
             }
             let tail = self.tails[lane];
-            if tail == NIL || head.idx as usize >= self.pool.len() {
+            if tail == NIL || head.idx as usize >= self.pool.slots() {
                 return Err(format!("heads[{i}] heads empty lane {lane}"));
             }
             let mut idx = head.idx;
-            let mut key = (self.pool[idx as usize].at, self.pool[idx as usize].seq);
+            let mut key = (self.pool[idx].at, self.pool[idx].seq);
             if key != head.key() {
                 return Err(format!(
                     "lane {lane}: head entry and head disagree on the key"
@@ -826,7 +772,7 @@ impl EventQueue {
             loop {
                 if idx.is_multiple_of(BLOCK as u32) || idx == head.idx {
                     let block = idx as usize / BLOCK;
-                    if holder[block] != NIL {
+                    if holders.claim(idx, head.lane).is_err() {
                         return Err(format!(
                             "lane {lane} runs into block {}, free or on a lane already",
                             block_of(idx)
@@ -839,10 +785,9 @@ impl EventQueue {
                             tail_in[block]
                         ));
                     }
-                    holder[block] = head.lane;
                 }
                 if idx == tail {
-                    if self.next_block[idx as usize / BLOCK] != NIL {
+                    if self.pool.next_of(idx) != NIL {
                         return Err(format!(
                             "lane {lane} chains on past its tail at index {tail}"
                         ));
@@ -850,14 +795,14 @@ impl EventQueue {
                     break;
                 }
                 behind_heads += 1;
-                let next = self.successor(idx);
-                if behind_heads > self.queued || next as usize >= self.pool.len() {
+                let next = self.pool.successor(idx);
+                if behind_heads > self.queued || next as usize >= self.pool.slots() {
                     return Err(format!(
                         "lane {lane} runs past index {idx} without reaching its tail: \
                          free or a loop"
                     ));
                 }
-                let next_key = (self.pool[next as usize].at, self.pool[next as usize].seq);
+                let next_key = (self.pool[next].at, self.pool[next].seq);
                 if next_key < key {
                     let across = if next.is_multiple_of(BLOCK as u32) {
                         " across a block boundary"
@@ -879,11 +824,8 @@ impl EventQueue {
                 self.queued
             ));
         }
-        if let Some(block) = holder.iter().position(|&h| h == NIL) {
-            return Err(format!(
-                "block {} is neither free nor on a lane",
-                block * BLOCK
-            ));
+        if let Some(block) = holders.unheld() {
+            return Err(format!("block {block} is neither free nor on a lane"));
         }
         Ok(())
     }
@@ -891,7 +833,7 @@ impl EventQueue {
     /// True while some lane spans more than one block.
     #[cfg(test)]
     pub(crate) fn some_lane_chains(&self) -> bool {
-        self.next_block.len() - self.free_blocks.len() > self.heads.len()
+        self.pool.in_use() > self.heads.len()
     }
 
     #[inline]
@@ -905,12 +847,6 @@ impl EventQueue {
         let pos = &mut self.pos;
         sift_down(&mut self.heap, i, |e, at| pos[e.slot as usize] = at as u32);
     }
-}
-
-/// The block holding pool index `idx`, named by its first index.
-#[inline]
-fn block_of(idx: u32) -> u32 {
-    idx - idx % BLOCK as u32
 }
 
 /// Restores the heap property upward from `i`; `placed(entry, index)` is
@@ -1101,12 +1037,12 @@ mod tests {
     /// The tail key of `lane`, if the queue has the lane and it is busy.
     fn tail_key(q: &EventQueue, lane: usize) -> Option<(SimTime, u64)> {
         let tail = *q.tails.get(lane)?;
-        (tail != NIL).then(|| (q.pool[tail as usize].at, q.pool[tail as usize].seq))
+        (tail != NIL).then(|| (q.pool[tail].at, q.pool[tail].seq))
     }
 
     /// Blocks that hold lane events right now.
     fn blocks_in_use(q: &EventQueue) -> usize {
-        q.next_block.len() - q.free_blocks.len()
+        q.pool.in_use()
     }
 
     /// Materialises a reserved key on a random lane (the reserved-keys-only
@@ -1307,11 +1243,11 @@ mod tests {
         );
         let bound = (PENDING as usize).div_ceil(BLOCK) + LANES;
         assert!(
-            q.next_block.len() <= bound,
+            q.pool.blocks() <= bound,
             "pool grew to {} blocks for {PENDING} events on {LANES} lanes (bound {bound})",
-            q.next_block.len()
+            q.pool.blocks()
         );
-        assert_eq!(q.pool.len(), q.next_block.len() * BLOCK);
+        assert_eq!(q.pool.slots(), q.pool.blocks() * BLOCK);
     }
 
     #[test]
@@ -1744,7 +1680,7 @@ mod tests {
                 }
             }
             assert_eq!(q.pop().map(|(_, e)| tag_of(&e)), Some(99));
-            assert_eq!((q.free_blocks.len(), blocks_in_use(&q)), (1, 3));
+            assert_eq!((q.pool.blocks(), blocks_in_use(&q)), (4, 3));
             assert_eq!(q.check_invariants(), Ok(()));
             q
         };
@@ -1757,7 +1693,7 @@ mod tests {
         // Unsorted inside a block: the head's successor goes back in time.
         let mut q = build();
         let head = q.heads[lane0(&q)].idx;
-        q.pool[head as usize + 1].at = SimTime(5);
+        q.pool[head + 1].at = SimTime(5);
         assert_eq!(
             q.check_invariants(),
             Err(format!("lane 0 is unsorted at index {}", head + 1))
@@ -1767,7 +1703,7 @@ mod tests {
         // second block goes back in time.
         let mut q = build();
         let second = second_block(&q);
-        q.pool[second as usize].at = SimTime(5);
+        q.pool[second].at = SimTime(5);
         broken(
             &q,
             &format!("lane 0 is unsorted at index {second} across a block boundary"),
@@ -1817,15 +1753,17 @@ mod tests {
         // A block both free and on a lane, a block on no lane and not free,
         // and a block freed twice.
         let mut q = build();
-        q.free_blocks.push(second_block(&q));
+        let second = second_block(&q);
+        q.pool.release(second);
         broken(&q, "free or on a lane already");
 
         let mut q = build();
-        q.free_blocks.clear();
+        q.pool.forget_free_blocks();
         broken(&q, "neither free nor on a lane");
 
+        // Lane 2's block, the first taken, is the one on the free list.
         let mut q = build();
-        q.free_blocks.push(q.free_blocks[0]);
+        q.pool.release(0);
         broken(&q, "freed twice");
     }
 
@@ -1833,7 +1771,7 @@ mod tests {
     /// `check_invariants_names_what_is_broken` builds.
     fn second_block(q: &EventQueue) -> u32 {
         let head = q.heads.iter().find(|h| h.lane == 0).expect("busy").idx;
-        q.next_block[head as usize / BLOCK]
+        q.pool.next_of(head)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! The `free_at` horizon reproduces FIFO store-and-forward timing exactly:
 //! `depart = max(now, free_at) + serialize; free_at' = depart`.  Because
-//! `PortQueue::enqueue` only draws from the RNG once `data_bytes` crosses
+//! `PortQueues::enqueue` only draws from the RNG once `data_bytes` crosses
 //! the ECN low watermark, a cold hop consumes the same number of RNG draws
 //! (one per multi-candidate spray decision, zero otherwise) as the
 //! packet-level path, keeping per-flow behaviour statistically equivalent.

@@ -36,7 +36,7 @@
 //!
 //! [`PacketLedger`]: crate::audit::PacketLedger
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::audit::{AuditConfig, InvariantViolation};
 use crate::fidelity::{ExpressStats, FidelityConfig};
@@ -44,6 +44,7 @@ use crate::flows::{FlowSpec, PathProfile};
 use crate::metrics::LaneChurn;
 use crate::packet::{FlowId, NodeId, PortId};
 use crate::protocol::{packets_for_bytes, Dctcp, Receiver, Sender};
+use crate::queues::QueuePeak;
 use crate::sim::{Simulator, StopReason};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -71,6 +72,10 @@ pub struct FleetReport {
     /// as of each shard's last window); see
     /// [`crate::sim::RunReport::lane_churn`].
     pub lane_churn: LaneChurn,
+    /// The shards' port-queue high-water marks, summed: each shard's most
+    /// packets queued at once, and the blocks each shard's packet pool
+    /// holds. Deterministic, and independent of the thread count.
+    pub queue_peak: QueuePeak,
     /// Aggregated express-path statistics (zero when hybrid fidelity is
     /// off). `events + tx_elided + express.saved_events` — what an engine
     /// that schedules a `TxDone` and an `Arrival` for every hop would have
@@ -152,9 +157,10 @@ impl FleetSim {
     }
 
     /// Number of worker threads for the windowed run (1 = serial). Each
-    /// window runs on at most `threads` workers, worker `w` taking shards
-    /// `w, w + threads, …` in index order. Thread count never changes
-    /// results — only wall-clock time.
+    /// window runs on at most `threads` workers; a worker that is free
+    /// claims the next shard nobody has taken, in index order, so a worker
+    /// stuck with a busy shard does not hold up the others. Thread count
+    /// never changes results — only wall-clock time.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -296,33 +302,33 @@ impl FleetSim {
             let reports: Vec<_> = if self.threads > 1 {
                 let shards = self.shards.len();
                 let workers = self.threads.min(shards);
-                let mut groups: Vec<Vec<&mut Simulator>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (k, s) in self.shards.iter_mut().enumerate() {
-                    groups[k % workers].push(s);
-                }
+                // The shared counter: the next unclaimed shard and its index.
+                let unclaimed = Mutex::new(self.shards.iter_mut().enumerate());
+                let claim = || unclaimed.lock().expect("a worker panicked").next();
+                let mut reports: Vec<_> = (0..shards).map(|_| None).collect();
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|group| {
-                            scope.spawn(move || {
-                                group
-                                    .into_iter()
-                                    .map(|s| s.run(Some(horizon)))
-                                    .collect::<Vec<_>>()
+                    let handles: Vec<_> = (0..workers)
+                        .map(|_| {
+                            scope.spawn(|| {
+                                let mut done = Vec::new();
+                                while let Some((k, s)) = claim() {
+                                    done.push((k, s.run(Some(horizon))));
+                                }
+                                done
                             })
                         })
                         .collect();
-                    let mut done: Vec<_> = handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked").into_iter())
-                        .collect();
-                    // Back in shard order: shard k's report is its worker's
-                    // next one.
-                    (0..shards)
-                        .map(|k| done[k % workers].next().expect("a report per shard"))
-                        .collect()
-                })
+                    for handle in handles {
+                        for (k, report) in handle.join().expect("shard worker panicked") {
+                            reports[k] = Some(report);
+                        }
+                    }
+                });
+                // Back in shard order, whichever worker ran which shard.
+                reports
+                    .into_iter()
+                    .map(|r| r.expect("a report per shard"))
+                    .collect()
             } else {
                 self.shards
                     .iter_mut()
@@ -362,7 +368,11 @@ impl FleetSim {
         let mut express = ExpressStats::default();
         let mut tx_elided = 0;
         let mut lane_churn = LaneChurn::default();
+        let mut queue_peak = QueuePeak::default();
         for s in &self.shards {
+            let peak = s.queue_peak();
+            queue_peak.packets += peak.packets;
+            queue_peak.blocks += peak.blocks;
             tx_elided += s.metrics().tx_churn.elided();
             let churn = s.metrics().lane_churn;
             lane_churn.appended += churn.appended;
@@ -384,6 +394,7 @@ impl FleetSim {
             exchanged,
             tx_elided,
             lane_churn,
+            queue_peak,
             express,
             violations,
         }

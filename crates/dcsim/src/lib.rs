@@ -41,6 +41,7 @@
 
 pub mod agent;
 pub mod audit;
+pub mod blocks;
 pub mod det;
 pub mod events;
 pub mod faults;
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use crate::protocol::{
         packets_for_bytes, CcConfig, Dctcp, FailoverConfig, Receiver, RtoConfig, Sender,
     };
-    pub use crate::queues::{EnqueueOutcome, PortQueue, QueueConfig, QueueStats};
+    pub use crate::queues::{EnqueueOutcome, PortQueue, QueueConfig};
     pub use crate::sim::{RunReport, Simulator, StopReason, TerminatedReason};
     pub use crate::time::{Bandwidth, SimDuration, SimTime};
     pub use crate::topology::{

@@ -9,7 +9,7 @@ use crate::fidelity::{ExpressStats, FidelityConfig, FidelityState};
 use crate::metrics::{LaneChurn, SimMetrics};
 use crate::packet::{AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId};
 use crate::protocol::{Dctcp, Receiver, Sender};
-use crate::queues::{EnqueueOutcome, PortQueue, QueueStats};
+use crate::queues::{EnqueueOutcome, PortQueues, QueuePeak};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeRole, Topology};
 use std::collections::BTreeMap;
@@ -95,7 +95,6 @@ impl RunReport {
 }
 
 struct PortRuntime {
-    queue: PortQueue,
     /// Event-queue key `(done, seq)` of the latest transmission's `TxDone`,
     /// reserved at transmit start whether or not the event is ever
     /// scheduled. The port is transmitting exactly while this key is after
@@ -208,6 +207,8 @@ pub struct Simulator {
     topo: Arc<Topology>,
     events: EventQueue,
     ports: Vec<PortRuntime>,
+    /// Every port's output queue, over one packet-block pool.
+    queues: PortQueues,
     agents: Vec<AgentSlot>,
     flows: Vec<FlowBinding>,
     rng: SplitMix64,
@@ -289,7 +290,6 @@ impl Simulator {
                     .entry((spec.link.latency, spec.link.bandwidth.0))
                     .or_insert(class);
                 PortRuntime {
-                    queue: PortQueue::new(spec.queue),
                     tx_done: (SimTime::ZERO, 0),
                     wake: false,
                     class_lanes: port_count + 4 * class,
@@ -297,10 +297,12 @@ impl Simulator {
                 }
             })
             .collect();
+        let queues = PortQueues::new((0..port_count).map(|i| topo.port(PortId(i as u32)).queue));
         Simulator {
             topo,
             events: EventQueue::with_lanes(1024, port_count + 4 * classes.len()),
             ports,
+            queues,
             agents: Vec::new(),
             flows: Vec::new(),
             rng: SplitMix64::new(derive_seed(seed, 0xD15C_0517)),
@@ -545,9 +547,10 @@ impl Simulator {
         &self.metrics
     }
 
-    /// Queue statistics of a port (for congestion-point assertions).
-    pub fn port_stats(&self, port: PortId) -> QueueStats {
-        self.ports[port.index()].queue.stats()
+    /// The port queues' high-water marks: the most packets queued at
+    /// once, and the blocks their pool holds.
+    pub fn queue_peak(&self) -> QueuePeak {
+        self.queues.peak()
     }
 
     /// Sets the safety cap on processed events per `run` call.
@@ -750,7 +753,7 @@ impl Simulator {
         // flight (queued on a port, or riding a pending Arrival/Inject
         // event), or exported to another shard. Outside fleet runs the
         // exported/imported terms are zero.
-        let in_queues: u64 = self.ports.iter().map(|p| p.queue.len() as u64).sum();
+        let in_queues = self.queues.queued();
         if self.ledger.created + self.ledger.imported
             != self.ledger.terminal() + in_queues + census.packets + self.ledger.exported
         {
@@ -762,28 +765,31 @@ impl Simulator {
             });
         }
 
-        // Queue sanity: per-port accounting and capacity bounds.
-        for (i, rt) in self.ports.iter().enumerate() {
+        // Queue sanity: capacity bounds per port, then the accounting of
+        // every port and of the pool their packets share.
+        for i in 0..self.ports.len() {
             let port = PortId(i as u32);
-            let q = &rt.queue;
-            let cfg = q.config();
-            if q.data_bytes() > cfg.capacity_bytes || q.ctrl_bytes() > cfg.ctrl_capacity_bytes {
+            let q = &self.queues;
+            let cfg = q.config(port);
+            if q.data_bytes(port) > cfg.capacity_bytes
+                || q.ctrl_bytes(port) > cfg.ctrl_capacity_bytes
+            {
                 found.push(InvariantViolation::QueueOverCapacity {
                     at: now,
                     port,
-                    data_bytes: q.data_bytes(),
+                    data_bytes: q.data_bytes(port),
                     data_capacity: cfg.capacity_bytes,
-                    ctrl_bytes: q.ctrl_bytes(),
+                    ctrl_bytes: q.ctrl_bytes(port),
                     ctrl_capacity: cfg.ctrl_capacity_bytes,
                 });
             }
-            if let Err(detail) = q.check_invariants() {
-                found.push(InvariantViolation::QueueAccounting {
-                    at: now,
-                    port,
-                    detail,
-                });
-            }
+        }
+        for (port, detail) in self.queues.check_invariants() {
+            found.push(InvariantViolation::QueueAccounting {
+                at: now,
+                port,
+                detail,
+            });
         }
 
         // Timer accounting, extending the PR 3 churn counters: every armed
@@ -811,7 +817,7 @@ impl Simulator {
         let waking = self.ports.iter().filter(|rt| rt.wake).count() as u64;
         let stranded = self.ports.iter().enumerate().position(|(i, rt)| {
             let draining = rt.wake && rt.tx_done > key;
-            !self.link_down[i] && !rt.queue.is_empty() && !draining
+            !self.link_down[i] && !self.queues.is_empty(PortId(i as u32)) && !draining
         });
         if tx.scheduled != tx.fired + census.tx_done
             || waking != census.tx_done
@@ -983,9 +989,7 @@ impl Simulator {
                 }
             }
         }
-        let outcome = self.ports[port.index()]
-            .queue
-            .enqueue(packet, &mut self.rng);
+        let outcome = self.queues.enqueue(port, packet, &mut self.rng);
         match outcome {
             EnqueueOutcome::Trimmed => self.ledger.trimmed += 1,
             EnqueueOutcome::Dropped => self.ledger.dropped_queue += 1,
@@ -1012,8 +1016,7 @@ impl Simulator {
         packet: Packet,
     ) {
         let congested = outcome != EnqueueOutcome::Queued || {
-            let q = &self.ports[port.index()].queue;
-            q.data_bytes() >= q.config().mark_low_bytes
+            self.queues.data_bytes(port) >= self.queues.config(port).mark_low_bytes
         };
         if !congested {
             return;
@@ -1048,8 +1051,7 @@ impl Simulator {
         if fid.always_hot[i] || fid.hot_until[i] > t.0 || self.link_down[i] {
             return false;
         }
-        self.ports[i].queue.is_empty()
-            && fid.free_at[i].saturating_sub(t.0) <= fid.cfg.hot_backlog.0
+        self.queues.is_empty(port) && fid.free_at[i].saturating_sub(t.0) <= fid.cfg.hot_backlog.0
     }
 
     /// Express cut-through: if `first` is cold, advance the packet across
@@ -1168,7 +1170,7 @@ impl Simulator {
             return;
         }
         if let Some(trace) = &mut self.traces[port.index()] {
-            let bytes = self.ports[port.index()].queue.total_bytes();
+            let bytes = self.queues.total_bytes(port);
             trace.push((now, bytes));
         }
     }
@@ -1184,7 +1186,7 @@ impl Simulator {
         }
         let rt = &mut self.ports[port.index()];
         if rt.tx_done <= self.events.current_key() {
-            let Some(pkt) = rt.queue.dequeue() else {
+            let Some(pkt) = self.queues.dequeue(port) else {
                 return;
             };
             let spec = self.topo.port(port);
@@ -1244,7 +1246,7 @@ impl Simulator {
             self.sample_trace(now, port);
         }
         let rt = &mut self.ports[port.index()];
-        if !rt.wake && !rt.queue.is_empty() {
+        if !rt.wake && !self.queues.is_empty(port) {
             rt.wake = true;
             self.metrics.tx_churn.scheduled += 1;
             let (done, seq) = rt.tx_done;
@@ -2317,6 +2319,51 @@ mod tx_done_tests {
         let nic = s.nic(HostId(0));
         s.sim.ports[nic.index()].wake = true;
         s.sim.run(None);
+    }
+
+    /// The queue audit covers the pool the ports share: point the
+    /// switch's down port's data FIFO at the chain host 0's NIC holds, and
+    /// the next check names the down port for running into a block on
+    /// another FIFO, and the pool for the blocks the down port's own chain
+    /// held, which are now neither free nor on a FIFO, and for the FIFO
+    /// lengths, which no longer add up to the packets queued.
+    #[test]
+    fn a_corrupt_queue_chain_is_a_queue_accounting_violation_naming_the_port() {
+        let mut s = star();
+        s.sim.set_audit(AuditConfig::collect().every(None));
+        let burst: Vec<_> = (0..40).map(|seq| (0, seq)).collect();
+        s.sender(HostId(0), 0, &burst);
+        s.sender(HostId(1), 0, &burst);
+        let report = s.sim.run(Some(SimTime(HOP + 20 * SER)));
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let nic = s.nic(HostId(0));
+        assert!(nic < s.down, "the NIC's chain is walked first");
+        assert!(s.sim.queues.len(nic) > 0 && s.sim.queues.len(s.down) > 0);
+        let nic_chain = *s.sim.queues.data_fifo_mut(nic);
+        *s.sim.queues.data_fifo_mut(s.down) = nic_chain;
+        s.sim.run_audit_checks(false);
+        let found: Vec<_> = s
+            .sim
+            .violations
+            .iter()
+            .map(|v| match v {
+                InvariantViolation::QueueAccounting { port, detail, .. } => (*port, detail.clone()),
+                other => panic!("expected only QueueAccounting violations, got {other}"),
+            })
+            .collect();
+        match found.as_slice() {
+            [(Some(port), on_port), (None, in_pool), (None, count)] => {
+                assert_eq!(*port, s.down);
+                assert!(on_port.contains("data FIFO runs into block"), "{on_port}");
+                assert!(on_port.ends_with("on another FIFO"), "{on_port}");
+                assert!(
+                    in_pool.contains("is neither free nor on a FIFO"),
+                    "{in_pool}"
+                );
+                assert!(count.contains("packets counted queued"), "{count}");
+            }
+            other => panic!("expected the down port and the pool, got {other:?}"),
+        }
     }
 
     /// The same corruption in collect mode, past the point where it bites:

@@ -85,16 +85,20 @@ cargo run --release --offline -q -p bench --bin fuzz -- --control-plane --count 
 
 echo "== fleet (hybrid sharded engine: --threads 1, 2 and 3 print the recorded counts exactly)"
 cargo build --release --offline -q -p bench --bin fleet
-# The two count lines (events, TxDones never scheduled, saved events,
-# windows, cross-shard packets; lane churn), wall-clock field stripped.
+# The three count lines (events, TxDones never scheduled, saved events,
+# windows, cross-shard packets; lane churn; port-queue peak and packet-pool
+# blocks), wall-clock field stripped.
 fleet_counts() {
-  sed -n -e 's/ in [0-9.]*s wall//p' -e '/event queue:/p'
+  sed -n -e 's/ in [0-9.]*s wall//p' -e '/event queue:/p' -e '/port queues:/p'
 }
 # What `fleet --quick` prints. A change that moves pop order, an event
-# count or the window schedule fails here; one that means to re-records
-# these two lines.
+# count or the window schedule fails here, and so does one that grows
+# queue memory: the third line counts pool blocks, which no allocator or
+# thread count moves. A change that means to move them re-records these
+# lines.
 FLEET_EXPECTED="  225005 events + 619 TxDones never scheduled + 313692 saved = 539316 effective (13 windows, 29026 cross-shard packets)
-  event queue: 201838 inserts appended to a lane, 23247 pushed into the heap; lanes refused an offer 11579 times"
+  event queue: 201838 inserts appended to a lane, 23247 pushed into the heap; lanes refused an offer 11579 times
+  port queues: 13309 packets queued at once at peak, 457 pool blocks, summed over the shards"
 FLEET_T1_OUT="$(target/release/fleet --quick --threads 1)"
 # Shown, never compared: memory varies with the allocator and the box.
 grep 'peak RSS' <<<"$FLEET_T1_OUT" || true
