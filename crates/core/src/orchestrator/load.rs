@@ -3,20 +3,27 @@
 //! Every selector answers the same question — *which eligible, healthy
 //! candidate carries the least load?* — and a scan answers it with one map
 //! lookup per candidate per request. [`LoadBook`] keeps the answer
-//! standing: each candidate has a slot (its index in the candidate list,
-//! found by one [`IdMap`] lookup), and the slots sit in an indexed 4-ary
-//! min-heap keyed `(load, HostId)`, re-filed by the one [`LoadBook::add`]
-//! / [`LoadBook::sub`] every load change goes through: a position lookup
-//! and one sift, at most ⌈log₄ candidates⌉ levels.
+//! standing: each candidate has a [`Slot`] (its index in the candidate
+//! list), and the slots sit in an indexed 4-ary min-heap ordered by one
+//! integer per entry, `(load as u128) << 32 | host`. That key sorts
+//! exactly as the tuple `(load, HostId)`: the load fills the high 64 bits,
+//! the 32-bit host id the low 32, and neither reaches into the other. A
+//! load change is a position lookup and one sift with explicit child
+//! loops, at most ⌈log₄ candidates⌉ levels.
 //!
 //! [`LoadBook::least_loaded`] returns the root when the request admits it,
 //! and otherwise scans the heap's flat array for the smallest admissible
-//! key. The heap orders by `(load, HostId)`, exactly the key the scan it
-//! replaced minimised, and candidates are distinct, so keys are too: the
-//! answer is the scan's minimum, not merely a minimum. Every placement,
-//! and every result file downstream of one, is unchanged.
-
-use std::ops::Range;
+//! key. It hands back the pick's slot along with its host when the caller
+//! asks for `(HostId, Slot)`, so a grant refiles the proxy it was just
+//! given with [`LoadBook::add_at`], without looking the host up again.
+//! [`LoadBook::add`] / [`LoadBook::sub`] by [`HostId`] serve the paths
+//! that know only the host (release, a crash's write-off, adoption, the
+//! decentralized rung): one [`IdMap`] lookup, then the same refile. `add`
+//! panics rather than wrap; `sub` saturates at zero.
+//!
+//! Candidates are distinct, so keys are too: the answer is the minimum of
+//! `(load, HostId)` a linear scan would find, not merely a minimum. Every
+//! placement, and every result file downstream of one, is unchanged.
 
 use super::{eligible, IncastRequest};
 use dcsim::det::IdMap;
@@ -24,6 +31,30 @@ use dcsim::packet::HostId;
 
 /// Children per heap node.
 const ARITY: usize = 4;
+
+/// A candidate's index in the candidate list of the [`LoadBook`] that
+/// handed it out; only that book's [`LoadBook::add_at`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+/// What [`LoadBook::least_loaded`] hands back, chosen by the caller's
+/// type: the host alone, or the host with its [`Slot`].
+pub trait Pick {
+    /// The pick of `host`, filed at `slot`.
+    fn pick(host: HostId, slot: Slot) -> Self;
+}
+
+impl Pick for HostId {
+    fn pick(host: HostId, _: Slot) -> Self {
+        host
+    }
+}
+
+impl Pick for (HostId, Slot) {
+    fn pick(host: HostId, slot: Slot) -> Self {
+        (host, slot)
+    }
+}
 
 /// One heap entry: a candidate's load, the candidate, and its slot.
 #[derive(Debug, Clone, Copy)]
@@ -33,9 +64,14 @@ struct Entry {
     slot: u32,
 }
 
+/// `(load, host)` as one integer that sorts exactly as the tuple does.
+fn key(load: u64, host: HostId) -> u128 {
+    (u128::from(load) << 32) | u128::from(host.0)
+}
+
 impl Entry {
-    fn key(&self) -> (u64, HostId) {
-        (self.load, self.host)
+    fn key(&self) -> u128 {
+        key(self.load, self.host)
     }
 }
 
@@ -48,7 +84,7 @@ pub struct LoadBook {
     candidates: Vec<HostId>,
     /// Candidate → slot.
     slot_of: IdMap<HostId, u32>,
-    /// Indexed 4-ary min-heap over `(load, HostId)`, one entry per
+    /// Indexed 4-ary min-heap over [`Entry::key`], one entry per
     /// candidate.
     heap: Vec<Entry>,
     /// Slot → the entry's position in `heap`.
@@ -104,30 +140,43 @@ impl LoadBook {
             .map_or(0, |&slot| self.heap[self.at[slot as usize] as usize].load)
     }
 
+    fn slot(&self, proxy: HostId) -> Slot {
+        Slot(*self.slot_of.get(&proxy).expect("known candidate"))
+    }
+
     /// Pins `bytes` more load on `proxy`.
+    ///
+    /// # Panics
+    /// Panics if `proxy` is not a candidate, or if its load would pass
+    /// `u64::MAX`.
     pub fn add(&mut self, proxy: HostId, bytes: u64) {
-        self.refile(proxy, |load| load + bytes);
+        self.add_at(self.slot(proxy), bytes);
+    }
+
+    /// Pins `bytes` more load on the candidate filed at `slot`, as
+    /// [`LoadBook::least_loaded`] handed it out.
+    ///
+    /// # Panics
+    /// Panics if its load would pass `u64::MAX`: a wrapped load would read
+    /// as idle and break the heap order.
+    pub fn add_at(&mut self, slot: Slot, bytes: u64) {
+        let pos = self.at[slot.0 as usize] as usize;
+        let Entry { load, host, .. } = self.heap[pos];
+        let Some(new) = load.checked_add(bytes) else {
+            panic!("load on {host} overflows: {load} + {bytes} bytes passes u64::MAX");
+        };
+        self.heap[pos].load = new;
+        self.sift_down(pos);
     }
 
     /// Takes `bytes` of load off `proxy`, saturating at zero.
     pub fn sub(&mut self, proxy: HostId, bytes: u64) {
-        self.refile(proxy, |load| load.saturating_sub(bytes));
+        let pos = self.at[self.slot(proxy).0 as usize] as usize;
+        self.heap[pos].load = self.heap[pos].load.saturating_sub(bytes);
+        self.sift_up(pos);
     }
 
-    fn refile(&mut self, proxy: HostId, change: impl FnOnce(u64) -> u64) {
-        let slot = *self.slot_of.get(&proxy).expect("known candidate");
-        let pos = self.at[slot as usize] as usize;
-        let old = self.heap[pos].load;
-        let new = change(old);
-        self.heap[pos].load = new;
-        if new > old {
-            self.sift_down(pos);
-        } else if new < old {
-            self.sift_up(pos);
-        }
-    }
-
-    /// Places `heap[pos]` at `pos`, keeping `at` in step.
+    /// Places `entry` at `pos`, keeping `at` in step.
     fn put(&mut self, pos: usize, entry: Entry) {
         self.heap[pos] = entry;
         self.at[entry.slot as usize] = pos as u32;
@@ -135,9 +184,10 @@ impl LoadBook {
 
     fn sift_up(&mut self, mut pos: usize) {
         let entry = self.heap[pos];
+        let key = entry.key();
         while pos > 0 {
             let parent = (pos - 1) / ARITY;
-            if self.heap[parent].key() <= entry.key() {
+            if self.heap[parent].key() <= key {
                 break;
             }
             self.put(pos, self.heap[parent]);
@@ -146,19 +196,25 @@ impl LoadBook {
         self.put(pos, entry);
     }
 
-    /// Heap positions of `pos`'s children (empty below a leaf).
-    fn children(&self, pos: usize) -> Range<usize> {
-        let first = (ARITY * pos + 1).min(self.heap.len());
-        first..(first + ARITY).min(self.heap.len())
-    }
-
     fn sift_down(&mut self, mut pos: usize) {
         let entry = self.heap[pos];
-        while let Some(least) = self
-            .children(pos)
-            .min_by_key(|&child| self.heap[child].key())
-        {
-            if entry.key() <= self.heap[least].key() {
+        let key = entry.key();
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * pos + 1;
+            if first >= len {
+                break;
+            }
+            let mut least = first;
+            let mut least_key = self.heap[first].key();
+            for child in first + 1..(first + ARITY).min(len) {
+                let child_key = self.heap[child].key();
+                if child_key < least_key {
+                    least = child;
+                    least_key = child_key;
+                }
+            }
+            if key <= least_key {
                 break;
             }
             self.put(pos, self.heap[least]);
@@ -172,17 +228,20 @@ impl LoadBook {
     }
 
     /// The eligible, healthy candidate with the smallest `(load, HostId)`,
-    /// or `None` when the request admits no candidate.
-    pub fn least_loaded(&self, request: &IncastRequest) -> Option<HostId> {
+    /// or `None` when the request admits no candidate: its [`HostId`], or
+    /// `(HostId, Slot)` for a caller that refiles it with
+    /// [`LoadBook::add_at`].
+    pub fn least_loaded<P: Pick>(&self, request: &IncastRequest) -> Option<P> {
         let root = &self.heap[0];
-        if self.admits(root, request) {
-            return Some(root.host);
-        }
-        self.heap
-            .iter()
-            .filter(|e| self.admits(e, request))
-            .min_by_key(|e| e.key())
-            .map(|e| e.host)
+        let best = if self.admits(root, request) {
+            root
+        } else {
+            self.heap
+                .iter()
+                .filter(|e| self.admits(e, request))
+                .min_by_key(|e| e.key())?
+        };
+        Some(P::pick(best.host, Slot(best.slot)))
     }
 
     /// The healthy candidates `request` admits, in the order given.
@@ -302,9 +361,9 @@ mod tests {
     #[test]
     fn none_when_every_candidate_is_ineligible() {
         let mut b = book(&[1, 2, 3]);
-        assert_eq!(b.least_loaded(&request(&[1, 2], 3)), None);
+        assert_eq!(b.least_loaded(&request(&[1, 2], 3)), None::<HostId>);
         b.report_unhealthy(HostId(3));
-        assert_eq!(b.least_loaded(&request(&[1, 2], 100)), None);
+        assert_eq!(b.least_loaded(&request(&[1, 2], 100)), None::<HostId>);
     }
 
     #[test]
@@ -320,5 +379,45 @@ mod tests {
         b.sub(HostId(1), 1); // Already idle: nothing to re-file.
         b.check_invariants().unwrap();
         assert_eq!(b.load_of(HostId(99)), 0, "not a candidate");
+    }
+
+    #[test]
+    fn the_key_sorts_as_the_tuple_at_the_corners() {
+        let loads = [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX - 1, u64::MAX];
+        let hosts = [0, 1, (1 << 31) - 1, 1 << 31, u32::MAX - 1, u32::MAX];
+        let corners: Vec<(u64, HostId)> = loads
+            .iter()
+            .flat_map(|&l| hosts.iter().map(move |&h| (l, HostId(h))))
+            .collect();
+        for &(la, ha) in &corners {
+            for &(lb, hb) in &corners {
+                assert_eq!(
+                    key(la, ha).cmp(&key(lb, hb)),
+                    (la, ha).cmp(&(lb, hb)),
+                    "({la}, {ha}) vs ({lb}, {hb})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_pick_refiles_by_its_slot() {
+        let mut b = book(&[9, 3, 7]);
+        let anyone = request(&[], 100);
+        let (host, slot): (HostId, Slot) = b.least_loaded(&anyone).unwrap();
+        assert_eq!(host, HostId(3));
+        b.add_at(slot, 10);
+        assert_eq!(b.load_of(HostId(3)), 10);
+        assert_eq!(b.least_loaded(&anyone), Some(HostId(7)));
+        b.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "load on HostId(3) overflows: 18446744073709551615 + 1 bytes")]
+    fn add_panics_rather_than_wrap() {
+        let mut b = book(&[3, 4]);
+        let (_, slot): (HostId, Slot) = b.least_loaded(&request(&[], 100)).unwrap();
+        b.add_at(slot, u64::MAX);
+        b.add(HostId(3), 1);
     }
 }

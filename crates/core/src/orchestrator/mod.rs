@@ -40,7 +40,7 @@ pub mod load;
 pub mod sharded;
 
 pub use lease::{Lease, RenewOutcome};
-pub use load::LoadBook;
+pub use load::{LoadBook, Pick, Slot};
 pub use sharded::{ShardedConfig, ShardedOrchestrator, ShardedStats};
 
 use dcsim::det::IdMap;

@@ -241,7 +241,11 @@ impl ShardedOrchestrator {
         if self.shards[idx].alive {
             return;
         }
-        self.now = self.now.max(now);
+        // Clamped like `advance_to`: a stale `now` would date the fresh
+        // view in the past (live peers suspected early) and owe catch-up
+        // heartbeats.
+        let now = now.max(self.now);
+        self.now = now;
         let shards = self.config.shards;
         let heartbeat = self.config.heartbeat_every;
         let s = &mut self.shards[idx];
@@ -333,7 +337,7 @@ impl ShardedOrchestrator {
         request: &IncastRequest,
         now: SimTime,
     ) -> Option<Assignment> {
-        let proxy = self.book.least_loaded(request)?;
+        let (proxy, slot) = self.book.least_loaded(request)?;
         let lease = Lease {
             proxy,
             epoch: self.shards[shard as usize].epoch,
@@ -342,7 +346,7 @@ impl ShardedOrchestrator {
             bytes: request.expected_bytes,
         };
         self.grant(Holder::Shard(shard), request.id, lease);
-        self.book.add(proxy, request.expected_bytes);
+        self.book.add_at(slot, request.expected_bytes);
         Some(Assignment { proxy, trials: 1 })
     }
 
@@ -794,6 +798,26 @@ mod tests {
         }
         assert!(orch.health_converged(), "no shard suspected after heal");
         assert_eq!(orch.suspects_of(0), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn restore_behind_the_clock_takes_the_planes_time() {
+        let mut orch = plane(4);
+        orch.crash_shard(2);
+        for step in 1..=8u64 {
+            orch.advance_to(t(step * 1_000));
+        }
+        orch.restore_shard(2, t(1_000)); // 7 ms behind the plane's clock.
+        assert_eq!(
+            orch.suspects_of(2),
+            Vec::<u32>::new(),
+            "peers heard at 8 ms, not 1 ms"
+        );
+        assert_eq!(
+            orch.shards[2].next_heartbeat,
+            t(9_000),
+            "no catch-up beats owed"
+        );
     }
 
     #[test]

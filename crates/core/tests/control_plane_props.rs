@@ -16,7 +16,7 @@
 //!   checked after every operation. The [`LoadBook`] alone is checked the
 //!   same way with its k lightest candidates made inadmissible, for every
 //!   k, so the heap's root is rejected in every way a request can reject
-//!   it.
+//!   it; and once more at the edges of its packed key.
 //! * **Gossip convergence** — after an arbitrary crash/restore schedule
 //!   ends, every live shard's failure detector converges on exactly the
 //!   dead set within a bounded number of heartbeat rounds (the extra
@@ -28,7 +28,7 @@ use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 use incast_core::orchestrator::lease::{Lease, LeaseTable};
 use incast_core::orchestrator::{
-    IncastRequest, LoadBook, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator,
+    IncastRequest, LoadBook, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator, Slot,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -358,6 +358,85 @@ fn load_book_matches_a_linear_scan() {
                     assert_eq!(book.load_of(h), load[&h]);
                     book.report_healthy(h);
                 }
+            }
+        }
+    });
+}
+
+/// The same scan at the packed key's edges: host ids from `1 << 31` up to
+/// `u32::MAX`, loads within `1 << 20` of `u64::MAX` that `sub` drops back
+/// to zero, and half of the adds going to the book's own pick through the
+/// slot it hands out, as a grant does. A key that packs the host into
+/// fewer than 32 bits, or the load into fewer than 64, orders some pair
+/// of these wrongly.
+#[test]
+fn load_book_matches_a_linear_scan_at_the_key_edges() {
+    cases(107, 128, |_, rng| {
+        let n = 1 + rng.next_bounded(40) as usize;
+        let mut ids: BTreeSet<u32> = BTreeSet::from([u32::MAX]);
+        while ids.len() < n {
+            ids.insert((1 << 31) | rng.next_u64() as u32);
+        }
+        let mut hosts: Vec<HostId> = ids.into_iter().map(HostId).collect();
+        for i in (1..n).rev() {
+            hosts.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+        }
+        let mut book = LoadBook::new(hosts.clone());
+        let mut load: BTreeMap<HostId, u64> = hosts.iter().map(|&h| (h, 0)).collect();
+        let anyone = IncastRequest {
+            id: 0,
+            senders: vec![],
+            receiver: HostId(0),
+            expected_bytes: 1,
+        };
+        for _ in 0..8 * n {
+            if rng.next_bounded(4) == 0 {
+                // Often more than it carries: saturates to zero.
+                let h = hosts[rng.next_bounded(n as u64) as usize];
+                let bytes = [1, 1 << 20, u64::MAX][rng.next_bounded(3) as usize];
+                book.sub(h, bytes);
+                let l = load.get_mut(&h).unwrap();
+                *l = l.saturating_sub(bytes);
+            } else {
+                let (h, slot) = if rng.next_bounded(2) == 0 {
+                    let (h, slot): (HostId, Slot) = book.least_loaded(&anyone).unwrap();
+                    assert_eq!(
+                        Some(h),
+                        load.iter().map(|(&h, &l)| (l, h)).min().map(|(_, h)| h)
+                    );
+                    (h, Some(slot))
+                } else {
+                    (hosts[rng.next_bounded(n as u64) as usize], None)
+                };
+                // Idle candidates jump to the edge; loaded ones creep by a
+                // byte or two, so loads tie and differ by one.
+                let l = load.get_mut(&h).unwrap();
+                let bytes = if *l == 0 {
+                    u64::MAX - (1 << 20) + rng.next_bounded(4)
+                } else {
+                    [1, 2][rng.next_bounded(2) as usize]
+                };
+                match slot {
+                    Some(slot) => book.add_at(slot, bytes),
+                    None => book.add(h, bytes),
+                }
+                *l += bytes;
+            }
+            book.check_invariants().unwrap();
+            for &h in &hosts {
+                assert_eq!(book.load_of(h), load[&h]);
+            }
+            let mut by_load: Vec<(u64, HostId)> = load.iter().map(|(&h, &l)| (l, h)).collect();
+            by_load.sort_unstable();
+            // Shut out the k lightest as unhealthy: the pick is the next.
+            let k = rng.next_bounded(n as u64 + 1) as usize;
+            for &(_, h) in &by_load[..k] {
+                book.report_unhealthy(h);
+            }
+            let scan = by_load.get(k).map(|&(_, h)| h);
+            assert_eq!(book.least_loaded(&anyone), scan, "k = {k} of {n}");
+            for &(_, h) in &by_load[..k] {
+                book.report_healthy(h);
             }
         }
     });

@@ -25,6 +25,9 @@ if [ -n "$FOREIGN" ]; then echo "$FOREIGN"; echo "a manifest names a crate from 
 if grep -l -e '^\[\[bench\]\]' $MANIFESTS; then echo "a [[bench]] target is back in a manifest" >&2; exit 1; fi
 if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked again (committed numbers live in results/ and crates/perf/RECORD.json)" >&2; exit 1; fi
 
+echo "== scripts parse (bash -n)"
+bash -n scripts/pairs.sh
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
