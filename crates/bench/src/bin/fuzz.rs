@@ -2,7 +2,7 @@
 //! replayable repro files ([`bench::fuzz`]).
 //!
 //! ```text
-//! fuzz [--control-plane] [--count N] [--start-seed S] [--jobs J]
+//! fuzz [--control-plane | --soak] [--count N] [--start-seed S] [--jobs J]
 //!      [--out DIR] [--shrink-budget N] [--replay FILE]
 //! ```
 //!
@@ -17,6 +17,10 @@
 //! sharded lease plane ([`bench::cpfuzz`]) instead: shard crashes
 //! mid-incast, stale placements, and gossip delayed past lease expiry,
 //! checked against a lease-lifecycle model and the lease ledger.
+//! `--soak` runs the live relay on loopback sockets ([`bench::soak`]):
+//! a fault plan on its sockets, a shard crash and wedge, and the shed
+//! ladder, judged by a packet-accounting ledger. Soak scenarios time real
+//! sockets, so they run one at a time whatever `--jobs` says.
 //!
 //! Replay mode (`--replay FILE`): [`bench::fuzz::replay`] runs the file's
 //! scenario **twice**, checks the two runs are identical (determinism)
@@ -27,10 +31,12 @@
 
 use bench::cpfuzz::ControlPlane;
 use bench::fuzz::{details, replay, run_campaign, Campaign, Chaos, Family, DEFAULT_SHRINK_BUDGET};
+use bench::soak::Soak;
 
 #[derive(Debug, Clone)]
 struct Cli {
     control_plane: bool,
+    soak: bool,
     count: u64,
     start_seed: u64,
     jobs: usize,
@@ -43,6 +49,7 @@ impl Default for Cli {
     fn default() -> Self {
         Cli {
             control_plane: false,
+            soak: false,
             count: 500,
             start_seed: 1,
             jobs: 0,
@@ -57,7 +64,7 @@ fn parse_args() -> Cli {
     let mut cli = Cli::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
-    let usage = "usage: fuzz [--control-plane] [--count N] [--start-seed S] [--jobs J] \
+    let usage = "usage: fuzz [--control-plane | --soak] [--count N] [--start-seed S] [--jobs J] \
                  [--out DIR] [--shrink-budget N] [--replay FILE]";
     while let Some(arg) = it.next() {
         let mut value = || {
@@ -67,6 +74,7 @@ fn parse_args() -> Cli {
         };
         match arg.as_str() {
             "--control-plane" => cli.control_plane = true,
+            "--soak" => cli.soak = true,
             "--count" => cli.count = value().parse().expect("--count: integer"),
             "--start-seed" => cli.start_seed = value().parse().expect("--start-seed: integer"),
             "--jobs" => cli.jobs = value().parse().expect("--jobs: integer"),
@@ -149,6 +157,7 @@ fn main() {
             }
         },
         None if cli.control_plane => campaign::<ControlPlane>(&cli),
+        None if cli.soak => campaign::<Soak>(&cli),
         None => campaign::<Chaos>(&cli),
     };
     std::process::exit(code);

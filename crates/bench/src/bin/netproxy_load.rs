@@ -34,7 +34,7 @@
 //! committed record.
 
 use bench::fuzz::mini_json::Json;
-use bench::{banner, json_line};
+use bench::{banner, json_line, retry_addr_in_use};
 use netproxy::loadgen::{BatchLoadGen, BatchSink};
 use netproxy::shard::{RelayConfig, RelayKind, ShardedRelay};
 use netproxy::streamlined::{decide, Action};
@@ -287,29 +287,6 @@ fn parse_args(args: &[String]) -> Mode {
         }
     }
     Mode::Run(cli)
-}
-
-/// Retries `op` with bounded backoff while it fails with `AddrInUse`.
-///
-/// The smoke mode starts dozens of reuseport groups back to back; on
-/// some kernels a just-closed group's port lingers briefly and an
-/// unlucky ephemeral-port reuse fails with EADDRINUSE. That's a startup
-/// race, not a datapath bug, so it gets a handful of spaced retries
-/// before it is allowed to kill the run.
-fn retry_addr_in_use<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    const ATTEMPTS: u32 = 5;
-    let mut backoff = Duration::from_millis(10);
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempt + 1 < ATTEMPTS => {
-                attempt += 1;
-                std::thread::sleep(backoff);
-                backoff *= 2; // 10/20/40/80 ms, then give up
-            }
-            other => return other,
-        }
-    }
 }
 
 /// Outcome of one measured run, flattened for reporting.

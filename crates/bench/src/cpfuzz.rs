@@ -35,9 +35,9 @@
 //! [`release_unknown`]: incast_core::orchestrator::ProxySelector::release_unknown
 
 use crate::fuzz::mini_json::Json;
-use crate::fuzz::Family;
+use crate::fuzz::{plan_fields, plan_from_value, Family};
 use dcsim::det::DetMap;
-use dcsim::faults::{FaultPlan, ShardCrash};
+use dcsim::faults::FaultPlan;
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 use incast_core::orchestrator::{
@@ -436,22 +436,7 @@ impl Family for ControlPlane {
     }
 
     fn to_value(sc: &CpScenario) -> Json {
-        let crashes = sc
-            .faults
-            .shard_crashes
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("shard", Json::u64(c.shard as u64)),
-                    ("at_ps", Json::u64(c.at.0)),
-                    (
-                        "restore_at_ps",
-                        c.restore_at.map_or(Json::Null, |t| Json::u64(t.0)),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
+        let mut fields = vec![
             ("sim_seed", Json::u64(sc.sim_seed)),
             ("shards", Json::u64(sc.shards as u64)),
             ("candidates", Json::u64(sc.candidates as u64)),
@@ -464,26 +449,12 @@ impl Family for ControlPlane {
             ("suspect_after_us", Json::u64(sc.suspect_after_us)),
             ("gossip_delay_us", Json::u64(sc.gossip_delay_us)),
             ("double_release_every", Json::u64(sc.double_release_every)),
-            ("shard_crashes", Json::Arr(crashes)),
-        ])
+        ];
+        fields.extend(plan_fields(&sc.faults));
+        Json::obj(fields)
     }
 
     fn from_value(v: &Json) -> Result<CpScenario, String> {
-        let mut faults = FaultPlan::new();
-        for c in v
-            .get("shard_crashes")
-            .ok_or("missing shard_crashes")?
-            .arr()?
-        {
-            faults.shard_crashes.push(ShardCrash {
-                shard: c.get_u64("shard")? as u32,
-                at: SimTime(c.get_u64("at_ps")?),
-                restore_at: match c.get("restore_at_ps") {
-                    Some(Json::Null) | None => None,
-                    Some(r) => Some(SimTime(r.u64_value()?)),
-                },
-            });
-        }
         Ok(CpScenario {
             sim_seed: v.get_u64("sim_seed")?,
             shards: v.get_u64("shards")? as u32,
@@ -497,7 +468,7 @@ impl Family for ControlPlane {
             suspect_after_us: v.get_u64("suspect_after_us")?,
             gossip_delay_us: v.get_u64("gossip_delay_us")?,
             double_release_every: v.get_u64("double_release_every")?,
-            faults,
+            faults: plan_from_value(v)?,
         })
     }
 }

@@ -9,9 +9,11 @@
 //! still fails the same way ([`shrink`]), the parallel campaign
 //! ([`run_campaign`]), and self-contained JSON repro files
 //! ([`ReproFile`]) that `fuzz --replay <file>` re-executes twice through
-//! [`replay`], dispatching on the file's `"type"` tag. Two families exist:
-//! [`Chaos`] (untagged) and [`crate::cpfuzz::ControlPlane`]
-//! (`"control-plane"`).
+//! [`replay`], dispatching on the file's `"type"` tag. Three families
+//! exist: [`Chaos`] (untagged), [`crate::cpfuzz::ControlPlane`]
+//! (`"control-plane"`) and [`crate::soak::Soak`] (`"soak"`). Their
+//! scenarios all carry a [`FaultPlan`], read and written by one codec
+//! (`plan_fields`, `plan_from_value`).
 //!
 //! **Chaos family.** Seeded random scenarios — topology size, incast
 //! workload, scheme, transport, and a [`FaultPlan`] that passes
@@ -76,6 +78,9 @@ pub trait Family {
     fn cell(_sc: &Self::Scenario) -> Option<String> {
         None
     }
+    /// A campaign runs one scenario at a time, whatever its `jobs`: the
+    /// family's runs time real sockets, which a second run would disturb.
+    const SERIAL: bool = false;
 }
 
 /// One run of a scenario: the family's outcome, or the panic message.
@@ -189,9 +194,9 @@ pub struct Campaign<F: Family> {
     pub census: BTreeMap<String, u64>,
 }
 
-/// Runs `count` seeded scenarios in parallel, then shrinks each failure
-/// serially. Fully deterministic for a given `(start_seed, count)`, at
-/// any `jobs`.
+/// Runs `count` seeded scenarios in parallel (one at a time for a
+/// [`Family::SERIAL`] family), then shrinks each failure serially. Fully
+/// deterministic for a given `(start_seed, count)`, at any `jobs`.
 pub fn run_campaign<F: Family>(
     start_seed: u64,
     count: u64,
@@ -199,6 +204,7 @@ pub fn run_campaign<F: Family>(
     shrink_budget: usize,
 ) -> Campaign<F> {
     let seeds: Vec<u64> = (start_seed..start_seed + count).collect();
+    let jobs = if F::SERIAL { 1 } else { jobs };
     let results = crate::SweepRunner::new(jobs).run(&seeds, |&seed| {
         let sc = F::generate(seed);
         let outcome = run_scenario::<F>(&sc);
@@ -284,6 +290,7 @@ const FAMILIES: &[(Option<&str>, ReplayFn)] = &[
         crate::cpfuzz::ControlPlane::TAG,
         replay_as::<crate::cpfuzz::ControlPlane>,
     ),
+    (crate::soak::Soak::TAG, replay_as::<crate::soak::Soak>),
 ];
 
 /// Replays the repro file at `path` — or an untagged bare chaos scenario
@@ -586,10 +593,11 @@ impl Family for Chaos {
         }
         // Impairments: small loss/corruption rates, any port.
         for _ in 0..rng.next_bounded(3) {
+            let port = PortId(rng.next_bounded(ports) as u32);
             plan.impairments.push(PortImpairment {
-                port: PortId(rng.next_bounded(ports) as u32),
                 loss: rng.next_f64() * 0.15,
                 corrupt: rng.next_f64() * 0.10,
+                ..PortImpairment::none(port)
             });
         }
         // Agent crashes on distinct agents.
@@ -768,45 +776,6 @@ impl Family for Chaos {
     }
 
     fn to_value(sc: &Scenario) -> Json {
-        let windows = sc
-            .faults
-            .link_windows
-            .iter()
-            .map(|w| {
-                Json::obj(vec![
-                    ("port", Json::u64(w.port.index() as u64)),
-                    ("down_at_ps", Json::u64(w.down_at.0)),
-                    ("up_at_ps", w.up_at.map_or(Json::Null, |t| Json::u64(t.0))),
-                ])
-            })
-            .collect();
-        let impairments = sc
-            .faults
-            .impairments
-            .iter()
-            .map(|i| {
-                Json::obj(vec![
-                    ("port", Json::u64(i.port.index() as u64)),
-                    ("loss", Json::f64(i.loss)),
-                    ("corrupt", Json::f64(i.corrupt)),
-                ])
-            })
-            .collect();
-        let crashes = sc
-            .faults
-            .crashes
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("agent", Json::u64(c.agent.index() as u64)),
-                    ("at_ps", Json::u64(c.at.0)),
-                    (
-                        "restore_at_ps",
-                        c.restore_at.map_or(Json::Null, |t| Json::u64(t.0)),
-                    ),
-                ])
-            })
-            .collect();
         Json::obj(vec![
             ("sim_seed", Json::u64(sc.sim_seed)),
             ("scheme", Json::str(name_of(SCHEME_NAMES, sc.scheme))),
@@ -827,53 +796,11 @@ impl Family for Chaos {
             ("liveness", Json::Bool(sc.liveness)),
             ("fidelity", Json::Bool(sc.fidelity)),
             ("time_limit_ms", Json::u64(sc.time_limit_ms)),
-            (
-                "faults",
-                Json::obj(vec![
-                    ("link_windows", Json::Arr(windows)),
-                    ("impairments", Json::Arr(impairments)),
-                    ("crashes", Json::Arr(crashes)),
-                ]),
-            ),
+            ("faults", Json::obj(plan_fields(&sc.faults))),
         ])
     }
 
     fn from_value(v: &Json) -> Result<Scenario, String> {
-        let faults_v = v.get("faults").ok_or("missing faults")?;
-        let mut faults = FaultPlan::new();
-        for w in faults_v
-            .get("link_windows")
-            .ok_or("missing link_windows")?
-            .arr()?
-        {
-            let port = PortId(w.get_u64("port")? as u32);
-            let down_at = SimTime(w.get_u64("down_at_ps")?);
-            match w.get("up_at_ps") {
-                Some(Json::Null) | None => faults = faults.link_down(port, down_at),
-                Some(up) => {
-                    faults = faults.link_down_window(port, down_at, SimTime(up.u64_value()?))
-                }
-            }
-        }
-        for i in faults_v
-            .get("impairments")
-            .ok_or("missing impairments")?
-            .arr()?
-        {
-            faults.impairments.push(PortImpairment {
-                port: PortId(i.get_u64("port")? as u32),
-                loss: i.get_f64("loss")?,
-                corrupt: i.get_f64("corrupt")?,
-            });
-        }
-        for c in faults_v.get("crashes").ok_or("missing crashes")?.arr()? {
-            let agent = AgentId(c.get_u64("agent")? as u32);
-            let at = SimTime(c.get_u64("at_ps")?);
-            match c.get("restore_at_ps") {
-                Some(Json::Null) | None => faults = faults.crash_agent(agent, at),
-                Some(r) => faults = faults.crash_agent_window(agent, at, SimTime(r.u64_value()?)),
-            }
-        }
         Ok(Scenario {
             sim_seed: v.get_u64("sim_seed")?,
             scheme: from_name(SCHEME_NAMES, "scheme", v.get_str("scheme")?)?,
@@ -896,9 +823,129 @@ impl Family for Chaos {
                 None => false,
             },
             time_limit_ms: v.get_u64("time_limit_ms")?,
-            faults,
+            faults: plan_from_value(v.get("faults").ok_or("missing faults")?)?,
         })
     }
+}
+
+// ---------------------------------------------------------------------------
+// The fault plan's JSON codec, shared by every family
+// ---------------------------------------------------------------------------
+
+/// A [`FaultPlan`]'s JSON fields, for a family to place in an object of
+/// its own: one per non-empty list, times in picoseconds, and an
+/// impairment's `duplicate`, `delay` and `delay_max_ps` only when nonzero.
+pub(crate) fn plan_fields(plan: &FaultPlan) -> Vec<(&'static str, Json)> {
+    let ps = |t: Option<SimTime>| t.map_or(Json::Null, |t| Json::u64(t.0));
+    let windows = plan.link_windows.iter().map(|w| {
+        Json::obj(vec![
+            ("port", Json::u64(w.port.index() as u64)),
+            ("down_at_ps", Json::u64(w.down_at.0)),
+            ("up_at_ps", ps(w.up_at)),
+        ])
+    });
+    let impairments = plan.impairments.iter().map(|i| {
+        let mut fields = vec![
+            ("port", Json::u64(i.port.index() as u64)),
+            ("loss", Json::f64(i.loss)),
+            ("corrupt", Json::f64(i.corrupt)),
+        ];
+        if i.duplicate != 0.0 {
+            fields.push(("duplicate", Json::f64(i.duplicate)));
+        }
+        if i.delay != 0.0 {
+            fields.push(("delay", Json::f64(i.delay)));
+        }
+        if i.delay_max != SimDuration::ZERO {
+            fields.push(("delay_max_ps", Json::u64(i.delay_max.0)));
+        }
+        Json::obj(fields)
+    });
+    let errors = plan.syscall_errors.iter().map(|e| {
+        Json::obj(vec![
+            ("port", Json::u64(e.port.index() as u64)),
+            ("again", Json::f64(e.again)),
+            ("nobufs", Json::f64(e.nobufs)),
+        ])
+    });
+    let crashes = plan.crashes.iter().map(|c| {
+        Json::obj(vec![
+            ("agent", Json::u64(c.agent.index() as u64)),
+            ("at_ps", Json::u64(c.at.0)),
+            ("restore_at_ps", ps(c.restore_at)),
+        ])
+    });
+    let shard_crashes = plan.shard_crashes.iter().map(|c| {
+        Json::obj(vec![
+            ("shard", Json::u64(c.shard as u64)),
+            ("at_ps", Json::u64(c.at.0)),
+            ("restore_at_ps", ps(c.restore_at)),
+        ])
+    });
+    let lists: [(&'static str, Vec<Json>); 5] = [
+        ("link_windows", windows.collect()),
+        ("impairments", impairments.collect()),
+        ("syscall_errors", errors.collect()),
+        ("crashes", crashes.collect()),
+        ("shard_crashes", shard_crashes.collect()),
+    ];
+    (lists.into_iter())
+        .filter(|(_, list)| !list.is_empty())
+        .map(|(key, list)| (key, Json::Arr(list)))
+        .collect()
+}
+
+/// The [`FaultPlan`] in `v`'s fields, as [`plan_fields`] writes them. A
+/// list `v` lacks reads as empty, a missing impairment field as zero, and
+/// a missing or `null` restore or up time as never.
+pub(crate) fn plan_from_value(v: &Json) -> Result<FaultPlan, String> {
+    let list = |key| v.get(key).map_or(Ok(&[][..]), Json::arr);
+    let time = |v: &Json, key| match v.get(key) {
+        Some(Json::Null) | None => Ok(None),
+        Some(t) => t.u64_value().map(|t| Some(SimTime(t))),
+    };
+    let zero_or = |v: &Json, key| v.get(key).map_or(Ok(0.0), Json::f64_value);
+    let port = |v: &Json| v.get_u64("port").map(|p| PortId(p as u32));
+    let mut plan = FaultPlan::new();
+    for w in list("link_windows")? {
+        plan.link_windows.push(LinkWindow {
+            port: port(w)?,
+            down_at: SimTime(w.get_u64("down_at_ps")?),
+            up_at: time(w, "up_at_ps")?,
+        });
+    }
+    for i in list("impairments")? {
+        plan.impairments.push(PortImpairment {
+            port: port(i)?,
+            loss: zero_or(i, "loss")?,
+            corrupt: zero_or(i, "corrupt")?,
+            duplicate: zero_or(i, "duplicate")?,
+            delay: zero_or(i, "delay")?,
+            delay_max: SimDuration(i.get("delay_max_ps").map_or(Ok(0), Json::u64_value)?),
+        });
+    }
+    for e in list("syscall_errors")? {
+        plan.syscall_errors.push(SyscallErrors {
+            port: port(e)?,
+            again: zero_or(e, "again")?,
+            nobufs: zero_or(e, "nobufs")?,
+        });
+    }
+    for c in list("crashes")? {
+        plan.crashes.push(AgentCrash {
+            agent: AgentId(c.get_u64("agent")? as u32),
+            at: SimTime(c.get_u64("at_ps")?),
+            restore_at: time(c, "restore_at_ps")?,
+        });
+    }
+    for c in list("shard_crashes")? {
+        plan.shard_crashes.push(ShardCrash {
+            shard: c.get_u64("shard")? as u32,
+            at: SimTime(c.get_u64("at_ps")?),
+            restore_at: time(c, "restore_at_ps")?,
+        });
+    }
+    Ok(plan)
 }
 
 /// How repro files (and `figures adhoc`) spell the enum-valued fields.

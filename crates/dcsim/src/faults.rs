@@ -1,31 +1,43 @@
-//! Deterministic, seed-driven fault injection.
+//! Deterministic, seed-driven fault injection: the one fault vocabulary.
 //!
 //! A [`FaultPlan`] is a declarative schedule of infrastructure faults —
-//! link down/up windows, per-port random loss or corruption, and agent
-//! (proxy-host) crashes — that the simulator turns into ordinary events on
-//! its queue via [`crate::sim::Simulator::install_faults`]. Faults are part
-//! of the scenario, not the protocol: an empty plan leaves the simulator
-//! bit-identical to a run without fault support, and all randomness (port
-//! impairment draws) comes from a dedicated RNG stream derived from the
-//! simulation seed, so faulty runs replay exactly.
+//! link down/up windows, per-port random impairments, synthetic syscall
+//! errors, and agent (proxy-host) and control-plane shard crashes. Two
+//! interpreters read it, and each refuses with a [`FaultError`] what it
+//! cannot model:
+//!
+//! - the packet simulator turns a plan into ordinary events on its queue
+//!   via [`crate::sim::Simulator::install_faults`]. An empty plan leaves
+//!   the simulator bit-identical to a run without fault support, and its
+//!   impairment draws come from a dedicated RNG stream derived from the
+//!   simulation seed, so faulty runs replay exactly;
+//! - the relay's socket shim, `netproxy::fault::FaultedIo`, reads port 0
+//!   as the relay's inbound direction and port 1 as its outbound one, and
+//!   `SimTime`s as offsets from the relay's start.
 //!
 //! Semantics:
 //! - **Link down**: while a port is down it blackholes every packet offered
 //!   to it (counted as [`Counter::PacketsLostToFault`]) and stops draining
 //!   its queue; packets already queued survive and drain after link-up.
-//! - **Impairment**: each packet offered to the port is independently lost
-//!   with `loss` probability or corrupted with `corrupt` probability.
-//!   Corruption trims data packets to headers (the NDP-style loss signal)
-//!   and destroys control packets outright.
+//! - **Impairment**: each packet offered to the port is lost with `loss`
+//!   probability or corrupted with `corrupt` probability. The simulator
+//!   trims corrupted data packets to headers (the NDP-style loss signal)
+//!   and destroys corrupted control packets outright; the shim overwrites
+//!   the wire magic, so the receiver counts the datagram malformed. Only
+//!   the shim models `duplicate` (the packet goes out twice) and `delay`
+//!   (the packet is held up to `delay_max`, then released).
+//! - **Syscall errors**: transient `EAGAIN` / `ENOBUFS` failures of a
+//!   socket call, drawn once per call. Only the shim models them.
 //! - **Agent crash**: the agent's handlers stop running — packets addressed
 //!   to it are destroyed, its timers go dead — and
 //!   [`crate::agent::Agent::on_crash`] lets it drop in-flight soft state.
 //!   An optional restore time models a process restart.
+//! - **Shard crash**: read only by the control-plane harness.
 //!
 //! [`Counter::PacketsLostToFault`]: crate::agent::Counter::PacketsLostToFault
 
 use crate::packet::{AgentId, PortId};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// A link outage on one port: down at `down_at`, optionally back up at
@@ -41,6 +53,10 @@ pub struct LinkWindow {
 }
 
 /// Random per-packet impairment of one port, active for the whole run.
+///
+/// One draw decides loss, delay or duplication, so `loss + delay +
+/// duplicate` is at most 1; the simulator draws loss and corruption
+/// together, so `loss + corrupt` is at most 1 too.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortImpairment {
     /// The affected output port.
@@ -48,8 +64,41 @@ pub struct PortImpairment {
     /// Probability in `[0, 1]` that an offered packet is destroyed.
     pub loss: f64,
     /// Probability in `[0, 1]` that an offered packet is corrupted
-    /// (data → trimmed header, control → destroyed).
+    /// (see the module docs for what each interpreter does).
     pub corrupt: f64,
+    /// Probability in `[0, 1]` that an offered packet goes out twice.
+    pub duplicate: f64,
+    /// Probability in `[0, 1]` that an offered packet is held back.
+    pub delay: f64,
+    /// A held packet's hold is uniform in `(0, delay_max]`.
+    pub delay_max: SimDuration,
+}
+
+impl PortImpairment {
+    /// An impairment of `port` that impairs nothing (a `..` base).
+    pub fn none(port: PortId) -> Self {
+        PortImpairment {
+            port,
+            loss: 0.0,
+            corrupt: 0.0,
+            duplicate: 0.0,
+            delay: 0.0,
+            delay_max: SimDuration::ZERO,
+        }
+    }
+}
+
+/// Synthetic transient syscall errors on one port's socket calls, drawn
+/// once per call: port 0's receives, port 1's sends. Only the socket shim
+/// reads these, as only the control plane reads [`ShardCrash`]es.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SyscallErrors {
+    /// The affected port.
+    pub port: PortId,
+    /// Probability in `[0, 1]` that a call fails with `EAGAIN`.
+    pub again: f64,
+    /// Probability in `[0, 1]` that a call fails with `ENOBUFS`.
+    pub nobufs: f64,
 }
 
 /// A scheduled agent crash, optionally followed by a restart.
@@ -84,8 +133,11 @@ pub struct ShardCrash {
 pub enum FaultError {
     /// A probability was outside `[0, 1]` (or NaN).
     InvalidProbability { port: PortId, value: f64 },
-    /// Combined loss + corruption probability exceeds 1 on one port.
+    /// Probabilities drawn together on one port sum past 1: loss +
+    /// corruption, loss + delay + duplication, or `EAGAIN` + `ENOBUFS`.
     CombinedProbabilityTooHigh { port: PortId, total: f64 },
+    /// A port delays packets, but its `delay_max` is zero.
+    UnboundedDelay { port: PortId },
     /// A link window ends at or before it starts.
     EmptyLinkWindow {
         port: PortId,
@@ -119,6 +171,12 @@ pub enum FaultError {
     UnknownAgent { agent: AgentId, agents: usize },
     /// A fault is scheduled before the simulator's current time.
     InThePast { at: SimTime, now: SimTime },
+    /// The interpreter the plan was handed to cannot model one of its
+    /// entries (see the module docs for which reads what).
+    Unsupported {
+        interpreter: &'static str,
+        entry: &'static str,
+    },
 }
 
 impl fmt::Display for FaultError {
@@ -133,8 +191,11 @@ impl fmt::Display for FaultError {
             FaultError::CombinedProbabilityTooHigh { port, total } => {
                 write!(
                     f,
-                    "loss + corruption probability {total} on {port} exceeds 1"
+                    "probabilities drawn together on {port} sum to {total}, past 1"
                 )
+            }
+            FaultError::UnboundedDelay { port } => {
+                write!(f, "{port} delays packets but its delay_max is zero")
             }
             FaultError::EmptyLinkWindow {
                 port,
@@ -190,6 +251,9 @@ impl fmt::Display for FaultError {
                     "fault scheduled at {at} but the simulator is already at {now}"
                 )
             }
+            FaultError::Unsupported { interpreter, entry } => {
+                write!(f, "{interpreter} cannot model {entry}")
+            }
         }
     }
 }
@@ -221,6 +285,8 @@ pub struct FaultPlan {
     pub link_windows: Vec<LinkWindow>,
     /// Per-port random impairments.
     pub impairments: Vec<PortImpairment>,
+    /// Synthetic syscall errors (read only by the socket shim).
+    pub syscall_errors: Vec<SyscallErrors>,
     /// Agent crashes.
     pub crashes: Vec<AgentCrash>,
     /// Control-plane shard crashes (ignored by the packet simulator;
@@ -239,6 +305,7 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.link_windows.is_empty()
             && self.impairments.is_empty()
+            && self.syscall_errors.is_empty()
             && self.crashes.is_empty()
             && self.shard_crashes.is_empty()
     }
@@ -271,9 +338,8 @@ impl FaultPlan {
     /// Destroys each packet offered to `port` with probability `loss`.
     pub fn port_loss(mut self, port: PortId, loss: f64) -> Self {
         self.impairments.push(PortImpairment {
-            port,
             loss,
-            corrupt: 0.0,
+            ..PortImpairment::none(port)
         });
         self
     }
@@ -282,9 +348,8 @@ impl FaultPlan {
     /// (data packets are trimmed to headers, control packets destroyed).
     pub fn port_corruption(mut self, port: PortId, corrupt: f64) -> Self {
         self.impairments.push(PortImpairment {
-            port,
-            loss: 0.0,
             corrupt,
+            ..PortImpairment::none(port)
         });
         self
     }
@@ -330,10 +395,11 @@ impl FaultPlan {
         self
     }
 
-    /// Checks internal consistency (probability ranges, window ordering,
-    /// no overlapping link windows per port). Index bounds against a
-    /// concrete topology are checked by
-    /// [`crate::sim::Simulator::install_faults`].
+    /// Checks internal consistency (probability ranges and sums, delay
+    /// bounds, window ordering, no overlapping link windows per port). This
+    /// is the one fault validator; each interpreter then checks only what
+    /// it can model and, for the simulator, index bounds against a concrete
+    /// topology ([`crate::sim::Simulator::install_faults`]).
     ///
     /// Link windows on the same port must be disjoint; a window may begin
     /// exactly when the previous one ends (`down_at == up_at` is a
@@ -374,21 +440,14 @@ impl FaultPlan {
             }
         }
         for imp in &self.impairments {
-            for p in [imp.loss, imp.corrupt] {
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(FaultError::InvalidProbability {
-                        port: imp.port,
-                        value: p,
-                    });
-                }
+            check_probabilities(imp.port, &[imp.loss, imp.corrupt])?;
+            check_probabilities(imp.port, &[imp.loss, imp.delay, imp.duplicate])?;
+            if imp.delay > 0.0 && imp.delay_max == SimDuration::ZERO {
+                return Err(FaultError::UnboundedDelay { port: imp.port });
             }
-            let total = imp.loss + imp.corrupt;
-            if total > 1.0 {
-                return Err(FaultError::CombinedProbabilityTooHigh {
-                    port: imp.port,
-                    total,
-                });
-            }
+        }
+        for e in &self.syscall_errors {
+            check_probabilities(e.port, &[e.again, e.nobufs])?;
         }
         for c in &self.crashes {
             if let Some(r) = c.restore_at {
@@ -414,6 +473,19 @@ impl FaultPlan {
         }
         Ok(())
     }
+}
+
+/// Each of `ps` is a probability, and one draw can decide among them all:
+/// they sum to at most 1.
+fn check_probabilities(port: PortId, ps: &[f64]) -> Result<(), FaultError> {
+    if let Some(&value) = ps.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+        return Err(FaultError::InvalidProbability { port, value });
+    }
+    let total: f64 = ps.iter().sum();
+    if total > 1.0 {
+        return Err(FaultError::CombinedProbabilityTooHigh { port, total });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -462,20 +534,69 @@ mod tests {
         assert!(nan.validate().is_err());
     }
 
+    /// A plan impairing port 0 as `f` says.
+    fn impaired(f: impl FnOnce(&mut PortImpairment)) -> FaultPlan {
+        let mut imp = PortImpairment::none(PortId(0));
+        f(&mut imp);
+        FaultPlan {
+            impairments: vec![imp],
+            ..Default::default()
+        }
+    }
+
+    /// Every per-packet draw and syscall error is range-checked, draws
+    /// decided together sum to at most 1 (loss + corrupt for the
+    /// simulator, loss + delay + duplicate for the shim's one cascade),
+    /// and a delay needs a bound. The relay soak's mix, every kind at
+    /// once, passes.
     #[test]
-    fn rejects_combined_probability_above_one() {
-        let plan = FaultPlan {
-            impairments: vec![PortImpairment {
+    fn validate_checks_every_draw_and_passes_the_soak_mix() {
+        let too_high = |p: FaultPlan| {
+            matches!(
+                p.validate(),
+                Err(FaultError::CombinedProbabilityTooHigh { .. })
+            )
+        };
+        let out_of_range =
+            |p: FaultPlan| matches!(p.validate(), Err(FaultError::InvalidProbability { .. }));
+        let ms = SimDuration::from_millis;
+        assert!(too_high(impaired(|i| (i.loss, i.corrupt) = (0.7, 0.7))));
+        assert!(too_high(impaired(|i| {
+            (i.loss, i.delay, i.delay_max) = (0.6, 0.6, ms(5))
+        })));
+        assert!(too_high(impaired(|i| {
+            (i.duplicate, i.delay, i.delay_max) = (0.6, 0.5, ms(5))
+        })));
+        assert!(out_of_range(impaired(|i| i.duplicate = 1.5)));
+        assert!(out_of_range(impaired(
+            |i| (i.delay, i.delay_max) = (-0.1, ms(5))
+        )));
+        assert_eq!(
+            impaired(|i| i.delay = 0.1).validate(),
+            Err(FaultError::UnboundedDelay { port: PortId(0) })
+        );
+        let errors = |again, nobufs| {
+            vec![SyscallErrors {
                 port: PortId(0),
-                loss: 0.7,
-                corrupt: 0.7,
-            }],
+                again,
+                nobufs,
+            }]
+        };
+        let with_errors = |syscall_errors| FaultPlan {
+            syscall_errors,
             ..Default::default()
         };
-        assert!(matches!(
-            plan.validate(),
-            Err(FaultError::CombinedProbabilityTooHigh { .. })
-        ));
+        assert!(out_of_range(with_errors(errors(-0.1, 0.0))));
+        assert!(too_high(with_errors(errors(0.6, 0.6))));
+        let mut mix = impaired(|i| {
+            (i.loss, i.corrupt, i.duplicate) = (0.01, 0.002, 0.005);
+            (i.delay, i.delay_max) = (0.01, ms(20));
+        })
+        .link_down_window(PortId(0), t(350), t(400))
+        .link_down_window(PortId(1), t(350), t(400));
+        mix.syscall_errors = errors(0.001, 0.0005);
+        assert!(!mix.is_empty());
+        assert_eq!(mix.validate(), Ok(()));
     }
 
     #[test]
@@ -483,6 +604,11 @@ mod tests {
         let flap = FaultPlan::new().link_down_window(PortId(0), t(20), t(10));
         assert!(matches!(
             flap.validate(),
+            Err(FaultError::EmptyLinkWindow { .. })
+        ));
+        let instant = FaultPlan::new().link_down_window(PortId(0), t(5), t(5));
+        assert!(matches!(
+            instant.validate(),
             Err(FaultError::EmptyLinkWindow { .. })
         ));
         let crash = FaultPlan::new().crash_agent_window(AgentId(0), t(20), t(20));

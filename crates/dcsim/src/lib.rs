@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::det::{DetMap, DetSet, SeqMap};
     pub use crate::events::{FaultEvent, TimerKind};
     pub use crate::faults::{
-        AgentCrash, FaultError, FaultPlan, LinkWindow, PortImpairment, ShardCrash,
+        AgentCrash, FaultError, FaultPlan, LinkWindow, PortImpairment, ShardCrash, SyscallErrors,
     };
     pub use crate::fidelity::{ExpressStats, FidelityConfig};
     pub use crate::fleet::{FleetReport, FleetSim};

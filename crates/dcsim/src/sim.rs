@@ -429,13 +429,28 @@ impl Simulator {
 
     /// Installs a [`FaultPlan`]: validates it against this simulator's
     /// topology and agents, activates port impairments, and schedules the
-    /// link and crash transitions on the event queue.
+    /// link and crash transitions on the event queue. Shard crashes are
+    /// left to the control plane; duplication, delay and syscall errors,
+    /// which only the socket shim models, are refused.
     ///
     /// May be called multiple times; impairment probabilities on the same
     /// port accumulate. Installing an empty plan is a no-op and keeps the
     /// run bit-identical to one without fault support.
     pub fn install_faults(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
         plan.validate()?;
+        let unsupported = |entry| FaultError::Unsupported {
+            interpreter: "the packet simulator",
+            entry,
+        };
+        if plan.impairments.iter().any(|imp| imp.duplicate > 0.0) {
+            return Err(unsupported("packet duplication"));
+        }
+        if plan.impairments.iter().any(|imp| imp.delay > 0.0) {
+            return Err(unsupported("held-back packets"));
+        }
+        if !plan.syscall_errors.is_empty() {
+            return Err(unsupported("syscall errors"));
+        }
         let now = self.now();
         // Bounds- and time-check everything before mutating any state, so
         // a rejected plan leaves the simulator untouched.
@@ -1686,6 +1701,55 @@ mod dispatch_tests {
             (report.events, report.end_time, done)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// What only the socket shim models is refused by name, and a refused
+    /// plan installs nothing.
+    #[test]
+    fn shim_only_faults_are_refused() {
+        use crate::faults::{FaultError, FaultPlan, PortImpairment, SyscallErrors};
+        use crate::packet::PortId;
+        let later = SimTime::ZERO + SimDuration::from_millis(1);
+        let impaired = |imp| FaultPlan {
+            impairments: vec![imp],
+            ..FaultPlan::new()
+        };
+        let imp = PortImpairment::none(PortId(0));
+        let errors = SyscallErrors {
+            port: PortId(0),
+            again: 0.1,
+            nobufs: 0.0,
+        };
+        for (plan, entry) in [
+            (
+                impaired(PortImpairment {
+                    duplicate: 0.1,
+                    ..imp
+                }),
+                "packet duplication",
+            ),
+            (
+                impaired(PortImpairment {
+                    delay: 0.1,
+                    delay_max: later.since(SimTime::ZERO),
+                    ..imp
+                }),
+                "held-back packets",
+            ),
+            (
+                FaultPlan {
+                    syscall_errors: vec![errors],
+                    ..FaultPlan::new()
+                },
+                "syscall errors",
+            ),
+        ] {
+            let mut sim = Simulator::new(two_dc_leaf_spine(&TwoDcParams::small_test()), 1);
+            let refused = sim.install_faults(&plan.link_down(PortId(1), later));
+            let interpreter = "the packet simulator";
+            assert_eq!(refused, Err(FaultError::Unsupported { interpreter, entry }));
+            assert_eq!(sim.run(None).events, 0, "{entry}: nothing was scheduled");
+        }
     }
 
     /// A link-down window blackholes packets offered to the port while it

@@ -1,17 +1,28 @@
-//! Deterministic fault injection for the batched datapath — the
-//! real-socket twin of dcsim's `FaultPlan` (DESIGN.md §10).
+//! Deterministic fault injection for the batched datapath: the relay's
+//! interpreter of a [`dcsim::faults::FaultPlan`], the same plan the
+//! simulator runs (DESIGN.md §15).
 //!
 //! [`FaultedIo`] wraps any [`BatchIo`] implementation and perturbs the
-//! traffic crossing it according to a declarative, seed-driven
-//! [`FaultConfig`]: per-direction drop / corrupt / delay / duplicate
-//! probabilities, synthetic transient syscall errors (`EAGAIN`,
-//! `ENOBUFS`), and scheduled blackout windows during which the link
-//! eats everything. All randomness comes from a [`trace::SplitMix64`]
-//! stream derived from the config seed — two runs with the same seed
-//! and traffic see the same fault decisions, so soak failures replay.
+//! traffic crossing it as the plan says. Port 0 ([`INBOUND`]) is the
+//! relay's inbound direction, its receives; port 1 ([`OUTBOUND`]) is its
+//! outbound one, its sends. Per direction the shim reads:
 //!
-//! Every perturbation increments a [`FaultStats`] counter, which is
-//! what lets the `netproxy_soak` harness close its packet-accounting
+//! * one [`PortImpairment`]: drop / delay / duplicate drawn from a single
+//!   cascade per datagram, corruption an independent draw on survivors;
+//! * [`LinkWindow`]s as blackouts, their `SimTime`s offsets from the
+//!   relay's epoch: while one is open the direction eats every fresh
+//!   datagram (and counts it);
+//! * one [`SyscallErrors`] entry: synthetic `EAGAIN` / `ENOBUFS` per call.
+//!
+//! It refuses, with a [`FaultError`], what it cannot model: other ports,
+//! a second impairment or syscall-error entry on one port, and crashes
+//! (the relay's crashes are the supervisor's business). All randomness
+//! comes from a [`trace::SplitMix64`] stream the caller derives from the
+//! plan's seed, so two runs with the same seed and traffic see the same
+//! fault decisions.
+//!
+//! Every perturbation increments a [`FaultStats`] counter, which is what
+//! lets the soak family (`bench::soak`) close its packet-accounting
 //! ledger exactly: a faulted packet is never *lost*, it is *explained*.
 //!
 //! Fidelity choices (all documented because the ledger depends on
@@ -21,7 +32,11 @@
 //!   than flipping random payload bits, so a corrupted packet
 //!   deterministically fails parsing at its receiver (`malformed` /
 //!   `dropped` counters) instead of sometimes surviving as valid —
-//!   keeping its ledger classification exact.
+//!   keeping its ledger classification exact. (The simulator's
+//!   corruption trims data to a header instead.)
+//! * **A receive is judged by the clock after it returns**: the one
+//!   reading the shim takes per receive follows the inner receive, which
+//!   can block for up to [`crate::batch::RECV_POLL`].
 //! * **Delayed packets bypass blackout checks on release**: they
 //!   already "traversed" the link when they were captured.
 //! * **The faulted tx path copies.** The clean path forwards straight
@@ -33,6 +48,9 @@
 
 use crate::batch::{BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
 use crate::wire::{DatagramView, Flags, MAX_DATAGRAM};
+use dcsim::faults::{FaultError, FaultPlan, LinkWindow, PortImpairment, SyscallErrors};
+use dcsim::packet::PortId;
+use dcsim::time::SimTime;
 use std::io;
 use std::net::SocketAddr;
 // Plain monotone counters with no cross-thread protocol: std atomics
@@ -42,237 +60,120 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::SplitMix64;
 
-/// Fault probabilities for one direction (rx = inbound toward the
-/// relay, tx = outbound from it). Drop/delay/duplicate are drawn from a
-/// single cascade per datagram (mutually exclusive, probabilities must
-/// sum to ≤ 1); corruption is an independent draw on survivors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DirectionFaults {
-    /// P(datagram silently dropped).
-    pub drop: f64,
-    /// P(wire magic smashed; receiver counts it malformed).
-    pub corrupt: f64,
-    /// P(datagram duplicated; both copies proceed).
-    pub duplicate: f64,
-    /// P(datagram held and re-injected later).
-    pub delay: f64,
-    /// Max hold for a delayed datagram, uniform in `[1, delay_ms]` ms.
-    pub delay_ms: u64,
-}
+/// The relay's inbound direction: datagrams it receives.
+pub const INBOUND: PortId = PortId(0);
+/// The relay's outbound direction: datagrams it sends.
+pub const OUTBOUND: PortId = PortId(1);
 
-impl DirectionFaults {
-    /// No faults in this direction.
-    pub const fn none() -> Self {
-        DirectionFaults {
-            drop: 0.0,
-            corrupt: 0.0,
-            duplicate: 0.0,
-            delay: 0.0,
-            delay_ms: 0,
+/// Checks that `plan` is valid and that the shim can run it; see the
+/// module docs for what it refuses.
+///
+/// # Errors
+/// The plan's [`FaultPlan::validate`] error, [`FaultError::UnknownPort`]
+/// for a port other than 0 and 1, or [`FaultError::Unsupported`].
+pub fn check_plan(plan: &FaultPlan) -> Result<(), FaultError> {
+    plan.validate()?;
+    let unsupported = |entry| FaultError::Unsupported {
+        interpreter: "the relay's socket shim",
+        entry,
+    };
+    if !plan.crashes.is_empty() {
+        return Err(unsupported("agent crashes"));
+    }
+    if !plan.shard_crashes.is_empty() {
+        return Err(unsupported("shard crashes"));
+    }
+    let ports = (plan.link_windows.iter().map(|w| w.port))
+        .chain(plan.impairments.iter().map(|i| i.port))
+        .chain(plan.syscall_errors.iter().map(|e| e.port));
+    for port in ports {
+        if port.index() > OUTBOUND.index() {
+            return Err(FaultError::UnknownPort { port, ports: 2 });
         }
     }
-
-    fn any(&self) -> bool {
-        self.drop > 0.0 || self.corrupt > 0.0 || self.duplicate > 0.0 || self.delay > 0.0
-    }
-
-    fn validate(&self, dir: &str) -> Result<(), String> {
-        for (name, p) in [
-            ("drop", self.drop),
-            ("corrupt", self.corrupt),
-            ("duplicate", self.duplicate),
-            ("delay", self.delay),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{dir}.{name} probability {p} outside [0, 1]"));
-            }
+    for port in [INBOUND, OUTBOUND] {
+        if plan.impairments.iter().filter(|i| i.port == port).count() > 1 {
+            return Err(unsupported("two impairments on one port"));
         }
-        if self.drop + self.delay + self.duplicate > 1.0 {
-            return Err(format!(
-                "{dir}: drop+delay+duplicate exceed 1 (single-cascade draw)"
-            ));
-        }
-        if self.delay > 0.0 && self.delay_ms == 0 {
-            return Err(format!("{dir}: delay probability set but delay_ms = 0"));
-        }
-        Ok(())
-    }
-}
-
-/// A scheduled total outage: while active, every fresh datagram in
-/// both directions is blackholed (and counted). Offsets are
-/// milliseconds from the shim's shared epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlackoutWindow {
-    /// Window start (ms since epoch, inclusive).
-    pub start_ms: u64,
-    /// Window end (ms since epoch, exclusive).
-    pub end_ms: u64,
-}
-
-/// Synthetic transient syscall errors, drawn once per call. The relay
-/// worker must absorb these by retrying — they are exactly the
-/// transient set (`EAGAIN`, `ENOBUFS`) a real kernel produces under
-/// pressure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SynthErrors {
-    /// P(`recv_batch` fails with `WouldBlock`) per call.
-    pub recv_again: f64,
-    /// P(`recv_batch` fails with `OutOfMemory`/ENOBUFS) per call.
-    pub recv_nobufs: f64,
-    /// P(`send_batch` fails wholesale with ENOBUFS) per non-empty call.
-    pub send_nobufs: f64,
-}
-
-impl SynthErrors {
-    /// No synthetic errors.
-    pub const fn none() -> Self {
-        SynthErrors {
-            recv_again: 0.0,
-            recv_nobufs: 0.0,
-            send_nobufs: 0.0,
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("recv_again", self.recv_again),
-            ("recv_nobufs", self.recv_nobufs),
-            ("send_nobufs", self.send_nobufs),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("synth.{name} probability {p} outside [0, 1]"));
-            }
-        }
-        if self.recv_again + self.recv_nobufs > 1.0 {
-            return Err("synth: recv_again+recv_nobufs exceed 1".to_string());
-        }
-        Ok(())
-    }
-}
-
-/// The full declarative fault plan for a relay's sockets. Validated up
-/// front, dcsim-`FaultPlan` style, so an impossible plan fails loudly
-/// at start rather than silently injecting nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultConfig {
-    /// Base RNG seed; each shard × generation derives its own stream
-    /// via [`trace::derive_seed`], so restarts do not replay the dead
-    /// shard's fault schedule.
-    pub seed: u64,
-    /// Inbound (toward the relay) faults.
-    pub rx: DirectionFaults,
-    /// Outbound (from the relay) faults.
-    pub tx: DirectionFaults,
-    /// Total-outage windows, sorted and non-overlapping.
-    pub blackouts: Vec<BlackoutWindow>,
-    /// Synthetic syscall errors.
-    pub synth: SynthErrors,
-}
-
-impl FaultConfig {
-    /// A clean plan (useful as a `..` base).
-    pub fn none(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            rx: DirectionFaults::none(),
-            tx: DirectionFaults::none(),
-            blackouts: Vec::new(),
-            synth: SynthErrors::none(),
-        }
-    }
-
-    /// The canonical soak mix: light drop/delay/duplicate/corrupt in
-    /// both directions, occasional synthetic transient errors, and one
-    /// blackout window at 35–40% of `duration`.
-    pub fn soak(seed: u64, duration: Duration) -> Self {
-        let total_ms = duration.as_millis() as u64;
-        FaultConfig {
-            seed,
-            rx: DirectionFaults {
-                drop: 0.01,
-                corrupt: 0.002,
-                duplicate: 0.005,
-                delay: 0.01,
-                delay_ms: 20,
-            },
-            tx: DirectionFaults {
-                drop: 0.01,
-                corrupt: 0.002,
-                duplicate: 0.005,
-                delay: 0.01,
-                delay_ms: 20,
-            },
-            blackouts: vec![BlackoutWindow {
-                start_ms: total_ms * 35 / 100,
-                end_ms: total_ms * 40 / 100,
-            }],
-            synth: SynthErrors {
-                recv_again: 0.001,
-                recv_nobufs: 0.0005,
-                send_nobufs: 0.0005,
-            },
-        }
-    }
-
-    /// Checks probabilities and window layout.
-    ///
-    /// # Errors
-    /// A human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.rx.validate("rx")?;
-        self.tx.validate("tx")?;
-        self.synth.validate()?;
-        let mut prev_end = 0u64;
-        for (i, w) in self.blackouts.iter().enumerate() {
-            if w.start_ms >= w.end_ms {
-                return Err(format!("blackout[{i}] is empty or inverted"));
-            }
-            if w.start_ms < prev_end {
-                return Err(format!(
-                    "blackout[{i}] overlaps or precedes blackout[{}]",
-                    i - 1
-                ));
-            }
-            prev_end = w.end_ms;
-        }
-        Ok(())
-    }
-
-    fn in_blackout(&self, elapsed_ms: u64) -> bool {
-        self.blackouts
+        if plan
+            .syscall_errors
             .iter()
-            .any(|w| (w.start_ms..w.end_ms).contains(&elapsed_ms))
+            .filter(|e| e.port == port)
+            .count()
+            > 1
+        {
+            return Err(unsupported("two syscall-error entries on one port"));
+        }
     }
+    Ok(())
 }
 
-/// Everything the shim did, as monotone counters shared across shards.
-/// Outbound counters are classified data vs ctrl (DATA flag vs
-/// ACK/NACK) because the soak ledger closes the two directions with
-/// separate equations.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    rx_dropped: AtomicU64,
-    rx_corrupted: AtomicU64,
-    rx_duplicated: AtomicU64,
-    rx_delayed: AtomicU64,
-    rx_delay_released: AtomicU64,
-    rx_blackholed: AtomicU64,
-    tx_dropped_data: AtomicU64,
-    tx_dropped_ctrl: AtomicU64,
-    tx_corrupted_data: AtomicU64,
-    tx_corrupted_ctrl: AtomicU64,
-    tx_duplicated_data: AtomicU64,
-    tx_duplicated_ctrl: AtomicU64,
-    tx_delayed_data: AtomicU64,
-    tx_delayed_ctrl: AtomicU64,
-    tx_delay_released_data: AtomicU64,
-    tx_delay_released_ctrl: AtomicU64,
-    tx_release_errors: AtomicU64,
-    tx_blackholed_data: AtomicU64,
-    tx_blackholed_ctrl: AtomicU64,
-    synth_recv_errors: AtomicU64,
-    synth_send_errors: AtomicU64,
+/// What the plan says about one direction.
+#[derive(Debug, Clone)]
+struct Direction {
+    imp: PortImpairment,
+    blackouts: Vec<LinkWindow>,
+    errors: SyscallErrors,
+}
+
+impl Direction {
+    fn of(plan: &FaultPlan, port: PortId) -> Self {
+        let imp = plan.impairments.iter().find(|i| i.port == port);
+        let errors = plan.syscall_errors.iter().find(|e| e.port == port);
+        Direction {
+            imp: imp.copied().unwrap_or(PortImpairment::none(port)),
+            blackouts: plan
+                .link_windows
+                .iter()
+                .filter(|w| w.port == port)
+                .copied()
+                .collect(),
+            errors: errors.copied().unwrap_or(SyscallErrors {
+                port,
+                again: 0.0,
+                nobufs: 0.0,
+            }),
+        }
+    }
+
+    fn impairs(&self) -> bool {
+        let i = &self.imp;
+        i.loss > 0.0 || i.corrupt > 0.0 || i.duplicate > 0.0 || i.delay > 0.0
+    }
+
+    /// True while a blackout window is open at `t`.
+    fn in_blackout(&self, t: SimTime) -> bool {
+        (self.blackouts.iter()).any(|w| w.down_at <= t && w.up_at.is_none_or(|up| t < up))
+    }
+
+    /// This call's synthetic error, if the draw says so.
+    fn syscall_error(&self, rng: &mut SplitMix64) -> Option<io::Error> {
+        let SyscallErrors { again, nobufs, .. } = self.errors;
+        if again + nobufs <= 0.0 {
+            return None;
+        }
+        let u = rng.next_f64();
+        if u < again {
+            Some(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                "synthetic EAGAIN",
+            ))
+        } else if u < again + nobufs {
+            Some(io::Error::new(
+                io::ErrorKind::OutOfMemory,
+                "synthetic ENOBUFS",
+            ))
+        } else {
+            None
+        }
+    }
+
+    /// How long a delayed datagram is held: uniform in `(0, delay_max]`,
+    /// to the nanosecond.
+    fn hold(&self, rng: &mut SplitMix64) -> Duration {
+        let max_ns = (self.imp.delay_max.0 / 1_000).max(1);
+        Duration::from_nanos(1 + rng.next_bounded(max_ns))
+    }
 }
 
 macro_rules! bump {
@@ -281,68 +182,58 @@ macro_rules! bump {
         // post-run snapshots; no non-atomic data is published.
         $stats.$field.fetch_add($n, Ordering::Relaxed)
     };
+    // One outbound datagram, counted by its class.
+    ($stats:expr, $is_data:expr => $data:ident | $ctrl:ident) => {
+        if $is_data {
+            bump!($stats, $data, 1)
+        } else {
+            bump!($stats, $ctrl, 1)
+        }
+    };
 }
 
-impl FaultStats {
-    /// A plain-u64 copy of every counter (plus derived pending-delay
-    /// gauges). Exact once the relay has shut down.
-    pub fn snapshot(&self) -> FaultSnapshot {
-        // ordering: Relaxed — see the counter writes; snapshots
-        // tolerate mid-batch staleness and are exact after join.
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let s = FaultSnapshot {
-            rx_dropped: load(&self.rx_dropped),
-            rx_corrupted: load(&self.rx_corrupted),
-            rx_duplicated: load(&self.rx_duplicated),
-            rx_delayed: load(&self.rx_delayed),
-            rx_delay_released: load(&self.rx_delay_released),
-            rx_blackholed: load(&self.rx_blackholed),
-            tx_dropped_data: load(&self.tx_dropped_data),
-            tx_dropped_ctrl: load(&self.tx_dropped_ctrl),
-            tx_corrupted_data: load(&self.tx_corrupted_data),
-            tx_corrupted_ctrl: load(&self.tx_corrupted_ctrl),
-            tx_duplicated_data: load(&self.tx_duplicated_data),
-            tx_duplicated_ctrl: load(&self.tx_duplicated_ctrl),
-            tx_delayed_data: load(&self.tx_delayed_data),
-            tx_delayed_ctrl: load(&self.tx_delayed_ctrl),
-            tx_delay_released_data: load(&self.tx_delay_released_data),
-            tx_delay_released_ctrl: load(&self.tx_delay_released_ctrl),
-            tx_release_errors: load(&self.tx_release_errors),
-            tx_blackholed_data: load(&self.tx_blackholed_data),
-            tx_blackholed_ctrl: load(&self.tx_blackholed_ctrl),
-            synth_recv_errors: load(&self.synth_recv_errors),
-            synth_send_errors: load(&self.synth_send_errors),
-        };
-        debug_assert!(s.rx_delay_released <= s.rx_delayed);
-        s
-    }
+/// Declares the shim's counters once: as [`FaultStats`], the atomics all
+/// shards share, and as [`FaultSnapshot`], their plain-u64 copy.
+macro_rules! fault_counters {
+    ($($field:ident)*) => {
+        /// Everything the shim did, as monotone counters shared across
+        /// shards. Outbound counters are classified data vs ctrl (DATA
+        /// flag vs ACK/NACK) because the soak ledger closes the two
+        /// directions with separate equations.
+        #[derive(Debug, Default)]
+        pub struct FaultStats {
+            $($field: AtomicU64,)*
+        }
+
+        /// Plain-u64 snapshot of [`FaultStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub struct FaultSnapshot {
+            $(pub $field: u64,)*
+        }
+
+        impl FaultStats {
+            /// A plain-u64 copy of every counter. Exact once the relay
+            /// has shut down.
+            pub fn snapshot(&self) -> FaultSnapshot {
+                let s = FaultSnapshot {
+                    // ordering: Relaxed — see the counter writes; snapshots
+                    // tolerate mid-batch staleness and are exact after join.
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                };
+                debug_assert!(s.rx_delay_released <= s.rx_delayed);
+                s
+            }
+        }
+    };
 }
 
-/// Plain-u64 snapshot of [`FaultStats`]; see the field docs there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct FaultSnapshot {
-    pub rx_dropped: u64,
-    pub rx_corrupted: u64,
-    pub rx_duplicated: u64,
-    pub rx_delayed: u64,
-    pub rx_delay_released: u64,
-    pub rx_blackholed: u64,
-    pub tx_dropped_data: u64,
-    pub tx_dropped_ctrl: u64,
-    pub tx_corrupted_data: u64,
-    pub tx_corrupted_ctrl: u64,
-    pub tx_duplicated_data: u64,
-    pub tx_duplicated_ctrl: u64,
-    pub tx_delayed_data: u64,
-    pub tx_delayed_ctrl: u64,
-    pub tx_delay_released_data: u64,
-    pub tx_delay_released_ctrl: u64,
-    pub tx_release_errors: u64,
-    pub tx_blackholed_data: u64,
-    pub tx_blackholed_ctrl: u64,
-    pub synth_recv_errors: u64,
-    pub synth_send_errors: u64,
+fault_counters! {
+    rx_dropped rx_corrupted rx_duplicated rx_delayed rx_delay_released rx_blackholed
+    tx_dropped_data tx_dropped_ctrl tx_corrupted_data tx_corrupted_ctrl
+    tx_duplicated_data tx_duplicated_ctrl tx_delayed_data tx_delayed_ctrl
+    tx_delay_released_data tx_delay_released_ctrl tx_release_errors
+    tx_blackholed_data tx_blackholed_ctrl synth_recv_errors synth_send_errors
 }
 
 impl FaultSnapshot {
@@ -350,28 +241,6 @@ impl FaultSnapshot {
     /// before shutdown).
     pub fn rx_delay_pending(&self) -> u64 {
         self.rx_delayed - self.rx_delay_released
-    }
-
-    /// Total perturbation events across all counters (used by tests to
-    /// assert "the shim actually did something").
-    pub fn total_events(&self) -> u64 {
-        self.rx_dropped
-            + self.rx_corrupted
-            + self.rx_duplicated
-            + self.rx_delayed
-            + self.rx_blackholed
-            + self.tx_dropped_data
-            + self.tx_dropped_ctrl
-            + self.tx_corrupted_data
-            + self.tx_corrupted_ctrl
-            + self.tx_duplicated_data
-            + self.tx_duplicated_ctrl
-            + self.tx_delayed_data
-            + self.tx_delayed_ctrl
-            + self.tx_blackholed_data
-            + self.tx_blackholed_ctrl
-            + self.synth_recv_errors
-            + self.synth_send_errors
     }
 }
 
@@ -388,7 +257,8 @@ struct Held {
 /// its own derived RNG stream.
 pub struct FaultedIo {
     inner: Box<dyn BatchIo>,
-    cfg: FaultConfig,
+    rx: Direction,
+    tx: Direction,
     rng: SplitMix64,
     epoch: Instant,
     stats: Arc<FaultStats>,
@@ -405,19 +275,20 @@ impl FaultedIo {
     /// shared across every shard of a relay.
     ///
     /// # Panics
-    /// Panics if `cfg` fails [`FaultConfig::validate`] — construction
-    /// sites validate explicitly, so this is a programming error.
+    /// Panics if `plan` fails [`check_plan`] — construction sites check
+    /// explicitly, so this is a programming error.
     pub fn new(
         inner: Box<dyn BatchIo>,
-        cfg: FaultConfig,
+        plan: &FaultPlan,
         seed: u64,
         epoch: Instant,
         stats: Arc<FaultStats>,
     ) -> Self {
-        cfg.validate().expect("validated fault config");
+        check_plan(plan).expect("checked fault plan");
         FaultedIo {
             inner,
-            cfg,
+            rx: Direction::of(plan, INBOUND),
+            tx: Direction::of(plan, OUTBOUND),
             rng: SplitMix64::new(seed),
             epoch,
             stats,
@@ -429,8 +300,9 @@ impl FaultedIo {
         }
     }
 
-    fn elapsed_ms(&self, now: Instant) -> u64 {
-        now.duration_since(self.epoch).as_millis() as u64
+    /// `now` as an offset from the epoch, on the plan's clock.
+    fn plan_time(&self, now: Instant) -> SimTime {
+        SimTime(now.duration_since(self.epoch).as_nanos() as u64 * 1_000)
     }
 
     /// Sends every due delayed-tx datagram, one inner flush per class
@@ -555,32 +427,20 @@ pub(crate) fn is_data_bytes(bytes: &[u8]) -> bool {
 
 impl BatchIo for FaultedIo {
     fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
-        let now = Instant::now();
-        self.flush_tx_due(now)?;
-        let synth = self.cfg.synth;
-        if synth.recv_again > 0.0 || synth.recv_nobufs > 0.0 {
-            let u = self.rng.next_f64();
-            if u < synth.recv_again {
-                bump!(self.stats, synth_recv_errors, 1);
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "synthetic EAGAIN",
-                ));
-            }
-            if u < synth.recv_again + synth.recv_nobufs {
-                bump!(self.stats, synth_recv_errors, 1);
-                return Err(io::Error::new(
-                    io::ErrorKind::OutOfMemory,
-                    "synthetic ENOBUFS",
-                ));
-            }
+        if let Some(e) = self.rx.syscall_error(&mut self.rng) {
+            bump!(self.stats, synth_recv_errors, 1);
+            return Err(e);
         }
         self.inner.recv_batch(ring)?;
-        let f = self.cfg.rx;
-        if !ring.is_empty() && self.cfg.in_blackout(self.elapsed_ms(now)) {
+        // The one reading, after the receive: what it brought arrived
+        // by now, not by when the call began.
+        let now = Instant::now();
+        self.flush_tx_due(now)?;
+        let f = self.rx.imp;
+        if !ring.is_empty() && self.rx.in_blackout(self.plan_time(now)) {
             bump!(self.stats, rx_blackholed, ring.len() as u64);
             ring.reset();
-        } else if !ring.is_empty() && f.any() {
+        } else if !ring.is_empty() && self.rx.impairs() {
             self.dup_scratch.clear();
             // Back-to-front so swap_remove only moves already-processed
             // slots into vacated positions.
@@ -592,15 +452,15 @@ impl BatchIo for FaultedIo {
                     continue;
                 }
                 let u = self.rng.next_f64();
-                if u < f.drop {
+                if u < f.loss {
                     bump!(self.stats, rx_dropped, 1);
                     ring.swap_remove(i);
                     continue;
                 }
-                if u < f.drop + f.delay {
-                    let hold_ms = 1 + self.rng.next_bounded(f.delay_ms);
+                if u < f.loss + f.delay {
+                    let hold = self.rx.hold(&mut self.rng);
                     self.rx_held.push(Held {
-                        release_at: now + Duration::from_millis(hold_ms),
+                        release_at: now + hold,
                         addr: ring.source(i),
                         is_data: false, // unused on rx
                         bytes: ring.datagram(i).into(),
@@ -609,7 +469,7 @@ impl BatchIo for FaultedIo {
                     ring.swap_remove(i);
                     continue;
                 }
-                if u < f.drop + f.delay + f.duplicate {
+                if u < f.loss + f.delay + f.duplicate {
                     self.dup_scratch
                         .push((ring.source(i), ring.datagram(i).into()));
                 }
@@ -637,16 +497,13 @@ impl BatchIo for FaultedIo {
         if queue.is_empty() {
             return Ok(SendOutcome::default());
         }
-        if self.cfg.synth.send_nobufs > 0.0 && self.rng.next_f64() < self.cfg.synth.send_nobufs {
+        if let Some(e) = self.tx.syscall_error(&mut self.rng) {
             bump!(self.stats, synth_send_errors, 1);
-            return Err(io::Error::new(
-                io::ErrorKind::OutOfMemory,
-                "synthetic ENOBUFS",
-            ));
+            return Err(e);
         }
-        let blackout = self.cfg.in_blackout(self.elapsed_ms(now));
-        let f = self.cfg.tx;
-        if !blackout && !f.any() {
+        let blackout = self.tx.in_blackout(self.plan_time(now));
+        let f = self.tx.imp;
+        if !blackout && !self.tx.impairs() {
             return self.inner.send_batch(ring, queue); // clean fast path
         }
         self.stage_ring.reset();
@@ -656,61 +513,41 @@ impl BatchIo for FaultedIo {
             let (bytes, dest) = queue.resolve(ring, i);
             let is_data = is_data_bytes(bytes);
             if blackout {
-                if is_data {
-                    bump!(self.stats, tx_blackholed_data, 1);
-                } else {
-                    bump!(self.stats, tx_blackholed_ctrl, 1);
-                }
+                bump!(self.stats, is_data => tx_blackholed_data | tx_blackholed_ctrl);
                 // The link ate it, but the kernel "accepted" it from the
                 // relay's perspective.
                 out.sent += 1;
                 continue;
             }
             let u = self.rng.next_f64();
-            if u < f.drop {
-                if is_data {
-                    bump!(self.stats, tx_dropped_data, 1);
-                } else {
-                    bump!(self.stats, tx_dropped_ctrl, 1);
-                }
+            if u < f.loss {
+                bump!(self.stats, is_data => tx_dropped_data | tx_dropped_ctrl);
                 out.sent += 1;
                 continue;
             }
-            if u < f.drop + f.delay {
-                let hold_ms = 1 + self.rng.next_bounded(f.delay_ms);
+            if u < f.loss + f.delay {
+                let hold = self.tx.hold(&mut self.rng);
                 self.tx_held.push(Held {
-                    release_at: now + Duration::from_millis(hold_ms),
+                    release_at: now + hold,
                     addr: dest,
                     is_data,
                     bytes: bytes.into(),
                 });
-                if is_data {
-                    bump!(self.stats, tx_delayed_data, 1);
-                } else {
-                    bump!(self.stats, tx_delayed_ctrl, 1);
-                }
+                bump!(self.stats, is_data => tx_delayed_data | tx_delayed_ctrl);
                 out.sent += 1;
                 continue;
             }
-            let dup = u < f.drop + f.delay + f.duplicate;
+            let dup = u < f.loss + f.delay + f.duplicate;
             let corrupt = f.corrupt > 0.0 && self.rng.next_f64() < f.corrupt;
             // Corruption mutates only the staging copy, so a duplicate
             // staged from the same source bytes goes out clean.
             self.stage_tx(bytes, dest, corrupt, &mut out)?;
             if corrupt {
-                if is_data {
-                    bump!(self.stats, tx_corrupted_data, 1);
-                } else {
-                    bump!(self.stats, tx_corrupted_ctrl, 1);
-                }
+                bump!(self.stats, is_data => tx_corrupted_data | tx_corrupted_ctrl);
             }
             if dup {
                 self.stage_tx(bytes, dest, false, &mut out)?;
-                if is_data {
-                    bump!(self.stats, tx_duplicated_data, 1);
-                } else {
-                    bump!(self.stats, tx_duplicated_ctrl, 1);
-                }
+                bump!(self.stats, is_data => tx_duplicated_data | tx_duplicated_ctrl);
             }
         }
         if !self.stage_queue.is_empty() {
@@ -731,80 +568,78 @@ impl BatchIo for FaultedIo {
 }
 
 #[cfg(test)]
-mod config_tests {
+mod plan_tests {
     use super::*;
+    use dcsim::packet::AgentId;
+    use dcsim::time::SimDuration;
 
-    #[test]
-    fn validate_accepts_presets() {
-        FaultConfig::none(1).validate().unwrap();
-        FaultConfig::soak(1, Duration::from_secs(60))
-            .validate()
-            .unwrap();
+    fn ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// Ports past the outbound one, a second entry on one port and
+    /// crashes are refused by name; an invalid plan by its own error.
     #[test]
-    fn validate_rejects_bad_probabilities() {
-        let mut c = FaultConfig::none(1);
-        c.rx.drop = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = FaultConfig::none(1);
-        c.tx.drop = 0.6;
-        c.tx.delay = 0.6;
-        c.tx.delay_ms = 5;
-        assert!(c.validate().is_err(), "cascade sum over 1 rejected");
-        let mut c = FaultConfig::none(1);
-        c.rx.delay = 0.1;
-        assert!(c.validate().is_err(), "delay without delay_ms rejected");
-        let mut c = FaultConfig::none(1);
-        c.synth.recv_again = -0.1;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_bad_blackouts() {
-        let mut c = FaultConfig::none(1);
-        c.blackouts = vec![BlackoutWindow {
-            start_ms: 5,
-            end_ms: 5,
-        }];
-        assert!(c.validate().is_err(), "empty window rejected");
-        c.blackouts = vec![
-            BlackoutWindow {
-                start_ms: 0,
-                end_ms: 10,
-            },
-            BlackoutWindow {
-                start_ms: 5,
-                end_ms: 20,
-            },
-        ];
-        assert!(c.validate().is_err(), "overlap rejected");
-        c.blackouts = vec![
-            BlackoutWindow {
-                start_ms: 0,
-                end_ms: 10,
-            },
-            BlackoutWindow {
-                start_ms: 10,
-                end_ms: 20,
-            },
-        ];
-        assert!(c.validate().is_ok(), "adjacent windows fine");
+    fn the_shim_refuses_what_it_cannot_model() {
+        assert_eq!(check_plan(&FaultPlan::new()), Ok(()));
+        assert_eq!(
+            check_plan(&FaultPlan::new().port_loss(PortId(2), 0.1)),
+            Err(FaultError::UnknownPort {
+                port: PortId(2),
+                ports: 2
+            })
+        );
+        let errors = SyscallErrors {
+            port: INBOUND,
+            again: 0.1,
+            nobufs: 0.0,
+        };
+        for (plan, entry) in [
+            (
+                FaultPlan::new().crash_agent(AgentId(0), ms(1)),
+                "agent crashes",
+            ),
+            (FaultPlan::new().crash_shard(0, ms(1)), "shard crashes"),
+            (
+                FaultPlan::new()
+                    .port_loss(OUTBOUND, 0.1)
+                    .port_corruption(OUTBOUND, 0.1),
+                "two impairments on one port",
+            ),
+            (
+                FaultPlan {
+                    syscall_errors: vec![errors, errors],
+                    ..FaultPlan::new()
+                },
+                "two syscall-error entries on one port",
+            ),
+        ] {
+            let interpreter = "the relay's socket shim";
+            let refused = Err(FaultError::Unsupported { interpreter, entry });
+            assert_eq!(check_plan(&plan), refused);
+        }
+        let invalid = FaultPlan::new().port_loss(INBOUND, 1.5);
+        assert_eq!(check_plan(&invalid), invalid.validate());
     }
 
     #[test]
     fn blackout_membership() {
-        let c = FaultConfig {
-            blackouts: vec![BlackoutWindow {
-                start_ms: 10,
-                end_ms: 20,
-            }],
-            ..FaultConfig::none(1)
-        };
-        assert!(!c.in_blackout(9));
-        assert!(c.in_blackout(10));
-        assert!(c.in_blackout(19));
-        assert!(!c.in_blackout(20));
+        let plan = FaultPlan::new()
+            .link_down_window(INBOUND, ms(10), ms(20))
+            .link_down(OUTBOUND, ms(30));
+        let (rx, tx) = (
+            Direction::of(&plan, INBOUND),
+            Direction::of(&plan, OUTBOUND),
+        );
+        assert!(!rx.in_blackout(ms(9)));
+        assert!(rx.in_blackout(ms(10)));
+        assert!(rx.in_blackout(SimTime(ms(20).0 - 1)));
+        assert!(!rx.in_blackout(ms(20)));
+        assert!(
+            !tx.in_blackout(ms(15)),
+            "a window darkens its own direction"
+        );
+        assert!(tx.in_blackout(ms(30)) && tx.in_blackout(ms(60_000)));
     }
 
     #[test]
@@ -815,7 +650,6 @@ mod config_tests {
             ..FaultSnapshot::default()
         };
         assert_eq!(s.rx_delay_pending(), 3);
-        assert_eq!(s.total_events(), 10);
     }
 }
 
@@ -825,25 +659,34 @@ mod io_tests {
     use super::*;
     use crate::batch::{self, RecvRing, SendQueue};
     use crate::wire::WireHeader;
+    use dcsim::time::SimDuration;
     use std::net::UdpSocket;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().expect("addr")
     }
 
-    fn faulted(cfg: FaultConfig) -> (FaultedIo, Arc<FaultStats>, SocketAddr) {
-        faulted_on(SocketLayer::Auto, cfg)
+    /// A plan holding one impairment.
+    fn impaired(imp: PortImpairment) -> FaultPlan {
+        FaultPlan {
+            impairments: vec![imp],
+            ..FaultPlan::new()
+        }
+    }
+
+    fn faulted(plan: FaultPlan, seed: u64) -> (FaultedIo, Arc<FaultStats>, SocketAddr) {
+        faulted_on(SocketLayer::Auto, plan, seed)
     }
 
     fn faulted_on(
         layer: SocketLayer,
-        cfg: FaultConfig,
+        plan: FaultPlan,
+        seed: u64,
     ) -> (FaultedIo, Arc<FaultStats>, SocketAddr) {
         let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), layer).unwrap();
         let addr = inner.local_addr().unwrap();
         let stats = Arc::new(FaultStats::default());
-        let seed = cfg.seed;
-        let io = FaultedIo::new(inner, cfg, seed, Instant::now(), stats.clone());
+        let io = FaultedIo::new(inner, &plan, seed, Instant::now(), stats.clone());
         (io, stats, addr)
     }
 
@@ -869,13 +712,7 @@ mod io_tests {
 
     #[test]
     fn full_drop_eats_everything_and_counts() {
-        let (mut io, stats, addr) = faulted(FaultConfig {
-            rx: DirectionFaults {
-                drop: 1.0,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(7)
-        });
+        let (mut io, stats, addr) = faulted(FaultPlan::new().port_loss(INBOUND, 1.0), 7);
         let sender = UdpSocket::bind(loopback()).unwrap();
         for seq in 0..10u64 {
             sender
@@ -890,14 +727,14 @@ mod io_tests {
 
     #[test]
     fn delayed_datagrams_arrive_late_but_arrive() {
-        let (mut io, stats, addr) = faulted(FaultConfig {
-            rx: DirectionFaults {
+        let (mut io, stats, addr) = faulted(
+            impaired(PortImpairment {
                 delay: 1.0,
-                delay_ms: 10,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(11)
-        });
+                delay_max: SimDuration::from_millis(10),
+                ..PortImpairment::none(INBOUND)
+            }),
+            11,
+        );
         let sender = UdpSocket::bind(loopback()).unwrap();
         for seq in 0..5u64 {
             sender
@@ -919,13 +756,7 @@ mod io_tests {
 
     #[test]
     fn corruption_smashes_magic_deterministically() {
-        let (mut io, stats, addr) = faulted(FaultConfig {
-            rx: DirectionFaults {
-                corrupt: 1.0,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(13)
-        });
+        let (mut io, stats, addr) = faulted(FaultPlan::new().port_corruption(INBOUND, 1.0), 13);
         let sender = UdpSocket::bind(loopback()).unwrap();
         sender
             .send_to(&WireHeader::data(1, 0, 1).encode(&[0]), addr)
@@ -942,13 +773,13 @@ mod io_tests {
 
     #[test]
     fn duplicates_add_extra_copies() {
-        let (mut io, stats, addr) = faulted(FaultConfig {
-            rx: DirectionFaults {
+        let (mut io, stats, addr) = faulted(
+            impaired(PortImpairment {
                 duplicate: 1.0,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(17)
-        });
+                ..PortImpairment::none(INBOUND)
+            }),
+            17,
+        );
         let sender = UdpSocket::bind(loopback()).unwrap();
         for seq in 0..4u64 {
             sender
@@ -977,16 +808,15 @@ mod io_tests {
         for layer in [SocketLayer::Auto, SocketLayer::Fallback] {
             let (mut io, stats, addr) = faulted_on(
                 layer,
-                FaultConfig {
-                    rx: DirectionFaults {
-                        drop: 0.2,
-                        corrupt: 0.2,
-                        duplicate: 0.2,
-                        delay: 0.2,
-                        delay_ms: 5,
-                    },
-                    ..FaultConfig::none(37)
-                },
+                impaired(PortImpairment {
+                    loss: 0.2,
+                    corrupt: 0.2,
+                    duplicate: 0.2,
+                    delay: 0.2,
+                    delay_max: SimDuration::from_millis(5),
+                    ..PortImpairment::none(INBOUND)
+                }),
+                37,
             );
             // Same-length DATA toward one address, a full flush at a time:
             // on Linux each flush travels (and lands) as one train.
@@ -1064,13 +894,12 @@ mod io_tests {
 
     #[test]
     fn blackout_blackholes_and_then_recovers() {
-        let (mut io, stats, addr) = faulted(FaultConfig {
-            blackouts: vec![BlackoutWindow {
-                start_ms: 0,
-                end_ms: 100,
-            }],
-            ..FaultConfig::none(19)
-        });
+        let window = FaultPlan::new().link_down_window(
+            INBOUND,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_millis(100),
+        );
+        let (mut io, stats, addr) = faulted(window, 19);
         let sender = UdpSocket::bind(loopback()).unwrap();
         sender
             .send_to(&WireHeader::data(1, 0, 1).encode(&[0]), addr)
@@ -1091,56 +920,127 @@ mod io_tests {
         assert_eq!(got, 1, "traffic flows after the window");
     }
 
+    /// A receive that blocks until a datagram arrives, as one on a socket
+    /// with a longer timeout than [`crate::batch::RECV_POLL`] would.
+    struct BlockingRecv(Box<dyn BatchIo>);
+
+    impl BatchIo for BlockingRecv {
+        fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
+            loop {
+                let got = self.0.recv_batch(ring)?;
+                if got > 0 {
+                    return Ok(got);
+                }
+            }
+        }
+
+        fn send_batch(&mut self, ring: &RecvRing, queue: &SendQueue) -> io::Result<SendOutcome> {
+            self.0.send_batch(ring, queue)
+        }
+
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            self.0.local_addr()
+        }
+
+        fn layer(&self) -> SocketLayer {
+            self.0.layer()
+        }
+    }
+
+    /// A receive is judged by when its datagrams arrived: one that starts
+    /// before a blackout opens and returns with a datagram sent during it
+    /// is blackholed, however long the receive blocked.
+    #[test]
+    fn a_receive_spanning_the_blackout_start_is_blackholed() {
+        let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), SocketLayer::Auto).unwrap();
+        let addr = inner.local_addr().unwrap();
+        let stats = Arc::new(FaultStats::default());
+        let t0 = Duration::from_millis(50);
+        let window = FaultPlan::new().link_down_window(
+            INBOUND,
+            SimTime::ZERO + SimDuration::from_millis(50),
+            SimTime::ZERO + SimDuration::from_secs(30),
+        );
+        let epoch = Instant::now();
+        let mut io = FaultedIo::new(
+            Box::new(BlockingRecv(inner)),
+            &window,
+            5,
+            epoch,
+            stats.clone(),
+        );
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(t0 * 2);
+            UdpSocket::bind(loopback())
+                .unwrap()
+                .send_to(&WireHeader::data(1, 0, 1).encode(&[0]), addr)
+                .unwrap();
+        });
+        let mut ring = RecvRing::new();
+        assert!(
+            epoch.elapsed() < t0,
+            "the receive starts before the blackout"
+        );
+        let got = io.recv_batch(&mut ring).unwrap();
+        sender.join().unwrap();
+        assert_eq!(got, 0, "the datagram arrived inside the blackout");
+        assert_eq!(stats.snapshot().rx_blackholed, 1);
+    }
+
     #[test]
     fn synthetic_recv_errors_are_transient_kinds() {
-        let (mut io, stats, _addr) = faulted(FaultConfig {
-            synth: SynthErrors {
-                recv_again: 1.0,
-                ..SynthErrors::none()
-            },
-            ..FaultConfig::none(23)
-        });
+        let errors = FaultPlan {
+            syscall_errors: vec![SyscallErrors {
+                port: INBOUND,
+                again: 1.0,
+                nobufs: 0.0,
+            }],
+            ..FaultPlan::new()
+        };
+        let (mut io, stats, _addr) = faulted(errors, 23);
         let mut ring = RecvRing::new();
         let err = io.recv_batch(&mut ring).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         assert!(stats.snapshot().synth_recv_errors >= 1);
     }
 
+    /// An outbound drop, or a blackout of the outbound direction, eats a
+    /// DATA datagram and a NACK, counts each by its class, and reports
+    /// both sent, as the kernel would have taken them.
     #[test]
     fn tx_drop_counts_by_class() {
-        let (mut io, stats, _addr) = faulted(FaultConfig {
-            tx: DirectionFaults {
-                drop: 1.0,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(29)
-        });
-        let peer = UdpSocket::bind(loopback()).unwrap();
-        let peer_addr = peer.local_addr().unwrap();
-        let mut ring = RecvRing::new();
-        let mut queue = SendQueue::new();
-        let (slot, len) = ring
-            .stage(|buf| WireHeader::data(1, 0, 1).encode_into(buf, &[0]))
-            .unwrap();
-        queue.push_slot(slot, len, peer_addr);
-        queue.push_nack(1, 5, peer_addr);
-        let out = io.send_batch(&ring, &queue).unwrap();
-        assert_eq!(out.sent, 2, "drops are 'accepted' from the caller's view");
-        let snap = stats.snapshot();
-        assert_eq!(snap.tx_dropped_data, 1);
-        assert_eq!(snap.tx_dropped_ctrl, 1);
+        let blackout = FaultPlan::new().link_down(OUTBOUND, SimTime::ZERO);
+        for plan in [FaultPlan::new().port_loss(OUTBOUND, 1.0), blackout] {
+            let (mut io, stats, _addr) = faulted(plan, 29);
+            let peer = UdpSocket::bind(loopback()).unwrap().local_addr().unwrap();
+            let mut ring = RecvRing::new();
+            let mut queue = SendQueue::new();
+            let (slot, len) = ring
+                .stage(|buf| WireHeader::data(1, 0, 1).encode_into(buf, &[0]))
+                .unwrap();
+            queue.push_slot(slot, len, peer);
+            queue.push_nack(1, 5, peer);
+            let out = io.send_batch(&ring, &queue).unwrap();
+            assert_eq!(out.sent, 2, "drops are 'accepted' from the caller's view");
+            let s = stats.snapshot();
+            let eaten = [
+                s.tx_dropped_data + s.tx_blackholed_data,
+                s.tx_dropped_ctrl + s.tx_blackholed_ctrl,
+            ];
+            assert_eq!(eaten, [1, 1], "{s:?}");
+        }
     }
 
     #[test]
     fn tx_delay_releases_to_the_wire() {
-        let (mut io, stats, _addr) = faulted(FaultConfig {
-            tx: DirectionFaults {
+        let (mut io, stats, _addr) = faulted(
+            impaired(PortImpairment {
                 delay: 1.0,
-                delay_ms: 10,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(31)
-        });
+                delay_max: SimDuration::from_millis(10),
+                ..PortImpairment::none(OUTBOUND)
+            }),
+            31,
+        );
         let peer = UdpSocket::bind(loopback()).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         let peer_addr = peer.local_addr().unwrap();
@@ -1178,16 +1078,10 @@ mod io_tests {
     fn same_seed_same_fault_schedule() {
         // Deterministic replay: feed two shims the same traffic shape and
         // seed; their fault decisions must be identical.
-        let cfg = FaultConfig {
-            rx: DirectionFaults {
-                drop: 0.5,
-                ..DirectionFaults::none()
-            },
-            ..FaultConfig::none(42)
-        };
+        let plan = FaultPlan::new().port_loss(INBOUND, 0.5);
         let mut survivors = Vec::new();
         for _run in 0..2 {
-            let (mut io, stats, addr) = faulted(cfg.clone());
+            let (mut io, stats, addr) = faulted(plan.clone(), 42);
             let sender = UdpSocket::bind(loopback()).unwrap();
             // One datagram per recv call so both runs batch identically.
             let mut kept = Vec::new();

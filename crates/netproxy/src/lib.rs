@@ -58,9 +58,7 @@ pub(crate) mod testutil;
 pub mod wire;
 
 pub use batch::{BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
-pub use fault::{
-    BlackoutWindow, DirectionFaults, FaultConfig, FaultSnapshot, FaultStats, FaultedIo, SynthErrors,
-};
+pub use fault::{FaultSnapshot, FaultStats, FaultedIo};
 pub use loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats, TcpLoadGen, TcpSink};
 pub use naive::NaiveProxy;
 pub use shard::{

@@ -41,13 +41,14 @@
 //!   losses.
 
 use crate::batch::{self, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
-use crate::fault::{is_data_bytes, FaultConfig, FaultSnapshot, FaultStats, FaultedIo};
+use crate::fault::{self, is_data_bytes, FaultSnapshot, FaultStats, FaultedIo};
 use crate::streamlined::{decide, Action};
 use crate::supervisor::{
     self, ChaosKind, ShardSlot, SupervisorConfig, SupervisorShared, SupervisorStats,
 };
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::wire::{rewrite_data_to_nack, rewrite_trimmed_to_nack, WireHeader, WIRE_HEADER_LEN};
+use dcsim::faults::FaultPlan;
 use incast_core::lossdetect::LossDetectorConfig;
 use incast_core::relay::Detector;
 use std::hash::{BuildHasher, RandomState};
@@ -78,10 +79,11 @@ pub struct RelayConfig {
     pub detector: LossDetectorConfig,
     /// Quiescence-sweep period ([`RelayKind::Detecting`] only).
     pub sweep_interval: Duration,
-    /// Fault injection wrapped around every shard socket (`None` = the
-    /// clean datapath; the hot path pays nothing). Blackout offsets are
-    /// measured from [`ShardedRelay::start`].
-    pub faults: Option<FaultConfig>,
+    /// A fault plan and its RNG seed, run by a [`FaultedIo`] wrapped
+    /// around every shard socket (`None` = the clean datapath; the hot
+    /// path pays nothing). Blackout offsets are measured from
+    /// [`ShardedRelay::start`].
+    pub faults: Option<(FaultPlan, u64)>,
     /// Overload admission control (`None` = forward everything, the
     /// pre-shedding behavior; the hot path pays nothing).
     pub overload: Option<OverloadConfig>,
@@ -691,11 +693,12 @@ impl ShardedRelay {
     ///
     /// # Errors
     /// Socket/bind errors, `Unsupported` for a forced-mmsg layer off
-    /// Linux, or `InvalidInput` for an invalid fault/overload config.
+    /// Linux, or `InvalidInput` for an overload config or fault plan that
+    /// is invalid, or that the socket shim cannot run
+    /// ([`fault::check_plan`]).
     pub fn start(listen: SocketAddr, config: RelayConfig) -> io::Result<ShardedRelay> {
-        if let Some(fc) = &config.faults {
-            fc.validate()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        if let Some((plan, _)) = &config.faults {
+            fault::check_plan(plan).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
         if let Some(ov) = &config.overload {
             ov.validate()
@@ -743,16 +746,16 @@ impl ShardedRelay {
                 };
                 let inner = batch::open(socket, config.layer)?;
                 let io: Box<dyn BatchIo> = match &config.faults {
-                    Some(fc) => {
+                    Some((plan, seed)) => {
                         // Per shard × generation fault stream: a restart
                         // never replays the exact fault sequence that
                         // killed (or starved) the previous incarnation,
                         // while the run stays seed-reproducible.
                         let seed =
-                            trace::derive_seed(fc.seed, ((shard_id as u64) << 32) | generation);
+                            trace::derive_seed(*seed, ((shard_id as u64) << 32) | generation);
                         Box::new(FaultedIo::new(
                             inner,
-                            fc.clone(),
+                            plan,
                             seed,
                             epoch,
                             fault_stats.clone(),
@@ -1609,6 +1612,31 @@ mod tests {
         .expect("relay starts")
     }
 
+    /// A plan the shim cannot run, or an invalid one, stops the relay
+    /// before it binds anything.
+    #[test]
+    fn start_refuses_a_plan_the_shim_cannot_run() {
+        use dcsim::packet::{AgentId, PortId};
+        use dcsim::time::SimTime;
+        for plan in [
+            FaultPlan::new().port_loss(PortId(2), 0.1),
+            FaultPlan::new().crash_agent(AgentId(0), SimTime::ZERO),
+            FaultPlan::new().crash_shard(0, SimTime::ZERO),
+            FaultPlan::new().port_loss(fault::INBOUND, 1.5),
+        ] {
+            let config = RelayConfig {
+                faults: Some((plan.clone(), 1)),
+                ..RelayConfig::streamlined(loopback())
+            };
+            let err = ShardedRelay::start(loopback(), config)
+                .err()
+                .expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{plan:?}");
+            let why = fault::check_plan(&plan).unwrap_err().to_string();
+            assert_eq!(err.to_string(), why);
+        }
+    }
+
     #[test]
     fn streamlined_forwards_data_both_layers() {
         for layer in layers() {
@@ -2045,7 +2073,7 @@ mod tests {
     /// `send_err_ctrl` and the failure is an `io_retries`, as for a batch.
     #[test]
     fn a_failed_sweep_send_is_counted_both_layers() {
-        use crate::fault::SynthErrors;
+        use dcsim::faults::SyscallErrors;
         for layer in layers() {
             let receiver = UdpSocket::bind(loopback()).unwrap();
             let mut relay = ShardedRelay::start(
@@ -2056,13 +2084,17 @@ mod tests {
                     layer,
                     sweep_interval: Duration::from_millis(30),
                     // Every non-empty send fails with the synthetic ENOBUFS.
-                    faults: Some(FaultConfig {
-                        synth: SynthErrors {
-                            send_nobufs: 1.0,
-                            ..SynthErrors::none()
+                    faults: Some((
+                        FaultPlan {
+                            syscall_errors: vec![SyscallErrors {
+                                port: fault::OUTBOUND,
+                                again: 0.0,
+                                nobufs: 1.0,
+                            }],
+                            ..FaultPlan::new()
                         },
-                        ..FaultConfig::none(1)
-                    }),
+                        1,
+                    )),
                     ..RelayConfig::streamlined(receiver.local_addr().unwrap())
                 },
             )

@@ -76,9 +76,11 @@ for example in orchestrated_incasts storage_reconstruction operator_loop; do
   cargo run --release --offline -q --example "$example"
 done
 
-echo "== netproxy chaos soak (bounded: 5 s, faults + mid-run crash + overload ladder, ledger-verified)"
-cargo run --release --offline -q -p bench --bin netproxy_soak -- \
-  --duration-s 5 --rate 30000 --overload-pps 9000 --json
+# Six 2-3 s scenarios, run one at a time: ~20 s on 2 vCPUs. A failure
+# shrinks in at most 8 runs of ~3.5 s, so a failing campaign ends within
+# about 3 minutes even if every scenario fails.
+echo "== soak fuzz (the live relay under fault plans, mid-run crash/wedge and the shed ladder, ledger-verified; repros land in target/fuzz-repros)"
+cargo run --release --offline -q -p bench --bin fuzz -- --soak --count 6 --start-seed 1 --shrink-budget 8
 
 echo "== chaos fuzz (bounded campaign, fixed seed range; repros land in target/fuzz-repros)"
 cargo run --release --offline -q -p bench --bin fuzz -- --count 500 --start-seed 1
