@@ -14,10 +14,11 @@
 //! pure decision function [`netproxy::decide`] (the entire critical-path
 //! logic, our eBPF-bytecode analogue), sampled per packet; the upper
 //! bound is the same function where it runs in production — inside a
-//! one-shard [`ShardedRelay`] behind real UDP sockets over loopback,
-//! through the full host network stack. Its samples run from a receive
-//! batch's arrival in user space through classify, the send syscall and
-//! the counter flush, divided by the batch's datagram count: the table's
+//! one-shard `ShardedRelay` behind real UDP sockets over loopback,
+//! through the full host network stack, in one [`live::run`] whose ledger
+//! must balance. Its samples run from a receive batch's arrival in user
+//! space through classify, the send syscall and the counter flush,
+//! divided by the batch's datagram count: the table's
 //! upper-bound column is that amortised per-datagram share, and the
 //! average batch size is printed beside it (the open-loop generator
 //! releases its schedule in bursts of up to 2 ms, so batches are tens of
@@ -33,11 +34,10 @@
 //! Run with: `cargo run --release -p bench --bin fig5 [--quick]`
 
 use bench::fuzz::mini_json::Json;
+use bench::live::{self, LiveRun, Path};
 use bench::{banner, json_line, RunOptions};
 use netproxy::wire::WireHeader;
-use netproxy::{
-    decide, Action, BatchLoadGen, BatchSink, RelayConfig, RelayStats, ShardedRelay, SocketLayer,
-};
+use netproxy::{decide, Action, BatchLoadGen, RelayKind, RelayStats, SocketLayer};
 use std::time::{Duration, Instant};
 use trace::{Cdf, LatencyRecorder, SplitMix64, Table};
 
@@ -74,19 +74,9 @@ fn lower_bound_cdf(samples: usize) -> Cdf {
 }
 
 /// Upper bound: the same decisions where the relay makes them — one shard
-/// behind real UDP sockets (full stack). Returns the relay's counters too.
+/// behind real UDP sockets (full stack), one live run judged by the live
+/// ledger. Returns the relay's counters too.
 fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
-    // simlint: allow(wall-clock) — timestamp base of a live-socket run
-    let epoch = Instant::now();
-    let sink = BatchSink::start(1, SocketLayer::Auto, epoch).expect("sink");
-    let relay = ShardedRelay::start(
-        "127.0.0.1:0".parse().expect("addr"),
-        RelayConfig {
-            shards: 1,
-            ..RelayConfig::streamlined(sink.local_addr())
-        },
-    )
-    .expect("relay");
     // The paper's iperf shape, rate-scaled: 200 Mbit/s of 1400 B datagrams
     // on one flow, a fifth of them trimmed on the way.
     let load = BatchLoadGen {
@@ -103,16 +93,18 @@ fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
         "driving {} datagrams/s (1400 B, 20% trimmed) for {duration:?} ...",
         load.rate_pps
     );
-    let report = load.run(relay.local_addr(), epoch).expect("load");
-    // simlint: allow(wall-clock) — drain deadline for live sockets
-    let drain = Instant::now();
-    while relay.stats().received < report.delivered() && drain.elapsed() < Duration::from_secs(2) {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    (
-        relay.recorder().cdf_micros().expect("samples"),
-        relay.stats(),
-    )
+    let path = Path::Sharded {
+        kind: RelayKind::Streamlined,
+        shards: 1,
+    };
+    let outcome = live::run(&LiveRun::clean(path, load));
+    assert!(
+        outcome.ledger.passed(),
+        "the upper-bound run lost datagrams: {:?}\n{}",
+        outcome.ledger.failed,
+        outcome.ledger
+    );
+    (outcome.batch_share.expect("samples"), outcome.counts.relay)
 }
 
 fn main() {

@@ -23,6 +23,7 @@ use std::sync::Mutex;
 pub mod cpfuzz;
 pub mod figures;
 pub mod fuzz;
+pub mod live;
 pub mod soak;
 
 /// Command-line options shared by the reproduction binaries.
@@ -250,29 +251,6 @@ pub fn json_line(figure: &str, mut point: Vec<(&str, Json)>) -> String {
 /// The standard figure banner: a title line and a blank line.
 pub fn banner(figure: &str, description: &str) -> String {
     format!("== {figure}: {description} ==\n\n")
-}
-
-/// Retries `op` with bounded backoff while it fails with `AddrInUse`.
-///
-/// Live-socket runs start reuseport groups back to back; on some kernels
-/// a just-closed group's port lingers briefly and an unlucky
-/// ephemeral-port reuse fails with EADDRINUSE. That's a startup race, not
-/// a datapath bug, so it gets a handful of spaced retries before it is
-/// allowed to kill the run.
-pub fn retry_addr_in_use<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    const ATTEMPTS: u32 = 5;
-    let mut backoff = std::time::Duration::from_millis(10);
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempt + 1 < ATTEMPTS => {
-                attempt += 1;
-                std::thread::sleep(backoff);
-                backoff *= 2; // 10/20/40/80 ms, then give up
-            }
-            other => return other,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,8 @@
-//! The soak family (`"soak"`): the live sharded relay on loopback
-//! sockets, under a [`FaultPlan`] run by its socket shim, a mid-run shard
-//! crash and wedge and the overload shed ladder, judged by a strict
-//! packet-accounting ledger — **zero unexplained loss**. Every datagram
-//! the generator delivered must be explained by a sink arrival, a NACK, a
-//! counted relay-side decision (drop / shed / coalesce), a counted fault
-//! event (drop / blackhole / pending delay / corruption), a counted send
-//! error, or the bounded crash-loss budget (one second of traffic).
+//! The soak family (`"soak"`): the live streamlined [`ShardedRelay`] on
+//! loopback sockets, under a [`FaultPlan`] run by its socket shim, a
+//! mid-run shard crash and wedge and the overload shed ladder. A soak is
+//! one [`live::run`], judged by the live ledger ([`live::judge`]): zero
+//! unexplained loss, with one second of traffic as the crash-loss budget.
 //!
 //! A run's outcome is the set of ledger checks that failed. Only that set
 //! is compared when a replay runs a scenario twice: the counts behind the
@@ -13,22 +10,18 @@
 //! they go to [`Family::details`] and nowhere else. A campaign runs one
 //! scenario at a time ([`Family::SERIAL`]) for the same reason.
 //!
-//! The ledger is streamlined-relay-only: streamlined is the only
-//! datagram-conserving variant (detecting can emit several NACKs per
-//! arrival), so it is the one whose books can be balanced exactly.
+//! [`ShardedRelay`]: netproxy::shard::ShardedRelay
 
 use crate::fuzz::mini_json::Json;
 use crate::fuzz::{plan_fields, plan_from_value, Family};
-use crate::retry_addr_in_use;
+use crate::live::{self, Ledger, LiveRun, Path};
 use dcsim::faults::{FaultPlan, PortImpairment, SyscallErrors};
 use dcsim::time::{SimDuration, SimTime};
 use netproxy::fault::{check_plan, INBOUND, OUTBOUND};
-use netproxy::loadgen::{BatchLoadGen, BatchSink};
-use netproxy::shard::{OverloadConfig, RelayConfig, ShardedRelay};
-use netproxy::supervisor::SupervisorConfig;
+use netproxy::loadgen::BatchLoadGen;
+use netproxy::shard::RelayKind;
 use netproxy::SocketLayer;
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use trace::{derive_seed, SplitMix64};
 
 /// One soak: the relay's faults, its shape, the load it carries and the
@@ -84,87 +77,17 @@ impl SoakScenario {
         }
         Ok(())
     }
-
-    fn chaos_on(&self) -> bool {
-        self.crash_at_ms.is_some() || self.wedge_at_ms.is_some()
-    }
 }
 
-/// What one soak came to.
-#[derive(Debug, Clone)]
-pub struct SoakOutcome {
-    /// Names of the ledger checks that failed, in ledger order.
-    pub failed: Vec<&'static str>,
-    /// The run's counts, then every check with the numbers behind it.
-    pub ledger: Vec<String>,
-}
-
-/// Two soaks agree when the same checks failed; their counts never do.
-impl PartialEq for SoakOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.failed == other.failed
-    }
-}
-
-impl SoakOutcome {
-    /// Writes one check into the ledger: its name, verdict and numbers.
-    fn check(&mut self, name: &'static str, pass: bool, detail: String) {
-        if !pass {
-            self.failed.push(name);
-        }
-        let verdict = if pass { "ok" } else { "FAIL" };
-        self.ledger.push(format!("[{verdict}] {name}: {detail}"));
-    }
-}
-
-fn run_soak(sc: &SoakScenario) -> SoakOutcome {
-    let duration = Duration::from_millis(sc.duration_ms);
-    // simlint: allow(wall-clock) — a soak measures real elapsed time
-    let epoch = Instant::now();
-    let sink = retry_addr_in_use(|| BatchSink::start(1, sc.layer, epoch)).expect("sink");
-    let faults = (!sc.faults.is_empty()).then(|| (sc.faults.clone(), sc.fault_seed));
-    let relay = retry_addr_in_use(|| {
-        ShardedRelay::start(
-            SocketAddr::from(([127, 0, 0, 1], 0)),
-            RelayConfig {
-                shards: sc.shards,
-                layer: sc.layer,
-                faults: faults.clone(),
-                overload: (sc.overload_pps > 0)
-                    .then(|| OverloadConfig::shed_at(sc.overload_pps as f64)),
-                supervisor: SupervisorConfig {
-                    poll: Duration::from_millis(25),
-                    wedge_timeout: Duration::from_millis(400),
-                    ..SupervisorConfig::default()
-                },
-                ..RelayConfig::streamlined(sink.local_addr())
-            },
-        )
-    })
-    .expect("relay");
-    let shards = relay.shards();
-
-    // Chaos, each event on a timer thread while the generator pushes
-    // load: shard 0 crashes, the last shard wedges.
-    let chaos = (sc.crash_at_ms.map(|at| (at, true)).into_iter())
-        .chain(sc.wedge_at_ms.map(|at| (at, false)));
-    let report = std::thread::scope(|scope| {
-        let relay = &relay;
-        for (at, crash) in chaos {
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(at));
-                if crash {
-                    relay.inject_crash(0);
-                } else {
-                    relay.inject_wedge(shards - 1);
-                }
-            });
-        }
-        let gen = BatchLoadGen {
+/// The live run a soak is: a streamlined relay carrying the scenario's
+/// load under its faults, shed ladder, crash and wedge.
+impl From<&SoakScenario> for LiveRun {
+    fn from(sc: &SoakScenario) -> Self {
+        let load = BatchLoadGen {
             threads: sc.threads,
             flows_per_thread: sc.flows_per_thread,
             rate_pps: sc.rate_pps,
-            duration,
+            duration: Duration::from_millis(sc.duration_ms),
             trim_fraction: sc.trim,
             payload_len: sc.payload,
             layer: sc.layer,
@@ -172,236 +95,20 @@ fn run_soak(sc: &SoakScenario) -> SoakOutcome {
             // windows); give backflow a real chance to land.
             drain_grace: Duration::from_millis(500),
         };
-        gen.run(relay.local_addr(), epoch).expect("loadgen run")
-    });
-
-    // Settle: wait for in-flight datagrams (kernel queues, delayed
-    // releases) to quiesce before snapshotting — two identical samples
-    // 100 ms apart, capped at 3 s.
-    // simlint: allow(wall-clock) — real-time drain deadline for live sockets
-    let settle = Instant::now();
-    let mut last = (0u64, 0u64, 0u64);
-    loop {
-        std::thread::sleep(Duration::from_millis(100));
-        let s = sink.stats();
-        let r = relay.stats();
-        let now = (s.received + s.trimmed + s.malformed, r.received, r.nacks);
-        if now == last || settle.elapsed() > Duration::from_secs(3) {
-            break;
+        let path = Path::Sharded {
+            kind: RelayKind::Streamlined,
+            shards: sc.shards,
+        };
+        LiveRun {
+            faults: sc.faults.clone(),
+            fault_seed: sc.fault_seed,
+            overload_pps: sc.overload_pps,
+            crash_at_ms: sc.crash_at_ms,
+            wedge_at_ms: sc.wedge_at_ms,
+            ..LiveRun::clean(path, load)
         }
-        last = now;
     }
-
-    let (r, fs, sup) = (relay.stats(), relay.fault_stats(), relay.supervisor_stats());
-    let sink_stats = sink.stats();
-    let heartbeats: Vec<u64> = (0..shards).map(|i| relay.shard_heartbeat(i)).collect();
-    let generations: Vec<u64> = (0..shards).map(|i| relay.shard_generation(i)).collect();
-    // Every count the checks read, then the checks, each with its sides.
-    let mut ledger = SoakOutcome {
-        failed: Vec::new(),
-        ledger: vec![
-            format!("generator: {report:?}"),
-            format!("relay on {}: {r:?}", relay.layer().name()),
-            format!("sink: {sink_stats:?}"),
-            format!("faults: {fs:?}"),
-            format!("supervisor: {sup:?}"),
-        ],
-    };
-
-    // eqB — relay-internal conservation (exact, always): every received
-    // datagram lands in exactly one outcome bucket.
-    let explained_b =
-        r.forwarded + r.reversed + r.dropped + r.nacks + r.nacks_coalesced + r.shed_dropped;
-    ledger.check(
-        "relay_conservation",
-        r.received == explained_b,
-        format!(
-            "received {} == forwarded + reversed + dropped + nacks + coalesced + shed_dropped {explained_b}",
-            r.received
-        ),
-    );
-
-    // Strict send-error classification: every kernel refusal is either
-    // a classified whole-batch loss or did not happen. Partial
-    // (per-datagram) refusals would be unclassifiable — on loopback at
-    // these rates they must not occur.
-    let classified = r.send_err_data + r.send_err_ctrl;
-    ledger.check(
-        "send_errors_classified",
-        r.send_errors == classified,
-        format!("send_errors {} == data + ctrl {classified}", r.send_errors),
-    );
-    ledger.check(
-        "no_release_errors",
-        fs.tx_release_errors == 0,
-        format!("tx_release_errors {}", fs.tx_release_errors),
-    );
-
-    // eqA — generator → relay, adjusted for counted rx fault events.
-    // What's left over is crash/wedge loss: packets the kernel steered
-    // into a socket that died (queue lost on close) or wedged (queue
-    // overflowed while unserviced).
-    let arrived_adj = report.delivered() + fs.rx_duplicated;
-    let rx_explained = fs.rx_dropped + fs.rx_blackholed + fs.rx_delay_pending() + r.received;
-    let crash_lost = arrived_adj as i64 - rx_explained as i64;
-    let budget = if sc.chaos_on() { sc.rate_pps as i64 } else { 0 };
-    let name_a = if sc.chaos_on() {
-        "ingress_loss_within_crash_budget"
-    } else {
-        "ingress_zero_unexplained"
-    };
-    ledger.check(
-        name_a,
-        (0..=budget).contains(&crash_lost),
-        format!(
-            "crash_lost {crash_lost} = delivered + rx_dup {arrived_adj} - rx_dropped - \
-             rx_blackholed - rx_delay_pending - relay_received {rx_explained}; budget {budget}"
-        ),
-    );
-
-    // eqC — relay → sink, adjusted for counted tx fault events on the
-    // data class. Corrupted data still arrives (as sink malformation),
-    // so corruption does not enter the balance; sink_total includes
-    // every arrival class.
-    let s = sink_stats;
-    let sink_total = s.received + s.trimmed + s.feedback + s.malformed;
-    let egress_expected = (r.forwarded + fs.tx_duplicated_data + fs.tx_delay_released_data) as i64
-        - (fs.tx_dropped_data + fs.tx_blackholed_data + fs.tx_delayed_data + r.send_err_data)
-            as i64;
-    ledger.check(
-        "egress_accounted",
-        sink_total as i64 == egress_expected,
-        format!(
-            "sink_total {sink_total} == forwarded + tx_dup_data + released - tx_dropped_data - \
-             tx_blackholed_data - tx_delayed_data - send_err_data {egress_expected}"
-        ),
-    );
-
-    // NACK backflow — relay NACKs minus counted ctrl-class tx losses
-    // bound what the generator can see; slack covers backflow still in
-    // a worker's kernel queue when its drain grace expired.
-    let nack_expected = (r.nacks + fs.tx_duplicated_ctrl + fs.tx_delay_released_ctrl) as i64
-        - (fs.tx_dropped_ctrl
-            + fs.tx_blackholed_ctrl
-            + fs.tx_delayed_ctrl
-            + fs.tx_corrupted_ctrl
-            + r.send_err_ctrl) as i64;
-    let nack_slack = (nack_expected / 20).max(128);
-    let nack_gap = nack_expected - report.nacks_received as i64;
-    ledger.check(
-        "nack_backflow_accounted",
-        (0..=nack_slack).contains(&nack_gap),
-        format!(
-            "expected {nack_expected} - received {} = gap {nack_gap} (slack {nack_slack})",
-            report.nacks_received
-        ),
-    );
-
-    // Fault shim engagement: every fault kind the plan turns on must have
-    // moved its counter — a fault that injected nothing proves nothing.
-    if !sc.faults.is_empty() {
-        let f = &sc.faults;
-        // Per direction, what moved for each kind: loss, corruption,
-        // duplication, delay, blackout, syscall errors.
-        let moved = [
-            [
-                fs.rx_dropped,
-                fs.rx_corrupted,
-                fs.rx_duplicated,
-                fs.rx_delayed,
-                fs.rx_blackholed,
-                fs.synth_recv_errors,
-            ],
-            [
-                fs.tx_dropped_data + fs.tx_dropped_ctrl,
-                fs.tx_corrupted_data + fs.tx_corrupted_ctrl,
-                fs.tx_duplicated_data + fs.tx_duplicated_ctrl,
-                fs.tx_delayed_data + fs.tx_delayed_ctrl,
-                fs.tx_blackholed_data + fs.tx_blackholed_ctrl,
-                fs.synth_send_errors,
-            ],
-        ];
-        let mut engaged = Vec::new();
-        for ((port, dir), moved) in [(INBOUND, "rx"), (OUTBOUND, "tx")].into_iter().zip(moved) {
-            let imp = f.impairments.iter().find(|i| i.port == port);
-            let p = imp.map_or([0.0; 4], |i| [i.loss, i.corrupt, i.duplicate, i.delay]);
-            let windows = f.link_windows.iter().any(|w| w.port == port);
-            let errors = f.syscall_errors.iter().any(|e| e.port == port);
-            let on = p.map(|p| p > 0.0).into_iter().chain([windows, errors]);
-            for ((kind, on), n) in KINDS.into_iter().zip(on).zip(moved) {
-                if on {
-                    engaged.push((format!("{dir}_{kind} {n}"), n));
-                }
-            }
-        }
-        let detail: Vec<&str> = engaged.iter().map(|(line, _)| line.as_str()).collect();
-        ledger.check(
-            "faults_engaged",
-            engaged.iter().all(|&(_, n)| n > 0),
-            detail.join(", "),
-        );
-    }
-
-    // Recovery: every injected chaos event was detected and the shard
-    // came back (generation advanced, nothing abandoned).
-    if sc.crash_at_ms.is_some() {
-        ledger.check(
-            "crash_recovered",
-            sup.crashes_detected >= 1 && generations[0] >= 1,
-            format!(
-                "crashes_detected {} gen[0] {}",
-                sup.crashes_detected, generations[0]
-            ),
-        );
-    }
-    if sc.wedge_at_ms.is_some() {
-        let last = generations[shards - 1];
-        ledger.check(
-            "wedge_recovered",
-            sup.wedges_detected >= 1 && last >= 1,
-            format!("wedges_detected {} gen[last] {last}", sup.wedges_detected),
-        );
-    }
-    if sc.chaos_on() {
-        ledger.check(
-            "all_shards_alive",
-            sup.gave_up == 0 && sup.restarts >= 1,
-            format!("restarts {} gave_up {}", sup.restarts, sup.gave_up),
-        );
-        // Liveness at the end of the run: heartbeats still advance.
-        std::thread::sleep(Duration::from_millis(50));
-        let beating = (0..shards).any(|s| relay.shard_heartbeat(s) > heartbeats[s]);
-        ledger.check(
-            "replacement_shards_beating",
-            beating,
-            format!("heartbeats {heartbeats:?} -> advancing {beating}"),
-        );
-    }
-
-    // Overload ladder engagement under deliberate overload.
-    if sc.overload_pps > 0 {
-        ledger.check(
-            "shed_ladder_engaged",
-            r.shed_nacked + r.shed_dropped > 0 && r.nacks_coalesced > 0,
-            format!(
-                "shed_nacked {} shed_dropped {} nacks_coalesced {}",
-                r.shed_nacked, r.shed_dropped, r.nacks_coalesced
-            ),
-        );
-    }
-    ledger
 }
-
-/// The fault kinds `faults_engaged` reads, per direction, in the order
-/// of its counters.
-const KINDS: [&str; 6] = [
-    "dropped",
-    "corrupted",
-    "duplicated",
-    "delayed",
-    "blackholed",
-    "errors",
-];
 
 const LAYER_NAMES: &[(&str, SocketLayer)] = &[
     ("auto", SocketLayer::Auto),
@@ -417,7 +124,7 @@ impl Family for Soak {
     const TAG: Option<&'static str> = Some("soak");
     const SERIAL: bool = true;
     type Scenario = SoakScenario;
-    type Outcome = SoakOutcome;
+    type Outcome = Ledger;
 
     /// Two to three seconds of the recipe's shape, each fault kind on or
     /// off per direction at rates that engage within the run (a relay
@@ -502,11 +209,11 @@ impl Family for Soak {
         sc
     }
 
-    fn run(sc: &SoakScenario) -> SoakOutcome {
-        run_soak(sc)
+    fn run(sc: &SoakScenario) -> Ledger {
+        live::run(&sc.into()).ledger
     }
 
-    fn failure_kind(outcome: &SoakOutcome) -> Option<String> {
+    fn failure_kind(outcome: &Ledger) -> Option<String> {
         outcome.failed.first().map(|name| name.to_string())
     }
 
@@ -587,8 +294,8 @@ impl Family for Soak {
         )
     }
 
-    fn details(outcome: &SoakOutcome) -> Vec<String> {
-        outcome.ledger.clone()
+    fn details(outcome: &Ledger) -> Vec<String> {
+        outcome.lines.clone()
     }
 
     fn to_value(sc: &SoakScenario) -> Json {

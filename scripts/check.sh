@@ -13,7 +13,7 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside)"
+echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live)"
 MANIFESTS="$(git ls-files '*Cargo.toml' ':!crates/perf')"
 # Inside a *dependencies table an entry is `name.workspace = true` or carries
 # `path = "..."`; a `[dependencies.name]` sub-table is not used here at all.
@@ -24,6 +24,7 @@ FOREIGN="$(awk '
 if [ -n "$FOREIGN" ]; then echo "$FOREIGN"; echo "a manifest names a crate from outside the workspace" >&2; exit 1; fi
 if grep -l -e '^\[\[bench\]\]' $MANIFESTS; then echo "a [[bench]] target is back in a manifest" >&2; exit 1; fi
 if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked again (committed numbers live in results/ and crates/perf/RECORD.json)" >&2; exit 1; fi
+if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench (every live run goes through bench::live::run)" >&2; exit 1; fi
 
 echo "== scripts parse (bash -n)"
 bash -n scripts/pairs.sh
@@ -63,7 +64,7 @@ done
 echo "== loom (bounded-exhaustive interleaving models of the lock-free shard datapath)"
 RUSTFLAGS="--cfg loom" cargo test --offline -p netproxy --test loom -q
 
-echo "== netproxy loadgen smoke (every relay variant x every socket layer, zero unexplained loss)"
+echo "== netproxy loadgen smoke (every relay path × socket layer, ledger-verified)"
 cargo run --release --offline -q -p bench --bin netproxy_load -- --smoke
 
 echo "== live figures and example (naive TCP proxy + one-shard relay on loopback; fig5 asserts batch span / decision >= 10x)"
