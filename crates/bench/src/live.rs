@@ -20,15 +20,16 @@
 use dcsim::faults::FaultPlan;
 use netproxy::fault::{FaultSnapshot, INBOUND, OUTBOUND};
 use netproxy::loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats};
-use netproxy::shard::{OverloadConfig, RelayConfig, RelayKind, RelayStats, ShardedRelay};
+use netproxy::shard::{RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay};
 use netproxy::streamlined::{decide, Action};
-use netproxy::supervisor::{SupervisorConfig, SupervisorStats};
+use netproxy::supervisor::SupervisorStats;
 use netproxy::wire::WireHeader;
 // simlint: allow(hash-collections) — keyed lookups only, the relay never iterates the map
 use std::collections::HashMap;
 use std::fmt;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::{Cdf, LogHistogram};
@@ -226,13 +227,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
                 shards,
                 layer,
                 faults: (!run.faults.is_empty()).then(|| (run.faults.clone(), run.fault_seed)),
-                overload: (run.overload_pps > 0)
-                    .then(|| OverloadConfig::shed_at(run.overload_pps as f64)),
-                supervisor: SupervisorConfig {
-                    poll: Duration::from_millis(25),
-                    wedge_timeout: Duration::from_millis(400),
-                    ..SupervisorConfig::default()
-                },
+                overload: NonZeroU64::new(run.overload_pps),
                 ..RelayConfig::streamlined(sink.local_addr())
             };
             let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
@@ -323,8 +318,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
 /// the relay's outcomes account for, and that sum in words. A
 /// Streamlined NACK, or a NACK coalesced away, answers one received
 /// trimmed header; a Detecting NACK is generated from a sequence gap and
-/// consumes nothing (so a shed ladder on a Detecting relay, which can
-/// shed a generated NACK into `shed_dropped`, fails this check). The
+/// consumes nothing, and neither does one it coalesced or refused. The
 /// sharded relay counts an outcome when it queues the datagram, so its
 /// send errors stay out (`send_errors_classified` and `egress_accounted`
 /// account for them); the reference relay counts a refused send instead
@@ -609,17 +603,12 @@ struct SingleDatagramRelay {
 }
 
 /// What [`SingleDatagramRelay`]'s thread shares with its handle: the stop
-/// flag and the counters the ledger needs (the sharded `RelayStats`
-/// fields of the same names).
+/// flag and the sharded relay's counters, of which it moves those the
+/// ledger needs.
 #[derive(Default)]
 struct SingleShared {
     stop: AtomicBool,
-    received: AtomicU64,
-    forwarded: AtomicU64,
-    nacks: AtomicU64,
-    reversed: AtomicU64,
-    dropped: AtomicU64,
-    send_errors: AtomicU64,
+    counts: ShardStats,
 }
 
 impl SingleDatagramRelay {
@@ -635,6 +624,7 @@ impl SingleDatagramRelay {
                 let mut buf = vec![0u8; 2048];
                 // simlint: allow(hash-collections) — flow→sender lookups, never iterated
                 let mut senders: HashMap<u64, SocketAddr> = HashMap::new();
+                let counts = &st.counts;
                 // ordering: Acquire — pairs with the Release store in `drop`;
                 // the 20 ms read timeout bounds how long a quiet socket
                 // keeps the thread from seeing it.
@@ -647,31 +637,31 @@ impl SingleDatagramRelay {
                     // send counts as a send error instead.
                     let sent = |result: std::io::Result<usize>, ok| match result {
                         Ok(_) => ok,
-                        Err(_) => &st.send_errors,
+                        Err(_) => &counts.send_errors,
                     };
                     let outcome = match decide(datagram) {
                         Action::ForwardToReceiver(WireHeader { flow, .. }) => {
                             senders.insert(flow, from);
-                            sent(socket.send_to(datagram, receiver), &st.forwarded)
+                            sent(socket.send_to(datagram, receiver), &counts.forwarded)
                         }
                         Action::NackToSender(WireHeader { flow, seq, .. }) => {
                             senders.insert(flow, from);
                             let nack = WireHeader::nack(flow, seq).encode(&[]);
-                            sent(socket.send_to(&nack, from), &st.nacks)
+                            sent(socket.send_to(&nack, from), &counts.nacks)
                         }
                         Action::ForwardToSender(WireHeader { flow, .. }) => {
                             match senders.get(&flow) {
                                 Some(&sender) => {
-                                    sent(socket.send_to(datagram, sender), &st.reversed)
+                                    sent(socket.send_to(datagram, sender), &counts.reversed)
                                 }
-                                None => &st.dropped,
+                                None => &counts.dropped,
                             }
                         }
-                        Action::Drop => &st.dropped,
+                        Action::Drop => &counts.dropped,
                     };
                     // ordering: Relaxed — monotone stats counters, read by
                     // a snapshot that tolerates staleness.
-                    st.received.fetch_add(1, Ordering::Relaxed);
+                    counts.received.fetch_add(1, Ordering::Relaxed);
                     outcome.fetch_add(1, Ordering::Relaxed);
                 }
             })?;
@@ -683,17 +673,9 @@ impl SingleDatagramRelay {
     }
 
     fn stats(&self) -> RelayStats {
-        RelayStats {
-            // ordering: Relaxed — monotone counters; the snapshot the
-            // ledger reads is taken once they have settled.
-            received: self.shared.received.load(Ordering::Relaxed),
-            forwarded: self.shared.forwarded.load(Ordering::Relaxed),
-            nacks: self.shared.nacks.load(Ordering::Relaxed),
-            reversed: self.shared.reversed.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
-            send_errors: self.shared.send_errors.load(Ordering::Relaxed),
-            ..RelayStats::default()
-        }
+        let mut stats = RelayStats::default();
+        stats.merge(&self.shared.counts);
+        stats
     }
 }
 
@@ -867,6 +849,26 @@ mod tests {
         let c = balanced(DETECTING);
         assert!(judge(&clean(DETECTING), &c).passed());
         assert_eq!(failed(&clean(STREAMLINED), &c), ["relay_conservation"]);
+    }
+
+    /// The shed ladder on a Detecting relay: data it shed consumed a
+    /// received datagram each, a generated NACK it coalesced or refused
+    /// consumed none, and the books balance. Counted the old way, with
+    /// refused NACKs among the shed datagrams, they do not.
+    #[test]
+    fn a_detecting_run_with_the_shed_ladder_balances() {
+        let run = LiveRun {
+            overload_pps: 500,
+            ..clean(DETECTING)
+        };
+        let mut c = balanced(DETECTING);
+        (c.relay.forwarded, c.relay.shed_dropped) = (950, 50);
+        c.sink.received -= 50;
+        (c.relay.nacks_coalesced, c.relay.nacks_refused) = (2, 4);
+        let ledger = judge(&run, &c);
+        assert!(ledger.passed(), "{ledger}");
+        c.relay.shed_dropped += std::mem::take(&mut c.relay.nacks_refused);
+        assert_eq!(failed(&run, &c), ["relay_conservation"]);
     }
 
     /// Inbound loss, a crash, a wedge and the shed ladder on a streamlined

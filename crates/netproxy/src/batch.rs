@@ -364,7 +364,7 @@ impl RecvRing {
     /// Landing area `area`: where a socket layer has the kernel write one
     /// message.
     #[inline]
-    fn landing_mut(&mut self, area: usize) -> &mut [u8] {
+    pub(crate) fn landing_mut(&mut self, area: usize) -> &mut [u8] {
         &mut self.arena[area * LANDING..][..LANDING]
     }
 
@@ -373,7 +373,7 @@ impl RecvRing {
     /// train (the last may be shorter), one view for the whole of a plain
     /// message (`segment` 0).
     #[inline]
-    fn land(&mut self, area: usize, len: usize, segment: usize, from: SocketAddr) {
+    pub(crate) fn land(&mut self, area: usize, len: usize, segment: usize, from: SocketAddr) {
         debug_assert!(len <= LANDING);
         let base = area * LANDING;
         // A plain message is its own (only) segment; so is an empty one.

@@ -53,9 +53,7 @@ use dcsim::packet::PortId;
 use dcsim::time::SimTime;
 use std::io;
 use std::net::SocketAddr;
-// Plain monotone counters with no cross-thread protocol: std atomics
-// directly (the crate::sync shim is reserved for loom-modeled types).
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::SplitMix64;
@@ -192,48 +190,31 @@ macro_rules! bump {
     };
 }
 
-/// Declares the shim's counters once: as [`FaultStats`], the atomics all
-/// shards share, and as [`FaultSnapshot`], their plain-u64 copy.
-macro_rules! fault_counters {
-    ($($field:ident)*) => {
-        /// Everything the shim did, as monotone counters shared across
-        /// shards. Outbound counters are classified data vs ctrl (DATA
-        /// flag vs ACK/NACK) because the soak ledger closes the two
-        /// directions with separate equations.
-        #[derive(Debug, Default)]
-        pub struct FaultStats {
-            $($field: AtomicU64,)*
-        }
-
-        /// Plain-u64 snapshot of [`FaultStats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        #[allow(missing_docs)]
-        pub struct FaultSnapshot {
-            $(pub $field: u64,)*
-        }
-
-        impl FaultStats {
-            /// A plain-u64 copy of every counter. Exact once the relay
-            /// has shut down.
-            pub fn snapshot(&self) -> FaultSnapshot {
-                let s = FaultSnapshot {
-                    // ordering: Relaxed — see the counter writes; snapshots
-                    // tolerate mid-batch staleness and are exact after join.
-                    $($field: self.$field.load(Ordering::Relaxed),)*
-                };
-                debug_assert!(s.rx_delay_released <= s.rx_delayed);
-                s
-            }
-        }
-    };
+counters! {
+    /// Everything the shim did, as monotone counters shared across
+    /// shards. Outbound counters are classified data vs ctrl (DATA flag vs
+    /// ACK/NACK) because the soak ledger closes the two directions with
+    /// separate equations.
+    pub struct FaultStats;
+    /// Plain-u64 snapshot of [`FaultStats`].
+    pub struct FaultSnapshot {
+        rx_dropped, rx_corrupted, rx_duplicated, rx_delayed, rx_delay_released, rx_blackholed,
+        tx_dropped_data, tx_dropped_ctrl, tx_corrupted_data, tx_corrupted_ctrl,
+        tx_duplicated_data, tx_duplicated_ctrl, tx_delayed_data, tx_delayed_ctrl,
+        tx_delay_released_data, tx_delay_released_ctrl, tx_release_errors,
+        tx_blackholed_data, tx_blackholed_ctrl, synth_recv_errors, synth_send_errors,
+    }
 }
 
-fault_counters! {
-    rx_dropped rx_corrupted rx_duplicated rx_delayed rx_delay_released rx_blackholed
-    tx_dropped_data tx_dropped_ctrl tx_corrupted_data tx_corrupted_ctrl
-    tx_duplicated_data tx_duplicated_ctrl tx_delayed_data tx_delayed_ctrl
-    tx_delay_released_data tx_delay_released_ctrl tx_release_errors
-    tx_blackholed_data tx_blackholed_ctrl synth_recv_errors synth_send_errors
+impl FaultStats {
+    /// A plain-u64 copy of every counter. Exact once the relay has shut
+    /// down.
+    pub fn snapshot(&self) -> FaultSnapshot {
+        let mut s = FaultSnapshot::default();
+        s.merge(self);
+        debug_assert!(s.rx_delay_released <= s.rx_delayed);
+        s
+    }
 }
 
 impl FaultSnapshot {

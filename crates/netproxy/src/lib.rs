@@ -18,7 +18,8 @@
 //!   [`ShardedRelay`]: a batched socket layer (`recvmmsg`/`sendmmsg` on
 //!   Linux, portable fallback elsewhere), zero-copy [`wire::DatagramView`]
 //!   parsing, and a per-core `SO_REUSEPORT`-sharded, supervised engine
-//!   with no cross-shard locks. [`RelayKind`] selects what it does with
+//!   with no cross-shard locks, each shard a run loop around a
+//!   syscall-free, clock-free step. [`RelayKind`] selects what it does with
 //!   each decision: Streamlined as above, Naive (forwards trimmed headers
 //!   too, never NACKs), or Detecting — the FW#1 variant for networks
 //!   *without* trimming support: early NACKs from gap inference
@@ -45,11 +46,15 @@
 // fns still need their own blocks.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[macro_use]
+mod counters;
+
 pub mod batch;
 pub mod fault;
 pub mod loadgen;
 pub mod naive;
 pub mod shard;
+mod step;
 pub mod streamlined;
 pub mod supervisor;
 pub(crate) mod sync;
@@ -61,9 +66,7 @@ pub use batch::{BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
 pub use fault::{FaultSnapshot, FaultStats, FaultedIo};
 pub use loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats, TcpLoadGen, TcpSink};
 pub use naive::NaiveProxy;
-pub use shard::{
-    FlowDirectory, OverloadConfig, RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay,
-};
+pub use shard::{FlowDirectory, RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay};
 pub use streamlined::{decide, Action};
-pub use supervisor::{ChaosKind, ShardSlot, SupervisorConfig, SupervisorStats};
+pub use supervisor::{ChaosKind, ShardSlot, SupervisorStats};
 pub use wire::{DatagramView, Flags, WireHeader, MAX_DATAGRAM, WIRE_HEADER_LEN};

@@ -203,10 +203,10 @@ impl BatchLoadGen {
         let mut report = BatchLoadReport::default();
         for j in joins {
             let out = j.join().expect("loadgen worker panicked")?;
-            report.sent_packets += out.sent;
-            report.sent_bytes += out.bytes;
-            report.trimmed_sent += out.trimmed;
-            report.nacks_received += out.nacks;
+            report.sent_packets += out.sent_packets;
+            report.sent_bytes += out.sent_bytes;
+            report.trimmed_sent += out.trimmed_sent;
+            report.nacks_received += out.nacks_received;
             report.send_errors += out.send_errors;
         }
         report.elapsed = start.elapsed();
@@ -214,8 +214,14 @@ impl BatchLoadGen {
     }
 
     /// One worker: a private socket, a private flow range, open-loop
-    /// pacing against its share of the aggregate rate.
-    fn worker(self, index: usize, target: SocketAddr, epoch: Instant) -> io::Result<WorkerOut> {
+    /// pacing against its share of the aggregate rate. Its report's
+    /// `elapsed` stays zero.
+    fn worker(
+        self,
+        index: usize,
+        target: SocketAddr,
+        epoch: Instant,
+    ) -> io::Result<BatchLoadReport> {
         let bind: SocketAddr = if target.is_ipv4() {
             SocketAddr::from(([127, 0, 0, 1], 0))
         } else {
@@ -234,7 +240,7 @@ impl BatchLoadGen {
         let mut seqs = vec![0u64; self.flows_per_thread];
         let mut payload = vec![0x17u8; self.payload_len];
         let mut cursor = 0usize;
-        let mut out = WorkerOut::default();
+        let mut out = BatchLoadReport::default();
         let start = Instant::now();
         while start.elapsed() < self.duration {
             let due = if pps == 0 {
@@ -242,13 +248,13 @@ impl BatchLoadGen {
             } else {
                 (start.elapsed().as_secs_f64() * pps as f64) as u64
             };
-            if out.sent >= due {
+            if out.sent_packets >= due {
                 // Ahead of schedule: spend the slack draining backflow
                 // (recv_batch blocks at most its 2 ms poll quantum).
-                drain_feedback(io.as_mut(), &mut ring, &mut out.nacks);
+                drain_feedback(io.as_mut(), &mut ring, &mut out.nacks_received);
                 continue;
             }
-            let burst = (due - out.sent).min(BATCH as u64) as usize;
+            let burst = (due - out.sent_packets).min(BATCH as u64) as usize;
             ring.reset();
             queue.clear();
             for _ in 0..burst {
@@ -272,20 +278,20 @@ impl BatchLoadGen {
                     .expect("burst <= BATCH");
                 queue.push_slot(slot, len, target);
                 if trim {
-                    out.trimmed += 1;
+                    out.trimmed_sent += 1;
                 } else {
-                    out.bytes += self.payload_len as u64;
+                    out.sent_bytes += self.payload_len as u64;
                 }
             }
             let outcome = io.send_batch(&ring, &queue)?;
-            out.sent += burst as u64;
+            out.sent_packets += burst as u64;
             out.send_errors += outcome.errors;
         }
         // Catch NACKs still in flight when the clock ran out (each
         // drain round blocks at most the 2 ms recv poll quantum).
         let grace_until = Instant::now() + self.drain_grace;
         while Instant::now() < grace_until {
-            drain_feedback(io.as_mut(), &mut ring, &mut out.nacks);
+            drain_feedback(io.as_mut(), &mut ring, &mut out.nacks_received);
         }
         Ok(out)
     }
@@ -302,15 +308,6 @@ fn drain_feedback(io: &mut dyn BatchIo, ring: &mut RecvRing, nacks: &mut u64) {
             }
         }
     }
-}
-
-#[derive(Default)]
-struct WorkerOut {
-    sent: u64,
-    bytes: u64,
-    trimmed: u64,
-    nacks: u64,
-    send_errors: u64,
 }
 
 /// Merged outcome of a [`BatchLoadGen`] run.
@@ -343,29 +340,22 @@ impl BatchLoadReport {
     }
 }
 
-/// Per-sink-shard counters, flushed once per batch.
-#[derive(Debug, Default)]
-struct SinkCounters {
-    received: AtomicU64,
-    bytes: AtomicU64,
-    trimmed: AtomicU64,
-    feedback: AtomicU64,
-    malformed: AtomicU64,
-}
-
-/// A snapshot of everything a [`BatchSink`] has absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SinkStats {
-    /// Data datagrams received.
-    pub received: u64,
-    /// Payload bytes received.
-    pub bytes: u64,
-    /// Trimmed headers received (naive relay forwards these).
-    pub trimmed: u64,
-    /// ACK/NACK datagrams received.
-    pub feedback: u64,
-    /// Datagrams that failed wire parsing.
-    pub malformed: u64,
+counters! {
+    /// Per-sink-shard counters, flushed once per batch.
+    struct SinkCounters;
+    /// A snapshot of everything a [`BatchSink`] has absorbed.
+    pub struct SinkStats {
+        /// Data datagrams received.
+        received,
+        /// Payload bytes received.
+        bytes,
+        /// Trimmed headers received (naive relay forwards these).
+        trimmed,
+        /// ACK/NACK datagrams received.
+        feedback,
+        /// Datagrams that failed wire parsing.
+        malformed,
+    }
 }
 
 /// The batched receiving end of a [`BatchLoadGen`] run: reuseport
@@ -423,16 +413,16 @@ impl BatchSink {
                                 continue;
                             }
                             let now = epoch.elapsed().as_nanos() as u64;
-                            let (mut rx, mut by, mut tr, mut fb, mut bad) = (0, 0, 0, 0, 0);
+                            let mut batch = SinkStats::default();
                             for i in 0..got {
                                 match DatagramView::parse(ring.datagram(i)) {
                                     Ok(v) if v.flags().contains(Flags::DATA) => {
                                         if v.flags().contains(Flags::TRIMMED) {
-                                            tr += 1;
+                                            batch.trimmed += 1;
                                             continue;
                                         }
-                                        rx += 1;
-                                        by += v.payload_len() as u64;
+                                        batch.received += 1;
+                                        batch.bytes += v.payload_len() as u64;
                                         let p = v.payload();
                                         if p.len() >= TIMESTAMP_LEN {
                                             let ts = u64::from_be_bytes(
@@ -441,17 +431,11 @@ impl BatchSink {
                                             recorder.record_nanos(now.saturating_sub(ts));
                                         }
                                     }
-                                    Ok(_) => fb += 1,
-                                    Err(_) => bad += 1,
+                                    Ok(_) => batch.feedback += 1,
+                                    Err(_) => batch.malformed += 1,
                                 }
                             }
-                            // ordering: Relaxed — per-batch monotone counters; exact
-                            // totals are read only after the thread joins.
-                            c.received.fetch_add(rx, Ordering::Relaxed);
-                            c.bytes.fetch_add(by, Ordering::Relaxed);
-                            c.trimmed.fetch_add(tr, Ordering::Relaxed);
-                            c.feedback.fetch_add(fb, Ordering::Relaxed);
-                            c.malformed.fetch_add(bad, Ordering::Relaxed);
+                            c.flush(&batch);
                         }
                     })
                     .expect("spawn sink"),
@@ -475,13 +459,7 @@ impl BatchSink {
     pub fn stats(&self) -> SinkStats {
         let mut s = SinkStats::default();
         for c in &self.counters {
-            // ordering: Relaxed — live snapshot; tolerates mid-batch staleness,
-            // exact once shutdown() has joined the sink threads.
-            s.received += c.received.load(Ordering::Relaxed);
-            s.bytes += c.bytes.load(Ordering::Relaxed);
-            s.trimmed += c.trimmed.load(Ordering::Relaxed);
-            s.feedback += c.feedback.load(Ordering::Relaxed);
-            s.malformed += c.malformed.load(Ordering::Relaxed);
+            s.merge(c);
         }
         s
     }

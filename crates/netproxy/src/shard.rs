@@ -3,9 +3,18 @@
 //! Each shard owns an `SO_REUSEPORT` socket bound to the same port (the
 //! kernel steers every 4-tuple consistently to one shard), a *private*
 //! flow table, and a private loss detector — per-flow state never
-//! crosses a shard boundary on the hot path. Per-shard counters are
-//! plain thread-local accumulators flushed once per batch into that
-//! shard's own atomics; merging across shards happens only in
+//! crosses a shard boundary on the hot path.
+//!
+//! A shard is two parts. Its *step* (`crate::step::ShardStep`) holds the
+//! decision state — kind, receiver, detector, private flow table, the
+//! directory handle and the shed ladder — and turns one batch of a
+//! receive ring into a filled send queue and that batch's [`RelayStats`],
+//! with no syscall and no clock of its own. Its *run loop*
+//! (`ShardWorker::run`, below) owns the rest: the socket, the heartbeat
+//! and chaos mailbox, and the clock. Per batch it receives, takes one
+//! clock reading, calls the step with it, sends what the step queued,
+//! and flushes the counts into the shard's own [`ShardStats`] atomics in
+//! one call; merging across shards happens only in
 //! [`ShardedRelay::stats`] snapshots.
 //!
 //! The one cross-shard wrinkle is the reverse path: receiver feedback
@@ -21,11 +30,12 @@
 //! single shard over the portable socket layer — same behavior, less
 //! parallelism (see `batch.rs`).
 //!
-//! Every worker runs the one per-packet decision,
+//! Every step runs the one per-packet decision,
 //! [`crate::streamlined::decide`], on each received datagram; the three
 //! relay variants (all over both socket layers) differ in what they do
-//! with the [`Action`] it returns ([`RelayKind::apply`], in the relay core
-//! `incast_core::relay`, which the simulator's proxy runs too):
+//! with the [`Action`](crate::streamlined::Action) it returns
+//! ([`RelayKind::apply`], in the relay core `incast_core::relay`, which
+//! the simulator's proxy runs too):
 //!
 //! * [`RelayKind::Streamlined`] — the paper's §3 relay: trimmed header →
 //!   NACK rewritten **in place** (one flags-byte store) and bounced to
@@ -36,24 +46,20 @@
 //!   receiver and reverses feedback, generating no NACKs. This isolates
 //!   the streamlined *decision* from the datapath speed, at line rate.
 //! * [`RelayKind::Detecting`] — FW#1: no trimming support assumed; a per-
-//!   shard [`Detector`] (the relay core's, on nanoseconds since the relay
+//!   shard `Detector` (the relay core's, on nanoseconds since the relay
 //!   started) NACKs inferred losses, plus a quiescence sweep for tail
 //!   losses.
 
-use crate::batch::{self, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
+use crate::batch::{self, BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
 use crate::fault::{self, is_data_bytes, FaultSnapshot, FaultStats, FaultedIo};
-use crate::streamlined::{decide, Action};
-use crate::supervisor::{
-    self, ChaosKind, ShardSlot, SupervisorConfig, SupervisorShared, SupervisorStats,
-};
+use crate::step::ShardStep;
+use crate::supervisor::{self, ChaosKind, ShardSlot, SupervisorShared, SupervisorStats};
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use crate::wire::{rewrite_data_to_nack, rewrite_trimmed_to_nack, WireHeader, WIRE_HEADER_LEN};
 use dcsim::faults::FaultPlan;
-use incast_core::lossdetect::LossDetectorConfig;
-use incast_core::relay::Detector;
 use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::SocketAddr;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -63,7 +69,10 @@ use trace::LatencyRecorder;
 /// shared with the simulator's proxy.
 pub use incast_core::relay::RelayKind;
 
-/// Configuration of a [`ShardedRelay`].
+/// Configuration of a [`ShardedRelay`]. What it does not set is a
+/// constant: the loss detector's default tuning and its 50 ms sweep, the
+/// shed ladder's NACK budget and bursts, and the supervisor's timing
+/// ([`crate::supervisor`]).
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
     /// Relay logic.
@@ -75,20 +84,15 @@ pub struct RelayConfig {
     pub layer: SocketLayer,
     /// Where data packets are relayed to.
     pub receiver: SocketAddr,
-    /// Loss-detector tuning ([`RelayKind::Detecting`] only).
-    pub detector: LossDetectorConfig,
-    /// Quiescence-sweep period ([`RelayKind::Detecting`] only).
-    pub sweep_interval: Duration,
     /// A fault plan and its RNG seed, run by a [`FaultedIo`] wrapped
     /// around every shard socket (`None` = the clean datapath; the hot
     /// path pays nothing). Blackout offsets are measured from
     /// [`ShardedRelay::start`].
     pub faults: Option<(FaultPlan, u64)>,
-    /// Overload admission control (`None` = forward everything, the
-    /// pre-shedding behavior; the hot path pays nothing).
-    pub overload: Option<OverloadConfig>,
-    /// Crash/wedge supervision tuning.
-    pub supervisor: SupervisorConfig,
+    /// The shed ladder's per-shard forward budget, datagrams a second
+    /// (`None` = forward everything; the hot path pays nothing). Its NACK
+    /// budget is a quarter of it (DESIGN.md §15).
+    pub overload: Option<NonZeroU64>,
 }
 
 impl RelayConfig {
@@ -99,254 +103,59 @@ impl RelayConfig {
             shards: 0,
             layer: SocketLayer::Auto,
             receiver,
-            detector: LossDetectorConfig::default(),
-            sweep_interval: Duration::from_millis(50),
             faults: None,
             overload: None,
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
 
-/// Per-shard token-bucket admission control: the shed ladder's budgets.
-///
-/// The ladder degrades saturation gracefully instead of amplifying it
-/// (DESIGN.md §15): a data datagram that finds the **forward** bucket
-/// empty is not forwarded but answered with a NACK (explicit overload
-/// notification, the Pulser insight from PAPERS.md) — and when the
-/// **nack** bucket is empty too, it is dropped *with a counter*, never
-/// silently. NACK-storm suppression coalesces duplicate NACKs per flow
-/// per batch so feedback volume stays bounded under incast.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverloadConfig {
-    /// Sustained forward budget, datagrams/second.
-    pub forward_pps: f64,
-    /// Forward burst capacity, datagrams.
-    pub forward_burst: f64,
-    /// Sustained NACK budget, datagrams/second (shed-NACKs and
-    /// trim-NACKs share it).
-    pub nack_pps: f64,
-    /// NACK burst capacity, datagrams.
-    pub nack_burst: f64,
-    /// Coalesce duplicate NACKs per flow per batch.
-    pub coalesce_nacks: bool,
-}
-
-impl OverloadConfig {
-    /// A ladder that sheds above `forward_pps` per shard, with NACK
-    /// budget at a quarter of the forward budget and coalescing on.
-    pub fn shed_at(forward_pps: f64) -> Self {
-        OverloadConfig {
-            forward_pps,
-            forward_burst: (2 * BATCH) as f64,
-            nack_pps: forward_pps / 4.0,
-            nack_burst: BATCH as f64,
-            coalesce_nacks: true,
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("forward_pps", self.forward_pps),
-            ("forward_burst", self.forward_burst),
-            ("nack_pps", self.nack_pps),
-            ("nack_burst", self.nack_burst),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("overload.{name} must be finite and > 0"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A standard token bucket over wall-clock time (per shard, no atomics:
-/// admission state never crosses threads).
-#[derive(Debug)]
-struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(rate: f64, burst: f64, now: Instant) -> Self {
-        TokenBucket {
-            rate,
-            burst,
-            tokens: burst,
-            last: now,
-        }
-    }
-
-    fn refill(&mut self, now: Instant) {
-        let dt = now.duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-    }
-
-    fn take(&mut self) -> bool {
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// What the NACK budget says about one would-be NACK.
-enum NackVerdict {
-    /// Queue it.
-    Send,
-    /// Suppressed: this flow was already NACKed in this batch.
-    Coalesced,
-    /// Suppressed: NACK budget exhausted.
-    Shed,
-}
-
-/// Per-shard shed-ladder state (thread-private, refilled once per
-/// batch so the per-datagram cost is a float compare).
-struct OverloadState {
-    forward: TokenBucket,
-    nack: TokenBucket,
-    coalesce: bool,
-    /// Flows NACKed in the current batch (≤ [`BATCH`] entries with
-    /// coalescing on — a batch is at most [`BATCH`] datagrams however long
-    /// the receive it was cut from; linear scan beats hashing at this
-    /// size).
-    nacked_flows: Vec<u64>,
-}
-
-impl OverloadState {
-    fn new(cfg: OverloadConfig) -> Self {
-        let now = Instant::now();
-        OverloadState {
-            forward: TokenBucket::new(cfg.forward_pps, cfg.forward_burst, now),
-            nack: TokenBucket::new(cfg.nack_pps, cfg.nack_burst, now),
-            coalesce: cfg.coalesce_nacks,
-            nacked_flows: Vec::with_capacity(BATCH),
-        }
-    }
-
-    fn begin_batch(&mut self, now: Instant) {
-        self.forward.refill(now);
-        self.nack.refill(now);
-        self.nacked_flows.clear();
-    }
-
-    fn nack_verdict(&mut self, flow: u64) -> NackVerdict {
-        if self.coalesce && self.nacked_flows.contains(&flow) {
-            return NackVerdict::Coalesced;
-        }
-        if self.nack.take() {
-            self.nacked_flows.push(flow);
-            NackVerdict::Send
-        } else {
-            NackVerdict::Shed
-        }
-    }
-}
-
-/// One shard's counters. Written (flushed once per batch) only by the
-/// owning shard thread; read by snapshots.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Data datagrams forwarded to the receiver.
-    pub forwarded: AtomicU64,
-    /// NACKs produced (in-place rewrites + generated).
-    pub nacks: AtomicU64,
-    /// Feedback datagrams forwarded back to a sender.
-    pub reversed: AtomicU64,
-    /// Malformed / unroutable datagrams dropped.
-    pub dropped: AtomicU64,
-    /// Outbound datagrams the kernel refused (previously silently
-    /// swallowed by the single-datagram relays).
-    pub send_errors: AtomicU64,
-    /// Batches relayed: a receive of up to [`BATCH`] datagrams is one, a
-    /// longer one is cut into several.
-    pub batches: AtomicU64,
-    /// Datagrams received.
-    pub received: AtomicU64,
-    /// Largest batch relayed (at most [`BATCH`]).
-    pub max_batch: AtomicU64,
-    /// Data datagrams the shed ladder answered with a NACK instead of
-    /// forwarding (subset of `nacks`).
-    pub shed_nacked: AtomicU64,
-    /// Datagrams the shed ladder dropped outright (budget exhausted on
-    /// every rung) — counted, never silent.
-    pub shed_dropped: AtomicU64,
-    /// NACKs suppressed because the flow was already NACKed in the same
-    /// batch (storm suppression).
-    pub nacks_coalesced: AtomicU64,
-    /// Transient socket errors absorbed by retrying (EAGAIN/ENOBUFS,
-    /// synthetic or real) instead of killing the shard.
-    pub io_retries: AtomicU64,
-    /// Data datagrams lost to a whole-batch send failure (classified
-    /// from the unsent queue; subset of `send_errors`).
-    pub send_err_data: AtomicU64,
-    /// Control datagrams (NACK/ACK) lost to a whole-batch send failure
-    /// (subset of `send_errors`).
-    pub send_err_ctrl: AtomicU64,
-}
-
-/// A merged snapshot of every shard's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelayStats {
-    /// Data datagrams forwarded to the receiver.
-    pub forwarded: u64,
-    /// NACKs produced.
-    pub nacks: u64,
-    /// Feedback datagrams forwarded back to a sender.
-    pub reversed: u64,
-    /// Malformed / unroutable datagrams dropped.
-    pub dropped: u64,
-    /// Outbound datagrams the kernel refused.
-    pub send_errors: u64,
-    /// Batches relayed.
-    pub batches: u64,
-    /// Datagrams received.
-    pub received: u64,
-    /// Largest batch relayed across shards (at most [`BATCH`]).
-    pub max_batch: u64,
-    /// Data datagrams shed as NACKs (subset of `nacks`).
-    pub shed_nacked: u64,
-    /// Datagrams dropped by the shed ladder.
-    pub shed_dropped: u64,
-    /// NACKs suppressed by per-flow-per-batch coalescing.
-    pub nacks_coalesced: u64,
-    /// Transient socket errors absorbed by retrying.
-    pub io_retries: u64,
-    /// Data datagrams lost to whole-batch send failures.
-    pub send_err_data: u64,
-    /// Control datagrams lost to whole-batch send failures.
-    pub send_err_ctrl: u64,
-}
-
-impl RelayStats {
-    /// Folds one shard's counters into this snapshot. Public so the
-    /// loom model (`tests/loom.rs`) can check flush/snapshot races.
-    pub fn merge(&mut self, s: &ShardStats) {
-        // ordering: Relaxed — monotone counters, each a freestanding
-        // u64; a snapshot may mix per-counter values from different
-        // batches (e.g. `received` ahead of `batches`) but never reads
-        // a value that was not written. No non-atomic data rides on
-        // these loads, so no acquire edge is needed.
-        self.forwarded += s.forwarded.load(Ordering::Relaxed);
-        self.nacks += s.nacks.load(Ordering::Relaxed);
-        self.reversed += s.reversed.load(Ordering::Relaxed);
-        self.dropped += s.dropped.load(Ordering::Relaxed);
-        self.send_errors += s.send_errors.load(Ordering::Relaxed);
-        self.batches += s.batches.load(Ordering::Relaxed);
-        self.received += s.received.load(Ordering::Relaxed);
-        self.max_batch = self.max_batch.max(s.max_batch.load(Ordering::Relaxed));
-        self.shed_nacked += s.shed_nacked.load(Ordering::Relaxed);
-        self.shed_dropped += s.shed_dropped.load(Ordering::Relaxed);
-        self.nacks_coalesced += s.nacks_coalesced.load(Ordering::Relaxed);
-        self.io_retries += s.io_retries.load(Ordering::Relaxed);
-        self.send_err_data += s.send_err_data.load(Ordering::Relaxed);
-        self.send_err_ctrl += s.send_err_ctrl.load(Ordering::Relaxed);
+counters! {
+    /// One shard's counters. Flushed once per batch, only by the owning
+    /// shard thread; read by snapshots. Public so the loom model
+    /// (`tests/loom.rs`) can race a flush against a snapshot.
+    pub struct ShardStats;
+    /// A merged snapshot of every shard's counters, and one batch's counts
+    /// on their way into them ([`ShardStats::flush`]).
+    pub struct RelayStats {
+        /// Data datagrams forwarded to the receiver.
+        forwarded,
+        /// NACKs produced (in-place rewrites + generated).
+        nacks,
+        /// Feedback datagrams forwarded back to a sender.
+        reversed,
+        /// Malformed / unroutable datagrams dropped.
+        dropped,
+        /// Outbound datagrams the kernel refused.
+        send_errors,
+        /// Batches relayed: a receive of up to [`BATCH`] datagrams is one, a
+        /// longer one is cut into several.
+        batches,
+        /// Datagrams received.
+        received,
+        /// Largest batch relayed (at most [`BATCH`]).
+        max_batch: max,
+        /// Data datagrams the shed ladder answered with a NACK instead of
+        /// forwarding (subset of `nacks`).
+        shed_nacked,
+        /// Received datagrams the shed ladder dropped outright (budget
+        /// exhausted on every rung) — counted, never silent.
+        shed_dropped,
+        /// NACKs suppressed because the flow was already NACKed in the same
+        /// batch (storm suppression).
+        nacks_coalesced,
+        /// NACKs a Detecting relay generated that the NACK budget refused.
+        /// No received datagram is behind them, so unlike `shed_dropped`
+        /// they are no outcome of one.
+        nacks_refused,
+        /// Transient socket errors absorbed by retrying (EAGAIN/ENOBUFS,
+        /// synthetic or real) instead of killing the shard.
+        io_retries,
+        /// Data datagrams lost to a whole-batch send failure (classified
+        /// from the unsent queue; subset of `send_errors`).
+        send_err_data,
+        /// Control datagrams (NACK/ACK) lost to a whole-batch send failure
+        /// (subset of `send_errors`).
+        send_err_ctrl,
     }
 }
 
@@ -461,9 +270,7 @@ impl FlowDirectory {
     /// claimed. `lookup` treats `vals == 0` as "insert in flight", so
     /// no ordering edge between `keys` and `vals` is required for
     /// safety — the orderings below are the weakest that keep the
-    /// claim→value publication sequenced (audited in PR 9; the
-    /// pre-audit AcqRel/Acquire on the key probes was stronger than
-    /// the protocol needs).
+    /// claim→value publication sequenced.
     pub fn publish(&self, flow: u64, sender: SocketAddr) {
         let key = flow.wrapping_add(1);
         if key == 0 {
@@ -558,7 +365,7 @@ impl FlowDirectory {
 /// at most [`MAX_PROBES`] probes, whatever flow ids arrive. Empty slots
 /// are `None`, so every flow id, 0 and `u64::MAX` included, is an
 /// ordinary key.
-struct SenderTable {
+pub(crate) struct SenderTable {
     slots: Box<[Option<(u64, SocketAddr)>]>,
     len: usize,
     key: u64,
@@ -578,7 +385,7 @@ enum Probe {
 impl SenderTable {
     const INITIAL_SLOTS: usize = 16;
 
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_key(fresh_key())
     }
 
@@ -603,7 +410,7 @@ impl SenderTable {
         Probe::Overflow
     }
 
-    fn get(&self, flow: u64) -> Option<SocketAddr> {
+    pub(crate) fn get(&self, flow: u64) -> Option<SocketAddr> {
         match self.probe(flow) {
             Probe::Hit(i) => self.slots[i].map(|(_, addr)| addr),
             _ => None,
@@ -612,7 +419,7 @@ impl SenderTable {
 
     /// Maps `flow` to `addr`; true when that is new or changed.
     #[inline]
-    fn insert(&mut self, flow: u64, addr: SocketAddr) -> bool {
+    pub(crate) fn insert(&mut self, flow: u64, addr: SocketAddr) -> bool {
         match self.probe(flow) {
             Probe::Hit(i) => match &mut self.slots[i] {
                 Some((_, known)) if *known != addr => {
@@ -683,7 +490,6 @@ pub struct ShardedRelay {
     slots: Vec<Arc<ShardSlot>>,
     shared: Arc<SupervisorShared>,
     layer: SocketLayer,
-    kind: RelayKind,
 }
 
 impl ShardedRelay {
@@ -693,16 +499,11 @@ impl ShardedRelay {
     ///
     /// # Errors
     /// Socket/bind errors, `Unsupported` for a forced-mmsg layer off
-    /// Linux, or `InvalidInput` for an overload config or fault plan that
-    /// is invalid, or that the socket shim cannot run
-    /// ([`fault::check_plan`]).
+    /// Linux, or `InvalidInput` for a fault plan that is invalid, or that
+    /// the socket shim cannot run ([`fault::check_plan`]).
     pub fn start(listen: SocketAddr, config: RelayConfig) -> io::Result<ShardedRelay> {
         if let Some((plan, _)) = &config.faults {
             fault::check_plan(plan).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        }
-        if let Some(ov) = &config.overload {
-            ov.validate()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
         let shards = effective_shards(config.shards);
         // The blackout schedule (and every shard's fault clock) is
@@ -765,18 +566,18 @@ impl ShardedRelay {
                 };
                 let worker = ShardWorker {
                     io,
-                    kind: config.kind,
-                    receiver: config.receiver,
-                    detector: Detector::new(config.detector, nanos(config.sweep_interval)),
+                    step: ShardStep::new(
+                        config.kind,
+                        config.receiver,
+                        directory.clone(),
+                        config.overload,
+                    ),
                     epoch,
-                    sweep_interval: config.sweep_interval,
-                    directory: directory.clone(),
                     stats: shard_stats[shard_id].clone(),
                     stop: stop.clone(),
                     recorder: recorder.clone(),
                     slot: slots[shard_id].clone(),
                     my_gen: generation,
-                    overload: config.overload.map(OverloadState::new),
                 };
                 thread::Builder::new()
                     .name(format!("relay-shard-{shard_id}.g{generation}"))
@@ -788,16 +589,13 @@ impl ShardedRelay {
         for shard_id in 0..shards {
             handles.push(spawn(shard_id, 0)?);
         }
-        // The supervisor always runs (single code path); when disabled
-        // it only joins the workers on shutdown.
         let supervisor = {
-            let cfg = config.supervisor;
             let slots = slots.clone();
             let stop = stop.clone();
             let shared = shared.clone();
             thread::Builder::new()
                 .name("relay-supervisor".into())
-                .spawn(move || supervisor::supervise(cfg, slots, handles, stop, shared, spawn))?
+                .spawn(move || supervisor::supervise(slots, handles, stop, shared, spawn))?
         };
 
         Ok(ShardedRelay {
@@ -811,7 +609,6 @@ impl ShardedRelay {
             slots,
             shared,
             layer,
-            kind: config.kind,
         })
     }
 
@@ -830,11 +627,6 @@ impl ShardedRelay {
         self.layer
     }
 
-    /// The relay logic in use.
-    pub fn kind(&self) -> RelayKind {
-        self.kind
-    }
-
     /// Merged counters across shards (the only cross-shard read).
     pub fn stats(&self) -> RelayStats {
         let mut merged = RelayStats::default();
@@ -842,11 +634,6 @@ impl ShardedRelay {
             merged.merge(s);
         }
         merged
-    }
-
-    /// Per-shard counter handles, for load-balance inspection.
-    pub fn shard_stats(&self) -> &[Arc<ShardStats>] {
-        &self.shard_stats
     }
 
     /// Fault-injection counters (all zero when `faults` was `None`).
@@ -862,14 +649,9 @@ impl ShardedRelay {
     /// Supervision activity so far: restarts, crash/wedge detections,
     /// abandoned shards.
     pub fn supervisor_stats(&self) -> SupervisorStats {
-        SupervisorStats {
-            restarts: self.slots.iter().map(|s| s.restarts()).sum(),
-            // ordering: Relaxed — monotone event counters for
-            // snapshots; no non-atomic data rides on them.
-            crashes_detected: self.shared.crashes.load(Ordering::Relaxed),
-            wedges_detected: self.shared.wedges.load(Ordering::Relaxed),
-            gave_up: self.shared.gave_up.load(Ordering::Relaxed),
-        }
+        let mut stats = SupervisorStats::default();
+        stats.merge(&self.shared);
+        stats
     }
 
     /// Injects a simulated crash into `shard` (consumed at its next
@@ -963,18 +745,14 @@ pub fn effective_shards(requested: usize) -> usize {
     }
 }
 
-/// One shard's state: everything here is private to its thread.
+/// One shard's run loop and what it owns besides its step: the socket,
+/// the counters, the supervision slot and the clock.
 struct ShardWorker {
     io: Box<dyn BatchIo>,
-    kind: RelayKind,
-    receiver: SocketAddr,
-    /// Keyed by the 64-bit wire flow id, whole; its clock is nanoseconds
-    /// since `epoch`.
-    detector: Detector<u64>,
-    /// The relay's start, shared by every shard and generation.
+    step: ShardStep,
+    /// The relay's start, shared by every shard and generation: the
+    /// step's clock is nanoseconds since it.
     epoch: Instant,
-    sweep_interval: Duration,
-    directory: Arc<FlowDirectory>,
     stats: Arc<ShardStats>,
     stop: Arc<AtomicBool>,
     recorder: LatencyRecorder,
@@ -983,23 +761,6 @@ struct ShardWorker {
     /// The generation this incarnation was spawned as; a bumped slot
     /// generation means we have been superseded and must exit.
     my_gen: u64,
-    /// Shed-ladder state (`None` = admission control off, zero cost).
-    overload: Option<OverloadState>,
-}
-
-/// Per-batch counter accumulator, flushed to the shard atomics once per
-/// batch (keeps atomics off the per-packet path).
-#[derive(Default)]
-struct Local {
-    forwarded: u64,
-    nacks: u64,
-    reversed: u64,
-    dropped: u64,
-    shed_nacked: u64,
-    shed_dropped: u64,
-    nacks_coalesced: u64,
-    send_err_data: u64,
-    send_err_ctrl: u64,
 }
 
 /// Errors a shard absorbs by retrying instead of dying: the
@@ -1019,8 +780,6 @@ impl ShardWorker {
     fn run(mut self) {
         let mut ring = RecvRing::new();
         let mut queue = SendQueue::new();
-        let mut senders = SenderTable::new();
-        let mut next_sweep = Instant::now() + self.sweep_interval;
         loop {
             // ordering: Acquire — pairs with the Release store in
             // `ShardedRelay::shutdown`.
@@ -1048,9 +807,10 @@ impl ShardWorker {
             let got = match self.io.recv_batch(&mut ring) {
                 Ok(n) => n,
                 Err(e) if is_transient_io(&e) => {
-                    // ordering: Relaxed — monotone counter, as in the
-                    // batch flush below.
-                    self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
+                    self.stats.flush(&RelayStats {
+                        io_retries: 1,
+                        ..RelayStats::default()
+                    });
                     continue;
                 }
                 Err(_) => return, // socket died; the supervisor restarts us
@@ -1061,121 +821,67 @@ impl ShardWorker {
             // per-flow NACK coalescing — keeps meaning that however many
             // datagrams one receive brought (see `BatchIo::recv_batch`).
             for first in (0..got).step_by(BATCH) {
-                if !self.relay_batch(
-                    &mut ring,
-                    first..got.min(first + BATCH),
-                    &mut queue,
-                    &mut senders,
-                ) {
+                let batch = first..got.min(first + BATCH);
+                let len = batch.len() as u64;
+                let start = Instant::now();
+                let counts = self
+                    .step
+                    .step(&mut ring, batch, self.clock(start), &mut queue);
+                let alive = self.send(&ring, &mut queue, counts);
+                self.recorder
+                    .record_nanos(start.elapsed().as_nanos() as u64 / len);
+                if !alive {
                     return; // counters flushed; let the supervisor act
                 }
             }
-            if self.kind == RelayKind::Detecting {
-                let now = Instant::now();
-                if now >= next_sweep {
-                    if !self.sweep(&senders, now, &ring, &mut queue) {
-                        return;
-                    }
-                    next_sweep = now + self.sweep_interval;
+            if self.step.kind == RelayKind::Detecting {
+                // The sweep queues only scratch NACKs, which never
+                // reference `ring`, so what the ring holds is irrelevant
+                // to the send.
+                let counts = self.step.sweep(self.clock(Instant::now()), &mut queue);
+                if !queue.is_empty() && !self.send(&ring, &mut queue, counts) {
+                    return;
                 }
             }
         }
     }
 
-    /// `t` on the detector's clock: nanoseconds since the relay started.
+    /// `t` on the step's clock: nanoseconds since the relay started
+    /// (saturating: no relay runs 584 years).
     fn clock(&self, t: Instant) -> u64 {
-        nanos(t.duration_since(self.epoch))
+        u64::try_from(t.duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Relays one batch — the datagrams `batch` of `ring`: classify each,
-    /// flush what that queued in one `send_batch`, flush the counters,
-    /// record the latency sample. False when the socket died.
-    fn relay_batch(
-        &mut self,
-        ring: &mut RecvRing,
-        batch: std::ops::Range<usize>,
-        queue: &mut SendQueue,
-        senders: &mut SenderTable,
-    ) -> bool {
-        let got = batch.len() as u64;
-        let start = Instant::now();
-        let now = self.clock(start);
-        let mut local = Local::default();
-        if let Some(ov) = self.overload.as_mut() {
-            ov.begin_batch(start);
-        }
-        for i in batch {
-            self.classify(ring, i, queue, senders, now, &mut local);
-        }
-        let alive = self.flush_sends(ring, queue, local);
-        let s = &self.stats;
-        // ordering: Relaxed — monotone counters, as in `flush_sends`.
-        s.batches.fetch_add(1, Ordering::Relaxed);
-        s.received.fetch_add(got, Ordering::Relaxed);
-        s.max_batch.fetch_max(got, Ordering::Relaxed);
-        self.recorder
-            .record_nanos(start.elapsed().as_nanos() as u64 / got);
-        alive
-    }
-
-    /// The post-send arm of a batch and of a sweep: flush `queue` in one
-    /// `send_batch`, empty it, and flush `local` plus what the send lost
-    /// to the shard counters. False when the socket died (a transient
+    /// Sends `queue` in one `send_batch`, empties it, and flushes `counts`
+    /// plus what the send lost into the shard counters — unconditionally,
+    /// *before* any error return, so a dying shard never loses a processed
+    /// batch from the ledger. False when the socket died (a transient
     /// failure is a counted retry).
-    fn flush_sends(&mut self, ring: &RecvRing, queue: &mut SendQueue, mut local: Local) -> bool {
-        let send_result = self.io.send_batch(ring, queue);
-        let outcome = match &send_result {
-            Ok(o) => *o,
-            Err(_) => {
-                // Whole-batch send failure: everything queued was
-                // lost. Classify the unsent queue (data vs control)
-                // so the soak ledger can account for each datagram
-                // even on this path.
-                for qi in 0..queue.len() {
-                    if is_data_bytes(queue.resolve(ring, qi).0) {
-                        local.send_err_data += 1;
+    fn send(&mut self, ring: &RecvRing, queue: &mut SendQueue, mut counts: RelayStats) -> bool {
+        let alive = match self.io.send_batch(ring, queue) {
+            Ok(outcome) => {
+                counts.send_errors = outcome.errors;
+                true
+            }
+            Err(e) => {
+                // Whole-batch send failure: everything queued was lost.
+                // Classify the unsent queue (data vs control) so the soak
+                // ledger can account for each datagram even on this path.
+                for i in 0..queue.len() {
+                    if is_data_bytes(queue.resolve(ring, i).0) {
+                        counts.send_err_data += 1;
                     } else {
-                        local.send_err_ctrl += 1;
+                        counts.send_err_ctrl += 1;
                     }
                 }
-                SendOutcome {
-                    errors: queue.len() as u64,
-                    ..SendOutcome::default()
-                }
+                counts.send_errors = queue.len() as u64;
+                counts.io_retries = u64::from(is_transient_io(&e));
+                is_transient_io(&e)
             }
         };
         queue.clear();
-        // Flush the counters in one go — unconditionally, *before* any
-        // error return, so a dying shard never loses a processed batch
-        // from the ledger.
-        let s = &self.stats;
-        // ordering: Relaxed — monotone counters read only by
-        // `RelayStats::merge` snapshots, which tolerate mixed
-        // per-counter staleness; no non-atomic data is published.
-        s.forwarded.fetch_add(local.forwarded, Ordering::Relaxed);
-        s.nacks.fetch_add(local.nacks, Ordering::Relaxed);
-        s.reversed.fetch_add(local.reversed, Ordering::Relaxed);
-        s.dropped.fetch_add(local.dropped, Ordering::Relaxed);
-        s.send_errors.fetch_add(outcome.errors, Ordering::Relaxed);
-        s.shed_nacked
-            .fetch_add(local.shed_nacked, Ordering::Relaxed);
-        s.shed_dropped
-            .fetch_add(local.shed_dropped, Ordering::Relaxed);
-        s.nacks_coalesced
-            .fetch_add(local.nacks_coalesced, Ordering::Relaxed);
-        s.send_err_data
-            .fetch_add(local.send_err_data, Ordering::Relaxed);
-        s.send_err_ctrl
-            .fetch_add(local.send_err_ctrl, Ordering::Relaxed);
-        match send_result {
-            Ok(_) => true,
-            Err(e) if is_transient_io(&e) => {
-                // ordering: Relaxed — monotone counter, as above.
-                self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
-        }
+        self.stats.flush(&counts);
+        alive
     }
 
     /// Simulated wedge: hold the socket open without servicing it until
@@ -1192,164 +898,6 @@ impl ShardWorker {
             thread::sleep(Duration::from_millis(1));
         }
     }
-
-    /// Rung 1 of the shed ladder: may this datagram be forwarded?
-    fn forward_ok(&mut self) -> bool {
-        self.overload.as_mut().is_none_or(|ov| ov.forward.take())
-    }
-
-    /// Rungs 2–3: may a NACK for `flow` be emitted (or is it coalesced
-    /// / shed)?
-    fn nack_verdict(&mut self, flow: u64) -> NackVerdict {
-        match self.overload.as_mut() {
-            None => NackVerdict::Send,
-            Some(ov) => ov.nack_verdict(flow),
-        }
-    }
-
-    /// Learns (and publishes once) a data packet's sender address.
-    fn learn_sender(&self, senders: &mut SenderTable, flow: u64, from: SocketAddr) {
-        if senders.insert(flow, from) {
-            self.directory.publish(flow, from);
-        }
-    }
-
-    /// Runs [`decide`] on ring slot `i` — as this relay kind reads it —
-    /// and queues the datagrams the [`Action`] calls for. `now` is the
-    /// batch's time on the detector's clock.
-    fn classify(
-        &mut self,
-        ring: &mut RecvRing,
-        i: usize,
-        queue: &mut SendQueue,
-        senders: &mut SenderTable,
-        now: u64,
-        local: &mut Local,
-    ) {
-        let from = ring.source(i);
-        match self.kind.apply(decide(ring.datagram(i))) {
-            Action::Drop => local.dropped += 1,
-            Action::NackToSender(WireHeader { flow, .. }) => {
-                self.learn_sender(senders, flow, from);
-                // Trim-NACKs share the NACK budget: a NACK storm is a
-                // NACK storm regardless of what provoked it.
-                match self.nack_verdict(flow) {
-                    NackVerdict::Send => {
-                        // The NACK shares flow and seq with the trimmed
-                        // header: rewrite the one differing byte in place
-                        // and bounce the buffer back whence it came.
-                        rewrite_trimmed_to_nack(ring.datagram_mut(i)).expect("parsed trimmed");
-                        queue.push_slot(i, WIRE_HEADER_LEN, from);
-                        local.nacks += 1;
-                    }
-                    NackVerdict::Coalesced => local.nacks_coalesced += 1,
-                    NackVerdict::Shed => local.shed_dropped += 1,
-                }
-            }
-            Action::ForwardToReceiver(header) => {
-                let (flow, seq) = (header.flow, header.seq);
-                self.learn_sender(senders, flow, from);
-                if !self.forward_ok() {
-                    if self.kind != RelayKind::Streamlined {
-                        // Naive has no NACK concept, and Detecting's NACKs
-                        // come from its detector: shedding *before* the
-                        // detector observes the seq makes this look like
-                        // network loss downstream (observing it would
-                        // suppress the very NACK that gets it
-                        // retransmitted). Either way a counted drop.
-                        local.shed_dropped += 1;
-                        return;
-                    }
-                    // Ladder rung 2: no forward budget → tell the sender
-                    // *now* with a NACK (in-place rewrite, header-only
-                    // bounce) instead of dropping silently and waiting
-                    // out an RTO.
-                    match self.nack_verdict(flow) {
-                        NackVerdict::Send => {
-                            rewrite_data_to_nack(ring.datagram_mut(i)).expect("parsed data");
-                            queue.push_slot(i, WIRE_HEADER_LEN, from);
-                            local.nacks += 1;
-                            local.shed_nacked += 1;
-                        }
-                        NackVerdict::Coalesced => local.nacks_coalesced += 1,
-                        // Rung 3: both buckets dry — drop, counted.
-                        NackVerdict::Shed => local.shed_dropped += 1,
-                    }
-                    return;
-                }
-                if self.kind == RelayKind::Detecting {
-                    for loss in self.detector.observe(flow, seq, now) {
-                        // Generated NACKs ride the same budget (note:
-                        // detecting is not datagram-conserving — one
-                        // arrival can yield several NACKs).
-                        match self.nack_verdict(flow) {
-                            NackVerdict::Send => {
-                                queue.push_nack(flow, loss.seq, from);
-                                local.nacks += 1;
-                            }
-                            NackVerdict::Coalesced => local.nacks_coalesced += 1,
-                            NackVerdict::Shed => local.shed_dropped += 1,
-                        }
-                    }
-                }
-                queue.push_slot(i, header.wire_len(), self.receiver);
-                local.forwarded += 1;
-            }
-            Action::ForwardToSender(header) => {
-                let flow = header.flow;
-                // Feedback (ACK/NACK): reverse toward the flow's sender.
-                // Private table first; the lock-free directory covers
-                // flows whose feedback was steered to a foreign shard.
-                let dest = senders.get(flow).or_else(|| {
-                    let found = self.directory.lookup(flow);
-                    if let Some(addr) = found {
-                        senders.insert(flow, addr); // cache for next time
-                    }
-                    found
-                });
-                match dest {
-                    Some(sender) => {
-                        queue.push_slot(i, header.wire_len(), sender);
-                        local.reversed += 1;
-                    }
-                    None => local.dropped += 1,
-                }
-            }
-        }
-    }
-
-    /// Quiescence sweep ([`RelayKind::Detecting`]): re-NACK tail losses
-    /// of flows with no recent arrivals. Sends only scratch-ring NACKs,
-    /// which never reference `ring`, so whatever the run loop's ring
-    /// holds is irrelevant to the flush.
-    ///
-    /// Sweep NACKs are deliberately *not* run through the shed ladder:
-    /// they fire on quiescence (so never during a storm), are the last
-    /// recovery line for tail losses, and are bounded by the detector's
-    /// own pending-loss memory. `now` is the run loop's reading. False
-    /// when the socket died.
-    fn sweep(
-        &mut self,
-        senders: &SenderTable,
-        now: Instant,
-        ring: &RecvRing,
-        queue: &mut SendQueue,
-    ) -> bool {
-        let mut local = Local::default();
-        for loss in self.detector.sweep(self.clock(now)) {
-            // Every flow the detector observed had its sender learned first.
-            if let Some(sender) = senders.get(loss.flow) {
-                queue.push_nack(loss.flow, loss.seq, sender);
-                local.nacks += 1;
-            }
-        }
-        queue.is_empty() || self.flush_sends(ring, queue, local)
-    }
-}
-
-/// `d` in whole nanoseconds (saturating: no relay runs 584 years).
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 // The FlowDirectory and SenderTable tests below are pure (threads +
@@ -1575,7 +1123,7 @@ mod sender_table_tests {
 mod tests {
     use super::*;
     use crate::testutil::{loopback, wait_for};
-    use crate::wire::Flags;
+    use crate::wire::{Flags, WireHeader, WIRE_HEADER_LEN};
     use std::net::UdpSocket;
 
     fn recv_one(sock: &UdpSocket) -> (WireHeader, Vec<u8>, SocketAddr) {
@@ -1601,11 +1149,6 @@ mod tests {
                 kind,
                 shards: 2,
                 layer,
-                detector: LossDetectorConfig {
-                    reorder_threshold: 3,
-                    max_pending: 1024,
-                },
-                sweep_interval: Duration::from_millis(30),
                 ..RelayConfig::streamlined(receiver)
             },
         )
@@ -1946,7 +1489,7 @@ mod tests {
                 RelayConfig {
                     shards: 1,
                     layer,
-                    overload: Some(OverloadConfig::shed_at(1e9)),
+                    overload: NonZeroU64::new(1_000_000_000),
                     ..RelayConfig::streamlined(receiver.local_addr().unwrap())
                 },
             )
@@ -2015,7 +1558,7 @@ mod tests {
             let relay = start(RelayKind::Detecting, layer, recv_addr);
             let sender = UdpSocket::bind(loopback()).unwrap();
             let payload = vec![0u8; 64];
-            // An in-order stream gives the detector (and its sweep, three
+            // An in-order stream gives the detector (and its sweep, two
             // periods here) nothing to infer.
             for seq in 0..50u64 {
                 sender
@@ -2028,7 +1571,8 @@ mod tests {
             wait_for(|| relay.stats().forwarded == 50);
             std::thread::sleep(Duration::from_millis(100));
             assert_eq!(relay.stats().nacks, 0, "{layer:?}: in-order, no NACKs");
-            for seq in [0u64, 2, 3, 4, 5] {
+            // Seq 1 is missing, and eight later ones declare it lost.
+            for seq in (0u64..10).filter(|&seq| seq != 1) {
                 sender
                     .send_to(
                         &WireHeader::data(7, seq, 64).encode(&payload),
@@ -2082,7 +1626,6 @@ mod tests {
                     kind: RelayKind::Detecting,
                     shards: 1,
                     layer,
-                    sweep_interval: Duration::from_millis(30),
                     // Every non-empty send fails with the synthetic ENOBUFS.
                     faults: Some((
                         FaultPlan {
@@ -2156,7 +1699,6 @@ mod tests {
                     kind: RelayKind::Detecting,
                     shards: 1, // one detector sees both flows
                     layer,
-                    sweep_interval: Duration::from_millis(30),
                     ..RelayConfig::streamlined(recv_addr)
                 },
             )
@@ -2176,7 +1718,7 @@ mod tests {
             }
             let (h, _, _) = recv_one(&f);
             assert_eq!(h, WireHeader::nack(F, 5), "{layer:?}");
-            // The retransmission settles F, so the sweeps (three periods
+            // The retransmission settles F, so the sweeps (two periods
             // here) have nothing to repeat.
             f.send_to(&data(F, 5), relay.local_addr()).unwrap();
             wait_for(|| relay.stats().received == 40);

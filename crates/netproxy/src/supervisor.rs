@@ -11,7 +11,7 @@
 //! * a dedicated supervisor thread polls the slots, classifying a shard
 //!   as **crashed** when its thread finished while `stop` is clear, and
 //!   as **wedged** when the thread is alive but the heartbeat has not
-//!   moved for [`SupervisorConfig::wedge_timeout`];
+//!   moved for `WEDGE_TIMEOUT` (400 ms);
 //! * recovery bumps the slot's **generation** (which tells a wedged
 //!   orphan to exit and release its socket) and spawns a replacement
 //!   worker on a fresh `SO_REUSEPORT` socket bound to the same port.
@@ -146,7 +146,7 @@ impl ShardSlot {
     }
 
     /// True once the supervisor has given up on this shard
-    /// ([`SupervisorConfig::max_restarts`] exhausted).
+    /// (`MAX_RESTARTS` exhausted).
     pub fn failed(&self) -> bool {
         // ordering: Relaxed — a sticky flag read for reporting; the
         // supervisor is the only writer and acts on its own state.
@@ -159,59 +159,37 @@ impl ShardSlot {
     }
 }
 
-/// Supervisor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// When false the supervisor thread still runs (single code path)
-    /// but never restarts anything — pre-supervision behavior.
-    pub enabled: bool,
-    /// How often slots are polled.
-    pub poll: Duration,
-    /// A live thread whose heartbeat is older than this is wedged.
-    /// Must comfortably exceed the socket poll timeout
-    /// ([`crate::batch::RECV_POLL`]) plus worst-case batch processing.
-    pub wedge_timeout: Duration,
-    /// Restart attempts per shard before giving up on it.
-    pub max_restarts: u64,
-}
+/// How often the supervisor polls the slots.
+pub(crate) const POLL: Duration = Duration::from_millis(25);
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            enabled: true,
-            poll: Duration::from_millis(20),
-            wedge_timeout: Duration::from_millis(500),
-            max_restarts: 8,
-        }
+/// A live thread whose heartbeat is older than this is wedged. It
+/// comfortably exceeds the socket poll timeout
+/// ([`crate::batch::RECV_POLL`]) plus worst-case batch processing.
+pub(crate) const WEDGE_TIMEOUT: Duration = Duration::from_millis(400);
+
+/// Restart attempts per shard before the supervisor gives up on it.
+pub(crate) const MAX_RESTARTS: u64 = 8;
+
+counters! {
+    /// Supervision activity as the supervisor thread counts it.
+    pub(crate) struct SupervisorShared;
+    /// Snapshot of supervision activity, merged across shards.
+    pub struct SupervisorStats {
+        /// Restart attempts across all shards (successful or not).
+        restarts,
+        /// Dead-thread detections.
+        crashes_detected,
+        /// Stale-heartbeat detections.
+        wedges_detected,
+        /// Shards abandoned after exhausting the restart budget.
+        gave_up,
     }
-}
-
-/// Supervisor-side event counters (restarts live on the slots).
-#[derive(Debug, Default)]
-pub(crate) struct SupervisorShared {
-    pub(crate) crashes: AtomicU64,
-    pub(crate) wedges: AtomicU64,
-    pub(crate) gave_up: AtomicU64,
-}
-
-/// Snapshot of supervision activity, merged across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Restart attempts across all shards (successful or not).
-    pub restarts: u64,
-    /// Dead-thread detections.
-    pub crashes_detected: u64,
-    /// Stale-heartbeat detections.
-    pub wedges_detected: u64,
-    /// Shards abandoned after exhausting the restart budget.
-    pub gave_up: u64,
 }
 
 /// The supervisor loop: owns the worker handles, restarts on
 /// crash/wedge, joins everything on shutdown. `spawn(shard, generation)`
 /// must start a replacement worker for `shard` running `generation`.
 pub(crate) fn supervise<F>(
-    cfg: SupervisorConfig,
     slots: Vec<Arc<ShardSlot>>,
     mut handles: Vec<thread::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -226,15 +204,12 @@ pub(crate) fn supervise<F>(
         .map(|s| (s.heartbeat(), Instant::now()))
         .collect();
     loop {
-        thread::sleep(cfg.poll);
+        thread::sleep(POLL);
         // ordering: Acquire — pairs with the Release store in
         // `ShardedRelay::shutdown`; re-checked after the sleep so a
         // shard that exited *because of* shutdown is never "recovered".
         if stop.load(Ordering::Acquire) {
             break;
-        }
-        if !cfg.enabled {
-            continue;
         }
         let now = Instant::now();
         for (i, slot) in slots.iter().enumerate() {
@@ -246,22 +221,19 @@ pub(crate) fn supervise<F>(
                 last_beat[i] = (hb, now);
             }
             let finished = handles[i].is_finished();
-            let wedged = !finished && now.duration_since(last_beat[i].1) >= cfg.wedge_timeout;
+            let wedged = !finished && now.duration_since(last_beat[i].1) >= WEDGE_TIMEOUT;
             if !finished && !wedged {
                 continue;
             }
-            if finished {
-                // ordering: Relaxed — monotone event counters read only
-                // by `SupervisorStats` snapshots.
-                shared.crashes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // ordering: Relaxed — as above.
-                shared.wedges.fetch_add(1, Ordering::Relaxed);
-            }
-            if slot.restarts() >= cfg.max_restarts {
+            let give_up = slot.restarts() >= MAX_RESTARTS;
+            shared.flush(&SupervisorStats {
+                restarts: u64::from(!give_up),
+                crashes_detected: u64::from(finished),
+                wedges_detected: u64::from(!finished),
+                gave_up: u64::from(give_up),
+            });
+            if give_up {
                 slot.mark_failed();
-                // ordering: Relaxed — as above.
-                shared.gave_up.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             // Supersede first: a wedged orphan exits at its next
@@ -329,11 +301,6 @@ mod tests {
         let respawns = Arc::new(std::sync::atomic::AtomicU64::new(0));
         // First worker dies immediately.
         let h0 = thread::spawn(|| {});
-        let cfg = SupervisorConfig {
-            poll: Duration::from_millis(5),
-            wedge_timeout: Duration::from_millis(200),
-            ..SupervisorConfig::default()
-        };
         let sup = {
             let slots = slots.clone();
             let stop = stop.clone();
@@ -342,7 +309,7 @@ mod tests {
             let stop_worker = stop.clone();
             let slot = slots[0].clone();
             thread::spawn(move || {
-                supervise(cfg, slots, vec![h0], stop, shared, move |_, generation| {
+                supervise(slots, vec![h0], stop, shared, move |_, generation| {
                     // ordering: Relaxed — test counter.
                     respawns.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let stop = stop_worker.clone();
@@ -380,7 +347,7 @@ mod tests {
         sup.join().unwrap();
         assert_eq!(slots[0].restarts(), 1);
         // ordering: Relaxed — monotone event counter snapshot.
-        assert_eq!(shared.crashes.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.crashes_detected.load(Ordering::Relaxed), 1);
         assert_eq!(shared.gave_up.load(Ordering::Relaxed), 0);
     }
 
@@ -390,17 +357,12 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(SupervisorShared::default());
         let h0 = thread::spawn(|| {});
-        let cfg = SupervisorConfig {
-            poll: Duration::from_millis(2),
-            max_restarts: 3,
-            ..SupervisorConfig::default()
-        };
         let sup = {
             let slots = slots.clone();
             let stop = stop.clone();
             let shared = shared.clone();
             thread::spawn(move || {
-                supervise(cfg, slots, vec![h0], stop, shared, |_, _| {
+                supervise(slots, vec![h0], stop, shared, |_, _| {
                     // Every replacement dies instantly too.
                     thread::Builder::new().spawn(|| {})
                 })
@@ -414,36 +376,8 @@ mod tests {
         // ordering: Release — mirrors ShardedRelay::shutdown.
         stop.store(true, Ordering::Release);
         sup.join().unwrap();
-        assert_eq!(slots[0].restarts(), 3, "budget fully consumed");
+        assert_eq!(slots[0].restarts(), MAX_RESTARTS, "budget fully consumed");
         // ordering: Relaxed — monotone event counter snapshot.
         assert_eq!(shared.gave_up.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn disabled_supervisor_never_restarts() {
-        let slots = vec![Arc::new(ShardSlot::new())];
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(SupervisorShared::default());
-        let h0 = thread::spawn(|| {});
-        let cfg = SupervisorConfig {
-            enabled: false,
-            poll: Duration::from_millis(2),
-            ..SupervisorConfig::default()
-        };
-        let sup = {
-            let slots = slots.clone();
-            let stop = stop.clone();
-            let shared = shared.clone();
-            thread::spawn(move || {
-                supervise(cfg, slots, vec![h0], stop, shared, |_, _| {
-                    panic!("disabled supervisor must not spawn");
-                })
-            })
-        };
-        thread::sleep(Duration::from_millis(50));
-        assert_eq!(slots[0].restarts(), 0);
-        // ordering: Release — mirrors ShardedRelay::shutdown.
-        stop.store(true, Ordering::Release);
-        sup.join().unwrap();
     }
 }

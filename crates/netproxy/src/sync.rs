@@ -7,9 +7,10 @@
 //! operation is a scheduling point for exhaustive interleaving
 //! exploration (see `crates/loom` and `tests/loom.rs`).
 //!
-//! Only the types the loom models exercise are shimmed; modules with
-//! plain counter atomics and no cross-thread protocol keep `std`
-//! imports directly.
+//! Only the types the loom models exercise are shimmed. The counter sets
+//! `counters!` declares use the shim too, since one of them
+//! (`ShardStats`) is modeled; outside a loom model its atomics behave as
+//! plain ones.
 
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64};

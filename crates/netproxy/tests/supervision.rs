@@ -5,25 +5,20 @@
 
 #![cfg(not(miri))]
 
-use netproxy::shard::{OverloadConfig, RelayConfig, ShardedRelay};
-use netproxy::supervisor::SupervisorConfig;
+use netproxy::shard::{RelayConfig, ShardedRelay};
 use netproxy::wire::WireHeader;
 use std::net::{SocketAddr, UdpSocket};
+use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
 fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().expect("addr")
 }
 
-/// A relay with fast supervision, suitable for short tests.
+/// A two-shard relay under the supervisor's fixed timing.
 fn supervised_config(receiver: SocketAddr) -> RelayConfig {
     RelayConfig {
         shards: 2,
-        supervisor: SupervisorConfig {
-            poll: Duration::from_millis(5),
-            wedge_timeout: Duration::from_millis(150),
-            ..SupervisorConfig::default()
-        },
         ..RelayConfig::streamlined(receiver)
     }
 }
@@ -211,15 +206,9 @@ fn overload_ladder_sheds_and_coalesces_under_burst() {
         loopback(),
         RelayConfig {
             shards: 1,
-            // Tiny budgets: a burst of hundreds exhausts forward and
-            // NACK buckets within one batch window.
-            overload: Some(OverloadConfig {
-                forward_pps: 50.0,
-                forward_burst: 8.0,
-                nack_pps: 25.0,
-                nack_burst: 4.0,
-                coalesce_nacks: true,
-            }),
+            // A tiny budget: a burst of hundreds exhausts the forward
+            // and NACK buckets (bursts of two batches and one) at once.
+            overload: NonZeroU64::new(50),
             ..RelayConfig::streamlined(recv_addr)
         },
     )
@@ -277,30 +266,4 @@ fn overload_ladder_sheds_and_coalesces_under_burst() {
         "shed ladder conserves datagrams: {s:?}"
     );
     assert!(s.shed_nacked <= s.nacks, "shed-NACKs are a subset of NACKs");
-}
-
-#[test]
-fn disabled_supervisor_leaves_crashed_shard_dead() {
-    let receiver = UdpSocket::bind(loopback()).unwrap();
-    let relay = ShardedRelay::start(
-        loopback(),
-        RelayConfig {
-            shards: 1,
-            supervisor: SupervisorConfig {
-                enabled: false,
-                poll: Duration::from_millis(5),
-                ..SupervisorConfig::default()
-            },
-            ..RelayConfig::streamlined(receiver.local_addr().unwrap())
-        },
-    )
-    .expect("relay starts");
-    relay.inject_crash(0);
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(
-        relay.shard_generation(0),
-        0,
-        "no supersession when disabled"
-    );
-    assert_eq!(relay.supervisor_stats().restarts, 0);
 }

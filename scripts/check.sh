@@ -13,7 +13,7 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live)"
+echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live); a clock-free shard step (netproxy::step)"
 MANIFESTS="$(git ls-files '*Cargo.toml' ':!crates/perf')"
 # Inside a *dependencies table an entry is `name.workspace = true` or carries
 # `path = "..."`; a `[dependencies.name]` sub-table is not used here at all.
@@ -25,6 +25,7 @@ if [ -n "$FOREIGN" ]; then echo "$FOREIGN"; echo "a manifest names a crate from 
 if grep -l -e '^\[\[bench\]\]' $MANIFESTS; then echo "a [[bench]] target is back in a manifest" >&2; exit 1; fi
 if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked again (committed numbers live in results/ and crates/perf/RECORD.json)" >&2; exit 1; fi
 if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench (every live run goes through bench::live::run)" >&2; exit 1; fi
+if grep -n -e 'Instant' -e 'SystemTime' crates/netproxy/src/step.rs; then echo "the shard step reads a clock (it takes the run loop's reading as now_ns)" >&2; exit 1; fi
 
 echo "== scripts parse (bash -n)"
 bash -n scripts/pairs.sh
