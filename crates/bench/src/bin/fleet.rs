@@ -193,9 +193,12 @@ fn main() {
         for side in 0..2 {
             let dc = &hosts[side * hosts_per_dc..(side + 1) * hosts_per_dc];
             for i in 0..cli.background {
-                // Offset 7 is coprime to the 20-host DC, so src and dst
-                // always land on different leaves and never collide with
-                // the pod's incast receiver (dc[0] in DC1 is skipped).
+                // src and dst are 7 hosts apart in the 20-host DC (5 per
+                // leaf), so they always sit on different leaves. The mice
+                // do reach the pod's incast receiver (dc[0] of DC1): it is
+                // the dst at i = 12 and the src at i = 19, and `--quick`'s
+                // 16 mice include i = 12. `check.sh`'s FLEET_EXPECTED pins
+                // this placement.
                 let src = dc[(i + 1) % hosts_per_dc];
                 let dst = dc[(i + 8) % hosts_per_dc];
                 let spec = FlowSpec::new(src, dst, 256_000);

@@ -21,7 +21,7 @@ use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use incast_core::orchestrator::{
     DecentralizedSelector, IncastRequest, ProxySelector, ShardedConfig, ShardedOrchestrator,
 };
-use incast_core::scheme::{install_incast, IncastSpec, Scheme, Transport};
+use incast_core::scheme::{install_incast, IncastKnobs, IncastSpec, Scheme, Transport};
 use trace::table::{fmt_bytes, fmt_secs};
 use trace::timeseries::{step_max, step_mean};
 use trace::{derive_seed, SplitMix64, Summary, Table};
@@ -575,7 +575,10 @@ static ABLATION_INITWND: Grid<f64, Scheme> = Grid {
         },
         BASELINE_VS_STREAMLINED,
         |iw_scale, scheme, seed| ExperimentConfig {
-            iw_scale,
+            knobs: IncastKnobs {
+                iw_scale,
+                ..Default::default()
+            },
             ..paper_cell(scheme, 8, seed)
         },
     )
@@ -619,7 +622,10 @@ static ABLATION_CC_RESPONSE: Grid<(&str, EcnResponse), Scheme> = Grid {
         },
         PAPER_SCHEMES,
         |(_, ecn_response), scheme, seed| ExperimentConfig {
-            ecn_response,
+            knobs: IncastKnobs {
+                ecn_response,
+                ..Default::default()
+            },
             ..paper_cell(scheme, 8, seed)
         },
     )
@@ -668,7 +674,10 @@ static ABLATION_TRANSPORT: Grid<(&str, Transport), Scheme> = Grid {
             &Scheme::EXTENDED,
         ),
         |(_, transport), scheme, seed| ExperimentConfig {
-            transport,
+            knobs: IncastKnobs {
+                transport,
+                ..Default::default()
+            },
             ..paper_cell(scheme, 8, seed)
         },
     )
@@ -733,7 +742,10 @@ static ABLATION_RELAY_ONLY: Grid<u64, (&str, (Scheme, bool))> = Grid {
         degrees(&[8], &[4, 8, 16, 32]),
         named(RELAY_VARIANTS, RELAY_VARIANTS),
         |degree, (_, (scheme, early_nack)), seed| ExperimentConfig {
-            early_nack,
+            knobs: IncastKnobs {
+                early_nack,
+                ..Default::default()
+            },
             ..paper_cell(scheme, degree, seed)
         },
     )
@@ -781,9 +793,12 @@ static ABLATION_DETECTOR_PROXY: Grid<f64, (&str, (Scheme, u32))> = Grid {
         named(DETECTOR_QUICK, DETECTOR_VARIANTS),
         |jitter, (_, (scheme, reorder_threshold)), seed| ExperimentConfig {
             topo: TwoDcParams::default().with_path_jitter(jitter, seed),
-            detector: LossDetectorConfig {
-                reorder_threshold,
-                max_pending: 4096,
+            knobs: IncastKnobs {
+                detector: LossDetectorConfig {
+                    reorder_threshold,
+                    max_pending: 4096,
+                },
+                ..Default::default()
             },
             ..paper_cell(scheme, 8, seed)
         },
@@ -1102,7 +1117,7 @@ fn unstructured_run(scheme: Scheme, threshold: u32, seed: u64) -> f64 {
     if scheme.uses_proxy() {
         spec = spec.with_proxy(*dc0.last().expect("hosts"));
     }
-    spec.detector = LossDetectorConfig {
+    spec.knobs.detector = LossDetectorConfig {
         reorder_threshold: threshold,
         max_pending: 4096,
     };
@@ -1527,7 +1542,10 @@ fn faults(opts: &RunOptions, out: &mut String) {
         Scheme::Baseline,
     ];
     let config_for = |scheme| ExperimentConfig {
-        failover: Some(FailoverConfig::default()),
+        knobs: IncastKnobs {
+            failover: true,
+            ..Default::default()
+        },
         ..paper_cell(scheme, 8, opts.seed)
     };
 
@@ -1658,7 +1676,10 @@ pub fn adhoc(args: &[String]) -> String {
             scheme,
             degree,
             total_bytes: mb * 1_000_000,
-            iw_scale,
+            knobs: IncastKnobs {
+                iw_scale,
+                ..Default::default()
+            },
             trim,
             background_flows: background,
             topo: TwoDcParams::default()

@@ -34,7 +34,7 @@
 
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
-use incast_core::scheme::{IncastHandle, Transport};
+use incast_core::scheme::{IncastHandle, IncastKnobs, Transport};
 use incast_core::{ExperimentConfig, Scheme};
 use mini_json::Json;
 use std::collections::BTreeMap;
@@ -444,10 +444,13 @@ impl From<&Scenario> for ExperimentConfig {
             scheme: sc.scheme,
             degree: sc.degree,
             total_bytes: sc.total_bytes,
-            transport: sc.transport,
             trim: sc.trim,
-            early_nack: sc.early_nack,
-            failover: sc.failover.then(FailoverConfig::default),
+            knobs: IncastKnobs {
+                transport: sc.transport,
+                early_nack: sc.early_nack,
+                failover: sc.failover,
+                ..Default::default()
+            },
             background_flows: sc.background_flows,
             fidelity: sc.fidelity,
             time_limit: SimDuration::from_millis(sc.time_limit_ms),

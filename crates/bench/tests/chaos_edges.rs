@@ -19,7 +19,7 @@
 //! any leaked packet, broken queue accounting, or wedged flow panics.
 
 use dcsim::prelude::*;
-use incast_core::scheme::{IncastHandle, Transport};
+use incast_core::scheme::{IncastHandle, IncastKnobs, Transport};
 use incast_core::{ExperimentConfig, Scheme};
 
 fn config(total_bytes: u64, degree: usize) -> ExperimentConfig {
@@ -28,7 +28,10 @@ fn config(total_bytes: u64, degree: usize) -> ExperimentConfig {
         degree,
         total_bytes,
         topo: TwoDcParams::small_test().with_wan_latency(SimDuration::from_micros(200)),
-        failover: Some(FailoverConfig::default()),
+        knobs: IncastKnobs {
+            failover: true,
+            ..Default::default()
+        },
         audit: Some(
             AuditConfig::strict()
                 .every(Some(10_000))
@@ -106,10 +109,8 @@ fn proxy_crash_with_nacks_in_flight_recovers_clean() {
 fn rate_senders_fail_over_when_the_proxy_never_returns() {
     // Failover belongs to the sender shell, not to the window: paced
     // senders must leave a dead proxy for the direct path too.
-    let config = ExperimentConfig {
-        transport: Transport::RateBased,
-        ..config(400_000, 4)
-    };
+    let mut config = config(400_000, 4);
+    config.knobs.transport = Transport::RateBased;
     let (mut sim, _, handle) = config.build(7);
     let proxy = handle.proxy_agent.expect("streamlined exposes its proxy");
     let plan = FaultPlan::new().crash_agent(proxy, handle.start);

@@ -2,7 +2,7 @@
 //! under a scheme, repeat over seeds, and summarize — the machinery behind
 //! every simulation figure (Figs 2–3) and ablation.
 
-use crate::scheme::{install_incast, IncastSpec, Scheme};
+use crate::scheme::{install_incast, IncastKnobs, IncastSpec, Scheme};
 use dcsim::prelude::*;
 use trace::{derive_seed, Summary};
 
@@ -75,29 +75,17 @@ pub struct ExperimentConfig {
     pub total_bytes: u64,
     /// Base seed; repetition `r` runs with `derive_seed(seed, r)`.
     pub seed: u64,
-    /// Streamlined proxy per-packet processing delay.
-    pub streamlined_delay: SimDuration,
     /// Switch trimming policy (paper default: Streamlined only).
     pub trim: TrimPolicy,
-    /// Initial-window scale (1.0 = the paper's 1 BDP).
-    pub iw_scale: f64,
-    /// Early NACKs at the Streamlined proxy (false = relay-only strawman).
-    pub early_nack: bool,
-    /// Sender ECN response.
-    pub ecn_response: dcsim::protocol::dctcp::EcnResponse,
-    /// Loss-detector configuration for [`Scheme::ProxyDetecting`].
-    pub detector: crate::lossdetect::LossDetectorConfig,
-    /// Sender transport.
-    pub transport: crate::scheme::Transport,
+    /// How the senders and the proxy behave (the paper's setup by
+    /// default); [`placement`](Self::placement) hands it to the spec.
+    pub knobs: IncastKnobs,
     /// Web-search-style background flows sharing the two datacenters with
     /// the incast (default: 0). Endpoints are drawn from every host that
     /// is not an incast participant, starts are uniform in the first 10 ms.
     pub background_flows: usize,
     /// Fault scenario injected into each run (default: none).
     pub faults: FaultScenario,
-    /// Sender-side proxy failover (default: off). Required for proxied
-    /// incasts to survive [`FaultScenario::ProxyCrash`] without a restore.
-    pub failover: Option<FailoverConfig>,
     /// Hybrid-fidelity engine (default: off — off keeps every run
     /// bit-identical to historical builds). When on, uncontended hops are
     /// advanced analytically and only the contended queues — receiver and
@@ -108,10 +96,7 @@ pub struct ExperimentConfig {
     /// Safety limit on simulated time (a run exceeding it is a bug or a
     /// pathological configuration — the harness panics loudly).
     pub time_limit: SimDuration,
-    /// Invariant auditing for each run (default: none). When `None`, the
-    /// `DCSIM_AUDIT` environment variable still turns auditing on
-    /// (`strict`/`1` or `collect`) so the whole experiment surface can run
-    /// audited without touching call sites.
+    /// Invariant auditing for each run (default: none).
     pub audit: Option<AuditConfig>,
 }
 
@@ -123,34 +108,14 @@ impl Default for ExperimentConfig {
             degree: 4,
             total_bytes: 100_000_000, // the paper's 100 MB default
             seed: 1,
-            streamlined_delay: SimDuration(420_000), // 0.42 µs
             trim: TrimPolicy::SchemeDefault,
-            iw_scale: 1.0,
-            early_nack: true,
-            ecn_response: dcsim::protocol::dctcp::EcnResponse::default(),
-            detector: crate::lossdetect::LossDetectorConfig::default(),
-            transport: crate::scheme::Transport::WindowedDctcp,
+            knobs: IncastKnobs::default(),
             background_flows: 0,
             faults: FaultScenario::None,
-            failover: None,
             fidelity: false,
             time_limit: SimDuration::from_secs(600),
             audit: None,
         }
-    }
-}
-
-/// The audit configuration a run should use: the config's explicit choice,
-/// else the `DCSIM_AUDIT` environment variable (`strict` or `1` → strict,
-/// `collect` → collect), else none.
-fn resolved_audit(config: &ExperimentConfig) -> Option<AuditConfig> {
-    if config.audit.is_some() {
-        return config.audit;
-    }
-    match std::env::var("DCSIM_AUDIT").ok()?.as_str() {
-        "strict" | "1" => Some(AuditConfig::strict()),
-        "collect" => Some(AuditConfig::collect()),
-        _ => None,
     }
 }
 
@@ -174,13 +139,7 @@ impl ExperimentConfig {
         assert!(!dc1.is_empty(), "no receiver host in DC1");
         let mut spec = IncastSpec::new(dc0[..self.degree].to_vec(), dc1[0], self.total_bytes)
             .with_proxy(*dc0.last().expect("non-empty DC0"));
-        spec.streamlined_delay = self.streamlined_delay;
-        spec.iw_scale = self.iw_scale;
-        spec.early_nack = self.early_nack;
-        spec.ecn_response = self.ecn_response;
-        spec.detector = self.detector;
-        spec.transport = self.transport;
-        spec.failover = self.failover;
+        spec.knobs = self.knobs;
         spec
     }
 
@@ -193,7 +152,7 @@ impl ExperimentConfig {
     pub fn build(&self, seed: u64) -> (Simulator, IncastSpec, crate::scheme::IncastHandle) {
         let params = self.topo.with_trim(self.trim.enabled_for(self.scheme));
         let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-        if let Some(audit) = resolved_audit(self) {
+        if let Some(audit) = self.audit {
             sim.set_audit(audit);
         }
         let spec = self.placement(sim.topology());
@@ -451,7 +410,7 @@ mod tests {
                 after: SimDuration::from_micros(50),
                 restore_after: None,
             };
-            cfg.failover = Some(FailoverConfig::default());
+            cfg.knobs.failover = true;
             let out = run_incast(&cfg, 7);
             // `completion` returning Some means zero permanently-stalled
             // flows: every sender finished despite the dead proxy.
@@ -480,7 +439,7 @@ mod tests {
             after: SimDuration::from_micros(50),
             restore_after: None,
         };
-        cfg.failover = Some(FailoverConfig::default());
+        cfg.knobs.failover = true;
         let out = run_incast(&cfg, 1);
         let base = run_incast(&fast_config(Scheme::Baseline), 1);
         // Baseline has no shared proxy agent: the scenario is a no-op and
@@ -505,13 +464,50 @@ mod tests {
 
     #[test]
     fn placement_respects_topology() {
-        let cfg = fast_config(Scheme::ProxyNaive);
+        use crate::lossdetect::LossDetectorConfig;
+        use crate::scheme::Transport;
+        use dcsim::protocol::EcnResponse;
+        // Every knob away from its default: the spec must carry each one.
+        let defaults = IncastKnobs::default();
+        let knobs = IncastKnobs {
+            iw_scale: 2.5,
+            early_nack: false,
+            ecn_response: EcnResponse::HalvePerRound,
+            detector: LossDetectorConfig {
+                reorder_threshold: 3,
+                max_pending: 16,
+            },
+            transport: Transport::RateBased,
+            failover: true,
+        };
+        assert_ne!(knobs.iw_scale, defaults.iw_scale);
+        assert_ne!(knobs.early_nack, defaults.early_nack);
+        assert_ne!(knobs.ecn_response, defaults.ecn_response);
+        assert_ne!(
+            knobs.detector.reorder_threshold,
+            defaults.detector.reorder_threshold
+        );
+        assert_ne!(knobs.detector.max_pending, defaults.detector.max_pending);
+        assert_ne!(knobs.transport, defaults.transport);
+        assert_ne!(knobs.failover, defaults.failover);
+        let cfg = ExperimentConfig {
+            knobs,
+            ..fast_config(Scheme::ProxyNaive)
+        };
         let topo = two_dc_leaf_spine(&cfg.topo);
         let spec = cfg.placement(&topo);
         assert_eq!(spec.senders.len(), 3);
         assert_eq!(topo.host_dc(spec.receiver), Some(1));
         assert_eq!(topo.host_dc(spec.proxy.unwrap()), Some(0));
         assert!(!spec.senders.contains(&spec.proxy.unwrap()));
+        let got = spec.knobs;
+        assert_eq!(got.iw_scale, knobs.iw_scale);
+        assert_eq!(got.early_nack, knobs.early_nack);
+        assert_eq!(got.ecn_response, knobs.ecn_response);
+        assert_eq!(got.detector.reorder_threshold, 3);
+        assert_eq!(got.detector.max_pending, 16);
+        assert_eq!(got.transport, knobs.transport);
+        assert_eq!(got.failover, knobs.failover);
     }
 
     #[test]

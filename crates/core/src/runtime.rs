@@ -29,31 +29,16 @@ use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 use dcsim::topology::Topology;
 
-/// The runtime's policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Tear a reroute down after this many epochs without the signature.
-    pub release_after_quiet_epochs: u32,
-    /// Epochs of history for periodicity analysis.
-    pub history_epochs: usize,
-    /// Minimum autocorrelation to trust a predicted period.
-    pub min_confidence: f64,
-    /// Sim-time length of one observation epoch; positions the epoch
-    /// boundary on the plane's clock so leases expire and health gossip
-    /// flows in step with the control loop.
-    pub epoch_duration: SimDuration,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            release_after_quiet_epochs: 3,
-            history_epochs: 64,
-            min_confidence: 0.5,
-            epoch_duration: SimDuration::from_millis(1),
-        }
-    }
-}
+/// Tear a reroute down after this many epochs without the signature.
+const RELEASE_AFTER_QUIET_EPOCHS: u32 = 3;
+/// Epochs of history for periodicity analysis.
+const HISTORY_EPOCHS: usize = 64;
+/// Minimum autocorrelation to trust a predicted period.
+const MIN_CONFIDENCE: f64 = 0.5;
+/// Sim-time length of one observation epoch; positions the epoch boundary
+/// on the plane's clock so leases expire and health gossip flows in step
+/// with the control loop.
+const EPOCH_DURATION: SimDuration = SimDuration::from_millis(1);
 
 /// An action the operator should apply at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +76,6 @@ struct ActiveReroute {
 
 /// The epoch-driven operator control loop.
 pub struct OperatorRuntime {
-    config: RuntimeConfig,
     signature: IncastSignatureDetector,
     /// Per-destination byte history for periodicity analysis.
     periodicity: DetMap<HostId, PeriodicityDetector>,
@@ -110,14 +94,8 @@ pub struct OperatorRuntime {
 impl OperatorRuntime {
     /// Creates a runtime over the deployment's `topology` (the operator
     /// knows its placement); `plane` owns the proxy pool.
-    pub fn new(
-        config: RuntimeConfig,
-        signature: SignatureConfig,
-        topology: Topology,
-        plane: ShardedOrchestrator,
-    ) -> Self {
+    pub fn new(signature: SignatureConfig, topology: Topology, plane: ShardedOrchestrator) -> Self {
         OperatorRuntime {
-            config,
             signature: IncastSignatureDetector::new(signature),
             periodicity: DetMap::new(),
             epoch_bytes: DetMap::new(),
@@ -164,7 +142,7 @@ impl OperatorRuntime {
     /// Closes the epoch: returns the actions to apply.
     pub fn end_epoch(&mut self) -> Vec<RuntimeAction> {
         self.epoch += 1;
-        let now = SimTime::ZERO + SimDuration(self.config.epoch_duration.0 * self.epoch);
+        let now = SimTime::ZERO + SimDuration(EPOCH_DURATION.0 * self.epoch);
         let mut actions = Vec::new();
 
         // Lease upkeep first: advance the plane's clock (expiry, health
@@ -193,11 +171,10 @@ impl OperatorRuntime {
         // Periodicity bookkeeping for every destination we ever saw:
         // active destinations push their epoch bytes, quiet ones a zero
         // (their series must still age for autocorrelation).
-        let history = self.config.history_epochs;
         for (&dst, &bytes) in &self.epoch_bytes {
             self.periodicity
                 .entry(dst)
-                .or_insert_with(|| PeriodicityDetector::new(history))
+                .or_insert_with(|| PeriodicityDetector::new(HISTORY_EPOCHS))
                 .push(bytes);
         }
         for (dst, detector) in self.periodicity.iter_mut() {
@@ -252,9 +229,9 @@ impl OperatorRuntime {
             reroute.quiet_epochs += 1;
             // Predicted to fire again soon? Keep it armed.
             if let Some(detector) = self.periodicity.get(&dst) {
-                if let Some(period) = detector.dominant_period(self.config.min_confidence) {
+                if let Some(period) = detector.dominant_period(MIN_CONFIDENCE) {
                     let next = detector.next_burst_in(&period, reroute.quiet_epochs as usize);
-                    if next <= self.config.release_after_quiet_epochs as usize {
+                    if next <= RELEASE_AFTER_QUIET_EPOCHS as usize {
                         actions.push(RuntimeAction::PreArm {
                             destination: dst,
                             epochs: next,
@@ -263,7 +240,7 @@ impl OperatorRuntime {
                     }
                 }
             }
-            if reroute.quiet_epochs >= self.config.release_after_quiet_epochs {
+            if reroute.quiet_epochs >= RELEASE_AFTER_QUIET_EPOCHS {
                 to_release.push(dst);
             }
         }
@@ -287,16 +264,12 @@ mod tests {
 
     /// A runtime on the standard topology (hosts 0..63 are DC 0, 64.. are
     /// DC 1) whose plane offers the upper half of DC 0 as proxies.
-    fn runtime_with(shards: u32, release_after_quiet_epochs: u32) -> OperatorRuntime {
+    fn runtime_with(shards: u32) -> OperatorRuntime {
         let config = ShardedConfig {
             shards,
             ..ShardedConfig::default()
         };
         OperatorRuntime::new(
-            RuntimeConfig {
-                release_after_quiet_epochs,
-                ..Default::default()
-            },
             SignatureConfig {
                 min_degree: 4,
                 min_bytes: 10_000_000,
@@ -308,7 +281,7 @@ mod tests {
 
     /// Behind the global orchestrator: the plane with one shard.
     fn runtime() -> OperatorRuntime {
-        runtime_with(1, 2)
+        runtime_with(1)
     }
 
     const EXPERT: HostId = HostId(64);
@@ -365,8 +338,11 @@ mod tests {
         let mut rt = runtime();
         burst(&mut rt, 15_000_000);
         rt.end_epoch();
-        // Two quiet epochs -> release (no periodicity seen yet).
-        assert!(rt.end_epoch().is_empty());
+        // RELEASE_AFTER_QUIET_EPOCHS quiet epochs -> release (no
+        // periodicity seen yet).
+        for _ in 1..RELEASE_AFTER_QUIET_EPOCHS {
+            assert!(rt.end_epoch().is_empty());
+        }
         let actions = rt.end_epoch();
         assert_eq!(
             actions,
@@ -382,8 +358,10 @@ mod tests {
         let mut rt = runtime();
         burst(&mut rt, 15_000_000);
         rt.end_epoch();
-        rt.end_epoch();
-        rt.end_epoch(); // released
+        for _ in 0..RELEASE_AFTER_QUIET_EPOCHS {
+            rt.end_epoch(); // the last one releases
+        }
+        assert!(rt.reroute_of(EXPERT).is_none());
         burst(&mut rt, 15_000_000);
         let actions = rt.end_epoch();
         assert!(matches!(actions[0], RuntimeAction::Reroute { .. }));
@@ -414,18 +392,18 @@ mod tests {
             "periodicity must keep the reroute pre-armed between bursts"
         );
         // Once the period is learned, the reroute should stay armed (the
-        // release budget of 2 quiet epochs never trips because the next
-        // burst is always predicted within it).
+        // release budget of RELEASE_AFTER_QUIET_EPOCHS never trips because
+        // the next burst is always predicted within it).
         assert!(
             rt.reroute_of(EXPERT).is_some() || releases <= 2,
             "late-phase releases should stop: {releases}"
         );
     }
 
+    /// These tests watch the lease lifecycle, not the traffic lifecycle:
+    /// the incast fires every epoch, so quiet-release never trips.
     fn sharded_runtime() -> OperatorRuntime {
-        // Keep quiet-release out of the picture: these tests watch the
-        // lease lifecycle, not the traffic lifecycle.
-        runtime_with(4, 100)
+        runtime_with(4)
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   through the proxy, which converts trimmed headers into immediate
 //!   NACKs and forwards everything else.
 
+use crate::lossdetect::LossDetectorConfig;
 use crate::relay::{RelayAgent, RelayKind};
 use dcsim::flows::PathProfile;
 use dcsim::prelude::*;
@@ -83,6 +84,55 @@ impl std::fmt::Display for Scheme {
     }
 }
 
+/// Per-packet processing delay of the Streamlined proxy datapath (Fig. 5a
+/// measures a median of 0.42 µs on the paper's prototype).
+pub const STREAMLINED_DELAY: SimDuration = SimDuration(420_000);
+
+/// How an incast's senders and proxy behave. The default is the paper's
+/// setup; the ablations move one knob at a time. [`IncastSpec`] and
+/// [`ExperimentConfig`](crate::experiment::ExperimentConfig) each hold one.
+#[derive(Debug, Clone, Copy)]
+pub struct IncastKnobs {
+    /// Scale factor on every sender's initial window (1.0 = the paper's
+    /// 1 BDP; swept by the `ablation_initwnd` study of §2's first-RTT
+    /// overload argument).
+    pub iw_scale: f64,
+    /// When false, the Streamlined proxy merely relays (no early NACKs:
+    /// [`RelayKind::Naive`]) — Insight #2's strawman, swept by
+    /// `ablation_relay_only`. The Detecting proxy ignores it.
+    pub early_nack: bool,
+    /// ECN response of every sender (default: true DCTCP α; the
+    /// `ablation_cc_response` study compares against plain halving).
+    pub ecn_response: EcnResponse,
+    /// Loss-detector configuration for the [`Scheme::ProxyDetecting`]
+    /// variant (ignored by the other schemes).
+    pub detector: LossDetectorConfig,
+    /// Sender transport (the paper's windowed DCTCP-like by default).
+    pub transport: Transport,
+    /// When true, proxied senders of either transport monitor proxy health
+    /// and fall back to the direct path if the proxy goes silent (see
+    /// [`Sender::with_failover`]). Off (the default) leaves runs
+    /// bit-identical to builds without failover support. Only the
+    /// end-to-end proxy schemes (Streamlined, Detecting) use it: Baseline
+    /// has no proxy, and the Naive scheme's split connections terminate at
+    /// the proxy, so there is no direct path to fall back to. Required for
+    /// proxied incasts to survive a proxy crash without a restore.
+    pub failover: bool,
+}
+
+impl Default for IncastKnobs {
+    fn default() -> Self {
+        IncastKnobs {
+            iw_scale: 1.0,
+            early_nack: true,
+            ecn_response: EcnResponse::default(),
+            detector: LossDetectorConfig::default(),
+            transport: Transport::WindowedDctcp,
+            failover: false,
+        }
+    }
+}
+
 /// One incast to install: `senders` transmit `total_bytes` (split equally)
 /// to `receiver`, optionally via `proxy`.
 #[derive(Debug, Clone)]
@@ -97,39 +147,15 @@ pub struct IncastSpec {
     /// over the first senders, as equal as possible).
     pub total_bytes: u64,
     /// When the senders start (simultaneously, as in the paper).
+    /// [`IncastSpec::new`] sets zero, and no caller moves it.
     pub start: SimTime,
-    /// Per-packet processing delay of the Streamlined proxy datapath
-    /// (Fig. 5a measures a median of 0.42 µs on the paper's prototype).
-    pub streamlined_delay: SimDuration,
-    /// Scale factor on every sender's initial window (1.0 = the paper's
-    /// 1 BDP; swept by the `ablation_initwnd` study of §2's first-RTT
-    /// overload argument).
-    pub iw_scale: f64,
-    /// When false, the Streamlined proxy merely relays (no early NACKs:
-    /// [`RelayKind::Naive`]) — Insight #2's strawman, swept by
-    /// `ablation_relay_only`. The Detecting proxy ignores it.
-    pub early_nack: bool,
-    /// ECN response of every sender (default: true DCTCP α; the
-    /// `ablation_cc_response` study compares against plain halving).
-    pub ecn_response: EcnResponse,
-    /// Loss-detector configuration for the [`Scheme::ProxyDetecting`]
-    /// variant (ignored by the other schemes).
-    pub detector: crate::lossdetect::LossDetectorConfig,
-    /// Sender transport (the paper's windowed DCTCP-like by default).
-    pub transport: Transport,
-    /// When set, proxied senders of either transport monitor proxy health
-    /// and fall back to the direct path if the proxy goes silent (see
-    /// [`dcsim::protocol::FailoverConfig`]). `None` (the default) leaves
-    /// runs bit-identical to builds without failover support. Only the
-    /// end-to-end proxy schemes (Streamlined, Detecting) use it: Baseline
-    /// has no proxy, and the Naive scheme's split connections terminate at
-    /// the proxy, so there is no direct path to fall back to.
-    pub failover: Option<FailoverConfig>,
+    /// How the senders and the proxy behave.
+    pub knobs: IncastKnobs,
 }
 
 impl IncastSpec {
-    /// An incast with the paper's defaults (simultaneous start, 0.42 µs
-    /// streamlined proxy processing delay).
+    /// An incast with the paper's defaults (simultaneous start at zero,
+    /// default [`IncastKnobs`]).
     pub fn new(senders: Vec<HostId>, receiver: HostId, total_bytes: u64) -> Self {
         IncastSpec {
             senders,
@@ -137,31 +163,13 @@ impl IncastSpec {
             proxy: None,
             total_bytes,
             start: SimTime::ZERO,
-            streamlined_delay: SimDuration(420_000), // 0.42 µs
-            iw_scale: 1.0,
-            early_nack: true,
-            ecn_response: EcnResponse::default(),
-            detector: crate::lossdetect::LossDetectorConfig::default(),
-            transport: Transport::WindowedDctcp,
-            failover: None,
+            knobs: IncastKnobs::default(),
         }
     }
 
     /// Sets the proxy host.
     pub fn with_proxy(mut self, proxy: HostId) -> Self {
         self.proxy = Some(proxy);
-        self
-    }
-
-    /// Enables sender-side proxy failover with the given config.
-    pub fn with_failover(mut self, cfg: FailoverConfig) -> Self {
-        self.failover = Some(cfg);
-        self
-    }
-
-    /// Sets the start time.
-    pub fn with_start(mut self, start: SimTime) -> Self {
-        self.start = start;
         self
     }
 
@@ -246,10 +254,10 @@ fn install_relayed(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> In
     let proxy_host = spec.proxy.expect("validated");
     let kind = match scheme {
         Scheme::ProxyDetecting => RelayKind::Detecting,
-        _ if spec.early_nack => RelayKind::Streamlined,
+        _ if spec.knobs.early_nack => RelayKind::Streamlined,
         _ => RelayKind::Naive,
     };
-    let mut proxy = RelayAgent::new(proxy_host, kind, spec.streamlined_delay, spec.detector);
+    let mut proxy = RelayAgent::new(proxy_host, kind, STREAMLINED_DELAY, spec.knobs.detector);
     // Reserve flow ids and register them with the proxy first, then add the
     // proxy agent, then bind everything.
     let mut flows = Vec::new();
@@ -298,8 +306,9 @@ fn install_relayed(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> In
 /// ECN response) applied.
 fn windowed(path: PathProfile, spec: &IncastSpec) -> Dctcp {
     let mut cc = path.windowed();
-    cc.init_cwnd_bytes = ((cc.init_cwnd_bytes as f64 * spec.iw_scale) as u64).max(DATA_PKT_SIZE);
-    cc.ecn_response = spec.ecn_response;
+    let knobs = &spec.knobs;
+    cc.init_cwnd_bytes = ((cc.init_cwnd_bytes as f64 * knobs.iw_scale) as u64).max(DATA_PKT_SIZE);
+    cc.ecn_response = knobs.ecn_response;
     Dctcp::new(cc)
 }
 
@@ -317,22 +326,22 @@ fn make_sender(
 ) -> Box<dyn Agent> {
     fn boxed<C: CongestionControl + 'static>(
         sender: Sender<C>,
-        failover: Option<(HostId, FailoverConfig)>,
+        direct: Option<HostId>,
     ) -> Box<dyn Agent> {
-        match failover {
-            Some((direct, cfg)) => Box::new(sender.with_failover(direct, cfg)),
+        match direct {
+            Some(direct) => Box::new(sender.with_failover(direct)),
             None => Box::new(sender),
         }
     }
-    let failover = direct.zip(spec.failover);
-    match spec.transport {
+    let direct = direct.filter(|_| spec.knobs.failover);
+    match spec.knobs.transport {
         Transport::WindowedDctcp => boxed(
             Sender::new(flow, src, to, packets, windowed(path, spec)),
-            failover,
+            direct,
         ),
         Transport::RateBased => boxed(
             Sender::new(flow, src, to, packets, Rate::new(path.rate())),
-            failover,
+            direct,
         ),
     }
 }
@@ -493,10 +502,8 @@ mod tests {
         params.wan_link.bandwidth = Bandwidth::gbps(10);
         let mut s = Simulator::new(two_dc_leaf_spine(&params), 11);
         let (dc0, dc1) = (s.topology().hosts_in_dc(0), s.topology().hosts_in_dc(1));
-        let spec = IncastSpec {
-            transport: Transport::RateBased,
-            ..IncastSpec::new(vec![dc0[0]], dc1[0], 1_000_000)
-        };
+        let mut spec = IncastSpec::new(vec![dc0[0]], dc1[0], 1_000_000);
+        spec.knobs.transport = Transport::RateBased;
         install_incast(&mut s, &spec, Scheme::Baseline);
         let gap = Bandwidth::gbps(2).serialize_time(DATA_PKT_SIZE);
         assert_eq!(gap, SimDuration::from_micros(6));

@@ -20,9 +20,9 @@
 //! - the port's queue is empty (a packet still on the wire is fine — the
 //!   `free_at` horizon tracks its TxDone, so express departures serialize
 //!   behind it exactly as FIFO would),
-//! - no congestion signal was observed within the last `cold_dwell`
+//! - no congestion signal was observed within the last `COLD_DWELL`
 //!   (hysteresis, tracked in `hot_until`),
-//! - the virtual backlog `free_at - now` is below `hot_backlog`.
+//! - the virtual backlog `free_at - now` is below `HOT_BACKLOG`.
 //!
 //! The `free_at` horizon reproduces FIFO store-and-forward timing exactly:
 //! `depart = max(now, free_at) + serialize; free_at' = depart`.  Because
@@ -32,7 +32,7 @@
 //! packet-level path, keeping per-flow behaviour statistically equivalent.
 //! The one approximation: an express walk claims downstream horizons at
 //! processing time rather than arrival time.  That lookahead is capped by
-//! `max_lookahead` — a walk whose virtual clock runs further ahead of the
+//! `MAX_LOOKAHEAD` — a walk whose virtual clock runs further ahead of the
 //! wall clock (crossing a long-haul link, say) defers to an `Inject` and
 //! resumes against fresh port state — so horizons are only ever claimed
 //! near the present and `tests/fidelity_equivalence.rs` bounds the
@@ -41,46 +41,42 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Tuning knobs for the hybrid-fidelity engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FidelityConfig {
-    /// Virtual-backlog ceiling: a port whose `free_at` horizon is further
-    /// than this ahead of now is treated as hot.  Kept below the serialize
-    /// time of the ECN low watermark (33.2 KB at 100 Gbps ≈ 2.65 µs) so a
-    /// cold port can never have accumulated enough virtual backlog to have
-    /// marked packets had it run at full fidelity.
-    pub hot_backlog: SimDuration,
-    /// Hysteresis: after a congestion signal (queue build-up past the ECN
-    /// low watermark, a trim, or a drop) the port stays hot for this long.
-    pub cold_dwell: SimDuration,
-    /// Staleness ceiling on express walks: a walk whose packet would reach
-    /// the next port more than this far ahead of the wall clock stops and
-    /// schedules an `Inject` there instead (the packet re-enters the
-    /// express path when the event fires, against fresh port state).
-    ///
-    /// Coldness checks read *current* queue/busy state and `free_at`
-    /// reservations feed back into packet-level transmissions via
-    /// `try_start_tx`, so both are only meaningful near the present.
-    /// Without this bound a walk crossing a long-haul link would reserve a
-    /// port's horizon ~100 µs in the future and stall every real packet
-    /// transiting it until then — enough to fire spurious RTOs.  Must
-    /// exceed the fabric's accumulated intra-DC path latency (a few µs) so
-    /// in-DC walks stay unbroken, and sit well below WAN latencies and
-    /// protocol RTO timescales.  The default (20 µs) clears the worst
-    /// intra-DC walk — 4 hops, each waiting up to `hot_backlog` behind a
-    /// virtual backlog plus 1 µs of propagation — with margin, while
-    /// staying 50× below the 1 ms long-haul latency.
-    pub max_lookahead: SimDuration,
-}
+/// Virtual-backlog ceiling: a port whose `free_at` horizon is further than
+/// this ahead of now is treated as hot.  Kept below the serialize time of
+/// the ECN low watermark (33.2 KB at 100 Gbps ≈ 2.65 µs) so a cold port
+/// can never have accumulated enough virtual backlog to have marked
+/// packets had it run at full fidelity.
+pub(crate) const HOT_BACKLOG: SimDuration = SimDuration::from_micros(2);
 
-impl Default for FidelityConfig {
-    fn default() -> Self {
-        FidelityConfig {
-            hot_backlog: SimDuration::from_micros(2),
-            cold_dwell: SimDuration::from_micros(10),
-            max_lookahead: SimDuration::from_micros(20),
-        }
-    }
+/// Hysteresis: after a congestion signal (queue build-up past the ECN low
+/// watermark, a trim, or a drop) the port stays hot for this long.
+pub(crate) const COLD_DWELL: SimDuration = SimDuration::from_micros(10);
+
+/// Staleness ceiling on express walks: a walk whose packet would reach the
+/// next port more than this far ahead of the wall clock stops and
+/// schedules an `Inject` there instead (the packet re-enters the express
+/// path when the event fires, against fresh port state).
+///
+/// Coldness checks read *current* queue/busy state and `free_at`
+/// reservations feed back into packet-level transmissions via
+/// `try_start_tx`, so both are only meaningful near the present.  Without
+/// this bound a walk crossing a long-haul link would reserve a port's
+/// horizon ~100 µs in the future and stall every real packet transiting it
+/// until then — enough to fire spurious RTOs.  Must exceed the fabric's
+/// accumulated intra-DC path latency (a few µs) so in-DC walks stay
+/// unbroken, and sit well below WAN latencies and protocol RTO timescales.
+/// 20 µs clears the worst intra-DC walk — 4 hops, each waiting up to
+/// `HOT_BACKLOG` behind a virtual backlog plus 1 µs of propagation —
+/// with margin, while staying 50× below the 1 ms long-haul latency.
+pub(crate) const MAX_LOOKAHEAD: SimDuration = SimDuration::from_micros(20);
+
+/// The hybrid-fidelity engine's settings: none are left (`HOT_BACKLOG`,
+/// `COLD_DWELL` and `MAX_LOOKAHEAD` are constants), so the only value
+/// is `FidelityConfig::default()`. The type stays for the callers that
+/// pass it to `set_fidelity`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FidelityConfig {
+    _none: (),
 }
 
 /// Counters describing how much work the express path saved.
@@ -100,7 +96,7 @@ pub struct ExpressStats {
     /// Express walks that hit a hot port and fell back to packet fidelity
     /// mid-path (the scheduled `Inject` re-enters the normal queue path).
     pub fallbacks: u64,
-    /// Express walks cut short by the `max_lookahead` staleness ceiling
+    /// Express walks cut short by the `MAX_LOOKAHEAD` staleness ceiling
     /// (typically once per long-haul crossing); the packet re-enters the
     /// express path at the deferred port when its `Inject` fires.
     pub deferrals: u64,
@@ -109,7 +105,6 @@ pub struct ExpressStats {
 /// Per-port hybrid-fidelity state, dense-indexed by `PortId`.
 #[derive(Debug)]
 pub struct FidelityState {
-    pub cfg: FidelityConfig,
     /// Virtual serialization horizon per port (picoseconds): the earliest
     /// time the port's transmitter is free.  Also consulted by
     /// `try_start_tx` so packet-level transmissions serialize behind
@@ -124,9 +119,8 @@ pub struct FidelityState {
 }
 
 impl FidelityState {
-    pub fn new(cfg: FidelityConfig, ports: usize) -> Self {
+    pub fn new(ports: usize) -> Self {
         FidelityState {
-            cfg,
             free_at: vec![0; ports],
             hot_until: vec![0; ports],
             always_hot: vec![false; ports],
@@ -138,7 +132,7 @@ impl FidelityState {
     /// was cold before (a cold→hot fidelity transition).
     pub fn mark_hot(&mut self, port: usize, now: SimTime) -> bool {
         let was_cold = self.hot_until[port] <= now.0 && !self.always_hot[port];
-        self.hot_until[port] = now.0 + self.cfg.cold_dwell.0;
+        self.hot_until[port] = now.0 + COLD_DWELL.0;
         was_cold
     }
 }
@@ -149,29 +143,28 @@ mod tests {
 
     #[test]
     fn default_hot_backlog_is_below_ecn_watermark_serialize_time() {
-        // 33_200 bytes at 100 Gbps = 2.656 µs; the default virtual-backlog
-        // ceiling must sit below it so cold ports can never have marked.
-        let cfg = FidelityConfig::default();
+        // 33_200 bytes at 100 Gbps = 2.656 µs; the virtual-backlog ceiling
+        // must sit below it so cold ports can never have marked.
         let mark_low_serialize = crate::time::Bandwidth::gbps(100).serialize_time(33_200);
-        assert!(cfg.hot_backlog < mark_low_serialize);
+        assert!(HOT_BACKLOG < mark_low_serialize);
     }
 
     #[test]
     fn mark_hot_reports_transition_once_per_dwell() {
-        let mut st = FidelityState::new(FidelityConfig::default(), 4);
+        let mut st = FidelityState::new(4);
         let t0 = SimTime(1_000_000);
         assert!(st.mark_hot(2, t0));
         // Within the dwell window: already hot, no transition.
         assert!(!st.mark_hot(2, SimTime(t0.0 + 1)));
         // After the dwell expires the port cools down and can transition
         // again.
-        let later = SimTime(t0.0 + st.cfg.cold_dwell.0 + 2);
+        let later = SimTime(t0.0 + COLD_DWELL.0 + 2);
         assert!(st.mark_hot(2, later));
     }
 
     #[test]
     fn pinned_ports_never_report_transitions() {
-        let mut st = FidelityState::new(FidelityConfig::default(), 2);
+        let mut st = FidelityState::new(2);
         st.always_hot[1] = true;
         assert!(!st.mark_hot(1, SimTime(5)));
     }

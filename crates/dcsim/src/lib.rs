@@ -74,9 +74,7 @@ pub mod prelude {
         AgentId, Ecn, FlowId, HostId, NodeId, Packet, PacketKind, PortId, DATA_PKT_SIZE,
         HEADER_SIZE, MSS,
     };
-    pub use crate::protocol::{
-        packets_for_bytes, CcConfig, Dctcp, FailoverConfig, Receiver, RtoConfig, Sender,
-    };
+    pub use crate::protocol::{packets_for_bytes, CcConfig, Dctcp, Receiver, RtoConfig, Sender};
     pub use crate::queues::{EnqueueOutcome, PortQueue, QueueConfig};
     pub use crate::sim::{RunReport, Simulator, StopReason, TerminatedReason};
     pub use crate::time::{Bandwidth, SimDuration, SimTime};

@@ -32,7 +32,7 @@ pub enum EcnResponse {
         /// EWMA gain (DCTCP recommends 1/16).
         g: f64,
     },
-    /// Simplified response: one multiplicative decrease (by `md_factor`)
+    /// Simplified response: one multiplicative decrease (by `MD_FACTOR`)
     /// per round containing marks. Used by the `cc_response` ablation.
     HalvePerRound,
 }
@@ -43,21 +43,19 @@ impl Default for EcnResponse {
     }
 }
 
+/// Floor for the window, and where a timeout resets it: one packet.
+const MIN_CWND_BYTES: u64 = DATA_PKT_SIZE;
+/// Additive increase per unmarked ACK, in bytes: one packet.
+const AI_BYTES: u64 = DATA_PKT_SIZE;
+/// Multiplicative decrease applied on a congestion signal (marked ACK
+/// under [`EcnResponse::HalvePerRound`], or a NACK): `cwnd *= MD_FACTOR`.
+const MD_FACTOR: f64 = 0.5;
+
 /// Congestion-control configuration for one sender.
 #[derive(Debug, Clone, Copy)]
 pub struct CcConfig {
     /// Initial congestion window in bytes (the paper: 1 BDP of the path).
     pub init_cwnd_bytes: u64,
-    /// Floor for the window (default: one packet).
-    pub min_cwnd_bytes: u64,
-    /// Optional ceiling for the window.
-    pub max_cwnd_bytes: Option<u64>,
-    /// Additive increase per window of unmarked ACKs, in bytes (default:
-    /// one packet per RTT, standard AIMD).
-    pub ai_bytes: u64,
-    /// Multiplicative decrease factor applied on a congestion signal
-    /// (marked ACK or NACK): `cwnd *= md_factor`.
-    pub md_factor: f64,
     /// Round length (the once-per-round cut, the α update) before the
     /// first RTT sample; set to the path's base RTT.
     pub base_feedback_delay: SimDuration,
@@ -74,10 +72,6 @@ impl CcConfig {
     pub fn for_rtt(base_rtt: SimDuration, bdp_bytes: u64) -> Self {
         CcConfig {
             init_cwnd_bytes: bdp_bytes.max(DATA_PKT_SIZE),
-            min_cwnd_bytes: DATA_PKT_SIZE,
-            max_cwnd_bytes: None,
-            ai_bytes: DATA_PKT_SIZE,
-            md_factor: 0.5,
             base_feedback_delay: base_rtt,
             rto: RtoConfig::for_base_rtt(base_rtt),
             ecn_response: EcnResponse::default(),
@@ -128,11 +122,7 @@ impl Dctcp {
     }
 
     fn clamp_cwnd(&mut self) {
-        let max = self
-            .config
-            .max_cwnd_bytes
-            .map_or(f64::INFINITY, |m| m as f64);
-        self.cwnd = self.cwnd.clamp(self.config.min_cwnd_bytes as f64, max);
+        self.cwnd = self.cwnd.max(MIN_CWND_BYTES as f64);
     }
 
     /// Applies a multiplicative decrease unless one was already applied
@@ -152,7 +142,7 @@ impl Dctcp {
                 return;
             }
         }
-        self.cwnd *= self.config.md_factor;
+        self.cwnd *= MD_FACTOR;
         self.clamp_cwnd();
         self.last_decrease = Some(now);
         ctx.count(Counter::WindowDecreases, 1);
@@ -164,7 +154,7 @@ impl Dctcp {
         // doubles per fully-unmarked round. Convergence speed is therefore
         // O(log) in *rounds*; the feedback delay sets the round length,
         // which is exactly the quantity the proxy shrinks.
-        self.cwnd += self.config.ai_bytes as f64;
+        self.cwnd += AI_BYTES as f64;
         self.clamp_cwnd();
     }
 
@@ -229,7 +219,7 @@ impl CongestionControl for Dctcp {
     fn on_timeout(&mut self, now: SimTime) {
         // Paper: "resets its congestion window upon timeout". Regrowth is
         // exponential (one increment per unmarked ACK).
-        self.cwnd = self.config.min_cwnd_bytes as f64;
+        self.cwnd = MIN_CWND_BYTES as f64;
         self.last_decrease = Some(now);
     }
 }

@@ -14,5 +14,5 @@ pub use dctcp::{CcConfig, Dctcp, EcnResponse};
 pub use rate::{Rate, RateCcConfig};
 pub use receiver::Receiver;
 pub use rto::{RtoConfig, RttEstimator};
-pub use sender::{packets_for_bytes, CongestionControl, FailoverConfig, Sender};
+pub use sender::{packets_for_bytes, CongestionControl, Sender};
 pub use seqtrack::SeqSet;

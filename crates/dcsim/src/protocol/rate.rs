@@ -10,7 +10,7 @@
 //!   window,
 //! * treats NACKs purely as *retransmission* signals — no rate cut on
 //!   loss (the loss-resilience BBR is known for), and
-//! * bounds inflight at `cwnd_gain ×` the estimated BDP.
+//! * bounds inflight at `CWND_GAIN` × the estimated BDP.
 //!
 //! The model is deliberately BBR-lite: STARTUP (rate doubles per round
 //! until the bandwidth estimate stops growing) then PROBE_BW (an 8-phase
@@ -27,22 +27,23 @@ use crate::protocol::sender::CongestionControl;
 use crate::time::{Bandwidth, SimDuration, SimTime, PS_PER_SEC};
 use std::collections::VecDeque;
 
+/// Floor for the pacing rate.
+pub const MIN_RATE: Bandwidth = Bandwidth::mbps(10);
+/// STARTUP pacing gain (rate multiplier on the bandwidth estimate).
+pub const STARTUP_GAIN: f64 = 2.0;
+/// Inflight cap as a multiple of the estimated BDP.
+const CWND_GAIN: f64 = 2.0;
+/// Rounds of bandwidth-estimate stagnation that end STARTUP.
+const STARTUP_FULL_BW_ROUNDS: u32 = 3;
+/// Bandwidth max-filter window, in rounds.
+const BW_WINDOW_ROUNDS: u64 = 10;
+
 /// Configuration of the rate-based policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RateCcConfig {
     /// Initial pacing rate (a guess at the fair share; the estimator takes
     /// over within a round).
     pub initial_rate: Bandwidth,
-    /// Floor for the pacing rate.
-    pub min_rate: Bandwidth,
-    /// STARTUP pacing gain (rate multiplier on the bandwidth estimate).
-    pub startup_gain: f64,
-    /// Inflight cap as a multiple of the estimated BDP.
-    pub cwnd_gain: f64,
-    /// Rounds of bandwidth-estimate stagnation that end STARTUP.
-    pub startup_full_bw_rounds: u32,
-    /// Bandwidth max-filter window, in rounds.
-    pub bw_window_rounds: usize,
     /// Base RTT hint (pre-sample round length and BDP denominator).
     pub base_rtt: SimDuration,
     /// RTO parameters (tail-loss last resort).
@@ -57,11 +58,6 @@ impl RateCcConfig {
             // ramp in a few rounds, conservative enough not to replicate
             // the windowed sender's first-RTT catastrophe by fiat.
             initial_rate: Bandwidth(bottleneck.bps() / 10),
-            min_rate: Bandwidth::mbps(10),
-            startup_gain: 2.0,
-            cwnd_gain: 2.0,
-            startup_full_bw_rounds: 3,
-            bw_window_rounds: 10,
             base_rtt,
             rto: RtoConfig::for_base_rtt(base_rtt),
         }
@@ -126,7 +122,7 @@ impl Rate {
     /// The current pacing gain.
     fn gain(&self) -> f64 {
         match self.phase {
-            Phase::Startup => self.config.startup_gain,
+            Phase::Startup => STARTUP_GAIN,
             Phase::ProbeBw(i) => PROBE_GAINS[i % PROBE_GAINS.len()],
         }
     }
@@ -134,7 +130,7 @@ impl Rate {
     /// The current pacing rate (bps).
     pub fn pacing_rate(&self) -> Bandwidth {
         let rate = (self.btl_bw().bps() as f64 * self.gain()) as u64;
-        Bandwidth(rate.max(self.config.min_rate.bps()))
+        Bandwidth(rate.max(MIN_RATE.bps()))
     }
 
     fn record_bw_sample(&mut self, now: SimTime, seq: u64) {
@@ -151,9 +147,8 @@ impl Rate {
         let bps = (delivered_pkts as u128 * DATA_PKT_SIZE as u128 * 8 * PS_PER_SEC as u128
             / elapsed as u128) as u64;
         self.bw_samples.push_back((self.round, bps));
-        let window = self.config.bw_window_rounds as u64;
         while let Some(&(r, _)) = self.bw_samples.front() {
-            if r + window <= self.round {
+            if r + BW_WINDOW_ROUNDS <= self.round {
                 self.bw_samples.pop_front();
             } else {
                 break;
@@ -177,7 +172,7 @@ impl Rate {
                     self.full_bw_rounds = 0;
                 } else {
                     self.full_bw_rounds += 1;
-                    if self.full_bw_rounds >= self.config.startup_full_bw_rounds {
+                    if self.full_bw_rounds >= STARTUP_FULL_BW_ROUNDS {
                         self.phase = Phase::ProbeBw(0);
                     }
                 }
@@ -196,11 +191,11 @@ impl CongestionControl for Rate {
         self.config.rto
     }
 
-    /// Inflight cap in packets: cwnd_gain × BDP(btl_bw, rtprop).
+    /// Inflight cap in packets: CWND_GAIN × BDP(btl_bw, rtprop).
     fn window(&self, srtt: Option<SimDuration>) -> u64 {
         let rtt = srtt.unwrap_or(self.config.base_rtt);
         let bdp = self.btl_bw().bdp_bytes(rtt);
-        (((bdp as f64 * self.config.cwnd_gain) as u64) / DATA_PKT_SIZE).max(4)
+        (((bdp as f64 * CWND_GAIN) as u64) / DATA_PKT_SIZE).max(4)
     }
 
     fn pacing_gap(&self) -> SimDuration {
@@ -246,7 +241,7 @@ mod tests {
             initial_rate: Bandwidth(1),
             ..config()
         });
-        assert_eq!(tiny.pacing_rate().bps(), 10_000_000, "floored at min_rate");
+        assert_eq!(tiny.pacing_rate().bps(), 10_000_000, "floored at MIN_RATE");
     }
 
     #[test]

@@ -75,30 +75,16 @@ const PACE_TAG: u64 = 1;
 /// Timer tag carried by the proxy re-probe timer.
 const PROBE_TAG: u64 = 0xFA11;
 
-/// Configuration of proxy failover for a proxied sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverConfig {
-    /// Consecutive RTO fires with no feedback at all before the sender
-    /// declares the proxy unreachable and falls back to the direct path.
-    pub rto_threshold: u32,
-    /// Ceiling on the exponential backoff between proxy re-probes while on
-    /// the direct path (the first probe fires one RTO after failover).
-    pub probe_backoff_max: SimDuration,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            rto_threshold: 3,
-            probe_backoff_max: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Consecutive RTO fires with no feedback at all before a proxied sender
+/// declares the proxy unreachable and falls back to the direct path.
+const FAILOVER_SILENT_RTOS: u32 = 3;
+/// Ceiling on the exponential backoff between proxy re-probes while on
+/// the direct path (the first probe fires one RTO after failover).
+const PROBE_BACKOFF_MAX: SimDuration = SimDuration::from_millis(50);
 
 /// Sender-side proxy-health state (present only on proxied senders built
 /// with [`Sender::with_failover`]).
 struct Failover {
-    cfg: FailoverConfig,
     /// The receiver, for addressing direct-path packets.
     direct: HostId,
     /// True while the proxy is declared dead and data takes the direct
@@ -201,19 +187,17 @@ impl<C: CongestionControl> Sender<C> {
     }
 
     /// Enables proxy failover: when feedback via the proxy (`to`) goes
-    /// silent for `cfg.rto_threshold` consecutive RTOs, the sender falls
-    /// back to sending directly to `direct` (the receiver), re-probes the
-    /// proxy with exponential backoff, and fails back once the proxy
+    /// silent for `FAILOVER_SILENT_RTOS` (3) consecutive RTOs, the sender
+    /// falls back to sending directly to `direct` (the receiver), re-probes
+    /// the proxy with exponential backoff, and fails back once the proxy
     /// answers again.
-    pub fn with_failover(mut self, direct: HostId, cfg: FailoverConfig) -> Self {
-        assert!(cfg.rto_threshold > 0, "rto_threshold must be at least 1");
+    pub fn with_failover(mut self, direct: HostId) -> Self {
         self.failover = Some(Failover {
-            cfg,
             direct,
             degraded: false,
             consecutive_rtos: 0,
             last_feedback: SimTime::ZERO,
-            probe_backoff: cfg.probe_backoff_max,
+            probe_backoff: PROBE_BACKOFF_MAX,
         });
         self
     }
@@ -413,9 +397,9 @@ impl<C: CongestionControl> Sender<C> {
         let probe_after = self.est.rto();
         if let Some(f) = &mut self.failover {
             f.consecutive_rtos += 1;
-            if !f.degraded && f.consecutive_rtos >= f.cfg.rto_threshold {
+            if !f.degraded && f.consecutive_rtos >= FAILOVER_SILENT_RTOS {
                 f.degraded = true;
-                f.probe_backoff = probe_after.min(f.cfg.probe_backoff_max);
+                f.probe_backoff = probe_after.min(PROBE_BACKOFF_MAX);
                 ctx.count(Counter::FailoverActivations, 1);
                 ctx.failover_latency(self.flow, ctx.now.since(f.last_feedback));
                 f.arm_probe(ctx);
@@ -440,7 +424,7 @@ impl<C: CongestionControl> Sender<C> {
         let probe = Packet::data(self.flow, 0, self.src, self.to, ctx.now.0);
         ctx.send(self.src, probe);
         ctx.count(Counter::ProxyProbes, 1);
-        f.probe_backoff = (f.probe_backoff + f.probe_backoff).min(f.cfg.probe_backoff_max);
+        f.probe_backoff = (f.probe_backoff + f.probe_backoff).min(PROBE_BACKOFF_MAX);
         f.arm_probe(ctx);
     }
 }
@@ -467,7 +451,7 @@ impl<C: CongestionControl> Agent for Sender<C> {
             if f.degraded && !pkt.direct() {
                 f.degraded = false;
                 ctx.cancel_timer(PROBE_SLOT);
-                f.probe_backoff = f.cfg.probe_backoff_max;
+                f.probe_backoff = PROBE_BACKOFF_MAX;
                 ctx.count(Counter::Failbacks, 1);
             }
         }
@@ -670,20 +654,17 @@ mod tests {
     }
 
     /// A started sender of `total` packets with its window in flight,
-    /// failing over to `RECEIVER` after `failover_after` silent RTOs.
+    /// failing over to `RECEIVER` (when `failover`) after
+    /// `FAILOVER_SILENT_RTOS` silent RTOs.
     fn started<C: CongestionControl>(
         cc: C,
         total: u64,
-        failover_after: Option<u32>,
+        failover: bool,
         fx: &mut Vec<Effect>,
     ) -> Sender<C> {
         let mut s = Sender::new(FlowId(0), HostId(0), PROXY, total, cc);
-        if let Some(rto_threshold) = failover_after {
-            let cfg = FailoverConfig {
-                rto_threshold,
-                ..FailoverConfig::default()
-            };
-            s = s.with_failover(RECEIVER, cfg);
+        if failover {
+            s = s.with_failover(RECEIVER);
         }
         s.on_start(&mut ctx(0, fx));
         fill(&mut s, 0, fx);
@@ -727,7 +708,7 @@ mod tests {
 
         pub fn duplicate_nack_queues_once<C: CongestionControl>(cc: fn() -> C) {
             let mut fx = Vec::new();
-            let mut s = started(cc(), 100, None, &mut fx);
+            let mut s = started(cc(), 100, false, &mut fx);
             fx.clear();
             s.on_packet(nack(0), &mut ctx(1000, &mut fx));
             s.on_packet(nack(0), &mut ctx(2000, &mut fx));
@@ -744,7 +725,7 @@ mod tests {
         ) {
             for restore in [false, true] {
                 let mut fx = Vec::new();
-                let mut s = started(cc(), 100, None, &mut fx);
+                let mut s = started(cc(), 100, false, &mut fx);
                 let (in_flight, rto) = (s.outstanding.len(), s.est.rto());
                 assert!(in_flight >= 4, "precondition: a window in flight");
                 fx.clear();
@@ -766,13 +747,15 @@ mod tests {
 
         pub fn failover_takes_the_direct_path_and_fails_back<C: CongestionControl>(cc: fn() -> C) {
             let mut fx = Vec::new();
-            let mut s = started(cc(), 100, Some(2), &mut fx);
+            let mut s = started(cc(), 100, true, &mut fx);
             assert_eq!(sent(&fx)[0], (0, PROXY, false));
-            // Two silent RTOs: the second one gives up on the proxy.
+            // Silent RTOs: the third one gives up on the proxy.
             fx.clear();
-            s.on_timer(TimerKind::Rto, &mut ctx(1_000_000, &mut fx));
+            for at in [1_000_000, 2_000_000] {
+                s.on_timer(TimerKind::Rto, &mut ctx(at, &mut fx));
+            }
             assert_eq!(counted(&fx, Counter::FailoverActivations), 0);
-            s.on_timer(TimerKind::Rto, &mut ctx(2_000_000, &mut fx));
+            s.on_timer(TimerKind::Rto, &mut ctx(3_000_000, &mut fx));
             assert_eq!(counted(&fx, Counter::FailoverActivations), 1);
             assert!(timer(&fx, PROBE_SLOT, true), "the first re-probe is armed");
             // Sent on `host`'s path, and something was.
@@ -783,38 +766,40 @@ mod tests {
             };
             // A restore re-arms the re-probe, which may have died in the crash.
             fx.clear();
-            s.on_restore(&mut ctx(2_500_000, &mut fx));
+            s.on_restore(&mut ctx(3_500_000, &mut fx));
             assert!(timer(&fx, PROBE_SLOT, true), "restore re-arms the probe");
             fx.clear();
-            s.on_timer(TimerKind::Rto, &mut ctx(3_000_000, &mut fx));
-            fill(&mut s, 3_000_000, &mut fx);
+            s.on_timer(TimerKind::Rto, &mut ctx(4_000_000, &mut fx));
+            fill(&mut s, 4_000_000, &mut fx);
             assert!(on_path(&fx, RECEIVER), "degraded: straight to the receiver");
             // The probe re-offers seq 0 through the proxy and backs off.
             fx.clear();
             let probe = TimerKind::Custom { tag: PROBE_TAG };
-            s.on_timer(probe, &mut ctx(4_000_000, &mut fx));
+            s.on_timer(probe, &mut ctx(5_000_000, &mut fx));
             assert_eq!(sent(&fx), vec![(0, PROXY, false)]);
             assert_eq!(counted(&fx, Counter::ProxyProbes), 1);
             assert!(timer(&fx, PROBE_SLOT, true));
             // Feedback relayed by the proxy again: fail back.
             fx.clear();
-            s.on_packet(ack(0, false), &mut ctx(4_100_000, &mut fx));
+            s.on_packet(ack(0, false), &mut ctx(5_100_000, &mut fx));
             assert_eq!(counted(&fx, Counter::Failbacks), 1);
             assert!(timer(&fx, PROBE_SLOT, false));
-            fill(&mut s, 4_100_000, &mut fx);
+            fill(&mut s, 5_100_000, &mut fx);
             assert!(on_path(&fx, PROXY));
         }
 
         pub fn completion_cancels_every_slot<C: CongestionControl>(cc: fn() -> C) {
             let mut fx = Vec::new();
-            let mut s = started(cc(), 4, Some(1), &mut fx);
+            let mut s = started(cc(), 4, true, &mut fx);
             // Degrade, so the probe slot is armed too.
-            s.on_timer(TimerKind::Rto, &mut ctx(1_000_000, &mut fx));
+            for at in [1_000_000, 2_000_000, 3_000_000] {
+                s.on_timer(TimerKind::Rto, &mut ctx(at, &mut fx));
+            }
             assert!(timer(&fx, PROBE_SLOT, true));
             for seq in 0..4 {
                 assert!(!s.is_complete());
                 fx.clear();
-                s.on_packet(ack(seq, true), &mut ctx(1_100_000 + seq, &mut fx));
+                s.on_packet(ack(seq, true), &mut ctx(3_100_000 + seq, &mut fx));
             }
             assert!(s.is_complete());
             assert!(timer(&fx, RTO_SLOT, false), "the RTO: {fx:?}");
@@ -824,7 +809,7 @@ mod tests {
 
         pub fn karn_skips_retransmitted_samples<C: CongestionControl>(cc: fn() -> C) {
             let mut fx = Vec::new();
-            let mut s = started(cc(), 4, None, &mut fx);
+            let mut s = started(cc(), 4, false, &mut fx);
             // Ack seqs 1..4 so the window surely fits the retransmission.
             for seq in 1u64..4 {
                 s.on_packet(ack(seq, false), &mut ctx(1000 + seq, &mut fx));
@@ -846,7 +831,7 @@ mod tests {
     #[test]
     fn dctcp_window_opens_on_fresh_unmarked_acks_only() {
         let mut fx = Vec::new();
-        let mut s = started(dctcp(), 100, None, &mut fx);
+        let mut s = started(dctcp(), 100, false, &mut fx);
         assert_eq!(sent_seqs(&fx), vec![0, 1, 2, 3], "init cwnd = 4 packets");
         fx.clear();
         s.on_packet(ack(0, false), &mut ctx(1000, &mut fx));
@@ -860,7 +845,7 @@ mod tests {
     #[test]
     fn dctcp_marked_acks_halve_the_window_once_per_round() {
         let mut fx = Vec::new();
-        let mut s = started(dctcp(), 100, None, &mut fx);
+        let mut s = started(dctcp(), 100, false, &mut fx);
         let cwnd0 = s.policy().cwnd_bytes();
         let t = SimDuration::from_micros(10).0;
         let later = t + SimDuration::from_micros(50).0;
@@ -880,7 +865,7 @@ mod tests {
     #[test]
     fn dctcp_nack_halves_and_timeout_resets_the_window() {
         let mut fx = Vec::new();
-        let mut s = started(dctcp(), 100, None, &mut fx);
+        let mut s = started(dctcp(), 100, false, &mut fx);
         let cwnd0 = s.policy().cwnd_bytes();
         s.on_packet(nack(2), &mut ctx(SimDuration::from_micros(20).0, &mut fx));
         assert_eq!(s.policy().cwnd_bytes(), cwnd0 / 2);
@@ -892,7 +877,7 @@ mod tests {
     #[test]
     fn rate_nack_retransmits_on_the_next_tick_without_a_rate_cut() {
         let mut fx = Vec::new();
-        let mut s = started(rate(), 100, None, &mut fx);
+        let mut s = started(rate(), 100, false, &mut fx);
         let pacing = s.policy().pacing_rate();
         fx.clear();
         s.on_packet(nack(0), &mut ctx(1000, &mut fx));

@@ -5,7 +5,7 @@ use crate::agent::{Agent, Counter, Ctx, Effect, Note};
 use crate::audit::{AuditConfig, AuditMode, InvariantViolation, PacketLedger};
 use crate::events::{Event, EventQueue, FaultEvent, TimerHandle, NO_LANE};
 use crate::faults::{FaultError, FaultPlan};
-use crate::fidelity::{ExpressStats, FidelityConfig, FidelityState};
+use crate::fidelity::{ExpressStats, FidelityConfig, FidelityState, HOT_BACKLOG, MAX_LOOKAHEAD};
 use crate::metrics::{LaneChurn, SimMetrics};
 use crate::packet::{AgentId, FlowId, HostId, NodeId, Packet, PacketKind, PortId};
 use crate::protocol::{Dctcp, Receiver, Sender};
@@ -332,8 +332,8 @@ impl Simulator {
     /// analytically (see [`crate::fidelity`]); contended and pinned ports
     /// keep full packet fidelity. Call before installing fault plans so
     /// fault-prone ports are pinned hot in both orders of operations.
-    pub fn set_fidelity(&mut self, cfg: FidelityConfig) {
-        let mut state = FidelityState::new(cfg, self.ports.len());
+    pub fn set_fidelity(&mut self, _: FidelityConfig) {
+        let mut state = FidelityState::new(self.ports.len());
         // Ports already carrying impairments can never be modeled as
         // delay lines; pin them hot. (Plans installed later pin theirs in
         // `install_faults`.)
@@ -343,11 +343,6 @@ impl Simulator {
             }
         }
         self.fidelity = Some(Box::new(state));
-    }
-
-    /// True when the hybrid-fidelity engine is enabled.
-    pub fn fidelity_enabled(&self) -> bool {
-        self.fidelity.is_some()
     }
 
     /// Express-path counters, if the hybrid-fidelity engine is enabled.
@@ -415,11 +410,6 @@ impl Simulator {
     /// state changes): a run is bit-identical with auditing on or off.
     pub fn set_audit(&mut self, config: AuditConfig) {
         self.audit = Some(config);
-    }
-
-    /// The installed audit configuration, if any.
-    pub fn audit_config(&self) -> Option<&AuditConfig> {
-        self.audit.as_ref()
     }
 
     /// The packet ledger (maintained whether or not auditing is enabled).
@@ -534,11 +524,6 @@ impl Simulator {
     /// True while `agent` is crashed by an installed fault plan.
     pub fn is_agent_crashed(&self, agent: AgentId) -> bool {
         self.crashed.get(agent.index()).copied().unwrap_or(false)
-    }
-
-    /// True while `port`'s link is held down by an installed fault plan.
-    pub fn is_link_down(&self, port: PortId) -> bool {
-        self.link_down[port.index()]
     }
 
     /// The topology this simulator runs over.
@@ -1066,7 +1051,7 @@ impl Simulator {
         if fid.always_hot[i] || fid.hot_until[i] > t.0 || self.link_down[i] {
             return false;
         }
-        self.queues.is_empty(port) && fid.free_at[i].saturating_sub(t.0) <= fid.cfg.hot_backlog.0
+        self.queues.is_empty(port) && fid.free_at[i].saturating_sub(t.0) <= HOT_BACKLOG.0
     }
 
     /// Express cut-through: if `first` is cold, advance the packet across
@@ -1143,7 +1128,7 @@ impl Simulator {
                         self.rng.next_bounded(cands.len() as u64) as usize
                     };
                     let next = cands[pick];
-                    if t.0 - now.0 > fid.cfg.max_lookahead.0 {
+                    if t.0 - now.0 > MAX_LOOKAHEAD.0 {
                         // The walk's virtual clock has run too far ahead of
                         // the wall clock (a long-haul hop, typically) for
                         // current port state — or a `free_at` reservation —

@@ -55,11 +55,6 @@ impl SimDuration {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// This duration in fractional microseconds.
-    pub fn as_micros_f64(&self) -> f64 {
-        self.0 as f64 / PS_PER_US as f64
-    }
-
     /// Saturating multiply by an integer factor (used for RTO backoff).
     pub fn saturating_mul(&self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))

@@ -60,18 +60,13 @@ impl LatencyRecorder {
         if hist.is_empty() {
             return None;
         }
-        let mut samples = Vec::new();
-        for (nanos, _) in hist.cdf_points() {
-            samples.push(nanos as f64 / 1000.0);
-        }
         // cdf_points collapses duplicates; rebuild weighting by expanding the
         // cumulative fractions into proportional sample counts so quantiles
         // of the Cdf match the histogram.
-        let pts = hist.cdf_points();
         let total = hist.count();
         let mut weighted = Vec::with_capacity(total.min(100_000) as usize);
         let mut prev = 0.0f64;
-        for (nanos, cum) in pts {
+        for (nanos, cum) in hist.cdf_points() {
             let weight = ((cum - prev) * total.min(100_000) as f64).round() as usize;
             for _ in 0..weight.max(1) {
                 weighted.push(nanos as f64 / 1000.0);

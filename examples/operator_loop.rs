@@ -18,7 +18,7 @@
 use dcsim::prelude::*;
 use incast_core::detect::SignatureConfig;
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
-use incast_core::runtime::{OperatorRuntime, RuntimeAction, RuntimeConfig};
+use incast_core::runtime::{OperatorRuntime, RuntimeAction};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme};
 use trace::table::fmt_secs;
 
@@ -61,7 +61,6 @@ fn main() {
         ..ShardedConfig::default()
     };
     let mut operator = OperatorRuntime::new(
-        RuntimeConfig::default(),
         SignatureConfig {
             min_degree: 4,
             min_bytes: 50_000_000,

@@ -7,7 +7,7 @@ use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
 use incast_core::lossdetect::LossDetectorConfig;
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
-use incast_core::runtime::{OperatorRuntime, RuntimeAction, RuntimeConfig};
+use incast_core::runtime::{OperatorRuntime, RuntimeAction};
 use incast_core::scheme::{install_incast, IncastSpec, Scheme, Transport};
 
 fn run(scheme: Scheme, bytes: u64, transport: Transport, seed: u64) -> (f64, u64 /* rtos */) {
@@ -18,8 +18,8 @@ fn run(scheme: Scheme, bytes: u64, transport: Transport, seed: u64) -> (f64, u64
     let dc1 = sim.topology().hosts_in_dc(1);
     let mut spec =
         IncastSpec::new(dc0[..4].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap());
-    spec.transport = transport;
-    spec.detector = LossDetectorConfig {
+    spec.knobs.transport = transport;
+    spec.knobs.detector = LossDetectorConfig {
         reorder_threshold: 8,
         max_pending: 4096,
     };
@@ -138,7 +138,6 @@ fn operator_runtime_drives_a_simulated_reroute() {
         ..ShardedConfig::default()
     };
     let mut rt = OperatorRuntime::new(
-        RuntimeConfig::default(),
         incast_core::detect::SignatureConfig {
             min_degree: 3,
             min_bytes: 5_000_000,

@@ -17,7 +17,7 @@ fn run(scheme: Scheme, bytes: u64, wan: SimDuration, early_nack: bool, seed: u64
     let dc1 = sim.topology().hosts_in_dc(1);
     let mut spec =
         IncastSpec::new(dc0[..3].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap());
-    spec.early_nack = early_nack;
+    spec.knobs.early_nack = early_nack;
     let handle = install_incast(&mut sim, &spec, scheme);
     sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
     handle

@@ -329,7 +329,7 @@ fn unstructured_topology_always_routes() {
 }
 
 /// The rate policy's pacing rate stays within its bounds as delivery-rate
-/// samples arrive: never under `min_rate`, never over the largest sample
+/// samples arrive: never under `MIN_RATE`, never over the largest sample
 /// so far (or the initial rate) times the STARTUP gain.
 #[test]
 fn rate_sender_pacing_bounded() {
@@ -337,6 +337,7 @@ fn rate_sender_pacing_bounded() {
         let samples = vec_of(rng, 1..64, |r| draw(r, 1..1_000_000_000_000));
         use dcsim::agent::Ctx;
         use dcsim::packet::DATA_PKT_SIZE;
+        use dcsim::protocol::rate::{MIN_RATE, STARTUP_GAIN};
         use dcsim::protocol::{CongestionControl, Rate, RateCcConfig};
         use dcsim::time::{Bandwidth, SimDuration, PS_PER_SEC};
         let config = RateCcConfig::for_path(SimDuration::from_micros(100), Bandwidth::gbps(100));
@@ -357,9 +358,9 @@ fn rate_sender_pacing_bounded() {
             rate.on_ack(&ack, srtt, &mut Ctx::harness(now, AgentId(0), &mut fx));
             peak = peak.max(bits / elapsed);
             let pacing = rate.pacing_rate().bps();
-            assert!(pacing >= config.min_rate.bps(), "{pacing} under the floor");
+            assert!(pacing >= MIN_RATE.bps(), "{pacing} under the floor");
             assert!(
-                pacing <= (peak as f64 * config.startup_gain) as u64 + 1,
+                pacing <= (peak as f64 * STARTUP_GAIN) as u64 + 1,
                 "{pacing} over {peak} x startup gain"
             );
         }

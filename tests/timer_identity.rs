@@ -96,10 +96,9 @@ fn windowed_config(scheme: Scheme) -> ExperimentConfig {
 }
 
 fn rate_config(scheme: Scheme) -> ExperimentConfig {
-    ExperimentConfig {
-        transport: Transport::RateBased,
-        ..windowed_config(scheme)
-    }
+    let mut config = windowed_config(scheme);
+    config.knobs.transport = Transport::RateBased;
+    config
 }
 
 /// One row pinned against the last eager-`TxDone` commit: (config, expected
