@@ -393,7 +393,7 @@ mod tests {
         let counts = Counts {
             generator: BatchLoadReport {
                 sent_packets: sent,
-                elapsed: Duration::from_millis(elapsed_ms),
+                elapsed_ns: elapsed_ms * 1_000_000,
                 ..BatchLoadReport::default()
             },
             relay: RelayStats {

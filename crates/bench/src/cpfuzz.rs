@@ -248,7 +248,7 @@ fn run_inner(sc: &CpScenario) -> CpOutcome {
         if !orch.ledger().balanced() {
             fail = Some((
                 "LeaseAccounting".into(),
-                format!("unbalanced after op {executed}: {:?}", orch.ledger()),
+                format!("unbalanced after op {executed}: {}", orch.ledger()),
             ));
             break 'drive;
         }
@@ -277,13 +277,13 @@ fn run_inner(sc: &CpScenario) -> CpOutcome {
         if !orch.ledger().balanced() {
             fail = Some((
                 "LeaseAccounting".into(),
-                format!("unbalanced at quiescence: {:?}", orch.ledger()),
+                format!("unbalanced at quiescence: {}", orch.ledger()),
             ));
         } else if orch.ledger().active != 0 || orch.draining_leases() != 0 {
             fail = Some((
                 "UnreclaimedLease".into(),
                 format!(
-                    "{} active / {} draining leases at quiescence: {:?}",
+                    "{} active / {} draining leases at quiescence: {}",
                     orch.ledger().active,
                     orch.draining_leases(),
                     orch.ledger()
@@ -430,7 +430,7 @@ impl Family for ControlPlane {
     }
 
     fn details(o: &CpOutcome) -> Vec<String> {
-        let summary = format!("ops={} stats={:?}", o.ops, o.stats);
+        let summary = format!("ops={} {}", o.ops, o.stats);
         let violation = o.violation.iter().map(|(kind, d)| format!("{kind}: {d}"));
         std::iter::once(summary).chain(violation).collect()
     }

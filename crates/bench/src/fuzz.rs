@@ -503,6 +503,9 @@ pub struct RunOutcome {
     pub violations: Vec<String>,
     /// Human-readable violation details (or the setup error).
     pub details: Vec<String>,
+    /// The packet ledger's and the protocol's nonzero counters, as
+    /// `dotted.name=value` (empty on a setup error).
+    pub counters: String,
 }
 
 fn stop_name(stop: StopReason) -> &'static str {
@@ -638,6 +641,7 @@ impl Family for Chaos {
                     completed: false,
                     violations: Vec::new(),
                     details: vec![setup],
+                    counters: String::new(),
                 }
             }
         };
@@ -661,6 +665,8 @@ impl Family for Chaos {
                 sc.time_limit_ms, report.events
             ));
         }
+        let protocol = sim.metrics().nonzero_counters().into_iter();
+        let protocol: String = protocol.map(|(name, v)| format!(" {name}={v}")).collect();
         RunOutcome {
             stop: stop_name(report.stop).to_string(),
             events: report.events,
@@ -668,6 +674,7 @@ impl Family for Chaos {
             completed,
             violations,
             details,
+            counters: format!("{}{protocol}", sim.ledger()),
         }
     }
 
@@ -773,7 +780,8 @@ impl Family for Chaos {
             "stop={} events={} completed={}",
             o.stop, o.events, o.completed
         );
-        std::iter::once(summary)
+        [summary, format!("counters: {}", o.counters)]
+            .into_iter()
             .chain(o.details.iter().cloned())
             .collect()
     }
@@ -1394,6 +1402,12 @@ mod tests {
         let (outcome, same) = check_replay::<Chaos>(&sc);
         assert!(same, "replay diverged: {outcome:?}");
         assert!(outcome.is_ok(), "{outcome:?}");
+        // The counters line names every nonzero count, ledger first.
+        let lines = details::<Chaos>(&outcome);
+        assert!(
+            lines[1].starts_with("counters: dcsim.packet_ledger.created="),
+            "{lines:?}"
+        );
     }
 
     /// A family with no simulator behind it, to test the engine alone: a

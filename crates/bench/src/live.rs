@@ -373,11 +373,11 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
     let mut ledger = Ledger {
         failed: Vec::new(),
         lines: vec![
-            format!("generator: {:?}", c.generator),
-            format!("{} on {}: {:?}", run.path.name(), c.layer, c.relay),
-            format!("sink: {:?}", c.sink),
-            format!("faults: {fs:?}"),
-            format!("supervisor: {sup:?}"),
+            format!("generator: {}", c.generator),
+            format!("{} on {}: {}", run.path.name(), c.layer, c.relay),
+            format!("sink: {}", c.sink),
+            format!("faults: {fs}"),
+            format!("supervisor: {sup}"),
         ],
     };
 
@@ -780,6 +780,23 @@ mod tests {
             let ledger = judge(&clean(path), &balanced(path));
             assert!(ledger.passed(), "{}:\n{ledger}", path.name());
         }
+    }
+
+    #[test]
+    fn count_lines_name_the_nonzero_counters() {
+        let ledger = judge(&clean(STREAMLINED), &balanced(STREAMLINED));
+        assert_eq!(
+            ledger.lines[..5],
+            [
+                "generator: netproxy.generator.sent_packets=1000 \
+                 netproxy.generator.trimmed_sent=200 netproxy.generator.nacks_received=200",
+                "streamlined on mmsg: netproxy.shard.forwarded=800 netproxy.shard.nacks=200 \
+                 netproxy.shard.received=1000",
+                "sink: netproxy.sink.received=800",
+                "faults: none",
+                "supervisor: none",
+            ]
+        );
     }
 
     /// A count change per check that breaks that check alone on `path`.

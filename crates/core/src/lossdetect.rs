@@ -81,21 +81,23 @@ struct FlowState {
     pending: Vec<Pending>,
 }
 
-/// Per-flow counters for evaluating detector quality.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LossDetectorStats {
-    /// Packets observed.
-    pub observed: u64,
-    /// Losses declared (first declarations only).
-    pub declared: u64,
-    /// Sweep re-declarations of still-missing sequences.
-    pub renacks: u64,
-    /// Declared losses whose packet later arrived (false positives,
-    /// observable only in hindsight).
-    pub late_arrivals: u64,
-    /// Gaps evicted undetected due to the memory bound (potential false
-    /// negatives).
-    pub evicted: u64,
+trace::counters! {
+    "incast_core.lossdetect";
+    /// Per-flow counters for evaluating detector quality.
+    pub struct LossDetectorStats {
+        /// Packets observed.
+        observed,
+        /// Losses declared (first declarations only).
+        declared,
+        /// Sweep re-declarations of still-missing sequences.
+        renacks,
+        /// Declared losses whose packet later arrived (false positives,
+        /// observable only in hindsight).
+        late_arrivals,
+        /// Gaps evicted undetected due to the memory bound (potential false
+        /// negatives).
+        evicted,
+    }
 }
 
 /// A declared-but-not-yet-rearrived sequence, re-NACKed by the sweep.

@@ -76,22 +76,24 @@ impl Default for ShardedConfig {
     }
 }
 
-/// Observable behavior counters of the degradation ladder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Grants served by a ring successor on behalf of a dead home shard.
-    pub takeovers: u64,
-    /// Grants routed to the decentralized fallback (ladder rungs 3–4).
-    pub fallback_selections: u64,
-    /// Fresh grants that landed on a proxy also named by a draining lease
-    /// (a placement conflict with state a dead shard lost track of).
-    pub stale_conflicts: u64,
-    /// Orphaned leases adopted by a live shard on renewal.
-    pub reclaims: u64,
-    /// Leases that ran out their term without renewal.
-    pub expirations: u64,
-    /// Releases that named no active assignment.
-    pub release_unknown: u64,
+trace::counters! {
+    "incast_core.orchestrator";
+    /// Observable behavior counters of the degradation ladder.
+    pub struct ShardedStats {
+        /// Grants served by a ring successor on behalf of a dead home shard.
+        takeovers,
+        /// Grants routed to the decentralized fallback (ladder rungs 3–4).
+        fallback_selections,
+        /// Fresh grants that landed on a proxy also named by a draining lease
+        /// (a placement conflict with state a dead shard lost track of).
+        stale_conflicts,
+        /// Orphaned leases adopted by a live shard on renewal.
+        reclaims,
+        /// Leases that ran out their term without renewal.
+        expirations,
+        /// Releases that named no active assignment.
+        release_unknown,
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -210,13 +210,7 @@ fn placements_match_the_recorded_digest() {
     let mut reached = ShardedStats::default();
     for shards in [1, 3, 4] {
         for case in 0..24 {
-            let s = plane_schedule(shards, case, &mut digest);
-            reached.takeovers += s.takeovers;
-            reached.fallback_selections += s.fallback_selections;
-            reached.stale_conflicts += s.stale_conflicts;
-            reached.reclaims += s.reclaims;
-            reached.expirations += s.expirations;
-            reached.release_unknown += s.release_unknown;
+            reached.add(&plane_schedule(shards, case, &mut digest));
         }
     }
     // Every rung of the ladder and every counter is exercised.

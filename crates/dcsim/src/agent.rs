@@ -8,6 +8,7 @@
 //! pure state transition, which is what the property tests exercise.
 
 use crate::events::TimerKind;
+pub use crate::metrics::Counter;
 use crate::packet::{AgentId, FlowId, HostId, Packet};
 use crate::time::{SimDuration, SimTime};
 
@@ -34,90 +35,6 @@ pub enum Note {
     /// source host; purely informational (senders count it), never sent
     /// when the fidelity engine is disabled.
     FidelityShift,
-}
-
-/// Counters agents can bump; aggregated in [`crate::metrics::SimMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// NACKs generated by a proxy on behalf of the receiver.
-    ProxyNacks,
-    /// NACKs generated by the actual receiver.
-    ReceiverNacks,
-    /// Retransmission timeouts fired.
-    RtoFires,
-    /// Data packets retransmitted.
-    Retransmits,
-    /// ECN-marked ACKs processed by senders.
-    MarkedAcks,
-    /// Multiplicative decreases applied by senders.
-    WindowDecreases,
-    /// Packets forwarded by a proxy (either direction).
-    ProxyForwarded,
-    /// Sender-side failovers: a sender gave up on its proxy and switched
-    /// to the direct path.
-    FailoverActivations,
-    /// Sender-side failbacks: a sender returned to its recovered proxy.
-    Failbacks,
-    /// Probe packets sent through a proxy believed dead.
-    ProxyProbes,
-    /// Packets destroyed by an injected fault (downed link, impaired port,
-    /// or crashed agent).
-    PacketsLostToFault,
-    /// Packets a proxy dropped because the flow was not registered (e.g.
-    /// state lost to a crash, or misrouted traffic).
-    ProxyUnknownFlowDrops,
-    /// Fidelity-shift notes received by senders: a port on the flow's path
-    /// crossed from analytic to packet-level modeling (hybrid engine only).
-    FidelityHotSignals,
-}
-
-impl Counter {
-    /// Every counter, in declaration order — `ALL[c.index()] == c`. Used
-    /// for exhaustive iteration in reports and as the size of the dense
-    /// counter array in [`crate::metrics::SimMetrics`].
-    pub const ALL: [Counter; 13] = [
-        Counter::ProxyNacks,
-        Counter::ReceiverNacks,
-        Counter::RtoFires,
-        Counter::Retransmits,
-        Counter::MarkedAcks,
-        Counter::WindowDecreases,
-        Counter::ProxyForwarded,
-        Counter::FailoverActivations,
-        Counter::Failbacks,
-        Counter::ProxyProbes,
-        Counter::PacketsLostToFault,
-        Counter::ProxyUnknownFlowDrops,
-        Counter::FidelityHotSignals,
-    ];
-
-    /// Number of counters.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Dense index of this counter, in `0..Counter::COUNT`.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Human-readable label for reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            Counter::ProxyNacks => "proxy_nacks",
-            Counter::ReceiverNacks => "receiver_nacks",
-            Counter::RtoFires => "rto_fires",
-            Counter::Retransmits => "retransmits",
-            Counter::MarkedAcks => "marked_acks",
-            Counter::WindowDecreases => "window_decreases",
-            Counter::ProxyForwarded => "proxy_forwarded",
-            Counter::FailoverActivations => "failover_activations",
-            Counter::Failbacks => "failbacks",
-            Counter::ProxyProbes => "proxy_probes",
-            Counter::PacketsLostToFault => "packets_lost_to_fault",
-            Counter::ProxyUnknownFlowDrops => "proxy_unknown_flow_drops",
-            Counter::FidelityHotSignals => "fidelity_hot_signals",
-        }
-    }
 }
 
 /// An action requested by an agent, applied by the simulator after the
@@ -295,37 +212,6 @@ pub trait Agent: Send {
 mod tests {
     use super::*;
     use crate::packet::PacketKind;
-
-    #[test]
-    fn counter_all_is_dense_and_exhaustive() {
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{c:?} out of place in Counter::ALL");
-        }
-        // Force a compile error here when a variant is added without
-        // updating ALL/COUNT: the match below must stay exhaustive and
-        // every arm must be reachable from ALL.
-        for c in Counter::ALL {
-            match c {
-                Counter::ProxyNacks
-                | Counter::ReceiverNacks
-                | Counter::RtoFires
-                | Counter::Retransmits
-                | Counter::MarkedAcks
-                | Counter::WindowDecreases
-                | Counter::ProxyForwarded
-                | Counter::FailoverActivations
-                | Counter::Failbacks
-                | Counter::ProxyProbes
-                | Counter::PacketsLostToFault
-                | Counter::ProxyUnknownFlowDrops
-                | Counter::FidelityHotSignals => {}
-            }
-            assert!(!c.label().is_empty());
-        }
-        // A variant appended after the last one listed in ALL would slip
-        // past the loop above; pin the last discriminant to COUNT - 1.
-        assert_eq!(Counter::FidelityHotSignals.index(), Counter::COUNT - 1);
-    }
 
     #[test]
     fn ctx_accumulates_effects() {

@@ -46,6 +46,7 @@
 //! violations in [`crate::sim::RunReport::violations`] (the chaos fuzzer
 //! uses this to keep searching after a hit).
 
+use crate::metrics::{TimerChurn, TxChurn};
 use crate::packet::{FlowId, PortId};
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
@@ -113,41 +114,43 @@ impl AuditConfig {
     }
 }
 
-/// Counts every packet the simulator has seen, by disposition.
-///
-/// `created` counts `Effect::Send` applications — a proxy forwarding a
-/// packet counts as a fresh creation, so conservation holds regardless of
-/// agent behavior. `trimmed` is informational (a trimmed packet keeps
-/// traveling as a header); it is *not* part of the conservation sum.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PacketLedger {
-    /// Packets emitted by agents (`Effect::Send`), including forwards.
-    pub created: u64,
-    /// Packets dispatched to a live host agent.
-    pub delivered: u64,
-    /// Packets destroyed on arrival at a crashed agent.
-    pub lost_to_crash: u64,
-    /// Packets blackholed by a downed link, lost to an impairment draw, or
-    /// destroyed by corruption of a control packet.
-    pub lost_to_fault: u64,
-    /// Packets dropped by a full queue (`EnqueueOutcome::Dropped`).
-    pub dropped_queue: u64,
-    /// Payloads cut to headers (queue trim or data corruption); the header
-    /// keeps traveling, so this is not a terminal disposition.
-    pub trimmed: u64,
-    /// Packets handed to another shard of a fleet run. Terminal for *this*
-    /// shard's ledger: conservation becomes `created + imported == terminal
-    /// + exported + in_flight`. Zero outside fleet runs.
-    pub exported: u64,
-    /// Packets accepted from another shard of a fleet run; they enter this
-    /// shard's conservation sum alongside `created`. Zero outside fleet
-    /// runs.
-    pub imported: u64,
-    /// Packets advanced analytically by the hybrid-fidelity express path
-    /// for at least one hop. Informational (such packets still appear in
-    /// `delivered`/`in_flight` like any other); not part of the
-    /// conservation sum.
-    pub express: u64,
+trace::counters! {
+    "dcsim.packet_ledger";
+    /// Counts every packet the simulator has seen, by disposition.
+    ///
+    /// `created` counts `Effect::Send` applications — a proxy forwarding a
+    /// packet counts as a fresh creation, so conservation holds regardless of
+    /// agent behavior. `trimmed` is informational (a trimmed packet keeps
+    /// traveling as a header); it is *not* part of the conservation sum.
+    pub struct PacketLedger {
+        /// Packets emitted by agents (`Effect::Send`), including forwards.
+        created,
+        /// Packets dispatched to a live host agent.
+        delivered,
+        /// Packets destroyed on arrival at a crashed agent.
+        lost_to_crash,
+        /// Packets blackholed by a downed link, lost to an impairment draw, or
+        /// destroyed by corruption of a control packet.
+        lost_to_fault,
+        /// Packets dropped by a full queue (`EnqueueOutcome::Dropped`).
+        dropped_queue,
+        /// Payloads cut to headers (queue trim or data corruption); the header
+        /// keeps traveling, so this is not a terminal disposition.
+        trimmed,
+        /// Packets handed to another shard of a fleet run. Terminal for *this*
+        /// shard's ledger: conservation becomes `created + imported == terminal
+        /// + exported + in_flight`. Zero outside fleet runs.
+        exported,
+        /// Packets accepted from another shard of a fleet run; they enter this
+        /// shard's conservation sum alongside `created`. Zero outside fleet
+        /// runs.
+        imported,
+        /// Packets advanced analytically by the hybrid-fidelity express path
+        /// for at least one hop. Informational (such packets still appear in
+        /// `delivered`/`in_flight` like any other); not part of the
+        /// conservation sum.
+        express,
+    }
 }
 
 impl PacketLedger {
@@ -157,27 +160,29 @@ impl PacketLedger {
     }
 }
 
-/// Counts every control-plane lease from grant to terminal disposition.
-///
-/// The sharded orchestrator (in the `core` crate) maintains one global
-/// ledger across all shards; the invariant is `granted == released +
-/// expired + reclaimed + active` at every step, and `active == 0` once the
-/// control plane has quiesced. Shard crashes move leases around (into the
-/// draining set, to a sibling, or to the decentralized fallback) but never
-/// out of the ledger, so the balance catches both leaks (a lease forgotten
-/// by everyone) and double-frees (a lease released twice).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeaseLedger {
-    /// Leases ever granted, including re-grants after a reclaim.
-    pub granted: u64,
-    /// Leases released by their holder (the incast completed).
-    pub released: u64,
-    /// Leases that ran out their term without renewal.
-    pub expired: u64,
-    /// Stale leases taken over from a crashed shard and re-granted.
-    pub reclaimed: u64,
-    /// Leases currently live (granted, not yet terminal).
-    pub active: u64,
+trace::counters! {
+    "dcsim.lease_ledger";
+    /// Counts every control-plane lease from grant to terminal disposition.
+    ///
+    /// The sharded orchestrator (in the `core` crate) maintains one global
+    /// ledger across all shards; the invariant is `granted == released +
+    /// expired + reclaimed + active` at every step, and `active == 0` once the
+    /// control plane has quiesced. Shard crashes move leases around (into the
+    /// draining set, to a sibling, or to the decentralized fallback) but never
+    /// out of the ledger, so the balance catches both leaks (a lease forgotten
+    /// by everyone) and double-frees (a lease released twice).
+    pub struct LeaseLedger {
+        /// Leases ever granted, including re-grants after a reclaim.
+        granted,
+        /// Leases released by their holder (the incast completed).
+        released,
+        /// Leases that ran out their term without renewal.
+        expired,
+        /// Stale leases taken over from a crashed shard and re-granted.
+        reclaimed,
+        /// Leases currently live (granted, not yet terminal).
+        active,
+    }
 }
 
 impl LeaseLedger {
@@ -227,11 +232,8 @@ pub enum InvariantViolation {
     /// pending`, or a stale timer pop was discarded.
     TimerAccounting {
         at: SimTime,
-        armed: u64,
-        fired: u64,
-        canceled: u64,
+        churn: TimerChurn,
         pending: u64,
-        discarded_stale: u64,
     },
     /// The lazy-`TxDone` ledger is off — `scheduled != fired + pending`, or
     /// `waking` (ports whose wake-up flag is set) differs from the pending
@@ -239,9 +241,7 @@ pub enum InvariantViolation {
     /// with no scheduled transmit-complete event coming to drain them.
     TxAccounting {
         at: SimTime,
-        started: u64,
-        scheduled: u64,
-        fired: u64,
+        churn: TxChurn,
         pending: u64,
         waking: u64,
         stranded: Option<PortId>,
@@ -296,18 +296,9 @@ impl fmt::Display for InvariantViolation {
                 in_events,
             } => write!(
                 f,
-                "packet conservation broken at {at}: created={} + imported={} != \
-                 terminal={} (delivered={} lost_to_crash={} lost_to_fault={} \
-                 dropped_queue={}) + exported={} + in_flight={} \
-                 (queues={in_queues} events={in_events})",
-                ledger.created,
-                ledger.imported,
+                "packet conservation broken at {at}: created + imported != terminal={} \
+                 + exported + in_flight={} (queues={in_queues} events={in_events}); {ledger}",
                 ledger.terminal(),
-                ledger.delivered,
-                ledger.lost_to_crash,
-                ledger.lost_to_fault,
-                ledger.dropped_queue,
-                ledger.exported,
                 in_queues + in_events,
             ),
             InvariantViolation::QueueOverCapacity {
@@ -329,33 +320,24 @@ impl fmt::Display for InvariantViolation {
                     "queue accounting broken at {at} in the packet pool: {detail}"
                 ),
             },
-            InvariantViolation::TimerAccounting {
-                at,
-                armed,
-                fired,
-                canceled,
-                pending,
-                discarded_stale,
-            } => write!(
+            InvariantViolation::TimerAccounting { at, churn, pending } => write!(
                 f,
-                "timer accounting broken at {at}: armed={armed} != fired={fired} \
-                 + canceled={canceled} + pending={pending} \
-                 (discarded_stale={discarded_stale}, must be 0)",
+                "timer accounting broken at {at}: armed={} != fired={} + canceled={} \
+                 + pending={pending} (discarded_stale={}, must be 0)",
+                churn.armed, churn.fired, churn.canceled, churn.discarded_stale,
             ),
             InvariantViolation::TxAccounting {
                 at,
-                started,
-                scheduled,
-                fired,
+                churn,
                 pending,
                 waking,
                 stranded,
             } => {
                 write!(
                     f,
-                    "TxDone accounting broken at {at}: scheduled={scheduled} (of \
-                     {started} started) vs fired={fired} + pending={pending}; \
-                     {waking} port(s) expect a wake-up",
+                    "TxDone accounting broken at {at}: scheduled={} (of {} started) vs \
+                     fired={} + pending={pending}; {waking} port(s) expect a wake-up",
+                    churn.scheduled, churn.started, churn.fired,
                 )?;
                 match stranded {
                     Some(port) => write!(f, "; {port:?} holds packets nothing will drain"),
@@ -381,10 +363,34 @@ impl fmt::Display for InvariantViolation {
             ),
             InvariantViolation::LeaseAccounting { at, ledger, detail } => write!(
                 f,
-                "lease accounting broken at {at}: granted={} != released={} \
-                 + expired={} + reclaimed={} + active={} ({detail})",
-                ledger.granted, ledger.released, ledger.expired, ledger.reclaimed, ledger.active,
+                "lease accounting broken at {at}: granted != released + expired + reclaimed \
+                 + active ({detail}); {ledger}",
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn conservation_violation_names_the_ledger_counters() {
+        let v = InvariantViolation::PacketConservation {
+            at: SimTime(5),
+            ledger: PacketLedger {
+                created: 10,
+                delivered: 7,
+                dropped_queue: 1,
+                ..PacketLedger::default()
+            },
+            in_queues: 1,
+            in_events: 0,
+        };
+        assert!(v.to_string().ends_with(
+            "terminal=8 + exported + in_flight=1 (queues=1 events=0); \
+             dcsim.packet_ledger.created=10 dcsim.packet_ledger.delivered=7 \
+             dcsim.packet_ledger.dropped_queue=1"
+        ));
     }
 }

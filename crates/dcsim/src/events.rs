@@ -186,17 +186,19 @@ pub enum Event {
     Fault(FaultEvent),
 }
 
-/// Pending-event counts by class, as reported by [`EventQueue::census`].
-/// `packets` counts events that carry a packet in flight (`Arrival`,
-/// `Inject`); `timers` counts pending `Timer` events; `tx_done` counts
-/// materialised `TxDone`s; everything else (`FlowStart`, `Fault`) lands in
-/// `other`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCensus {
-    pub packets: u64,
-    pub timers: u64,
-    pub tx_done: u64,
-    pub other: u64,
+trace::counters! {
+    "dcsim.census";
+    /// Pending-event counts by class, as reported by [`EventQueue::census`].
+    /// `packets` counts events that carry a packet in flight (`Arrival`,
+    /// `Inject`); `timers` counts pending `Timer` events; `tx_done` counts
+    /// materialised `TxDone`s; everything else (`FlowStart`, `Fault`) lands in
+    /// `other`.
+    pub struct EventCensus {
+        packets,
+        timers,
+        tx_done,
+        other,
+    }
 }
 
 /// Heap arity. Four children per node keeps the tree shallow (log₄ n

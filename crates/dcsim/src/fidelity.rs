@@ -79,27 +79,29 @@ pub struct FidelityConfig {
     _none: (),
 }
 
-/// Counters describing how much work the express path saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpressStats {
-    /// Packets that took at least one express hop.
-    pub packets: u64,
-    /// Total cold hops traversed analytically.
-    pub hops: u64,
-    /// Events an engine that schedules every hop's TxDone and Arrival
-    /// would have processed but the walk did not: two per express hop,
-    /// minus the single event actually scheduled at the end of the walk.
-    /// (Full fidelity itself no longer schedules every TxDone — see
-    /// `TxChurn::elided` — so compare `events + elided + saved_events`
-    /// across fidelities, not `events + saved_events`.)
-    pub saved_events: u64,
-    /// Express walks that hit a hot port and fell back to packet fidelity
-    /// mid-path (the scheduled `Inject` re-enters the normal queue path).
-    pub fallbacks: u64,
-    /// Express walks cut short by the `MAX_LOOKAHEAD` staleness ceiling
-    /// (typically once per long-haul crossing); the packet re-enters the
-    /// express path at the deferred port when its `Inject` fires.
-    pub deferrals: u64,
+trace::counters! {
+    "dcsim.express";
+    /// Counters describing how much work the express path saved.
+    pub struct ExpressStats {
+        /// Packets that took at least one express hop.
+        packets,
+        /// Total cold hops traversed analytically.
+        hops,
+        /// Events an engine that schedules every hop's TxDone and Arrival
+        /// would have processed but the walk did not: two per express hop,
+        /// minus the single event actually scheduled at the end of the walk.
+        /// (Full fidelity itself no longer schedules every TxDone — see
+        /// `TxChurn::elided` — so compare `events + elided + saved_events`
+        /// across fidelities, not `events + saved_events`.)
+        saved_events,
+        /// Express walks that hit a hot port and fell back to packet fidelity
+        /// mid-path (the scheduled `Inject` re-enters the normal queue path).
+        fallbacks,
+        /// Express walks cut short by the `MAX_LOOKAHEAD` staleness ceiling
+        /// (typically once per long-haul crossing); the packet re-enters the
+        /// express path at the deferred port when its `Inject` fires.
+        deferrals,
+    }
 }
 
 /// Per-port hybrid-fidelity state, dense-indexed by `PortId`.

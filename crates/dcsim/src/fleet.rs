@@ -370,20 +370,11 @@ impl FleetSim {
         let mut lane_churn = LaneChurn::default();
         let mut queue_peak = QueuePeak::default();
         for s in &self.shards {
-            let peak = s.queue_peak();
-            queue_peak.packets += peak.packets;
-            queue_peak.blocks += peak.blocks;
+            queue_peak.add(&s.queue_peak());
             tx_elided += s.metrics().tx_churn.elided();
-            let churn = s.metrics().lane_churn;
-            lane_churn.appended += churn.appended;
-            lane_churn.pushed += churn.pushed;
-            lane_churn.refused += churn.refused;
+            lane_churn.add(&s.metrics().lane_churn);
             if let Some(e) = s.fidelity_stats() {
-                express.packets += e.packets;
-                express.hops += e.hops;
-                express.saved_events += e.saved_events;
-                express.fallbacks += e.fallbacks;
-                express.deferrals += e.deferrals;
+                express.add(&e);
             }
         }
         FleetReport {

@@ -123,15 +123,18 @@ pub enum EnqueueOutcome {
     Dropped,
 }
 
-/// The high-water marks of a [`PortQueues`]: what its queue memory
-/// follows. Both are deterministic, whatever the allocator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueuePeak {
-    /// Most packets queued at once, over every port.
-    pub packets: u64,
-    /// Blocks the packet pool holds: its high-water mark, since it never
-    /// shrinks.
-    pub blocks: u64,
+trace::counters! {
+    "dcsim.queue_peak";
+    /// The high-water marks of a [`PortQueues`]: what its queue memory
+    /// follows. Both are deterministic, whatever the allocator. Two peaks
+    /// fold by sum, not `: max`: a fleet's is its shards' peaks summed.
+    pub struct QueuePeak {
+        /// Most packets queued at once, over every port.
+        packets,
+        /// Blocks the packet pool holds: its high-water mark, since it never
+        /// shrinks.
+        blocks,
+    }
 }
 
 /// One port of a [`PortQueues`]: its configuration, byte counters and the

@@ -800,11 +800,8 @@ impl Simulator {
         {
             found.push(InvariantViolation::TimerAccounting {
                 at: now,
-                armed: churn.armed,
-                fired: churn.fired,
-                canceled: churn.canceled,
+                churn,
                 pending: census.timers,
-                discarded_stale: churn.discarded_stale,
             });
         }
 
@@ -825,9 +822,7 @@ impl Simulator {
         {
             found.push(InvariantViolation::TxAccounting {
                 at: now,
-                started: tx.started,
-                scheduled: tx.scheduled,
-                fired: tx.fired,
+                churn: tx,
                 pending: census.tx_done,
                 waking,
                 stranded: stranded.map(|i| PortId(i as u32)),
@@ -2431,8 +2426,12 @@ mod tx_done_tests {
             // The stranded packet also unbalances nothing else: it is
             // still counted as queued.
             [InvariantViolation::TxAccounting {
-                scheduled: 0,
-                fired: 0,
+                churn:
+                    TxChurn {
+                        scheduled: 0,
+                        fired: 0,
+                        ..
+                    },
                 pending: 0,
                 waking: 1,
                 stranded: Some(port),

@@ -486,32 +486,25 @@ impl SendQueue {
     }
 }
 
-/// Result of a batch flush: datagrams handed to the kernel and hard
-/// send errors (counted, never silently dropped — see `RelayStats`).
-/// `sent` and `errors` count **datagrams**, however few kernel entries
-/// carried them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SendOutcome {
-    /// Datagrams accepted by the kernel.
-    pub sent: u64,
-    /// Datagrams the kernel refused (per-datagram errors).
-    pub errors: u64,
-    /// Entries the kernel accepted: one per coalesced run on [`MmsgIo`]
-    /// (so `messages < sent` means coalescing happened), one per
-    /// datagram on [`FallbackIo`].
-    pub messages: u64,
-    /// Iovecs of the accepted entries: one per contiguous byte range on
-    /// [`MmsgIo`] (so `iovecs < sent` means datagrams adjacent in memory
-    /// left as one range), one per datagram on [`FallbackIo`].
-    pub iovecs: u64,
-}
-
-impl std::ops::AddAssign for SendOutcome {
-    fn add_assign(&mut self, o: SendOutcome) {
-        self.sent += o.sent;
-        self.errors += o.errors;
-        self.messages += o.messages;
-        self.iovecs += o.iovecs;
+trace::counters! {
+    "netproxy.send";
+    /// Result of a batch flush: datagrams handed to the kernel and hard
+    /// send errors (counted, never silently dropped — see `RelayStats`).
+    /// `sent` and `errors` count **datagrams**, however few kernel entries
+    /// carried them.
+    pub struct SendOutcome {
+        /// Datagrams accepted by the kernel.
+        sent,
+        /// Datagrams the kernel refused (per-datagram errors).
+        errors,
+        /// Entries the kernel accepted: one per coalesced run on [`MmsgIo`]
+        /// (so `messages < sent` means coalescing happened), one per
+        /// datagram on [`FallbackIo`].
+        messages,
+        /// Iovecs of the accepted entries: one per contiguous byte range on
+        /// [`MmsgIo`] (so `iovecs < sent` means datagrams adjacent in memory
+        /// left as one range), one per datagram on [`FallbackIo`].
+        iovecs,
     }
 }
 

@@ -176,9 +176,15 @@ impl Direction {
 
 macro_rules! bump {
     ($stats:expr, $field:ident, $n:expr) => {
-        // ordering: Relaxed — monotone fault counters read only by
-        // post-run snapshots; no non-atomic data is published.
+        // ordering: Relaxed — monotone fault counters; no non-atomic data
+        // is published through them.
         $stats.$field.fetch_add($n, Ordering::Relaxed)
+    };
+    (release $stats:expr, $field:ident, $n:expr) => {
+        // ordering: Release — pairs with `FaultSnapshot::merge`'s Acquire
+        // load of this count, declared (so read) before the delay count
+        // it follows: no snapshot sees a release before its delay.
+        $stats.$field.fetch_add($n, Ordering::Release)
     };
     // One outbound datagram, counted by its class.
     ($stats:expr, $is_data:expr => $data:ident | $ctrl:ident) => {
@@ -190,18 +196,21 @@ macro_rules! bump {
     };
 }
 
-counters! {
+trace::counters! {
+    "netproxy.fault", atomic crate::sync::AtomicU64;
     /// Everything the shim did, as monotone counters shared across
     /// shards. Outbound counters are classified data vs ctrl (DATA flag vs
     /// ACK/NACK) because the soak ledger closes the two directions with
     /// separate equations.
     pub struct FaultStats;
-    /// Plain-u64 snapshot of [`FaultStats`].
+    /// Plain-u64 snapshot of [`FaultStats`]. A release count is declared
+    /// before its delay counts, so `merge` reads it first (see `bump!`).
     pub struct FaultSnapshot {
-        rx_dropped, rx_corrupted, rx_duplicated, rx_delayed, rx_delay_released, rx_blackholed,
+        rx_dropped, rx_corrupted, rx_duplicated, rx_delay_released, rx_delayed, rx_blackholed,
         tx_dropped_data, tx_dropped_ctrl, tx_corrupted_data, tx_corrupted_ctrl,
-        tx_duplicated_data, tx_duplicated_ctrl, tx_delayed_data, tx_delayed_ctrl,
+        tx_duplicated_data, tx_duplicated_ctrl,
         tx_delay_released_data, tx_delay_released_ctrl, tx_release_errors,
+        tx_delayed_data, tx_delayed_ctrl,
         tx_blackholed_data, tx_blackholed_ctrl, synth_recv_errors, synth_send_errors,
     }
 }
@@ -213,6 +222,10 @@ impl FaultStats {
         let mut s = FaultSnapshot::default();
         s.merge(self);
         debug_assert!(s.rx_delay_released <= s.rx_delayed);
+        debug_assert!(
+            s.tx_delay_released_data + s.tx_delay_released_ctrl + s.tx_release_errors
+                <= s.tx_delayed_data + s.tx_delayed_ctrl
+        );
         s
     }
 }
@@ -341,11 +354,11 @@ impl FaultedIo {
 
     fn note_release(&self, is_data: bool, out: SendOutcome) {
         if is_data {
-            bump!(self.stats, tx_delay_released_data, out.sent);
+            bump!(release self.stats, tx_delay_released_data, out.sent);
         } else {
-            bump!(self.stats, tx_delay_released_ctrl, out.sent);
+            bump!(release self.stats, tx_delay_released_ctrl, out.sent);
         }
-        bump!(self.stats, tx_release_errors, out.errors);
+        bump!(release self.stats, tx_release_errors, out.errors);
     }
 
     /// Re-injects due delayed-rx datagrams into `ring` (as many as fit;
@@ -361,7 +374,7 @@ impl FaultedIo {
             if !ring.push_received(&h.bytes, h.addr) {
                 return; // ring full; keep holding
             }
-            bump!(self.stats, rx_delay_released, 1);
+            bump!(release self.stats, rx_delay_released, 1);
             self.rx_held.swap_remove(i);
         }
     }
@@ -377,7 +390,7 @@ impl FaultedIo {
         out: &mut SendOutcome,
     ) -> io::Result<()> {
         if self.stage_ring.len() == BATCH {
-            *out += self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
+            out.add(&self.inner.send_batch(&self.stage_ring, &self.stage_queue)?);
             self.stage_ring.reset();
             self.stage_queue.clear();
         }
@@ -532,7 +545,7 @@ impl BatchIo for FaultedIo {
             }
         }
         if !self.stage_queue.is_empty() {
-            out += self.inner.send_batch(&self.stage_ring, &self.stage_queue)?;
+            out.add(&self.inner.send_batch(&self.stage_ring, &self.stage_queue)?);
             self.stage_ring.reset();
             self.stage_queue.clear();
         }

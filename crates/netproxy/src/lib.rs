@@ -46,9 +46,6 @@
 // fns still need their own blocks.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[macro_use]
-mod counters;
-
 pub mod batch;
 pub mod fault;
 pub mod loadgen;

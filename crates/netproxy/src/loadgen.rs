@@ -28,13 +28,15 @@ use std::thread;
 use std::time::{Duration, Instant};
 use trace::LatencyRecorder;
 
-/// Outcome of a [`TcpLoadGen`] run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LoadStats {
-    /// Chunks written.
-    pub sent_packets: u64,
-    /// Bytes of payload sent.
-    pub sent_bytes: u64,
+trace::counters! {
+    "netproxy.tcp_load";
+    /// Outcome of a [`TcpLoadGen`] run.
+    pub struct LoadStats {
+        /// Chunks written.
+        sent_packets,
+        /// Bytes of payload sent.
+        sent_bytes,
+    }
 }
 
 /// A rate-paced TCP byte-stream generator (the Naive-proxy workload).
@@ -202,20 +204,15 @@ impl BatchLoadGen {
         }
         let mut report = BatchLoadReport::default();
         for j in joins {
-            let out = j.join().expect("loadgen worker panicked")?;
-            report.sent_packets += out.sent_packets;
-            report.sent_bytes += out.sent_bytes;
-            report.trimmed_sent += out.trimmed_sent;
-            report.nacks_received += out.nacks_received;
-            report.send_errors += out.send_errors;
+            report.add(&j.join().expect("loadgen worker panicked")?);
         }
-        report.elapsed = start.elapsed();
+        report.elapsed_ns = start.elapsed().as_nanos() as u64;
         Ok(report)
     }
 
     /// One worker: a private socket, a private flow range, open-loop
     /// pacing against its share of the aggregate rate. Its report's
-    /// `elapsed` stays zero.
+    /// `elapsed_ns` stays zero.
     fn worker(
         self,
         index: usize,
@@ -310,28 +307,30 @@ fn drain_feedback(io: &mut dyn BatchIo, ring: &mut RecvRing, nacks: &mut u64) {
     }
 }
 
-/// Merged outcome of a [`BatchLoadGen`] run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchLoadReport {
-    /// Datagrams handed to the kernel (including failed attempts).
-    pub sent_packets: u64,
-    /// Payload bytes in successful data datagrams.
-    pub sent_bytes: u64,
-    /// Datagrams sent as trimmed headers.
-    pub trimmed_sent: u64,
-    /// NACKs drained from the backflow path.
-    pub nacks_received: u64,
-    /// Sends the kernel refused (surfaced, never swallowed).
-    pub send_errors: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
+trace::counters! {
+    "netproxy.generator";
+    /// Merged outcome of a [`BatchLoadGen`] run.
+    pub struct BatchLoadReport {
+        /// Datagrams handed to the kernel (including failed attempts).
+        sent_packets,
+        /// Payload bytes in successful data datagrams.
+        sent_bytes,
+        /// Datagrams sent as trimmed headers.
+        trimmed_sent,
+        /// NACKs drained from the backflow path.
+        nacks_received,
+        /// Sends the kernel refused (surfaced, never swallowed).
+        send_errors,
+        /// Wall-clock nanoseconds of the whole run (a fold keeps the longest).
+        elapsed_ns: max,
+    }
 }
 
 impl BatchLoadReport {
     /// Successfully sent datagrams per second.
     pub fn achieved_pps(&self) -> f64 {
         let delivered = self.sent_packets - self.send_errors;
-        delivered as f64 / self.elapsed.as_secs_f64().max(1e-9)
+        delivered as f64 * 1e9 / self.elapsed_ns.max(1) as f64
     }
 
     /// Datagrams the kernel accepted.
@@ -340,7 +339,8 @@ impl BatchLoadReport {
     }
 }
 
-counters! {
+trace::counters! {
+    "netproxy.sink", atomic crate::sync::AtomicU64;
     /// Per-sink-shard counters, flushed once per batch.
     struct SinkCounters;
     /// A snapshot of everything a [`BatchSink`] has absorbed.

@@ -109,7 +109,8 @@ impl RelayConfig {
     }
 }
 
-counters! {
+trace::counters! {
+    "netproxy.shard", atomic crate::sync::AtomicU64;
     /// One shard's counters. Flushed once per batch, only by the owning
     /// shard thread; read by snapshots. Public so the loom model
     /// (`tests/loom.rs`) can race a flush against a snapshot.

@@ -170,7 +170,8 @@ pub(crate) const WEDGE_TIMEOUT: Duration = Duration::from_millis(400);
 /// Restart attempts per shard before the supervisor gives up on it.
 pub(crate) const MAX_RESTARTS: u64 = 8;
 
-counters! {
+trace::counters! {
+    "netproxy.supervisor", atomic crate::sync::AtomicU64;
     /// Supervision activity as the supervisor thread counts it.
     pub(crate) struct SupervisorShared;
     /// Snapshot of supervision activity, merged across shards.

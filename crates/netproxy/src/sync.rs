@@ -7,10 +7,10 @@
 //! operation is a scheduling point for exhaustive interleaving
 //! exploration (see `crates/loom` and `tests/loom.rs`).
 //!
-//! Only the types the loom models exercise are shimmed. The counter sets
-//! `counters!` declares use the shim too, since one of them
-//! (`ShardStats`) is modeled; outside a loom model its atomics behave as
-//! plain ones.
+//! Only the types the loom models exercise are shimmed. The atomic
+//! counter sets `trace::counters!` declares name the shim's `AtomicU64`
+//! too, since two of them (`ShardStats`, `FaultStats`) are modeled;
+//! outside a loom model their atomics behave as plain ones.
 
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64};

@@ -1,7 +1,8 @@
 //! Loom models of the lock-free datapath (run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p netproxy --test loom`).
 //!
-//! These drive the *real* `FlowDirectory` and `ShardStats` code — via
+//! These drive the *real* `FlowDirectory`, `ShardStats` and `FaultStats`
+//! code — via
 //! the `crate::sync` atomic shim — through every interleaving of their
 //! atomic operations under the vendored bounded-exhaustive checker
 //! (`crates/loom`). Exploration is SeqCst-only; ordering *strength* is
@@ -12,6 +13,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
+use netproxy::fault::FaultStats;
 use netproxy::shard::{flow_hash, FlowDirectory, RelayStats, ShardStats};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -119,5 +121,33 @@ fn shard_stats_flush_vs_snapshot() {
         let mut fin = RelayStats::default();
         fin.merge(&stats);
         assert_eq!((fin.forwarded, fin.batches, fin.max_batch), (5, 2, 4));
+    });
+}
+
+/// A delayed datagram and its release racing a mid-run
+/// `FaultStats::snapshot` (the live ledger reads one while the relay is
+/// still up): whatever the interleaving, the snapshot never holds a
+/// release without its delay, so `rx_delay_pending` cannot underflow and
+/// the snapshot's own pairing checks hold.
+#[test]
+fn fault_stats_release_vs_snapshot() {
+    loom::model(|| {
+        let stats = Arc::new(FaultStats::default());
+        let s = Arc::clone(&stats);
+        let shim = thread::spawn(move || {
+            // ordering: Relaxed / Release — mirrors the shim's `bump!`: a
+            // delay is a plain count, its release the paired second count.
+            s.rx_delayed.fetch_add(1, Ordering::Relaxed);
+            s.tx_delayed_data.fetch_add(1, Ordering::Relaxed);
+            s.rx_delay_released.fetch_add(1, Ordering::Release);
+            s.tx_delay_released_data.fetch_add(1, Ordering::Release);
+        });
+        let mid = stats.snapshot();
+        assert!(mid.rx_delay_pending() <= 1);
+        assert!(mid.tx_delay_released_data <= mid.tx_delayed_data);
+        shim.join().expect("shim");
+        let fin = stats.snapshot();
+        assert_eq!((fin.rx_delayed, fin.rx_delay_pending()), (1, 0));
+        assert_eq!(fin.tx_delay_released_data, fin.tx_delayed_data);
     });
 }

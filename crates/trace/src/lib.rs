@@ -12,11 +12,15 @@
 //!   [`LogHistogram`], an HDR-style logarithmic histogram with ≤ ~1% relative
 //!   error and O(1) record cost.
 //!
+//! Counter sets — plain, atomic, or keyed by an enum — are declared once
+//! through [`counters!`], which names every counter `crate.set.field`.
+//!
 //! Determinism helpers live in [`rng`]: every experiment run derives all of
 //! its randomness from a single `u64` seed so that the "5 runs, report
 //! mean/min/max" protocol of §4.1 is exactly repeatable.
 
 pub mod cdf;
+pub mod counters;
 pub mod histogram;
 pub mod percentile;
 pub mod recorder;

@@ -13,7 +13,7 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live); a clock-free shard step (netproxy::step)"
+echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live); a clock-free shard step (netproxy::step); one counter declaration (trace::counters!)"
 MANIFESTS="$(git ls-files '*Cargo.toml' ':!crates/perf')"
 # Inside a *dependencies table an entry is `name.workspace = true` or carries
 # `path = "..."`; a `[dependencies.name]` sub-table is not used here at all.
@@ -27,6 +27,19 @@ if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked ag
 if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench (every live run goes through bench::live::run)" >&2; exit 1; fi
 if grep -n -e 'Instant' -e 'SystemTime' crates/netproxy/src/step.rs; then echo "the shard step reads a clock (it takes the run loop's reading as now_ns)" >&2; exit 1; fi
 if grep -rn -E 'env::var(_os)?\b' crates/dcsim/src crates/core/src; then echo "dcsim or incast_core reads an environment variable (a setting lives in a config field or a constant)" >&2; exit 1; fi
+# A brace struct whose every field is an integer is a counter set, and a
+# counter set is declared through `trace::counters!` (whose fields carry no
+# type, so it never matches here). Configs, handles and per-gap records are
+# named below.
+COUNTER_STRUCTS="$(awk -v allow=' SignatureConfig LossDetectorConfig TwoDcLayout Fifo TimerHandle Pending Declared ' '
+  /^[[:space:]]*(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]+ *\{ *$/ {
+    name = $0; sub(/^.*struct /, "", name); sub(/[ {].*$/, "", name); open = 1; fields = 0; ints = 1; next
+  }
+  open && /^[[:space:]]*\}/ { if (fields && ints && index(allow, " " name " ") == 0) print FILENAME ": struct " name; open = 0; next }
+  open && /^[[:space:]]*(\/\/|#)/ { next }
+  open && /:/ { fields++; if ($0 !~ /:[[:space:]]*[ui](8|16|32|64|128|size),?[[:space:]]*$/) ints = 0 }
+' $(git ls-files 'crates/dcsim/src/*.rs' 'crates/core/src/*.rs' 'crates/netproxy/src/*.rs'))"
+if [ -n "$COUNTER_STRUCTS" ]; then echo "$COUNTER_STRUCTS"; echo "an integer counter struct is declared by hand (declare it through trace::counters!)" >&2; exit 1; fi
 
 echo "== scripts parse (bash -n)"
 bash -n scripts/pairs.sh
