@@ -16,10 +16,10 @@
 //!
 //! Run with: `cargo run --release -p bench --bin fig4 [--quick]`
 
-use bench::fuzz::mini_json::Json;
 use bench::{banner, json_line, RunOptions};
 use netproxy::{NaiveProxy, TcpLoadGen, TcpSink};
 use std::time::Duration;
+use trace::json::Json;
 use trace::Table;
 
 fn main() {

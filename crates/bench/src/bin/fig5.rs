@@ -33,12 +33,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin fig5 [--quick]`
 
-use bench::fuzz::mini_json::Json;
 use bench::live::{self, LiveRun, Path};
 use bench::{banner, json_line, RunOptions};
 use netproxy::wire::WireHeader;
 use netproxy::{decide, Action, BatchLoadGen, RelayKind, RelayStats, SocketLayer};
 use std::time::{Duration, Instant};
+use trace::json::Json;
 use trace::{Cdf, LatencyRecorder, SplitMix64, Table};
 
 /// Lower bound: per-packet runtime of the decision logic alone, over the

@@ -1,7 +1,7 @@
 //! Fleet-scale throughput benchmark for the hybrid-fidelity sharded
 //! engine: a fleet of inter-datacenter pods, each running a cross-DC
 //! incast, partitioned one shard per datacenter and driven by
-//! [`FleetSim`].
+//! [`FleetSim`], built from one [`Scenario`].
 //!
 //! The headline number is **effective packet-events per second**:
 //! `(events processed + TxDones never scheduled + events elided by the
@@ -31,10 +31,11 @@
 //! The last line is the process's peak RSS, where `/proc/self/status`
 //! reports one.
 
+use bench::take;
 use dcsim::prelude::*;
-use dcsim::topology::{LinkProps, TopologyBuilder, TwoDcParams};
+use incast_core::scenario::{Fabric, Flow, Scenario};
 
-#[derive(Debug, Clone)]
+/// The flags; an explicit flag wins over what `--quick` implies.
 struct Cli {
     pods: usize,
     degree: usize,
@@ -45,153 +46,81 @@ struct Cli {
     fidelity: bool,
 }
 
-impl Default for Cli {
-    fn default() -> Self {
-        Cli {
-            pods: 8,
-            degree: 16,
-            background: 256,
-            mb: 2,
-            threads: 1,
-            seed: 7,
-            fidelity: true,
-        }
-    }
-}
-
 fn parse_args() -> Cli {
-    let mut cli = Cli::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let usage = "see the module docs: --pods --degree --background --mb --threads --seed \
-                 --no-fidelity --quick";
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .unwrap_or_else(|| panic!("{arg} needs a value; {usage}"))
-                .clone()
-        };
-        match arg.as_str() {
-            "--pods" => cli.pods = value().parse().expect("--pods N"),
-            "--degree" => cli.degree = value().parse().expect("--degree N"),
-            "--background" => cli.background = value().parse().expect("--background N"),
-            "--mb" => cli.mb = value().parse().expect("--mb N"),
-            "--threads" => cli.threads = value().parse().expect("--threads N"),
-            "--seed" => cli.seed = value().parse().expect("--seed N"),
-            "--no-fidelity" => cli.fidelity = false,
-            "--quick" => {
-                cli.pods = 2;
-                cli.degree = 8;
-                cli.background = 16;
-                cli.mb = 1;
-            }
-            other => panic!("unknown argument {other}; {usage}"),
-        }
-    }
+    let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let mut switch = |name| {
+        let at = args.iter().position(|&arg| arg == name);
+        at.map(|at| args.remove(at)).is_some()
+    };
+    let (quick, fidelity) = (switch("--quick"), !switch("--no-fidelity"));
+    let pick = |full, quick_value| if quick { quick_value } else { full };
+    let cli = Cli {
+        pods: take(&mut args, "--pods", pick(8, 2)),
+        degree: take(&mut args, "--degree", pick(16, 8)),
+        background: take(&mut args, "--background", pick(256, 16)),
+        mb: take(&mut args, "--mb", pick(2, 1) as u64),
+        threads: take(&mut args, "--threads", 1),
+        seed: take(&mut args, "--seed", 7),
+        fidelity,
+    };
+    assert!(
+        args.is_empty(),
+        "unknown argument {args:?}; see the module docs: --pods --degree --background --mb \
+         --threads --seed --no-fidelity --quick"
+    );
     cli
 }
 
-/// Pod shape: each pod is a paper-scale two-DC leaf-spine pair. The
-/// palette of link/queue parameters comes from [`TwoDcParams`] so pods
-/// match the §4.1 fabric (100 Gbps links, 1 µs intra-DC, 1 ms long-haul).
-const SPINES: usize = 2;
-const LEAVES: usize = 4;
-const HOSTS_PER_LEAF: usize = 5;
-
-/// Builds a fleet of `pods` two-DC pods in one topology. Pod `i`'s
-/// datacenters get dc ids `2i` and `2i + 1`, so [`FleetSim::new`]'s
-/// per-datacenter partition yields `2 * pods` shards. Each pod's backbone
-/// router is assigned to its DC0 so the only cross-shard links are
-/// long-haul. Backbone routers of consecutive pods are chained with
-/// long-haul links purely for reachability (routes must exist fleet-wide;
-/// no flow crosses pods, and shortest paths never detour through the
-/// chain), which also keeps the fleet lookahead at the WAN latency.
-fn build_fleet(pods: usize) -> (Topology, Vec<Vec<HostId>>) {
-    let p = TwoDcParams::small_test();
-    let mut b = TopologyBuilder::new();
-    let mut pod_hosts = Vec::with_capacity(pods);
-    let mut backbones = Vec::with_capacity(pods);
-    for pod in 0..pods as u32 {
-        let dcs = [2 * pod, 2 * pod + 1];
-        let mut spines = vec![Vec::new(); 2];
-        let mut hosts = Vec::new();
-        for (side, &dc) in dcs.iter().enumerate() {
-            let leaves: Vec<_> = (0..LEAVES)
-                .map(|_| b.add_switch(NodeRole::Leaf, Some(dc)))
-                .collect();
-            spines[side] = (0..SPINES)
-                .map(|_| b.add_switch(NodeRole::Spine, Some(dc)))
-                .collect();
-            for &leaf in &leaves {
-                for _ in 0..HOSTS_PER_LEAF {
-                    let h = b.add_host(Some(dc));
-                    hosts.push(h);
-                    b.add_duplex(b.host_node(h), leaf, p.dc_link, p.host_queue, p.dc_queue);
-                }
-                for &spine in &spines[side] {
-                    b.add_duplex(leaf, spine, p.dc_link, p.dc_queue, p.dc_queue);
-                }
-            }
-        }
-        // One backbone router per spine pair, owned by the pod's DC0 shard.
-        let mut pod_bbs = Vec::new();
-        for (&s0, &s1) in spines[0].iter().zip(&spines[1]) {
-            let bb = b.add_switch(NodeRole::Backbone, Some(dcs[0]));
-            b.add_duplex(s0, bb, p.wan_link, p.dc_queue, p.backbone_queue);
-            b.add_duplex(s1, bb, p.wan_link, p.dc_queue, p.backbone_queue);
-            pod_bbs.push(bb);
-        }
-        backbones.push(pod_bbs);
-        pod_hosts.push(hosts);
-    }
-    for w in backbones.windows(2) {
-        b.add_duplex(
-            w[0][0],
-            w[1][0],
-            LinkProps::long_haul(),
-            TwoDcParams::small_test().backbone_queue,
-            TwoDcParams::small_test().backbone_queue,
-        );
-    }
-    (b.build(), pod_hosts)
-}
-
-fn main() {
-    let cli = parse_args();
-    let hosts_per_dc = LEAVES * HOSTS_PER_LEAF;
+/// The fleet: `--pods` two-DC pods ([`Fabric::Pods`], each pod 2 spines ×
+/// 4 leaves × 5 hosts per datacenter on the small-test links and buffers),
+/// partitioned one shard per datacenter and run on `--threads` workers.
+/// Every flow is a plain flow: each pod's cross-DC incast senders, then its
+/// intra-DC mice.
+fn scenario(cli: &Cli) -> Scenario {
+    let params = TwoDcParams {
+        spines_per_dc: 2,
+        leaves_per_dc: 4,
+        hosts_per_leaf: 5,
+        ..TwoDcParams::small_test()
+    };
+    let fabric = Fabric::Pods {
+        pods: cli.pods,
+        params,
+    };
+    let hosts_per_dc = params.hosts_per_dc();
     assert!(
         cli.degree < hosts_per_dc,
         "--degree must leave the DC0 hosts distinct (max {})",
         hosts_per_dc - 1
     );
-    let (topo, pod_hosts) = build_fleet(cli.pods);
-    let mut fleet = FleetSim::new(topo, cli.seed);
-    fleet.set_threads(cli.threads);
-    fleet.set_event_cap(u64::MAX);
-    if cli.fidelity {
-        fleet.set_fidelity(FidelityConfig::default());
-    }
     let mut flows = Vec::new();
-    for (pod, hosts) in pod_hosts.iter().enumerate() {
-        // Cross-DC incast: `degree` DC0 senders converge on one DC1 host.
-        let receiver = hosts[hosts_per_dc];
-        if cli.fidelity {
-            let tor = fleet.topology().down_tor_port(receiver);
-            fleet.pin_hot_port(tor);
-        }
-        for (s, &src) in hosts.iter().enumerate().take(cli.degree) {
-            let spec = FlowSpec::new(src, receiver, cli.mb * 1_000_000);
-            // Stagger pods slightly so windows are not lockstep-identical.
-            let start = SimTime(pod as u64 * 50_000_000 + s as u64 * 1_000_000);
-            flows.push(fleet.install_flow(spec, start));
+    let mut flow = |src, dst, bytes, start| {
+        flows.push(Flow {
+            spec: FlowSpec::new(src, dst, bytes),
+            start: SimTime(start),
+        })
+    };
+    let topo = fabric.topology();
+    for pod in 0..cli.pods as u32 {
+        let pod_start = pod as u64 * 50_000_000;
+        let dcs = [topo.hosts_in_dc(2 * pod), topo.hosts_in_dc(2 * pod + 1)];
+        // Cross-DC incast: `degree` DC0 senders converge on one DC1 host,
+        // staggered slightly so windows are not lockstep-identical.
+        for (s, &src) in dcs[0].iter().enumerate().take(cli.degree) {
+            flow(
+                src,
+                dcs[1][0],
+                cli.mb * 1_000_000,
+                pod_start + s as u64 * 1_000_000,
+            );
         }
         // Intra-DC background mice: short transfers staggered in time so
         // the fabric between incast hotspots stays mostly uncontended —
         // the regime the express path is built for. 256 KB at 100 Gbps is
         // ~20 us of wire time against a 50 us stagger, so roughly one
         // mouse is active per datacenter at any instant.
-        for side in 0..2 {
-            let dc = &hosts[side * hosts_per_dc..(side + 1) * hosts_per_dc];
+        for dc in &dcs {
             for i in 0..cli.background {
                 // src and dst are 7 hosts apart in the 20-host DC (5 per
                 // leaf), so they always sit on different leaves. The mice
@@ -199,17 +128,27 @@ fn main() {
                 // the dst at i = 12 and the src at i = 19, and `--quick`'s
                 // 16 mice include i = 12. `check.sh`'s FLEET_EXPECTED pins
                 // this placement.
-                let src = dc[(i + 1) % hosts_per_dc];
-                let dst = dc[(i + 8) % hosts_per_dc];
-                let spec = FlowSpec::new(src, dst, 256_000);
-                let start = SimTime(pod as u64 * 50_000_000 + i as u64 * 50_000_000);
-                flows.push(fleet.install_flow(spec, start));
+                let (src, dst) = (dc[(i + 1) % hosts_per_dc], dc[(i + 8) % hosts_per_dc]);
+                flow(src, dst, 256_000, pod_start + i as u64 * 50_000_000);
             }
         }
     }
+    Scenario {
+        flows,
+        fidelity: cli.fidelity,
+        threads: Some(cli.threads),
+        ..Scenario::new(fabric)
+    }
+}
+
+fn main() {
+    let cli = parse_args();
+    let sc = scenario(&cli);
+    let (mut fleet, flows) = sc.build_fleet(cli.seed).expect("the fleet builds");
+    fleet.set_event_cap(u64::MAX);
     // simlint: allow(wall-clock) — a throughput benchmark measures real elapsed time
     let wall = std::time::Instant::now();
-    let report = fleet.run(None);
+    let report = fleet.run(Some(sc.deadline()));
     let wall_secs = wall.elapsed().as_secs_f64();
     assert_eq!(report.stop, StopReason::Idle, "fleet did not drain");
     let completed = flows

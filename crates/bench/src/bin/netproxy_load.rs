@@ -18,13 +18,13 @@
 //! `netproxy_load --sweep | tee results/netproxy_load.txt` regenerates the
 //! committed record.
 
-use bench::fuzz::mini_json::Json;
 use bench::live::{self, LiveOutcome, LiveRun, Path};
 use bench::{banner, json_line};
 use netproxy::loadgen::BatchLoadGen;
 use netproxy::shard::RelayKind;
 use netproxy::SocketLayer;
 use std::time::Duration;
+use trace::json::Json;
 use trace::Table;
 
 /// Every relay kind, in the order both modes run them.

@@ -34,8 +34,7 @@
 //!
 //! [`release_unknown`]: incast_core::orchestrator::ProxySelector::release_unknown
 
-use crate::fuzz::mini_json::Json;
-use crate::fuzz::{plan_fields, plan_from_value, Family};
+use crate::fuzz::Family;
 use dcsim::det::DetMap;
 use dcsim::faults::FaultPlan;
 use dcsim::packet::HostId;
@@ -43,6 +42,8 @@ use dcsim::time::{SimDuration, SimTime};
 use incast_core::orchestrator::{
     IncastRequest, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator, ShardedStats,
 };
+use incast_core::scenario::Codec;
+use trace::json::Json;
 use trace::{derive_seed, SplitMix64};
 
 /// One self-contained control-plane fuzz scenario.
@@ -436,40 +437,19 @@ impl Family for ControlPlane {
     }
 
     fn to_value(sc: &CpScenario) -> Json {
-        let mut fields = vec![
-            ("sim_seed", Json::u64(sc.sim_seed)),
-            ("shards", Json::u64(sc.shards as u64)),
-            ("candidates", Json::u64(sc.candidates as u64)),
-            ("incasts", Json::u64(sc.incasts)),
-            ("arrival_gap_us", Json::u64(sc.arrival_gap_us)),
-            ("duration_us", Json::u64(sc.duration_us)),
-            ("renew_every_us", Json::u64(sc.renew_every_us)),
-            ("lease_ttl_us", Json::u64(sc.lease_ttl_us)),
-            ("heartbeat_us", Json::u64(sc.heartbeat_us)),
-            ("suspect_after_us", Json::u64(sc.suspect_after_us)),
-            ("gossip_delay_us", Json::u64(sc.gossip_delay_us)),
-            ("double_release_every", Json::u64(sc.double_release_every)),
-        ];
-        fields.extend(plan_fields(&sc.faults));
-        Json::obj(fields)
+        sc.enc()
     }
 
     fn from_value(v: &Json) -> Result<CpScenario, String> {
-        Ok(CpScenario {
-            sim_seed: v.get_u64("sim_seed")?,
-            shards: v.get_u64("shards")? as u32,
-            candidates: v.get_u64("candidates")? as u32,
-            incasts: v.get_u64("incasts")?,
-            arrival_gap_us: v.get_u64("arrival_gap_us")?,
-            duration_us: v.get_u64("duration_us")?,
-            renew_every_us: v.get_u64("renew_every_us")?,
-            lease_ttl_us: v.get_u64("lease_ttl_us")?,
-            heartbeat_us: v.get_u64("heartbeat_us")?,
-            suspect_after_us: v.get_u64("suspect_after_us")?,
-            gossip_delay_us: v.get_u64("gossip_delay_us")?,
-            double_release_every: v.get_u64("double_release_every")?,
-            faults: plan_from_value(v)?,
-        })
+        Codec::dec(v)
+    }
+}
+
+incast_core::codec! {
+    CpScenario {
+        sim_seed, shards, candidates, incasts, arrival_gap_us, duration_us, renew_every_us,
+        lease_ttl_us, heartbeat_us, suspect_after_us, gossip_delay_us, double_release_every,
+        faults
     }
 }
 

@@ -10,8 +10,6 @@
 //! ([`Bespoke`]) and print through the same row / table / `JSON` path.
 //! A new study is a new entry.
 
-use crate::fuzz::mini_json::Json;
-use crate::fuzz::{from_name, SCHEME_NAMES, TRIM_NAMES};
 use crate::{banner, expect_no_event_cap, json_line, sweep_experiments, take, RunOptions};
 use dcsim::packet::FlowId;
 use dcsim::prelude::*;
@@ -21,7 +19,9 @@ use incast_core::lossdetect::{LossDetector, LossDetectorConfig};
 use incast_core::orchestrator::{
     DecentralizedSelector, IncastRequest, ProxySelector, ShardedConfig, ShardedOrchestrator,
 };
-use incast_core::scheme::{install_incast, IncastKnobs, IncastSpec, Scheme, Transport};
+use incast_core::scenario::{Fabric, Flow, Incast, Scenario, SCHEME_NAMES};
+use incast_core::scheme::{IncastKnobs, IncastSpec, Scheme, Transport};
+use trace::json::{from_name, Json};
 use trace::table::{fmt_bytes, fmt_secs};
 use trace::timeseries::{step_max, step_mean};
 use trace::{derive_seed, SplitMix64, Summary, Table};
@@ -934,35 +934,29 @@ fn victim_run(scheme: Option<Scheme>, seed: u64) -> (f64, f64) {
     /// Start the victim 2 ms in, while the incast backlog is at its worst.
     const VICTIM_START: SimTime = SimTime(2 * 1_000_000_000);
     let config = paper_cell(scheme.unwrap_or(Scheme::Baseline), 8, seed);
-    let (mut sim, incast) = match scheme {
-        Some(_) => {
-            let (sim, _, handle) = config.build(seed);
-            (sim, Some(handle))
-        }
-        None => {
-            let drop_tail = config.topo.with_trim(false);
-            (Simulator::new(two_dc_leaf_spine(&drop_tail), seed), None)
-        }
+    let mut sc = match scheme {
+        Some(_) => config.scenario(),
+        None => Scenario {
+            time_limit: config.time_limit,
+            ..Scenario::new(Fabric::TwoDc(config.topo.with_trim(false)))
+        },
     };
     // The victim: an intra-DC flow from the receiver's rack-mate to the
     // receiver itself, sharing exactly the congested down-ToR port.
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let victim = dcsim::flows::install_flow(
-        &mut sim,
-        dcsim::flows::FlowSpec::new(dc1[1], dc1[0], VICTIM_BYTES),
-        VICTIM_START,
-    );
-    expect_no_event_cap(
-        sim.run(Some(SimTime::ZERO + config.time_limit)),
-        "victim-flows ablation",
-    );
+    let dc1 = sc.fabric.hosts_in_dc(1);
+    sc.flows.push(Flow {
+        spec: FlowSpec::new(dc1[1], dc1[0], VICTIM_BYTES),
+        start: VICTIM_START,
+    });
+    let (mut sim, incasts, flows) = sc.build(seed).expect("victim run builds");
+    expect_no_event_cap(sim.run(Some(sc.deadline())), "victim-flows ablation");
     let victim_fct = sim
         .metrics()
-        .completion(victim.flow)
+        .completion(flows[0])
         .expect("victim completes")
         .since(VICTIM_START)
         .as_secs_f64();
-    let ict = incast.map_or(0.0, |h| {
+    let ict = incasts.first().map_or(0.0, |h| {
         h.completion(sim.metrics())
             .expect("incast completes")
             .as_secs_f64()
@@ -1110,26 +1104,16 @@ fn unstructured_run(scheme: Scheme, threshold: u32, seed: u64) -> f64 {
     };
     // Trimming only for the Streamlined scheme, as in §4.1.
     params.dc_queue.trim = scheme == Scheme::ProxyStreamlined;
-    let mut sim = Simulator::new(two_dc_unstructured(&params), seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut spec = IncastSpec::new(dc0[..8].to_vec(), dc1[0], 100_000_000);
-    if scheme.uses_proxy() {
-        spec = spec.with_proxy(*dc0.last().expect("hosts"));
-    }
+    let fabric = Fabric::Unstructured(params);
+    let mut spec = fabric.placement(8, 100_000_000);
     spec.knobs.detector = LossDetectorConfig {
         reorder_threshold: threshold,
         max_pending: 4096,
     };
-    let handle = install_incast(&mut sim, &spec, scheme);
-    expect_no_event_cap(
-        sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600))),
-        "unstructured-traffic ablation",
-    );
-    handle
-        .completion(sim.metrics())
-        .expect("incast completes")
-        .as_secs_f64()
+    let sc = Scenario::incast(fabric, scheme, spec);
+    let (_, report, icts) = sc.run(seed).expect("unstructured run builds");
+    expect_no_event_cap(report, "unstructured-traffic ablation");
+    icts[0].expect("incast completes").as_secs_f64()
 }
 
 fn unstructured(opts: &RunOptions, out: &mut String) {
@@ -1210,35 +1194,31 @@ const ORCH_DEGREE: usize = 4;
 /// each through its given proxy; returns the worst completion (the
 /// job-level metric).
 fn run_concurrent(proxies: &[HostId], seed: u64) -> f64 {
-    let params = TwoDcParams::default().with_trim(true);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut handles = Vec::new();
-    for (i, &proxy) in proxies.iter().enumerate() {
-        let lo = i * ORCH_DEGREE;
-        let spec = IncastSpec::new(dc0[lo..lo + ORCH_DEGREE].to_vec(), dc1[i], 50_000_000)
-            .with_proxy(proxy);
-        handles.push(install_incast(&mut sim, &spec, Scheme::ProxyStreamlined));
-    }
-    expect_no_event_cap(
-        sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600))),
-        "orchestration ablation",
-    );
-    handles
-        .iter()
-        .map(|h| {
-            h.completion(sim.metrics())
-                .expect("completes")
-                .as_secs_f64()
-        })
-        .fold(0.0, f64::max)
+    let fabric = Fabric::TwoDc(TwoDcParams::default().with_trim(true));
+    let (dc0, dc1) = (fabric.hosts_in_dc(0), fabric.hosts_in_dc(1));
+    let incasts = proxies.iter().enumerate().map(|(i, &proxy)| {
+        let senders = dc0[i * ORCH_DEGREE..(i + 1) * ORCH_DEGREE].to_vec();
+        let spec = IncastSpec::new(senders, dc1[i], 50_000_000).with_proxy(proxy);
+        Incast {
+            scheme: Scheme::ProxyStreamlined,
+            spec,
+        }
+    });
+    let sc = Scenario {
+        incasts: incasts.collect(),
+        ..Scenario::new(fabric)
+    };
+    let (_, report, icts) = sc.run(seed).expect("concurrent incasts build");
+    expect_no_event_cap(report, "orchestration ablation");
+    let icts = icts
+        .into_iter()
+        .map(|ict| ict.expect("completes").as_secs_f64());
+    icts.fold(0.0, f64::max)
 }
 
 fn orchestration(opts: &RunOptions, out: &mut String) {
     // Part 1: contention in simulation.
-    let topo = two_dc_leaf_spine(&TwoDcParams::default());
-    let dc0 = topo.hosts_in_dc(0);
+    let dc0 = Fabric::TwoDc(TwoDcParams::default()).hosts_in_dc(0);
     let counts: &[usize] = if opts.quick { &[2] } else { &[2, 3, 4] };
     // Both placements of every contention level simulate in parallel.
     let cells: Vec<Vec<HostId>> = counts
@@ -1635,6 +1615,13 @@ figures adhoc [flags]
   --background N      background flows sharing the fabric (default 0)
   --trim default|on|off   trimming policy (default scheme-default)
   --jobs N            worker threads for the sweep (default: all cores)";
+
+/// How `figures adhoc --trim` spells the trimming policies.
+const TRIM_NAMES: &[(&str, TrimPolicy)] = &[
+    ("default", TrimPolicy::SchemeDefault),
+    ("on", TrimPolicy::ForceOn),
+    ("off", TrimPolicy::ForceOff),
+];
 
 /// `figures adhoc`: one incast configuration from flags ([`ADHOC_USAGE`]),
 /// reported like a study — per scheme, mean / min / max ICT over the

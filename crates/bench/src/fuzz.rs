@@ -12,34 +12,41 @@
 //! [`replay`], dispatching on the file's `"type"` tag. Three families
 //! exist: [`Chaos`] (untagged), [`crate::cpfuzz::ControlPlane`]
 //! (`"control-plane"`) and [`crate::soak::Soak`] (`"soak"`). Their
-//! scenarios all carry a [`FaultPlan`], read and written by one codec
-//! (`plan_fields`, `plan_from_value`).
+//! scenarios all carry a [`FaultPlan`], read and written, like the chaos
+//! scenario itself, by [`incast_core::scenario::Codec`].
 //!
-//! **Chaos family.** Seeded random scenarios — topology size, incast
-//! workload, scheme, transport, and a [`FaultPlan`] that passes
-//! `validate()` — run under the collect-mode invariant auditor
-//! ([`dcsim::audit::AuditConfig`]). A scenario *fails* when the run
-//! panics, trips an invariant, hits the event cap, or — every fault
-//! healed and every flow complete — is still busy at its time limit
-//! (`NeverIdle`).
+//! **Chaos family.** Seeded random [`Scenario`]s, each with its simulator
+//! seed ([`Case`]). Most are one incast on a small two-DC leaf–spine —
+//! topology size, workload, scheme, transport, and a [`FaultPlan`] that
+//! passes `validate()` — run under the collect-mode invariant auditor
+//! ([`dcsim::audit::AuditConfig`]). Such a case *fails* when the run
+//! panics, trips an invariant, hits the event cap, completes an incast
+//! faster than its floor ([`Scenario::ict_floors`]: `BelowFloor`), or —
+//! every fault healed and every flow complete — is still busy at its time
+//! limit (`NeverIdle`). One seed in eight draws a small pod fleet instead:
+//! plain incast flows and mice on two pods, no faults, run on a
+//! [`FleetSim`] at one and at two threads under the collect-mode auditor.
+//! It fails on a violation, on not draining, or when the two runs differ
+//! at all (`ThreadVariance`).
 //!
 //! Everything here is deterministic: the only randomness is
 //! [`SplitMix64`] streams derived from the fuzz seed, and a campaign is
 //! bounded by scenario count, never wall-clock time.
 //!
-//! Repro files are hand-rolled JSON, emitted *and* parsed by the
-//! [`mini_json`] module, which also writes the figures' `JSON` rows.
-//! `crates/perf/src/json.rs` is a second JSON module, on purpose: the
-//! benchmark does not depend on `bench`.
+//! Repro files are JSON, emitted *and* parsed by [`trace::json`], which
+//! also writes the figures' `JSON` rows. `crates/perf/src/json.rs` is a
+//! second JSON module, on purpose: the benchmark does not depend on
+//! `bench`.
 
 use dcsim::prelude::*;
 use incast_core::experiment::TrimPolicy;
-use incast_core::scheme::{IncastHandle, IncastKnobs, Transport};
-use incast_core::{ExperimentConfig, Scheme};
-use mini_json::Json;
+use incast_core::scenario::{Fabric, Flow, Incast, Scenario, TRANSPORT_NAMES};
+use incast_core::scheme::{IncastKnobs, IncastSpec, Transport};
+use incast_core::Scheme;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use trace::json::{name_of, Json};
 use trace::{derive_seed, SplitMix64};
 
 /// Default per-finding budget of extra runs spent shrinking.
@@ -381,83 +388,14 @@ pub const EVENT_CAP: u64 = 20_000_000;
 /// Simulated-time budget per scenario.
 pub const DEFAULT_TIME_LIMIT_MS: u64 = 30_000;
 
-/// One self-contained chaos scenario: everything needed to rebuild and
-/// re-run a simulation bit-identically.
+/// One chaos case: a [`Scenario`] and the seed its engine is built with.
+/// Its JSON is the scenario's, plus `sim_seed`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub struct Case {
     /// Simulator seed (drives spraying, jitter, impairment draws, ...).
-    pub sim_seed: u64,
-    pub scheme: Scheme,
-    pub transport: Transport,
-    pub trim: TrimPolicy,
-    /// Incast senders.
-    pub degree: usize,
-    /// Total incast bytes, split across senders.
-    pub total_bytes: u64,
-    /// WAN one-way latency in microseconds.
-    pub wan_us: u64,
-    pub spines_per_dc: usize,
-    pub leaves_per_dc: usize,
-    pub hosts_per_leaf: usize,
-    /// Background flows sharing the fabric (0 = none).
-    pub background_flows: usize,
-    pub early_nack: bool,
-    /// Sender-side proxy failover enabled (default config).
-    pub failover: bool,
-    /// Arm the stuck-flow watchdog. Only sound when every fault heals
-    /// (permanent outages legitimately strand flows).
-    pub liveness: bool,
-    /// Run under the hybrid-fidelity engine (uncontended hops advanced
-    /// analytically). Absent from older repro files, defaulting to false,
-    /// so committed repros keep replaying bit-identically.
-    pub fidelity: bool,
-    /// Simulated-time budget counted from the incast start.
-    pub time_limit_ms: u64,
-    pub faults: FaultPlan,
-}
-
-impl Scenario {
-    /// Hosts per datacenter implied by the topology knobs.
-    pub fn hosts_per_dc(&self) -> usize {
-        self.leaves_per_dc * self.hosts_per_leaf
-    }
-}
-
-/// The experiment a scenario describes: the shared config→simulator path
-/// ([`ExperimentConfig::build`]) runs it under the collect-mode auditor.
-/// The fault plan stays with the scenario — it names raw ports and agents,
-/// which exist only once the simulator is built.
-impl From<&Scenario> for ExperimentConfig {
-    fn from(sc: &Scenario) -> Self {
-        let mut audit = AuditConfig::collect().every(Some(AUDIT_EVERY));
-        if sc.liveness {
-            audit = audit.with_liveness(SimDuration::from_secs(LIVENESS_HORIZON_SECS));
-        }
-        ExperimentConfig {
-            topo: TwoDcParams {
-                spines_per_dc: sc.spines_per_dc,
-                leaves_per_dc: sc.leaves_per_dc,
-                hosts_per_leaf: sc.hosts_per_leaf,
-                ..TwoDcParams::small_test()
-            }
-            .with_wan_latency(SimDuration::from_micros(sc.wan_us)),
-            scheme: sc.scheme,
-            degree: sc.degree,
-            total_bytes: sc.total_bytes,
-            trim: sc.trim,
-            knobs: IncastKnobs {
-                transport: sc.transport,
-                early_nack: sc.early_nack,
-                failover: sc.failover,
-                ..Default::default()
-            },
-            background_flows: sc.background_flows,
-            fidelity: sc.fidelity,
-            time_limit: SimDuration::from_millis(sc.time_limit_ms),
-            audit: Some(audit),
-            ..Default::default()
-        }
-    }
+    pub seed: u64,
+    /// Everything else about the run.
+    pub scenario: Scenario,
 }
 
 /// True when every fault in the plan heals (links come back up, crashed
@@ -465,27 +403,6 @@ impl From<&Scenario> for ExperimentConfig {
 pub fn plan_heals(plan: &FaultPlan) -> bool {
     plan.link_windows.iter().all(|w| w.up_at.is_some())
         && plan.crashes.iter().all(|c| c.restore_at.is_some())
-}
-
-/// Builds the simulator for a scenario. Returns `Err` (not a panic) for
-/// scenarios that are structurally impossible — shrinking uses this to
-/// reject candidates that mutated themselves out of validity.
-pub fn build(sc: &Scenario) -> Result<(Simulator, IncastHandle), String> {
-    if sc.degree == 0 || sc.total_bytes == 0 {
-        return Err("degenerate incast (degree or bytes = 0)".into());
-    }
-    if sc.degree + 1 > sc.hosts_per_dc() {
-        return Err(format!(
-            "degree {} + proxy needs more than {} hosts per DC",
-            sc.degree,
-            sc.hosts_per_dc()
-        ));
-    }
-    let (mut sim, _, handle) = ExperimentConfig::from(sc).build(sc.sim_seed);
-    sim.set_event_cap(EVENT_CAP);
-    sim.install_faults(&sc.faults)
-        .map_err(|e| format!("fault plan rejected: {e}"))?;
-    Ok((sim, handle))
 }
 
 /// Everything observable about one scenario run, comparable across runs
@@ -496,16 +413,36 @@ pub struct RunOutcome {
     pub stop: String,
     pub events: u64,
     pub end_time_ps: u64,
-    /// All watched incast flows completed.
+    /// Every incast (or, in a fleet, every flow) completed.
     pub completed: bool,
-    /// Invariant-violation kind names, in detection order, then
-    /// `NeverIdle` when the run should have gone idle and did not.
+    /// Invariant-violation kind names, in detection order, then the
+    /// family's own: `BelowFloor`, `NeverIdle`, `ThreadVariance`.
     pub violations: Vec<String>,
     /// Human-readable violation details (or the setup error).
     pub details: Vec<String>,
-    /// The packet ledger's and the protocol's nonzero counters, as
-    /// `dotted.name=value` (empty on a setup error).
+    /// The run's nonzero counters as `dotted.name=value`: the packet
+    /// ledger and the protocol counters, or a fleet's report (empty on a
+    /// setup error).
     pub counters: String,
+}
+
+impl RunOutcome {
+    fn setup_error(error: String) -> Self {
+        RunOutcome {
+            stop: "setup-error".to_string(),
+            events: 0,
+            end_time_ps: 0,
+            completed: false,
+            violations: Vec::new(),
+            details: vec![error],
+            counters: String::new(),
+        }
+    }
+
+    fn violation(&mut self, kind: &str, detail: String) {
+        self.violations.push(kind.to_string());
+        self.details.push(format!("{kind}: {detail}"));
+    }
 }
 
 fn stop_name(stop: StopReason) -> &'static str {
@@ -516,21 +453,167 @@ fn stop_name(stop: StopReason) -> &'static str {
     }
 }
 
-/// The packet simulator under fault plans and the collect-mode auditor.
+/// The packet simulator under fault plans and the collect-mode auditor,
+/// and small pod fleets under thread-count changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chaos;
 
+/// A seed draws a pod fleet one time in this many.
+const FLEET_ONE_IN: u64 = 8;
+
+/// The collect-mode audit every chaos case runs under.
+fn chaos_audit(liveness: bool) -> AuditConfig {
+    let audit = AuditConfig::collect().every(Some(AUDIT_EVERY));
+    match liveness {
+        true => audit.with_liveness(SimDuration::from_secs(LIVENESS_HORIZON_SECS)),
+        false => audit,
+    }
+}
+
+/// The leaf–spine shape the chaos family draws for a two-DC case or a pod.
+fn draw_params(rng: &mut SplitMix64) -> TwoDcParams {
+    TwoDcParams {
+        spines_per_dc: 1 + rng.next_bounded(2) as usize,
+        leaves_per_dc: 1 + rng.next_bounded(3) as usize,
+        hosts_per_leaf: 2 + rng.next_bounded(3) as usize,
+        ..TwoDcParams::small_test()
+    }
+}
+
+/// A fleet of two small pods: in each, a few DC0 senders converge on the
+/// first DC1 host, and a few mice run inside each datacenter.
+fn generate_fleet(fuzz_seed: u64) -> Case {
+    let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xF1EE));
+    let params = draw_params(&mut rng);
+    let per_dc = params.hosts_per_dc() as u64;
+    let fabric = Fabric::Pods { pods: 2, params };
+    let mut flows = Vec::new();
+    let mut flow = |src, dst, bytes, start| {
+        let spec = FlowSpec::new(src, dst, bytes);
+        flows.push(Flow {
+            spec,
+            start: SimTime::ZERO + SimDuration::from_nanos(start),
+        });
+    };
+    let topo = fabric.topology();
+    for pod in 0..2 {
+        let dcs = [topo.hosts_in_dc(2 * pod), topo.hosts_in_dc(2 * pod + 1)];
+        let bytes = 50_000 + rng.next_bounded(950_000);
+        for &src in &dcs[0][..1 + rng.next_bounded((per_dc - 1).min(4)) as usize] {
+            flow(src, dcs[1][0], bytes, rng.next_bounded(1_000_000));
+        }
+        for dc in &dcs {
+            for _ in 0..rng.next_bounded(4) {
+                let src = rng.next_bounded(per_dc);
+                let dst = (src + 1 + rng.next_bounded(per_dc - 1)) % per_dc;
+                let bytes = 10_000 + rng.next_bounded(250_000);
+                flow(
+                    dc[src as usize],
+                    dc[dst as usize],
+                    bytes,
+                    rng.next_bounded(5_000_000),
+                );
+            }
+        }
+    }
+    let scenario = Scenario {
+        flows,
+        fidelity: rng.next_bounded(2) == 1,
+        threads: Some(1),
+        time_limit: SimDuration::from_millis(DEFAULT_TIME_LIMIT_MS),
+        audit: Some(chaos_audit(false)),
+        ..Scenario::new(fabric)
+    };
+    Case {
+        seed: derive_seed(fuzz_seed, 0x51ED),
+        scenario,
+    }
+}
+
+/// The leaf–spine shape and the incast of a two-DC incast case (`None`
+/// for a fleet).
+fn two_dc(sc: &Scenario) -> Option<(TwoDcParams, &Incast)> {
+    match (&sc.fabric, sc.incasts.first()) {
+        (Fabric::TwoDc(p), Some(incast)) => Some((*p, incast)),
+        _ => None,
+    }
+}
+
+/// Runs a fleet case at one and two threads: the audit, the drain, and
+/// exact thread-count invariance (every completion to the picosecond,
+/// every count of the report).
+fn run_fleet(case: &Case) -> RunOutcome {
+    let run = |threads| {
+        let sc = Scenario {
+            threads: Some(threads),
+            ..case.scenario.clone()
+        };
+        let (mut fleet, flows) = sc.build_fleet(case.seed)?;
+        fleet.set_event_cap(EVENT_CAP);
+        let report = fleet.run(Some(sc.deadline()));
+        let done: Vec<Option<SimTime>> = flows.iter().map(|&f| fleet.completion(f)).collect();
+        Ok::<_, String>((report, done))
+    };
+    let (one, two) = match (run(1), run(2)) {
+        (Ok(one), Ok(two)) => (one, two),
+        (Err(e), _) | (_, Err(e)) => return RunOutcome::setup_error(e),
+    };
+    let ((report, done), (report2, done2)) = (&one, &two);
+    let counts = |r: &FleetReport| {
+        format!(
+            "dcsim.fleet.windows={} dcsim.fleet.exchanged={} dcsim.fleet.tx_elided={} {} {} {}",
+            r.windows, r.exchanged, r.tx_elided, r.lane_churn, r.queue_peak, r.express
+        )
+    };
+    let mut out = RunOutcome {
+        stop: stop_name(report.stop).to_string(),
+        events: report.events,
+        end_time_ps: report.end_time.0,
+        completed: done.iter().all(Option::is_some),
+        violations: report
+            .violations
+            .iter()
+            .map(|v| v.kind().to_string())
+            .collect(),
+        details: report.violations.iter().map(|v| v.to_string()).collect(),
+        counters: counts(report),
+    };
+    if report.stop == StopReason::TimeLimit {
+        let detail = format!(
+            "a faultless fleet was still busy at its time limit after {} events",
+            report.events
+        );
+        out.violation("NeverIdle", detail);
+    }
+    let same_report = (report.stop, report.end_time, report.events)
+        == (report2.stop, report2.end_time, report2.events)
+        && counts(report) == counts(report2)
+        && report.violations.len() == report2.violations.len();
+    if !same_report || done != done2 {
+        let detail = format!(
+            "threads 1 and 2 differ: {} events, {done:?} vs {} events, {done2:?}; {} vs {}",
+            report.events,
+            report2.events,
+            counts(report),
+            counts(report2)
+        );
+        out.violation("ThreadVariance", detail);
+    }
+    out
+}
+
 impl Family for Chaos {
     const TAG: Option<&'static str> = None;
-    type Scenario = Scenario;
+    type Scenario = Case;
     type Outcome = RunOutcome;
 
-    fn generate(fuzz_seed: u64) -> Scenario {
+    fn generate(fuzz_seed: u64) -> Case {
+        if derive_seed(fuzz_seed, 0xF1E0).is_multiple_of(FLEET_ONE_IN) {
+            return generate_fleet(fuzz_seed);
+        }
         let mut rng = SplitMix64::new(derive_seed(fuzz_seed, 0xF022));
-        let spines_per_dc = 1 + rng.next_bounded(2) as usize;
-        let leaves_per_dc = 1 + rng.next_bounded(3) as usize;
-        let hosts_per_leaf = 2 + rng.next_bounded(3) as usize;
-        let hosts_per_dc = leaves_per_dc * hosts_per_leaf;
+        let params = draw_params(&mut rng);
+        let hosts_per_dc = params.hosts_per_dc();
         let degree = 1 + rng.next_bounded((hosts_per_dc as u64 - 1).min(6)) as usize;
         let scheme = match rng.next_bounded(5) {
             0 => Scheme::Baseline,
@@ -548,33 +631,38 @@ impl Family for Chaos {
             2 => TrimPolicy::ForceOn,
             _ => TrimPolicy::ForceOff,
         };
-        let mut sc = Scenario {
-            sim_seed: derive_seed(fuzz_seed, 0x51ED),
-            scheme,
+        let total_bytes = 100_000 + rng.next_bounded(2_900_000);
+        let wan = SimDuration::from_micros(50 + rng.next_bounded(1_000));
+        let fabric = Fabric::TwoDc(
+            params
+                .with_wan_latency(wan)
+                .with_trim(trim.enabled_for(scheme)),
+        );
+        let mut spec = fabric.placement(degree, total_bytes);
+        let background_flows = rng.next_bounded(4) as usize;
+        spec.knobs = IncastKnobs {
             transport,
-            trim,
-            degree,
-            total_bytes: 100_000 + rng.next_bounded(2_900_000),
-            wan_us: 50 + rng.next_bounded(1_000),
-            spines_per_dc,
-            leaves_per_dc,
-            hosts_per_leaf,
-            background_flows: rng.next_bounded(4) as usize,
             early_nack: rng.next_bounded(8) != 0,
             failover: rng.next_bounded(2) == 0,
-            liveness: false,
-            fidelity: false,
-            time_limit_ms: DEFAULT_TIME_LIMIT_MS,
-            faults: FaultPlan::new(),
+            ..Default::default()
         };
-        // Half the campaign exercises the hybrid-fidelity engine, so the
-        // auditor's ledger checks cover express-advanced packets too.
-        sc.fidelity = rng.next_bounded(2) == 1;
+        let mut case = Case {
+            seed: derive_seed(fuzz_seed, 0x51ED),
+            scenario: Scenario {
+                background_flows,
+                // Half the campaign exercises the hybrid-fidelity engine, so
+                // the auditor's ledger checks cover express-advanced packets
+                // too.
+                fidelity: rng.next_bounded(2) == 1,
+                time_limit: SimDuration::from_millis(DEFAULT_TIME_LIMIT_MS),
+                ..Scenario::incast(fabric, scheme, spec)
+            },
+        };
         // Build once (faultless) to learn how many ports and agents exist,
         // then roll a validate()-clean fault plan against those bounds.
-        let (sim, _) = build(&sc).expect("faultless generated scenario must build");
-        let ports = sim.topology().port_count() as u64;
-        let agents = sim.agent_count() as u64;
+        let built = case.scenario.build(case.seed);
+        let (sim, _, _) = built.expect("faultless generated scenario must build");
+        let (ports, agents) = (sim.topology().port_count() as u64, sim.agent_count() as u64);
         drop(sim);
 
         let mut plan = FaultPlan::new();
@@ -625,57 +713,66 @@ impl Family for Chaos {
             }
         }
         debug_assert!(plan.validate().is_ok(), "generated plan must validate");
-        sc.liveness = plan_heals(&plan);
-        sc.faults = plan;
-        sc
+        case.scenario.audit = Some(chaos_audit(plan_heals(&plan)));
+        case.scenario.faults = plan;
+        case
     }
 
-    fn run(sc: &Scenario) -> RunOutcome {
-        let (mut sim, handle) = match build(sc) {
-            Ok(built) => built,
-            Err(setup) => {
-                return RunOutcome {
-                    stop: "setup-error".to_string(),
-                    events: 0,
-                    end_time_ps: 0,
-                    completed: false,
-                    violations: Vec::new(),
-                    details: vec![setup],
-                    counters: String::new(),
-                }
-            }
-        };
-        let limit = handle.start + SimDuration::from_millis(sc.time_limit_ms);
-        let report = sim.run(Some(limit));
-        let completed = handle.completion(sim.metrics()).is_some();
-        let mut violations: Vec<String> = report
-            .violations
-            .iter()
-            .map(|v| v.kind().to_string())
-            .collect();
-        let mut details: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-        // NeverIdle: with every fault healed and every flow done, nothing
-        // is left to do, so a run still busy at the time limit is one some
-        // agent keeps alive on its own (a timer that re-arms forever).
-        if sc.liveness && completed && report.stop == StopReason::TimeLimit {
-            violations.push("NeverIdle".to_string());
-            details.push(format!(
-                "NeverIdle: every fault healed and every flow completed, yet the run was \
-                 still busy at the {} ms time limit after {} events",
-                sc.time_limit_ms, report.events
-            ));
+    fn run(case: &Case) -> RunOutcome {
+        let sc = &case.scenario;
+        if sc.threads.is_some() {
+            return run_fleet(case);
         }
+        let (mut sim, incasts, _) = match sc.build(case.seed) {
+            Ok(built) => built,
+            Err(setup) => return RunOutcome::setup_error(setup),
+        };
+        sim.set_event_cap(EVENT_CAP);
+        let report = sim.run(Some(sc.deadline()));
+        let completions: Vec<_> = incasts
+            .iter()
+            .map(|h| h.completion(sim.metrics()))
+            .collect();
         let protocol = sim.metrics().nonzero_counters().into_iter();
         let protocol: String = protocol.map(|(name, v)| format!(" {name}={v}")).collect();
-        RunOutcome {
+        let mut out = RunOutcome {
             stop: stop_name(report.stop).to_string(),
             events: report.events,
             end_time_ps: report.end_time.0,
-            completed,
-            violations,
-            details,
+            completed: completions.iter().all(Option::is_some),
+            violations: report
+                .violations
+                .iter()
+                .map(|v| v.kind().to_string())
+                .collect(),
+            details: report.violations.iter().map(|v| v.to_string()).collect(),
             counters: format!("{}{protocol}", sim.ledger()),
+        };
+        for (i, (ict, floor)) in completions
+            .iter()
+            .zip(sc.ict_floors(sim.topology()))
+            .enumerate()
+        {
+            if let Some(ict) = ict.filter(|&ict| ict < floor) {
+                out.violation(
+                    "BelowFloor",
+                    format!("incast {i} completed in {ict}, below its floor {floor}"),
+                );
+            }
         }
+        // NeverIdle: with every fault healed and every flow done, nothing
+        // is left to do, so a run still busy at the time limit is one some
+        // agent keeps alive on its own (a timer that re-arms forever).
+        let liveness = sc.audit.is_some_and(|a| a.liveness_horizon.is_some());
+        if liveness && out.completed && report.stop == StopReason::TimeLimit {
+            let detail = format!(
+                "every fault healed and every flow completed, yet the run was \
+                 still busy at the {} time limit after {} events",
+                sc.time_limit, report.events
+            );
+            out.violation("NeverIdle", detail);
+        }
+        out
     }
 
     /// A time-limit stop with incomplete flows is *not* a failure by
@@ -690,16 +787,41 @@ impl Family for Chaos {
         (outcome.stop == "event-cap").then(|| "EventCap".to_string())
     }
 
-    /// Shrinking topology knobs renumbers ports/agents; candidates whose
-    /// fault plan no longer fits are rejected naturally (setup-error is
-    /// never a failure kind).
-    fn candidates(sc: &Scenario) -> Vec<Scenario> {
+    /// Shrinking the fabric renumbers hosts, ports and agents: the incast
+    /// is placed again, and candidates whose fault plan or flows no longer
+    /// fit are rejected naturally (setup-error is never a failure kind).
+    fn candidates(case: &Case) -> Vec<Case> {
+        let sc = &case.scenario;
         let mut out = Vec::new();
         let mut push = |f: &dyn Fn(&mut Scenario)| {
-            let mut c = sc.clone();
-            f(&mut c);
+            let mut c = case.clone();
+            f(&mut c.scenario);
             out.push(c);
         };
+        if let Fabric::Pods { pods, params } = sc.fabric {
+            if pods > 1 {
+                let hosts = (pods - 1) * 2 * params.hosts_per_dc();
+                push(&|c: &mut Scenario| {
+                    c.fabric = Fabric::Pods {
+                        pods: pods - 1,
+                        params,
+                    };
+                    c.flows.retain(|f| {
+                        (f.spec.src.0 as usize) < hosts && (f.spec.dst.0 as usize) < hosts
+                    });
+                });
+            }
+            let topo = sc.fabric.topology();
+            let mouse = |f: &Flow| topo.host_dc(f.spec.src) == topo.host_dc(f.spec.dst);
+            if sc.flows.iter().any(mouse) {
+                push(&|c: &mut Scenario| c.flows.retain(|f| !mouse(f)));
+            }
+            for i in 0..sc.flows.len() {
+                push(&|c: &mut Scenario| {
+                    c.flows.remove(i);
+                });
+            }
+        }
         for i in 0..sc.faults.crashes.len() {
             push(&|c: &mut Scenario| {
                 c.faults.crashes.remove(i);
@@ -720,26 +842,63 @@ impl Family for Chaos {
             // itself (vs. the underlying scenario) caused the failure.
             push(&|c: &mut Scenario| c.fidelity = false);
         }
+        let Some((params, incast)) = two_dc(sc) else {
+            return out;
+        };
         if sc.background_flows > 0 {
             push(&|c: &mut Scenario| c.background_flows = 0);
         }
-        if sc.failover {
-            push(&|c: &mut Scenario| c.failover = false);
+        let spec = &incast.spec;
+        if spec.knobs.failover {
+            push(&|c: &mut Scenario| c.incasts[0].spec.knobs.failover = false);
         }
-        if sc.total_bytes > 100_000 {
-            push(&|c: &mut Scenario| c.total_bytes = (c.total_bytes / 2).max(100_000));
+        // Each reshaped candidate places the incast again, as generated.
+        let reshape = |params: TwoDcParams, degree: usize, bytes: u64| {
+            move |c: &mut Scenario| {
+                c.fabric = Fabric::TwoDc(params);
+                let knobs = c.incasts[0].spec.knobs;
+                c.incasts[0].spec = IncastSpec {
+                    knobs,
+                    ..c.fabric.placement(degree, bytes)
+                };
+            }
+        };
+        let (degree, bytes) = (spec.senders.len(), spec.total_bytes);
+        if bytes > 100_000 {
+            push(&reshape(params, degree, (bytes / 2).max(100_000)));
         }
-        if sc.degree > 1 {
-            push(&|c: &mut Scenario| c.degree /= 2);
+        if degree > 1 {
+            push(&reshape(params, degree / 2, bytes));
         }
-        if sc.spines_per_dc > 1 {
-            push(&|c: &mut Scenario| c.spines_per_dc -= 1);
+        if params.spines_per_dc > 1 {
+            push(&reshape(
+                TwoDcParams {
+                    spines_per_dc: params.spines_per_dc - 1,
+                    ..params
+                },
+                degree,
+                bytes,
+            ));
         }
-        if sc.leaves_per_dc > 1 {
-            push(&|c: &mut Scenario| c.leaves_per_dc -= 1);
+        if params.leaves_per_dc > 1 {
+            push(&reshape(
+                TwoDcParams {
+                    leaves_per_dc: params.leaves_per_dc - 1,
+                    ..params
+                },
+                degree,
+                bytes,
+            ));
         }
-        if sc.hosts_per_leaf > 2 {
-            push(&|c: &mut Scenario| c.hosts_per_leaf -= 1);
+        if params.hosts_per_leaf > 2 {
+            push(&reshape(
+                TwoDcParams {
+                    hosts_per_leaf: params.hosts_per_leaf - 1,
+                    ..params
+                },
+                degree,
+                bytes,
+            ));
         }
         out
     }
@@ -748,31 +907,60 @@ impl Family for Chaos {
     /// senders with failover on are exercised. A scenario counts as
     /// "+failover" only under a scheme whose senders can fail over (the
     /// end-to-end proxy schemes); Baseline and Naive ignore the flag.
-    fn cell(sc: &Scenario) -> Option<String> {
-        let fails_over =
-            sc.failover && matches!(sc.scheme, Scheme::ProxyStreamlined | Scheme::ProxyDetecting);
+    /// Pod fleets are a cell of their own.
+    fn cell(case: &Case) -> Option<String> {
+        let Some((_, incast)) = two_dc(&case.scenario) else {
+            return Some("fleet".to_string());
+        };
+        let knobs = incast.spec.knobs;
+        let fails_over = knobs.failover
+            && matches!(
+                incast.scheme,
+                Scheme::ProxyStreamlined | Scheme::ProxyDetecting
+            );
         let failover = if fails_over { "+failover" } else { "" };
         Some(format!(
             "{}{failover}",
-            name_of(TRANSPORT_NAMES, sc.transport)
+            name_of(TRANSPORT_NAMES, knobs.transport)
         ))
     }
 
-    fn describe(sc: &Scenario) -> String {
-        format!(
-            "scheme={:?} transport={:?} degree={} bytes={} topo={}x{}x{} bg={} faults={}w/{}i/{}c",
-            sc.scheme,
-            sc.transport,
-            sc.degree,
-            sc.total_bytes,
-            sc.spines_per_dc,
-            sc.leaves_per_dc,
-            sc.hosts_per_leaf,
-            sc.background_flows,
+    fn describe(case: &Case) -> String {
+        let sc = &case.scenario;
+        let faults = format!(
+            "faults={}w/{}i/{}c",
             sc.faults.link_windows.len(),
             sc.faults.impairments.len(),
             sc.faults.crashes.len(),
-        )
+        );
+        let shape = |p: &TwoDcParams| {
+            format!(
+                "{}x{}x{}",
+                p.spines_per_dc, p.leaves_per_dc, p.hosts_per_leaf
+            )
+        };
+        match (&sc.fabric, two_dc(sc)) {
+            (_, Some((params, incast))) => format!(
+                "scheme={:?} transport={:?} degree={} bytes={} topo={} bg={} {faults}",
+                incast.scheme,
+                incast.spec.knobs.transport,
+                incast.spec.senders.len(),
+                incast.spec.total_bytes,
+                shape(&params),
+                sc.background_flows,
+            ),
+            (Fabric::Pods { pods, params }, None) => format!(
+                "fleet pods={pods} topo={} flows={} fidelity={}",
+                shape(params),
+                sc.flows.len(),
+                sc.fidelity
+            ),
+            (fabric, None) => format!(
+                "{fabric:?} incasts={} flows={} {faults}",
+                sc.incasts.len(),
+                sc.flows.len()
+            ),
+        }
     }
 
     fn details(o: &RunOutcome) -> Vec<String> {
@@ -786,559 +974,19 @@ impl Family for Chaos {
             .collect()
     }
 
-    fn to_value(sc: &Scenario) -> Json {
-        Json::obj(vec![
-            ("sim_seed", Json::u64(sc.sim_seed)),
-            ("scheme", Json::str(name_of(SCHEME_NAMES, sc.scheme))),
-            (
-                "transport",
-                Json::str(name_of(TRANSPORT_NAMES, sc.transport)),
-            ),
-            ("trim", Json::str(name_of(TRIM_NAMES, sc.trim))),
-            ("degree", Json::u64(sc.degree as u64)),
-            ("total_bytes", Json::u64(sc.total_bytes)),
-            ("wan_us", Json::u64(sc.wan_us)),
-            ("spines_per_dc", Json::u64(sc.spines_per_dc as u64)),
-            ("leaves_per_dc", Json::u64(sc.leaves_per_dc as u64)),
-            ("hosts_per_leaf", Json::u64(sc.hosts_per_leaf as u64)),
-            ("background_flows", Json::u64(sc.background_flows as u64)),
-            ("early_nack", Json::Bool(sc.early_nack)),
-            ("failover", Json::Bool(sc.failover)),
-            ("liveness", Json::Bool(sc.liveness)),
-            ("fidelity", Json::Bool(sc.fidelity)),
-            ("time_limit_ms", Json::u64(sc.time_limit_ms)),
-            ("faults", Json::obj(plan_fields(&sc.faults))),
-        ])
-    }
-
-    fn from_value(v: &Json) -> Result<Scenario, String> {
-        Ok(Scenario {
-            sim_seed: v.get_u64("sim_seed")?,
-            scheme: from_name(SCHEME_NAMES, "scheme", v.get_str("scheme")?)?,
-            transport: from_name(TRANSPORT_NAMES, "transport", v.get_str("transport")?)?,
-            trim: from_name(TRIM_NAMES, "trim policy", v.get_str("trim")?)?,
-            degree: v.get_u64("degree")? as usize,
-            total_bytes: v.get_u64("total_bytes")?,
-            wan_us: v.get_u64("wan_us")?,
-            spines_per_dc: v.get_u64("spines_per_dc")? as usize,
-            leaves_per_dc: v.get_u64("leaves_per_dc")? as usize,
-            hosts_per_leaf: v.get_u64("hosts_per_leaf")? as usize,
-            background_flows: v.get_u64("background_flows")? as usize,
-            early_nack: v.get_bool("early_nack")?,
-            failover: v.get_bool("failover")?,
-            liveness: v.get_bool("liveness")?,
-            // Older repro files predate the hybrid-fidelity engine.
-            fidelity: match v.get("fidelity") {
-                Some(Json::Bool(b)) => *b,
-                Some(other) => return Err(format!("fidelity: expected bool, got {other:?}")),
-                None => false,
-            },
-            time_limit_ms: v.get_u64("time_limit_ms")?,
-            faults: plan_from_value(v.get("faults").ok_or("missing faults")?)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fault plan's JSON codec, shared by every family
-// ---------------------------------------------------------------------------
-
-/// A [`FaultPlan`]'s JSON fields, for a family to place in an object of
-/// its own: one per non-empty list, times in picoseconds, and an
-/// impairment's `duplicate`, `delay` and `delay_max_ps` only when nonzero.
-pub(crate) fn plan_fields(plan: &FaultPlan) -> Vec<(&'static str, Json)> {
-    let ps = |t: Option<SimTime>| t.map_or(Json::Null, |t| Json::u64(t.0));
-    let windows = plan.link_windows.iter().map(|w| {
-        Json::obj(vec![
-            ("port", Json::u64(w.port.index() as u64)),
-            ("down_at_ps", Json::u64(w.down_at.0)),
-            ("up_at_ps", ps(w.up_at)),
-        ])
-    });
-    let impairments = plan.impairments.iter().map(|i| {
-        let mut fields = vec![
-            ("port", Json::u64(i.port.index() as u64)),
-            ("loss", Json::f64(i.loss)),
-            ("corrupt", Json::f64(i.corrupt)),
-        ];
-        if i.duplicate != 0.0 {
-            fields.push(("duplicate", Json::f64(i.duplicate)));
-        }
-        if i.delay != 0.0 {
-            fields.push(("delay", Json::f64(i.delay)));
-        }
-        if i.delay_max != SimDuration::ZERO {
-            fields.push(("delay_max_ps", Json::u64(i.delay_max.0)));
-        }
-        Json::obj(fields)
-    });
-    let errors = plan.syscall_errors.iter().map(|e| {
-        Json::obj(vec![
-            ("port", Json::u64(e.port.index() as u64)),
-            ("again", Json::f64(e.again)),
-            ("nobufs", Json::f64(e.nobufs)),
-        ])
-    });
-    let crashes = plan.crashes.iter().map(|c| {
-        Json::obj(vec![
-            ("agent", Json::u64(c.agent.index() as u64)),
-            ("at_ps", Json::u64(c.at.0)),
-            ("restore_at_ps", ps(c.restore_at)),
-        ])
-    });
-    let shard_crashes = plan.shard_crashes.iter().map(|c| {
-        Json::obj(vec![
-            ("shard", Json::u64(c.shard as u64)),
-            ("at_ps", Json::u64(c.at.0)),
-            ("restore_at_ps", ps(c.restore_at)),
-        ])
-    });
-    let lists: [(&'static str, Vec<Json>); 5] = [
-        ("link_windows", windows.collect()),
-        ("impairments", impairments.collect()),
-        ("syscall_errors", errors.collect()),
-        ("crashes", crashes.collect()),
-        ("shard_crashes", shard_crashes.collect()),
-    ];
-    (lists.into_iter())
-        .filter(|(_, list)| !list.is_empty())
-        .map(|(key, list)| (key, Json::Arr(list)))
-        .collect()
-}
-
-/// The [`FaultPlan`] in `v`'s fields, as [`plan_fields`] writes them. A
-/// list `v` lacks reads as empty, a missing impairment field as zero, and
-/// a missing or `null` restore or up time as never.
-pub(crate) fn plan_from_value(v: &Json) -> Result<FaultPlan, String> {
-    let list = |key| v.get(key).map_or(Ok(&[][..]), Json::arr);
-    let time = |v: &Json, key| match v.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(t) => t.u64_value().map(|t| Some(SimTime(t))),
-    };
-    let zero_or = |v: &Json, key| v.get(key).map_or(Ok(0.0), Json::f64_value);
-    let port = |v: &Json| v.get_u64("port").map(|p| PortId(p as u32));
-    let mut plan = FaultPlan::new();
-    for w in list("link_windows")? {
-        plan.link_windows.push(LinkWindow {
-            port: port(w)?,
-            down_at: SimTime(w.get_u64("down_at_ps")?),
-            up_at: time(w, "up_at_ps")?,
-        });
-    }
-    for i in list("impairments")? {
-        plan.impairments.push(PortImpairment {
-            port: port(i)?,
-            loss: zero_or(i, "loss")?,
-            corrupt: zero_or(i, "corrupt")?,
-            duplicate: zero_or(i, "duplicate")?,
-            delay: zero_or(i, "delay")?,
-            delay_max: SimDuration(i.get("delay_max_ps").map_or(Ok(0), Json::u64_value)?),
-        });
-    }
-    for e in list("syscall_errors")? {
-        plan.syscall_errors.push(SyscallErrors {
-            port: port(e)?,
-            again: zero_or(e, "again")?,
-            nobufs: zero_or(e, "nobufs")?,
-        });
-    }
-    for c in list("crashes")? {
-        plan.crashes.push(AgentCrash {
-            agent: AgentId(c.get_u64("agent")? as u32),
-            at: SimTime(c.get_u64("at_ps")?),
-            restore_at: time(c, "restore_at_ps")?,
-        });
-    }
-    for c in list("shard_crashes")? {
-        plan.shard_crashes.push(ShardCrash {
-            shard: c.get_u64("shard")? as u32,
-            at: SimTime(c.get_u64("at_ps")?),
-            restore_at: time(c, "restore_at_ps")?,
-        });
-    }
-    Ok(plan)
-}
-
-/// How repro files (and `figures adhoc`) spell the enum-valued fields.
-pub(crate) const SCHEME_NAMES: &[(&str, Scheme)] = &[
-    ("baseline", Scheme::Baseline),
-    ("naive", Scheme::ProxyNaive),
-    ("streamlined", Scheme::ProxyStreamlined),
-    ("detecting", Scheme::ProxyDetecting),
-];
-const TRANSPORT_NAMES: &[(&str, Transport)] = &[
-    ("windowed", Transport::WindowedDctcp),
-    ("rate", Transport::RateBased),
-];
-pub(crate) const TRIM_NAMES: &[(&str, TrimPolicy)] = &[
-    ("default", TrimPolicy::SchemeDefault),
-    ("on", TrimPolicy::ForceOn),
-    ("off", TrimPolicy::ForceOff),
-];
-
-fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
-    let named = names.iter().find(|(_, v)| *v == value);
-    named.expect("every variant has a name").0
-}
-
-/// The value `name` spells in `names`; `what` words the error.
-pub(crate) fn from_name<T: Copy>(names: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
-    let named = names.iter().find(|(n, _)| *n == name);
-    named
-        .map(|&(_, value)| value)
-        .ok_or_else(|| format!("unknown {what} {name:?}"))
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON (the workspace depends on no JSON crate)
-// ---------------------------------------------------------------------------
-
-/// Tiny JSON emitter + recursive-descent parser. Numbers keep their
-/// source token so `u64` values round-trip exactly (no f64 detour).
-pub mod mini_json {
-    /// A parsed or to-be-emitted JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        Null,
-        Bool(bool),
-        /// Number as its literal token (exact round-trip).
-        Num(String),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub fn u64(v: u64) -> Json {
-            Json::Num(v.to_string())
-        }
-        pub fn f64(v: f64) -> Json {
-            // JSON has no NaN / infinity token; like serde_json, emit null.
-            if !v.is_finite() {
-                return Json::Null;
-            }
-            // Rust's shortest-round-trip Display; force a decimal point so
-            // the token reads back as the same f64 unambiguously.
-            let s = format!("{v}");
-            if s.contains('.') {
-                Json::Num(s)
-            } else {
-                Json::Num(format!("{s}.0"))
-            }
-        }
-        pub fn str(v: &str) -> Json {
-            Json::Str(v.to_string())
-        }
-        pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        }
-
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        pub fn arr(&self) -> Result<&[Json], String> {
-            match self {
-                Json::Arr(items) => Ok(items),
-                other => Err(format!("expected array, got {other:?}")),
-            }
-        }
-        pub fn u64_value(&self) -> Result<u64, String> {
-            match self {
-                Json::Num(tok) => tok.parse().map_err(|e| format!("bad u64 {tok:?}: {e}")),
-                other => Err(format!("expected number, got {other:?}")),
-            }
-        }
-        pub fn f64_value(&self) -> Result<f64, String> {
-            match self {
-                Json::Num(tok) => tok.parse().map_err(|e| format!("bad f64 {tok:?}: {e}")),
-                other => Err(format!("expected number, got {other:?}")),
-            }
-        }
-        pub fn get_u64(&self, key: &str) -> Result<u64, String> {
-            self.get(key).ok_or(format!("missing {key}"))?.u64_value()
-        }
-        pub fn get_f64(&self, key: &str) -> Result<f64, String> {
-            self.get(key).ok_or(format!("missing {key}"))?.f64_value()
-        }
-        pub fn get_bool(&self, key: &str) -> Result<bool, String> {
-            match self.get(key).ok_or(format!("missing {key}"))? {
-                Json::Bool(b) => Ok(*b),
-                other => Err(format!("{key}: expected bool, got {other:?}")),
-            }
-        }
-        pub fn get_str(&self, key: &str) -> Result<&str, String> {
-            match self.get(key).ok_or(format!("missing {key}"))? {
-                Json::Str(s) => Ok(s),
-                other => Err(format!("{key}: expected string, got {other:?}")),
-            }
-        }
-
-        /// Pretty-prints with two-space indentation.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            self.render_into(&mut out, Some(0));
-            out.push('\n');
-            out
-        }
-
-        /// Renders on one line with no whitespace, as `serde_json::to_string`
-        /// does (`tests/results_format.rs` holds the figures' rows to the
-        /// bytes `serde_json` once wrote).
-        pub fn render_line(&self) -> String {
-            let mut out = String::new();
-            self.render_into(&mut out, None);
-            out
-        }
-
-        /// `depth` is the pretty-printer's nesting level; `None` renders
-        /// compactly.
-        fn render_into(&self, out: &mut String, depth: Option<usize>) {
-            let inner = depth.map(|d| d + 1);
-            match self {
-                Json::Null => out.push_str("null"),
-                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                Json::Num(tok) => out.push_str(tok),
-                Json::Str(s) => render_string(s, out),
-                Json::Arr(items) => {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        newline(out, inner);
-                        item.render_into(out, inner);
-                    }
-                    if !items.is_empty() {
-                        newline(out, depth);
-                    }
-                    out.push(']');
-                }
-                Json::Obj(fields) => {
-                    out.push('{');
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        newline(out, inner);
-                        render_string(k, out);
-                        out.push_str(if depth.is_some() { ": " } else { ":" });
-                        v.render_into(out, inner);
-                    }
-                    if !fields.is_empty() {
-                        newline(out, depth);
-                    }
-                    out.push('}');
-                }
-            }
-        }
-
-        /// Parses one JSON document (trailing whitespace allowed).
-        pub fn parse(text: &str) -> Result<Json, String> {
-            let bytes = text.as_bytes();
-            let mut pos = 0;
-            let value = parse_value(bytes, &mut pos)?;
-            skip_ws(bytes, &mut pos);
-            if pos != bytes.len() {
-                return Err(format!("trailing garbage at byte {pos}"));
-            }
-            Ok(value)
-        }
-    }
-
-    /// Line break plus indentation when pretty-printing; nothing otherwise.
-    fn newline(out: &mut String, depth: Option<usize>) {
-        if let Some(depth) = depth {
-            out.push('\n');
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-        }
-    }
-
-    fn render_string(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unexpected end of input".to_string());
+    fn to_value(case: &Case) -> Json {
+        let Json::Obj(fields) = case.scenario.to_json() else {
+            unreachable!("a scenario is a JSON object")
         };
-        match b {
-            b'n' => parse_keyword(bytes, pos, "null", Json::Null),
-            b't' => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-            b'f' => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-            b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
-            b'[' => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(bytes, pos)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("expected , or ] in array, got {other:?}")),
-                    }
-                }
-            }
-            b'{' => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = parse_string(bytes, pos)?;
-                    skip_ws(bytes, pos);
-                    if bytes.get(*pos) != Some(&b':') {
-                        return Err(format!("expected : after key {key:?}"));
-                    }
-                    *pos += 1;
-                    fields.push((key, parse_value(bytes, pos)?));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        other => return Err(format!("expected , or }} in object, got {other:?}")),
-                    }
-                }
-            }
-            b'-' | b'0'..=b'9' => {
-                let start = *pos;
-                while *pos < bytes.len()
-                    && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                {
-                    *pos += 1;
-                }
-                let tok = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| "invalid utf-8 in number".to_string())?;
-                // Validate the token parses as a number at all.
-                tok.parse::<f64>()
-                    .map_err(|e| format!("bad number {tok:?}: {e}"))?;
-                Ok(Json::Num(tok.to_string()))
-            }
-            other => Err(format!("unexpected byte {:?} at {pos:?}", other as char)),
-        }
+        let seed = ("sim_seed".to_string(), Json::u64(case.seed));
+        Json::Obj([seed].into_iter().chain(fields).collect())
     }
 
-    fn parse_keyword(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Json,
-    ) -> Result<Json, String> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected {word:?} at byte {pos:?}"))
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos:?}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = bytes.get(*pos) else {
-                return Err("unterminated string".to_string());
-            };
-            *pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = bytes.get(*pos) else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = bytes
-                                .get(*pos..*pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            *pos += 4;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = *pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or("invalid utf-8 in string")?;
-                    out.push_str(chunk);
-                    *pos = end;
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
+    fn from_value(v: &Json) -> Result<Case, String> {
+        Ok(Case {
+            seed: v.get_u64("sim_seed")?,
+            scenario: Scenario::from_json(v)?,
+        })
     }
 }
 
@@ -1355,28 +1003,38 @@ mod tests {
     }
 
     #[test]
-    fn scenario_json_round_trips() {
-        for seed in [1, 2, 3, 4, 5] {
-            let sc = Chaos::generate(seed);
-            let json = Chaos::to_value(&sc).render();
+    fn every_generated_case_round_trips_through_json() {
+        let mut fleets = 0;
+        for seed in 0..1000 {
+            let case = Chaos::generate(seed);
+            fleets += usize::from(case.scenario.threads.is_some());
+            let json = Chaos::to_value(&case).render();
             let back = Chaos::from_value(&Json::parse(&json).unwrap()).expect("parse back");
-            assert_eq!(sc, back, "round-trip for seed {seed}\n{json}");
+            assert_eq!(case, back, "round-trip for seed {seed}\n{json}");
         }
+        assert!(
+            (60..200).contains(&fleets),
+            "{fleets} pod fleets in 1000 seeds"
+        );
     }
 
     #[test]
     fn census_counts_failover_only_where_senders_can_fail_over() {
-        let mut sc = Chaos::generate(1);
-        sc.transport = Transport::RateBased;
-        sc.failover = true;
+        let mut case = (0..)
+            .map(Chaos::generate)
+            .find(|c| c.scenario.threads.is_none())
+            .unwrap();
+        let knobs = &mut case.scenario.incasts[0].spec.knobs;
+        knobs.transport = Transport::RateBased;
+        knobs.failover = true;
         for (scheme, cell) in [
             (Scheme::Baseline, "rate"),
             (Scheme::ProxyNaive, "rate"),
             (Scheme::ProxyStreamlined, "rate+failover"),
             (Scheme::ProxyDetecting, "rate+failover"),
         ] {
-            sc.scheme = scheme;
-            assert_eq!(Chaos::cell(&sc).as_deref(), Some(cell), "{scheme:?}");
+            case.scenario.incasts[0].scheme = scheme;
+            assert_eq!(Chaos::cell(&case).as_deref(), Some(cell), "{scheme:?}");
         }
     }
 
@@ -1396,10 +1054,10 @@ mod tests {
 
     #[test]
     fn faultless_scenario_replays_deterministically() {
-        let mut sc = Chaos::generate(3);
-        sc.faults = FaultPlan::new();
-        sc.liveness = true;
-        let (outcome, same) = check_replay::<Chaos>(&sc);
+        let mut case = Chaos::generate(3);
+        case.scenario.faults = FaultPlan::new();
+        case.scenario.audit = Some(chaos_audit(true));
+        let (outcome, same) = check_replay::<Chaos>(&case);
         assert!(same, "replay diverged: {outcome:?}");
         assert!(outcome.is_ok(), "{outcome:?}");
         // The counters line names every nonzero count, ledger first.
@@ -1408,6 +1066,37 @@ mod tests {
             lines[1].starts_with("counters: dcsim.packet_ledger.created="),
             "{lines:?}"
         );
+    }
+
+    #[test]
+    fn a_pod_fleet_runs_clean_and_shrinks_to_fewer_pods_and_flows() {
+        let case = (0..)
+            .map(Chaos::generate)
+            .find(|c| c.scenario.threads.is_some())
+            .unwrap();
+        let outcome = Chaos::run(&case);
+        assert_eq!(Chaos::failure_kind(&outcome), None, "{outcome:?}");
+        assert!(outcome.completed && outcome.stop == "idle", "{outcome:?}");
+        let candidates = Chaos::candidates(&case);
+        let pods = |c: &Case| match c.scenario.fabric {
+            Fabric::Pods { pods, .. } => pods,
+            _ => unreachable!("a fleet case"),
+        };
+        assert!(candidates.iter().any(|c| pods(c) == 1));
+        let flows = case.scenario.flows.len();
+        assert!(candidates
+            .iter()
+            .any(|c| c.scenario.flows.len() == flows - 1));
+    }
+
+    #[test]
+    fn a_fleet_below_its_partition_is_a_setup_error() {
+        let mut case = (0..)
+            .map(Chaos::generate)
+            .find(|c| c.scenario.threads.is_some())
+            .unwrap();
+        case.scenario.background_flows = 1;
+        assert_eq!(Chaos::run(&case).stop, "setup-error");
     }
 
     /// A family with no simulator behind it, to test the engine alone: a
@@ -1530,32 +1219,5 @@ mod tests {
         for f in &serial {
             assert_eq!(failure_kind::<Toy>(&f.outcome).as_deref(), Some(&*f.kind));
         }
-    }
-
-    #[test]
-    fn non_finite_floats_round_trip_as_null() {
-        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let row = Json::obj(vec![
-                ("crash_fraction", Json::f64(v)),
-                ("ok", Json::f64(0.5)),
-            ]);
-            for text in [row.render(), row.render_line()] {
-                let back = Json::parse(&text).expect("emitted JSON parses back");
-                assert_eq!(back, row, "{text}");
-                assert_eq!(back.get("crash_fraction"), Some(&Json::Null));
-            }
-        }
-        assert_eq!(
-            Json::obj(vec![("a", Json::f64(2.0)), ("b", Json::Arr(vec![]))]).render_line(),
-            r#"{"a":2.0,"b":[]}"#
-        );
-    }
-
-    #[test]
-    fn mini_json_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("nul").is_err());
-        assert!(Json::parse("{} extra").is_err());
     }
 }

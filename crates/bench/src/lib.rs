@@ -16,9 +16,9 @@
 //! seed derives from its configuration, never from thread order, and
 //! results come back in grid order.
 
-use fuzz::mini_json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use trace::json::Json;
 
 pub mod cpfuzz;
 pub mod figures;

@@ -12,16 +12,17 @@
 //!
 //! [`ShardedRelay`]: netproxy::shard::ShardedRelay
 
-use crate::fuzz::mini_json::Json;
-use crate::fuzz::{plan_fields, plan_from_value, Family};
+use crate::fuzz::Family;
 use crate::live::{self, Ledger, LiveRun, Path};
 use dcsim::faults::{FaultPlan, PortImpairment, SyscallErrors};
 use dcsim::time::{SimDuration, SimTime};
+use incast_core::scenario::{field, Codec};
 use netproxy::fault::{check_plan, INBOUND, OUTBOUND};
 use netproxy::loadgen::BatchLoadGen;
 use netproxy::shard::RelayKind;
 use netproxy::SocketLayer;
 use std::time::Duration;
+use trace::json::{from_name, name_of, Json};
 use trace::{derive_seed, SplitMix64};
 
 /// One soak: the relay's faults, its shape, the load it carries and the
@@ -299,44 +300,38 @@ impl Family for Soak {
     }
 
     fn to_value(sc: &SoakScenario) -> Json {
-        let ms = |t: Option<u64>| t.map_or(Json::Null, Json::u64);
-        let layer = LAYER_NAMES.iter().find(|(_, l)| *l == sc.layer);
         Json::obj(vec![
-            ("fault_seed", Json::u64(sc.fault_seed)),
-            ("layer", Json::str(layer.expect("every layer has a name").0)),
-            ("shards", Json::u64(sc.shards as u64)),
-            ("threads", Json::u64(sc.threads as u64)),
-            ("flows_per_thread", Json::u64(sc.flows_per_thread as u64)),
-            ("rate_pps", Json::u64(sc.rate_pps)),
-            ("trim", Json::f64(sc.trim)),
-            ("payload", Json::u64(sc.payload as u64)),
-            ("duration_ms", Json::u64(sc.duration_ms)),
-            ("crash_at_ms", ms(sc.crash_at_ms)),
-            ("wedge_at_ms", ms(sc.wedge_at_ms)),
-            ("overload_pps", Json::u64(sc.overload_pps)),
-            ("faults", Json::obj(plan_fields(&sc.faults))),
+            ("fault_seed", sc.fault_seed.enc()),
+            ("layer", Json::str(name_of(LAYER_NAMES, sc.layer))),
+            ("shards", sc.shards.enc()),
+            ("threads", sc.threads.enc()),
+            ("flows_per_thread", sc.flows_per_thread.enc()),
+            ("rate_pps", sc.rate_pps.enc()),
+            ("trim", sc.trim.enc()),
+            ("payload", sc.payload.enc()),
+            ("duration_ms", sc.duration_ms.enc()),
+            ("crash_at_ms", sc.crash_at_ms.enc()),
+            ("wedge_at_ms", sc.wedge_at_ms.enc()),
+            ("overload_pps", sc.overload_pps.enc()),
+            ("faults", sc.faults.enc()),
         ])
     }
 
     fn from_value(v: &Json) -> Result<SoakScenario, String> {
-        let ms = |key| match v.get(key) {
-            Some(Json::Null) | None => Ok(None),
-            Some(t) => t.u64_value().map(Some),
-        };
         let sc = SoakScenario {
-            fault_seed: v.get_u64("fault_seed")?,
-            faults: plan_from_value(v.get("faults").ok_or("missing faults")?)?,
-            layer: crate::fuzz::from_name(LAYER_NAMES, "socket layer", v.get_str("layer")?)?,
-            shards: v.get_u64("shards")? as usize,
-            threads: v.get_u64("threads")? as usize,
-            flows_per_thread: v.get_u64("flows_per_thread")? as usize,
-            rate_pps: v.get_u64("rate_pps")?,
-            trim: v.get_f64("trim")?,
-            payload: v.get_u64("payload")? as usize,
-            duration_ms: v.get_u64("duration_ms")?,
-            crash_at_ms: ms("crash_at_ms")?,
-            wedge_at_ms: ms("wedge_at_ms")?,
-            overload_pps: v.get_u64("overload_pps")?,
+            fault_seed: field(v, "fault_seed")?,
+            faults: field(v, "faults")?,
+            layer: from_name(LAYER_NAMES, "socket layer", v.get_str("layer")?)?,
+            shards: field(v, "shards")?,
+            threads: field(v, "threads")?,
+            flows_per_thread: field(v, "flows_per_thread")?,
+            rate_pps: field(v, "rate_pps")?,
+            trim: field(v, "trim")?,
+            payload: field(v, "payload")?,
+            duration_ms: field(v, "duration_ms")?,
+            crash_at_ms: field(v, "crash_at_ms")?,
+            wedge_at_ms: field(v, "wedge_at_ms")?,
+            overload_pps: field(v, "overload_pps")?,
         };
         sc.validate()?;
         Ok(sc)

@@ -1,15 +1,15 @@
 //! Format pin for the `JSON ` rows of `results/*.txt`.
 //!
 //! The rows were first written by `serde_json`; `bench::json_line` now
-//! writes them through `mini_json`, the workspace's one JSON
+//! writes them through `trace::json`, the workspace's one JSON
 //! implementation. This test holds the hand emitter to the committed
 //! files: every row is parsed, every number re-derived from its *value*
 //! (so float tokens such as `0.0` and `0.17544639052799998` are checked,
 //! not copied), the keys shuffled, and the result must re-render to the
 //! committed line byte for byte.
 
-use bench::fuzz::mini_json::Json;
 use bench::json_line;
+use trace::json::Json;
 
 /// The value with every number token re-emitted from its parsed value.
 fn reemit(value: &Json) -> Json {

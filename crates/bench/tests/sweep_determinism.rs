@@ -5,9 +5,9 @@
 //! default to all cores without anyone re-validating outputs.
 
 use bench::figures::{Axis, Extra, Grid, Relative, Study, PAPER_SCHEMES};
-use bench::fuzz::mini_json::Json;
 use bench::{sweep_experiments, RunOptions, SweepRunner};
 use incast_core::{ExperimentConfig, IncastOutcome, Scheme};
+use trace::json::Json;
 
 /// One small, fast cell on the test topology.
 fn cell(degree: u64, scheme: Scheme, seed: u64) -> ExperimentConfig {

@@ -2,7 +2,8 @@
 //! under a scheme, repeat over seeds, and summarize — the machinery behind
 //! every simulation figure (Figs 2–3) and ablation.
 
-use crate::scheme::{install_incast, IncastKnobs, IncastSpec, Scheme};
+use crate::scenario::{self, Fabric, Scenario};
+use crate::scheme::{IncastHandle, IncastKnobs, IncastSpec, Scheme};
 use dcsim::prelude::*;
 use trace::{derive_seed, Summary};
 
@@ -120,74 +121,57 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Placement used by all figures: senders are the first `degree` hosts
-    /// of DC 0, the proxy is the last host of DC 0 (a different rack for
-    /// small degrees), and the receiver is the first host of DC 1.
+    /// Placement used by all figures ([`scenario::placement`]): senders
+    /// are the first `degree` hosts of DC 0, the proxy is the last host of
+    /// DC 0 (a different rack for small degrees), and the receiver is the
+    /// first host of DC 1.
     ///
     /// # Panics
     /// Panics if the degree exceeds the hosts available in DC 0 minus the
     /// proxy.
     pub fn placement(&self, topo: &Topology) -> IncastSpec {
-        let dc0 = topo.hosts_in_dc(0);
-        let dc1 = topo.hosts_in_dc(1);
         assert!(
-            self.degree < dc0.len(),
+            self.degree < topo.hosts_in_dc(0).len(),
             "degree {} needs {} hosts in DC0 (one is the proxy)",
             self.degree,
             self.degree + 1
         );
-        assert!(!dc1.is_empty(), "no receiver host in DC1");
-        let mut spec = IncastSpec::new(dc0[..self.degree].to_vec(), dc1[0], self.total_bytes)
-            .with_proxy(*dc0.last().expect("non-empty DC0"));
-        spec.knobs = self.knobs;
-        spec
+        let spec = scenario::placement(topo, self.degree, self.total_bytes);
+        IncastSpec {
+            knobs: self.knobs,
+            ..spec
+        }
     }
 
-    /// Builds the simulator for one seeded run and installs the incast:
-    /// the §4.1 leaf–spine with this scheme's trimming, the auditor, the
-    /// [`placement`](Self::placement), the background flows, the incast,
-    /// and — under hybrid fidelity — the incast's known congestion points
-    /// pinned hot. Every figure, the fuzzer and [`run_incast`] start here;
+    /// The run this config describes, as a [`Scenario`]: one incast, with
+    /// the [`placement`](Self::placement), on the §4.1 leaf–spine with this
+    /// scheme's trimming. Its fault plan is empty: [`run_incast`] places
+    /// the config's [`FaultScenario`] once the incast is installed.
+    ///
+    /// # Panics
+    /// As [`placement`](Self::placement).
+    pub fn scenario(&self) -> Scenario {
+        let fabric = Fabric::TwoDc(self.topo.with_trim(self.trim.enabled_for(self.scheme)));
+        let spec = self.placement(&fabric.topology());
+        Scenario {
+            background_flows: self.background_flows,
+            fidelity: self.fidelity,
+            time_limit: self.time_limit,
+            audit: self.audit,
+            ..Scenario::incast(fabric, self.scheme, spec)
+        }
+    }
+
+    /// Builds the simulator for one seeded run through
+    /// [`Scenario::build`]. Every figure and [`run_incast`] start here;
     /// callers add what is theirs (faults, traces, extra flows) and run.
-    pub fn build(&self, seed: u64) -> (Simulator, IncastSpec, crate::scheme::IncastHandle) {
-        let params = self.topo.with_trim(self.trim.enabled_for(self.scheme));
-        let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-        if let Some(audit) = self.audit {
-            sim.set_audit(audit);
-        }
-        let spec = self.placement(sim.topology());
-        if self.background_flows > 0 {
-            let hosts: Vec<HostId> = (0..sim.topology().host_count() as u32)
-                .map(HostId)
-                .filter(|h| {
-                    !spec.senders.contains(h) && *h != spec.receiver && Some(*h) != spec.proxy
-                })
-                .collect();
-            // A fuzzed topology can leave fewer than two bystanders.
-            if hosts.len() >= 2 {
-                BackgroundTraffic {
-                    flows: self.background_flows,
-                    sizes: FlowSizeDist::WebSearch,
-                    start_window: SimDuration::from_millis(10),
-                    hosts,
-                    seed: derive_seed(seed, 0xB6),
-                }
-                .install(&mut sim);
-            }
-        }
-        let handle = install_incast(&mut sim, &spec, self.scheme);
-        if self.fidelity {
-            // Enable before any `install_faults` so a plan's ports get
-            // pinned hot too.
-            sim.set_fidelity(FidelityConfig::default());
-            let receiver_tor = sim.topology().down_tor_port(spec.receiver);
-            sim.pin_hot_port(receiver_tor);
-            if let Some(proxy) = spec.proxy {
-                let proxy_tor = sim.topology().down_tor_port(proxy);
-                sim.pin_hot_port(proxy_tor);
-            }
-        }
-        (sim, spec, handle)
+    ///
+    /// # Panics
+    /// As [`placement`](Self::placement).
+    pub fn build(&self, seed: u64) -> (Simulator, IncastSpec, IncastHandle) {
+        let mut sc = self.scenario();
+        let (sim, mut handles, _) = sc.build(seed).unwrap_or_else(|e| panic!("{e}"));
+        (sim, sc.incasts.remove(0).spec, handles.remove(0))
     }
 }
 
@@ -295,7 +279,7 @@ pub fn run_incast(config: &ExperimentConfig, seed: u64) -> IncastOutcome {
 fn fault_plan_for(
     config: &ExperimentConfig,
     spec: &IncastSpec,
-    handle: &crate::scheme::IncastHandle,
+    handle: &IncastHandle,
     sim: &Simulator,
 ) -> Option<FaultPlan> {
     match config.faults {

@@ -18,6 +18,8 @@
 //!   by `netproxy`'s socket relay alike.
 //! * [`scheme`] — the three evaluation schemes (Baseline, Proxy Naive,
 //!   Proxy Streamlined) wired onto the `dcsim` simulator.
+//! * [`scenario`] — a simulated run as plain data (fabric, incasts, flows,
+//!   faults, engine), its one build and its JSON form.
 //! * [`experiment`] — the seeded experiment harness behind every figure.
 //! * [`orchestrator`] — proxy selection across concurrent incasts
 //!   (§5 Future work #3): one sharded crash-tolerant control plane with
@@ -45,6 +47,7 @@ pub mod orchestrator;
 pub mod predict;
 pub mod relay;
 pub mod runtime;
+pub mod scenario;
 pub mod scheme;
 
 pub use experiment::{run_incast, run_repeated, ExperimentConfig, IncastOutcome};

@@ -23,7 +23,7 @@ use dcsim::det::DetMap;
 use dcsim::packet::FlowId;
 
 /// Configuration of the reorder-tolerant detector.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossDetectorConfig {
     /// A missing sequence is declared lost after this many higher-sequence
     /// packets arrive.

@@ -91,7 +91,7 @@ pub const STREAMLINED_DELAY: SimDuration = SimDuration(420_000);
 /// How an incast's senders and proxy behave. The default is the paper's
 /// setup; the ablations move one knob at a time. [`IncastSpec`] and
 /// [`ExperimentConfig`](crate::experiment::ExperimentConfig) each hold one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncastKnobs {
     /// Scale factor on every sender's initial window (1.0 = the paper's
     /// 1 BDP; swept by the `ablation_initwnd` study of §2's first-RTT
@@ -135,7 +135,7 @@ impl Default for IncastKnobs {
 
 /// One incast to install: `senders` transmit `total_bytes` (split equally)
 /// to `receiver`, optionally via `proxy`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncastSpec {
     /// The incast senders (same datacenter for proxy schemes).
     pub senders: Vec<HostId>,
@@ -212,32 +212,49 @@ impl IncastHandle {
     }
 }
 
-fn validate(spec: &IncastSpec, scheme: Scheme, topo: &Topology) {
-    assert!(!spec.senders.is_empty(), "incast needs at least one sender");
-    assert!(spec.total_bytes > 0, "incast needs at least one byte");
-    assert!(
+/// Checks that `spec` can be installed under `scheme` on `topo`; the error
+/// says what is wrong. [`install_incast`] panics with it, and
+/// [`crate::scenario::Scenario::build`] returns it.
+pub fn validate(spec: &IncastSpec, scheme: Scheme, topo: &Topology) -> Result<(), String> {
+    let hosts = topo.host_count();
+    let known = |h: HostId| (h.0 as usize) < hosts;
+    let check = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+    check(!spec.senders.is_empty(), "incast needs at least one sender")?;
+    check(spec.total_bytes > 0, "incast needs at least one byte")?;
+    check(
+        spec.senders
+            .iter()
+            .chain([&spec.receiver])
+            .chain(&spec.proxy)
+            .all(|&h| known(h)),
+        "incast names a host the topology lacks",
+    )?;
+    check(
         !spec.senders.contains(&spec.receiver),
-        "receiver cannot be a sender"
-    );
+        "receiver cannot be a sender",
+    )?;
     let mut dedup = spec.senders.clone();
     dedup.sort_unstable();
     dedup.dedup();
-    assert_eq!(dedup.len(), spec.senders.len(), "duplicate senders");
+    check(dedup.len() == spec.senders.len(), "duplicate senders")?;
     if scheme.uses_proxy() {
-        let proxy = spec.proxy.expect("proxy schemes require a proxy host");
-        assert!(!spec.senders.contains(&proxy), "proxy cannot be a sender");
-        assert_ne!(proxy, spec.receiver, "proxy cannot be the receiver");
+        let proxy = spec.proxy.ok_or("proxy schemes require a proxy host")?;
+        check(!spec.senders.contains(&proxy), "proxy cannot be a sender")?;
+        check(proxy != spec.receiver, "proxy cannot be the receiver")?;
         // The whole point of the design: the proxy sits in the senders'
         // datacenter.
         if let (Some(pdc), Some(sdc)) = (topo.host_dc(proxy), topo.host_dc(spec.senders[0])) {
-            assert_eq!(pdc, sdc, "proxy must be in the senders' datacenter");
+            check(pdc == sdc, "proxy must be in the senders' datacenter")?;
         }
     }
+    Ok(())
 }
 
 /// Installs an incast under `scheme`, returning the flows to watch.
 pub fn install_incast(sim: &mut Simulator, spec: &IncastSpec, scheme: Scheme) -> IncastHandle {
-    validate(spec, scheme, sim.topology());
+    if let Err(e) = validate(spec, scheme, sim.topology()) {
+        panic!("{e}");
+    }
     match scheme {
         Scheme::Baseline => install_baseline(sim, spec),
         Scheme::ProxyNaive => install_naive(sim, spec),

@@ -9,7 +9,7 @@ use crate::topology::Topology;
 
 /// Description of a plain (unproxied) flow. Its congestion control comes
 /// from the path, per §4.1 ([`PathProfile::windowed`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Sending host.
     pub src: HostId,

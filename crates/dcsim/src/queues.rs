@@ -35,7 +35,7 @@ use crate::packet::{Packet, PortId};
 use trace::SplitMix64;
 
 /// Configuration of one port queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueConfig {
     /// Data-queue capacity in bytes.
     pub capacity_bytes: u64,

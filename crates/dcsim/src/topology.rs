@@ -18,7 +18,7 @@ use crate::time::{Bandwidth, SimDuration};
 use std::collections::VecDeque;
 
 /// Physical properties of a unidirectional link.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProps {
     /// Link rate.
     pub bandwidth: Bandwidth,
@@ -524,7 +524,7 @@ impl Topology {
 }
 
 /// Parameters for the §4.1 two-datacenter topology.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoDcParams {
     /// Spine switches per datacenter (paper: 8).
     pub spines_per_dc: usize,
@@ -707,6 +707,66 @@ fn two_dc_builder(p: &TwoDcParams) -> (TopologyBuilder, TwoDcLayout) {
         backbones_per_spine: p.backbones_per_spine,
     };
     (b, layout)
+}
+
+/// Builds a fleet of `pods` two-datacenter pods in one topology: the
+/// `Pods` fabric of `bin/fleet`, the fleet fuzzer and every partitioned
+/// scenario.
+///
+/// Each pod is a leaf–spine pair shaped by `p` (`spines_per_dc`,
+/// `leaves_per_dc`, `hosts_per_leaf`, the links and the queues;
+/// `backbones_per_spine` and the jitter are not used). Pod `i`'s
+/// datacenters get dc ids `2i` and `2i + 1`, and its hosts are numbered
+/// after pod `i - 1`'s, DC `2i`'s first. One backbone router joins each
+/// pair of same-index spines over `p.wan_link` and belongs to the pod's
+/// first datacenter, so a by-datacenter partition has `2 * pods` shards
+/// whose only cross-shard links are long-haul. The first backbone router
+/// of consecutive pods are chained by [`LinkProps::long_haul`] links so
+/// every host reaches every other: no flow crosses pods, and shortest
+/// paths never detour through the chain.
+pub fn pods(pods: usize, p: &TwoDcParams) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let mut backbones = Vec::with_capacity(pods);
+    for pod in 0..pods as u32 {
+        let dcs = [2 * pod, 2 * pod + 1];
+        let mut spines = vec![Vec::new(); 2];
+        for (side, &dc) in dcs.iter().enumerate() {
+            let leaves: Vec<_> = (0..p.leaves_per_dc)
+                .map(|_| b.add_switch(NodeRole::Leaf, Some(dc)))
+                .collect();
+            spines[side] = (0..p.spines_per_dc)
+                .map(|_| b.add_switch(NodeRole::Spine, Some(dc)))
+                .collect();
+            for &leaf in &leaves {
+                for _ in 0..p.hosts_per_leaf {
+                    let h = b.add_host(Some(dc));
+                    b.add_duplex(b.host_node(h), leaf, p.dc_link, p.host_queue, p.dc_queue);
+                }
+                for &spine in &spines[side] {
+                    b.add_duplex(leaf, spine, p.dc_link, p.dc_queue, p.dc_queue);
+                }
+            }
+        }
+        let mut pod_bbs = Vec::new();
+        for (&s0, &s1) in spines[0].iter().zip(&spines[1]) {
+            let bb = b.add_switch(NodeRole::Backbone, Some(dcs[0]));
+            b.add_duplex(s0, bb, p.wan_link, p.dc_queue, p.backbone_queue);
+            b.add_duplex(s1, bb, p.wan_link, p.dc_queue, p.backbone_queue);
+            pod_bbs.push(bb);
+        }
+        backbones.push(pod_bbs);
+    }
+    for w in backbones.windows(2) {
+        let long_haul = LinkProps::long_haul();
+        b.add_duplex(
+            w[0][0],
+            w[1][0],
+            long_haul,
+            p.backbone_queue,
+            p.backbone_queue,
+        );
+    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -1093,7 +1153,7 @@ mod extension_tests {
 
 /// Parameters for the unstructured (random-graph) two-datacenter topology
 /// of [`two_dc_unstructured`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnstructuredParams {
     /// Switches per datacenter.
     pub switches_per_dc: usize,

@@ -22,6 +22,7 @@
 pub mod cdf;
 pub mod counters;
 pub mod histogram;
+pub mod json;
 pub mod percentile;
 pub mod recorder;
 pub mod rng;

@@ -20,7 +20,8 @@
 
 use dcsim::prelude::*;
 use incast_core::detect::{IncastSignatureDetector, PeriodicityDetector, SignatureConfig};
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::Scheme;
 use trace::table::fmt_secs;
 
 /// One expert's dispatch: every local worker sends its token batch.
@@ -30,27 +31,17 @@ const STEP_PERIOD_BINS: usize = 12; // training step = 12 observation bins
 
 fn simulate_dispatch(scheme: Scheme, seed: u64) -> f64 {
     let trim = scheme == Scheme::ProxyStreamlined;
-    let params = TwoDcParams::default().with_trim(trim);
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    // Workers 0..WORKERS dispatch to expert host dc1[0]; the operator
-    // repurposes an idle container on dc0's last host as the proxy.
-    let mut spec = IncastSpec::new(
-        dc0[..WORKERS].to_vec(),
-        dc1[0],
-        WORKERS as u64 * BATCH_BYTES,
-    );
-    if scheme.uses_proxy() {
-        spec = spec.with_proxy(*dc0.last().expect("hosts"));
-    }
-    let handle = install_incast(&mut sim, &spec, scheme);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(120)));
-    handle
-        .completion(sim.metrics())
-        .expect("dispatch completes")
-        .as_secs_f64()
+    let fabric = Fabric::TwoDc(TwoDcParams::default().with_trim(trim));
+    // Workers (the first WORKERS hosts of DC 0) dispatch to expert host
+    // dc1[0]; the operator repurposes an idle container on dc0's last host
+    // as the proxy.
+    let spec = fabric.placement(WORKERS, WORKERS as u64 * BATCH_BYTES);
+    let sc = Scenario {
+        time_limit: SimDuration::from_secs(120),
+        ..Scenario::incast(fabric, scheme, spec)
+    };
+    let (_, _, icts) = sc.run(seed).expect("dispatch builds");
+    icts[0].expect("dispatch completes").as_secs_f64()
 }
 
 fn main() {

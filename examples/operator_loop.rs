@@ -19,7 +19,8 @@ use dcsim::prelude::*;
 use incast_core::detect::SignatureConfig;
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::runtime::{OperatorRuntime, RuntimeAction};
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::{IncastSpec, Scheme};
 use trace::table::fmt_secs;
 
 const DEGREE: usize = 8;
@@ -32,20 +33,15 @@ fn simulate_burst(proxy: Option<HostId>, seed: u64) -> f64 {
     } else {
         Scheme::Baseline
     };
-    let params = TwoDcParams::default().with_trim(proxy.is_some());
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut spec = IncastSpec::new(dc0[..DEGREE].to_vec(), dc1[0], BURST_BYTES);
-    if let Some(p) = proxy {
-        spec = spec.with_proxy(p);
-    }
-    let handle = install_incast(&mut sim, &spec, scheme);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-    handle
-        .completion(sim.metrics())
-        .expect("burst completes")
-        .as_secs_f64()
+    let fabric = Fabric::TwoDc(TwoDcParams::default().with_trim(proxy.is_some()));
+    let (dc0, dc1) = (fabric.hosts_in_dc(0), fabric.hosts_in_dc(1));
+    let spec = IncastSpec {
+        proxy,
+        ..IncastSpec::new(dc0[..DEGREE].to_vec(), dc1[0], BURST_BYTES)
+    };
+    let sc = Scenario::incast(fabric, scheme, spec);
+    let (_, _, icts) = sc.run(seed).expect("burst builds");
+    icts[0].expect("burst completes").as_secs_f64()
 }
 
 fn main() {

@@ -14,7 +14,8 @@ use dcsim::prelude::*;
 use incast_core::orchestrator::{
     DecentralizedSelector, IncastRequest, ProxySelector, ShardedConfig, ShardedOrchestrator,
 };
-use incast_core::scheme::{install_incast, IncastHandle, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Incast, Scenario};
+use incast_core::{IncastSpec, Scheme};
 use trace::table::fmt_secs;
 use trace::Table;
 
@@ -24,26 +25,21 @@ const BYTES: u64 = 100_000_000;
 /// Runs two concurrent incasts through the given proxies; returns both
 /// completion times (seconds).
 fn run_pair(proxy_a: HostId, proxy_b: HostId, seed: u64) -> (f64, f64) {
-    let params = TwoDcParams::default().with_trim(true);
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-
-    let spec_a = IncastSpec::new(dc0[..DEGREE].to_vec(), dc1[0], BYTES).with_proxy(proxy_a);
-    let spec_b =
-        IncastSpec::new(dc0[DEGREE..2 * DEGREE].to_vec(), dc1[1], BYTES).with_proxy(proxy_b);
-    let a: IncastHandle = install_incast(&mut sim, &spec_a, Scheme::ProxyStreamlined);
-    let b = install_incast(&mut sim, &spec_b, Scheme::ProxyStreamlined);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
-    (
-        a.completion(sim.metrics())
-            .expect("incast A completes")
-            .as_secs_f64(),
-        b.completion(sim.metrics())
-            .expect("incast B completes")
-            .as_secs_f64(),
-    )
+    let fabric = Fabric::TwoDc(TwoDcParams::default().with_trim(true));
+    let (dc0, dc1) = (fabric.hosts_in_dc(0), fabric.hosts_in_dc(1));
+    let incast = |i: usize, proxy| Incast {
+        scheme: Scheme::ProxyStreamlined,
+        spec: IncastSpec::new(dc0[i * DEGREE..(i + 1) * DEGREE].to_vec(), dc1[i], BYTES)
+            .with_proxy(proxy),
+    };
+    let sc = Scenario {
+        incasts: vec![incast(0, proxy_a), incast(1, proxy_b)],
+        time_limit: SimDuration::from_secs(300),
+        ..Scenario::new(fabric)
+    };
+    let (_, _, icts) = sc.run(seed).expect("both incasts build");
+    let secs = |i: usize| icts[i].expect("both incasts complete").as_secs_f64();
+    (secs(0), secs(1))
 }
 
 fn main() {

@@ -16,7 +16,8 @@
 use dcsim::prelude::*;
 use incast_core::declare::{compile, IncastDecl, Routing};
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::{IncastSpec, Scheme};
 use trace::table::{fmt_bytes, fmt_secs};
 
 /// Reed-Solomon (k = 12, m = 4): 12 surviving fragments rebuild one lost
@@ -26,20 +27,18 @@ const FRAGMENT_BYTES: u64 = 8_000_000; // scaled stripe: 8 MB per fragment
 
 fn simulate(scheme: Scheme, proxy: Option<HostId>, seed: u64) -> f64 {
     let params = TwoDcParams::default().with_trim(scheme == Scheme::ProxyStreamlined);
-    let topo = two_dc_leaf_spine(&params);
-    let mut sim = Simulator::new(topo, seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut spec = IncastSpec::new(dc0[..K].to_vec(), dc1[0], K as u64 * FRAGMENT_BYTES);
-    if let Some(p) = proxy {
-        spec = spec.with_proxy(p);
-    }
-    let handle = install_incast(&mut sim, &spec, scheme);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(120)));
-    handle
-        .completion(sim.metrics())
-        .expect("reconstruction completes")
-        .as_secs_f64()
+    let fabric = Fabric::TwoDc(params);
+    let (dc0, dc1) = (fabric.hosts_in_dc(0), fabric.hosts_in_dc(1));
+    let spec = IncastSpec {
+        proxy,
+        ..IncastSpec::new(dc0[..K].to_vec(), dc1[0], K as u64 * FRAGMENT_BYTES)
+    };
+    let sc = Scenario {
+        time_limit: SimDuration::from_secs(120),
+        ..Scenario::incast(fabric, scheme, spec)
+    };
+    let (_, _, icts) = sc.run(seed).expect("reconstruction builds");
+    icts[0].expect("reconstruction completes").as_secs_f64()
 }
 
 fn main() {

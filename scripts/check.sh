@@ -13,7 +13,7 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live); a clock-free shard step (netproxy::step); one counter declaration (trace::counters!)"
+echo "== closed workspace: every dependency is a workspace path crate; one benchmark system (crates/perf + BENCHMARK.json; its frozen stand-in list aside); one live-relay driver (bench::live); a clock-free shard step (netproxy::step); one counter declaration (trace::counters!); one scenario build (incast_core::scenario)"
 MANIFESTS="$(git ls-files '*Cargo.toml' ':!crates/perf')"
 # Inside a *dependencies table an entry is `name.workspace = true` or carries
 # `path = "..."`; a `[dependencies.name]` sub-table is not used here at all.
@@ -26,6 +26,15 @@ if grep -l -e '^\[\[bench\]\]' $MANIFESTS; then echo "a [[bench]] target is back
 if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked again (committed numbers live in results/ and crates/perf/RECORD.json)" >&2; exit 1; fi
 if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench (every live run goes through bench::live::run)" >&2; exit 1; fi
 if grep -n -e 'Instant' -e 'SystemTime' crates/netproxy/src/step.rs; then echo "the shard step reads a clock (it takes the run loop's reading as now_ns)" >&2; exit 1; fi
+# Every simulated run is a `Scenario` (`incast_core::scenario`): an engine
+# is constructed only by the simulator itself, the benchmark, the
+# scenario's build, and the tests named here, which drive the simulator
+# below the incast level (timer churn and port traces; scheme wiring).
+ENGINE_ALLOW=(tests/timer_identity.rs crates/core/src/scheme.rs)
+if git grep -n -e 'Simulator::new' -e 'FleetSim::new' -e 'FleetSim::with_partition' -- '*.rs' \
+  ':!crates/dcsim' ':!crates/perf' ':!crates/core/src/scenario.rs' "${ENGINE_ALLOW[@]/#/:!}"; then
+  echo "a simulated run is built by hand (describe it as a Scenario, or name the test in ENGINE_ALLOW)" >&2; exit 1
+fi
 if grep -rn -E 'env::var(_os)?\b' crates/dcsim/src crates/core/src; then echo "dcsim or incast_core reads an environment variable (a setting lives in a config field or a constant)" >&2; exit 1; fi
 # A brace struct whose every field is an integer is a counter set, and a
 # counter set is declared through `trace::counters!` (whose fields carry no
@@ -87,9 +96,11 @@ cargo run --release --offline -q -p bench --bin fig4 -- --quick
 cargo run --release --offline -q -p bench --bin fig5 -- --quick
 cargo run --release --offline -q --example live_proxy
 
-echo "== control-plane examples (global orchestrator, declaration planner, operator loop; each asserts its own result, ~11 s)"
-for example in orchestrated_incasts storage_reconstruction operator_loop; do
-  cargo run --release --offline -q --example "$example"
+# Each asserts its own result; their stdout is deterministic and must match
+# what is recorded.
+echo "== simulated examples (MoE dispatch, global orchestrator, declaration planner, operator loop; stdout == examples/expected/<name>.txt, ~12 s)"
+for example in moe_training orchestrated_incasts storage_reconstruction operator_loop; do
+  cargo run --release --offline -q --example "$example" | diff - "examples/expected/$example.txt"
 done
 
 # Six 2-3 s scenarios, run one at a time: ~20 s on 2 vCPUs. A failure

@@ -8,29 +8,29 @@ use incast_core::experiment::TrimPolicy;
 use incast_core::lossdetect::LossDetectorConfig;
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::runtime::{OperatorRuntime, RuntimeAction};
-use incast_core::scheme::{install_incast, IncastSpec, Scheme, Transport};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::scheme::{IncastSpec, Scheme, Transport};
+
+/// A small-topology incast of `bytes` from four DC 0 senders, the last DC 0
+/// host as proxy.
+fn small_incast(scheme: Scheme, trim: bool, bytes: u64) -> Scenario {
+    let fabric = Fabric::TwoDc(TwoDcParams::small_test().with_trim(trim));
+    let spec = fabric.placement(4, bytes);
+    Scenario::incast(fabric, scheme, spec)
+}
 
 fn run(scheme: Scheme, bytes: u64, transport: Transport, seed: u64) -> (f64, u64 /* rtos */) {
-    let trim = TrimPolicy::SchemeDefault.enabled_for(scheme);
-    let params = TwoDcParams::small_test().with_trim(trim);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut spec =
-        IncastSpec::new(dc0[..4].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap());
-    spec.knobs.transport = transport;
-    spec.knobs.detector = LossDetectorConfig {
+    let mut sc = small_incast(scheme, TrimPolicy::SchemeDefault.enabled_for(scheme), bytes);
+    let knobs = &mut sc.incasts[0].spec.knobs;
+    knobs.transport = transport;
+    knobs.detector = LossDetectorConfig {
         reorder_threshold: 8,
         max_pending: 4096,
     };
-    let handle = install_incast(&mut sim, &spec, scheme);
-    let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
+    let (sim, report, icts) = sc.run(seed).expect("builds");
     assert_eq!(report.stop, StopReason::Idle, "{scheme}: {report:?}");
     (
-        handle
-            .completion(sim.metrics())
-            .expect("completes")
-            .as_secs_f64(),
+        icts[0].expect("completes").as_secs_f64(),
         sim.metrics().counter(Counter::RtoFires),
     )
 }
@@ -53,15 +53,9 @@ fn detecting_proxy_lands_between_streamlined_and_baseline() {
 
 #[test]
 fn detecting_proxy_generates_nacks_without_trimming() {
-    let params = TwoDcParams::small_test().with_trim(false);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), 2);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let spec =
-        IncastSpec::new(dc0[..4].to_vec(), dc1[0], 30_000_000).with_proxy(*dc0.last().unwrap());
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyDetecting);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-    assert!(handle.completion(sim.metrics()).is_some());
+    let sc = small_incast(Scheme::ProxyDetecting, false, 30_000_000);
+    let (sim, _, icts) = sc.run(2).expect("builds");
+    assert!(icts[0].is_some());
     assert!(
         sim.metrics().counter(Counter::ProxyNacks) > 0,
         "losses must be inferred and NACKed despite drop-tail switches"
@@ -101,11 +95,11 @@ fn proxy_still_wins_under_rate_based_transport() {
 
 #[test]
 fn incast_completes_amid_background_traffic() {
-    let params = TwoDcParams::small_test().with_trim(true);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), 6);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    // Background over hosts not in the incast.
+    let sc = small_incast(Scheme::ProxyStreamlined, true, 10_000_000);
+    let (mut sim, handles, _) = sc.build(6).expect("builds");
+    // Background over hosts not in the incast, on the receiver's and the
+    // proxy's leaves, all started while the incast runs.
+    let (dc0, dc1) = (sc.fabric.hosts_in_dc(0), sc.fabric.hosts_in_dc(1));
     BackgroundTraffic {
         flows: 30,
         sizes: FlowSizeDist::WebSearch,
@@ -114,12 +108,9 @@ fn incast_completes_amid_background_traffic() {
         seed: 77,
     }
     .install(&mut sim);
-    let spec =
-        IncastSpec::new(dc0[..4].to_vec(), dc1[0], 10_000_000).with_proxy(*dc0.last().unwrap());
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
-    let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
+    let report = sim.run(Some(sc.deadline()));
     assert_eq!(report.stop, StopReason::Idle);
-    assert!(handle.completion(sim.metrics()).is_some());
+    assert!(handles[0].completion(sim.metrics()).is_some());
     // All background flows also finish.
     assert_eq!(sim.metrics().completed_flows(), 30 + 4);
 }
@@ -156,20 +147,13 @@ fn operator_runtime_drives_a_simulated_reroute() {
 
     // Apply the action: the next occurrence runs through the proxy.
     let run_with = |proxy: Option<HostId>, scheme: Scheme| {
-        let params = TwoDcParams::small_test().with_trim(scheme == Scheme::ProxyStreamlined);
-        let mut sim = Simulator::new(two_dc_leaf_spine(&params), 9);
-        let dc0 = sim.topology().hosts_in_dc(0);
-        let dc1 = sim.topology().hosts_in_dc(1);
-        let mut spec = IncastSpec::new(dc0[..4].to_vec(), dc1[0], 30_000_000);
-        if let Some(p) = proxy {
-            spec = spec.with_proxy(p);
-        }
-        let handle = install_incast(&mut sim, &spec, scheme);
-        sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-        handle
-            .completion(sim.metrics())
-            .expect("completes")
-            .as_secs_f64()
+        let mut sc = small_incast(scheme, scheme == Scheme::ProxyStreamlined, 30_000_000);
+        sc.incasts[0].spec = IncastSpec {
+            proxy,
+            ..sc.incasts[0].spec.clone()
+        };
+        let (_, _, icts) = sc.run(9).expect("builds");
+        icts[0].expect("completes").as_secs_f64()
     };
     let direct = run_with(None, Scheme::Baseline);
     let rerouted = run_with(Some(proxy), Scheme::ProxyStreamlined);

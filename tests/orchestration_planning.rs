@@ -6,7 +6,17 @@ use dcsim::prelude::*;
 use incast_core::declare::{compile, IncastDecl, Routing};
 use incast_core::orchestrator::{ProxySelector, ShardedConfig, ShardedOrchestrator};
 use incast_core::predict::{paper_profile, predict};
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Incast, Scenario};
+use incast_core::{IncastSpec, Scheme};
+
+/// A small-topology incast of `bytes` from four DC 0 senders, the last DC 0
+/// host as proxy.
+fn small_incast(scheme: Scheme, bytes: u64) -> Scenario {
+    let fabric =
+        Fabric::TwoDc(TwoDcParams::small_test().with_trim(scheme == Scheme::ProxyStreamlined));
+    let spec = fabric.placement(4, bytes);
+    Scenario::incast(fabric, scheme, spec)
+}
 
 fn full_topology() -> Topology {
     two_dc_leaf_spine(&TwoDcParams::default())
@@ -45,15 +55,12 @@ fn declare_plan_simulate_roundtrip() {
 
     // Simulation of the planned routing on a small topology (the proxy
     // host index carries over: use the small topo's own placement).
-    let params = TwoDcParams::small_test().with_trim(true);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), 1);
-    let s_dc0 = sim.topology().hosts_in_dc(0);
-    let s_dc1 = sim.topology().hosts_in_dc(1);
-    let spec = IncastSpec::new(s_dc0[..4].to_vec(), s_dc1[0], 20_000_000)
-        .with_proxy(*s_dc0.last().unwrap());
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
-    assert!(handle.completion(sim.metrics()).is_some());
+    let sc = Scenario {
+        time_limit: SimDuration::from_secs(300),
+        ..small_incast(Scheme::ProxyStreamlined, 20_000_000)
+    };
+    let (_, _, icts) = sc.run(1).expect("builds");
+    assert!(icts[0].is_some());
     // The planner's chosen proxy is a real DC-0 host.
     assert_eq!(topo.host_dc(proxy), Some(0));
 }
@@ -70,18 +77,8 @@ fn predictor_matches_simulated_benefit_boundary() {
     assert!(benefit.use_proxy);
 
     let run = |scheme: Scheme, bytes: u64| {
-        let params = TwoDcParams::small_test().with_trim(scheme == Scheme::ProxyStreamlined);
-        let mut sim = Simulator::new(two_dc_leaf_spine(&params), 5);
-        let dc0 = sim.topology().hosts_in_dc(0);
-        let dc1 = sim.topology().hosts_in_dc(1);
-        let spec =
-            IncastSpec::new(dc0[..4].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap());
-        let handle = install_incast(&mut sim, &spec, scheme);
-        sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-        handle
-            .completion(sim.metrics())
-            .expect("completes")
-            .as_secs_f64()
+        let (_, _, icts) = small_incast(scheme, bytes).run(5).expect("builds");
+        icts[0].expect("completes").as_secs_f64()
     };
     // Overloaded case: simulated benefit agrees with prediction.
     let base = run(Scheme::Baseline, 30_000_000);
@@ -96,13 +93,10 @@ fn predictor_matches_simulated_benefit_boundary() {
 #[test]
 fn orchestrated_concurrent_incasts_all_complete() {
     // Two jobs, distinct proxies from the orchestrator, one simulator.
-    let params = TwoDcParams::small_test().with_trim(true);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), 7);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-
+    let fabric = Fabric::TwoDc(TwoDcParams::small_test().with_trim(true));
+    let (dc0, dc1) = (fabric.hosts_in_dc(0), fabric.hosts_in_dc(1));
     let mut orch = global(dc0[4..].to_vec());
-    let mut handles = Vec::new();
+    let mut incasts = Vec::new();
     for i in 0..2u64 {
         let senders = dc0[(i as usize) * 2..(i as usize) * 2 + 2].to_vec();
         let receiver = dc1[i as usize];
@@ -115,13 +109,19 @@ fn orchestrated_concurrent_incasts_all_complete() {
             })
             .expect("proxy available");
         let spec = IncastSpec::new(senders, receiver, 8_000_000).with_proxy(assignment.proxy);
-        handles.push(install_incast(&mut sim, &spec, Scheme::ProxyStreamlined));
+        incasts.push(Incast {
+            scheme: Scheme::ProxyStreamlined,
+            spec,
+        });
     }
-    let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
+    let sc = Scenario {
+        incasts,
+        time_limit: SimDuration::from_secs(300),
+        ..Scenario::new(fabric)
+    };
+    let (_, report, icts) = sc.run(7).expect("builds");
     assert_eq!(report.stop, StopReason::Idle, "{report:?}");
-    for h in &handles {
-        assert!(h.completion(sim.metrics()).is_some());
-    }
+    assert!(icts.iter().all(Option::is_some));
     assert_eq!(orch.ledger().active, 2);
     orch.release(0);
     orch.release(1);

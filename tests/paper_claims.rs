@@ -5,25 +5,26 @@
 //! mechanism stops producing the claimed direction.
 
 use dcsim::prelude::*;
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::Scheme;
 
-/// Runs one small-topology incast, returns the ICT in seconds.
-fn run(scheme: Scheme, bytes: u64, wan: SimDuration, early_nack: bool, seed: u64) -> f64 {
+/// One small-topology incast: 3 senders, the last DC 0 host as proxy.
+fn scenario(scheme: Scheme, bytes: u64, wan: SimDuration, early_nack: bool) -> Scenario {
     let params = TwoDcParams::small_test()
         .with_wan_latency(wan)
         .with_trim(scheme == Scheme::ProxyStreamlined);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let mut spec =
-        IncastSpec::new(dc0[..3].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap());
+    let fabric = Fabric::TwoDc(params);
+    let mut spec = fabric.placement(3, bytes);
     spec.knobs.early_nack = early_nack;
-    let handle = install_incast(&mut sim, &spec, scheme);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-    handle
-        .completion(sim.metrics())
-        .expect("incast completes")
-        .as_secs_f64()
+    Scenario::incast(fabric, scheme, spec)
+}
+
+/// Runs one small-topology incast, returns the ICT in seconds.
+fn run(scheme: Scheme, bytes: u64, wan: SimDuration, early_nack: bool, seed: u64) -> f64 {
+    let (_, _, icts) = scenario(scheme, bytes, wan, early_nack)
+        .run(seed)
+        .expect("builds");
+    icts[0].expect("incast completes").as_secs_f64()
 }
 
 const WAN_1MS: SimDuration = SimDuration(1_000_000_000);
@@ -105,15 +106,10 @@ fn claim_feedback_delay_is_what_shrinks() {
     // §3 Insight #1: the proxy moves the congestion point microseconds
     // from the senders. Verify via the loss-signal path: under
     // Streamlined every loss signal is generated in the sending DC.
-    let params = TwoDcParams::small_test().with_trim(true);
-    let mut sim = Simulator::new(two_dc_leaf_spine(&params), 6);
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    let spec =
-        IncastSpec::new(dc0[..3].to_vec(), dc1[0], 30_000_000).with_proxy(*dc0.last().unwrap());
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
-    assert!(handle.completion(sim.metrics()).is_some());
+    let wan = TwoDcParams::small_test().wan_link.latency;
+    let sc = scenario(Scheme::ProxyStreamlined, 30_000_000, wan, true);
+    let (sim, _, icts) = sc.run(6).expect("builds");
+    assert!(icts[0].is_some());
     let m = sim.metrics();
     assert!(m.counter(Counter::ProxyNacks) > 0);
     assert_eq!(m.counter(Counter::ReceiverNacks), 0);

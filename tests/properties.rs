@@ -277,20 +277,18 @@ fn incasts_always_complete_and_replay() {
         let degree = draw(rng, 1..5) as usize;
         let mb = draw(rng, 1..12);
         use dcsim::prelude::*;
-        use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+        use incast_core::scenario::{Fabric, Scenario};
+        use incast_core::Scheme;
         for scheme in Scheme::ALL {
             let run = || {
                 let params =
                     TwoDcParams::small_test().with_trim(scheme == Scheme::ProxyStreamlined);
-                let mut sim = Simulator::new(two_dc_leaf_spine(&params), seed);
-                let dc0 = sim.topology().hosts_in_dc(0);
-                let dc1 = sim.topology().hosts_in_dc(1);
-                let spec = IncastSpec::new(dc0[..degree].to_vec(), dc1[0], mb * 1_000_000)
-                    .with_proxy(*dc0.last().unwrap());
-                let handle = install_incast(&mut sim, &spec, scheme);
-                let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(600)));
+                let fabric = Fabric::TwoDc(params);
+                let spec = fabric.placement(degree, mb * 1_000_000);
+                let sc = Scenario::incast(fabric, scheme, spec);
+                let (_, report, icts) = sc.run(seed).expect("builds");
                 assert_eq!(report.stop, StopReason::Idle);
-                handle.completion(sim.metrics()).expect("completes")
+                icts[0].expect("completes")
             };
             let a = run();
             let b = run();

@@ -6,24 +6,21 @@
 //! exercising every code path (ECN, trimming, NACKs, RTO, proxy relays).
 
 use dcsim::prelude::*;
-use incast_core::scheme::{install_incast, IncastSpec, Scheme};
+use incast_core::scenario::{Fabric, Scenario};
+use incast_core::Scheme;
 
-fn small_sim(seed: u64, trim: bool) -> Simulator {
-    let params = TwoDcParams::small_test().with_trim(trim);
-    Simulator::new(two_dc_leaf_spine(&params), seed)
-}
-
-/// Builds the standard small-scale incast spec: 3 senders in DC 0, the
-/// receiver in DC 1, the last DC 0 host as proxy.
-fn spec(sim: &Simulator, bytes: u64) -> IncastSpec {
-    let dc0 = sim.topology().hosts_in_dc(0);
-    let dc1 = sim.topology().hosts_in_dc(1);
-    IncastSpec::new(dc0[..3].to_vec(), dc1[0], bytes).with_proxy(*dc0.last().unwrap())
+/// The standard small-scale incast: 3 senders in DC 0, the receiver in
+/// DC 1, the last DC 0 host as proxy.
+fn small(scheme: Scheme, trim: bool, bytes: u64) -> Scenario {
+    let fabric = Fabric::TwoDc(TwoDcParams::small_test().with_trim(trim));
+    let spec = fabric.placement(3, bytes);
+    Scenario::incast(fabric, scheme, spec)
 }
 
 #[test]
 fn single_flow_delivers_every_byte() {
-    let mut sim = small_sim(1, true);
+    let fabric = Fabric::TwoDc(TwoDcParams::small_test().with_trim(true));
+    let (mut sim, _, _) = Scenario::new(fabric).build(1).expect("builds");
     let dst = sim.topology().hosts_in_dc(1)[0];
     let bytes = 3_333_333; // deliberately not a packet multiple
     let handle = dcsim::flows::install_flow(
@@ -40,12 +37,11 @@ fn single_flow_delivers_every_byte() {
 #[test]
 fn incast_completes_under_every_scheme() {
     for scheme in Scheme::ALL {
-        let mut sim = small_sim(2, scheme == Scheme::ProxyStreamlined);
-        let spec = spec(&sim, 10_000_000);
-        let handle = install_incast(&mut sim, &spec, scheme);
-        let report = sim.run(Some(SimTime::ZERO + SimDuration::from_secs(120)));
+        let (_, report, icts) = small(scheme, scheme == Scheme::ProxyStreamlined, 10_000_000)
+            .run(2)
+            .expect("builds");
         assert_eq!(report.stop, StopReason::Idle, "{scheme}: {report:?}");
-        let ict = handle.completion(sim.metrics()).expect("completes");
+        let ict = icts[0].expect("completes");
         assert!(ict > SimDuration::ZERO);
         assert!(ict < SimDuration::from_secs(120), "{scheme}: {ict}");
     }
@@ -57,16 +53,9 @@ fn overloaded_incast_prefers_the_proxy() {
     // buffer: heavy first-RTT overload. Both proxies must beat baseline.
     let mut results = Vec::new();
     for scheme in Scheme::ALL {
-        let mut sim = small_sim(3, scheme == Scheme::ProxyStreamlined);
-        let spec = spec(&sim, 30_000_000);
-        let handle = install_incast(&mut sim, &spec, scheme);
-        sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
-        results.push(
-            handle
-                .completion(sim.metrics())
-                .expect("completes")
-                .as_secs_f64(),
-        );
+        let sc = small(scheme, scheme == Scheme::ProxyStreamlined, 30_000_000);
+        let (_, _, icts) = sc.run(3).expect("builds");
+        results.push(icts[0].expect("completes").as_secs_f64());
     }
     let (baseline, naive, streamlined) = (results[0], results[1], results[2]);
     assert!(
@@ -83,11 +72,9 @@ fn overloaded_incast_prefers_the_proxy() {
 fn congestion_point_moves_to_the_proxy() {
     // Under Streamlined, trims happen in the sending DC (the proxy's
     // down-ToR); the receiver must see no trimmed packets at all.
-    let mut sim = small_sim(4, true);
-    let spec = spec(&sim, 30_000_000);
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
-    assert!(handle.completion(sim.metrics()).is_some());
+    let sc = small(Scheme::ProxyStreamlined, true, 30_000_000);
+    let (sim, _, icts) = sc.run(4).expect("builds");
+    assert!(icts[0].is_some());
     let m = sim.metrics();
     assert!(
         m.counter(Counter::ProxyNacks) > 0,
@@ -102,11 +89,11 @@ fn congestion_point_moves_to_the_proxy() {
 
 #[test]
 fn baseline_congestion_stays_at_the_receiver() {
-    let mut sim = small_sim(4, true); // trim on even for baseline here
-    let spec = spec(&sim, 30_000_000);
-    let handle = install_incast(&mut sim, &spec, Scheme::Baseline);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
-    assert!(handle.completion(sim.metrics()).is_some());
+    // Trim on even for baseline here.
+    let (sim, _, icts) = small(Scheme::Baseline, true, 30_000_000)
+        .run(4)
+        .expect("builds");
+    assert!(icts[0].is_some());
     assert!(
         sim.metrics().counter(Counter::ReceiverNacks) > 0,
         "with trimming switches the receiver NACKs the trimmed packets"
@@ -118,13 +105,12 @@ fn baseline_congestion_stays_at_the_receiver() {
 fn naive_proxy_grants_pace_the_relay() {
     // The relay leg can never have received more than the ingress
     // delivered: completion order is ingress flow then relay flow.
-    let mut sim = small_sim(5, false);
-    let spec = spec(&sim, 5_000_000);
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyNaive);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(120)));
+    let sc = small(Scheme::ProxyNaive, false, 5_000_000);
+    let (mut sim, handles, _) = sc.build(5).expect("builds");
+    sim.run(Some(sc.deadline()));
     let m = sim.metrics();
     // all_flows alternates [legA, legB] per sender.
-    for pair in handle.all_flows.chunks(2) {
+    for pair in handles[0].all_flows.chunks(2) {
         let (leg_a, leg_b) = (pair[0], pair[1]);
         let a_done = m.completion(leg_a).expect("ingress completes");
         let b_done = m.completion(leg_b).expect("relay completes");
@@ -139,12 +125,11 @@ fn naive_proxy_grants_pace_the_relay() {
 fn simultaneous_senders_share_fairly_under_streamlined() {
     // With identical flows and the fast local loop, per-flow completions
     // should cluster: max/min below 2x.
-    let mut sim = small_sim(6, true);
-    let spec = spec(&sim, 15_000_000);
-    let handle = install_incast(&mut sim, &spec, Scheme::ProxyStreamlined);
-    sim.run(Some(SimTime::ZERO + SimDuration::from_secs(300)));
+    let sc = small(Scheme::ProxyStreamlined, true, 15_000_000);
+    let (mut sim, handles, _) = sc.build(6).expect("builds");
+    sim.run(Some(sc.deadline()));
     let m = sim.metrics();
-    let times: Vec<f64> = handle
+    let times: Vec<f64> = handles[0]
         .watch_flows
         .iter()
         .map(|&f| m.completion(f).expect("completes").0 as f64)
@@ -156,20 +141,19 @@ fn simultaneous_senders_share_fairly_under_streamlined() {
 
 #[test]
 fn run_respects_time_limit() {
-    let mut sim = small_sim(7, false);
-    let spec = spec(&sim, 50_000_000);
-    install_incast(&mut sim, &spec, Scheme::Baseline);
-    let limit = SimTime::ZERO + SimDuration::from_micros(100);
-    let report = sim.run(Some(limit));
+    let sc = Scenario {
+        time_limit: SimDuration::from_micros(100),
+        ..small(Scheme::Baseline, false, 50_000_000)
+    };
+    let (sim, report, _) = sc.run(7).expect("builds");
     assert_eq!(report.stop, StopReason::TimeLimit);
-    assert!(sim.now() <= limit);
+    assert!(sim.now() <= sc.deadline());
 }
 
 #[test]
 fn event_cap_stops_runaway_runs() {
-    let mut sim = small_sim(8, false);
-    let spec = spec(&sim, 50_000_000);
-    install_incast(&mut sim, &spec, Scheme::Baseline);
+    let sc = small(Scheme::Baseline, false, 50_000_000);
+    let (mut sim, _, _) = sc.build(8).expect("builds");
     sim.set_event_cap(10_000);
     let report = sim.run(None);
     assert_eq!(report.stop, StopReason::EventCap);
