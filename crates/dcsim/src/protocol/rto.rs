@@ -86,6 +86,19 @@ impl RttEstimator {
         self.backoff = (self.backoff + 1).min(16);
     }
 
+    /// A copy sent since the last timeout was acked, though Karn's rule
+    /// keeps it out of the estimate: the path is alive. A sender calls
+    /// this once it has nothing left to send for the first time, when no
+    /// sample can come any more; without it, consecutive timeouts would
+    /// double the RTO up to `max_rto` and hold it there, one `max_rto`
+    /// per loss. A backoff that has doubled more than once ends; a single
+    /// doubling is left to Karn's rule.
+    pub fn on_retransmit_acked(&mut self) {
+        if self.backoff >= 2 {
+            self.backoff = 0;
+        }
+    }
+
     /// The current retransmission timeout.
     pub fn rto(&self) -> SimDuration {
         let base = match self.srtt {
@@ -173,6 +186,20 @@ mod tests {
         est.on_timeout();
         est.sample(SimDuration::from_micros(100));
         assert!(est.rto() < SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn an_acked_retransmission_ends_a_repeated_backoff() {
+        let mut est = RttEstimator::new(cfg());
+        est.sample(SimDuration::from_micros(100));
+        let base = est.rto();
+        est.on_timeout();
+        est.on_retransmit_acked();
+        assert_eq!(est.rto(), SimDuration(base.0 * 2), "one doubling stays");
+        est.on_timeout();
+        est.on_retransmit_acked();
+        assert_eq!(est.rto(), base);
+        assert_eq!(est.srtt(), Some(SimDuration::from_micros(100)), "no sample");
     }
 
     #[test]

@@ -130,6 +130,8 @@ pub struct Sender<C> {
     /// Sequences ever retransmitted (Karn: excluded from RTT sampling).
     ever_retx: SeqSet,
     est: RttEstimator,
+    /// When the RTO last backed off (an RTO fire or a crash restore).
+    timed_out_at: SimTime,
     started: bool,
     /// True while the pace slot holds a pending tick; lets a grant keep
     /// an earlier deadline instead of pushing it out.
@@ -161,6 +163,7 @@ impl<C: CongestionControl> Sender<C> {
             rtx_queue: VecDeque::new(),
             ever_retx: SeqSet::new(total),
             est: RttEstimator::new(cc.rto_config()),
+            timed_out_at: SimTime::ZERO,
             started: false,
             pace_armed: false,
             failover: None,
@@ -352,11 +355,16 @@ impl<C: CongestionControl> Sender<C> {
             return false;
         }
         self.outstanding.remove(pkt.seq);
-        // Karn: the ACK of a retransmitted sequence cannot say which copy
-        // it answers, so it gives no RTT sample.
+        // Karn: the ACK of a retransmitted sequence gives no RTT sample.
+        // Once every packet has gone out, no first transmission is left
+        // to give one; then an ACK whose echoed timestamp names a copy
+        // sent since the last timeout (as TCP timestamps do, RFC 7323
+        // §4) may end the RTO backoff instead.
         if !self.ever_retx.contains(pkt.seq) {
             self.est
                 .sample(SimDuration(ctx.now.0.saturating_sub(pkt.ts_echo)));
+        } else if self.next_new == self.total && pkt.ts_echo >= self.timed_out_at.0 {
+            self.est.on_retransmit_acked();
         }
         self.cc.on_ack(pkt, self.est.srtt(), ctx);
         true
@@ -386,12 +394,18 @@ impl<C: CongestionControl> Sender<C> {
         self.after_news(ctx);
     }
 
+    /// Backs the RTO off as of `now`.
+    fn timeout(&mut self, now: SimTime) {
+        self.est.on_timeout();
+        self.timed_out_at = now;
+    }
+
     fn on_rto(&mut self, ctx: &mut Ctx) {
         // The RTO slot is canceled on completion and on idle, so a firing
         // RTO always has work to do.
         debug_assert!(!self.is_complete(), "RTO fired on a completed flow");
         ctx.count(Counter::RtoFires, 1);
-        self.est.on_timeout();
+        self.timeout(ctx.now);
         // Failover: silence past the threshold abandons the proxy path
         // and arms the first re-probe.
         let probe_after = self.est.rto();
@@ -523,7 +537,7 @@ impl<C: CongestionControl> Agent for Sender<C> {
             // everything outstanding again. No RTO fired, so neither the
             // counter nor failover's silence count moves; a degraded
             // sender's re-probe may have died in the outage too.
-            self.est.on_timeout();
+            self.timeout(ctx.now);
             if let Some(f) = &mut self.failover {
                 f.last_feedback = ctx.now;
                 if f.degraded {
@@ -593,6 +607,7 @@ mod tests {
         failover_takes_the_direct_path_and_fails_back,
         completion_cancels_every_slot,
         karn_skips_retransmitted_samples,
+        an_acked_tail_retransmission_ends_a_repeated_backoff,
     );
 
     fn ctx(now: u64, fx: &mut Vec<Effect>) -> Ctx<'_> {
@@ -825,6 +840,35 @@ mod tests {
             s.on_packet(ack(0, false), &mut ctx(late, &mut fx));
             assert!(s.is_complete());
             assert_eq!(s.est.srtt(), srtt_before);
+        }
+
+        /// Every packet sent and two RTOs fired: the ACK of a copy sent
+        /// before the second RTO leaves the backoff, the ACK of one sent
+        /// by it ends the backoff, and neither gives an RTT sample.
+        pub fn an_acked_tail_retransmission_ends_a_repeated_backoff<C: CongestionControl>(
+            cc: fn() -> C,
+        ) {
+            let mut fx = Vec::new();
+            let mut s = started(cc(), 3, false, &mut fx);
+            assert_eq!(sent_seqs(&fx), vec![0, 1, 2], "precondition: all sent");
+            let base = s.est.rto();
+            let acked_copy = |seq, sent_at| {
+                Packet::ack_for(
+                    &Packet::data(FlowId(0), seq, HostId(0), PROXY, sent_at),
+                    PROXY,
+                )
+            };
+            let (t1, t2) = (SimDuration::from_millis(1).0, SimDuration::from_millis(3).0);
+            for t in [t1, t2] {
+                s.on_timer(TimerKind::Rto, &mut ctx(t, &mut fx));
+                fill(&mut s, t, &mut fx);
+            }
+            assert_eq!(s.est.rto(), SimDuration(base.0 * 4));
+            s.on_packet(acked_copy(0, t1), &mut ctx(t2 + 1, &mut fx));
+            assert_eq!(s.est.rto(), SimDuration(base.0 * 4), "a copy from before");
+            s.on_packet(acked_copy(1, t2), &mut ctx(t2 + 2, &mut fx));
+            assert_eq!(s.est.rto(), base);
+            assert_eq!(s.est.srtt(), None, "no sample");
         }
     }
 

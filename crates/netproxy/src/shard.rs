@@ -12,19 +12,23 @@
 //! with no syscall and no clock of its own. Its *run loop*
 //! (`ShardWorker::run`, below) owns the rest: the socket, the heartbeat
 //! and chaos mailbox, and the clock. Per batch it receives, takes one
-//! clock reading, calls the step with it, sends what the step queued,
-//! and flushes the counts into the shard's own [`ShardStats`] atomics in
-//! one call; merging across shards happens only in
-//! [`ShardedRelay::stats`] snapshots.
+//! clock reading, calls the step with it, takes a second, sends what the
+//! step queued, and flushes the counts into the shard's own
+//! [`ShardStats`] atomics in one call, then takes a third; the readings
+//! split the batch into receive, step and send time
+//! ([`RelayStats::recv_ns`], `step_ns`, `send_ns`). Merging across
+//! shards happens only in [`ShardedRelay::stats`] snapshots.
 //!
 //! The one cross-shard wrinkle is the reverse path: receiver feedback
 //! arrives on the *receiver's* 4-tuple, which the kernel may steer to a
 //! different shard than the one that learned the flow's sender. The
-//! [`FlowDirectory`] covers that case: a fixed-size, lock-free
-//! (CAS-insert, load-lookup) flow→sender map that the owning shard
-//! publishes into once per flow, and foreign shards consult only on a
-//! private-table miss. No locks, no `Arc<Mutex>`, writes happen once
-//! per flow rather than once per packet.
+//! [`FlowDirectory`] covers that case: a lock-free (CAS-insert,
+//! load-lookup) flow→sender map that the owning shard publishes into
+//! once per flow, and foreign shards consult only on a private-table
+//! miss. It starts at 1,024 slots (16 KiB) and adds levels, each twice
+//! the last, as flows arrive, so it costs what its flows need and never
+//! drops a publish for room. No locks, no `Arc<Mutex>`, writes happen
+//! once per flow rather than once per packet.
 //!
 //! On platforms without `SO_REUSEPORT` the relay clamps itself to a
 //! single shard over the portable socket layer — same behavior, less
@@ -60,7 +64,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::SocketAddr;
 use std::num::NonZeroU64;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use trace::LatencyRecorder;
@@ -157,41 +161,77 @@ trace::counters! {
         /// Control datagrams (NACK/ACK) lost to a whole-batch send failure
         /// (subset of `send_errors`).
         send_err_ctrl,
+        /// Nanoseconds from the end of one batch to the start of the next:
+        /// the receive syscall, and the wait in it. The loop's heartbeat,
+        /// retried receives and a Detecting relay's sweep fall in it too.
+        recv_ns,
+        /// Nanoseconds in the syscall-free step (parse, classify, stage).
+        step_ns,
+        /// Nanoseconds in the send syscall and the counter flush.
+        send_ns,
     }
 }
 
-/// Fixed-size lock-free flow→sender directory for the cross-shard
-/// reverse path. CAS-insert once per flow, plain loads on lookup;
-/// linear probing, never resized, never locked. A flow's home slot is
-/// [`flow_hash`] under a key drawn once per directory, so no one can
-/// precompute a family of flow ids that share a probe window.
+/// Lock-free flow→sender directory for the cross-shard reverse path: a
+/// chain of levels, each an open-addressed table probed linearly.
+/// CAS-insert once per flow, plain loads on lookup, never locked on
+/// either path. A flow's home slot in every level is [`flow_hash`]
+/// under a key drawn once per directory, so no one can precompute a
+/// family of flow ids that share a probe window.
+///
+/// Level 0 has the `capacity` given to [`FlowDirectory::new`]; each
+/// further level has twice the slots of the one before. A level is made
+/// once, by the first publish that finds no room in the last one: the
+/// level is more than half full, or the flow's [`MAX_PROBES`]-slot
+/// window in it is all taken. Entries never move, so a lookup is plain
+/// loads over the levels in order, and the directory's footprint
+/// ([`FlowDirectory::bytes`]) follows what has been published. A slot
+/// keeps its key and value side by side in 16 bytes, so a flow touches
+/// one cache line.
 ///
 /// Keys are stored as `flow + 1` so 0 can mean "empty"; flow
 /// `u64::MAX` is therefore not publishable (its feedback still works on
 /// the flow's home shard via the private table). Values pack an IPv4
 /// `addr:port` into a u64; IPv6 senders likewise stay private-table
-/// only. Both limits are irrelevant on the loopback testbed and
-/// documented in DESIGN.md §13 — but no longer *silent*: every publish
-/// that falls off one of them (sentinel key, IPv6, table saturation)
-/// increments [`FlowDirectory::publish_failed`], so an operator can see
-/// a directory that stopped absorbing new flows.
+/// only. These are the directory's only two limits, irrelevant on the
+/// loopback testbed and documented in DESIGN.md §13 — and not silent:
+/// a publish that falls off either increments
+/// [`FlowDirectory::publish_failed`]. No publish is dropped for room.
 ///
 /// Public (and built on the `crate::sync` atomic shim) so the loom
 /// models in `tests/loom.rs` can explore every interleaving of
-/// `publish` against `publish` and `lookup`; the memory-ordering
-/// choices below are justified per-site for simlint's
+/// `publish` against `publish` and `lookup` within a level; the
+/// memory-ordering choices below are justified per-site for simlint's
 /// `unjustified-atomic-ordering` rule and cross-checked by TSAN in CI.
 pub struct FlowDirectory {
-    keys: Box<[AtomicU64]>,
-    vals: Box<[AtomicU64]>,
-    mask: usize,
+    first: Level,
     hash_key: u64,
     publish_failed: AtomicU64,
 }
 
-/// Probe bound of both flow tables: the directory's publish gives up
-/// past it, and a shard's [`SenderTable`] rekeys rather than exceed it.
-/// Lookups in either stop there too (or at the first empty slot).
+/// One level of a [`FlowDirectory`]: a power-of-two slot array, how
+/// many of its slots are claimed, and the next level once one is made.
+/// Readers see a new level through `next`'s own acquire load; only
+/// publishers racing to make the same level wait for each other.
+struct Level {
+    slots: Box<[Slot]>,
+    mask: usize,
+    claimed: AtomicU64,
+    next: OnceLock<Box<Level>>,
+}
+
+/// A directory slot: key (`flow + 1`, 0 = empty) and packed sender
+/// (0 = not yet stored), side by side.
+#[repr(C, align(16))]
+struct Slot {
+    key: AtomicU64,
+    val: AtomicU64,
+}
+
+/// Probe bound of both flow tables: a directory publish moves to the
+/// next level past it, and a shard's [`SenderTable`] rekeys rather than
+/// exceed it. Lookups in either stop there too (or at the first empty
+/// slot).
 const MAX_PROBES: usize = 64;
 
 /// The hash both flow tables home a flow with: SplitMix64's finalizer
@@ -225,9 +265,112 @@ fn unpack_v4(packed: u64) -> SocketAddr {
     SocketAddr::from((ip.to_be_bytes(), port))
 }
 
+impl Level {
+    fn new(slots: usize) -> Self {
+        Level {
+            slots: (0..slots)
+                .map(|_| Slot {
+                    key: AtomicU64::new(0),
+                    val: AtomicU64::new(0),
+                })
+                .collect(),
+            mask: slots - 1,
+            claimed: AtomicU64::new(0),
+            next: OnceLock::new(),
+        }
+    }
+
+    /// The slots a flow homed at `home` may occupy here, in probe order.
+    fn window(&self, home: u64) -> impl Iterator<Item = &Slot> {
+        let start = home as usize & self.mask;
+        (0..MAX_PROBES.min(self.slots.len())).map(move |i| &self.slots[(start + i) & self.mask])
+    }
+
+    /// More than half of the slots are claimed: new flows go deeper.
+    fn over_half(&self) -> bool {
+        // ordering: Relaxed — a fill estimate that only steers new
+        // flows to the next level; racing claims may take a level a
+        // few slots past half, which the probe bound tolerates.
+        2 * self.claimed.load(Ordering::Relaxed) > self.slots.len() as u64
+    }
+
+    /// Stores `val` for `key` here: in its slot if the flow is in this
+    /// level, else in a slot it claims if the level has room. False when
+    /// the flow is not here and there is no room for it.
+    ///
+    /// The protocol carries no non-atomic payload: a slot's value is
+    /// the single u64 `val`, and a slot's key never changes once
+    /// claimed. `lookup` treats `val == 0` as "insert in flight", so no
+    /// ordering edge between `key` and `val` is required for safety —
+    /// the orderings below are the weakest that keep the claim→value
+    /// publication sequenced.
+    fn publish(&self, home: u64, key: u64, val: u64) -> bool {
+        let full = self.over_half();
+        for slot in self.window(home) {
+            // ordering: Relaxed — the key is only compared for
+            // equality; no data is read through it and a stale 0 just
+            // falls through to the CAS, which re-checks atomically.
+            let mut cur = slot.key.load(Ordering::Relaxed);
+            if cur == 0 {
+                if full {
+                    // Slots are never emptied, so the flow is in no
+                    // later slot of its window either.
+                    return false;
+                }
+                // ordering: (Release, Relaxed) — success Release keeps
+                // the slot claim ordered before the value store for
+                // any observer; failure only routes control flow (the
+                // returned key is compared for equality), so Relaxed.
+                match slot
+                    .key
+                    .compare_exchange(0, key, Ordering::Release, Ordering::Relaxed)
+                {
+                    Ok(_) => {
+                        // ordering: Relaxed — see `over_half`.
+                        self.claimed.fetch_add(1, Ordering::Relaxed);
+                        cur = key;
+                    }
+                    Err(raced) => cur = raced,
+                }
+            }
+            if cur == key {
+                // ordering: Release — pairs with the Acquire load in
+                // `lookup`; a reader that sees this value sees a fully
+                // published (key, value) slot. A same-flow race has
+                // both writers store a valid value for this key.
+                slot.val.store(val, Ordering::Release);
+                return true;
+            }
+            // someone else's flow holds the slot; probe on
+        }
+        false
+    }
+
+    /// The flow's packed sender here: `Some(0)` while its insert is in
+    /// flight, `None` if the flow is not in this level.
+    fn lookup(&self, home: u64, key: u64) -> Option<u64> {
+        for slot in self.window(home) {
+            // ordering: Relaxed — equality-only probe; a stale 0 or
+            // stale key misroutes this lookup to a miss at worst (the
+            // caller falls back to dropping the datagram, same as a
+            // genuinely unpublished flow), never to a wrong sender.
+            let cur = slot.key.load(Ordering::Relaxed);
+            if cur == 0 {
+                return None;
+            }
+            if cur == key {
+                // ordering: Acquire — pairs with the Release stores in
+                // `publish`; nonzero means the publication completed.
+                return Some(slot.val.load(Ordering::Acquire));
+            }
+        }
+        None
+    }
+}
+
 impl FlowDirectory {
-    /// A directory with room for `capacity` flows (rounded up to a
-    /// power of two).
+    /// A directory whose first level holds `capacity` slots (rounded up
+    /// to a power of two); it grows as flows are published.
     pub fn new(capacity: usize) -> Self {
         Self::with_key(capacity, fresh_key())
     }
@@ -235,23 +378,28 @@ impl FlowDirectory {
     /// [`FlowDirectory::new`] with a chosen hash key instead of a fresh
     /// one, for models and tests that need to know where flows land.
     pub fn with_key(capacity: usize, hash_key: u64) -> Self {
-        let cap = capacity.next_power_of_two();
         FlowDirectory {
-            keys: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            mask: cap - 1,
+            first: Level::new(capacity.next_power_of_two()),
             hash_key,
             publish_failed: AtomicU64::new(0),
         }
     }
 
-    fn home(&self, flow: u64) -> usize {
-        flow_hash(flow, self.hash_key) as usize & self.mask
+    /// The levels made so far, first to last.
+    fn levels(&self) -> impl Iterator<Item = &Level> {
+        std::iter::successors(Some(&self.first), |level| level.next.get().map(|b| &**b))
     }
 
-    /// Publishes that could not land: sentinel flow id, IPv6 sender, or
-    /// table saturation. The flow still works on its home shard via the
-    /// private table; what's lost is only cross-shard feedback routing.
+    /// Bytes of slots over the levels made so far.
+    pub fn bytes(&self) -> usize {
+        self.levels()
+            .map(|level| level.slots.len() * std::mem::size_of::<Slot>())
+            .sum()
+    }
+
+    /// Publishes that could not land: sentinel flow id or IPv6 sender.
+    /// The flow still works on its home shard via the private table;
+    /// what's lost is only cross-shard feedback routing.
     pub fn publish_failed(&self) -> u64 {
         // ordering: Relaxed — monotone counter read by snapshots; no
         // non-atomic data rides on it.
@@ -264,14 +412,12 @@ impl FlowDirectory {
     }
 
     /// Publishes `flow → sender`. Lock-free; loses the race gracefully
-    /// (first writer wins, same-flow re-publish updates the value).
-    ///
-    /// The protocol carries no non-atomic payload: a slot's value is
-    /// the single u64 in `vals`, and a slot's key never changes once
-    /// claimed. `lookup` treats `vals == 0` as "insert in flight", so
-    /// no ordering edge between `keys` and `vals` is required for
-    /// safety — the orderings below are the weakest that keep the
-    /// claim→value publication sequenced.
+    /// (first writer wins, same-flow re-publish updates the value). The
+    /// flow lands in the first level that holds it or has room for it,
+    /// making the next level when the last has none. Two publishers of
+    /// one flow that race a level past half full may leave it in two
+    /// levels; both hold a sender published for it, and lookups and
+    /// later publishes meet the first.
     pub fn publish(&self, flow: u64, sender: SocketAddr) {
         let key = flow.wrapping_add(1);
         if key == 0 {
@@ -282,45 +428,13 @@ impl FlowDirectory {
             self.note_publish_failed(); // IPv6 sender: private-table only
             return;
         };
-        let mut idx = self.home(flow);
-        for _ in 0..MAX_PROBES {
-            // ordering: Relaxed — the key is only compared for
-            // equality; no data is read through it and a stale 0 just
-            // falls through to the CAS, which re-checks atomically.
-            let cur = self.keys[idx].load(Ordering::Relaxed);
-            if cur == key {
-                // ordering: Release — pairs with the Acquire load in
-                // `lookup`; a reader that sees this value sees a fully
-                // published (key, value) slot.
-                self.vals[idx].store(val, Ordering::Release);
-                return;
-            }
-            if cur == 0 {
-                // ordering: (Release, Relaxed) — success Release keeps
-                // the slot claim ordered before the value store for
-                // any observer; failure only routes control flow (the
-                // returned key is compared for equality), so Relaxed.
-                match self.keys[idx].compare_exchange(0, key, Ordering::Release, Ordering::Relaxed)
-                {
-                    Ok(_) => {
-                        // ordering: Release — pairs with the Acquire
-                        // load in `lookup` (see above).
-                        self.vals[idx].store(val, Ordering::Release);
-                        return;
-                    }
-                    Err(raced) if raced == key => {
-                        // ordering: Release — same-flow race: both
-                        // writers store a valid value for this key.
-                        self.vals[idx].store(val, Ordering::Release);
-                        return;
-                    }
-                    Err(_) => {} // someone else's flow took the slot; probe on
-                }
-            }
-            idx = (idx + 1) & self.mask;
+        let home = flow_hash(flow, self.hash_key);
+        let mut level = &self.first;
+        while !level.publish(home, key, val) {
+            level = level
+                .next
+                .get_or_init(|| Box::new(Level::new(2 * level.slots.len())));
         }
-        // Table saturated: flow stays private-table only.
-        self.note_publish_failed();
     }
 
     /// Looks up a flow's sender, if any shard has published it.
@@ -329,28 +443,11 @@ impl FlowDirectory {
         if key == 0 {
             return None;
         }
-        let mut idx = self.home(flow);
-        for _ in 0..MAX_PROBES {
-            // ordering: Relaxed — equality-only probe; a stale 0 or
-            // stale key misroutes this lookup to a miss at worst (the
-            // caller falls back to dropping the datagram, same as a
-            // genuinely unpublished flow), never to a wrong sender.
-            let cur = self.keys[idx].load(Ordering::Relaxed);
-            if cur == 0 {
-                return None;
-            }
-            if cur == key {
-                // ordering: Acquire — pairs with the Release stores in
-                // `publish`; nonzero means the publication completed.
-                let val = self.vals[idx].load(Ordering::Acquire);
-                if val == 0 {
-                    return None; // insert in flight
-                }
-                return Some(unpack_v4(val));
-            }
-            idx = (idx + 1) & self.mask;
+        let home = flow_hash(flow, self.hash_key);
+        match self.levels().find_map(|level| level.lookup(home, key)) {
+            None | Some(0) => None, // unpublished, or insert in flight
+            Some(val) => Some(unpack_v4(val)),
         }
-        None
     }
 }
 
@@ -471,6 +568,10 @@ impl SenderTable {
     }
 }
 
+/// Slots in the first level of a relay's [`FlowDirectory`] (16 KiB):
+/// room for 512 flows before a second level is made.
+const DIRECTORY_SLOTS: usize = 1024;
+
 /// A running sharded relay.
 ///
 /// Shard threads are owned by a supervisor thread ([`crate::supervisor`]):
@@ -518,7 +619,7 @@ impl ShardedRelay {
             prebound.push(Some(batch::bind_reuseport(local_addr)?));
         }
 
-        let directory = Arc::new(FlowDirectory::new(64 * 1024));
+        let directory = Arc::new(FlowDirectory::new(DIRECTORY_SLOTS));
         let recorder = LatencyRecorder::new();
         let stop = Arc::new(AtomicBool::new(false));
         let fault_stats = Arc::new(FaultStats::default());
@@ -746,6 +847,11 @@ pub fn effective_shards(requested: usize) -> usize {
     }
 }
 
+/// `d` in nanoseconds (saturating: no relay runs 584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// One shard's run loop and what it owns besides its step: the socket,
 /// the counters, the supervision slot and the clock.
 struct ShardWorker {
@@ -781,6 +887,9 @@ impl ShardWorker {
     fn run(mut self) {
         let mut ring = RecvRing::new();
         let mut queue = SendQueue::new();
+        // The end of the last batch (its flush included), where the
+        // next receive's time starts.
+        let mut idle_since = Instant::now();
         loop {
             // ordering: Acquire — pairs with the Release store in
             // `ShardedRelay::shutdown`.
@@ -825,12 +934,20 @@ impl ShardWorker {
                 let batch = first..got.min(first + BATCH);
                 let len = batch.len() as u64;
                 let start = Instant::now();
-                let counts = self
+                let mut counts = self
                     .step
                     .step(&mut ring, batch, self.clock(start), &mut queue);
+                let stepped = Instant::now();
+                counts.recv_ns = nanos(start - idle_since);
+                counts.step_ns = nanos(stepped - start);
                 let alive = self.send(&ring, &mut queue, counts);
-                self.recorder
-                    .record_nanos(start.elapsed().as_nanos() as u64 / len);
+                idle_since = Instant::now();
+                // ordering: Relaxed — one more counter of this batch's
+                // flush; see `ShardStats::flush`.
+                self.stats
+                    .send_ns
+                    .fetch_add(nanos(idle_since - stepped), Ordering::Relaxed);
+                self.recorder.record_nanos(nanos(idle_since - start) / len);
                 if !alive {
                     return; // counters flushed; let the supervisor act
                 }
@@ -847,10 +964,9 @@ impl ShardWorker {
         }
     }
 
-    /// `t` on the step's clock: nanoseconds since the relay started
-    /// (saturating: no relay runs 584 years).
+    /// `t` on the step's clock: nanoseconds since the relay started.
     fn clock(&self, t: Instant) -> u64 {
-        u64::try_from(t.duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
+        nanos(t.duration_since(self.epoch))
     }
 
     /// Sends `queue` in one `send_batch`, empties it, and flushes `counts`
@@ -920,19 +1036,15 @@ mod directory_tests {
             dir.publish(flow, addr);
         }
         for flow in 0..100u64 {
-            // Capacity 64 < 100 inserts: saturated probes may miss, but
-            // hits must be exact.
-            if let Some(got) = dir.lookup(flow) {
-                assert_eq!(got, addr);
-            }
+            // Capacity 64 < 100 inserts: the rest land in deeper levels.
+            assert_eq!(dir.lookup(flow), Some(addr));
         }
         assert_eq!(dir.lookup(u64::MAX), None, "sentinel flow never published");
     }
 
     #[test]
     fn directory_counts_failed_publishes() {
-        // Capacity 1 → one slot, mask 0: every probe lands on index 0,
-        // so a second distinct flow saturates after DIR_MAX_PROBES.
+        // Capacity 1 → one slot: a second distinct flow finds it taken.
         let dir = FlowDirectory::new(1);
         let v4: SocketAddr = "127.0.0.1:1000".parse().unwrap();
         assert_eq!(dir.publish_failed(), 0);
@@ -951,11 +1063,53 @@ mod directory_tests {
         assert_eq!(dir.publish_failed(), 2);
         assert_eq!(dir.lookup(7), Some(v4));
 
-        // Saturation: a second flow finds every probe occupied.
-        dir.publish(8, v4);
-        assert_eq!(dir.publish_failed(), 3, "saturated table counted");
-        assert_eq!(dir.lookup(8), None, "saturated flow stays private");
+        // No room in level 0: the second flow lands in level 1, and no
+        // publish is dropped for room.
+        let other: SocketAddr = "127.0.0.2:1000".parse().unwrap();
+        dir.publish(8, other);
+        assert_eq!(dir.publish_failed(), 2, "a full level is no failure");
+        assert_eq!(dir.lookup(8), Some(other), "found in level 1");
+        assert_eq!(dir.levels().count(), 2);
         assert_eq!(dir.lookup(7), Some(v4), "existing entry untouched");
+    }
+
+    #[test]
+    fn directory_grows_to_64_times_its_first_level() {
+        let dir = FlowDirectory::new(16);
+        let addr = |flow: u64| SocketAddr::from(([10, 0, (flow >> 8) as u8, flow as u8], 1000));
+        for flow in 0..64 * 16 {
+            dir.publish(flow, addr(flow));
+        }
+        assert_eq!(dir.publish_failed(), 0);
+        assert!((0..64 * 16).all(|flow| dir.lookup(flow) == Some(addr(flow))));
+        assert_eq!(dir.lookup(64 * 16), None, "never published");
+        // At most half of each level's slots hold flows before the
+        // next is made, so the levels stay within 4x the flows' slots.
+        assert!(dir.bytes() <= 4 * 64 * 16 * std::mem::size_of::<Slot>());
+    }
+
+    /// 200 flows whose windows start at slot 0 of every level (their
+    /// hashes' low 32 bits are 0): each level takes the 64 its window
+    /// holds and the rest move on to the next.
+    #[test]
+    fn directory_finds_a_family_colliding_in_one_level_0_window() {
+        const KEY: u64 = 0x5EED;
+        let family: Vec<u64> = (0..200u64)
+            .map(|j| super::sender_table_tests::flow_with_hash(j << 32, KEY))
+            .collect();
+        let dir = FlowDirectory::with_key(1024, KEY);
+        assert!(family.iter().all(|&f| flow_hash(f, KEY) & 1023 == 0));
+        for (j, &flow) in family.iter().enumerate() {
+            dir.publish(flow, SocketAddr::from(([10, 0, 0, 1], j as u16)));
+        }
+        assert_eq!(dir.publish_failed(), 0);
+        for (j, &flow) in family.iter().enumerate() {
+            assert_eq!(
+                dir.lookup(flow),
+                Some(SocketAddr::from(([10, 0, 0, 1], j as u16)))
+            );
+        }
+        assert!(dir.levels().count() > 1);
     }
 
     /// The unkeyed home `(flow * C >> 16) & mask` sent the 65 flows
@@ -1003,6 +1157,54 @@ mod directory_tests {
         }
         assert_eq!(found, 500, "every flow resolvable after the race");
     }
+
+    /// Publishers race to make levels past an 8-slot level 0 while
+    /// readers look up: a reader only ever sees a sender published for
+    /// the flow, and afterwards every published flow is found.
+    #[test]
+    fn directory_grows_under_concurrent_publishers_and_readers() {
+        let flows: u64 = if cfg!(miri) { 48 } else { 4000 };
+        let sender = |t: u64, flow: u64| {
+            SocketAddr::from(([10, t as u8, (flow >> 8) as u8, flow as u8], 1000))
+        };
+        let dir = Arc::new(FlowDirectory::new(8));
+        let start = Arc::new(std::sync::Barrier::new(5));
+        let publishers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (dir, start) = (dir.clone(), start.clone());
+                // Each publisher owns every third flow and also races
+                // the next publisher over a quarter of its flows.
+                std::thread::spawn(move || {
+                    start.wait();
+                    for flow in (0..flows).filter(|f| f % 3 == t || f % 12 == (t + 1) % 3) {
+                        dir.publish(flow, sender(t, flow));
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (dir, start) = (dir.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for flow in (0..flows).chain(0..flows) {
+                        if let Some(got) = dir.lookup(flow) {
+                            assert!((0..3).any(|t| got == sender(t, flow)), "foreign {got}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for j in publishers.into_iter().chain(readers) {
+            j.join().unwrap();
+        }
+        assert_eq!(dir.publish_failed(), 0);
+        for flow in 0..flows {
+            let got = dir.lookup(flow).expect("every published flow found");
+            assert!((0..3).any(|t| got == sender(t, flow)), "foreign {got}");
+        }
+        assert!(dir.levels().count() > 2, "publishes grew the directory");
+    }
 }
 
 #[cfg(test)]
@@ -1033,7 +1235,7 @@ mod sender_table_tests {
     }
 
     /// The flow whose [`flow_hash`] under `key` is `hash`.
-    fn flow_with_hash(hash: u64, key: u64) -> u64 {
+    pub(super) fn flow_with_hash(hash: u64, key: u64) -> u64 {
         let z = unshift(hash, 31).wrapping_mul(odd_inverse(0x94D0_49BB_1331_11EB));
         let z = unshift(z, 27).wrapping_mul(odd_inverse(0xBF58_476D_1CE4_E5B9));
         unshift(z, 30) ^ key
@@ -1760,6 +1962,56 @@ mod tests {
         }
         wait_for(|| relay.recorder().count() >= 1);
         wait_for(|| relay.stats().max_batch >= 1);
+    }
+
+    fn one_shard(receiver: SocketAddr) -> ShardedRelay {
+        let config = RelayConfig {
+            shards: 1,
+            ..RelayConfig::streamlined(receiver)
+        };
+        ShardedRelay::start(loopback(), config).expect("relay starts")
+    }
+
+    /// 128 flows publish into the first level, 16 KiB; the fixed
+    /// directory this replaced was 1 MiB whatever it held.
+    #[test]
+    fn a_one_shard_relay_of_128_flows_keeps_a_small_directory() {
+        let receiver = UdpSocket::bind(loopback()).unwrap();
+        let relay = one_shard(receiver.local_addr().unwrap());
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        for flow in 0..128 {
+            let wire = WireHeader::data(flow, 0, 8).encode(&[0; 8]);
+            sender.send_to(&wire, relay.local_addr()).unwrap();
+        }
+        wait_for(|| relay.stats().forwarded == 128);
+        let dir = relay.directory();
+        assert!((0..128).all(|flow| dir.lookup(flow) == Some(sender.local_addr().unwrap())));
+        assert!(dir.bytes() <= 32 * 1024, "{} bytes", dir.bytes());
+    }
+
+    /// The run loop splits each batch into receive, step and send; the
+    /// three sums are nonzero after traffic and fit in the shard's life.
+    #[test]
+    fn receive_step_and_send_time_fit_in_the_shard_lifetime() {
+        let born = Instant::now();
+        let receiver = UdpSocket::bind(loopback()).unwrap();
+        let mut relay = one_shard(receiver.local_addr().unwrap());
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        for seq in 0..20 {
+            let wire = WireHeader::data(1, seq, 8).encode(&[0; 8]);
+            sender.send_to(&wire, relay.local_addr()).unwrap();
+            recv_one(&receiver);
+        }
+        wait_for(|| relay.stats().send_ns > 0);
+        relay.shutdown();
+        let lifetime = born.elapsed().as_nanos() as u64;
+        let stats = relay.stats();
+        let layers = [stats.recv_ns, stats.step_ns, stats.send_ns];
+        assert!(layers.iter().all(|&ns| ns > 0), "{layers:?}");
+        assert!(
+            layers.iter().sum::<u64>() <= lifetime,
+            "{layers:?} > {lifetime}"
+        );
     }
 
     #[test]
