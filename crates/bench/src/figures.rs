@@ -310,7 +310,7 @@ impl<A: Copy + Sync, V: Copy + Sync> Study for Grid<A, V> {
             for extra in self.extras {
                 row = match extra {
                     Extra::RtosPerRun => {
-                        let rtos: u64 = outcomes.iter().map(|o| o.rto_fires).sum();
+                        let rtos: u64 = outcomes.iter().map(|o| o.counters.rto_fires).sum();
                         row.cell("rtos/run", (rtos / outcomes.len() as u64).to_string())
                     }
                     Extra::ExpressSaved => {
@@ -1561,8 +1561,14 @@ fn faults(opts: &RunOptions, out: &mut String) {
         for (frac, summary, outcomes) in
             std::iter::once((None, healthy, healthy_outcomes)).chain(crashed)
         {
-            let failovers: u64 = outcomes.iter().map(|o| o.failover_activations).sum();
-            let lost: u64 = outcomes.iter().map(|o| o.packets_lost_to_fault).sum();
+            let failovers: u64 = outcomes
+                .iter()
+                .map(|o| o.counters.failover_activations)
+                .sum();
+            let lost: u64 = outcomes
+                .iter()
+                .map(|o| o.counters.packets_lost_to_fault)
+                .sum();
             let max_lat = outcomes
                 .iter()
                 .map(|o| o.failover_latency_max_secs)
@@ -1686,8 +1692,8 @@ pub fn adhoc(args: &[String]) -> String {
         .zip(&sampled)
         .map(|(&scheme, outcomes)| {
             let icts: Vec<f64> = outcomes.iter().map(|o| o.completion_secs).collect();
-            let rtos: u64 = outcomes.iter().map(|o| o.rto_fires).sum();
-            let retx: u64 = outcomes.iter().map(|o| o.retransmits).sum();
+            let rtos: u64 = outcomes.iter().map(|o| o.counters.rto_fires).sum();
+            let retx: u64 = outcomes.iter().map(|o| o.counters.retransmits).sum();
             let summary = Summary::of(&icts);
             if scheme == Scheme::Baseline {
                 baseline_mean = Some(summary.mean);

@@ -22,12 +22,13 @@
 //! ([`dcsim::audit::AuditConfig`]). Such a case *fails* when the run
 //! panics, trips an invariant, hits the event cap, completes an incast
 //! faster than its floor ([`Scenario::ict_floors`]: `BelowFloor`), or —
-//! every fault healed and every flow complete — is still busy at its time
-//! limit (`NeverIdle`). One seed in eight draws a small pod fleet instead:
-//! plain incast flows and mice on two pods, no faults, run on a
-//! [`FleetSim`] at one and at two threads under the collect-mode auditor.
-//! It fails on a violation, on not draining, or when the two runs differ
-//! at all (`ThreadVariance`).
+//! every fault healed and every incast complete — is still busy at its
+//! time limit (`NeverIdle`). The outcome counts the plain and background
+//! flows still open at the stop, but no verdict reads that count. One
+//! seed in eight draws a small pod fleet instead: plain incast flows and
+//! mice on two pods, no faults, run on a [`FleetSim`] at one and at two
+//! threads under the collect-mode auditor. It fails on a violation, on
+//! not draining, or when the two runs differ at all (`ThreadVariance`).
 //!
 //! Everything here is deterministic: the only randomness is
 //! [`SplitMix64`] streams derived from the fuzz seed, and a campaign is
@@ -415,6 +416,9 @@ pub struct RunOutcome {
     pub end_time_ps: u64,
     /// Every incast (or, in a fleet, every flow) completed.
     pub completed: bool,
+    /// Flows outside the incasts still open at the stop: the scenario's
+    /// plain and background flows (in a fleet, every flow).
+    pub open_flows: usize,
     /// Invariant-violation kind names, in detection order, then the
     /// family's own: `BelowFloor`, `NeverIdle`, `ThreadVariance`.
     pub violations: Vec<String>,
@@ -433,6 +437,7 @@ impl RunOutcome {
             events: 0,
             end_time_ps: 0,
             completed: false,
+            open_flows: 0,
             violations: Vec::new(),
             details: vec![error],
             counters: String::new(),
@@ -570,6 +575,7 @@ fn run_fleet(case: &Case) -> RunOutcome {
         events: report.events,
         end_time_ps: report.end_time.0,
         completed: done.iter().all(Option::is_some),
+        open_flows: done.iter().filter(|d| d.is_none()).count(),
         violations: report
             .violations
             .iter()
@@ -723,7 +729,7 @@ impl Family for Chaos {
         if sc.threads.is_some() {
             return run_fleet(case);
         }
-        let (mut sim, incasts, _) = match sc.build(case.seed) {
+        let (mut sim, incasts, flows) = match sc.build(case.seed) {
             Ok(built) => built,
             Err(setup) => return RunOutcome::setup_error(setup),
         };
@@ -740,6 +746,10 @@ impl Family for Chaos {
             events: report.events,
             end_time_ps: report.end_time.0,
             completed: completions.iter().all(Option::is_some),
+            open_flows: flows
+                .iter()
+                .filter(|&&f| sim.metrics().completion(f).is_none())
+                .count(),
             violations: report
                 .violations
                 .iter()
@@ -760,15 +770,17 @@ impl Family for Chaos {
                 );
             }
         }
-        // NeverIdle: with every fault healed and every flow done, nothing
-        // is left to do, so a run still busy at the time limit is one some
-        // agent keeps alive on its own (a timer that re-arms forever).
+        // NeverIdle: with every fault healed and every incast done, a run
+        // still busy at the time limit is one some agent keeps alive on its
+        // own (a timer that re-arms forever), or one whose other flows are
+        // still open; the detail counts those.
         let liveness = sc.audit.is_some_and(|a| a.liveness_horizon.is_some());
         if liveness && out.completed && report.stop == StopReason::TimeLimit {
             let detail = format!(
-                "every fault healed and every flow completed, yet the run was \
-                 still busy at the {} time limit after {} events",
-                sc.time_limit, report.events
+                "every fault healed and every incast completed, yet the run was \
+                 still busy at the {} time limit after {} events, with {} other \
+                 flows open",
+                sc.time_limit, report.events, out.open_flows
             );
             out.violation("NeverIdle", detail);
         }
@@ -778,8 +790,8 @@ impl Family for Chaos {
     /// A time-limit stop with incomplete flows is *not* a failure by
     /// itself: permanent faults legitimately strand flows, and the
     /// liveness watchdog (armed exactly when every fault heals) is the
-    /// stall detector. A time-limit stop with every flow complete under a
-    /// healing plan is `NeverIdle`.
+    /// stall detector. A time-limit stop with every incast complete under
+    /// a healing plan is `NeverIdle`.
     fn failure_kind(outcome: &RunOutcome) -> Option<String> {
         if let Some(kind) = outcome.violations.first() {
             return Some(kind.clone());
@@ -965,8 +977,8 @@ impl Family for Chaos {
 
     fn details(o: &RunOutcome) -> Vec<String> {
         let summary = format!(
-            "stop={} events={} completed={}",
-            o.stop, o.events, o.completed
+            "stop={} events={} completed={} open_flows={}",
+            o.stop, o.events, o.completed, o.open_flows
         );
         [summary, format!("counters: {}", o.counters)]
             .into_iter()
@@ -1064,6 +1076,59 @@ mod tests {
         let lines = details::<Chaos>(&outcome);
         assert!(
             lines[1].starts_with("counters: dcsim.packet_ledger.created="),
+            "{lines:?}"
+        );
+    }
+
+    /// Background flows whose hosts' down-ToR ports drop every packet
+    /// never finish, though the incast does. The plan counts as healing
+    /// (impairments are no outage), so the run is `NeverIdle`; its detail
+    /// claims only the incast, and the outcome and the replay line count
+    /// the stranded flows.
+    #[test]
+    fn stranded_background_flows_are_counted_open_not_called_complete() {
+        let fabric = Fabric::TwoDc(TwoDcParams::small_test());
+        let spec = fabric.placement(2, 200_000);
+        let busy = [
+            spec.senders.clone(),
+            vec![spec.receiver],
+            spec.proxy.into_iter().collect(),
+        ];
+        let topo = fabric.topology();
+        let mut faults = FaultPlan::new();
+        for host in (0..topo.host_count() as u32).map(HostId) {
+            if !busy.iter().flatten().any(|&h| h == host) {
+                let port = topo.down_tor_port(host);
+                faults.impairments.push(PortImpairment {
+                    loss: 1.0,
+                    ..PortImpairment::none(port)
+                });
+            }
+        }
+        assert!(plan_heals(&faults));
+        let case = Case {
+            seed: 1,
+            scenario: Scenario {
+                background_flows: 2,
+                faults,
+                time_limit: SimDuration::from_millis(200),
+                audit: Some(chaos_audit(true)),
+                ..Scenario::incast(fabric, Scheme::ProxyStreamlined, spec)
+            },
+        };
+        let outcome = Chaos::run(&case);
+        assert!(
+            outcome.completed && outcome.stop == "time-limit",
+            "{outcome:?}"
+        );
+        assert_eq!(outcome.open_flows, 2, "{outcome:?}");
+        assert_eq!(outcome.violations, ["NeverIdle"], "{outcome:?}");
+        let detail = &outcome.details[0];
+        assert!(detail.contains("every incast completed"), "{detail}");
+        assert!(detail.contains("with 2 other flows open"), "{detail}");
+        let lines = Chaos::details(&outcome);
+        assert!(
+            lines[0].ends_with("completed=true open_flows=2"),
             "{lines:?}"
         );
     }

@@ -86,7 +86,7 @@ fn hybrid_runs_clean_under_strict_audit_with_faults() {
     };
     let out = run_incast(&cfg, 9);
     assert!(out.completion_secs > 0.0, "{out:?}");
-    assert!(out.packets_lost_to_fault > 0, "{out:?}");
+    assert!(out.counters.packets_lost_to_fault > 0, "{out:?}");
 }
 
 #[test]

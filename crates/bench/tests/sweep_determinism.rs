@@ -76,15 +76,15 @@ fn fingerprint(outcomes: &[(trace::Summary, Vec<IncastOutcome>)]) -> String {
             out.push_str(&format!(
                 "run {:x} {} {} {} {} {} {} {} {} {} {:x} {}\n",
                 o.completion_secs.to_bits(),
-                o.proxy_nacks,
-                o.receiver_nacks,
-                o.rto_fires,
-                o.retransmits,
-                o.window_decreases,
-                o.failover_activations,
-                o.failbacks,
-                o.proxy_probes,
-                o.packets_lost_to_fault,
+                o.counters.proxy_nacks,
+                o.counters.receiver_nacks,
+                o.counters.rto_fires,
+                o.counters.retransmits,
+                o.counters.window_decreases,
+                o.counters.failover_activations,
+                o.counters.failbacks,
+                o.counters.proxy_probes,
+                o.counters.packets_lost_to_fault,
                 o.failover_latency_max_secs.to_bits(),
                 o.events,
             ));

@@ -4,6 +4,7 @@
 
 use crate::scenario::{self, Fabric, Scenario};
 use crate::scheme::{IncastHandle, IncastKnobs, IncastSpec, Scheme};
+use dcsim::metrics::ProtocolCounters;
 use dcsim::prelude::*;
 use trace::{derive_seed, Summary};
 
@@ -180,24 +181,9 @@ impl ExperimentConfig {
 pub struct IncastOutcome {
     /// Incast completion time in seconds.
     pub completion_secs: f64,
-    /// NACKs generated by the proxy.
-    pub proxy_nacks: u64,
-    /// NACKs generated by the receiver.
-    pub receiver_nacks: u64,
-    /// RTO expirations across all senders.
-    pub rto_fires: u64,
-    /// Data packets retransmitted.
-    pub retransmits: u64,
-    /// Multiplicative decreases applied.
-    pub window_decreases: u64,
-    /// Sender-side proxy failovers activated.
-    pub failover_activations: u64,
-    /// Sender-side failbacks to a recovered proxy.
-    pub failbacks: u64,
-    /// Probe packets sent through a proxy believed dead.
-    pub proxy_probes: u64,
-    /// Packets destroyed by injected faults.
-    pub packets_lost_to_fault: u64,
+    /// The run's protocol counters (NACKs, RTOs, retransmits, failovers,
+    /// packets lost to faults, ...).
+    pub counters: ProtocolCounters,
     /// Largest failover latency across flows, in seconds (0 if no flow
     /// failed over): silence start to path switch.
     pub failover_latency_max_secs: f64,
@@ -251,15 +237,7 @@ pub fn run_incast(config: &ExperimentConfig, seed: u64) -> IncastOutcome {
     let m = sim.metrics();
     IncastOutcome {
         completion_secs: completion.as_secs_f64(),
-        proxy_nacks: m.counter(Counter::ProxyNacks),
-        receiver_nacks: m.counter(Counter::ReceiverNacks),
-        rto_fires: m.counter(Counter::RtoFires),
-        retransmits: m.counter(Counter::Retransmits),
-        window_decreases: m.counter(Counter::WindowDecreases),
-        failover_activations: m.counter(Counter::FailoverActivations),
-        failbacks: m.counter(Counter::Failbacks),
-        proxy_probes: m.counter(Counter::ProxyProbes),
-        packets_lost_to_fault: m.counter(Counter::PacketsLostToFault),
+        counters: *m.counters(),
         failover_latency_max_secs: m
             .all_failover_latencies()
             .iter()
@@ -351,7 +329,7 @@ mod tests {
         let b = run_incast(&cfg, 99);
         assert_eq!(a.completion_secs, b.completion_secs);
         assert_eq!(a.events, b.events);
-        assert_eq!(a.retransmits, b.retransmits);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
@@ -399,7 +377,7 @@ mod tests {
             // `completion` returning Some means zero permanently-stalled
             // flows: every sender finished despite the dead proxy.
             assert!(out.completion_secs > 0.0, "{scheme}: {out:?}");
-            assert!(out.failover_activations > 0, "{scheme}: {out:?}");
+            assert!(out.counters.failover_activations > 0, "{scheme}: {out:?}");
             assert!(out.failover_latency_max_secs > 0.0, "{scheme}: {out:?}");
         }
     }
@@ -430,8 +408,8 @@ mod tests {
         // the run stays bit-identical to a fault-free one.
         assert_eq!(out.completion_secs, base.completion_secs);
         assert_eq!(out.events, base.events);
-        assert_eq!(out.failover_activations, 0);
-        assert_eq!(out.packets_lost_to_fault, 0);
+        assert_eq!(out.counters.failover_activations, 0);
+        assert_eq!(out.counters.packets_lost_to_fault, 0);
     }
 
     #[test]
@@ -443,7 +421,7 @@ mod tests {
         };
         let out = run_incast(&cfg, 3);
         assert!(out.completion_secs > 0.0, "{out:?}");
-        assert!(out.packets_lost_to_fault > 0, "{out:?}");
+        assert!(out.counters.packets_lost_to_fault > 0, "{out:?}");
     }
 
     #[test]

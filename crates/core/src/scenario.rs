@@ -149,7 +149,8 @@ impl Scenario {
     /// Builds the simulator for one seeded run: the topology, the auditor,
     /// the background flows, the incasts, the plain flows, hybrid fidelity
     /// with its pinned ports, and the fault plan, in that order. It returns
-    /// a handle per incast and an id per plain flow, in scenario order.
+    /// a handle per incast, and an id per plain flow in scenario order
+    /// followed by an id per background flow.
     /// `Err` says why the simulator cannot run the scenario: a partition
     /// (see [`build_fleet`](Self::build_fleet)), an incast `install_incast`
     /// would refuse, a degenerate flow, or a fault plan it rejects.
@@ -169,8 +170,9 @@ impl Scenario {
         };
         let hosts = (0..sim.topology().host_count() as u32).map(HostId);
         let hosts: Vec<HostId> = hosts.filter(|h| !busy(h)).collect();
+        let mut background = Vec::new();
         if self.background_flows > 0 && hosts.len() >= 2 {
-            BackgroundTraffic {
+            background = BackgroundTraffic {
                 flows: self.background_flows,
                 sizes: FlowSizeDist::WebSearch,
                 start_window: SimDuration::from_millis(10),
@@ -184,7 +186,7 @@ impl Scenario {
         let incasts = incasts.collect();
         let flows = self.flows.iter();
         let flows = flows.map(|f| install_flow(&mut sim, f.spec, f.start).flow);
-        let flows = flows.collect();
+        let flows = flows.chain(background.iter().map(|h| h.flow)).collect();
         if self.fidelity {
             // Before the fault plan, whose ports get pinned hot too.
             sim.set_fidelity(FidelityConfig::default());

@@ -201,6 +201,11 @@ impl SimMetrics {
         self.counters.get(counter)
     }
 
+    /// Every protocol counter of the run.
+    pub fn counters(&self) -> &ProtocolCounters {
+        &self.counters
+    }
+
     /// Every protocol counter with a non-zero value, by dotted name, in
     /// declaration order — the exhaustive report form.
     pub fn nonzero_counters(&self) -> Vec<(&'static str, u64)> {

@@ -18,7 +18,7 @@
 //!   [`ShardedRelay`]: a batched socket layer (`recvmmsg`/`sendmmsg` on
 //!   Linux, portable fallback elsewhere), zero-copy [`wire::DatagramView`]
 //!   parsing, and a per-core `SO_REUSEPORT`-sharded, supervised engine
-//!   with no cross-shard locks, each shard a run loop around a
+//!   with per-shard flow state, each shard a run loop around a
 //!   syscall-free, clock-free step. [`RelayKind`] selects what it does with
 //!   each decision: Streamlined as above, Naive (forwards trimmed headers
 //!   too, never NACKs), or Detecting — the FW#1 variant for networks

@@ -1,4 +1,4 @@
-//! Per-core sharded relay: N worker threads, no cross-shard locks.
+//! Per-core sharded relay: N worker threads, each with its own flow state.
 //!
 //! Each shard owns an `SO_REUSEPORT` socket bound to the same port (the
 //! kernel steers every 4-tuple consistently to one shard), a *private*
@@ -22,13 +22,12 @@
 //! The one cross-shard wrinkle is the reverse path: receiver feedback
 //! arrives on the *receiver's* 4-tuple, which the kernel may steer to a
 //! different shard than the one that learned the flow's sender. The
-//! [`FlowDirectory`] covers that case: a lock-free (CAS-insert,
-//! load-lookup) flow→sender map that the owning shard publishes into
-//! once per flow, and foreign shards consult only on a private-table
-//! miss. It starts at 1,024 slots (16 KiB) and adds levels, each twice
-//! the last, as flows arrive, so it costs what its flows need and never
-//! drops a publish for room. No locks, no `Arc<Mutex>`, writes happen
-//! once per flow rather than once per packet.
+//! [`FlowDirectory`] covers that case: one locked flow→sender map that
+//! the owning shard publishes into when it learns a flow's sender, and
+//! foreign shards consult only on a private-table miss. So a datagram
+//! takes the lock only when it is its flow's first on a shard, or
+//! feedback for a flow no shard has learned: the lock is taken about once
+//! per flow, not once per packet.
 //!
 //! On platforms without `SO_REUSEPORT` the relay clamps itself to a
 //! single shard over the portable socket layer — same behavior, less
@@ -58,13 +57,14 @@ use crate::batch::{self, BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
 use crate::fault::{self, is_data_bytes, FaultSnapshot, FaultStats, FaultedIo};
 use crate::step::ShardStep;
 use crate::supervisor::{self, ChaosKind, ShardSlot, SupervisorShared, SupervisorStats};
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::{AtomicBool, Ordering};
 use dcsim::faults::FaultPlan;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::SocketAddr;
 use std::num::NonZeroU64;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use trace::LatencyRecorder;
@@ -172,74 +172,30 @@ trace::counters! {
     }
 }
 
-/// Lock-free flow→sender directory for the cross-shard reverse path: a
-/// chain of levels, each an open-addressed table probed linearly.
-/// CAS-insert once per flow, plain loads on lookup, never locked on
-/// either path. A flow's home slot in every level is [`flow_hash`]
-/// under a key drawn once per directory, so no one can precompute a
-/// family of flow ids that share a probe window.
+/// The flow → sender map behind the cross-shard reverse path. A shard
+/// writes it when it learns a new or moved sender, and reads it only
+/// when its private [`SenderTable`] misses, so each shard touches it
+/// about once per flow and one lock is enough. Flow ids hash under std's
+/// `RandomState` (SipHash under per-process random keys), so an outsider
+/// cannot pick ids that collide. Every flow id and every sender, IPv4 or
+/// IPv6, is an ordinary entry.
 ///
-/// Level 0 has the `capacity` given to [`FlowDirectory::new`]; each
-/// further level has twice the slots of the one before. A level is made
-/// once, by the first publish that finds no room in the last one: the
-/// level is more than half full, or the flow's [`MAX_PROBES`]-slot
-/// window in it is all taken. Entries never move, so a lookup is plain
-/// loads over the levels in order, and the directory's footprint
-/// ([`FlowDirectory::bytes`]) follows what has been published. A slot
-/// keeps its key and value side by side in 16 bytes, so a flow touches
-/// one cache line.
-///
-/// Keys are stored as `flow + 1` so 0 can mean "empty"; flow
-/// `u64::MAX` is therefore not publishable (its feedback still works on
-/// the flow's home shard via the private table). Values pack an IPv4
-/// `addr:port` into a u64; IPv6 senders likewise stay private-table
-/// only. These are the directory's only two limits, irrelevant on the
-/// loopback testbed and documented in DESIGN.md §13 — and not silent:
-/// a publish that falls off either increments
-/// [`FlowDirectory::publish_failed`]. No publish is dropped for room.
-///
-/// Public (and built on the `crate::sync` atomic shim) so the loom
-/// models in `tests/loom.rs` can explore every interleaving of
-/// `publish` against `publish` and `lookup` within a level; the
-/// memory-ordering choices below are justified per-site for simlint's
-/// `unjustified-atomic-ordering` rule and cross-checked by TSAN in CI.
+/// A shard that panics while it holds the lock leaves the map whole (an
+/// insert or a lookup has no half-done state a caller can see), so the
+/// other shards read through the poison rather than fail with it.
 pub struct FlowDirectory {
-    first: Level,
-    hash_key: u64,
-    publish_failed: AtomicU64,
+    senders: RwLock<HashMap<u64, SocketAddr>>,
 }
 
-/// One level of a [`FlowDirectory`]: a power-of-two slot array, how
-/// many of its slots are claimed, and the next level once one is made.
-/// Readers see a new level through `next`'s own acquire load; only
-/// publishers racing to make the same level wait for each other.
-struct Level {
-    slots: Box<[Slot]>,
-    mask: usize,
-    claimed: AtomicU64,
-    next: OnceLock<Box<Level>>,
-}
-
-/// A directory slot: key (`flow + 1`, 0 = empty) and packed sender
-/// (0 = not yet stored), side by side.
-#[repr(C, align(16))]
-struct Slot {
-    key: AtomicU64,
-    val: AtomicU64,
-}
-
-/// Probe bound of both flow tables: a directory publish moves to the
-/// next level past it, and a shard's [`SenderTable`] rekeys rather than
-/// exceed it. Lookups in either stop there too (or at the first empty
-/// slot).
+/// Probe bound of a shard's [`SenderTable`]: it rekeys rather than
+/// exceed it, and a lookup stops there too (or at the first empty slot).
 const MAX_PROBES: usize = 64;
 
-/// The hash both flow tables home a flow with: SplitMix64's finalizer
-/// over `flow ^ key`. A table takes `flow_hash(flow, key) & mask` as the
-/// home slot, with `key` drawn by [`fresh_key`] — public so the loom
-/// models can build colliding flows for a known key.
+/// The hash a [`SenderTable`] homes a flow with: SplitMix64's finalizer
+/// over `flow ^ key`, with `key` drawn by [`fresh_key`]; the home slot
+/// is `flow_hash(flow, key) & mask`.
 #[inline]
-pub fn flow_hash(flow: u64, key: u64) -> u64 {
+fn flow_hash(flow: u64, key: u64) -> u64 {
     let mut z = flow ^ key;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -252,202 +208,25 @@ fn fresh_key() -> u64 {
     RandomState::new().hash_one(0x5EED_u64)
 }
 
-fn pack_v4(addr: SocketAddr) -> Option<u64> {
-    match addr {
-        SocketAddr::V4(v4) => Some(((u32::from(*v4.ip()) as u64) << 16) | v4.port() as u64),
-        SocketAddr::V6(_) => None,
-    }
-}
-
-fn unpack_v4(packed: u64) -> SocketAddr {
-    let ip = (packed >> 16) as u32;
-    let port = (packed & 0xFFFF) as u16;
-    SocketAddr::from((ip.to_be_bytes(), port))
-}
-
-impl Level {
-    fn new(slots: usize) -> Self {
-        Level {
-            slots: (0..slots)
-                .map(|_| Slot {
-                    key: AtomicU64::new(0),
-                    val: AtomicU64::new(0),
-                })
-                .collect(),
-            mask: slots - 1,
-            claimed: AtomicU64::new(0),
-            next: OnceLock::new(),
-        }
-    }
-
-    /// The slots a flow homed at `home` may occupy here, in probe order.
-    fn window(&self, home: u64) -> impl Iterator<Item = &Slot> {
-        let start = home as usize & self.mask;
-        (0..MAX_PROBES.min(self.slots.len())).map(move |i| &self.slots[(start + i) & self.mask])
-    }
-
-    /// More than half of the slots are claimed: new flows go deeper.
-    fn over_half(&self) -> bool {
-        // ordering: Relaxed — a fill estimate that only steers new
-        // flows to the next level; racing claims may take a level a
-        // few slots past half, which the probe bound tolerates.
-        2 * self.claimed.load(Ordering::Relaxed) > self.slots.len() as u64
-    }
-
-    /// Stores `val` for `key` here: in its slot if the flow is in this
-    /// level, else in a slot it claims if the level has room. False when
-    /// the flow is not here and there is no room for it.
-    ///
-    /// The protocol carries no non-atomic payload: a slot's value is
-    /// the single u64 `val`, and a slot's key never changes once
-    /// claimed. `lookup` treats `val == 0` as "insert in flight", so no
-    /// ordering edge between `key` and `val` is required for safety —
-    /// the orderings below are the weakest that keep the claim→value
-    /// publication sequenced.
-    fn publish(&self, home: u64, key: u64, val: u64) -> bool {
-        let full = self.over_half();
-        for slot in self.window(home) {
-            // ordering: Relaxed — the key is only compared for
-            // equality; no data is read through it and a stale 0 just
-            // falls through to the CAS, which re-checks atomically.
-            let mut cur = slot.key.load(Ordering::Relaxed);
-            if cur == 0 {
-                if full {
-                    // Slots are never emptied, so the flow is in no
-                    // later slot of its window either.
-                    return false;
-                }
-                // ordering: (Release, Relaxed) — success Release keeps
-                // the slot claim ordered before the value store for
-                // any observer; failure only routes control flow (the
-                // returned key is compared for equality), so Relaxed.
-                match slot
-                    .key
-                    .compare_exchange(0, key, Ordering::Release, Ordering::Relaxed)
-                {
-                    Ok(_) => {
-                        // ordering: Relaxed — see `over_half`.
-                        self.claimed.fetch_add(1, Ordering::Relaxed);
-                        cur = key;
-                    }
-                    Err(raced) => cur = raced,
-                }
-            }
-            if cur == key {
-                // ordering: Release — pairs with the Acquire load in
-                // `lookup`; a reader that sees this value sees a fully
-                // published (key, value) slot. A same-flow race has
-                // both writers store a valid value for this key.
-                slot.val.store(val, Ordering::Release);
-                return true;
-            }
-            // someone else's flow holds the slot; probe on
-        }
-        false
-    }
-
-    /// The flow's packed sender here: `Some(0)` while its insert is in
-    /// flight, `None` if the flow is not in this level.
-    fn lookup(&self, home: u64, key: u64) -> Option<u64> {
-        for slot in self.window(home) {
-            // ordering: Relaxed — equality-only probe; a stale 0 or
-            // stale key misroutes this lookup to a miss at worst (the
-            // caller falls back to dropping the datagram, same as a
-            // genuinely unpublished flow), never to a wrong sender.
-            let cur = slot.key.load(Ordering::Relaxed);
-            if cur == 0 {
-                return None;
-            }
-            if cur == key {
-                // ordering: Acquire — pairs with the Release stores in
-                // `publish`; nonzero means the publication completed.
-                return Some(slot.val.load(Ordering::Acquire));
-            }
-        }
-        None
-    }
-}
-
 impl FlowDirectory {
-    /// A directory whose first level holds `capacity` slots (rounded up
-    /// to a power of two); it grows as flows are published.
+    /// An empty directory with room for `capacity` flows; it grows as
+    /// flows are published.
     pub fn new(capacity: usize) -> Self {
-        Self::with_key(capacity, fresh_key())
-    }
-
-    /// [`FlowDirectory::new`] with a chosen hash key instead of a fresh
-    /// one, for models and tests that need to know where flows land.
-    pub fn with_key(capacity: usize, hash_key: u64) -> Self {
         FlowDirectory {
-            first: Level::new(capacity.next_power_of_two()),
-            hash_key,
-            publish_failed: AtomicU64::new(0),
+            senders: RwLock::new(HashMap::with_capacity(capacity)),
         }
     }
 
-    /// The levels made so far, first to last.
-    fn levels(&self) -> impl Iterator<Item = &Level> {
-        std::iter::successors(Some(&self.first), |level| level.next.get().map(|b| &**b))
-    }
-
-    /// Bytes of slots over the levels made so far.
-    pub fn bytes(&self) -> usize {
-        self.levels()
-            .map(|level| level.slots.len() * std::mem::size_of::<Slot>())
-            .sum()
-    }
-
-    /// Publishes that could not land: sentinel flow id or IPv6 sender.
-    /// The flow still works on its home shard via the private table;
-    /// what's lost is only cross-shard feedback routing.
-    pub fn publish_failed(&self) -> u64 {
-        // ordering: Relaxed — monotone counter read by snapshots; no
-        // non-atomic data rides on it.
-        self.publish_failed.load(Ordering::Relaxed)
-    }
-
-    fn note_publish_failed(&self) {
-        // ordering: Relaxed — see `publish_failed`.
-        self.publish_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes `flow → sender`. Lock-free; loses the race gracefully
-    /// (first writer wins, same-flow re-publish updates the value). The
-    /// flow lands in the first level that holds it or has room for it,
-    /// making the next level when the last has none. Two publishers of
-    /// one flow that race a level past half full may leave it in two
-    /// levels; both hold a sender published for it, and lookups and
-    /// later publishes meet the first.
+    /// Maps `flow` to `sender`, replacing the sender published before.
     pub fn publish(&self, flow: u64, sender: SocketAddr) {
-        let key = flow.wrapping_add(1);
-        if key == 0 {
-            self.note_publish_failed(); // flow u64::MAX: private-table only
-            return;
-        }
-        let Some(val) = pack_v4(sender) else {
-            self.note_publish_failed(); // IPv6 sender: private-table only
-            return;
-        };
-        let home = flow_hash(flow, self.hash_key);
-        let mut level = &self.first;
-        while !level.publish(home, key, val) {
-            level = level
-                .next
-                .get_or_init(|| Box::new(Level::new(2 * level.slots.len())));
-        }
+        let mut senders = self.senders.write().unwrap_or_else(PoisonError::into_inner);
+        senders.insert(flow, sender);
     }
 
-    /// Looks up a flow's sender, if any shard has published it.
+    /// The flow's sender, if any shard has published it.
     pub fn lookup(&self, flow: u64) -> Option<SocketAddr> {
-        let key = flow.wrapping_add(1);
-        if key == 0 {
-            return None;
-        }
-        let home = flow_hash(flow, self.hash_key);
-        match self.levels().find_map(|level| level.lookup(home, key)) {
-            None | Some(0) => None, // unpublished, or insert in flight
-            Some(val) => Some(unpack_v4(val)),
-        }
+        let senders = self.senders.read().unwrap_or_else(PoisonError::into_inner);
+        senders.get(&flow).copied()
     }
 }
 
@@ -568,10 +347,6 @@ impl SenderTable {
     }
 }
 
-/// Slots in the first level of a relay's [`FlowDirectory`] (16 KiB):
-/// room for 512 flows before a second level is made.
-const DIRECTORY_SLOTS: usize = 1024;
-
 /// A running sharded relay.
 ///
 /// Shard threads are owned by a supervisor thread ([`crate::supervisor`]):
@@ -619,7 +394,7 @@ impl ShardedRelay {
             prebound.push(Some(batch::bind_reuseport(local_addr)?));
         }
 
-        let directory = Arc::new(FlowDirectory::new(DIRECTORY_SLOTS));
+        let directory = Arc::new(FlowDirectory::new(0));
         let recorder = LatencyRecorder::new();
         let stop = Arc::new(AtomicBool::new(false));
         let fault_stats = Arc::new(FaultStats::default());
@@ -1017,193 +792,128 @@ impl ShardWorker {
     }
 }
 
-// The FlowDirectory and SenderTable tests below are pure (threads +
-// atomics, no sockets) and run under Miri, which checks the lock-free
-// probe/publish protocol for undefined behavior; loom explores its
-// interleavings exhaustively (tests/loom.rs). Socket-driven relay tests
-// live in `tests` and are skipped under Miri.
+// The FlowDirectory and SenderTable tests below are pure (threads, no
+// sockets) and run under Miri and TSAN, which check the directory's
+// racing publishers and readers. Socket-driven relay tests live in
+// `tests` and are skipped under Miri.
 #[cfg(test)]
 mod directory_tests {
     use super::*;
     use std::net::SocketAddr;
-    use std::sync::Arc;
+    use std::sync::Barrier;
+    use std::thread;
 
-    #[test]
-    fn directory_publish_lookup_roundtrip() {
-        let dir = FlowDirectory::new(64);
-        let addr: SocketAddr = "127.0.0.1:4567".parse().unwrap();
-        for flow in 0..100u64 {
-            dir.publish(flow, addr);
-        }
-        for flow in 0..100u64 {
-            // Capacity 64 < 100 inserts: the rest land in deeper levels.
-            assert_eq!(dir.lookup(flow), Some(addr));
-        }
-        assert_eq!(dir.lookup(u64::MAX), None, "sentinel flow never published");
+    fn v4(t: u64, flow: u64) -> SocketAddr {
+        SocketAddr::from(([10, t as u8, (flow >> 8) as u8, flow as u8], 1000))
     }
 
-    #[test]
-    fn directory_counts_failed_publishes() {
-        // Capacity 1 → one slot: a second distinct flow finds it taken.
-        let dir = FlowDirectory::new(1);
-        let v4: SocketAddr = "127.0.0.1:1000".parse().unwrap();
-        assert_eq!(dir.publish_failed(), 0);
-
-        // Sentinel: flow u64::MAX maps to key 0 ("empty").
-        dir.publish(u64::MAX, v4);
-        assert_eq!(dir.publish_failed(), 1, "sentinel flow counted");
-
-        // IPv6 senders can't be packed into the value word.
-        dir.publish(7, "[::1]:1000".parse().unwrap());
-        assert_eq!(dir.publish_failed(), 2, "ipv6 sender counted");
-
-        // Successful publish (and same-flow re-publish) never counts.
-        dir.publish(7, v4);
-        dir.publish(7, v4);
-        assert_eq!(dir.publish_failed(), 2);
-        assert_eq!(dir.lookup(7), Some(v4));
-
-        // No room in level 0: the second flow lands in level 1, and no
-        // publish is dropped for room.
-        let other: SocketAddr = "127.0.0.2:1000".parse().unwrap();
-        dir.publish(8, other);
-        assert_eq!(dir.publish_failed(), 2, "a full level is no failure");
-        assert_eq!(dir.lookup(8), Some(other), "found in level 1");
-        assert_eq!(dir.levels().count(), 2);
-        assert_eq!(dir.lookup(7), Some(v4), "existing entry untouched");
-    }
-
-    #[test]
-    fn directory_grows_to_64_times_its_first_level() {
-        let dir = FlowDirectory::new(16);
-        let addr = |flow: u64| SocketAddr::from(([10, 0, (flow >> 8) as u8, flow as u8], 1000));
-        for flow in 0..64 * 16 {
-            dir.publish(flow, addr(flow));
-        }
-        assert_eq!(dir.publish_failed(), 0);
-        assert!((0..64 * 16).all(|flow| dir.lookup(flow) == Some(addr(flow))));
-        assert_eq!(dir.lookup(64 * 16), None, "never published");
-        // At most half of each level's slots hold flows before the
-        // next is made, so the levels stay within 4x the flows' slots.
-        assert!(dir.bytes() <= 4 * 64 * 16 * std::mem::size_of::<Slot>());
-    }
-
-    /// 200 flows whose windows start at slot 0 of every level (their
-    /// hashes' low 32 bits are 0): each level takes the 64 its window
-    /// holds and the rest move on to the next.
-    #[test]
-    fn directory_finds_a_family_colliding_in_one_level_0_window() {
-        const KEY: u64 = 0x5EED;
-        let family: Vec<u64> = (0..200u64)
-            .map(|j| super::sender_table_tests::flow_with_hash(j << 32, KEY))
-            .collect();
-        let dir = FlowDirectory::with_key(1024, KEY);
-        assert!(family.iter().all(|&f| flow_hash(f, KEY) & 1023 == 0));
-        for (j, &flow) in family.iter().enumerate() {
-            dir.publish(flow, SocketAddr::from(([10, 0, 0, 1], j as u16)));
-        }
-        assert_eq!(dir.publish_failed(), 0);
-        for (j, &flow) in family.iter().enumerate() {
-            assert_eq!(
-                dir.lookup(flow),
-                Some(SocketAddr::from(([10, 0, 0, 1], j as u16)))
-            );
-        }
-        assert!(dir.levels().count() > 1);
-    }
-
-    /// The unkeyed home `(flow * C >> 16) & mask` sent the 65 flows
-    /// `j * 2^32 * C^-1` all to slot 0, where they filled the probe window
-    /// and every later flow homed there failed to publish. Keyed, they
-    /// scatter like any other flows.
-    #[test]
-    fn directory_scatters_a_precomputed_colliding_family() {
-        const C: u64 = 0x9E37_79B9_7F4A_7C15;
-        let family = |j: u64| (j << 32).wrapping_mul(super::sender_table_tests::odd_inverse(C));
-        assert_eq!(family(3).wrapping_mul(C), 3 << 32);
-        let dir = FlowDirectory::new(64 * 1024);
-        let addr: SocketAddr = "127.0.0.1:4567".parse().unwrap();
-        for j in 0..65 {
-            dir.publish(family(j), addr);
-        }
-        let victim: SocketAddr = "127.0.0.2:4568".parse().unwrap();
-        dir.publish(family(65), victim);
-        assert_eq!(dir.publish_failed(), 0);
-        assert_eq!(dir.lookup(family(65)), Some(victim));
-        assert!((0..65).all(|j| dir.lookup(family(j)) == Some(addr)));
-    }
-
-    #[test]
-    fn directory_survives_concurrent_publishers() {
-        let dir = Arc::new(FlowDirectory::new(1024));
-        let mut joins = Vec::new();
-        for t in 0..4u16 {
-            let dir = dir.clone();
-            joins.push(std::thread::spawn(move || {
-                let addr: SocketAddr = format!("127.0.0.{}:1000", t + 1).parse().unwrap();
-                for flow in 0..500u64 {
-                    dir.publish(flow, addr);
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let mut found = 0;
-        for flow in 0..500u64 {
-            if dir.lookup(flow).is_some() {
-                found += 1;
+    /// Runs `f(i)` on `n` threads released together.
+    fn race(n: usize, f: impl Fn(usize) + Sync) {
+        let start = Barrier::new(n);
+        thread::scope(|s| {
+            for i in 0..n {
+                let (start, f) = (&start, &f);
+                s.spawn(move || {
+                    start.wait();
+                    f(i);
+                });
             }
-        }
-        assert_eq!(found, 500, "every flow resolvable after the race");
+        });
     }
 
-    /// Publishers race to make levels past an 8-slot level 0 while
-    /// readers look up: a reader only ever sees a sender published for
-    /// the flow, and afterwards every published flow is found.
+    /// Two shards publish one flow at once with different senders,
+    /// IPv4 and IPv6: the flow ends up with one of them.
     #[test]
-    fn directory_grows_under_concurrent_publishers_and_readers() {
-        let flows: u64 = if cfg!(miri) { 48 } else { 4000 };
-        let sender = |t: u64, flow: u64| {
-            SocketAddr::from(([10, t as u8, (flow >> 8) as u8, flow as u8], 1000))
-        };
-        let dir = Arc::new(FlowDirectory::new(8));
-        let start = Arc::new(std::sync::Barrier::new(5));
-        let publishers: Vec<_> = (0..3u64)
-            .map(|t| {
-                let (dir, start) = (dir.clone(), start.clone());
-                // Each publisher owns every third flow and also races
-                // the next publisher over a quarter of its flows.
-                std::thread::spawn(move || {
-                    start.wait();
-                    for flow in (0..flows).filter(|f| f % 3 == t || f % 12 == (t + 1) % 3) {
-                        dir.publish(flow, sender(t, flow));
-                    }
-                })
-            })
-            .collect();
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let (dir, start) = (dir.clone(), start.clone());
-                std::thread::spawn(move || {
-                    start.wait();
-                    for flow in (0..flows).chain(0..flows) {
-                        if let Some(got) = dir.lookup(flow) {
-                            assert!((0..3).any(|t| got == sender(t, flow)), "foreign {got}");
-                        }
-                    }
-                })
-            })
-            .collect();
-        for j in publishers.into_iter().chain(readers) {
-            j.join().unwrap();
+    fn racing_publishers_of_one_flow_leave_one_of_their_senders() {
+        let senders: [SocketAddr; 2] = [
+            "10.0.0.1:1111".parse().unwrap(),
+            "[::1]:2222".parse().unwrap(),
+        ];
+        for flow in [7, 0, u64::MAX] {
+            let dir = FlowDirectory::new(8);
+            race(2, |i| dir.publish(flow, senders[i]));
+            let got = dir.lookup(flow).expect("a published flow resolves");
+            assert!(senders.contains(&got), "foreign sender {got}");
         }
-        assert_eq!(dir.publish_failed(), 0);
+    }
+
+    /// A lookup racing the publish of its flow sees no sender or the
+    /// exact one, and the publish is there once both are done.
+    #[test]
+    fn a_lookup_racing_a_publish_sees_none_or_the_exact_sender() {
+        let sender: SocketAddr = "[::1]:3333".parse().unwrap();
+        let rounds = if cfg!(miri) { 4 } else { 200 };
+        for flow in 0..rounds {
+            let dir = FlowDirectory::new(8);
+            race(2, |i| match i {
+                0 => dir.publish(flow, sender),
+                _ => match dir.lookup(flow) {
+                    None => {}
+                    Some(got) => assert_eq!(got, sender, "foreign sender"),
+                },
+            });
+            assert_eq!(dir.lookup(flow), Some(sender));
+        }
+    }
+
+    /// Ids that collided in earlier directories, and the edge ids, from
+    /// two publishers: every one resolves to its own sender. The
+    /// families are 200 flows that share a home slot under one
+    /// `flow_hash` key, and 65 that shared one under an unkeyed
+    /// multiplicative hash; the edges are 0, `u64::MAX` and their
+    /// neighbours.
+    #[test]
+    fn colliding_and_adversarial_ids_all_resolve() {
+        const C: u64 = 0x9E37_79B9_7F4A_7C15;
+        let inverse = super::sender_table_tests::odd_inverse(C);
+        let keyed = (0..200).map(|j| super::sender_table_tests::flow_with_hash(j << 32, 0x5EED));
+        let unkeyed = (1..66).map(|j: u64| (j << 32).wrapping_mul(inverse));
+        let edges = [0, 1, u64::MAX - 1, u64::MAX];
+        let flows: Vec<u64> = keyed.chain(unkeyed).chain(edges).collect();
+        assert_eq!(
+            flows
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len(),
+            flows.len()
+        );
+        let dir = FlowDirectory::new(16);
+        race(2, |i| {
+            for (n, &flow) in flows.iter().enumerate().skip(i).step_by(2) {
+                dir.publish(flow, v4(0, n as u64));
+            }
+        });
+        for (n, &flow) in flows.iter().enumerate() {
+            assert_eq!(dir.lookup(flow), Some(v4(0, n as u64)), "flow {flow:#x}");
+        }
+    }
+
+    /// Three publishers grow an 8-flow directory while two readers look
+    /// up: a reader sees only senders published for the flow, and
+    /// afterwards every flow is found. Each publisher owns every third
+    /// flow and races the next publisher over a quarter of its flows.
+    #[test]
+    fn growth_past_the_starting_capacity_while_readers_look_up() {
+        let flows: u64 = if cfg!(miri) { 48 } else { 4000 };
+        let dir = FlowDirectory::new(8);
+        race(5, |i| {
+            let t = i as u64;
+            if t < 3 {
+                for flow in (0..flows).filter(|f| f % 3 == t || f % 12 == (t + 1) % 3) {
+                    dir.publish(flow, v4(t, flow));
+                }
+            } else {
+                for flow in (0..flows).chain(0..flows) {
+                    if let Some(got) = dir.lookup(flow) {
+                        assert!((0..3).any(|t| got == v4(t, flow)), "foreign {got}");
+                    }
+                }
+            }
+        });
         for flow in 0..flows {
             let got = dir.lookup(flow).expect("every published flow found");
-            assert!((0..3).any(|t| got == sender(t, flow)), "foreign {got}");
+            assert!((0..3).any(|t| got == v4(t, flow)), "foreign {got}");
         }
-        assert!(dir.levels().count() > 2, "publishes grew the directory");
     }
 }
 
@@ -1972,8 +1682,8 @@ mod tests {
         ShardedRelay::start(loopback(), config).expect("relay starts")
     }
 
-    /// 128 flows publish into the first level, 16 KiB; the fixed
-    /// directory this replaced was 1 MiB whatever it held.
+    /// The directory starts empty and grows with what is published: 128
+    /// flows fit in 32 KiB of entries.
     #[test]
     fn a_one_shard_relay_of_128_flows_keeps_a_small_directory() {
         let receiver = UdpSocket::bind(loopback()).unwrap();
@@ -1986,7 +1696,9 @@ mod tests {
         wait_for(|| relay.stats().forwarded == 128);
         let dir = relay.directory();
         assert!((0..128).all(|flow| dir.lookup(flow) == Some(sender.local_addr().unwrap())));
-        assert!(dir.bytes() <= 32 * 1024, "{} bytes", dir.bytes());
+        let entries = dir.senders.read().unwrap().capacity();
+        let bytes = entries * std::mem::size_of::<(u64, SocketAddr)>();
+        assert!(bytes <= 32 * 1024, "{entries} entries, {bytes} bytes");
     }
 
     /// The run loop splits each batch into receive, step and send; the

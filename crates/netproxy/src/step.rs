@@ -286,7 +286,7 @@ impl ShardStep {
             Action::ForwardToSender(header) => {
                 let flow = header.flow;
                 // Feedback (ACK/NACK): reverse toward the flow's sender.
-                // Private table first; the lock-free directory covers
+                // Private table first; the shared directory covers
                 // flows whose feedback was steered to a foreign shard.
                 let dest = self.senders.get(flow).or_else(|| {
                     let found = self.directory.lookup(flow);
@@ -496,30 +496,34 @@ mod tests {
     }
 
     /// Feedback reverses to the flow's sender even when another shard's
-    /// step learned it: through the directory that step published into.
+    /// step learned it: through the directory that step published into,
+    /// for an IPv4 or an IPv6 sender and for flow `u64::MAX` too.
     /// Feedback for a flow nobody learned is dropped.
     #[test]
     fn feedback_reverses_through_a_directory_another_step_published_into() {
-        for kind in KINDS {
-            let directory = Arc::new(FlowDirectory::new(64));
-            let mut home = ShardStep::new(kind, receiver(), directory.clone(), None);
-            let mut foreign = ShardStep::new(kind, receiver(), directory, None);
-            let mut bench = Bench::new();
-            bench.batch(&mut home, &[(data(8, 0), addr(1))], 0);
-            let ack = WireHeader::ack(8, 0).encode(&[]);
-            let stray = WireHeader::ack(9, 0).encode(&[]);
-            let feedback = [(ack.clone(), receiver()), (stray, receiver())];
-            let (counts, sent) = bench.batch(&mut foreign, &feedback, 0);
-            assert_eq!(
-                counts,
-                RelayStats {
-                    reversed: 1,
-                    dropped: 1,
-                    ..batch_of(2)
-                },
-                "{kind:?}"
-            );
-            assert_eq!(sent, [(ack, addr(1))], "{kind:?}");
+        let v6: SocketAddr = "[::1]:4000".parse().unwrap();
+        for (flow, sender) in [(8, addr(1)), (8, v6), (u64::MAX, addr(1))] {
+            for kind in KINDS {
+                let directory = Arc::new(FlowDirectory::new(64));
+                let mut home = ShardStep::new(kind, receiver(), directory.clone(), None);
+                let mut foreign = ShardStep::new(kind, receiver(), directory, None);
+                let mut bench = Bench::new();
+                bench.batch(&mut home, &[(data(flow, 0), sender)], 0);
+                let ack = WireHeader::ack(flow, 0).encode(&[]);
+                let stray = WireHeader::ack(flow.wrapping_add(1), 0).encode(&[]);
+                let feedback = [(ack.clone(), receiver()), (stray, receiver())];
+                let (counts, sent) = bench.batch(&mut foreign, &feedback, 0);
+                assert_eq!(
+                    counts,
+                    RelayStats {
+                        reversed: 1,
+                        dropped: 1,
+                        ..batch_of(2)
+                    },
+                    "{kind:?} {flow} {sender}"
+                );
+                assert_eq!(sent, [(ack, sender)], "{kind:?} {flow} {sender}");
+            }
         }
     }
 

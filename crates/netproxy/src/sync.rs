@@ -1,4 +1,4 @@
-//! Atomic-type shim for model checking the lock-free datapath.
+//! Atomic-type shim for model checking the relay's shared counters.
 //!
 //! Concurrency-critical modules import atomics from here instead of
 //! `std::sync::atomic`. A normal build re-exports `std` types with zero

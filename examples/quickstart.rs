@@ -41,8 +41,8 @@ fn main() {
             scheme.label().to_string(),
             fmt_secs(outcome.completion_secs),
             reduction,
-            outcome.rto_fires.to_string(),
-            outcome.retransmits.to_string(),
+            outcome.counters.rto_fires.to_string(),
+            outcome.counters.retransmits.to_string(),
         ]);
     }
 

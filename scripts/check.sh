@@ -85,7 +85,7 @@ for study in $(target/release/figures --list); do
   target/release/figures "$study" | diff - "results/$study.txt"
 done
 
-echo "== loom (bounded-exhaustive interleaving models of the lock-free shard datapath)"
+echo "== loom (bounded-exhaustive interleaving models of the shard stats flush and the fault stats)"
 RUSTFLAGS="--cfg loom" cargo test --offline -p netproxy --test loom -q
 
 echo "== netproxy loadgen smoke (every relay path × socket layer, ledger-verified)"
