@@ -6,8 +6,8 @@
 //! waits for the counters to settle and judges the run with [`judge`].
 //! `netproxy_load --smoke` / `--sweep`, the soak family
 //! ([`crate::soak::Soak`]) and `fig5`'s upper bound all drive the relay
-//! through it; `scripts/check.sh` refuses a second place in `bench` that
-//! starts a sink or a relay.
+//! through it; `scripts/check.sh` refuses a second place in `bench` or
+//! the examples that starts a sink or a relay.
 //!
 //! The ledger demands **zero unexplained loss**. Every datagram the
 //! generator delivered must be explained by a sink arrival, a NACK, a
@@ -20,17 +20,11 @@
 use dcsim::faults::FaultPlan;
 use netproxy::fault::{FaultSnapshot, INBOUND, OUTBOUND};
 use netproxy::loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats};
-use netproxy::shard::{RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay};
-use netproxy::streamlined::{decide, Action};
+use netproxy::shard::{RelayConfig, RelayKind, RelayStats, ShardedRelay};
 use netproxy::supervisor::SupervisorStats;
-use netproxy::wire::WireHeader;
-// simlint: allow(hash-collections) — keyed lookups only, the relay never iterates the map
-use std::collections::HashMap;
 use std::fmt;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::num::NonZeroU64;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::{Cdf, LogHistogram};
 
@@ -40,14 +34,14 @@ pub enum Path {
     /// No relay: the generator sends straight to the sink.
     Direct,
     /// A [`ShardedRelay`] of `kind` on `shards` workers (0 = one per core).
+    /// On `SocketLayer::Fallback` one shard is the single-datagram
+    /// baseline: one `recv_from` and one `send_to` per datagram.
     Sharded {
         /// Relay logic.
         kind: RelayKind,
         /// Worker threads / sockets.
         shards: usize,
     },
-    /// The single-datagram reference relay ([`SingleDatagramRelay`]).
-    Single,
 }
 
 impl Path {
@@ -56,7 +50,6 @@ impl Path {
         match self {
             Path::Direct => "direct",
             Path::Sharded { kind, .. } => kind.name(),
-            Path::Single => "single",
         }
     }
 }
@@ -106,7 +99,7 @@ impl LiveRun {
 /// Every count the ledger reads, snapshotted once the run settled.
 #[derive(Debug, Clone, Default)]
 pub struct Counts {
-    /// Socket layer the path ran on (`"single"` for the reference relay).
+    /// Socket layer the path ran on.
     pub layer: &'static str,
     /// What the generator sent and drained.
     pub generator: BatchLoadReport,
@@ -118,8 +111,7 @@ pub struct Counts {
     pub faults: FaultSnapshot,
     /// The relay's supervisor.
     pub supervisor: SupervisorStats,
-    /// Each relay shard's generation. The reference relay is one shard
-    /// that never restarts; the direct path has none.
+    /// Each relay shard's generation; the direct path has none.
     pub generations: Vec<u64>,
     /// Each sharded-relay shard's heartbeat at settle.
     pub heartbeats: Vec<u64>,
@@ -177,50 +169,29 @@ pub struct LiveOutcome {
     pub ledger: Ledger,
     /// One-way latency of data datagrams at the sink, nanoseconds.
     pub latency: LogHistogram,
-    /// The sharded relay's per-datagram share of each batch's span
-    /// ([`ShardedRelay::recorder`]), microseconds; `None` on the other
-    /// paths or without a sample.
+    /// The relay's per-datagram share of each batch's span
+    /// ([`ShardedRelay::recorder`]), microseconds; `None` on the direct
+    /// path or without a sample.
     pub batch_share: Option<Cdf>,
-}
-
-/// The path under test, running.
-enum Running {
-    Direct,
-    Sharded(ShardedRelay),
-    Single(SingleDatagramRelay),
-}
-
-impl Running {
-    fn relay_stats(&self) -> RelayStats {
-        match self {
-            Running::Direct => RelayStats::default(),
-            Running::Sharded(relay) => relay.stats(),
-            Running::Single(relay) => relay.stats(),
-        }
-    }
 }
 
 /// Runs `run` and judges it.
 ///
 /// # Panics
 /// Panics when a socket cannot be set up, or when faults, the shed ladder
-/// or chaos are asked of a path other than the sharded relay.
+/// or chaos are asked of the direct path.
 pub fn run(run: &LiveRun) -> LiveOutcome {
     let sharded = matches!(run.path, Path::Sharded { .. });
     assert!(
         sharded || (run.faults.is_empty() && run.overload_pps == 0 && !run.chaos_on()),
-        "faults, the shed ladder and chaos need the sharded relay"
+        "faults, the shed ladder and chaos need the relay"
     );
     let layer = run.load.layer;
     // simlint: allow(wall-clock) — a live run measures real elapsed time
     let epoch = Instant::now();
     let sink = retry_addr_in_use(|| BatchSink::start(1, layer, epoch)).expect("sink");
-    let path = match run.path {
-        Path::Direct => Running::Direct,
-        Path::Single => Running::Single(
-            retry_addr_in_use(|| SingleDatagramRelay::start(sink.local_addr()))
-                .expect("single relay"),
-        ),
+    let relay = match run.path {
+        Path::Direct => None,
         Path::Sharded { kind, shards } => {
             let config = RelayConfig {
                 kind,
@@ -232,13 +203,16 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
             };
             let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
             let relay = retry_addr_in_use(|| ShardedRelay::start(loopback, config.clone()));
-            Running::Sharded(relay.expect("relay"))
+            Some(relay.expect("relay"))
         }
     };
-    let target = match &path {
-        Running::Direct => sink.local_addr(),
-        Running::Sharded(relay) => relay.local_addr(),
-        Running::Single(relay) => relay.local_addr,
+    let target = relay
+        .as_ref()
+        .map_or(sink.local_addr(), ShardedRelay::local_addr);
+    let relay_stats = || {
+        relay
+            .as_ref()
+            .map_or_else(RelayStats::default, ShardedRelay::stats)
     };
 
     // Chaos, each event on a timer thread while the generator pushes
@@ -246,7 +220,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
     let chaos = (run.crash_at_ms.map(|at| (at, true)).into_iter())
         .chain(run.wedge_at_ms.map(|at| (at, false)));
     let generator = std::thread::scope(|scope| {
-        if let Running::Sharded(relay) = &path {
+        if let Some(relay) = &relay {
             let last = relay.shards() - 1;
             for (at, crash) in chaos {
                 scope.spawn(move || {
@@ -270,7 +244,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
     let mut last = (0u64, 0u64, 0u64);
     loop {
         std::thread::sleep(Duration::from_millis(100));
-        let (s, r) = (sink.stats(), path.relay_stats());
+        let (s, r) = (sink.stats(), relay_stats());
         let now = (s.received + s.trimmed + s.malformed, r.received, r.nacks);
         if now == last || settle.elapsed() > Duration::from_secs(3) {
             break;
@@ -281,30 +255,23 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
     let mut counts = Counts {
         layer: layer.resolved().name(),
         generator,
-        relay: path.relay_stats(),
+        relay: relay_stats(),
         sink: sink.stats(),
         ..Counts::default()
     };
     let mut batch_share = None;
-    match &path {
-        Running::Direct => {}
-        Running::Single(_) => {
-            counts.layer = "single";
-            counts.generations = vec![0];
+    if let Some(relay) = &relay {
+        counts.layer = relay.layer().name();
+        counts.faults = relay.fault_stats();
+        counts.supervisor = relay.supervisor_stats();
+        let shards = 0..relay.shards();
+        counts.generations = shards.clone().map(|i| relay.shard_generation(i)).collect();
+        counts.heartbeats = shards.clone().map(|i| relay.shard_heartbeat(i)).collect();
+        if run.chaos_on() {
+            std::thread::sleep(Duration::from_millis(50));
+            counts.heartbeats_later = shards.map(|i| relay.shard_heartbeat(i)).collect();
         }
-        Running::Sharded(relay) => {
-            counts.layer = relay.layer().name();
-            counts.faults = relay.fault_stats();
-            counts.supervisor = relay.supervisor_stats();
-            let shards = 0..relay.shards();
-            counts.generations = shards.clone().map(|i| relay.shard_generation(i)).collect();
-            counts.heartbeats = shards.clone().map(|i| relay.shard_heartbeat(i)).collect();
-            if run.chaos_on() {
-                std::thread::sleep(Duration::from_millis(50));
-                counts.heartbeats_later = shards.map(|i| relay.shard_heartbeat(i)).collect();
-            }
-            batch_share = relay.recorder().cdf_micros();
-        }
+        batch_share = relay.recorder().cdf_micros();
     }
     LiveOutcome {
         ledger: judge(run, &counts),
@@ -319,10 +286,9 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
 /// Streamlined NACK, or a NACK coalesced away, answers one received
 /// trimmed header; a Detecting NACK is generated from a sequence gap and
 /// consumes nothing, and neither does one it coalesced or refused. The
-/// sharded relay counts an outcome when it queues the datagram, so its
-/// send errors stay out (`send_errors_classified` and `egress_accounted`
-/// account for them); the reference relay counts a refused send instead
-/// of its outcome, so its send errors are in.
+/// relay counts an outcome when it queues the datagram, so its send
+/// errors stay out (`send_errors_classified` and `egress_accounted`
+/// account for them).
 fn consumed(path: Path, r: &RelayStats) -> (u64, &'static str) {
     let passed_on = r.forwarded + r.reversed + r.dropped;
     match path {
@@ -332,10 +298,6 @@ fn consumed(path: Path, r: &RelayStats) -> (u64, &'static str) {
         } => (
             passed_on + r.shed_dropped,
             "forwarded + reversed + dropped + shed_dropped",
-        ),
-        Path::Single => (
-            passed_on + r.nacks + r.send_errors,
-            "forwarded + reversed + dropped + nacks + send_errors",
         ),
         Path::Direct | Path::Sharded { .. } => (
             passed_on + r.nacks + r.nacks_coalesced + r.shed_dropped,
@@ -592,113 +554,16 @@ fn retry_addr_in_use<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::
     }
 }
 
-/// The pre-batching streamlined relay, verbatim in architecture: a
-/// single blocking socket, one datagram per syscall pair, and a freshly
-/// allocated NACK per trimmed header. The baseline the batched datapath
-/// is held against.
-struct SingleDatagramRelay {
-    local_addr: SocketAddr,
-    shared: Arc<SingleShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// What [`SingleDatagramRelay`]'s thread shares with its handle: the stop
-/// flag and the sharded relay's counters, of which it moves those the
-/// ledger needs.
-#[derive(Default)]
-struct SingleShared {
-    stop: AtomicBool,
-    counts: ShardStats,
-}
-
-impl SingleDatagramRelay {
-    fn start(receiver: SocketAddr) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(SocketAddr::from(([127, 0, 0, 1], 0)))?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let local_addr = socket.local_addr()?;
-        let shared = Arc::new(SingleShared::default());
-        let st = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("single-relay".into())
-            .spawn(move || {
-                let mut buf = vec![0u8; 2048];
-                // simlint: allow(hash-collections) — flow→sender lookups, never iterated
-                let mut senders: HashMap<u64, SocketAddr> = HashMap::new();
-                let counts = &st.counts;
-                // ordering: Acquire — pairs with the Release store in `drop`;
-                // the 20 ms read timeout bounds how long a quiet socket
-                // keeps the thread from seeing it.
-                while !st.stop.load(Ordering::Acquire) {
-                    let Ok((n, from)) = socket.recv_from(&mut buf) else {
-                        continue;
-                    };
-                    let datagram = &buf[..n];
-                    // The counter of this datagram's outcome; a refused
-                    // send counts as a send error instead.
-                    let sent = |result: std::io::Result<usize>, ok| match result {
-                        Ok(_) => ok,
-                        Err(_) => &counts.send_errors,
-                    };
-                    let outcome = match decide(datagram) {
-                        Action::ForwardToReceiver(WireHeader { flow, .. }) => {
-                            senders.insert(flow, from);
-                            sent(socket.send_to(datagram, receiver), &counts.forwarded)
-                        }
-                        Action::NackToSender(WireHeader { flow, seq, .. }) => {
-                            senders.insert(flow, from);
-                            let nack = WireHeader::nack(flow, seq).encode(&[]);
-                            sent(socket.send_to(&nack, from), &counts.nacks)
-                        }
-                        Action::ForwardToSender(WireHeader { flow, .. }) => {
-                            match senders.get(&flow) {
-                                Some(&sender) => {
-                                    sent(socket.send_to(datagram, sender), &counts.reversed)
-                                }
-                                None => &counts.dropped,
-                            }
-                        }
-                        Action::Drop => &counts.dropped,
-                    };
-                    // ordering: Relaxed — monotone stats counters, read by
-                    // a snapshot that tolerates staleness.
-                    counts.received.fetch_add(1, Ordering::Relaxed);
-                    outcome.fetch_add(1, Ordering::Relaxed);
-                }
-            })?;
-        Ok(SingleDatagramRelay {
-            local_addr,
-            shared,
-            handle: Some(handle),
-        })
-    }
-
-    fn stats(&self) -> RelayStats {
-        let mut stats = RelayStats::default();
-        stats.merge(&self.shared.counts);
-        stats
-    }
-}
-
-impl Drop for SingleDatagramRelay {
-    fn drop(&mut self) {
-        // ordering: Release — pairs with the Acquire load in the relay loop.
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcsim::faults::PortImpairment;
     use netproxy::SocketLayer;
 
-    fn sharded(kind: RelayKind) -> Path {
-        Path::Sharded { kind, shards: 2 }
-    }
-
+    const NAIVE: Path = Path::Sharded {
+        kind: RelayKind::Naive,
+        shards: 2,
+    };
     const STREAMLINED: Path = Path::Sharded {
         kind: RelayKind::Streamlined,
         shards: 2,
@@ -708,14 +573,8 @@ mod tests {
         shards: 2,
     };
 
-    fn paths() -> [Path; 5] {
-        [
-            Path::Direct,
-            sharded(RelayKind::Naive),
-            STREAMLINED,
-            DETECTING,
-            Path::Single,
-        ]
+    fn paths() -> [Path; 4] {
+        [Path::Direct, NAIVE, STREAMLINED, DETECTING]
     }
 
     fn clean(path: Path) -> LiveRun {
@@ -758,14 +617,10 @@ mod tests {
                 }
             }
             // Each trimmed header comes back as a NACK.
-            Path::Sharded { .. } | Path::Single => {
+            Path::Sharded { .. } => {
                 (relay.forwarded, relay.nacks) = (800, 200);
                 (sink.received, *nacks) = (800, 200);
             }
-        }
-        if path == Path::Single {
-            c.layer = "single";
-            c.generations = vec![0];
         }
         c
     }
@@ -822,16 +677,7 @@ mod tests {
                 c.generator.sent_packets += 1
             }));
             // A per-datagram refusal, which no whole-batch loss explains.
-            // The reference relay counts it instead of the forward.
-            out.push(if path == Path::Single {
-                ("send_errors_classified", |c| {
-                    c.relay.send_errors += 1;
-                    c.relay.forwarded -= 1;
-                    c.sink.received -= 1;
-                })
-            } else {
-                ("send_errors_classified", |c| c.relay.send_errors += 1)
-            });
+            out.push(("send_errors_classified", |c| c.relay.send_errors += 1));
         }
         out
     }

@@ -24,7 +24,7 @@ FOREIGN="$(awk '
 if [ -n "$FOREIGN" ]; then echo "$FOREIGN"; echo "a manifest names a crate from outside the workspace" >&2; exit 1; fi
 if grep -l -e '^\[\[bench\]\]' $MANIFESTS; then echo "a [[bench]] target is back in a manifest" >&2; exit 1; fi
 if git ls-files 'BENCH_*.json' | grep .; then echo "a BENCH_*.json is tracked again (committed numbers live in results/ and crates/perf/RECORD.json)" >&2; exit 1; fi
-if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench (every live run goes through bench::live::run)" >&2; exit 1; fi
+if git grep -l -e 'BatchSink::start' -e 'ShardedRelay::start' -- crates/bench/src examples ':!crates/bench/src/live.rs'; then echo "a second live-relay driver in bench or the examples (every live run goes through bench::live::run)" >&2; exit 1; fi
 if grep -n -e 'Instant' -e 'SystemTime' crates/netproxy/src/step.rs; then echo "the shard step reads a clock (it takes the run loop's reading as now_ns)" >&2; exit 1; fi
 # Every simulated run is a `Scenario` (`incast_core::scenario`): an engine
 # is constructed only by the simulator itself, the benchmark, the
@@ -91,10 +91,9 @@ RUSTFLAGS="--cfg loom" cargo test --offline -p netproxy --test loom -q
 echo "== netproxy loadgen smoke (every relay path × socket layer, ledger-verified)"
 cargo run --release --offline -q -p bench --bin netproxy_load -- --smoke
 
-echo "== live figures and example (naive TCP proxy + one-shard relay on loopback; fig5 asserts batch span / decision >= 10x)"
+echo "== live figures (naive TCP proxy + one-shard relay on loopback; fig4 asserts the proxy lost no bytes, fig5 batch span / decision >= 10x and a balanced ledger)"
 cargo run --release --offline -q -p bench --bin fig4 -- --quick
 cargo run --release --offline -q -p bench --bin fig5 -- --quick
-cargo run --release --offline -q --example live_proxy
 
 # Each asserts its own result; their stdout is deterministic and must match
 # what is recorded.
