@@ -2,12 +2,12 @@
 //!
 //! The single-datagram relay pays two syscalls and a buffer copy per
 //! packet — the dominant cost of the Figure 5b upper bound. This module
-//! drains up to [`BATCH`] messages per `recvmmsg` into a preallocated
-//! ring and coalesces every outbound forward/NACK of a batch into one
-//! `sendmmsg` flush, cutting the syscall count per packet from two to
-//! ~2/[`BATCH`] — and, within that flush, every same-destination run
-//! into one message, which the receiving end reads back as the datagrams
-//! it holds (both below).
+//! drains up to [`RECV_ENTRIES`] messages per `recvmmsg` into a
+//! preallocated ring and coalesces every outbound forward/NACK of a
+//! batch of up to [`BATCH`] datagrams into one `sendmmsg` flush, cutting
+//! the syscall count per packet from two to ~2/[`BATCH`] — and, within
+//! that flush, every same-destination run into one message, which the
+//! receiving end reads back as the datagrams it holds (both below).
 //!
 //! Two implementations sit behind the same [`BatchIo`] trait:
 //!
@@ -54,21 +54,28 @@
 //!   forwards and NACKs form two long runs, not many two-datagram ones.
 //!   Order is kept per (destination, length); across a batch it carries
 //!   no meaning (see `RecvRing::swap_remove`).
-//! * **Limits.** A message holds at most 64 segments and 65,408 bytes
-//!   (one packet until it is segmented, and only under 64 KB with its
-//!   headers does a device take it whole), so a longer run continues in
-//!   a new message; empty datagrams cannot be segmented and go alone;
-//!   each segment plus headers must fit the path MTU, which
-//!   [`MAX_DATAGRAM`] does on a 1500-byte link.
-//! * **Refusal.** When the kernel refuses a multi-segment message with
-//!   one of the errors a missing capability produces (`EINVAL`, `EIO`,
-//!   `ENOPROTOOPT`, `EOPNOTSUPP`, `EMSGSIZE`: kernel before 4.18, device
-//!   without checksum offload, segment over the path MTU), the run is
-//!   re-sent as its datagrams — every range cut back at the segment
-//!   size, one plain entry each — within the same call, each counted on
-//!   its own. If the first of them is accepted, the refusal was about GSO
-//!   and coalescing stays off for that socket; if it is refused too, it
-//!   was the destination (port 0, say) and nothing is latched.
+//! * **Limits.** A message holds at most the socket's learned segment
+//!   limit — [`BATCH`] at first, so a full batch of one destination and
+//!   length leaves as one message — and 65,408 bytes (one packet until it
+//!   is segmented, and only under 64 KB with its headers does a device
+//!   take it whole), so a longer run continues in a new message; empty
+//!   datagrams cannot be segmented and go alone; each segment plus
+//!   headers must fit the path MTU, which [`MAX_DATAGRAM`] does on a
+//!   1500-byte link.
+//! * **Refusal.** The segment limit is a rung of `[BATCH, 64, 1]`: the
+//!   kernel's `UDP_MAX_SEGMENTS` is 128 since Linux 6.9 and 64 before,
+//!   and rung 1 is no coalescing at all. When the kernel refuses a
+//!   multi-segment message with one of the errors a missing capability
+//!   produces (`EINVAL`, `EIO`, `ENOPROTOOPT`, `EOPNOTSUPP`, `EMSGSIZE`:
+//!   more segments than the kernel takes, kernel before 4.18, device
+//!   without checksum offload, segment over the path MTU), the run is cut
+//!   to the next rung below its length and re-sent within the same call,
+//!   its datagrams each counted on its own; a first message of the cut
+//!   refused the same way is cut again, down to rung 1. The rung whose
+//!   first message is accepted is latched for that socket: a kernel
+//!   before 6.9 goes on coalescing 64 at a time. If even a plain datagram
+//!   is refused, it was the destination (port 0, say) and nothing is
+//!   latched.
 //!
 //! [`SendOutcome`] counts datagrams in `sent`/`errors` either way, and
 //! kernel entries in `messages` and `iovecs`.
@@ -87,16 +94,18 @@
 //! what arrives plain is one view.
 //!
 //! * **Landing areas.** A coalesced message is up to 64 KB, so every one
-//!   of the [`BATCH`] receive entries gets a 64 KB landing area: fewer,
-//!   or smaller, and either many-sender traffic (nothing to coalesce —
-//!   the paper's incast on a real NIC) would drain fewer than [`BATCH`]
+//!   of the [`RECV_ENTRIES`] receive entries gets a 64 KB landing area:
+//!   fewer, or smaller, and either many-sender traffic (nothing to
+//!   coalesce — the paper's incast on a real NIC) would drain fewer
 //!   datagrams per syscall, or a train would be cut short. On Linux the
 //!   arena is reserved address space, resident only where bytes have
 //!   landed (see [`RecvRing::new`]).
-//! * **What a batch is.** One `recv_batch` returns at most [`BATCH`]
-//!   messages but up to 64 datagrams for each (128 from a sender on Linux
-//!   6.9 or later). The relay walks a receive in batches of at most
-//!   [`BATCH`] datagrams, so everything scoped to "a batch" is unchanged.
+//! * **What a batch is.** One `recv_batch` returns at most
+//!   [`RECV_ENTRIES`] messages but up to 128 datagrams for each (64 from
+//!   a sender before Linux 6.9), so a whole [`BATCH`]-datagram train is
+//!   one receive entry. The relay walks a receive in batches of at most
+//!   [`BATCH`] datagrams, so everything scoped to "a batch" is the same
+//!   however many datagrams one receive brought.
 //! * **Oversize and damage.** A landing area cannot cut a message short,
 //!   so a datagram (or train segment) longer than [`MAX_DATAGRAM`] is seen
 //!   whole — and dropped by [`crate::streamlined::decide`], counted, as
@@ -111,11 +120,18 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-/// Messages drained per `recvmmsg`, and datagrams per batch: staged per
-/// ring, relayed between two counter flushes, flushed per `sendmmsg`. A
+/// Datagrams per batch: staged per ring, relayed between two counter
+/// flushes, flushed per `sendmmsg`, and the most segments one coalesced
+/// message is first tried with (the kernel's limit since Linux 6.9). A
 /// receive can hold more datagrams than this (a coalesced message is one
 /// entry, many datagrams); the relay takes it [`BATCH`] at a time.
-pub const BATCH: usize = 64;
+pub const BATCH: usize = 128;
+
+/// Messages drained per `recvmmsg`: receive entries, each with a landing
+/// area of its own. Fewer than [`BATCH`]: a train is one entry however
+/// many datagrams it carries, and each landing area in use costs resident
+/// pages.
+pub const RECV_ENTRIES: usize = 64;
 
 /// How long a `recv_batch` blocks waiting for the first datagram before
 /// returning an empty batch (keeps shutdown + sweep timers responsive).
@@ -171,8 +187,8 @@ struct Slot {
     from: SocketAddr,
 }
 
-/// The portable arena: [`BATCH`] landing areas on the heap, each one
-/// datagram (and a little more, so an oversize datagram shows as one)
+/// The portable arena: [`RECV_ENTRIES`] landing areas on the heap, each
+/// one datagram (and a little more, so an oversize datagram shows as one)
 /// long. The ring off Linux and under Miri.
 #[cfg(any(not(target_os = "linux"), miri))]
 struct Arena(Box<[u8]>);
@@ -210,19 +226,19 @@ use linux::Arena;
 const LANDING: usize = Arena::LANDING;
 /// Where the arena's spill area starts, behind the landing areas: room
 /// for [`BATCH`] datagrams appended to a receive (`push_received`).
-const SPILL: usize = BATCH * LANDING;
+const SPILL: usize = RECV_ENTRIES * LANDING;
 /// Bytes of an arena.
 const ARENA_BYTES: usize = SPILL + BATCH * MAX_DATAGRAM;
 
 /// Received (or staged) datagrams, read in place by the relay loop: one
-/// flat byte arena — [`BATCH`] landing areas and a spill area — behind a
-/// table of per-datagram `(offset, length, source)` views.
+/// flat byte arena — [`RECV_ENTRIES`] landing areas and a spill area —
+/// behind a table of per-datagram `(offset, length, source)` views.
 ///
 /// [`BatchIo::recv_batch`] lands one kernel message per landing area and
 /// records one view per datagram in it — several when the message is a
 /// coalesced train (see the module docs, "Run splitting"). So a receive
-/// holds at most [`BATCH`] *messages* but up to 64 datagrams for each;
-/// [`RecvRing::len`] counts datagrams. Staging ([`RecvRing::stage`])
+/// holds at most [`RECV_ENTRIES`] *messages* but up to 128 datagrams for
+/// each; [`RecvRing::len`] counts datagrams. Staging ([`RecvRing::stage`])
 /// packs outbound datagrams from the arena's start, at most [`BATCH`] of
 /// them, within its first `BATCH × MAX_DATAGRAM` bytes.
 ///
@@ -244,9 +260,9 @@ impl Default for RecvRing {
 }
 
 impl RecvRing {
-    /// An empty ring. On Linux the arena is [`BATCH`] × 64 KB of reserved
-    /// address space, resident only where datagrams have landed; elsewhere
-    /// [`BATCH`] MTU-sized heap buffers.
+    /// An empty ring. On Linux the arena is [`RECV_ENTRIES`] × 64 KB of
+    /// reserved address space, resident only where datagrams have landed;
+    /// elsewhere [`RECV_ENTRIES`] MTU-sized heap buffers.
     ///
     /// # Panics
     /// Panics if the address space cannot be reserved, as an allocation
@@ -513,11 +529,11 @@ trace::counters! {
 /// thread at a time (`&mut self`).
 pub trait BatchIo: Send {
     /// Blocks up to [`RECV_POLL`] for the first message, then drains
-    /// whatever else is ready, up to [`BATCH`] messages. Returns the number
-    /// of datagrams now in `ring` (0 on timeout): at most [`BATCH`] on
-    /// [`FallbackIo`], up to 64 (or what the sender's kernel allows a
-    /// train) per message on [`MmsgIo`] — a caller that sizes anything by
-    /// [`BATCH`] walks the ring in slices.
+    /// whatever else is ready, up to [`RECV_ENTRIES`] messages. Returns the
+    /// number of datagrams now in `ring` (0 on timeout): at most
+    /// [`RECV_ENTRIES`] on [`FallbackIo`], up to 128 (what the sender's
+    /// kernel allows a train) per message on [`MmsgIo`] — a caller that
+    /// sizes anything by [`BATCH`] walks the ring in slices.
     fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize>;
 
     /// Flushes every queued datagram. Per-datagram failures are counted
@@ -596,7 +612,7 @@ impl BatchIo for FallbackIo {
         }
         // Drain whatever else is already queued without blocking again.
         self.socket.set_nonblocking(true)?;
-        while ring.len() < BATCH {
+        while ring.len() < RECV_ENTRIES {
             let i = ring.len();
             match self.socket.recv_from(FallbackIo::landing(ring, i)) {
                 Ok((n, from)) => ring.land(i, n, 0, from),
@@ -681,7 +697,7 @@ mod linux {
     use super::ARENA_BYTES;
     use super::{
         is_timeout, BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH, LANDING,
-        MAX_DATAGRAM, NOWHERE, RECV_POLL, WIRE_HEADER_LEN,
+        MAX_DATAGRAM, NOWHERE, RECV_ENTRIES, RECV_POLL, WIRE_HEADER_LEN,
     };
     use std::io;
     use std::mem;
@@ -713,9 +729,10 @@ mod linux {
     const ENOPROTOOPT: i32 = 92;
     const EOPNOTSUPP: i32 = 95;
 
-    /// Segments one `UDP_SEGMENT` message may carry (the kernel's
-    /// `UDP_MAX_SEGMENTS` before 6.9; later kernels allow more).
-    const GSO_MAX_SEGS: usize = 64;
+    /// Segments one `UDP_SEGMENT` message may carry on a kernel before 6.9
+    /// (its `UDP_MAX_SEGMENTS`; 6.9 raised it to 128): the middle rung of
+    /// a socket's segment limit, `[BATCH, 64, 1]`.
+    const OLD_MAX_SEGS: usize = 64;
     /// Most bytes one `UDP_SEGMENT` message may carry. A coalesced message
     /// is one packet until it is segmented, and a device — loopback
     /// included — takes it unsegmented only while the packet, link header
@@ -725,8 +742,9 @@ mod linux {
     /// Ethernet header.
     const GSO_MAX_BYTES: usize = (1 << 16) - 128;
 
-    /// The ring's arena on Linux: [`BATCH`] landing areas of 64 KB — no UDP
-    /// message, coalesced or not, is longer — as *reserved address space*.
+    /// The ring's arena on Linux: [`RECV_ENTRIES`] landing areas of 64 KB —
+    /// no UDP message, coalesced or not, is longer — and the spill area, as
+    /// *reserved address space*.
     /// An anonymous `MAP_NORESERVE` mapping costs no memory until a page is
     /// written, so the ring is resident only where datagrams have landed:
     /// a page or two per landing area in use, not 4 MB (DESIGN.md §13,
@@ -895,17 +913,29 @@ mod linux {
     // `gso_size` is a u16.
     const _: () = assert!(MAX_DATAGRAM <= u16::MAX as usize);
 
-    /// How many `len`-byte datagrams one message may carry: 1 (no
-    /// coalescing) for empty datagrams, which cannot be segmented.
-    fn max_segments(len: usize) -> usize {
+    /// How many `len`-byte datagrams one message may carry under a limit
+    /// of `segments`: 1 (no coalescing) for empty datagrams, which cannot
+    /// be segmented.
+    fn max_segments(len: usize, segments: usize) -> usize {
         GSO_MAX_BYTES
             .checked_div(len)
-            .map_or(1, |n| n.clamp(1, GSO_MAX_SEGS))
+            .map_or(1, |n| n.clamp(1, segments))
     }
 
-    /// The errors a multi-segment message can fail with when the datagrams
-    /// themselves might be sendable: kernel without `UDP_SEGMENT`, device
-    /// without checksum offload, segment + headers over the path MTU.
+    /// The rung a refused message of `n` segments is cut to: the next of
+    /// `[BATCH, 64, 1]` below `n`.
+    fn rung_below(n: usize) -> usize {
+        if n > OLD_MAX_SEGS {
+            OLD_MAX_SEGS
+        } else {
+            1
+        }
+    }
+
+    /// The errors a multi-segment message can fail with when fewer
+    /// segments, or the datagrams alone, might be sendable: more segments
+    /// than the kernel takes, kernel without `UDP_SEGMENT`, device without
+    /// checksum offload, segment + headers over the path MTU.
     fn gso_refused(e: &io::Error) -> bool {
         matches!(
             e.raw_os_error(),
@@ -1143,25 +1173,18 @@ mod linux {
 
     impl SendPlan {
         /// Plans the flush of `queue`: runs per the module docs ("Run
-        /// coalescing"; every datagram its own message unless `gso`), one
-        /// iovec per contiguous byte range of a run.
-        fn build(&mut self, ring: &RecvRing, queue: &SendQueue, gso: bool) {
-            let total = queue.len();
-            self.addrs.clear();
-            self.ctrl.clear();
-            self.iovs.clear();
-            self.hdrs.clear();
+        /// coalescing"; at most `segments` datagrams a message, so 1 makes
+        /// every datagram its own), one iovec per contiguous byte range of
+        /// a run.
+        fn build(&mut self, ring: &RecvRing, queue: &SendQueue, segments: usize) {
             // At most one iovec and one message per datagram.
-            self.addrs.reserve(total);
-            self.ctrl.reserve(total);
-            self.iovs.reserve(total);
-            self.hdrs.reserve(total);
+            self.clear(queue.len());
             // Payload-bearing entries, then header-only ones, so a batch of
             // mixed traffic forms two long runs instead of many short ones.
             for header_only in [false, true] {
                 let mut run = None; // (destination, length) of the open run
                 let mut room = 0; // segments the open run can still take
-                for i in 0..total {
+                for i in 0..queue.len() {
                     let (bytes, dest) = queue.resolve(ring, i);
                     let len = bytes.len();
                     if (len <= WIRE_HEADER_LEN) != header_only {
@@ -1173,44 +1196,105 @@ mod linux {
                     };
                     if room > 0 && run == Some((dest, len)) {
                         room -= 1;
-                        let open = self.hdrs.last_mut().expect("a run is open");
-                        open.msg_len += len as c_uint;
-                        // More than one datagram: the cmsg goes along.
-                        open.msg_hdr.msg_controllen = mem::size_of::<GsoCmsg>();
-                        let last = self.iovs.last_mut().expect("a run has an iovec");
-                        if last.iov_base.wrapping_byte_add(last.iov_len) == iov.iov_base {
-                            last.iov_len += len;
-                        } else {
-                            self.iovs.push(iov);
-                            open.msg_hdr.msg_iovlen += 1;
-                        }
+                        self.join(iov);
                         continue;
                     }
                     run = Some((dest, len));
-                    room = if gso { max_segments(len) - 1 } else { 0 };
-                    self.iovs.push(iov);
+                    room = max_segments(len, segments) - 1;
                     let mut addr = SockAddrStorage::zeroed();
                     let addr_len = encode_addr(dest, &mut addr);
-                    self.addrs.push(addr);
-                    self.ctrl.push(GsoCmsg {
+                    let ctrl = GsoCmsg {
                         cmsg_len: GSO_CMSG_LEN,
                         cmsg_level: SOL_UDP,
                         cmsg_type: UDP_SEGMENT,
                         gso_size: len as u16,
                         _pad: [0; 6],
-                    });
-                    self.hdrs.push(MMsgHdr {
-                        msg_hdr: MsgHdr {
-                            msg_namelen: addr_len,
-                            msg_iovlen: 1,
-                            ..zero_msghdr()
-                        },
-                        msg_len: len as c_uint,
-                    });
+                    };
+                    self.open(addr, addr_len, ctrl, iov);
                 }
             }
-            // Pointers are taken only now, after the last push
-            // (`wrapping_add` stays in bounds by the layout above).
+            self.link();
+        }
+
+        /// Plans message `m` of `whole` over again, cut to at most
+        /// `segments` datagrams a message: its ranges cut back at the
+        /// segment size and regrouped, adjacent ones merged as `build`
+        /// merges them (so at rung 1, one plain message per datagram).
+        fn cut(&mut self, whole: &SendPlan, m: usize, segments: usize) {
+            let run = whole.hdrs[m].msg_hdr;
+            let ctrl = whole.ctrl[m];
+            let segment = ctrl.gso_size as usize;
+            let first: usize = whole.hdrs[..m].iter().map(|h| h.msg_hdr.msg_iovlen).sum();
+            self.clear(whole.datagrams(m..m + 1) as usize);
+            let mut room = 0;
+            for iov in &whole.iovs[first..first + run.msg_iovlen] {
+                // Whole datagrams of one length went into every iovec.
+                for at in (0..iov.iov_len).step_by(segment) {
+                    let datagram = IoVec {
+                        iov_base: iov.iov_base.wrapping_byte_add(at),
+                        iov_len: segment,
+                    };
+                    if room > 0 {
+                        room -= 1;
+                        self.join(datagram);
+                    } else {
+                        room = segments - 1;
+                        self.open(whole.addrs[m], run.msg_namelen, ctrl, datagram);
+                    }
+                }
+            }
+            self.link();
+        }
+
+        /// Empties the plan, with room for `datagrams` messages.
+        fn clear(&mut self, datagrams: usize) {
+            self.addrs.clear();
+            self.ctrl.clear();
+            self.iovs.clear();
+            self.hdrs.clear();
+            self.addrs.reserve(datagrams);
+            self.ctrl.reserve(datagrams);
+            self.iovs.reserve(datagrams);
+            self.hdrs.reserve(datagrams);
+        }
+
+        /// Opens a message holding the one datagram `iov`, for the address
+        /// in `addr` (`addr_len` bytes of it); `ctrl` goes along once a
+        /// second datagram joins.
+        fn open(&mut self, addr: SockAddrStorage, addr_len: c_uint, ctrl: GsoCmsg, iov: IoVec) {
+            self.addrs.push(addr);
+            self.ctrl.push(ctrl);
+            self.iovs.push(iov);
+            self.hdrs.push(MMsgHdr {
+                msg_hdr: MsgHdr {
+                    msg_namelen: addr_len,
+                    msg_iovlen: 1,
+                    ..zero_msghdr()
+                },
+                msg_len: iov.iov_len as c_uint,
+            });
+        }
+
+        /// Adds the datagram `iov` to the last message opened: as more of
+        /// that message's last iovec when it starts where that one ends.
+        fn join(&mut self, iov: IoVec) {
+            let open = self.hdrs.last_mut().expect("a run is open");
+            open.msg_len += iov.iov_len as c_uint;
+            // More than one datagram: the cmsg goes along.
+            open.msg_hdr.msg_controllen = mem::size_of::<GsoCmsg>();
+            let last = self.iovs.last_mut().expect("a run has an iovec");
+            if last.iov_base.wrapping_byte_add(last.iov_len) == iov.iov_base {
+                last.iov_len += iov.iov_len;
+            } else {
+                self.iovs.push(iov);
+                open.msg_hdr.msg_iovlen += 1;
+            }
+        }
+
+        /// Points every header at its address, its iovecs and — a train —
+        /// its cmsg. Pointers are taken only now, after the last push
+        /// (`wrapping_add` stays in bounds by the layout above).
+        fn link(&mut self) {
             let addrs = self.addrs.as_mut_ptr();
             let ctrl = self.ctrl.as_mut_ptr();
             let iovs = self.iovs.as_mut_ptr();
@@ -1224,37 +1308,6 @@ mod linux {
                 }
                 first += h.msg_iovlen;
             }
-        }
-
-        /// Plans message `m` of `whole` over again as its datagrams: every
-        /// iovec cut back at the segment size, one plain message each.
-        fn cut(&mut self, whole: &SendPlan, m: usize) {
-            let run = whole.hdrs[m].msg_hdr;
-            let segment = whole.ctrl[m].gso_size as usize;
-            let first: usize = whole.hdrs[..m].iter().map(|h| h.msg_hdr.msg_iovlen).sum();
-            self.iovs.clear();
-            self.hdrs.clear();
-            for iov in &whole.iovs[first..first + run.msg_iovlen] {
-                // Whole datagrams of one length went into every iovec.
-                for at in (0..iov.iov_len).step_by(segment) {
-                    self.iovs.push(IoVec {
-                        iov_base: iov.iov_base.wrapping_byte_add(at),
-                        iov_len: segment,
-                    });
-                }
-            }
-            // As in `build`: no push follows. The address stays `whole`'s.
-            let iovs = self.iovs.as_mut_ptr();
-            self.hdrs.extend((0..self.iovs.len()).map(|k| MMsgHdr {
-                msg_hdr: MsgHdr {
-                    msg_iov: iovs.wrapping_add(k),
-                    msg_iovlen: 1,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    ..run
-                },
-                msg_len: segment as c_uint,
-            }));
         }
 
         /// Datagrams carried by messages `msgs`: a message with the cmsg
@@ -1288,19 +1341,20 @@ mod linux {
         // slot `i` and landing area `i` of the ring whose arena starts at
         // `recv_base`. Built when a call brings a ring with another base,
         // not per call.
-        recv_addrs: Box<[SockAddrStorage; BATCH]>,
-        recv_ctrl: Box<[RecvCtrl; BATCH]>,
-        recv_iovs: Box<[IoVec; BATCH]>,
-        recv_hdrs: Box<[MMsgHdr; BATCH]>,
+        recv_addrs: Box<[SockAddrStorage; RECV_ENTRIES]>,
+        recv_ctrl: Box<[RecvCtrl; RECV_ENTRIES]>,
+        recv_iovs: Box<[IoVec; RECV_ENTRIES]>,
+        recv_hdrs: Box<[MMsgHdr; RECV_ENTRIES]>,
         recv_base: *mut u8,
-        /// The flush being sent, and the one run of it the kernel refused
-        /// coalesced, re-sent as its datagrams.
+        /// The flush being sent, and the one run of it the kernel refused,
+        /// re-sent cut to a lower rung.
         send: SendPlan,
         resend: SendPlan,
-        /// Coalesce same-destination, same-length runs into `UDP_SEGMENT`
-        /// messages; cleared for good once the kernel refuses one whose
-        /// datagrams it then accepts uncoalesced.
-        gso: bool,
+        /// Most datagrams one `UDP_SEGMENT` message carries: a rung of
+        /// `[BATCH, 64, 1]` (1: no coalescing), lowered for good to the
+        /// rung whose first message the kernel accepts after refusing a
+        /// longer one.
+        pub(super) segments: usize,
     }
 
     // SAFETY: the raw pointers inside the preallocated scaffolding point
@@ -1338,28 +1392,30 @@ mod linux {
             };
             Ok(MmsgIo {
                 socket,
-                recv_addrs: Box::new([SockAddrStorage::zeroed(); BATCH]),
-                recv_ctrl: Box::new([RecvCtrl::EMPTY; BATCH]),
+                recv_addrs: Box::new([SockAddrStorage::zeroed(); RECV_ENTRIES]),
+                recv_ctrl: Box::new([RecvCtrl::EMPTY; RECV_ENTRIES]),
                 recv_iovs: Box::new(
                     [IoVec {
                         iov_base: std::ptr::null_mut(),
                         iov_len: 0,
-                    }; BATCH],
+                    }; RECV_ENTRIES],
                 ),
-                recv_hdrs: Box::new([zero_mmsg; BATCH]),
+                recv_hdrs: Box::new([zero_mmsg; RECV_ENTRIES]),
                 recv_base: std::ptr::null_mut(),
                 send: SendPlan::default(),
                 resend: SendPlan::default(),
-                gso: true,
+                segments: BATCH,
             })
         }
 
-        /// As [`MmsgIo::new`] with coalescing latched off, as after a
-        /// refused `UDP_SEGMENT` message: the parity reference for tests.
+        /// As [`MmsgIo::new`] with the segment limit at `segments`: 1 is
+        /// coalescing latched off, as after a refused `UDP_SEGMENT` message
+        /// whose datagrams went one by one (the parity reference for
+        /// tests); over 128 is a top rung no kernel takes.
         #[cfg(test)]
-        pub(crate) fn without_gso(socket: UdpSocket) -> io::Result<Self> {
+        pub(crate) fn at_rung(socket: UdpSocket, segments: usize) -> io::Result<Self> {
             let mut io = Self::new(socket)?;
-            io.gso = false;
+            io.segments = segments;
             Ok(io)
         }
 
@@ -1376,7 +1432,7 @@ mod linux {
         /// Points receive entry `i` at landing area `i` of the arena at
         /// `base`, for every `i`.
         fn aim_at(&mut self, base: *mut u8) {
-            for i in 0..BATCH {
+            for i in 0..RECV_ENTRIES {
                 self.recv_iovs[i] = IoVec {
                     iov_base: base.wrapping_add(i * LANDING) as *mut c_void,
                     iov_len: LANDING,
@@ -1409,16 +1465,16 @@ mod linux {
             // then drain whatever is already queued — one syscall total.
             // SAFETY: every header names an address slot, a control slot
             // and an iovec inside `self`'s boxes, of the advertised sizes;
-            // the iovecs name the `BATCH` disjoint landing areas of
+            // the iovecs name the `RECV_ENTRIES` disjoint landing areas of
             // `ring`'s arena (`aim_at(base)` ran for this very base, and
-            // every arena begins with `BATCH * LANDING` bytes of them),
+            // every arena begins with `RECV_ENTRIES * LANDING` bytes of them),
             // which `ring`, borrowed `&mut` for the whole call, keeps alive
             // and unaliased.
             let got = unsafe {
                 recvmmsg(
                     self.socket.as_raw_fd(),
                     self.recv_hdrs.as_mut_ptr(),
-                    BATCH as c_uint,
+                    RECV_ENTRIES as c_uint,
                     MSG_WAITFORONE,
                     std::ptr::null_mut(),
                 )
@@ -1461,14 +1517,14 @@ mod linux {
             if queue.is_empty() {
                 return Ok(outcome);
             }
-            self.send.build(ring, queue, self.gso);
+            self.send.build(ring, queue, self.segments);
             // Messages of `send` dealt with; and, while message `done` is
-            // being re-sent as its datagrams, those of `resend`.
+            // being re-sent cut to a rung, those of `resend` and that rung.
             let mut done = 0;
-            let mut redone: Option<usize> = None;
+            let mut redone: Option<(usize, usize)> = None;
             loop {
                 let (plan, at) = match redone {
-                    Some(at) => (&mut self.resend, at),
+                    Some((at, _)) => (&mut self.resend, at),
                     None => (&mut self.send, done),
                 };
                 let end = plan.hdrs.len();
@@ -1480,13 +1536,13 @@ mod linux {
                     continue;
                 }
                 let pending = &mut plan.hdrs[at..];
-                // SAFETY: every pointer in `pending` was taken by `build` or
-                // `cut` after the vectors of address, cmsg and iovec it points
-                // into reached their final length, and nothing touches those
-                // until the plan is next built or cut — `send` at the next
-                // call, `resend` only while none of its headers is pending —
-                // so none has moved; the iovecs point into `ring` and `queue`,
-                // which are borrowed for the whole call.
+                // SAFETY: every pointer in `pending` was taken by `link` (the
+                // end of `build` and `cut`) after the vectors of address, cmsg
+                // and iovec it points into reached their final length, and
+                // nothing touches those until the plan is next built or cut —
+                // `send` at the next call, `resend` only to be sent again from
+                // its first message — so none has moved; the iovecs point into
+                // `ring` and `queue`, which are borrowed for the whole call.
                 let rc = unsafe {
                     sendmmsg(
                         self.socket.as_raw_fd(),
@@ -1500,10 +1556,10 @@ mod linux {
                     outcome.messages += rc as u64;
                     outcome.iovecs += plan.iovecs(accepted.clone());
                     outcome.sent += plan.datagrams(accepted);
-                    if redone == Some(0) {
-                        // The run's first datagram left without the cmsg: the
-                        // refusal was about GSO, not about the destination.
-                        self.gso = false;
+                    if let Some((0, rung)) = redone {
+                        // The cut run's first message left: the refusal was
+                        // about its segments, not about the destination.
+                        self.segments = rung;
                     }
                     rc as usize
                 } else {
@@ -1522,18 +1578,22 @@ mod linux {
                         }
                         break;
                     }
-                    if redone.is_none() && plan.datagrams(at..at + 1) > 1 && gso_refused(&e) {
-                        self.resend.cut(&self.send, done);
-                        redone = Some(0);
+                    let datagrams = plan.datagrams(at..at + 1);
+                    // A run of `send`, or the first message of its cut
+                    // (nothing of which has left): down one rung.
+                    if datagrams > 1 && gso_refused(&e) && redone.is_none_or(|(at, _)| at == 0) {
+                        let rung = rung_below(datagrams as usize);
+                        self.resend.cut(&self.send, done, rung);
+                        redone = Some((0, rung));
                         continue;
                     }
                     // Per-datagram refusal (e.g. unroutable dest): skip it,
                     // count it, keep flushing the rest.
-                    outcome.errors += plan.datagrams(at..at + 1);
+                    outcome.errors += datagrams;
                     1
                 };
                 match &mut redone {
-                    Some(at) => *at += step,
+                    Some((at, _)) => *at += step,
                     None => done += step,
                 }
             }
@@ -1557,14 +1617,13 @@ mod linux {
         use super::super::SPILL;
         use super::*;
 
-        /// The flush of `queue` as the module docs give it, unmerged: per
-        /// message its destination and its datagrams.
-        fn runs<'a>(
-            ring: &'a RecvRing,
-            queue: &'a SendQueue,
-            gso: bool,
-        ) -> Vec<(SocketAddr, Vec<&'a [u8]>)> {
-            let mut msgs: Vec<(SocketAddr, Vec<&[u8]>)> = Vec::new();
+        /// A flush as the module docs give it, unmerged: per message its
+        /// destination and its datagrams.
+        type Runs<'a> = Vec<(SocketAddr, Vec<&'a [u8]>)>;
+
+        /// The flush of `queue` at a limit of `segments` a message.
+        fn runs<'a>(ring: &'a RecvRing, queue: &'a SendQueue, segments: usize) -> Runs<'a> {
+            let mut msgs: Runs = Vec::new();
             for header_only in [false, true] {
                 let mut open = false; // the last message is this pass's open run
                 for i in 0..queue.len() {
@@ -1575,9 +1634,8 @@ mod linux {
                     match msgs.last_mut() {
                         Some((to, run))
                             if open
-                                && gso
                                 && (*to, run[0].len()) == (dest, bytes.len())
-                                && run.len() < max_segments(bytes.len()) =>
+                                && run.len() < max_segments(bytes.len(), segments) =>
                         {
                             run.push(bytes)
                         }
@@ -1620,21 +1678,29 @@ mod linux {
                 .expect("an iovec stays inside the buffer it was built from")
         }
 
-        fn check(ring: &RecvRing, queue: &SendQueue, gso: bool) {
-            let mut plan = SendPlan::default();
-            plan.build(ring, queue, gso);
-            let want = runs(ring, queue, gso);
+        /// Checks that `plan` is the flush `want`, at most `segments`
+        /// datagrams a message.
+        fn check_plan(
+            plan: &SendPlan,
+            ring: &RecvRing,
+            queue: &SendQueue,
+            want: &Runs,
+            segments: usize,
+        ) {
             assert_eq!(plan.hdrs.len(), want.len());
-            assert_eq!(plan.datagrams(0..want.len()), queue.len() as u64);
+            let total: usize = want.iter().map(|(_, run)| run.len()).sum();
+            assert_eq!(plan.datagrams(0..want.len()), total as u64);
             let mut first = 0;
             for (m, (dest, run)) in want.iter().enumerate() {
                 let MMsgHdr { msg_hdr, msg_len } = plan.hdrs[m];
                 let segment = run[0].len();
                 assert_eq!(decode_addr(&plan.addrs[m]), Some(*dest));
+                let addr_len = encode_addr(*dest, &mut SockAddrStorage::zeroed());
+                assert_eq!(msg_hdr.msg_namelen, addr_len);
                 assert_eq!(plan.ctrl[m].gso_size as usize, segment);
                 assert_eq!(plan.datagrams(m..m + 1), run.len() as u64);
                 assert_eq!(msg_len as usize, run.len() * segment);
-                assert!(run.len() <= GSO_MAX_SEGS && msg_len as usize <= GSO_MAX_BYTES);
+                assert!(run.len() <= segments && msg_len as usize <= GSO_MAX_BYTES);
                 // Linked to its own address, iovecs and — a train — cmsg.
                 assert_eq!(msg_hdr.msg_name.addr(), (&raw const plan.addrs[m]).addr());
                 assert_eq!(msg_hdr.msg_iov.addr(), (&raw const plan.iovs[first]).addr());
@@ -1643,6 +1709,7 @@ mod linux {
                     assert_eq!(msg_hdr.msg_control.addr(), (&raw const plan.ctrl[m]).addr());
                 } else {
                     assert_eq!(msg_hdr.msg_controllen, 0);
+                    assert!(msg_hdr.msg_control.is_null());
                 }
                 // The iovecs, cut at the segment size, are the run's
                 // datagrams in the run's order: each queued datagram is
@@ -1663,27 +1730,29 @@ mod linux {
                     .filter(|w| w[0].as_ptr_range().end != w[1].as_ptr())
                     .count();
                 assert_eq!(iovs.len(), 1 + breaks);
-                // Refused, the message goes again as exactly its datagrams.
-                if run.len() > 1 {
-                    let mut plain = SendPlan::default();
-                    plain.cut(&plan, m);
-                    assert_eq!(plain.datagrams(0..plain.hdrs.len()), run.len() as u64);
-                    let resent: Vec<_> = plain.iovs.iter().map(span).collect();
-                    assert_eq!(resent, datagrams);
-                    for (k, hdr) in plain.hdrs.iter().enumerate() {
-                        let h = hdr.msg_hdr;
-                        assert_eq!(
-                            (h.msg_name, h.msg_namelen),
-                            (msg_hdr.msg_name, msg_hdr.msg_namelen)
-                        );
-                        assert_eq!(h.msg_iov.addr(), (&raw const plain.iovs[k]).addr());
-                        assert_eq!((h.msg_iovlen, h.msg_controllen), (1, 0));
-                        assert!(h.msg_control.is_null());
-                    }
-                }
                 first += msg_hdr.msg_iovlen;
             }
             assert_eq!(first, plan.iovs.len());
+        }
+
+        fn check(ring: &RecvRing, queue: &SendQueue, segments: usize) {
+            let mut plan = SendPlan::default();
+            plan.build(ring, queue, segments);
+            let want = runs(ring, queue, segments);
+            check_plan(&plan, ring, queue, &want, segments);
+            assert_eq!(plan.datagrams(0..want.len()), queue.len() as u64);
+            // Refused, a message goes again cut to each rung below it, as
+            // exactly its datagrams in runs of at most that rung.
+            for (m, (dest, run)) in want.iter().enumerate() {
+                let mut rung = run.len();
+                while rung > 1 {
+                    rung = rung_below(rung);
+                    let mut again = SendPlan::default();
+                    again.cut(&plan, m, rung);
+                    let cut: Runs = run.chunks(rung).map(|c| (*dest, c.to_vec())).collect();
+                    check_plan(&again, ring, queue, &cut, rung);
+                }
+            }
             // No two iovecs share a byte (no slot is queued twice below).
             let mut spans: Vec<_> = plan.iovs.iter().map(span).collect();
             spans.retain(|&(_, len)| len > 0);
@@ -1717,7 +1786,7 @@ mod linux {
                     // copies re-injected behind them.
                     for area in 0..1 + draw(3) {
                         let segment = LENS[1 + draw(3)];
-                        let most = (LANDING / segment).min(64) * segment;
+                        let most = (LANDING / segment).min(BATCH) * segment;
                         match draw(3) {
                             0 => ring.land(area, LENS[draw(4)], 0, NOWHERE),
                             1 => ring.land(area, most, segment, NOWHERE),
@@ -1765,8 +1834,10 @@ mod linux {
                         break;
                     }
                 }
-                check(&ring, &queue, true);
-                check(&ring, &queue, false);
+                // The rungs of a socket's segment limit.
+                for segments in [BATCH, OLD_MAX_SEGS, 1] {
+                    check(&ring, &queue, segments);
+                }
             });
         }
     }
@@ -1890,10 +1961,7 @@ mod tests {
         #[cfg(target_os = "linux")]
         {
             all.push(("mmsg", Box::new(MmsgIo::new(sock()).unwrap())));
-            all.push((
-                "mmsg-no-gso",
-                Box::new(MmsgIo::without_gso(sock()).unwrap()),
-            ));
+            all.push(("mmsg-no-gso", Box::new(MmsgIo::at_rung(sock(), 1).unwrap())));
             all.push((
                 "mmsg-no-gro",
                 Box::new(MmsgIo::without_gro(sock()).unwrap()),
@@ -2096,38 +2164,85 @@ mod tests {
         }
     }
 
+    /// Stages `n` datagrams of 88 B for `dest` back to back, leaving slot
+    /// `hole` out of the queue: a run of one byte range, or of two.
+    fn staged_run(n: usize, hole: Option<usize>, dest: SocketAddr) -> (RecvRing, SendQueue) {
+        let mut ring = RecvRing::new();
+        let mut queue = SendQueue::new();
+        for i in 0..n + hole.iter().len() {
+            let (slot, len) = ring
+                .stage(|buf| {
+                    buf[..88].fill(i as u8);
+                    88
+                })
+                .unwrap();
+            if Some(i) != hole {
+                queue.push_slot(slot, len, dest);
+            }
+        }
+        (ring, queue)
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn refused_gso_is_resent_plain_and_latched_off() {
-        // The run as one byte range, then with a hole in it (two ranges).
-        for hole in [None, Some(16)] {
+        // A run under every kernel's segment limit, as one byte range and
+        // with a hole in it (two ranges); then one over the limit of a
+        // kernel before 6.9, which steps down through rung 64 to rung 1.
+        for (n, hole) in [(32, None), (32, Some(16)), (BATCH - 8, Some(BATCH / 2))] {
             let sock = UdpSocket::bind(loopback()).unwrap();
             let knob = sock.try_clone().unwrap();
             let mut io = MmsgIo::new(sock).unwrap();
             let (sock, addr) = peer("127.0.0.1:0");
-            let mut ring = RecvRing::new();
-            let mut queue = SendQueue::new();
-            for i in 0..32 + hole.iter().len() {
-                let (slot, len) = ring
-                    .stage(|buf| {
-                        buf[..88].fill(i as u8);
-                        88
-                    })
-                    .unwrap();
-                if Some(i) != hole {
-                    queue.push_slot(slot, len, addr);
-                }
-            }
-            // Without transmit checksums the kernel refuses the coalesced
+            let (ring, queue) = staged_run(n, hole, addr);
+            // Without transmit checksums the kernel refuses every coalesced
             // message (EINVAL) and takes the same datagrams one by one.
             linux::set_no_check(&knob, true).unwrap();
             let got = flush_queue_and_check(&mut io, &[&sock], &ring, &queue);
-            assert_eq!(got, outcome(32, 0, 32, 32), "hole {hole:?}");
+            let n = n as u64;
+            assert_eq!(got, outcome(n, 0, n, n), "{n} hole {hole:?}");
+            assert_eq!(io.segments, 1, "{n} hole {hole:?}");
             // Latched: the socket would coalesce again now, but is not asked to.
             linux::set_no_check(&knob, false).unwrap();
             let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); 32]);
-            assert_eq!(got, outcome(32, 0, 32, 32), "hole {hole:?}");
+            assert_eq!(got, outcome(32, 0, 32, 32), "{n} hole {hole:?}");
         }
+    }
+
+    /// A run over every kernel's segment limit steps down a rung and goes
+    /// on coalescing: 200 NACKs are refused as one message (EINVAL: 6.9
+    /// takes 128 segments, earlier kernels 64), leave as 64 + 64 + 64 + 8,
+    /// and the socket keeps rung 64.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_run_over_the_kernel_limit_steps_down_a_rung() {
+        let mut io = MmsgIo::at_rung(UdpSocket::bind(loopback()).unwrap(), 256).unwrap();
+        let (sock, addr) = peer("127.0.0.1:0");
+        let mut queue = SendQueue::new();
+        for seq in 0..200 {
+            queue.push_nack(5, seq, addr);
+        }
+        let got = flush_queue_and_check(&mut io, &[&sock], &RecvRing::new(), &queue);
+        assert_eq!(got, outcome(200, 0, 4, 4));
+        assert_eq!(io.segments, 64);
+        let got = flush_and_check(&mut io, &[&sock], &[(addr, 88); BATCH]);
+        assert_eq!(got, outcome(BATCH as u64, 0, 2, 2));
+    }
+
+    /// A full batch of one destination and length is as few messages as
+    /// the kernel's segment limit allows: one where it takes [`BATCH`]
+    /// (Linux 6.9), two where it takes 64 — whose refusal of the first
+    /// never latches coalescing off.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_batch_leaves_as_one_message_per_rung() {
+        let mut io = MmsgIo::new(UdpSocket::bind(loopback()).unwrap()).unwrap();
+        let (sock, addr) = peer("127.0.0.1:0");
+        let (ring, queue) = staged_run(BATCH, None, addr);
+        let got = flush_queue_and_check(&mut io, &[&sock], &ring, &queue);
+        assert!([BATCH, 64].contains(&io.segments), "{}", io.segments);
+        let messages = BATCH.div_ceil(io.segments) as u64;
+        assert_eq!(got, outcome(BATCH as u64, 0, messages, messages));
     }
 
     /// One non-empty `recv_batch`: the datagrams it returned (bytes and
@@ -2291,9 +2406,10 @@ mod tests {
 
     #[test]
     fn many_senders_still_drain_in_one_receive() {
-        // The paper's incast on a real NIC: one datagram from each of 64
-        // sockets, nothing for the kernel to coalesce.
-        let senders: Vec<UdpSocket> = (0..BATCH)
+        // The paper's incast on a real NIC: one datagram from each of as
+        // many sockets as a receive has entries, nothing for the kernel to
+        // coalesce.
+        let senders: Vec<UdpSocket> = (0..RECV_ENTRIES)
             .map(|_| UdpSocket::bind(loopback()).unwrap())
             .collect();
         for (name, mut io) in ios() {
@@ -2303,8 +2419,8 @@ mod tests {
                 sender.send_to(&wire, dest).unwrap();
             }
             let mut ring = RecvRing::new();
-            let got = recv_all(io.as_mut(), &mut ring, BATCH);
-            assert_eq!((got.len(), messages(&got)), (1, BATCH), "{name}");
+            let got = recv_all(io.as_mut(), &mut ring, RECV_ENTRIES);
+            assert_eq!((got.len(), messages(&got)), (1, RECV_ENTRIES), "{name}");
             for (i, (bytes, source)) in got[0].datagrams.iter().enumerate() {
                 let (h, p) = WireHeader::decode(bytes).unwrap();
                 assert_eq!((h.flow, p), (i as u64, &[i as u8, 7][..]), "{name}");

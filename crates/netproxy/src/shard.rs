@@ -1389,12 +1389,22 @@ mod tests {
         }
     }
 
-    /// One receive may bring more than BATCH datagrams (a train of more
-    /// than 64 segments, several trains): it is relayed as batches of at
-    /// most BATCH, and "one NACK per flow per batch" holds for each.
+    /// One receive may bring more than BATCH datagrams (several trains;
+    /// here, every time, a BATCH-segment train whose every datagram the
+    /// inbound duplicate fault copies into the same receive): it is
+    /// relayed as batches of at most BATCH, and "one NACK per flow per
+    /// batch" holds for each.
     #[test]
     fn a_long_receive_is_relayed_in_batches_both_layers() {
-        const COUNT: u64 = 100;
+        use dcsim::faults::PortImpairment;
+        const COUNT: u64 = BATCH as u64;
+        let twice = FaultPlan {
+            impairments: vec![PortImpairment {
+                duplicate: 1.0,
+                ..PortImpairment::none(fault::INBOUND)
+            }],
+            ..FaultPlan::new()
+        };
         for layer in layers() {
             let receiver = UdpSocket::bind(loopback()).unwrap();
             let relay = ShardedRelay::start(
@@ -1403,6 +1413,7 @@ mod tests {
                     shards: 1,
                     layer,
                     overload: NonZeroU64::new(1_000_000_000),
+                    faults: Some((twice.clone(), 1)),
                     ..RelayConfig::streamlined(receiver.local_addr().unwrap())
                 },
             )
@@ -1411,8 +1422,8 @@ mod tests {
             let headers: Vec<u8> = (0..COUNT)
                 .flat_map(|seq| WireHeader::trimmed(4, seq).encode(&[]))
                 .collect();
-            // One 100-segment train where the kernel takes one (Linux 6.9
-            // raised the limit past 64), plain datagrams otherwise.
+            // One BATCH-segment train where the kernel takes one (Linux 6.9
+            // raised the limit from 64 to 128), plain datagrams otherwise.
             #[cfg(target_os = "linux")]
             let as_train = {
                 batch::set_gso_size(&sender, WIRE_HEADER_LEN as u16).unwrap();
@@ -1427,18 +1438,23 @@ mod tests {
                     sender.send_to(header, relay.local_addr()).unwrap();
                 }
             }
-            wait_for(|| relay.stats().received == COUNT);
+            wait_for(|| relay.stats().received == 2 * COUNT);
             let stats = relay.stats();
+            assert_eq!(relay.fault_stats().rx_duplicated, COUNT, "{layer:?}");
             assert!(stats.max_batch <= BATCH as u64, "{layer:?}: {stats:?}");
             assert!(stats.batches >= 2, "{layer:?}: {stats:?}");
             // Every batch held the flow, so every batch NACKed it once.
             assert_eq!(
                 (stats.nacks, stats.nacks + stats.nacks_coalesced),
-                (stats.batches, COUNT),
+                (stats.batches, 2 * COUNT),
                 "{layer:?}: {stats:?}"
             );
             if as_train && layer == SocketLayer::Mmsg {
-                assert_eq!((stats.batches, stats.max_batch), (2, 64), "{stats:?}");
+                assert_eq!(
+                    (stats.batches, stats.max_batch),
+                    (2, BATCH as u64),
+                    "{stats:?}"
+                );
             }
         }
     }

@@ -527,13 +527,16 @@ mod tests {
         }
     }
 
-    /// The ladder at one `now_ns`, so no bucket refills: 128 forwards (a
-    /// burst of two batches), then NACKs instead (one per flow per batch,
-    /// the rest coalesced) until the 64-token NACK burst is spent, then
-    /// counted drops. 100 ms later the forward budget of 1,000 a second
-    /// has refilled 100 tokens.
+    /// The ladder at one `now_ns`, so no bucket refills: `2·BATCH`
+    /// forwards (a burst of two batches), then NACKs instead (one per flow
+    /// per batch, the rest coalesced) until the `BATCH`-token NACK burst is
+    /// spent, then counted drops. Later, the forward budget of 1,000 a
+    /// second has refilled a token a millisecond, the NACK budget a
+    /// quarter of that: `25·BATCH/16` and `25·BATCH/64` tokens after
+    /// `25·BATCH/16` ms, which a batch more than the forward tokens spends.
     #[test]
     fn the_shed_ladder_climbs_its_three_rungs_and_refills() {
+        const B: u64 = BATCH as u64;
         let mut step = step_with(RelayKind::Streamlined, 1_000);
         let mut bench = Bench::new();
         let t = 1_000_000_000;
@@ -541,63 +544,66 @@ mod tests {
             flows.map(|f| (data(f, seq), addr(1))).collect()
         };
         for seq in 0..2 {
-            let (counts, sent) = bench.batch(&mut step, &flows(0..64, seq), t);
+            let (counts, sent) = bench.batch(&mut step, &flows(0..B, seq), t);
             assert_eq!(
                 counts,
                 RelayStats {
-                    forwarded: 64,
-                    ..batch_of(64)
+                    forwarded: B,
+                    ..batch_of(B)
                 }
             );
             assert!(sent.iter().all(|(_, dest)| *dest == receiver()));
         }
-        // Rung 2: two datagrams each of 32 flows, one NACKed, one coalesced.
-        let twice: Vec<_> = (0..32)
+        // Rung 2: two datagrams each of half a batch of flows, one NACKed,
+        // one coalesced.
+        let twice: Vec<_> = (0..B / 2)
             .flat_map(|f| [(data(f, 2), addr(1)), (data(f, 3), addr(1))])
             .collect();
         let (counts, sent) = bench.batch(&mut step, &twice, t);
         assert_eq!(
             counts,
             RelayStats {
-                nacks: 32,
-                shed_nacked: 32,
-                nacks_coalesced: 32,
-                ..batch_of(64)
+                nacks: B / 2,
+                shed_nacked: B / 2,
+                nacks_coalesced: B / 2,
+                ..batch_of(B)
             }
         );
-        let nacked: Vec<_> = (0..32).map(|f| (nack(f, 2), addr(1))).collect();
+        let nacked: Vec<_> = (0..B / 2).map(|f| (nack(f, 2), addr(1))).collect();
         assert_eq!(sent, nacked);
-        // Rung 3: the NACK bucket's last 32 tokens, then drops.
-        let (counts, sent) = bench.batch(&mut step, &flows(0..64, 4), t);
+        // Rung 3: the NACK bucket's last half batch of tokens, then drops.
+        let (counts, sent) = bench.batch(&mut step, &flows(0..B, 4), t);
         assert_eq!(
             counts,
             RelayStats {
-                nacks: 32,
-                shed_nacked: 32,
-                shed_dropped: 32,
-                ..batch_of(64)
+                nacks: B / 2,
+                shed_nacked: B / 2,
+                shed_dropped: B / 2,
+                ..batch_of(B)
             }
         );
-        assert_eq!(sent.len(), 32);
+        assert_eq!(sent.len() as u64, B / 2);
         // The refill.
-        let later = t + 100_000_000;
-        let (counts, _) = bench.batch(&mut step, &flows(0..64, 5), later);
+        let refilled = 25 * B / 16;
+        let later = t + refilled * 1_000_000;
+        let (counts, _) = bench.batch(&mut step, &flows(0..B, 5), later);
         assert_eq!(
             counts,
             RelayStats {
-                forwarded: 64,
-                ..batch_of(64)
+                forwarded: B,
+                ..batch_of(B)
             }
         );
-        let (counts, _) = bench.batch(&mut step, &flows(0..64, 6), later);
+        let (counts, _) = bench.batch(&mut step, &flows(0..B, 6), later);
+        let (forwarded, nacks) = (refilled - B, refilled / 4);
         assert_eq!(
             counts,
             RelayStats {
-                forwarded: 36,
-                nacks: 25,
-                shed_nacked: 25,
-                shed_dropped: 3,
-                ..batch_of(64)
+                forwarded,
+                nacks,
+                shed_nacked: nacks,
+                shed_dropped: B - forwarded - nacks,
+                ..batch_of(B)
             }
         );
     }
@@ -654,15 +660,16 @@ mod tests {
     /// none of them answers a received datagram, so `received` stays the
     /// sum of `forwarded` and the data the ladder shed. One flow loses
     /// every odd seq and each datagram is its own batch, at one `now_ns`:
-    /// the first 128 are forwarded, and from the ninth on each declares a
-    /// loss, so 120 generated NACKs meet the 64-token NACK burst; the four
-    /// past the forward burst are shed.
+    /// the first `2·BATCH` are forwarded, and from the ninth on each
+    /// declares a loss, so `2·BATCH - 8` generated NACKs meet the
+    /// `BATCH`-token NACK burst; the four past the forward burst are shed.
     #[test]
     fn a_refused_generated_nack_is_no_shed_datagram() {
+        const B: u64 = BATCH as u64;
         let mut step = step_with(RelayKind::Detecting, 1_000);
         let mut bench = Bench::new();
         let stats = ShardStats::default();
-        for k in 0..132 {
+        for k in 0..2 * B + 4 {
             let (counts, _) = bench.batch(&mut step, &[(data(5, 2 * k), addr(1))], 7);
             stats.flush(&counts);
         }
@@ -671,12 +678,12 @@ mod tests {
         assert_eq!(
             total,
             RelayStats {
-                batches: 132,
-                received: 132,
+                batches: 2 * B + 4,
+                received: 2 * B + 4,
                 max_batch: 1,
-                forwarded: 128,
-                nacks: 64,
-                nacks_refused: 56,
+                forwarded: 2 * B,
+                nacks: B,
+                nacks_refused: B - 8,
                 shed_dropped: 4,
                 ..RelayStats::default()
             }
