@@ -35,7 +35,6 @@
 //! [`release_unknown`]: incast_core::orchestrator::ProxySelector::release_unknown
 
 use crate::fuzz::Family;
-use dcsim::det::DetMap;
 use dcsim::faults::FaultPlan;
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
@@ -43,6 +42,7 @@ use incast_core::orchestrator::{
     IncastRequest, ProxySelector, RenewOutcome, ShardedConfig, ShardedOrchestrator, ShardedStats,
 };
 use incast_core::scenario::Codec;
+use std::collections::BTreeMap;
 use trace::json::Json;
 use trace::{derive_seed, SplitMix64};
 
@@ -153,7 +153,7 @@ pub struct CpOutcome {
 fn run_inner(sc: &CpScenario) -> CpOutcome {
     let candidates: Vec<HostId> = (0..sc.candidates).map(HostId).collect();
     let mut orch = ShardedOrchestrator::new(candidates, sc.config(), sc.sim_seed);
-    let mut model: DetMap<u64, IdModel> = DetMap::new();
+    let mut model: BTreeMap<u64, IdModel> = BTreeMap::new();
     let mut expected_unknown = 0u64;
     let t = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
 

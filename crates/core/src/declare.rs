@@ -23,10 +23,10 @@
 use crate::orchestrator::{IncastRequest, ShardedOrchestrator};
 use crate::predict::admit;
 pub use crate::predict::Routing;
-use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::SimDuration;
 use dcsim::topology::Topology;
+use std::collections::BTreeMap;
 
 /// A logical application component (the unit of placement).
 pub type Component = String;
@@ -199,7 +199,7 @@ pub struct PlannedIncast {
 /// `plane` under its index as the request id.
 pub fn compile(
     decls: &[IncastDecl],
-    placement: &DetMap<Component, HostId>,
+    placement: &BTreeMap<Component, HostId>,
     topo: &Topology,
     plane: &mut ShardedOrchestrator,
 ) -> Result<Vec<PlannedIncast>, PlanError> {
@@ -255,11 +255,11 @@ mod tests {
     /// Places `a`..`d` on DC 0, `agg` on DC 1 and `local-agg` on DC 0,
     /// with the upper half of DC 0 as candidates of the global
     /// orchestrator: the plane with one shard.
-    fn setup(params: &TwoDcParams) -> (Topology, DetMap<Component, HostId>, ShardedOrchestrator) {
+    fn setup(params: &TwoDcParams) -> (Topology, BTreeMap<Component, HostId>, ShardedOrchestrator) {
         let topo = two_dc_leaf_spine(params);
         let dc0 = topo.hosts_in_dc(0);
         let dc1 = topo.hosts_in_dc(1);
-        let placement: DetMap<Component, HostId> = [
+        let placement: BTreeMap<Component, HostId> = [
             ("a".to_string(), dc0[0]),
             ("b".to_string(), dc0[1]),
             ("c".to_string(), dc0[2]),

@@ -13,8 +13,8 @@
 //!   window of per-bin byte counts finds the dominant period, so the
 //!   operator can *pre-arm* the proxy route before the next burst.
 
-use dcsim::det::DetMap;
 use dcsim::packet::HostId;
+use std::collections::BTreeMap;
 
 /// Configuration of the instantaneous incast-signature detector.
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +50,7 @@ pub struct IncastSignature {
 pub struct IncastSignatureDetector {
     config: SignatureConfig,
     /// Per-destination accumulation for the current bin.
-    bins: DetMap<HostId, DetMap<HostId, u64>>,
+    bins: BTreeMap<HostId, BTreeMap<HostId, u64>>,
 }
 
 impl IncastSignatureDetector {
@@ -58,7 +58,7 @@ impl IncastSignatureDetector {
     pub fn new(config: SignatureConfig) -> Self {
         IncastSignatureDetector {
             config,
-            bins: DetMap::new(),
+            bins: BTreeMap::new(),
         }
     }
 
@@ -68,11 +68,11 @@ impl IncastSignatureDetector {
     }
 
     /// Closes the current bin: returns every destination matching the
-    /// incast signature (in destination order — `DetMap::drain` yields key
-    /// order, no sort needed) and resets the bin state.
+    /// incast signature (in destination order — the taken `BTreeMap`
+    /// iterates in key order, no sort needed) and resets the bin state.
     pub fn end_bin(&mut self) -> Vec<IncastSignature> {
-        self.bins
-            .drain()
+        std::mem::take(&mut self.bins)
+            .into_iter()
             .filter_map(|(dst, sources)| {
                 let degree = sources.len();
                 let bytes: u64 = sources.values().sum();

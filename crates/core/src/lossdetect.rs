@@ -19,8 +19,8 @@
 //! spraying-induced reordering to answer the paper's question of how many
 //! false positives/negatives the constrained detector incurs.
 
-use dcsim::det::DetMap;
 use dcsim::packet::FlowId;
+use std::collections::BTreeMap;
 
 /// Configuration of the reorder-tolerant detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,12 +120,12 @@ struct Declared {
 #[derive(Debug)]
 pub struct LossDetector<K = FlowId> {
     config: LossDetectorConfig,
-    flows: DetMap<K, FlowState>,
+    flows: BTreeMap<K, FlowState>,
     stats: LossDetectorStats,
     /// Sequences already declared lost, kept (bounded) to recognize false
     /// positives when the "lost" packet shows up after all, and to drive
     /// the sweep's re-NACKs.
-    declared: DetMap<K, Vec<Declared>>,
+    declared: BTreeMap<K, Vec<Declared>>,
 }
 
 impl<K: Ord + Copy> LossDetector<K> {
@@ -138,9 +138,9 @@ impl<K: Ord + Copy> LossDetector<K> {
         assert!(config.max_pending > 0, "zero pending capacity");
         LossDetector {
             config,
-            flows: DetMap::new(),
+            flows: BTreeMap::new(),
             stats: LossDetectorStats::default(),
-            declared: DetMap::new(),
+            declared: BTreeMap::new(),
         }
     }
 

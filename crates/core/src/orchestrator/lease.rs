@@ -30,9 +30,10 @@
 //! ids and works in id order, at crash, expiry and audit time only.
 
 use dcsim::audit::LeaseLedger;
-use dcsim::det::{DetMap, IdMap};
+use dcsim::det::IdMap;
 use dcsim::packet::HostId;
 use dcsim::time::SimTime;
+use std::collections::BTreeMap;
 
 /// One proxy assignment with an expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +90,7 @@ pub struct LeaseTable {
     leases: IdMap<u64, (Holder, Lease)>,
     /// Orphaned leases per proxy; a proxy with none has no entry (so this
     /// is empty on a healthy plane).
-    orphans_on: DetMap<HostId, usize>,
+    orphans_on: BTreeMap<HostId, usize>,
     /// A lower bound on the earliest expiry of a lease that has a term
     /// (not a fallback claim): [`LeaseTable::expire_due`] skips its scan
     /// while the clock is below it. Every site that sets an expiry lowers
@@ -274,7 +275,7 @@ impl LeaseTable {
     /// count. Also checks that no lease with a term expires before the
     /// bound [`LeaseTable::expire_due`] trusts.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut counted: DetMap<HostId, usize> = DetMap::new();
+        let mut counted: BTreeMap<HostId, usize> = BTreeMap::new();
         for (id, (holder, lease)) in self.iter() {
             if let Holder::Orphan(_) = holder {
                 *counted.entry(lease.proxy).or_insert(0) += 1;

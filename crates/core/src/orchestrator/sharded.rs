@@ -35,13 +35,12 @@
 //! The ledger balance `granted == released + expired + reclaimed + active`
 //! holds after every operation, and `active` drains to zero at quiescence.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use super::gossip::{HealthView, Heartbeat};
 use super::lease::{Holder, Lease, LeaseTable, RenewOutcome};
 use super::{Assignment, DecentralizedSelector, IncastRequest, LoadBook, ProxySelector};
 use dcsim::audit::LeaseLedger;
-use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 
@@ -415,7 +414,7 @@ impl ShardedOrchestrator {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.book.check_invariants()?;
         self.leases.check_invariants()?;
-        let mut held: DetMap<HostId, u64> = DetMap::new();
+        let mut held: BTreeMap<HostId, u64> = BTreeMap::new();
         for (_, (holder, lease)) in self.leases.iter() {
             if let Holder::Shard(_) = holder {
                 *held.entry(lease.proxy).or_insert(0) += lease.bytes;

@@ -41,10 +41,10 @@
 
 use crate::lossdetect::{LossDetector, LossDetectorConfig, LossDetectorStats, LossEvent};
 use dcsim::agent::{Agent, Counter, Ctx};
-use dcsim::det::DetMap;
 use dcsim::events::TimerKind;
 use dcsim::packet::{FlowId, HostId, Packet, PacketKind};
 use dcsim::time::SimDuration;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which relay logic a proxy runs.
@@ -108,7 +108,7 @@ pub enum Action<H> {
 pub struct Detector<K = FlowId> {
     losses: LossDetector<K>,
     /// Last data observation per flow.
-    last_seen: DetMap<K, u64>,
+    last_seen: BTreeMap<K, u64>,
     /// How long a flow must be silent before the sweep acts on it.
     interval: u64,
 }
@@ -121,7 +121,7 @@ impl<K: Ord + Copy> Detector<K> {
     pub fn new(config: LossDetectorConfig, interval: u64) -> Self {
         Detector {
             losses: LossDetector::new(config),
-            last_seen: DetMap::new(),
+            last_seen: BTreeMap::new(),
             interval,
         }
     }
@@ -216,7 +216,7 @@ const SWEEP_INTERVAL: SimDuration = SimDuration::from_micros(50);
 pub struct RelayAgent {
     host: HostId,
     kind: RelayKind,
-    flows: DetMap<FlowId, FlowDirs>,
+    flows: BTreeMap<FlowId, FlowDirs>,
     /// Per-packet processing delay (models the eBPF datapath, Fig. 5a).
     processing_delay: SimDuration,
     /// `Some` exactly for [`RelayKind::Detecting`].
@@ -238,7 +238,7 @@ impl RelayAgent {
         RelayAgent {
             host,
             kind,
-            flows: DetMap::new(),
+            flows: BTreeMap::new(),
             processing_delay,
             detector: (kind == RelayKind::Detecting)
                 .then(|| Detector::new(detector, SWEEP_INTERVAL.0)),

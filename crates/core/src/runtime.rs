@@ -24,10 +24,10 @@
 use crate::detect::{IncastSignatureDetector, PeriodicityDetector, SignatureConfig};
 use crate::orchestrator::{IncastRequest, ProxySelector, RenewOutcome, ShardedOrchestrator};
 use crate::predict::{admit, Routing};
-use dcsim::det::DetMap;
 use dcsim::packet::HostId;
 use dcsim::time::{SimDuration, SimTime};
 use dcsim::topology::Topology;
+use std::collections::BTreeMap;
 
 /// Tear a reroute down after this many epochs without the signature.
 const RELEASE_AFTER_QUIET_EPOCHS: u32 = 3;
@@ -78,15 +78,15 @@ struct ActiveReroute {
 pub struct OperatorRuntime {
     signature: IncastSignatureDetector,
     /// Per-destination byte history for periodicity analysis.
-    periodicity: DetMap<HostId, PeriodicityDetector>,
+    periodicity: BTreeMap<HostId, PeriodicityDetector>,
     /// Per-destination bytes in the current epoch (kept alongside the
     /// signature detector, which consumes its bins).
-    epoch_bytes: DetMap<HostId, u64>,
+    epoch_bytes: BTreeMap<HostId, u64>,
     /// Sources seen per destination this epoch (for the reroute request).
-    epoch_sources: DetMap<HostId, Vec<HostId>>,
+    epoch_sources: BTreeMap<HostId, Vec<HostId>>,
     topology: Topology,
     plane: ShardedOrchestrator,
-    active: DetMap<HostId, ActiveReroute>,
+    active: BTreeMap<HostId, ActiveReroute>,
     next_request_id: u64,
     epoch: u64,
 }
@@ -97,12 +97,12 @@ impl OperatorRuntime {
     pub fn new(signature: SignatureConfig, topology: Topology, plane: ShardedOrchestrator) -> Self {
         OperatorRuntime {
             signature: IncastSignatureDetector::new(signature),
-            periodicity: DetMap::new(),
-            epoch_bytes: DetMap::new(),
-            epoch_sources: DetMap::new(),
+            periodicity: BTreeMap::new(),
+            epoch_bytes: BTreeMap::new(),
+            epoch_sources: BTreeMap::new(),
             topology,
             plane,
-            active: DetMap::new(),
+            active: BTreeMap::new(),
             next_request_id: 0,
             epoch: 0,
         }
@@ -165,7 +165,7 @@ impl OperatorRuntime {
         }
 
         let incasts = self.signature.end_bin();
-        let flagged: DetMap<HostId, usize> =
+        let flagged: BTreeMap<HostId, usize> =
             incasts.iter().map(|s| (s.destination, s.degree)).collect();
 
         // Periodicity bookkeeping for every destination we ever saw:

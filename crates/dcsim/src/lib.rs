@@ -61,7 +61,6 @@ pub mod workload;
 pub mod prelude {
     pub use crate::agent::{Agent, Counter, Ctx, Effect, Note};
     pub use crate::audit::{AuditConfig, AuditMode, InvariantViolation, PacketLedger};
-    pub use crate::det::{DetMap, DetSet, SeqMap};
     pub use crate::events::{FaultEvent, TimerKind};
     pub use crate::faults::{
         AgentCrash, FaultError, FaultPlan, LinkWindow, PortImpairment, ShardCrash, SyscallErrors,

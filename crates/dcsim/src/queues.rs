@@ -74,15 +74,6 @@ impl QueueConfig {
         }
     }
 
-    /// Same as [`QueueConfig::datacenter`] but with trimming disabled
-    /// (drop-tail): the `no_trim` ablation.
-    pub fn datacenter_no_trim() -> Self {
-        QueueConfig {
-            trim: false,
-            ..Self::datacenter()
-        }
-    }
-
     /// Host NIC egress queue: deep (backed by host memory, so a 1-BDP
     /// first-window burst queues rather than drops), no ECN marking (hosts
     /// do not mark their own qdisc in the §4.1 model), no trimming.
@@ -740,7 +731,5 @@ mod tests {
     fn paper_configs_are_valid() {
         assert!(QueueConfig::datacenter().validate().is_ok());
         assert!(QueueConfig::backbone().validate().is_ok());
-        assert!(QueueConfig::datacenter_no_trim().validate().is_ok());
-        assert!(!QueueConfig::datacenter_no_trim().trim);
     }
 }

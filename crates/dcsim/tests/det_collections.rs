@@ -1,16 +1,14 @@
-//! Property tests for the deterministic collections (`dcsim::det`).
+//! Property tests for sim-state ordering (`dcsim::det`).
 //!
-//! `DetMap`/`DetSet` are model-checked against `std::collections::BTreeMap`
-//! / `BTreeSet` under random insert/remove interleavings: after every
-//! operation the wrapper must agree with the model on length, membership,
-//! and full iteration contents. A second family of properties checks the
-//! *determinism* contract itself — iteration order is a pure function of
-//! the key set, independent of insertion history — which is the invariant
-//! the simulator's replay identity rests on. `IdMap` is model-checked the
-//! same way, over the key shapes a hash table is weakest on.
+//! Iteration order over ordered sim state must be a pure function of the
+//! key set, independent of insertion history — the invariant the
+//! simulator's replay identity rests on, and the reason sim state is a
+//! `BTreeMap`. `IdMap` is model-checked against a `BTreeMap` under random
+//! insert/remove interleavings, over the key shapes a hash table is
+//! weakest on.
 
-use dcsim::det::{DetMap, DetSet, IdMap, SeqMap};
-use std::collections::{BTreeMap, BTreeSet};
+use dcsim::det::IdMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use trace::{cases, SplitMix64};
 
@@ -19,83 +17,22 @@ fn words(rng: &mut SplitMix64, len: Range<u64>) -> Vec<u64> {
     let n = len.start + rng.next_bounded(len.end - len.start);
     (0..n).map(|_| rng.next_u64()).collect()
 }
-/// Decodes one fuzzed word into (op, key, value). Keys live in a small
-/// space (0..16) so inserts, overwrites, and removes of the *same* key
-/// actually collide.
-fn decode(word: u64) -> (u64, u16, u64) {
-    (word % 4, ((word >> 2) % 16) as u16, word >> 8)
-}
-
-/// DetMap agrees with a BTreeMap model after every operation of a
-/// random insert / overwrite / remove / entry-or-insert interleaving.
-#[test]
-fn detmap_matches_btreemap_model() {
-    cases(201, 256, |_, rng| {
-        let ops = words(rng, 1..400);
-        let mut map: DetMap<u16, u64> = DetMap::new();
-        let mut model: BTreeMap<u16, u64> = BTreeMap::new();
-        for &word in &ops {
-            let (op, key, val) = decode(word);
-            match op {
-                0 | 1 => {
-                    assert_eq!(map.insert(key, val), model.insert(key, val));
-                }
-                2 => {
-                    assert_eq!(map.remove(&key), model.remove(&key));
-                }
-                _ => {
-                    let got = *map.entry(key).or_insert(val);
-                    let want = *model.entry(key).or_insert(val);
-                    assert_eq!(got, want);
-                }
-            }
-            assert_eq!(map.len(), model.len());
-            assert_eq!(map.get(&key).copied(), model.get(&key).copied());
-        }
-        let got: Vec<(u16, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(u16, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want);
-    });
-}
-
-/// DetSet agrees with a BTreeSet model under random insert/remove.
-#[test]
-fn detset_matches_btreeset_model() {
-    cases(202, 256, |_, rng| {
-        let ops = words(rng, 1..400);
-        let mut set: DetSet<u16> = DetSet::new();
-        let mut model: BTreeSet<u16> = BTreeSet::new();
-        for &word in &ops {
-            let (op, key, _) = decode(word);
-            if op < 3 {
-                assert_eq!(set.insert(key), model.insert(key));
-            } else {
-                assert_eq!(set.remove(&key), model.remove(&key));
-            }
-            assert_eq!(set.len(), model.len());
-            assert_eq!(set.contains(&key), model.contains(&key));
-        }
-        let got: Vec<u16> = set.iter().copied().collect();
-        let want: Vec<u16> = model.iter().copied().collect();
-        assert_eq!(got, want);
-    });
-}
 
 /// Iteration order is a pure function of the key set: inserting the
 /// same pairs in forward, reverse, or interleaved order yields the
 /// identical key sequence. (This is exactly the property HashMap
-/// lacks, and the reason the NACK scheduler can iterate a DetMap
+/// lacks, and the reason the NACK scheduler can iterate a BTreeMap
 /// without a sort step.)
 #[test]
-fn detmap_iteration_order_ignores_insertion_history() {
+fn btreemap_iteration_order_ignores_insertion_history() {
     cases(203, 256, |_, rng| {
         let keys: Vec<u32> = words(rng, 1..200)
             .iter()
             .map(|w| (w % 10_000) as u32)
             .collect();
-        let forward: DetMap<u32, u32> = keys.iter().map(|&k| (k, k)).collect();
-        let reverse: DetMap<u32, u32> = keys.iter().rev().map(|&k| (k, k)).collect();
-        let mut interleaved: DetMap<u32, u32> = DetMap::new();
+        let forward: BTreeMap<u32, u32> = keys.iter().map(|&k| (k, k)).collect();
+        let reverse: BTreeMap<u32, u32> = keys.iter().rev().map(|&k| (k, k)).collect();
+        let mut interleaved: BTreeMap<u32, u32> = BTreeMap::new();
         for (i, &k) in keys.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
             interleaved.insert(k, i as u32);
         }
@@ -183,74 +120,4 @@ fn idmap_matches_btreemap_model() {
             "Debug prints in key order"
         );
     });
-}
-
-/// SeqMap iterates in first-insertion order, matching a Vec model
-/// under random insert / overwrite / remove: overwrites keep the
-/// original position, removals shift, re-inserts go to the back.
-#[test]
-fn seqmap_preserves_insertion_order() {
-    cases(204, 256, |_, rng| {
-        let ops = words(rng, 1..300);
-        let mut map: SeqMap<u16, u64> = SeqMap::new();
-        let mut model: Vec<(u16, u64)> = Vec::new();
-        for &word in &ops {
-            let (op, key, val) = decode(word);
-            match op {
-                0 | 1 => {
-                    map.insert(key, val);
-                    match model.iter_mut().find(|(k, _)| *k == key) {
-                        Some(slot) => slot.1 = val,
-                        None => model.push((key, val)),
-                    }
-                }
-                2 => {
-                    let expect = model.iter().position(|(k, _)| *k == key);
-                    let removed = map.remove(&key);
-                    match expect {
-                        Some(pos) => {
-                            let (_, v) = model.remove(pos);
-                            assert_eq!(removed, Some(v));
-                        }
-                        None => assert_eq!(removed, None),
-                    }
-                }
-                _ => {
-                    let got = *map.get_or_insert_with(key, || val);
-                    match model.iter().find(|(k, _)| *k == key) {
-                        Some(&(_, v)) => assert_eq!(got, v),
-                        None => {
-                            model.push((key, val));
-                            assert_eq!(got, val);
-                        }
-                    }
-                }
-            }
-            assert_eq!(map.len(), model.len());
-        }
-        let got: Vec<(u16, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, model);
-    });
-}
-
-/// Entry-API smoke test: or_insert, or_insert_with, and_modify, and the
-/// occupied/vacant split all behave like BTreeMap's (they *are*
-/// BTreeMap's — the type is re-exported — but the wrapper must route to
-/// it correctly).
-#[test]
-fn detmap_entry_api_smoke() {
-    let mut map: DetMap<&str, u64> = DetMap::new();
-    *map.entry("a").or_insert(1) += 10;
-    assert_eq!(map.get("a"), Some(&11));
-    map.entry("a").and_modify(|v| *v *= 2).or_insert(0);
-    assert_eq!(map.get("a"), Some(&22));
-    map.entry("b").and_modify(|v| *v *= 2).or_insert(7);
-    assert_eq!(map.get("b"), Some(&7));
-    let v = map.entry("c").or_insert_with(|| 3);
-    assert_eq!(*v, 3);
-    assert_eq!(map.len(), 3);
-    assert_eq!(
-        map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-        vec![("a", 22), ("b", 7), ("c", 3)]
-    );
 }

@@ -51,16 +51,6 @@ pub struct TcpLoadGen {
 }
 
 impl TcpLoadGen {
-    /// A scaled-down default: 200 Mbit/s for 1 s in 16 KiB chunks (the
-    /// paper's 10 Gbps × 30 s shape, sized for CI).
-    pub fn scaled_default() -> Self {
-        TcpLoadGen {
-            rate_bps: 200_000_000,
-            duration: Duration::from_secs(1),
-            chunk: 16 * 1024,
-        }
-    }
-
     /// Connects to `target` and streams at the configured rate (blocking).
     pub fn run(&self, target: SocketAddr) -> io::Result<LoadStats> {
         assert!(self.rate_bps > 0 && self.chunk > 0, "invalid load config");

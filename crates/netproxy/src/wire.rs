@@ -185,13 +185,6 @@ impl<'a> DatagramView<'a> {
         &self.bytes[WIRE_HEADER_LEN..WIRE_HEADER_LEN + self.payload_len as usize]
     }
 
-    /// The full datagram as received — what a zero-copy forward sends
-    /// (header + payload, excluding any trailing junk past `payload_len`).
-    #[inline]
-    pub fn wire_bytes(&self) -> &'a [u8] {
-        &self.bytes[..WIRE_HEADER_LEN + self.payload_len as usize]
-    }
-
     /// Materializes the owned header (for interop with the owned path).
     #[inline]
     pub fn header(&self) -> WireHeader {
@@ -435,17 +428,7 @@ mod tests {
             let (decoded, p) = WireHeader::decode(&wire).unwrap();
             assert_eq!(view.header(), decoded);
             assert_eq!(view.payload(), p);
-            assert_eq!(view.wire_bytes(), &wire[..]);
         }
-    }
-
-    #[test]
-    fn view_wire_bytes_excludes_trailing_junk() {
-        let mut wire = WireHeader::data(1, 2, 3).encode(&[9, 9, 9]);
-        wire.extend_from_slice(&[7; 20]);
-        let view = DatagramView::parse(&wire).unwrap();
-        assert_eq!(view.wire_bytes().len(), WIRE_HEADER_LEN + 3);
-        assert_eq!(view.payload(), &[9, 9, 9]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * `hash-collections` — no hash-ordered collections as sim state. The
 //!   std hash map/set iterate in a per-process random order; one stray
 //!   iteration turns bit-identical replay into per-run noise. Use
-//!   `dcsim::det::{DetMap, DetSet, SeqMap}`.
+//!   `BTreeMap`/`BTreeSet` (key order) or `dcsim::det::IdMap` (lookups
+//!   by id).
 //! * `wall-clock` — no reading the host clock: `Instant::now`,
 //!   `SystemTime`, `UNIX_EPOCH`. Simulation time is `SimTime`, advanced
 //!   by the event loop only.
@@ -100,8 +101,8 @@ impl Rule {
     fn advice(self) -> &'static str {
         match self {
             Rule::HashCollections => {
-                "hash iteration order is per-process random; use dcsim::det::DetMap/DetSet \
-                 (key order) or SeqMap (insertion order)"
+                "hash iteration order is per-process random; use BTreeMap/BTreeSet \
+                 (key order) or dcsim::det::IdMap (lookups by id)"
             }
             Rule::WallClock => {
                 "simulation code must read SimTime, never the host clock; wall-clock I/O \

@@ -1,9 +1,8 @@
 //! Empirical cumulative distribution functions.
 //!
 //! Figures 4 and 5 of the paper are CDFs of per-packet latency. [`Cdf`] is
-//! built once from a set of samples and then supports quantile lookup,
-//! fraction-below lookup, and down-sampling to a fixed number of plot points
-//! for the figure binaries.
+//! built once from a set of samples and then supports quantile lookup and
+//! down-sampling to a fixed number of plot points for the figure binaries.
 
 use crate::percentile::percentile_of_sorted;
 
@@ -56,13 +55,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// Fraction of samples ≤ `x` (the CDF evaluated at `x`).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        // partition_point: first index whose sample > x.
-        let idx = self.sorted.partition_point(|&s| s <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Mean of the samples.
     pub fn mean(&self) -> f64 {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
@@ -110,16 +102,6 @@ mod tests {
         assert_eq!(c.min(), 1.0);
         assert_eq!(c.max(), 4.0);
         assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn fraction_below_steps() {
-        let c = cdf();
-        assert_eq!(c.fraction_below(0.5), 0.0);
-        assert_eq!(c.fraction_below(1.0), 0.25);
-        assert_eq!(c.fraction_below(2.5), 0.5);
-        assert_eq!(c.fraction_below(4.0), 1.0);
-        assert_eq!(c.fraction_below(100.0), 1.0);
     }
 
     #[test]

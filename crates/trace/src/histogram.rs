@@ -93,19 +93,6 @@ impl LogHistogram {
         self.sum += value as u128;
     }
 
-    /// Records `count` occurrences of one value.
-    pub fn record_n(&mut self, value: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let idx = self.bucket_index(value);
-        self.counts[idx] += count;
-        self.total += count;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += value as u128 * count as u128;
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
@@ -240,19 +227,6 @@ mod tests {
         h.record(20);
         h.record(30);
         assert!((h.mean() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record_n(12345, 7);
-        for _ in 0..7 {
-            b.record(12345);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

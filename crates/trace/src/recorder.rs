@@ -3,14 +3,13 @@
 //! The proxies record one sample per relayed chunk or receive batch from
 //! several threads. [`LatencyRecorder`] wraps a [`LogHistogram`] in a
 //! `std::sync::Mutex` (uncontended lock ≈ one CAS, fine for the scaled-down
-//! rates we drive in tests/benches) and offers [`LatencyRecorder::time`] for
-//! scoped measurements. Poisoning is ignored: every histogram update leaves
-//! it valid, so a recorder outlives a panic on another thread.
+//! rates we drive in tests/benches); callers time their own spans and hand
+//! in nanoseconds. Poisoning is ignored: every histogram update leaves it
+//! valid, so a recorder outlives a panic on another thread.
 
 use crate::histogram::LogHistogram;
 use crate::Cdf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// A cloneable, thread-safe latency recorder (nanosecond samples).
 #[derive(Debug, Clone, Default)]
@@ -31,14 +30,6 @@ impl LatencyRecorder {
     /// Records a latency expressed in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
         self.lock().record(nanos);
-    }
-
-    /// Records the elapsed time of `f` and returns its result.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record_nanos(start.elapsed().as_nanos() as u64);
-        out
     }
 
     /// Number of recorded samples.
@@ -88,14 +79,6 @@ mod tests {
         r.record_nanos(100);
         r.record_nanos(200);
         assert_eq!(r.count(), 2);
-    }
-
-    #[test]
-    fn time_records_one_sample() {
-        let r = LatencyRecorder::new();
-        let v = r.time(|| 42);
-        assert_eq!(v, 42);
-        assert_eq!(r.count(), 1);
     }
 
     #[test]

@@ -85,17 +85,6 @@ impl Summary {
         }
         w.finish()
     }
-
-    /// Relative reduction of this summary's mean versus a baseline mean:
-    /// `(baseline - self) / baseline`, e.g. 0.75 for a 75% reduction.
-    ///
-    /// This is the headline metric of Figures 2 and 3.
-    pub fn reduction_vs(&self, baseline: &Summary) -> f64 {
-        if baseline.mean == 0.0 {
-            return 0.0;
-        }
-        (baseline.mean - self.mean) / baseline.mean
-    }
 }
 
 #[cfg(test)]
@@ -130,16 +119,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((s.mean - mean).abs() < 1e-9);
         assert!((s.std - var.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reduction_vs_baseline() {
-        let base = Summary::of(&[100.0]);
-        let ours = Summary::of(&[25.0]);
-        assert!((ours.reduction_vs(&base) - 0.75).abs() < 1e-12);
-        // Degenerate baseline.
-        let zero = Summary::of(&[0.0]);
-        assert_eq!(ours.reduction_vs(&zero), 0.0);
     }
 
     #[test]

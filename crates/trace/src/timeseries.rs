@@ -34,45 +34,6 @@ pub fn step_mean(trace: &[(u64, u64)], end: u64) -> f64 {
     weighted as f64 / end as f64
 }
 
-/// Bins a step trace into `bins` equal windows over `[0, end]`, returning
-/// the maximum value in each (0 for windows without samples — suitable
-/// for coarse occupancy timelines).
-///
-/// # Panics
-/// Panics if `bins == 0` or `end == 0`.
-pub fn step_bin_max(trace: &[(u64, u64)], end: u64, bins: usize) -> Vec<u64> {
-    assert!(bins > 0, "need at least one bin");
-    assert!(end > 0, "empty interval");
-    let mut out = vec![0u64; bins];
-    for &(t, v) in trace {
-        let idx = ((t as u128 * bins as u128 / end as u128) as usize).min(bins - 1);
-        out[idx] = out[idx].max(v);
-    }
-    out
-}
-
-/// Fraction of `[0, end]` during which the step trace is above
-/// `threshold` (e.g. "how long was the queue effectively full?").
-pub fn step_fraction_above(trace: &[(u64, u64)], end: u64, threshold: u64) -> f64 {
-    if end == 0 {
-        return 0.0;
-    }
-    let mut above = 0u128;
-    let mut prev_t = 0u64;
-    let mut prev_v = 0u64;
-    for &(t, v) in trace {
-        if prev_v > threshold {
-            above += (t - prev_t) as u128;
-        }
-        prev_t = t;
-        prev_v = v;
-    }
-    if prev_v > threshold {
-        above += (end.saturating_sub(prev_t)) as u128;
-    }
-    above as f64 / end as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,30 +63,6 @@ mod tests {
     fn mean_of_empty_is_zero() {
         assert_eq!(step_mean(&[], 100), 0.0);
         assert_eq!(step_mean(TRACE, 0), 0.0);
-    }
-
-    #[test]
-    fn bin_max_places_samples() {
-        let bins = step_bin_max(TRACE, 100, 10);
-        assert_eq!(bins[1], 100); // t=10
-        assert_eq!(bins[2], 50); // t=20
-        assert_eq!(bins[4], 0); // t=40 sample has value 0
-        assert_eq!(bins[9], 0);
-    }
-
-    #[test]
-    fn bin_max_clamps_end_sample() {
-        let trace = [(100u64, 7u64)];
-        let bins = step_bin_max(&trace, 100, 4);
-        assert_eq!(bins[3], 7, "sample at end lands in the last bin");
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        // Above 60 only during [10,20) -> 10% of [0,100].
-        assert!((step_fraction_above(TRACE, 100, 60) - 0.1).abs() < 1e-12);
-        // Above 0 during [10,40) -> 30%.
-        assert!((step_fraction_above(TRACE, 100, 0) - 0.3).abs() < 1e-12);
     }
 
     #[test]

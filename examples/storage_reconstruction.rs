@@ -18,6 +18,7 @@ use incast_core::declare::{compile, IncastDecl, Routing};
 use incast_core::orchestrator::{ShardedConfig, ShardedOrchestrator};
 use incast_core::scenario::{Fabric, Scenario};
 use incast_core::{IncastSpec, Scheme};
+use std::collections::BTreeMap;
 use trace::table::{fmt_bytes, fmt_secs};
 
 /// Reed-Solomon (k = 12, m = 4): 12 surviving fragments rebuild one lost
@@ -54,7 +55,7 @@ fn main() {
     let topo = two_dc_leaf_spine(&TwoDcParams::default());
     let dc0 = topo.hosts_in_dc(0);
     let dc1 = topo.hosts_in_dc(1);
-    let mut placement: DetMap<String, HostId> = (0..K)
+    let mut placement: BTreeMap<String, HostId> = (0..K)
         .map(|i| (format!("frag-server-{i}"), dc0[i]))
         .collect();
     placement.insert("reconstructor".into(), dc1[0]);

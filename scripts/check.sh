@@ -97,8 +97,8 @@ cargo run --release --offline -q -p bench --bin fig5 -- --quick
 
 # Each asserts its own result; their stdout is deterministic and must match
 # what is recorded.
-echo "== simulated examples (MoE dispatch, global orchestrator, declaration planner, operator loop; stdout == examples/expected/<name>.txt, ~12 s)"
-for example in moe_training orchestrated_incasts storage_reconstruction operator_loop; do
+echo "== simulated examples (README quickstart, MoE dispatch, global orchestrator, declaration planner, operator loop; stdout == examples/expected/<name>.txt, ~14 s)"
+for example in quickstart moe_training orchestrated_incasts storage_reconstruction operator_loop; do
   cargo run --release --offline -q --example "$example" | diff - "examples/expected/$example.txt"
 done
 

@@ -8,6 +8,7 @@ use incast_core::orchestrator::{ProxySelector, ShardedConfig, ShardedOrchestrato
 use incast_core::predict::{paper_profile, predict};
 use incast_core::scenario::{Fabric, Incast, Scenario};
 use incast_core::{IncastSpec, Scheme};
+use std::collections::BTreeMap;
 
 /// A small-topology incast of `bytes` from four DC 0 senders, the last DC 0
 /// host as proxy.
@@ -45,7 +46,8 @@ fn declare_plan_simulate_roundtrip() {
     let topo = full_topology();
     let dc0 = topo.hosts_in_dc(0);
     let dc1 = topo.hosts_in_dc(1);
-    let mut placement: DetMap<String, HostId> = (0..4).map(|i| (format!("w{i}"), dc0[i])).collect();
+    let mut placement: BTreeMap<String, HostId> =
+        (0..4).map(|i| (format!("w{i}"), dc0[i])).collect();
     placement.insert("agg".into(), dc1[0]);
     let mut orch = global(dc0[4..].to_vec());
     let plans = compile(&[decl], &placement, &topo, &mut orch).expect("plannable");
@@ -138,7 +140,7 @@ fn plan_errors_are_reported_not_guessed() {
         .expected_bytes(1_000_000)
         .build()
         .expect("declaration itself is fine");
-    let placement: DetMap<String, HostId> =
+    let placement: BTreeMap<String, HostId> =
         [("a".to_string(), dc0[0]), ("s".to_string(), dc0[1])].into();
     let mut orch = global(vec![dc0[5]]);
     let err = compile(&[decl], &placement, &topo, &mut orch).unwrap_err();
