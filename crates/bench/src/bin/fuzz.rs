@@ -12,14 +12,16 @@
 //! same way and written to `--out` as a JSON repro file. Exits non-zero
 //! when any scenario failed. The closing line also says how many
 //! scenarios fell in each of the family's census cells (the chaos
-//! family's: transport × failover). The default family is the chaos fuzzer
+//! family's: transport × failover; the soak's: socket layer × the shard
+//! crashes and stalls drawn). The default family is the chaos fuzzer
 //! (the packet simulator under fault plans); `--control-plane` runs the
 //! sharded lease plane ([`bench::cpfuzz`]) instead: shard crashes
 //! mid-incast, stale placements, and gossip delayed past lease expiry,
 //! checked against a lease-lifecycle model and the lease ledger.
 //! `--soak` runs the live relay on loopback sockets ([`bench::soak`]):
-//! a fault plan on its sockets, a shard crash and wedge, and the shed
-//! ladder, judged by a packet-accounting ledger. Soak scenarios time real
+//! a fault plan on its sockets (a shard crash and a shard stall among
+//! its entries) and the shed ladder, judged by a packet-accounting
+//! ledger. Soak scenarios time real
 //! sockets, so they run one at a time whatever `--jobs` says.
 //!
 //! Replay mode (`--replay FILE`): [`bench::fuzz::replay`] runs the file's

@@ -2,8 +2,9 @@
 //! sink on loopback sockets, judged by one packet-accounting ledger.
 //!
 //! [`run`] starts a [`BatchSink`] and the path under test ([`Path`]),
-//! fires any scheduled crash or wedge, runs the caller's [`BatchLoadGen`],
-//! waits for the counters to settle and judges the run with [`judge`].
+//! runs the caller's [`BatchLoadGen`], waits for the counters to settle
+//! and judges the run with [`judge`]. Shard crashes and stalls are
+//! entries of the run's fault plan, which the relay's socket shim runs.
 //! `netproxy_load --smoke` / `--sweep`, the soak family
 //! ([`crate::soak::Soak`]) and `fig5`'s upper bound all drive the relay
 //! through it; `scripts/check.sh` refuses a second place in `bench` or
@@ -13,15 +14,20 @@
 //! generator delivered must be explained by a sink arrival, a NACK, a
 //! counted relay-side decision (drop / shed / coalesce), a counted fault
 //! event (drop / blackhole / pending delay / corruption), a counted send
-//! error, or, when a crash or wedge is scheduled, the bounded crash-loss
-//! budget (one second of traffic). It is a pure function of the run and
-//! its [`Counts`], so its rules are unit-tested on synthetic counts.
+//! error, or, when the plan crashes or stalls a shard, the bounded
+//! crash-loss budget (one second of traffic). It is a pure function of
+//! the run and its [`Counts`], so its rules are unit-tested on synthetic
+//! counts. The ingress check also prints how many datagrams the kernel
+//! dropped machine-wide over the run ([`KernelDrops`]), which the ledger
+//! cannot attribute to the run but which says where unexplained loss
+//! most likely went.
 
 use dcsim::faults::FaultPlan;
+use dcsim::time::SimDuration;
 use netproxy::fault::{FaultSnapshot, INBOUND, OUTBOUND};
 use netproxy::loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats};
 use netproxy::shard::{RelayConfig, RelayKind, RelayStats, ShardedRelay};
-use netproxy::supervisor::SupervisorStats;
+use netproxy::supervisor::{SupervisorStats, WEDGE_TIMEOUT};
 use std::fmt;
 use std::net::SocketAddr;
 use std::num::NonZeroU64;
@@ -55,30 +61,26 @@ impl Path {
 }
 
 /// One live run: the path, the load it carries and the chaos it suffers.
-/// Faults, the shed ladder, the crash and the wedge act on the sharded
-/// relay only.
-#[derive(Debug, Clone)]
+/// Faults (shard crashes and stalls included) and the shed ladder act on
+/// the sharded relay only.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveRun {
     /// The path under test.
     pub path: Path,
     /// The load, drain grace included. Its socket layer is the relay's
     /// and the sink's too.
     pub load: BatchLoadGen,
-    /// What the relay's fault shim does: port 0 inbound, port 1 outbound
-    /// (empty = the clean datapath).
+    /// What the relay's fault shim does: port 0 inbound, port 1 outbound,
+    /// and the shard crashes and stalls (empty = the clean datapath).
     pub faults: FaultPlan,
     /// Base seed of the shim's fault streams (one per shard × generation).
     pub fault_seed: u64,
     /// Per-shard forward budget of the shed ladder; 0 = ladder off.
     pub overload_pps: u64,
-    /// When shard 0 crashes (`None`: never).
-    pub crash_at_ms: Option<u64>,
-    /// When the last shard wedges (`None`: never).
-    pub wedge_at_ms: Option<u64>,
 }
 
 impl LiveRun {
-    /// `load` over `path`, with no fault, shed ladder, crash or wedge.
+    /// `load` over `path`, with no fault or shed ladder.
     pub fn clean(path: Path, load: BatchLoadGen) -> Self {
         LiveRun {
             path,
@@ -86,13 +88,90 @@ impl LiveRun {
             faults: FaultPlan::new(),
             fault_seed: 0,
             overload_pps: 0,
-            crash_at_ms: None,
-            wedge_at_ms: None,
         }
     }
 
+    /// Whether the plan crashes or stalls a shard.
     fn chaos_on(&self) -> bool {
-        self.crash_at_ms.is_some() || self.wedge_at_ms.is_some()
+        !self.faults.shard_crashes.is_empty()
+    }
+
+    /// The shards the supervisor must recover: those the plan crashes,
+    /// and those it stalls for longer than [`WEDGE_TIMEOUT`] (wedges), one
+    /// entry per crash or wedge. A shorter stall is ridden out.
+    fn recoveries(&self) -> (Vec<u32>, Vec<u32>) {
+        let (mut crashed, mut wedged) = (Vec::new(), Vec::new());
+        for c in &self.faults.shard_crashes {
+            match c.restore_at {
+                None => crashed.push(c.shard),
+                Some(r) if r.since(c.at) > wedge_timeout() => wedged.push(c.shard),
+                Some(_) => {}
+            }
+        }
+        (crashed, wedged)
+    }
+}
+
+/// The supervisor's [`WEDGE_TIMEOUT`] on the fault plan's clock.
+pub(crate) fn wedge_timeout() -> SimDuration {
+    SimDuration::from_millis(WEDGE_TIMEOUT.as_millis() as u64)
+}
+
+trace::counters! {
+    "bench.kernel";
+    /// Machine-wide kernel drop counters: UDP receive-buffer and input
+    /// errors (`/proc/net/snmp`) and softnet backlog drops
+    /// (`/proc/net/softnet_stat`, column 2 summed over CPUs). [`run`] reads
+    /// them before the generator starts and after the run settles; the
+    /// difference is every such drop on the machine in between, this
+    /// run's and anyone else's. (The UDP counters are the network
+    /// namespace's, which in a container is narrower than the machine.)
+    pub struct KernelDrops {
+        /// UDP datagrams dropped for a full socket receive buffer.
+        udp_rcvbuf_errors,
+        /// UDP datagrams that failed delivery (receive-buffer drops
+        /// included).
+        udp_in_errors,
+        /// Packets dropped for a full per-CPU input backlog.
+        softnet_dropped,
+    }
+}
+
+impl KernelDrops {
+    /// The counters now; `None` off Linux or when they cannot be read.
+    fn read() -> Option<KernelDrops> {
+        let snmp = std::fs::read_to_string("/proc/net/snmp").ok()?;
+        let softnet = std::fs::read_to_string("/proc/net/softnet_stat").ok()?;
+        KernelDrops::parse(&snmp, &softnet)
+    }
+
+    fn parse(snmp: &str, softnet: &str) -> Option<KernelDrops> {
+        // Two `Udp:` lines: the counter names, then their values.
+        let mut udp = snmp.lines().filter(|line| line.starts_with("Udp: "));
+        let (names, values) = (udp.next()?, udp.next()?);
+        let udp = |name: &str| -> Option<u64> {
+            let i = names.split_whitespace().position(|n| n == name)?;
+            values.split_whitespace().nth(i)?.parse().ok()
+        };
+        let softnet_dropped = (softnet.lines())
+            .map(|line| u64::from_str_radix(line.split_whitespace().nth(1)?, 16).ok())
+            .sum::<Option<u64>>()?;
+        Some(KernelDrops {
+            udp_rcvbuf_errors: udp("RcvbufErrors")?,
+            udp_in_errors: udp("InErrors")?,
+            softnet_dropped,
+        })
+    }
+
+    /// What the counters moved by since `before`.
+    fn since(self, before: KernelDrops) -> KernelDrops {
+        KernelDrops {
+            udp_rcvbuf_errors: self
+                .udp_rcvbuf_errors
+                .saturating_sub(before.udp_rcvbuf_errors),
+            udp_in_errors: self.udp_in_errors.saturating_sub(before.udp_in_errors),
+            softnet_dropped: self.softnet_dropped.saturating_sub(before.softnet_dropped),
+        }
     }
 }
 
@@ -115,8 +194,10 @@ pub struct Counts {
     pub generations: Vec<u64>,
     /// Each sharded-relay shard's heartbeat at settle.
     pub heartbeats: Vec<u64>,
-    /// The same heartbeats 50 ms later (runs with a crash or wedge only).
+    /// The same heartbeats 50 ms later (runs with shard crashes only).
     pub heartbeats_later: Vec<u64>,
+    /// The machine's kernel drops over the run; `None` off Linux.
+    pub kernel: Option<KernelDrops>,
 }
 
 /// A run's verdict: the checks that failed, and every count and check in
@@ -178,18 +259,18 @@ pub struct LiveOutcome {
 /// Runs `run` and judges it.
 ///
 /// # Panics
-/// Panics when a socket cannot be set up, or when faults, the shed ladder
-/// or chaos are asked of the direct path.
+/// Panics when a socket cannot be set up, or when faults or the shed
+/// ladder are asked of the direct path.
 pub fn run(run: &LiveRun) -> LiveOutcome {
     let sharded = matches!(run.path, Path::Sharded { .. });
     assert!(
-        sharded || (run.faults.is_empty() && run.overload_pps == 0 && !run.chaos_on()),
-        "faults, the shed ladder and chaos need the relay"
+        sharded || (run.faults.is_empty() && run.overload_pps == 0),
+        "faults and the shed ladder need the relay"
     );
     let layer = run.load.layer;
     // simlint: allow(wall-clock) — a live run measures real elapsed time
     let epoch = Instant::now();
-    let sink = retry_addr_in_use(|| BatchSink::start(1, layer, epoch)).expect("sink");
+    let sink = BatchSink::start(layer, epoch).expect("sink");
     let relay = match run.path {
         Path::Direct => None,
         Path::Sharded { kind, shards } => {
@@ -202,8 +283,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
                 ..RelayConfig::streamlined(sink.local_addr())
             };
             let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
-            let relay = retry_addr_in_use(|| ShardedRelay::start(loopback, config.clone()));
-            Some(relay.expect("relay"))
+            Some(ShardedRelay::start(loopback, config).expect("relay"))
         }
     };
     let target = relay
@@ -215,26 +295,8 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
             .map_or_else(RelayStats::default, ShardedRelay::stats)
     };
 
-    // Chaos, each event on a timer thread while the generator pushes
-    // load: shard 0 crashes, the last shard wedges.
-    let chaos = (run.crash_at_ms.map(|at| (at, true)).into_iter())
-        .chain(run.wedge_at_ms.map(|at| (at, false)));
-    let generator = std::thread::scope(|scope| {
-        if let Some(relay) = &relay {
-            let last = relay.shards() - 1;
-            for (at, crash) in chaos {
-                scope.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(at));
-                    if crash {
-                        relay.inject_crash(0);
-                    } else {
-                        relay.inject_wedge(last);
-                    }
-                });
-            }
-        }
-        run.load.run(target, epoch).expect("loadgen run")
-    });
+    let kernel_before = KernelDrops::read();
+    let generator = run.load.run(target, epoch).expect("loadgen run");
 
     // Settle: wait for in-flight datagrams (kernel queues, delayed
     // releases) to quiesce before snapshotting — two identical samples
@@ -257,6 +319,9 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
         generator,
         relay: relay_stats(),
         sink: sink.stats(),
+        kernel: KernelDrops::read()
+            .zip(kernel_before)
+            .map(|(a, b)| a.since(b)),
         ..Counts::default()
     };
     let mut batch_share = None;
@@ -369,9 +434,10 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
     );
 
     // eqA — generator → relay, adjusted for counted rx fault events.
-    // What's left over is crash/wedge loss: packets the kernel steered
-    // into a socket that died (queue lost on close) or wedged (queue
-    // overflowed while unserviced).
+    // What's left over is crash/stall loss: packets the kernel steered
+    // into a socket that died (queue lost on close) or stalled (queue
+    // overflowed while unserviced). The kernel's own drop counters say
+    // where it went, machine-wide.
     let arrived_adj = delivered + fs.rx_duplicated;
     let rx_explained = fs.rx_dropped + fs.rx_blackholed + fs.rx_delay_pending() + r.received;
     let crash_lost = arrived_adj as i64 - rx_explained as i64;
@@ -380,12 +446,14 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
     } else {
         ("ingress_zero_unexplained", 0)
     };
+    let kernel = c.kernel.map_or("n/a".to_string(), |k| k.to_string());
     ledger.check(
         name_a,
         (0..=budget).contains(&crash_lost),
         format!(
             "crash_lost {crash_lost} = delivered + rx_dup {arrived_adj} - rx_dropped - \
-             rx_blackholed - rx_delay_pending - relay_received {rx_explained}; budget {budget}"
+             rx_blackholed - rx_delay_pending - relay_received {rx_explained}; budget {budget}; \
+             kernel drops (machine-wide) {kernel}"
         ),
     );
 
@@ -472,29 +540,37 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
         );
     }
 
-    // Recovery: every injected chaos event was detected and the shard
-    // came back (generation advanced, nothing abandoned).
-    if run.crash_at_ms.is_some() {
-        let first = c.generations.first().copied().unwrap_or(0);
+    // Recovery: every crash and wedge the plan holds was detected and its
+    // shard came back (generation advanced, nothing abandoned).
+    let (crashed, wedged) = run.recoveries();
+    for (name, what, shards, detected) in [
+        ("crash_recovered", "crashes", &crashed, sup.crashes_detected),
+        ("wedge_recovered", "wedges", &wedged, sup.wedges_detected),
+    ] {
+        if shards.is_empty() {
+            continue;
+        }
+        let gens: Vec<u64> = (shards.iter())
+            .map(|&s| c.generations.get(s as usize).copied().unwrap_or(0))
+            .collect();
         ledger.check(
-            "crash_recovered",
-            sup.crashes_detected >= 1 && first >= 1,
-            format!("crashes_detected {} gen[0] {first}", sup.crashes_detected),
-        );
-    }
-    if run.wedge_at_ms.is_some() {
-        let last = c.generations.last().copied().unwrap_or(0);
-        ledger.check(
-            "wedge_recovered",
-            sup.wedges_detected >= 1 && last >= 1,
-            format!("wedges_detected {} gen[last] {last}", sup.wedges_detected),
+            name,
+            detected >= shards.len() as u64 && gens.iter().all(|&g| g >= 1),
+            format!(
+                "{what}_detected {detected} of {}; gen of shards {shards:?} {gens:?}",
+                shards.len()
+            ),
         );
     }
     if run.chaos_on() {
+        let recoveries = (crashed.len() + wedged.len()) as u64;
         ledger.check(
             "all_shards_alive",
-            sup.gave_up == 0 && sup.restarts >= 1,
-            format!("restarts {} gave_up {}", sup.restarts, sup.gave_up),
+            sup.gave_up == 0 && sup.restarts >= recoveries,
+            format!(
+                "restarts {} of {recoveries} gave_up {}",
+                sup.restarts, sup.gave_up
+            ),
         );
         // Liveness at the end of the run: heartbeats still advance.
         let (before, after) = (&c.heartbeats, &c.heartbeats_later);
@@ -531,33 +607,11 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
     ledger
 }
 
-/// Retries `op` with bounded backoff while it fails with `AddrInUse`.
-///
-/// Live-socket runs start reuseport groups back to back; on some kernels
-/// a just-closed group's port lingers briefly and an unlucky
-/// ephemeral-port reuse fails with EADDRINUSE. That's a startup race, not
-/// a datapath bug, so it gets a handful of spaced retries before it is
-/// allowed to kill the run.
-fn retry_addr_in_use<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    const ATTEMPTS: u32 = 5;
-    let mut backoff = Duration::from_millis(10);
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempt + 1 < ATTEMPTS => {
-                attempt += 1;
-                std::thread::sleep(backoff);
-                backoff *= 2; // 10/20/40/80 ms, then give up
-            }
-            other => return other,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcsim::faults::PortImpairment;
+    use dcsim::time::SimTime;
     use netproxy::SocketLayer;
 
     const NAIVE: Path = Path::Sharded {
@@ -734,10 +788,17 @@ mod tests {
         assert_eq!(failed(&run, &c), ["relay_conservation"]);
     }
 
+    fn ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
     /// Inbound loss, a crash, a wedge and the shed ladder on a streamlined
     /// relay, with 10 datagrams lost to the fault shim and 5 to the crash.
     fn chaos() -> (LiveRun, Counts) {
-        let mut faults = FaultPlan::new();
+        let mut faults =
+            FaultPlan::new()
+                .crash_shard(0, ms(100))
+                .crash_shard_window(1, ms(150), ms(1_150));
         faults.impairments.push(PortImpairment {
             loss: 0.01,
             ..PortImpairment::none(INBOUND)
@@ -746,8 +807,6 @@ mod tests {
             faults,
             fault_seed: 1,
             overload_pps: 500,
-            crash_at_ms: Some(100),
-            wedge_at_ms: Some(150),
             ..clean(STREAMLINED)
         };
         let mut c = balanced(STREAMLINED);
@@ -767,7 +826,7 @@ mod tests {
         (run, c)
     }
 
-    /// The soak's twelve checks keep their names and order; the malformed
+    /// The soak's thirteen checks keep their names and order; the malformed
     /// check comes last.
     #[test]
     fn a_chaos_run_passes_every_check_in_ledger_order() {
@@ -818,5 +877,52 @@ mod tests {
             break_it(&mut c);
             assert_eq!(failed(&run, &c), [name]);
         }
+    }
+
+    /// A stall the supervisor rides out is no wedge: the crash-loss budget
+    /// and the liveness checks are armed, `wedge_recovered` is not, and
+    /// no restart is owed for it.
+    #[test]
+    fn a_short_stall_arms_the_budget_but_no_wedge() {
+        let run = LiveRun {
+            faults: FaultPlan::new().crash_shard_window(0, ms(100), ms(300)),
+            ..clean(STREAMLINED)
+        };
+        let mut c = balanced(STREAMLINED);
+        c.generator.sent_packets += 5;
+        (c.heartbeats, c.heartbeats_later) = (vec![10, 20], vec![11, 20]);
+        let ledger = judge(&run, &c);
+        assert!(ledger.passed(), "{ledger}");
+        let armed = |name: &str| ledger.lines.iter().any(|l| l.contains(name));
+        assert!(armed("ingress_loss_within_crash_budget") && armed("all_shards_alive"));
+        assert!(!armed("wedge_recovered") && !armed("crash_recovered"));
+    }
+
+    /// The counters parse from `/proc`'s formats, and the ingress line
+    /// prints their deltas, or `n/a` without them.
+    #[test]
+    fn kernel_drops_parse_and_print_on_the_ingress_line() {
+        let snmp = "Udp: InDatagrams InErrors RcvbufErrors\nUdp: 100 7 5\n\
+                    UdpLite: InDatagrams InErrors RcvbufErrors\nUdpLite: 0 9 9\n";
+        let now = KernelDrops::parse(snmp, "0000726c 00000003\n00000827 0000000a\n");
+        let before = KernelDrops {
+            udp_rcvbuf_errors: 1,
+            udp_in_errors: 2,
+            softnet_dropped: 3,
+        };
+        assert_eq!(KernelDrops::parse("Udp: InErrors\n", ""), None);
+        let ingress = |kernel| {
+            let c = Counts {
+                kernel,
+                ..balanced(STREAMLINED)
+            };
+            let ledger = judge(&clean(STREAMLINED), &c);
+            ledger.lines.into_iter().find(|l| l.contains("ingress_"))
+        };
+        assert!(ingress(None).unwrap().ends_with("(machine-wide) n/a"));
+        let delta = ingress(now.map(|now| now.since(before))).unwrap();
+        let want = "(machine-wide) bench.kernel.udp_rcvbuf_errors=4 \
+                    bench.kernel.udp_in_errors=5 bench.kernel.softnet_dropped=10";
+        assert!(delta.ends_with(want), "{delta}");
     }
 }

@@ -12,8 +12,9 @@
 //!   impairment draws come from a dedicated RNG stream derived from the
 //!   simulation seed, so faulty runs replay exactly;
 //! - the relay's socket shim, `netproxy::fault::FaultedIo`, reads port 0
-//!   as the relay's inbound direction and port 1 as its outbound one, and
-//!   `SimTime`s as offsets from the relay's start.
+//!   as the relay's inbound direction and port 1 as its outbound one,
+//!   shard `n` as the relay's shard `n`, and `SimTime`s as offsets from
+//!   the relay's start.
 //!
 //! Semantics:
 //! - **Link down**: while a port is down it blackholes every packet offered
@@ -32,7 +33,11 @@
 //!   to it are destroyed, its timers go dead — and
 //!   [`crate::agent::Agent::on_crash`] lets it drop in-flight soft state.
 //!   An optional restore time models a process restart.
-//! - **Shard crash**: read only by the control-plane harness.
+//! - **Shard crash**: read by the control-plane harness, where it crashes
+//!   an orchestrator shard, and by the relay's shim, where it crashes a
+//!   relay shard (no restore time: its next receive fails hard, and the
+//!   supervisor restarts it) or stalls one (its next receive returns only
+//!   at the restore time). The simulator ignores it.
 //!
 //! [`Counter::PacketsLostToFault`]: crate::agent::Counter::PacketsLostToFault
 
@@ -90,7 +95,7 @@ impl PortImpairment {
 
 /// Synthetic transient syscall errors on one port's socket calls, drawn
 /// once per call: port 0's receives, port 1's sends. Only the socket shim
-/// reads these, as only the control plane reads [`ShardCrash`]es.
+/// reads these.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyscallErrors {
     /// The affected port.
@@ -112,19 +117,23 @@ pub struct AgentCrash {
     pub restore_at: Option<SimTime>,
 }
 
-/// A scheduled control-plane shard crash, optionally followed by a
-/// restart. Shards are a concept of the orchestration layer (the `core`
-/// crate), not of the packet simulator: [`crate::sim::Simulator::install_faults`]
-/// ignores these entries, and the control-plane harness consumes them to
-/// drive its own clock. They live in the [`FaultPlan`] so one plan (and one
-/// fuzzer repro file) can describe a whole incident.
+/// A scheduled shard crash, optionally followed by a restart. Shards are
+/// a concept of the orchestration layer (the `core` crate) and of the
+/// relay, not of the packet simulator: [`crate::sim::Simulator::install_faults`]
+/// ignores these entries. The control-plane harness crashes an
+/// orchestrator shard with one and drives its own clock; the relay's
+/// socket shim crashes a relay shard at `at`, or, with a `restore_at`,
+/// stalls the shard's receive until then. They live in the [`FaultPlan`]
+/// so one plan (and one fuzzer repro file) can describe a whole incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCrash {
-    /// The orchestrator shard that crashes.
+    /// The orchestrator or relay shard that crashes.
     pub shard: u32,
     /// Crash time.
     pub at: SimTime,
-    /// Restart time (`None`: stays dead).
+    /// Restart time (`None`: stays dead). On a relay shard, when its
+    /// stall ends (`None`: a crash, which the relay's supervisor recovers
+    /// from on its own).
     pub restore_at: Option<SimTime>,
 }
 

@@ -14,9 +14,19 @@
 //!   datagram (and counts it);
 //! * one [`SyscallErrors`] entry: synthetic `EAGAIN` / `ENOBUFS` per call.
 //!
+//! It also runs the plan's [`ShardCrash`]es for the shard whose socket it
+//! wraps, their times offsets from the same epoch. An entry without a
+//! `restore_at` fails the shard's next receive with a hard error, so the
+//! worker exits and the supervisor restarts it; an entry with one holds
+//! the next receive until then, so the worker stops beating with its
+//! socket open, and a stall past [`crate::supervisor::WEDGE_TIMEOUT`] is a
+//! wedge whose superseded worker wakes late and exits. Each entry fires
+//! once, in the incarnation running at its time: a shim built after an
+//! entry's time never fires it.
+//!
 //! It refuses, with a [`FaultError`], what it cannot model: other ports,
-//! a second impairment or syscall-error entry on one port, and crashes
-//! (the relay's crashes are the supervisor's business). All randomness
+//! a second impairment or syscall-error entry on one port, two shard
+//! crashes on one shard that overlap, and agent crashes. All randomness
 //! comes from a [`trace::SplitMix64`] stream the caller derives from the
 //! plan's seed, so two runs with the same seed and traffic see the same
 //! fault decisions.
@@ -36,7 +46,8 @@
 //!   corruption trims data to a header instead.)
 //! * **A receive is judged by the clock after it returns**: the one
 //!   reading the shim takes per receive follows the inner receive, which
-//!   can block for up to [`crate::batch::RECV_POLL`].
+//!   can block for up to [`crate::batch::RECV_POLL`]. (A shim with shard
+//!   crashes still to fire reads the clock before the receive too.)
 //! * **Delayed packets bypass blackout checks on release**: they
 //!   already "traversed" the link when they were captured.
 //! * **The faulted tx path copies.** The clean path forwards straight
@@ -48,7 +59,7 @@
 
 use crate::batch::{BatchIo, RecvRing, SendOutcome, SendQueue, SocketLayer, BATCH};
 use crate::wire::{DatagramView, Flags, MAX_DATAGRAM};
-use dcsim::faults::{FaultError, FaultPlan, LinkWindow, PortImpairment, SyscallErrors};
+use dcsim::faults::{FaultError, FaultPlan, LinkWindow, PortImpairment, ShardCrash, SyscallErrors};
 use dcsim::packet::PortId;
 use dcsim::time::SimTime;
 use std::io;
@@ -78,8 +89,15 @@ pub fn check_plan(plan: &FaultPlan) -> Result<(), FaultError> {
     if !plan.crashes.is_empty() {
         return Err(unsupported("agent crashes"));
     }
-    if !plan.shard_crashes.is_empty() {
-        return Err(unsupported("shard crashes"));
+    // Entries on one shard must not overlap: a crash takes its instant,
+    // a stall its whole window.
+    let mut crashes: Vec<&ShardCrash> = plan.shard_crashes.iter().collect();
+    crashes.sort_by_key(|c| (c.shard, c.at));
+    for pair in crashes.windows(2) {
+        let (prev, next) = (pair[0], pair[1]);
+        if prev.shard == next.shard && next.at <= prev.restore_at.unwrap_or(prev.at) {
+            return Err(unsupported("overlapping shard crashes on one shard"));
+        }
     }
     let ports = (plan.link_windows.iter().map(|w| w.port))
         .chain(plan.impairments.iter().map(|i| i.port))
@@ -247,14 +265,16 @@ struct Held {
 }
 
 /// The fault-injecting [`BatchIo`] wrapper. One per shard socket; all
-/// shards share a [`FaultStats`] and the blackout epoch, but each gets
-/// its own derived RNG stream.
+/// shards share a [`FaultStats`] and the epoch, but each gets its own
+/// derived RNG stream and its own shard's crashes.
 pub struct FaultedIo {
     inner: Box<dyn BatchIo>,
     rx: Direction,
     tx: Direction,
     rng: SplitMix64,
     epoch: Instant,
+    /// This shard's crashes and stalls still to fire, latest first.
+    crashes: Vec<ShardCrash>,
     stats: Arc<FaultStats>,
     rx_held: Vec<Held>,
     tx_held: Vec<Held>,
@@ -264,9 +284,12 @@ pub struct FaultedIo {
 }
 
 impl FaultedIo {
-    /// Wraps `inner`. `seed` should already be derived per shard ×
-    /// generation; `epoch` anchors the blackout schedule and must be
-    /// shared across every shard of a relay.
+    /// Wraps `inner`, the socket of `shard`. `seed` should already be
+    /// derived per shard × generation; `epoch` anchors the plan's times
+    /// and must be shared across every shard of a relay. `born` is when
+    /// this incarnation's schedule starts (the epoch for a relay's first
+    /// workers, the spawn for a replacement): the shard's crashes before
+    /// it never fire here.
     ///
     /// # Panics
     /// Panics if `plan` fails [`check_plan`] — construction sites check
@@ -274,17 +297,26 @@ impl FaultedIo {
     pub fn new(
         inner: Box<dyn BatchIo>,
         plan: &FaultPlan,
+        shard: u32,
         seed: u64,
         epoch: Instant,
+        born: Instant,
         stats: Arc<FaultStats>,
     ) -> Self {
         check_plan(plan).expect("checked fault plan");
+        let born = plan_time(epoch, born);
+        let mut crashes: Vec<ShardCrash> = (plan.shard_crashes.iter())
+            .filter(|c| c.shard == shard && c.at >= born)
+            .copied()
+            .collect();
+        crashes.sort_by_key(|c| std::cmp::Reverse(c.at));
         FaultedIo {
             inner,
             rx: Direction::of(plan, INBOUND),
             tx: Direction::of(plan, OUTBOUND),
             rng: SplitMix64::new(seed),
             epoch,
+            crashes,
             stats,
             rx_held: Vec::new(),
             tx_held: Vec::new(),
@@ -294,9 +326,22 @@ impl FaultedIo {
         }
     }
 
-    /// `now` as an offset from the epoch, on the plan's clock.
-    fn plan_time(&self, now: Instant) -> SimTime {
-        SimTime(now.duration_since(self.epoch).as_nanos() as u64 * 1_000)
+    /// Fires the shard's next crash if its time has come: a crash as a
+    /// hard error, a stall by returning only once it ends.
+    fn fire_due_crash(&mut self) -> io::Result<()> {
+        let Some(&crash) = self.crashes.last() else {
+            return Ok(());
+        };
+        if plan_time(self.epoch, Instant::now()) < crash.at {
+            return Ok(());
+        }
+        self.crashes.pop();
+        let Some(restore_at) = crash.restore_at else {
+            return Err(io::Error::other("synthetic shard crash"));
+        };
+        let wake = self.epoch + Duration::from_nanos(restore_at.0 / 1_000);
+        std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+        Ok(())
     }
 
     /// Sends every due delayed-tx datagram, one inner flush per class
@@ -410,6 +455,11 @@ impl FaultedIo {
     }
 }
 
+/// `t` as an offset from `epoch`, on the plan's clock (picoseconds).
+fn plan_time(epoch: Instant, t: Instant) -> SimTime {
+    SimTime(t.saturating_duration_since(epoch).as_nanos() as u64 * 1_000)
+}
+
 /// DATA flag (trimmed included) vs ACK/NACK — the ledger's outbound
 /// classification. Unparseable bytes never originate from the relay's
 /// own queue, but classify as ctrl defensively.
@@ -421,6 +471,7 @@ pub(crate) fn is_data_bytes(bytes: &[u8]) -> bool {
 
 impl BatchIo for FaultedIo {
     fn recv_batch(&mut self, ring: &mut RecvRing) -> io::Result<usize> {
+        self.fire_due_crash()?;
         if let Some(e) = self.rx.syscall_error(&mut self.rng) {
             bump!(self.stats, synth_recv_errors, 1);
             return Err(e);
@@ -431,7 +482,7 @@ impl BatchIo for FaultedIo {
         let now = Instant::now();
         self.flush_tx_due(now)?;
         let f = self.rx.imp;
-        if !ring.is_empty() && self.rx.in_blackout(self.plan_time(now)) {
+        if !ring.is_empty() && self.rx.in_blackout(plan_time(self.epoch, now)) {
             bump!(self.stats, rx_blackholed, ring.len() as u64);
             ring.reset();
         } else if !ring.is_empty() && self.rx.impairs() {
@@ -495,7 +546,7 @@ impl BatchIo for FaultedIo {
             bump!(self.stats, synth_send_errors, 1);
             return Err(e);
         }
-        let blackout = self.tx.in_blackout(self.plan_time(now));
+        let blackout = self.tx.in_blackout(plan_time(self.epoch, now));
         let f = self.tx.imp;
         if !blackout && !self.tx.impairs() {
             return self.inner.send_batch(ring, queue); // clean fast path
@@ -571,11 +622,18 @@ mod plan_tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// Ports past the outbound one, a second entry on one port and
-    /// crashes are refused by name; an invalid plan by its own error.
+    /// Ports past the outbound one, a second entry on one port, shard
+    /// crashes that overlap on one shard and agent crashes are refused by
+    /// name; an invalid plan by its own error. Shard crashes are run.
     #[test]
     fn the_shim_refuses_what_it_cannot_model() {
         assert_eq!(check_plan(&FaultPlan::new()), Ok(()));
+        let crashes = FaultPlan::new()
+            .crash_shard(0, ms(10))
+            .crash_shard_window(0, ms(20), ms(30))
+            .crash_shard(0, ms(31))
+            .crash_shard_window(1, ms(10), ms(40));
+        assert_eq!(check_plan(&crashes), Ok(()));
         assert_eq!(
             check_plan(&FaultPlan::new().port_loss(PortId(2), 0.1)),
             Err(FaultError::UnknownPort {
@@ -588,12 +646,22 @@ mod plan_tests {
             again: 0.1,
             nobufs: 0.0,
         };
+        let overlapping = "overlapping shard crashes on one shard";
+        let stall = |from, to| FaultPlan::new().crash_shard_window(1, ms(from), ms(to));
         for (plan, entry) in [
             (
                 FaultPlan::new().crash_agent(AgentId(0), ms(1)),
                 "agent crashes",
             ),
-            (FaultPlan::new().crash_shard(0, ms(1)), "shard crashes"),
+            (
+                FaultPlan::new().crash_shard(1, ms(5)).crash_shard(1, ms(5)),
+                overlapping,
+            ),
+            (stall(5, 10).crash_shard(1, ms(10)), overlapping),
+            (
+                stall(8, 20).crash_shard_window(1, ms(5), ms(9)),
+                overlapping,
+            ),
             (
                 FaultPlan::new()
                     .port_loss(OUTBOUND, 0.1)
@@ -610,7 +678,7 @@ mod plan_tests {
         ] {
             let interpreter = "the relay's socket shim";
             let refused = Err(FaultError::Unsupported { interpreter, entry });
-            assert_eq!(check_plan(&plan), refused);
+            assert_eq!(check_plan(&plan), refused, "{plan:?}");
         }
         let invalid = FaultPlan::new().port_loss(INBOUND, 1.5);
         assert_eq!(check_plan(&invalid), invalid.validate());
@@ -680,7 +748,8 @@ mod io_tests {
         let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), layer).unwrap();
         let addr = inner.local_addr().unwrap();
         let stats = Arc::new(FaultStats::default());
-        let io = FaultedIo::new(inner, &plan, seed, Instant::now(), stats.clone());
+        let epoch = Instant::now();
+        let io = FaultedIo::new(inner, &plan, 0, seed, epoch, epoch, stats.clone());
         (io, stats, addr)
     }
 
@@ -959,7 +1028,9 @@ mod io_tests {
         let mut io = FaultedIo::new(
             Box::new(BlockingRecv(inner)),
             &window,
+            0,
             5,
+            epoch,
             epoch,
             stats.clone(),
         );
@@ -979,6 +1050,34 @@ mod io_tests {
         sender.join().unwrap();
         assert_eq!(got, 0, "the datagram arrived inside the blackout");
         assert_eq!(stats.snapshot().rx_blackholed, 1);
+    }
+
+    /// A shard crash fails one receive of its shard's incarnation running
+    /// at its time, and no other: not a later one of that incarnation,
+    /// not another shard's, and not a replacement started after it, so
+    /// the same crash never happens twice.
+    #[test]
+    fn a_shard_crash_fires_once_in_the_incarnation_running_at_its_time() {
+        let plan = FaultPlan::new().crash_shard(0, SimTime::ZERO + SimDuration::from_millis(20));
+        let epoch = Instant::now();
+        // How many receives of `shard`'s shim, born at `born`, fail hard
+        // until `until_ms` into the run.
+        let failures = |shard, born, until_ms| {
+            let inner = batch::open(UdpSocket::bind(loopback()).unwrap(), SocketLayer::Auto);
+            let stats = Arc::new(FaultStats::default());
+            let mut io = FaultedIo::new(inner.unwrap(), &plan, shard, 3, epoch, born, stats);
+            let (mut ring, mut failed) = (RecvRing::new(), 0);
+            while epoch.elapsed() < Duration::from_millis(until_ms) {
+                if let Err(e) = io.recv_batch(&mut ring) {
+                    assert_eq!(e.kind(), io::ErrorKind::Other, "{e}");
+                    failed += 1;
+                }
+            }
+            failed
+        };
+        assert_eq!(failures(1, epoch, 30), 0);
+        assert_eq!(failures(0, epoch, 60), 1);
+        assert_eq!(failures(0, Instant::now(), 90), 0);
     }
 
     #[test]

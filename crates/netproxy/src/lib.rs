@@ -65,5 +65,5 @@ pub use loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats, TcpLoadGe
 pub use naive::NaiveProxy;
 pub use shard::{FlowDirectory, RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay};
 pub use streamlined::{decide, Action};
-pub use supervisor::{ChaosKind, ShardSlot, SupervisorStats};
+pub use supervisor::SupervisorStats;
 pub use wire::{DatagramView, Flags, WireHeader, MAX_DATAGRAM, WIRE_HEADER_LEN};

@@ -131,7 +131,7 @@ pub const TIMESTAMP_LEN: usize = 8;
 /// is drained opportunistically whenever a worker is ahead of its
 /// schedule, so paced runs account for every packet; unpaced runs with
 /// `trim_fraction > 0` may shed backflow at the kernel buffer instead.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchLoadGen {
     /// Worker (client population) threads.
     pub threads: usize,
@@ -331,7 +331,7 @@ impl BatchLoadReport {
 
 trace::counters! {
     "netproxy.sink", atomic crate::sync::AtomicU64;
-    /// Per-sink-shard counters, flushed once per batch.
+    /// The sink's counters, flushed once per batch.
     struct SinkCounters;
     /// A snapshot of everything a [`BatchSink`] has absorbed.
     pub struct SinkStats {
@@ -348,95 +348,77 @@ trace::counters! {
     }
 }
 
-/// The batched receiving end of a [`BatchLoadGen`] run: reuseport
-/// worker threads that parse payload timestamps into a shared one-way
-/// latency histogram.
+/// The batched receiving end of a [`BatchLoadGen`] run: one socket on
+/// one thread that parses payload timestamps into a one-way latency
+/// histogram.
 pub struct BatchSink {
     local_addr: SocketAddr,
-    counters: Vec<Arc<SinkCounters>>,
+    counters: Arc<SinkCounters>,
     recorder: LatencyRecorder,
     stop: Arc<AtomicBool>,
-    handles: Vec<thread::JoinHandle<()>>,
+    handle: Option<thread::JoinHandle<()>>,
 }
 
 impl BatchSink {
-    /// Binds `threads` reuseport sockets on an ephemeral loopback port
-    /// and starts absorbing. `epoch` must match the load generator's.
+    /// Binds a socket on an ephemeral loopback port and starts absorbing.
+    /// `epoch` must match the load generator's.
     ///
     /// # Errors
     /// Socket/bind errors.
-    pub fn start(threads: usize, layer: SocketLayer, epoch: Instant) -> io::Result<BatchSink> {
-        let threads = if batch::reuseport_available() {
-            threads.max(1)
-        } else {
-            1
-        };
-        let first = batch::bind_reuseport(SocketAddr::from(([127, 0, 0, 1], 0)))?;
-        let local_addr = first.local_addr()?;
-        let mut sockets = vec![first];
-        for _ in 1..threads {
-            sockets.push(batch::bind_reuseport(local_addr)?);
-        }
+    pub fn start(layer: SocketLayer, epoch: Instant) -> io::Result<BatchSink> {
+        let socket = batch::bind_buffered(SocketAddr::from(([127, 0, 0, 1], 0)))?;
+        let local_addr = socket.local_addr()?;
+        let mut io = batch::open(socket, layer)?;
         let recorder = LatencyRecorder::new();
         let stop = Arc::new(AtomicBool::new(false));
-        let mut counters = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for (i, socket) in sockets.into_iter().enumerate() {
-            let mut io = batch::open(socket, layer)?;
-            let c = Arc::new(SinkCounters::default());
-            counters.push(c.clone());
-            let stop = stop.clone();
-            let recorder = recorder.clone();
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("sink-{i}"))
-                    .spawn(move || {
-                        let mut ring = RecvRing::new();
-                        // ordering: Acquire — pairs with shutdown()'s Release store
-                        // so work done before the stop request is visible here.
-                        while !stop.load(Ordering::Acquire) {
-                            let got = match io.recv_batch(&mut ring) {
-                                Ok(n) => n,
-                                Err(_) => break,
-                            };
-                            if got == 0 {
-                                continue;
-                            }
-                            let now = epoch.elapsed().as_nanos() as u64;
-                            let mut batch = SinkStats::default();
-                            for i in 0..got {
-                                match DatagramView::parse(ring.datagram(i)) {
-                                    Ok(v) if v.flags().contains(Flags::DATA) => {
-                                        if v.flags().contains(Flags::TRIMMED) {
-                                            batch.trimmed += 1;
-                                            continue;
-                                        }
-                                        batch.received += 1;
-                                        batch.bytes += v.payload_len() as u64;
-                                        let p = v.payload();
-                                        if p.len() >= TIMESTAMP_LEN {
-                                            let ts = u64::from_be_bytes(
-                                                p[..TIMESTAMP_LEN].try_into().expect("len"),
-                                            );
-                                            recorder.record_nanos(now.saturating_sub(ts));
-                                        }
-                                    }
-                                    Ok(_) => batch.feedback += 1,
-                                    Err(_) => batch.malformed += 1,
+        let counters = Arc::new(SinkCounters::default());
+        let handle = {
+            let (counters, recorder, stop) = (counters.clone(), recorder.clone(), stop.clone());
+            thread::Builder::new().name("sink".into()).spawn(move || {
+                let mut ring = RecvRing::new();
+                // ordering: Acquire — pairs with shutdown()'s Release store
+                // so work done before the stop request is visible here.
+                while !stop.load(Ordering::Acquire) {
+                    let got = match io.recv_batch(&mut ring) {
+                        Ok(n) => n,
+                        Err(_) => break,
+                    };
+                    if got == 0 {
+                        continue;
+                    }
+                    let now = epoch.elapsed().as_nanos() as u64;
+                    let mut batch = SinkStats::default();
+                    for i in 0..got {
+                        match DatagramView::parse(ring.datagram(i)) {
+                            Ok(v) if v.flags().contains(Flags::DATA) => {
+                                if v.flags().contains(Flags::TRIMMED) {
+                                    batch.trimmed += 1;
+                                    continue;
+                                }
+                                batch.received += 1;
+                                batch.bytes += v.payload_len() as u64;
+                                let p = v.payload();
+                                if p.len() >= TIMESTAMP_LEN {
+                                    let ts = u64::from_be_bytes(
+                                        p[..TIMESTAMP_LEN].try_into().expect("len"),
+                                    );
+                                    recorder.record_nanos(now.saturating_sub(ts));
                                 }
                             }
-                            c.flush(&batch);
+                            Ok(_) => batch.feedback += 1,
+                            Err(_) => batch.malformed += 1,
                         }
-                    })
-                    .expect("spawn sink"),
-            );
-        }
+                    }
+                    counters.flush(&batch);
+                }
+            })?
+        };
         Ok(BatchSink {
             local_addr,
             counters,
             recorder,
             stop,
-            handles,
+            handle: Some(handle),
         })
     }
 
@@ -445,12 +427,10 @@ impl BatchSink {
         self.local_addr
     }
 
-    /// Merged counters across sink threads.
+    /// Everything the sink has counted so far.
     pub fn stats(&self) -> SinkStats {
         let mut s = SinkStats::default();
-        for c in &self.counters {
-            s.merge(c);
-        }
+        s.merge(&self.counters);
         s
     }
 
@@ -459,11 +439,11 @@ impl BatchSink {
         &self.recorder
     }
 
-    /// Stops and joins the sink threads.
+    /// Stops and joins the sink thread.
     pub fn shutdown(&mut self) {
-        // ordering: Release — pairs with the sink threads' Acquire poll.
+        // ordering: Release — pairs with the sink thread's Acquire poll.
         self.stop.store(true, Ordering::Release);
-        for h in self.handles.drain(..) {
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
@@ -502,7 +482,7 @@ mod tests {
     #[test]
     fn batch_loadgen_direct_to_sink_accounts_for_every_packet() {
         let epoch = Instant::now();
-        let sink = BatchSink::start(1, SocketLayer::Auto, epoch).unwrap();
+        let sink = BatchSink::start(SocketLayer::Auto, epoch).unwrap();
         let gen = BatchLoadGen::smoke(Duration::from_millis(300));
         let report = gen.run(sink.local_addr(), epoch).unwrap();
         assert!(report.sent_packets > 1_000, "{report:?}");
@@ -519,7 +499,7 @@ mod tests {
     fn batch_loadgen_counts_nack_backflow_through_relay() {
         use crate::shard::{RelayConfig, ShardedRelay};
         let epoch = Instant::now();
-        let sink = BatchSink::start(1, SocketLayer::Auto, epoch).unwrap();
+        let sink = BatchSink::start(SocketLayer::Auto, epoch).unwrap();
         let relay = ShardedRelay::start(
             SocketAddr::from(([127, 0, 0, 1], 0)),
             RelayConfig {
@@ -558,7 +538,7 @@ mod tests {
     #[test]
     fn batch_loadgen_unthrottled_mode_floods() {
         let epoch = Instant::now();
-        let sink = BatchSink::start(1, SocketLayer::Auto, epoch).unwrap();
+        let sink = BatchSink::start(SocketLayer::Auto, epoch).unwrap();
         let gen = BatchLoadGen {
             rate_pps: 0,
             duration: Duration::from_millis(100),

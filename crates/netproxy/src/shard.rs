@@ -11,7 +11,7 @@
 //! receive ring into a filled send queue and that batch's [`RelayStats`],
 //! with no syscall and no clock of its own. Its *run loop*
 //! (`ShardWorker::run`, below) owns the rest: the socket, the heartbeat
-//! and chaos mailbox, and the clock. Per batch it receives, takes one
+//! and the clock. Per batch it receives, takes one
 //! clock reading, calls the step with it, takes a second, sends what the
 //! step queued, and flushes the counts into the shard's own
 //! [`ShardStats`] atomics in one call, then takes a third; the readings
@@ -56,7 +56,7 @@
 use crate::batch::{self, BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
 use crate::fault::{self, is_data_bytes, FaultSnapshot, FaultStats, FaultedIo};
 use crate::step::ShardStep;
-use crate::supervisor::{self, ChaosKind, ShardSlot, SupervisorShared, SupervisorStats};
+use crate::supervisor::{self, ShardSlot, SupervisorShared, SupervisorStats};
 use crate::sync::{AtomicBool, Ordering};
 use dcsim::faults::FaultPlan;
 use std::collections::HashMap;
@@ -376,16 +376,26 @@ impl ShardedRelay {
     ///
     /// # Errors
     /// Socket/bind errors, `Unsupported` for a forced-mmsg layer off
-    /// Linux, or `InvalidInput` for a fault plan that is invalid, or that
-    /// the socket shim cannot run ([`fault::check_plan`]).
+    /// Linux, or `InvalidInput` for a fault plan that is invalid, that
+    /// the socket shim cannot run ([`fault::check_plan`]), or that
+    /// crashes a shard the relay does not run.
     pub fn start(listen: SocketAddr, config: RelayConfig) -> io::Result<ShardedRelay> {
-        if let Some((plan, _)) = &config.faults {
-            fault::check_plan(plan).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        }
         let shards = effective_shards(config.shards);
-        // The blackout schedule (and every shard's fault clock) is
-        // anchored here, not per worker spawn, so restarted shards stay
-        // on the relay-wide schedule.
+        if let Some((plan, _)) = &config.faults {
+            let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+            fault::check_plan(plan).map_err(|e| invalid(e.to_string()))?;
+            if let Some(c) = plan
+                .shard_crashes
+                .iter()
+                .find(|c| c.shard as usize >= shards)
+            {
+                let e = format!("the fault plan crashes shard {} of {shards}", c.shard);
+                return Err(invalid(e));
+            }
+        }
+        // The plan's schedule (and every shard's fault clock) is anchored
+        // here, not per worker spawn, so restarted shards stay on the
+        // relay-wide schedule.
         let epoch = Instant::now();
         let first = batch::bind_reuseport(listen)?;
         let local_addr = first.local_addr()?;
@@ -403,7 +413,7 @@ impl ShardedRelay {
         let shard_stats: Vec<Arc<ShardStats>> = (0..shards)
             .map(|_| Arc::new(ShardStats::default()))
             .collect();
-        let slots: Vec<Arc<ShardSlot>> = (0..shards).map(|_| Arc::new(ShardSlot::new())).collect();
+        let slots: Vec<Arc<ShardSlot>> = (0..shards).map(|_| Arc::default()).collect();
 
         // The one spawner, used for the initial generation (prebound
         // sockets) and for every supervisor restart (fresh bind to the
@@ -428,14 +438,22 @@ impl ShardedRelay {
                         // Per shard × generation fault stream: a restart
                         // never replays the exact fault sequence that
                         // killed (or starved) the previous incarnation,
-                        // while the run stays seed-reproducible.
+                        // while the run stays seed-reproducible. Nor does
+                        // it fire a crash whose time came before it.
                         let seed =
                             trace::derive_seed(*seed, ((shard_id as u64) << 32) | generation);
+                        let born = if generation == 0 {
+                            epoch
+                        } else {
+                            Instant::now()
+                        };
                         Box::new(FaultedIo::new(
                             inner,
                             plan,
+                            shard_id as u32,
                             seed,
                             epoch,
+                            born,
                             fault_stats.clone(),
                         ))
                     }
@@ -531,18 +549,6 @@ impl ShardedRelay {
         stats
     }
 
-    /// Injects a simulated crash into `shard` (consumed at its next
-    /// loop iteration): the worker thread exits, dropping its socket.
-    pub fn inject_crash(&self, shard: usize) {
-        self.slots[shard].inject(ChaosKind::Crash);
-    }
-
-    /// Injects a simulated wedge into `shard`: the worker stops beating
-    /// but holds its socket open until the supervisor supersedes it.
-    pub fn inject_wedge(&self, shard: usize) {
-        self.slots[shard].inject(ChaosKind::Wedge);
-    }
-
     /// The generation `shard` is (supposed to be) running; bumps count
     /// completed supersessions.
     pub fn shard_generation(&self, shard: usize) -> u64 {
@@ -565,7 +571,9 @@ impl ShardedRelay {
     }
 
     /// Signals every shard to stop and waits (via the supervisor, which
-    /// owns the worker handles) for them to exit. Idempotent.
+    /// owns the worker handles) for them to exit. A worker its fault plan
+    /// stalls exits only once the stall ends, so this waits for that too
+    /// (a superseded orphan is not waited for). Idempotent.
     pub fn shutdown(&mut self) {
         // ordering: Release — pairs with the Acquire polls in
         // `ShardWorker::run` and `supervisor::supervise`, so a thread
@@ -589,9 +597,12 @@ impl Drop for ShardedRelay {
 /// On Linux this succeeds immediately (the port is shared). On the
 /// portable single-shard path there is no `SO_REUSEPORT`, so the port
 /// only frees up once the previous incarnation's socket is fully
-/// closed — a wedged orphan may hold it for a poll or two. A short
-/// bounded retry covers that window; a persistent failure surfaces to
-/// the supervisor, which burns restart budget and eventually gives up.
+/// closed, and a wedged orphan holds it until it wakes and exits. A
+/// short bounded retry covers an orphan that exits within a poll or
+/// two; a persistent failure surfaces to the supervisor, which burns
+/// restart budget and eventually gives up. So on that path the
+/// supervisor gives up on a shard whose orphan stalls on for more than
+/// some 300 ms past the wedge timeout.
 fn bind_with_retry(addr: SocketAddr) -> io::Result<std::net::UdpSocket> {
     const ATTEMPTS: usize = 3;
     let mut last_err = None;
@@ -672,23 +683,13 @@ impl ShardWorker {
                 return;
             }
             // Superseded (wedge recovery): exit and release the socket,
-            // which is what actually ends the blackhole.
+            // which is what actually ends the blackhole. A stalled orphan
+            // gets here late, once its stall ends and it relays what the
+            // receive brought.
             if self.slot.generation() != self.my_gen {
                 return;
             }
             self.slot.beat();
-            match self.slot.take_chaos() {
-                None => {}
-                // Simulated crash: die as after a hard socket error.
-                Some(ChaosKind::Crash) => return,
-                // Simulated wedge: stop servicing the socket but keep
-                // it open — flows steered here blackhole until the
-                // supervisor notices the stale heartbeat.
-                Some(ChaosKind::Wedge) => {
-                    self.wedge_stall();
-                    return;
-                }
-            }
             let got = match self.io.recv_batch(&mut ring) {
                 Ok(n) => n,
                 Err(e) if is_transient_io(&e) => {
@@ -774,21 +775,6 @@ impl ShardWorker {
         queue.clear();
         self.stats.flush(&counts);
         alive
-    }
-
-    /// Simulated wedge: hold the socket open without servicing it until
-    /// shutdown or supersession. Mirrors a worker stuck in a syscall or
-    /// an infinite loop — the kernel keeps steering our share of flows
-    /// into the unserviced receive queue the whole time.
-    fn wedge_stall(&self) {
-        loop {
-            // ordering: Acquire — pairs with the Release stores in
-            // `ShardedRelay::shutdown` / `ShardSlot::bump_generation`.
-            if self.stop.load(Ordering::Acquire) || self.slot.generation() != self.my_gen {
-                return;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
     }
 }
 
@@ -1068,19 +1054,17 @@ mod tests {
         .expect("relay starts")
     }
 
-    /// A plan the shim cannot run, or an invalid one, stops the relay
-    /// before it binds anything.
+    /// A plan the shim cannot run, an invalid one, or one that crashes a
+    /// shard the relay does not run, stops the relay before it binds
+    /// anything.
     #[test]
     fn start_refuses_a_plan_the_shim_cannot_run() {
         use dcsim::packet::{AgentId, PortId};
-        use dcsim::time::SimTime;
-        for plan in [
-            FaultPlan::new().port_loss(PortId(2), 0.1),
-            FaultPlan::new().crash_agent(AgentId(0), SimTime::ZERO),
-            FaultPlan::new().crash_shard(0, SimTime::ZERO),
-            FaultPlan::new().port_loss(fault::INBOUND, 1.5),
-        ] {
+        use dcsim::time::{SimDuration, SimTime};
+        let ms = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let refuse = |plan: &FaultPlan, why: String| {
             let config = RelayConfig {
+                shards: 2,
                 faults: Some((plan.clone(), 1)),
                 ..RelayConfig::streamlined(loopback())
             };
@@ -1088,9 +1072,23 @@ mod tests {
                 .err()
                 .expect("refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{plan:?}");
-            let why = fault::check_plan(&plan).unwrap_err().to_string();
             assert_eq!(err.to_string(), why);
+        };
+        for plan in [
+            FaultPlan::new().port_loss(PortId(2), 0.1),
+            FaultPlan::new().crash_agent(AgentId(0), SimTime::ZERO),
+            FaultPlan::new().crash_shard(0, ms(5)).crash_shard(0, ms(5)),
+            FaultPlan::new()
+                .crash_shard_window(1, ms(5), ms(50))
+                .crash_shard(1, ms(20)),
+            FaultPlan::new().port_loss(fault::INBOUND, 1.5),
+        ] {
+            refuse(&plan, fault::check_plan(&plan).unwrap_err().to_string());
         }
+        let shards = effective_shards(2);
+        let past = FaultPlan::new().crash_shard(shards as u32, ms(5));
+        let why = format!("the fault plan crashes shard {shards} of {shards}");
+        refuse(&past, why);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * a dedicated supervisor thread polls the slots, classifying a shard
 //!   as **crashed** when its thread finished while `stop` is clear, and
 //!   as **wedged** when the thread is alive but the heartbeat has not
-//!   moved for `WEDGE_TIMEOUT` (400 ms);
+//!   moved for [`WEDGE_TIMEOUT`] (400 ms);
 //! * recovery bumps the slot's **generation** (which tells a wedged
-//!   orphan to exit and release its socket) and spawns a replacement
-//!   worker on a fresh `SO_REUSEPORT` socket bound to the same port.
+//!   orphan to exit and release its socket once it next looks) and spawns
+//!   a replacement worker on a fresh `SO_REUSEPORT` socket bound to the
+//!   same port.
 //!
 //! Recovery is **bounded-loss** by construction: packets the kernel had
 //! already steered into the dead socket's receive queue are gone (that
@@ -25,9 +26,11 @@
 //! [`crate::shard::FlowDirectory`] (and each private table, re-learned
 //! from the next data packet) persists outside the worker thread.
 //!
-//! [`ShardSlot`] is built on the `crate::sync` atomic shim so its
-//! heartbeat/generation/chaos protocol can be loom-modeled; the
-//! supervisor loop itself uses real threads and wall-clock timeouts.
+//! Crashes and stalls are injected through the relay's fault plan
+//! ([`crate::fault::FaultedIo`]), never through the slot: the slot holds
+//! only what the worker and the supervisor share, on the `crate::sync`
+//! atomic shim. The supervisor loop itself uses real threads and
+//! wall-clock timeouts.
 
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use std::io;
@@ -35,56 +38,32 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-const CHAOS_NONE: u64 = 0;
-const CHAOS_CRASH: u64 = 1;
-const CHAOS_WEDGE: u64 = 2;
-
-/// A fault to inject into a running shard (test/soak API).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosKind {
-    /// The worker returns immediately, dropping its socket — a clean
-    /// thread death, as after a hard socket error.
-    Crash,
-    /// The worker stops beating but keeps its socket open — the
-    /// nastier failure, where the kernel keeps steering flows into a
-    /// blackhole until the supervisor notices the stale heartbeat.
-    Wedge,
-}
-
-/// Per-shard supervision state: heartbeat, generation, pending chaos,
-/// restart budget. One per shard, shared between the worker thread, the
-/// supervisor, and snapshot readers.
+/// Per-shard supervision state: the heartbeat the worker bumps and the
+/// generation the supervisor bumps. One per shard, shared between the
+/// worker thread, the supervisor and snapshot readers.
 #[derive(Debug, Default)]
-pub struct ShardSlot {
+pub(crate) struct ShardSlot {
     heartbeat: AtomicU64,
     generation: AtomicU64,
-    chaos: AtomicU64,
-    restarts: AtomicU64,
-    failed: AtomicBool,
 }
 
 impl ShardSlot {
-    /// Fresh slot at generation 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Worker liveness signal, once per relay-loop iteration.
     #[inline]
-    pub fn beat(&self) {
+    pub(crate) fn beat(&self) {
         // ordering: Relaxed — a monotone liveness counter compared only
         // against its own previous value; no data is published with it.
         self.heartbeat.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current heartbeat value.
-    pub fn heartbeat(&self) -> u64 {
+    pub(crate) fn heartbeat(&self) -> u64 {
         // ordering: Relaxed — see `beat`.
         self.heartbeat.load(Ordering::Relaxed)
     }
 
     /// The generation the slot's *current* worker should be running.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         // ordering: Acquire — pairs with the Release in
         // `bump_generation`, so a worker observing its supersession also
         // observes everything the supervisor wrote before bumping.
@@ -98,65 +77,6 @@ impl ShardSlot {
         // ordering: Release — pairs with the Acquire in `generation`.
         self.generation.fetch_add(1, Ordering::Release) + 1
     }
-
-    /// Requests chaos on this shard (consumed by the worker at its next
-    /// loop iteration). Last writer wins if called twice before the
-    /// worker looks.
-    pub fn inject(&self, kind: ChaosKind) {
-        let v = match kind {
-            ChaosKind::Crash => CHAOS_CRASH,
-            ChaosKind::Wedge => CHAOS_WEDGE,
-        };
-        // ordering: Relaxed — a control-flow-only flag; the worker acts
-        // on whatever value it reads, no payload accompanies it.
-        self.chaos.store(v, Ordering::Relaxed);
-    }
-
-    /// Consumes a pending chaos request. Single consumer (the slot's
-    /// worker), so load-then-clear does not race with itself; an inject
-    /// landing between the two is overwritten, which for a test API is
-    /// an acceptable (and documented) last-writer-wins.
-    pub(crate) fn take_chaos(&self) -> Option<ChaosKind> {
-        // ordering: Relaxed — control-flow-only, see `inject`. (The
-        // vendored loom AtomicU64 has no `swap`; load+store is the
-        // modelable equivalent under the single-consumer contract.)
-        let c = self.chaos.load(Ordering::Relaxed);
-        if c == CHAOS_NONE {
-            return None;
-        }
-        // ordering: Relaxed — same control-flow-only contract as the
-        // load above; the sole consumer clears its own mailbox.
-        self.chaos.store(CHAOS_NONE, Ordering::Relaxed);
-        Some(if c == CHAOS_CRASH {
-            ChaosKind::Crash
-        } else {
-            ChaosKind::Wedge
-        })
-    }
-
-    /// Times this shard has been restarted (or had a restart attempted).
-    pub fn restarts(&self) -> u64 {
-        // ordering: Relaxed — monotone counter for snapshots.
-        self.restarts.load(Ordering::Relaxed)
-    }
-
-    fn note_restart_attempt(&self) {
-        // ordering: Relaxed — monotone counter for snapshots.
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// True once the supervisor has given up on this shard
-    /// (`MAX_RESTARTS` exhausted).
-    pub fn failed(&self) -> bool {
-        // ordering: Relaxed — a sticky flag read for reporting; the
-        // supervisor is the only writer and acts on its own state.
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    fn mark_failed(&self) {
-        // ordering: Relaxed — see `failed`.
-        self.failed.store(true, Ordering::Relaxed);
-    }
 }
 
 /// How often the supervisor polls the slots.
@@ -165,7 +85,7 @@ pub(crate) const POLL: Duration = Duration::from_millis(25);
 /// A live thread whose heartbeat is older than this is wedged. It
 /// comfortably exceeds the socket poll timeout
 /// ([`crate::batch::RECV_POLL`]) plus worst-case batch processing.
-pub(crate) const WEDGE_TIMEOUT: Duration = Duration::from_millis(400);
+pub const WEDGE_TIMEOUT: Duration = Duration::from_millis(400);
 
 /// Restart attempts per shard before the supervisor gives up on it.
 pub(crate) const MAX_RESTARTS: u64 = 8;
@@ -200,6 +120,10 @@ pub(crate) fn supervise<F>(
     F: FnMut(usize, u64) -> io::Result<thread::JoinHandle<()>>,
 {
     debug_assert_eq!(slots.len(), handles.len());
+    // Restart attempts per shard, and the shards given up on: only this
+    // thread reads or writes them.
+    let mut restarts = vec![0u64; slots.len()];
+    let mut failed = vec![false; slots.len()];
     let mut last_beat: Vec<(u64, Instant)> = slots
         .iter()
         .map(|s| (s.heartbeat(), Instant::now()))
@@ -214,7 +138,7 @@ pub(crate) fn supervise<F>(
         }
         let now = Instant::now();
         for (i, slot) in slots.iter().enumerate() {
-            if slot.failed() {
+            if failed[i] {
                 continue;
             }
             let hb = slot.heartbeat();
@@ -226,7 +150,7 @@ pub(crate) fn supervise<F>(
             if !finished && !wedged {
                 continue;
             }
-            let give_up = slot.restarts() >= MAX_RESTARTS;
+            let give_up = restarts[i] >= MAX_RESTARTS;
             shared.flush(&SupervisorStats {
                 restarts: u64::from(!give_up),
                 crashes_detected: u64::from(finished),
@@ -234,7 +158,7 @@ pub(crate) fn supervise<F>(
                 gave_up: u64::from(give_up),
             });
             if give_up {
-                slot.mark_failed();
+                failed[i] = true;
                 continue;
             }
             // Supersede first: a wedged orphan exits at its next
@@ -242,7 +166,7 @@ pub(crate) fn supervise<F>(
             // kernel keeps steering to a wedged socket until it closes,
             // so this ordering is what ends the blackhole).
             let generation = slot.bump_generation();
-            slot.note_restart_attempt();
+            restarts[i] += 1;
             match spawn(i, generation) {
                 Ok(h) => {
                     let old = std::mem::replace(&mut handles[i], h);
@@ -272,7 +196,7 @@ mod tests {
 
     #[test]
     fn slot_heartbeat_and_generation_are_monotone() {
-        let slot = ShardSlot::new();
+        let slot = ShardSlot::default();
         assert_eq!(slot.heartbeat(), 0);
         slot.beat();
         slot.beat();
@@ -283,20 +207,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_is_consumed_once() {
-        let slot = ShardSlot::new();
-        assert_eq!(slot.take_chaos(), None);
-        slot.inject(ChaosKind::Crash);
-        assert_eq!(slot.take_chaos(), Some(ChaosKind::Crash));
-        assert_eq!(slot.take_chaos(), None);
-        slot.inject(ChaosKind::Wedge);
-        assert_eq!(slot.take_chaos(), Some(ChaosKind::Wedge));
-        assert_eq!(slot.take_chaos(), None);
-    }
-
-    #[test]
     fn supervisor_restarts_a_finished_worker() {
-        let slots = vec![Arc::new(ShardSlot::new())];
+        let slots = vec![Arc::new(ShardSlot::default())];
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(SupervisorShared::default());
         let respawns = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -346,15 +258,15 @@ mod tests {
         // ordering: Release — mirrors ShardedRelay::shutdown.
         stop.store(true, Ordering::Release);
         sup.join().unwrap();
-        assert_eq!(slots[0].restarts(), 1);
-        // ordering: Relaxed — monotone event counter snapshot.
+        // ordering: Relaxed — monotone event counter snapshots.
+        assert_eq!(shared.restarts.load(Ordering::Relaxed), 1);
         assert_eq!(shared.crashes_detected.load(Ordering::Relaxed), 1);
         assert_eq!(shared.gave_up.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn supervisor_gives_up_after_budget() {
-        let slots = vec![Arc::new(ShardSlot::new())];
+        let slots = vec![Arc::new(ShardSlot::default())];
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(SupervisorShared::default());
         let h0 = thread::spawn(|| {});
@@ -370,15 +282,18 @@ mod tests {
             })
         };
         let start = Instant::now();
-        while !slots[0].failed() {
+        // ordering: Relaxed — monotone event counter snapshot.
+        while shared.gave_up.load(Ordering::Relaxed) == 0 {
             assert!(start.elapsed() < Duration::from_secs(2), "never gave up");
             thread::sleep(Duration::from_millis(5));
         }
         // ordering: Release — mirrors ShardedRelay::shutdown.
         stop.store(true, Ordering::Release);
         sup.join().unwrap();
-        assert_eq!(slots[0].restarts(), MAX_RESTARTS, "budget fully consumed");
-        // ordering: Relaxed — monotone event counter snapshot.
-        assert_eq!(shared.gave_up.load(Ordering::Relaxed), 1);
+        // ordering: Relaxed — monotone event counter snapshots.
+        let restarts = shared.restarts.load(Ordering::Relaxed);
+        let gave_up = shared.gave_up.load(Ordering::Relaxed);
+        assert_eq!(restarts, MAX_RESTARTS, "budget fully consumed");
+        assert_eq!(gave_up, 1);
     }
 }

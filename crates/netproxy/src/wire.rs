@@ -107,11 +107,9 @@ impl std::error::Error for WireError {}
 /// A zero-copy view of a validated datagram: header fields read in place
 /// from the receive buffer, payload borrowed, nothing materialized.
 ///
-/// This is the batched datapath's parse path: one bounds check and five
-/// unaligned big-endian loads, no allocation. The owned [`WireHeader`]
-/// path stays for senders and tests; [`DatagramView::parse`] and
-/// [`WireHeader::decode`] accept and reject exactly the same inputs
-/// (property-tested in this module).
+/// This is the parse path: one bounds check and five unaligned
+/// big-endian loads, no allocation. [`WireHeader::decode`], for senders
+/// and tests, is this parse plus a copy of the header.
 #[derive(Debug, Clone, Copy)]
 pub struct DatagramView<'a> {
     bytes: &'a [u8],
@@ -125,8 +123,8 @@ impl<'a> DatagramView<'a> {
     /// Validates `datagram` and reads the header fields in place.
     ///
     /// # Errors
-    /// The same [`WireError`]s as [`WireHeader::decode`], on the same
-    /// inputs.
+    /// What makes `datagram` invalid: too short, a bad magic, invalid
+    /// flags, or a payload length past its end.
     #[inline]
     pub fn parse(datagram: &'a [u8]) -> Result<DatagramView<'a>, WireError> {
         if datagram.len() < WIRE_HEADER_LEN {

@@ -1,11 +1,15 @@
 //! Integration tests for shard supervision, recovery, and the overload
 //! shed ladder — socket-driven, so skipped under Miri (no socket
 //! shims). These exercise the real `SO_REUSEPORT` restart path on
-//! Linux and the portable single-shard rebind path elsewhere.
+//! Linux and the portable single-shard rebind path elsewhere. Crashes
+//! and stalls come from the relay's fault plan, as in a soak.
 
 #![cfg(not(miri))]
 
-use netproxy::shard::{RelayConfig, ShardedRelay};
+use dcsim::faults::FaultPlan;
+use dcsim::time::{SimDuration, SimTime};
+use netproxy::shard::{effective_shards, RelayConfig, ShardedRelay};
+use netproxy::supervisor::WEDGE_TIMEOUT;
 use netproxy::wire::WireHeader;
 use std::net::{SocketAddr, UdpSocket};
 use std::num::NonZeroU64;
@@ -15,12 +19,24 @@ fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().expect("addr")
 }
 
-/// A two-shard relay under the supervisor's fixed timing.
-fn supervised_config(receiver: SocketAddr) -> RelayConfig {
-    RelayConfig {
+/// `ms` milliseconds after the relay starts, on the plan's clock.
+fn ms(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+/// A two-shard relay under the supervisor's fixed timing, running `plan`.
+fn supervised(receiver: &UdpSocket, plan: FaultPlan) -> ShardedRelay {
+    let config = RelayConfig {
         shards: 2,
-        ..RelayConfig::streamlined(receiver)
-    }
+        faults: Some((plan, 1)),
+        ..RelayConfig::streamlined(receiver.local_addr().unwrap())
+    };
+    ShardedRelay::start(loopback(), config).expect("relay starts")
+}
+
+/// A plan that crashes every shard of a two-shard relay at `at`.
+fn crash_every_shard(at: SimTime) -> FaultPlan {
+    (0..effective_shards(2) as u32).fold(FaultPlan::new(), |plan, s| plan.crash_shard(s, at))
 }
 
 /// Polls `cond` for up to `secs` seconds.
@@ -64,113 +80,35 @@ fn push_until_forwarded(
     }
 }
 
+/// Every shard crashes at 500 ms, so whichever one the kernel steers the
+/// flow to is among them. Each is restarted; the counters never regress,
+/// since a replacement adopts the same atomics; feedback for the flow
+/// taught before the crash still reverses to its sender, through the
+/// shared directory, since the private tables died with the workers; and
+/// the relay still relays.
 #[test]
-fn crashed_shard_is_restarted_and_stats_never_regress() {
+fn crashed_shards_are_restarted_and_keep_counters_and_routes() {
     let receiver = UdpSocket::bind(loopback()).unwrap();
-    let relay = ShardedRelay::start(
-        loopback(),
-        supervised_config(receiver.local_addr().unwrap()),
-    )
-    .expect("relay starts");
+    let relay = supervised(&receiver, crash_every_shard(ms(500)));
     let sender = UdpSocket::bind(loopback()).unwrap();
-
-    push_until_forwarded(&sender, &receiver, relay.local_addr(), 1);
-    // Counters flush after the batch's sends, a moment behind the socket.
-    wait_for(2, "first forward counted", || relay.stats().forwarded >= 1);
-    let before = relay.stats();
-
-    // Kill every shard: whichever one the kernel steers our flow to is
-    // certainly among them.
-    for shard in 0..relay.shards() {
-        relay.inject_crash(shard);
-    }
-    wait_for(5, "all shards restarted", || {
-        (0..relay.shards()).all(|s| relay.shard_generation(s) >= 1)
-    });
-    let sup = relay.supervisor_stats();
-    assert!(
-        sup.restarts >= relay.shards() as u64,
-        "every crash restarted"
-    );
-    assert!(sup.crashes_detected >= relay.shards() as u64);
-    assert_eq!(sup.gave_up, 0);
-
-    // The satellite claim: counters from a crashed-then-restarted shard
-    // are monotone — the replacement adopts the same atomics, so the
-    // merged snapshot never regresses.
-    let after_restart = relay.stats();
-    assert!(
-        after_restart.forwarded >= before.forwarded,
-        "no counter regression"
-    );
-    assert!(after_restart.received >= before.received);
-
-    // And the relay still relays: same flow, post-restart.
-    push_until_forwarded(&sender, &receiver, relay.local_addr(), 1);
-    wait_for(2, "post-restart forward counted", || {
-        relay.stats().forwarded > after_restart.forwarded
-    });
-
-    // Heartbeats advance on the replacement workers.
-    let hb: Vec<u64> = (0..relay.shards())
-        .map(|s| relay.shard_heartbeat(s))
-        .collect();
-    wait_for(2, "replacement heartbeats advance", || {
-        (0..relay.shards()).any(|s| relay.shard_heartbeat(s) > hb[s])
-    });
-}
-
-#[test]
-fn wedged_shard_is_detected_and_replaced() {
-    let receiver = UdpSocket::bind(loopback()).unwrap();
-    let relay = ShardedRelay::start(
-        loopback(),
-        supervised_config(receiver.local_addr().unwrap()),
-    )
-    .expect("relay starts");
-
-    relay.inject_wedge(0);
-    // The wedge only trips once the worker consumes the chaos flag, then
-    // the supervisor needs wedge_timeout of heartbeat silence.
-    wait_for(5, "wedge detected and superseded", || {
-        relay.shard_generation(0) >= 1
-    });
-    let sup = relay.supervisor_stats();
-    assert!(sup.wedges_detected >= 1, "wedge classified as wedge");
-    assert_eq!(sup.gave_up, 0);
-
-    // The replacement serves traffic again (on Linux the wedged orphan's
-    // socket may still soak up part of the steering until it exits; the
-    // push helper retries through that window).
-    let sender = UdpSocket::bind(loopback()).unwrap();
-    push_until_forwarded(&sender, &receiver, relay.local_addr(), 3);
-}
-
-#[test]
-fn directory_routed_feedback_survives_restart() {
-    let receiver = UdpSocket::bind(loopback()).unwrap();
-    let relay = ShardedRelay::start(
-        loopback(),
-        supervised_config(receiver.local_addr().unwrap()),
-    )
-    .expect("relay starts");
-    let sender = UdpSocket::bind(loopback()).unwrap();
-
-    // Teach the relay flow 9's sender, then crash every shard: the
-    // private tables die with the workers, the shared directory does not.
     push_until_forwarded(&sender, &receiver, relay.local_addr(), 9);
-    wait_for(2, "flow published to directory", || {
-        relay.directory().lookup(9).is_some()
+    // Counters flush after the batch's sends, a moment behind the socket.
+    wait_for(2, "first forward counted and flow 9 published", || {
+        relay.stats().forwarded >= 1 && relay.directory().lookup(9).is_some()
     });
-    for shard in 0..relay.shards() {
-        relay.inject_crash(shard);
-    }
+    let before = relay.stats();
     wait_for(5, "all shards restarted", || {
         (0..relay.shards()).all(|s| relay.shard_generation(s) >= 1)
     });
+    let (sup, shards) = (relay.supervisor_stats(), relay.shards() as u64);
+    assert!(
+        sup.restarts >= shards && sup.crashes_detected >= shards,
+        "{sup:?}"
+    );
+    assert_eq!(sup.gave_up, 0);
+    let after = relay.stats();
+    assert!(after.forwarded >= before.forwarded && after.received >= before.received);
 
-    // Feedback for the pre-crash flow must still route to its sender —
-    // via the directory, since no replacement has seen flow 9's data.
     sender
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
@@ -188,9 +126,65 @@ fn directory_routed_feedback_survives_restart() {
             assert_eq!(from, relay.local_addr());
             let (h, _) = WireHeader::decode(&buf[..n]).expect("wire");
             assert_eq!(h.flow, 9);
-            return;
+            break;
         }
     }
+
+    push_until_forwarded(&sender, &receiver, relay.local_addr(), 9);
+    wait_for(2, "post-restart forward counted", || {
+        relay.stats().forwarded > after.forwarded
+    });
+    let hb: Vec<u64> = (0..relay.shards())
+        .map(|s| relay.shard_heartbeat(s))
+        .collect();
+    wait_for(2, "replacement heartbeats advance", || {
+        (0..relay.shards()).any(|s| relay.shard_heartbeat(s) > hb[s])
+    });
+}
+
+#[test]
+fn wedged_shard_is_detected_and_replaced() {
+    let receiver = UdpSocket::bind(loopback()).unwrap();
+    // A one-second stall: the worker's receive holds it, so the
+    // supervisor sees WEDGE_TIMEOUT of heartbeat silence.
+    let relay = supervised(
+        &receiver,
+        FaultPlan::new().crash_shard_window(0, ms(50), ms(1_050)),
+    );
+    wait_for(5, "wedge detected and superseded", || {
+        relay.shard_generation(0) >= 1
+    });
+    let sup = relay.supervisor_stats();
+    assert!(sup.wedges_detected >= 1, "wedge classified as wedge");
+    assert_eq!(sup.gave_up, 0);
+
+    // The replacement serves traffic again (on Linux the wedged orphan's
+    // socket soaks up part of the steering until its stall ends and it
+    // exits; the push helper retries through that window).
+    let sender = UdpSocket::bind(loopback()).unwrap();
+    push_until_forwarded(&sender, &receiver, relay.local_addr(), 3);
+}
+
+/// A stall shorter than the wedge timeout is ridden out: the worker
+/// resumes, nothing is superseded, and the relay still forwards.
+#[test]
+fn a_short_stall_is_ridden_out() {
+    let receiver = UdpSocket::bind(loopback()).unwrap();
+    let started = Instant::now();
+    let relay = supervised(
+        &receiver,
+        FaultPlan::new().crash_shard_window(0, ms(50), ms(150)),
+    );
+    // Past the stall and a whole wedge timeout after it.
+    let quiet = Duration::from_millis(150) + 2 * WEDGE_TIMEOUT;
+    std::thread::sleep(quiet.saturating_sub(started.elapsed()));
+    assert_eq!(relay.shard_generation(0), 0, "no supersession");
+    let sup = relay.supervisor_stats();
+    assert_eq!((sup.wedges_detected, sup.restarts), (0, 0), "{sup:?}");
+    let hb = relay.shard_heartbeat(0);
+    wait_for(2, "shard 0 beats again", || relay.shard_heartbeat(0) > hb);
+    let sender = UdpSocket::bind(loopback()).unwrap();
+    push_until_forwarded(&sender, &receiver, relay.local_addr(), 4);
 }
 
 #[test]

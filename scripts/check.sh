@@ -105,7 +105,7 @@ done
 # Six 2-3 s scenarios, run one at a time: ~20 s on 2 vCPUs. A failure
 # shrinks in at most 8 runs of ~3.5 s, so a failing campaign ends within
 # about 3 minutes even if every scenario fails.
-echo "== soak fuzz (the live relay under fault plans, mid-run crash/wedge and the shed ladder, ledger-verified; repros land in target/fuzz-repros)"
+echo "== soak fuzz (the live relay under fault plans, shard crashes and stalls among their entries, and the shed ladder, ledger-verified; the closing line counts scenarios per socket layer x chaos drawn; repros land in target/fuzz-repros)"
 cargo run --release --offline -q -p bench --bin fuzz -- --soak --count 6 --start-seed 1 --shrink-budget 8
 
 echo "== chaos fuzz (bounded campaign, fixed seed range; repros land in target/fuzz-repros)"
