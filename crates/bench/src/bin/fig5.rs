@@ -39,13 +39,13 @@ use netproxy::wire::WireHeader;
 use netproxy::{decide, Action, BatchLoadGen, RelayKind, RelayStats, SocketLayer};
 use std::time::{Duration, Instant};
 use trace::json::Json;
-use trace::{Cdf, LatencyRecorder, SplitMix64, Table};
+use trace::{LogHistogram, SplitMix64, Table};
 
 /// Lower bound: per-packet runtime of the decision logic alone, over the
 /// same data/trimmed mix the live proxy sees. One timed call per sample
-/// (like per-packet eBPF instrumentation).
-fn lower_bound_cdf(samples: usize) -> Cdf {
-    let recorder = LatencyRecorder::new();
+/// (like per-packet eBPF instrumentation). Nanoseconds.
+fn lower_bound(samples: usize) -> LogHistogram {
+    let mut hist = LogHistogram::new();
     let data = WireHeader::data(1, 1, 1000).encode(&vec![0u8; 1000]);
     let trimmed = WireHeader::trimmed(1, 2).encode(&[]);
     let ack = WireHeader::ack(1, 3).encode(&[]);
@@ -60,8 +60,7 @@ fn lower_bound_cdf(samples: usize) -> Cdf {
         // simlint: allow(wall-clock) — measures real eBPF-datapath decision latency
         let start = Instant::now();
         let action = decide(wire);
-        let nanos = start.elapsed().as_nanos() as u64;
-        recorder.record_nanos(nanos);
+        hist.record(start.elapsed().as_nanos() as u64);
         sink += match action {
             Action::ForwardToReceiver(_) => 1,
             Action::NackToSender(header) => header.seq,
@@ -70,13 +69,14 @@ fn lower_bound_cdf(samples: usize) -> Cdf {
         };
     }
     assert!(sink > 0, "keep the optimizer honest");
-    recorder.cdf_micros().expect("samples")
+    hist
 }
 
 /// Upper bound: the same decisions where the relay makes them — one shard
 /// behind real UDP sockets (full stack), one live run judged by the live
-/// ledger. Returns the relay's counters too.
-fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
+/// ledger: the relay's per-datagram share of each batch's span,
+/// nanoseconds, and its counters.
+fn upper_bound(duration: Duration) -> (LogHistogram, RelayStats) {
     // The paper's iperf shape, rate-scaled: 200 Mbit/s of 1400 B datagrams
     // on one flow, a fifth of them trimmed on the way.
     let load = BatchLoadGen {
@@ -104,7 +104,7 @@ fn upper_bound_cdf(duration: Duration) -> (Cdf, RelayStats) {
         outcome.ledger.failed,
         outcome.ledger
     );
-    (outcome.batch_share.expect("samples"), outcome.counts.relay)
+    (outcome.batch_share, outcome.counts.relay)
 }
 
 fn main() {
@@ -116,21 +116,23 @@ fn main() {
             "streamlined proxy overhead: decision-logic lower bound vs through-stack upper bound",
         )
     );
-    let lower = lower_bound_cdf(if opts.quick { 200_000 } else { 2_000_000 });
-    let (upper, relay) = upper_bound_cdf(Duration::from_secs(if opts.quick { 1 } else { 10 }));
+    let lower = lower_bound(if opts.quick { 200_000 } else { 2_000_000 });
+    let (upper, relay) = upper_bound(Duration::from_secs(if opts.quick { 1 } else { 10 }));
+    let micros = |h: &LogHistogram, q: f64| h.quantile(q) as f64 / 1000.0;
+    let (lower_median, upper_median) = (micros(&lower, 0.5), micros(&upper, 0.5));
 
     let mut table = Table::new(vec!["percentile", "lower bound (us)", "upper bound (us)"]);
     for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99] {
         table.row(vec![
             format!("p{:.0}", q * 100.0),
-            format!("{:.3}", lower.quantile(q)),
-            format!("{:.2}", upper.quantile(q)),
+            format!("{:.3}", micros(&lower, q)),
+            format!("{:.2}", micros(&upper, q)),
         ]);
-        for (bound, cdf) in [("lower", &lower), ("upper", &upper)] {
+        for (bound, hist) in [("lower", &lower), ("upper", &upper)] {
             let point = vec![
                 ("bound", Json::str(bound)),
                 ("quantile", Json::f64(q)),
-                ("latency_us", Json::f64(cdf.quantile(q))),
+                ("latency_us", Json::f64(micros(hist, q))),
             ];
             println!("{}", json_line("fig5", point));
         }
@@ -140,9 +142,9 @@ fn main() {
     let mean_batch = relay.received as f64 / relay.batches.max(1) as f64;
     println!(
         "median lower bound {:.3} us vs median upper bound {:.2} us per datagram, amortised ({}x apart)",
-        lower.median(),
-        upper.median(),
-        (upper.median() / lower.median()).round()
+        lower_median,
+        upper_median,
+        (upper_median / lower_median).round()
     );
     println!(
         "upper bound: {} datagrams in {} receive batches ({mean_batch:.2} per batch, largest {});",
@@ -151,8 +153,8 @@ fn main() {
     println!("each sample is one batch's time divided by its datagram count.");
     // What one datagram waits: its batch's whole span, arrival in user
     // space to the send returning.
-    let batch_span = upper.median() * mean_batch;
-    let ratio = batch_span / lower.median();
+    let batch_span = upper_median * mean_batch;
+    let ratio = batch_span / lower_median;
     println!(
         "un-amortised: a datagram waits its whole batch, {batch_span:.2} us at the median \
          (amortised median x mean batch) — {}x the decision; the assertion reads this ratio (>= 10x)",

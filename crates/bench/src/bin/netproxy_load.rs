@@ -410,7 +410,7 @@ mod tests {
                 lines: Vec::new(),
             },
             latency: LogHistogram::new(),
-            batch_share: None,
+            batch_share: LogHistogram::new(),
         }
     }
 

@@ -20,7 +20,8 @@
 //! counts. The ingress check also prints how many datagrams the kernel
 //! dropped machine-wide over the run ([`KernelDrops`]), which the ledger
 //! cannot attribute to the run but which says where unexplained loss
-//! most likely went.
+//! most likely went, and under chaos the plan's total stall time and
+//! what that much of the load comes to, beside the budget.
 
 use dcsim::faults::FaultPlan;
 use dcsim::time::SimDuration;
@@ -32,7 +33,7 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
-use trace::{Cdf, LogHistogram};
+use trace::LogHistogram;
 
 /// What carries the load from the generator to the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,9 +252,8 @@ pub struct LiveOutcome {
     /// One-way latency of data datagrams at the sink, nanoseconds.
     pub latency: LogHistogram,
     /// The relay's per-datagram share of each batch's span
-    /// ([`ShardedRelay::recorder`]), microseconds; `None` on the direct
-    /// path or without a sample.
-    pub batch_share: Option<Cdf>,
+    /// ([`ShardedRelay::recorder`]), nanoseconds; empty on the direct path.
+    pub batch_share: LogHistogram,
 }
 
 /// Runs `run` and judges it.
@@ -324,7 +324,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
             .map(|(a, b)| a.since(b)),
         ..Counts::default()
     };
-    let mut batch_share = None;
+    let mut batch_share = LogHistogram::new();
     if let Some(relay) = &relay {
         counts.layer = relay.layer().name();
         counts.faults = relay.fault_stats();
@@ -336,7 +336,7 @@ pub fn run(run: &LiveRun) -> LiveOutcome {
             std::thread::sleep(Duration::from_millis(50));
             counts.heartbeats_later = shards.map(|i| relay.shard_heartbeat(i)).collect();
         }
-        batch_share = relay.recorder().cdf_micros();
+        batch_share = relay.recorder().snapshot();
     }
     LiveOutcome {
         ledger: judge(run, &counts),
@@ -437,14 +437,22 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
     // What's left over is crash/stall loss: packets the kernel steered
     // into a socket that died (queue lost on close) or stalled (queue
     // overflowed while unserviced). The kernel's own drop counters say
-    // where it went, machine-wide.
+    // where it went, machine-wide. Under chaos the line also says how
+    // long the plan stalls shards (`restore_at − at` summed over the
+    // entries that have a restore time) and what that much load comes to.
     let arrived_adj = delivered + fs.rx_duplicated;
     let rx_explained = fs.rx_dropped + fs.rx_blackholed + fs.rx_delay_pending() + r.received;
     let crash_lost = arrived_adj as i64 - rx_explained as i64;
-    let (name_a, budget) = if run.chaos_on() {
-        ("ingress_loss_within_crash_budget", run.load.rate_pps as i64)
+    let (name_a, budget, stalls) = if run.chaos_on() {
+        let stalls = run.faults.shard_crashes.iter();
+        let stalls = stalls.filter_map(|c| Some(c.restore_at?.since(c.at)));
+        let stalled = stalls.fold(SimDuration::ZERO, |total, stall| total + stall);
+        let rate = run.load.rate_pps;
+        let at_rate = (stalled.as_secs_f64() * rate as f64).round() as u64;
+        let stalls = format!("; plan stalls {stalled} = {at_rate} datagrams at {rate} pps");
+        ("ingress_loss_within_crash_budget", rate as i64, stalls)
     } else {
-        ("ingress_zero_unexplained", 0)
+        ("ingress_zero_unexplained", 0, String::new())
     };
     let kernel = c.kernel.map_or("n/a".to_string(), |k| k.to_string());
     ledger.check(
@@ -452,8 +460,8 @@ pub fn judge(run: &LiveRun, c: &Counts) -> Ledger {
         (0..=budget).contains(&crash_lost),
         format!(
             "crash_lost {crash_lost} = delivered + rx_dup {arrived_adj} - rx_dropped - \
-             rx_blackholed - rx_delay_pending - relay_received {rx_explained}; budget {budget}; \
-             kernel drops (machine-wide) {kernel}"
+             rx_blackholed - rx_delay_pending - relay_received {rx_explained}; budget {budget}\
+             {stalls}; kernel drops (machine-wide) {kernel}"
         ),
     );
 
@@ -896,6 +904,27 @@ mod tests {
         let armed = |name: &str| ledger.lines.iter().any(|l| l.contains(name));
         assert!(armed("ingress_loss_within_crash_budget") && armed("all_shards_alive"));
         assert!(!armed("wedge_recovered") && !armed("crash_recovered"));
+    }
+
+    /// The crash-budget line says how long the plan stalls shards (a crash
+    /// without a restore time adds nothing) and what that much of the
+    /// load comes to; the clean line names no stall.
+    #[test]
+    fn the_crash_budget_line_names_the_plans_stalls() {
+        let ingress = |run: &LiveRun, c: &Counts| {
+            let mut lines = judge(run, c).lines.into_iter();
+            lines
+                .find(|l| l.contains("ingress_"))
+                .expect("an ingress line")
+        };
+        let (run, c) = chaos();
+        let want = "budget 20000; plan stalls 1.000s = 20000 datagrams at 20000 pps; kernel";
+        assert!(ingress(&run, &c).contains(want), "{}", ingress(&run, &c));
+        let faults = run.faults.crash_shard_window(0, ms(1_200), ms(1_300));
+        let line = ingress(&LiveRun { faults, ..run }, &c);
+        assert!(line.contains("stalls 1.100s = 22000 datagrams"), "{line}");
+        let line = ingress(&clean(STREAMLINED), &balanced(STREAMLINED));
+        assert!(!line.contains("stalls"), "{line}");
     }
 
     /// The counters parse from `/proc`'s formats, and the ingress line

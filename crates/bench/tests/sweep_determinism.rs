@@ -65,12 +65,10 @@ fn fingerprint(outcomes: &[(trace::Summary, Vec<IncastOutcome>)]) -> String {
     let mut out = String::new();
     for (summary, runs) in outcomes {
         out.push_str(&format!(
-            "summary {} {:x} {:x} {:x} {:x}\n",
-            summary.count,
+            "summary {:x} {:x} {:x}\n",
             summary.mean.to_bits(),
             summary.min.to_bits(),
             summary.max.to_bits(),
-            summary.std.to_bits(),
         ));
         for o in runs {
             out.push_str(&format!(

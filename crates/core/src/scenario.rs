@@ -94,9 +94,9 @@ pub struct Scenario {
     pub incasts: Vec<Incast>,
     /// Plain flows, installed in order after the incasts.
     pub flows: Vec<Flow>,
-    /// Web-search background flows ([`FlowSizeDist::WebSearch`]) between
-    /// hosts that take part in no incast, started uniformly in the first
-    /// 10 ms. Fewer than two such hosts: none.
+    /// Web-search background flows ([`BackgroundTraffic`]) between hosts
+    /// that take part in no incast, started uniformly in the first 10 ms.
+    /// Fewer than two such hosts: none.
     pub background_flows: usize,
     /// Faults injected into the run (ports and agents by index).
     pub faults: FaultPlan,
@@ -174,7 +174,6 @@ impl Scenario {
         if self.background_flows > 0 && hosts.len() >= 2 {
             background = BackgroundTraffic {
                 flows: self.background_flows,
-                sizes: FlowSizeDist::WebSearch,
                 start_window: SimDuration::from_millis(10),
                 hosts,
                 seed: derive_seed(seed, 0xB6),

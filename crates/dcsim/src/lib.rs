@@ -81,5 +81,5 @@ pub mod prelude {
         two_dc_leaf_spine, two_dc_unstructured, LinkProps, NodeRole, Topology, TopologyBuilder,
         TwoDcParams, UnstructuredParams,
     };
-    pub use crate::workload::{BackgroundTraffic, FlowSizeDist};
+    pub use crate::workload::BackgroundTraffic;
 }

@@ -12,60 +12,33 @@ use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use trace::{derive_seed, SplitMix64};
 
-/// Flow-size distributions for background traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowSizeDist {
-    /// Every flow the same size.
-    Fixed(u64),
-    /// Log-uniform between the bounds (heavy-tailed-ish, the standard
-    /// stand-in for datacenter flow-size distributions).
-    LogUniform {
-        /// Smallest flow in bytes.
-        min_bytes: u64,
-        /// Largest flow in bytes.
-        max_bytes: u64,
-    },
-    /// A coarse web-search-style mix: 60% mice (≤100 KB), 30% medium
-    /// (≤1 MB), 10% elephants (≤10 MB), log-uniform within each band.
-    WebSearch,
-}
-
-impl FlowSizeDist {
-    /// Draws one flow size.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        match *self {
-            FlowSizeDist::Fixed(bytes) => bytes.max(1),
-            FlowSizeDist::LogUniform {
-                min_bytes,
-                max_bytes,
-            } => log_uniform(rng, min_bytes, max_bytes),
-            FlowSizeDist::WebSearch => {
-                let band = rng.next_f64();
-                if band < 0.6 {
-                    log_uniform(rng, 10_000, 100_000)
-                } else if band < 0.9 {
-                    log_uniform(rng, 100_000, 1_000_000)
-                } else {
-                    log_uniform(rng, 1_000_000, 10_000_000)
-                }
-            }
-        }
+/// Draws one background flow size from a coarse web-search-style mix:
+/// 60% mice (≤100 KB), 30% medium (≤1 MB), 10% elephants (≤10 MB),
+/// log-uniform within each band.
+fn web_search_size(rng: &mut SplitMix64) -> u64 {
+    let band = rng.next_f64();
+    if band < 0.6 {
+        log_uniform(rng, 10_000, 100_000)
+    } else if band < 0.9 {
+        log_uniform(rng, 100_000, 1_000_000)
+    } else {
+        log_uniform(rng, 1_000_000, 10_000_000)
     }
 }
 
+/// Log-uniform between the bounds (heavy-tailed-ish, the standard
+/// stand-in for datacenter flow-size distributions).
 fn log_uniform(rng: &mut SplitMix64, min: u64, max: u64) -> u64 {
     assert!(min >= 1 && max >= min, "invalid size bounds");
     let (ln_min, ln_max) = ((min as f64).ln(), (max as f64).ln());
     (ln_min + rng.next_f64() * (ln_max - ln_min)).exp() as u64
 }
 
-/// A batch of random background flows.
+/// A batch of random background flows, web-search sized (`web_search_size`).
 #[derive(Debug, Clone)]
 pub struct BackgroundTraffic {
     /// Number of flows to create.
     pub flows: usize,
-    /// Flow sizes.
-    pub sizes: FlowSizeDist,
     /// Starts are uniform in `[0, start_window)`.
     pub start_window: SimDuration,
     /// Hosts allowed as endpoints (e.g. exclude the incast participants).
@@ -92,7 +65,7 @@ impl BackgroundTraffic {
                     break d;
                 }
             };
-            let bytes = self.sizes.sample(&mut rng);
+            let bytes = web_search_size(&mut rng);
             let start =
                 SimTime::ZERO + SimDuration((self.start_window.0 as f64 * rng.next_f64()) as u64);
             handles.push(install_flow(sim, FlowSpec::new(src, dst, bytes), start));
@@ -119,9 +92,7 @@ mod tests {
     #[test]
     fn websearch_mix_is_mostly_mice() {
         let mut rng = SplitMix64::new(2);
-        let sizes: Vec<u64> = (0..10_000)
-            .map(|_| FlowSizeDist::WebSearch.sample(&mut rng))
-            .collect();
+        let sizes: Vec<u64> = (0..10_000).map(|_| web_search_size(&mut rng)).collect();
         let mice = sizes.iter().filter(|&&s| s <= 100_000).count();
         let elephants = sizes.iter().filter(|&&s| s > 1_000_000).count();
         assert!((5000..7000).contains(&mice), "mice={mice}");
@@ -135,10 +106,6 @@ mod tests {
         let hosts: Vec<HostId> = (0..16).map(HostId).collect();
         let handles = BackgroundTraffic {
             flows: 20,
-            sizes: FlowSizeDist::LogUniform {
-                min_bytes: 10_000,
-                max_bytes: 200_000,
-            },
             start_window: SimDuration::from_millis(1),
             hosts,
             seed: 9,
@@ -159,7 +126,6 @@ mod tests {
             let mut sim = Simulator::new(topo, 1);
             BackgroundTraffic {
                 flows: 10,
-                sizes: FlowSizeDist::WebSearch,
                 start_window: SimDuration::from_millis(1),
                 hosts: (0..8).map(HostId).collect(),
                 seed,
@@ -180,7 +146,6 @@ mod tests {
         let mut sim = Simulator::new(topo, 1);
         BackgroundTraffic {
             flows: 1,
-            sizes: FlowSizeDist::Fixed(1000),
             start_window: SimDuration::ZERO,
             hosts: vec![HostId(0)],
             seed: 1,

@@ -61,8 +61,10 @@ pub mod wire;
 
 pub use batch::{BatchIo, RecvRing, SendQueue, SocketLayer, BATCH};
 pub use fault::{FaultSnapshot, FaultStats, FaultedIo};
-pub use loadgen::{BatchLoadGen, BatchLoadReport, BatchSink, SinkStats, TcpLoadGen, TcpSink};
-pub use naive::NaiveProxy;
+pub use loadgen::{
+    BatchLoadGen, BatchLoadReport, BatchSink, SinkStats, TcpLoadGen, TcpSink, TcpSinkStats,
+};
+pub use naive::{NaiveProxy, NaiveStats};
 pub use shard::{FlowDirectory, RelayConfig, RelayKind, RelayStats, ShardStats, ShardedRelay};
 pub use streamlined::{decide, Action};
 pub use supervisor::SupervisorStats;

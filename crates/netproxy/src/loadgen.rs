@@ -22,7 +22,7 @@ use crate::naive::TcpServer;
 use crate::wire::{DatagramView, Flags, WireHeader, MAX_PAYLOAD};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -80,26 +80,36 @@ impl TcpLoadGen {
     }
 }
 
+trace::counters! {
+    "netproxy.tcp_sink", atomic crate::sync::AtomicU64;
+    /// The sink's counter, bumped once per read.
+    struct TcpSinkCounters;
+    /// A snapshot of everything a [`TcpSink`] has absorbed.
+    pub struct TcpSinkStats {
+        /// Payload bytes absorbed.
+        bytes,
+    }
+}
+
 /// A byte-counting TCP sink (the receiving end of a [`TcpLoadGen`] run).
 pub struct TcpSink {
     server: TcpServer,
-    bytes: Arc<AtomicU64>,
+    counters: Arc<TcpSinkCounters>,
 }
 
 impl TcpSink {
     /// Binds an ephemeral loopback port and starts absorbing.
     pub fn start() -> io::Result<TcpSink> {
-        let bytes = Arc::new(AtomicU64::new(0));
-        let counter = bytes.clone();
+        let counters = Arc::new(TcpSinkCounters::default());
+        let shared = counters.clone();
         let server =
             TcpServer::start(SocketAddr::from(([127, 0, 0, 1], 0)), move |mut conn, _| {
                 let mut buf = vec![0u8; 64 * 1024];
                 while let Ok(n @ 1..) = conn.read(&mut buf) {
-                    // ordering: Relaxed — monotone byte counter, no payload.
-                    counter.fetch_add(n as u64, Ordering::Relaxed);
+                    shared.flush(&TcpSinkStats { bytes: n as u64 });
                 }
             })?;
-        Ok(TcpSink { server, bytes })
+        Ok(TcpSink { server, counters })
     }
 
     /// The sink's bound address.
@@ -107,10 +117,11 @@ impl TcpSink {
         self.server.local_addr()
     }
 
-    /// Bytes absorbed so far.
-    pub fn bytes(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.bytes.load(Ordering::Relaxed)
+    /// Everything the sink has counted so far.
+    pub fn stats(&self) -> TcpSinkStats {
+        let mut s = TcpSinkStats::default();
+        s.merge(&self.counters);
+        s
     }
 }
 
@@ -476,7 +487,7 @@ mod tests {
             "sent {}",
             stats.sent_bytes
         );
-        wait_for(|| sink.bytes() == stats.sent_bytes);
+        wait_for(|| sink.stats().bytes == stats.sent_bytes);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -108,13 +108,26 @@ impl Drop for TcpServer {
     }
 }
 
+trace::counters! {
+    "netproxy.naive", atomic crate::sync::AtomicU64;
+    /// The relay threads' counters.
+    struct NaiveCounters;
+    /// A snapshot of everything a [`NaiveProxy`] has counted.
+    pub struct NaiveStats {
+        /// Bytes relayed sender→receiver.
+        bytes_relayed,
+        /// Connections accepted.
+        connections,
+        /// Relays that ended with an error (upstream dial failures, resets).
+        relay_errors,
+    }
+}
+
 /// What the relay threads share with the [`NaiveProxy`] handle.
 #[derive(Default)]
 struct Shared {
     recorder: LatencyRecorder,
-    bytes_relayed: AtomicU64,
-    connections: AtomicU64,
-    relay_errors: AtomicU64,
+    counters: NaiveCounters,
 }
 
 /// A running Naive proxy instance.
@@ -130,8 +143,10 @@ impl NaiveProxy {
         let shared = Arc::new(Shared::default());
         let sh = shared.clone();
         let server = TcpServer::start(listen, move |inbound, stop| {
-            // ordering: Relaxed — monotone stats counter.
-            sh.connections.fetch_add(1, Ordering::Relaxed);
+            sh.counters.flush(&NaiveStats {
+                connections: 1,
+                ..NaiveStats::default()
+            });
             // Connection errors are per-flow events, not proxy failures —
             // but an operator must see them, so they are counted, not
             // swallowed (teardown noise at shutdown excepted).
@@ -139,8 +154,10 @@ impl NaiveProxy {
             if relay_connection(inbound, upstream, &sh, stop).is_err()
                 && !stop.load(Ordering::Acquire)
             {
-                // ordering: Relaxed — monotone stats counter.
-                sh.relay_errors.fetch_add(1, Ordering::Relaxed);
+                sh.counters.flush(&NaiveStats {
+                    relay_errors: 1,
+                    ..NaiveStats::default()
+                });
             }
         })?;
         Ok(NaiveProxy { server, shared })
@@ -156,22 +173,11 @@ impl NaiveProxy {
         &self.shared.recorder
     }
 
-    /// Total bytes relayed sender→receiver so far.
-    pub fn bytes_relayed(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.shared.bytes_relayed.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted so far.
-    pub fn connections(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.shared.connections.load(Ordering::Relaxed)
-    }
-
-    /// Relays that ended with an error (upstream dial failures, resets).
-    pub fn relay_errors(&self) -> u64 {
-        // ordering: Relaxed — live snapshot of a monotone counter.
-        self.shared.relay_errors.load(Ordering::Relaxed)
+    /// Everything the relay threads have counted so far.
+    pub fn stats(&self) -> NaiveStats {
+        let mut s = NaiveStats::default();
+        s.merge(&self.shared.counters);
+        s
     }
 
     /// Stops accepting, tears down active relays and joins their threads
@@ -231,8 +237,10 @@ fn pump(mut from: &TcpStream, mut to: &TcpStream, stats: Option<&Shared>) -> io:
             shared
                 .recorder
                 .record_nanos(read_done.elapsed().as_nanos() as u64);
-            // ordering: Relaxed — monotone byte counter, no payload published.
-            shared.bytes_relayed.fetch_add(n as u64, Ordering::Relaxed);
+            shared.counters.flush(&NaiveStats {
+                bytes_relayed: n as u64,
+                ..NaiveStats::default()
+            });
         }
     }
 }
@@ -270,8 +278,9 @@ mod tests {
         let mut echoed = vec![0u8; msg.len()];
         client.read_exact(&mut echoed).unwrap();
         assert_eq!(&echoed, msg);
-        assert_eq!(proxy.connections(), 1);
-        assert!(proxy.bytes_relayed() >= msg.len() as u64);
+        let stats = proxy.stats();
+        assert_eq!(stats.connections, 1);
+        assert!(stats.bytes_relayed >= msg.len() as u64);
     }
 
     #[test]
@@ -324,7 +333,7 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
-        assert_eq!(proxy.connections(), 8);
+        assert_eq!(proxy.stats().connections, 8);
     }
 
     #[test]
@@ -334,7 +343,7 @@ mod tests {
         let proxy = NaiveProxy::start(loopback(), upstream).unwrap();
         let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
         client.write_all(b"doomed").ok();
-        wait_for(|| proxy.relay_errors() == 1);
+        wait_for(|| proxy.stats().relay_errors == 1);
     }
 
     #[test]
@@ -354,11 +363,18 @@ mod tests {
         open.write_all(b"x").unwrap();
         let done = TcpStream::connect(addr).unwrap();
         done.shutdown(Shutdown::Write).unwrap();
-        wait_for(|| proxy.connections() == 2 && proxy.bytes_relayed() == 1);
+        wait_for(|| {
+            let stats = proxy.stats();
+            stats.connections == 2 && stats.bytes_relayed == 1
+        });
         proxy.shutdown(); // joins every thread, so returning at all is the check
         proxy.shutdown(); // idempotent
         assert_eq!(open.read(&mut [0u8; 1]).unwrap_or(0), 0, "relay torn down");
-        assert_eq!(proxy.relay_errors(), 0, "teardown is not a relay error");
+        assert_eq!(
+            proxy.stats().relay_errors,
+            0,
+            "teardown is not a relay error"
+        );
         // Either connect fails outright or the connection is never served.
         if let Ok(mut c) = TcpStream::connect(addr) {
             c.set_read_timeout(Some(Duration::from_millis(200)))

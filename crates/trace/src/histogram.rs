@@ -158,24 +158,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
         self.sum += other.sum;
     }
-
-    /// Expands the histogram into `(value, cumulative_fraction)` plot points,
-    /// one per non-empty bucket. Suitable for CDF-style textual plots.
-    pub fn cdf_points(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            out.push((
-                self.bucket_value(idx).clamp(self.min, self.max),
-                seen as f64 / self.total as f64,
-            ));
-        }
-        out
-    }
 }
 
 impl Default for LogHistogram {
@@ -239,19 +221,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 100);
         assert_eq!(a.max(), 1_000_000);
-    }
-
-    #[test]
-    fn cdf_points_monotone() {
-        let mut h = LogHistogram::new();
-        let mut rng = crate::rng::SplitMix64::new(5);
-        for _ in 0..5000 {
-            h.record(rng.next_bounded(1_000_000));
-        }
-        let pts = h.cdf_points();
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

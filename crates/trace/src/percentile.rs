@@ -1,8 +1,9 @@
 //! Exact percentile computation over in-memory samples.
 //!
-//! Used when the sample count is small enough to keep everything (simulation
-//! completion times, per-run summaries). For millions of on-data-path
-//! samples use [`crate::LogHistogram`] instead.
+//! For a sample set small enough to keep and sort: the benchmark
+//! (`crates/perf`) reads the quartiles and best deciles of its repeated
+//! measurements through it. Latency recorded on a data path goes into a
+//! [`crate::LogHistogram`] instead, whose quantiles need no samples.
 
 /// Returns the `p`-th percentile (0.0 ..= 100.0) of an ascending-sorted
 /// slice using linear interpolation between closest ranks (the same method

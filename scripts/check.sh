@@ -36,19 +36,24 @@ if git grep -n -e 'Simulator::new' -e 'FleetSim::new' -e 'FleetSim::with_partiti
   echo "a simulated run is built by hand (describe it as a Scenario, or name the test in ENGINE_ALLOW)" >&2; exit 1
 fi
 if grep -rn -E 'env::var(_os)?\b' crates/dcsim/src crates/core/src; then echo "dcsim or incast_core reads an environment variable (a setting lives in a config field or a constant)" >&2; exit 1; fi
-# A brace struct whose every field is an integer is a counter set, and a
-# counter set is declared through `trace::counters!` (whose fields carry no
-# type, so it never matches here). Configs, handles and per-gap records are
-# named below.
-COUNTER_STRUCTS="$(awk -v allow=' SignatureConfig LossDetectorConfig TwoDcLayout Fifo TimerHandle Pending Declared ' '
+# A brace struct whose every field is an integer is a counter set, and so is
+# one with two or more bare `AtomicU64` fields; a counter set is declared
+# through `trace::counters!` (whose fields carry no type, so it never matches
+# here). Configs, handles and per-gap records are named below, and so is
+# `ShardSlot`, whose heartbeat and generation are supervision state.
+COUNTER_STRUCTS="$(awk -v allow=' SignatureConfig LossDetectorConfig TwoDcLayout Fifo TimerHandle Pending Declared ShardSlot ' '
   /^[[:space:]]*(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]+ *\{ *$/ {
-    name = $0; sub(/^.*struct /, "", name); sub(/[ {].*$/, "", name); open = 1; fields = 0; ints = 1; next
+    name = $0; sub(/^.*struct /, "", name); sub(/[ {].*$/, "", name); open = 1; fields = 0; ints = 1; atomics = 0; next
   }
-  open && /^[[:space:]]*\}/ { if (fields && ints && index(allow, " " name " ") == 0) print FILENAME ": struct " name; open = 0; next }
+  open && /^[[:space:]]*\}/ { if (fields && (ints || atomics >= 2) && index(allow, " " name " ") == 0) print FILENAME ": struct " name; open = 0; next }
   open && /^[[:space:]]*(\/\/|#)/ { next }
-  open && /:/ { fields++; if ($0 !~ /:[[:space:]]*[ui](8|16|32|64|128|size),?[[:space:]]*$/) ints = 0 }
+  open && /:/ {
+    fields++
+    if ($0 !~ /:[[:space:]]*[ui](8|16|32|64|128|size),?[[:space:]]*$/) ints = 0
+    if ($0 ~ /:[[:space:]]*([A-Za-z_]+::)*AtomicU64,?[[:space:]]*$/) atomics++
+  }
 ' $(git ls-files 'crates/dcsim/src/*.rs' 'crates/core/src/*.rs' 'crates/netproxy/src/*.rs'))"
-if [ -n "$COUNTER_STRUCTS" ]; then echo "$COUNTER_STRUCTS"; echo "an integer counter struct is declared by hand (declare it through trace::counters!)" >&2; exit 1; fi
+if [ -n "$COUNTER_STRUCTS" ]; then echo "$COUNTER_STRUCTS"; echo "an integer or atomic counter struct is declared by hand (declare it through trace::counters!)" >&2; exit 1; fi
 
 echo "== scripts parse (bash -n)"
 bash -n scripts/pairs.sh

@@ -17,6 +17,8 @@ fn generated() -> Vec<&'static str> {
         netproxy::RelayStats,
         netproxy::FaultSnapshot,
         netproxy::SinkStats,
+        netproxy::TcpSinkStats,
+        netproxy::NaiveStats,
         netproxy::SupervisorStats,
         netproxy::BatchLoadReport,
         netproxy::batch::SendOutcome,

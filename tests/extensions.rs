@@ -102,7 +102,6 @@ fn incast_completes_amid_background_traffic() {
     let (dc0, dc1) = (sc.fabric.hosts_in_dc(0), sc.fabric.hosts_in_dc(1));
     BackgroundTraffic {
         flows: 30,
-        sizes: FlowSizeDist::WebSearch,
         start_window: SimDuration::from_millis(2),
         hosts: vec![dc0[4], dc0[5], dc0[6], dc1[1], dc1[2], dc1[3]],
         seed: 77,

@@ -25,15 +25,15 @@ fn naive_proxy_is_byte_transparent_under_load() {
     // Allow the relay to drain.
     // simlint: allow(wall-clock) — drain deadline for live sockets
     let start = Instant::now();
-    while sink.bytes() < stats.sent_bytes && start.elapsed() < Duration::from_secs(2) {
+    while sink.stats().bytes < stats.sent_bytes && start.elapsed() < Duration::from_secs(2) {
         thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(
-        sink.bytes(),
+        sink.stats().bytes,
         stats.sent_bytes,
         "every byte must arrive exactly once"
     );
-    assert_eq!(proxy.bytes_relayed(), stats.sent_bytes);
+    assert_eq!(proxy.stats().bytes_relayed, stats.sent_bytes);
     assert!(proxy.recorder().count() > 0, "latency samples collected");
 }
 
